@@ -8,7 +8,7 @@
 //!
 //! * `serial_build` — [`DistGraphComm::plan`] on a single-thread pool,
 //!   the pre-fast-path baseline;
-//! * `parallel_build` — the same build on [`nhood_core::WorkerPool::auto`]
+//! * `parallel_build` — the same build on [`nhood_cluster::WorkerPool::auto`]
 //!   (per-half matchmaking scoring and per-rank lowering fan out);
 //! * `cold_cached` — `plan_shared` against a fresh [`PlanCache`]: one
 //!   fingerprint, one full build, one insert;

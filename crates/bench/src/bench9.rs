@@ -1,7 +1,7 @@
-//! BENCH_9 — raw speed at 100k+ ranks: the sharded simulator against
-//! its serial twin, streaming plan-build peak RSS across a 10× rank
-//! jump, and the memory-mapped warm-start path against decode-and-
-//! validate.
+//! BENCH_9 — raw speed at 100k+ ranks: the simulator's sharded prepare
+//! against pool width 1 of the same engine, streaming plan-build peak
+//! RSS across a 10× rank jump, and the memory-mapped warm-start path
+//! against decode-and-validate.
 //!
 //! All three sections run on 2-d torus topologies so the per-rank edge
 //! count (degree 4) is **identical across scales** — the RSS gate
@@ -37,21 +37,21 @@ use nhood_simnet::{Engine, Schedule};
 use nhood_topology::torus::{torus, TorusSpec};
 use nhood_topology::Topology;
 
-/// Required serial / sharded wall-time ratio on ≥ 4-thread hosts.
+/// Required width-1 / sharded wall-time ratio on ≥ 4-thread hosts.
 pub const GATE_SHARD_SPEEDUP: f64 = 2.0;
 /// Peak-RSS ceiling for the ~100k build relative to the ~10k build.
 pub const GATE_RSS_RATIO: f64 = 10.0;
 /// Required decode-validate / mmap first-rank-ready warm-start ratio.
 pub const GATE_MMAP_SPEEDUP: f64 = 5.0;
 
-/// Serial vs sharded simulation of one schedule.
+/// Pool width 1 vs the full pool on one schedule (same engine).
 #[derive(Debug, Clone)]
 pub struct ShardRow {
     /// Rank count of the simulated plan.
     pub n: usize,
     /// Worker threads in the sharded pool.
     pub threads: usize,
-    /// Best-of-reps serial `Engine::run` wall time.
+    /// Best-of-reps `Engine::run` (pool width 1) wall time.
     pub serial_secs: f64,
     /// Best-of-reps `Engine::run_sharded` wall time.
     pub sharded_secs: f64,
@@ -60,7 +60,7 @@ pub struct ShardRow {
 }
 
 impl ShardRow {
-    /// Serial over sharded wall time.
+    /// Width-1 over sharded wall time.
     pub fn speedup(&self) -> f64 {
         self.serial_secs / self.sharded_secs.max(1e-12)
     }
@@ -130,7 +130,7 @@ pub struct GateReport {
     pub host_threads: usize,
     /// Whether the speedup gate is armed (`host_threads >= 4`).
     pub shard_gate_applicable: bool,
-    /// Measured serial/sharded speedup.
+    /// Measured width-1/sharded speedup.
     pub shard_speedup: f64,
     /// Gate: speedup ≥ [`GATE_SHARD_SPEEDUP`]; vacuously true when the
     /// gate is not applicable.
@@ -195,7 +195,7 @@ fn reports_bit_identical(a: &nhood_simnet::SimReport, b: &nhood_simnet::SimRepor
         && a.stats == b.stats
 }
 
-/// Times serial vs sharded simulation of `schedule` on `layout` and
+/// Times `schedule` on `layout` at pool width 1 and at `threads`, and
 /// checks the reports bit-identical.
 pub fn shard_cell(
     layout: &ClusterLayout,
@@ -209,10 +209,10 @@ pub fn shard_cell(
     let pool = WorkerPool::new(threads);
     // Warm both paths once so allocator and page-cache effects do not
     // penalise whichever arm runs first.
-    let warm_serial = engine.run(schedule).expect("serial sim");
+    let warm_serial = engine.run(schedule).expect("width-1 sim");
     let warm_sharded = engine.run_sharded(schedule, &pool).expect("sharded sim");
     let bit_identical = reports_bit_identical(&warm_serial, &warm_sharded);
-    let (serial_secs, _) = timed(reps, || engine.run(schedule).expect("serial sim"));
+    let (serial_secs, _) = timed(reps, || engine.run(schedule).expect("width-1 sim"));
     let (sharded_secs, _) =
         timed(reps, || engine.run_sharded(schedule, &pool).expect("sharded sim"));
     ShardRow { n, threads, serial_secs, sharded_secs, bit_identical }
@@ -296,7 +296,7 @@ pub fn run(quick: bool) -> Bench9 {
     let plan = lower(&pattern_small, &g_small);
     drop(pattern_small);
 
-    eprintln!("bench9: sharded vs serial simulation at n={n}");
+    eprintln!("bench9: sharded vs width-1 simulation at n={n}");
     let cost = SimCost::niagara();
     let schedule = to_schedule(&plan, 4096, &cost);
     let threads = WorkerPool::auto().threads();

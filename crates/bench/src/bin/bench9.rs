@@ -1,5 +1,5 @@
 //! `bench9` — regenerate `BENCH_9.json`: raw speed at 100k+ ranks.
-//! Sharded simulator vs serial, streaming plan-build peak RSS across a
+//! Sharded simulator vs pool width 1, streaming plan-build peak RSS across a
 //! 10× rank jump on matched edges/rank, and the mmap warm-start path
 //! vs decode + validate.
 //!
@@ -41,7 +41,7 @@ fn main() {
     std::fs::write(&out, &json).expect("writing BENCH_9.json");
 
     eprintln!(
-        "   sharded sim   n={:<7} threads={:<3} serial {:.3}s  sharded {:.3}s  {:.2}x  bit-identical={}",
+        "   sharded sim   n={:<7} threads={:<3} width-1 {:.3}s  sharded {:.3}s  {:.2}x  bit-identical={}",
         b.shard.n,
         b.shard.threads,
         b.shard.serial_secs,
@@ -86,7 +86,7 @@ fn main() {
         failed = true;
     }
     if !report.shard_bit_identical {
-        eprintln!("!! sharded report diverged from the serial engine");
+        eprintln!("!! sharded report diverged from the width-1 run");
         failed = true;
     }
     match report.rss_ratio {

@@ -17,7 +17,6 @@
 //! `benches/` (driven by the in-repo [`harness`]).
 
 pub mod bench10;
-pub mod bench3;
 pub mod bench4;
 pub mod bench5;
 pub mod bench6;

@@ -580,19 +580,18 @@ pub fn cmd_recommend(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let graph = load_topology(path)?;
     let layout = parse_layout(args, graph.n())?;
     let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
-    let rec = nhood_core::select_algo::recommend(&graph, &layout, m);
-    writeln!(w, "recommended: {rec} (for {m}-byte payloads)")?;
-    let n = graph.n();
-    let comm =
-        DistGraphComm::create_adjacent(graph, layout.clone()).map_err(|e| fail(e.to_string()))?;
-    let cost = SimCost::niagara();
-    // The tuner's own portfolio, so the listing shows exactly what the
-    // recommendation swept (placement-gated candidates included).
-    for algo in nhood_core::autotune::candidates(n, &layout, 8) {
-        let plan = comm.plan(algo).map_err(|e| fail(e.to_string()))?;
-        let t = simulate(&plan, &layout, m, &cost).map_err(|e| fail(e.to_string()))?;
-        let marker = if algo == rec { "  <-- recommended" } else { "" };
-        writeln!(w, "{:>28}: {:>10.2} us{}", algo.to_string(), t.makespan * 1e6, marker)?;
+    // The tuner's own portfolio and sweep, so the listing shows exactly
+    // what the recommendation scored (placement-gated candidates
+    // included; candidates that cannot build on this layout are skipped).
+    let cands = nhood_core::autotune::candidates(graph.n(), &layout, 8);
+    let comm = DistGraphComm::create_adjacent(graph, layout).map_err(|e| fail(e.to_string()))?;
+    let tuned = comm
+        .tune_candidates(&cands, &BlockSizes::uniform(m), &nhood_telemetry::NULL)
+        .map_err(|e| fail(e.to_string()))?;
+    writeln!(w, "recommended: {} (for {m}-byte payloads)", tuned.winner)?;
+    for (algo, t) in &tuned.scores {
+        let marker = if *algo == tuned.winner { "  <-- recommended" } else { "" };
+        writeln!(w, "{:>28}: {:>10.2} us{}", algo.to_string(), t * 1e6, marker)?;
     }
     Ok(())
 }

@@ -1,11 +1,10 @@
 //! Zero-copy block arenas: flat per-rank buffers with a precomputed
 //! offset table.
 //!
-//! The legacy executors model every payload block as an owned (or
-//! `Arc`-shared) `Vec<u8>` inside a per-rank hash map, so each phase pays
-//! per-block allocation, hashing and pointer-chasing costs that the
-//! paper's Hockney model (§V) never charges. The arena path moves all of
-//! that work to **plan time**:
+//! Modelling every payload block as an owned `Vec<u8>` in a per-rank map
+//! makes each phase pay per-block allocation, hashing and
+//! pointer-chasing costs that the paper's Hockney model (§V) never
+//! charges. The arena moves all of that work to **plan time**:
 //!
 //! * [`ArenaLayout::for_plan`] walks the plan once and assigns every
 //!   block a rank ever holds a fixed **slot** in that rank's flat arena
@@ -23,8 +22,7 @@
 //!
 //! [`BlockArena`] owns the reusable storage. It caches the layout (keyed
 //! by a fingerprint of the plan and topology) and the per-rank buffers,
-//! so a persistent collective executing the same plan repeatedly never
-//! reallocates — see [`BlockArena::reallocations`].
+//! so a caller executing the same plan repeatedly never reallocates — see [`BlockArena::reallocations`].
 
 use crate::exec::ExecError;
 use crate::plan::CollectivePlan;

@@ -1,8 +1,7 @@
 //! The simulation-driven algorithm auto-tuner behind
 //! [`Algorithm::Auto`].
 //!
-//! Instead of static crossover thresholds (the old `select_algo`
-//! heuristics, now thin shims over this module), the tuner builds every
+//! Instead of static crossover thresholds, the tuner builds every
 //! portfolio candidate for the request's exact (topology, layout,
 //! [`BlockSizes`](crate::sizes::BlockSizes)) triple, scores each plan
 //! through the §V cost model ([`crate::exec::sim_exec::simulate_v`]),

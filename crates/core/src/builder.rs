@@ -40,10 +40,10 @@ use crate::csr::RespBuilder;
 use crate::pattern::{
     in_range, range_len, split_half, DhPattern, DhStep, RankPattern, SelectionStats,
 };
-use crate::pool::WorkerPool;
 use crate::selection::{run_matching, RoundCandidates, RoundResult, ScoreRow};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
+use nhood_cluster::WorkerPool;
 use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::{Rank, Topology};
 

@@ -282,8 +282,8 @@ pub enum ExecBackend {
     /// One OS thread per rank, real channels, the communicator's
     /// timeouts; the only backend with fault injection and robustness.
     Threaded,
-    /// Discrete-event simulated time. Unlike the legacy `Sim` executor,
-    /// the unified API *also* returns oracle bytes (computed on the
+    /// Discrete-event simulated time. Unlike the bare `Sim` executor,
+    /// the request API *also* returns oracle bytes (computed on the
     /// virtual data path) next to the makespan, so reference-equivalence
     /// holds on this backend too.
     Sim,
@@ -443,9 +443,8 @@ pub struct CollectiveOutput {
 }
 
 /// Rejects (op, algorithm, robustness, backend) combinations outside the
-/// support matrix — the typed error the old
-/// `UnsupportedAlgorithm { operation: "neighbor_alltoall" }` branch grew
-/// into. See docs/EXECUTION_API.md for the full table.
+/// support matrix with a typed error. See docs/EXECUTION_API.md for the
+/// full table.
 pub(crate) fn check_support(
     op: CollectiveOp,
     algorithm: Algorithm,

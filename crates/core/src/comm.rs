@@ -36,10 +36,10 @@ use crate::naive::plan_naive;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::plan_cache::{PlanCache, PlanFingerprint};
-use crate::pool::WorkerPool;
 use crate::repair::{repair_for_churn, repair_link_down, Completeness, RepairPolicy};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
+use nhood_cluster::WorkerPool;
 use nhood_simnet::{Engine, SimError, SimReport};
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
 use nhood_topology::{Rank, Topology};
@@ -200,7 +200,8 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// Structured outcome of [`DistGraphComm::neighbor_allgather_robust`].
+/// Structured outcome of a robust run ([`DistGraphComm::collective`] with
+/// `CollectiveRequest::robust(true)`).
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// The algorithm the caller asked for.
@@ -214,9 +215,7 @@ pub struct ExecReport {
     /// the naive fallback all tally into one shared sink.
     pub faults: FaultCounts,
     /// Telemetry counter totals, when the run was given a counting
-    /// recorder (see
-    /// [`DistGraphComm::neighbor_allgather_robust_recorded`]); `None`
-    /// otherwise.
+    /// recorder (`CollectiveRequest::recorder`); `None` otherwise.
     pub counters: Option<Counts>,
     /// Mid-execution link-down repairs performed before the buffers were
     /// produced (0 on the happy path).
@@ -436,8 +435,8 @@ impl DistGraphComm {
     }
 
     /// Attaches a fault plan: the threaded executor and the distributed
-    /// negotiation of [`Self::neighbor_allgather_robust`] consult it at
-    /// every send.
+    /// negotiation of a robust [`Self::collective`] request consult it
+    /// at every send.
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
         self
@@ -915,8 +914,7 @@ impl DistGraphComm {
         Ok(plan)
     }
 
-    /// Runs any neighborhood collective from one typed request — the
-    /// single entry point every per-op convenience method now shims to.
+    /// Runs any neighborhood collective from one typed request.
     ///
     /// The allgather family executes the lowered [`CollectivePlan`]
     /// (every algorithm; robust + fault-injected execution on the
@@ -925,8 +923,8 @@ impl DistGraphComm {
     /// [`AlltoallPlan`] with reducing agents (Naive and Distance Halving
     /// only). On [`ExecBackend::Sim`] the output carries **both** real
     /// oracle bytes and the simulator's makespan (under
-    /// [`SimCost::niagara`]); the legacy [`crate::exec::Sim`] executor
-    /// returned empty buffers.
+    /// [`SimCost::niagara`]); the bare [`crate::exec::Sim`] executor
+    /// returns empty buffers.
     ///
     /// Combinations outside the support matrix return
     /// [`CommError::UnsupportedCollective`] /
@@ -1167,40 +1165,6 @@ impl DistGraphComm {
         Ok(plan)
     }
 
-    /// One-call neighborhood allgather on the virtual backend.
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather`")]
-    pub fn neighbor_allgather(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        self.collective(&CollectiveRequest::allgather(payloads).algorithm(algo)).map(|o| o.rbufs)
-    }
-
-    /// Ragged (per-rank-sized) neighborhood allgather on the virtual
-    /// backend.
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::allgatherv`")]
-    pub fn neighbor_allgatherv(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        self.collective(&CollectiveRequest::allgatherv(payloads).algorithm(algo)).map(|o| o.rbufs)
-    }
-
-    /// Uniform neighborhood alltoall: `sbufs[p]` holds one distinct
-    /// `m`-byte block per outgoing neighbor (in `O(p)` order).
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::alltoallv`")]
-    pub fn neighbor_alltoall(
-        &self,
-        algo: Algorithm,
-        sbufs: &[Vec<u8>],
-        m: usize,
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        let req = CollectiveRequest::alltoallv(sbufs).algorithm(algo).sizes(BlockSizes::uniform(m));
-        self.collective(&req).map(|o| o.rbufs)
-    }
-
     /// Builds (and validates) the item-routing alltoall plan the
     /// combining family executes.
     ///
@@ -1294,52 +1258,26 @@ impl DistGraphComm {
         }
     }
 
-    /// Fault-tolerant neighborhood allgather on the threaded executor.
-    ///
-    /// Plans `algo` (Distance Halving via the distributed negotiation,
-    /// so construction itself can fail under faults) and executes with
-    /// the policy's timeouts, retry budget and the attached fault plan.
-    /// If the policy allows it, a failed build or a liveness failure
-    /// during execution **degrades to the naive plan** instead of
-    /// erroring; the returned [`ExecReport`] records what was requested,
-    /// what ran, why it degraded, and the fault/retry tally. Buffers are
-    /// only ever returned when some plan ran to completion — a fault
-    /// schedule that defeats both the requested plan and the naive
-    /// fallback yields a typed error, never corrupt data or a hang.
-    #[deprecated(
-        note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather(..).robust(true).backend(ExecBackend::Threaded)`"
-    )]
-    pub fn neighbor_allgather_robust(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<(Vec<Vec<u8>>, ExecReport), CommError> {
-        self.robust_allgather_inner(algo, payloads, &NULL)
-    }
-
-    /// [`Self::neighbor_allgather_robust`] with a telemetry
-    /// [`Recorder`]: negotiation, execution, retries and the
-    /// degradation decision itself all report into `rec` (a fallback is
-    /// recorded against rank 0, the communicator-wide event's
-    /// representative). When `rec` keeps counters (a
-    /// `CountingRecorder`), their totals are copied into
-    /// [`ExecReport::counters`].
-    #[deprecated(
-        note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather(..).robust(true).backend(ExecBackend::Threaded).recorder(..)`"
-    )]
-    pub fn neighbor_allgather_robust_recorded(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<Vec<u8>>, ExecReport), CommError> {
-        self.robust_allgather_inner(algo, payloads, rec)
-    }
-
     /// The robust-allgather engine behind [`Self::collective`] with
     /// `robust = true`: distributed negotiation, mid-run link-down
     /// self-healing, and naive degradation, per the communicator's
     /// [`RobustPolicy`].
+    ///
+    /// Plans `algo` (Distance Halving via the distributed negotiation,
+    /// so construction itself can fail under faults) and executes on
+    /// the threaded backend with the policy's timeouts, retry budget and
+    /// the attached fault plan. If the policy allows it, a failed build
+    /// or a liveness failure during execution **degrades to the naive
+    /// plan** instead of erroring; the returned [`ExecReport`] records
+    /// what was requested, what ran, why it degraded, and the
+    /// fault/retry tally. Buffers are only ever returned when some plan
+    /// ran to completion — a fault schedule that defeats both the
+    /// requested plan and the naive fallback yields a typed error,
+    /// never corrupt data or a hang. Negotiation, execution, retries
+    /// and the degradation decision all report into `rec` (a fallback
+    /// is recorded against rank 0, the communicator-wide event's
+    /// representative); a counting recorder's totals are copied into
+    /// [`ExecReport::counters`].
     fn robust_allgather_inner(
         &self,
         algo: Algorithm,
@@ -1492,12 +1430,20 @@ impl DistGraphComm {
     }
 
     /// Simulated latency with per-rank payload sizes (`allgatherv`).
+    ///
+    /// # Errors
+    /// [`ExecError::PayloadCountMismatch`] unless `sizes` holds one
+    /// entry per rank.
     pub fn latency_v(
         &self,
         algo: Algorithm,
         sizes: &[usize],
         cost: &SimCost,
     ) -> Result<SimReport, CommError> {
+        if sizes.len() != self.n() {
+            let mismatch = ExecError::PayloadCountMismatch { got: sizes.len(), want: self.n() };
+            return Err(mismatch.into());
+        }
         let plan = self.plan(algo)?;
         Ok(crate::exec::sim_exec::simulate_v(&plan, &self.layout, sizes, cost)?)
     }
@@ -1505,13 +1451,15 @@ impl DistGraphComm {
     /// Sweeps Common Neighbor over `ks` and returns `(k, plan)` with the
     /// lowest simulated latency at message size `m` — the paper launches
     /// CN "with various values of K" and reports the best.
+    ///
+    /// # Errors
+    /// [`CommError::BadAlgorithmParam`] for an empty `ks`.
     pub fn best_common_neighbor(
         &self,
         ks: &[usize],
         m: usize,
         cost: &SimCost,
     ) -> Result<(usize, CollectivePlan), CommError> {
-        assert!(!ks.is_empty(), "need at least one K to sweep");
         let mut best: Option<(f64, usize, CollectivePlan)> = None;
         for &k in ks {
             let plan = self.plan(Algorithm::CommonNeighbor { k })?;
@@ -1520,7 +1468,10 @@ impl DistGraphComm {
                 best = Some((t, k, plan));
             }
         }
-        let (_, k, plan) = best.expect("ks is non-empty");
+        let (_, k, plan) = best.ok_or(CommError::BadAlgorithmParam {
+            algorithm: Algorithm::CommonNeighbor { k: 0 },
+            reason: "need at least one K to sweep",
+        })?;
         Ok((k, plan))
     }
 }
@@ -1656,6 +1607,44 @@ mod tests {
         }
     }
 
+    /// The tuner's winner, re-scored independently, is no slower than
+    /// any candidate under the same cost model and size table.
+    fn assert_winner_is_argmin(c: &DistGraphComm, table: &[usize]) {
+        let cands = crate::autotune::candidates(c.n(), c.layout(), 8);
+        let sizes = BlockSizes::per_rank(table.to_vec());
+        let winner = c.tune_candidates(&cands, &sizes, &NULL).unwrap().winner;
+        let score = |algo| c.latency_v(algo, table, c.tuner_cost()).unwrap().makespan;
+        let t_win = score(winner);
+        for cand in cands {
+            let t = score(cand);
+            assert!(
+                t_win <= t + 1e-15,
+                "winner {winner} ({t_win:.2e}s) beaten by {cand} ({t:.2e}s)"
+            );
+        }
+    }
+
+    #[test]
+    fn tuned_winner_is_the_simulated_argmin() {
+        let layout = ClusterLayout::niagara(6, 36);
+        for (delta, m) in [(0.3f64, 64usize), (0.3, 262_144), (0.5, 64), (0.1, 65_536)] {
+            let g = erdos_renyi(216, delta, 7);
+            let c = DistGraphComm::create_adjacent(g, layout.clone()).unwrap();
+            assert_winner_is_argmin(&c, &[m; 216]);
+        }
+    }
+
+    #[test]
+    fn ragged_sizes_flow_into_the_tuner() {
+        // every 7th rank huge, the rest tiny — a mean-m classifier and a
+        // table-aware one see very different workloads; the winner must
+        // be the argmin under THOSE byte totals
+        let g = erdos_renyi(128, 0.3, 3);
+        let c = DistGraphComm::create_adjacent(g, ClusterLayout::niagara(4, 32)).unwrap();
+        let table: Vec<usize> = (0..128).map(|r| if r % 7 == 0 { 1 << 18 } else { 16 }).collect();
+        assert_winner_is_argmin(&c, &table);
+    }
+
     #[test]
     fn mutate_retires_the_tuner_entry() {
         let cache = Arc::new(PlanCache::new(16));
@@ -1753,6 +1742,23 @@ mod tests {
     }
 
     #[test]
+    fn latency_v_rejects_a_short_size_table_typed() {
+        let c = comm(32, 0.3);
+        let err = c.latency_v(Algorithm::Naive, &[64; 31], &SimCost::niagara()).unwrap_err();
+        assert!(
+            matches!(err, CommError::Exec(ExecError::PayloadCountMismatch { got: 31, want: 32 })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn best_k_sweep_rejects_an_empty_sweep_typed() {
+        let c = comm(32, 0.3);
+        let err = c.best_common_neighbor(&[], 64, &SimCost::niagara()).unwrap_err();
+        assert!(matches!(err, CommError::BadAlgorithmParam { .. }), "{err}");
+    }
+
+    #[test]
     fn plan_exposes_selection_stats_only_for_dh() {
         let c = comm(32, 0.3);
         assert!(c.plan(Algorithm::Naive).unwrap().selection.is_none());
@@ -1790,25 +1796,6 @@ mod tests {
         // ...and runs on the threaded transport only
         let req = CollectiveRequest::allgather(&payloads).robust(true);
         assert!(matches!(c.collective(&req), Err(CommError::UnsupportedCollective { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_collective() {
-        let c = comm(16, 0.4);
-        let payloads = test_payloads(16, 8, 11);
-        let via_shim = c.neighbor_allgather(Algorithm::DistanceHalving, &payloads).unwrap();
-        let via_req = allgather(&c, Algorithm::DistanceHalving, &payloads);
-        assert_eq!(via_shim, via_req);
-
-        let m = 6usize;
-        let sbufs: Vec<Vec<u8>> = (0..16)
-            .map(|p| (0..c.graph().outdegree(p) * m).map(|i| (p * 31 + i) as u8).collect())
-            .collect();
-        let via_shim = c.neighbor_alltoall(Algorithm::DistanceHalving, &sbufs, m).unwrap();
-        let req = CollectiveRequest::alltoallv(&sbufs).sizes(BlockSizes::uniform(m));
-        let via_req = c.collective(&req).unwrap().rbufs;
-        assert_eq!(via_shim, via_req);
     }
 
     #[test]

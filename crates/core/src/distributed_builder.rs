@@ -46,9 +46,9 @@
 use crate::builder::{assemble_pattern, check_inputs, segments_per_step, BuildError, Decision};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::pattern::{split_half, DhPattern, SelectionStats};
-use crate::pool::WorkerPool;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
+use nhood_cluster::WorkerPool;
 use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::{Bitset, Rank, Topology};
 use std::collections::HashMap;

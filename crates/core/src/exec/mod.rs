@@ -45,36 +45,19 @@ pub fn phase_label(plan: &CollectivePlan, k: usize) -> &'static str {
     }
 }
 
-/// How payload bytes are stored and moved during execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecEngine {
-    /// Zero-copy path: one flat buffer per rank with a precomputed
-    /// offset table (see [`crate::arena`]). Serves uniform and ragged
-    /// (`allgatherv`) payloads alike — ragged runs resolve slot runs
-    /// through per-rank byte-extent tables.
-    #[default]
-    Arena,
-    /// Legacy path: every block is an `Arc`-shared `Vec<u8>` in a
-    /// per-rank hash map. Kept as the comparison baseline.
-    PerBlock,
-}
-
 /// Execution parameters shared by every [`Executor`] backend, built
 /// fluently:
 ///
 /// ```
-/// use nhood_core::exec::{ExecEngine, ExecOptions};
+/// use nhood_core::exec::ExecOptions;
 /// use std::time::Duration;
 ///
-/// let opts = ExecOptions::new()
-///     .recv_timeout(Duration::from_secs(2))
-///     .engine(ExecEngine::Arena);
+/// let opts = ExecOptions::new().recv_timeout(Duration::from_secs(2)).ragged(true);
 /// assert_eq!(opts.recv_timeout, Duration::from_secs(2));
 /// ```
 ///
-/// `Default` matches the historical behaviour of the old free functions:
-/// 10 s receive timeout, no phase deadline, no faults, a null recorder,
-/// uniform payloads, arena engine.
+/// `Default`: 10 s receive timeout, no phase deadline, no faults, a null
+/// recorder, uniform payloads.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
     /// How long one blocked receive may wait before erroring (threaded
@@ -92,15 +75,8 @@ pub struct ExecOptions<'a> {
     /// Telemetry sink; defaults to the no-op [`nhood_telemetry::NULL`].
     pub recorder: &'a dyn Recorder,
     /// `true` accepts per-rank payloads of different lengths (the
-    /// `neighbor_allgatherv` semantics). Served by either engine.
+    /// `neighbor_allgatherv` semantics).
     pub ragged: bool,
-    /// Which data-movement engine to run.
-    pub engine: ExecEngine,
-    /// Worker threads for plan construction when a caller on this
-    /// options struct has to (re)build a plan — the persistent
-    /// collective's `init_with` path. `0` inherits the communicator's
-    /// build pool; executors themselves never build plans.
-    pub build_threads: usize,
     /// External fault-tally sink. When set, the threaded backend counts
     /// into this shared [`FaultStats`] instead of a run-local one, so
     /// the faults a *failed* run injected survive the `Err` (an
@@ -123,8 +99,6 @@ impl std::fmt::Debug for ExecOptions<'_> {
             .field("backoff_base", &self.backoff_base)
             .field("fault", &self.fault)
             .field("ragged", &self.ragged)
-            .field("engine", &self.engine)
-            .field("build_threads", &self.build_threads)
             .field("op", &self.op)
             .finish_non_exhaustive()
     }
@@ -140,8 +114,6 @@ impl Default for ExecOptions<'_> {
             fault: None,
             recorder: &NULL,
             ragged: false,
-            engine: ExecEngine::Arena,
-            build_threads: 0,
             fault_sink: None,
             op: crate::collective::CollectiveOp::Allgather,
         }
@@ -191,19 +163,6 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Selects the data-movement engine.
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the plan-construction worker count (`0` = inherit the
-    /// communicator's build pool).
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
-        self
-    }
-
     /// Routes fault tallies into an external [`FaultStats`], preserving
     /// them across a failed run.
     pub fn fault_sink(mut self, sink: &'a FaultStats) -> Self {
@@ -215,14 +174,6 @@ impl<'a> ExecOptions<'a> {
     pub fn op(mut self, op: crate::collective::CollectiveOp) -> Self {
         self.op = op;
         self
-    }
-
-    /// The engine that will actually run. (Historically ragged payloads
-    /// forced [`ExecEngine::PerBlock`]; the arena engine now serves them
-    /// through byte-extent tables, so this is simply the configured
-    /// engine.)
-    pub fn effective_engine(&self) -> ExecEngine {
-        self.engine
     }
 }
 
@@ -242,19 +193,16 @@ pub struct ExecOutcome {
 
 /// A plan-execution backend behind one uniform call.
 ///
-/// The three implementations — [`Virtual`] (sequential oracle),
-/// [`Threaded`] (one OS thread per rank) and [`Sim`] (discrete-event
-/// simulated time) — replace the nine historical free functions
-/// (`run_virtual{,_rec,_v,_v_rec}`, `run_threaded{,_v,_with_timeout,
-/// _cfg,_cfg_v}`), which survive as thin deprecated wrappers. See
-/// `docs/EXECUTION_API.md` for the migration table.
+/// Three implementations: [`Virtual`] (sequential oracle), [`Threaded`]
+/// (one OS thread per rank) and [`Sim`] (discrete-event simulated
+/// time). See `docs/EXECUTION_API.md`.
 pub trait Executor {
     /// A short backend name for logs and bench labels.
     fn name(&self) -> &'static str;
 
     /// Executes `plan` over `payloads`, using `arena` as the reusable
     /// zero-copy workspace (layout cache + flat buffers; ignored by the
-    /// per-block engine and the simulated backend).
+    /// simulated backend).
     fn run(
         &self,
         plan: &CollectivePlan,
@@ -326,7 +274,7 @@ pub enum ExecError {
         rank: Rank,
     },
     /// A rank exceeded its per-phase wall-clock deadline (see
-    /// [`threaded::ThreadedConfig::phase_deadline`]).
+    /// [`ExecOptions::phase_deadline`]).
     PhaseDeadline {
         /// The rank that blew its budget.
         rank: Rank,

@@ -40,8 +40,7 @@ impl SimCost {
 /// from [`Sim::m`] when set — so cluster-scale sizes need no real
 /// payload allocation — and from the payloads otherwise. The
 /// [`ExecOptions`] recorder receives every simulated message, making
-/// sim telemetry directly comparable with the real executors'
-/// (formerly the `simulate` vs `simulate_recorded` split).
+/// sim telemetry directly comparable with the real executors'.
 #[derive(Clone, Debug)]
 pub struct Sim {
     /// The modelled cluster.
@@ -52,10 +51,10 @@ pub struct Sim {
     /// the payloads passed to [`Executor::run`].
     pub m: Option<usize>,
     /// Worker threads for schedule validation, send/recv matching and
-    /// cost precomputation ([`Engine::run_sharded_recorded`]). `1` (the
-    /// default) runs the classic serial engine; the sharded path is
-    /// bit-identical for every width, so this is purely a wall-clock
-    /// knob for cluster-scale schedules.
+    /// cost precomputation ([`Engine::run_sharded_recorded`]); `1` (the
+    /// default) runs them inline. The report is bit-identical for every
+    /// width, so this is purely a wall-clock knob for cluster-scale
+    /// schedules.
     pub threads: usize,
 }
 
@@ -80,8 +79,7 @@ impl Sim {
     }
 
     /// Runs the engine's prepare passes on `threads` workers (`0` = one
-    /// per host core). The report stays bit-identical to the serial
-    /// engine's.
+    /// per host core). The report stays bit-identical.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { WorkerPool::auto().threads() } else { threads };
         self
@@ -118,13 +116,9 @@ impl Executor for Sim {
             to_schedule(plan, m, &self.cost)
         };
         let engine = Engine::new(&self.layout, self.cost.net);
-        let report = if self.threads > 1 {
-            let pool = WorkerPool::new(self.threads);
-            engine.run_sharded_recorded(&schedule, &pool, opts.recorder)
-        } else {
-            engine.run_recorded(&schedule, opts.recorder)
-        }
-        .map_err(|e| ExecError::SimFailed { msg: e.to_string() })?;
+        let report = engine
+            .run_sharded_recorded(&schedule, &WorkerPool::new(self.threads), opts.recorder)
+            .map_err(|e| ExecError::SimFailed { msg: e.to_string() })?;
         Ok(ExecOutcome { sim: Some(report), ..ExecOutcome::default() })
     }
 }
@@ -169,23 +163,6 @@ pub fn simulate(
 ) -> Result<SimReport, SimError> {
     let schedule = to_schedule(plan, m, cost);
     Engine::new(layout, cost.net).run(&schedule)
-}
-
-/// Like [`simulate`], but also replays every simulated message into
-/// `rec` (see [`Engine::run_recorded`]): counters tally one
-/// message/byte pair per planned transfer and span recorders get a
-/// simulated-time track per rank, making the sim backend's telemetry
-/// directly comparable with the virtual and threaded executors'.
-#[deprecated(note = "use `Sim { .. }.run(...)` with `ExecOptions::new().recorder(...)`")]
-pub fn simulate_recorded(
-    plan: &CollectivePlan,
-    layout: &ClusterLayout,
-    m: usize,
-    cost: &SimCost,
-    rec: &dyn nhood_telemetry::Recorder,
-) -> Result<SimReport, SimError> {
-    let schedule = to_schedule(plan, m, cost);
-    Engine::new(layout, cost.net).run_recorded(&schedule, rec)
 }
 
 /// Lowers `plan` to a schedule with *per-rank* payload sizes — the
@@ -398,18 +375,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_simulate_recorded_still_works() {
-        let g = erdos_renyi(12, 0.4, 1);
-        let layout = ClusterLayout::new(2, 2, 3);
-        let plan = plan_naive(&g);
-        let rec = nhood_telemetry::CountingRecorder::new(12);
-        let rep = simulate_recorded(&plan, &layout, 64, &SimCost::niagara(), &rec).unwrap();
-        assert!(rep.makespan > 0.0);
-        assert_eq!(rec.totals().msgs_sent as usize, plan.message_count());
-    }
-
-    #[test]
     fn threaded_sim_is_bit_identical_to_serial() {
         let g = erdos_renyi(48, 0.3, 9);
         let layout = ClusterLayout::new(4, 2, 6);
@@ -454,5 +419,87 @@ mod tests {
         let rep = simulate(&plan_naive(&g), &layout, 0, &cost).unwrap();
         assert!(rep.makespan > 0.0);
         assert!(rep.makespan < 2.0 * g.edge_count() as f64 * 1.1e-6);
+    }
+
+    fn fold_bits(v: &[f64]) -> u64 {
+        v.iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    // `[makespan, fold(per_rank_finish), fold(port_busy)]` as `to_bits`
+    // for a lowered Distance Halving plan, captured at the last commit
+    // that shipped simnet's hash-map serial engine (a91473c) from
+    // `Engine::run` / `Engine::run_perturbed`: `NicMode::{Off, TxOnly,
+    // TxRx}` × global links off/on × LogGP off/on, plain then perturbed.
+    // (simnet's own golden test covers synthetic schedules at every pool
+    // width under perturbation too; it cannot build a plan.)
+    const DH: [[u64; 3]; 24] = [
+        [0x3f205e663626bb94, 0xc76e4d42a23c8021, 0xa8fdd2ed1501eba7],
+        [0x3f2271178b30b1a7, 0xf84445c2849e11bf, 0x113874a406835e1c],
+        [0x3f1c5b0d2eda9f41, 0x4e2b0deab57f3031, 0xc46dfc6d7ce3e4f5],
+        [0x3f1d8691cdaf6bad, 0xf05934ebac99288b, 0x664b6709fb8f6630],
+        [0x3f205e663626bb94, 0xc76e4d42a23c8021, 0xa8fdd2ed1501eba7],
+        [0x3f2271178b30b1a7, 0xf84445c2849e11bf, 0x113874a406835e1c],
+        [0x3f1c5b0d2eda9f41, 0x4e2b0deab57f3031, 0xc46dfc6d7ce3e4f5],
+        [0x3f1d8691cdaf6bad, 0xf05934ebac99288b, 0x664b6709fb8f6630],
+        [0x3f25635167515ac6, 0x4c88758453084693, 0xdb9736d4e5eb2484],
+        [0x3f28e18305132cc2, 0x6e0872b04dbcf118, 0xbe47d39e66c0729a],
+        [0x3f1ee642ecc736e5, 0xc9f69c3974ca7d0b, 0x36a1fdf1910e8ade],
+        [0x3f1f1be8c3272ea3, 0xd65e157c6371a798, 0xfd74ef4aebbfd97a],
+        [0x3f25635167515ac6, 0x4c88758453084693, 0xdb9736d4e5eb2484],
+        [0x3f28e18305132cc2, 0x6e0872b04dbcf118, 0xbe47d39e66c0729a],
+        [0x3f1ee642ecc736e5, 0xc9f69c3974ca7d0b, 0x36a1fdf1910e8ade],
+        [0x3f1f1be8c3272ea3, 0xd65e157c6371a798, 0xfd74ef4aebbfd97a],
+        [0x3f285802ae98a9f0, 0x41133ecc227e46a2, 0x2a98db00a6f4ccb7],
+        [0x3f2dab4e2af68ae9, 0xaa74420028b028b2, 0x73ed7a55157c23f0],
+        [0x3f2076e80de86d62, 0xb4264a5112330d6b, 0xfe5fcd34ebd455af],
+        [0x3f20f4468c2dd9f6, 0x95a62f88fd0cdd09, 0xfd74ef4aebbfd97a],
+        [0x3f291b2449a53867, 0x9eb7919016d9ba73, 0x03fcb6df9a9ac2c5],
+        [0x3f2de1065ef8ba0f, 0xc4148de60fc15bcf, 0x73ed7a55157c23f0],
+        [0x3f20ba9dff3793ca, 0x00fdad5a21fc9e18, 0xfe5fcd34ebd455af],
+        [0x3f20fbd38e38cc5d, 0x63ab70721673793c, 0xfd74ef4aebbfd97a],
+    ];
+
+    #[test]
+    fn distance_halving_goldens_of_the_retired_serial_engine_hold() {
+        use nhood_simnet::{GlobalLinkConfig, Perturbation};
+        let g = erdos_renyi(64, 0.3, 17);
+        let layout = ClusterLayout::with_groups(8, 2, 4, 2);
+        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let s = to_schedule(&plan, 4096, &SimCost::niagara());
+        let p = Perturbation {
+            seed: 0x5EED,
+            rank_stall: (0..64).map(|r| if r % 5 == 0 { 2e-6 } else { 0.0 }).collect(),
+            jitter_p: 0.5,
+            max_jitter: 3e-6,
+            dead_links: Vec::new(),
+        };
+        let row = |rep: SimReport| {
+            [rep.makespan.to_bits(), fold_bits(&rep.per_rank_finish), fold_bits(&rep.port_busy)]
+        };
+        let mut rows = DH.iter();
+        for nic_mode in [NicMode::Off, NicMode::TxOnly, NicMode::TxRx] {
+            for gl in [false, true] {
+                for loggp in [false, true] {
+                    let cfg = SimConfig {
+                        hockney: HockneyParams::niagara(),
+                        nic_mode,
+                        cpu_overhead: loggp.then_some(0.15e-6),
+                        nic_gap: loggp.then_some(0.025e-6),
+                        global_links: gl.then(GlobalLinkConfig::niagara),
+                    };
+                    let e = Engine::new(&layout, cfg);
+                    let what = format!("{nic_mode:?}, global links {gl}, LogGP {loggp}");
+                    let plain = rows.next().expect("two golden rows per config");
+                    assert_eq!(row(e.run(&s).unwrap()), *plain, "{what}");
+                    for threads in [1, 2, 3, 8] {
+                        let rep = e.run_sharded(&s, &WorkerPool::new(threads)).unwrap();
+                        assert_eq!(row(rep), *plain, "{what}, {threads} threads");
+                    }
+                    let perturbed = rows.next().expect("two golden rows per config");
+                    assert_eq!(row(e.run_perturbed(&s, &p).unwrap()), *perturbed, "{what}");
+                }
+            }
+        }
     }
 }

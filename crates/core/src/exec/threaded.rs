@@ -9,29 +9,23 @@
 //! message passing — the closest this library gets to running the
 //! collective "for real".
 //!
-//! Two data-movement engines share the transport:
-//!
-//! * [`ExecEngine::Arena`] (default) — true zero-copy: wire messages are
-//!   scatter-gather descriptor lists of borrowed slices into the
-//!   original payload buffers (the shared-memory analog of an RDMA
-//!   iovec send from registered memory). A send resolves precomputed
-//!   slot runs to slice views (one descriptor for Distance Halving
-//!   halving steps), a receive appends the descriptors to the rank's
-//!   logical arena, and payload bytes are copied exactly **once** per
-//!   rank — into the final receive buffer;
-//! * [`ExecEngine::PerBlock`] — the legacy `Arc`-shared block store,
-//!   kept as the bench baseline.
-//!
-//! Both engines serve ragged (`allgatherv`) payloads; the arena engine
-//! resolves slot runs through per-rank [`SlotExtents`] byte tables.
+//! Data movement is true zero-copy: wire messages are scatter-gather
+//! descriptor lists of borrowed slices into the original payload
+//! buffers (the shared-memory analog of an RDMA iovec send from
+//! registered memory). A send resolves precomputed slot runs to slice
+//! views (one descriptor for Distance Halving halving steps), a receive
+//! appends the descriptors to the rank's logical arena, and payload
+//! bytes are copied exactly **once** per rank — into the final receive
+//! buffer. Ragged (`allgatherv`) payloads resolve slot runs through
+//! per-rank [`SlotExtents`] byte tables.
 //!
 //! # Robustness
 //!
 //! The executor is the primary consumer of the fault-injection layer
 //! ([`crate::fault`]). [`ExecOptions`] carries a receive timeout, an
 //! optional per-phase deadline, a retry budget with bounded exponential
-//! backoff, and an optional [`FaultPlan`]. Sends traverse a small
-//! reliable-transport emulation: an attempt the fault plan drops is
+//! backoff, and an optional [`crate::fault::FaultPlan`]. Sends traverse
+//! a small reliable-transport emulation: an attempt the fault plan drops is
 //! retried (with backoff) until the budget is exhausted, at which point
 //! the message is lost for good and the receiver's timeout converts the
 //! loss into [`ExecError::Timeout`] / [`ExecError::PhaseDeadline`]
@@ -42,54 +36,19 @@
 //! typed error — never silent corruption, never a hang.**
 
 use crate::arena::{BlockArena, RankLayout, SlotExtents, SlotRun};
-use crate::exec::{
-    check_payloads, phase_label, ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor,
-};
-use crate::fault::{backoff, backoff_seed, FaultAction, FaultCounts, FaultPlan, FaultStats};
+use crate::exec::{check_payloads, phase_label, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
 use crate::plan::{CollectivePlan, PlanPhase};
 use crate::sizes::BlockSizes;
-use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the fault-injected transport needs to know about a message.
-trait WireMsg: Send {
-    fn src(&self) -> Rank;
-    fn tag(&self) -> u64;
-    fn byte_len(&self) -> usize;
-    /// Structural copy for the duplication fault.
-    fn duplicate(&self) -> Self;
-}
-
-/// A packed per-block wire message between rank threads (legacy engine).
-struct Wire {
-    src: Rank,
-    tag: u64,
-    /// (block id, payload bytes) pairs, in message order.
-    blocks: Vec<(Rank, Arc<Vec<u8>>)>,
-}
-
-impl WireMsg for Wire {
-    fn src(&self) -> Rank {
-        self.src
-    }
-    fn tag(&self) -> u64 {
-        self.tag
-    }
-    fn byte_len(&self) -> usize {
-        self.blocks.iter().map(|(_, d)| d.len()).sum()
-    }
-    fn duplicate(&self) -> Self {
-        Self { src: self.src, tag: self.tag, blocks: self.blocks.clone() }
-    }
-}
-
-/// A zero-copy scatter-gather wire message (arena engine): one planned
-/// message as a descriptor list of borrowed slices into the original
-/// payload buffers, in message byte order. Because every block in the
+/// A zero-copy scatter-gather wire message: one planned message as a
+/// descriptor list of borrowed slices into the original payload
+/// buffers, in message byte order. Because every block in the
 /// system originates in some rank's payload and arena slots are
 /// write-once, forwarding re-shares the same slices hop after hop; no
 /// payload byte is copied in transit.
@@ -99,16 +58,12 @@ struct SegWire<'a> {
     segs: Vec<&'a [u8]>,
 }
 
-impl WireMsg for SegWire<'_> {
-    fn src(&self) -> Rank {
-        self.src
-    }
-    fn tag(&self) -> u64 {
-        self.tag
-    }
+impl SegWire<'_> {
     fn byte_len(&self) -> usize {
         self.segs.iter().map(|s| s.len()).sum()
     }
+
+    /// Structural copy for the duplication fault.
     fn duplicate(&self) -> Self {
         Self { src: self.src, tag: self.tag, segs: self.segs.clone() }
     }
@@ -189,87 +144,6 @@ impl<'a> SegBuf<'a> {
 /// Default per-receive timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Execution parameters of the threaded backend. `Default` matches the
-/// historical behaviour: 10 s receive timeout, no phase deadline, no
-/// faults, no retries needed.
-#[deprecated(note = "use `nhood_core::exec::ExecOptions` with any `Executor` backend")]
-#[derive(Clone, Copy)]
-pub struct ThreadedConfig<'a> {
-    /// How long one blocked receive may wait before erroring.
-    pub recv_timeout: Duration,
-    /// Wall-clock budget for one whole phase (sends + receives). `None`
-    /// disables the deadline and leaves only the per-receive timeout.
-    pub phase_deadline: Option<Duration>,
-    /// Retransmission attempts per message when the fault plan drops it.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt (bounded by the retry
-    /// budget, so the worst-case stall is `backoff_base * (2^retries - 1)`).
-    pub backoff_base: Duration,
-    /// Fault schedule to consult at every send; `None` injects nothing.
-    pub fault: Option<&'a FaultPlan>,
-    /// Telemetry sink; the default [`nhood_telemetry::NULL`] makes every
-    /// hook a no-op.
-    pub recorder: &'a dyn Recorder,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for ThreadedConfig<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedConfig")
-            .field("recv_timeout", &self.recv_timeout)
-            .field("phase_deadline", &self.phase_deadline)
-            .field("max_retries", &self.max_retries)
-            .field("backoff_base", &self.backoff_base)
-            .field("fault", &self.fault)
-            .finish_non_exhaustive()
-    }
-}
-
-#[allow(deprecated)]
-impl Default for ThreadedConfig<'_> {
-    fn default() -> Self {
-        Self {
-            recv_timeout: DEFAULT_TIMEOUT,
-            phase_deadline: None,
-            max_retries: 4,
-            backoff_base: Duration::from_micros(200),
-            fault: None,
-            recorder: &NULL,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl<'a> ThreadedConfig<'a> {
-    /// The equivalent [`ExecOptions`] (legacy per-block engine).
-    fn to_opts(self) -> ExecOptions<'a> {
-        ExecOptions {
-            recv_timeout: self.recv_timeout,
-            phase_deadline: self.phase_deadline,
-            max_retries: self.max_retries,
-            backoff_base: self.backoff_base,
-            fault: self.fault,
-            recorder: self.recorder,
-            ragged: false,
-            engine: ExecEngine::PerBlock,
-            build_threads: 0,
-            fault_sink: None,
-            op: crate::collective::CollectiveOp::Allgather,
-        }
-    }
-}
-
-/// Successful threaded run: receive buffers plus the fault/retry tally.
-#[deprecated(note = "use `nhood_core::exec::ExecOutcome` (returned by `Executor::run`)")]
-#[derive(Clone, Debug)]
-pub struct ThreadedReport {
-    /// Per-rank receive buffers (in-neighbor payloads concatenated in
-    /// `in_neighbors` order).
-    pub rbufs: Vec<Vec<u8>>,
-    /// Faults injected and retries spent during the run.
-    pub faults: FaultCounts,
-}
-
 /// The one-OS-thread-per-rank backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Threaded;
@@ -290,105 +164,13 @@ impl Executor for Threaded {
         if payloads.len() != plan.n() {
             return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
         }
-        match opts.effective_engine() {
-            ExecEngine::Arena => {
-                let sizes = if opts.ragged {
-                    BlockSizes::from_payloads(payloads)
-                } else {
-                    BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-                };
-                run_arena(plan, graph, payloads, &sizes, arena, opts)
-            }
-            ExecEngine::PerBlock => {
-                if !opts.ragged {
-                    check_payloads(payloads, plan.n())?;
-                }
-                let (rbufs, faults) = run_inner(plan, graph, payloads, opts)?;
-                Ok(ExecOutcome { rbufs, faults, sim: None })
-            }
-        }
+        let sizes = if opts.ragged {
+            BlockSizes::from_payloads(payloads)
+        } else {
+            BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
+        };
+        run_arena(plan, graph, payloads, &sizes, arena, opts)
     }
-}
-
-/// Executes `plan` with one thread per rank and returns each rank's
-/// receive buffer (in-neighbor payloads concatenated in `in_neighbors`
-/// order). Semantically identical to the virtual backend.
-#[deprecated(
-    note = "use `Threaded.run(...)` or `Threaded.run_simple(...)` (see docs/EXECUTION_API.md)"
-)]
-pub fn run_threaded(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let opts = ExecOptions { engine: ExecEngine::PerBlock, ..ExecOptions::default() };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// The `neighbor_allgatherv` variant of [`run_threaded`]: per-rank
-/// payloads may differ in length.
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_threaded_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    let opts = ExecOptions { engine: ExecEngine::PerBlock, ragged: true, ..ExecOptions::default() };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// [`run_threaded`] with an explicit receive timeout (tests use short
-/// ones to probe failure handling).
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().recv_timeout(...)`")]
-pub fn run_threaded_with_timeout(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    timeout: Duration,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let opts = ExecOptions {
-        recv_timeout: timeout,
-        engine: ExecEngine::PerBlock,
-        ..ExecOptions::default()
-    };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// The fully-configurable entry point: explicit timeouts, retry policy
-/// and optional fault injection. Uniform payload sizes are enforced (use
-/// [`run_threaded_cfg_v`] for ragged payloads).
-#[allow(deprecated)]
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions` (see docs/EXECUTION_API.md)")]
-pub fn run_threaded_cfg(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    cfg: &ThreadedConfig<'_>,
-) -> Result<ThreadedReport, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let (rbufs, faults) = run_inner(plan, graph, payloads, &cfg.to_opts())?;
-    Ok(ThreadedReport { rbufs, faults })
-}
-
-/// Ragged-payload variant of [`run_threaded_cfg`].
-#[allow(deprecated)]
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_threaded_cfg_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    cfg: &ThreadedConfig<'_>,
-) -> Result<ThreadedReport, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    let (rbufs, faults) = run_inner(plan, graph, payloads, &cfg.to_opts())?;
-    Ok(ThreadedReport { rbufs, faults })
 }
 
 /// Sends `wire` to `dst` during `phase`, consulting the fault plan per
@@ -397,16 +179,16 @@ pub fn run_threaded_cfg_v(
 /// receiver's timeout surfaces the loss as a typed error). A dead link
 /// is not retryable: the send fails immediately with
 /// [`ExecError::LinkDown`] so the caller can repair around the edge.
-fn transport_send<W: WireMsg>(
-    senders: &[Sender<W>],
+fn transport_send<'a>(
+    senders: &[Sender<SegWire<'a>>],
     dst: Rank,
-    wire: W,
+    wire: SegWire<'a>,
     phase: usize,
     opts: &ExecOptions<'_>,
     stats: &FaultStats,
 ) -> Result<(), ExecError> {
     // one logical message per call, however many attempts it takes
-    opts.recorder.msg_sent(wire.src(), dst, wire.byte_len());
+    opts.recorder.msg_sent(wire.src, dst, wire.byte_len());
     let Some(fp) = opts.fault else {
         // a send can only fail if the peer already exited on error; the
         // peer's error is the root cause
@@ -415,7 +197,7 @@ fn transport_send<W: WireMsg>(
     };
     let mut attempt: u32 = 0;
     loop {
-        match fp.send_action_at(wire.src(), dst, wire.tag(), attempt, phase) {
+        match fp.send_action_at(wire.src, dst, wire.tag, attempt, phase) {
             FaultAction::Deliver => {
                 let _ = senders[dst].send(wire);
                 return Ok(());
@@ -439,24 +221,23 @@ fn transport_send<W: WireMsg>(
                     return Ok(());
                 }
                 FaultStats::bump(&stats.retries);
-                opts.recorder.retry(wire.src());
+                opts.recorder.retry(wire.src);
                 // jittered exponential backoff, seeded per message so
                 // chaos runs stay deterministic but retrying ranks
                 // don't wake in lockstep
-                let seed = backoff_seed(fp.seed(), wire.src() as u64, dst as u64, wire.tag());
+                let seed = backoff_seed(fp.seed(), wire.src as u64, dst as u64, wire.tag);
                 std::thread::sleep(backoff(opts.backoff_base, attempt, seed));
                 attempt += 1;
             }
             FaultAction::LinkDown => {
                 FaultStats::bump(&stats.link_downs);
-                return Err(ExecError::LinkDown { src: wire.src(), dst, phase });
+                return Err(ExecError::LinkDown { src: wire.src, dst, phase });
             }
         }
     }
 }
 
-/// Phase-entry fault hooks shared by both engines: injected crash, then
-/// injected stall.
+/// Phase-entry fault hooks: injected crash, then injected stall.
 fn phase_entry_faults(r: Rank, k: usize, opts: &ExecOptions<'_>) -> Result<(), ExecError> {
     if let Some(fp) = opts.fault {
         if fp.is_crashed(r, k) {
@@ -516,155 +297,6 @@ fn collect_rank_results(
         Some(e) => Err(e),
         None => Ok(rbufs),
     }
-}
-
-/// The legacy per-block engine.
-fn run_inner(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    opts: &ExecOptions<'_>,
-) -> Result<(Vec<Vec<u8>>, FaultCounts), ExecError> {
-    let n = plan.n();
-    let local_stats = FaultStats::default();
-    let stats = opts.fault_sink.unwrap_or(&local_stats);
-    if n == 0 {
-        return Ok((Vec::new(), stats.snapshot()));
-    }
-
-    let mut senders: Vec<Sender<Wire>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<Wire>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let senders = Arc::new(senders);
-    let labels: Vec<&'static str> = (0..plan.phase_count()).map(|k| phase_label(plan, k)).collect();
-
-    let results: Vec<Result<Vec<u8>, ExecError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for r in 0..n {
-            let rx = receivers[r].take().expect("receiver taken once");
-            let senders = Arc::clone(&senders);
-            let program = &plan.per_rank[r];
-            let my_payload = &payloads[r];
-            let labels = &labels;
-            handles.push(scope.spawn(move || -> Result<Vec<u8>, ExecError> {
-                rank_main(
-                    r, program, labels, my_payload, payloads, graph, &senders, rx, opts, stats,
-                )
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(r, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank: r })))
-            .collect()
-    });
-
-    let rbufs = collect_rank_results(results)?;
-    Ok((rbufs, stats.snapshot()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    r: Rank,
-    program: &[PlanPhase],
-    labels: &[&'static str],
-    my_payload: &[u8],
-    payloads: &[Vec<u8>],
-    graph: &Topology,
-    senders: &[Sender<Wire>],
-    rx: Receiver<Wire>,
-    opts: &ExecOptions<'_>,
-    stats: &FaultStats,
-) -> Result<Vec<u8>, ExecError> {
-    let mut store: HashMap<Rank, Arc<Vec<u8>>> =
-        HashMap::from([(r, Arc::new(my_payload.to_vec()))]);
-    // messages that arrived before their phase
-    let mut parked: HashMap<(Rank, u64), Wire> = HashMap::new();
-    for (k, phase) in program.iter().enumerate() {
-        opts.recorder.span_begin(r, labels[k]);
-        if phase.copy_blocks > 0 {
-            opts.recorder.copies(r, phase.copy_blocks);
-        }
-        phase_entry_faults(r, k, opts)?;
-        let deadline = opts.phase_deadline.map(|d| Instant::now() + d);
-
-        // at most one message is held back at a time; it is re-posted
-        // after its successor, so reordering stays within the phase
-        let mut held: Option<(Rank, Wire)> = None;
-        for msg in &phase.sends {
-            let mut blocks = Vec::with_capacity(msg.blocks.len());
-            for &b in &msg.blocks {
-                let data =
-                    store.get(&b).ok_or(ExecError::MissingBlock { rank: r, block: b, phase: k })?;
-                blocks.push((b, Arc::clone(data)));
-            }
-            let wire = Wire { src: r, tag: msg.tag, blocks };
-            let reorder =
-                opts.fault.is_some_and(|fp| fp.reorders(r, msg.peer, msg.tag) && held.is_none());
-            if reorder {
-                FaultStats::bump(&stats.reorders);
-                held = Some((msg.peer, wire));
-                continue;
-            }
-            transport_send(senders, msg.peer, wire, k, opts, stats)?;
-            if let Some((dst, w)) = held.take() {
-                transport_send(senders, dst, w, k, opts, stats)?;
-            }
-        }
-        if let Some((dst, w)) = held.take() {
-            transport_send(senders, dst, w, k, opts, stats)?;
-        }
-
-        let mut outstanding: std::collections::HashSet<(Rank, u64)> =
-            phase.recvs.iter().map(|m| (m.peer, m.tag)).collect();
-        // consume parked arrivals first
-        outstanding.retain(|key| {
-            if let Some(w) = parked.remove(key) {
-                opts.recorder.msg_recvd(r, w.src, w.byte_len());
-                for (b, data) in w.blocks {
-                    store.entry(b).or_insert(data);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        while !outstanding.is_empty() {
-            let wait = recv_wait(r, k, deadline, opts.recv_timeout)?;
-            let w = rx.recv_timeout(wait).map_err(|_| {
-                if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                    ExecError::PhaseDeadline { rank: r, phase: k }
-                } else {
-                    ExecError::Timeout { rank: r, phase: k }
-                }
-            })?;
-            let key = (w.src, w.tag);
-            if outstanding.remove(&key) {
-                opts.recorder.msg_recvd(r, w.src, w.byte_len());
-                for (b, data) in w.blocks {
-                    store.entry(b).or_insert(data);
-                }
-            } else {
-                // stray: either early (parked for its phase) or a
-                // duplicate of something already consumed (idempotent —
-                // `or_insert` above never overwrites)
-                parked.insert(key, w);
-            }
-        }
-        opts.recorder.span_end(r, labels[k]);
-    }
-    // assemble the receive buffer
-    let ins = graph.in_neighbors(r);
-    let mut rbuf = Vec::with_capacity(ins.iter().map(|&b| payloads[b].len()).sum());
-    for &b in ins {
-        let data = store.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
-        rbuf.extend_from_slice(data);
-    }
-    Ok(rbuf)
 }
 
 /// The zero-copy arena engine: each rank thread owns its flat buffer.
@@ -864,27 +496,21 @@ mod tests {
     use crate::builder::build_pattern;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads, Virtual};
+    use crate::fault::FaultPlan;
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
-    /// Runs both engines through the trait and checks they agree.
-    fn run_both(
+    /// Runs the plan and checks the buffers against the definition.
+    fn run_checked(
         plan: &CollectivePlan,
         g: &Topology,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let arena_out = Threaded.run_simple(plan, g, payloads)?;
-        let legacy = Threaded.run(
-            plan,
-            g,
-            payloads,
-            &mut BlockArena::new(),
-            &ExecOptions::new().engine(ExecEngine::PerBlock),
-        )?;
-        assert_eq!(arena_out, legacy.rbufs, "engines disagree");
-        Ok(arena_out)
+        let out = Threaded.run_simple(plan, g, payloads)?;
+        assert_eq!(out, reference_allgather(g, payloads), "diverged from the reference");
+        Ok(out)
     }
 
     #[test]
@@ -892,7 +518,7 @@ mod tests {
         let g = erdos_renyi(16, 0.4, 1);
         let plan = plan_naive(&g);
         let payloads = test_payloads(16, 32, 2);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -902,7 +528,7 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(24, 16, 9);
-        let threaded = run_both(&plan, &g, &payloads).unwrap();
+        let threaded = run_checked(&plan, &g, &payloads).unwrap();
         let virt = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(threaded, virt);
         assert_eq!(threaded, reference_allgather(&g, &payloads));
@@ -913,7 +539,7 @@ mod tests {
         let g = erdos_renyi(20, 0.5, 4);
         let plan = plan_common_neighbor(&g, 4);
         let payloads = test_payloads(20, 8, 1);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -955,15 +581,14 @@ mod tests {
 
     #[test]
     fn fault_sink_survives_failed_runs() {
-        // Same scenario via the per-block engine: even though run() errors,
-        // the caller-provided sink keeps the injected-fault tally.
+        // Even though run() errors, the caller-provided sink keeps the
+        // injected-fault tally.
         let g = Topology::from_edges(2, [(0, 1), (1, 0)]);
         let plan = plan_naive(&g);
         let fp = FaultPlan::seeded(2).with_link_down(0, 1, 0);
         let payloads = test_payloads(2, 4, 1);
         let sink = FaultStats::default();
         let opts = ExecOptions::new()
-            .engine(ExecEngine::PerBlock)
             .fault(&fp)
             .fault_sink(&sink)
             .recv_timeout(Duration::from_millis(200));
@@ -1017,7 +642,7 @@ mod tests {
         };
         let payloads = test_payloads(3, 4, 3);
         for _ in 0..20 {
-            let got = run_both(&plan, &g, &payloads).unwrap();
+            let got = run_checked(&plan, &g, &payloads).unwrap();
             assert_eq!(got, reference_allgather(&g, &payloads));
         }
     }
@@ -1074,17 +699,15 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(20, 16, 9);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let vrec = nhood_telemetry::CountingRecorder::new(20);
-            let vopts = ExecOptions::new().engine(engine).recorder(&vrec);
-            Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &vopts).unwrap();
-            let trec = nhood_telemetry::CountingRecorder::new(20);
-            let topts = ExecOptions::new().engine(engine).recorder(&trec);
-            let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &topts).unwrap();
-            assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
-            for r in 0..20 {
-                assert_eq!(vrec.per_rank(r), trec.per_rank(r), "rank {r} ({engine:?})");
-            }
+        let vrec = nhood_telemetry::CountingRecorder::new(20);
+        let vopts = ExecOptions::new().recorder(&vrec);
+        Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &vopts).unwrap();
+        let trec = nhood_telemetry::CountingRecorder::new(20);
+        let topts = ExecOptions::new().recorder(&trec);
+        let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &topts).unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+        for r in 0..20 {
+            assert_eq!(vrec.per_rank(r), trec.per_rank(r), "rank {r}");
         }
     }
 
@@ -1114,12 +737,10 @@ mod tests {
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(20, 8, 11);
         let fp = FaultPlan::seeded(5).with_message_duplication(0.3).with_message_reorder(0.3);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let opts = ExecOptions::new().engine(engine).fault(&fp);
-            let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
-            assert_eq!(out.rbufs, reference_allgather(&g, &payloads), "{engine:?}");
-            assert!(out.faults.duplicates + out.faults.reorders > 0);
-        }
+        let opts = ExecOptions::new().fault(&fp);
+        let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+        assert!(out.faults.duplicates + out.faults.reorders > 0);
     }
 
     #[test]
@@ -1178,32 +799,10 @@ mod tests {
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
         ] {
-            for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-                let opts = ExecOptions::new().ragged(true).engine(engine);
-                let got = Threaded
-                    .run(&plan, &g, &payloads, &mut BlockArena::new(), &opts)
-                    .unwrap()
-                    .rbufs;
-                assert_eq!(got, want, "{engine:?}");
-            }
+            let opts = ExecOptions::new().ragged(true);
+            let got =
+                Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+            assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let g = erdos_renyi(12, 0.4, 3);
-        let plan = plan_naive(&g);
-        let payloads = test_payloads(12, 8, 2);
-        let want = reference_allgather(&g, &payloads);
-        assert_eq!(run_threaded(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_threaded_v(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(
-            run_threaded_with_timeout(&plan, &g, &payloads, Duration::from_secs(5)).unwrap(),
-            want
-        );
-        let cfg = ThreadedConfig::default();
-        assert_eq!(run_threaded_cfg(&plan, &g, &payloads, &cfg).unwrap().rbufs, want);
-        assert_eq!(run_threaded_cfg_v(&plan, &g, &payloads, &cfg).unwrap().rbufs, want);
     }
 }

@@ -5,29 +5,20 @@
 //! for every algorithm and topology in the test suite and scales to
 //! thousands of ranks.
 //!
-//! Two data-movement engines implement the same semantics:
-//!
-//! * [`ExecEngine::Arena`] (default) — each rank holds one flat buffer
-//!   laid out by a precomputed [`crate::arena::ArenaLayout`]; a planned
-//!   message is a handful of `copy_from_slice` calls between arenas
-//!   (one, for Distance Halving halving steps) and receive buffers are
-//!   assembled from precomputed runs;
-//! * [`ExecEngine::PerBlock`] — the legacy store: blocks shared via
-//!   `Arc` in per-rank hash maps. Kept as the baseline the bench
-//!   harness compares against.
-//!
-//! Both engines accept ragged (`allgatherv`) payloads: the arena engine
-//! resolves slot runs through per-rank [`SlotExtents`] byte tables, so
-//! variable-size blocks keep the same handful-of-copies execution.
+//! Each rank holds one flat buffer laid out by a precomputed
+//! [`crate::arena::ArenaLayout`]; a planned message is a handful of
+//! `copy_from_slice` calls between arenas (one, for Distance Halving
+//! halving steps) and receive buffers are assembled from precomputed
+//! runs. Ragged (`allgatherv`) payloads resolve slot runs through
+//! per-rank [`SlotExtents`] byte tables, so variable-size blocks keep
+//! the same handful-of-copies execution.
 
-use crate::arena::{two_bufs, BlockArena, SlotExtents, SlotRun};
-use crate::exec::{check_payloads, ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::arena::{two_bufs, ArenaLayout, BlockArena, SlotExtents, SlotRun};
+use crate::exec::{check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
-use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// The sequential real-bytes backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
@@ -49,22 +40,12 @@ impl Executor for Virtual {
         if payloads.len() != plan.n() {
             return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
         }
-        let rbufs = match opts.effective_engine() {
-            ExecEngine::Arena => {
-                let sizes = if opts.ragged {
-                    BlockSizes::from_payloads(payloads)
-                } else {
-                    BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-                };
-                run_arena(plan, graph, payloads, &sizes, arena, opts)?
-            }
-            ExecEngine::PerBlock => {
-                if !opts.ragged {
-                    check_payloads(payloads, plan.n())?;
-                }
-                run_any(plan, graph, payloads, opts.recorder)?
-            }
+        let sizes = if opts.ragged {
+            BlockSizes::from_payloads(payloads)
+        } else {
+            BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
         };
+        let rbufs = run_arena(plan, graph, payloads, &sizes, arena, opts)?;
         Ok(ExecOutcome { rbufs, ..ExecOutcome::default() })
     }
 }
@@ -85,6 +66,11 @@ fn run_arena(
     arena.fill(&layout, payloads, &exts);
     let mut bufs = arena.take_bufs();
 
+    // A layout row sees only its own rank's program, so a posted recv
+    // whose send is missing from the peer's program would leave stale
+    // arena bytes in its slots; counting matched deliveries against
+    // posted recvs catches it without per-run bookkeeping.
+    let (mut posted, mut delivered) = (0usize, 0usize);
     for k in 0..layout.phase_count {
         for (r, prog) in plan.per_rank.iter().enumerate() {
             if prog[k].copy_blocks > 0 {
@@ -92,6 +78,7 @@ fn run_arena(
             }
         }
         for r in 0..n {
+            posted += layout.ranks[r].phases[k].recvs.len();
             for op in &layout.ranks[r].phases[k].sends {
                 let ext = &exts[r];
                 let bytes: usize = op.runs.iter().map(|&run| ext.run_bytes(run)).sum();
@@ -100,7 +87,14 @@ fn run_arena(
                 let dst_runs = &layout.ranks[op.peer].recv_runs[&(r, op.tag)];
                 let (src, dst) = two_bufs(&mut bufs, r, op.peer);
                 copy_runs(src, &op.runs, ext, dst, dst_runs, &exts[op.peer]);
+                delivered += 1;
             }
+        }
+    }
+    if delivered < posted {
+        if let Some(unsent) = first_unsent_recv(&layout) {
+            arena.restore_bufs(bufs);
+            return Err(unsent);
         }
     }
 
@@ -117,6 +111,24 @@ fn run_arena(
     }
     arena.restore_bufs(bufs);
     Ok(rbufs)
+}
+
+/// Names the first posted recv (rank, then phase order) that no rank's
+/// program sends — the slow path behind the delivery count above.
+fn first_unsent_recv(layout: &ArenaLayout) -> Option<ExecError> {
+    let mut sent: HashSet<(Rank, Rank, u64)> = HashSet::new();
+    for (r, rl) in layout.ranks.iter().enumerate() {
+        sent.extend(rl.phases.iter().flat_map(|ph| &ph.sends).map(|s| (r, s.peer, s.tag)));
+    }
+    for (r, rl) in layout.ranks.iter().enumerate() {
+        for op in rl.phases.iter().flat_map(|ph| &ph.recvs) {
+            if !sent.contains(&(op.peer, r, op.tag)) {
+                let block = op.runs.first().map_or(op.peer, |&(slot, _)| rl.slots[slot as usize]);
+                return Some(ExecError::Undelivered { rank: r, block });
+            }
+        }
+    }
+    None
 }
 
 /// Copies blocks from `src` spans to `dst` spans. Both run lists carry
@@ -169,126 +181,6 @@ pub(crate) fn copy_runs(
     }
 }
 
-/// Executes `plan` with the given per-rank payloads and returns each
-/// rank's receive buffer: the payloads of its incoming neighbors,
-/// concatenated in `in_neighbors` order (MPI neighborhood-allgather
-/// semantics).
-#[deprecated(
-    note = "use `Virtual.run(...)` or `Virtual.run_simple(...)` (see docs/EXECUTION_API.md)"
-)]
-pub fn run_virtual(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    run_any(plan, graph, payloads, &NULL)
-}
-
-/// [`run_virtual`] with a telemetry [`Recorder`].
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().recorder(...)`")]
-pub fn run_virtual_rec(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    run_any(plan, graph, payloads, rec)
-}
-
-/// The `neighbor_allgatherv` variant of [`run_virtual`]: per-rank
-/// payloads may have different lengths.
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_virtual_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    run_any(plan, graph, payloads, &NULL)
-}
-
-/// [`run_virtual_v`] with a telemetry [`Recorder`].
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().ragged(true).recorder(...)`")]
-pub fn run_virtual_v_rec(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    run_any(plan, graph, payloads, rec)
-}
-
-/// The legacy per-block engine (also serves ragged payloads).
-pub(crate) fn run_any(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let n = plan.n();
-
-    let mut store: Vec<HashMap<Rank, Arc<Vec<u8>>>> = payloads
-        .iter()
-        .enumerate()
-        .map(|(r, p)| HashMap::from([(r, Arc::new(p.clone()))]))
-        .collect();
-
-    for k in 0..plan.phase_count() {
-        // Assemble all sends against pre-phase stores.
-        // (dst, packed blocks) pairs staged against pre-phase stores
-        type InFlight = Vec<(Rank, Rank, Vec<(Rank, Arc<Vec<u8>>)>)>;
-        let mut in_flight: InFlight = Vec::new();
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            if prog[k].copy_blocks > 0 {
-                rec.copies(r, prog[k].copy_blocks);
-            }
-            for msg in &prog[k].sends {
-                let mut packed = Vec::with_capacity(msg.blocks.len());
-                let mut bytes = 0usize;
-                for &b in &msg.blocks {
-                    let data = store[r].get(&b).ok_or(ExecError::MissingBlock {
-                        rank: r,
-                        block: b,
-                        phase: k,
-                    })?;
-                    bytes += data.len();
-                    packed.push((b, Arc::clone(data)));
-                }
-                rec.msg_sent(r, msg.peer, bytes);
-                in_flight.push((r, msg.peer, packed));
-            }
-        }
-        // Deliver.
-        for (src, dst, packed) in in_flight {
-            let bytes = packed.iter().map(|(_, d)| d.len()).sum();
-            rec.msg_recvd(dst, src, bytes);
-            for (b, data) in packed {
-                store[dst].entry(b).or_insert(data);
-            }
-        }
-    }
-
-    // Build receive buffers.
-    let mut out = Vec::with_capacity(n);
-    for (r, held) in store.iter().enumerate() {
-        let ins = graph.in_neighbors(r);
-        let mut rbuf = Vec::with_capacity(ins.iter().map(|&b| payloads[b].len()).sum());
-        for &b in ins {
-            let data = held.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
-            rbuf.extend_from_slice(data);
-        }
-        out.push(rbuf);
-    }
-    Ok(out)
-}
-
 /// Reference receive buffers straight from the definition — what any
 /// correct neighborhood allgather must produce.
 pub fn reference_allgather(graph: &Topology, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
@@ -331,23 +223,15 @@ mod tests {
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
-    /// Runs both engines and checks they agree before returning the
-    /// arena result.
-    fn run_both(
+    /// Runs the plan and checks the buffers against the definition.
+    fn run_checked(
         plan: &CollectivePlan,
         g: &Topology,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let arena_out = Virtual.run_simple(plan, g, payloads)?;
-        let legacy = Virtual.run(
-            plan,
-            g,
-            payloads,
-            &mut BlockArena::new(),
-            &ExecOptions::new().engine(ExecEngine::PerBlock),
-        )?;
-        assert_eq!(arena_out, legacy.rbufs, "engines disagree");
-        Ok(arena_out)
+        let out = Virtual.run_simple(plan, g, payloads)?;
+        assert_eq!(out, reference_allgather(g, payloads), "diverged from the reference");
+        Ok(out)
     }
 
     #[test]
@@ -355,7 +239,7 @@ mod tests {
         let g = erdos_renyi(24, 0.3, 1);
         let plan = plan_naive(&g);
         let payloads = test_payloads(24, 16, 7);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -368,7 +252,7 @@ mod tests {
             let layout = ClusterLayout::new(nodes, 2, cores);
             let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
             let payloads = test_payloads(n, 8, 3);
-            let got = run_both(&plan, &g, &payloads)
+            let got = run_checked(&plan, &g, &payloads)
                 .unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
             assert_eq!(got, reference_allgather(&g, &payloads), "n={n} delta={delta}");
         }
@@ -380,7 +264,7 @@ mod tests {
             let g = erdos_renyi(32, 0.4, 9);
             let plan = plan_common_neighbor(&g, k);
             let payloads = test_payloads(32, 12, 1);
-            let got = run_both(&plan, &g, &payloads).unwrap();
+            let got = run_checked(&plan, &g, &payloads).unwrap();
             assert_eq!(got, reference_allgather(&g, &payloads), "k={k}");
         }
     }
@@ -390,7 +274,7 @@ mod tests {
         let g = erdos_renyi(12, 0.5, 2);
         let plan = plan_naive(&g);
         let payloads = vec![vec![]; 12];
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = run_checked(&plan, &g, &payloads).unwrap();
         for (r, rbuf) in got.iter().enumerate() {
             assert!(rbuf.is_empty(), "rank {r}");
         }
@@ -423,7 +307,7 @@ mod tests {
         });
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
-            run_both(&plan, &g, &payloads).unwrap_err(),
+            run_checked(&plan, &g, &payloads).unwrap_err(),
             ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
         );
     }
@@ -435,7 +319,7 @@ mod tests {
         plan.per_rank[0][0].sends.clear();
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
-            run_both(&plan, &g, &payloads).unwrap_err(),
+            run_checked(&plan, &g, &payloads).unwrap_err(),
             ExecError::Undelivered { rank: 1, block: 0 }
         );
     }
@@ -447,7 +331,7 @@ mod tests {
         let g = Topology::from_edges(4, [(2, 0), (1, 0), (3, 0)]);
         let plan = plan_naive(&g);
         let payloads = test_payloads(4, 4, 11);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = run_checked(&plan, &g, &payloads).unwrap();
         // in_neighbors(0) = [1, 2, 3]
         assert_eq!(&got[0][0..4], &payloads[1][..]);
         assert_eq!(&got[0][4..8], &payloads[2][..]);
@@ -465,13 +349,10 @@ mod tests {
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
         ] {
-            // both engines serve ragged payloads and must agree
-            for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-                let opts = ExecOptions::new().ragged(true).engine(engine);
-                let got =
-                    Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
-                assert_eq!(got, want, "{engine:?}");
-            }
+            let opts = ExecOptions::new().ragged(true);
+            let got =
+                Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+            assert_eq!(got, want);
         }
         // the strict (uniform) call rejects ragged payloads
         assert!(matches!(
@@ -486,18 +367,15 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(24, 8, 1);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let rec = nhood_telemetry::CountingRecorder::new(24);
-            let opts = ExecOptions::new().engine(engine).recorder(&rec);
-            let got =
-                Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
-            assert_eq!(got, reference_allgather(&g, &payloads));
-            let t = rec.totals();
-            assert_eq!(t.msgs_sent as usize, plan.message_count(), "{engine:?}");
-            assert_eq!(t.msgs_sent, t.msgs_recvd);
-            assert_eq!(t.bytes_sent, t.bytes_recvd);
-            assert_eq!(t.bytes_sent as usize, plan.total_blocks_sent() * 8);
-        }
+        let rec = nhood_telemetry::CountingRecorder::new(24);
+        let opts = ExecOptions::new().recorder(&rec);
+        let got = Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+        assert_eq!(got, reference_allgather(&g, &payloads));
+        let t = rec.totals();
+        assert_eq!(t.msgs_sent as usize, plan.message_count());
+        assert_eq!(t.msgs_sent, t.msgs_recvd);
+        assert_eq!(t.bytes_sent, t.bytes_recvd);
+        assert_eq!(t.bytes_sent as usize, plan.total_blocks_sent() * 8);
     }
 
     #[test]
@@ -519,19 +397,23 @@ mod tests {
             }
             prev = Some(arena.reallocations());
         }
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let g = erdos_renyi(12, 0.4, 3);
-        let plan = plan_naive(&g);
-        let payloads = test_payloads(12, 8, 2);
-        let want = reference_allgather(&g, &payloads);
-        assert_eq!(run_virtual(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_virtual_rec(&plan, &g, &payloads, &NULL).unwrap(), want);
-        assert_eq!(run_virtual_v(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_virtual_v_rec(&plan, &g, &payloads, &NULL).unwrap(), want);
+        // the same arena serves any block size, ragged rounds included,
+        // and a rejected call leaves it usable
+        for m in [4usize, 64, 8, 0] {
+            let uniform = test_payloads(24, m, 9);
+            let out = Virtual.run(&plan, &g, &uniform, &mut arena, &opts).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, &uniform), "m={m}");
+            arena.adopt_rbufs(out.rbufs);
+            let ragged: Vec<Vec<u8>> = (0..24).map(|r| vec![r as u8; (r + m) % 5]).collect();
+            let vopts = ExecOptions::new().ragged(true);
+            let out = Virtual.run(&plan, &g, &ragged, &mut arena, &vopts).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, &ragged), "ragged after m={m}");
+            arena.adopt_rbufs(out.rbufs);
+        }
+        assert!(Virtual.run(&plan, &g, &[vec![0u8; 4]], &mut arena, &opts).is_err());
+        let payloads = test_payloads(24, 4, 1);
+        let out = Virtual.run(&plan, &g, &payloads, &mut arena, &opts).unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
     }
 
     #[test]

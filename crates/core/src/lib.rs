@@ -69,14 +69,11 @@ pub mod model;
 pub mod naive;
 pub mod pat;
 pub mod pattern;
-pub mod persistent;
 pub mod plan;
 pub mod plan_cache;
 pub mod plan_io;
-pub mod pool;
 pub mod remap;
 pub mod repair;
-pub mod select_algo;
 pub mod selection;
 pub mod sizes;
 
@@ -90,12 +87,10 @@ pub use comm::{
 };
 pub use csr::RespMap;
 pub use exec::sim_exec::SimCost;
-pub use exec::{ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor, Sim, Threaded, Virtual};
+pub use exec::{ExecError, ExecOptions, ExecOutcome, Executor, Sim, Threaded, Virtual};
 pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultStats};
 pub use pattern::{DhPattern, SelectionStats};
 pub use plan::{Algorithm, CollectivePlan, PlanValidationError};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanFingerprint};
-pub use pool::WorkerPool;
 pub use repair::{Completeness, RepairPolicy};
-pub use select_algo::{recommend, recommend_sized, recommend_with, SelectionPolicy};
 pub use sizes::{BlockSizes, LoadMetric};

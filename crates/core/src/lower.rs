@@ -34,7 +34,7 @@
 
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
-use crate::pool::WorkerPool;
+use nhood_cluster::WorkerPool;
 use nhood_topology::{Rank, Topology};
 
 /// Tag for final-phase messages (halving steps use their step index).
@@ -266,7 +266,7 @@ mod tests {
             let pat = build_pattern(&g, &layout).unwrap();
             let serial = lower(&pat, &g);
             for threads in [2usize, 4] {
-                let pooled = lower_pooled(&pat, &g, &crate::pool::WorkerPool::new(threads));
+                let pooled = lower_pooled(&pat, &g, &WorkerPool::new(threads));
                 assert_eq!(serial.per_rank, pooled.per_rank, "n={n} threads={threads}");
                 assert_eq!(serial.algorithm, pooled.algorithm);
                 assert_eq!(serial.selection, pooled.selection);

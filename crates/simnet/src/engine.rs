@@ -29,10 +29,9 @@
 //! schedule deadlocks only if receive dependencies form a cycle; the
 //! engine detects that and returns [`SimError::Deadlock`].
 
+use crate::perturb::Perturbation;
 use crate::schedule::Schedule;
-use nhood_cluster::{ClusterLayout, HockneyParams, Locality, Rank, Seconds};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use nhood_cluster::{ClusterLayout, HockneyParams, Locality, Rank, Seconds, WorkerPool};
 
 /// Which node NICs an inter-node message holds while on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -130,6 +129,16 @@ pub enum SimError {
         /// Cores in the layout.
         capacity: usize,
     },
+    /// The schedule holds more messages (or ranks) than the engine's
+    /// dense `u32` id space.
+    ScheduleTooLarge {
+        /// Messages in the schedule.
+        messages: usize,
+    },
+    /// The perturbation carries a negative or non-finite stall or jitter
+    /// bound, or a jitter probability outside `[0, 1]`; the payload
+    /// names the offending field.
+    InvalidPerturbation(String),
     /// The schedule sends over a link the perturbation declares dead; a
     /// lossless event model cannot deliver it, so the run fails typed
     /// and the caller must repair the plan around the edge.
@@ -151,6 +160,10 @@ impl std::fmt::Display for SimError {
             SimError::LayoutTooSmall { ranks, capacity } => {
                 write!(f, "schedule has {ranks} ranks but layout holds {capacity}")
             }
+            SimError::ScheduleTooLarge { messages } => {
+                write!(f, "schedule has {messages} messages, beyond the engine's id space")
+            }
+            SimError::InvalidPerturbation(m) => write!(f, "invalid perturbation: {m}"),
             SimError::LinkDown { src, dst } => {
                 write!(f, "schedule sends over dead link {src} -> {dst}")
             }
@@ -254,16 +267,6 @@ pub struct Engine<'a> {
     pub(crate) config: SimConfig,
 }
 
-/// Completed sends keyed by `(src, dst, tag)` — the trace side-channel
-/// of `run_impl`.
-pub(crate) type SentMap = HashMap<(Rank, Rank, u64), SendInfo>;
-
-#[derive(Clone, Copy)]
-pub(crate) struct SendInfo {
-    pub(crate) start: Seconds,
-    pub(crate) end: Seconds,
-}
-
 /// One message's simulated timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MsgTrace {
@@ -307,6 +310,8 @@ impl Ord for Key {
     }
 }
 
+/// Every entry point below is a thin wrapper over the one replay in
+/// [`crate::sharded`]; the pool-less ones run it at pool width 1.
 impl<'a> Engine<'a> {
     /// Creates an engine over `layout` with `config`.
     pub fn new(layout: &'a ClusterLayout, config: SimConfig) -> Self {
@@ -317,43 +322,54 @@ impl<'a> Engine<'a> {
     ///
     /// Validates the schedule first; see [`SimError`] for failure modes.
     pub fn run(&self, schedule: &Schedule) -> Result<SimReport, SimError> {
-        self.run_impl(schedule, None).map(|(r, _)| r)
+        self.run_sharded(schedule, &WorkerPool::serial())
     }
 
-    /// Like [`run`](Self::run), but under a latency
-    /// [`Perturbation`](crate::Perturbation): straggler ranks pay their
-    /// stall at every phase entry and jittered messages arrive late —
-    /// the simulator-side view of a fault-injection plan.
+    /// Like [`run`](Self::run), but under a latency [`Perturbation`]:
+    /// straggler ranks pay their stall at every phase entry and jittered
+    /// messages arrive late — the simulator-side view of a
+    /// fault-injection plan. A perturbation with a negative or
+    /// non-finite stall or jitter bound, or a jitter probability outside
+    /// `[0, 1]`, is rejected with [`SimError::InvalidPerturbation`].
     pub fn run_perturbed(
         &self,
         schedule: &Schedule,
-        perturbation: &crate::Perturbation,
+        perturbation: &Perturbation,
     ) -> Result<SimReport, SimError> {
-        self.run_impl(schedule, Some(perturbation)).map(|(r, _)| r)
+        self.replay(schedule, &WorkerPool::serial(), Some(perturbation)).map(|t| t.report)
+    }
+
+    /// Like [`run`](Self::run), but with schedule validation, send/recv
+    /// matching and cost-model evaluation sharded across `pool`. The
+    /// report is bit-identical for any pool width.
+    pub fn run_sharded(
+        &self,
+        schedule: &Schedule,
+        pool: &WorkerPool,
+    ) -> Result<SimReport, SimError> {
+        self.replay(schedule, pool, None).map(|t| t.report)
     }
 
     /// Like [`run`](Self::run), but also returns one [`MsgTrace`] per
     /// message (posting time, arrival time, locality level) for timeline
     /// analysis — the raw material of gantt-style visualizations.
     pub fn run_traced(&self, schedule: &Schedule) -> Result<(SimReport, Vec<MsgTrace>), SimError> {
-        let (report, sent) = self.run_impl(schedule, None)?;
+        let run = self.replay(schedule, &WorkerPool::serial(), None)?;
         let mut traces: Vec<MsgTrace> = schedule
             .all_sends()
-            .map(|m| {
-                let info = sent[&(m.src, m.dst, m.tag)];
-                MsgTrace {
-                    src: m.src,
-                    dst: m.dst,
-                    tag: m.tag,
-                    bytes: m.bytes,
-                    level: self.layout.locality(m.src, m.dst),
-                    posted: info.start,
-                    arrival: info.end,
-                }
+            .enumerate()
+            .map(|(sid, m)| MsgTrace {
+                src: m.src,
+                dst: m.dst,
+                tag: m.tag,
+                bytes: m.bytes,
+                level: self.layout.locality(m.src, m.dst),
+                posted: run.posted[sid],
+                arrival: run.arrival[sid],
             })
             .collect();
         traces.sort_by(|a, b| a.posted.partial_cmp(&b.posted).expect("finite"));
-        Ok((report, traces))
+        Ok((run.report, traces))
     }
 
     /// Like [`run`](Self::run), but replays every simulated message into
@@ -370,275 +386,30 @@ impl<'a> Engine<'a> {
         schedule: &Schedule,
         rec: &dyn nhood_telemetry::Recorder,
     ) -> Result<SimReport, SimError> {
-        let (report, sent) = self.run_impl(schedule, None)?;
-        for m in schedule.all_sends() {
+        self.run_sharded_recorded(schedule, &WorkerPool::serial(), rec)
+    }
+
+    /// [`run_recorded`](Self::run_recorded) with the prepare passes
+    /// sharded across `pool`.
+    pub fn run_sharded_recorded(
+        &self,
+        schedule: &Schedule,
+        pool: &WorkerPool,
+        rec: &dyn nhood_telemetry::Recorder,
+    ) -> Result<SimReport, SimError> {
+        let run = self.replay(schedule, pool, None)?;
+        for (sid, m) in schedule.all_sends().enumerate() {
             let level = self.layout.locality(m.src, m.dst);
             let label = if level == Locality::SameSocket {
                 nhood_telemetry::labels::INTRA_SOCKET
             } else {
                 nhood_telemetry::labels::HALVING_STEP
             };
-            let info = sent[&(m.src, m.dst, m.tag)];
             rec.msg_sent(m.src, m.dst, m.bytes);
             rec.msg_recvd(m.dst, m.src, m.bytes);
-            rec.span_at(m.src, label, info.start, info.end);
+            rec.span_at(m.src, label, run.posted[sid], run.arrival[sid]);
         }
-        Ok(report)
-    }
-
-    pub(crate) fn run_impl(
-        &self,
-        schedule: &Schedule,
-        perturbation: Option<&crate::Perturbation>,
-    ) -> Result<(SimReport, SentMap), SimError> {
-        schedule.validate().map_err(SimError::InvalidSchedule)?;
-        let n = schedule.n();
-        if n > self.layout.capacity() {
-            return Err(SimError::LayoutTooSmall { ranks: n, capacity: self.layout.capacity() });
-        }
-        if let Some(p) = perturbation {
-            if !p.dead_links.is_empty() {
-                if let Some(m) = schedule.all_sends().find(|m| p.link_is_down(m.src, m.dst)) {
-                    return Err(SimError::LinkDown { src: m.src, dst: m.dst });
-                }
-            }
-        }
-
-        let hockney = &self.config.hockney;
-        let mut port_free = vec![0.0f64; n];
-        // Full-duplex NICs: independent transmit and receive queues.
-        let mut nic_tx = vec![0.0f64; self.layout.nodes()];
-        let mut nic_rx = vec![0.0f64; self.layout.nodes()];
-        // Dragonfly+ global links: per-group egress/ingress queues.
-        let n_groups = self.layout.nodes().div_ceil(self.layout.nodes_per_group());
-        let mut glob_tx = vec![0.0f64; n_groups];
-        let mut glob_rx = vec![0.0f64; n_groups];
-        let mut phase_idx = vec![0usize; n];
-        // Sends already issued, keyed by (src, dst, tag).
-        let mut sent: SentMap = HashMap::new();
-        // For each rank currently blocked on recvs: how many are unmatched.
-        let mut missing = vec![0usize; n];
-        // Reverse index: send key -> rank waiting for it right now.
-        let mut waiters: HashMap<(Rank, Rank, u64), Rank> = HashMap::new();
-        let mut stats = LevelStats::default();
-        let mut finish = vec![0.0f64; n];
-        let mut busy = vec![0.0f64; n];
-
-        // Ready heap of ranks whose current phase's recvs are all matched
-        // (or that are entering a new phase). Keyed by current port time so
-        // resource serialization approximates event order.
-        let mut heap: BinaryHeap<Reverse<(Key, Rank)>> = BinaryHeap::new();
-
-        // Issue sends for rank r's current phase and register recv waits.
-        // Returns true if the rank is immediately completable.
-        let issue = |r: Rank,
-                     port_free: &mut [f64],
-                     nic_tx: &mut [f64],
-                     nic_rx: &mut [f64],
-                     glob_tx: &mut [f64],
-                     glob_rx: &mut [f64],
-                     sent: &mut SentMap,
-                     missing: &mut [usize],
-                     waiters: &mut HashMap<(Rank, Rank, u64), Rank>,
-                     stats: &mut LevelStats,
-                     busy: &mut [f64],
-                     phase_idx: &[usize]|
-         -> bool {
-            let k = phase_idx[r];
-            let phase = &schedule.phases(r)[k];
-            // straggler modeling: a perturbed rank pays its stall on top
-            // of the phase's local work
-            let local = phase.local_seconds + perturbation.map_or(0.0, |p| p.stall(r));
-            busy[r] += local;
-            let mut t = port_free[r] + local;
-            let my_node = self.layout.location(r).node;
-            for m in &phase.sends {
-                let level = self.layout.locality(m.src, m.dst);
-                let h = hockney.level(level);
-                let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
-                let wire = h.time(m.bytes) + jitter; // α + m/β (+ jitter): arrival delay
-                let serial = m.bytes as f64 / h.bytes_per_sec;
-                let occupancy = self.config.cpu_overhead.map_or(wire, |o| o + serial);
-                busy[r] += occupancy;
-                let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
-                // The CPU posts the message and moves on; the NIC queues
-                // it (store-and-forward) without stalling the port. Under
-                // TxRx the message first drains through the sender node's
-                // NIC queue, then through the receiver node's — two
-                // sequential serializations, never a simultaneous hold
-                // (which would let an idle NIC be blocked by a busy one).
-                let posted = t;
-                t = posted + occupancy;
-                let internode = matches!(level, Locality::SameGroup | Locality::RemoteGroup);
-                let mut wire_start = posted;
-                if internode {
-                    let dst_node = self.layout.location(m.dst).node;
-                    match self.config.nic_mode {
-                        NicMode::Off => {}
-                        NicMode::TxOnly => {
-                            wire_start = wire_start.max(nic_tx[my_node]);
-                            nic_tx[my_node] = wire_start + nic_hold;
-                        }
-                        NicMode::TxRx => {
-                            let tx_start = wire_start.max(nic_tx[my_node]);
-                            nic_tx[my_node] = tx_start + nic_hold;
-                            let mut at = tx_start;
-                            if level == Locality::RemoteGroup {
-                                if let Some(gl) = self.config.global_links {
-                                    let hold = gl.gap + m.bytes as f64 / gl.bytes_per_sec;
-                                    let sg = self.layout.group_of_node(my_node);
-                                    let dg = self.layout.group_of_node(dst_node);
-                                    let g_tx = at.max(glob_tx[sg]);
-                                    glob_tx[sg] = g_tx + hold;
-                                    let g_rx = g_tx.max(glob_rx[dg]);
-                                    glob_rx[dg] = g_rx + hold;
-                                    at = g_rx;
-                                }
-                            }
-                            let rx_start = at.max(nic_rx[dst_node]);
-                            nic_rx[dst_node] = rx_start + nic_hold;
-                            wire_start = rx_start;
-                        }
-                    }
-                }
-                stats.record(level, m.bytes);
-                sent.insert(
-                    (m.src, m.dst, m.tag),
-                    SendInfo { start: posted, end: wire_start + wire },
-                );
-            }
-            port_free[r] = t;
-            let mut unmatched = 0;
-            for m in &phase.recvs {
-                if !sent.contains_key(&(m.src, m.dst, m.tag)) {
-                    waiters.insert((m.src, m.dst, m.tag), r);
-                    unmatched += 1;
-                }
-            }
-            missing[r] = unmatched;
-            unmatched == 0
-        };
-
-        // Bootstrap: every rank with at least one phase enters phase 0.
-        for r in 0..n {
-            if schedule.phases(r).is_empty() {
-                finish[r] = 0.0;
-                continue;
-            }
-            if issue(
-                r,
-                &mut port_free,
-                &mut nic_tx,
-                &mut nic_rx,
-                &mut glob_tx,
-                &mut glob_rx,
-                &mut sent,
-                &mut missing,
-                &mut waiters,
-                &mut stats,
-                &mut busy,
-                &phase_idx,
-            ) {
-                heap.push(Reverse((Key(port_free[r]), r)));
-            }
-        }
-        // Newly-issued sends may have unblocked waiters registered earlier
-        // in the bootstrap loop; sweep once.
-        let mut unblocked: Vec<Rank> = Vec::new();
-        waiters.retain(|key, &mut r| {
-            if sent.contains_key(key) {
-                missing[r] -= 1;
-                if missing[r] == 0 {
-                    unblocked.push(r);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        for r in unblocked {
-            heap.push(Reverse((Key(port_free[r]), r)));
-        }
-
-        let total_phases: usize = (0..n).map(|r| schedule.phases(r).len()).sum();
-        let mut completed_phases = 0usize;
-
-        while let Some(Reverse((_, r))) = heap.pop() {
-            // Complete recvs of the current phase, in arrival order.
-            let k = phase_idx[r];
-            let phase = &schedule.phases(r)[k];
-            let mut arrivals: Vec<(SendInfo, Locality, usize)> = phase
-                .recvs
-                .iter()
-                .map(|m| {
-                    let info = sent[&(m.src, m.dst, m.tag)];
-                    (info, self.layout.locality(m.src, m.dst), m.bytes)
-                })
-                .collect();
-            arrivals
-                .sort_by(|a, b| a.0.end.partial_cmp(&b.0.end).expect("sim times are never NaN"));
-            let mut t = port_free[r];
-            for (info, level, bytes) in arrivals {
-                let h = hockney.level(level);
-                let wire = h.time(bytes);
-                let occupancy =
-                    self.config.cpu_overhead.map_or(wire, |o| o + bytes as f64 / h.bytes_per_sec);
-                busy[r] += occupancy;
-                let busy_start = t.max(info.start);
-                t = (busy_start + occupancy).max(info.end);
-            }
-            port_free[r] = t;
-            completed_phases += 1;
-            phase_idx[r] += 1;
-
-            if phase_idx[r] == schedule.phases(r).len() {
-                finish[r] = port_free[r];
-                continue;
-            }
-            // Enter the next phase: issue its sends, maybe unblock others.
-            let before: Vec<(Rank, Rank, u64)> = schedule.phases(r)[phase_idx[r]]
-                .sends
-                .iter()
-                .map(|m| (m.src, m.dst, m.tag))
-                .collect();
-            let ready_now = issue(
-                r,
-                &mut port_free,
-                &mut nic_tx,
-                &mut nic_rx,
-                &mut glob_tx,
-                &mut glob_rx,
-                &mut sent,
-                &mut missing,
-                &mut waiters,
-                &mut stats,
-                &mut busy,
-                &phase_idx,
-            );
-            if ready_now {
-                heap.push(Reverse((Key(port_free[r]), r)));
-            }
-            for key in before {
-                if let Some(&w) = waiters.get(&key) {
-                    waiters.remove(&key);
-                    missing[w] -= 1;
-                    if missing[w] == 0 {
-                        heap.push(Reverse((Key(port_free[w]), w)));
-                    }
-                }
-            }
-        }
-
-        if completed_phases != total_phases {
-            let blocked: Vec<(Rank, usize)> = (0..n)
-                .filter(|&r| phase_idx[r] < schedule.phases(r).len())
-                .map(|r| (r, phase_idx[r]))
-                .collect();
-            return Err(SimError::Deadlock(blocked));
-        }
-
-        let makespan = finish.iter().copied().fold(0.0, f64::max);
-        Ok((SimReport { makespan, per_rank_finish: finish, stats, port_busy: busy }, sent))
+        Ok(run.report)
     }
 }
 
@@ -1090,6 +861,75 @@ mod tests {
         let unused =
             crate::Perturbation { dead_links: vec![(1, 0)], ..crate::Perturbation::none() };
         assert!(engine.run_perturbed(&s, &unused).is_ok());
+    }
+
+    /// One valid message plus a way to run it under a perturbation with
+    /// one field overridden.
+    fn perturbed_err(p: crate::Perturbation) -> SimError {
+        let layout = ClusterLayout::new(2, 1, 1);
+        let mut s = Schedule::new(2);
+        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
+        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        Engine::new(&layout, SimConfig::niagara()).run_perturbed(&s, &p).unwrap_err()
+    }
+
+    #[test]
+    fn bad_rank_stall_is_rejected_typed() {
+        for stall in [f64::NAN, f64::INFINITY, -1e-6] {
+            let p =
+                crate::Perturbation { rank_stall: vec![0.0, stall], ..crate::Perturbation::none() };
+            match perturbed_err(p) {
+                SimError::InvalidPerturbation(m) => assert!(m.contains("rank_stall[1]"), "{m}"),
+                other => panic!("stall {stall}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_jitter_probability_is_rejected_typed() {
+        for jitter_p in [f64::NAN, -0.1, 1.5] {
+            let p =
+                crate::Perturbation { jitter_p, max_jitter: 1e-6, ..crate::Perturbation::none() };
+            match perturbed_err(p) {
+                SimError::InvalidPerturbation(m) => assert!(m.contains("jitter_p"), "{m}"),
+                other => panic!("jitter_p {jitter_p}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_max_jitter_is_rejected_typed() {
+        for max_jitter in [f64::NAN, f64::INFINITY, -1e-6] {
+            let p =
+                crate::Perturbation { jitter_p: 1.0, max_jitter, ..crate::Perturbation::none() };
+            match perturbed_err(p) {
+                SimError::InvalidPerturbation(m) => assert!(m.contains("max_jitter"), "{m}"),
+                other => panic!("max_jitter {max_jitter}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn dead_link_is_checked_after_validation_and_capacity() {
+        let dead = crate::Perturbation { dead_links: vec![(0, 1)], ..crate::Perturbation::none() };
+        let cfg = SimConfig::niagara();
+        // invalid schedule over the dead link: validation speaks first
+        let layout = ClusterLayout::new(2, 1, 1);
+        let mut unmatched = Schedule::new(2);
+        unmatched.push(0, vec![msg(0, 1, 8, 0)], vec![]);
+        assert!(matches!(
+            Engine::new(&layout, cfg).run_perturbed(&unmatched, &dead),
+            Err(SimError::InvalidSchedule(_))
+        ));
+        // valid schedule over the dead link on too small a layout: capacity next
+        let mut s = Schedule::new(2);
+        s.push(0, vec![msg(0, 1, 8, 0)], vec![]);
+        s.push(1, vec![], vec![msg(0, 1, 8, 0)]);
+        let tiny = ClusterLayout::new(1, 1, 1);
+        assert!(matches!(
+            Engine::new(&tiny, cfg).run_perturbed(&s, &dead),
+            Err(SimError::LayoutTooSmall { ranks: 2, capacity: 1 })
+        ));
     }
 
     #[test]

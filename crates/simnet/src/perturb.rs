@@ -8,6 +8,7 @@
 //! pattern matches what the threaded executor injects for the same
 //! seed.
 
+use crate::engine::SimError;
 use nhood_cluster::{Rank, Seconds};
 use nhood_topology::rng::{hash_mix, unit_f64};
 
@@ -47,6 +48,23 @@ impl Perturbation {
             max_jitter: 0.0,
             dead_links: Vec::new(),
         }
+    }
+
+    /// Rejects values that would put a NaN or a negative duration into
+    /// the engine's event times (the fields are public, so any caller
+    /// can construct them).
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        let duration = |s: Seconds| s.is_finite() && s >= 0.0;
+        let bad = if let Some(r) = self.rank_stall.iter().position(|&s| !duration(s)) {
+            format!("rank_stall[{r}] = {}", self.rank_stall[r])
+        } else if !(0.0..=1.0).contains(&self.jitter_p) {
+            format!("jitter_p = {}", self.jitter_p)
+        } else if !duration(self.max_jitter) {
+            format!("max_jitter = {}", self.max_jitter)
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidPerturbation(bad))
     }
 
     /// True if the directed edge `src -> dst` is severed.

@@ -1,40 +1,41 @@
-//! Sharded execution of the discrete-event engine.
+//! The replay engine: sharded prepare, serial event loop.
 //!
-//! [`Engine::run`] spends most of its time on per-message bookkeeping:
-//! validating the schedule (two hash maps over every message), matching
-//! each recv to its send (another hash lookup per message), and
-//! evaluating the Hockney cost model at issue time. None of that work
-//! depends on simulated time — only the final event loop does. The
-//! sharded runner exploits this split:
+//! Most of a simulated run is per-message bookkeeping that does not
+//! depend on simulated time — validating the schedule, matching each
+//! recv to its send, evaluating the Hockney cost model. Only the final
+//! event loop is inherently sequential. Every `Engine::run*` entry point
+//! funnels into `Engine::replay`, which exploits that split:
 //!
 //! 1. **Parallel prepare** — ranks are partitioned into contiguous
-//!    chunks, one per [`WorkerPool`] thread. Each chunk validates its
-//!    own ranks' phases, enumerates their sends into a dense global
-//!    send-id space, and precomputes every pure per-message cost (wire
-//!    time, port occupancy, NIC hold, global-link hold, locality). A
-//!    second parallel pass resolves each recv to the send id it matches,
-//!    looking only at the (read-only) table of the sender's chunk.
-//! 2. **Serial replay** — a lean event loop over flat arrays replays
-//!    *exactly* the arithmetic of the serial engine: same ready-heap
-//!    keys, same arrival sort, same order of floating-point operations.
-//!    No hash map is touched on this path.
+//!    chunks, one per [`WorkerPool`] thread (a single chunk, run inline,
+//!    for the pool-less entry points). Each chunk validates its own
+//!    ranks' phases, enumerates their sends into a dense global send-id
+//!    space, and precomputes every pure per-message cost (wire time
+//!    including perturbation jitter, port occupancy, NIC hold,
+//!    global-link hold, locality). A second parallel pass resolves each
+//!    recv to the send id it matches, looking only at the (read-only)
+//!    table of the sender's chunk.
+//! 2. **Serial replay** — a lean event loop over flat arrays: ready heap
+//!    keyed by port time, arrivals drained in arrival order. No hash map
+//!    is touched on this path.
 //!
 //! ## Determinism contract
 //!
-//! `run_sharded` returns **bit-identical** results to [`Engine::run`]
-//! for every thread count, including one. This holds because the serial
-//! engine's only internally unordered structure — the waiter map swept
-//! at bootstrap — can only change the *push* order of ranks whose keys
-//! are already fixed, and a binary heap pops the minimum of its current
-//! contents regardless of insertion order (ranks are heap-unique, so
-//! ties cannot arise). Every floating-point operation the replay
-//! performs uses the same inputs in the same order as the serial loop;
-//! the precomputed costs are pure functions of the message and the
-//! layout, so computing them on worker threads changes nothing.
-//! `docs/SCALE.md` documents the contract; the tests below enforce it
-//! across schedules, NIC modes and pool widths.
+//! Reports are **bit-identical** (`to_bits`) for every pool width. The
+//! precomputed costs are pure functions of the message, the layout and
+//! the perturbation, so computing them on worker threads changes
+//! nothing; the replay performs every floating-point operation in one
+//! fixed order; and the one batch of heap pushes whose order depends on
+//! iteration (the bootstrap waiter sweep) pushes ranks whose keys are
+//! already fixed — a binary heap pops the minimum of its contents
+//! regardless of insertion order, and ranks are heap-unique so ties
+//! cannot arise. `docs/SCALE.md` documents the contract; golden
+//! constants captured from the retired hash-map engine pin the
+//! arithmetic, and the tests below check both across schedules, NIC
+//! modes, perturbations and pool widths.
 
 use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
+use crate::perturb::Perturbation;
 use crate::schedule::Schedule;
 use nhood_cluster::{Locality, Rank, WorkerPool};
 use std::cmp::Reverse;
@@ -43,12 +44,12 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// Sentinel for "no rank is waiting on this send".
 const NO_WAITER: u32 = u32::MAX;
 
-/// Pure per-send costs, precomputed in parallel. All fields are exactly
-/// the values the serial engine computes inside its issue loop.
+/// Pure per-send costs, precomputed in parallel.
 struct SendPre {
     bytes: usize,
     level: Locality,
-    /// `α + m/β` at the message's locality level (arrival delay).
+    /// `α + m/β` at the message's locality level, plus perturbation
+    /// jitter (arrival delay).
     wire: f64,
     /// Port hold: `cpu_overhead + m/β` under LogGP, else `wire`.
     occupancy: f64,
@@ -64,7 +65,7 @@ struct SendPre {
 }
 
 /// A recv resolved to the send it matches, plus its drain-side port
-/// occupancy (the only cost the serial drain loop derives per arrival).
+/// occupancy (the only cost the drain derives per arrival).
 struct RecvPre {
     send_id: u32,
     occupancy: f64,
@@ -77,51 +78,39 @@ struct TxShard {
     keys: HashMap<(Rank, Rank, u64), (u32, usize)>,
 }
 
+/// A finished run: the report plus every message's posting and arrival
+/// time, indexed by global send id (= [`Schedule::all_sends`] order).
+pub(crate) struct Timeline {
+    pub(crate) report: SimReport,
+    pub(crate) posted: Vec<f64>,
+    pub(crate) arrival: Vec<f64>,
+}
+
+/// Concatenates per-chunk tables into one dense id-indexed table. Chunks
+/// are contiguous rank ranges, so concatenation is id order; a single
+/// chunk (every pool-less run) is taken as is, without a copy.
+fn flatten<T>(mut chunks: impl Iterator<Item = Vec<T>>, total: usize) -> Vec<T> {
+    let mut flat = chunks.next().unwrap_or_default();
+    flat.reserve_exact(total - flat.len());
+    for chunk in chunks {
+        flat.extend(chunk);
+    }
+    flat
+}
+
 impl Engine<'_> {
-    /// Like [`run`](Self::run), but with schedule validation, send/recv
-    /// matching and cost-model evaluation sharded across `pool`.
-    ///
-    /// The report is bit-identical to `run`'s for any pool width — see
-    /// the module docs for why. Perturbations are not supported on this
-    /// path; use [`run_perturbed`](Self::run_perturbed).
-    pub fn run_sharded(
+    /// The one simulation path: validates `schedule`, precomputes
+    /// per-message costs on `pool`, and replays the event loop under an
+    /// optional latency `perturbation`.
+    pub(crate) fn replay(
         &self,
         schedule: &Schedule,
         pool: &WorkerPool,
-    ) -> Result<SimReport, SimError> {
-        self.run_sharded_impl(schedule, pool).map(|(r, _, _)| r)
-    }
-
-    /// Like [`run_recorded`](Self::run_recorded) on the sharded path:
-    /// replays every simulated message into `rec` after the run.
-    pub fn run_sharded_recorded(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-        rec: &dyn nhood_telemetry::Recorder,
-    ) -> Result<SimReport, SimError> {
-        let (report, starts, ends) = self.run_sharded_impl(schedule, pool)?;
-        for (sid, m) in schedule.all_sends().enumerate() {
-            let level = self.layout.locality(m.src, m.dst);
-            let label = if level == Locality::SameSocket {
-                nhood_telemetry::labels::INTRA_SOCKET
-            } else {
-                nhood_telemetry::labels::HALVING_STEP
-            };
-            rec.msg_sent(m.src, m.dst, m.bytes);
-            rec.msg_recvd(m.dst, m.src, m.bytes);
-            rec.span_at(m.src, label, starts[sid], ends[sid]);
+        perturbation: Option<&Perturbation>,
+    ) -> Result<Timeline, SimError> {
+        if let Some(p) = perturbation {
+            p.check()?;
         }
-        Ok(report)
-    }
-
-    /// Full sharded run returning per-send posting/arrival times in
-    /// global send-id order (= [`Schedule::all_sends`] order).
-    fn run_sharded_impl(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-    ) -> Result<(SimReport, Vec<f64>, Vec<f64>), SimError> {
         let n = schedule.n();
 
         // Dense send/recv id spaces: per-rank prefix offsets.
@@ -138,14 +127,14 @@ impl Engine<'_> {
         }
         let total_sends = send_off[n];
         let total_recvs = recv_off[n];
-        if total_sends > u32::MAX as usize || total_recvs > u32::MAX as usize {
-            // Beyond the dense u32 id space: take the serial path.
-            return self.serial_fallback(schedule);
+        let id_space = NO_WAITER as usize;
+        if total_sends > id_space || total_recvs > id_space || n >= id_space {
+            return Err(SimError::ScheduleTooLarge { messages: total_sends.max(total_recvs) });
         }
 
         // Capacity must be checked before the prepare pass may resolve
-        // rank locations — but the serial engine reports an invalid
-        // schedule ahead of an oversized one, so match that precedence.
+        // rank locations — but an invalid schedule is reported ahead of
+        // an oversized one.
         if n > self.layout.capacity() {
             return match schedule.validate() {
                 Err(e) => Err(SimError::InvalidSchedule(e)),
@@ -154,10 +143,16 @@ impl Engine<'_> {
                 }
             };
         }
+        // The prepare passes apply `Schedule::validate`'s conditions
+        // chunk-locally and only flag a violation; the serial validator
+        // supplies the canonical text.
+        let invalid = || {
+            let why = schedule.validate().err();
+            SimError::InvalidSchedule(why.unwrap_or_else(|| "rejected by the prepare pass".into()))
+        };
 
         // Contiguous rank chunks, one per pool thread.
-        let threads = pool.threads().max(1);
-        let chunk = n.div_ceil(threads).max(1);
+        let chunk = n.div_ceil(pool.threads()).max(1);
         let chunks = n.div_ceil(chunk);
         let chunk_of = |r: Rank| r / chunk;
 
@@ -185,7 +180,8 @@ impl Engine<'_> {
                         }
                         let level = self.layout.locality(m.src, m.dst);
                         let h = hockney.level(level);
-                        let wire = h.time(m.bytes);
+                        let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
+                        let wire = h.time(m.bytes) + jitter;
                         let serial = m.bytes as f64 / h.bytes_per_sec;
                         let occupancy = self.config.cpu_overhead.map_or(wire, |o| o + serial);
                         let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
@@ -215,10 +211,7 @@ impl Engine<'_> {
             }
             Some(shard)
         });
-        if tx.iter().any(Option::is_none) {
-            return self.invalid_or_fallback(schedule);
-        }
-        let tx: Vec<TxShard> = tx.into_iter().map(Option::unwrap).collect();
+        let tx: Vec<TxShard> = tx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
 
         // Pass B: resolve each recv against the sender chunk's table.
         let rx: Vec<Option<Vec<RecvPre>>> = pool.map(chunks, |c| {
@@ -256,32 +249,31 @@ impl Engine<'_> {
             }
             Some(pre)
         });
-        if rx.iter().any(Option::is_none) || total_sends != total_recvs {
+        let rx: Vec<Vec<RecvPre>> = rx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
+        if total_sends != total_recvs {
             // Unmatched sends are the one defect pass B cannot see
             // locally: equal totals + every recv matched a distinct
             // send key ⇒ the matching is a bijection.
-            return self.invalid_or_fallback(schedule);
+            return Err(invalid());
+        }
+        if let Some(p) = perturbation.filter(|p| !p.dead_links.is_empty()) {
+            if let Some(m) = schedule.all_sends().find(|m| p.link_is_down(m.src, m.dst)) {
+                return Err(SimError::LinkDown { src: m.src, dst: m.dst });
+            }
         }
 
-        // Flatten chunk outputs into dense id-indexed tables. Chunks are
-        // contiguous rank ranges, so concatenation is id order.
-        let mut pre_send: Vec<SendPre> = Vec::with_capacity(total_sends);
-        for shard in tx {
-            pre_send.extend(shard.pre);
-        }
-        let mut pre_recv: Vec<RecvPre> = Vec::with_capacity(total_recvs);
-        for shard in rx {
-            pre_recv.extend(shard.expect("checked above"));
-        }
+        let pre_send = flatten(tx.into_iter().map(|shard| shard.pre), total_sends);
+        let pre_recv = flatten(rx.into_iter(), total_recvs);
         let node_of: Vec<u32> = (0..n).map(|r| self.layout.location(r).node as u32).collect();
 
-        // ---- Serial replay: the serial engine's loop over flat arrays ----
+        // ---- Serial replay ----
         let n_groups = self.layout.nodes().div_ceil(self.layout.nodes_per_group());
         let mut rp = Replay {
             pre_send: &pre_send,
             pre_recv: &pre_recv,
             node_of: &node_of,
             nic_mode: self.config.nic_mode,
+            perturbation,
             port_free: vec![0.0; n],
             nic_tx: vec![0.0; self.layout.nodes()],
             nic_rx: vec![0.0; self.layout.nodes()],
@@ -301,30 +293,21 @@ impl Engine<'_> {
             cur_recv: vec![(0, 0); n],
         };
 
+        // Ready heap of ranks whose current phase's recvs are all
+        // matched. Keyed by current port time so resource serialization
+        // approximates event order.
         let mut heap: BinaryHeap<Reverse<(Key, Rank)>> = BinaryHeap::new();
 
         // Bootstrap: every rank with at least one phase enters phase 0.
         for r in 0..n {
-            if schedule.phases(r).is_empty() {
-                rp.finish[r] = 0.0;
-                continue;
-            }
-            if rp.issue(r, schedule) {
+            if !schedule.phases(r).is_empty() && rp.issue(r, schedule) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
         }
-        // Sweep waiters registered before their send was issued. (The
-        // serial engine's `retain` visits these in hash order; push order
-        // within the batch cannot change heap pop order.)
+        // Sweep waiters registered before their send was issued.
         for sid in 0..total_sends {
-            let w = rp.waiter_of[sid];
-            if w != NO_WAITER && rp.sent_flag[sid] {
-                rp.waiter_of[sid] = NO_WAITER;
-                let w = w as usize;
-                rp.missing[w] -= 1;
-                if rp.missing[w] == 0 {
-                    heap.push(Reverse((Key(rp.port_free[w]), w)));
-                }
+            if rp.sent_flag[sid] {
+                rp.wake(sid, &mut heap);
             }
         }
 
@@ -340,22 +323,13 @@ impl Engine<'_> {
                 rp.finish[r] = rp.port_free[r];
                 continue;
             }
+            // Enter the next phase: issue its sends, maybe unblock others.
             let s_before = rp.next_send[r];
-            let ready_now = rp.issue(r, schedule);
-            let s_after = rp.next_send[r];
-            if ready_now {
+            if rp.issue(r, schedule) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
-            for sid in s_before..s_after {
-                let w = rp.waiter_of[sid];
-                if w != NO_WAITER {
-                    rp.waiter_of[sid] = NO_WAITER;
-                    let w = w as usize;
-                    rp.missing[w] -= 1;
-                    if rp.missing[w] == 0 {
-                        heap.push(Reverse((Key(rp.port_free[w]), w)));
-                    }
-                }
+            for sid in s_before..rp.next_send[r] {
+                rp.wake(sid, &mut heap);
             }
         }
 
@@ -370,60 +344,31 @@ impl Engine<'_> {
         let makespan = rp.finish.iter().copied().fold(0.0, f64::max);
         let report =
             SimReport { makespan, per_rank_finish: rp.finish, stats: rp.stats, port_busy: rp.busy };
-        Ok((report, rp.info_start, rp.info_end))
-    }
-
-    /// The parallel validators rejected the schedule: surface the serial
-    /// validator's canonical error message. The check conditions mirror
-    /// [`Schedule::validate`] exactly, so the serial pass must fail too;
-    /// if it somehow does not, run serially rather than diverge.
-    fn invalid_or_fallback(
-        &self,
-        schedule: &Schedule,
-    ) -> Result<(SimReport, Vec<f64>, Vec<f64>), SimError> {
-        match schedule.validate() {
-            Err(e) => Err(SimError::InvalidSchedule(e)),
-            Ok(()) => {
-                debug_assert!(false, "sharded validation diverged from Schedule::validate");
-                self.serial_fallback(schedule)
-            }
-        }
-    }
-
-    /// Serial run with results reshaped to the sharded return type.
-    fn serial_fallback(
-        &self,
-        schedule: &Schedule,
-    ) -> Result<(SimReport, Vec<f64>, Vec<f64>), SimError> {
-        let (report, sent) = self.run_impl(schedule, None)?;
-        let (mut starts, mut ends) = (Vec::new(), Vec::new());
-        for m in schedule.all_sends() {
-            let info = sent[&(m.src, m.dst, m.tag)];
-            starts.push(info.start);
-            ends.push(info.end);
-        }
-        Ok((report, starts, ends))
+        Ok(Timeline { report, posted: rp.info_start, arrival: rp.info_end })
     }
 }
 
-/// Dense replay state. Methods mirror the serial engine's `issue`
-/// closure and drain loop line for line; every floating-point operation
-/// appears in the same order with the same inputs.
+/// Dense replay state of the event loop.
 struct Replay<'p> {
     pre_send: &'p [SendPre],
     pre_recv: &'p [RecvPre],
     node_of: &'p [u32],
     nic_mode: NicMode,
+    perturbation: Option<&'p Perturbation>,
     port_free: Vec<f64>,
+    /// Full-duplex NICs: independent transmit and receive queues.
     nic_tx: Vec<f64>,
     nic_rx: Vec<f64>,
+    /// Dragonfly+ global links: per-group egress/ingress queues.
     glob_tx: Vec<f64>,
     glob_rx: Vec<f64>,
     phase_idx: Vec<usize>,
     info_start: Vec<f64>,
     info_end: Vec<f64>,
     sent_flag: Vec<bool>,
+    /// The rank blocked on each send right now, or [`NO_WAITER`].
     waiter_of: Vec<u32>,
+    /// For each rank currently blocked on recvs: how many are unmatched.
     missing: Vec<usize>,
     stats: LevelStats,
     finish: Vec<f64>,
@@ -444,7 +389,9 @@ impl Replay<'_> {
     fn issue(&mut self, r: Rank, schedule: &Schedule) -> bool {
         let k = self.phase_idx[r];
         let phase = &schedule.phases(r)[k];
-        let local = phase.local_seconds;
+        // straggler modeling: a perturbed rank pays its stall on top of
+        // the phase's local work
+        let local = phase.local_seconds + self.perturbation.map_or(0.0, |p| p.stall(r));
         self.busy[r] += local;
         let mut t = self.port_free[r] + local;
         let my_node = self.node_of[r] as usize;
@@ -453,6 +400,12 @@ impl Replay<'_> {
         for sid in s0..s0 + phase.sends.len() {
             let p = &self.pre_send[sid];
             self.busy[r] += p.occupancy;
+            // The CPU posts the message and moves on; the NIC queues it
+            // (store-and-forward) without stalling the port. Under TxRx
+            // the message first drains through the sender node's NIC
+            // queue, then through the receiver node's — two sequential
+            // serializations, never a simultaneous hold (which would let
+            // an idle NIC be blocked by a busy one).
             let posted = t;
             t = posted + p.occupancy;
             let internode = matches!(p.level, Locality::SameGroup | Locality::RemoteGroup);
@@ -505,6 +458,19 @@ impl Replay<'_> {
         unmatched == 0
     }
 
+    /// Send `sid` has been issued: releases the rank waiting on it, if
+    /// any, onto the ready heap once it has nothing else outstanding.
+    fn wake(&mut self, sid: usize, heap: &mut BinaryHeap<Reverse<(Key, Rank)>>) {
+        let w = std::mem::replace(&mut self.waiter_of[sid], NO_WAITER);
+        if w != NO_WAITER {
+            let w = w as usize;
+            self.missing[w] -= 1;
+            if self.missing[w] == 0 {
+                heap.push(Reverse((Key(self.port_free[w]), w)));
+            }
+        }
+    }
+
     /// Completes the recvs of rank `r`'s current phase in arrival order.
     fn drain(&mut self, r: Rank) {
         let (r0, rn) = self.cur_recv[r];
@@ -529,27 +495,48 @@ impl Replay<'_> {
 #[cfg(test)]
 mod tests {
     use crate::engine::{Engine, GlobalLinkConfig, NicMode, SimConfig, SimError};
+    use crate::perturb::Perturbation;
     use crate::schedule::{Msg, Schedule};
     use nhood_cluster::{ClusterLayout, HockneyParams, WorkerPool};
     use nhood_topology::rng::DetRng;
 
-    /// Asserts the sharded report is bit-identical to the serial one
-    /// under every pool width.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The perturbation every width/golden check runs under: stragglers
+    /// on every fifth rank, jitter on about half the messages.
+    fn seeded_perturbation(n: usize) -> Perturbation {
+        Perturbation {
+            seed: 0x5EED,
+            rank_stall: (0..n).map(|r| if r % 5 == 0 { 2e-6 } else { 0.0 }).collect(),
+            jitter_p: 0.5,
+            max_jitter: 3e-6,
+            dead_links: Vec::new(),
+        }
+    }
+
+    /// Asserts the run — report and per-message timeline — is
+    /// bit-identical under every pool width, with and without a
+    /// perturbation.
     fn assert_bit_identical(layout: &ClusterLayout, config: SimConfig, s: &Schedule) {
         let engine = Engine::new(layout, config);
-        let serial = engine.run(s).expect("serial run");
-        for threads in [1, 2, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let sharded = engine.run_sharded(s, &pool).expect("sharded run");
-            assert_eq!(
-                serial.makespan.to_bits(),
-                sharded.makespan.to_bits(),
-                "makespan differs at {threads} threads"
-            );
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&serial.per_rank_finish), bits(&sharded.per_rank_finish));
-            assert_eq!(bits(&serial.port_busy), bits(&sharded.port_busy));
-            assert_eq!(serial.stats, sharded.stats);
+        let p = seeded_perturbation(s.n());
+        for perturbation in [None, Some(&p)] {
+            let base = engine.replay(s, &WorkerPool::serial(), perturbation).expect("width-1 run");
+            for threads in [2, 3, 8] {
+                let wide = engine.replay(s, &WorkerPool::new(threads), perturbation).expect("run");
+                assert_eq!(
+                    base.report.makespan.to_bits(),
+                    wide.report.makespan.to_bits(),
+                    "makespan differs at {threads} threads"
+                );
+                assert_eq!(bits(&base.report.per_rank_finish), bits(&wide.report.per_rank_finish));
+                assert_eq!(bits(&base.report.port_busy), bits(&wide.report.port_busy));
+                assert_eq!(base.report.stats, wide.report.stats);
+                assert_eq!(bits(&base.posted), bits(&wide.posted));
+                assert_eq!(bits(&base.arrival), bits(&wide.arrival));
+            }
         }
     }
 
@@ -663,18 +650,19 @@ mod tests {
     #[test]
     fn invalid_schedules_report_the_serial_error() {
         let layout = ClusterLayout::new(2, 1, 1);
-        let pool = WorkerPool::new(4);
-        // Send with no matching recv.
-        let mut s = Schedule::new(2);
-        s.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
         let engine = Engine::new(&layout, SimConfig::niagara());
-        assert_eq!(engine.run(&s).unwrap_err(), engine.run_sharded(&s, &pool).unwrap_err());
-
+        let canonical = |s: &Schedule| SimError::InvalidSchedule(s.validate().unwrap_err());
+        // Send with no matching recv.
+        let mut unmatched = Schedule::new(2);
+        unmatched.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
         // Size mismatch.
-        let mut s = Schedule::new(2);
-        s.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
-        s.push(1, vec![], vec![Msg { src: 0, dst: 1, bytes: 16, tag: 0 }]);
-        assert_eq!(engine.run(&s).unwrap_err(), engine.run_sharded(&s, &pool).unwrap_err());
+        let mut mismatch = Schedule::new(2);
+        mismatch.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
+        mismatch.push(1, vec![], vec![Msg { src: 0, dst: 1, bytes: 16, tag: 0 }]);
+        for s in [&unmatched, &mismatch] {
+            assert_eq!(engine.run(s).unwrap_err(), canonical(s));
+            assert_eq!(engine.run_sharded(s, &WorkerPool::new(4)).unwrap_err(), canonical(s));
+        }
     }
 
     #[test]
@@ -718,5 +706,120 @@ mod tests {
             assert_eq!(serial_rec.per_rank(r), sharded_rec.per_rank(r), "rank {r}");
         }
         assert_eq!(serial_rec.totals(), sharded_rec.totals());
+    }
+
+    fn fold_bits(v: &[f64]) -> u64 {
+        v.iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// `NicMode::{Off, TxOnly, TxRx}` × global links off/on × LogGP
+    /// off/on, in golden-row order.
+    fn golden_configs() -> Vec<SimConfig> {
+        let mut cfgs = Vec::new();
+        for nic_mode in [NicMode::Off, NicMode::TxOnly, NicMode::TxRx] {
+            for gl in [false, true] {
+                for loggp in [false, true] {
+                    cfgs.push(SimConfig {
+                        hockney: HockneyParams::niagara(),
+                        nic_mode,
+                        cpu_overhead: loggp.then_some(0.15e-6),
+                        nic_gap: loggp.then_some(0.025e-6),
+                        global_links: gl.then(GlobalLinkConfig::niagara),
+                    });
+                }
+            }
+        }
+        cfgs
+    }
+
+    // `[makespan, fold(per_rank_finish), fold(port_busy)]` as `to_bits`,
+    // captured at the last commit that shipped the hash-map serial
+    // engine (a91473c) from `Engine::run` / `Engine::run_perturbed`:
+    // one row per `golden_configs()` entry, plain then perturbed.
+    const PERM: [[u64; 3]; 24] = [
+        [0x3f1543fa019114bc, 0x0297727e0e2c2fe7, 0xe81b5779a54ab931],
+        [0x3f19a95dada2b20a, 0x139e73fe30bb7836, 0x0768e8a52b0b6beb],
+        [0x3f1038e06969534e, 0x2a00fd08417a9700, 0xe02a626e5507a62c],
+        [0x3f129ade09f344a9, 0xdfbb88dddb1d4ed0, 0xef19a69b5165557c],
+        [0x3f1543fa019114bc, 0x0297727e0e2c2fe7, 0xe81b5779a54ab931],
+        [0x3f19a95dada2b20a, 0x139e73fe30bb7836, 0x0768e8a52b0b6beb],
+        [0x3f1038e06969534e, 0x2a00fd08417a9700, 0xe02a626e5507a62c],
+        [0x3f129ade09f344a9, 0xdfbb88dddb1d4ed0, 0xef19a69b5165557c],
+        [0x3f24b3140e94ecdc, 0xe994e0c089fc1a9e, 0xe81b5779a54ab931],
+        [0x3f27222d11c2e1c2, 0x194c2994756f8646, 0x0768e8a52b0b6beb],
+        [0x3f1fcb2efb974818, 0x2573f2012eee0648, 0xe02a626e5507a62c],
+        [0x3f201a392af27b7b, 0xa9e8c5d71f50f0e1, 0xef19a69b5165557c],
+        [0x3f24b3140e94ecdc, 0xe994e0c089fc1a9e, 0xe81b5779a54ab931],
+        [0x3f27222d11c2e1c2, 0x194c2994756f8646, 0x0768e8a52b0b6beb],
+        [0x3f1fcb2efb974818, 0x2573f2012eee0648, 0xe02a626e5507a62c],
+        [0x3f201a392af27b7b, 0xa9e8c5d71f50f0e1, 0xef19a69b5165557c],
+        [0x3f2cece2a06ee2c0, 0xd44f75f8ac80d2de, 0xe81b5779a54ab931],
+        [0x3f2f83f4182de404, 0x79880ac869388f87, 0x0768e8a52b0b6beb],
+        [0x3f256d715f2c822b, 0xa575a8f4b4d390bf, 0xe02a626e5507a62c],
+        [0x3f285f19fa657177, 0xeb67869ff925da39, 0xef19a69b5165557c],
+        [0x3f2cd1b99eba7207, 0x0ba3abfd3c5fd4fa, 0xe81b5779a54ab931],
+        [0x3f314907ed8ce330, 0x5cda86a1a6594b4e, 0x0768e8a52b0b6beb],
+        [0x3f2bc8e2e708a74d, 0x812f45a7f7854337, 0xe02a626e5507a62c],
+        [0x3f2b33f2cac874a0, 0x0204ef677032b703, 0xef19a69b5165557c],
+    ];
+    const RELAY: [[u64; 3]; 24] = [
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+        [0x3f006f822af3e7d4, 0xe3932c4b98b341c2, 0x57581ac120e763dd],
+        [0x3f0f3ce51c7cd633, 0x2b543cdf4271eca4, 0x7c383f748e67db76],
+        [0x3f006f822af3e7d4, 0xb403db533a5f61f4, 0xb4f0960c4c3ca385],
+        [0x3f0f3ce51c7cd633, 0x86de567633657577, 0x499d3cf065c51dc5],
+    ];
+
+    #[test]
+    fn goldens_of_the_retired_serial_engine_hold_at_every_width() {
+        let cases = [
+            (&PERM, ClusterLayout::with_groups(16, 2, 2, 4), perm_rounds(64, 6, 0xC0FFEE)),
+            (&RELAY, ClusterLayout::with_groups(8, 1, 4, 2), relay_chain(32, 4096)),
+        ];
+        for (golden, layout, s) in &cases {
+            let p = seeded_perturbation(s.n());
+            let mut rows = golden.iter();
+            for (i, config) in golden_configs().into_iter().enumerate() {
+                let engine = Engine::new(layout, config);
+                for perturbation in [None, Some(&p)] {
+                    let want = rows.next().expect("two golden rows per config");
+                    for threads in [1, 2, 3, 8] {
+                        let pool = WorkerPool::new(threads);
+                        let rep = engine.replay(s, &pool, perturbation).unwrap().report;
+                        let got = [
+                            rep.makespan.to_bits(),
+                            fold_bits(&rep.per_rank_finish),
+                            fold_bits(&rep.port_busy),
+                        ];
+                        assert_eq!(
+                            got,
+                            *want,
+                            "config {i}, perturbed {}, {threads} threads",
+                            perturbation.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -47,7 +47,7 @@ pub mod labels {
     pub const NEGOTIATE: &str = "negotiate";
     /// A retried send (fault layer backoff path).
     pub const RETRY: &str = "retry";
-    /// Degradation to the naive plan (`neighbor_allgather_robust`).
+    /// Degradation to the naive plan (robust collective requests).
     pub const FALLBACK: &str = "fallback";
     /// A plan phase of an algorithm without halving structure
     /// (naive / Common Neighbor / leader).

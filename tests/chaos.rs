@@ -242,7 +242,7 @@ fn ragged_payloads(sizes: &[usize], seed: u64) -> Vec<Vec<u8>> {
 /// the discrete-event simulator.
 #[test]
 fn acceptance_64_rank_5pct_drop_ragged() {
-    use nhood_core::exec::{ExecEngine, Sim};
+    use nhood_core::exec::Sim;
     use nhood_core::BlockSizes;
 
     let g = nhood_topology::random::erdos_renyi(64, 0.3, 2024);
@@ -262,23 +262,20 @@ fn acceptance_64_rank_5pct_drop_ragged() {
     let req = CollectiveRequest::allgatherv(&payloads).algorithm(Algorithm::DistanceHalving);
     assert_eq!(comm.collective(&req).unwrap().rbufs, want);
 
-    // Backend 2 — threaded under seeded 5% drops, both engines, with the
-    // same retry budget as the uniform acceptance test.
+    // Backend 2 — threaded under seeded 5% drops, with the same retry
+    // budget as the uniform acceptance test.
     let plan = comm.plan(Algorithm::DistanceHalving).unwrap();
-    for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-        for s in 0..3 {
-            let fp = FaultPlan::seeded(0xACCE97 + s).with_message_drop(0.05);
-            let opts = ExecOptions::new()
-                .ragged(true)
-                .engine(engine)
-                .recv_timeout(Duration::from_secs(5))
-                .retries(4, Duration::from_micros(50))
-                .fault(&fp);
-            let out = Threaded
-                .run(&plan, &g, &payloads, &mut BlockArena::new(), &opts)
-                .unwrap_or_else(|e| panic!("{engine:?} seed {s}: {e}"));
-            assert_eq!(out.rbufs, want, "{engine:?} seed {s}: ragged buffers corrupted");
-        }
+    for s in 0..3 {
+        let fp = FaultPlan::seeded(0xACCE97 + s).with_message_drop(0.05);
+        let opts = ExecOptions::new()
+            .ragged(true)
+            .recv_timeout(Duration::from_secs(5))
+            .retries(4, Duration::from_micros(50))
+            .fault(&fp);
+        let out = Threaded
+            .run(&plan, &g, &payloads, &mut BlockArena::new(), &opts)
+            .unwrap_or_else(|e| panic!("seed {s}: {e}"));
+        assert_eq!(out.rbufs, want, "seed {s}: ragged buffers corrupted");
     }
 
     // The robust wrapper accepts ragged payloads too: every seeded run

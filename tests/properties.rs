@@ -373,7 +373,7 @@ fn arena_path_byte_identical_to_reference_on_all_backends() {
     // byte-moving backends, and the `Sim` backend — run through the same
     // `Executor` trait — agrees with them on message and byte totals.
     use nhood_core::exec::sim_exec::SimCost;
-    use nhood_core::{ExecEngine, Sim};
+    use nhood_core::Sim;
     use nhood_telemetry::CountingRecorder;
 
     for_cases(0xAE, |rng| {
@@ -390,7 +390,7 @@ fn arena_path_byte_identical_to_reference_on_all_backends() {
             [Algorithm::Naive, Algorithm::DistanceHalving, Algorithm::CommonNeighbor { k: 4 }]
         {
             let plan = comm.plan(algo).unwrap();
-            let opts = ExecOptions::new().engine(ExecEngine::Arena);
+            let opts = ExecOptions::new();
             let vrec = CountingRecorder::new(n);
             let v = Virtual
                 .run(&plan, &g, &payloads, &mut BlockArena::new(), &opts.recorder(&vrec))
