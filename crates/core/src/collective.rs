@@ -28,33 +28,37 @@
 //! ## Determinism
 //!
 //! The combine *tree* is fully plan-determined: within a phase, arrivals
-//! are integrated in ascending `(peer, tag)` order on every backend, and
-//! IEEE-754 addition is commutative (though not associative), so f32
-//! sums are **bit-identical** across the virtual and threaded backends
-//! and across repeat runs. Exact lanes (wrapping integer sums, max,
-//! bit-or) are associative and equal the naive reference exactly; f32
-//! agrees with the reference up to reassociation error.
+//! are integrated in ascending `(peer, tag)` order on every backend, a
+//! first arrival is copied (never folded into the identity), and every
+//! later one is `held ⊕ arrived` in that operand order, so f32 sums are
+//! **bit-identical** across the virtual and threaded backends and
+//! across repeat runs. Exact lanes (wrapping integer sums, max, bit-or)
+//! are associative and equal the naive reference exactly; f32 agrees
+//! with the reference up to reassociation error.
 //!
-//! ## Wire accounting
+//! ## Execution and wire accounting
 //!
-//! A packed message is a list of groups `(dsts, srcs, value)`; groups
-//! whose source set *and* value bytes coincide share one value block
-//! (the allreduce first hop sends one copy of `x_src` no matter how many
-//! destinations it serves). Telemetry counts the value bytes only —
+//! Requests do not interpret the plan: `collective::program` compiles it once per
+//! op shape into fixed cells and `copy` / `combine` steps, and every
+//! backend executes that one program. A message is a run of wire
+//! blocks; allreduce partials that are the same value *by construction*
+//! share one block (the first hop sends one copy of `x_src` no matter
+//! how many destinations it serves) — see the module docs of
+//! `program` for the rule. Telemetry counts the block bytes only —
 //! consistent with the allgather executors, which count payload bytes
 //! and not headers.
 
-use crate::alltoall::{A2aMsg, AlltoallPlan};
 use crate::comm::{CommError, ExecReport};
 use crate::exec::ExecError;
 use crate::plan::Algorithm;
 use crate::sizes::BlockSizes;
-use nhood_simnet::{Msg, Phase, Schedule, SimReport};
+use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
-use nhood_topology::{Rank, Topology};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc;
-use std::time::Duration;
+use nhood_topology::Topology;
+
+#[cfg(test)]
+mod goldens;
+pub(crate) mod program;
 
 /// Lane type of a [`Reduction`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -592,9 +596,7 @@ pub fn derive_sizes(
             }
             Ok(BlockSizes::uniform(m))
         }
-        CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
-            unreachable!("gather family does not take the combining path")
-        }
+        CollectiveOp::Allgather | CollectiveOp::Allgatherv => Err(program::not_combining(op)),
     }
 }
 
@@ -660,394 +662,32 @@ pub fn reference_allreduce(graph: &Topology, payloads: &[Vec<u8>], red: Reductio
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// The combining engine, shared verbatim by the virtual and threaded
-// backends (which is what makes their outputs bit-identical)
-// ---------------------------------------------------------------------
-
-/// One wire group: destinations sharing one `value` block reduced over
-/// `srcs`. Routing ops carry singleton groups; reduce ops coalesce
-/// byte-identical values across destinations.
-#[derive(Clone, Debug)]
-struct WireGroup {
-    dsts: Vec<Rank>,
-    srcs: Vec<Rank>,
-    value: Vec<u8>,
-}
-
-fn packet_bytes(packet: &[WireGroup]) -> usize {
-    packet.iter().map(|g| g.value.len()).sum()
-}
-
-/// A held partial reduction for one destination.
-#[derive(Clone, Debug)]
-struct Partial {
-    /// Sources already folded in, ascending (always disjoint across
-    /// partials for the same destination — exactly-once item delivery).
-    srcs: Vec<Rank>,
-    value: Vec<u8>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum OpKind {
-    Route,
-    Reduce(Reduction),
-}
-
-/// Per-rank execution state of the combining engine.
-struct RankState {
-    rank: Rank,
-    kind: OpKind,
-    /// Routed blocks held: `(src, dst) → bytes` (alltoallv).
-    route: HashMap<(Rank, Rank), Vec<u8>>,
-    /// Held partials: `dst → partial` (reduce ops).
-    partials: HashMap<Rank, Partial>,
-    /// The output accumulator of reduce ops (`Some` from the start for
-    /// allreduce — it begins at the rank's own block).
-    acc: Option<Vec<u8>>,
-    /// Sources folded into `acc` (own rank excluded).
-    acc_srcs: Vec<Rank>,
-}
-
-impl RankState {
-    /// Packs one planned message from held state, *removing* what it
-    /// ships (items move, they don't copy).
-    fn pack(&mut self, msg: &A2aMsg, phase: usize) -> Result<Vec<WireGroup>, ExecError> {
-        match self.kind {
-            OpKind::Route => msg
-                .items
-                .iter()
-                .map(|&(s, d)| {
-                    self.route.remove(&(s, d)).map(|value| WireGroup {
-                        dsts: vec![d],
-                        srcs: vec![s],
-                        value,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or(ExecError::MissingBlock { rank: self.rank, block: msg.peer, phase }),
-            OpKind::Reduce(_) => {
-                // The plan forwards all of a rank's same-destination
-                // items together (the co-routing invariant), so the held
-                // partial must cover exactly the claimed sources.
-                let mut by_dst: BTreeMap<Rank, Vec<Rank>> = BTreeMap::new();
-                for &(s, d) in &msg.items {
-                    by_dst.entry(d).or_default().push(s);
-                }
-                let mut groups: Vec<WireGroup> = Vec::new();
-                for (d, mut srcs) in by_dst {
-                    let partial = self.partials.remove(&d).ok_or(ExecError::MissingBlock {
-                        rank: self.rank,
-                        block: d,
-                        phase,
-                    })?;
-                    srcs.sort_unstable();
-                    if partial.srcs != srcs {
-                        return Err(ExecError::MissingBlock { rank: self.rank, block: d, phase });
-                    }
-                    // share one value block across destinations whose
-                    // (source set, bytes) coincide — the allreduce first
-                    // hop carries x_src once, not once per destination
-                    match groups
-                        .iter_mut()
-                        .find(|g| g.srcs == partial.srcs && g.value == partial.value)
-                    {
-                        Some(g) => g.dsts.push(d),
-                        None => groups.push(WireGroup {
-                            dsts: vec![d],
-                            srcs: partial.srcs,
-                            value: partial.value,
-                        }),
-                    }
-                }
-                Ok(groups)
-            }
-        }
-    }
-
-    /// Integrates one arrived packet. Callers must feed packets in
-    /// ascending `(peer, tag)` order within a phase — that ordering is
-    /// the determinism contract of the f32 combine tree.
-    fn integrate(&mut self, packet: Vec<WireGroup>) {
-        match self.kind {
-            OpKind::Route => {
-                for g in packet {
-                    self.route.insert((g.srcs[0], g.dsts[0]), g.value);
-                }
-            }
-            OpKind::Reduce(red) => {
-                for g in packet {
-                    for &d in &g.dsts {
-                        if d == self.rank {
-                            match &mut self.acc {
-                                Some(a) => red.combine(a, &g.value),
-                                None => self.acc = Some(g.value.clone()),
-                            }
-                            self.acc_srcs.extend_from_slice(&g.srcs);
-                        } else {
-                            match self.partials.entry(d) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    let p = e.get_mut();
-                                    red.combine(&mut p.value, &g.value);
-                                    p.srcs.extend_from_slice(&g.srcs);
-                                    p.srcs.sort_unstable();
-                                }
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    v.insert(Partial {
-                                        srcs: g.srcs.clone(),
-                                        value: g.value.clone(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Assembles this rank's receive buffer, verifying (in release mode
-    /// too) that every promised contribution arrived.
-    fn finish(
-        mut self,
-        graph: &Topology,
-        op: CollectiveOp,
-        sizes: &BlockSizes,
-    ) -> Result<Vec<u8>, ExecError> {
-        let r = self.rank;
-        match op {
-            CollectiveOp::Alltoallv => {
-                let ins = graph.in_neighbors(r);
-                let mut rbuf = Vec::with_capacity(ins.iter().map(|&s| sizes.size(s)).sum());
-                for &s in ins {
-                    let data = self
-                        .route
-                        .get(&(s, r))
-                        .ok_or(ExecError::Undelivered { rank: r, block: s })?;
-                    rbuf.extend_from_slice(data);
-                }
-                Ok(rbuf)
-            }
-            CollectiveOp::ReduceScatter(red) | CollectiveOp::Allreduce(red) => {
-                self.acc_srcs.sort_unstable();
-                let want = graph.in_neighbors(r);
-                if self.acc_srcs != want {
-                    let missing =
-                        want.iter().find(|s| !self.acc_srcs.contains(s)).copied().unwrap_or(0);
-                    return Err(ExecError::Undelivered { rank: r, block: missing });
-                }
-                let out_len = match op {
-                    CollectiveOp::ReduceScatter(_) => sizes.size(r),
-                    _ => sizes.max_size(),
-                };
-                Ok(self.acc.unwrap_or_else(|| red.identity(out_len)))
-            }
-            CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
-                unreachable!("gather family does not take the combining path")
-            }
-        }
-    }
-}
-
-/// Seeds per-rank state from the send buffers. Shapes are assumed
-/// pre-validated by [`derive_sizes`]; slicing here would panic on a
-/// violated contract rather than corrupt data.
-fn seed_states(
-    op: CollectiveOp,
-    graph: &Topology,
-    sbufs: &[Vec<u8>],
-    sizes: &BlockSizes,
-) -> Result<Vec<RankState>, ExecError> {
-    let n = graph.n();
-    if sbufs.len() != n {
-        return Err(ExecError::PayloadCountMismatch { got: sbufs.len(), want: n });
-    }
-    let mut states = Vec::with_capacity(n);
-    for (p, sbuf) in sbufs.iter().enumerate() {
-        let mut st = RankState {
-            rank: p,
-            kind: match op.reduction() {
-                Some(red) => OpKind::Reduce(red),
-                None => OpKind::Route,
-            },
-            route: HashMap::new(),
-            partials: HashMap::new(),
-            acc: None,
-            acc_srcs: Vec::new(),
-        };
-        match op {
-            CollectiveOp::Alltoallv => {
-                let m = sizes.size(p);
-                for (i, &d) in graph.out_neighbors(p).iter().enumerate() {
-                    st.route.insert((p, d), sbuf[i * m..(i + 1) * m].to_vec());
-                }
-            }
-            CollectiveOp::ReduceScatter(_) => {
-                let mut off = 0;
-                for &d in graph.out_neighbors(p) {
-                    let m = sizes.size(d);
-                    st.partials
-                        .insert(d, Partial { srcs: vec![p], value: sbuf[off..off + m].to_vec() });
-                    off += m;
-                }
-            }
-            CollectiveOp::Allreduce(_) => {
-                for &d in graph.out_neighbors(p) {
-                    st.partials.insert(d, Partial { srcs: vec![p], value: sbuf.clone() });
-                }
-                st.acc = Some(sbuf.clone());
-            }
-            CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
-                unreachable!("gather family does not take the combining path")
-            }
-        }
-        states.push(st);
-    }
-    Ok(states)
-}
-
-/// A finished combining run: real receive buffers plus the lowered
-/// simulator schedule (message bytes are the *combined* wire sizes the
-/// run actually produced).
-pub(crate) struct CombiningRun {
-    pub rbufs: Vec<Vec<u8>>,
-    pub schedule: Schedule,
-}
-
-/// Sequential combining execution — the oracle, and the byte source of
-/// the Sim backend.
-pub(crate) fn run_combining_virtual(
-    plan: &AlltoallPlan,
-    graph: &Topology,
-    op: CollectiveOp,
-    sbufs: &[Vec<u8>],
-    sizes: &BlockSizes,
-    rec: &dyn Recorder,
-) -> Result<CombiningRun, ExecError> {
-    let n = plan.n();
-    let mut states = seed_states(op, graph, sbufs, sizes)?;
-    let mut sched = Schedule::new(n);
-    for k in 0..plan.phase_count() {
-        let mut inboxes: Vec<Vec<(Rank, u64, Vec<WireGroup>)>> = vec![Vec::new(); n];
-        let mut sent: HashMap<(Rank, Rank, u64), usize> = HashMap::new();
-        for (r, state) in states.iter_mut().enumerate() {
-            for msg in &plan.per_rank[r][k].sends {
-                let packet = state.pack(msg, k)?;
-                let bytes = packet_bytes(&packet);
-                rec.msg_sent(r, msg.peer, bytes);
-                sent.insert((r, msg.peer, msg.tag), bytes);
-                inboxes[msg.peer].push((r, msg.tag, packet));
-            }
-        }
-        for (r, inbox) in inboxes.iter_mut().enumerate() {
-            inbox.sort_by_key(|e| (e.0, e.1));
-            for (peer, _tag, packet) in inbox.drain(..) {
-                rec.msg_recvd(r, peer, packet_bytes(&packet));
-                states[r].integrate(packet);
-            }
-        }
-        for r in 0..n {
-            let bytes_of = |src: Rank, dst: Rank, tag: u64| sent[&(src, dst, tag)];
-            let sends = plan.per_rank[r][k]
-                .sends
-                .iter()
-                .map(|m| Msg { src: r, dst: m.peer, bytes: bytes_of(r, m.peer, m.tag), tag: m.tag })
-                .collect();
-            let recvs = plan.per_rank[r][k]
-                .recvs
-                .iter()
-                .map(|m| Msg { src: m.peer, dst: r, bytes: bytes_of(m.peer, r, m.tag), tag: m.tag })
-                .collect();
-            sched.push_phase(r, Phase { local_seconds: 0.0, sends, recvs });
-        }
-    }
-    let rbufs =
-        states.into_iter().map(|st| st.finish(graph, op, sizes)).collect::<Result<Vec<_>, _>>()?;
-    Ok(CombiningRun { rbufs, schedule: sched })
-}
-
-/// One-thread-per-rank combining execution over real channels. Runs the
-/// same [`RankState`] engine as the virtual backend with the same
-/// within-phase `(peer, tag)` integration order, so outputs (f32 bits
-/// included) are identical.
-pub(crate) fn run_combining_threaded(
-    plan: &AlltoallPlan,
-    graph: &Topology,
-    op: CollectiveOp,
-    sbufs: &[Vec<u8>],
-    sizes: &BlockSizes,
-    recv_timeout: Duration,
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let n = plan.n();
-    let states = seed_states(op, graph, sbufs, sizes)?;
-    type Envelope = (usize, Rank, u64, Vec<WireGroup>);
-    let mut txs: Vec<mpsc::Sender<Envelope>> = Vec::with_capacity(n);
-    let mut rxs: Vec<mpsc::Receiver<Envelope>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let results: Vec<Result<Vec<u8>, ExecError>> = std::thread::scope(|scope| {
-        let txs = &txs;
-        let handles: Vec<_> = states
-            .into_iter()
-            .zip(rxs)
-            .map(|(mut st, rx)| {
-                scope.spawn(move || -> Result<Vec<u8>, ExecError> {
-                    let rank = st.rank;
-                    let mut pending: HashMap<usize, Vec<(Rank, u64, Vec<WireGroup>)>> =
-                        HashMap::new();
-                    for k in 0..plan.phase_count() {
-                        let ph = &plan.per_rank[rank][k];
-                        for msg in &ph.sends {
-                            let packet = st.pack(msg, k)?;
-                            rec.msg_sent(rank, msg.peer, packet_bytes(&packet));
-                            txs[msg.peer]
-                                .send((k, rank, msg.tag, packet))
-                                .map_err(|_| ExecError::Timeout { rank, phase: k })?;
-                        }
-                        let want = ph.recvs.len();
-                        let mut got = pending.remove(&k).unwrap_or_default();
-                        while got.len() < want {
-                            match rx.recv_timeout(recv_timeout) {
-                                Ok((kk, peer, tag, packet)) if kk == k => {
-                                    got.push((peer, tag, packet))
-                                }
-                                Ok((kk, peer, tag, packet)) => {
-                                    pending.entry(kk).or_default().push((peer, tag, packet))
-                                }
-                                Err(_) => return Err(ExecError::Timeout { rank, phase: k }),
-                            }
-                        }
-                        got.sort_by_key(|e| (e.0, e.1));
-                        for (peer, _tag, packet) in got {
-                            rec.msg_recvd(rank, peer, packet_bytes(&packet));
-                            st.integrate(packet);
-                        }
-                    }
-                    st.finish(graph, op, sizes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
-            .collect()
-    });
-    drop(txs);
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use super::program::{
+        compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineScratch,
+    };
     use super::*;
-    use crate::alltoall::plan_dh_alltoall;
+    use crate::alltoall::{plan_dh_alltoall, AlltoallPlan};
     use crate::builder::build_pattern;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use std::time::Duration;
+
+    /// Compiles `plan` for `op` and runs it once on a cold scratch.
+    fn run_virtual(
+        plan: &AlltoallPlan,
+        g: &Topology,
+        op: CollectiveOp,
+        sbufs: &[Vec<u8>],
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Vec<Vec<u8>> {
+        let cop = CombineOp::try_from(op).unwrap();
+        let prog = compile(plan, g, cop.shape).unwrap();
+        run_combining_virtual(&prog, &mut CombineScratch::default(), cop, sbufs, sizes, rec)
+            .unwrap()
+    }
 
     #[test]
     fn combine_lanes_are_exact() {
@@ -1123,15 +763,7 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; m]).collect();
         let rec = nhood_telemetry::CountingRecorder::new(32);
         let sizes = BlockSizes::uniform(m);
-        run_combining_virtual(
-            &plan,
-            &g,
-            CollectiveOp::Allreduce(Reduction::SUM_U8),
-            &payloads,
-            &sizes,
-            &rec,
-        )
-        .unwrap();
+        run_virtual(&plan, &g, CollectiveOp::Allreduce(Reduction::SUM_U8), &payloads, &sizes, &rec);
         let combined = rec.totals().bytes_sent as usize;
         let uncombined = plan.total_items_sent() * m;
         assert!(
@@ -1156,26 +788,15 @@ mod tests {
                     (0..g.outdegree(p) * sizes.size(p)).map(|i| (p * 67 + i * 13) as u8).collect()
                 })
                 .collect();
-            let got =
-                run_combining_virtual(&plan, &g, CollectiveOp::Alltoallv, &sbufs, &sizes, &NULL)
-                    .unwrap()
-                    .rbufs;
+            let got = run_virtual(&plan, &g, CollectiveOp::Alltoallv, &sbufs, &sizes, &NULL);
             assert_eq!(got, reference_alltoallv(&g, &sbufs, &sizes), "alltoallv n={n}");
 
             // reduce_scatter, ragged per-destination sizes including zeros
             let red = Reduction::SUM_U8;
             let dsizes = BlockSizes::per_rank((0..n).map(|t| (t * 3) % 7).collect::<Vec<_>>());
             let sbufs = rs_payloads(&g, &dsizes, 5);
-            let got = run_combining_virtual(
-                &plan,
-                &g,
-                CollectiveOp::ReduceScatter(red),
-                &sbufs,
-                &dsizes,
-                &NULL,
-            )
-            .unwrap()
-            .rbufs;
+            let op = CollectiveOp::ReduceScatter(red);
+            let got = run_virtual(&plan, &g, op, &sbufs, &dsizes, &NULL);
             assert_eq!(
                 got,
                 reference_reduce_scatter(&g, &sbufs, &dsizes, red),
@@ -1187,16 +808,8 @@ mod tests {
             let payloads: Vec<Vec<u8>> =
                 (0..n).map(|r| (0..m).map(|i| (r * 29 + i) as u8).collect()).collect();
             let usizes = BlockSizes::uniform(m);
-            let got = run_combining_virtual(
-                &plan,
-                &g,
-                CollectiveOp::Allreduce(red),
-                &payloads,
-                &usizes,
-                &NULL,
-            )
-            .unwrap()
-            .rbufs;
+            let op = CollectiveOp::Allreduce(red);
+            let got = run_virtual(&plan, &g, op, &payloads, &usizes, &NULL);
             assert_eq!(got, reference_allreduce(&g, &payloads, red), "allreduce n={n}");
         }
     }
@@ -1218,11 +831,13 @@ mod tests {
             .collect();
         let sizes = BlockSizes::uniform(m);
         let op = CollectiveOp::Allreduce(red);
-        let v = run_combining_virtual(&plan, &g, op, &payloads, &sizes, &NULL).unwrap().rbufs;
+        let v = run_virtual(&plan, &g, op, &payloads, &sizes, &NULL);
+        let cop = CombineOp::try_from(op).unwrap();
+        let prog = compile(&plan, &g, cop.shape).unwrap();
         let t = run_combining_threaded(
-            &plan,
-            &g,
-            op,
+            &prog,
+            &mut CombineScratch::default(),
+            cop,
             &payloads,
             &sizes,
             Duration::from_secs(10),
@@ -1230,6 +845,69 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v, t, "f32 bits must agree across backends");
+    }
+
+    #[test]
+    fn derive_sizes_refuses_the_gather_family_typed() {
+        // regression: this public entry point used to hit `unreachable!`
+        let g = erdos_renyi(8, 0.5, 1);
+        let payloads = vec![vec![0u8; 4]; 8];
+        for op in [CollectiveOp::Allgather, CollectiveOp::Allgatherv] {
+            match derive_sizes(&g, op, &payloads, None) {
+                Err(CommError::UnsupportedCollective { op: named, .. }) => assert_eq!(named, op),
+                other => panic!("{op}: {other:?}"),
+            }
+            assert!(CombineOp::try_from(op).is_err(), "{op} has no combine shape");
+        }
+    }
+
+    #[test]
+    fn warm_requests_compile_nothing_and_grow_no_table() {
+        use crate::comm::DistGraphComm;
+        let g = erdos_renyi(32, 0.3, 4);
+        let mut comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
+        let red = Reduction::new(ReduceOp::Max, DType::U32);
+        let rs = |comm: &DistGraphComm, sizes: &BlockSizes, seed: u64| {
+            let sbufs = rs_payloads(comm.graph(), sizes, seed);
+            let req = CollectiveRequest::reduce_scatter(&sbufs, red).sizes(sizes.clone());
+            let got = comm.collective(&req).unwrap().rbufs;
+            assert_eq!(got, reference_reduce_scatter(comm.graph(), &sbufs, sizes, red));
+        };
+        let uniform = BlockSizes::uniform(64);
+        rs(&comm, &uniform, 1);
+        let warm = comm.combine_counters();
+        assert_eq!(warm.0, 1, "one program for the one op shape seen");
+
+        // the same (op, sizes) again: nothing compiles, nothing grows
+        rs(&comm, &uniform, 2);
+        assert_eq!(comm.combine_counters(), warm);
+        // another size table on the same shape: offsets re-resolve, the
+        // program is reused (a different reduction shares it too)
+        let ragged = BlockSizes::per_rank((0..32).map(|t| 4 * (t % 6)).collect());
+        rs(&comm, &ragged, 3);
+        assert_eq!(comm.combine_counters(), warm);
+        // another shape on the same routing: one more program
+        let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
+        let ar = |comm: &DistGraphComm| {
+            let got = comm.collective(&CollectiveRequest::allreduce(&payloads, red)).unwrap().rbufs;
+            assert_eq!(got, reference_allreduce(comm.graph(), &payloads, red));
+        };
+        ar(&comm);
+        ar(&comm);
+        assert_eq!(comm.combine_counters().0, 2);
+
+        // churn retires routing and programs together
+        let g = comm.graph();
+        let gone = g.edges().next().expect("the graph has edges");
+        let new = (0..32)
+            .flat_map(|u| (0..32).map(move |v| (u, v)))
+            .find(|&(u, v)| u != v && !g.has_edge(u, v))
+            .expect("the graph is not complete");
+        comm.mutate(&[new], &[gone]).unwrap();
+        rs(&comm, &uniform, 4);
+        assert_eq!(comm.combine_counters().0, 3, "mutate forces a recompile");
+        rs(&comm, &uniform, 5);
+        assert_eq!(comm.combine_counters().0, 3);
     }
 
     #[test]

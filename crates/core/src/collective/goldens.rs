@@ -1,0 +1,310 @@
+//! Goldens of the retired interpreting combining engine (deleted in
+//! PR 14): the compiled combine program must reproduce its receive
+//! buffers, its wire messages and its simulated makespan bit for bit.
+
+use super::program::{compile, CombineOp};
+use super::*;
+use crate::comm::DistGraphComm;
+use nhood_cluster::ClusterLayout;
+use nhood_simnet::Msg;
+use nhood_telemetry::CountingRecorder;
+use nhood_topology::random::erdos_renyi;
+use nhood_topology::rng::DetRng;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0100_0000_01b3)
+}
+
+/// FNV fold of per-rank buffers, lengths included.
+fn fold_bufs(bufs: &[Vec<u8>]) -> u64 {
+    bufs.iter().fold(FNV_OFFSET, |h, b| {
+        b.iter().fold(fnv(h, b.len() as u64), |h, &x| fnv(h, u64::from(x)))
+    })
+}
+
+/// FNV fold of a `(src, dst, tag, bytes)` message list, count included.
+fn fold_msgs<'a>(msgs: impl Iterator<Item = &'a Msg>) -> u64 {
+    let (h, count) = msgs.fold((FNV_OFFSET, 0u64), |(h, c), m| {
+        let h = [m.src as u64, m.dst as u64, m.tag, m.bytes as u64].into_iter().fold(h, fnv);
+        (h, c + 1)
+    });
+    fnv(h, count)
+}
+
+/// `(n, δ, seed)`: a power-of-two graph, a dense non-power-of-two
+/// one, and one sparse enough to leave ranks with no edge at all.
+const GRAPHS: [(usize, f64, u64); 3] = [(32, 0.3, 11), (27, 0.5, 5), (40, 0.04, 3)];
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum SizeClass {
+    Uniform(usize),
+    /// Per-source (alltoallv) / explicit per-destination
+    /// (reduce_scatter) table of whole lanes, zeros included.
+    Ragged,
+}
+
+const SIZE_CLASSES: [SizeClass; 3] =
+    [SizeClass::Uniform(64), SizeClass::Uniform(4 << 10), SizeClass::Ragged];
+
+fn reductions() -> [Reduction; 4] {
+    [
+        Reduction::SUM_U8,
+        Reduction::new(ReduceOp::Max, DType::U32),
+        Reduction::new(ReduceOp::Sum, DType::F32),
+        Reduction::new(ReduceOp::Max, DType::F32),
+    ]
+}
+
+fn ops() -> Vec<CollectiveOp> {
+    let mut ops = vec![CollectiveOp::Alltoallv];
+    ops.extend(reductions().map(CollectiveOp::ReduceScatter));
+    ops.extend(reductions().map(CollectiveOp::Allreduce));
+    ops
+}
+
+fn size_table(class: SizeClass, n: usize, seed: u64) -> BlockSizes {
+    match class {
+        SizeClass::Uniform(m) => BlockSizes::uniform(m),
+        SizeClass::Ragged => BlockSizes::per_rank(
+            (0..n).map(|r| [0, 4, 12, 40, 0, 8, 100][(r * 5 + seed as usize) % 7]).collect(),
+        ),
+    }
+}
+
+/// `len` payload bytes: random for the integer lanes; for f32, small
+/// finite values with a `-0.0` in every seventh lane (a first arrival
+/// folded into the `+0.0` identity instead of copied would flip its
+/// sign bit).
+fn fill(rng: &mut DetRng, op: CollectiveOp, len: usize) -> Vec<u8> {
+    if op.reduction().is_some_and(|r| r.dtype == DType::F32) {
+        (0..len / 4)
+            .flat_map(|lane| {
+                let v = (rng.next_u64() % 4001) as f32 - 2000.0;
+                (if lane % 7 == 0 { -0.0 } else { v * 0.173 }).to_le_bytes()
+            })
+            .collect()
+    } else {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+}
+
+fn payloads(g: &Topology, op: CollectiveOp, sizes: &BlockSizes, seed: u64) -> Vec<Vec<u8>> {
+    let rng = &mut DetRng::seed_from_u64(seed);
+    (0..g.n())
+        .map(|p| {
+            let len = match op {
+                CollectiveOp::Alltoallv => g.outdegree(p) * sizes.size(p),
+                CollectiveOp::ReduceScatter(_) => {
+                    g.out_neighbors(p).iter().map(|&d| sizes.size(d)).sum()
+                }
+                _ => sizes.size(p),
+            };
+            fill(rng, op, len)
+        })
+        .collect()
+}
+
+/// Every golden cell, in row order: graph × algorithm × size class ×
+/// op (allreduce is uniform-only, so it sits out the ragged class).
+fn for_each_cell(
+    mut cell: impl FnMut(&str, &DistGraphComm, Algorithm, CollectiveOp, &BlockSizes, &[Vec<u8>]),
+) {
+    for (gi, &(n, delta, seed)) in GRAPHS.iter().enumerate() {
+        let g = erdos_renyi(n, delta, seed);
+        let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+        for algo in [Algorithm::DistanceHalving, Algorithm::Naive] {
+            for class in SIZE_CLASSES {
+                for op in ops() {
+                    if class == SizeClass::Ragged && matches!(op, CollectiveOp::Allreduce(_)) {
+                        continue;
+                    }
+                    let sizes = size_table(class, n, seed);
+                    let sbufs = payloads(&g, op, &sizes, seed ^ 0x9e37);
+                    let label = format!("graph {gi} {algo:?} {class:?} {op}");
+                    cell(&label, &comm, algo, op, &sizes, &sbufs);
+                }
+            }
+        }
+    }
+}
+
+// `[fold_bufs(rbufs), fold_msgs(schedule.all_sends()), makespan.to_bits()]`
+// per cell, captured at 35fa375 — the last commit that shipped the
+// interpreting engine — from `run_combining_virtual` (buffers, and the
+// per-message `(src, dst, tag, bytes)` list of the `Schedule` it
+// assembled) and `DistGraphComm::collective` on `ExecBackend::Sim`.
+const GOLDEN: [[u64; 3]; 138] = [
+    [0xa5a8247f05f72f3f, 0xa2358c71aa43faec, 0x3edc5271e7dc4894], // graph 0 DistanceHalving Uniform(64) alltoallv
+    [0xa91898979d680cdb, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0x69e0946ca83eee5f, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x0d88371107fc3f97, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0x689b1e07ab047e68, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0xbd0fdfc8be371ba2, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x6414a7fb58a2d082, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0xf974c7dee4cce0cc, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0x72b746876a91ce75, 0x538b6553aee9ccec, 0x3f0fd6dba136979c], // graph 0 DistanceHalving Uniform(4096) alltoallv
+    [0x5397c5e6ae97f5cd, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x77cb0953855f91e2, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x10d6c95fe76754bf, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0xbe86cf5eeab86278, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0xa8e16a0f84e8ace3, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xa2e384052553129e, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0x599dfbbb52b44bd2, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0x929f28a75cbe54a4, 0x51b0d5fe3f06dbac, 0x3ed92c0de99ed78b], // graph 0 DistanceHalving Ragged alltoallv
+    [0x94f298e38b7a4b0d, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0x1a5af4d4ec36f4dd, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0xe4a0cfac1f974b7a, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0x2f133d1d6b0a59e4, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0xa5a8247f05f72f3f, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) alltoallv
+    [0xa91898979d680cdb, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(sum-u8)
+    [0x69e0946ca83eee5f, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(max-u32)
+    [0x299a92c0d0ac8a4e, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(sum-f32)
+    [0x689b1e07ab047e68, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(max-f32)
+    [0xbd0fdfc8be371ba2, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) allreduce(sum-u8)
+    [0x6414a7fb58a2d082, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) allreduce(max-u32)
+    [0xb0561acc0f40cbbb, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) allreduce(max-f32)
+    [0x72b746876a91ce75, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) alltoallv
+    [0x5397c5e6ae97f5cd, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) reduce_scatter(sum-u8)
+    [0x77cb0953855f91e2, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) reduce_scatter(max-u32)
+    [0x14a00a7052063d58, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) reduce_scatter(sum-f32)
+    [0xbe86cf5eeab86278, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) reduce_scatter(max-f32)
+    [0xa8e16a0f84e8ace3, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) allreduce(sum-u8)
+    [0xa2e384052553129e, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) allreduce(max-u32)
+    [0x8ea02bd91ab009c4, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0x2c2fda777d6b2ba0, 0x3f09f890ec93d3ca], // graph 0 Naive Uniform(4096) allreduce(max-f32)
+    [0x929f28a75cbe54a4, 0xeb97ef8fc517d788, 0x3ed9a975923c0375], // graph 0 Naive Ragged alltoallv
+    [0x94f298e38b7a4b0d, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(sum-u8)
+    [0x1a5af4d4ec36f4dd, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(max-u32)
+    [0xfa285a8792f8404f, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(sum-f32)
+    [0x2f133d1d6b0a59e4, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(max-f32)
+    [0x48e6d7dee8d8f072, 0xc85b23383bd53e60, 0x3ee1f64c220f73e6], // graph 1 DistanceHalving Uniform(64) alltoallv
+    [0x8274233fea166394, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0xaceee5894bf3bcb2, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x5088d66223847326, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0x0f6e3dd1ec59f4be, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0xc23e557df8f71d2e, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x3ed5fd86e86ec7bc, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0x421accf6b9c44b51, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0xdd87aa40f505636a, 0x1d38dc8aaa285b20, 0x3f1b09d6f2179a56], // graph 1 DistanceHalving Uniform(4096) alltoallv
+    [0x4cd981274e774e8e, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x0c3c49f490724e9b, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x428b0dd201bc6e5d, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0x24bf5117843339fd, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0x5c442eb2cdb666da, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xd5a8e1b5520c6dee, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0x76980766b799abad, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0xd0e94dacfcac9302, 0xebbdfef106a7a51c, 0x3edfb080eceab0e8], // graph 1 DistanceHalving Ragged alltoallv
+    [0x4bfebb20138bb314, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0x2f74e79809514d0d, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0x1127d0f0a6cc0326, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0x5a4ede8a89bb3b6d, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0x48e6d7dee8d8f072, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) alltoallv
+    [0x8274233fea166394, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(sum-u8)
+    [0xaceee5894bf3bcb2, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(max-u32)
+    [0x5730965119d6020c, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(sum-f32)
+    [0x0f6e3dd1ec59f4be, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(max-f32)
+    [0xc23e557df8f71d2e, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) allreduce(sum-u8)
+    [0x3ed5fd86e86ec7bc, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) allreduce(max-u32)
+    [0x45ac1a8bc391a151, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) allreduce(max-f32)
+    [0xdd87aa40f505636a, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) alltoallv
+    [0x4cd981274e774e8e, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) reduce_scatter(sum-u8)
+    [0x0c3c49f490724e9b, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) reduce_scatter(max-u32)
+    [0x7ffebc81c81dfa18, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) reduce_scatter(sum-f32)
+    [0x24bf5117843339fd, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) reduce_scatter(max-f32)
+    [0x5c442eb2cdb666da, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) allreduce(sum-u8)
+    [0xd5a8e1b5520c6dee, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) allreduce(max-u32)
+    [0xafb0e71abc6408bf, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0x8b74bb60142e8d65, 0x3f0f0ac5922417bc], // graph 1 Naive Uniform(4096) allreduce(max-f32)
+    [0xd0e94dacfcac9302, 0x5daf618facb15555, 0x3edc371d1ae56367], // graph 1 Naive Ragged alltoallv
+    [0x4bfebb20138bb314, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(sum-u8)
+    [0x2f74e79809514d0d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(max-u32)
+    [0xdb468c0583fff41d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(sum-f32)
+    [0x5a4ede8a89bb3b6d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(max-f32)
+    [0x8afe50b1d56788d0, 0x4ad6fc4efa9c6887, 0x3ed0f41d96dbd39e], // graph 2 DistanceHalving Uniform(64) alltoallv
+    [0x1c640b3ae6741c2c, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0xf2adfc2d644f1992, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x77198bf4e7233ade, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0xda578dc28e0003e2, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0x1b6104fa7b0a707c, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x1eaa53860afac0d9, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0x8c09442de81e2034, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0xccd683d2096f18c6, 0xda2bcd23ecf2de47, 0x3ee933a9b83663d3], // graph 2 DistanceHalving Uniform(4096) alltoallv
+    [0xb162e71354d92840, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x02c61f835bb7803c, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x28d9d589a5719737, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0x9ddf3711c39289ee, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0xb78608462ad33618, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xdd8b88a0a1ca1858, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0xa643fd150adde1ac, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0x0c69896f30f5b9be, 0x8e70698d94739c23, 0x3ed0ccd8e95b7ad8], // graph 2 DistanceHalving Ragged alltoallv
+    [0xd564584d560262c2, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0xecf597f799d5f176, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0x7acdf0227be4946f, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0xec4f3699dd76870f, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0x8afe50b1d56788d0, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) alltoallv
+    [0x1c640b3ae6741c2c, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(sum-u8)
+    [0xf2adfc2d644f1992, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(max-u32)
+    [0x1b2f0aaba2a0818b, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(sum-f32)
+    [0xda578dc28e0003e2, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(max-f32)
+    [0x1b6104fa7b0a707c, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) allreduce(sum-u8)
+    [0x1eaa53860afac0d9, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) allreduce(max-u32)
+    [0xb708aa4ae4405040, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) allreduce(max-f32)
+    [0xccd683d2096f18c6, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) alltoallv
+    [0xb162e71354d92840, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) reduce_scatter(sum-u8)
+    [0x02c61f835bb7803c, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) reduce_scatter(max-u32)
+    [0xb63113429aff718e, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) reduce_scatter(sum-f32)
+    [0x030c48bbe07b316e, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) reduce_scatter(max-f32)
+    [0xb78608462ad33618, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) allreduce(sum-u8)
+    [0xdd8b88a0a1ca1858, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) allreduce(max-u32)
+    [0x1e0521ec52d1ac5f, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0xf2ad1d879b326057, 0x3ee6166025bb6ebd], // graph 2 Naive Uniform(4096) allreduce(max-f32)
+    [0x0c69896f30f5b9be, 0xa1ffbed30fa6e913, 0x3ec1d9f28d015b32], // graph 2 Naive Ragged alltoallv
+    [0xd564584d560262c2, 0xc6a76050021e77cf, 0x3ec2294d564a0e97], // graph 2 Naive Ragged reduce_scatter(sum-u8)
+    [0xecf597f799d5f176, 0xc6a76050021e77cf, 0x3ec2294d564a0e97], // graph 2 Naive Ragged reduce_scatter(max-u32)
+    [0xc59780360f03a137, 0xc6a76050021e77cf, 0x3ec2294d564a0e97], // graph 2 Naive Ragged reduce_scatter(sum-f32)
+    [0xec4f3699dd76870f, 0xc6a76050021e77cf, 0x3ec2294d564a0e97], // graph 2 Naive Ragged reduce_scatter(max-f32)
+];
+
+#[test]
+fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
+    let mut rows = GOLDEN.iter();
+    let mut isolated = false;
+    for_each_cell(|label, comm, algo, op, sizes, sbufs| {
+        let g = comm.graph();
+        isolated |= (0..g.n()).any(|r| g.outdegree(r) + g.indegree(r) == 0);
+        let want = rows.next().expect("one golden row per cell");
+        let req = || CollectiveRequest::new(op, sbufs).algorithm(algo).sizes(sizes.clone());
+
+        let rec = CountingRecorder::new(g.n());
+        let virt = comm.collective(&req().recorder(&rec)).unwrap().rbufs;
+        assert_eq!(fold_bufs(&virt), want[0], "{label}: virtual buffers");
+
+        let shape = CombineOp::try_from(op).unwrap().shape;
+        let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
+        assert_eq!(fold_msgs(sched.all_sends()), want[1], "{label}: wire messages");
+        let sent = (rec.totals().msgs_sent as usize, rec.totals().bytes_sent as usize);
+        assert_eq!(sent, (sched.message_count(), sched.total_bytes()), "{label}: counters");
+
+        let sim = comm.collective(&req().backend(ExecBackend::Sim)).unwrap();
+        assert_eq!(sim.rbufs, virt, "{label}: sim buffers");
+        let makespan = sim.sim.expect("sim backend reports").makespan;
+        assert_eq!(makespan.to_bits(), want[2], "{label}: makespan");
+
+        let threaded = comm.collective(&req().backend(ExecBackend::Threaded)).unwrap().rbufs;
+        assert_eq!(threaded, virt, "{label}: threaded buffers");
+    });
+    assert!(rows.next().is_none(), "every golden row is consumed");
+    assert!(isolated, "one graph must leave ranks without an edge");
+}

@@ -21,9 +21,13 @@
 use crate::alltoall::AlltoallPlan;
 use crate::arena::BlockArena;
 use crate::builder::{build_pattern_pooled, BuildError, PairingStrategy};
+use crate::collective::program::{
+    compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineProgram,
+    CombineScratch, Shape,
+};
 use crate::collective::{
-    check_support, derive_sizes, run_combining_threaded, run_combining_virtual, CollectiveOp,
-    CollectiveOutput, CollectiveRequest, ExecBackend, Reduction,
+    check_support, derive_sizes, CollectiveOp, CollectiveOutput, CollectiveRequest, ExecBackend,
+    Reduction,
 };
 use crate::common_neighbor::plan_common_neighbor;
 use crate::distributed_builder::build_pattern_distributed_pooled_v;
@@ -310,10 +314,12 @@ pub struct DistGraphComm {
     sizes: Option<BlockSizes>,
     churn: Option<ChurnSlot>,
     /// Memo of the item-routing plan the combining family shares
-    /// (alltoallv / reduce_scatter / allreduce all route identically).
-    /// Keyed by [`PlanFingerprint::of_collective`] over the *current*
-    /// graph, so `mutate` invalidates it for free; clones share the memo
-    /// the way they share an attached [`PlanCache`].
+    /// (alltoallv / reduce_scatter / allreduce all route identically),
+    /// the combine programs compiled from it and the executors' offset
+    /// tables. Plan and programs are keyed by
+    /// [`PlanFingerprint::of_collective`] over the *current* graph, so
+    /// `mutate` retires them for free; clones share the memo the way
+    /// they share an attached [`PlanCache`].
     a2a_slot: A2aSlot,
     /// The §V cost model [`Algorithm::Auto`] scores candidates under.
     tuner_cost: SimCost,
@@ -327,8 +333,30 @@ pub struct DistGraphComm {
     tuner_sims: Arc<std::sync::atomic::AtomicU64>,
 }
 
-/// The shared memo cell for the combining family's item-routing plan.
-type A2aSlot = Arc<Mutex<Option<(PlanFingerprint, Arc<AlltoallPlan>)>>>;
+/// The shared memo cell of the combining family.
+type A2aSlot = Arc<Mutex<CombineMemo>>;
+
+/// What a communicator remembers between combining-family requests.
+#[derive(Debug, Default)]
+struct CombineMemo {
+    routed: Option<Routed>,
+    /// The executors' grow-only offset tables: one set per communicator,
+    /// reused across ops, size tables and topology epochs. A running
+    /// request takes them out of the cell (a concurrent one on a clone
+    /// starts from empty ones).
+    scratch: CombineScratch,
+    /// Programs compiled through this communicator and its clones.
+    compiles: u64,
+}
+
+/// One topology epoch's item routing: the plan and the combine programs
+/// compiled from it, one per op shape seen so far.
+#[derive(Debug)]
+struct Routed {
+    fp: PlanFingerprint,
+    plan: Arc<AlltoallPlan>,
+    programs: Vec<(Shape, Arc<CombineProgram>)>,
+}
 
 /// The shared memo cell for the auto-tuner's winning plan.
 type TunerSlot = Arc<Mutex<Option<(PlanFingerprint, Arc<CollectivePlan>)>>>;
@@ -364,7 +392,7 @@ impl DistGraphComm {
             metric: LoadMetric::default(),
             sizes: None,
             churn: None,
-            a2a_slot: Arc::new(Mutex::new(None)),
+            a2a_slot: Arc::default(),
             tuner_cost: SimCost::niagara(),
             tuner_slot: Arc::new(Mutex::new(None)),
             tuner_sims: Arc::new(std::sync::atomic::AtomicU64::new(0)),
@@ -1007,54 +1035,73 @@ impl DistGraphComm {
 
     /// The combining-family half of [`Self::collective`]: alltoallv,
     /// sparse reduce_scatter and sparse allreduce over the shared item
-    /// routing, with reducing agents at forwarding hops.
+    /// routing, with reducing agents at forwarding hops. Every backend
+    /// executes the one compiled [`CombineProgram`] of the (routing, op
+    /// shape).
     fn combining_collective(&self, req: &CollectiveRequest) -> Result<CollectiveOutput, CommError> {
         let sizes = derive_sizes(&self.graph, req.op, req.payloads, req.sizes.as_ref())?;
-        let plan = self.a2a_plan_shared(req.algorithm, req.recorder)?;
-        if req.robust {
+        let op = CombineOp::try_from(req.op)?;
+        let prog = self.combine_program(req.algorithm, op.shape, req.recorder)?;
+        let mut scratch = std::mem::take(&mut self.combine_memo().scratch);
+        let out = if req.robust {
             // check_support pinned op == Alltoallv, backend == Threaded.
-            return self.robust_alltoallv(&plan, req, &sizes);
-        }
+            self.robust_alltoallv(&prog, &mut scratch, op, req, &sizes)
+        } else {
+            self.run_combining(&prog, &mut scratch, op, req, &sizes)
+        };
+        self.combine_memo().scratch = scratch;
+        out
+    }
+
+    fn combine_memo(&self) -> std::sync::MutexGuard<'_, CombineMemo> {
+        self.a2a_slot.lock().expect("combining memo poisoned")
+    }
+
+    /// `(programs compiled, scratch-table growths)` of the combining
+    /// family on this communicator and its clones. A warm request moves
+    /// neither.
+    #[cfg(test)]
+    pub(crate) fn combine_counters(&self) -> (u64, u64) {
+        let memo = self.combine_memo();
+        (memo.compiles, memo.scratch.reallocations())
+    }
+
+    /// One non-robust combining execution on `req.backend`.
+    fn run_combining(
+        &self,
+        prog: &CombineProgram,
+        scratch: &mut CombineScratch,
+        op: CombineOp,
+        req: &CollectiveRequest,
+        sizes: &BlockSizes,
+    ) -> Result<CollectiveOutput, CommError> {
+        let virt =
+            |scratch| run_combining_virtual(prog, scratch, op, req.payloads, sizes, req.recorder);
         match req.backend {
             ExecBackend::Virtual => {
-                let run = run_combining_virtual(
-                    &plan,
-                    &self.graph,
-                    req.op,
-                    req.payloads,
-                    &sizes,
-                    req.recorder,
-                )?;
-                Ok(CollectiveOutput { rbufs: run.rbufs, ..Default::default() })
+                Ok(CollectiveOutput { rbufs: virt(scratch)?, ..Default::default() })
             }
             ExecBackend::Threaded => {
                 let rbufs = run_combining_threaded(
-                    &plan,
-                    &self.graph,
-                    req.op,
+                    prog,
+                    scratch,
+                    op,
                     req.payloads,
-                    &sizes,
+                    sizes,
                     self.policy.recv_timeout,
                     req.recorder,
                 )?;
                 Ok(CollectiveOutput { rbufs, ..Default::default() })
             }
             ExecBackend::Sim => {
-                // The virtual run is the byte oracle AND the schedule
-                // source: its per-message sizes are the combined wire
-                // bytes, which is what makes the simulated makespan
-                // reflect message combining.
-                let run = run_combining_virtual(
-                    &plan,
-                    &self.graph,
-                    req.op,
-                    req.payloads,
-                    &sizes,
-                    req.recorder,
-                )?;
+                // The virtual run is the byte oracle; the schedule comes
+                // off the program, whose per-message sizes are the
+                // combined wire bytes — which is what makes the
+                // simulated makespan reflect message combining.
+                let rbufs = virt(scratch)?;
                 let cost = SimCost::niagara();
-                let report = Engine::new(&self.layout, cost.net).run(&run.schedule)?;
-                Ok(CollectiveOutput { rbufs: run.rbufs, sim: Some(report), ..Default::default() })
+                let report = Engine::new(&self.layout, cost.net).run(&prog.schedule(sizes))?;
+                Ok(CollectiveOutput { rbufs, sim: Some(report), ..Default::default() })
             }
         }
     }
@@ -1068,7 +1115,9 @@ impl DistGraphComm {
     /// (timeouts) of the primary routing.
     fn robust_alltoallv(
         &self,
-        plan: &AlltoallPlan,
+        prog: &CombineProgram,
+        scratch: &mut CombineScratch,
+        op: CombineOp,
         req: &CollectiveRequest,
         sizes: &BlockSizes,
     ) -> Result<CollectiveOutput, CommError> {
@@ -1083,15 +1132,18 @@ impl DistGraphComm {
             degraded_ranks: Vec::new(),
             completeness: Completeness::Full,
         };
-        let err = match run_combining_threaded(
-            plan,
-            &self.graph,
-            req.op,
-            req.payloads,
-            sizes,
-            self.policy.recv_timeout,
-            req.recorder,
-        ) {
+        let mut run = |prog: &CombineProgram| {
+            run_combining_threaded(
+                prog,
+                scratch,
+                op,
+                req.payloads,
+                sizes,
+                self.policy.recv_timeout,
+                req.recorder,
+            )
+        };
+        let err = match run(prog) {
             Ok(rbufs) => {
                 report.counters = req.recorder.counts();
                 return Ok(CollectiveOutput { rbufs, report: Some(report), ..Default::default() });
@@ -1104,16 +1156,8 @@ impl DistGraphComm {
         req.recorder.fallback(0);
         report.fallback = Some(FallbackReason::ExecFailed(err.to_string()));
         report.used = Algorithm::Naive;
-        let naive = self.alltoall_plan(Algorithm::Naive)?;
-        let rbufs = run_combining_threaded(
-            &naive,
-            &self.graph,
-            req.op,
-            req.payloads,
-            sizes,
-            self.policy.recv_timeout,
-            req.recorder,
-        )?;
+        let naive = compile(&self.alltoall_plan(Algorithm::Naive)?, &self.graph, op.shape)?;
+        let rbufs = run(&naive)?;
         report.counters = req.recorder.counts();
         Ok(CollectiveOutput { rbufs, report: Some(report), ..Default::default() })
     }
@@ -1135,12 +1179,14 @@ impl DistGraphComm {
     /// [`AlltoallPlan`] shared (via a fingerprint-keyed memo) by
     /// alltoallv, reduce_scatter and allreduce — they route identically,
     /// so mixed-op traffic reuses a single plan instead of rebuilding
-    /// per op.
-    fn a2a_plan_shared(
+    /// per op — and, per op shape, the [`CombineProgram`] compiled from
+    /// it on first use. A warm request takes both from the memo.
+    fn combine_program(
         &self,
         algo: Algorithm,
+        shape: Shape,
         rec: &dyn Recorder,
-    ) -> Result<Arc<AlltoallPlan>, CommError> {
+    ) -> Result<Arc<CombineProgram>, CommError> {
         let algo = self.combining_algorithm(algo)?;
         let fp = PlanFingerprint::of_collective(
             &self.graph,
@@ -1150,19 +1196,25 @@ impl DistGraphComm {
             self.metric,
             &CollectiveOp::Alltoallv,
         );
-        {
-            let slot = self.a2a_slot.lock().expect("a2a memo poisoned");
-            if let Some((key, plan)) = slot.as_ref() {
-                if *key == fp {
-                    rec.plan_cache(0, true);
-                    return Ok(Arc::clone(plan));
-                }
-            }
+        let routed = self.combine_memo().routed.as_ref().filter(|r| r.fp == fp).map(|r| {
+            let prog = r.programs.iter().find(|(s, _)| *s == shape).map(|(_, p)| Arc::clone(p));
+            (Arc::clone(&r.plan), prog)
+        });
+        rec.plan_cache(0, routed.is_some());
+        let plan = match routed {
+            Some((_, Some(prog))) => return Ok(prog),
+            Some((plan, None)) => plan,
+            None => Arc::new(self.alltoall_plan(algo)?),
+        };
+        let prog = Arc::new(compile(&plan, &self.graph, shape)?);
+        let mut memo = self.combine_memo();
+        memo.compiles += 1;
+        let entry = (shape, Arc::clone(&prog));
+        match memo.routed.as_mut().filter(|r| r.fp == fp) {
+            Some(r) => r.programs.push(entry),
+            None => memo.routed = Some(Routed { fp, plan, programs: vec![entry] }),
         }
-        rec.plan_cache(0, false);
-        let plan = Arc::new(self.alltoall_plan(algo)?);
-        *self.a2a_slot.lock().expect("a2a memo poisoned") = Some((fp, Arc::clone(&plan)));
-        Ok(plan)
+        Ok(prog)
     }
 
     /// Builds (and validates) the item-routing alltoall plan the
