@@ -3,9 +3,10 @@
 //! builders rather than simulated network time).
 
 use nhood_bench::harness::Bench;
+use nhood_bench::mirror::mirror_pattern;
 use nhood_cluster::ClusterLayout;
 use nhood_core::alltoall::plan_dh_alltoall;
-use nhood_core::builder::{build_pattern, build_pattern_with, PairingStrategy};
+use nhood_core::builder::build_pattern;
 use nhood_core::common_neighbor::plan_common_neighbor;
 use nhood_core::distributed_builder::build_pattern_distributed;
 use nhood_core::leader::plan_hierarchical_leader;
@@ -22,7 +23,7 @@ fn main() {
             build_pattern(&graph, &layout).unwrap()
         });
         group.case(&format!("mirror_halving/{id}"), 10, 0, || {
-            build_pattern_with(&graph, &layout, PairingStrategy::Mirror).unwrap()
+            mirror_pattern(&graph, &layout).unwrap()
         });
         group.case(&format!("common_neighbor_k8/{id}"), 10, 0, || plan_common_neighbor(&graph, 8));
         group.case(&format!("naive/{id}"), 10, 0, || plan_naive(&graph));

@@ -3,7 +3,7 @@
 
 use nhood_bench::harness::Bench;
 use nhood_cluster::ClusterLayout;
-use nhood_core::exec::sim_exec::to_schedule;
+use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::{Algorithm, DistGraphComm, SimCost};
 use nhood_simnet::Engine;
 use nhood_topology::random::erdos_renyi;
@@ -18,7 +18,7 @@ fn main() {
     let group = Bench::group("simnet_engine");
     for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
         let plan = comm.plan(algo).unwrap();
-        let schedule = to_schedule(&plan, 1024, &cost);
+        let schedule = to_schedule_v(&plan, &vec![1024; plan.n()], &cost);
         let engine = Engine::new(&layout, cost.net);
         group.case(&format!("run/{algo} ({} msgs)", schedule.message_count()), 10, 0, || {
             engine.run(&schedule).unwrap()

@@ -29,7 +29,7 @@ use std::time::Instant;
 use nhood_cluster::rss::{peak_rss_bytes, reset_peak_rss};
 use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_core::builder::build_pattern;
-use nhood_core::exec::sim_exec::{to_schedule, SimCost};
+use nhood_core::exec::sim_exec::{to_schedule_v, SimCost};
 use nhood_core::lower::lower;
 use nhood_core::plan_io::load_plan;
 use nhood_core::{Algorithm, CollectivePlan, PlanCache, PlanFingerprint};
@@ -298,7 +298,7 @@ pub fn run(quick: bool) -> Bench9 {
 
     eprintln!("bench9: sharded vs width-1 simulation at n={n}");
     let cost = SimCost::niagara();
-    let schedule = to_schedule(&plan, 4096, &cost);
+    let schedule = to_schedule_v(&plan, &vec![4096; plan.n()], &cost);
     let threads = WorkerPool::auto().threads();
     let shard = shard_cell(&layout, &schedule, n, threads, reps);
     drop(schedule);
@@ -474,7 +474,7 @@ mod tests {
         let g = torus_graph(5);
         let plan = lower(&pattern, &g);
         let cost = SimCost::niagara();
-        let schedule = to_schedule(&plan, 256, &cost);
+        let schedule = to_schedule_v(&plan, &vec![256; plan.n()], &cost);
         let layout = layout_for(25);
         let shard = shard_cell(&layout, &schedule, 25, 2, 1);
         assert!(shard.bit_identical, "{shard:?}");

@@ -186,8 +186,8 @@ pub fn run_alltoall(scale: Scale, out: &Path) -> std::io::Result<Report> {
         let dh = plan_dh_alltoall(&pattern, &graph);
         let naive = plan_naive_alltoall(&graph);
         for &m in &[64usize, 4096, 262_144] {
-            let tn = simulate_alltoall(&naive, &layout, m, &cost).expect("sim").makespan;
-            let td = simulate_alltoall(&dh, &layout, m, &cost).expect("sim").makespan;
+            let tn = simulate_alltoall(&naive, &graph, &layout, m, &cost).expect("sim").makespan;
+            let td = simulate_alltoall(&dh, &graph, &layout, m, &cost).expect("sim").makespan;
             report.push(vec![
                 delta.to_string(),
                 crate::common::fmt_bytes(m),
@@ -289,8 +289,15 @@ pub fn run_variance(scale: Scale, out: &Path) -> std::io::Result<Report> {
         }
         // DH with group-aware virtual re-ranking: halving splits align
         // with the *allocated* group boundaries, restoring stability
-        let reordered = nhood_core::remap::plan_distance_halving_reordered(&graph, &layout)
-            .expect("reordered plan");
+        let reordered = nhood_core::remap::plan_distance_halving_reordered(
+            &graph,
+            &layout,
+            &nhood_core::BlockSizes::default(),
+            nhood_core::LoadMetric::Neighbors,
+            &nhood_cluster::WorkerPool::serial(),
+            &nhood_telemetry::NULL,
+        )
+        .expect("reordered plan");
         let t = simulate(&reordered, &layout, m, &cost).expect("sim").makespan;
         samples.entry("dh-reordered").or_default().push(t);
     }

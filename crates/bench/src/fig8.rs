@@ -95,7 +95,7 @@ pub fn simulate_negotiation(
 ) -> f64 {
     use nhood_core::builder::segments_per_step;
     use nhood_core::pattern::split_half;
-    use nhood_core::selection::{run_round_logged, Event};
+    use nhood_core::selection::{run_matching, Event, RoundCandidates};
     use nhood_simnet::{Engine, Msg, Phase, Schedule};
 
     let n = graph.n();
@@ -106,18 +106,14 @@ pub fn simulate_negotiation(
             let (_, lower, upper) = split_half(seg.0, seg.1);
             let lower_ranks: Vec<usize> = (lower.0..=lower.1).collect();
             let upper_ranks: Vec<usize> = (upper.0..=upper.1).collect();
-            run_round_logged(
-                &lower_ranks,
-                &upper_ranks,
-                |p, a| out_sets[p].intersection_count_in_range(&out_sets[a], upper.0, upper.1),
-                &mut log,
-            );
-            run_round_logged(
-                &upper_ranks,
-                &lower_ranks,
-                |p, a| out_sets[p].intersection_count_in_range(&out_sets[a], lower.0, lower.1),
-                &mut log,
-            );
+            for (props, accs, half) in
+                [(&lower_ranks, &upper_ranks, upper), (&upper_ranks, &lower_ranks, lower)]
+            {
+                let rc = RoundCandidates::build(props, accs, |p, a| {
+                    out_sets[p].intersection_count_in_range(&out_sets[a], half.0, half.1)
+                });
+                run_matching(&rc, Some(&mut log));
+            }
         }
     }
 

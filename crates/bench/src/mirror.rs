@@ -2,19 +2,32 @@
 //! the selection ablation: identical halving structure, but agents are
 //! fixed reflections instead of negotiated shared-neighbor maxima.
 
-use nhood_cluster::ClusterLayout;
-use nhood_core::builder::{build_pattern_with, BuildError, PairingStrategy};
+use nhood_cluster::{ClusterLayout, WorkerPool};
+use nhood_core::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use nhood_core::lower::lower;
-use nhood_core::CollectivePlan;
+use nhood_core::{BlockSizes, CollectivePlan, DhPattern, LoadMetric};
 use nhood_topology::Topology;
+
+/// The mirror-paired pattern: the builder's full form with
+/// [`PairingStrategy::Mirror`] and every other input at its default.
+pub fn mirror_pattern(graph: &Topology, layout: &ClusterLayout) -> Result<DhPattern, BuildError> {
+    build_pattern_recorded_v(
+        graph,
+        layout,
+        PairingStrategy::Mirror,
+        &BlockSizes::default(),
+        LoadMetric::Neighbors,
+        &WorkerPool::serial(),
+        &nhood_telemetry::NULL,
+    )
+}
 
 /// Builds an executable plan for mirror-paired distance halving.
 pub fn plan_mirror_halving(
     graph: &Topology,
     layout: &ClusterLayout,
 ) -> Result<CollectivePlan, BuildError> {
-    let pattern = build_pattern_with(graph, layout, PairingStrategy::Mirror)?;
-    Ok(lower(&pattern, graph))
+    Ok(lower(&mirror_pattern(graph, layout)?, graph))
 }
 
 #[cfg(test)]

@@ -1,0 +1,242 @@
+//! One collective end to end: `run` executes any op through the
+//! request API and checks it against the op's naive reference; `trace`
+//! runs an allgather under a telemetry recorder and exports what it saw.
+
+use super::{
+    edge_list_and_layout, fail, parse_algo, parse_backend, parse_cost, parse_layout, topology_arg,
+};
+use crate::args::{parse_bytes, ArgError, Args};
+use nhood_core::exec::sim_exec::{to_schedule_v, Sim};
+use nhood_core::exec::virtual_exec::test_payloads;
+use nhood_core::exec::{ExecOptions, Executor, Threaded, Virtual};
+use nhood_core::{
+    BlockArena, CollectiveOp, CollectiveRequest, DType, DistGraphComm, ExecBackend, ReduceOp,
+    Reduction,
+};
+use nhood_telemetry::{CountingRecorder, ModelPrediction, Recorder, SpanRecorder};
+use nhood_topology::Topology;
+use std::io::Write;
+
+/// Parses `--reduce sum|max|bitor` and `--dtype u8|u32|f32` into a
+/// [`Reduction`] (defaults: Sum over u8 lanes).
+pub fn parse_reduction(args: &Args) -> Result<Reduction, ArgError> {
+    let op = match args.get("reduce").unwrap_or("sum") {
+        "sum" => ReduceOp::Sum,
+        "max" => ReduceOp::Max,
+        "bitor" => ReduceOp::BitOr,
+        other => return Err(fail(format!("unknown --reduce '{other}' (sum | max | bitor)"))),
+    };
+    let dtype = match args.get("dtype").unwrap_or("u8") {
+        "u8" => DType::U8,
+        "u32" => DType::U32,
+        "f32" => DType::F32,
+        other => return Err(fail(format!("unknown --dtype '{other}' (u8 | u32 | f32)"))),
+    };
+    Ok(Reduction::new(op, dtype))
+}
+
+/// Parses `--op` (plus `--reduce`/`--dtype` for the reducing ops).
+/// The reduction flags are validated even for non-reducing ops so a
+/// typo never passes silently.
+pub fn parse_op(args: &Args) -> Result<CollectiveOp, ArgError> {
+    let red = parse_reduction(args)?;
+    match args.get("op").unwrap_or("allgather") {
+        "allgather" => Ok(CollectiveOp::Allgather),
+        "allgatherv" => Ok(CollectiveOp::Allgatherv),
+        "alltoallv" => Ok(CollectiveOp::Alltoallv),
+        "reduce_scatter" => Ok(CollectiveOp::ReduceScatter(red)),
+        "allreduce" => Ok(CollectiveOp::Allreduce(red)),
+        other => Err(fail(format!(
+            "unknown --op '{other}' (allgather | allgatherv | alltoallv | reduce_scatter | allreduce)"
+        ))),
+    }
+}
+
+/// Deterministic send buffers shaped for `op`: flat `m`-byte blocks for
+/// allgather/allreduce, ragged per-rank lengths (zeros included) for
+/// allgatherv, out-degree-scaled concatenations for alltoallv and
+/// reduce_scatter.
+fn shaped_payloads(graph: &Topology, op: CollectiveOp, m: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = nhood_topology::rng::DetRng::seed_from_u64(seed);
+    let mut block = |len: usize| -> Vec<u8> {
+        let fill = rng.next_u64().to_le_bytes();
+        (0..len).map(|i| fill[i % 8] ^ (i as u8)).collect()
+    };
+    match op {
+        CollectiveOp::Allgather | CollectiveOp::Allreduce(_) => {
+            (0..graph.n()).map(|_| block(m)).collect()
+        }
+        CollectiveOp::Allgatherv => (0..graph.n())
+            .map(|r| {
+                let len = if r % 5 == 0 { 0 } else { 1 + (r * 13) % m.max(1) };
+                block(len)
+            })
+            .collect(),
+        CollectiveOp::Alltoallv | CollectiveOp::ReduceScatter(_) => {
+            (0..graph.n()).map(|p| block(graph.out_neighbors(p).len() * m)).collect()
+        }
+    }
+}
+
+/// `nhood run <edge-list> [--op allgather|allgatherv|alltoallv|reduce_scatter|allreduce]
+/// [--reduce sum|max|bitor] [--dtype u8|u32|f32] [--algo ..] [--size B]
+/// [--backend virtual|threaded|sim] [--cost ..] [layout flags]` — run
+/// one collective end-to-end through the op-agnostic request API
+/// ([`DistGraphComm::collective`]), byte-check it against the op's
+/// naive reference, and report message/byte counters (or the simulated
+/// makespan under `--backend sim`). f32 reductions skip the byte check
+/// — fold order differs between engine and reference — and report
+/// completion only.
+pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
+    let (graph, layout) = edge_list_and_layout(args, "run")?;
+    let algo = parse_algo(args)?;
+    let op = parse_op(args)?;
+    let m = {
+        let raw = parse_bytes(args.get("size").unwrap_or("1K"))?;
+        // Reductions over u32/f32 need whole lanes.
+        let lane = op.reduction().map_or(1, |red| red.dtype.lane_bytes());
+        raw.next_multiple_of(lane.max(1))
+    };
+    let backend = parse_backend(args, ExecBackend::Virtual)?;
+    let seed = args.get_parsed("seed", 42u64)?;
+    let payloads = shaped_payloads(&graph, op, m, seed);
+    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?;
+    let rec = CountingRecorder::new(graph.n());
+    let req = CollectiveRequest::new(op, &payloads).algorithm(algo).backend(backend).recorder(&rec);
+    let out = comm.collective(&req)?;
+    writeln!(w, "run: {op} via {algo}, {} ranks, {m}-byte blocks", graph.n())?;
+    if let Some(sim) = &out.sim {
+        writeln!(w, "simulated makespan: {:.2} us", sim.makespan * 1e6)?;
+    }
+    let skip_f32 = op.reduction().is_some_and(|red| red.dtype == DType::F32);
+    if backend != ExecBackend::Sim || !out.rbufs.is_empty() {
+        if skip_f32 {
+            writeln!(w, "verify: skipped (f32 fold order differs from the reference)")?;
+        } else {
+            let want = nhood_core::collective::reference(&graph, op, &payloads, None)?;
+            if out.rbufs != want {
+                return Err(fail("output mismatch against the op's naive reference"));
+            }
+            writeln!(w, "verify: ok (matches the naive reference)")?;
+        }
+    }
+    let counts = rec.counts().unwrap_or_default();
+    writeln!(w, "messages sent: {}, bytes sent: {}", counts.msgs_sent, counts.bytes_sent)?;
+    Ok(())
+}
+
+/// `nhood trace <edge-list> [--algo ..] [--size 4K]
+/// [--backend virtual|threaded|sim] [--format csv|chrome|summary|model-check]
+/// [--out FILE] [--cost ..] [layout flags]` — run one collective under a
+/// telemetry recorder and export what it saw:
+///
+/// * `csv` (default; sim backend only): the per-message simulated
+///   timeline, unchanged from earlier releases;
+/// * `chrome`: a Chrome-tracing / Perfetto JSON timeline, one track per
+///   rank — simulated time under `--backend sim`, wall-clock under
+///   `threaded`;
+/// * `summary`: the per-rank counter table;
+/// * `model-check`: measured per-rank means against the paper's §V
+///   predictions (E\[n_off\], E\[n_in\], E\[m_in\]) with relative errors.
+pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
+    let graph = topology_arg(args, "trace")?;
+    let layout = parse_layout(args, graph.n())?;
+    let algo = parse_algo(args)?;
+    let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
+    let cost = parse_cost(args)?;
+    let backend = parse_backend(args, ExecBackend::Sim)?;
+    let format = args.get("format").unwrap_or("csv");
+    let comm = DistGraphComm::create_adjacent(graph.clone(), layout.clone())?;
+    let plan = comm.plan(algo)?;
+
+    // Runs the chosen backend once with `rec` observing it.
+    let run_backend = |rec: &dyn Recorder| -> Result<(), ArgError> {
+        let opts = ExecOptions::new().recorder(rec);
+        let arena = &mut BlockArena::new();
+        let sim = Sim { layout: layout.clone(), cost, m: Some(m), threads: 1 };
+        let bytes = || test_payloads(graph.n(), m, 0xC0FFEE);
+        let (exec, payloads): (&dyn Executor, Vec<Vec<u8>>) = match backend {
+            // the simulator takes its message size from `m`, not from bytes
+            ExecBackend::Sim => (&sim, Vec::new()),
+            ExecBackend::Threaded => (&Threaded, bytes()),
+            ExecBackend::Virtual => (&Virtual, bytes()),
+        };
+        exec.run(&plan, &graph, &payloads, arena, &opts)?;
+        Ok(())
+    };
+    let counting = || {
+        let socket_of = (0..graph.n())
+            .map(|r| {
+                let loc = layout.location(r);
+                loc.node * layout.sockets_per_node() + loc.socket
+            })
+            .collect();
+        CountingRecorder::with_sockets(socket_of)
+    };
+
+    match format {
+        "csv" => {
+            if backend != ExecBackend::Sim {
+                return Err(fail("--format csv needs --backend sim (simulated timestamps)"));
+            }
+            let schedule = to_schedule_v(&plan, &vec![m; plan.n()], &cost);
+            let (report, traces) =
+                nhood_simnet::Engine::new(&layout, cost.net).run_traced(&schedule)?;
+            let out_path = args.get("out").unwrap_or("trace.csv");
+            let f = std::fs::File::create(out_path)?;
+            nhood_simnet::write_trace_csv(&traces, std::io::BufWriter::new(f))?;
+            writeln!(
+                w,
+                "{} messages traced over {:.2} us; timeline written to {out_path}",
+                traces.len(),
+                report.makespan * 1e6
+            )?;
+        }
+        "chrome" => {
+            if backend == ExecBackend::Virtual {
+                return Err(fail(
+                    "--backend virtual has no clock; use sim or threaded for --format chrome",
+                ));
+            }
+            let spans = SpanRecorder::new();
+            run_backend(&spans)?;
+            let out_path = args.get("out").unwrap_or("trace.json");
+            std::fs::write(out_path, nhood_telemetry::chrome_trace_json(&spans.events()))?;
+            writeln!(
+                w,
+                "{} span events written to {out_path} (open in chrome://tracing or Perfetto)",
+                spans.len()
+            )?;
+        }
+        "summary" => {
+            let rec = counting();
+            run_backend(&rec)?;
+            write!(w, "{}", nhood_telemetry::summary_table(&rec))?;
+        }
+        "model-check" => {
+            let rec = counting();
+            run_backend(&rec)?;
+            let params = nhood_core::model::ModelParams {
+                n: graph.n(),
+                s: layout.sockets_per_node(),
+                l: layout.ranks_per_socket(),
+                delta: graph.density(),
+                alpha: 1.3e-6,
+                beta: 10.5e9,
+            };
+            let pred = ModelPrediction {
+                off_socket_msgs: params.expected_off_socket_msgs(),
+                intra_socket_msgs: params.expected_intra_socket_msgs(),
+                intra_socket_bytes: params.expected_intra_socket_bytes(m as f64),
+            };
+            writeln!(w, "backend {backend}, {algo}, {} ranks, {m}-byte payloads", graph.n())?;
+            write!(w, "{}", nhood_telemetry::model_check_report(&rec, &pred))?;
+        }
+        other => {
+            return Err(fail(format!(
+                "unknown --format '{other}' (csv | chrome | summary | model-check)"
+            )));
+        }
+    }
+    Ok(())
+}

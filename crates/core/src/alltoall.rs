@@ -23,9 +23,14 @@
 //! `MPI_Dist_graph_create_adjacent`-time negotiation serves both
 //! collectives.
 
-use crate::exec::ExecError;
+use crate::collective::program::{compile, Shape};
+use crate::comm::CommError;
+use crate::exec::sim_exec::SimCost;
 use crate::pattern::{in_range, DhPattern};
 use crate::plan::Algorithm;
+use crate::sizes::BlockSizes;
+use nhood_cluster::ClusterLayout;
+use nhood_simnet::{Engine, SimReport};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 
@@ -290,128 +295,46 @@ pub fn plan_dh_alltoall(pattern: &DhPattern, graph: &Topology) -> AlltoallPlan {
     AlltoallPlan { algorithm: Algorithm::DistanceHalving, per_rank }
 }
 
-/// Executes an alltoall plan with real bytes: `sbufs[p]` holds
-/// `outdegree(p)` blocks of `m` bytes, one per outgoing neighbor in
-/// `O(p)` order; returns `rbufs[r]` with `indegree(r)` blocks in `I(r)`
-/// order.
-pub fn run_alltoall_virtual(
-    plan: &AlltoallPlan,
-    graph: &Topology,
-    sbufs: &[Vec<u8>],
-    m: usize,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let n = plan.n();
-    if sbufs.len() != n {
-        return Err(ExecError::PayloadCountMismatch { got: sbufs.len(), want: n });
-    }
-    // slice out each rank's per-destination blocks
-    let mut store: Vec<HashMap<(Rank, Rank), Vec<u8>>> = Vec::with_capacity(n);
-    for (p, sbuf) in sbufs.iter().enumerate() {
-        let want = graph.outdegree(p) * m;
-        if sbuf.len() != want {
-            return Err(ExecError::PayloadSizeMismatch { rank: p, got: sbuf.len(), want });
-        }
-        let mut map = HashMap::with_capacity(graph.outdegree(p));
-        for (i, &d) in graph.out_neighbors(p).iter().enumerate() {
-            map.insert((p, d), sbuf[i * m..(i + 1) * m].to_vec());
-        }
-        store.push(map);
-    }
-
-    for k in 0..plan.phase_count() {
-        // (dst, packed items) pairs staged against pre-phase stores
-        type InFlight = Vec<(Rank, Vec<((Rank, Rank), Vec<u8>)>)>;
-        let mut in_flight: InFlight = Vec::new();
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            for msg in &prog[k].sends {
-                let mut packed = Vec::with_capacity(msg.items.len());
-                for &it in &msg.items {
-                    let data = store[r].remove(&it).ok_or(ExecError::MissingBlock {
-                        rank: r,
-                        block: it.0,
-                        phase: k,
-                    })?;
-                    packed.push((it, data));
-                }
-                in_flight.push((msg.peer, packed));
-            }
-        }
-        for (dst, packed) in in_flight {
-            for (it, data) in packed {
-                store[dst].insert(it, data);
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(n);
-    for (r, held) in store.iter().enumerate() {
-        let ins = graph.in_neighbors(r);
-        let mut rbuf = Vec::with_capacity(ins.len() * m);
-        for &s in ins {
-            let data = held.get(&(s, r)).ok_or(ExecError::Undelivered { rank: r, block: s })?;
-            rbuf.extend_from_slice(data);
-        }
-        out.push(rbuf);
-    }
-    Ok(out)
-}
-
-/// Reference alltoall straight from the definition.
-pub fn reference_alltoall(graph: &Topology, sbufs: &[Vec<u8>], m: usize) -> Vec<Vec<u8>> {
-    (0..graph.n())
-        .map(|r| {
-            let mut rbuf = Vec::new();
-            for &s in graph.in_neighbors(r) {
-                let slot = graph.out_neighbors(s).binary_search(&r).expect("in/out consistency");
-                rbuf.extend_from_slice(&sbufs[s][slot * m..(slot + 1) * m]);
-            }
-            rbuf
-        })
-        .collect()
-}
-
-/// Lowers an alltoall plan onto the simulator at item payload `m`.
+/// Simulates an alltoall plan at uniform item payload `m`: the plan is
+/// compiled like any alltoallv request ([`crate::collective`]'s `Route`
+/// program) and the program's schedule runs on the engine — the same
+/// lowering the `Sim` backend of
+/// [`DistGraphComm::collective`](crate::comm::DistGraphComm::collective)
+/// uses, without moving bytes.
 pub fn simulate_alltoall(
     plan: &AlltoallPlan,
-    layout: &nhood_cluster::ClusterLayout,
+    graph: &Topology,
+    layout: &ClusterLayout,
     m: usize,
-    cost: &crate::exec::sim_exec::SimCost,
-) -> Result<nhood_simnet::SimReport, nhood_simnet::SimError> {
-    let mut s = nhood_simnet::Schedule::new(plan.n());
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for phase in prog {
-            let sends = phase
-                .sends
-                .iter()
-                .map(|msg| nhood_simnet::Msg {
-                    src: r,
-                    dst: msg.peer,
-                    bytes: msg.items.len() * m,
-                    tag: msg.tag,
-                })
-                .collect();
-            let recvs = phase
-                .recvs
-                .iter()
-                .map(|msg| nhood_simnet::Msg {
-                    src: msg.peer,
-                    dst: r,
-                    bytes: msg.items.len() * m,
-                    tag: msg.tag,
-                })
-                .collect();
-            s.push_phase(r, nhood_simnet::Phase { local_seconds: 0.0, sends, recvs });
-        }
-    }
-    nhood_simnet::Engine::new(layout, cost.net).run(&s)
+    cost: &SimCost,
+) -> Result<SimReport, CommError> {
+    let schedule = compile(plan, graph, Shape::Route)?.schedule(&BlockSizes::uniform(m));
+    Ok(Engine::new(layout, cost.net).run(&schedule)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
-    use nhood_cluster::ClusterLayout;
+    use crate::collective::program::{run_combining_virtual, CombineOp, CombineScratch};
+    use crate::collective::{reference_alltoallv, CollectiveOp};
+    use crate::exec::ExecError;
+    use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
+
+    /// Executes `plan` as a uniform alltoallv through the one combining
+    /// engine: a `Route` program on the virtual backend.
+    fn run(
+        plan: &AlltoallPlan,
+        graph: &Topology,
+        sbufs: &[Vec<u8>],
+        m: usize,
+    ) -> Result<Vec<Vec<u8>>, ExecError> {
+        let op = CombineOp::try_from(CollectiveOp::Alltoallv).expect("alltoallv combines");
+        let prog = compile(plan, graph, op.shape)?;
+        let sizes = BlockSizes::uniform(m);
+        run_combining_virtual(&prog, &mut CombineScratch::default(), op, sbufs, &sizes, &NULL)
+    }
 
     fn a2a_payloads(graph: &Topology, m: usize) -> Vec<Vec<u8>> {
         (0..graph.n())
@@ -432,8 +355,8 @@ mod tests {
         let plan = plan_naive_alltoall(&g);
         plan.validate(&g).unwrap();
         let sbufs = a2a_payloads(&g, 8);
-        let got = run_alltoall_virtual(&plan, &g, &sbufs, 8).unwrap();
-        assert_eq!(got, reference_alltoall(&g, &sbufs, 8));
+        let got = run(&plan, &g, &sbufs, 8).unwrap();
+        assert_eq!(got, reference_alltoallv(&g, &sbufs, &BlockSizes::uniform(8)));
         assert_eq!(plan.message_count(), g.edge_count());
     }
 
@@ -446,9 +369,13 @@ mod tests {
             let plan = plan_dh_alltoall(&pattern, &g);
             plan.validate(&g).unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
             let sbufs = a2a_payloads(&g, 4);
-            let got = run_alltoall_virtual(&plan, &g, &sbufs, 4)
-                .unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
-            assert_eq!(got, reference_alltoall(&g, &sbufs, 4), "n={n} delta={delta}");
+            let got =
+                run(&plan, &g, &sbufs, 4).unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
+            assert_eq!(
+                got,
+                reference_alltoallv(&g, &sbufs, &BlockSizes::uniform(4)),
+                "n={n} delta={delta}"
+            );
         }
     }
 
@@ -488,10 +415,42 @@ mod tests {
         let pattern = build_pattern(&g, &layout).unwrap();
         let dh = plan_dh_alltoall(&pattern, &g);
         let naive = plan_naive_alltoall(&g);
-        let cost = crate::exec::sim_exec::SimCost::niagara();
-        let td = simulate_alltoall(&dh, &layout, 64, &cost).unwrap().makespan;
-        let tn = simulate_alltoall(&naive, &layout, 64, &cost).unwrap().makespan;
+        let cost = SimCost::niagara();
+        let td = simulate_alltoall(&dh, &g, &layout, 64, &cost).unwrap().makespan;
+        let tn = simulate_alltoall(&naive, &g, &layout, 64, &cost).unwrap().makespan;
         assert!(td < tn, "dh {td} vs naive {tn}");
+    }
+
+    /// Makespan bits of the retired hand-written `AlltoallPlan →
+    /// Schedule` lowering, captured at the parent of PR 15 (where it and
+    /// the compiled program's schedule already agreed to the bit):
+    /// `(n, algorithm, m, bits)`.
+    const RETIRED_LOWERING_BITS: [(usize, Algorithm, usize, u64); 8] = [
+        (64, Algorithm::Naive, 64, 0x3ef9e6db48dc3c41),
+        (64, Algorithm::Naive, 4096, 0x3f3150ddb3260536),
+        (64, Algorithm::DistanceHalving, 64, 0x3ee8c803f3684e02),
+        (64, Algorithm::DistanceHalving, 4096, 0x3f3490c806dc69ef),
+        (27, Algorithm::Naive, 64, 0x3ed9e8c099a58f42),
+        (27, Algorithm::Naive, 4096, 0x3f084f0291ea79f3),
+        (27, Algorithm::DistanceHalving, 64, 0x3ee011f93f75bf0c),
+        (27, Algorithm::DistanceHalving, 4096, 0x3f1176d23f72631a),
+    ];
+
+    #[test]
+    fn simulate_alltoall_reproduces_the_retired_lowering_bit_for_bit() {
+        let cost = SimCost::niagara();
+        for (n, algo, m, bits) in RETIRED_LOWERING_BITS {
+            let (g, layout) = match n {
+                64 => (erdos_renyi(64, 0.5, 3), ClusterLayout::new(4, 2, 8)),
+                _ => (erdos_renyi(27, 0.4, 27), ClusterLayout::new(4, 2, 4)),
+            };
+            let plan = match algo {
+                Algorithm::Naive => plan_naive_alltoall(&g),
+                _ => plan_dh_alltoall(&build_pattern(&g, &layout).unwrap(), &g),
+            };
+            let got = simulate_alltoall(&plan, &g, &layout, m, &cost).unwrap().makespan;
+            assert_eq!(got.to_bits(), bits, "n={n} {algo} m={m}");
+        }
     }
 
     #[test]
@@ -517,7 +476,7 @@ mod tests {
         let mut sbufs = a2a_payloads(&g, 8);
         sbufs[3].pop();
         assert!(matches!(
-            run_alltoall_virtual(&plan, &g, &sbufs, 8),
+            run(&plan, &g, &sbufs, 8),
             Err(ExecError::PayloadSizeMismatch { rank: 3, .. })
         ));
     }
@@ -527,7 +486,7 @@ mod tests {
         let g = Topology::from_edges(4, []);
         let plan = plan_naive_alltoall(&g);
         plan.validate(&g).unwrap();
-        let got = run_alltoall_virtual(&plan, &g, &vec![vec![]; 4], 16).unwrap();
+        let got = run(&plan, &g, &vec![vec![]; 4], 16).unwrap();
         assert!(got.iter().all(Vec::is_empty));
     }
 }

@@ -352,11 +352,6 @@ impl ArenaLayout {
         }
     }
 
-    /// Total arena slots across all ranks (arena memory in block units).
-    pub fn total_slots(&self) -> usize {
-        self.ranks.iter().map(|rl| rl.slots.len()).sum()
-    }
-
     /// Per-rank byte extents for one execution's size table.
     ///
     /// Uniform sizes cost nothing (one shared multiplier per rank);
@@ -412,11 +407,6 @@ impl BlockArena {
     /// of the same plan at the same message size.
     pub fn reallocations(&self) -> u64 {
         self.reallocations
-    }
-
-    /// The cached layout, if one has been built.
-    pub fn layout(&self) -> Option<&ArenaLayout> {
-        self.layout.as_deref()
     }
 
     /// Returns the layout for `plan`, rebuilding it only when the

@@ -39,7 +39,7 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     assert_eq!(
         layout.placement(),
         nhood_cluster::Placement::Block,
-        "Bruck routing needs block placement (see remap for alternatives)"
+        "Bruck routing needs block placement (only Distance Halving re-ranks through remap)"
     );
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");

@@ -62,7 +62,7 @@ pub enum BuildError {
     NonBlockPlacement,
     /// A rank of the distributed builder timed out mid-negotiation
     /// (lost signals or a crashed peer) — see
-    /// [`crate::distributed_builder::build_pattern_distributed_faulty`].
+    /// [`crate::distributed_builder::build_pattern_distributed_pooled_v`].
     NegotiationTimeout {
         /// The rank that gave up waiting.
         rank: Rank,
@@ -149,32 +149,18 @@ pub fn segments_per_step(n: usize, l: usize) -> Vec<Vec<(Rank, Rank)>> {
 }
 
 /// Builds the Distance Halving pattern with the paper's load-aware
-/// selection.
+/// selection, count-based scoring, serially and unrecorded — the
+/// defaults of [`build_pattern_recorded_v`].
 pub fn build_pattern(graph: &Topology, layout: &ClusterLayout) -> Result<DhPattern, BuildError> {
-    build_pattern_with(graph, layout, PairingStrategy::LoadAware)
-}
-
-/// Builds a Distance Halving pattern with an explicit pairing strategy.
-pub fn build_pattern_with(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    strategy: PairingStrategy,
-) -> Result<DhPattern, BuildError> {
-    build_pattern_pooled(graph, layout, strategy, &WorkerPool::serial())
-}
-
-/// [`build_pattern_with`] running its per-half scoring and protocol
-/// rounds on `pool`. Scoring jobs are chunked proposer ranges and the
-/// drives of independent rounds run concurrently; results are merged in
-/// a fixed (segment, round, rank) order, so the pattern — and any plan
-/// lowered from it — is **byte-identical** to a serial build.
-pub fn build_pattern_pooled(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    strategy: PairingStrategy,
-    pool: &WorkerPool,
-) -> Result<DhPattern, BuildError> {
-    build_pattern_recorded(graph, layout, strategy, pool, &NULL)
+    build_pattern_recorded_v(
+        graph,
+        layout,
+        PairingStrategy::LoadAware,
+        &BlockSizes::default(),
+        LoadMetric::Neighbors,
+        &WorkerPool::serial(),
+        &NULL,
+    )
 }
 
 /// Proposer ranks scored per [`WorkerPool::map`] job; one halving round
@@ -182,33 +168,23 @@ pub fn build_pattern_pooled(
 /// pool without drowning small rounds in scheduling overhead.
 const SCORE_CHUNK: usize = 32;
 
-/// [`build_pattern_pooled`] that additionally emits build-phase spans
-/// ([`labels::PLAN_BUILD`] wrapping [`labels::BUILD_SCORE`] and
-/// [`labels::BUILD_MATCH`] per step) against rank 0 of `rec`.
-pub fn build_pattern_recorded(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    strategy: PairingStrategy,
-    pool: &WorkerPool,
-    rec: &dyn Recorder,
-) -> Result<DhPattern, BuildError> {
-    build_pattern_recorded_v(
-        graph,
-        layout,
-        strategy,
-        &BlockSizes::default(),
-        LoadMetric::Neighbors,
-        pool,
-        rec,
-    )
-}
-
-/// The size-aware entry point behind every builder variant:
-/// [`LoadMetric::Neighbors`] reproduces the paper's count-based matching
-/// exactly, and [`LoadMetric::Bytes`] keeps the shared-neighbor count
-/// primary but breaks score ties toward the proposer with fewer block
-/// bytes in `sizes` — the cheapest block for the agent to take on
-/// (candidacy and ordering are unchanged on uniform sizes).
+/// The full form of [`build_pattern`] — every input a build takes:
+///
+/// * `strategy` pairs agents with origins ([`PairingStrategy`]);
+/// * `sizes` / `metric`: [`LoadMetric::Neighbors`] reproduces the
+///   paper's count-based matching exactly, and [`LoadMetric::Bytes`]
+///   keeps the shared-neighbor count primary but breaks score ties
+///   toward the proposer with fewer block bytes in `sizes` — the
+///   cheapest block for the agent to take on (candidacy and ordering
+///   are unchanged on uniform sizes);
+/// * `pool` runs the per-half scoring and the protocol rounds. Scoring
+///   jobs are chunked proposer ranges and the drives of independent
+///   rounds run concurrently; results are merged in a fixed (segment,
+///   round, rank) order, so the pattern — and any plan lowered from it —
+///   is **byte-identical** to a serial build;
+/// * `rec` receives the build-phase spans ([`labels::PLAN_BUILD`]
+///   wrapping [`labels::BUILD_SCORE`] and [`labels::BUILD_MATCH`] per
+///   step) against rank 0.
 pub fn build_pattern_recorded_v(
     graph: &Topology,
     layout: &ClusterLayout,
@@ -323,7 +299,7 @@ pub fn build_pattern_recorded_v(
                 // drive is deterministic per round and rounds are
                 // independent, so any schedule gives the same results.
                 rec.span_begin(0, labels::BUILD_MATCH);
-                let results = pool.map(cands.len(), |i| run_matching(&cands[i]));
+                let results = pool.map(cands.len(), |i| run_matching(&cands[i], None));
                 rec.span_end(0, labels::BUILD_MATCH);
                 results
             }
@@ -535,6 +511,18 @@ pub(crate) fn assemble_pattern(
 mod tests {
     use super::*;
     use nhood_topology::random::erdos_renyi;
+
+    /// The full form at default sizes/metric, unrecorded.
+    fn build(
+        g: &Topology,
+        layout: &ClusterLayout,
+        strategy: PairingStrategy,
+        pool: &WorkerPool,
+    ) -> DhPattern {
+        let sizes = BlockSizes::default();
+        build_pattern_recorded_v(g, layout, strategy, &sizes, LoadMetric::Neighbors, pool, &NULL)
+            .unwrap()
+    }
 
     fn full_graph(n: usize) -> Topology {
         Topology::from_edges(
@@ -775,7 +763,7 @@ mod tests {
         for (n, delta) in [(16usize, 0.3), (24, 0.5), (17, 0.4)] {
             let g = erdos_renyi(n, delta, 42);
             let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-            let pat = build_pattern_with(&g, &layout, PairingStrategy::Mirror).unwrap();
+            let pat = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::serial());
             assert_exactly_once(&g, &pat);
             assert_eq!(pat.stats.total_signals(), 0);
             assert!(pat.stats.success_rate() > 0.9);
@@ -786,7 +774,7 @@ mod tests {
     fn mirror_agents_are_reflections() {
         let g = full_graph(16);
         let layout = ClusterLayout::new(2, 2, 4);
-        let pat = build_pattern_with(&g, &layout, PairingStrategy::Mirror).unwrap();
+        let pat = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::serial());
         for p in 0..16usize {
             let expect = if p < 8 { p + 8 } else { p - 8 };
             assert_eq!(pat.ranks[p].steps[0].agent, Some(expect));
@@ -814,8 +802,7 @@ mod tests {
             let serial = build_pattern(&g, &layout).unwrap();
             for threads in [2usize, 3, 8] {
                 let pool = WorkerPool::new(threads);
-                let pooled =
-                    build_pattern_pooled(&g, &layout, PairingStrategy::LoadAware, &pool).unwrap();
+                let pooled = build(&g, &layout, PairingStrategy::LoadAware, &pool);
                 assert_eq!(serial.stats, pooled.stats, "n={n} threads={threads}");
                 assert_eq!(serial.ranks, pooled.ranks, "n={n} threads={threads}");
             }
@@ -826,10 +813,8 @@ mod tests {
     fn pooled_mirror_matches_serial_mirror() {
         let g = erdos_renyi(24, 0.5, 8);
         let layout = ClusterLayout::new(3, 2, 4);
-        let serial = build_pattern_with(&g, &layout, PairingStrategy::Mirror).unwrap();
-        let pooled =
-            build_pattern_pooled(&g, &layout, PairingStrategy::Mirror, &WorkerPool::new(4))
-                .unwrap();
+        let serial = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::serial());
+        let pooled = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::new(4));
         assert_eq!(serial.stats, pooled.stats);
         assert_eq!(serial.ranks, pooled.ranks);
     }

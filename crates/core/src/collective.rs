@@ -303,6 +303,21 @@ impl std::fmt::Display for ExecBackend {
     }
 }
 
+impl std::str::FromStr for ExecBackend {
+    type Err = String;
+
+    /// The inverse of `Display`: `virtual`, `threaded` or `sim` — the
+    /// one `--backend` spelling every command shares.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "virtual" => Ok(ExecBackend::Virtual),
+            "threaded" => Ok(ExecBackend::Threaded),
+            "sim" => Ok(ExecBackend::Sim),
+            other => Err(format!("unknown backend '{other}' (virtual | threaded | sim)")),
+        }
+    }
+}
+
 /// A collective execution request — the one argument of
 /// [`crate::comm::DistGraphComm::collective`].
 ///
@@ -603,6 +618,37 @@ pub fn derive_sizes(
 // ---------------------------------------------------------------------
 // Naive references (straight from the definitions)
 // ---------------------------------------------------------------------
+
+/// The naive reference of any `op`: what
+/// [`DistGraphComm::collective`](crate::comm::DistGraphComm::collective)
+/// must return for `payloads`, straight from the op's definition. The
+/// size table of alltoallv / reduce_scatter is `sizes` when given and
+/// derived from the payloads otherwise ([`derive_sizes`]).
+///
+/// # Errors
+/// Whatever [`derive_sizes`] rejects: payloads that do not fit the op's
+/// shape contract.
+pub fn reference(
+    graph: &Topology,
+    op: CollectiveOp,
+    payloads: &[Vec<u8>],
+    sizes: Option<&BlockSizes>,
+) -> Result<Vec<Vec<u8>>, CommError> {
+    Ok(match op {
+        CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
+            crate::exec::virtual_exec::reference_allgather(graph, payloads)
+        }
+        CollectiveOp::Alltoallv => {
+            let sizes = derive_sizes(graph, op, payloads, sizes)?;
+            reference_alltoallv(graph, payloads, &sizes)
+        }
+        CollectiveOp::ReduceScatter(red) => {
+            let sizes = derive_sizes(graph, op, payloads, sizes)?;
+            reference_reduce_scatter(graph, payloads, &sizes, red)
+        }
+        CollectiveOp::Allreduce(red) => reference_allreduce(graph, payloads, red),
+    })
+}
 
 /// Reference alltoallv: `rbuf[r]` concatenates, per in-neighbor `s` in
 /// `I(r)` order, the block `s` addressed to `r` (`sizes[s]` bytes).

@@ -2,6 +2,14 @@
 //! `MPI_Neighbor_*` surface of this library, fronted by the
 //! collective-agnostic [`DistGraphComm::collective`] entry point.
 //!
+//! The module is split along its seams: this file holds the
+//! communicator's state, its builder-style configuration and
+//! [`DistGraphComm::mutate`]; `resolve` turns an algorithm choice into a
+//! plan (normalize, fingerprint, cache, tuner, the combining family's
+//! program memo); `request` is [`DistGraphComm::collective`] and its
+//! backends; `robust` is the fault-tolerant path ([`RobustPolicy`],
+//! [`ExecReport`], repair and naive degradation).
+//!
 //! ```
 //! use nhood_cluster::ClusterLayout;
 //! use nhood_core::collective::CollectiveRequest;
@@ -18,38 +26,31 @@
 //! assert_eq!(out.rbufs.len(), 16);
 //! ```
 
+mod request;
+mod resolve;
+mod robust;
+
+pub use robust::{ExecReport, FallbackReason, RobustPolicy};
+
 use crate::alltoall::AlltoallPlan;
-use crate::arena::BlockArena;
-use crate::builder::{build_pattern_pooled, BuildError, PairingStrategy};
-use crate::collective::program::{
-    compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineProgram,
-    CombineScratch, Shape,
-};
-use crate::collective::{
-    check_support, derive_sizes, CollectiveOp, CollectiveOutput, CollectiveRequest, ExecBackend,
-    Reduction,
-};
-use crate::common_neighbor::plan_common_neighbor;
-use crate::distributed_builder::build_pattern_distributed_pooled_v;
-use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
-use crate::exec::threaded::DEFAULT_TIMEOUT;
-use crate::exec::{ExecError, ExecOptions, Executor, Threaded, Virtual};
-use crate::fault::{FaultCounts, FaultPlan, FaultStats};
-use crate::lower::lower_pooled;
-use crate::naive::plan_naive;
+use crate::builder::BuildError;
+use crate::collective::program::{CombineProgram, CombineScratch, Shape};
+use crate::collective::{CollectiveOp, Reduction};
+use crate::exec::sim_exec::SimCost;
+use crate::exec::ExecError;
+use crate::fault::FaultPlan;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::plan_cache::{PlanCache, PlanFingerprint};
-use crate::repair::{repair_for_churn, repair_link_down, Completeness, RepairPolicy};
+use crate::repair::repair_for_churn;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
 use nhood_cluster::WorkerPool;
-use nhood_simnet::{Engine, SimError, SimReport};
-use nhood_telemetry::{labels, Counts, Recorder, NULL};
+use nhood_simnet::SimError;
+use nhood_telemetry::NULL;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Errors from the communicator API.
 #[derive(Debug)]
@@ -138,127 +139,6 @@ impl From<ExecError> for CommError {
 impl From<SimError> for CommError {
     fn from(e: SimError) -> Self {
         CommError::Sim(e)
-    }
-}
-
-/// Robustness knobs of a communicator: timeouts, the retry policy of the
-/// threaded transport, link-down self-healing, and whether failures
-/// degrade to the naive plan.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RobustPolicy {
-    /// Per-receive timeout of the threaded executor (previously the
-    /// hard-coded `DEFAULT_TIMEOUT`).
-    pub recv_timeout: Duration,
-    /// Optional wall-clock budget per plan phase; `None` leaves only the
-    /// per-receive timeout.
-    pub phase_deadline: Option<Duration>,
-    /// Per-receive timeout of the distributed pattern negotiation.
-    pub negotiation_timeout: Duration,
-    /// Retransmissions per message under fault injection.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Degrade to the naive plan when Distance Halving pattern
-    /// construction or execution fails, instead of returning the error.
-    pub fallback_to_naive: bool,
-    /// When a link dies mid-execution, repair the plan around it
-    /// ([`crate::repair::repair_link_down`]) and re-execute, instead of
-    /// immediately degrading to naive (which would cross the same dead
-    /// link anyway whenever it is a graph edge).
-    pub repair_link_down: bool,
-    /// Blast-radius bounds for incremental repairs — both mid-run
-    /// link-down recovery and [`DistGraphComm::mutate`].
-    pub repair: RepairPolicy,
-}
-
-impl Default for RobustPolicy {
-    fn default() -> Self {
-        Self {
-            recv_timeout: DEFAULT_TIMEOUT,
-            phase_deadline: None,
-            negotiation_timeout: crate::distributed_builder::RECV_TIMEOUT,
-            max_retries: 4,
-            backoff_base: Duration::from_micros(200),
-            fallback_to_naive: true,
-            repair_link_down: true,
-            repair: RepairPolicy::default(),
-        }
-    }
-}
-
-/// Why a robust allgather abandoned the requested algorithm.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// Pattern construction (the distributed negotiation) failed.
-    BuildFailed(String),
-    /// The plan built, but executing it failed.
-    ExecFailed(String),
-}
-
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FallbackReason::BuildFailed(e) => write!(f, "pattern build failed ({e})"),
-            FallbackReason::ExecFailed(e) => write!(f, "execution failed ({e})"),
-        }
-    }
-}
-
-/// Structured outcome of a robust run ([`DistGraphComm::collective`] with
-/// `CollectiveRequest::robust(true)`).
-#[derive(Clone, Debug)]
-pub struct ExecReport {
-    /// The algorithm the caller asked for.
-    pub requested: Algorithm,
-    /// The algorithm whose plan actually produced the buffers.
-    pub used: Algorithm,
-    /// `Some` iff the run degraded from `requested` to `used`.
-    pub fallback: Option<FallbackReason>,
-    /// Faults injected and retries spent, across **every** attempt this
-    /// call made — the failed primary run, repaired re-executions and
-    /// the naive fallback all tally into one shared sink.
-    pub faults: FaultCounts,
-    /// Telemetry counter totals, when the run was given a counting
-    /// recorder (`CollectiveRequest::recorder`); `None` otherwise.
-    pub counters: Option<Counts>,
-    /// Mid-execution link-down repairs performed before the buffers were
-    /// produced (0 on the happy path).
-    pub repairs: u32,
-    /// Ranks that did not receive every in-neighbor block the virtual
-    /// topology promises (targets of dropped deliveries), ascending.
-    /// Empty unless `completeness` is degraded.
-    pub degraded_ranks: Vec<Rank>,
-    /// Whether the returned buffers honor the full virtual topology or a
-    /// quorum-degraded subset of it.
-    pub completeness: Completeness,
-}
-
-impl ExecReport {
-    /// `true` if the requested algorithm completed without degradation:
-    /// no fallback, no mid-run repairs, every delivery served.
-    pub fn clean(&self) -> bool {
-        self.fallback.is_none() && self.repairs == 0 && self.completeness.is_full()
-    }
-}
-
-impl std::fmt::Display for ExecReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.fallback {
-            None => write!(f, "{} ok ({})", self.used, self.faults)?,
-            Some(r) => {
-                write!(f, "{} -> {} fallback: {r} ({})", self.requested, self.used, self.faults)?
-            }
-        }
-        if self.repairs > 0 {
-            write!(f, " [{} repairs]", self.repairs)?;
-        }
-        if let Completeness::Degraded { missing } = &self.completeness {
-            write!(f, " [degraded: {} deliveries dropped]", missing.len())?;
-        }
-        if let Some(c) = &self.counters {
-            write!(f, " [{c}]")?;
-        }
-        Ok(())
     }
 }
 
@@ -487,19 +367,9 @@ impl DistGraphComm {
         self
     }
 
-    /// The plan-construction worker pool.
-    pub fn build_pool(&self) -> &WorkerPool {
-        &self.build_pool
-    }
-
     /// The attached plan cache, if any.
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
         self.cache.as_ref()
-    }
-
-    /// The active robustness policy.
-    pub fn policy(&self) -> &RobustPolicy {
-        &self.policy
     }
 
     /// The attached fault plan, if any.
@@ -533,8 +403,8 @@ impl DistGraphComm {
     /// live Distance Halving plan instead of rebuilding it.
     ///
     /// The first call (or any call whose damage exceeds
-    /// [`RepairPolicy::max_damage_frac`], or arriving after
-    /// [`RepairPolicy::max_repair_rounds`] successive repairs) performs a
+    /// [`crate::repair::RepairPolicy::max_damage_frac`], or arriving after
+    /// [`crate::repair::RepairPolicy::max_repair_rounds`] successive repairs) performs a
     /// full build on the new topology and validates it. Every other call
     /// runs [`crate::repair::repair_for_churn`]: all agent matchings are
     /// preserved and only the responsibility rows, final-phase messages
@@ -596,7 +466,7 @@ impl DistGraphComm {
                 .filter(|rep| rep.damage_frac <= self.policy.repair.max_damage_frac)
         });
 
-        let report = match surgical {
+        let (full_rebuild, changed_ranks, damage_frac, repairs) = match surgical {
             Some(rep) => {
                 let churned: Vec<(Rank, Rank)> =
                     added.iter().chain(removed.iter()).copied().collect();
@@ -611,33 +481,18 @@ impl DistGraphComm {
                         cache.insert(fp, Arc::clone(&plan));
                     }
                 }
-                let report = MutationReport {
-                    edges_added: added.len(),
-                    edges_removed: removed.len(),
-                    full_rebuild: false,
-                    changed_ranks: rep.changed_ranks.len(),
-                    damage_frac: rep.damage_frac,
-                    repairs: slot.repairs + 1,
-                };
                 slot.pattern = Arc::new(rep.pattern);
                 slot.plan = plan;
                 slot.fp = new_fp;
                 slot.repairs += 1;
-                report
+                (false, rep.changed_ranks.len(), rep.damage_frac, slot.repairs)
             }
             None => {
-                let pattern = crate::builder::build_pattern_recorded_v(
-                    &new_graph,
-                    &self.layout,
-                    PairingStrategy::LoadAware,
-                    &sizes,
-                    self.metric,
-                    &self.build_pool,
-                    &NULL,
-                )?;
-                let plan = lower_pooled(&pattern, &new_graph, &self.build_pool);
-                plan.validate(&new_graph).map_err(CommError::InvalidPlan)?;
-                let plan = Arc::new(plan);
+                // Not through `remap`: the repair engine patches patterns
+                // in rank space, so a non-block placement stays a typed
+                // `BuildError::NonBlockPlacement` here.
+                let pattern = self.dh_pattern(&new_graph, &sizes, self.metric, &NULL)?;
+                let plan = Arc::new(self.lower_checked(&pattern, &new_graph)?);
                 let fp = self.cache.as_ref().map(|cache| {
                     if let Some(old) = self.churn.as_ref().and_then(|s| s.fp) {
                         cache.retire(old);
@@ -654,885 +509,29 @@ impl DistGraphComm {
                 });
                 self.churn =
                     Some(ChurnSlot { pattern: Arc::new(pattern), plan, fp, repairs: 0, sizes });
-                MutationReport {
-                    edges_added: added.len(),
-                    edges_removed: removed.len(),
-                    full_rebuild: true,
-                    changed_ranks: n,
-                    damage_frac: 1.0,
-                    repairs: 0,
-                }
+                (true, n, 1.0, 0)
             }
         };
         self.graph = new_graph;
-        Ok(report)
-    }
-
-    /// Builds (and validates) the data-movement plan for an algorithm.
-    /// Construction runs on the communicator's build pool
-    /// ([`Self::with_build_threads`]); the plan cache is **not**
-    /// consulted — use [`Self::plan_shared`] for the cached path.
-    pub fn plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.build_plan_recorded(algo, &self.planning_sizes(), &NULL)
-    }
-
-    /// The uncached build path shared by [`Self::plan`] and cache misses.
-    fn build_plan_recorded(
-        &self,
-        algo: Algorithm,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<CollectivePlan, CommError> {
-        let plan = match self.normalize_algorithm(algo)? {
-            Algorithm::Naive => plan_naive(&self.graph),
-            Algorithm::CommonNeighbor { k } => plan_common_neighbor(&self.graph, k),
-            Algorithm::DistanceHalving => {
-                let pattern = crate::builder::build_pattern_recorded_v(
-                    &self.graph,
-                    &self.layout,
-                    PairingStrategy::LoadAware,
-                    sizes,
-                    self.metric,
-                    &self.build_pool,
-                    rec,
-                )?;
-                rec.span_begin(0, nhood_telemetry::labels::PLAN_LOWER);
-                let plan = lower_pooled(&pattern, &self.graph, &self.build_pool);
-                rec.span_end(0, nhood_telemetry::labels::PLAN_LOWER);
-                plan
-            }
-            Algorithm::HierarchicalLeader { leaders_per_node } => {
-                crate::leader::plan_hierarchical_leader(&self.graph, &self.layout, leaders_per_node)
-            }
-            Algorithm::Bruck => crate::bruck::plan_bruck(&self.graph, &self.layout),
-            Algorithm::Pat { radix } => crate::pat::plan_pat(&self.graph, radix),
-            Algorithm::Auto => {
-                // The tuner validates (and usually caches) the winner.
-                return self.resolve_auto(sizes, rec).map(|p| (*p).clone());
-            }
-        };
-        plan.validate(&self.graph).map_err(CommError::InvalidPlan)?;
-        Ok(plan)
-    }
-
-    /// Validates and canonicalizes an algorithm choice for this
-    /// communicator. Parameters with no sensible reading —
-    /// `CommonNeighbor { k: 0 }`, `Pat { radix: 0 | 1 }`,
-    /// `HierarchicalLeader { leaders_per_node: 0 }` — return
-    /// [`CommError::BadAlgorithmParam`]. An oversized Common Neighbor
-    /// group (`k > n`) is **clamped to `n`** (one group spanning every
-    /// rank), documented behaviour that also canonicalizes the plan
-    /// cache key: `k = n` and `k = 10·n` request the same plan and
-    /// share a slot. `k = 1` (every rank its own group) and `k` not
-    /// dividing `n` (a ragged trailing group) are valid as-is.
-    pub fn normalize_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
-        match algo {
-            Algorithm::CommonNeighbor { k: 0 } => Err(CommError::BadAlgorithmParam {
-                algorithm: algo,
-                reason: "group size k must be at least 1",
-            }),
-            Algorithm::CommonNeighbor { k } if k > self.n() && self.n() > 0 => {
-                Ok(Algorithm::CommonNeighbor { k: self.n() })
-            }
-            Algorithm::Pat { radix } if radix < 2 => Err(CommError::BadAlgorithmParam {
-                algorithm: algo,
-                reason: "aggregation radix must be at least 2",
-            }),
-            Algorithm::HierarchicalLeader { leaders_per_node: 0 } => {
-                Err(CommError::BadAlgorithmParam {
-                    algorithm: algo,
-                    reason: "need at least one leader per node",
-                })
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// The concrete algorithm a request for `algo` executes:
-    /// [`Algorithm::Auto`] resolves to the tuner's winner for this
-    /// communicator's current fingerprint (tuning now if the winner is
-    /// not yet cached), anything else just normalizes. The service's
-    /// batching keys on the result, so Auto tenants coalesce with
-    /// tenants that picked the winner explicitly.
-    pub fn resolve_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
-        match self.normalize_algorithm(algo)? {
-            Algorithm::Auto => Ok(self.resolve_auto(&self.planning_sizes(), &NULL)?.algorithm),
-            concrete => Ok(concrete),
-        }
-    }
-
-    /// The cache key this communicator's [`Algorithm::Auto`] winner
-    /// lives under — [`PlanFingerprint::of_tuner`] over the current
-    /// topology, layout, planning sizes, load metric and tuner cost
-    /// model.
-    pub fn tuner_fingerprint(&self) -> PlanFingerprint {
-        self.tuner_fingerprint_sized(&self.planning_sizes())
-    }
-
-    fn tuner_fingerprint_sized(&self, sizes: &BlockSizes) -> PlanFingerprint {
-        PlanFingerprint::of_tuner(
-            &self.graph,
-            &self.layout,
-            sizes,
-            self.metric,
-            &format!("{:?}", self.tuner_cost),
-        )
-    }
-
-    /// Serves the auto-tuner's winning plan: memo, then the attached
-    /// [`PlanCache`] under the tuner key, then a full tuning pass whose
-    /// winner is cached under both the tuner key and the winner's own
-    /// canonical build key. Only the tuning pass performs candidate
-    /// simulations ([`Self::tuner_sims`]).
-    fn resolve_auto(
-        &self,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        let key = self.tuner_fingerprint_sized(sizes);
-        {
-            let slot = self.tuner_slot.lock().expect("tuner memo poisoned");
-            if let Some((k, plan)) = slot.as_ref() {
-                if *k == key {
-                    rec.plan_cache(0, true);
-                    return Ok(Arc::clone(plan));
-                }
-            }
-        }
-        if let Some(cache) = &self.cache {
-            if let Some(plan) = cache.lookup(key, &self.graph) {
-                rec.plan_cache(0, true);
-                *self.tuner_slot.lock().expect("tuner memo poisoned") =
-                    Some((key, Arc::clone(&plan)));
-                return Ok(plan);
-            }
-        }
-        rec.plan_cache(0, false);
-        let outcome = self.tune_sized(sizes, rec)?;
-        let plan = outcome.plan;
-        if let Some(cache) = &self.cache {
-            cache.insert_validated(key, Arc::clone(&plan), &self.graph);
-            // Also park the winner under its own build key: a later
-            // explicit request for the winning algorithm (same sizes
-            // and metric) hits instead of rebuilding.
-            let canonical = PlanFingerprint::of_build_v(
-                &self.graph,
-                &self.layout,
-                outcome.winner,
-                sizes,
-                self.metric,
-            );
-            cache.insert_validated(canonical, Arc::clone(&plan), &self.graph);
-        }
-        *self.tuner_slot.lock().expect("tuner memo poisoned") = Some((key, Arc::clone(&plan)));
-        Ok(plan)
-    }
-
-    /// Runs one full tuning pass for this communicator's planning sizes
-    /// — every portfolio candidate ([`crate::autotune::candidates`]) is
-    /// built and scored through the tuner cost model; the strict-minimum
-    /// makespan wins, ties breaking toward the earlier candidate. This
-    /// always simulates; the cached entry points are
-    /// [`Algorithm::Auto`] requests and [`Self::resolve_algorithm`].
-    pub fn tune(&self) -> Result<crate::autotune::TuneOutcome, CommError> {
-        self.tune_sized(&self.planning_sizes(), &NULL)
-    }
-
-    fn tune_sized(
-        &self,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<crate::autotune::TuneOutcome, CommError> {
-        let cands = crate::autotune::candidates(self.n(), &self.layout, 8);
-        self.tune_candidates(&cands, sizes, rec)
-    }
-
-    /// [`Self::tune`] over an explicit candidate list. Candidates whose
-    /// build fails (e.g. Distance Halving on a non-block layout) are
-    /// skipped; at least one candidate must build.
-    pub fn tune_candidates(
-        &self,
-        cands: &[Algorithm],
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<crate::autotune::TuneOutcome, CommError> {
-        let lens: Vec<usize> = (0..self.n()).map(|r| sizes.size(r)).collect();
-        let mut scores: Vec<(Algorithm, f64)> = Vec::with_capacity(cands.len());
-        let mut sims = 0u64;
-        let mut best: Option<(f64, Algorithm, CollectivePlan)> = None;
-        let mut last_err = None;
-        for &cand in cands {
-            debug_assert_ne!(cand, Algorithm::Auto, "the tuner only scores concrete candidates");
-            let plan = match self.build_plan_recorded(cand, sizes, rec) {
-                Ok(p) => p,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            let t = simulate_v(&plan, &self.layout, &lens, &self.tuner_cost)?.makespan;
-            sims += 1;
-            scores.push((plan.algorithm, t));
-            if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {
-                best = Some((t, plan.algorithm, plan));
-            }
-        }
-        self.tuner_sims.fetch_add(sims, std::sync::atomic::Ordering::Relaxed);
-        let Some((_, winner, plan)) = best else {
-            return Err(last_err.expect("an empty candidate list never reaches the tuner"));
-        };
-        Ok(crate::autotune::TuneOutcome { winner, scores, simulations: sims, plan: Arc::new(plan) })
-    }
-
-    /// [`Self::plan`] through the attached [`PlanCache`]: on a hit the
-    /// cached `Arc` is returned with no build or validation work (plans
-    /// are validated before insertion, and disk-tier loads are
-    /// re-validated inside the cache). Without an attached cache this is
-    /// a plain build wrapped in an `Arc`.
-    pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
-        self.plan_shared_recorded(algo, &NULL)
-    }
-
-    /// [`Self::plan_shared`] with a telemetry [`Recorder`]: the lookup
-    /// reports `plan_cache` hit/miss (against rank 0, the
-    /// communicator-wide event's representative) and cold builds report
-    /// their build/lower spans.
-    pub fn plan_shared_recorded(
-        &self,
-        algo: Algorithm,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        self.plan_shared_sized(algo, &self.planning_sizes(), rec)
-    }
-
-    /// The sized planning path behind every cached build: the cache key
-    /// is [`PlanFingerprint::of_build_v`] over this communicator's
-    /// metric and `sizes`, so a Bytes-metric ragged build can never be
-    /// served a plan negotiated for different block sizes.
-    fn plan_shared_sized(
-        &self,
-        algo: Algorithm,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        // Normalize first: the clamp must land before fingerprinting so
-        // equivalent requests (k = n vs k = 10·n) share a cache slot.
-        let algo = self.normalize_algorithm(algo)?;
-        if algo == Algorithm::Auto {
-            return self.resolve_auto(sizes, rec);
-        }
-        // A live churn slot holds THE current Distance Halving plan for
-        // this communicator's (possibly mutated) topology — serve it
-        // without touching the cache or rebuilding.
-        if algo == Algorithm::DistanceHalving {
-            if let Some(slot) = &self.churn {
-                if slot.sizes == *sizes {
-                    rec.plan_cache(0, true);
-                    return Ok(Arc::clone(&slot.plan));
-                }
-            }
-        }
-        let Some(cache) = &self.cache else {
-            return Ok(Arc::new(self.build_plan_recorded(algo, sizes, rec)?));
-        };
-        let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, sizes, self.metric);
-        let (plan, hit) =
-            cache.get_or_build(fp, &self.graph, || self.build_plan_recorded(algo, sizes, rec))?;
-        rec.plan_cache(0, hit);
-        Ok(plan)
-    }
-
-    /// Runs any neighborhood collective from one typed request.
-    ///
-    /// The allgather family executes the lowered [`CollectivePlan`]
-    /// (every algorithm; robust + fault-injected execution on the
-    /// threaded backend). The combining family — alltoallv, sparse
-    /// reduce_scatter, sparse allreduce — routes the shared item
-    /// [`AlltoallPlan`] with reducing agents (Naive and Distance Halving
-    /// only). On [`ExecBackend::Sim`] the output carries **both** real
-    /// oracle bytes and the simulator's makespan (under
-    /// [`SimCost::niagara`]); the bare [`crate::exec::Sim`] executor
-    /// returns empty buffers.
-    ///
-    /// Combinations outside the support matrix return
-    /// [`CommError::UnsupportedCollective`] /
-    /// [`CommError::InvalidReduction`] before any work happens.
-    pub fn collective(&self, req: &CollectiveRequest) -> Result<CollectiveOutput, CommError> {
-        check_support(req.op, req.algorithm, req.robust, req.backend)?;
-        if req.op.is_gather() {
-            self.gather_collective(req)
-        } else {
-            self.combining_collective(req)
-        }
-    }
-
-    /// The allgather-family half of [`Self::collective`].
-    fn gather_collective(&self, req: &CollectiveRequest) -> Result<CollectiveOutput, CommError> {
-        if req.robust {
-            // check_support pinned the backend to Threaded already.
-            let (rbufs, report) =
-                self.robust_allgather_inner(req.algorithm, req.payloads, req.recorder)?;
-            let faults = report.faults;
-            return Ok(CollectiveOutput { rbufs, faults, report: Some(report), sim: None });
-        }
-        let ragged = req.op == CollectiveOp::Allgatherv;
-        let sizes = match (&req.sizes, ragged) {
-            (Some(s), _) => s.clone(),
-            (None, true) => {
-                self.sizes.clone().unwrap_or_else(|| BlockSizes::from_payloads(req.payloads))
-            }
-            (None, false) => self.planning_sizes(),
-        };
-        let plan = self.plan_shared_sized(req.algorithm, &sizes, req.recorder)?;
-        let base_opts = || ExecOptions::new().ragged(ragged).recorder(req.recorder).op(req.op);
-        match req.backend {
-            ExecBackend::Virtual => {
-                let out = Virtual.run(
-                    &plan,
-                    &self.graph,
-                    req.payloads,
-                    &mut BlockArena::new(),
-                    &base_opts(),
-                )?;
-                Ok(CollectiveOutput { rbufs: out.rbufs, faults: out.faults, ..Default::default() })
-            }
-            ExecBackend::Threaded => {
-                let mut opts = base_opts()
-                    .recv_timeout(self.policy.recv_timeout)
-                    .phase_deadline(self.policy.phase_deadline)
-                    .retries(self.policy.max_retries, self.policy.backoff_base);
-                if let Some(fp) = self.fault.as_ref() {
-                    opts = opts.fault(fp);
-                }
-                let out = Threaded.run(
-                    &plan,
-                    &self.graph,
-                    req.payloads,
-                    &mut BlockArena::new(),
-                    &opts,
-                )?;
-                Ok(CollectiveOutput { rbufs: out.rbufs, faults: out.faults, ..Default::default() })
-            }
-            ExecBackend::Sim => {
-                let out = Virtual.run(
-                    &plan,
-                    &self.graph,
-                    req.payloads,
-                    &mut BlockArena::new(),
-                    &base_opts(),
-                )?;
-                let lens: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-                let report = simulate_v(&plan, &self.layout, &lens, &SimCost::niagara())?;
-                Ok(CollectiveOutput {
-                    rbufs: out.rbufs,
-                    faults: out.faults,
-                    report: None,
-                    sim: Some(report),
-                })
-            }
-        }
-    }
-
-    /// The combining-family half of [`Self::collective`]: alltoallv,
-    /// sparse reduce_scatter and sparse allreduce over the shared item
-    /// routing, with reducing agents at forwarding hops. Every backend
-    /// executes the one compiled [`CombineProgram`] of the (routing, op
-    /// shape).
-    fn combining_collective(&self, req: &CollectiveRequest) -> Result<CollectiveOutput, CommError> {
-        let sizes = derive_sizes(&self.graph, req.op, req.payloads, req.sizes.as_ref())?;
-        let op = CombineOp::try_from(req.op)?;
-        let prog = self.combine_program(req.algorithm, op.shape, req.recorder)?;
-        let mut scratch = std::mem::take(&mut self.combine_memo().scratch);
-        let out = if req.robust {
-            // check_support pinned op == Alltoallv, backend == Threaded.
-            self.robust_alltoallv(&prog, &mut scratch, op, req, &sizes)
-        } else {
-            self.run_combining(&prog, &mut scratch, op, req, &sizes)
-        };
-        self.combine_memo().scratch = scratch;
-        out
-    }
-
-    fn combine_memo(&self) -> std::sync::MutexGuard<'_, CombineMemo> {
-        self.a2a_slot.lock().expect("combining memo poisoned")
-    }
-
-    /// `(programs compiled, scratch-table growths)` of the combining
-    /// family on this communicator and its clones. A warm request moves
-    /// neither.
-    #[cfg(test)]
-    pub(crate) fn combine_counters(&self) -> (u64, u64) {
-        let memo = self.combine_memo();
-        (memo.compiles, memo.scratch.reallocations())
-    }
-
-    /// One non-robust combining execution on `req.backend`.
-    fn run_combining(
-        &self,
-        prog: &CombineProgram,
-        scratch: &mut CombineScratch,
-        op: CombineOp,
-        req: &CollectiveRequest,
-        sizes: &BlockSizes,
-    ) -> Result<CollectiveOutput, CommError> {
-        let virt =
-            |scratch| run_combining_virtual(prog, scratch, op, req.payloads, sizes, req.recorder);
-        match req.backend {
-            ExecBackend::Virtual => {
-                Ok(CollectiveOutput { rbufs: virt(scratch)?, ..Default::default() })
-            }
-            ExecBackend::Threaded => {
-                let rbufs = run_combining_threaded(
-                    prog,
-                    scratch,
-                    op,
-                    req.payloads,
-                    sizes,
-                    self.policy.recv_timeout,
-                    req.recorder,
-                )?;
-                Ok(CollectiveOutput { rbufs, ..Default::default() })
-            }
-            ExecBackend::Sim => {
-                // The virtual run is the byte oracle; the schedule comes
-                // off the program, whose per-message sizes are the
-                // combined wire bytes — which is what makes the
-                // simulated makespan reflect message combining.
-                let rbufs = virt(scratch)?;
-                let cost = SimCost::niagara();
-                let report = Engine::new(&self.layout, cost.net).run(&prog.schedule(sizes))?;
-                Ok(CollectiveOutput { rbufs, sim: Some(report), ..Default::default() })
-            }
-        }
-    }
-
-    /// Robust alltoallv on the threaded transport: items are idempotent
-    /// to re-route (no hop-applied reductions to replay), so a failed
-    /// run degrades to the **naive item routing** — direct sends over
-    /// graph edges only — when the policy allows, mirroring the
-    /// allgather family's fallback. The combining transport takes no
-    /// fault plan; robustness here covers real liveness failures
-    /// (timeouts) of the primary routing.
-    fn robust_alltoallv(
-        &self,
-        prog: &CombineProgram,
-        scratch: &mut CombineScratch,
-        op: CombineOp,
-        req: &CollectiveRequest,
-        sizes: &BlockSizes,
-    ) -> Result<CollectiveOutput, CommError> {
-        let used = self.combining_algorithm(req.algorithm)?;
-        let mut report = ExecReport {
-            requested: req.algorithm,
-            used,
-            fallback: None,
-            faults: FaultCounts::default(),
-            counters: None,
-            repairs: 0,
-            degraded_ranks: Vec::new(),
-            completeness: Completeness::Full,
-        };
-        let mut run = |prog: &CombineProgram| {
-            run_combining_threaded(
-                prog,
-                scratch,
-                op,
-                req.payloads,
-                sizes,
-                self.policy.recv_timeout,
-                req.recorder,
-            )
-        };
-        let err = match run(prog) {
-            Ok(rbufs) => {
-                report.counters = req.recorder.counts();
-                return Ok(CollectiveOutput { rbufs, report: Some(report), ..Default::default() });
-            }
-            Err(e) => e,
-        };
-        if !(self.policy.fallback_to_naive && used != Algorithm::Naive) {
-            return Err(err.into());
-        }
-        req.recorder.fallback(0);
-        report.fallback = Some(FallbackReason::ExecFailed(err.to_string()));
-        report.used = Algorithm::Naive;
-        let naive = compile(&self.alltoall_plan(Algorithm::Naive)?, &self.graph, op.shape)?;
-        let rbufs = run(&naive)?;
-        report.counters = req.recorder.counts();
-        Ok(CollectiveOutput { rbufs, report: Some(report), ..Default::default() })
-    }
-
-    /// The concrete algorithm a combining-family request routes under:
-    /// [`Algorithm::Auto`] maps to Distance Halving — the combining
-    /// family has no per-request tuner (its two routings, naive and DH,
-    /// are distinguished by topology shape the §V model already settled
-    /// in the paper's favor) — and the result shares the memo slot with
-    /// explicit Distance Halving requests.
-    fn combining_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
-        match self.normalize_algorithm(algo)? {
-            Algorithm::Auto => Ok(Algorithm::DistanceHalving),
-            concrete => Ok(concrete),
-        }
-    }
-
-    /// The combining family's plan path: one item-routing
-    /// [`AlltoallPlan`] shared (via a fingerprint-keyed memo) by
-    /// alltoallv, reduce_scatter and allreduce — they route identically,
-    /// so mixed-op traffic reuses a single plan instead of rebuilding
-    /// per op — and, per op shape, the [`CombineProgram`] compiled from
-    /// it on first use. A warm request takes both from the memo.
-    fn combine_program(
-        &self,
-        algo: Algorithm,
-        shape: Shape,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CombineProgram>, CommError> {
-        let algo = self.combining_algorithm(algo)?;
-        let fp = PlanFingerprint::of_collective(
-            &self.graph,
-            &self.layout,
-            algo,
-            &self.planning_sizes(),
-            self.metric,
-            &CollectiveOp::Alltoallv,
-        );
-        let routed = self.combine_memo().routed.as_ref().filter(|r| r.fp == fp).map(|r| {
-            let prog = r.programs.iter().find(|(s, _)| *s == shape).map(|(_, p)| Arc::clone(p));
-            (Arc::clone(&r.plan), prog)
-        });
-        rec.plan_cache(0, routed.is_some());
-        let plan = match routed {
-            Some((_, Some(prog))) => return Ok(prog),
-            Some((plan, None)) => plan,
-            None => Arc::new(self.alltoall_plan(algo)?),
-        };
-        let prog = Arc::new(compile(&plan, &self.graph, shape)?);
-        let mut memo = self.combine_memo();
-        memo.compiles += 1;
-        let entry = (shape, Arc::clone(&prog));
-        match memo.routed.as_mut().filter(|r| r.fp == fp) {
-            Some(r) => r.programs.push(entry),
-            None => memo.routed = Some(Routed { fp, plan, programs: vec![entry] }),
-        }
-        Ok(prog)
-    }
-
-    /// Builds (and validates) the item-routing alltoall plan the
-    /// combining family executes.
-    ///
-    /// # Errors
-    /// Returns [`CommError::UnsupportedCollective`] for
-    /// [`Algorithm::CommonNeighbor`], [`Algorithm::HierarchicalLeader`],
-    /// [`Algorithm::Bruck`] and [`Algorithm::Pat`], which have no
-    /// item-routing formulation. [`Algorithm::Auto`] routes as Distance
-    /// Halving.
-    pub fn alltoall_plan(
-        &self,
-        algo: Algorithm,
-    ) -> Result<crate::alltoall::AlltoallPlan, CommError> {
-        check_support(CollectiveOp::Alltoallv, algo, false, ExecBackend::Virtual)?;
-        let plan = match self.combining_algorithm(algo)? {
-            Algorithm::Naive => crate::alltoall::plan_naive_alltoall(&self.graph),
-            Algorithm::DistanceHalving => {
-                let pattern = build_pattern_pooled(
-                    &self.graph,
-                    &self.layout,
-                    PairingStrategy::LoadAware,
-                    &self.build_pool,
-                )?;
-                crate::alltoall::plan_dh_alltoall(&pattern, &self.graph)
-            }
-            Algorithm::CommonNeighbor { .. }
-            | Algorithm::HierarchicalLeader { .. }
-            | Algorithm::Bruck
-            | Algorithm::Pat { .. } => {
-                unreachable!("rejected by check_support")
-            }
-            Algorithm::Auto => unreachable!("resolved by combining_algorithm"),
-        };
-        plan.validate(&self.graph).map_err(CommError::InvalidAlltoallPlan)?;
-        Ok(plan)
-    }
-
-    /// Plans `algo` the way the robust path does: Distance Halving runs
-    /// the *distributed* negotiation (under the communicator's fault
-    /// plan and negotiation timeout), so pattern construction is itself
-    /// exposed to injected faults; every other algorithm plans as
-    /// [`Self::plan`].
-    pub fn robust_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.robust_plan_recorded(algo, &NULL)
-    }
-
-    /// [`Self::robust_plan`] with a telemetry [`Recorder`]: the
-    /// distributed negotiation reports per-rank negotiation rounds,
-    /// signal retries and `negotiate` spans as it runs.
-    pub fn robust_plan_recorded(
-        &self,
-        algo: Algorithm,
-        rec: &dyn Recorder,
-    ) -> Result<CollectivePlan, CommError> {
-        self.robust_plan_with_pattern(algo, rec).map(|(plan, _)| plan)
-    }
-
-    /// The planning path of the robust collective, keeping the built
-    /// [`DhPattern`] alive alongside the plan — mid-execution link-down
-    /// repair needs the pattern's decisions, not just the lowered
-    /// messages. Non-DH algorithms have no pattern.
-    fn robust_plan_with_pattern(
-        &self,
-        algo: Algorithm,
-        rec: &dyn Recorder,
-    ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
-        match algo {
-            Algorithm::DistanceHalving => {
-                // A live churn slot IS the current plan — no negotiation.
-                if let Some(slot) = &self.churn {
-                    if slot.sizes == self.planning_sizes() {
-                        rec.plan_cache(0, true);
-                        return Ok(((*slot.plan).clone(), Some((*slot.pattern).clone())));
-                    }
-                }
-                let pattern = build_pattern_distributed_pooled_v(
-                    &self.graph,
-                    &self.layout,
-                    self.fault.as_ref(),
-                    self.policy.negotiation_timeout,
-                    &self.planning_sizes(),
-                    self.metric,
-                    &self.build_pool,
-                    rec,
-                )?;
-                let plan = lower_pooled(&pattern, &self.graph, &self.build_pool);
-                plan.validate(&self.graph).map_err(CommError::InvalidPlan)?;
-                Ok((plan, Some(pattern)))
-            }
-            _ => Ok((self.plan(algo)?, None)),
-        }
-    }
-
-    /// The robust-allgather engine behind [`Self::collective`] with
-    /// `robust = true`: distributed negotiation, mid-run link-down
-    /// self-healing, and naive degradation, per the communicator's
-    /// [`RobustPolicy`].
-    ///
-    /// Plans `algo` (Distance Halving via the distributed negotiation,
-    /// so construction itself can fail under faults) and executes on
-    /// the threaded backend with the policy's timeouts, retry budget and
-    /// the attached fault plan. If the policy allows it, a failed build
-    /// or a liveness failure during execution **degrades to the naive
-    /// plan** instead of erroring; the returned [`ExecReport`] records
-    /// what was requested, what ran, why it degraded, and the
-    /// fault/retry tally. Buffers are only ever returned when some plan
-    /// ran to completion — a fault schedule that defeats both the
-    /// requested plan and the naive fallback yields a typed error,
-    /// never corrupt data or a hang. Negotiation, execution, retries
-    /// and the degradation decision all report into `rec` (a fallback
-    /// is recorded against rank 0, the communicator-wide event's
-    /// representative); a counting recorder's totals are copied into
-    /// [`ExecReport::counters`].
-    fn robust_allgather_inner(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<Vec<u8>>, ExecReport), CommError> {
-        let mut report = ExecReport {
-            requested: algo,
-            used: algo,
-            fallback: None,
-            faults: FaultCounts::default(),
-            counters: None,
-            repairs: 0,
-            degraded_ranks: Vec::new(),
-            completeness: Completeness::Full,
-        };
-        // One shared sink tallies every attempt — the failed primary,
-        // repaired re-executions and the naive fallback — so the final
-        // report never under-counts the faults a failed run absorbed.
-        let sink = FaultStats::default();
-        let planned = match self.robust_plan_with_pattern(algo, rec) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                if self.policy.fallback_to_naive && algo != Algorithm::Naive {
-                    rec.fallback(0);
-                    report.fallback = Some(FallbackReason::BuildFailed(e.to_string()));
-                    report.used = Algorithm::Naive;
-                    None
-                } else {
-                    return Err(e);
-                }
-            }
-        };
-        // Ragged (`allgatherv`-shaped) payloads flow through the same
-        // robust machinery: the executors derive per-rank extents from
-        // the payloads themselves, so detecting raggedness here is all
-        // the plumbing the degraded paths need.
-        let first_len = payloads.first().map_or(0, Vec::len);
-        let ragged = payloads.iter().any(|p| p.len() != first_len);
-        let mut opts = ExecOptions::new()
-            .ragged(ragged)
-            .recv_timeout(self.policy.recv_timeout)
-            .phase_deadline(self.policy.phase_deadline)
-            .retries(self.policy.max_retries, self.policy.backoff_base)
-            .recorder(rec)
-            .fault_sink(&sink);
-        if let Some(fp) = self.fault.as_ref() {
-            opts = opts.fault(fp);
-        }
-        let mut arena = BlockArena::new();
-        if let Some((mut plan, mut pattern)) = planned {
-            // Auto resolves during planning: report the winner that ran,
-            // not the `auto` placeholder the caller requested.
-            report.used = plan.algorithm;
-            // Execute, self-healing around dead links: a LinkDown error
-            // marks the edge dead, the plan is repaired to route around
-            // it, and execution restarts — up to the policy's repair
-            // budget. Only unrepairable failures fall through to naive.
-            let mut exec_graph = self.graph.clone();
-            let mut dead: HashSet<(Rank, Rank)> = HashSet::new();
-            let err = loop {
-                let err = match Threaded.run(&plan, &exec_graph, payloads, &mut arena, &opts) {
-                    Ok(run) => {
-                        report.faults = run.faults;
-                        report.counters = rec.counts();
-                        return Ok((run.rbufs, report));
-                    }
-                    Err(e) => e,
-                };
-                let repairable = matches!(err, ExecError::LinkDown { .. })
-                    && self.policy.repair_link_down
-                    && pattern.is_some()
-                    && report.repairs < self.policy.repair.max_repair_rounds;
-                if !repairable {
-                    break err;
-                }
-                let ExecError::LinkDown { src, dst, .. } = err else { unreachable!() };
-                dead.insert((src, dst));
-                dead.insert((dst, src));
-                rec.span_begin(0, labels::REPAIR);
-                let base = pattern.as_ref().expect("repairable implies pattern");
-                // Repair around the full dead set; past the damage
-                // threshold, rebuild the matchings from scratch first —
-                // fresh negotiation avoids the dead links where it can,
-                // and the reroute pass covers what it cannot.
-                let repaired = repair_link_down(base, &plan, &self.graph, &dead)
-                    .ok()
-                    .filter(|r| r.damage_frac <= self.policy.repair.max_damage_frac)
-                    .or_else(|| {
-                        build_pattern_pooled(
-                            &self.graph,
-                            &self.layout,
-                            PairingStrategy::LoadAware,
-                            &self.build_pool,
-                        )
-                        .ok()
-                        .and_then(|fresh| repair_link_down(&fresh, &plan, &self.graph, &dead).ok())
-                    });
-                rec.span_end(0, labels::REPAIR);
-                let Some(rep) = repaired else { break err };
-                rec.repair(0);
-                report.repairs += 1;
-                report.degraded_ranks = match &rep.completeness {
-                    Completeness::Full => Vec::new(),
-                    Completeness::Degraded { missing } => {
-                        let mut targets: Vec<Rank> = missing.iter().map(|&(_, t)| t).collect();
-                        targets.sort_unstable();
-                        targets.dedup();
-                        targets
-                    }
-                };
-                report.completeness = rep.completeness;
-                // Patch only the arena rows the repair touched; a failed
-                // patch just leaves the run to rebuild the layout itself.
-                let _ = arena.repair(&rep.plan, &rep.exec_graph, &rep.changed_ranks);
-                exec_graph = rep.exec_graph;
-                plan = rep.plan;
-                pattern = Some(rep.pattern);
-            };
-            if !(self.policy.fallback_to_naive && report.used != Algorithm::Naive) {
-                return Err(err.into());
-            }
-            rec.fallback(0);
-            report.fallback = Some(FallbackReason::ExecFailed(err.to_string()));
-            report.used = Algorithm::Naive;
-            // Naive routes directly over graph edges: a degraded repair's
-            // dropped deliveries don't apply to it.
-            report.degraded_ranks = Vec::new();
-            report.completeness = Completeness::Full;
-        }
-        // degraded path: the naive plan under the same faults and policy.
-        // The shared sink already accumulated the failed attempts'
-        // tallies, so the outcome's snapshot is the complete count.
-        let naive = self.plan(Algorithm::Naive)?;
-        let run = Threaded.run(&naive, &self.graph, payloads, &mut arena, &opts)?;
-        report.faults = run.faults;
-        report.counters = rec.counts();
-        Ok((run.rbufs, report))
-    }
-
-    /// Simulated latency of `algo` at per-rank message size `m`.
-    pub fn latency(
-        &self,
-        algo: Algorithm,
-        m: usize,
-        cost: &SimCost,
-    ) -> Result<SimReport, CommError> {
-        let plan = self.plan(algo)?;
-        Ok(simulate(&plan, &self.layout, m, cost)?)
-    }
-
-    /// Simulated latency with per-rank payload sizes (`allgatherv`).
-    ///
-    /// # Errors
-    /// [`ExecError::PayloadCountMismatch`] unless `sizes` holds one
-    /// entry per rank.
-    pub fn latency_v(
-        &self,
-        algo: Algorithm,
-        sizes: &[usize],
-        cost: &SimCost,
-    ) -> Result<SimReport, CommError> {
-        if sizes.len() != self.n() {
-            let mismatch = ExecError::PayloadCountMismatch { got: sizes.len(), want: self.n() };
-            return Err(mismatch.into());
-        }
-        let plan = self.plan(algo)?;
-        Ok(crate::exec::sim_exec::simulate_v(&plan, &self.layout, sizes, cost)?)
-    }
-
-    /// Sweeps Common Neighbor over `ks` and returns `(k, plan)` with the
-    /// lowest simulated latency at message size `m` — the paper launches
-    /// CN "with various values of K" and reports the best.
-    ///
-    /// # Errors
-    /// [`CommError::BadAlgorithmParam`] for an empty `ks`.
-    pub fn best_common_neighbor(
-        &self,
-        ks: &[usize],
-        m: usize,
-        cost: &SimCost,
-    ) -> Result<(usize, CollectivePlan), CommError> {
-        let mut best: Option<(f64, usize, CollectivePlan)> = None;
-        for &k in ks {
-            let plan = self.plan(Algorithm::CommonNeighbor { k })?;
-            let t = simulate(&plan, &self.layout, m, cost)?.makespan;
-            if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {
-                best = Some((t, k, plan));
-            }
-        }
-        let (_, k, plan) = best.ok_or(CommError::BadAlgorithmParam {
-            algorithm: Algorithm::CommonNeighbor { k: 0 },
-            reason: "need at least one K to sweep",
-        })?;
-        Ok((k, plan))
+        Ok(MutationReport {
+            edges_added: added.len(),
+            edges_removed: removed.len(),
+            full_rebuild,
+            changed_ranks,
+            damage_frac,
+            repairs,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::{CollectiveRequest, ExecBackend};
+    use crate::exec::sim_exec::{simulate, simulate_v};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use nhood_topology::random::erdos_renyi;
+    use std::time::Duration;
 
     fn comm(n: usize, delta: f64) -> DistGraphComm {
         let graph = erdos_renyi(n, delta, 21);
@@ -1665,7 +664,10 @@ mod tests {
         let cands = crate::autotune::candidates(c.n(), c.layout(), 8);
         let sizes = BlockSizes::per_rank(table.to_vec());
         let winner = c.tune_candidates(&cands, &sizes, &NULL).unwrap().winner;
-        let score = |algo| c.latency_v(algo, table, c.tuner_cost()).unwrap().makespan;
+        let score = |algo| {
+            let plan = c.plan(algo).unwrap();
+            simulate_v(&plan, c.layout(), table, c.tuner_cost()).unwrap().makespan
+        };
         let t_win = score(winner);
         for cand in cands {
             let t = score(cand);
@@ -1794,9 +796,13 @@ mod tests {
     }
 
     #[test]
-    fn latency_v_rejects_a_short_size_table_typed() {
+    fn sim_request_rejects_a_short_payload_table_typed() {
+        // one payload (= one simulated size) per rank, or a typed error:
+        // the Sim backend never reaches the schedule lowering's assert
         let c = comm(32, 0.3);
-        let err = c.latency_v(Algorithm::Naive, &[64; 31], &SimCost::niagara()).unwrap_err();
+        let payloads = test_payloads(31, 64, 1);
+        let req = CollectiveRequest::allgatherv(&payloads).backend(ExecBackend::Sim);
+        let err = c.collective(&req.algorithm(Algorithm::Naive)).unwrap_err();
         assert!(
             matches!(err, CommError::Exec(ExecError::PayloadCountMismatch { got: 31, want: 32 })),
             "{err}"
@@ -1808,6 +814,48 @@ mod tests {
         let c = comm(32, 0.3);
         let err = c.best_common_neighbor(&[], 64, &SimCost::niagara()).unwrap_err();
         assert!(matches!(err, CommError::BadAlgorithmParam { .. }), "{err}");
+    }
+
+    #[test]
+    fn tuner_rejects_an_empty_candidate_list_typed() {
+        // regression: this public entry point used to hit `expect`
+        let c = comm(32, 0.3);
+        let err = c.tune_candidates(&[], &BlockSizes::uniform(64), &NULL).unwrap_err();
+        assert!(matches!(err, CommError::BadAlgorithmParam { .. }), "{err}");
+        assert_eq!(c.tuner_sims(), 0);
+    }
+
+    #[test]
+    fn tuner_scores_distance_halving_on_a_round_robin_layout() {
+        // Distance Halving used to fail `NonBlockPlacement` here and the
+        // tuner silently dropped it; it now plans through the locality
+        // re-ranking and is a scored candidate (the node-hierarchical
+        // designs stay gated on block placement).
+        use nhood_cluster::Placement;
+        let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
+        let c = DistGraphComm::create_adjacent(erdos_renyi(32, 0.4, 21), layout).unwrap();
+        let plan = c.plan(Algorithm::DistanceHalving).unwrap();
+        assert_eq!(plan.algorithm, Algorithm::DistanceHalving);
+        let tuned = c.tune().unwrap();
+        assert!(
+            tuned.scores.iter().any(|(a, _)| *a == Algorithm::DistanceHalving),
+            "DH missing from {:?}",
+            tuned.scores
+        );
+        assert_eq!(tuned.scores.len() as u64, tuned.simulations);
+        let payloads = test_payloads(32, 16, 5);
+        let want = reference_allgather(c.graph(), &payloads);
+        assert_eq!(allgather(&c, Algorithm::DistanceHalving, &payloads), want);
+        assert_eq!(allgather(&c, Algorithm::Auto, &payloads), want);
+        // churn and the distributed negotiation keep the typed refusal
+        assert!(matches!(
+            c.clone().mutate(&[], &[]),
+            Err(CommError::Build(BuildError::NonBlockPlacement))
+        ));
+        assert!(matches!(
+            c.robust_plan(Algorithm::DistanceHalving),
+            Err(CommError::Build(BuildError::NonBlockPlacement))
+        ));
     }
 
     #[test]

@@ -1,0 +1,468 @@
+//! Plan resolution: how an [`Algorithm`] choice becomes a plan on this
+//! communicator — normalize the parameters, fingerprint the request,
+//! consult the churn slot / plan cache / tuner memo, and build on a
+//! miss. The combining family's routing plan and compiled programs
+//! resolve here too.
+
+use super::{ChurnSlot, CommError, DistGraphComm, Routed};
+use crate::alltoall::{plan_dh_alltoall, plan_naive_alltoall, AlltoallPlan};
+use crate::autotune::{candidates, TuneOutcome};
+use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
+use crate::collective::program::{compile, CombineProgram, Shape};
+use crate::collective::{check_support, CollectiveOp, ExecBackend};
+use crate::common_neighbor::plan_common_neighbor;
+use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
+use crate::lower::lower_pooled;
+use crate::naive::plan_naive;
+use crate::pattern::DhPattern;
+use crate::plan::{Algorithm, CollectivePlan};
+use crate::plan_cache::PlanFingerprint;
+use crate::remap::plan_distance_halving_reordered;
+use crate::sizes::{BlockSizes, LoadMetric};
+use nhood_cluster::Placement;
+use nhood_simnet::SimReport;
+use nhood_telemetry::{labels, Recorder, NULL};
+use nhood_topology::Topology;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+impl DistGraphComm {
+    /// Builds (and validates) the data-movement plan for an algorithm.
+    /// Construction runs on the communicator's build pool
+    /// ([`Self::with_build_threads`]); the plan cache is **not**
+    /// consulted — use [`Self::plan_shared`] for the cached path.
+    pub fn plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
+        self.build_plan_recorded(algo, &self.planning_sizes(), &NULL)
+    }
+
+    /// One Distance Halving pattern build on this communicator's layout
+    /// and build pool — the sequential builder's full form with the
+    /// paper's load-aware pairing.
+    pub(super) fn dh_pattern(
+        &self,
+        graph: &Topology,
+        sizes: &BlockSizes,
+        metric: LoadMetric,
+        rec: &dyn Recorder,
+    ) -> Result<DhPattern, BuildError> {
+        let strategy = PairingStrategy::LoadAware;
+        build_pattern_recorded_v(
+            graph,
+            &self.layout,
+            strategy,
+            sizes,
+            metric,
+            &self.build_pool,
+            rec,
+        )
+    }
+
+    /// Lowers `pattern` on the build pool and validates the plan.
+    pub(super) fn lower_checked(
+        &self,
+        pattern: &DhPattern,
+        graph: &Topology,
+    ) -> Result<CollectivePlan, CommError> {
+        let plan = lower_pooled(pattern, graph, &self.build_pool);
+        plan.validate(graph).map_err(CommError::InvalidPlan)?;
+        Ok(plan)
+    }
+
+    /// The uncached build path shared by [`Self::plan`] and cache
+    /// misses. Distance Halving on a non-block placement plans through
+    /// [`crate::remap`]'s locality re-ranking with the same sizes,
+    /// metric, pool and recorder.
+    fn build_plan_recorded(
+        &self,
+        algo: Algorithm,
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<CollectivePlan, CommError> {
+        let plan = match self.normalize_algorithm(algo)? {
+            Algorithm::Naive => plan_naive(&self.graph),
+            Algorithm::CommonNeighbor { k } => plan_common_neighbor(&self.graph, k),
+            // Halving needs rank order to mirror locality; off block
+            // placement `remap` re-ranks into locality order first.
+            Algorithm::DistanceHalving if self.layout.placement() != Placement::Block => {
+                plan_distance_halving_reordered(
+                    &self.graph,
+                    &self.layout,
+                    sizes,
+                    self.metric,
+                    &self.build_pool,
+                    rec,
+                )?
+            }
+            Algorithm::DistanceHalving => {
+                let pattern = self.dh_pattern(&self.graph, sizes, self.metric, rec)?;
+                rec.span_begin(0, labels::PLAN_LOWER);
+                let plan = lower_pooled(&pattern, &self.graph, &self.build_pool);
+                rec.span_end(0, labels::PLAN_LOWER);
+                plan
+            }
+            Algorithm::HierarchicalLeader { leaders_per_node } => {
+                crate::leader::plan_hierarchical_leader(&self.graph, &self.layout, leaders_per_node)
+            }
+            Algorithm::Bruck => crate::bruck::plan_bruck(&self.graph, &self.layout),
+            Algorithm::Pat { radix } => crate::pat::plan_pat(&self.graph, radix),
+            Algorithm::Auto => {
+                // The tuner validates (and usually caches) the winner.
+                return self.resolve_auto(sizes, rec).map(|p| (*p).clone());
+            }
+        };
+        plan.validate(&self.graph).map_err(CommError::InvalidPlan)?;
+        Ok(plan)
+    }
+
+    /// Validates and canonicalizes an algorithm choice for this
+    /// communicator. Parameters with no sensible reading —
+    /// `CommonNeighbor { k: 0 }`, `Pat { radix: 0 | 1 }`,
+    /// `HierarchicalLeader { leaders_per_node: 0 }` — return
+    /// [`CommError::BadAlgorithmParam`]. An oversized Common Neighbor
+    /// group (`k > n`) is **clamped to `n`** (one group spanning every
+    /// rank), documented behaviour that also canonicalizes the plan
+    /// cache key: `k = n` and `k = 10·n` request the same plan and
+    /// share a slot. `k = 1` (every rank its own group) and `k` not
+    /// dividing `n` (a ragged trailing group) are valid as-is.
+    pub fn normalize_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
+        match algo {
+            Algorithm::CommonNeighbor { k: 0 } => Err(CommError::BadAlgorithmParam {
+                algorithm: algo,
+                reason: "group size k must be at least 1",
+            }),
+            Algorithm::CommonNeighbor { k } if k > self.n() && self.n() > 0 => {
+                Ok(Algorithm::CommonNeighbor { k: self.n() })
+            }
+            Algorithm::Pat { radix } if radix < 2 => Err(CommError::BadAlgorithmParam {
+                algorithm: algo,
+                reason: "aggregation radix must be at least 2",
+            }),
+            Algorithm::HierarchicalLeader { leaders_per_node: 0 } => {
+                Err(CommError::BadAlgorithmParam {
+                    algorithm: algo,
+                    reason: "need at least one leader per node",
+                })
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// The concrete algorithm a request for `algo` executes:
+    /// [`Algorithm::Auto`] resolves to the tuner's winner for this
+    /// communicator's current fingerprint (tuning now if the winner is
+    /// not yet cached), anything else just normalizes. The service's
+    /// batching keys on the result, so Auto tenants coalesce with
+    /// tenants that picked the winner explicitly.
+    pub fn resolve_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
+        match self.normalize_algorithm(algo)? {
+            Algorithm::Auto => Ok(self.resolve_auto(&self.planning_sizes(), &NULL)?.algorithm),
+            concrete => Ok(concrete),
+        }
+    }
+
+    /// The cache key this communicator's [`Algorithm::Auto`] winner
+    /// lives under — [`PlanFingerprint::of_tuner`] over the current
+    /// topology, layout, planning sizes, load metric and tuner cost
+    /// model.
+    pub fn tuner_fingerprint(&self) -> PlanFingerprint {
+        self.tuner_fingerprint_sized(&self.planning_sizes())
+    }
+
+    pub(super) fn tuner_fingerprint_sized(&self, sizes: &BlockSizes) -> PlanFingerprint {
+        PlanFingerprint::of_tuner(
+            &self.graph,
+            &self.layout,
+            sizes,
+            self.metric,
+            &format!("{:?}", self.tuner_cost),
+        )
+    }
+
+    /// Serves the auto-tuner's winning plan: memo, then the attached
+    /// plan cache under the tuner key, then a full tuning pass whose
+    /// winner is cached under both the tuner key and the winner's own
+    /// canonical build key. Only the tuning pass performs candidate
+    /// simulations ([`Self::tuner_sims`]).
+    fn resolve_auto(
+        &self,
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<Arc<CollectivePlan>, CommError> {
+        let key = self.tuner_fingerprint_sized(sizes);
+        {
+            let slot = self.tuner_slot.lock().expect("tuner memo poisoned");
+            if let Some((k, plan)) = slot.as_ref() {
+                if *k == key {
+                    rec.plan_cache(0, true);
+                    return Ok(Arc::clone(plan));
+                }
+            }
+        }
+        if let Some(cache) = &self.cache {
+            if let Some(plan) = cache.lookup(key, &self.graph) {
+                rec.plan_cache(0, true);
+                *self.tuner_slot.lock().expect("tuner memo poisoned") =
+                    Some((key, Arc::clone(&plan)));
+                return Ok(plan);
+            }
+        }
+        rec.plan_cache(0, false);
+        let outcome = self.tune_sized(sizes, rec)?;
+        let plan = outcome.plan;
+        if let Some(cache) = &self.cache {
+            cache.insert_validated(key, Arc::clone(&plan), &self.graph);
+            // Also park the winner under its own build key: a later
+            // explicit request for the winning algorithm (same sizes
+            // and metric) hits instead of rebuilding.
+            let canonical = PlanFingerprint::of_build_v(
+                &self.graph,
+                &self.layout,
+                outcome.winner,
+                sizes,
+                self.metric,
+            );
+            cache.insert_validated(canonical, Arc::clone(&plan), &self.graph);
+        }
+        *self.tuner_slot.lock().expect("tuner memo poisoned") = Some((key, Arc::clone(&plan)));
+        Ok(plan)
+    }
+
+    /// Runs one full tuning pass for this communicator's planning sizes
+    /// — every portfolio candidate ([`crate::autotune::candidates`]) is
+    /// built and scored through the tuner cost model; the strict-minimum
+    /// makespan wins, ties breaking toward the earlier candidate. This
+    /// always simulates; the cached entry points are
+    /// [`Algorithm::Auto`] requests and [`Self::resolve_algorithm`].
+    pub fn tune(&self) -> Result<TuneOutcome, CommError> {
+        self.tune_sized(&self.planning_sizes(), &NULL)
+    }
+
+    fn tune_sized(&self, sizes: &BlockSizes, rec: &dyn Recorder) -> Result<TuneOutcome, CommError> {
+        let cands = candidates(self.n(), &self.layout, 8);
+        self.tune_candidates(&cands, sizes, rec)
+    }
+
+    /// [`Self::tune`] over an explicit candidate list. Candidates whose
+    /// build fails are skipped; at least one candidate must build.
+    ///
+    /// # Errors
+    /// [`CommError::BadAlgorithmParam`] for an empty `cands`; the last
+    /// build error when no candidate builds.
+    pub fn tune_candidates(
+        &self,
+        cands: &[Algorithm],
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<TuneOutcome, CommError> {
+        let lens: Vec<usize> = (0..self.n()).map(|r| sizes.size(r)).collect();
+        let mut scores: Vec<(Algorithm, f64)> = Vec::with_capacity(cands.len());
+        let mut sims = 0u64;
+        let mut best: Option<(f64, Algorithm, CollectivePlan)> = None;
+        let mut last_err = None;
+        for &cand in cands {
+            debug_assert_ne!(cand, Algorithm::Auto, "the tuner only scores concrete candidates");
+            let plan = match self.build_plan_recorded(cand, sizes, rec) {
+                Ok(p) => p,
+                Err(e) => {
+                    last_err = Some(e);
+                    continue;
+                }
+            };
+            let t = simulate_v(&plan, &self.layout, &lens, &self.tuner_cost)?.makespan;
+            sims += 1;
+            scores.push((plan.algorithm, t));
+            if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {
+                best = Some((t, plan.algorithm, plan));
+            }
+        }
+        self.tuner_sims.fetch_add(sims, Ordering::Relaxed);
+        let Some((_, winner, plan)) = best else {
+            return Err(last_err.unwrap_or(CommError::BadAlgorithmParam {
+                algorithm: Algorithm::Auto,
+                reason: "need at least one candidate to tune over",
+            }));
+        };
+        Ok(TuneOutcome { winner, scores, simulations: sims, plan: Arc::new(plan) })
+    }
+
+    /// [`Self::plan`] through the attached
+    /// [`PlanCache`](crate::plan_cache::PlanCache): on a hit the cached
+    /// `Arc` is returned with no build or validation work (plans are
+    /// validated before insertion, and disk-tier loads are re-validated
+    /// inside the cache). Without an attached cache this is a plain
+    /// build wrapped in an `Arc`.
+    pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
+        self.plan_shared_recorded(algo, &NULL)
+    }
+
+    /// [`Self::plan_shared`] with a telemetry [`Recorder`]: the lookup
+    /// reports `plan_cache` hit/miss (against rank 0, the
+    /// communicator-wide event's representative) and cold builds report
+    /// their build/lower spans.
+    pub fn plan_shared_recorded(
+        &self,
+        algo: Algorithm,
+        rec: &dyn Recorder,
+    ) -> Result<Arc<CollectivePlan>, CommError> {
+        self.plan_shared_sized(algo, &self.planning_sizes(), rec)
+    }
+
+    /// A live churn slot holds THE current Distance Halving pattern and
+    /// plan for this communicator's (possibly mutated) topology: when it
+    /// was negotiated against `sizes` it is served — recorded as a plan
+    /// cache hit — without touching the cache, rebuilding or
+    /// renegotiating.
+    pub(super) fn live_slot(&self, sizes: &BlockSizes, rec: &dyn Recorder) -> Option<&ChurnSlot> {
+        let slot = self.churn.as_ref().filter(|slot| slot.sizes == *sizes)?;
+        rec.plan_cache(0, true);
+        Some(slot)
+    }
+
+    /// The sized planning path behind every cached build: the cache key
+    /// is [`PlanFingerprint::of_build_v`] over this communicator's
+    /// metric and `sizes`, so a Bytes-metric ragged build can never be
+    /// served a plan negotiated for different block sizes.
+    pub(super) fn plan_shared_sized(
+        &self,
+        algo: Algorithm,
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<Arc<CollectivePlan>, CommError> {
+        // Normalize first: the clamp must land before fingerprinting so
+        // equivalent requests (k = n vs k = 10·n) share a cache slot.
+        let algo = self.normalize_algorithm(algo)?;
+        if algo == Algorithm::Auto {
+            return self.resolve_auto(sizes, rec);
+        }
+        if algo == Algorithm::DistanceHalving {
+            if let Some(slot) = self.live_slot(sizes, rec) {
+                return Ok(Arc::clone(&slot.plan));
+            }
+        }
+        let Some(cache) = &self.cache else {
+            return Ok(Arc::new(self.build_plan_recorded(algo, sizes, rec)?));
+        };
+        let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, sizes, self.metric);
+        let (plan, hit) =
+            cache.get_or_build(fp, &self.graph, || self.build_plan_recorded(algo, sizes, rec))?;
+        rec.plan_cache(0, hit);
+        Ok(plan)
+    }
+
+    /// The concrete algorithm a combining-family request routes under:
+    /// [`Algorithm::Auto`] maps to Distance Halving — the combining
+    /// family has no per-request tuner (its two routings, naive and DH,
+    /// are distinguished by topology shape the §V model already settled
+    /// in the paper's favor) — and the result shares the memo slot with
+    /// explicit Distance Halving requests.
+    pub(super) fn combining_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
+        match self.normalize_algorithm(algo)? {
+            Algorithm::Auto => Ok(Algorithm::DistanceHalving),
+            concrete => Ok(concrete),
+        }
+    }
+
+    /// The combining family's plan path: one item-routing
+    /// [`AlltoallPlan`] shared (via a fingerprint-keyed memo) by
+    /// alltoallv, reduce_scatter and allreduce — they route identically,
+    /// so mixed-op traffic reuses a single plan instead of rebuilding
+    /// per op — and, per op shape, the [`CombineProgram`] compiled from
+    /// it on first use. A warm request takes both from the memo.
+    pub(super) fn combine_program(
+        &self,
+        algo: Algorithm,
+        shape: Shape,
+        rec: &dyn Recorder,
+    ) -> Result<Arc<CombineProgram>, CommError> {
+        let algo = self.combining_algorithm(algo)?;
+        let fp = PlanFingerprint::of_collective(
+            &self.graph,
+            &self.layout,
+            algo,
+            &self.planning_sizes(),
+            self.metric,
+            &CollectiveOp::Alltoallv,
+        );
+        let routed = self.combine_memo().routed.as_ref().filter(|r| r.fp == fp).map(|r| {
+            let prog = r.programs.iter().find(|(s, _)| *s == shape).map(|(_, p)| Arc::clone(p));
+            (Arc::clone(&r.plan), prog)
+        });
+        rec.plan_cache(0, routed.is_some());
+        let plan = match routed {
+            Some((_, Some(prog))) => return Ok(prog),
+            Some((plan, None)) => plan,
+            None => Arc::new(self.alltoall_plan(algo)?),
+        };
+        let prog = Arc::new(compile(&plan, &self.graph, shape)?);
+        let mut memo = self.combine_memo();
+        memo.compiles += 1;
+        let entry = (shape, Arc::clone(&prog));
+        match memo.routed.as_mut().filter(|r| r.fp == fp) {
+            Some(r) => r.programs.push(entry),
+            None => memo.routed = Some(Routed { fp, plan, programs: vec![entry] }),
+        }
+        Ok(prog)
+    }
+
+    /// Builds (and validates) the item-routing alltoall plan the
+    /// combining family executes.
+    ///
+    /// # Errors
+    /// Returns [`CommError::UnsupportedCollective`] for
+    /// [`Algorithm::CommonNeighbor`], [`Algorithm::HierarchicalLeader`],
+    /// [`Algorithm::Bruck`] and [`Algorithm::Pat`], which have no
+    /// item-routing formulation. [`Algorithm::Auto`] routes as Distance
+    /// Halving.
+    pub fn alltoall_plan(&self, algo: Algorithm) -> Result<AlltoallPlan, CommError> {
+        check_support(CollectiveOp::Alltoallv, algo, false, ExecBackend::Virtual)?;
+        // check_support left the two routable algorithms (Auto routes as
+        // Distance Halving); the routing negotiates at default sizes.
+        let plan = match self.combining_algorithm(algo)? {
+            Algorithm::Naive => plan_naive_alltoall(&self.graph),
+            _ => {
+                let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
+                plan_dh_alltoall(&self.dh_pattern(&self.graph, &sizes, metric, &NULL)?, &self.graph)
+            }
+        };
+        plan.validate(&self.graph).map_err(CommError::InvalidAlltoallPlan)?;
+        Ok(plan)
+    }
+
+    /// Simulated latency of `algo` at per-rank message size `m`.
+    pub fn latency(
+        &self,
+        algo: Algorithm,
+        m: usize,
+        cost: &SimCost,
+    ) -> Result<SimReport, CommError> {
+        let plan = self.plan(algo)?;
+        Ok(simulate(&plan, &self.layout, m, cost)?)
+    }
+
+    /// Sweeps Common Neighbor over `ks` and returns `(k, plan)` with the
+    /// lowest simulated latency at message size `m` — the paper launches
+    /// CN "with various values of K" and reports the best.
+    ///
+    /// # Errors
+    /// [`CommError::BadAlgorithmParam`] for an empty `ks`.
+    pub fn best_common_neighbor(
+        &self,
+        ks: &[usize],
+        m: usize,
+        cost: &SimCost,
+    ) -> Result<(usize, CollectivePlan), CommError> {
+        let mut best: Option<(f64, usize, CollectivePlan)> = None;
+        for &k in ks {
+            let plan = self.plan(Algorithm::CommonNeighbor { k })?;
+            let t = simulate(&plan, &self.layout, m, cost)?.makespan;
+            if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {
+                best = Some((t, k, plan));
+            }
+        }
+        let (_, k, plan) = best.ok_or(CommError::BadAlgorithmParam {
+            algorithm: Algorithm::CommonNeighbor { k: 0 },
+            reason: "need at least one K to sweep",
+        })?;
+        Ok((k, plan))
+    }
+}

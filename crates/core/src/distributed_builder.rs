@@ -32,7 +32,7 @@
 //!
 //! # Fault injection
 //!
-//! [`build_pattern_distributed_faulty`] runs the same protocol against a
+//! [`build_pattern_distributed_pooled_v`] runs the same protocol against a
 //! [`FaultPlan`]: control signals can be dropped (retried with bounded
 //! exponential backoff) or delayed, and slow ranks stall at every step
 //! entry. Duplication and reordering faults are **not** applied here —
@@ -99,7 +99,9 @@ struct PairState {
 }
 
 /// Builds the Distance Halving pattern by actually running the
-/// negotiation protocol with one thread per rank.
+/// negotiation protocol with one thread per rank — fault-free, under
+/// [`RECV_TIMEOUT`], with count-based scoring, unrecorded: the defaults
+/// of [`build_pattern_distributed_pooled_v`].
 ///
 /// Produces the same pattern *structure* as
 /// [`crate::builder::build_pattern`]; the matching itself may differ (it
@@ -109,72 +111,41 @@ pub fn build_pattern_distributed(
     graph: &Topology,
     layout: &ClusterLayout,
 ) -> Result<DhPattern, BuildError> {
-    build_pattern_distributed_faulty(graph, layout, None, RECV_TIMEOUT)
-}
-
-/// [`build_pattern_distributed`] under fault injection: control signals
-/// consult `fault` at every send (drops are retried with bounded
-/// backoff, delays sleep), slow ranks stall at step entry, and any rank
-/// left waiting longer than `recv_timeout` returns
-/// [`BuildError::NegotiationTimeout`] instead of panicking or hanging.
-pub fn build_pattern_distributed_faulty(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    fault: Option<&FaultPlan>,
-    recv_timeout: Duration,
-) -> Result<DhPattern, BuildError> {
-    build_pattern_distributed_recorded(graph, layout, fault, recv_timeout, &NULL)
-}
-
-/// [`build_pattern_distributed_faulty`] with a telemetry [`Recorder`]:
-/// every rank reports a `negotiate` span per halving step, one
-/// negotiation-round event per proposer/acceptor role it plays, and a
-/// retry event per retransmitted control signal.
-pub fn build_pattern_distributed_recorded(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    fault: Option<&FaultPlan>,
-    recv_timeout: Duration,
-    rec: &dyn Recorder,
-) -> Result<DhPattern, BuildError> {
-    build_pattern_distributed_pooled(graph, layout, fault, recv_timeout, &WorkerPool::serial(), rec)
-}
-
-/// [`build_pattern_distributed_recorded`] with the rank threads managed
-/// by a [`WorkerPool`]. Negotiation jobs block on each other's messages,
-/// so the pool's [`run_all`](WorkerPool::run_all) entry point is used —
-/// every rank still gets a thread regardless of the pool's bound, but
-/// spawn, join and panic propagation live in one audited place instead
-/// of an ad-hoc `thread::scope` here. Timeout semantics are unchanged: a
-/// rank waiting longer than `recv_timeout` returns
-/// [`BuildError::NegotiationTimeout`], and the first error in rank order
-/// is the one reported.
-pub fn build_pattern_distributed_pooled(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    fault: Option<&FaultPlan>,
-    recv_timeout: Duration,
-    pool: &WorkerPool,
-    rec: &dyn Recorder,
-) -> Result<DhPattern, BuildError> {
     build_pattern_distributed_pooled_v(
         graph,
         layout,
-        fault,
-        recv_timeout,
+        None,
+        RECV_TIMEOUT,
         &BlockSizes::default(),
         LoadMetric::Neighbors,
-        pool,
-        rec,
+        &WorkerPool::serial(),
+        &NULL,
     )
 }
 
-/// Size-aware [`build_pattern_distributed_pooled`]: under
-/// [`LoadMetric::Bytes`] score ties are broken toward the **proposer**
-/// with fewer block bytes (both sides of a pair apply the same byte
-/// term and candidacy never changes, so the candidate relation stays
-/// symmetric and the two-message invariant holds).
-/// [`LoadMetric::Neighbors`] is the paper's count-based scoring.
+/// The full form of [`build_pattern_distributed`] — every input a
+/// negotiation takes:
+///
+/// * `fault` / `recv_timeout`: control signals consult the fault plan at
+///   every send (drops are retried with bounded backoff, delays sleep),
+///   slow ranks stall at step entry, and any rank left waiting longer
+///   than `recv_timeout` returns [`BuildError::NegotiationTimeout`]
+///   instead of panicking or hanging; the first error in rank order is
+///   the one reported;
+/// * `sizes` / `metric`: under [`LoadMetric::Bytes`] score ties are
+///   broken toward the **proposer** with fewer block bytes (both sides
+///   of a pair apply the same byte term and candidacy never changes, so
+///   the candidate relation stays symmetric and the two-message
+///   invariant holds); [`LoadMetric::Neighbors`] is the paper's
+///   count-based scoring;
+/// * `pool` manages the rank threads. Negotiation jobs block on each
+///   other's messages, so its [`run_all`](WorkerPool::run_all) entry
+///   point is used — every rank still gets a thread regardless of the
+///   pool's bound, but spawn, join and panic propagation live in one
+///   audited place instead of an ad-hoc `thread::scope` here;
+/// * `rec`: every rank reports a `negotiate` span per halving step, one
+///   negotiation-round event per proposer/acceptor role it plays, and a
+///   retry event per retransmitted control signal.
 #[allow(clippy::too_many_arguments)]
 pub fn build_pattern_distributed_pooled_v(
     graph: &Topology,
@@ -632,6 +603,27 @@ mod tests {
     use crate::lower::lower;
     use nhood_topology::random::erdos_renyi;
 
+    /// The full form under a fault plan, defaults elsewhere.
+    fn build_faulty(
+        g: &Topology,
+        layout: &ClusterLayout,
+        fp: &FaultPlan,
+        timeout: Duration,
+    ) -> Result<DhPattern, BuildError> {
+        let (sizes, pool) = (BlockSizes::default(), WorkerPool::serial());
+        let metric = LoadMetric::Neighbors;
+        build_pattern_distributed_pooled_v(
+            g,
+            layout,
+            Some(fp),
+            timeout,
+            &sizes,
+            metric,
+            &pool,
+            &NULL,
+        )
+    }
+
     fn check(graph: &Topology, layout: &ClusterLayout) -> DhPattern {
         let pat = build_pattern_distributed(graph, layout).expect("builds");
         let plan = lower(&pat, graph);
@@ -714,7 +706,7 @@ mod tests {
         let fp = FaultPlan::seeded(31)
             .with_message_drop(0.05)
             .with_message_delay(0.1, Duration::from_micros(300));
-        let pat = build_pattern_distributed_faulty(&g, &layout, Some(&fp), Duration::from_secs(10))
+        let pat = build_faulty(&g, &layout, &fp, Duration::from_secs(10))
             .expect("survivable schedule must build");
         let plan = lower(&pat, &g);
         plan.validate(&g).expect("exactly-once delivery");
@@ -730,9 +722,8 @@ mod tests {
         // every signal is dropped every time: negotiation cannot proceed
         let fp = FaultPlan::seeded(1).with_message_drop(1.0);
         let t0 = std::time::Instant::now();
-        let err =
-            build_pattern_distributed_faulty(&g, &layout, Some(&fp), Duration::from_millis(100))
-                .expect_err("nothing can be negotiated");
+        let err = build_faulty(&g, &layout, &fp, Duration::from_millis(100))
+            .expect_err("nothing can be negotiated");
         assert!(
             matches!(err, BuildError::NegotiationTimeout { .. }),
             "expected NegotiationTimeout, got {err:?}"

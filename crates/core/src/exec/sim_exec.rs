@@ -99,22 +99,22 @@ impl Executor for Sim {
         _arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        let schedule = if opts.ragged {
+        let sizes: Vec<usize> = if opts.ragged {
             if payloads.len() != plan.n() {
                 return Err(ExecError::PayloadCountMismatch {
                     got: payloads.len(),
                     want: plan.n(),
                 });
             }
-            let sizes: Vec<usize> = payloads.iter().map(Vec::len).collect();
-            to_schedule_v(plan, &sizes, &self.cost)
+            payloads.iter().map(Vec::len).collect()
         } else {
             let m = match self.m {
                 Some(m) => m,
                 None => check_payloads(payloads, plan.n())?,
             };
-            to_schedule(plan, m, &self.cost)
+            vec![m; plan.n()]
         };
+        let schedule = to_schedule_v(plan, &sizes, &self.cost);
         let engine = Engine::new(&self.layout, self.cost.net);
         let report = engine
             .run_sharded_recorded(&schedule, &WorkerPool::new(self.threads), opts.recorder)
@@ -123,63 +123,39 @@ impl Executor for Sim {
     }
 }
 
-/// Lowers `plan` to a simulator [`Schedule`] for per-rank payload size
-/// `m` bytes.
-pub fn to_schedule(plan: &CollectivePlan, m: usize, cost: &SimCost) -> Schedule {
-    let n = plan.n();
-    let mut s = Schedule::new(n);
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for phase in prog {
-            let sends = phase
-                .sends
-                .iter()
-                .map(|msg| Msg { src: r, dst: msg.peer, bytes: msg.blocks.len() * m, tag: msg.tag })
-                .collect();
-            let recvs = phase
-                .recvs
-                .iter()
-                .map(|msg| Msg { src: msg.peer, dst: r, bytes: msg.blocks.len() * m, tag: msg.tag })
-                .collect();
-            s.push_phase(
-                r,
-                Phase {
-                    local_seconds: phase.copy_blocks as f64 * m as f64 / cost.memcpy_bytes_per_sec,
-                    sends,
-                    recvs,
-                },
-            );
-        }
-    }
-    s
-}
-
-/// Simulates `plan` at message size `m` on `layout` and returns the
-/// engine's report (latency = `report.makespan`).
+/// Simulates `plan` at uniform message size `m` on `layout` and returns
+/// the engine's report (latency = `report.makespan`): [`simulate_v`] at
+/// `sizes = [m; n]`.
 pub fn simulate(
     plan: &CollectivePlan,
     layout: &ClusterLayout,
     m: usize,
     cost: &SimCost,
 ) -> Result<SimReport, SimError> {
-    let schedule = to_schedule(plan, m, cost);
-    Engine::new(layout, cost.net).run(&schedule)
+    simulate_v(plan, layout, &vec![m; plan.n()], cost)
 }
 
-/// Lowers `plan` to a schedule with *per-rank* payload sizes — the
-/// `neighbor_allgatherv` variant. A message's bytes are the sum of its
-/// blocks' sizes; copy charges use the mean block size (the plan records
-/// copy *counts*, not which blocks — an approximation that matters only
-/// for highly skewed payloads).
+/// Lowers `plan` to a simulator [`Schedule`] with *per-rank* payload
+/// sizes — the one lowering behind every simulated gather (uniform
+/// `allgather` is `sizes = [m; n]`). A message's bytes are the sum of
+/// its blocks' sizes; copy charges use the mean block size (the plan
+/// records copy *counts*, not which blocks — exact on uniform tables, an
+/// approximation that matters only for highly skewed payloads).
 pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> Schedule {
     let n = plan.n();
     assert_eq!(sizes.len(), n, "need one payload size per rank");
     let mean = if n == 0 { 0.0 } else { sizes.iter().sum::<usize>() as f64 / n as f64 };
+    // a uniform table prices a message by its block count alone
+    let uniform = sizes.first().copied().filter(|m| sizes.iter().all(|s| s == m));
+    let bytes_of = |blocks: &[nhood_topology::Rank]| -> usize {
+        match uniform {
+            Some(m) => blocks.len() * m,
+            None => blocks.iter().map(|&b| sizes[b]).sum(),
+        }
+    };
     let mut s = Schedule::new(n);
     for (r, prog) in plan.per_rank.iter().enumerate() {
         for phase in prog {
-            let bytes_of = |blocks: &[nhood_topology::Rank]| -> usize {
-                blocks.iter().map(|&b| sizes[b]).sum()
-            };
             let sends = phase
                 .sends
                 .iter()
@@ -247,7 +223,7 @@ mod tests {
         let g = erdos_renyi(16, 0.4, 3);
         let layout = ClusterLayout::new(2, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let s = to_schedule(&plan, 64, &SimCost::niagara());
+        let s = to_schedule_v(&plan, &vec![64; plan.n()], &SimCost::niagara());
         s.validate().unwrap();
         assert_eq!(s.message_count(), plan.message_count());
         assert_eq!(s.total_bytes(), plan.total_blocks_sent() * 64);
@@ -466,7 +442,7 @@ mod tests {
         let g = erdos_renyi(64, 0.3, 17);
         let layout = ClusterLayout::with_groups(8, 2, 4, 2);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let s = to_schedule(&plan, 4096, &SimCost::niagara());
+        let s = to_schedule_v(&plan, &vec![4096; plan.n()], &SimCost::niagara());
         let p = Perturbation {
             seed: 0x5EED,
             rank_stall: (0..64).map(|r| if r % 5 == 0 { 2e-6 } else { 0.0 }).collect(),

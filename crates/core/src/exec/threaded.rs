@@ -102,9 +102,9 @@ impl<'a> SegBuf<'a> {
         }
     }
 
-    /// Collects the logical byte range `[start, start+len)` as slice
-    /// descriptors (no byte copies).
-    fn view_into(&self, start: usize, len: usize, out: &mut Vec<&'a [u8]>) {
+    /// Walks the logical byte range `[start, start+len)` segment by
+    /// segment, handing each covered sub-slice to `visit`.
+    fn for_each_seg(&self, start: usize, len: usize, mut visit: impl FnMut(&'a [u8])) {
         if len == 0 {
             return;
         }
@@ -114,30 +114,23 @@ impl<'a> SegBuf<'a> {
         while rem > 0 {
             let seg = self.segs[i];
             let take = rem.min(seg.len() - off);
-            out.push(&seg[off..off + take]);
+            visit(&seg[off..off + take]);
             rem -= take;
             off = 0;
             i += 1;
         }
     }
 
+    /// Collects the logical byte range `[start, start+len)` as slice
+    /// descriptors (no byte copies).
+    fn view_into(&self, start: usize, len: usize, out: &mut Vec<&'a [u8]>) {
+        self.for_each_seg(start, len, |seg| out.push(seg));
+    }
+
     /// Copies the logical byte range `[start, start+len)` into `dst` —
     /// the one place payload bytes are copied on this engine.
     fn copy_out(&self, start: usize, len: usize, dst: &mut Vec<u8>) {
-        if len == 0 {
-            return;
-        }
-        let mut i = self.starts.partition_point(|&s| s <= start) - 1;
-        let mut off = start - self.starts[i];
-        let mut rem = len;
-        while rem > 0 {
-            let seg = self.segs[i];
-            let take = rem.min(seg.len() - off);
-            dst.extend_from_slice(&seg[off..off + take]);
-            rem -= take;
-            off = 0;
-            i += 1;
-        }
+        self.for_each_seg(start, len, |seg| dst.extend_from_slice(seg));
     }
 }
 

@@ -182,18 +182,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// True if any fault kind is configured (lets hot paths skip the
-    /// per-message hashing entirely on a default plan).
-    pub fn is_active(&self) -> bool {
-        self.drop_p > 0.0
-            || self.delay_p > 0.0
-            || self.dup_p > 0.0
-            || self.reorder_p > 0.0
-            || !self.slow.is_empty()
-            || !self.crashed.is_empty()
-            || !self.link_down.is_empty()
-    }
-
     #[inline]
     fn roll(&self, domain: u64, src: Rank, dst: Rank, tag: u64, attempt: u32) -> f64 {
         unit_f64(hash_mix(&[self.seed, domain, src as u64, dst as u64, tag, attempt as u64]))
@@ -222,20 +210,6 @@ impl FaultPlan {
         self.roll(domain::REORDER, src, dst, tag, 0) < self.reorder_p
     }
 
-    /// Extra per-message latency for the simulator: the expected delay
-    /// contribution of the delay fault, deterministically spread over
-    /// messages (same hash stream as [`Self::send_action`]).
-    pub fn sim_jitter(&self, src: Rank, dst: Rank, tag: u64) -> Duration {
-        if self.delay_p == 0.0 {
-            return Duration::ZERO;
-        }
-        if self.roll(domain::DELAY, src, dst, tag, 0) < self.delay_p {
-            self.max_delay.mul_f64(self.roll(domain::JITTER, src, dst, tag, 0))
-        } else {
-            Duration::ZERO
-        }
-    }
-
     /// The stall a straggler suffers at each phase entry (zero for
     /// healthy ranks).
     pub fn stall(&self, rank: Rank) -> Duration {
@@ -255,12 +229,6 @@ impl FaultPlan {
     /// True if the directed edge `src -> dst` is dead at `phase`.
     pub fn link_is_down(&self, src: Rank, dst: Rank, phase: usize) -> bool {
         self.link_down.get(&(src, dst)).is_some_and(|&at| phase >= at)
-    }
-
-    /// The scheduled link failures as `(src, dst, phase)` triples (both
-    /// directions of each failed link appear).
-    pub fn link_failures(&self) -> impl Iterator<Item = (Rank, Rank, usize)> + '_ {
-        self.link_down.iter().map(|(&(s, d), &at)| (s, d, at))
     }
 
     /// The verdict for transmission `attempt` of message `(src, dst,
@@ -368,20 +336,6 @@ impl FaultCounts {
     pub fn total_injected(&self) -> u64 {
         self.drops + self.delays + self.duplicates + self.reorders + self.link_downs
     }
-
-    /// Field-wise sum — aggregates the tallies of a fallback re-run onto
-    /// the original run's.
-    pub fn merged(&self, other: &FaultCounts) -> FaultCounts {
-        FaultCounts {
-            drops: self.drops + other.drops,
-            delays: self.delays + other.delays,
-            duplicates: self.duplicates + other.duplicates,
-            reorders: self.reorders + other.reorders,
-            retries: self.retries + other.retries,
-            lost: self.lost + other.lost,
-            link_downs: self.link_downs + other.link_downs,
-        }
-    }
 }
 
 impl std::fmt::Display for FaultCounts {
@@ -422,11 +376,9 @@ mod tests {
     #[test]
     fn inactive_plan_injects_nothing() {
         let fp = FaultPlan::seeded(3);
-        assert!(!fp.is_active());
         for tag in 0..100 {
             assert_eq!(fp.send_action(0, 1, tag, 0), FaultAction::Deliver);
             assert!(!fp.reorders(0, 1, tag));
-            assert_eq!(fp.sim_jitter(0, 1, tag), Duration::ZERO);
         }
         assert!(!fp.is_crashed(0, 0));
         assert_eq!(fp.stall(0), Duration::ZERO);
@@ -453,7 +405,6 @@ mod tests {
         assert_eq!(fp.crash_phase(3), Some(2));
         assert_eq!(fp.crash_phase(4), None);
         assert_eq!(fp.stall(1), Duration::from_millis(5));
-        assert!(fp.is_active());
     }
 
     #[test]
@@ -508,7 +459,6 @@ mod tests {
     #[test]
     fn link_down_is_bidirectional_phased_and_unretryable() {
         let fp = FaultPlan::seeded(1).with_link_down(2, 5, 1);
-        assert!(fp.is_active());
         // before the failure phase the link behaves normally
         assert!(!fp.link_is_down(2, 5, 0));
         assert_eq!(fp.send_action_at(2, 5, 9, 0, 0), FaultAction::Deliver);
@@ -521,9 +471,6 @@ mod tests {
         }
         // unrelated edges are untouched
         assert_eq!(fp.send_action_at(2, 4, 9, 0, 3), FaultAction::Deliver);
-        let mut failures: Vec<_> = fp.link_failures().collect();
-        failures.sort_unstable();
-        assert_eq!(failures, vec![(2, 5, 1), (5, 2, 1)]);
     }
 
     #[test]

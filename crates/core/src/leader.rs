@@ -40,7 +40,7 @@ pub fn plan_hierarchical_leader(
     assert_eq!(
         layout.placement(),
         nhood_cluster::Placement::Block,
-        "leader hierarchy needs block placement (see remap for alternatives)"
+        "leader hierarchy needs block placement (only Distance Halving re-ranks through remap)"
     );
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");

@@ -28,7 +28,17 @@
 //!   threaded executor and the distributed builder; paired with
 //!   [`comm::RobustPolicy`] it gives graceful degradation to the naive
 //!   plan instead of hard failure.
-//! * [`comm::DistGraphComm`] is the user-facing entry point.
+//! * [`remap`] re-ranks into locality order so Distance Halving plans
+//!   under any rank placement; [`comm::DistGraphComm::plan`] routes
+//!   through it whenever the layout is not block-placed.
+//! * [`comm::DistGraphComm`] is the user-facing entry point, split along
+//!   its seams: `comm/mod.rs` (state, configuration, `mutate`),
+//!   `comm/resolve.rs` (algorithm → plan: normalize, fingerprint, cache,
+//!   tuner), `comm/request.rs` (`collective` and its backends) and
+//!   `comm/robust.rs` (policy, report, repair, naive degradation).
+//!
+//! Every concept has one entry point — at most a two-argument default
+//! next to its full form; `docs/API.md` is the one-page surface.
 //!
 //! ## Quick start
 //!

@@ -98,28 +98,13 @@ impl ModelParams {
         (1.0 - (1.0 - self.delta).powf(e)) * self.l as f64
     }
 
-    /// Eq. (3): expected intra-socket message size (bytes), for per-rank
-    /// payload `m`: `δ · E[n_in] · m`.
-    pub fn expected_intra_socket_bytes(&self, m: usize) -> f64 {
-        self.delta * self.expected_intra_socket_msgs() * m as f64
-    }
-
-    /// Eq. (3) generalised to variable block sizes:
-    /// `δ · E[n_in] · E[m]`, where `E[m]` is the expected size of a
-    /// block carried by an intra-socket message under the given
-    /// [`LoadMetric`] — see [`mean_block_bytes`]. Degenerates to
-    /// [`expected_intra_socket_bytes`](Self::expected_intra_socket_bytes)
-    /// on a uniform table under either metric.
-    pub fn expected_intra_socket_bytes_v(&self, sizes: &BlockSizes, metric: LoadMetric) -> f64 {
-        self.delta * self.expected_intra_socket_msgs() * mean_block_bytes(sizes, self.n, metric)
-    }
-
-    /// Eq. (7) generalised to variable block sizes:
-    /// `E[n_in] (α + E[m_in]/β)` with the byte term from
-    /// [`expected_intra_socket_bytes_v`](Self::expected_intra_socket_bytes_v).
-    pub fn dh_intra_socket_time_v(&self, sizes: &BlockSizes, metric: LoadMetric) -> f64 {
-        let n_in = self.expected_intra_socket_msgs();
-        n_in * self.t(self.expected_intra_socket_bytes_v(sizes, metric))
+    /// Eq. (3): expected intra-socket message size (bytes),
+    /// `δ · E[n_in] · E[m]`. `m` is the payload of a uniform collective,
+    /// or — for variable block sizes — the expected size of a block
+    /// carried by an intra-socket message under a [`LoadMetric`]
+    /// ([`mean_block_bytes`]).
+    pub fn expected_intra_socket_bytes(&self, m: f64) -> f64 {
+        self.delta * self.expected_intra_socket_msgs() * m
     }
 
     /// Hockney term `α + m/β`.
@@ -148,8 +133,10 @@ impl ModelParams {
     }
 
     /// Eq. (7): expected intra-socket time per rank,
-    /// `E[n_in] (α + E[m_in]/β)`.
-    pub fn dh_intra_socket_time(&self, m: usize) -> f64 {
+    /// `E[n_in] (α + E[m_in]/β)`, at block size `m` (see
+    /// [`expected_intra_socket_bytes`](Self::expected_intra_socket_bytes)
+    /// for the variable-size reading).
+    pub fn dh_intra_socket_time(&self, m: f64) -> f64 {
         let n_in = self.expected_intra_socket_msgs();
         n_in * self.t(self.expected_intra_socket_bytes(m))
     }
@@ -157,7 +144,8 @@ impl ModelParams {
     /// Eq. (8): expected collective time of Distance Halving,
     /// `2 S L (E[t_off] + E[t_in])`.
     pub fn dh_time(&self, m: usize) -> f64 {
-        2.0 * (self.s * self.l) as f64 * (self.dh_off_socket_time(m) + self.dh_intra_socket_time(m))
+        2.0 * (self.s * self.l) as f64
+            * (self.dh_off_socket_time(m) + self.dh_intra_socket_time(m as f64))
     }
 
     /// Predicted speedup of Distance Halving over naïve at payload `m`.
@@ -241,11 +229,9 @@ mod tests {
         assert_eq!(mean_block_bytes(&u, 10, LoadMetric::Bytes), 64.0);
         let params = p(10, 0.3, 2);
         for metric in [LoadMetric::Neighbors, LoadMetric::Bytes] {
-            assert!(
-                (params.expected_intra_socket_bytes_v(&u, metric)
-                    - params.expected_intra_socket_bytes(64))
-                .abs()
-                    < 1e-9
+            assert_eq!(
+                params.expected_intra_socket_bytes(mean_block_bytes(&u, 10, metric)),
+                params.expected_intra_socket_bytes(64.0)
             );
         }
         // ragged table: size-biased mean strictly exceeds the plain mean
@@ -254,10 +240,7 @@ mod tests {
         let biased = mean_block_bytes(&r, 10, LoadMetric::Bytes);
         assert!((plain - 1088.0 / 10.0).abs() < 1e-9);
         assert!(biased > plain, "size-biased {biased} must exceed plain {plain}");
-        assert!(
-            params.dh_intra_socket_time_v(&r, LoadMetric::Bytes)
-                >= params.dh_intra_socket_time_v(&r, LoadMetric::Neighbors)
-        );
+        assert!(params.dh_intra_socket_time(biased) >= params.dh_intra_socket_time(plain));
         // degenerate inputs
         assert_eq!(mean_block_bytes(&r, 0, LoadMetric::Bytes), 0.0);
         assert_eq!(mean_block_bytes(&BlockSizes::uniform(0), 4, LoadMetric::Bytes), 0.0);

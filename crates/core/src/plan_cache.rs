@@ -66,7 +66,8 @@ impl PlanFingerprint {
     /// Fingerprint of a *build request*: everything pattern construction
     /// consumes. Covers the adjacency lists, the layout's shape **and**
     /// rank placement (two layouts that map ranks to sockets differently
-    /// fingerprint differently, even with equal shape), and the
+    /// fingerprint differently, even with equal shape — off block
+    /// placement every rank's physical location is hashed), and the
     /// algorithm with its parameters. Rank labels matter: an isomorphic
     /// but relabeled graph is a different build request and gets a
     /// different fingerprint.
@@ -121,22 +122,20 @@ impl PlanFingerprint {
             layout.sockets_per_node().hash(h);
             layout.ranks_per_socket().hash(h);
             (layout.placement() == nhood_cluster::Placement::Block).hash(h);
-            if layout.placement() == nhood_cluster::Placement::Block {
-                // socket ranges are only defined (contiguous) under block
-                // placement — the one placement the DH builder accepts
-                for r in 0..n {
+            for r in 0..n {
+                if layout.placement() == nhood_cluster::Placement::Block {
+                    // socket ranges are only defined (contiguous) under
+                    // block placement — all the plain DH builder reads
                     layout.socket_range(r).hash(h);
+                } else {
+                    // any other placement plans Distance Halving through
+                    // `remap`'s locality re-ranking, which sorts ranks by
+                    // exactly this key
+                    let loc = layout.location(r);
+                    (layout.group_of_node(loc.node), loc.node, loc.socket, loc.core).hash(h);
                 }
             }
-            let (id, param) = match algo {
-                Algorithm::Naive => (0u64, 0u64),
-                Algorithm::CommonNeighbor { k } => (1, k as u64),
-                Algorithm::DistanceHalving => (2, 0),
-                Algorithm::HierarchicalLeader { leaders_per_node } => (3, leaders_per_node as u64),
-                Algorithm::Bruck => (4, 0),
-                Algorithm::Pat { radix } => (5, radix as u64),
-                Algorithm::Auto => (6, 0),
-            };
+            let (id, param) = plan_io::algorithm_id(algo);
             id.hash(h);
             param.hash(h);
             metric.id().hash(h);
@@ -637,6 +636,33 @@ mod tests {
             PlanFingerprint::of_build(&g, &l, Algorithm::Naive),
             PlanFingerprint::of_build(&g, &l_rr, Algorithm::Naive),
         );
+    }
+
+    #[test]
+    fn non_block_layouts_of_equal_shape_fingerprint_by_rank_location() {
+        // Off block placement Distance Halving plans through the locality
+        // re-ranking, which reads every rank's (group, node, socket,
+        // core): two round-robin layouts of one shape whose nodes sit in
+        // different groups build different plans and must not share a key.
+        use nhood_cluster::Placement;
+        let g = erdos_renyi(32, 0.3, 11);
+        let rr =
+            || ClusterLayout::with_groups(4, 2, 4, 2).with_placement(Placement::RoundRobinNodes);
+        let moved = rr().with_node_permutation(vec![2, 0, 1, 3]);
+        let algo = Algorithm::DistanceHalving;
+        assert_eq!(
+            PlanFingerprint::of_build(&g, &rr(), algo),
+            PlanFingerprint::of_build(&g, &rr(), algo)
+        );
+        assert_ne!(
+            PlanFingerprint::of_build(&g, &rr(), algo),
+            PlanFingerprint::of_build(&g, &moved, algo)
+        );
+        let plan = |layout: ClusterLayout| {
+            let comm = crate::comm::DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+            comm.plan(algo).expect("re-ranked build").per_rank
+        };
+        assert_ne!(plan(rr()), plan(moved), "the plans these keys name differ");
     }
 
     #[test]

@@ -169,7 +169,9 @@ fn read_msg(c: &mut Cursor<'_>, n: usize) -> Result<PlannedMsg, PlanIoError> {
     Ok(PlannedMsg { peer, blocks, tag })
 }
 
-fn algorithm_id(a: Algorithm) -> (u64, u64) {
+/// The stable `(id, parameter)` pair of an algorithm — the on-disk
+/// encoding, and what [`crate::plan_cache::PlanFingerprint`] hashes.
+pub(crate) fn algorithm_id(a: Algorithm) -> (u64, u64) {
     match a {
         Algorithm::Naive => (0, 0),
         Algorithm::CommonNeighbor { k } => (1, k as u64),

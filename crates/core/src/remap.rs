@@ -11,10 +11,12 @@
 //! with partially filled sockets the virtual "socket" boundaries are
 //! best-effort (correctness never depends on them — only locality does).
 
-use crate::builder::{build_pattern, BuildError};
-use crate::lower::lower;
+use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
+use crate::lower::lower_pooled;
 use crate::plan::CollectivePlan;
-use nhood_cluster::ClusterLayout;
+use crate::sizes::{BlockSizes, LoadMetric};
+use nhood_cluster::{ClusterLayout, WorkerPool};
+use nhood_telemetry::{labels, Recorder};
 use nhood_topology::{Rank, Topology};
 
 /// The permutation used by a reordered plan.
@@ -45,10 +47,20 @@ pub fn locality_order(layout: &ClusterLayout, n: usize) -> RankOrder {
 
 /// Builds a Distance Halving plan for `graph` on a layout with *any*
 /// placement, by re-ranking into locality order, planning in virtual
-/// space, and relabelling the plan back to physical ranks.
+/// space, and relabelling the plan back to physical ranks. `sizes`
+/// (indexed by physical rank, relabelled here), `metric`, `pool` and
+/// `rec` reach the pattern build and the lowering exactly as they do on
+/// a block-placed layout ([`build_pattern_recorded_v`],
+/// [`lower_pooled`]). This is what
+/// [`DistGraphComm::plan`](crate::comm::DistGraphComm::plan) runs for
+/// Distance Halving on a non-block placement.
 pub fn plan_distance_halving_reordered(
     graph: &Topology,
     layout: &ClusterLayout,
+    sizes: &BlockSizes,
+    metric: LoadMetric,
+    pool: &WorkerPool,
+    rec: &dyn Recorder,
 ) -> Result<CollectivePlan, BuildError> {
     let n = graph.n();
     if n > layout.capacity() {
@@ -56,10 +68,16 @@ pub fn plan_distance_halving_reordered(
     }
     let order = locality_order(layout, n);
 
-    // Virtual graph: relabel every edge.
+    // Virtual graph and size table: relabel every edge and every entry.
     let vedges: Vec<(Rank, Rank)> =
         graph.edges().map(|(s, d)| (order.virtual_of[s], order.virtual_of[d])).collect();
     let vgraph = Topology::from_edges(n, vedges);
+    let vsizes = match sizes {
+        BlockSizes::Uniform(_) => sizes.clone(),
+        BlockSizes::PerRank(_) => {
+            BlockSizes::per_rank(order.physical.iter().map(|&p| sizes.size(p)).collect())
+        }
+    };
 
     // A block-placed layout of the same shape hosts the virtual ranks.
     let block = ClusterLayout::with_groups(
@@ -68,8 +86,11 @@ pub fn plan_distance_halving_reordered(
         layout.ranks_per_socket(),
         layout.nodes_per_group(),
     );
-    let pattern = build_pattern(&vgraph, &block)?;
-    let vplan = lower(&pattern, &vgraph);
+    let strategy = PairingStrategy::LoadAware;
+    let pattern = build_pattern_recorded_v(&vgraph, &block, strategy, &vsizes, metric, pool, rec)?;
+    rec.span_begin(0, labels::PLAN_LOWER);
+    let vplan = lower_pooled(&pattern, &vgraph, pool);
+    rec.span_end(0, labels::PLAN_LOWER);
 
     // Translate back: program of virtual rank v belongs to physical rank
     // physical[v]; peers and block ids are physical ranks again.
@@ -95,10 +116,20 @@ pub fn plan_distance_halving_reordered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::build_pattern;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{Executor, Virtual};
+    use crate::lower::lower;
     use nhood_cluster::Placement;
+    use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
+
+    /// The re-ranked plan at the builder's default sizes and metric.
+    fn reordered(g: &Topology, layout: &ClusterLayout) -> CollectivePlan {
+        let (sizes, pool) = (BlockSizes::default(), WorkerPool::serial());
+        plan_distance_halving_reordered(g, layout, &sizes, LoadMetric::Neighbors, &pool, &NULL)
+            .unwrap()
+    }
 
     #[test]
     fn locality_order_is_a_permutation() {
@@ -134,7 +165,7 @@ mod tests {
         // the plain builder refuses this placement...
         assert!(build_pattern(&g, &layout).is_err());
         // ...but the reordered planner handles it
-        let plan = plan_distance_halving_reordered(&g, &layout).unwrap();
+        let plan = reordered(&g, &layout);
         plan.validate(&g).unwrap();
         let payloads = test_payloads(24, 8, 2);
         let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();
@@ -146,9 +177,8 @@ mod tests {
         let g = erdos_renyi(32, 0.3, 4);
         let layout = ClusterLayout::new(4, 2, 4);
         let plain = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let reordered = plan_distance_halving_reordered(&g, &layout).unwrap();
         // identity permutation → byte-identical plans
-        assert_eq!(plain.per_rank, reordered.per_rank);
+        assert_eq!(plain.per_rank, reordered(&g, &layout).per_rank);
     }
 
     #[test]
@@ -158,7 +188,7 @@ mod tests {
         // node-local *physically*
         let g = erdos_renyi(32, 0.5, 11);
         let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
-        let plan = plan_distance_halving_reordered(&g, &layout).unwrap();
+        let plan = reordered(&g, &layout);
         let final_idx = plan.phase_count() - 2;
         let mut local = 0usize;
         let mut remote = 0usize;

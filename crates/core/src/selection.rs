@@ -221,7 +221,8 @@ impl RoundCandidates {
     }
 }
 
-/// Runs one selection round.
+/// Runs one selection round: scores every pair, then drives the
+/// protocol unlogged ([`run_matching`]).
 ///
 /// `score(p, a)` must return the shared-outgoing-neighbor count of
 /// proposer `p` and acceptor `a` within the acceptor-side half; pairs
@@ -232,31 +233,7 @@ pub fn run_round(
     acceptors: &[Rank],
     score: impl FnMut(Rank, Rank) -> usize,
 ) -> RoundResult {
-    run_matching(&RoundCandidates::build(proposers, acceptors, score))
-}
-
-/// [`run_round`] that additionally appends every signal's send and
-/// receive to `log`, in causal order.
-pub fn run_round_logged(
-    proposers: &[Rank],
-    acceptors: &[Rank],
-    score: impl FnMut(Rank, Rank) -> usize,
-    log: &mut Vec<Event>,
-) -> RoundResult {
-    run_matching_impl(&RoundCandidates::build(proposers, acceptors, score), Some(log))
-}
-
-/// Drives the protocol over pre-scored candidates (see
-/// [`RoundCandidates`]). Deterministic: same candidates in, same
-/// matching, signals, and stats out.
-pub fn run_matching(rc: &RoundCandidates) -> RoundResult {
-    run_matching_impl(rc, None)
-}
-
-/// [`run_matching`] that additionally appends every signal's send and
-/// receive to `log`, in causal order.
-pub fn run_matching_logged(rc: &RoundCandidates, log: &mut Vec<Event>) -> RoundResult {
-    run_matching_impl(rc, Some(log))
+    run_matching(&RoundCandidates::build(proposers, acceptors, score), None)
 }
 
 /// A queued signal: sender/receiver local indices plus the candidate
@@ -343,7 +320,11 @@ fn accept(
     astate[k as usize] = CandState::Inactive;
 }
 
-fn run_matching_impl(rc: &RoundCandidates, mut log: Option<&mut Vec<Event>>) -> RoundResult {
+/// Drives the protocol over pre-scored candidates (see
+/// [`RoundCandidates`]). Deterministic: same candidates in, same
+/// matching, signals, and stats out. With `log`, every signal's send
+/// and receive is appended to it, in causal order.
+pub fn run_matching(rc: &RoundCandidates, mut log: Option<&mut Vec<Event>>) -> RoundResult {
     let np = rc.proposers.len();
     let na = rc.acceptors.len();
     let mut stats = SelectionStats { agent_searches: np, ..Default::default() };
@@ -800,8 +781,8 @@ mod tests {
         let rows: Vec<ScoreRow> =
             proposers.iter().map(|&p| RoundCandidates::score_row(p, &acceptors, score)).collect();
         let split = RoundCandidates::from_rows(proposers.clone(), acceptors.clone(), rows);
-        let r1 = run_matching(&whole);
-        let r2 = run_matching(&split);
+        let r1 = run_matching(&whole, None);
+        let r2 = run_matching(&split, None);
         assert_eq!(r1.matched, r2.matched);
         assert_eq!(r1.stats, r2.stats);
     }
@@ -813,8 +794,8 @@ mod tests {
         let acceptors: Vec<Rank> = (10..20).collect();
         let rc = RoundCandidates::build(&proposers, &acceptors, score);
         let mut log = Vec::new();
-        let r1 = run_matching_logged(&rc, &mut log);
-        let r2 = run_matching(&rc);
+        let r1 = run_matching(&rc, Some(&mut log));
+        let r2 = run_matching(&rc, None);
         assert_eq!(r1.matched, r2.matched);
         assert_eq!(r1.stats, r2.stats);
         // every signal appears exactly twice: once sent, once received

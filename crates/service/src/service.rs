@@ -39,11 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nhood_cluster::ClusterLayout;
-use nhood_core::collective::{
-    derive_sizes, reference_allreduce, reference_alltoallv, reference_reduce_scatter,
-};
+use nhood_core::collective::reference;
 use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v};
-use nhood_core::exec::virtual_exec::reference_allgather;
 use nhood_core::{
     Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType,
     DistGraphComm, ExecBackend, ExecOptions, Executor, MutationReport, PlanCache, PlanFingerprint,
@@ -63,19 +60,12 @@ pub type TenantId = usize;
 /// Identifies an admitted request (unique per service instance).
 pub type RequestId = u64;
 
-/// Which transport executes clean (fault-free) tenants' requests.
-/// Fault-armed tenants always run the robust threaded path on
-/// byte-moving backends, and a perturbed simulation on [`Backend::Sim`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Sequential in-process oracle — fastest, used by benches/tests.
-    Virtual,
-    /// Thread-per-rank real execution.
-    Threaded,
-    /// Discrete-event simulated time; completions carry a makespan and
-    /// no bytes.
-    Sim,
-}
+/// Which transport executes clean (fault-free) tenants' requests — the
+/// core's [`ExecBackend`] under the name the service has always
+/// exported. Fault-armed tenants always run the robust threaded path on
+/// byte-moving backends, and a perturbed simulation on [`Backend::Sim`],
+/// where completions carry a makespan and no bytes.
+pub use nhood_core::ExecBackend as Backend;
 
 /// How aggressively completions are byte-checked against the naive
 /// reference (only meaningful on byte-moving backends, and skipped for
@@ -119,8 +109,7 @@ pub struct ServiceConfig {
     /// Worker threads for pattern construction / plan lowering on every
     /// tenant communicator (the shared build pool; `1` = serial).
     pub build_threads: usize,
-    /// Capacity of the internally created shared [`PlanCache`]
-    /// (ignored when a cache is supplied via [`Service::with_cache`]).
+    /// Capacity of the shared [`PlanCache`] the service creates.
     pub cache_capacity: usize,
     /// Cost model for [`Backend::Sim`].
     pub sim_cost: SimCost,
@@ -294,16 +283,9 @@ impl Service {
     /// A service with its own shared plan cache of
     /// [`ServiceConfig::cache_capacity`] entries.
     pub fn new(cfg: ServiceConfig) -> Self {
-        let cache = Arc::new(PlanCache::new(cfg.cache_capacity.max(1)));
-        Self::with_cache(cfg, cache)
-    }
-
-    /// A service over a caller-supplied shared cache (e.g. one cache
-    /// spanning several services, or a disk-tiered cache).
-    pub fn with_cache(cfg: ServiceConfig, cache: Arc<PlanCache>) -> Self {
         Self {
             cfg,
-            cache,
+            cache: Arc::new(PlanCache::new(cfg.cache_capacity.max(1))),
             tenants: Vec::new(),
             queue: VecDeque::new(),
             next_id: 0,
@@ -700,17 +682,12 @@ impl Service {
     /// communicator memoizes the routing plan, so a batch of these pays
     /// planning once per topology epoch, not per request.
     fn run_combining(&mut self, req: Pending) {
-        let backend = match self.cfg.backend {
-            Backend::Virtual => ExecBackend::Virtual,
-            Backend::Threaded => ExecBackend::Threaded,
-            Backend::Sim => ExecBackend::Sim,
-        };
         let res = {
             let rec = &self.rec;
             let t = &self.tenants[req.tenant];
             let mut creq = CollectiveRequest::new(req.op, &req.payloads)
                 .algorithm(t.algo)
-                .backend(backend)
+                .backend(self.cfg.backend)
                 .recorder(rec);
             if let Some(s) = req.sizes.clone() {
                 creq = creq.sizes(s);
@@ -818,20 +795,7 @@ impl Service {
             return None;
         }
         let g = self.tenants[req.tenant].comm.graph();
-        let want = match req.op {
-            CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
-                reference_allgather(g, &req.payloads)
-            }
-            CollectiveOp::Alltoallv => {
-                let sizes = derive_sizes(g, req.op, &req.payloads, req.sizes.as_ref()).ok()?;
-                reference_alltoallv(g, &req.payloads, &sizes)
-            }
-            CollectiveOp::ReduceScatter(red) => {
-                let sizes = derive_sizes(g, req.op, &req.payloads, req.sizes.as_ref()).ok()?;
-                reference_reduce_scatter(g, &req.payloads, &sizes, red)
-            }
-            CollectiveOp::Allreduce(red) => reference_allreduce(g, &req.payloads, red),
-        };
+        let want = reference(g, req.op, &req.payloads, req.sizes.as_ref()).ok()?;
         Some(want == rbufs)
     }
 

@@ -198,16 +198,6 @@ impl LevelStats {
         self.bytes[i] += bytes;
     }
 
-    /// Messages at a level.
-    pub fn msgs_at(&self, l: Locality) -> usize {
-        self.msgs[Self::level_index(l)]
-    }
-
-    /// Bytes at a level.
-    pub fn bytes_at(&self, l: Locality) -> usize {
-        self.bytes[Self::level_index(l)]
-    }
-
     /// Total messages.
     pub fn total_msgs(&self) -> usize {
         self.msgs.iter().sum()
@@ -233,31 +223,6 @@ pub struct SimReport {
     /// spread across ranks is the load-balance picture eq. (5) abstracts
     /// away.
     pub port_busy: Vec<Seconds>,
-}
-
-impl SimReport {
-    /// Mean rank finish time — a load-balance indicator next to
-    /// [`makespan`](Self::makespan).
-    pub fn mean_finish(&self) -> Seconds {
-        if self.per_rank_finish.is_empty() {
-            return 0.0;
-        }
-        self.per_rank_finish.iter().sum::<f64>() / self.per_rank_finish.len() as f64
-    }
-
-    /// Max over mean port-busy time: 1.0 is perfectly balanced.
-    pub fn load_imbalance(&self) -> f64 {
-        if self.port_busy.is_empty() {
-            return 1.0;
-        }
-        let max = self.port_busy.iter().copied().fold(0.0, f64::max);
-        let mean = self.port_busy.iter().sum::<f64>() / self.port_busy.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 /// The timing engine. Cheap to construct; [`run`](Self::run) is pure
@@ -372,25 +337,16 @@ impl<'a> Engine<'a> {
         Ok((run.report, traces))
     }
 
-    /// Like [`run`](Self::run), but replays every simulated message into
-    /// `rec` afterwards: one `msg_sent`/`msg_recvd` pair per message plus
-    /// a [`span_at`](nhood_telemetry::Recorder::span_at) on the sending
+    /// Like [`run_sharded`](Self::run_sharded), but replays every
+    /// simulated message into `rec` afterwards: one
+    /// `msg_sent`/`msg_recvd` pair per message plus a
+    /// [`span_at`](nhood_telemetry::Recorder::span_at) on the sending
     /// rank's track covering posting→arrival in *simulated* seconds.
     /// Same-socket transfers are labelled
     /// [`INTRA_SOCKET`](nhood_telemetry::labels::INTRA_SOCKET), everything
     /// farther is [`HALVING_STEP`](nhood_telemetry::labels::HALVING_STEP)
     /// — the locality split the paper's model predicts, so the recorder's
     /// counters line up with the virtual/threaded executors' phase labels.
-    pub fn run_recorded(
-        &self,
-        schedule: &Schedule,
-        rec: &dyn nhood_telemetry::Recorder,
-    ) -> Result<SimReport, SimError> {
-        self.run_sharded_recorded(schedule, &WorkerPool::serial(), rec)
-    }
-
-    /// [`run_recorded`](Self::run_recorded) with the prepare passes
-    /// sharded across `pool`.
     pub fn run_sharded_recorded(
         &self,
         schedule: &Schedule,
@@ -634,7 +590,6 @@ mod tests {
         let occ = 0.5e-6 + 1e-6; // o + m/β
         assert!((rep.port_busy[0] - (3e-6 + occ)).abs() < 1e-15, "{}", rep.port_busy[0]);
         assert!((rep.port_busy[1] - occ).abs() < 1e-15, "{}", rep.port_busy[1]);
-        assert!(rep.load_imbalance() >= 1.0);
     }
 
     #[test]
@@ -740,7 +695,7 @@ mod tests {
         s.push(3, vec![], vec![msg(2, 3, 100, 2)]);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let rec = nhood_telemetry::CountingRecorder::new(4);
-        let report = engine.run_recorded(&s, &rec).unwrap();
+        let report = engine.run_sharded_recorded(&s, &WorkerPool::serial(), &rec).unwrap();
         assert_eq!(report.makespan, engine.run(&s).unwrap().makespan);
         let totals = rec.totals();
         assert_eq!(totals.msgs_sent, 3);
@@ -751,7 +706,7 @@ mod tests {
         assert_eq!(rec.per_rank(3).msgs_recvd, 1);
         // span replay: one Complete span per message, labelled by locality
         let spans = nhood_telemetry::SpanRecorder::new();
-        engine.run_recorded(&s, &spans).unwrap();
+        engine.run_sharded_recorded(&s, &WorkerPool::serial(), &spans).unwrap();
         let events = spans.events();
         assert_eq!(events.len(), 3);
         let intra =
@@ -809,7 +764,6 @@ mod tests {
         let s = Schedule::new(4);
         let r = Engine::new(&layout, SimConfig::niagara()).run(&s).unwrap();
         assert_eq!(r.makespan, 0.0);
-        assert_eq!(r.mean_finish(), 0.0);
     }
 
     #[test]

@@ -698,7 +698,7 @@ mod tests {
         let s = perm_rounds(8, 3, 11);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let serial_rec = CountingRecorder::new(8);
-        engine.run_recorded(&s, &serial_rec).unwrap();
+        engine.run_sharded_recorded(&s, &WorkerPool::serial(), &serial_rec).unwrap();
         let sharded_rec = CountingRecorder::new(8);
         let pool = WorkerPool::new(4);
         engine.run_sharded_recorded(&s, &pool, &sharded_rec).unwrap();

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Non-test lines per crate: for every src/**/*.rs, the lines before the
+# first `#[cfg(test)]` at column 0 (comments and blanks included — the
+# rule is deliberately too simple to game by reformatting).
+#
+#   scripts/loc.sh           print the table
+#   scripts/loc.sh --check   also fail when a budget below is exceeded
+#
+# Budgets ratchet ROADMAP item 3's gate: the three library crates the
+# deletion sweep targets, and the service, which must not grow. They are
+# the counts PR 15 left behind (13,943 -> 13,675; ISSUE 15 asked for
+# <= 13,540, still open) — lower them when code goes, never raise them.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+SWEEP_BUDGET=13675   # crates/{core,simnet,cli}/src
+SERVICE_BUDGET=1680  # crates/service/src
+
+count() {
+  find "crates/$1/src" -name '*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }'
+}
+
+sweep=0
+for dir in crates/*/; do
+  crate=$(basename "$dir")
+  n=$(count "$crate")
+  printf '%-12s %6d\n' "$crate" "$n"
+  case "$crate" in
+    core | simnet | cli) sweep=$((sweep + n)) ;;
+    service) service=$n ;;
+  esac
+done
+printf '%-12s %6d  (core + simnet + cli; budget %d)\n' sweep "$sweep" "$SWEEP_BUDGET"
+
+if [ "${1:-}" = "--check" ]; then
+  fail=0
+  if [ "$sweep" -gt "$SWEEP_BUDGET" ]; then
+    echo "error: core + simnet + cli hold $sweep non-test lines, budget $SWEEP_BUDGET" >&2
+    fail=1
+  fi
+  if [ "$service" -gt "$SERVICE_BUDGET" ]; then
+    echo "error: service holds $service non-test lines, budget $SERVICE_BUDGET" >&2
+    fail=1
+  fi
+  exit $fail
+fi

@@ -6,15 +6,17 @@
 //! error/fallback — never silently corrupted data, never a hang.**
 //! Every schedule is seeded, so failures reproduce exactly.
 
-use nhood_cluster::ClusterLayout;
+use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_core::builder::BuildError;
-use nhood_core::distributed_builder::build_pattern_distributed_faulty;
+use nhood_core::distributed_builder::build_pattern_distributed_pooled_v;
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::exec::{ExecOptions, Executor, Threaded, Virtual};
 use nhood_core::fault::FaultPlan;
 use nhood_core::lower::lower;
 use nhood_core::BlockArena;
-use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, ExecBackend, RobustPolicy};
+use nhood_core::{
+    Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, ExecBackend, LoadMetric, RobustPolicy,
+};
 use nhood_topology::{MooreSpec, Topology};
 use std::time::{Duration, Instant};
 
@@ -159,7 +161,17 @@ fn negotiation_chaos_yields_valid_pattern_or_typed_timeout() {
         let p = [0.02, 0.05, 0.1, 0.3, 0.6, 0.95][seed as usize % 6];
         let fp = FaultPlan::seeded(seed).with_message_drop(p);
         let t0 = Instant::now();
-        match build_pattern_distributed_faulty(&g, &layout, Some(&fp), Duration::from_millis(400)) {
+        let built = build_pattern_distributed_pooled_v(
+            &g,
+            &layout,
+            Some(&fp),
+            Duration::from_millis(400),
+            &BlockSizes::default(),
+            LoadMetric::Neighbors,
+            &WorkerPool::serial(),
+            &nhood_telemetry::NULL,
+        );
+        match built {
             Ok(pat) => {
                 // a pattern that builds must be fully correct
                 let plan = lower(&pat, &g);

@@ -132,16 +132,22 @@ fn zero_and_large_payloads() {
 }
 
 #[test]
-fn dh_requires_block_placement_but_others_do_not() {
+fn dh_off_block_placement_plans_through_the_reranking() {
     let g = erdos_renyi(16, 0.3, 1);
     let rr = ClusterLayout::new(4, 2, 2).with_placement(Placement::RoundRobinNodes);
+    // the halving builder itself needs rank order to mirror locality...
+    assert_eq!(
+        nhood_core::builder::build_pattern(&g, &rr).unwrap_err(),
+        nhood_core::builder::BuildError::NonBlockPlacement
+    );
+    // ...so the communicator re-ranks into locality order first; naive
+    // and CN are placement-agnostic
     let comm = DistGraphComm::create_adjacent(g.clone(), rr).unwrap();
-    assert!(comm.plan(Algorithm::DistanceHalving).is_err());
-    // naive and CN are placement-agnostic
+    comm.plan(Algorithm::DistanceHalving).unwrap().validate(&g).unwrap();
     let payloads = test_payloads(16, 8, 1);
     let want = reference_allgather(&g, &payloads);
-    for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k: 4 }] {
+    for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k: 4 }, Algorithm::DistanceHalving] {
         let req = CollectiveRequest::allgather(&payloads).algorithm(algo);
-        assert_eq!(comm.collective(&req).unwrap().rbufs, want);
+        assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
     }
 }

@@ -17,7 +17,10 @@ use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::{simulate, SimCost};
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::model::ModelParams;
-use nhood_core::{Algorithm, BlockArena, DistGraphComm, ExecOptions, Executor, Threaded, Virtual};
+use nhood_core::{
+    Algorithm, BlockArena, BlockSizes, CollectiveRequest, DistGraphComm, ExecBackend, ExecOptions,
+    Executor, Threaded, Virtual,
+};
 use nhood_topology::rng::DetRng;
 use nhood_topology::{Bitset, Topology};
 
@@ -194,9 +197,7 @@ fn bitset_matches_btreeset_model() {
 #[test]
 fn alltoall_correct_on_arbitrary_graphs() {
     for_cases(0xA7, |rng| {
-        use nhood_core::alltoall::{
-            plan_dh_alltoall, plan_naive_alltoall, reference_alltoall, run_alltoall_virtual,
-        };
+        use nhood_core::collective::reference_alltoallv;
         let g = arb_graph(rng, 32);
         let n = g.n();
         let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
@@ -210,21 +211,20 @@ fn alltoall_correct_on_arbitrary_graphs() {
                 buf
             })
             .collect();
-        let want = reference_alltoall(&g, &sbufs, m);
-        let naive = plan_naive_alltoall(&g);
-        naive.validate(&g).unwrap();
-        assert_eq!(&run_alltoall_virtual(&naive, &g, &sbufs, m).unwrap(), &want);
-        let pattern = nhood_core::builder::build_pattern(&g, &layout).unwrap();
-        let dh = plan_dh_alltoall(&pattern, &g);
-        dh.validate(&g).unwrap();
-        assert_eq!(&run_alltoall_virtual(&dh, &g, &sbufs, m).unwrap(), &want);
+        let sizes = BlockSizes::uniform(m);
+        let want = reference_alltoallv(&g, &sbufs, &sizes);
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+        for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
+            comm.alltoall_plan(algo).unwrap().validate(&g).unwrap();
+            let req = CollectiveRequest::alltoallv(&sbufs).sizes(sizes.clone()).algorithm(algo);
+            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
+        }
     });
 }
 
 #[test]
 fn reordered_planner_correct_under_any_placement() {
     for_cases(0xA8, |rng| {
-        use nhood_core::remap::plan_distance_halving_reordered;
         let g = arb_graph(rng, 32);
         let round_robin = rng.gen_bool(0.5);
         let n = g.n();
@@ -232,13 +232,15 @@ fn reordered_planner_correct_under_any_placement() {
         if round_robin {
             layout = layout.with_placement(nhood_cluster::Placement::RoundRobinNodes);
         }
-        let plan = plan_distance_halving_reordered(&g, &layout).unwrap();
-        plan.validate(&g).unwrap();
+        // the request path: off block placement `plan(DistanceHalving)`
+        // runs the locality re-ranking, on every backend
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
         let payloads = test_payloads(n, 4, 13);
-        assert_eq!(
-            Virtual.run_simple(&plan, &g, &payloads).unwrap(),
-            reference_allgather(&g, &payloads)
-        );
+        let want = reference_allgather(&g, &payloads);
+        for backend in [ExecBackend::Virtual, ExecBackend::Threaded, ExecBackend::Sim] {
+            let req = CollectiveRequest::allgather(&payloads).backend(backend);
+            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{backend}");
+        }
     });
 }
 
@@ -328,7 +330,7 @@ fn telemetry_counters_agree_across_all_backends() {
     // sees uniform `blocks.len() × m`-byte messages — matches both on
     // message and byte totals.
     for_cases(0xAD, |rng| {
-        use nhood_core::exec::sim_exec::to_schedule;
+        use nhood_core::exec::sim_exec::to_schedule_v;
         use nhood_telemetry::CountingRecorder;
 
         let g = arb_graph(rng, 20);
@@ -354,8 +356,9 @@ fn telemetry_counters_agree_across_all_backends() {
 
         let cost = SimCost::niagara();
         let srec = CountingRecorder::new(n);
+        let schedule = to_schedule_v(&plan, &vec![m; plan.n()], &cost);
         nhood_simnet::Engine::new(&layout, cost.net)
-            .run_recorded(&to_schedule(&plan, m, &cost), &srec)
+            .run_sharded_recorded(&schedule, &nhood_cluster::WorkerPool::serial(), &srec)
             .unwrap();
         let (v, s) = (vrec.totals(), srec.totals());
         assert_eq!(v.msgs_sent, s.msgs_sent, "{algo}: sim message totals diverge");
@@ -414,7 +417,7 @@ fn chrome_trace_json_is_stable_and_well_formed() {
     // Golden-style test: a tiny fixed plan on a deterministic (simulated
     // clock, classic cost) backend must render the same Chrome-tracing
     // JSON every run, and that JSON must be structurally sound.
-    use nhood_core::exec::sim_exec::{to_schedule, SimCost};
+    use nhood_core::exec::sim_exec::{to_schedule_v, SimCost};
     use nhood_simnet::{Engine, NicMode, SimConfig};
     use nhood_telemetry::{chrome_trace_json, SpanRecorder};
 
@@ -426,10 +429,12 @@ fn chrome_trace_json_is_stable_and_well_formed() {
         net: SimConfig::classic(nhood_cluster::HockneyParams::flat(1e-6, 1e9), NicMode::Off),
         memcpy_bytes_per_sec: f64::INFINITY,
     };
-    let schedule = to_schedule(&plan, 8, &cost);
+    let schedule = to_schedule_v(&plan, &vec![8; plan.n()], &cost);
     let render = || {
         let spans = SpanRecorder::new();
-        Engine::new(&layout, cost.net).run_recorded(&schedule, &spans).unwrap();
+        Engine::new(&layout, cost.net)
+            .run_sharded_recorded(&schedule, &nhood_cluster::WorkerPool::serial(), &spans)
+            .unwrap();
         chrome_trace_json(&spans.events())
     };
     let json = render();
