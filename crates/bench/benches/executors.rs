@@ -18,7 +18,7 @@ fn main() {
 
     let group = Bench::group("executors");
     for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k: 8 }, Algorithm::DistanceHalving] {
-        let plan = comm.plan(algo).unwrap();
+        let plan = comm.plan_shared(algo).unwrap();
         let bytes = (plan.total_blocks_sent() * m) as u64;
         group.case(&format!("virtual/{algo}"), 10, bytes, || {
             Virtual.run_simple(&plan, &graph, &payloads).unwrap()

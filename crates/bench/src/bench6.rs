@@ -118,7 +118,7 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
         && {
             let fresh = DistGraphComm::create_adjacent(comm.graph().clone(), layout)
                 .expect("layout fits")
-                .plan(Algorithm::DistanceHalving)
+                .plan_shared(Algorithm::DistanceHalving)
                 .expect("scratch plan");
             Virtual.run_simple(&fresh, comm.graph(), &payloads).expect("scratch run") == want
         };

@@ -39,7 +39,7 @@ mod tests {
     fn mirror_plan_validates_and_executes() {
         let g = erdos_renyi(32, 0.4, 5);
         let layout = ClusterLayout::new(4, 2, 4);
-        let plan = plan_mirror_halving(&g, &layout).unwrap();
+        let plan = std::sync::Arc::new(plan_mirror_halving(&g, &layout).unwrap());
         plan.validate(&g).unwrap();
         let payloads = nhood_core::exec::virtual_exec::test_payloads(32, 8, 1);
         use nhood_core::{Executor, Virtual};

@@ -213,7 +213,7 @@ pub fn cmd_validate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let algo = parse_algo(args)?;
     let metric = parse_load_metric(args)?;
     let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?.with_load_metric(metric);
-    let plan = comm.plan(algo)?;
+    let plan = comm.plan_shared(algo)?;
     plan.validate(&graph).map_err(|e| fail(format!("plan validation failed: {e}")))?;
     writeln!(w, "plan validation: ok (exactly-once delivery holds)")?;
     let payloads = test_payloads(graph.n(), 32, 0xC0FFEE);

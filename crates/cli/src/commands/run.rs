@@ -147,7 +147,7 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let backend = parse_backend(args, ExecBackend::Sim)?;
     let format = args.get("format").unwrap_or("csv");
     let comm = DistGraphComm::create_adjacent(graph.clone(), layout.clone())?;
-    let plan = comm.plan(algo)?;
+    let plan = comm.plan_shared(algo)?;
 
     // Runs the chosen backend once with `rec` observing it.
     let run_backend = |rec: &dyn Recorder| -> Result<(), ArgError> {

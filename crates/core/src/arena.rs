@@ -14,15 +14,33 @@
 //!   of the whole buffer resolves to **one contiguous arena span** — the
 //!   growing-message combine the paper's bandwidth term models.
 //! * Every planned message is pre-resolved to source and destination
-//!   **slot runs**, so at execution time a send is a handful of
+//!   **slot runs** — each [`SendOp`] also names the peer's matching
+//!   [`RecvOp`] — so at execution time a send is a handful of
 //!   `copy_from_slice` calls (usually one) and a receive lands bytes at
 //!   precomputed offsets — no hash lookups, no per-block `Vec`s.
 //! * The receive buffer of each rank is pre-resolved to arena runs too,
 //!   so final assembly is a few large copies in `in_neighbors` order.
 //!
-//! [`BlockArena`] owns the reusable storage. It caches the layout (keyed
-//! by a fingerprint of the plan and topology) and the per-rank buffers,
-//! so a caller executing the same plan repeatedly never reallocates — see [`BlockArena::reallocations`].
+//! [`BlockArena`] owns the reusable storage: the cached layout and the
+//! per-rank buffers, so a caller executing the same plan repeatedly never
+//! reallocates — see [`BlockArena::reallocations`].
+//!
+//! # The warm-path contract
+//!
+//! A layout is a pure function of the plan's programs and the topology's
+//! in-neighbour table, so [`BlockArena::prepare`] serves the cached one
+//! when it is handed **the same plan allocation** (`Arc::ptr_eq`) and an
+//! **equal topology** (a copy is kept; the adjacency tables compare as
+//! four slices) — no hashing, the plan is not read. The arena holds a
+//! clone of the `Arc` it laid out: while that clone lives the allocation
+//! cannot be freed and its address reused by a different plan, and
+//! nobody can `Arc::get_mut` the plan, so pointer identity *is* content
+//! identity (comparing a bare address would be neither). Anything else —
+//! an equal plan in another `Arc`, a plan back from the cache after
+//! churn, a different topology — takes the content path: fingerprint,
+//! reuse the cached layout on an equal [`PlanFingerprint::of_plan`],
+//! otherwise rebuild, with the same typed [`ExecError::MissingBlock`] /
+//! [`ExecError::Undelivered`].
 
 use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
@@ -83,8 +101,10 @@ pub struct SendOp {
     pub tag: u64,
     /// Source slot runs in the sender's arena, in message block order.
     pub runs: Vec<SlotRun>,
-    /// Total blocks in the message.
-    pub blocks: u32,
+    /// The peer's matching [`RecvOp`] as `(phase, index)` into its
+    /// `phases[..].recvs`; `None` when the peer posts no such receive
+    /// (the message goes nowhere, as on the threaded backend).
+    pub dst: Option<(u32, u32)>,
 }
 
 /// A planned message pre-resolved against the **receiver's** arena.
@@ -97,8 +117,6 @@ pub struct RecvOp {
     /// Destination slot runs in the receiver's arena, in message block
     /// order.
     pub runs: Vec<SlotRun>,
-    /// Total blocks in the message.
-    pub blocks: u32,
 }
 
 /// One phase of one rank's program, pre-resolved to arena spans.
@@ -118,15 +136,13 @@ pub struct RankLayout {
     pub slots: Vec<Rank>,
     /// Per-phase pre-resolved operations (lock-step with the plan).
     pub phases: Vec<PhaseOps>,
-    /// Destination runs for every expected incoming message, keyed by
-    /// `(src, tag)` — the threaded backend matches out-of-order arrivals
-    /// against this.
-    pub recv_runs: HashMap<(Rank, u64), Vec<SlotRun>>,
+    /// Where every expected incoming message's [`RecvOp`] sits, keyed by
+    /// `(src, tag)` → `(phase, index)`: the link-time index behind
+    /// [`SendOp::dst`] (no executor hashes at run time).
+    pub recv_at: HashMap<(Rank, u64), (u32, u32)>,
     /// Arena runs that assemble the rank's receive buffer: its
     /// in-neighbors' blocks in `in_neighbors` order.
     pub out_runs: Vec<SlotRun>,
-    /// Blocks in the receive buffer (= in-degree).
-    pub out_blocks: u32,
 }
 
 /// The per-rank flat layout of a [`CollectivePlan`]: every block each
@@ -154,36 +170,6 @@ fn compress_runs(slots: impl IntoIterator<Item = u32>) -> Vec<SlotRun> {
     runs
 }
 
-/// Merges adjacent runs in place (`(s, a)` followed by `(s + a, b)`
-/// becomes `(s, a + b)`) and releases slack capacity. Returns how many
-/// runs were merged away.
-///
-/// [`compress_runs`] already emits maximal runs, so on layouts it builds
-/// this is a pure `shrink_to_fit`; the merge pass is the invariant
-/// enforcement for run lists that arrive from elsewhere (mutated plans,
-/// deserialized layouts, tests that fragment runs on purpose) — every
-/// downstream copy loop does one `copy_from_slice` per run, so maximal
-/// runs are what makes the copy-merge vectorize.
-fn coalesce_runs(runs: &mut Vec<SlotRun>) -> usize {
-    let before = runs.len();
-    let mut w = 0usize;
-    for i in 0..runs.len() {
-        let (s, l) = runs[i];
-        if w > 0 {
-            let (ps, pl) = runs[w - 1];
-            if ps + pl == s {
-                runs[w - 1] = (ps, pl + l);
-                continue;
-            }
-        }
-        runs[w] = (s, l);
-        w += 1;
-    }
-    runs.truncate(w);
-    runs.shrink_to_fit();
-    before - w
-}
-
 /// Builds one rank's complete layout row. A rank's slot assignment is a
 /// pure function of its own program (sends resolve against its own slot
 /// table, receives only grow it), so rows are independently computable —
@@ -195,9 +181,8 @@ fn rank_layout(plan: &CollectivePlan, graph: &Topology, r: Rank) -> Result<RankL
     let mut rl = RankLayout {
         slots: vec![r],
         phases: Vec::with_capacity(phase_count),
-        recv_runs: HashMap::new(),
+        recv_at: HashMap::new(),
         out_runs: Vec::new(),
-        out_blocks: 0,
     };
 
     for (k, phase) in plan.per_rank[r].iter().enumerate() {
@@ -218,7 +203,7 @@ fn rank_layout(plan: &CollectivePlan, graph: &Topology, r: Rank) -> Result<RankL
                 peer: msg.peer,
                 tag: msg.tag,
                 runs: compress_runs(src_slots),
-                blocks: msg.blocks.len() as u32,
+                dst: None,
             });
         }
         // Then receives: first arrival appends a slot at the arena tail
@@ -235,14 +220,8 @@ fn rank_layout(plan: &CollectivePlan, graph: &Topology, r: Rank) -> Result<RankL
                 }
                 dst_slots.push(s);
             }
-            let runs = compress_runs(dst_slots);
-            rl.recv_runs.insert((msg.peer, msg.tag), runs.clone());
-            recv_ops.push(RecvOp {
-                peer: msg.peer,
-                tag: msg.tag,
-                runs,
-                blocks: msg.blocks.len() as u32,
-            });
+            rl.recv_at.insert((msg.peer, msg.tag), (k as u32, recv_ops.len() as u32));
+            recv_ops.push(RecvOp { peer: msg.peer, tag: msg.tag, runs: compress_runs(dst_slots) });
         }
         rl.phases.push(PhaseOps { sends: ops, recvs: recv_ops });
     }
@@ -254,32 +233,22 @@ fn rank_layout(plan: &CollectivePlan, graph: &Topology, r: Rank) -> Result<RankL
         let &s = slot_of.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
         out_slots.push(s);
     }
-    rl.out_blocks = out_slots.len() as u32;
     rl.out_runs = compress_runs(out_slots);
-    rl.coalesce();
     rl.slots.shrink_to_fit();
     Ok(rl)
 }
 
-impl RankLayout {
-    /// Coalesces every run list in this row to maximal adjacent runs and
-    /// releases slack capacity (see `coalesce_runs`). Returns the
-    /// number of runs merged away.
-    pub fn coalesce(&mut self) -> usize {
-        let mut merged = 0;
-        for ph in &mut self.phases {
-            for s in &mut ph.sends {
-                merged += coalesce_runs(&mut s.runs);
-            }
-            for rv in &mut ph.recvs {
-                merged += coalesce_runs(&mut rv.runs);
-            }
+/// Points every send at its receiver's [`RecvOp`] — the one place a
+/// `(src, tag)` key is hashed, so no executor does it per message.
+fn link_sends(ranks: &mut [RankLayout]) {
+    let index: Vec<_> = ranks.iter_mut().map(|rl| std::mem::take(&mut rl.recv_at)).collect();
+    for (r, rl) in ranks.iter_mut().enumerate() {
+        for s in rl.phases.iter_mut().flat_map(|ph| &mut ph.sends) {
+            s.dst = index.get(s.peer).and_then(|at| at.get(&(r, s.tag))).copied();
         }
-        for runs in self.recv_runs.values_mut() {
-            merged += coalesce_runs(runs);
-        }
-        merged += coalesce_runs(&mut self.out_runs);
-        merged
+    }
+    for (rl, at) in ranks.iter_mut().zip(index) {
+        rl.recv_at = at;
     }
 }
 
@@ -293,16 +262,19 @@ impl ArenaLayout {
     /// in-neighbor whose block never arrives — so a corrupt plan fails
     /// at layout time, before any bytes move.
     pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
-        let ranks =
+        #[cfg(test)]
+        tests::FOR_PLAN_CALLS.with(|c| c.set(c.get() + 1));
+        let mut ranks =
             (0..plan.n()).map(|r| rank_layout(plan, graph, r)).collect::<Result<Vec<_>, _>>()?;
+        link_sends(&mut ranks);
         Ok(Self { ranks, phase_count: plan.phase_count() })
     }
 
-    /// Rebuilds only the rows in `changed_ranks` against a mutated plan,
-    /// leaving every other row untouched. Correct because a row is a
-    /// pure function of its own rank's program (`rank_layout`) — the
-    /// caller guarantees ranks outside the list have bitwise-equal
-    /// programs and unchanged in-neighbor lists.
+    /// Rebuilds only the rows in `changed_ranks` against a mutated plan
+    /// (every other row keeps its slots and runs), then re-links all
+    /// sends. Correct because a row is a pure function of its own rank's
+    /// program (`rank_layout`) — the caller guarantees ranks outside the
+    /// list have bitwise-equal programs and unchanged in-neighbor lists.
     pub fn repair(
         &self,
         plan: &CollectivePlan,
@@ -314,21 +286,13 @@ impl ArenaLayout {
         for &r in changed_ranks {
             out.ranks[r] = rank_layout(plan, graph, r)?;
         }
+        link_sends(&mut out.ranks);
         Ok(out)
     }
 
     /// Number of ranks.
     pub fn n(&self) -> usize {
         self.ranks.len()
-    }
-
-    /// Coalesces every run list in the layout to maximal adjacent runs
-    /// (the build path already produces maximal runs, so this is free on
-    /// layouts from [`ArenaLayout::for_plan`]; it restores the invariant
-    /// on layouts fragmented by external mutation). Returns the number
-    /// of runs merged away.
-    pub fn coalesce(&mut self) -> usize {
-        self.ranks.iter_mut().map(RankLayout::coalesce).sum()
     }
 
     /// Fraction of send operations that resolved to a **single**
@@ -389,11 +353,22 @@ impl ArenaLayout {
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct BlockArena {
-    key: Option<PlanFingerprint>,
-    layout: Option<Arc<ArenaLayout>>,
+    warm: Option<Warm>,
     bufs: Vec<Vec<u8>>,
     spare_rbufs: Vec<Vec<u8>>,
     reallocations: u64,
+}
+
+/// The layout a [`BlockArena`] serves and what it was laid out for (see
+/// the module docs' warm-path contract).
+#[derive(Debug)]
+struct Warm {
+    /// Held, not merely compared against: keeps the address from being
+    /// reused and the plan from being mutated while it is the identity.
+    plan: Arc<CollectivePlan>,
+    graph: Topology,
+    key: PlanFingerprint,
+    layout: Arc<ArenaLayout>,
 }
 
 impl BlockArena {
@@ -409,19 +384,19 @@ impl BlockArena {
         self.reallocations
     }
 
-    /// Returns the layout for `plan`, rebuilding it only when the
-    /// (plan, topology) fingerprint changed since the last call.
+    /// Returns the layout for `plan` on `graph`: the cached one, without
+    /// reading the plan, when this is the plan allocation it was built
+    /// for on an equal topology; otherwise by content (see the module
+    /// docs' warm-path contract).
     pub fn prepare(
         &mut self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
     ) -> Result<Arc<ArenaLayout>, ExecError> {
-        let key = PlanFingerprint::of_plan(plan, graph);
-        if self.key != Some(key) || self.layout.is_none() {
-            self.layout = Some(Arc::new(ArenaLayout::for_plan(plan, graph)?));
-            self.key = Some(key);
+        match &self.warm {
+            Some(w) if Arc::ptr_eq(&w.plan, plan) && w.graph == *graph => Ok(Arc::clone(&w.layout)),
+            _ => self.by_content(plan, graph, None),
         }
-        Ok(Arc::clone(self.layout.as_ref().expect("layout just set")))
     }
 
     /// Like [`prepare`](Self::prepare), but after a plan mutation whose
@@ -434,64 +409,63 @@ impl BlockArena {
     /// gets this from the repair engine's changed-rank report.
     pub fn repair(
         &mut self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         changed_ranks: &[Rank],
     ) -> Result<Arc<ArenaLayout>, ExecError> {
+        self.by_content(plan, graph, Some(changed_ranks))
+    }
+
+    /// The content path: the cached layout on an equal fingerprint, the
+    /// cached layout patched at `changed` when the caller vouches for
+    /// the other rows, a full build otherwise. Re-pins the arena to
+    /// `plan`, so the next call with this `Arc` is warm. An error leaves
+    /// the arena as it was.
+    fn by_content(
+        &mut self,
+        plan: &Arc<CollectivePlan>,
+        graph: &Topology,
+        changed: Option<&[Rank]>,
+    ) -> Result<Arc<ArenaLayout>, ExecError> {
         let key = PlanFingerprint::of_plan(plan, graph);
-        if self.key == Some(key) {
-            if let Some(layout) = &self.layout {
-                return Ok(Arc::clone(layout));
+        let layout = match (&self.warm, changed) {
+            (Some(w), _) if w.key == key => Arc::clone(&w.layout),
+            (Some(w), Some(changed))
+                if w.layout.n() == plan.n() && w.layout.phase_count == plan.phase_count() =>
+            {
+                Arc::new(w.layout.repair(plan, graph, changed)?)
             }
-        }
-        let patchable = self
-            .layout
-            .as_ref()
-            .is_some_and(|l| l.n() == plan.n() && l.phase_count == plan.phase_count());
-        let layout = if patchable {
-            let base = self.layout.as_ref().expect("patchable implies cached");
-            Arc::new(base.repair(plan, graph, changed_ranks)?)
-        } else {
-            Arc::new(ArenaLayout::for_plan(plan, graph)?)
+            _ => Arc::new(ArenaLayout::for_plan(plan, graph)?),
         };
-        self.layout = Some(Arc::clone(&layout));
-        self.key = Some(key);
+        let (plan, graph) = (Arc::clone(plan), graph.clone());
+        self.warm = Some(Warm { plan, graph, key, layout: Arc::clone(&layout) });
         Ok(layout)
     }
 
     /// Sizes the per-rank arena buffers for this execution's byte
-    /// extents and copies each rank's own payload into slot 0. Reuses
-    /// capacity; growth bumps the reallocation counter.
+    /// extents, copies each rank's own payload into slot 0 and moves the
+    /// buffers out for the run (hand them back through
+    /// [`restore_bufs`](Self::restore_bufs)). Reuses capacity; growth
+    /// bumps the reallocation counter.
     pub(crate) fn fill(
         &mut self,
         layout: &ArenaLayout,
         payloads: &[Vec<u8>],
         exts: &[SlotExtents],
-    ) {
-        let n = layout.n();
-        if self.bufs.len() != n {
-            self.bufs.resize_with(n, Vec::new);
-        }
-        for (r, buf) in self.bufs.iter_mut().enumerate() {
+    ) -> Vec<Vec<u8>> {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        bufs.resize_with(layout.n(), Vec::new);
+        for (r, buf) in bufs.iter_mut().enumerate() {
             let want = exts[r].offset(layout.ranks[r].slots.len());
-            if want > buf.capacity() {
-                self.reallocations += 1;
-            }
+            self.reallocations += u64::from(want > buf.capacity());
             buf.resize(want, 0);
-            let own = payloads[r].len();
-            buf[..own].copy_from_slice(&payloads[r]);
+            buf[..payloads[r].len()].copy_from_slice(&payloads[r]);
         }
+        bufs
     }
 
-    /// Moves the per-rank buffers out (the threaded backend hands each
-    /// rank thread ownership of its own arena). Pair with
-    /// [`restore_bufs`](Self::restore_bufs).
-    pub(crate) fn take_bufs(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.bufs)
-    }
-
-    /// Returns buffers taken by [`take_bufs`](Self::take_bufs) so the
-    /// next execution reuses their capacity.
+    /// Returns the buffers [`fill`](Self::fill) moved out, so the next
+    /// execution reuses their capacity.
     pub(crate) fn restore_bufs(&mut self, bufs: Vec<Vec<u8>>) {
         self.bufs = bufs;
     }
@@ -542,6 +516,15 @@ mod tests {
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
+    thread_local! {
+        /// [`ArenaLayout::for_plan`] calls made by the current test thread.
+        pub(super) static FOR_PLAN_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn for_plan_calls() -> u64 {
+        FOR_PLAN_CALLS.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn compress_runs_merges_consecutive() {
         assert_eq!(compress_runs([0, 1, 2, 4, 5, 9]), vec![(0, 3), (4, 2), (9, 1)]);
@@ -574,12 +557,13 @@ mod tests {
     #[test]
     fn naive_layout_holds_own_plus_in_neighbors() {
         let g = erdos_renyi(16, 0.5, 3);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let al = ArenaLayout::for_plan(&plan, &g).unwrap();
         for (r, rl) in al.ranks.iter().enumerate() {
             assert_eq!(rl.slots.len(), 1 + g.indegree(r), "rank {r}");
             assert_eq!(rl.slots[0], r);
-            assert_eq!(rl.out_blocks as usize, g.indegree(r));
+            let delivered: u32 = rl.out_runs.iter().map(|&(_, l)| l).sum();
+            assert_eq!(delivered as usize, g.indegree(r));
         }
     }
 
@@ -609,42 +593,100 @@ mod tests {
     #[test]
     fn arena_caches_layout_by_fingerprint() {
         let g = erdos_renyi(12, 0.4, 1);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let mut arena = BlockArena::new();
         let l1 = arena.prepare(&plan, &g).unwrap();
+        let built = for_plan_calls();
         let l2 = arena.prepare(&plan, &g).unwrap();
         assert!(Arc::ptr_eq(&l1, &l2), "same plan must reuse the cached layout");
+        // equal content in another allocation is the same layout too
+        let twin = Arc::new(plan_naive(&g));
+        let l3 = arena.prepare(&twin, &g.clone()).unwrap();
+        assert!(Arc::ptr_eq(&l1, &l3), "equal content must reuse the cached layout");
+        assert_eq!(for_plan_calls(), built, "warm and equal-content calls lay nothing out");
         // a different plan rebuilds
-        let plan2 = plan_naive(&erdos_renyi(12, 0.6, 2));
-        let l3 = arena.prepare(&plan2, &erdos_renyi(12, 0.6, 2)).unwrap();
-        assert!(!Arc::ptr_eq(&l1, &l3));
+        let g2 = erdos_renyi(12, 0.6, 2);
+        let l4 = arena.prepare(&Arc::new(plan_naive(&g2)), &g2).unwrap();
+        assert!(!Arc::ptr_eq(&l1, &l4));
+        assert_eq!(for_plan_calls(), built + 1);
+    }
+
+    #[test]
+    fn a_freed_plan_address_never_serves_a_stale_layout() {
+        // Same graph, so only plan identity separates the two layouts;
+        // `Arc<CollectivePlan>` boxes are one size, so an allocator that
+        // got the old box back would hand its address to the next plan.
+        let g = erdos_renyi(12, 0.4, 1);
+        let nth = |i: usize| match i % 2 {
+            0 => plan_naive(&g),
+            _ => crate::common_neighbor::plan_common_neighbor(&g, 4),
+        };
+        let mut arena = BlockArena::new();
+        let first = Arc::new(nth(0));
+        arena.prepare(&first, &g).unwrap();
+        let mut freed = Arc::as_ptr(&first);
+        drop(first);
+        for i in 1..=1000 {
+            let plan = Arc::new(nth(i));
+            let reused = Arc::as_ptr(&plan) == freed;
+            let got = arena.prepare(&plan, &g).unwrap();
+            assert_layout_eq(&got, &ArenaLayout::for_plan(&plan, &g).unwrap());
+            assert!(!reused, "the arena held the plan at {freed:?}, yet try {i} got its address");
+            freed = Arc::as_ptr(&plan);
+        }
+    }
+
+    #[test]
+    fn same_plan_on_another_topology_matches_a_cold_arena() {
+        let g = erdos_renyi(12, 0.4, 1);
+        let plan = Arc::new(plan_naive(&g));
+        let (u, v) = g.edges().next().unwrap();
+        let fewer = Topology::from_edges(12, g.edges().filter(|&e| e != (u, v)));
+        let spare = (0..12).find(|&w| w != v && !g.has_edge(w, v)).unwrap();
+        let more = Topology::from_edges(12, g.edges().chain([(spare, v)]));
+        let mut arena = BlockArena::new();
+        for graph in [&g, &fewer, &more, &g, &Topology::from_edges(13, g.edges())] {
+            let warm = arena.prepare(&plan, graph);
+            match (warm, BlockArena::new().prepare(&plan, graph)) {
+                (Ok(w), Ok(c)) => assert_layout_eq(&w, &c),
+                (w, c) => assert_eq!(w.err(), c.err()),
+            }
+        }
+        // `more` wants a block the plan never delivers: typed, not stale
+        assert_eq!(
+            arena.prepare(&plan, &more).unwrap_err(),
+            ExecError::Undelivered { rank: v, block: spare }
+        );
     }
 
     #[test]
     fn fill_reuses_capacity() {
         let g = erdos_renyi(10, 0.5, 9);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let mut arena = BlockArena::new();
         let layout = arena.prepare(&plan, &g).unwrap();
         let payloads: Vec<Vec<u8>> = (0..10).map(|r| vec![r as u8; 64]).collect();
         let exts = layout.extents(&BlockSizes::Uniform(64));
-        arena.fill(&layout, &payloads, &exts);
+        let bufs = arena.fill(&layout, &payloads, &exts);
+        arena.restore_bufs(bufs);
         let after_first = arena.reallocations();
         assert!(after_first > 0);
         for _ in 0..10 {
-            arena.fill(&layout, &payloads, &exts);
+            let bufs = arena.fill(&layout, &payloads, &exts);
+            arena.restore_bufs(bufs);
         }
         assert_eq!(arena.reallocations(), after_first, "refills must not grow buffers");
         // smaller m also fits in place
         let small: Vec<Vec<u8>> = (0..10).map(|r| vec![r as u8; 8]).collect();
-        arena.fill(&layout, &small, &layout.extents(&BlockSizes::Uniform(8)));
+        let bufs = arena.fill(&layout, &small, &layout.extents(&BlockSizes::Uniform(8)));
+        arena.restore_bufs(bufs);
         assert_eq!(arena.reallocations(), after_first);
     }
 
     #[test]
     fn ragged_extents_prefix_sums_follow_slot_order() {
         let g = erdos_renyi(10, 0.5, 9);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let al = ArenaLayout::for_plan(&plan, &g).unwrap();
         let sizes = BlockSizes::per_rank((0..10).map(|r| r * 3 % 7).collect());
         let exts = al.extents(&sizes);
@@ -666,32 +708,23 @@ mod tests {
     }
 
     /// Structural equality for layouts (the op types don't derive
-    /// `PartialEq`, and `recv_runs` iteration order is unstable).
+    /// `PartialEq`).
     fn assert_layout_eq(a: &ArenaLayout, b: &ArenaLayout) {
         assert_eq!(a.phase_count, b.phase_count);
         assert_eq!(a.n(), b.n());
         for (r, (x, y)) in a.ranks.iter().zip(&b.ranks).enumerate() {
             assert_eq!(x.slots, y.slots, "rank {r} slots");
             assert_eq!(x.out_runs, y.out_runs, "rank {r} out_runs");
-            assert_eq!(x.out_blocks, y.out_blocks, "rank {r} out_blocks");
             assert_eq!(x.phases.len(), y.phases.len(), "rank {r} phases");
             for (k, (px, py)) in x.phases.iter().zip(&y.phases).enumerate() {
-                let sx: Vec<_> =
-                    px.sends.iter().map(|s| (s.peer, s.tag, &s.runs, s.blocks)).collect();
-                let sy: Vec<_> =
-                    py.sends.iter().map(|s| (s.peer, s.tag, &s.runs, s.blocks)).collect();
+                let sx: Vec<_> = px.sends.iter().map(|s| (s.peer, s.tag, &s.runs, s.dst)).collect();
+                let sy: Vec<_> = py.sends.iter().map(|s| (s.peer, s.tag, &s.runs, s.dst)).collect();
                 assert_eq!(sx, sy, "rank {r} phase {k} sends");
-                let rx: Vec<_> =
-                    px.recvs.iter().map(|s| (s.peer, s.tag, &s.runs, s.blocks)).collect();
-                let ry: Vec<_> =
-                    py.recvs.iter().map(|s| (s.peer, s.tag, &s.runs, s.blocks)).collect();
+                let rx: Vec<_> = px.recvs.iter().map(|s| (s.peer, s.tag, &s.runs)).collect();
+                let ry: Vec<_> = py.recvs.iter().map(|s| (s.peer, s.tag, &s.runs)).collect();
                 assert_eq!(rx, ry, "rank {r} phase {k} recvs");
             }
-            let mut mx: Vec<_> = x.recv_runs.iter().collect();
-            let mut my: Vec<_> = y.recv_runs.iter().collect();
-            mx.sort_by_key(|(k, _)| **k);
-            my.sort_by_key(|(k, _)| **k);
-            assert_eq!(mx, my, "rank {r} recv_runs");
+            assert_eq!(x.recv_at, y.recv_at, "rank {r} recv_at");
         }
     }
 
@@ -701,7 +734,7 @@ mod tests {
         let g = erdos_renyi(48, 0.3, 17);
         let layout = ClusterLayout::new(6, 2, 4);
         let pat = build_pattern(&g, &layout).unwrap();
-        let plan = lower(&pat, &g);
+        let plan = Arc::new(lower(&pat, &g));
 
         let mut arena = BlockArena::new();
         let before = arena.prepare(&plan, &g).unwrap();
@@ -717,23 +750,24 @@ mod tests {
             g.edges().filter(|&e| e != gone).chain(std::iter::once(grown)),
         );
         let rep = repair_for_churn(&pat, &plan, &g2, &[grown], &[gone]).unwrap();
+        let repaired = Arc::new(rep.plan);
 
-        let patched = arena.repair(&rep.plan, &g2, &rep.changed_ranks).unwrap();
+        let patched = arena.repair(&repaired, &g2, &rep.changed_ranks).unwrap();
         assert!(!Arc::ptr_eq(&before, &patched), "churn must produce a new layout");
-        assert_layout_eq(&patched, &ArenaLayout::for_plan(&rep.plan, &g2).unwrap());
+        assert_layout_eq(&patched, &ArenaLayout::for_plan(&repaired, &g2).unwrap());
 
         // same (plan, graph) again: the patched layout is now cached
-        let again = arena.repair(&rep.plan, &g2, &[]).unwrap();
+        let again = arena.repair(&repaired, &g2, &[]).unwrap();
         assert!(Arc::ptr_eq(&patched, &again));
         // and prepare() agrees it is current
-        let prep = arena.prepare(&rep.plan, &g2).unwrap();
+        let prep = arena.prepare(&repaired, &g2).unwrap();
         assert!(Arc::ptr_eq(&patched, &prep));
     }
 
     #[test]
     fn repair_without_cached_layout_falls_back_to_full_build() {
         let g = erdos_renyi(12, 0.4, 4);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let mut arena = BlockArena::new();
         let l = arena.repair(&plan, &g, &[0, 1]).unwrap();
         assert_layout_eq(&l, &ArenaLayout::for_plan(&plan, &g).unwrap());
@@ -754,43 +788,21 @@ mod tests {
                     shatter(&mut rv.runs);
                 }
             }
-            for runs in rl.recv_runs.values_mut() {
-                shatter(runs);
-            }
             shatter(&mut rl.out_runs);
         }
     }
 
-    /// A [`BlockArena`] pre-seeded with a specific layout for (plan,
-    /// graph), so executors use it instead of rebuilding.
+    /// A [`BlockArena`] warm for (plan, graph) but serving `layout`, so
+    /// executors use it instead of rebuilding.
     fn arena_with_layout(
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         layout: ArenaLayout,
     ) -> BlockArena {
-        BlockArena {
-            key: Some(PlanFingerprint::of_plan(plan, graph)),
-            layout: Some(Arc::new(layout)),
-            ..BlockArena::default()
-        }
-    }
-
-    #[test]
-    fn coalesce_restores_maximal_runs() {
-        let g = erdos_renyi(24, 0.4, 21);
-        let cl = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &cl).unwrap(), &g);
-        let base = ArenaLayout::for_plan(&plan, &g).unwrap();
-
-        // the build path already produces maximal runs: nothing to merge
-        let mut b = base.clone();
-        assert_eq!(b.coalesce(), 0, "for_plan runs must already be maximal");
-
-        let mut frag = base.clone();
-        fragment_layout(&mut frag);
-        let merged = frag.coalesce();
-        assert!(merged > 0, "fragmented layout must have mergeable runs");
-        assert_layout_eq(&frag, &base);
+        let mut arena = BlockArena::new();
+        arena.prepare(plan, graph).unwrap();
+        arena.warm.as_mut().unwrap().layout = Arc::new(layout);
+        arena
     }
 
     #[test]
@@ -801,7 +813,7 @@ mod tests {
         use crate::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
         let g = erdos_renyi(24, 0.4, 21);
         let cl = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &cl).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &cl).unwrap(), &g));
         let mut frag = ArenaLayout::for_plan(&plan, &g).unwrap();
         fragment_layout(&mut frag);
 

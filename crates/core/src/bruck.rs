@@ -180,13 +180,14 @@ mod tests {
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{Executor, Virtual};
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     #[test]
     fn validates_and_matches_reference() {
         for (n, delta) in [(32usize, 0.3), (24, 0.7), (36, 0.1), (17, 0.4), (64, 0.6), (5, 0.9)] {
             let g = erdos_renyi(n, delta, 42);
             let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-            let plan = plan_bruck(&g, &layout);
+            let plan = Arc::new(plan_bruck(&g, &layout));
             plan.validate(&g).unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
             let payloads = test_payloads(n, 8, 1);
             let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();

@@ -858,6 +858,28 @@ mod tests {
         ));
     }
 
+    /// `plan(algo)` on a round-robin layout, which the node-hierarchical
+    /// routers cannot serve.
+    fn plan_off_block_placement(algo: Algorithm) -> Result<CollectivePlan, CommError> {
+        use nhood_cluster::Placement;
+        let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
+        DistGraphComm::create_adjacent(erdos_renyi(32, 0.4, 21), layout).unwrap().plan(algo)
+    }
+
+    #[test]
+    fn bruck_off_block_placement_is_refused_typed() {
+        // regression: tripped the `assert_eq!` in `plan_bruck`
+        let got = plan_off_block_placement(Algorithm::Bruck);
+        assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
+    }
+
+    #[test]
+    fn hierarchical_leader_off_block_placement_is_refused_typed() {
+        // regression: tripped the `assert_eq!` in `plan_hierarchical_leader`
+        let got = plan_off_block_placement(Algorithm::HierarchicalLeader { leaders_per_node: 2 });
+        assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
+    }
+
     #[test]
     fn plan_exposes_selection_stats_only_for_dh() {
         let c = comm(32, 0.3);

@@ -100,6 +100,13 @@ impl DistGraphComm {
                 rec.span_end(0, labels::PLAN_LOWER);
                 plan
             }
+            // The node-hierarchical routers read node membership off the
+            // rank number and have no re-ranking path.
+            Algorithm::HierarchicalLeader { .. } | Algorithm::Bruck
+                if self.layout.placement() != Placement::Block =>
+            {
+                return Err(BuildError::NonBlockPlacement.into());
+            }
             Algorithm::HierarchicalLeader { leaders_per_node } => {
                 crate::leader::plan_hierarchical_leader(&self.graph, &self.layout, leaders_per_node)
             }

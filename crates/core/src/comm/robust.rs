@@ -21,6 +21,7 @@ use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
 use nhood_topology::Rank;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Robustness knobs of a communicator: timeouts, the retry policy of the
@@ -178,7 +179,7 @@ impl DistGraphComm {
     /// exposed to injected faults; every other algorithm plans as
     /// [`Self::plan`].
     pub fn robust_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.robust_plan_with_pattern(algo, &NULL).map(|(plan, _)| plan)
+        self.robust_plan_with_pattern(algo, &NULL).map(|(plan, _)| Arc::unwrap_or_clone(plan))
     }
 
     /// The planning path of the robust collective, keeping the built
@@ -191,14 +192,14 @@ impl DistGraphComm {
         &self,
         algo: Algorithm,
         rec: &dyn Recorder,
-    ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
+    ) -> Result<(Arc<CollectivePlan>, Option<DhPattern>), CommError> {
         if algo != Algorithm::DistanceHalving {
-            return Ok((self.plan(algo)?, None));
+            return Ok((Arc::new(self.plan(algo)?), None));
         }
         let sizes = self.planning_sizes();
         // A live churn slot IS the current plan — no negotiation.
         if let Some(slot) = self.live_slot(&sizes, rec) {
-            return Ok(((*slot.plan).clone(), Some((*slot.pattern).clone())));
+            return Ok((Arc::clone(&slot.plan), Some((*slot.pattern).clone())));
         }
         let pattern = build_pattern_distributed_pooled_v(
             &self.graph,
@@ -210,7 +211,7 @@ impl DistGraphComm {
             &self.build_pool,
             rec,
         )?;
-        Ok((self.lower_checked(&pattern, &self.graph)?, Some(pattern)))
+        Ok((Arc::new(self.lower_checked(&pattern, &self.graph)?), Some(pattern)))
     }
 
     /// The one degradation decision of the robust path: a failed attempt
@@ -291,7 +292,7 @@ impl DistGraphComm {
                 // The naive plan under the same faults and policy. The
                 // shared sink already accumulated the failed attempts'
                 // tallies, so the outcome's snapshot is the complete count.
-                let naive = self.plan(Algorithm::Naive)?;
+                let naive = Arc::new(self.plan(Algorithm::Naive)?);
                 Threaded.run(&naive, &self.graph, payloads, &mut arena, &opts)?
             }
         };
@@ -311,7 +312,7 @@ impl DistGraphComm {
     /// are tallied in `report`; only an unrepairable failure returns.
     fn run_self_healing(
         &self,
-        mut plan: CollectivePlan,
+        mut plan: Arc<CollectivePlan>,
         mut pattern: Option<DhPattern>,
         payloads: &[Vec<u8>],
         arena: &mut BlockArena,
@@ -368,9 +369,9 @@ impl DistGraphComm {
             report.completeness = rep.completeness;
             // Patch only the arena rows the repair touched; a failed
             // patch just leaves the run to rebuild the layout itself.
-            let _ = arena.repair(&rep.plan, &rep.exec_graph, &rep.changed_ranks);
+            plan = Arc::new(rep.plan);
+            let _ = arena.repair(&plan, &rep.exec_graph, &rep.changed_ranks);
             exec_graph = rep.exec_graph;
-            plan = rep.plan;
             pattern = Some(rep.pattern);
         }
     }

@@ -626,7 +626,7 @@ mod tests {
 
     fn check(graph: &Topology, layout: &ClusterLayout) -> DhPattern {
         let pat = build_pattern_distributed(graph, layout).expect("builds");
-        let plan = lower(&pat, graph);
+        let plan = Arc::new(lower(&pat, graph));
         plan.validate(graph).expect("exactly-once delivery");
         let payloads = test_payloads(graph.n(), 8, 3);
         let got = Virtual.run_simple(&plan, graph, &payloads).expect("executes");
@@ -708,7 +708,7 @@ mod tests {
             .with_message_delay(0.1, Duration::from_micros(300));
         let pat = build_faulty(&g, &layout, &fp, Duration::from_secs(10))
             .expect("survivable schedule must build");
-        let plan = lower(&pat, &g);
+        let plan = Arc::new(lower(&pat, &g));
         plan.validate(&g).expect("exactly-once delivery");
         let payloads = test_payloads(24, 8, 3);
         let got = Virtual.run_simple(&plan, &g, &payloads).expect("executes");

@@ -24,6 +24,7 @@ use crate::plan::{Algorithm, CollectivePlan};
 use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use sim_exec::Sim;
@@ -202,10 +203,12 @@ pub trait Executor {
 
     /// Executes `plan` over `payloads`, using `arena` as the reusable
     /// zero-copy workspace (layout cache + flat buffers; ignored by the
-    /// simulated backend).
+    /// simulated backend). The plan comes as the `Arc` it is shared
+    /// under because that allocation is the arena's warm-path identity
+    /// (see [`BlockArena::prepare`]).
     fn run(
         &self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         payloads: &[Vec<u8>],
         arena: &mut BlockArena,
@@ -216,7 +219,7 @@ pub trait Executor {
     /// buffers only.
     fn run_simple(
         &self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>, ExecError> {

@@ -13,6 +13,7 @@ use crate::plan::CollectivePlan;
 use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_simnet::{Engine, Msg, Phase, Schedule, SimConfig, SimError, SimReport};
 use nhood_topology::Topology;
+use std::sync::Arc;
 
 /// Cost knobs of the simulated execution.
 #[derive(Clone, Copy, Debug)]
@@ -93,7 +94,7 @@ impl Executor for Sim {
 
     fn run(
         &self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         _graph: &Topology,
         payloads: &[Vec<u8>],
         _arena: &mut BlockArena,
@@ -289,7 +290,7 @@ mod tests {
     fn recorded_sim_matches_plan_statics() {
         let g = erdos_renyi(16, 0.4, 3);
         let layout = ClusterLayout::new(2, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let m = 64;
         let rec = nhood_telemetry::CountingRecorder::new(plan.n());
         let sim = Sim::new(layout).message_size(m);
@@ -310,7 +311,7 @@ mod tests {
     fn trait_run_agrees_with_free_functions() {
         let g = erdos_renyi(24, 0.4, 6);
         let layout = ClusterLayout::new(2, 2, 6);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let cost = SimCost::niagara();
         let m = 4096;
         let direct = simulate(&plan, &layout, m, &cost).unwrap();
@@ -338,7 +339,7 @@ mod tests {
     fn derives_message_size_from_payloads_when_unset() {
         let g = erdos_renyi(12, 0.5, 4);
         let layout = ClusterLayout::new(2, 2, 3);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads: Vec<Vec<u8>> = vec![vec![0u8; 256]; 12];
         let sim = Sim::new(layout.clone());
         let got = sim
@@ -354,7 +355,7 @@ mod tests {
     fn threaded_sim_is_bit_identical_to_serial() {
         let g = erdos_renyi(48, 0.3, 9);
         let layout = ClusterLayout::new(4, 2, 6);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let serial = Sim::new(layout.clone()).message_size(512);
         let sharded = Sim::new(layout).message_size(512).threads(4);
         let a = serial

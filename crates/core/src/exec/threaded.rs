@@ -148,7 +148,7 @@ impl Executor for Threaded {
 
     fn run(
         &self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         payloads: &[Vec<u8>],
         arena: &mut BlockArena,
@@ -294,7 +294,7 @@ fn collect_rank_results(
 
 /// The zero-copy arena engine: each rank thread owns its flat buffer.
 fn run_arena(
-    plan: &CollectivePlan,
+    plan: &Arc<CollectivePlan>,
     graph: &Topology,
     payloads: &[Vec<u8>],
     sizes: &BlockSizes,
@@ -497,7 +497,7 @@ mod tests {
 
     /// Runs the plan and checks the buffers against the definition.
     fn run_checked(
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         g: &Topology,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>, ExecError> {
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn naive_threaded_matches_reference() {
         let g = erdos_renyi(16, 0.4, 1);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(16, 32, 2);
         let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
@@ -519,7 +519,7 @@ mod tests {
     fn distance_halving_threaded_matches_virtual() {
         let g = erdos_renyi(24, 0.4, 8);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(24, 16, 9);
         let threaded = run_checked(&plan, &g, &payloads).unwrap();
         let virt = Virtual.run_simple(&plan, &g, &payloads).unwrap();
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn common_neighbor_threaded_matches_reference() {
         let g = erdos_renyi(20, 0.5, 4);
-        let plan = plan_common_neighbor(&g, 4);
+        let plan = Arc::new(plan_common_neighbor(&g, 4));
         let payloads = test_payloads(20, 8, 1);
         let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
@@ -541,6 +541,7 @@ mod tests {
         let g = Topology::from_edges(2, [(0, 1)]);
         let mut plan = plan_naive(&g);
         plan.per_rank[0][0].sends.clear(); // rank 1 will wait forever
+        let plan = Arc::new(plan);
         let payloads = test_payloads(2, 4, 0);
         let opts = ExecOptions::new().recv_timeout(Duration::from_millis(50));
         let err = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap_err();
@@ -550,7 +551,7 @@ mod tests {
     #[test]
     fn link_down_fails_typed_and_is_counted_in_sink() {
         let g = erdos_renyi(16, 0.5, 7);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         // Pick a directed edge the naive plan actually sends over.
         let (src, dst) = {
             let msg = plan.per_rank.iter().enumerate().find_map(|(r, prog)| {
@@ -577,7 +578,7 @@ mod tests {
         // Even though run() errors, the caller-provided sink keeps the
         // injected-fault tally.
         let g = Topology::from_edges(2, [(0, 1), (1, 0)]);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let fp = FaultPlan::seeded(2).with_link_down(0, 1, 0);
         let payloads = test_payloads(2, 4, 1);
         let sink = FaultStats::default();
@@ -599,7 +600,7 @@ mod tests {
         let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
         // rank 2 expects 0's block in phase 0 and 1's in phase 1; but rank
         // 1 sends immediately. Its message arrives "early".
-        let plan = crate::plan::CollectivePlan {
+        let plan = Arc::new(crate::plan::CollectivePlan {
             algorithm: crate::plan::Algorithm::Naive,
             per_rank: vec![
                 vec![
@@ -632,7 +633,7 @@ mod tests {
                 ],
             ],
             selection: None,
-        };
+        });
         let payloads = test_payloads(3, 4, 3);
         for _ in 0..20 {
             let got = run_checked(&plan, &g, &payloads).unwrap();
@@ -643,7 +644,7 @@ mod tests {
     #[test]
     fn empty_communicator() {
         let g = Topology::from_edges(0, []);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         assert!(Threaded.run_simple(&plan, &g, &[]).unwrap().is_empty());
     }
 
@@ -653,7 +654,7 @@ mod tests {
         // shared arena (checks cross-run state is reset correctly)
         let g = erdos_renyi(48, 0.3, 13);
         let layout = ClusterLayout::new(4, 2, 6);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(48, 8, 4);
         let want = reference_allgather(&g, &payloads);
         let mut arena = BlockArena::new();
@@ -668,7 +669,7 @@ mod tests {
     #[test]
     fn retries_recover_from_dropped_messages() {
         let g = erdos_renyi(16, 0.4, 3);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(16, 8, 6);
         let fp = FaultPlan::seeded(77).with_message_drop(0.2);
         let rec = nhood_telemetry::CountingRecorder::new(16);
@@ -690,7 +691,7 @@ mod tests {
     fn recorder_counts_agree_with_virtual_executor() {
         let g = erdos_renyi(20, 0.4, 7);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(20, 16, 9);
         let vrec = nhood_telemetry::CountingRecorder::new(20);
         let vopts = ExecOptions::new().recorder(&vrec);
@@ -708,7 +709,7 @@ mod tests {
     fn span_recorder_sees_balanced_phase_spans() {
         let g = erdos_renyi(12, 0.4, 2);
         let layout = ClusterLayout::new(2, 2, 3);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(12, 8, 0);
         let rec = nhood_telemetry::SpanRecorder::new();
         let opts = ExecOptions::new().recorder(&rec);
@@ -727,7 +728,7 @@ mod tests {
     fn duplicates_and_reorders_are_harmless() {
         let g = erdos_renyi(20, 0.4, 5);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(20, 8, 11);
         let fp = FaultPlan::seeded(5).with_message_duplication(0.3).with_message_reorder(0.3);
         let opts = ExecOptions::new().fault(&fp);
@@ -739,7 +740,7 @@ mod tests {
     #[test]
     fn crashed_rank_is_a_typed_error_not_a_hang() {
         let g = erdos_renyi(12, 0.5, 9);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(12, 4, 2);
         let fp = FaultPlan::seeded(0).with_crashed_rank(3, 0);
         let opts = ExecOptions::new().recv_timeout(Duration::from_millis(100)).fault(&fp);
@@ -752,7 +753,7 @@ mod tests {
     #[test]
     fn phase_deadline_fires_when_messages_are_lost_for_good() {
         let g = Topology::from_edges(2, [(0, 1)]);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(2, 4, 0);
         // p=1 drop: every attempt (and every retry) is discarded
         let fp = FaultPlan::seeded(1).with_message_drop(1.0);
@@ -770,7 +771,7 @@ mod tests {
     #[test]
     fn slow_rank_stalls_but_completes() {
         let g = erdos_renyi(8, 0.5, 4);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(8, 4, 1);
         let fp = FaultPlan::seeded(2).with_slow_rank(1, Duration::from_millis(20));
         let opts = ExecOptions::new().fault(&fp);
@@ -791,7 +792,9 @@ mod tests {
             plan_naive(&g),
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
-        ] {
+        ]
+        .map(Arc::new)
+        {
             let opts = ExecOptions::new().ragged(true);
             let got =
                 Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;

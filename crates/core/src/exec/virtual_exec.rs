@@ -19,6 +19,7 @@ use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The sequential real-bytes backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
@@ -31,7 +32,7 @@ impl Executor for Virtual {
 
     fn run(
         &self,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         graph: &Topology,
         payloads: &[Vec<u8>],
         arena: &mut BlockArena,
@@ -52,7 +53,7 @@ impl Executor for Virtual {
 
 /// Zero-copy engine: direct arena-to-arena span copies.
 fn run_arena(
-    plan: &CollectivePlan,
+    plan: &Arc<CollectivePlan>,
     graph: &Topology,
     payloads: &[Vec<u8>],
     sizes: &BlockSizes,
@@ -63,8 +64,7 @@ fn run_arena(
     let n = plan.n();
     let layout = arena.prepare(plan, graph)?;
     let exts = layout.extents(sizes);
-    arena.fill(&layout, payloads, &exts);
-    let mut bufs = arena.take_bufs();
+    let mut bufs = arena.fill(&layout, payloads, &exts);
 
     // A layout row sees only its own rank's program, so a posted recv
     // whose send is missing from the peer's program would leave stale
@@ -83,8 +83,10 @@ fn run_arena(
                 let ext = &exts[r];
                 let bytes: usize = op.runs.iter().map(|&run| ext.run_bytes(run)).sum();
                 rec.msg_sent(r, op.peer, bytes);
+                // no receive posted at the peer: the message goes nowhere
+                let Some((ph, i)) = op.dst else { continue };
                 rec.msg_recvd(op.peer, r, bytes);
-                let dst_runs = &layout.ranks[op.peer].recv_runs[&(r, op.tag)];
+                let dst_runs = &layout.ranks[op.peer].phases[ph as usize].recvs[i as usize].runs;
                 let (src, dst) = two_bufs(&mut bufs, r, op.peer);
                 copy_runs(src, &op.runs, ext, dst, dst_runs, &exts[op.peer]);
                 delivered += 1;
@@ -186,8 +188,9 @@ pub(crate) fn copy_runs(
 pub fn reference_allgather(graph: &Topology, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
     (0..graph.n())
         .map(|r| {
-            let mut rbuf = Vec::new();
-            for &b in graph.in_neighbors(r) {
+            let ins = graph.in_neighbors(r);
+            let mut rbuf = Vec::with_capacity(ins.iter().map(|&b| payloads[b].len()).sum());
+            for &b in ins {
                 rbuf.extend_from_slice(&payloads[b]);
             }
             rbuf
@@ -225,7 +228,7 @@ mod tests {
 
     /// Runs the plan and checks the buffers against the definition.
     fn run_checked(
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         g: &Topology,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>, ExecError> {
@@ -237,7 +240,7 @@ mod tests {
     #[test]
     fn naive_matches_reference() {
         let g = erdos_renyi(24, 0.3, 1);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(24, 16, 7);
         let got = run_checked(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
@@ -250,7 +253,7 @@ mod tests {
         {
             let g = erdos_renyi(n, delta, 42);
             let layout = ClusterLayout::new(nodes, 2, cores);
-            let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+            let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
             let payloads = test_payloads(n, 8, 3);
             let got = run_checked(&plan, &g, &payloads)
                 .unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
@@ -262,7 +265,7 @@ mod tests {
     fn common_neighbor_matches_reference() {
         for k in [2usize, 4, 8] {
             let g = erdos_renyi(32, 0.4, 9);
-            let plan = plan_common_neighbor(&g, k);
+            let plan = Arc::new(plan_common_neighbor(&g, k));
             let payloads = test_payloads(32, 12, 1);
             let got = run_checked(&plan, &g, &payloads).unwrap();
             assert_eq!(got, reference_allgather(&g, &payloads), "k={k}");
@@ -272,7 +275,7 @@ mod tests {
     #[test]
     fn zero_byte_payloads_work() {
         let g = erdos_renyi(12, 0.5, 2);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = vec![vec![]; 12];
         let got = run_checked(&plan, &g, &payloads).unwrap();
         for (r, rbuf) in got.iter().enumerate() {
@@ -283,7 +286,7 @@ mod tests {
     #[test]
     fn payload_shape_errors() {
         let g = erdos_renyi(4, 0.5, 2);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         assert_eq!(
             Virtual.run_simple(&plan, &g, &[vec![0u8; 4]]).unwrap_err(),
             ExecError::PayloadCountMismatch { got: 1, want: 4 }
@@ -307,7 +310,7 @@ mod tests {
         });
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
-            run_checked(&plan, &g, &payloads).unwrap_err(),
+            run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
             ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
         );
     }
@@ -319,7 +322,7 @@ mod tests {
         plan.per_rank[0][0].sends.clear();
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
-            run_checked(&plan, &g, &payloads).unwrap_err(),
+            run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
             ExecError::Undelivered { rank: 1, block: 0 }
         );
     }
@@ -329,7 +332,7 @@ mod tests {
         // directed asymmetric graph: rbuf layout must follow in-neighbor
         // order, not arrival order
         let g = Topology::from_edges(4, [(2, 0), (1, 0), (3, 0)]);
-        let plan = plan_naive(&g);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(4, 4, 11);
         let got = run_checked(&plan, &g, &payloads).unwrap();
         // in_neighbors(0) = [1, 2, 3]
@@ -348,7 +351,9 @@ mod tests {
             plan_naive(&g),
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
-        ] {
+        ]
+        .map(Arc::new)
+        {
             let opts = ExecOptions::new().ragged(true);
             let got =
                 Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
@@ -356,7 +361,7 @@ mod tests {
         }
         // the strict (uniform) call rejects ragged payloads
         assert!(matches!(
-            Virtual.run_simple(&plan_naive(&g), &g, &payloads),
+            Virtual.run_simple(&Arc::new(plan_naive(&g)), &g, &payloads),
             Err(ExecError::PayloadSizeMismatch { .. })
         ));
     }
@@ -365,7 +370,7 @@ mod tests {
     fn recorder_counts_match_plan_statics_on_both_engines() {
         let g = erdos_renyi(24, 0.3, 5);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let payloads = test_payloads(24, 8, 1);
         let rec = nhood_telemetry::CountingRecorder::new(24);
         let opts = ExecOptions::new().recorder(&rec);
@@ -382,7 +387,7 @@ mod tests {
     fn arena_is_reused_across_runs() {
         let g = erdos_renyi(24, 0.4, 8);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let mut arena = BlockArena::new();
         let opts = ExecOptions::default();
         let mut prev = None;
@@ -417,11 +422,45 @@ mod tests {
     }
 
     #[test]
+    fn warm_arena_follows_the_plan_not_the_allocation() {
+        // One arena across: the same `Arc` twice (warm), equal content
+        // in another `Arc` (content path, same layout), another plan on
+        // the same graph (rebuild), and back.
+        let g = erdos_renyi(24, 0.4, 8);
+        let layout = ClusterLayout::new(3, 2, 4);
+        let dh = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let twin = Arc::new(CollectivePlan::clone(&dh));
+        let naive = Arc::new(plan_naive(&g));
+        let mut arena = BlockArena::new();
+        for (i, plan) in [&dh, &dh, &twin, &naive, &dh, &twin, &twin].into_iter().enumerate() {
+            let payloads = test_payloads(24, 16, i as u64);
+            let out = Virtual.run(plan, &g, &payloads, &mut arena, &ExecOptions::new()).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, &payloads), "run {i}");
+            arena.adopt_rbufs(out.rbufs);
+        }
+    }
+
+    #[test]
+    fn a_send_nobody_receives_goes_nowhere() {
+        // regression: indexed a hash map with the missing (src, tag) key
+        // and panicked; the threaded backend parks such a message forever
+        let g = Topology::from_edges(3, [(0, 2)]);
+        let mut plan = plan_naive(&g);
+        plan.per_rank[0][0].sends.push(crate::plan::PlannedMsg {
+            peer: 1,
+            blocks: vec![0],
+            tag: 9,
+        });
+        let payloads = test_payloads(3, 4, 0);
+        run_checked(&Arc::new(plan), &g, &payloads).unwrap();
+    }
+
+    #[test]
     fn large_scale_smoke() {
         // 540 ranks like the paper's smallest run, tiny payloads
         let g = erdos_renyi(540, 0.05, 4);
         let layout = ClusterLayout::niagara(15, 36);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
         plan.validate(&g).unwrap();
         let payloads = test_payloads(540, 8, 5);
         let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();

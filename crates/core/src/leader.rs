@@ -176,6 +176,7 @@ mod tests {
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{Executor, Virtual};
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     #[test]
     fn validates_and_matches_reference() {
@@ -184,7 +185,7 @@ mod tests {
         {
             let g = erdos_renyi(n, delta, 42);
             let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-            let plan = plan_hierarchical_leader(&g, &layout, leaders);
+            let plan = Arc::new(plan_hierarchical_leader(&g, &layout, leaders));
             plan.validate(&g)
                 .unwrap_or_else(|e| panic!("n={n} delta={delta} leaders={leaders}: {e}"));
             let payloads = test_payloads(n, 8, 1);
@@ -261,7 +262,7 @@ mod tests {
             [(1, 0), (0, 5), (4, 1), (1, 4), (0, 4), (4, 0), (2, 6), (6, 2)],
         );
         for leaders in [1usize, 2, 4] {
-            let plan = plan_hierarchical_leader(&g, &layout, leaders);
+            let plan = Arc::new(plan_hierarchical_leader(&g, &layout, leaders));
             plan.validate(&g).unwrap_or_else(|e| panic!("leaders={leaders}: {e}"));
             let payloads = test_payloads(8, 4, 7);
             let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();

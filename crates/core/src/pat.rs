@@ -128,6 +128,7 @@ mod tests {
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{Executor, Virtual};
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     #[test]
     fn validates_and_matches_reference() {
@@ -141,7 +142,7 @@ mod tests {
             (5, 0.9, 2),
         ] {
             let g = erdos_renyi(n, delta, 42);
-            let plan = plan_pat(&g, radix);
+            let plan = Arc::new(plan_pat(&g, radix));
             plan.validate(&g).unwrap_or_else(|e| panic!("n={n} delta={delta} radix={radix}: {e}"));
             let payloads = test_payloads(n, 8, 1);
             let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();

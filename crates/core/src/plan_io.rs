@@ -718,6 +718,7 @@ mod tests {
     use crate::lower::lower;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     fn round_trip(plan: &CollectivePlan) -> CollectivePlan {
         let mut buf = Vec::new();
@@ -751,8 +752,8 @@ mod tests {
         use crate::exec::{Executor, Virtual};
         let g = erdos_renyi(32, 0.3, 9);
         let layout = ClusterLayout::new(4, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let back = round_trip(&plan);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let back = Arc::new(round_trip(&plan));
         let payloads = test_payloads(32, 16, 3);
         assert_eq!(
             Virtual.run_simple(&plan, &g, &payloads).unwrap(),

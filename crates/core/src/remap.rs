@@ -123,6 +123,7 @@ mod tests {
     use nhood_cluster::Placement;
     use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     /// The re-ranked plan at the builder's default sizes and metric.
     fn reordered(g: &Topology, layout: &ClusterLayout) -> CollectivePlan {
@@ -165,7 +166,7 @@ mod tests {
         // the plain builder refuses this placement...
         assert!(build_pattern(&g, &layout).is_err());
         // ...but the reordered planner handles it
-        let plan = reordered(&g, &layout);
+        let plan = Arc::new(reordered(&g, &layout));
         plan.validate(&g).unwrap();
         let payloads = test_payloads(24, 8, 2);
         let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();

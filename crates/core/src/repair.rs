@@ -482,6 +482,7 @@ mod tests {
     use crate::exec::Executor;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     fn layout(n: usize) -> ClusterLayout {
         ClusterLayout::new(n.div_ceil(8), 2, 4)
@@ -654,7 +655,8 @@ mod tests {
         }
         // the repaired plan produces correct output on its exec graph
         let payloads = test_payloads(48, 8, 4);
-        let got = Virtual.run_simple(&rep.plan, &rep.exec_graph, &payloads).unwrap();
+        let got =
+            Virtual.run_simple(&Arc::new(rep.plan.clone()), &rep.exec_graph, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&rep.exec_graph, &payloads));
         if rep.completeness.is_full() {
             assert_eq!(rep.exec_graph.edge_count(), g.edge_count());

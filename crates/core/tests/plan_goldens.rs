@@ -15,6 +15,7 @@ use nhood_core::{
     PlanFingerprint, Virtual,
 };
 use nhood_topology::random::erdos_renyi;
+use std::sync::Arc;
 
 const ALGOS: [Algorithm; 6] = [
     Algorithm::Naive,
@@ -120,7 +121,7 @@ fn entry_point_sweep_moved_no_plan_byte_and_no_makespan_bit() {
 fn distributed_default_rung_builds_valid_reference_equal_plans() {
     for (case, comm, lens) in cases() {
         let pattern = build_pattern_distributed(comm.graph(), comm.layout()).unwrap();
-        let plan = lower(&pattern, comm.graph());
+        let plan = Arc::new(lower(&pattern, comm.graph()));
         plan.validate(comm.graph()).unwrap_or_else(|e| panic!("{case}: {e}"));
         let payloads: Vec<Vec<u8>> = (0..comm.n()).map(|r| vec![r as u8; lens[0].max(8)]).collect();
         assert_eq!(

@@ -149,6 +149,9 @@ pub enum Outcome {
     },
 }
 
+/// A completion with nothing to report: full, first plan, no repairs.
+const CLEAN: Outcome = Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
+
 impl Outcome {
     /// `true` for [`Outcome::Completed`].
     pub fn is_completed(&self) -> bool {
@@ -275,6 +278,10 @@ pub struct Service {
     stats: ServiceStats,
     latencies_us: Vec<u64>,
     completions: Vec<Completion>,
+    /// One set of receive buffers handed from gather request to gather
+    /// request inside a [`Service::tick`]; empty between ticks, so the
+    /// service holds no receive-buffer capacity while idle.
+    spare: Vec<Vec<u8>>,
     epoch: Instant,
     busy: Duration,
 }
@@ -294,6 +301,7 @@ impl Service {
             stats: ServiceStats::default(),
             latencies_us: Vec::new(),
             completions: Vec::new(),
+            spare: Vec::new(),
             epoch: Instant::now(),
             busy: Duration::ZERO,
         }
@@ -584,6 +592,7 @@ impl Service {
             self.busy += dt;
             self.ema.observe(dt, len);
         }
+        self.spare = Vec::new();
         self.rec.span_end(0, labels::SERVICE_TICK);
         finished
     }
@@ -599,9 +608,10 @@ impl Service {
 
     /// A clean group: one plan fetch for the whole batch (every member
     /// shares the group fingerprint, so the leader's plan is everyone's
-    /// plan), warm per-tenant arenas. Combining-family groups route
-    /// through [`DistGraphComm::collective`] per request — the
-    /// communicator's memoized routing plan plays the leader-plan role.
+    /// plan), warm per-tenant arenas, the tick's spare receive buffers.
+    /// Combining-family groups route through
+    /// [`DistGraphComm::collective`] per request — the communicator's
+    /// memoized routing plan plays the leader-plan role.
     fn run_clean_batch(&mut self, batch: Vec<Pending>) {
         if !batch[0].op.is_gather() {
             for req in batch {
@@ -609,70 +619,49 @@ impl Service {
             }
             return;
         }
-        let lead = batch[0].tenant;
-        let algo = self.tenants[lead].algo;
-        let plan = match self.tenants[lead].comm.plan_shared(algo) {
+        let lead = &self.tenants[batch[0].tenant];
+        let plan = match lead.comm.plan_shared(lead.algo) {
             Ok(p) => p,
             Err(e) => {
-                let error = e.to_string();
                 for req in batch {
-                    self.finish(req, Outcome::Failed { error: error.clone() }, None, None, None);
+                    self.fail(req, &e);
+                }
+                return;
+            }
+        };
+        let exec: &dyn Executor = match self.cfg.backend {
+            Backend::Virtual => &Virtual,
+            Backend::Threaded => &Threaded,
+            Backend::Sim => {
+                for req in batch {
+                    let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
+                    let t = &self.tenants[req.tenant];
+                    match simulate_v(&plan, t.comm.layout(), &sizes, &self.cfg.sim_cost) {
+                        Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
+                        Err(e) => self.fail(req, e),
+                    }
                 }
                 return;
             }
         };
         for req in batch {
-            if self.cfg.backend == Backend::Sim {
-                let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-                let t = &self.tenants[req.tenant];
-                match simulate_v(&plan, t.comm.layout(), &sizes, &self.cfg.sim_cost) {
-                    Ok(rep) => {
-                        let outcome =
-                            Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
-                        self.finish(req, outcome, None, None, Some(rep.makespan));
-                    }
-                    Err(e) => {
-                        self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None)
-                    }
-                }
-                continue;
-            }
-            let res = {
-                let rec = &self.rec;
-                let opts = ExecOptions::new().ragged(req.ragged).recorder(rec);
-                let t = &mut self.tenants[req.tenant];
-                // The warm per-tenant arena is part of the batching
-                // design; with batching off each request pays a cold
-                // arena, exactly like the public one-call API.
-                let mut scratch;
-                let arena = if self.cfg.batching {
-                    &mut t.arena
-                } else {
-                    scratch = BlockArena::new();
-                    &mut scratch
-                };
-                match self.cfg.backend {
-                    Backend::Virtual => {
-                        Virtual.run(&plan, t.comm.graph(), &req.payloads, arena, &opts)
-                    }
-                    Backend::Threaded => {
-                        Threaded.run(&plan, t.comm.graph(), &req.payloads, arena, &opts)
-                    }
-                    Backend::Sim => unreachable!("handled above"),
-                }
+            let opts = ExecOptions::new().ragged(req.ragged).recorder(&self.rec);
+            let t = &mut self.tenants[req.tenant];
+            // The warm per-tenant arena is part of the batching design;
+            // with batching off each request pays a cold arena, exactly
+            // like the public one-call API.
+            let mut scratch;
+            let arena = if self.cfg.batching {
+                &mut t.arena
+            } else {
+                scratch = BlockArena::new();
+                &mut scratch
             };
-            match res {
-                Ok(out) => {
-                    let outcome =
-                        Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
-                    let verified = self.verify_bytes(&req, &out.rbufs, false);
-                    let output = self.cfg.keep_outputs.then_some(out.rbufs);
-                    self.finish(req, outcome, verified, output, None);
-                }
-                Err(e) => {
-                    self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None)
-                }
-            }
+            arena.adopt_rbufs(std::mem::take(&mut self.spare));
+            let res = exec.run(&plan, t.comm.graph(), &req.payloads, arena, &opts);
+            // a failed run may leave the set adopted; it must not outlive the tick
+            arena.adopt_rbufs(Vec::new());
+            self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true);
         }
     }
 
@@ -683,30 +672,21 @@ impl Service {
     /// planning once per topology epoch, not per request.
     fn run_combining(&mut self, req: Pending) {
         let res = {
-            let rec = &self.rec;
             let t = &self.tenants[req.tenant];
             let mut creq = CollectiveRequest::new(req.op, &req.payloads)
                 .algorithm(t.algo)
                 .backend(self.cfg.backend)
-                .recorder(rec);
+                .recorder(&self.rec);
             if let Some(s) = req.sizes.clone() {
                 creq = creq.sizes(s);
             }
             t.comm.collective(&creq)
         };
         match res {
-            Ok(out) => {
-                let outcome = Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
-                if self.cfg.backend == Backend::Sim {
-                    let mk = out.sim.map(|s| s.makespan);
-                    self.finish(req, outcome, None, None, mk);
-                } else {
-                    let verified = self.verify_bytes(&req, &out.rbufs, false);
-                    let output = self.cfg.keep_outputs.then_some(out.rbufs);
-                    self.finish(req, outcome, verified, output, None);
-                }
+            Ok(out) if self.cfg.backend == Backend::Sim => {
+                self.finish(req, CLEAN, None, None, out.sim.map(|s| s.makespan))
             }
-            Err(e) => self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None),
+            res => self.complete(req, res.map(|out| (CLEAN, out.rbufs)), false),
         }
     }
 
@@ -727,33 +707,22 @@ impl Service {
                 self.run_sim_perturbed(req);
                 continue;
             }
-            let res = {
-                let rec = &self.rec;
-                let t = &self.tenants[req.tenant];
-                let creq = CollectiveRequest::new(req.op, &req.payloads)
-                    .algorithm(t.algo)
-                    .robust(true)
-                    .backend(ExecBackend::Threaded)
-                    .recorder(rec);
-                t.comm.collective(&creq)
-            };
-            match res {
-                Ok(out) => {
-                    let rep = out.report.expect("robust runs carry an execution report");
-                    let degraded = !rep.completeness.is_full();
-                    let outcome = Outcome::Completed {
-                        degraded,
-                        fallback: rep.fallback.is_some(),
-                        repairs: rep.repairs,
-                    };
-                    let verified = self.verify_bytes(&req, &out.rbufs, degraded);
-                    let output = self.cfg.keep_outputs.then_some(out.rbufs);
-                    self.finish(req, outcome, verified, output, None);
-                }
-                Err(e) => {
-                    self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None)
-                }
-            }
+            let t = &self.tenants[req.tenant];
+            let creq = CollectiveRequest::new(req.op, &req.payloads)
+                .algorithm(t.algo)
+                .robust(true)
+                .backend(ExecBackend::Threaded)
+                .recorder(&self.rec);
+            let res = t.comm.collective(&creq).map_err(|e| e.to_string()).and_then(|out| {
+                let rep = out.report.ok_or("robust run returned no execution report")?;
+                let outcome = Outcome::Completed {
+                    degraded: !rep.completeness.is_full(),
+                    fallback: rep.fallback.is_some(),
+                    repairs: rep.repairs,
+                };
+                Ok((outcome, out.rbufs))
+            });
+            self.complete(req, res, false);
         }
     }
 
@@ -761,9 +730,7 @@ impl Service {
         let t = &self.tenants[req.tenant];
         let plan = match t.comm.plan_shared(t.algo) {
             Ok(p) => p,
-            Err(e) => {
-                return self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None)
-            }
+            Err(e) => return self.fail(req, e),
         };
         let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
         let schedule = to_schedule_v(&plan, &sizes, &self.cfg.sim_cost);
@@ -772,12 +739,37 @@ impl Service {
         let run =
             Engine::new(t.comm.layout(), self.cfg.sim_cost.net).run_perturbed(&schedule, &pert);
         match run {
-            Ok(rep) => {
-                let outcome = Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
-                self.finish(req, outcome, None, None, Some(rep.makespan));
-            }
-            Err(e) => self.finish(req, Outcome::Failed { error: e.to_string() }, None, None, None),
+            Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
+            Err(e) => self.fail(req, e),
         }
+    }
+
+    /// The one completion of a byte-moving run: verify, then the buffers
+    /// go to the caller ([`ServiceConfig::keep_outputs`]), back to the
+    /// tick's spare set (`recycle`: the request drew from it), or away.
+    fn complete<E: std::fmt::Display>(
+        &mut self,
+        req: Pending,
+        res: Result<(Outcome, Vec<Vec<u8>>), E>,
+        recycle: bool,
+    ) {
+        let (outcome, rbufs) = match res {
+            Ok(done) => done,
+            Err(e) => return self.fail(req, e),
+        };
+        let degraded = matches!(outcome, Outcome::Completed { degraded: true, .. });
+        let verified = self.verify_bytes(&req, &rbufs, degraded);
+        let mut output = None;
+        if self.cfg.keep_outputs {
+            output = Some(rbufs);
+        } else if recycle {
+            self.spare = rbufs;
+        }
+        self.finish(req, outcome, verified, output, None);
+    }
+
+    fn fail(&mut self, req: Pending, error: impl std::fmt::Display) {
+        self.finish(req, Outcome::Failed { error: error.to_string() }, None, None, None);
     }
 
     /// Byte-checks `rbufs` against the op's naive reference when the
@@ -1063,6 +1055,88 @@ mod tests {
         assert_eq!(report.stats.corrupt, 0);
         assert_eq!(report.stats.churn_events, 1);
         assert_eq!(report.stats.repairs + report.stats.full_rebuilds, 1);
+    }
+
+    #[test]
+    fn warm_requests_verify_across_churn_and_shared_fingerprints() {
+        // The arena's warm check must follow the plan through every way
+        // a tenant's plan changes under it: two tenants sharing one
+        // fingerprint (one plan `Arc`, two topologies that are equal),
+        // a churn that repairs tenant a only, and a churn back.
+        for batching in [true, false] {
+            let cfg = ServiceConfig { verify: Verify::All, batching, ..Default::default() };
+            let mut svc = Service::new(cfg);
+            let g = erdos_renyi(16, 0.3, 5);
+            let a = svc.add_tenant(g.clone(), layout_for(16), Algorithm::DistanceHalving).unwrap();
+            let b = svc.add_tenant(g, layout_for(16), Algorithm::DistanceHalving).unwrap();
+            let mut sent = 0u8;
+            let mut round = |svc: &mut Service| {
+                for t in [a, b, a, b] {
+                    sent += 1;
+                    svc.submit(t, uniform_payloads(16, 32, sent)).unwrap();
+                }
+                svc.drain();
+            };
+            round(&mut svc);
+            let edge = svc.tenant_graph(a).edges().next().expect("seeded graph has edges");
+            svc.churn(a, &[], &[edge]).unwrap();
+            round(&mut svc);
+            svc.churn(a, &[edge], &[]).unwrap();
+            round(&mut svc);
+            let stats = svc.report().stats;
+            assert_eq!(stats.completed, 12, "batching {batching}");
+            assert_eq!(stats.verified, 12, "batching {batching}");
+            assert_eq!(stats.corrupt, 0, "batching {batching}");
+        }
+    }
+
+    #[test]
+    fn kept_outputs_are_not_recycled_under_the_caller() {
+        // Buffers handed out through `Completion::output` leave the
+        // tick's spare set for good: later requests of the same tick
+        // (same and other tenant) must not write into them.
+        let cfg = ServiceConfig { keep_outputs: true, verify: Verify::None, ..Default::default() };
+        let mut svc = Service::new(cfg);
+        let ga = erdos_renyi(16, 0.3, 5);
+        let gb = erdos_renyi(16, 0.4, 6);
+        let a = svc.add_tenant(ga.clone(), layout_for(16), Algorithm::DistanceHalving).unwrap();
+        let b = svc.add_tenant(gb.clone(), layout_for(16), Algorithm::Naive).unwrap();
+        let mut want = Vec::new();
+        for i in 0..6u8 {
+            let (t, g) = if i % 2 == 0 { (a, &ga) } else { (b, &gb) };
+            let payloads = uniform_payloads(16, 32, 0x40 + i);
+            want.push(reference(g, CollectiveOp::Allgather, &payloads, None).unwrap());
+            svc.submit(t, payloads).unwrap();
+        }
+        assert_eq!(svc.tick(), 6, "one tick, so every later request ran after the earlier ones");
+        let mut done = svc.take_completions();
+        done.sort_by_key(|c| c.id);
+        let got: Vec<Vec<Vec<u8>>> = done.into_iter().map(|c| c.output.expect("kept")).collect();
+        assert_eq!(got, want);
+        let mut addrs: Vec<*const u8> =
+            got.iter().flatten().filter(|b| !b.is_empty()).map(|b| b.as_ptr()).collect();
+        let buffers = addrs.len();
+        addrs.sort_unstable();
+        addrs.dedup();
+        assert_eq!(addrs.len(), buffers, "two completions share a buffer");
+    }
+
+    #[test]
+    fn the_spare_set_does_not_outlive_its_tick() {
+        use nhood_core::FaultPlan;
+        let mut svc = Service::new(ServiceConfig::default());
+        let clean =
+            svc.add_tenant(erdos_renyi(16, 0.3, 5), layout_for(16), Algorithm::Naive).unwrap();
+        let comm = DistGraphComm::create_adjacent(erdos_renyi(12, 0.35, 9), layout_for(12))
+            .unwrap()
+            .with_fault_plan(FaultPlan::seeded(3).with_message_drop(0.05));
+        let faulty = svc.add_tenant_comm(comm, Algorithm::DistanceHalving).unwrap();
+        for i in 0..3 {
+            svc.submit(clean, uniform_payloads(16, 64, i)).unwrap();
+            svc.submit(faulty, uniform_payloads(12, 24, i)).unwrap();
+            assert_eq!(svc.tick(), 2);
+            assert_eq!(svc.spare.capacity(), 0, "tick {i} kept receive buffers");
+        }
     }
 
     #[test]

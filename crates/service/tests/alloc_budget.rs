@@ -1,0 +1,107 @@
+//! The warm gather path's allocation budget, as a count.
+//!
+//! A timing regression needs ten benchmark pairs to see; an allocation
+//! that creeps back into the per-request path shows here as a number.
+//! The binary has its own counting `#[global_allocator]` (per thread, so
+//! the test harness's other threads are not counted) and one test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nhood_cluster::ClusterLayout;
+use nhood_core::Algorithm;
+use nhood_service::{Service, ServiceConfig};
+use nhood_topology::random::erdos_renyi;
+
+thread_local! {
+    // Const-initialized and without a destructor, so the allocator can
+    // touch it at any point of a thread's life.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter has no effect on
+// the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract for `realloc` is passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc` is passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const N: usize = 64;
+const TENANTS: usize = 8;
+const REQUESTS: usize = 16;
+
+/// One tick's worth of inputs: 16 requests round-robin over the tenants.
+fn inputs(round: u8) -> Vec<(usize, Vec<Vec<u8>>)> {
+    (0..REQUESTS)
+        .map(|i| (i % TENANTS, (0..N).map(|r| vec![r as u8 ^ round ^ i as u8; 64]).collect()))
+        .collect()
+}
+
+/// Allocator calls of submit × 16 → one `tick` → `take_completions`,
+/// with the inputs built (and the completions dropped) outside the count.
+fn counted_tick(svc: &mut Service, round: u8) -> u64 {
+    let reqs = inputs(round);
+    // the latency log grows for the life of a service; start each tick
+    // from the same (emptied, capacity kept) log
+    svc.reset_metrics();
+    let before = CALLS.with(Cell::get);
+    for (tenant, payloads) in reqs {
+        svc.submit(tenant, payloads).expect("admitted");
+    }
+    assert_eq!(svc.tick(), REQUESTS, "one tick drains the block");
+    let done = svc.take_completions();
+    let calls = CALLS.with(Cell::get) - before;
+    assert!(done.iter().all(|c| c.outcome.is_completed()));
+    calls
+}
+
+#[test]
+fn a_warm_gather_tick_stays_inside_its_allocation_budget() {
+    // the shipped default config: Virtual, batching on, Verify::Sample(16)
+    let mut svc = Service::new(ServiceConfig::default());
+    for t in 0..TENANTS {
+        // distinct graphs: every tenant is its own batch with its own arena
+        let g = erdos_renyi(N, 0.15, 100 + t as u64);
+        svc.add_tenant(g, ClusterLayout::new(8, 2, 4), Algorithm::DistanceHalving).unwrap();
+    }
+    // two warm-up ticks: arenas laid out and grown, queue and completion
+    // vectors at their steady capacity
+    counted_tick(&mut svc, 0);
+    counted_tick(&mut svc, 1);
+
+    let first = counted_tick(&mut svc, 2);
+    let second = counted_tick(&mut svc, 3);
+    println!("warm tick: {first} allocator calls for {REQUESTS} requests");
+    assert!(
+        first <= 32 * REQUESTS as u64,
+        "{first} allocator calls for {REQUESTS} warm requests (budget 32 each)"
+    );
+    assert_eq!(second, first, "an identical warm tick must allocate exactly as often");
+    assert_eq!(svc.report().stats.corrupt, 0);
+}

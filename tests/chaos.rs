@@ -18,6 +18,7 @@ use nhood_core::{
     Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, ExecBackend, LoadMetric, RobustPolicy,
 };
 use nhood_topology::{MooreSpec, Topology};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Runs `plan`-style chaos on the robust communicator: every outcome
@@ -139,7 +140,7 @@ fn crashed_rank_is_timeout_class_never_a_hang() {
     let layout = ClusterLayout::new(2, 2, 4);
     let plan = {
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
-        comm.plan(Algorithm::DistanceHalving).unwrap()
+        comm.plan_shared(Algorithm::DistanceHalving).unwrap()
     };
     let payloads = test_payloads(16, 8, 4);
     for crash_phase in 0..plan.phase_count().min(3) {
@@ -174,7 +175,7 @@ fn negotiation_chaos_yields_valid_pattern_or_typed_timeout() {
         match built {
             Ok(pat) => {
                 // a pattern that builds must be fully correct
-                let plan = lower(&pat, &g);
+                let plan = Arc::new(lower(&pat, &g));
                 plan.validate(&g).expect("exactly-once delivery");
                 let payloads = test_payloads(24, 8, 9);
                 assert_eq!(
@@ -276,7 +277,7 @@ fn acceptance_64_rank_5pct_drop_ragged() {
 
     // Backend 2 — threaded under seeded 5% drops, with the same retry
     // budget as the uniform acceptance test.
-    let plan = comm.plan(Algorithm::DistanceHalving).unwrap();
+    let plan = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
     for s in 0..3 {
         let fp = FaultPlan::seeded(0xACCE97 + s).with_message_drop(0.05);
         let opts = ExecOptions::new()
@@ -332,7 +333,7 @@ fn direct_threaded_exact_under_retry_budget() {
     let payloads = test_payloads(20, 32, 1);
     let want = reference_allgather(&g, &payloads);
     for algo in [Algorithm::Naive, Algorithm::DistanceHalving, Algorithm::CommonNeighbor { k: 4 }] {
-        let plan = comm.plan(algo).unwrap();
+        let plan = comm.plan_shared(algo).unwrap();
         for seed in 0..3 {
             let fp = FaultPlan::seeded(seed)
                 .with_message_drop(0.1)

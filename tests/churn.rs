@@ -51,7 +51,7 @@ fn churn_set(g: &Topology, k: usize, seed: u64) -> (EdgeSet, EdgeSet) {
 /// and agree with a from-scratch build over the same mutated topology.
 fn assert_plan_matches_scratch(comm: &DistGraphComm, step: usize) {
     let g = comm.graph();
-    let plan: &CollectivePlan = comm.churn_plan().expect("mutate leaves a live plan");
+    let plan = comm.churn_plan().expect("mutate leaves a live plan");
     let payloads = test_payloads(g.n(), 8, 0xC0 + step as u64);
     let want = reference_allgather(g, &payloads);
 
@@ -83,7 +83,7 @@ fn assert_plan_matches_scratch(comm: &DistGraphComm, step: usize) {
     // From-scratch equivalence: a fresh communicator over the mutated
     // topology must produce the same outputs.
     let fresh = DistGraphComm::create_adjacent(g.clone(), comm.layout().clone()).unwrap();
-    let scratch = fresh.plan(Algorithm::DistanceHalving).unwrap();
+    let scratch = fresh.plan_shared(Algorithm::DistanceHalving).unwrap();
     assert_eq!(
         Virtual.run_simple(&scratch, g, &payloads).unwrap(),
         want,

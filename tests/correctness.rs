@@ -25,7 +25,7 @@ fn check_all(graph: &Topology, layout: &ClusterLayout, m: usize, label: &str) {
     let payloads = test_payloads(graph.n(), m, 1234);
     let want = reference_allgather(graph, &payloads);
     for algo in ALGOS {
-        let plan = comm.plan(algo).unwrap_or_else(|e| panic!("{label} {algo}: {e}"));
+        let plan = comm.plan_shared(algo).unwrap_or_else(|e| panic!("{label} {algo}: {e}"));
         plan.validate(graph).unwrap_or_else(|e| panic!("{label} {algo}: {e}"));
         let got = Virtual
             .run_simple(&plan, graph, &payloads)

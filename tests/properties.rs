@@ -23,6 +23,7 @@ use nhood_core::{
 };
 use nhood_topology::rng::DetRng;
 use nhood_topology::{Bitset, Topology};
+use std::sync::Arc;
 
 /// Cases per property; each case is an independent random instance.
 const CASES: usize = 48;
@@ -63,7 +64,7 @@ fn all_algorithms_correct_on_arbitrary_graphs() {
         let want = reference_allgather(&g, &payloads);
         for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k }, Algorithm::DistanceHalving]
         {
-            let plan = comm.plan(algo).unwrap();
+            let plan = comm.plan_shared(algo).unwrap();
             plan.validate(&g).unwrap();
             assert_eq!(&Virtual.run_simple(&plan, &g, &payloads).unwrap(), &want, "{algo}");
         }
@@ -256,7 +257,7 @@ fn allgatherv_ragged_correct() {
         let want = reference_allgather(&g, &payloads);
         let opts = ExecOptions::new().ragged(true);
         for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
-            let plan = comm.plan(algo).unwrap();
+            let plan = comm.plan_shared(algo).unwrap();
             let out = Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
             assert_eq!(&out.rbufs, &want, "{algo}");
         }
@@ -270,7 +271,7 @@ fn leader_hierarchy_correct_for_any_leader_count() {
         let leaders = rng.gen_range(1..9usize);
         let n = g.n();
         let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-        let plan = nhood_core::leader::plan_hierarchical_leader(&g, &layout, leaders);
+        let plan = Arc::new(nhood_core::leader::plan_hierarchical_leader(&g, &layout, leaders));
         plan.validate(&g).unwrap();
         let payloads = test_payloads(n, 4, 31);
         assert_eq!(
@@ -315,7 +316,7 @@ fn threaded_matches_virtual_on_small_graphs() {
         let layout = ClusterLayout::new(n.div_ceil(4), 2, 2);
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
         let payloads = test_payloads(n, m, 5);
-        let plan = comm.plan(Algorithm::DistanceHalving).unwrap();
+        let plan = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
         let v = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         let t = Threaded.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(v, t);
@@ -340,7 +341,7 @@ fn telemetry_counters_agree_across_all_backends() {
         let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
         let payloads = test_payloads(n, m, 5);
         let algo = if rng.gen_bool(0.5) { Algorithm::DistanceHalving } else { Algorithm::Naive };
-        let plan = comm.plan(algo).unwrap();
+        let plan = comm.plan_shared(algo).unwrap();
 
         let vrec = CountingRecorder::new(n);
         Virtual
@@ -392,7 +393,7 @@ fn arena_path_byte_identical_to_reference_on_all_backends() {
         for algo in
             [Algorithm::Naive, Algorithm::DistanceHalving, Algorithm::CommonNeighbor { k: 4 }]
         {
-            let plan = comm.plan(algo).unwrap();
+            let plan = comm.plan_shared(algo).unwrap();
             let opts = ExecOptions::new();
             let vrec = CountingRecorder::new(n);
             let v = Virtual

@@ -8,6 +8,7 @@ use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::{Algorithm, DistGraphComm, Executor, SimCost, Virtual};
 use nhood_topology::moore::{moore, MooreSpec};
 use nhood_topology::random::erdos_renyi;
+use std::sync::Arc;
 
 #[test]
 fn paper_smallest_scale_end_to_end() {
@@ -19,7 +20,7 @@ fn paper_smallest_scale_end_to_end() {
     let payloads = test_payloads(540, 8, 11);
     let want = reference_allgather(&g, &payloads);
     for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
-        let plan = comm.plan(algo).unwrap();
+        let plan = comm.plan_shared(algo).unwrap();
         assert_eq!(Virtual.run_simple(&plan, &g, &payloads).unwrap(), want, "{algo}");
     }
 }
@@ -154,7 +155,7 @@ fn distributed_builder_matches_at_scale() {
     let g = erdos_renyi(216, 0.2, 42);
     let layout = ClusterLayout::niagara(6, 36);
     let pattern = nhood_core::distributed_builder::build_pattern_distributed(&g, &layout).unwrap();
-    let plan = nhood_core::lower::lower(&pattern, &g);
+    let plan = Arc::new(nhood_core::lower::lower(&pattern, &g));
     plan.validate(&g).unwrap();
     let payloads = test_payloads(216, 8, 17);
     assert_eq!(
