@@ -6,6 +6,7 @@ use super::{
     edge_list_and_layout, fail, parse_algo, parse_backend, parse_cost, parse_layout, topology_arg,
 };
 use crate::args::{parse_bytes, ArgError, Args};
+use nhood_core::collective::matches_reference;
 use nhood_core::exec::sim_exec::{to_schedule_v, Sim};
 use nhood_core::exec::virtual_exec::test_payloads;
 use nhood_core::exec::{ExecOptions, Executor, Threaded, Virtual};
@@ -113,8 +114,7 @@ pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         if skip_f32 {
             writeln!(w, "verify: skipped (f32 fold order differs from the reference)")?;
         } else {
-            let want = nhood_core::collective::reference(&graph, op, &payloads, None)?;
-            if out.rbufs != want {
+            if !matches_reference(&graph, op, &payloads, None, &out.rbufs)? {
                 return Err(fail("output mismatch against the op's naive reference"));
             }
             writeln!(w, "verify: ok (matches the naive reference)")?;

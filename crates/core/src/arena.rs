@@ -1,5 +1,5 @@
-//! Zero-copy block arenas: flat per-rank buffers with a precomputed
-//! offset table.
+//! Block arenas: a per-rank slot layout plus tables of block
+//! descriptors. The arena holds no payload bytes.
 //!
 //! Modelling every payload block as an owned `Vec<u8>` in a per-rank map
 //! makes each phase pay per-block allocation, hashing and
@@ -7,23 +7,45 @@
 //! charges. The arena moves all of that work to **plan time**:
 //!
 //! * [`ArenaLayout::for_plan`] walks the plan once and assigns every
-//!   block a rank ever holds a fixed **slot** in that rank's flat arena
+//!   block a rank ever holds a fixed **slot** in that rank's table
 //!   (slot 0 is the rank's own block; arriving blocks are appended in
 //!   arrival order). Because the Distance Halving builder also appends
 //!   arrivals to `main_buf` (Algorithm 4 line 15), a halving-phase send
-//!   of the whole buffer resolves to **one contiguous arena span** — the
+//!   of the whole buffer resolves to **one contiguous slot run** — the
 //!   growing-message combine the paper's bandwidth term models.
 //! * Every planned message is pre-resolved to source and destination
 //!   **slot runs** — each [`SendOp`] also names the peer's matching
-//!   [`RecvOp`] — so at execution time a send is a handful of
-//!   `copy_from_slice` calls (usually one) and a receive lands bytes at
-//!   precomputed offsets — no hash lookups, no per-block `Vec`s.
-//! * The receive buffer of each rank is pre-resolved to arena runs too,
-//!   so final assembly is a few large copies in `in_neighbors` order.
+//!   [`RecvOp`] — so at execution time a send moves the descriptors of
+//!   its source runs into the peer's destination runs (usually one slice
+//!   copy of 4 B per block) — no hash lookups, no per-block `Vec`s.
+//! * The receive buffer of each rank is pre-resolved to slot runs too,
+//!   so final assembly appends the blocks its slots hold in
+//!   `in_neighbors` order.
 //!
-//! [`BlockArena`] owns the reusable storage: the cached layout and the
-//! per-rank buffers, so a caller executing the same plan repeatedly never
-//! reallocates — see [`BlockArena::reallocations`].
+//! # What "zero-copy" means
+//!
+//! Algorithm 4 grows `main_buf` hop by hop and then copies into `rbuf`;
+//! §V charges a forwarded block once per *link*. In one address space
+//! the per-hop copies are pure overhead: every block in the system is
+//! some rank's payload, which the caller keeps alive for the whole run,
+//! so a slot needs only the **id of the block it holds now** (4 B, reset
+//! to "empty" at the start of every run) and each delivered byte is
+//! copied exactly once — from its origin's payload into the receive
+//! buffer. Executors forward what the sender's table holds at run time,
+//! never the static labels in [`RankLayout::slots`]: a layout resolves
+//! the two sides of a message independently, so only moving what was
+//! really sent keeps the virtual backend the oracle that catches a
+//! sender/receiver block-list disagreement. A slot nothing filled reads
+//! as the typed [`ExecError::MissingBlock`] (a send) or
+//! [`ExecError::Undelivered`] (assembly), never as stale bytes.
+//!
+//! [`BlockArena`] owns the reusable storage: the cached layout, the
+//! grow-only per-rank slot tables and the receive buffers a caller hands
+//! back. [`BlockArena::reallocations`] counts **receive-buffer growth
+//! only** — the one place payload-sized memory is allocated — so a
+//! caller re-running a plan with adopted buffers can assert steady state
+//! is allocation-free; the slot tables reach a plan's slot count on its
+//! first run and never shrink.
 //!
 //! # The warm-path contract
 //!
@@ -45,52 +67,23 @@
 use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
 use crate::plan_cache::PlanFingerprint;
-use crate::sizes::BlockSizes;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A run of consecutive arena slots: `(first_slot, slot_count)`.
 ///
-/// Slot runs are resolved to byte extents per execution via
-/// [`SlotExtents`] — uniform block size `m` gives `offset = slot * m`,
-/// ragged sizes use a per-rank prefix-sum table — so one layout serves
-/// every message size *and* shape.
+/// Runs index a rank's slot table, not bytes — block sizes never enter
+/// the layout, so one layout serves every message size *and* shape.
 pub type SlotRun = (u32, u32);
 
-/// Resolves one rank's slot indices to byte offsets in its arena buffer.
-///
-/// The layout stays size-agnostic (slots, not bytes); this is the
-/// per-execution lens that turns a [`SlotRun`] into a byte span. The
-/// uniform variant is a multiplication; the ragged variant is one
-/// prefix-sum table lookup — both O(1), keeping `land_segs` and
-/// `copy_runs` zero-copy.
-#[derive(Clone, Debug)]
-pub enum SlotExtents {
-    /// Every block is `m` bytes: `offset(slot) = slot * m`.
-    Uniform(usize),
-    /// Prefix sums over the rank's slot sizes (`table.len() = slots + 1`,
-    /// `table[0] = 0`): `offset(slot) = table[slot]`.
-    Table(Arc<Vec<usize>>),
+/// The slot indices a run list covers, in message block order.
+pub(crate) fn slots(runs: &[SlotRun]) -> impl Iterator<Item = usize> + '_ {
+    runs.iter().flat_map(|&(s, l)| s as usize..(s + l) as usize)
 }
 
-impl SlotExtents {
-    /// Byte offset of `slot` in the rank's arena buffer. `slot` may be
-    /// one past the last slot, yielding the buffer's total byte length.
-    #[inline]
-    pub fn offset(&self, slot: usize) -> usize {
-        match self {
-            SlotExtents::Uniform(m) => slot * m,
-            SlotExtents::Table(t) => t[slot],
-        }
-    }
-
-    /// Total bytes covered by a slot run.
-    #[inline]
-    pub fn run_bytes(&self, (s, l): SlotRun) -> usize {
-        self.offset((s + l) as usize) - self.offset(s as usize)
-    }
-}
+/// A slot-table entry no block has reached in the current run.
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// A planned message pre-resolved against the **sender's** arena.
 #[derive(Clone, Debug)]
@@ -296,9 +289,9 @@ impl ArenaLayout {
     }
 
     /// Fraction of send operations that resolved to a **single**
-    /// contiguous arena span — the zero-copy hit rate. Distance Halving
-    /// halving-phase sends are 100% contiguous by construction (the
-    /// arena is laid out in `main_buf` order).
+    /// contiguous slot run — forwarded as one slice of descriptors.
+    /// Distance Halving halving-phase sends are 100% contiguous by
+    /// construction (the arena is laid out in `main_buf` order).
     pub fn contiguous_send_fraction(&self) -> f64 {
         let (mut total, mut one) = (0usize, 0usize);
         for rl in &self.ranks {
@@ -315,46 +308,25 @@ impl ArenaLayout {
             one as f64 / total as f64
         }
     }
-
-    /// Per-rank byte extents for one execution's size table.
-    ///
-    /// Uniform sizes cost nothing (one shared multiplier per rank);
-    /// ragged sizes build one prefix-sum table per rank over that rank's
-    /// slot order, so every later offset query is a single lookup.
-    pub fn extents(&self, sizes: &BlockSizes) -> Vec<SlotExtents> {
-        match sizes {
-            BlockSizes::Uniform(m) => vec![SlotExtents::Uniform(*m); self.n()],
-            BlockSizes::PerRank(_) => self
-                .ranks
-                .iter()
-                .map(|rl| {
-                    let mut pre = Vec::with_capacity(rl.slots.len() + 1);
-                    let mut acc = 0usize;
-                    pre.push(0);
-                    for &b in &rl.slots {
-                        acc += sizes.size(b);
-                        pre.push(acc);
-                    }
-                    SlotExtents::Table(Arc::new(pre))
-                })
-                .collect(),
-        }
-    }
 }
 
-/// Reusable zero-copy execution workspace: one contiguous buffer per
-/// rank plus the cached [`ArenaLayout`] that indexes it.
+/// Reusable zero-copy execution workspace: the cached [`ArenaLayout`],
+/// one table of block descriptors per rank, and the receive buffers the
+/// caller hands back.
 ///
 /// Pass the same arena to repeated [`crate::exec::Executor::run`] calls
-/// to amortize both the layout computation and the buffer allocations;
-/// [`reallocations`](Self::reallocations) counts how many times any
-/// buffer actually had to grow, so tests (and the Fig. 8-style
+/// to amortize the layout computation, the tables and — through
+/// [`adopt_rbufs`](Self::adopt_rbufs) — the receive buffers;
+/// [`reallocations`](Self::reallocations) counts how many times a
+/// receive buffer actually had to grow, so tests (and the Fig. 8-style
 /// persistent-collective argument) can assert steady-state runs are
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct BlockArena {
     warm: Option<Warm>,
-    bufs: Vec<Vec<u8>>,
+    /// Per rank, the id of the block each slot holds *now* ([`EMPTY`]
+    /// when none): 4 B per slot, grow-only, reset every run.
+    held: Vec<Vec<u32>>,
     spare_rbufs: Vec<Vec<u8>>,
     reallocations: u64,
 }
@@ -377,9 +349,11 @@ impl BlockArena {
         Self::default()
     }
 
-    /// How many buffer growths (arena or receive buffers) all executions
-    /// through this arena have paid so far. Stable across repeated runs
-    /// of the same plan at the same message size.
+    /// How many receive-buffer growths all executions through this arena
+    /// have paid so far — the arena allocates payload-sized memory
+    /// nowhere else. Stable across repeated runs of the same plan at the
+    /// same message sizes once the buffers are
+    /// [adopted](Self::adopt_rbufs) back.
     pub fn reallocations(&self) -> u64 {
         self.reallocations
     }
@@ -442,32 +416,29 @@ impl BlockArena {
         Ok(layout)
     }
 
-    /// Sizes the per-rank arena buffers for this execution's byte
-    /// extents, copies each rank's own payload into slot 0 and moves the
-    /// buffers out for the run (hand them back through
-    /// [`restore_bufs`](Self::restore_bufs)). Reuses capacity; growth
-    /// bumps the reallocation counter.
-    pub(crate) fn fill(
-        &mut self,
-        layout: &ArenaLayout,
-        payloads: &[Vec<u8>],
-        exts: &[SlotExtents],
-    ) -> Vec<Vec<u8>> {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        bufs.resize_with(layout.n(), Vec::new);
-        for (r, buf) in bufs.iter_mut().enumerate() {
-            let want = exts[r].offset(layout.ranks[r].slots.len());
-            self.reallocations += u64::from(want > buf.capacity());
-            buf.resize(want, 0);
-            buf[..payloads[r].len()].copy_from_slice(&payloads[r]);
+    /// Moves the per-rank slot tables out for one run (hand them back
+    /// through [`put_tables`](Self::put_tables)), reset to the run's
+    /// start state: every slot [`EMPTY`] except slot 0, which holds the
+    /// rank's own block. Tables only ever grow.
+    pub(crate) fn take_tables(&mut self, layout: &ArenaLayout) -> Vec<Vec<u32>> {
+        let mut held = std::mem::take(&mut self.held);
+        if held.len() < layout.n() {
+            held.resize_with(layout.n(), Vec::new);
         }
-        bufs
+        for (r, (table, rl)) in held.iter_mut().zip(&layout.ranks).enumerate() {
+            table.clear();
+            table.resize(rl.slots.len(), EMPTY);
+            if let Some(own) = table.first_mut() {
+                *own = r as u32;
+            }
+        }
+        held
     }
 
-    /// Returns the buffers [`fill`](Self::fill) moved out, so the next
-    /// execution reuses their capacity.
-    pub(crate) fn restore_bufs(&mut self, bufs: Vec<Vec<u8>>) {
-        self.bufs = bufs;
+    /// Returns the tables [`take_tables`](Self::take_tables) moved out,
+    /// so the next execution reuses them.
+    pub(crate) fn put_tables(&mut self, held: Vec<Vec<u32>>) {
+        self.held = held;
     }
 
     /// Takes `n` receive buffers (reusing adopted capacity when
@@ -492,11 +463,11 @@ impl BlockArena {
     }
 }
 
-/// Borrows two distinct per-rank buffers mutably.
+/// Borrows two distinct per-rank entries mutably.
 ///
 /// # Panics
 /// Panics if `a == b`.
-pub(crate) fn two_bufs(bufs: &mut [Vec<u8>], a: usize, b: usize) -> (&mut Vec<u8>, &mut Vec<u8>) {
+pub(crate) fn two_bufs<T>(bufs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     assert_ne!(a, b, "a rank cannot message itself");
     if a < b {
         let (lo, hi) = bufs.split_at_mut(b);
@@ -508,11 +479,14 @@ pub(crate) fn two_bufs(bufs: &mut [Vec<u8>], a: usize, b: usize) -> (&mut Vec<u8
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::build_pattern;
+    use crate::exec::virtual_exec::{reference_allgather, test_payloads};
+    use crate::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
     use crate::lower::lower;
     use crate::naive::plan_naive;
+    use crate::plan::{Algorithm, PlanPhase, PlannedMsg};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
@@ -659,54 +633,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fill_reuses_capacity() {
-        let g = erdos_renyi(10, 0.5, 9);
-        let plan = Arc::new(plan_naive(&g));
-        let mut arena = BlockArena::new();
-        let layout = arena.prepare(&plan, &g).unwrap();
-        let payloads: Vec<Vec<u8>> = (0..10).map(|r| vec![r as u8; 64]).collect();
-        let exts = layout.extents(&BlockSizes::Uniform(64));
-        let bufs = arena.fill(&layout, &payloads, &exts);
-        arena.restore_bufs(bufs);
-        let after_first = arena.reallocations();
-        assert!(after_first > 0);
-        for _ in 0..10 {
-            let bufs = arena.fill(&layout, &payloads, &exts);
-            arena.restore_bufs(bufs);
-        }
-        assert_eq!(arena.reallocations(), after_first, "refills must not grow buffers");
-        // smaller m also fits in place
-        let small: Vec<Vec<u8>> = (0..10).map(|r| vec![r as u8; 8]).collect();
-        let bufs = arena.fill(&layout, &small, &layout.extents(&BlockSizes::Uniform(8)));
-        arena.restore_bufs(bufs);
-        assert_eq!(arena.reallocations(), after_first);
-    }
-
-    #[test]
-    fn ragged_extents_prefix_sums_follow_slot_order() {
-        let g = erdos_renyi(10, 0.5, 9);
-        let plan = Arc::new(plan_naive(&g));
-        let al = ArenaLayout::for_plan(&plan, &g).unwrap();
-        let sizes = BlockSizes::per_rank((0..10).map(|r| r * 3 % 7).collect());
-        let exts = al.extents(&sizes);
-        for (r, rl) in al.ranks.iter().enumerate() {
-            let ext = &exts[r];
-            assert_eq!(ext.offset(0), 0);
-            let mut acc = 0;
-            for (i, &b) in rl.slots.iter().enumerate() {
-                assert_eq!(ext.offset(i), acc, "rank {r} slot {i}");
-                assert_eq!(ext.run_bytes((i as u32, 1)), sizes.size(b));
-                acc += sizes.size(b);
-            }
-            assert_eq!(ext.offset(rl.slots.len()), acc);
-        }
-        // uniform tables collapse to the multiplier
-        let uni = al.extents(&BlockSizes::Uniform(16));
-        assert!(matches!(uni[0], SlotExtents::Uniform(16)));
-        assert_eq!(uni[0].run_bytes((2, 3)), 48);
-    }
-
     /// Structural equality for layouts (the op types don't derive
     /// `PartialEq`).
     fn assert_layout_eq(a: &ArenaLayout, b: &ArenaLayout) {
@@ -809,16 +735,13 @@ mod tests {
     fn fragmented_and_coalesced_layouts_move_identical_bytes() {
         // Property: run-list shape is an optimization detail — the bytes
         // every backend delivers are invariant under fragmentation.
-        use crate::exec::virtual_exec::{reference_allgather, test_payloads};
-        use crate::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
         let g = erdos_renyi(24, 0.4, 21);
         let cl = ClusterLayout::new(3, 2, 4);
         let plan = Arc::new(lower(&build_pattern(&g, &cl).unwrap(), &g));
         let mut frag = ArenaLayout::for_plan(&plan, &g).unwrap();
         fragment_layout(&mut frag);
 
-        // uniform payloads, plus ragged ones with zero-size blocks so the
-        // byte-adjacent chunk merging in `copy_runs` is exercised
+        // uniform payloads, plus ragged ones with zero-size blocks
         let uniform = test_payloads(24, 8, 3);
         let ragged: Vec<Vec<u8>> = (0..24).map(|r| vec![r as u8; r % 4]).collect();
         for (payloads, opts) in
@@ -838,6 +761,157 @@ mod tests {
         let out = Sim::new(cl).run(&plan, &g, &uniform, &mut sa, &ExecOptions::new()).unwrap();
         assert!(out.rbufs.is_empty());
         assert!(out.sim.is_some());
+    }
+
+    /// One message of a [`hand_plan`]: `(phase, src, dst, sent, posted)` —
+    /// the sender lists `sent`, the receiver posts `posted`, two lists a
+    /// correct plan keeps equal and these tests pull apart.
+    pub(crate) type HandMsg<'a> = (usize, Rank, Rank, &'a [Rank], &'a [Rank]);
+
+    /// A hand-built plan over `n` ranks and `phases` phases; message `i`
+    /// travels under tag `i`.
+    pub(crate) fn hand_plan(n: usize, phases: usize, msgs: &[HandMsg]) -> Arc<CollectivePlan> {
+        let mut per_rank = vec![vec![PlanPhase::default(); phases]; n];
+        for (tag, &(k, src, dst, sent, posted)) in msgs.iter().enumerate() {
+            let tag = tag as u64;
+            per_rank[src][k].sends.push(PlannedMsg { peer: dst, blocks: sent.to_vec(), tag });
+            per_rank[dst][k].recvs.push(PlannedMsg { peer: src, blocks: posted.to_vec(), tag });
+        }
+        Arc::new(CollectivePlan { algorithm: Algorithm::Naive, per_rank, selection: None })
+    }
+
+    /// The relay every disagreement test runs on: 1 → 0 in phase 0, then
+    /// 0 → 2 carries `sent` where rank 2 posted `posted`.
+    fn relay(sent: &[Rank], posted: &[Rank]) -> (Topology, Arc<CollectivePlan>) {
+        let g = Topology::from_edges(3, [(1, 0), (0, 2), (1, 2)]);
+        (g, hand_plan(3, 2, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, sent, posted)]))
+    }
+
+    const BACKENDS: [&dyn Executor; 2] = [&Virtual, &Threaded];
+
+    #[test]
+    fn executors_forward_what_was_sent_not_what_the_layout_labelled() {
+        // The sender lists [0, 1], the receiver expects [1, 0]: rank 2's
+        // slots are *labelled* [2, 1, 0] but hold what arrived, so its
+        // buffer reads block 1 where the definition says block 0. These
+        // are the bytes the byte-staging arena delivered (captured at
+        // PR 16) — a layout-label shortcut would return the reference
+        // instead and hide the disagreement from the oracle.
+        let (g, plan) = relay(&[0, 1], &[1, 0]);
+        let payloads = test_payloads(3, 4, 11);
+        let parent: [&[u8]; 3] =
+            [&[153, 152, 155, 154], &[], &[153, 152, 155, 154, 11, 12, 13, 14]];
+        for exec in BACKENDS {
+            let got = exec.run_simple(&plan, &g, &payloads).unwrap();
+            assert_eq!(got, parent, "{}", exec.name());
+            assert_ne!(got, reference_allgather(&g, &payloads), "{}", exec.name());
+        }
+    }
+
+    #[test]
+    fn warm_slot_tables_reset_every_run_and_never_shrink() {
+        let g = erdos_renyi(24, 0.4, 8);
+        let cl = ClusterLayout::new(3, 2, 4);
+        let dh = Arc::new(lower(&build_pattern(&g, &cl).unwrap(), &g));
+        let mut arena = BlockArena::new();
+        let run = |arena: &mut BlockArena, plan, payloads: &[Vec<u8>], ragged| {
+            let opts = ExecOptions::new().ragged(ragged);
+            let out = Virtual.run(plan, &g, payloads, arena, &opts).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, payloads));
+            arena.adopt_rbufs(out.rbufs);
+            arena.held.iter().map(|t| (t.as_ptr(), t.capacity())).collect::<Vec<_>>()
+        };
+        let first = run(&mut arena, &dh, &test_payloads(24, 16, 1), false);
+        // one 4-byte descriptor per slot is all the arena keeps per block
+        assert_eq!(arena.held.iter().map(Vec::len).sum::<usize>(), slot_count(&arena));
+        // permuted ragged tables, zero-length blocks included
+        for shift in 1..=3usize {
+            let ragged: Vec<Vec<u8>> =
+                (0..24).map(|r| vec![(r + shift) as u8; (r * 5 + shift * 7) % 6]).collect();
+            assert!(ragged.iter().any(Vec::is_empty));
+            assert_eq!(run(&mut arena, &dh, &ragged, true), first, "ragged table {shift}");
+        }
+        // a plan that needs fewer slots keeps the larger tables
+        let naive = Arc::new(plan_naive(&g));
+        let dh_slots = slot_count(&arena);
+        assert_eq!(run(&mut arena, &naive, &test_payloads(24, 8, 2), false), first);
+        assert!(slot_count(&arena) < dh_slots, "naive holds only own + in-neighbors");
+        assert_eq!(run(&mut arena, &dh, &test_payloads(24, 4, 3), false), first);
+    }
+
+    /// Slots the arena's current layout assigns, over all ranks.
+    fn slot_count(arena: &BlockArena) -> usize {
+        arena.warm.as_ref().unwrap().layout.ranks.iter().map(|rl| rl.slots.len()).sum()
+    }
+
+    #[test]
+    fn an_empty_slot_is_a_typed_error_and_the_arena_stays_usable() {
+        let payloads = test_payloads(4, 4, 5);
+        let opts = ExecOptions::new().recv_timeout(std::time::Duration::from_millis(50));
+        // Rank 0 relays one block where rank 2 posted two: the slot of
+        // in-neighbor 1 is never filled.
+        let (g3, short) = relay(&[0], &[0, 1]);
+        // The same hole, read by a send: rank 2 forwards block 1 to 3.
+        let g4 = Topology::from_edges(4, [(1, 0), (0, 2), (1, 3)]);
+        let sourced = hand_plan(
+            4,
+            3,
+            &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[0, 1]), (2, 2, 3, &[1], &[1])],
+        );
+        let (_, good) = relay(&[0, 1], &[0, 1]);
+        for exec in BACKENDS {
+            let mut arena = BlockArena::new();
+            let mut run = |plan, g: &Topology| {
+                exec.run(plan, g, &payloads[..g.n()], &mut arena, &opts).map(|out| out.rbufs)
+            };
+            // the good run first, so a table that was not reset would
+            // still hold its descriptors
+            let want = reference_allgather(&g3, &payloads[..3]);
+            assert_eq!(run(&good, &g3).unwrap(), want, "{}", exec.name());
+            assert_eq!(
+                run(&short, &g3).unwrap_err(),
+                ExecError::Undelivered { rank: 2, block: 1 },
+                "{}",
+                exec.name()
+            );
+            assert_eq!(
+                run(&sourced, &g4).unwrap_err(),
+                ExecError::MissingBlock { rank: 2, block: 1, phase: 2 },
+                "{}",
+                exec.name()
+            );
+            assert_eq!(run(&good, &g3).unwrap(), want, "{} after the errors", exec.name());
+        }
+    }
+
+    #[test]
+    fn duplicate_delivery_overwrites_are_idempotent() {
+        // block 0 reaches rank 2 twice: directly, then relayed by rank 1
+        // into the slot it already holds
+        let g = Topology::from_edges(3, [(0, 1), (0, 2), (1, 2)]);
+        let plan = hand_plan(
+            3,
+            2,
+            &[(0, 0, 1, &[0], &[0]), (0, 0, 2, &[0], &[0]), (1, 1, 2, &[1, 0], &[1, 0])],
+        );
+        let mut frag = ArenaLayout::for_plan(&plan, &g).unwrap();
+        assert_eq!(frag.ranks[2].slots, [2, 0, 1], "the re-delivery reuses slot 1");
+        fragment_layout(&mut frag);
+        let ragged: Vec<Vec<u8>> = vec![vec![7; 3], vec![], vec![9; 5]];
+        for (payloads, opts) in [
+            (&test_payloads(3, 8, 4), ExecOptions::new()),
+            (&ragged, ExecOptions::new().ragged(true)),
+        ] {
+            let want = reference_allgather(&g, payloads);
+            for exec in BACKENDS {
+                let mut cold = BlockArena::new();
+                let got = exec.run(&plan, &g, payloads, &mut cold, &opts).unwrap().rbufs;
+                assert_eq!(got, want, "{}", exec.name());
+                let mut shattered = arena_with_layout(&plan, &g, frag.clone());
+                let got = exec.run(&plan, &g, payloads, &mut shattered, &opts).unwrap().rbufs;
+                assert_eq!(got, want, "{} over the fragmented layout", exec.name());
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! and not headers.
 
 use crate::comm::{CommError, ExecReport};
-use crate::exec::ExecError;
+use crate::exec::{check_count, ExecError};
 use crate::plan::Algorithm;
 use crate::sizes::BlockSizes;
 use nhood_simnet::SimReport;
@@ -525,9 +525,7 @@ pub fn derive_sizes(
     explicit: Option<&BlockSizes>,
 ) -> Result<BlockSizes, CommError> {
     let n = graph.n();
-    if payloads.len() != n {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: n }.into());
-    }
+    check_count(payloads, graph.n())?;
     let lane_err = |red: Reduction| CommError::InvalidReduction {
         reduction: red,
         reason: "block length is not a whole number of lanes",
@@ -626,8 +624,9 @@ pub fn derive_sizes(
 /// derived from the payloads otherwise ([`derive_sizes`]).
 ///
 /// # Errors
-/// Whatever [`derive_sizes`] rejects: payloads that do not fit the op's
-/// shape contract.
+/// A payload count other than the graph's rank count, and whatever
+/// [`derive_sizes`] rejects: payloads that do not fit the op's shape
+/// contract.
 pub fn reference(
     graph: &Topology,
     op: CollectiveOp,
@@ -636,6 +635,7 @@ pub fn reference(
 ) -> Result<Vec<Vec<u8>>, CommError> {
     Ok(match op {
         CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
+            check_count(payloads, graph.n())?;
             crate::exec::virtual_exec::reference_allgather(graph, payloads)
         }
         CollectiveOp::Alltoallv => {
@@ -646,8 +646,42 @@ pub fn reference(
             let sizes = derive_sizes(graph, op, payloads, sizes)?;
             reference_reduce_scatter(graph, payloads, &sizes, red)
         }
-        CollectiveOp::Allreduce(red) => reference_allreduce(graph, payloads, red),
+        CollectiveOp::Allreduce(red) => {
+            derive_sizes(graph, op, payloads, sizes)?;
+            reference_allreduce(graph, payloads, red)
+        }
     })
+}
+
+/// `Ok(rbufs == reference(graph, op, payloads, sizes)?)` without building
+/// a second set of gather buffers: the allgather family compares each
+/// slice of `rbufs[r]` against its in-neighbor's payload in place
+/// (lengths first); the combining family materialises its reference.
+///
+/// # Errors
+/// As [`reference()`].
+pub fn matches_reference(
+    graph: &Topology,
+    op: CollectiveOp,
+    payloads: &[Vec<u8>],
+    sizes: Option<&BlockSizes>,
+    rbufs: &[Vec<u8>],
+) -> Result<bool, CommError> {
+    if !op.is_gather() {
+        return Ok(reference(graph, op, payloads, sizes)? == rbufs);
+    }
+    check_count(payloads, graph.n())?;
+    Ok(rbufs.len() == graph.n()
+        && rbufs.iter().enumerate().all(|(r, rbuf)| {
+            let ins = graph.in_neighbors(r);
+            let mut rest = rbuf.as_slice();
+            ins.iter().map(|&b| payloads[b].len()).sum::<usize>() == rest.len()
+                && ins.iter().all(|&b| {
+                    let (head, tail) = rest.split_at(payloads[b].len());
+                    rest = tail;
+                    head == payloads[b]
+                })
+        }))
 }
 
 /// Reference alltoallv: `rbuf[r]` concatenates, per in-neighbor `s` in
@@ -905,6 +939,74 @@ mod tests {
             }
             assert!(CombineOp::try_from(op).is_err(), "{op} has no combine shape");
         }
+    }
+
+    #[test]
+    fn reference_rejects_a_short_payload_list_typed_on_every_arm() {
+        // regression: the gather and allreduce arms indexed
+        // `payloads[b]` past the end and panicked
+        let g = erdos_renyi(8, 0.5, 1);
+        let short = vec![vec![0u8; 4]; 5];
+        let count = ExecError::PayloadCountMismatch { got: 5, want: 8 };
+        for op in [
+            CollectiveOp::Allgather,
+            CollectiveOp::Allgatherv,
+            CollectiveOp::Alltoallv,
+            CollectiveOp::ReduceScatter(Reduction::SUM_U8),
+            CollectiveOp::Allreduce(Reduction::SUM_U8),
+        ] {
+            match reference(&g, op, &short, None) {
+                Err(CommError::Exec(e)) => assert_eq!(e, count, "{op}"),
+                other => panic!("{op}: {other:?}"),
+            }
+            match matches_reference(&g, op, &short, None, &[]) {
+                Err(CommError::Exec(e)) => assert_eq!(e, count, "{op}"),
+                other => panic!("{op}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_reference_rejects_unequal_blocks_typed() {
+        // regression: went straight to `Reduction::combine`, whose
+        // `assert_eq!` on the two lengths panicked
+        let g = erdos_renyi(8, 0.5, 1);
+        let mut payloads = vec![vec![1u8; 4]; 8];
+        payloads[3].push(0);
+        let op = CollectiveOp::Allreduce(Reduction::SUM_U8);
+        assert!(matches!(
+            reference(&g, op, &payloads, None),
+            Err(CommError::Exec(ExecError::PayloadSizeMismatch { rank: 3, got: 5, want: 4 }))
+        ));
+    }
+
+    #[test]
+    fn matches_reference_agrees_with_materialising_the_reference() {
+        let g = erdos_renyi(12, 0.4, 6);
+        let ragged: Vec<Vec<u8>> = (0..12).map(|r| vec![r as u8 + 1; r % 4]).collect();
+        let op = CollectiveOp::Allgatherv;
+        let want = reference(&g, op, &ragged, None).unwrap();
+        let check = |rbufs: &[Vec<u8>]| matches_reference(&g, op, &ragged, None, rbufs).unwrap();
+        assert!(check(&want));
+        // every way a buffer set can be wrong: a flipped byte, a rank's
+        // buffer short or long by a byte, a rank missing
+        let r = (0..12).find(|&r| !want[r].is_empty()).expect("some rank receives bytes");
+        let mut flipped = want.clone();
+        *flipped[r].last_mut().unwrap() ^= 1;
+        let mut short = want.clone();
+        short[r].pop();
+        let mut long = want.clone();
+        long[r].push(0);
+        for wrong in [&flipped, &short, &long, &want[..11].to_vec()] {
+            assert!(!check(wrong));
+            assert_ne!(*wrong, want);
+        }
+        // the combining family goes through its materialised reference
+        let payloads = vec![vec![3u8; 8]; 12];
+        let op = CollectiveOp::Allreduce(Reduction::SUM_U8);
+        let want = reference(&g, op, &payloads, None).unwrap();
+        assert!(matches_reference(&g, op, &payloads, None, &want).unwrap());
+        assert!(!matches_reference(&g, op, &payloads, None, &payloads).unwrap());
     }
 
     #[test]

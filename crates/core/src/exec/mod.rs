@@ -202,7 +202,7 @@ pub trait Executor {
     fn name(&self) -> &'static str;
 
     /// Executes `plan` over `payloads`, using `arena` as the reusable
-    /// zero-copy workspace (layout cache + flat buffers; ignored by the
+    /// zero-copy workspace (layout cache + slot tables; ignored by the
     /// simulated backend). The plan comes as the `Arc` it is shared
     /// under because that allocation is the arena's warm-path identity
     /// (see [`BlockArena::prepare`]).
@@ -365,12 +365,19 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// One payload per rank, or the typed count error.
+pub(crate) fn check_count(payloads: &[Vec<u8>], n: usize) -> Result<(), ExecError> {
+    if payloads.len() == n {
+        Ok(())
+    } else {
+        Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: n })
+    }
+}
+
 /// Validates the payload array shape shared by both real executors.
 /// Returns the uniform block size `m` (0 for an empty communicator).
 pub(crate) fn check_payloads(payloads: &[Vec<u8>], n: usize) -> Result<usize, ExecError> {
-    if payloads.len() != n {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: n });
-    }
+    check_count(payloads, n)?;
     let m = payloads.first().map_or(0, Vec::len);
     for (rank, p) in payloads.iter().enumerate() {
         if p.len() != m {

@@ -8,7 +8,7 @@
 //! (Figs. 4–7).
 
 use crate::arena::BlockArena;
-use crate::exec::{check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_simnet::{Engine, Msg, Phase, Schedule, SimConfig, SimError, SimReport};
@@ -101,12 +101,7 @@ impl Executor for Sim {
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
         let sizes: Vec<usize> = if opts.ragged {
-            if payloads.len() != plan.n() {
-                return Err(ExecError::PayloadCountMismatch {
-                    got: payloads.len(),
-                    want: plan.n(),
-                });
-            }
+            check_count(payloads, plan.n())?;
             payloads.iter().map(Vec::len).collect()
         } else {
             let m = match self.m {

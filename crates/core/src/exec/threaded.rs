@@ -9,15 +9,16 @@
 //! message passing — the closest this library gets to running the
 //! collective "for real".
 //!
-//! Data movement is true zero-copy: wire messages are scatter-gather
-//! descriptor lists of borrowed slices into the original payload
-//! buffers (the shared-memory analog of an RDMA iovec send from
-//! registered memory). A send resolves precomputed slot runs to slice
-//! views (one descriptor for Distance Halving halving steps), a receive
-//! appends the descriptors to the rank's logical arena, and payload
-//! bytes are copied exactly **once** per rank — into the final receive
-//! buffer. Ragged (`allgatherv`) payloads resolve slot runs through
-//! per-rank [`SlotExtents`] byte tables.
+//! Data movement is true zero-copy: a wire message is a list of borrowed
+//! slices into the original payload buffers, **one descriptor per
+//! block** (the shared-memory analog of an RDMA iovec send from
+//! registered memory). Each rank keeps a slot-indexed table of the
+//! slices it holds, laid out like the virtual backend's (see the arena
+//! module docs): a send reads the descriptors its precomputed slot runs
+//! hold, a receive stores the arrived descriptors in the slots it
+//! posted, and payload bytes are copied exactly **once** per rank — into
+//! the final receive buffer. Uniform and ragged (`allgatherv`) payloads
+//! take the same path.
 //!
 //! # Robustness
 //!
@@ -35,22 +36,22 @@
 //! chased by the chaos suite: **identical-to-reference buffers or a
 //! typed error — never silent corruption, never a hang.**
 
-use crate::arena::{BlockArena, RankLayout, SlotExtents, SlotRun};
-use crate::exec::{check_payloads, phase_label, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::arena::{slots, BlockArena, RankLayout};
+use crate::exec::{
+    check_count, check_payloads, phase_label, ExecError, ExecOptions, ExecOutcome, Executor,
+};
 use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
 use crate::plan::{CollectivePlan, PlanPhase};
-use crate::sizes::BlockSizes;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A zero-copy scatter-gather wire message: one planned message as a
-/// descriptor list of borrowed slices into the original payload
-/// buffers, in message byte order. Because every block in the
-/// system originates in some rank's payload and arena slots are
-/// write-once, forwarding re-shares the same slices hop after hop; no
+/// A zero-copy scatter-gather wire message: one planned message as one
+/// borrowed slice per block, in message block order (empty blocks
+/// included). Every block in the system originates in some rank's
+/// payload, so forwarding re-shares the same slices hop after hop; no
 /// payload byte is copied in transit.
 struct SegWire<'a> {
     src: Rank,
@@ -66,71 +67,6 @@ impl SegWire<'_> {
     /// Structural copy for the duplication fault.
     fn duplicate(&self) -> Self {
         Self { src: self.src, tag: self.tag, segs: self.segs.clone() }
-    }
-}
-
-/// One rank's arena in the threaded engine: an append-only sequence of
-/// borrowed segments whose logical concatenation is the rank's flat
-/// arena (slot `i` covers logical bytes `[ext.offset(i),
-/// ext.offset(i+1))` for the rank's [`SlotExtents`]). Sends and
-/// receives move only descriptors; the single per-byte copy happens in
-/// [`SegBuf::copy_out`] when the receive buffer is assembled.
-struct SegBuf<'a> {
-    segs: Vec<&'a [u8]>,
-    /// Starting logical byte offset of each segment (strictly increasing
-    /// — empty segments are never stored).
-    starts: Vec<usize>,
-    /// Total logical bytes held.
-    len: usize,
-    /// Slots filled so far (tracked separately from `len` so that
-    /// zero-byte messages still advance the slot tail).
-    tail_slots: u32,
-}
-
-impl<'a> SegBuf<'a> {
-    fn new(own: &'a [u8]) -> Self {
-        let mut b = Self { segs: Vec::new(), starts: Vec::new(), len: 0, tail_slots: 1 };
-        b.push(own);
-        b
-    }
-
-    fn push(&mut self, seg: &'a [u8]) {
-        if !seg.is_empty() {
-            self.starts.push(self.len);
-            self.len += seg.len();
-            self.segs.push(seg);
-        }
-    }
-
-    /// Walks the logical byte range `[start, start+len)` segment by
-    /// segment, handing each covered sub-slice to `visit`.
-    fn for_each_seg(&self, start: usize, len: usize, mut visit: impl FnMut(&'a [u8])) {
-        if len == 0 {
-            return;
-        }
-        let mut i = self.starts.partition_point(|&s| s <= start) - 1;
-        let mut off = start - self.starts[i];
-        let mut rem = len;
-        while rem > 0 {
-            let seg = self.segs[i];
-            let take = rem.min(seg.len() - off);
-            visit(&seg[off..off + take]);
-            rem -= take;
-            off = 0;
-            i += 1;
-        }
-    }
-
-    /// Collects the logical byte range `[start, start+len)` as slice
-    /// descriptors (no byte copies).
-    fn view_into(&self, start: usize, len: usize, out: &mut Vec<&'a [u8]>) {
-        self.for_each_seg(start, len, |seg| out.push(seg));
-    }
-
-    /// Copies the logical byte range `[start, start+len)` into `dst` —
-    /// the one place payload bytes are copied on this engine.
-    fn copy_out(&self, start: usize, len: usize, dst: &mut Vec<u8>) {
-        self.for_each_seg(start, len, |seg| dst.extend_from_slice(seg));
     }
 }
 
@@ -154,15 +90,12 @@ impl Executor for Threaded {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if payloads.len() != plan.n() {
-            return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-        }
-        let sizes = if opts.ragged {
-            BlockSizes::from_payloads(payloads)
+        if opts.ragged {
+            check_count(payloads, plan.n())?;
         } else {
-            BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-        };
-        run_arena(plan, graph, payloads, &sizes, arena, opts)
+            check_payloads(payloads, plan.n())?;
+        }
+        run_arena(plan, graph, payloads, arena, opts)
     }
 }
 
@@ -292,12 +225,11 @@ fn collect_rank_results(
     }
 }
 
-/// The zero-copy arena engine: each rank thread owns its flat buffer.
+/// The zero-copy arena engine: each rank thread owns its slot table.
 fn run_arena(
     plan: &Arc<CollectivePlan>,
     graph: &Topology,
     payloads: &[Vec<u8>],
-    sizes: &BlockSizes,
     arena: &mut BlockArena,
     opts: &ExecOptions<'_>,
 ) -> Result<ExecOutcome, ExecError> {
@@ -308,7 +240,6 @@ fn run_arena(
         return Ok(ExecOutcome::default());
     }
     let layout = arena.prepare(plan, graph)?;
-    let exts = layout.extents(sizes);
     let rbuf_seed = arena.take_rbufs(n);
     let rbuf_caps: Vec<usize> = rbuf_seed.iter().map(Vec::capacity).collect();
 
@@ -332,9 +263,8 @@ fn run_arena(
             let program = &plan.per_rank[r];
             let labels = &labels;
             let own = payloads[r].as_slice();
-            let ext = &exts[r];
             handles.push(scope.spawn(move || -> RankOut {
-                rank_main_arena(r, rl, program, labels, &senders, rx, opts, stats, own, rbuf, ext)
+                rank_main_arena(r, rl, program, labels, &senders, rx, opts, stats, own, rbuf)
             }));
         }
         handles
@@ -351,45 +281,6 @@ fn run_arena(
     Ok(ExecOutcome { rbufs, faults: stats.snapshot(), sim: None })
 }
 
-/// Appends the freshly arrived portion of a wire message to the rank's
-/// logical arena (descriptors only, no byte copies).
-///
-/// Slots are write-once and assigned consecutively at the arena tail on
-/// first arrival, so for a validated (exactly-once) plan every landing
-/// is a pure tail append. Runs that revisit already-held slots (possible
-/// only for duplicate-delivery plans) carry identical bytes and are
-/// skipped.
-fn land_segs<'a>(buf: &mut SegBuf<'a>, runs: &[SlotRun], segs: &[&'a [u8]], ext: &SlotExtents) {
-    let mut acc = 0usize; // logical byte offset within the wire message
-    for &(s, l) in runs {
-        let tail = buf.tail_slots;
-        debug_assert!(s <= tail, "arena landing ahead of the tail");
-        let fresh_from = tail.max(s);
-        let fresh = (s + l).saturating_sub(fresh_from);
-        if fresh > 0 {
-            // sender and receiver extents agree per block (same blocks,
-            // same order), so receiver-side offsets slice the wire bytes
-            let mut skip = acc + (ext.offset(fresh_from as usize) - ext.offset(s as usize));
-            let mut rem = ext.offset((s + l) as usize) - ext.offset(fresh_from as usize);
-            for seg in segs {
-                if rem == 0 {
-                    break;
-                }
-                if skip >= seg.len() {
-                    skip -= seg.len();
-                    continue;
-                }
-                let take = rem.min(seg.len() - skip);
-                buf.push(&seg[skip..skip + take]);
-                skip = 0;
-                rem -= take;
-            }
-            buf.tail_slots += fresh;
-        }
-        acc += ext.run_bytes((s, l));
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn rank_main_arena<'a>(
     r: Rank,
@@ -402,9 +293,12 @@ fn rank_main_arena<'a>(
     stats: &FaultStats,
     own: &'a [u8],
     mut rbuf: Vec<u8>,
-    ext: &SlotExtents,
 ) -> Result<Vec<u8>, ExecError> {
-    let mut buf = SegBuf::new(own);
+    // the slice each slot holds now; `None` until a block reaches it
+    let mut table: Vec<Option<&'a [u8]>> = vec![None; rl.slots.len()];
+    if let Some(slot0) = table.first_mut() {
+        *slot0 = Some(own);
+    }
     // messages that arrived before their phase
     let mut parked: HashMap<(Rank, u64), SegWire<'a>> = HashMap::new();
     // keys already landed — a late duplicate is dropped, not re-landed
@@ -419,12 +313,17 @@ fn rank_main_arena<'a>(
 
         let mut held: Option<(Rank, SegWire<'a>)> = None;
         for op in &ops.sends {
-            // resolve precomputed slot runs to slice descriptors — one
-            // descriptor per contiguous span, no bytes moved
-            let mut segs = Vec::new();
-            for &run in &op.runs {
-                buf.view_into(ext.offset(run.0 as usize), ext.run_bytes(run), &mut segs);
-            }
+            // resolve precomputed slot runs to the descriptors they hold
+            // now — one per block, no bytes moved
+            let segs = slots(&op.runs)
+                .map(|slot| {
+                    table[slot].ok_or(ExecError::MissingBlock {
+                        rank: r,
+                        block: rl.slots[slot],
+                        phase: k,
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             let wire = SegWire { src: r, tag: op.tag, segs };
             let reorder =
                 opts.fault.is_some_and(|fp| fp.reorders(r, op.peer, op.tag) && held.is_none());
@@ -442,8 +341,8 @@ fn rank_main_arena<'a>(
             transport_send(senders, dst, w, k, opts, stats)?;
         }
 
-        // land the phase's arrivals in layout (slot-assignment) order —
-        // each landing appends at the arena tail
+        // land the phase's arrivals in the slots they were posted to; a
+        // slot hit twice (duplicate-delivery plans) gets the same block
         for op in &ops.recvs {
             let key = (op.peer, op.tag);
             let w = loop {
@@ -469,16 +368,23 @@ fn rank_main_arena<'a>(
             };
             seen.insert(key);
             opts.recorder.msg_recvd(r, w.src, w.byte_len());
-            land_segs(&mut buf, &op.runs, &w.segs, ext);
+            for (slot, &seg) in slots(&op.runs).zip(&w.segs) {
+                table[slot] = Some(seg);
+            }
         }
         opts.recorder.span_end(r, labels[k]);
     }
-    // assemble the receive buffer from precomputed arena runs — the one
+    // assemble the receive buffer from precomputed slot runs — the one
     // per-byte copy on this engine
+    let mut want = 0usize;
+    for slot in slots(&rl.out_runs) {
+        let seg = table[slot].ok_or(ExecError::Undelivered { rank: r, block: rl.slots[slot] })?;
+        want += seg.len();
+    }
     rbuf.clear();
-    rbuf.reserve(rl.out_runs.iter().map(|&run| ext.run_bytes(run)).sum());
-    for &run in &rl.out_runs {
-        buf.copy_out(ext.offset(run.0 as usize), ext.run_bytes(run), &mut rbuf);
+    rbuf.reserve(want);
+    for seg in slots(&rl.out_runs).filter_map(|slot| table[slot]) {
+        rbuf.extend_from_slice(seg);
     }
     Ok(rbuf)
 }
@@ -735,6 +641,39 @@ mod tests {
         let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
         assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
         assert!(out.faults.duplicates + out.faults.reorders > 0);
+    }
+
+    #[test]
+    fn faulted_wires_land_in_posted_slots_whatever_order_they_arrive() {
+        // Every message duplicated, reordered where possible and dropped
+        // half the time, on a plan that itself delivers block 0 to rank 3
+        // twice and relays an empty block: a wire lands by slot, so a
+        // second copy overwrites and nothing depends on arrival order.
+        let g = Topology::from_edges(4, [(0, 1), (0, 3), (1, 3), (2, 1), (2, 3)]);
+        let plan = crate::arena::tests::hand_plan(
+            4,
+            2,
+            &[
+                (0, 0, 1, &[0], &[0]),
+                (0, 2, 1, &[2], &[2]),
+                (0, 0, 3, &[0], &[0]),
+                (1, 1, 3, &[2, 1, 0], &[2, 1, 0]),
+            ],
+        );
+        let payloads = vec![vec![1u8; 6], vec![2u8; 3], vec![], vec![4u8; 2]];
+        let fp = FaultPlan::seeded(9)
+            .with_message_duplication(1.0)
+            .with_message_reorder(1.0)
+            .with_message_drop(0.5);
+        let opts =
+            ExecOptions::new().ragged(true).retries(32, Duration::from_micros(10)).fault(&fp);
+        let mut arena = BlockArena::new();
+        for _ in 0..10 {
+            let out = Threaded.run(&plan, &g, &payloads, &mut arena, &opts).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+            assert!(out.faults.duplicates > 0 || out.faults.drops > 0);
+            arena.adopt_rbufs(out.rbufs);
+        }
     }
 
     #[test]

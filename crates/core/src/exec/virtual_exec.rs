@@ -1,22 +1,23 @@
 //! The virtual executor: deterministic, sequential, real bytes.
 //!
-//! Runs all ranks in lock-step, one plan phase at a time, moving actual
-//! payload bytes between per-rank stores. It is the correctness oracle
-//! for every algorithm and topology in the test suite and scales to
-//! thousands of ranks.
+//! Runs all ranks in lock-step, one plan phase at a time. It is the
+//! correctness oracle for every algorithm and topology in the test suite
+//! and scales to thousands of ranks.
 //!
-//! Each rank holds one flat buffer laid out by a precomputed
-//! [`crate::arena::ArenaLayout`]; a planned message is a handful of
-//! `copy_from_slice` calls between arenas (one, for Distance Halving
-//! halving steps) and receive buffers are assembled from precomputed
-//! runs. Ragged (`allgatherv`) payloads resolve slot runs through
-//! per-rank [`SlotExtents`] byte tables, so variable-size blocks keep
-//! the same handful-of-copies execution.
+//! Each rank holds one table of block descriptors laid out by a
+//! precomputed [`crate::arena::ArenaLayout`] (see the arena module docs
+//! for what a descriptor is). A planned message moves the descriptors
+//! the sender's source runs hold *now* into the receiver's destination
+//! runs — one slice copy of 4 B per block for a Distance Halving halving
+//! step — and each receive buffer is then appended straight from the
+//! origin payloads its slots name: every delivered byte is copied once.
+//! Uniform and ragged (`allgatherv`) payloads take the same path; a
+//! block's length is its payload's.
 
-use crate::arena::{two_bufs, ArenaLayout, BlockArena, SlotExtents, SlotRun};
-use crate::exec::{check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::arena::{two_bufs, ArenaLayout, BlockArena, SlotRun, EMPTY};
+use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
-use crate::sizes::BlockSizes;
+use nhood_telemetry::Recorder;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -38,38 +39,33 @@ impl Executor for Virtual {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if payloads.len() != plan.n() {
-            return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-        }
-        let sizes = if opts.ragged {
-            BlockSizes::from_payloads(payloads)
+        if opts.ragged {
+            check_count(payloads, plan.n())?;
         } else {
-            BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-        };
-        let rbufs = run_arena(plan, graph, payloads, &sizes, arena, opts)?;
-        Ok(ExecOutcome { rbufs, ..ExecOutcome::default() })
+            check_payloads(payloads, plan.n())?;
+        }
+        let layout = arena.prepare(plan, graph)?;
+        let mut held = arena.take_tables(&layout);
+        let rbufs = forward(plan, &layout, payloads, &mut held, opts.recorder)
+            .and_then(|()| assemble(&layout, payloads, &held, arena));
+        arena.put_tables(held);
+        Ok(ExecOutcome { rbufs: rbufs?, ..ExecOutcome::default() })
     }
 }
 
-/// Zero-copy engine: direct arena-to-arena span copies.
-fn run_arena(
-    plan: &Arc<CollectivePlan>,
-    graph: &Topology,
+/// Runs the plan's phases over the slot tables: every send forwards the
+/// descriptors its source runs hold to the slots its receiver posted.
+fn forward(
+    plan: &CollectivePlan,
+    layout: &ArenaLayout,
     payloads: &[Vec<u8>],
-    sizes: &BlockSizes,
-    arena: &mut BlockArena,
-    opts: &ExecOptions<'_>,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let rec = opts.recorder;
-    let n = plan.n();
-    let layout = arena.prepare(plan, graph)?;
-    let exts = layout.extents(sizes);
-    let mut bufs = arena.fill(&layout, payloads, &exts);
-
+    held: &mut [Vec<u32>],
+    rec: &dyn Recorder,
+) -> Result<(), ExecError> {
     // A layout row sees only its own rank's program, so a posted recv
-    // whose send is missing from the peer's program would leave stale
-    // arena bytes in its slots; counting matched deliveries against
-    // posted recvs catches it without per-run bookkeeping.
+    // whose send is missing from the peer's program would leave its
+    // slots empty; counting matched deliveries against posted recvs
+    // names the recv rather than whichever slot is read first.
     let (mut posted, mut delivered) = (0usize, 0usize);
     for k in 0..layout.phase_count {
         for (r, prog) in plan.per_rank.iter().enumerate() {
@@ -77,42 +73,91 @@ fn run_arena(
                 rec.copies(r, prog[k].copy_blocks);
             }
         }
-        for r in 0..n {
-            posted += layout.ranks[r].phases[k].recvs.len();
-            for op in &layout.ranks[r].phases[k].sends {
-                let ext = &exts[r];
-                let bytes: usize = op.runs.iter().map(|&run| ext.run_bytes(run)).sum();
+        for (r, rl) in layout.ranks.iter().enumerate() {
+            posted += rl.phases[k].recvs.len();
+            for op in &rl.phases[k].sends {
+                let bytes = held_bytes(&held[r], &op.runs, payloads).map_err(|slot| {
+                    ExecError::MissingBlock { rank: r, block: rl.slots[slot], phase: k }
+                })?;
                 rec.msg_sent(r, op.peer, bytes);
                 // no receive posted at the peer: the message goes nowhere
                 let Some((ph, i)) = op.dst else { continue };
                 rec.msg_recvd(op.peer, r, bytes);
                 let dst_runs = &layout.ranks[op.peer].phases[ph as usize].recvs[i as usize].runs;
-                let (src, dst) = two_bufs(&mut bufs, r, op.peer);
-                copy_runs(src, &op.runs, ext, dst, dst_runs, &exts[op.peer]);
+                let (src, dst) = two_bufs(held, r, op.peer);
+                forward_runs(src, &op.runs, dst, dst_runs);
                 delivered += 1;
             }
         }
     }
     if delivered < posted {
-        if let Some(unsent) = first_unsent_recv(&layout) {
-            arena.restore_bufs(bufs);
+        if let Some(unsent) = first_unsent_recv(layout) {
             return Err(unsent);
         }
     }
+    Ok(())
+}
 
-    let mut rbufs = arena.take_rbufs(n);
-    for (r, rb) in rbufs.iter_mut().enumerate() {
-        let ext = &exts[r];
+/// Builds every rank's receive buffer from the origin payloads its
+/// `out_runs` slots name — the one copy of each delivered byte.
+fn assemble(
+    layout: &ArenaLayout,
+    payloads: &[Vec<u8>],
+    held: &[Vec<u32>],
+    arena: &mut BlockArena,
+) -> Result<Vec<Vec<u8>>, ExecError> {
+    let mut rbufs = arena.take_rbufs(layout.n());
+    for (r, (rb, rl)) in rbufs.iter_mut().zip(&layout.ranks).enumerate() {
+        let want = held_bytes(&held[r], &rl.out_runs, payloads)
+            .map_err(|slot| ExecError::Undelivered { rank: r, block: rl.slots[slot] })?;
         let cap = rb.capacity();
         rb.clear();
-        rb.reserve(layout.ranks[r].out_runs.iter().map(|&run| ext.run_bytes(run)).sum());
-        for &(s, l) in &layout.ranks[r].out_runs {
-            rb.extend_from_slice(&bufs[r][ext.offset(s as usize)..ext.offset((s + l) as usize)]);
+        rb.reserve(want);
+        for &(s, l) in &rl.out_runs {
+            for &id in &held[r][s as usize..(s + l) as usize] {
+                rb.extend_from_slice(&payloads[id as usize]);
+            }
         }
         arena.note_realloc(rb.capacity() != cap);
     }
-    arena.restore_bufs(bufs);
     Ok(rbufs)
+}
+
+/// Payload bytes behind the descriptors `runs` covers in one rank's
+/// table, or the first covered slot that holds nothing.
+fn held_bytes(held: &[u32], runs: &[SlotRun], payloads: &[Vec<u8>]) -> Result<usize, usize> {
+    let mut bytes = 0usize;
+    for &(s, l) in runs {
+        for (i, &id) in held[s as usize..(s + l) as usize].iter().enumerate() {
+            if id == EMPTY {
+                return Err(s as usize + i);
+            }
+            bytes += payloads[id as usize].len();
+        }
+    }
+    Ok(bytes)
+}
+
+/// Moves descriptors from `src` slots to `dst` slots, walking the two
+/// run lists in lock-step. Plan mirror-validation makes them carry the
+/// same blocks in the same order; when they disagree the descriptors
+/// still land in message order — whatever was sent, where it was posted —
+/// and a longer receive list keeps its tail slots as they were.
+fn forward_runs(src: &[u32], src_runs: &[SlotRun], dst: &mut [u32], dst_runs: &[SlotRun]) {
+    let mut src_runs = src_runs.iter();
+    let (mut s, mut left) = (0usize, 0usize);
+    for &(d, need) in dst_runs {
+        let (mut d, mut need) = (d as usize, need as usize);
+        while need > 0 {
+            if left == 0 {
+                let Some(&(start, len)) = src_runs.next() else { return };
+                (s, left) = (start as usize, len as usize);
+            }
+            let take = left.min(need);
+            dst[d..d + take].copy_from_slice(&src[s..s + take]);
+            (s, left, d, need) = (s + take, left - take, d + take, need - take);
+        }
+    }
 }
 
 /// Names the first posted recv (rank, then phase order) that no rank's
@@ -131,56 +176,6 @@ fn first_unsent_recv(layout: &ArenaLayout) -> Option<ExecError> {
         }
     }
     None
-}
-
-/// Copies blocks from `src` spans to `dst` spans. Both run lists carry
-/// the same blocks in the same order (plan mirror-validation), so each
-/// chunk's byte count agrees on the two sides even under ragged extents.
-pub(crate) fn copy_runs(
-    src: &[u8],
-    src_runs: &[SlotRun],
-    sext: &SlotExtents,
-    dst: &mut [u8],
-    dst_runs: &[SlotRun],
-    dext: &SlotExtents,
-) {
-    let mut si = 0usize;
-    let mut soff = 0u32;
-    // Byte-coalesced pending chunk `(spos, dpos, len)`: slot runs that
-    // are disjoint in slot space can still be byte-adjacent on both
-    // sides (zero-size blocks under ragged extents, fragmented run
-    // lists), so chunks are merged before the copy is issued — one
-    // `copy_from_slice` per maximal byte-contiguous segment.
-    let mut pend: Option<(usize, usize, usize)> = None;
-    for &(dslot, dlen) in dst_runs {
-        let mut need = dlen;
-        let mut done = 0u32;
-        while need > 0 {
-            let (sslot, slen) = src_runs[si];
-            let take = (slen - soff).min(need);
-            let spos = sext.offset((sslot + soff) as usize);
-            let nbytes = sext.offset((sslot + soff + take) as usize) - spos;
-            let dpos = dext.offset((dslot + done) as usize);
-            match &mut pend {
-                Some((ps, pd, pl)) if *ps + *pl == spos && *pd + *pl == dpos => *pl += nbytes,
-                _ => {
-                    if let Some((ps, pd, pl)) = pend.replace((spos, dpos, nbytes)) {
-                        dst[pd..pd + pl].copy_from_slice(&src[ps..ps + pl]);
-                    }
-                }
-            }
-            soff += take;
-            need -= take;
-            done += take;
-            if soff == slen {
-                si += 1;
-                soff = 0;
-            }
-        }
-    }
-    if let Some((ps, pd, pl)) = pend {
-        dst[pd..pd + pl].copy_from_slice(&src[ps..ps + pl]);
-    }
 }
 
 /// Reference receive buffers straight from the definition — what any
@@ -453,6 +448,31 @@ mod tests {
         });
         let payloads = test_payloads(3, 4, 0);
         run_checked(&Arc::new(plan), &g, &payloads).unwrap();
+    }
+
+    #[test]
+    fn forward_runs_walks_differently_fragmented_lists_in_lock_step() {
+        let src = [10, 11, 12, 13, 14, 15, 16];
+        let mut dst = [EMPTY; 8];
+        // 5 blocks: source slots 0-2 and 5-6, landing in slots 1 and 3-6
+        forward_runs(&src, &[(0, 3), (5, 2)], &mut dst, &[(1, 1), (3, 4)]);
+        assert_eq!(dst, [EMPTY, 10, EMPTY, 11, 12, 15, 16, EMPTY]);
+        // a sender that lists fewer blocks than were posted fills a
+        // prefix and leaves the tail as it was; surplus blocks go nowhere
+        let mut dst = [EMPTY, 7, EMPTY];
+        forward_runs(&src, &[(2, 1)], &mut dst, &[(0, 3)]);
+        assert_eq!(dst, [12, 7, EMPTY]);
+        forward_runs(&src, &[(0, 7)], &mut dst, &[(2, 1)]);
+        assert_eq!(dst, [12, 7, 10]);
+    }
+
+    #[test]
+    fn held_bytes_sums_payload_lengths_and_names_the_first_empty_slot() {
+        let payloads = vec![vec![0u8; 3], vec![], vec![0u8; 5]];
+        let held = [2, 1, EMPTY, 0];
+        assert_eq!(held_bytes(&held, &[(0, 2), (3, 1)], &payloads), Ok(8));
+        assert_eq!(held_bytes(&held, &[(3, 1), (1, 2)], &payloads), Err(2));
+        assert_eq!(held_bytes(&held, &[], &payloads), Ok(0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nhood_cluster::ClusterLayout;
-use nhood_core::collective::reference;
+use nhood_core::collective::matches_reference;
 use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v};
 use nhood_core::{
     Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType,
@@ -787,8 +787,7 @@ impl Service {
             return None;
         }
         let g = self.tenants[req.tenant].comm.graph();
-        let want = reference(g, req.op, &req.payloads, req.sizes.as_ref()).ok()?;
-        Some(want == rbufs)
+        matches_reference(g, req.op, &req.payloads, req.sizes.as_ref(), rbufs).ok()
     }
 
     fn finish(
@@ -1105,7 +1104,8 @@ mod tests {
         for i in 0..6u8 {
             let (t, g) = if i % 2 == 0 { (a, &ga) } else { (b, &gb) };
             let payloads = uniform_payloads(16, 32, 0x40 + i);
-            want.push(reference(g, CollectiveOp::Allgather, &payloads, None).unwrap());
+            let op = CollectiveOp::Allgather;
+            want.push(nhood_core::collective::reference(g, op, &payloads, None).unwrap());
             svc.submit(t, payloads).unwrap();
         }
         assert_eq!(svc.tick(), 6, "one tick, so every later request ran after the earlier ones");

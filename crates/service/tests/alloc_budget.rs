@@ -1,9 +1,10 @@
 //! The warm gather path's allocation budget, as a count.
 //!
 //! A timing regression needs ten benchmark pairs to see; an allocation
-//! that creeps back into the per-request path shows here as a number.
-//! The binary has its own counting `#[global_allocator]` (per thread, so
-//! the test harness's other threads are not counted) and one test.
+//! that creeps back into the per-request path — or payload-sized memory
+//! the service keeps between ticks — shows here as a number. The binary
+//! has its own counting `#[global_allocator]` (calls and live bytes, per
+//! thread, so the test harness's other threads are not counted).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,6 +18,13 @@ thread_local! {
     // Const-initialized and without a destructor, so the allocator can
     // touch it at any point of a thread's life.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated and has not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn track(calls: u64, bytes: i64) {
+    CALLS.with(|c| c.set(c.get() + calls));
+    LIVE.with(|l| l.set(l.get() + bytes));
 }
 
 struct Counting;
@@ -26,24 +34,25 @@ struct Counting;
 // the returned memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
+        track(1, layout.size() as i64);
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
+        track(1, layout.size() as i64);
         // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
+        track(1, new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc` is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, -(layout.size() as i64));
         // SAFETY: the caller's contract for `dealloc` is passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -65,8 +74,7 @@ fn inputs(round: u8) -> Vec<(usize, Vec<Vec<u8>>)> {
 
 /// Allocator calls of submit × 16 → one `tick` → `take_completions`,
 /// with the inputs built (and the completions dropped) outside the count.
-fn counted_tick(svc: &mut Service, round: u8) -> u64 {
-    let reqs = inputs(round);
+fn counted_tick(svc: &mut Service, reqs: Vec<(usize, Vec<Vec<u8>>)>) -> u64 {
     // the latency log grows for the life of a service; start each tick
     // from the same (emptied, capacity kept) log
     svc.reset_metrics();
@@ -92,16 +100,66 @@ fn a_warm_gather_tick_stays_inside_its_allocation_budget() {
     }
     // two warm-up ticks: arenas laid out and grown, queue and completion
     // vectors at their steady capacity
-    counted_tick(&mut svc, 0);
-    counted_tick(&mut svc, 1);
+    counted_tick(&mut svc, inputs(0));
+    counted_tick(&mut svc, inputs(1));
 
-    let first = counted_tick(&mut svc, 2);
-    let second = counted_tick(&mut svc, 3);
+    let first = counted_tick(&mut svc, inputs(2));
+    let second = counted_tick(&mut svc, inputs(3));
     println!("warm tick: {first} allocator calls for {REQUESTS} requests");
     assert!(
         first <= 32 * REQUESTS as u64,
         "{first} allocator calls for {REQUESTS} warm requests (budget 32 each)"
     );
     assert_eq!(second, first, "an identical warm tick must allocate exactly as often");
+    assert_eq!(svc.report().stats.corrupt, 0);
+}
+
+/// `gather-large`'s shape at `unit` bytes: 16 requests alternating over
+/// two tenants, tenant 0 uniform `8 * unit`, tenant 1 a ragged ladder of
+/// 0–16 `unit`s (zero-length blocks included) permuted per request.
+fn two_tenant_inputs(unit: usize, round: u8) -> Vec<(usize, Vec<Vec<u8>>)> {
+    const LADDER: [usize; 8] = [0, 2, 4, 6, 8, 8, 12, 16];
+    (0..REQUESTS)
+        .map(|i| {
+            let units = |r: usize| if i % 2 == 0 { 8 } else { LADDER[(r * 3 + i) % 8] };
+            (i % 2, (0..N).map(|r| vec![r as u8 ^ round ^ i as u8; units(r) * unit]).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn large_blocks_cost_the_allocator_calls_and_live_heap_of_small_ones() {
+    let mut svc = Service::new(ServiceConfig::default());
+    for t in 0..2 {
+        let g = erdos_renyi(N, 0.3, 200 + t);
+        svc.add_tenant(g, ClusterLayout::new(4, 2, 8), Algorithm::DistanceHalving).unwrap();
+    }
+    // Warm ticks of `unit`-sized blocks, then the last one's allocator
+    // calls and the heap the thread still holds once its completions
+    // are dropped: the service's own.
+    let mut warm_tick = |unit: usize| {
+        counted_tick(&mut svc, two_tenant_inputs(unit, 0));
+        counted_tick(&mut svc, two_tenant_inputs(unit, 1));
+        let first = counted_tick(&mut svc, two_tenant_inputs(unit, 2));
+        let second = counted_tick(&mut svc, two_tenant_inputs(unit, 3));
+        assert_eq!(second, first, "an identical warm tick must allocate exactly as often");
+        (first, LIVE.with(Cell::get))
+    };
+    let (_, small_live) = warm_tick(8); // 64 B uniform, 0-128 B ragged
+    let (calls, large_live) = warm_tick(1 << 10); // 8 KiB uniform, 0-16 KiB ragged
+    println!(
+        "warm large-block tick: {calls} allocator calls for {REQUESTS} requests, \
+         live heap {large_live} B (after 64 B blocks: {small_live} B)"
+    );
+    assert!(
+        calls <= 16 * REQUESTS as u64,
+        "{calls} allocator calls for {REQUESTS} warm large-block requests (budget 16 each)"
+    );
+    // the arena keeps 4 B per slot, not the blocks: what the service
+    // holds between ticks does not depend on how large the blocks were
+    assert!(
+        (large_live - small_live).abs() <= 64 << 10,
+        "live heap {large_live} B after 8 KiB blocks, {small_live} B after 64 B blocks"
+    );
     assert_eq!(svc.report().stats.corrupt, 0);
 }

@@ -291,6 +291,7 @@ impl Engine<'_> {
             next_send: send_off[..n].to_vec(),
             next_recv: recv_off[..n].to_vec(),
             cur_recv: vec![(0, 0); n],
+            arrivals: Vec::new(),
         };
 
         // Ready heap of ranks whose current phase's recvs are all
@@ -380,6 +381,9 @@ struct Replay<'p> {
     /// Recv-id range `(start, len)` of the phase each rank is currently
     /// in — saved at issue time, consumed by the drain.
     cur_recv: Vec<(usize, usize)>,
+    /// The drain's sort scratch `(posted, arrival, occupancy)`: one
+    /// vector for the whole replay instead of one per (rank, phase).
+    arrivals: Vec<(f64, f64, f64)>,
 }
 
 impl Replay<'_> {
@@ -474,16 +478,14 @@ impl Replay<'_> {
     /// Completes the recvs of rank `r`'s current phase in arrival order.
     fn drain(&mut self, r: Rank) {
         let (r0, rn) = self.cur_recv[r];
-        let mut arrivals: Vec<(f64, f64, f64)> = (r0..r0 + rn)
-            .map(|q| {
-                let p = &self.pre_recv[q];
-                let sid = p.send_id as usize;
-                (self.info_start[sid], self.info_end[sid], p.occupancy)
-            })
-            .collect();
-        arrivals.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("sim times are never NaN"));
+        self.arrivals.clear();
+        self.arrivals.extend(self.pre_recv[r0..r0 + rn].iter().map(|p| {
+            let sid = p.send_id as usize;
+            (self.info_start[sid], self.info_end[sid], p.occupancy)
+        }));
+        self.arrivals.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("sim times are never NaN"));
         let mut t = self.port_free[r];
-        for (start, end, occupancy) in arrivals {
+        for &(start, end, occupancy) in &self.arrivals {
             self.busy[r] += occupancy;
             let busy_start = t.max(start);
             t = (busy_start + occupancy).max(end);
