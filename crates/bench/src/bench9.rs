@@ -42,7 +42,12 @@ pub const GATE_SHARD_SPEEDUP: f64 = 2.0;
 /// Peak-RSS ceiling for the ~100k build relative to the ~10k build.
 pub const GATE_RSS_RATIO: f64 = 10.0;
 /// Required decode-validate / mmap first-rank-ready warm-start ratio.
-pub const GATE_MMAP_SPEEDUP: f64 = 5.0;
+/// It stood at 5.0 while the slow arm's `validate` hashed every message
+/// (≈ 10× measured); on dense ids that arm is ≈ 2.6× faster at
+/// n = 10 000 and the mapped arm is unchanged, so the ratio reads ≈ 4×
+/// (3.75–6.71× over seven full runs). The claim it guards — the mapped
+/// path is worth having — holds at 3.0.
+pub const GATE_MMAP_SPEEDUP: f64 = 3.0;
 
 /// Pool width 1 vs the full pool on one schedule (same engine).
 #[derive(Debug, Clone)]

@@ -27,7 +27,7 @@ use crate::collective::program::{compile, Shape};
 use crate::comm::CommError;
 use crate::exec::sim_exec::SimCost;
 use crate::pattern::{in_range, DhPattern};
-use crate::plan::Algorithm;
+use crate::plan::{check_mirror, Algorithm};
 use crate::sizes::BlockSizes;
 use nhood_cluster::ClusterLayout;
 use nhood_simnet::{Engine, SimReport};
@@ -84,12 +84,7 @@ impl AlltoallPlan {
     /// Total items moved (multiply by `m` for bytes); an item relayed
     /// over `h` hops counts `h` times.
     pub fn total_items_sent(&self) -> usize {
-        self.per_rank
-            .iter()
-            .flat_map(|p| p.iter())
-            .flat_map(|ph| ph.sends.iter())
-            .map(|m| m.items.len())
-            .sum()
+        self.per_rank.iter().flatten().flat_map(|ph| &ph.sends).map(|m| m.items.len()).sum()
     }
 
     /// Structural validation: mirrored sends/recvs, possession (a rank
@@ -97,48 +92,14 @@ impl AlltoallPlan {
     /// consumption of every topology edge's item at its destination.
     pub fn validate(&self, graph: &Topology) -> Result<(), String> {
         let n = self.n();
-        if graph.n() != n {
-            return Err(format!("plan has {n} ranks, topology has {}", graph.n()));
-        }
+        check_mirror(
+            graph.n(),
+            &self.per_rank,
+            |ph| (&ph.sends, &ph.recvs),
+            |m| (m.peer, &m.items[..], m.tag),
+        )
+        .map_err(|e| e.to_string())?;
         let phases = self.phase_count();
-        for (r, prog) in self.per_rank.iter().enumerate() {
-            if prog.len() != phases {
-                return Err(format!("rank {r} has {} phases, want {phases}", prog.len()));
-            }
-        }
-        // mirror check: (src, dst, tag) -> (phase, item list)
-        type MsgIndex<'a> = HashMap<(Rank, Rank, u64), (usize, &'a [(Rank, Rank)])>;
-        let mut sends: MsgIndex = HashMap::new();
-        let mut recvs: MsgIndex = HashMap::new();
-        for (r, prog) in self.per_rank.iter().enumerate() {
-            for (k, ph) in prog.iter().enumerate() {
-                for msg in &ph.sends {
-                    if msg.peer >= n || msg.peer == r || msg.items.is_empty() {
-                        return Err(format!("rank {r} phase {k}: bad send"));
-                    }
-                    if sends.insert((r, msg.peer, msg.tag), (k, &msg.items)).is_some() {
-                        return Err(format!("duplicate send key ({r},{},{})", msg.peer, msg.tag));
-                    }
-                }
-                for msg in &ph.recvs {
-                    if recvs.insert((msg.peer, r, msg.tag), (k, &msg.items)).is_some() {
-                        return Err(format!("duplicate recv key ({},{r},{})", msg.peer, msg.tag));
-                    }
-                }
-            }
-        }
-        if sends.len() != recvs.len() {
-            return Err(format!("{} sends vs {} recvs", sends.len(), recvs.len()));
-        }
-        for (key, (sk, sitems)) in &sends {
-            match recvs.get(key) {
-                None => return Err(format!("send {key:?} unmatched")),
-                Some((rk, ritems)) if sk != rk || sitems != ritems => {
-                    return Err(format!("send {key:?} mismatched with recv"))
-                }
-                _ => {}
-            }
-        }
         // possession + consumption
         let mut holds: Vec<std::collections::HashSet<(Rank, Rank)>> =
             (0..n).map(|p| graph.out_neighbors(p).iter().map(|&d| (p, d)).collect()).collect();
@@ -450,6 +411,22 @@ mod tests {
             };
             let got = simulate_alltoall(&plan, &g, &layout, m, &cost).unwrap().makespan;
             assert_eq!(got.to_bits(), bits, "n={n} {algo} m={m}");
+        }
+    }
+
+    #[test]
+    fn the_reported_mirror_defect_is_a_function_of_the_plan() {
+        // eight unmatched sends: the lowest (dst, src, tag) is named,
+        // on every call (a hasher's iteration order used to pick)
+        let g = erdos_renyi(32, 0.3, 5);
+        let mut plan = plan_naive_alltoall(&g);
+        for prog in &mut plan.per_rank[..8] {
+            prog[0].recvs[0].tag = 99;
+        }
+        let src = plan.per_rank[0][0].recvs[0].peer;
+        let want = crate::plan::PlanValidationError::UnmatchedSend { src, dst: 0, tag: 0 };
+        for _ in 0..64 {
+            assert_eq!(plan.validate(&g).unwrap_err(), want.to_string());
         }
     }
 

@@ -68,7 +68,6 @@ use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
 use crate::plan_cache::PlanFingerprint;
 use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A run of consecutive arena slots: `(first_slot, slot_count)`.
@@ -129,10 +128,11 @@ pub struct RankLayout {
     pub slots: Vec<Rank>,
     /// Per-phase pre-resolved operations (lock-step with the plan).
     pub phases: Vec<PhaseOps>,
-    /// Where every expected incoming message's [`RecvOp`] sits, keyed by
-    /// `(src, tag)` → `(phase, index)`: the link-time index behind
-    /// [`SendOp::dst`] (no executor hashes at run time).
-    pub recv_at: HashMap<(Rank, u64), (u32, u32)>,
+    /// Where every expected incoming message's [`RecvOp`] sits:
+    /// `((src, tag), (phase, index))` sorted ascending, so the last
+    /// posting of a key closes its run — the link-time index behind
+    /// [`SendOp::dst`] (no executor searches at run time).
+    pub recv_at: Vec<((Rank, u64), (u32, u32))>,
     /// Arena runs that assemble the rank's receive buffer: its
     /// in-neighbors' blocks in `in_neighbors` order.
     pub out_runs: Vec<SlotRun>,
@@ -151,97 +151,100 @@ pub struct ArenaLayout {
     pub phase_count: usize,
 }
 
-/// Compresses a sequence of slot indices into maximal consecutive runs.
-fn compress_runs(slots: impl IntoIterator<Item = u32>) -> Vec<SlotRun> {
+/// Compresses a sequence of slot indices into maximal consecutive runs,
+/// stopping at the first one that failed to resolve.
+fn compress_runs(
+    slots: impl IntoIterator<Item = Result<u32, ExecError>>,
+) -> Result<Vec<SlotRun>, ExecError> {
     let mut runs: Vec<SlotRun> = Vec::new();
     for s in slots {
+        let s = s?;
         match runs.last_mut() {
             Some((start, len)) if *start + *len == s => *len += 1,
             _ => runs.push((s, 1)),
         }
     }
-    runs
+    Ok(runs)
 }
 
 /// Builds one rank's complete layout row. A rank's slot assignment is a
 /// pure function of its own program (sends resolve against its own slot
 /// table, receives only grow it), so rows are independently computable —
 /// which is what lets [`ArenaLayout::repair`] rebuild only the ranks a
-/// plan mutation touched.
-fn rank_layout(plan: &CollectivePlan, graph: &Topology, r: Rank) -> Result<RankLayout, ExecError> {
-    let phase_count = plan.phase_count();
-    let mut slot_of: HashMap<Rank, u32> = HashMap::from([(r, 0u32)]);
+/// plan mutation touched. `slot_of` is the caller's scratch, one entry
+/// per rank and all [`EMPTY`]; a finished row hands it back that way.
+fn rank_layout(
+    plan: &CollectivePlan,
+    graph: &Topology,
+    r: Rank,
+    slot_of: &mut [u32],
+) -> Result<RankLayout, ExecError> {
     let mut rl = RankLayout {
         slots: vec![r],
-        phases: Vec::with_capacity(phase_count),
-        recv_at: HashMap::new(),
+        phases: Vec::with_capacity(plan.phase_count()),
+        recv_at: Vec::new(),
         out_runs: Vec::new(),
     };
+    slot_of[r] = 0;
+    let held = |slot_of: &[u32], b: Rank| slot_of.get(b).copied().filter(|&s| s != EMPTY);
 
     for (k, phase) in plan.per_rank[r].iter().enumerate() {
         // Sends first, against the pre-phase slot table, so a block
-        // arriving in phase k cannot be sourced in phase k.
+        // arriving in phase k cannot be sourced in phase k. A label no
+        // rank owns has no slot on either side of a message.
+        let missing = |b| ExecError::MissingBlock { rank: r, block: b, phase: k };
         let mut ops = Vec::with_capacity(phase.sends.len());
         for msg in &phase.sends {
-            let mut src_slots = Vec::with_capacity(msg.blocks.len());
-            for &b in &msg.blocks {
-                let &s = slot_of.get(&b).ok_or(ExecError::MissingBlock {
-                    rank: r,
-                    block: b,
-                    phase: k,
-                })?;
-                src_slots.push(s);
-            }
-            ops.push(SendOp {
-                peer: msg.peer,
-                tag: msg.tag,
-                runs: compress_runs(src_slots),
-                dst: None,
-            });
+            let runs =
+                compress_runs(msg.blocks.iter().map(|&b| held(slot_of, b).ok_or(missing(b))))?;
+            ops.push(SendOp { peer: msg.peer, tag: msg.tag, runs, dst: None });
         }
         // Then receives: first arrival appends a slot at the arena tail
         // (re-deliveries reuse the existing slot — the bytes are
         // identical, so overwriting is idempotent).
         let mut recv_ops = Vec::with_capacity(phase.recvs.len());
         for msg in &phase.recvs {
-            let mut dst_slots = Vec::with_capacity(msg.blocks.len());
-            for &b in &msg.blocks {
-                let next = rl.slots.len() as u32;
-                let s = *slot_of.entry(b).or_insert(next);
-                if s == next {
+            let runs = compress_runs(msg.blocks.iter().map(|&b| {
+                let slot = slot_of.get_mut(b).ok_or(missing(b))?;
+                if *slot == EMPTY {
+                    *slot = rl.slots.len() as u32;
                     rl.slots.push(b);
                 }
-                dst_slots.push(s);
-            }
-            rl.recv_at.insert((msg.peer, msg.tag), (k as u32, recv_ops.len() as u32));
-            recv_ops.push(RecvOp { peer: msg.peer, tag: msg.tag, runs: compress_runs(dst_slots) });
+                Ok(*slot)
+            }))?;
+            rl.recv_at.push(((msg.peer, msg.tag), (k as u32, recv_ops.len() as u32)));
+            recv_ops.push(RecvOp { peer: msg.peer, tag: msg.tag, runs });
         }
         rl.phases.push(PhaseOps { sends: ops, recvs: recv_ops });
     }
+    rl.recv_at.sort_unstable();
 
     // Receive-buffer assembly runs, in in-neighbor order.
+    let undelivered = |b| ExecError::Undelivered { rank: r, block: b };
     let ins = graph.in_neighbors(r);
-    let mut out_slots = Vec::with_capacity(ins.len());
-    for &b in ins {
-        let &s = slot_of.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
-        out_slots.push(s);
-    }
-    rl.out_runs = compress_runs(out_slots);
+    rl.out_runs = compress_runs(ins.iter().map(|&b| held(slot_of, b).ok_or(undelivered(b))))?;
     rl.slots.shrink_to_fit();
+    for &b in &rl.slots {
+        slot_of[b] = EMPTY;
+    }
     Ok(rl)
 }
 
 /// Points every send at its receiver's [`RecvOp`] — the one place a
-/// `(src, tag)` key is hashed, so no executor does it per message.
+/// `(src, tag)` key is searched for, so no executor does it per message.
 fn link_sends(ranks: &mut [RankLayout]) {
-    let index: Vec<_> = ranks.iter_mut().map(|rl| std::mem::take(&mut rl.recv_at)).collect();
-    for (r, rl) in ranks.iter_mut().enumerate() {
-        for s in rl.phases.iter_mut().flat_map(|ph| &mut ph.sends) {
-            s.dst = index.get(s.peer).and_then(|at| at.get(&(r, s.tag))).copied();
+    for r in 0..ranks.len() {
+        let mut phases = std::mem::take(&mut ranks[r].phases);
+        for s in phases.iter_mut().flat_map(|ph| &mut ph.sends) {
+            s.dst = ranks.get(s.peer).and_then(|peer| {
+                let after = peer.recv_at.partition_point(|&(key, _)| key <= (r, s.tag));
+                peer.recv_at[..after]
+                    .last()
+                    .filter(|&&(key, _)| key == (r, s.tag))
+                    .map(|&(_, at)| at)
+            });
         }
-    }
-    for (rl, at) in ranks.iter_mut().zip(index) {
-        rl.recv_at = at;
+        ranks[r].phases = phases;
     }
 }
 
@@ -257,8 +260,10 @@ impl ArenaLayout {
     pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
         #[cfg(test)]
         tests::FOR_PLAN_CALLS.with(|c| c.set(c.get() + 1));
-        let mut ranks =
-            (0..plan.n()).map(|r| rank_layout(plan, graph, r)).collect::<Result<Vec<_>, _>>()?;
+        let mut slot_of = vec![EMPTY; plan.n()];
+        let mut ranks = (0..plan.n())
+            .map(|r| rank_layout(plan, graph, r, &mut slot_of))
+            .collect::<Result<Vec<_>, _>>()?;
         link_sends(&mut ranks);
         Ok(Self { ranks, phase_count: plan.phase_count() })
     }
@@ -276,8 +281,9 @@ impl ArenaLayout {
     ) -> Result<Self, ExecError> {
         let mut out = self.clone();
         out.phase_count = plan.phase_count();
+        let mut slot_of = vec![EMPTY; plan.n()];
         for &r in changed_ranks {
-            out.ranks[r] = rank_layout(plan, graph, r)?;
+            out.ranks[r] = rank_layout(plan, graph, r, &mut slot_of)?;
         }
         link_sends(&mut out.ranks);
         Ok(out)
@@ -501,8 +507,11 @@ pub(crate) mod tests {
 
     #[test]
     fn compress_runs_merges_consecutive() {
-        assert_eq!(compress_runs([0, 1, 2, 4, 5, 9]), vec![(0, 3), (4, 2), (9, 1)]);
-        assert!(compress_runs([]).is_empty());
+        assert_eq!(
+            compress_runs([0, 1, 2, 4, 5, 9].map(Ok)).unwrap(),
+            vec![(0, 3), (4, 2), (9, 1)]
+        );
+        assert!(compress_runs([]).unwrap().is_empty());
     }
 
     #[test]

@@ -31,96 +31,51 @@ use nhood_topology::{Rank, Topology};
 pub fn plan_common_neighbor(graph: &Topology, k: usize) -> CollectivePlan {
     assert!(k > 0, "group size must be positive");
     let n = graph.n();
-    let group_of = |r: Rank| r / k;
-    let n_groups = n.div_ceil(k);
-
-    // For every (group, target): the sharers (group members with an edge
-    // to target).
-    // sharers[g] : target -> Vec<member>
-    let mut sharers: Vec<std::collections::BTreeMap<Rank, Vec<Rank>>> =
-        vec![std::collections::BTreeMap::new(); n_groups];
-    for r in 0..n {
-        let g = group_of(r);
-        for &t in graph.out_neighbors(r) {
-            sharers[g].entry(t).or_default().push(r);
+    // Phase 0: intra-group distribution (tag 0); phase 1: delivery (tag
+    // 1) + pack copies for combined messages; phase 2: the epilogue that
+    // scatters combined payloads into rbuf. Senders are walked in rank
+    // order and their peers ascend, so every rank's sends come out
+    // ordered by peer and so do its recvs.
+    let mut per_rank: Vec<Vec<PlanPhase>> = vec![vec![PlanPhase::default(); 3]; n];
+    let mut leaders: Vec<Rank> = Vec::new();
+    for s in 0..n {
+        let group = s / k * k..s / k * k + k;
+        // The members of `s`'s group that share target `t` are a run of
+        // `t`'s sorted in-neighbors. Two or more sharers of a target
+        // outside the group combine under a round-robin leader.
+        let combined = |t: Rank| {
+            let ins = graph.in_neighbors(t);
+            let members = &ins[ins.partition_point(|&m| m < group.start)..];
+            let members = &members[..members.partition_point(|&m| m < group.end)];
+            (members.len() >= 2 && !group.contains(&t))
+                .then(|| (members[t % members.len()], members))
+        };
+        // The leaders that relay `s`'s block get it in phase 0.
+        leaders.clear();
+        leaders.extend(graph.out_neighbors(s).iter().filter_map(|&t| combined(t)).map(|(l, _)| l));
+        leaders.sort_unstable();
+        leaders.dedup();
+        for &l in leaders.iter().filter(|&&l| l != s) {
+            per_rank[s][0].sends.push(PlannedMsg { peer: l, blocks: vec![s], tag: 0 });
+            per_rank[l][0].recvs.push(PlannedMsg { peer: s, blocks: vec![s], tag: 0 });
         }
-    }
-
-    // Phase-0 needs: member -> set of leaders that relay its block.
-    let mut needs: Vec<std::collections::BTreeSet<Rank>> = vec![Default::default(); n];
-    // Phase-1 messages: sender -> (target -> blocks)
-    let mut deliveries: Vec<std::collections::BTreeMap<Rank, Vec<Rank>>> =
-        vec![Default::default(); n];
-
-    // Pass 1: pick leaders for common neighbors and record which leaders
-    // need which members' blocks.
-    for (g, shared) in sharers.iter().enumerate() {
-        for (&target, members) in shared {
-            if members.len() >= 2 && group_of(target) != g {
-                // common neighbor: combine under a round-robin leader
-                let leader = members[target % members.len()];
-                for &m in members {
-                    if m != leader {
-                        needs[m].insert(leader);
-                    }
-                }
-                deliveries[leader].entry(target).or_default().extend(members.iter().copied());
-            }
-        }
-    }
-    // Pass 2: direct sends for everything not combined — unless the
-    // target is a leader that already receives the block in phase 0 (the
-    // intra-group copy doubles as the delivery).
-    for (g, shared) in sharers.iter().enumerate() {
-        for (&target, members) in shared {
-            if members.len() >= 2 && group_of(target) != g {
-                continue; // combined above
-            }
-            for &m in members {
-                if needs[m].contains(&target) {
-                    continue; // delivered by the phase-0 distribution
-                }
-                deliveries[m].entry(target).or_default().push(m);
-            }
-        }
-    }
-
-    let mut per_rank: Vec<Vec<PlanPhase>> = vec![Vec::with_capacity(3); n];
-    // Phase 0: intra-group distribution (tag 0).
-    let mut phase0: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    for (m, leaders) in needs.iter().enumerate() {
-        for &l in leaders {
-            phase0[m].sends.push(PlannedMsg { peer: l, blocks: vec![m], tag: 0 });
-            phase0[l].recvs.push(PlannedMsg { peer: m, blocks: vec![m], tag: 0 });
-        }
-    }
-    for (r, ph) in phase0.into_iter().enumerate() {
-        per_rank[r].push(ph);
-    }
-
-    // Phase 1: delivery (tag 1) + pack copies for combined messages.
-    let mut phase1: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut scatter: Vec<usize> = vec![0; n];
-    for (s, dels) in deliveries.iter().enumerate() {
-        for (&target, blocks) in dels {
-            let mut blocks = blocks.clone();
-            blocks.sort_unstable();
-            blocks.dedup();
+        for &t in graph.out_neighbors(s) {
+            let blocks = match combined(t) {
+                Some((leader, members)) if leader == s => members,
+                Some(_) => continue, // its leader delivers
+                // a direct send — unless the target is a leader that
+                // already receives the block in phase 0 (the intra-group
+                // copy doubles as the delivery)
+                None if leaders.binary_search(&t).is_ok() => continue,
+                None => std::slice::from_ref(&s),
+            };
             if blocks.len() > 1 {
-                phase1[s].copy_blocks += blocks.len(); // pack into temp buffer
-                scatter[target] += blocks.len(); // unpack at the receiver
+                per_rank[s][1].copy_blocks += blocks.len(); // pack into temp buffer
+                per_rank[t][2].copy_blocks += blocks.len(); // unpack at the receiver
             }
-            phase1[target].recvs.push(PlannedMsg { peer: s, blocks: blocks.clone(), tag: 1 });
-            phase1[s].sends.push(PlannedMsg { peer: target, blocks, tag: 1 });
+            per_rank[t][1].recvs.push(PlannedMsg { peer: s, blocks: blocks.to_vec(), tag: 1 });
+            per_rank[s][1].sends.push(PlannedMsg { peer: t, blocks: blocks.to_vec(), tag: 1 });
         }
-    }
-    for (r, mut ph) in phase1.into_iter().enumerate() {
-        ph.recvs.sort_by_key(|m| m.peer);
-        per_rank[r].push(ph);
-    }
-    // Epilogue: scatter combined payloads into rbuf.
-    for (r, &s) in scatter.iter().enumerate() {
-        per_rank[r].push(PlanPhase { copy_blocks: s, sends: vec![], recvs: vec![] });
     }
 
     CollectivePlan { algorithm: Algorithm::CommonNeighbor { k }, per_rank, selection: None }

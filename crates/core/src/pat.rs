@@ -11,10 +11,18 @@
 //! (or concurrently arriving at) the receiver is dropped from the
 //! message, so overlapping trees never double-deliver. Tree roots are
 //! rotated by the destination rank to spread aggregation load.
+//!
+//! The merge is **receiver-major**. Whether a block is dropped depends
+//! only on what its receiver holds, and a receiver's holdings depend
+//! only on its own earlier arrivals — never on what another rank was
+//! sent — so the trees' `(dst, round, src, block)` moves are sorted once
+//! and each receiver's run is walked with one stamp array. Receivers
+//! ascend, and within one its rounds and senders ascend, so every rank's
+//! sends come out ordered by destination and its recvs by source:
+//! exactly the order a phase-major merge over keyed maps produces.
 
 use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
 use nhood_topology::{Rank, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Builds the PAT aggregated-tree plan.
 ///
@@ -25,17 +33,24 @@ pub fn plan_pat(graph: &Topology, radix: usize) -> CollectivePlan {
     let n = graph.n();
 
     // Per destination, the aggregation tree over its sorted in-neighbors
-    // (rotated by the destination rank so roots spread across sources).
-    // rounds[j][(src, dst)] -> blocks moving in aggregation round j;
-    // the final delivery to the destination shares the round maps.
-    let mut rounds: Vec<BTreeMap<(Rank, Rank), BTreeSet<Rank>>> = Vec::new();
+    // (rotated by the destination rank so roots spread across sources),
+    // as `(dst, round, src, block)` moves; the final delivery to the
+    // destination is one more round of the same list. A move is packed
+    // into one integer, 32 bits a field, so the sort compares without
+    // branching.
+    assert!(u32::try_from(n).is_ok(), "PAT packs ranks into 32 bits");
+    let pack = |dst: Rank, round: usize, src: Rank, block: Rank| {
+        (dst as u128) << 96 | (round as u128) << 64 | (src as u128) << 32 | block as u128
+    };
+    let field = |m: u128, at: u32| (m >> (96 - 32 * at)) as u32 as usize;
+    let mut moves: Vec<u128> = Vec::new();
+    let mut srcs: Vec<Rank> = Vec::new();
     for t in 0..n {
-        let mut srcs: Vec<Rank> =
-            graph.in_neighbors(t).iter().copied().filter(|&s| s != t).collect();
+        srcs.clear();
+        srcs.extend(graph.in_neighbors(t).iter().copied().filter(|&s| s != t));
         if srcs.is_empty() {
             continue;
         }
-        srcs.sort_unstable();
         let k = srcs.len();
         srcs.rotate_left(t % k);
         // Aggregation: in round j, the source at index i (i a multiple of
@@ -44,81 +59,50 @@ pub fn plan_pat(graph: &Topology, radix: usize) -> CollectivePlan {
         let mut depth = 0usize;
         let mut step = 1usize;
         while step < k {
-            if rounds.len() <= depth {
-                rounds.push(BTreeMap::new());
-            }
             let next = step * radix;
-            let mut i = step;
-            while i < k {
-                if !i.is_multiple_of(next) {
-                    let parent = i - (i % next);
-                    let blocks: BTreeSet<Rank> =
-                        srcs[i..(i + step).min(k)].iter().copied().collect();
-                    rounds[depth].entry((srcs[i], srcs[parent])).or_default().extend(blocks);
-                }
-                i += step;
+            for i in (step..k).step_by(step).filter(|i| !i.is_multiple_of(next)) {
+                let subtree = &srcs[i..(i + step).min(k)];
+                moves
+                    .extend(subtree.iter().map(|&b| pack(srcs[i - (i % next)], depth, srcs[i], b)));
             }
             depth += 1;
             step = next;
         }
         // Delivery: the root sends the whole in-neighborhood in one
         // combined message, one round after aggregation finishes.
-        if rounds.len() <= depth {
-            rounds.push(BTreeMap::new());
-        }
-        rounds[depth].entry((srcs[0], t)).or_default().extend(srcs.iter().copied());
+        moves.extend(srcs.iter().map(|&b| pack(t, depth, srcs[0], b)));
     }
+    moves.sort_unstable();
+    moves.dedup();
+    let depth = moves.iter().map(|&m| field(m, 1) + 1).max().unwrap_or(0);
 
-    // Merge the per-destination trees into lock-step phases. `held`
-    // mirrors the possession rule of plan validation exactly: a message
-    // only carries blocks its receiver does not already hold and is not
-    // concurrently receiving this phase, so overlapping trees cannot
-    // double-deliver and every send reads pre-phase possession.
-    let depth = rounds.len();
-    let mut held: Vec<BTreeSet<Rank>> = (0..n).map(|r| BTreeSet::from([r])).collect();
-    let mut phases: Vec<Vec<PlanPhase>> = Vec::with_capacity(depth);
-    let mut epilogue: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    for (j, round) in rounds.iter().enumerate() {
-        let mut phase: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-        let mut arriving: Vec<BTreeSet<Rank>> = vec![BTreeSet::new(); n];
-        for (&(src, dst), blocks) in round {
-            let filtered: Vec<Rank> = blocks
-                .iter()
-                .copied()
-                .filter(|b| !held[dst].contains(b) && !arriving[dst].contains(b))
-                .collect();
-            if filtered.is_empty() {
-                continue;
-            }
-            debug_assert!(filtered.iter().all(|b| held[src].contains(b)));
-            arriving[dst].extend(filtered.iter().copied());
-            if filtered.len() > 1 {
-                phase[src].copy_blocks += filtered.len(); // pack
-                epilogue[dst].copy_blocks += filtered.len(); // unpack
-            }
-            phase[src].sends.push(PlannedMsg {
-                peer: dst,
-                blocks: filtered.clone(),
-                tag: j as u64,
-            });
-            phase[dst].recvs.push(PlannedMsg { peer: src, blocks: filtered, tag: j as u64 });
+    // Merge the per-destination trees into lock-step phases. `held[b] ==
+    // dst + 1` mirrors the possession rule of plan validation exactly: a
+    // message only carries blocks its receiver does not already hold and
+    // is not concurrently receiving this phase, so overlapping trees
+    // cannot double-deliver and every send reads pre-phase possession.
+    // The last phase is the unpack epilogue.
+    let mut per_rank: Vec<Vec<PlanPhase>> = vec![vec![PlanPhase::default(); depth + 1]; n];
+    let mut held = vec![0usize; n];
+    for msg in moves.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let (dst, round, src) = (field(msg[0], 0), field(msg[0], 1), field(msg[0], 2));
+        held[dst] = dst + 1;
+        let blocks: Vec<Rank> = msg
+            .iter()
+            .map(|&m| field(m, 3))
+            .filter(|&b| std::mem::replace(&mut held[b], dst + 1) != dst + 1)
+            .collect();
+        if blocks.is_empty() {
+            continue;
         }
-        for (r, new) in arriving.into_iter().enumerate() {
-            held[r].extend(new);
+        if blocks.len() > 1 {
+            per_rank[src][round].copy_blocks += blocks.len(); // pack
+            per_rank[dst][depth].copy_blocks += blocks.len(); // unpack
         }
-        phases.push(phase);
+        let tag = round as u64;
+        per_rank[src][round].sends.push(PlannedMsg { peer: dst, blocks: blocks.clone(), tag });
+        per_rank[dst][round].recvs.push(PlannedMsg { peer: src, blocks, tag });
     }
-
-    let per_rank = (0..n)
-        .map(|r| {
-            let mut prog = Vec::with_capacity(depth + 1);
-            for phase in &mut phases {
-                prog.push(std::mem::take(&mut phase[r]));
-            }
-            prog.push(std::mem::take(&mut epilogue[r]));
-            prog
-        })
-        .collect();
     CollectivePlan { algorithm: Algorithm::Pat { radix }, per_rank, selection: None }
 }
 

@@ -25,6 +25,7 @@
 //! rank, which later direct-sends — never duplicating a delivery.
 
 use crate::pattern::SelectionStats;
+use nhood_simnet::SendIndex;
 use nhood_topology::{Rank, Topology};
 
 /// Which direction of a [`PlannedMsg`] a validation error refers to.
@@ -316,20 +317,20 @@ impl CollectivePlan {
         self.per_rank.first().map_or(0, Vec::len)
     }
 
+    /// Every planned message once, on its send side, in program order.
+    fn sends(&self) -> impl Iterator<Item = &PlannedMsg> {
+        self.per_rank.iter().flatten().flat_map(|ph| &ph.sends)
+    }
+
     /// Total messages, counted on the send side.
     pub fn message_count(&self) -> usize {
-        self.per_rank.iter().flat_map(|p| p.iter()).map(|ph| ph.sends.len()).sum()
+        self.sends().count()
     }
 
     /// Total payload volume in block units (multiply by the per-rank
     /// message size `m` for bytes).
     pub fn total_blocks_sent(&self) -> usize {
-        self.per_rank
-            .iter()
-            .flat_map(|p| p.iter())
-            .flat_map(|ph| ph.sends.iter())
-            .map(|m| m.blocks.len())
-            .sum()
+        self.sends().map(|m| m.blocks.len()).sum()
     }
 
     /// Peak per-phase fan-out: the largest number of sends any rank
@@ -337,18 +338,12 @@ impl CollectivePlan {
     /// many messages a phase deadline must leave room to retry, so the
     /// chaos tooling uses it to budget per-phase timeouts.
     pub fn max_sends_in_phase(&self) -> usize {
-        self.per_rank.iter().flat_map(|p| p.iter()).map(|ph| ph.sends.len()).max().unwrap_or(0)
+        self.per_rank.iter().flatten().map(|ph| ph.sends.len()).max().unwrap_or(0)
     }
 
     /// Largest single message, in blocks.
     pub fn max_message_blocks(&self) -> usize {
-        self.per_rank
-            .iter()
-            .flat_map(|p| p.iter())
-            .flat_map(|ph| ph.sends.iter())
-            .map(|m| m.blocks.len())
-            .max()
-            .unwrap_or(0)
+        self.sends().map(|m| m.blocks.len()).max().unwrap_or(0)
     }
 
     /// Per-rank total messages sent — the load-balance view.
@@ -367,140 +362,145 @@ impl CollectivePlan {
     /// 5. nothing is delivered that the topology does not require —
     ///    except transit data (blocks a rank relays but does not consume),
     ///    which is allowed and is exactly what distinguishes DH traffic.
+    ///
+    /// # Which defect is reported
+    ///
+    /// A function of the plan, never of a hasher: rules in the order
+    /// above. Rule 1: the lowest rank. Rule 2: `BadPeer` / `EmptySend`,
+    /// first in program order (rank, phase, sends before recvs, index);
+    /// then a send-side `DuplicateKey`, lowest `(dst, src, tag)`; then a
+    /// recv-side one, the first recv in program order to claim a send an
+    /// earlier recv claimed; then `SendRecvCountMismatch`; then
+    /// `UnmatchedSend`, lowest `(dst, src, tag)`; then the first recv in
+    /// program order that disagrees with its send, `PhaseSkew` before
+    /// `BlockListMismatch`. Rule 3: the lowest (phase, rank, send index,
+    /// block index). Rule 4: the lowest edge `(src, dst)`.
     pub fn validate(&self, graph: &Topology) -> Result<(), PlanValidationError> {
-        use std::collections::HashMap;
+        use PlanValidationError as E;
         let n = self.n();
-        if graph.n() != n {
-            return Err(PlanValidationError::RankCountMismatch { plan: n, topology: graph.n() });
-        }
-        let phases = self.phase_count();
-        for (r, prog) in self.per_rank.iter().enumerate() {
-            if prog.len() != phases {
-                return Err(PlanValidationError::NotLockStep {
-                    rank: r,
-                    got: prog.len(),
-                    want: phases,
-                });
-            }
-        }
+        check_mirror(
+            graph.n(),
+            &self.per_rank,
+            |ph| (&ph.sends, &ph.recvs),
+            |m| (m.peer, &m.blocks[..], m.tag),
+        )?;
 
-        // 2: mirror check via keyed maps
-        let mut sends: HashMap<(Rank, Rank, u64), (usize, &[Rank])> = HashMap::new();
-        let mut recvs: HashMap<(Rank, Rank, u64), (usize, &[Rank])> = HashMap::new();
-        for (r, prog) in self.per_rank.iter().enumerate() {
+        // 3 + 4, one rank at a time: what a rank holds depends only on
+        // its own earlier receives, and what an edge's destination was
+        // delivered only on its own receives. `got[b]` counts rank `r`'s
+        // receives of block `b` while `stamp[b] == r + 1`, so neither
+        // array is ever reset. A block id `>= n` is held by nobody: the
+        // lowest (phase, rank) that sends one cannot have received it.
+        let (mut stamp, mut got) = (vec![0usize; n], vec![0usize; n]);
+        let mut unheld: Option<(usize, Rank, Rank)> = None; // (phase, rank, block)
+        let mut misdelivered: Option<(Rank, Rank, usize)> = None; // (src, dst, count)
+        'rank: for (r, prog) in self.per_rank.iter().enumerate() {
             for (k, ph) in prog.iter().enumerate() {
-                for m in &ph.sends {
-                    if m.peer >= n || m.peer == r {
-                        return Err(PlanValidationError::BadPeer {
-                            rank: r,
-                            phase: k,
-                            peer: m.peer,
-                            dir: MsgDir::Send,
-                        });
-                    }
-                    if m.blocks.is_empty() {
-                        return Err(PlanValidationError::EmptySend {
-                            rank: r,
-                            phase: k,
-                            peer: m.peer,
-                        });
-                    }
-                    if sends.insert((r, m.peer, m.tag), (k, &m.blocks)).is_some() {
-                        return Err(PlanValidationError::DuplicateKey {
-                            src: r,
-                            dst: m.peer,
-                            tag: m.tag,
-                            dir: MsgDir::Send,
-                        });
-                    }
+                if unheld.is_some_and(|(phase, ..)| phase <= k) {
+                    continue 'rank; // a lower (phase, rank) already sends an unheld block
                 }
-                for m in &ph.recvs {
-                    if m.peer >= n || m.peer == r {
-                        return Err(PlanValidationError::BadPeer {
-                            rank: r,
-                            phase: k,
-                            peer: m.peer,
-                            dir: MsgDir::Recv,
-                        });
+                let holds = |b: Rank| b == r || stamp.get(b) == Some(&(r + 1));
+                if let Some(&b) = ph.sends.iter().flat_map(|m| &m.blocks).find(|&&b| !holds(b)) {
+                    unheld = Some((k, r, b));
+                    continue 'rank;
+                }
+                for &b in ph.recvs.iter().flat_map(|m| &m.blocks).filter(|&&b| b < n) {
+                    if std::mem::replace(&mut stamp[b], r + 1) != r + 1 {
+                        got[b] = 0;
                     }
-                    if recvs.insert((m.peer, r, m.tag), (k, &m.blocks)).is_some() {
-                        return Err(PlanValidationError::DuplicateKey {
-                            src: m.peer,
-                            dst: r,
-                            tag: m.tag,
-                            dir: MsgDir::Recv,
-                        });
-                    }
+                    got[b] += 1;
+                }
+            }
+            let count = |b: Rank| if stamp[b] == r + 1 { got[b] } else { 0 };
+            if let Some(&b) = graph.in_neighbors(r).iter().find(|&&b| count(b) != 1) {
+                if misdelivered.is_none_or(|(src, dst, _)| (b, r) < (src, dst)) {
+                    misdelivered = Some((b, r, count(b)));
                 }
             }
         }
-        if sends.len() != recvs.len() {
-            return Err(PlanValidationError::SendRecvCountMismatch {
-                sends: sends.len(),
-                recvs: recvs.len(),
-            });
+        match (unheld, misdelivered) {
+            (Some((phase, rank, block)), _) => Err(E::UnheldBlock { rank, phase, block }),
+            (None, Some((src, dst, 0))) => Err(E::NeverDelivered { src, dst }),
+            (None, Some((src, dst, count))) => Err(E::DuplicateDelivery { src, dst, count }),
+            (None, None) => Ok(()),
         }
-        for (&(src, dst, tag), (sk, sblocks)) in &sends {
-            match recvs.get(&(src, dst, tag)) {
-                None => return Err(PlanValidationError::UnmatchedSend { src, dst, tag }),
-                Some((rk, rblocks)) => {
-                    if sk != rk {
-                        return Err(PlanValidationError::PhaseSkew {
-                            src,
-                            dst,
-                            tag,
-                            send_phase: *sk,
-                            recv_phase: *rk,
-                        });
-                    }
-                    if sblocks != rblocks {
-                        return Err(PlanValidationError::BlockListMismatch { src, dst, tag });
-                    }
-                }
-            }
-        }
-
-        // 3 + 4: lock-step possession/delivery simulation
-        let mut holds: Vec<std::collections::HashSet<Rank>> =
-            (0..n).map(|r| std::collections::HashSet::from([r])).collect();
-        let mut delivered: HashMap<(Rank, Rank), usize> = HashMap::new();
-        for k in 0..phases {
-            // sends read pre-phase possession
-            for (r, prog) in self.per_rank.iter().enumerate() {
-                for m in &prog[k].sends {
-                    for &b in &m.blocks {
-                        if !holds[r].contains(&b) {
-                            return Err(PlanValidationError::UnheldBlock {
-                                rank: r,
-                                phase: k,
-                                block: b,
-                            });
-                        }
-                    }
-                }
-            }
-            for (r, prog) in self.per_rank.iter().enumerate() {
-                for m in &prog[k].recvs {
-                    for &b in &m.blocks {
-                        holds[r].insert(b);
-                        if graph.has_edge(b, r) {
-                            *delivered.entry((b, r)).or_default() += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for (s, d) in graph.edges() {
-            match delivered.get(&(s, d)).copied().unwrap_or(0) {
-                0 => return Err(PlanValidationError::NeverDelivered { src: s, dst: d }),
-                1 => {}
-                c => {
-                    return Err(PlanValidationError::DuplicateDelivery { src: s, dst: d, count: c })
-                }
-            }
-        }
-        Ok(())
     }
+}
+
+/// Rules 1 and 2 of [`CollectivePlan::validate`], over any plan IR
+/// whose phases hold sends and recvs of `(peer, payload list, tag)`
+/// messages: every send gets a dense id in program order and every recv
+/// is resolved to the send it mirrors through the matching kernel.
+pub(crate) fn check_mirror<'a, P, M: 'a, U: PartialEq + 'a>(
+    topology_ranks: usize,
+    per_rank: &'a [Vec<P>],
+    msgs: impl Fn(&'a P) -> (&'a Vec<M>, &'a Vec<M>),
+    parts: impl Fn(&'a M) -> (Rank, &'a [U], u64),
+) -> Result<(), PlanValidationError> {
+    use PlanValidationError as E;
+    let n = per_rank.len();
+    if topology_ranks != n {
+        return Err(E::RankCountMismatch { plan: n, topology: topology_ranks });
+    }
+    let phases = per_rank.first().map_or(0, Vec::len);
+    if let Some((rank, prog)) = per_rank.iter().enumerate().find(|(_, p)| p.len() != phases) {
+        return Err(E::NotLockStep { rank, got: prog.len(), want: phases });
+    }
+    let (mut sends, mut recvs) = (Vec::new(), 0usize);
+    sends.reserve_exact(per_rank.iter().flatten().map(|ph| msgs(ph).0.len()).sum());
+    for (rank, prog) in per_rank.iter().enumerate() {
+        for (phase, ph) in prog.iter().enumerate() {
+            let bad = |peer| peer >= n || peer == rank;
+            for m in msgs(ph).0 {
+                let (peer, payload, _) = parts(m);
+                if bad(peer) {
+                    return Err(E::BadPeer { rank, phase, peer, dir: MsgDir::Send });
+                } else if payload.is_empty() {
+                    return Err(E::EmptySend { rank, phase, peer });
+                }
+                sends.push((rank, phase, m));
+            }
+            if let Some((peer, ..)) = msgs(ph).1.iter().map(&parts).find(|m| bad(m.0)) {
+                return Err(E::BadPeer { rank, phase, peer, dir: MsgDir::Recv });
+            }
+            recvs += msgs(ph).1.len();
+        }
+    }
+    let keys = sends.iter().map(|&(src, _, m)| {
+        let (dst, _, tag) = parts(m);
+        (src, dst, tag)
+    });
+    let index = SendIndex::build(n, 0, keys).map_err(|(src, dst, tag)| E::DuplicateKey {
+        src,
+        dst,
+        tag,
+        dir: MsgDir::Send,
+    })?;
+    let mut matched = vec![false; sends.len()];
+    let mut differs = None;
+    for (dst, prog) in per_rank.iter().enumerate() {
+        for (recv_phase, ph) in prog.iter().enumerate() {
+            for (src, payload, tag) in msgs(ph).1.iter().map(&parts) {
+                let Some(id) = index.find(src, dst, tag) else { continue };
+                if std::mem::replace(&mut matched[id as usize], true) {
+                    return Err(E::DuplicateKey { src, dst, tag, dir: MsgDir::Recv });
+                }
+                let (_, send_phase, sent) = sends[id as usize];
+                let skew = || E::PhaseSkew { src, dst, tag, send_phase, recv_phase };
+                let list = || E::BlockListMismatch { src, dst, tag };
+                differs = differs
+                    .or_else(|| (send_phase != recv_phase).then(skew))
+                    .or_else(|| (parts(sent).1 != payload).then(list));
+            }
+        }
+    }
+    if sends.len() != recvs {
+        return Err(E::SendRecvCountMismatch { sends: sends.len(), recvs });
+    }
+    if let Some((src, dst, tag)) = index.first_unmatched(&matched) {
+        return Err(E::UnmatchedSend { src, dst, tag });
+    }
+    differs.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -590,6 +590,38 @@ mod tests {
         let e = plan.validate(&g).unwrap_err();
         assert_eq!(e, PlanValidationError::NotLockStep { rank: 1, got: 1, want: 2 });
         assert!(e.to_string().contains("lock-step"), "{e}");
+    }
+
+    #[test]
+    fn the_reported_defect_is_a_function_of_the_plan() {
+        // Eight unmatched sends (and eight orphaned recvs): under a
+        // randomly seeded hasher the validator used to name a different
+        // one from call to call.
+        let g = nhood_topology::random::erdos_renyi(32, 0.3, 5);
+        let mut plan = crate::naive::plan_naive(&g);
+        for prog in &mut plan.per_rank[..8] {
+            prog[0].recvs[0].tag = 99;
+        }
+        // the contract: the lowest (dst, src, tag), so rank 0's first recv
+        let src = plan.per_rank[0][0].recvs[0].peer;
+        for _ in 0..64 {
+            let e = plan.validate(&g).unwrap_err();
+            assert_eq!(e, PlanValidationError::UnmatchedSend { src, dst: 0, tag: 0 });
+        }
+        // a skewed and a permuted message: the first recv in program
+        // order wins, whatever its defect
+        let g = Topology::from_edges(3, [(0, 1), (0, 2)]);
+        let mut plan = crate::naive::plan_naive(&g);
+        plan.per_rank[2][0].recvs[0].blocks = vec![2];
+        for prog in &mut plan.per_rank {
+            prog.insert(0, PlanPhase::default());
+        }
+        let moved = plan.per_rank[1][1].recvs.pop().unwrap();
+        plan.per_rank[1][0].recvs.push(moved);
+        for _ in 0..64 {
+            let e = plan.validate(&g).unwrap_err();
+            assert!(matches!(e, PlanValidationError::PhaseSkew { src: 0, dst: 1, .. }), "{e}");
+        }
     }
 
     #[test]

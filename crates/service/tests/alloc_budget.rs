@@ -1,8 +1,10 @@
-//! The warm gather path's allocation budget, as a count.
+//! The warm gather path's and the cold plan path's allocation budgets,
+//! as counts.
 //!
 //! A timing regression needs ten benchmark pairs to see; an allocation
-//! that creeps back into the per-request path — or payload-sized memory
-//! the service keeps between ticks — shows here as a number. The binary
+//! that creeps back into the per-request path or into build / validate /
+//! simulate / lay out — or payload-sized memory the service keeps
+//! between ticks — shows here as a number. The binary
 //! has its own counting `#[global_allocator]` (calls and live bytes, per
 //! thread, so the test harness's other threads are not counted).
 
@@ -163,3 +165,69 @@ fn large_blocks_cost_the_allocator_calls_and_live_heap_of_small_ones() {
     );
     assert_eq!(svc.report().stats.corrupt, 0);
 }
+
+/// Allocator calls `f` makes on this thread.
+fn calls_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn the_cold_plan_path_allocates_by_the_count() {
+    use nhood_core::exec::sim_exec::to_schedule_v;
+    use nhood_core::SimCost;
+    use nhood_simnet::Engine;
+
+    // `plan-churn`'s shape: n = 96 on 6 x 2 x 8.
+    let layout = ClusterLayout::new(6, 2, 8);
+    let cost = SimCost::niagara();
+    let pat = |delta: f64| {
+        let g = erdos_renyi(96, delta, 7);
+        let plan = nhood_core::pat::plan_pat(&g, 2);
+        (g, plan)
+    };
+
+    // (a) validating costs a fixed handful of allocations — the send
+    // table, the index's two vectors, the flags, two stamp arrays —
+    // however many messages the plan holds. (A hash table per rule
+    // made this hundreds, growing with the message count.)
+    let (sparse_graph, sparse) = pat(0.15);
+    let (dense_graph, dense) = pat(0.5);
+    assert!(dense.message_count() > sparse.message_count());
+    let (sparse_calls, ok) = calls_of(|| sparse.validate(&sparse_graph));
+    ok.expect("a built plan validates");
+    let (dense_calls, ok) = calls_of(|| dense.validate(&dense_graph));
+    ok.expect("a built plan validates");
+    println!("validate: {sparse_calls} allocator calls at δ = 0.15, {dense_calls} at δ = 0.5");
+    assert!(sparse_calls <= 8, "{sparse_calls} allocator calls to validate (budget 8)");
+    assert_eq!(dense_calls, sparse_calls, "validation allocates per plan, not per message");
+
+    // (b) simulating the lowered plan: the matching kernel's index
+    // replaces the hash tables allocation for allocation.
+    let schedule = to_schedule_v(&sparse, &[64; 96], &cost);
+    let (run_calls, report) = calls_of(|| Engine::new(&layout, cost.net).run(&schedule));
+    report.expect("a valid schedule simulates");
+    println!("Engine::run: {run_calls} allocator calls");
+    assert!(run_calls <= ENGINE_RUN_CALLS, "{run_calls} allocator calls (was {ENGINE_RUN_CALLS})");
+
+    // (c) registering the Auto tenant — ten arms built, validated,
+    // lowered, simulated and nine dropped, then the winner laid out.
+    let mut svc = Service::new(ServiceConfig::default());
+    let (register_calls, tenant) =
+        calls_of(|| svc.add_tenant(sparse_graph.clone(), layout.clone(), Algorithm::Auto));
+    tenant.expect("registers");
+    println!("add_tenant(Auto): {register_calls} allocator calls");
+    assert!(
+        register_calls <= AUTO_REGISTER_CALLS,
+        "{register_calls} allocator calls to register an Auto tenant (budget {AUTO_REGISTER_CALLS})"
+    );
+}
+
+/// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted at
+/// the commit before the dense prepare passes (the same 33 today).
+const ENGINE_RUN_CALLS: u64 = 33;
+/// 5 % above the 44,191 calls registering the Auto tenant costs today
+/// (67,985 before the cold path ran on dense ids); a map that creeps back
+/// into build / validate / lay out shows as a number here.
+const AUTO_REGISTER_CALLS: u64 = 46_400;

@@ -35,4 +35,4 @@ pub use engine::{
     SimReport,
 };
 pub use perturb::Perturbation;
-pub use schedule::{Msg, Phase, Schedule};
+pub use schedule::{Msg, Phase, Schedule, SendIndex};

@@ -9,6 +9,7 @@
 //! algorithms get this for free by tagging with the step number).
 
 use nhood_cluster::Rank;
+use std::ops::Range;
 
 /// One directed message: `bytes` from `src` to `dst`, matched by `tag`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,12 +59,8 @@ impl Schedule {
         &self.ranks[r]
     }
 
-    /// Appends a phase to rank `r`'s program and returns a mutable
-    /// reference to it.
-    ///
-    /// # Panics
-    /// Panics if any message in a previously added phase referenced an
-    /// out-of-range rank — full validation happens in [`validate`](Self::validate).
+    /// Appends a phase to rank `r`'s program; nothing is checked until
+    /// [`validate`](Self::validate).
     pub fn push_phase(&mut self, r: Rank, phase: Phase) {
         self.ranks[r].push(phase);
     }
@@ -86,12 +83,7 @@ impl Schedule {
 
     /// Total bytes sent.
     pub fn total_bytes(&self) -> usize {
-        self.ranks
-            .iter()
-            .flat_map(|ph| ph.iter())
-            .flat_map(|p| p.sends.iter())
-            .map(|m| m.bytes)
-            .sum()
+        self.all_sends().map(|m| m.bytes).sum()
     }
 
     /// Checks structural sanity:
@@ -102,77 +94,169 @@ impl Schedule {
     /// * `(src, dst, tag)` keys are unique;
     /// * every send has exactly one matching recv and vice versa.
     ///
-    /// Returns a description of the first problem found.
+    /// Returns a description of the first problem found, and *first* is
+    /// part of the contract (a schedule always gets the same text):
+    /// send-side defects (bad `local_seconds`, wrong owner, out-of-range,
+    /// self-send) in program order — rank, phase, index; then a
+    /// duplicate send key, lowest `(dst, src, tag)`; then the first
+    /// defective recv in program order (wrong owner, out-of-range, no
+    /// matching send, a send an earlier recv already claimed, size
+    /// mismatch); then an unmatched send, lowest `(dst, src, tag)`.
     pub fn validate(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let n = self.n();
-        let mut sends: HashMap<(Rank, Rank, u64), usize> = HashMap::new();
-        let mut recvs: HashMap<(Rank, Rank, u64), usize> = HashMap::new();
+        let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
+        let index = self.send_index(0..self.n(), 0)?;
+        let sends: Vec<&Msg> = self.all_sends().collect();
+        let mut matched = vec![false; sends.len()];
         for (r, phases) in self.ranks.iter().enumerate() {
             for (k, phase) in phases.iter().enumerate() {
+                for m in &phase.recvs {
+                    self.check_recv(r, k, m)?;
+                    let at = (m.src, m.dst, m.tag);
+                    let Some(id) = index.find(m.src, r, m.tag) else {
+                        return Err(format!("recv {} has no matching send", key(at)));
+                    };
+                    let send = sends[id as usize].bytes;
+                    if std::mem::replace(&mut matched[id as usize], true) {
+                        return Err(format!("duplicate recv key {}", key(at)));
+                    } else if send != m.bytes {
+                        let (at, recv) = (key(at), m.bytes);
+                        return Err(format!("size mismatch on {at}: send {send} vs recv {recv}"));
+                    }
+                }
+            }
+        }
+        let unmatched = |send| Err(format!("send {} has no matching recv", key(send)));
+        index.first_unmatched(&matched).map_or(Ok(()), unmatched)
+    }
+
+    /// The send side of [`validate`](Self::validate) for the ranks in
+    /// `span`: checks their phases' `local_seconds` and every send's
+    /// owner and range, then indexes the sends under ids counted from
+    /// `first_id` in program order.
+    pub(crate) fn send_index(&self, span: Range<Rank>, first_id: u32) -> Result<SendIndex, String> {
+        let n = self.n();
+        for r in span.clone() {
+            for (k, phase) in self.ranks[r].iter().enumerate() {
                 if phase.local_seconds < 0.0 || !phase.local_seconds.is_finite() {
                     return Err(format!("rank {r} phase {k}: bad local_seconds"));
                 }
                 for m in &phase.sends {
                     if m.src != r {
                         return Err(format!("rank {r} phase {k}: send with src {}", m.src));
-                    }
-                    if m.dst >= n {
+                    } else if m.dst >= n {
                         return Err(format!("rank {r} phase {k}: send to out-of-range {}", m.dst));
-                    }
-                    if m.dst == r {
+                    } else if m.dst == r {
                         return Err(format!("rank {r} phase {k}: send to self"));
                     }
-                    if sends.insert((m.src, m.dst, m.tag), m.bytes).is_some() {
-                        return Err(format!(
-                            "duplicate send key (src {}, dst {}, tag {})",
-                            m.src, m.dst, m.tag
-                        ));
-                    }
-                }
-                for m in &phase.recvs {
-                    if m.dst != r {
-                        return Err(format!("rank {r} phase {k}: recv with dst {}", m.dst));
-                    }
-                    if m.src >= n {
-                        return Err(format!(
-                            "rank {r} phase {k}: recv from out-of-range {}",
-                            m.src
-                        ));
-                    }
-                    if recvs.insert((m.src, m.dst, m.tag), m.bytes).is_some() {
-                        return Err(format!(
-                            "duplicate recv key (src {}, dst {}, tag {})",
-                            m.src, m.dst, m.tag
-                        ));
-                    }
                 }
             }
         }
-        for (key, bytes) in &sends {
-            match recvs.get(key) {
-                None => {
-                    return Err(format!(
-                        "send (src {}, dst {}, tag {}) has no matching recv",
-                        key.0, key.1, key.2
-                    ))
+        let sends = self.ranks[span].iter().flatten().flat_map(|p| &p.sends);
+        SendIndex::build(n, first_id, sends.map(|m| (m.src, m.dst, m.tag)))
+            .map_err(|(s, d, t)| format!("duplicate send key (src {s}, dst {d}, tag {t})"))
+    }
+
+    /// The owner and range conditions of recv `m`, posted by rank `r` in
+    /// its phase `k`.
+    pub(crate) fn check_recv(&self, r: Rank, k: usize, m: &Msg) -> Result<(), String> {
+        if m.dst != r {
+            Err(format!("rank {r} phase {k}: recv with dst {}", m.dst))
+        } else if m.src >= self.n() {
+            Err(format!("rank {r} phase {k}: recv from out-of-range {}", m.src))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// One indexed send; [`Slot::key`] orders a bucket.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    src: u32,
+    id: u32,
+    tag: u64,
+}
+
+impl Slot {
+    fn key(&self) -> (u32, u64) {
+        (self.src, self.tag)
+    }
+}
+
+/// The message-matching kernel: a set of sends, each under a dense
+/// `u32` id, indexed by `(dst, src, tag)` so that a recv finds the send
+/// it mirrors without hashing — a counting sort by destination into one
+/// slot vector (two allocations whatever the message count, no `n × n`
+/// table), then a binary search inside the receiver's own bucket. The
+/// caller keeps one *matched* flag per send id: a recv whose send's flag
+/// is already set is a duplicate, and a flag still clear after every
+/// recv was looked up is an unmatched send. `docs/SCALE.md` has the
+/// method and why chunking cannot change an id.
+pub struct SendIndex {
+    /// Bucket `d` is `slots[off[d]..off[d + 1]]`.
+    off: Vec<u32>,
+    slots: Vec<Slot>,
+}
+
+impl SendIndex {
+    /// Indexes `sends` — `(src, dst, tag)` triples over `n` ranks, the
+    /// `i`-th under id `first_id + i`. `Err` carries a key two sends
+    /// share: the lowest `(dst, src, tag)` among the repeated ones.
+    ///
+    /// # Panics
+    /// Panics if a `dst` is `>= n` (range-check before indexing) or the
+    /// ids do not fit `u32`.
+    pub fn build(
+        n: usize,
+        first_id: u32,
+        sends: impl Iterator<Item = (Rank, Rank, u64)> + Clone,
+    ) -> Result<Self, (Rank, Rank, u64)> {
+        const FIT: &str = "send ids fit u32";
+        let mut off = vec![0u32; n + 1];
+        for (_, dst, _) in sends.clone() {
+            off[dst + 1] += 1;
+        }
+        for d in 0..n {
+            off[d + 1] = off[d].checked_add(off[d + 1]).expect(FIT);
+        }
+        // Fill with `off[d]` as bucket `d`'s cursor: afterwards it is
+        // the bucket's end, so shifting by one restores the starts.
+        let mut slots = vec![Slot::default(); off[n] as usize];
+        for (i, (src, dst, tag)) in sends.enumerate() {
+            let id = u32::try_from(i).ok().and_then(|i| first_id.checked_add(i)).expect(FIT);
+            slots[off[dst] as usize] = Slot { src: u32::try_from(src).expect(FIT), id, tag };
+            off[dst] += 1;
+        }
+        off.rotate_right(1);
+        off[0] = 0;
+        // Ids ascend by rank, then phase, which leaves a bucket ordered by
+        // `(src, tag)` whenever tags grow with the phase: sort, and look
+        // for a repeated key, only where that failed.
+        for d in 0..n {
+            let bucket = &mut slots[off[d] as usize..off[d + 1] as usize];
+            if !bucket.windows(2).all(|w| w[0].key() < w[1].key()) {
+                bucket.sort_unstable_by_key(Slot::key);
+                if let Some(w) = bucket.windows(2).find(|w| w[0].key() == w[1].key()) {
+                    return Err((w[0].src as Rank, d, w[0].tag));
                 }
-                Some(b) if b != bytes => {
-                    return Err(format!(
-                        "size mismatch on (src {}, dst {}, tag {}): send {bytes} vs recv {b}",
-                        key.0, key.1, key.2
-                    ))
-                }
-                _ => {}
             }
         }
-        if let Some(key) = recvs.keys().find(|k| !sends.contains_key(k)) {
-            return Err(format!(
-                "recv (src {}, dst {}, tag {}) has no matching send",
-                key.0, key.1, key.2
-            ));
-        }
-        Ok(())
+        Ok(Self { off, slots })
+    }
+
+    /// The id of the send `(src, dst, tag)`, if it was indexed.
+    pub fn find(&self, src: Rank, dst: Rank, tag: u64) -> Option<u32> {
+        let bucket = &self.slots[*self.off.get(dst)? as usize..*self.off.get(dst + 1)? as usize];
+        let key = (u32::try_from(src).ok()?, tag);
+        bucket.binary_search_by_key(&key, Slot::key).ok().map(|at| bucket[at].id)
+    }
+
+    /// The lowest `(dst, src, tag)` — returned as `(src, dst, tag)` —
+    /// whose flag in `matched` (indexed by send id) is clear.
+    pub fn first_unmatched(&self, matched: &[bool]) -> Option<(Rank, Rank, u64)> {
+        let at = self.slots.iter().position(|s| !matched[s.id as usize])?;
+        let dst = self.off.partition_point(|&o| o as usize <= at) - 1;
+        Some((self.slots[at].src as Rank, dst, self.slots[at].tag))
     }
 }
 
@@ -244,6 +328,59 @@ mod tests {
         let mut s = Schedule::new(3);
         s.push(0, vec![msg(0, 1, 8, 7), msg(0, 1, 8, 7)], vec![]);
         assert!(s.validate().unwrap_err().contains("duplicate send key"));
+    }
+
+    #[test]
+    fn the_reported_defect_is_a_function_of_the_schedule() {
+        // A ring whose first eight recvs are retagged: eight orphaned
+        // recvs and eight unmatched sends. The text used to follow a
+        // hasher's iteration order; the contract names the first
+        // defective recv in program order.
+        let n = 16;
+        let mut s = Schedule::new(n);
+        for r in 0..n {
+            let from = (r + n - 1) % n;
+            let tag = if r < 8 { 99 } else { 0 };
+            s.push(r, vec![msg(r, (r + 1) % n, 8, 0)], vec![msg(from, r, 8, tag)]);
+        }
+        for _ in 0..64 {
+            let e = s.validate().unwrap_err();
+            assert_eq!(e, "recv (src 15, dst 0, tag 99) has no matching send");
+        }
+        // with the orphans gone, the lowest (dst, src, tag) unmatched send
+        for r in 0..8 {
+            s.ranks[r][0].recvs.clear();
+        }
+        for _ in 0..64 {
+            let e = s.validate().unwrap_err();
+            assert_eq!(e, "send (src 15, dst 0, tag 0) has no matching recv");
+        }
+    }
+
+    #[test]
+    fn index_orders_buckets_and_names_the_lowest_duplicate() {
+        // tags fall with the send order, so both buckets need the sort
+        let sends = [(2, 0, 5), (2, 0, 1), (1, 0, 9), (3, 4, 7), (0, 4, 7)];
+        let index = SendIndex::build(5, 10, sends.iter().copied()).unwrap();
+        for (i, &(src, dst, tag)) in sends.iter().enumerate() {
+            assert_eq!(index.find(src, dst, tag), Some(10 + i as u32));
+        }
+        assert_eq!(index.find(2, 0, 9), None);
+        assert_eq!(index.find(2, 7, 5), None, "no such bucket");
+        assert_eq!(index.find(usize::MAX, 0, 5), None, "src beyond u32");
+        // ids 10.. index a flag vector of that length; clear flags are
+        // reported in (dst, src, tag) order
+        let mut matched = vec![true; 15];
+        (matched[11], matched[14]) = (false, false);
+        assert_eq!(index.first_unmatched(&matched), Some((2, 0, 1)));
+        matched[11] = true;
+        assert_eq!(index.first_unmatched(&matched), Some((0, 4, 7)));
+        matched[14] = true;
+        assert_eq!(index.first_unmatched(&matched), None);
+
+        let twice = [(3, 4, 7), (1, 2, 8), (1, 2, 3), (3, 4, 7), (1, 2, 8)];
+        let dup = SendIndex::build(5, 0, twice.iter().copied()).err();
+        assert_eq!(dup, Some((1, 2, 8)), "dst 2 sorts before dst 4");
     }
 
     #[test]

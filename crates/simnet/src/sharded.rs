@@ -9,19 +9,26 @@
 //! 1. **Parallel prepare** — ranks are partitioned into contiguous
 //!    chunks, one per [`WorkerPool`] thread (a single chunk, run inline,
 //!    for the pool-less entry points). Each chunk validates its own
-//!    ranks' phases, enumerates their sends into a dense global send-id
-//!    space, and precomputes every pure per-message cost (wire time
-//!    including perturbation jitter, port occupancy, NIC hold,
-//!    global-link hold, locality). A second parallel pass resolves each
-//!    recv to the send id it matches, looking only at the (read-only)
-//!    table of the sender's chunk.
+//!    ranks' sends, indexes them under dense global send ids
+//!    ([`SendIndex`]: a counting sort by destination), and precomputes
+//!    every pure per-message cost (wire time including perturbation
+//!    jitter, port occupancy, NIC hold, global-link hold, locality — read
+//!    off one rank-location table built up front). A second parallel
+//!    pass resolves each recv to its send id by binary search in the
+//!    (read-only) index of the sender's chunk; duplicate recvs are then
+//!    caught on the replay's own per-send flags.
 //! 2. **Serial replay** — a lean event loop over flat arrays: ready heap
-//!    keyed by port time, arrivals drained in arrival order. No hash map
-//!    is touched on this path.
+//!    keyed by port time, arrivals drained in arrival order.
+//!
+//! No hash map is touched anywhere on this path.
 //!
 //! ## Determinism contract
 //!
-//! Reports are **bit-identical** (`to_bits`) for every pool width. The
+//! Reports are **bit-identical** (`to_bits`) for every pool width. A
+//! send's id is its position in program order (rank, phase, index),
+//! fixed by per-rank prefix sums *before* any chunk buckets anything, so
+//! where the chunk boundaries fall cannot change an id, and a recv finds
+//! the same id in whichever chunk's index holds its sender. The
 //! precomputed costs are pure functions of the message, the layout and
 //! the perturbation, so computing them on worker threads changes
 //! nothing; the replay performs every floating-point operation in one
@@ -36,10 +43,10 @@
 
 use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
 use crate::perturb::Perturbation;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, SendIndex};
 use nhood_cluster::{Locality, Rank, WorkerPool};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Sentinel for "no rank is waiting on this send".
 const NO_WAITER: u32 = u32::MAX;
@@ -74,8 +81,29 @@ struct RecvPre {
 /// Per-chunk output of the send-side prepare pass.
 struct TxShard {
     pre: Vec<SendPre>,
-    /// `(src, dst, tag) -> (global send id, bytes)` for this chunk's ranks.
-    keys: HashMap<(Rank, Rank, u64), (u32, usize)>,
+    /// This chunk's ranks' sends, under their global send ids.
+    index: SendIndex,
+}
+
+/// Where a rank sits: one table entry per rank, built once per replay,
+/// instead of a div/mod location per message endpoint.
+#[derive(Clone, Copy)]
+struct Place {
+    node: u32,
+    socket: u32,
+    group: u32,
+}
+
+impl Place {
+    /// [`nhood_cluster::ClusterLayout::locality`] from two table entries.
+    fn locality(self, other: Place) -> Locality {
+        match (self.node == other.node, self.socket == other.socket, self.group == other.group) {
+            (true, true, _) => Locality::SameSocket,
+            (true, false, _) => Locality::SameNode,
+            (false, _, true) => Locality::SameGroup,
+            (false, _, false) => Locality::RemoteGroup,
+        }
+    }
 }
 
 /// A finished run: the report plus every message's posting and arrival
@@ -136,12 +164,8 @@ impl Engine<'_> {
         // rank locations — but an invalid schedule is reported ahead of
         // an oversized one.
         if n > self.layout.capacity() {
-            return match schedule.validate() {
-                Err(e) => Err(SimError::InvalidSchedule(e)),
-                Ok(()) => {
-                    Err(SimError::LayoutTooSmall { ranks: n, capacity: self.layout.capacity() })
-                }
-            };
+            schedule.validate().map_err(SimError::InvalidSchedule)?;
+            return Err(SimError::LayoutTooSmall { ranks: n, capacity: self.layout.capacity() });
         }
         // The prepare passes apply `Schedule::validate`'s conditions
         // chunk-locally and only flag a violation; the serial validator
@@ -151,93 +175,73 @@ impl Engine<'_> {
             SimError::InvalidSchedule(why.unwrap_or_else(|| "rejected by the prepare pass".into()))
         };
 
+        let place: Vec<Place> = (0..n)
+            .map(|r| {
+                let at = self.layout.location(r);
+                let group = self.layout.group_of_node(at.node) as u32;
+                Place { node: at.node as u32, socket: at.socket as u32, group }
+            })
+            .collect();
+
         // Contiguous rank chunks, one per pool thread.
         let chunk = n.div_ceil(pool.threads()).max(1);
         let chunks = n.div_ceil(chunk);
-        let chunk_of = |r: Rank| r / chunk;
 
-        // Pass A: per-chunk send tables + send-side validation.
+        // Pass A: per-chunk send-side validation, send index and costs.
         let hockney = &self.config.hockney;
         let tx: Vec<Option<TxShard>> = pool.map(chunks, |c| {
             let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let mut shard = TxShard {
-                pre: Vec::with_capacity(send_off[hi] - send_off[lo]),
-                keys: HashMap::with_capacity(send_off[hi] - send_off[lo]),
-            };
-            for (r, &off) in send_off.iter().enumerate().take(hi).skip(lo) {
-                let mut sid = off as u32;
-                for ph in schedule.phases(r) {
-                    if ph.local_seconds < 0.0 || !ph.local_seconds.is_finite() {
-                        return None;
-                    }
-                    let my_node = self.layout.location(r).node;
-                    for m in &ph.sends {
-                        if m.src != r || m.dst >= n || m.dst == r {
-                            return None;
+            let index = schedule.send_index(lo..hi, send_off[lo] as u32).ok()?;
+            let mut pre = Vec::with_capacity(send_off[hi] - send_off[lo]);
+            for r in lo..hi {
+                let me = place[r];
+                for m in schedule.phases(r).iter().flat_map(|ph| &ph.sends) {
+                    let peer = place[m.dst];
+                    let level = me.locality(peer);
+                    let h = hockney.level(level);
+                    let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
+                    let wire = h.time(m.bytes) + jitter;
+                    let serial = m.bytes as f64 / h.bytes_per_sec;
+                    let occupancy = self.config.cpu_overhead.map_or(wire, |o| o + serial);
+                    let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
+                    let (gl_hold, sg, dg) = match (level, self.config.global_links) {
+                        (Locality::RemoteGroup, Some(gl)) => {
+                            (gl.gap + m.bytes as f64 / gl.bytes_per_sec, me.group, peer.group)
                         }
-                        if shard.keys.insert((m.src, m.dst, m.tag), (sid, m.bytes)).is_some() {
-                            return None; // duplicate send key
-                        }
-                        let level = self.layout.locality(m.src, m.dst);
-                        let h = hockney.level(level);
-                        let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
-                        let wire = h.time(m.bytes) + jitter;
-                        let serial = m.bytes as f64 / h.bytes_per_sec;
-                        let occupancy = self.config.cpu_overhead.map_or(wire, |o| o + serial);
-                        let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
-                        let dst_node = self.layout.location(m.dst).node;
-                        let (gl_hold, sg, dg) = match (level, self.config.global_links) {
-                            (Locality::RemoteGroup, Some(gl)) => (
-                                gl.gap + m.bytes as f64 / gl.bytes_per_sec,
-                                self.layout.group_of_node(my_node) as u32,
-                                self.layout.group_of_node(dst_node) as u32,
-                            ),
-                            _ => (0.0, 0, 0),
-                        };
-                        shard.pre.push(SendPre {
-                            bytes: m.bytes,
-                            level,
-                            wire,
-                            occupancy,
-                            nic_hold,
-                            gl_hold,
-                            dst_node: dst_node as u32,
-                            sg,
-                            dg,
-                        });
-                        sid += 1;
-                    }
+                        _ => (0.0, 0, 0),
+                    };
+                    pre.push(SendPre {
+                        bytes: m.bytes,
+                        level,
+                        wire,
+                        occupancy,
+                        nic_hold,
+                        gl_hold,
+                        dst_node: peer.node,
+                        sg,
+                        dg,
+                    });
                 }
             }
-            Some(shard)
+            Some(TxShard { pre, index })
         });
         let tx: Vec<TxShard> = tx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
 
-        // Pass B: resolve each recv against the sender chunk's table.
+        // Pass B: resolve each recv in the index of its sender's chunk.
         let rx: Vec<Option<Vec<RecvPre>>> = pool.map(chunks, |c| {
             let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
             let mut pre = Vec::with_capacity(recv_off[hi] - recv_off[lo]);
-            let mut seen: HashSet<(Rank, Rank, u64)> =
-                HashSet::with_capacity(recv_off[hi] - recv_off[lo]);
             for r in lo..hi {
-                for ph in schedule.phases(r) {
+                for (k, ph) in schedule.phases(r).iter().enumerate() {
                     for m in &ph.recvs {
-                        if m.dst != r || m.src >= n {
-                            return None;
-                        }
-                        if !seen.insert((m.src, m.dst, m.tag)) {
-                            return None; // duplicate recv key
-                        }
-                        let (sid, bytes) =
-                            match tx[chunk_of(m.src)].keys.get(&(m.src, m.dst, m.tag)) {
-                                Some(&v) => v,
-                                None => return None, // unmatched recv
-                            };
-                        if bytes != m.bytes {
+                        schedule.check_recv(r, k, m).ok()?;
+                        let from = m.src / chunk;
+                        let sid = tx[from].index.find(m.src, r, m.tag)?; // else unmatched recv
+                        let send = &tx[from].pre[sid as usize - send_off[from * chunk]];
+                        if send.bytes != m.bytes {
                             return None; // size mismatch
                         }
-                        let level = self.layout.locality(m.src, m.dst);
-                        let h = hockney.level(level);
+                        let h = hockney.level(send.level);
                         let wire = h.time(m.bytes);
                         let occupancy = self
                             .config
@@ -250,12 +254,18 @@ impl Engine<'_> {
             Some(pre)
         });
         let rx: Vec<Vec<RecvPre>> = rx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
-        if total_sends != total_recvs {
-            // Unmatched sends are the one defect pass B cannot see
-            // locally: equal totals + every recv matched a distinct
-            // send key ⇒ the matching is a bijection.
+        // The matched flags are the replay's own `sent_flag`: a recv whose
+        // send's flag is set is a duplicate; with none, equal totals make
+        // the matching a bijection and every flag is set, so clearing
+        // them all hands the replay the vector it expects.
+        let mut sent_flag = vec![false; total_sends];
+        let mut claims = rx.iter().flatten().map(|p| p.send_id as usize);
+        if claims.any(|sid| std::mem::replace(&mut sent_flag[sid], true))
+            || total_sends != total_recvs
+        {
             return Err(invalid());
         }
+        sent_flag.fill(false);
         if let Some(p) = perturbation.filter(|p| !p.dead_links.is_empty()) {
             if let Some(m) = schedule.all_sends().find(|m| p.link_is_down(m.src, m.dst)) {
                 return Err(SimError::LinkDown { src: m.src, dst: m.dst });
@@ -264,14 +274,13 @@ impl Engine<'_> {
 
         let pre_send = flatten(tx.into_iter().map(|shard| shard.pre), total_sends);
         let pre_recv = flatten(rx.into_iter(), total_recvs);
-        let node_of: Vec<u32> = (0..n).map(|r| self.layout.location(r).node as u32).collect();
 
         // ---- Serial replay ----
         let n_groups = self.layout.nodes().div_ceil(self.layout.nodes_per_group());
         let mut rp = Replay {
             pre_send: &pre_send,
             pre_recv: &pre_recv,
-            node_of: &node_of,
+            place: &place,
             nic_mode: self.config.nic_mode,
             perturbation,
             port_free: vec![0.0; n],
@@ -282,7 +291,7 @@ impl Engine<'_> {
             phase_idx: vec![0; n],
             info_start: vec![0.0; total_sends],
             info_end: vec![0.0; total_sends],
-            sent_flag: vec![false; total_sends],
+            sent_flag,
             waiter_of: vec![NO_WAITER; total_sends],
             missing: vec![0; n],
             stats: LevelStats::default(),
@@ -353,7 +362,7 @@ impl Engine<'_> {
 struct Replay<'p> {
     pre_send: &'p [SendPre],
     pre_recv: &'p [RecvPre],
-    node_of: &'p [u32],
+    place: &'p [Place],
     nic_mode: NicMode,
     perturbation: Option<&'p Perturbation>,
     port_free: Vec<f64>,
@@ -398,7 +407,7 @@ impl Replay<'_> {
         let local = phase.local_seconds + self.perturbation.map_or(0.0, |p| p.stall(r));
         self.busy[r] += local;
         let mut t = self.port_free[r] + local;
-        let my_node = self.node_of[r] as usize;
+        let my_node = self.place[r].node as usize;
 
         let s0 = self.next_send[r];
         for sid in s0..s0 + phase.sends.len() {
