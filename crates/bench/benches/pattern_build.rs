@@ -5,11 +5,13 @@
 use nhood_bench::harness::Bench;
 use nhood_bench::mirror::mirror_pattern;
 use nhood_cluster::ClusterLayout;
-use nhood_core::alltoall::plan_dh_alltoall;
+use nhood_core::alltoall::simulate_alltoall;
 use nhood_core::builder::build_pattern;
 use nhood_core::common_neighbor::plan_common_neighbor;
 use nhood_core::distributed_builder::build_pattern_distributed;
+use nhood_core::exec::sim_exec::SimCost;
 use nhood_core::leader::plan_hierarchical_leader;
+use nhood_core::lower::lower;
 use nhood_core::naive::plan_naive;
 use nhood_topology::random::erdos_renyi;
 
@@ -30,9 +32,12 @@ fn main() {
         group.case(&format!("hierarchical_leader_l4/{id}"), 10, 0, || {
             plan_hierarchical_leader(&graph, &layout, 4)
         });
-        let pattern = build_pattern(&graph, &layout).unwrap();
-        group.case(&format!("dh_alltoall_lowering/{id}"), 10, 0, || {
-            plan_dh_alltoall(&pattern, &graph)
+        // the alltoall's one-time cost on top of the gather plan: derive
+        // its item routing, compile it and lower the schedule
+        let plan = lower(&build_pattern(&graph, &layout).unwrap(), &graph);
+        let cost = SimCost::niagara();
+        group.case(&format!("dh_alltoall_routing/{id}"), 10, 0, || {
+            simulate_alltoall(&plan, &graph, &layout, 64, &cost).unwrap()
         });
         if n <= 128 {
             group.case(&format!("distributed_threads/{id}"), 10, 0, || {

@@ -172,7 +172,7 @@ pub fn run_ablation_selection(scale: Scale, out: &Path) -> std::io::Result<Repor
 /// Halving routing vs the naïve alltoall, across densities and sizes.
 /// (No paper counterpart; this previews §VIII.)
 pub fn run_alltoall(scale: Scale, out: &Path) -> std::io::Result<Report> {
-    use nhood_core::alltoall::{plan_dh_alltoall, plan_naive_alltoall, simulate_alltoall};
+    use nhood_core::alltoall::simulate_alltoall;
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let cost = SimCost::niagara();
@@ -183,19 +183,20 @@ pub fn run_alltoall(scale: Scale, out: &Path) -> std::io::Result<Report> {
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let pattern = build_pattern(&graph, &layout).expect("builds");
-        let dh = plan_dh_alltoall(&pattern, &graph);
-        let naive = plan_naive_alltoall(&graph);
+        // the gather plans; the alltoall runs the item routing they imply
+        let dh = nhood_core::lower::lower(&pattern, &graph);
+        let naive = nhood_core::naive::plan_naive(&graph);
         for &m in &[64usize, 4096, 262_144] {
-            let tn = simulate_alltoall(&naive, &graph, &layout, m, &cost).expect("sim").makespan;
-            let td = simulate_alltoall(&dh, &graph, &layout, m, &cost).expect("sim").makespan;
+            let rn = simulate_alltoall(&naive, &graph, &layout, m, &cost).expect("sim");
+            let rd = simulate_alltoall(&dh, &graph, &layout, m, &cost).expect("sim");
             report.push(vec![
                 delta.to_string(),
                 crate::common::fmt_bytes(m),
-                fmt_secs(tn),
-                fmt_secs(td),
-                fmt_x(tn / td),
-                naive.message_count().to_string(),
-                dh.message_count().to_string(),
+                fmt_secs(rn.makespan),
+                fmt_secs(rd.makespan),
+                fmt_x(rn.makespan / rd.makespan),
+                rn.stats.total_msgs().to_string(),
+                rd.stats.total_msgs().to_string(),
             ]);
         }
     }

@@ -717,8 +717,11 @@ mod tests {
         assert!(cmd_run(&args(&["run", &path, "--op", "bogus"]), &mut out).is_err());
         assert!(cmd_run(&args(&["run", &path, "--reduce", "bogus"]), &mut out).is_err());
         assert!(cmd_run(&args(&["run", &path, "--dtype", "bogus"]), &mut out).is_err());
-        // combining ops reject non-combining planners typed
-        let err = cmd_run(&args(&["run", &path, "--op", "alltoallv", "--algo", "cn"]), &mut out)
+        // every planner routes items; PAT's reduce ops are the typed refusal
+        let mut out = Vec::new();
+        cmd_run(&args(&["run", &path, "--op", "alltoallv", "--algo", "cn"]), &mut out).unwrap();
+        assert!(String::from_utf8_lossy(&out).contains("verify: ok"));
+        let err = cmd_run(&args(&["run", &path, "--op", "allreduce", "--algo", "pat"]), &mut out)
             .unwrap_err();
         assert!(err.0.contains("unsupported"), "{}", err.0);
     }

@@ -2,28 +2,37 @@
 //! executors behind it.
 //!
 //! One entry point — [`crate::comm::DistGraphComm::collective`] — serves
-//! every neighborhood collective through a typed [`CollectiveRequest`]:
-//! allgather(v) on the lowered [`crate::plan::CollectivePlan`], and the
-//! three *message-combining* collectives (alltoallv, sparse
-//! reduce_scatter, sparse allreduce) on the item-routed
-//! [`crate::alltoall::AlltoallPlan`]. The combining family follows Träff
-//! et al.'s isomorphic sparse collectives and the Kolmakov–Zhang
-//! allreduce generalization: forwarding agents *reduce* payloads at hops
-//! instead of concatenating them.
+//! every neighborhood collective through a typed [`CollectiveRequest`],
+//! and every collective plans on the one IR,
+//! [`crate::plan::CollectivePlan`]: allgather(v) executes the plan's
+//! block messages, and the three *message-combining* collectives
+//! (alltoallv, sparse reduce_scatter, sparse allreduce) execute the item
+//! routing the same plan implies ([`crate::alltoall`]). The combining
+//! family follows Träff et al.'s isomorphic sparse collectives —
+//! allgather- and alltoall-type collectives from one message-combining
+//! schedule — and the Kolmakov–Zhang allreduce generalization:
+//! forwarding agents *reduce* payloads at hops instead of concatenating
+//! them.
 //!
-//! ## Why combining is sound on the alltoall routing
+//! ## Why combining is sound on a gather plan's routing
 //!
-//! [`crate::alltoall::plan_dh_alltoall`] routes an item `(src, dst)` by
-//! looking only at `dst` (is it in the step's opposite half?), and
-//! arrivals merge into a rank's pending set *after* the step's sends are
-//! fixed. Consequence: **all items held at a rank with the same
-//! destination co-route in every subsequent phase.** A rank may
-//! therefore hold one *partial* per destination — `(source set, reduced
-//! value)` — and forward the partial wherever the plan forwards that
-//! destination's items; two partials for the same destination meeting at
-//! a rank merge with one [`Reduction::combine`]. Exactly-once item
-//! delivery (validated on the plan) becomes exactly-once inclusion of
-//! every source's contribution.
+//! The routing moves an item `(src, dst)` wherever the gather plan moves
+//! block `src` together with the responsibility for `dst` (the
+//! exactly-once lemma of [`crate::plan`]). A plan that hands
+//! responsibility on by *destination* — Distance Halving ships whatever
+//! is addressed into the opposite half — keeps **all items held at a
+//! rank with the same destination co-routed in every subsequent phase.**
+//! A rank may therefore hold one *partial* per destination — `(source
+//! set, reduced value)` — and forward the partial wherever the routing
+//! forwards that destination's items; two partials for the same
+//! destination meeting at a rank merge with one [`Reduction::combine`].
+//! Exactly-once item delivery becomes exactly-once inclusion of every
+//! source's contribution. The invariant is checked, not assumed:
+//! `program::compile` refuses (`MissingBlock`) a routing whose held
+//! partial does not cover exactly the sources a message claims. Of the
+//! portfolio only PAT breaks it — its merged trees drop a block the
+//! receiver already holds, so one destination's contributions leave a
+//! rank apart — and PAT's reduce ops are a typed refusal.
 //!
 //! ## Determinism
 //!
@@ -56,8 +65,6 @@ use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::Topology;
 
-#[cfg(test)]
-mod goldens;
 pub(crate) mod program;
 
 /// Lane type of a [`Reduction`].
@@ -239,24 +246,12 @@ impl CollectiveOp {
         }
     }
 
-    /// The *plan-family* tag hashed into cache keys
-    /// ([`crate::plan_cache::PlanFingerprint::of_collective`]): ops that
-    /// provably execute the same plan share a tag — allgather and
-    /// allgatherv both run the lowered `CollectivePlan` (tag 0); the
-    /// combining family all routes over the identical item
-    /// `AlltoallPlan` (tag 1), so mixed reduce/alltoallv traffic reuses
-    /// one cached routing instead of thrashing per-op copies.
-    pub fn plan_tag(&self) -> u64 {
-        match self {
-            CollectiveOp::Allgather | CollectiveOp::Allgatherv => 0,
-            _ => 1,
-        }
-    }
-
-    /// `true` for the allgather family (runs `CollectivePlan`; supports
-    /// every algorithm, robustness and fault injection).
+    /// `true` for the allgather family: it executes the plan's block
+    /// messages (the gather executors; robustness and fault injection);
+    /// the other ops execute the plan's item routing (the combining
+    /// engine).
     pub fn is_gather(&self) -> bool {
-        self.plan_tag() == 0
+        matches!(self, CollectiveOp::Allgather | CollectiveOp::Allgatherv)
     }
 
     /// The reduction of a combining-reduce op, if any.
@@ -494,20 +489,15 @@ pub(crate) fn check_support(
             reason: "robust execution runs on the threaded transport",
         });
     }
-    if !op.is_gather()
-        && matches!(
-            algorithm,
-            Algorithm::CommonNeighbor { .. }
-                | Algorithm::HierarchicalLeader { .. }
-                | Algorithm::Bruck
-                | Algorithm::Pat { .. }
-        )
-    {
+    if op.reduction().is_some() && matches!(algorithm, Algorithm::Pat { .. }) {
+        // `program::tests::pat_trees_break_the_co_routing_invariant_of_the_reduce_shapes`
+        // pins the cause, so the refusal cannot outlive it.
         return Err(CommError::UnsupportedCollective {
             op,
             algorithm,
-            reason: "no item-routing formulation (alltoall-family ops need Naive, \
-                     DistanceHalving or Auto)",
+            reason: "PAT's merged trees break the reducing agents' co-routing invariant (a \
+                     destination's contributions leave a rank in different messages); PAT \
+                     serves alltoallv and the allgather family",
         });
     }
     Ok(())
@@ -743,20 +733,24 @@ pub fn reference_allreduce(graph: &Topology, payloads: &[Vec<u8>], red: Reductio
 }
 
 #[cfg(test)]
+mod goldens;
+
+#[cfg(test)]
 mod tests {
     use super::program::{
-        compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineScratch,
+        compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineScratch, Shape,
     };
     use super::*;
-    use crate::alltoall::{plan_dh_alltoall, AlltoallPlan};
     use crate::builder::build_pattern;
+    use crate::lower::lower;
+    use crate::plan::CollectivePlan;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
     use std::time::Duration;
 
     /// Compiles `plan` for `op` and runs it once on a cold scratch.
     fn run_virtual(
-        plan: &AlltoallPlan,
+        plan: &CollectivePlan,
         g: &Topology,
         op: CollectiveOp,
         sbufs: &[Vec<u8>],
@@ -807,16 +801,6 @@ mod tests {
         assert!(Reduction::new(ReduceOp::BitOr, DType::U32).validate().is_ok());
     }
 
-    #[test]
-    fn plan_tags_split_the_two_plan_families() {
-        assert_eq!(CollectiveOp::Allgather.plan_tag(), CollectiveOp::Allgatherv.plan_tag());
-        assert_eq!(
-            CollectiveOp::Alltoallv.plan_tag(),
-            CollectiveOp::Allreduce(Reduction::SUM_U8).plan_tag()
-        );
-        assert_ne!(CollectiveOp::Allgather.plan_tag(), CollectiveOp::Alltoallv.plan_tag());
-    }
-
     fn rs_payloads(g: &Topology, sizes: &BlockSizes, seed: u64) -> Vec<Vec<u8>> {
         (0..g.n())
             .map(|p| {
@@ -838,14 +822,14 @@ mod tests {
         let g = erdos_renyi(32, 0.5, 9);
         let layout = ClusterLayout::new(4, 2, 4);
         let pattern = build_pattern(&g, &layout).unwrap();
-        let plan = plan_dh_alltoall(&pattern, &g);
+        let plan = lower(&pattern, &g);
         let m = 64usize;
         let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; m]).collect();
         let rec = nhood_telemetry::CountingRecorder::new(32);
         let sizes = BlockSizes::uniform(m);
         run_virtual(&plan, &g, CollectiveOp::Allreduce(Reduction::SUM_U8), &payloads, &sizes, &rec);
         let combined = rec.totals().bytes_sent as usize;
-        let uncombined = plan.total_items_sent() * m;
+        let uncombined = compile(&plan, &g, Shape::Route).unwrap().schedule(&sizes).total_bytes();
         assert!(
             combined < uncombined,
             "coalescing must beat per-item shipping: {combined} vs {uncombined}"
@@ -858,7 +842,7 @@ mod tests {
             let g = erdos_renyi(n, delta, 77);
             let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
             let pattern = build_pattern(&g, &layout).unwrap();
-            let plan = plan_dh_alltoall(&pattern, &g);
+            let plan = lower(&pattern, &g);
             plan.validate(&g).unwrap();
 
             // alltoallv, ragged per-source sizes including zeros
@@ -899,7 +883,7 @@ mod tests {
         let g = erdos_renyi(24, 0.4, 3);
         let layout = ClusterLayout::new(3, 2, 4);
         let pattern = build_pattern(&g, &layout).unwrap();
-        let plan = plan_dh_alltoall(&pattern, &g);
+        let plan = lower(&pattern, &g);
         let red = Reduction::new(ReduceOp::Sum, DType::F32);
         let m = 16;
         let payloads: Vec<Vec<u8>> = (0..24)
@@ -1044,7 +1028,9 @@ mod tests {
         ar(&comm);
         assert_eq!(comm.combine_counters().0, 2);
 
-        // churn retires routing and programs together
+        // churn retires routing and programs together — and the routing
+        // recompiles from the plan `mutate` left in the churn slot: the
+        // request's recorder sees a plan-cache hit, and nothing is built
         let g = comm.graph();
         let gone = g.edges().next().expect("the graph has edges");
         let new = (0..32)
@@ -1052,10 +1038,65 @@ mod tests {
             .find(|&(u, v)| u != v && !g.has_edge(u, v))
             .expect("the graph is not complete");
         comm.mutate(&[new], &[gone]).unwrap();
-        rs(&comm, &uniform, 4);
+        let seen = PlanningSeen::default();
+        let sbufs = rs_payloads(comm.graph(), &uniform, 4);
+        let req = CollectiveRequest::reduce_scatter(&sbufs, red).sizes(uniform.clone());
+        let got = comm.collective(&req.recorder(&seen)).unwrap().rbufs;
+        assert_eq!(got, reference_reduce_scatter(comm.graph(), &sbufs, &uniform, red));
         assert_eq!(comm.combine_counters().0, 3, "mutate forces a recompile");
+        assert_eq!(seen.take(), (1, 0, 0), "served the live plan: one hit, no miss, no build");
         rs(&comm, &uniform, 5);
         assert_eq!(comm.combine_counters().0, 3);
+    }
+
+    /// `(plan-cache hits, misses, pattern builds begun)` a request reports.
+    #[derive(Default)]
+    struct PlanningSeen(std::sync::Mutex<(u64, u64, u64)>);
+
+    impl PlanningSeen {
+        fn take(&self) -> (u64, u64, u64) {
+            std::mem::take(&mut self.0.lock().unwrap())
+        }
+    }
+
+    impl Recorder for PlanningSeen {
+        fn plan_cache(&self, _: nhood_topology::Rank, hit: bool) {
+            let mut seen = self.0.lock().unwrap();
+            *(if hit { &mut seen.0 } else { &mut seen.1 }) += 1;
+        }
+
+        fn span_begin(&self, _: nhood_topology::Rank, label: &'static str) {
+            self.0.lock().unwrap().2 += u64::from(label == nhood_telemetry::labels::PLAN_BUILD);
+        }
+    }
+
+    #[test]
+    fn a_cacheless_communicator_builds_its_routing_plan_once_per_topology_epoch() {
+        use crate::comm::DistGraphComm;
+        // no plan cache, no churn slot: the memo alone stands between a
+        // request and a pattern build
+        let g = erdos_renyi(32, 0.3, 4);
+        let mut comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
+        let seen = PlanningSeen::default();
+        let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
+        let request = |comm: &DistGraphComm, red: Reduction| {
+            let req = CollectiveRequest::allreduce(&payloads, red).recorder(&seen);
+            assert_eq!(
+                comm.collective(&req).unwrap().rbufs,
+                reference_allreduce(comm.graph(), &payloads, red)
+            );
+            seen.take()
+        };
+        let f32_max = Reduction::new(ReduceOp::Max, DType::F32); // exact, on the inexact shape
+        assert_eq!(request(&comm, Reduction::SUM_U8), (0, 1, 1), "cold: one miss, one build");
+        assert_eq!(request(&comm, Reduction::SUM_U8), (1, 0, 0), "warm");
+        assert_eq!(request(&comm, f32_max), (1, 0, 0), "a new shape compiles the memoized plan");
+        assert_eq!(comm.combine_counters().0, 2);
+        // a clone shares the memo; a new topology epoch builds once more
+        assert_eq!(request(&comm.clone(), f32_max), (1, 0, 0));
+        let gone = comm.graph().edges().next().expect("the graph has edges");
+        comm.mutate(&[], &[gone]).unwrap();
+        assert_eq!(request(&comm, f32_max), (1, 0, 0), "mutate armed the churn slot");
     }
 
     #[test]

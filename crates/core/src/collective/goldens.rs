@@ -24,11 +24,13 @@ fn fold_bufs(bufs: &[Vec<u8>]) -> u64 {
     })
 }
 
-/// FNV fold of a `(src, dst, tag, bytes)` message list, count included.
-fn fold_msgs<'a>(msgs: impl Iterator<Item = &'a Msg>) -> u64 {
+/// FNV fold of a message list, count included: `(src, dst, tag, bytes)`
+/// per message when `tagged`, `(src, dst, bytes)` otherwise.
+fn fold_msgs<'a>(msgs: impl Iterator<Item = &'a Msg>, tagged: bool) -> u64 {
     let (h, count) = msgs.fold((FNV_OFFSET, 0u64), |(h, c), m| {
-        let h = [m.src as u64, m.dst as u64, m.tag, m.bytes as u64].into_iter().fold(h, fnv);
-        (h, c + 1)
+        let tag = tagged.then_some(m.tag);
+        let words = [m.src as u64, m.dst as u64].into_iter().chain(tag).chain([m.bytes as u64]);
+        (words.fold(h, fnv), c + 1)
     });
     fnv(h, count)
 }
@@ -131,35 +133,37 @@ fn for_each_cell(
     }
 }
 
-// `[fold_bufs(rbufs), fold_msgs(schedule.all_sends()), makespan.to_bits()]`
+// `[fold_bufs(rbufs), fold_msgs(schedule.all_sends(), true), makespan.to_bits()]`
 // per cell, captured at 35fa375 — the last commit that shipped the
 // interpreting engine — from `run_combining_virtual` (buffers, and the
 // per-message `(src, dst, tag, bytes)` list of the `Schedule` it
 // assembled) and `DistGraphComm::collective` on `ExecBackend::Sim`.
+// Column 1 of the Distance Halving rows was re-captured in PR 20, when
+// messages took the gather plan's tags (see `UNTAGGED`).
 const GOLDEN: [[u64; 3]; 138] = [
-    [0xa5a8247f05f72f3f, 0xa2358c71aa43faec, 0x3edc5271e7dc4894], // graph 0 DistanceHalving Uniform(64) alltoallv
-    [0xa91898979d680cdb, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
-    [0x69e0946ca83eee5f, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-u32)
-    [0x0d88371107fc3f97, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
-    [0x689b1e07ab047e68, 0x7db95c42e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-f32)
-    [0xbd0fdfc8be371ba2, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-u8)
-    [0x6414a7fb58a2d082, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-u32)
-    [0xf974c7dee4cce0cc, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-f32)
-    [0xbea8dd9290dedea6, 0xd0fd8d523ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-f32)
-    [0x72b746876a91ce75, 0x538b6553aee9ccec, 0x3f0fd6dba136979c], // graph 0 DistanceHalving Uniform(4096) alltoallv
-    [0x5397c5e6ae97f5cd, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
-    [0x77cb0953855f91e2, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
-    [0x10d6c95fe76754bf, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
-    [0xbe86cf5eeab86278, 0xf7651bd8ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
-    [0xa8e16a0f84e8ace3, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-u8)
-    [0xa2e384052553129e, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-u32)
-    [0x599dfbbb52b44bd2, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-f32)
-    [0xed5342333b57417a, 0x631daca008078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-f32)
-    [0x929f28a75cbe54a4, 0x51b0d5fe3f06dbac, 0x3ed92c0de99ed78b], // graph 0 DistanceHalving Ragged alltoallv
-    [0x94f298e38b7a4b0d, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-u8)
-    [0x1a5af4d4ec36f4dd, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-u32)
-    [0xe4a0cfac1f974b7a, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-f32)
-    [0x2f133d1d6b0a59e4, 0x58167fb63cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0xa5a8247f05f72f3f, 0x393d5b6faa43faec, 0x3edc5271e7dc4894], // graph 0 DistanceHalving Uniform(64) alltoallv
+    [0xa91898979d680cdb, 0xaeacbe48e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0x69e0946ca83eee5f, 0xaeacbe48e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x0d88371107fc3f97, 0xaeacbe48e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0x689b1e07ab047e68, 0xaeacbe48e184786c, 0x3edbad3ba07e1b4b], // graph 0 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0xbd0fdfc8be371ba2, 0xd930c8cc3ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x6414a7fb58a2d082, 0xd930c8cc3ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0xf974c7dee4cce0cc, 0xd930c8cc3ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0xd930c8cc3ad9486c, 0x3edb693ab15c8190], // graph 0 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0x72b746876a91ce75, 0x744e764daee9ccec, 0x3f0fd6dba136979c], // graph 0 DistanceHalving Uniform(4096) alltoallv
+    [0x5397c5e6ae97f5cd, 0x90548df6ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x77cb0953855f91e2, 0x90548df6ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x10d6c95fe76754bf, 0x90548df6ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0xbe86cf5eeab86278, 0x90548df6ed82ecec, 0x3f097303fa426724], // graph 0 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0xa8e16a0f84e8ace3, 0xc944e4c408078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xa2e384052553129e, 0xc944e4c408078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0x599dfbbb52b44bd2, 0xc944e4c408078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0xc944e4c408078cec, 0x3efb9d3ae38e2ace], // graph 0 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0x929f28a75cbe54a4, 0x8f70d3203f06dbac, 0x3ed92c0de99ed78b], // graph 0 DistanceHalving Ragged alltoallv
+    [0x94f298e38b7a4b0d, 0xb1c814ce3cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0x1a5af4d4ec36f4dd, 0xb1c814ce3cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0xe4a0cfac1f974b7a, 0xb1c814ce3cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0x2f133d1d6b0a59e4, 0xb1c814ce3cdc1094, 0x3ed95d8e7d28e4fe], // graph 0 DistanceHalving Ragged reduce_scatter(max-f32)
     [0xa5a8247f05f72f3f, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) alltoallv
     [0xa91898979d680cdb, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(sum-u8)
     [0x69e0946ca83eee5f, 0x6e1969cdf5582620, 0x3edb759247472754], // graph 0 Naive Uniform(64) reduce_scatter(max-u32)
@@ -183,29 +187,29 @@ const GOLDEN: [[u64; 3]; 138] = [
     [0x1a5af4d4ec36f4dd, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(max-u32)
     [0xfa285a8792f8404f, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(sum-f32)
     [0x2f133d1d6b0a59e4, 0xfc5137f1333f4c14, 0x3ed994c812e8309a], // graph 0 Naive Ragged reduce_scatter(max-f32)
-    [0x48e6d7dee8d8f072, 0xc85b23383bd53e60, 0x3ee1f64c220f73e6], // graph 1 DistanceHalving Uniform(64) alltoallv
-    [0x8274233fea166394, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
-    [0xaceee5894bf3bcb2, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-u32)
-    [0x5088d66223847326, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
-    [0x0f6e3dd1ec59f4be, 0x432e539aadcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-f32)
-    [0xc23e557df8f71d2e, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-u8)
-    [0x3ed5fd86e86ec7bc, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-u32)
-    [0x421accf6b9c44b51, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-f32)
-    [0xa47db37aa52db150, 0xa616ed1ecbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-f32)
-    [0xdd87aa40f505636a, 0x1d38dc8aaa285b20, 0x3f1b09d6f2179a56], // graph 1 DistanceHalving Uniform(4096) alltoallv
-    [0x4cd981274e774e8e, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
-    [0x0c3c49f490724e9b, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
-    [0x428b0dd201bc6e5d, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
-    [0x24bf5117843339fd, 0xd248942351a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
-    [0x5c442eb2cdb666da, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-u8)
-    [0xd5a8e1b5520c6dee, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-u32)
-    [0x76980766b799abad, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-f32)
-    [0x6d02584185794fa6, 0xde7cf5fe51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-f32)
-    [0xd0e94dacfcac9302, 0xebbdfef106a7a51c, 0x3edfb080eceab0e8], // graph 1 DistanceHalving Ragged alltoallv
-    [0x4bfebb20138bb314, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-u8)
-    [0x2f74e79809514d0d, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-u32)
-    [0x1127d0f0a6cc0326, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-f32)
-    [0x5a4ede8a89bb3b6d, 0xaa225694946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0x48e6d7dee8d8f072, 0xa197999f3bd53e60, 0x3ee1f64c220f73e6], // graph 1 DistanceHalving Uniform(64) alltoallv
+    [0x8274233fea166394, 0xe3f6b983adcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0xaceee5894bf3bcb2, 0xe3f6b983adcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x5088d66223847326, 0xe3f6b983adcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0x0f6e3dd1ec59f4be, 0xe3f6b983adcfbc20, 0x3ee11f1cc9c1e60d], // graph 1 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0xc23e557df8f71d2e, 0xe44b7f31cbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x3ed5fd86e86ec7bc, 0xe44b7f31cbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0x421accf6b9c44b51, 0xe44b7f31cbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0xe44b7f31cbd56ea0, 0x3ede1539f5f7e47c], // graph 1 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0xdd87aa40f505636a, 0x202b8aebaa285b20, 0x3f1b09d6f2179a56], // graph 1 DistanceHalving Uniform(4096) alltoallv
+    [0x4cd981274e774e8e, 0xeb8d6c7051a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x0c3c49f490724e9b, 0xeb8d6c7051a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x428b0dd201bc6e5d, 0xeb8d6c7051a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0x24bf5117843339fd, 0xeb8d6c7051a92b20, 0x3f11a3c41fd5b60f], // graph 1 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0x5c442eb2cdb666da, 0x2d6417dd51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xd5a8e1b5520c6dee, 0x2d6417dd51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0x76980766b799abad, 0x2d6417dd51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0x2d6417dd51d9ab20, 0x3eff72ac5f1ab7fc], // graph 1 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0xd0e94dacfcac9302, 0xa3f7778206a7a51c, 0x3edfb080eceab0e8], // graph 1 DistanceHalving Ragged alltoallv
+    [0x4bfebb20138bb314, 0x3244d4c3946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0x2f74e79809514d0d, 0x3244d4c3946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0x1127d0f0a6cc0326, 0x3244d4c3946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0x5a4ede8a89bb3b6d, 0x3244d4c3946e7104, 0x3ee002002535c3f5], // graph 1 DistanceHalving Ragged reduce_scatter(max-f32)
     [0x48e6d7dee8d8f072, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) alltoallv
     [0x8274233fea166394, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(sum-u8)
     [0xaceee5894bf3bcb2, 0x2ab0659aabcd5ea5, 0x3eddf726b1c4ce75], // graph 1 Naive Uniform(64) reduce_scatter(max-u32)
@@ -229,29 +233,29 @@ const GOLDEN: [[u64; 3]; 138] = [
     [0x2f74e79809514d0d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(max-u32)
     [0xdb468c0583fff41d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(sum-f32)
     [0x5a4ede8a89bb3b6d, 0x1066e291818cba51, 0x3edc0fe52e5df079], // graph 1 Naive Ragged reduce_scatter(max-f32)
-    [0x8afe50b1d56788d0, 0x4ad6fc4efa9c6887, 0x3ed0f41d96dbd39e], // graph 2 DistanceHalving Uniform(64) alltoallv
-    [0x1c640b3ae6741c2c, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
-    [0xf2adfc2d644f1992, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-u32)
-    [0x77198bf4e7233ade, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
-    [0xda578dc28e0003e2, 0xf3cdeb855cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-f32)
-    [0x1b6104fa7b0a707c, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-u8)
-    [0x1eaa53860afac0d9, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-u32)
-    [0x8c09442de81e2034, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-f32)
-    [0xa31f2255f651576f, 0x0d3f8807d29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-f32)
-    [0xccd683d2096f18c6, 0xda2bcd23ecf2de47, 0x3ee933a9b83663d3], // graph 2 DistanceHalving Uniform(4096) alltoallv
-    [0xb162e71354d92840, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
-    [0x02c61f835bb7803c, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
-    [0x28d9d589a5719737, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
-    [0x9ddf3711c39289ee, 0x3259b3adf8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
-    [0xb78608462ad33618, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-u8)
-    [0xdd8b88a0a1ca1858, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-u32)
-    [0xa643fd150adde1ac, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-f32)
-    [0xc00f4dafd5a8a380, 0x08cde824fae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-f32)
-    [0x0c69896f30f5b9be, 0x8e70698d94739c23, 0x3ed0ccd8e95b7ad8], // graph 2 DistanceHalving Ragged alltoallv
-    [0xd564584d560262c2, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-u8)
-    [0xecf597f799d5f176, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-u32)
-    [0x7acdf0227be4946f, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-f32)
-    [0xec4f3699dd76870f, 0x470351486b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-f32)
+    [0x8afe50b1d56788d0, 0xc8f54b17fa9c6887, 0x3ed0f41d96dbd39e], // graph 2 DistanceHalving Uniform(64) alltoallv
+    [0x1c640b3ae6741c2c, 0xa2d59d9c5cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-u8)
+    [0xf2adfc2d644f1992, 0xa2d59d9c5cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-u32)
+    [0x77198bf4e7233ade, 0xa2d59d9c5cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(sum-f32)
+    [0xda578dc28e0003e2, 0xa2d59d9c5cce84c7, 0x3ed0ed92249bc4d2], // graph 2 DistanceHalving Uniform(64) reduce_scatter(max-f32)
+    [0x1b6104fa7b0a707c, 0x6d17ad8ad29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-u8)
+    [0x1eaa53860afac0d9, 0x6d17ad8ad29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-u32)
+    [0x8c09442de81e2034, 0x6d17ad8ad29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0x6d17ad8ad29ba5c7, 0x3ed0d9efcddb9870], // graph 2 DistanceHalving Uniform(64) allreduce(max-f32)
+    [0xccd683d2096f18c6, 0xd28d0ed6ecf2de47, 0x3ee933a9b83663d3], // graph 2 DistanceHalving Uniform(4096) alltoallv
+    [0xb162e71354d92840, 0xd37bb584f8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-u8)
+    [0x02c61f835bb7803c, 0xd37bb584f8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-u32)
+    [0x28d9d589a5719737, 0xd37bb584f8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(sum-f32)
+    [0x9ddf3711c39289ee, 0xd37bb584f8570e47, 0x3ee656a7bc2feaba], // graph 2 DistanceHalving Uniform(4096) reduce_scatter(max-f32)
+    [0xb78608462ad33618, 0xf97f867ffae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-u8)
+    [0xdd8b88a0a1ca1858, 0xf97f867ffae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-u32)
+    [0xa643fd150adde1ac, 0xf97f867ffae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0xf97f867ffae96e47, 0x3ee310ee9c2884e6], // graph 2 DistanceHalving Uniform(4096) allreduce(max-f32)
+    [0x0c69896f30f5b9be, 0xd00eb30094739c23, 0x3ed0ccd8e95b7ad8], // graph 2 DistanceHalving Ragged alltoallv
+    [0xd564584d560262c2, 0x6e78c9b76b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-u8)
+    [0xecf597f799d5f176, 0x6e78c9b76b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-u32)
+    [0x7acdf0227be4946f, 0x6e78c9b76b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(sum-f32)
+    [0xec4f3699dd76870f, 0x6e78c9b76b648043, 0x3ed0d435c9e38b7e], // graph 2 DistanceHalving Ragged reduce_scatter(max-f32)
     [0x8afe50b1d56788d0, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) alltoallv
     [0x1c640b3ae6741c2c, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(sum-u8)
     [0xf2adfc2d644f1992, 0x473ed660c5ad75d7, 0x3ec24935234256b8], // graph 2 Naive Uniform(64) reduce_scatter(max-u32)
@@ -277,9 +281,18 @@ const GOLDEN: [[u64; 3]; 138] = [
     [0xec4f3699dd76870f, 0xc6a76050021e77cf, 0x3ec2294d564a0e97], // graph 2 Naive Ragged reduce_scatter(max-f32)
 ];
 
+// FNV fold, over all 138 cells in row order, of `fold_msgs(schedule
+// .all_sends(), false)`: every wire message without its tag. Captured in
+// PR 20 from the run that still mapped the gather plan's final-phase tag
+// (`lower::FINAL_TAG`, 1 << 32) to the retired alltoall IR's (1 << 33) and
+// reproduced all 138 rows of `GOLDEN` as PR 14 pinned them; column 1 of
+// the 69 Distance Halving rows was then re-captured with the map dropped.
+// This fold did not move, so that re-pin changed tags and nothing else.
+const UNTAGGED: u64 = 0xf42cdad95f808ca4;
+
 #[test]
 fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
-    let mut rows = GOLDEN.iter();
+    let (mut rows, mut untagged) = (GOLDEN.iter(), FNV_OFFSET);
     let mut isolated = false;
     for_each_cell(|label, comm, algo, op, sizes, sbufs| {
         let g = comm.graph();
@@ -293,7 +306,8 @@ fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
 
         let shape = CombineOp::try_from(op).unwrap().shape;
         let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
-        assert_eq!(fold_msgs(sched.all_sends()), want[1], "{label}: wire messages");
+        assert_eq!(fold_msgs(sched.all_sends(), true), want[1], "{label}: wire messages");
+        untagged = fnv(untagged, fold_msgs(sched.all_sends(), false));
         let sent = (rec.totals().msgs_sent as usize, rec.totals().bytes_sent as usize);
         assert_eq!(sent, (sched.message_count(), sched.total_bytes()), "{label}: counters");
 
@@ -306,5 +320,6 @@ fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
         assert_eq!(threaded, virt, "{label}: threaded buffers");
     });
     assert!(rows.next().is_none(), "every golden row is consumed");
+    assert_eq!(untagged, UNTAGGED, "a wire message moved or changed size, not just its tag");
     assert!(isolated, "one graph must leave ranks without an edge");
 }

@@ -32,7 +32,6 @@ mod robust;
 
 pub use robust::{ExecReport, FallbackReason, RobustPolicy};
 
-use crate::alltoall::AlltoallPlan;
 use crate::builder::BuildError;
 use crate::collective::program::{CombineProgram, CombineScratch, Shape};
 use crate::collective::{CollectiveOp, Reduction};
@@ -65,12 +64,10 @@ pub enum CommError {
     /// loudly (and typed, so tests can match on the cause) rather than
     /// silently returning wrong data.
     InvalidPlan(PlanValidationError),
-    /// A produced alltoall plan failed validation.
-    InvalidAlltoallPlan(String),
     /// The requested (op, algorithm, robustness, backend) combination is
     /// outside the support matrix (see docs/EXECUTION_API.md) — e.g.
-    /// Common Neighbor has no item-routing formulation, and robust
-    /// execution covers the allgather family only.
+    /// PAT's merged trees cannot carry the reduce ops, and robust
+    /// execution cannot replay hop-applied reductions.
     UnsupportedCollective {
         /// The collective that was requested.
         op: CollectiveOp,
@@ -108,9 +105,6 @@ impl std::fmt::Display for CommError {
             CommError::Exec(e) => write!(f, "execution failed: {e}"),
             CommError::Sim(e) => write!(f, "simulation failed: {e}"),
             CommError::InvalidPlan(m) => write!(f, "internal plan invariant violated: {m}"),
-            CommError::InvalidAlltoallPlan(m) => {
-                write!(f, "internal alltoall plan invariant violated: {m}")
-            }
             CommError::UnsupportedCollective { op, algorithm, reason } => {
                 write!(f, "{op} under {algorithm} is unsupported: {reason}")
             }
@@ -193,13 +187,13 @@ pub struct DistGraphComm {
     metric: LoadMetric,
     sizes: Option<BlockSizes>,
     churn: Option<ChurnSlot>,
-    /// Memo of the item-routing plan the combining family shares
-    /// (alltoallv / reduce_scatter / allreduce all route identically),
-    /// the combine programs compiled from it and the executors' offset
-    /// tables. Plan and programs are keyed by
-    /// [`PlanFingerprint::of_collective`] over the *current* graph, so
-    /// `mutate` retires them for free; clones share the memo the way
-    /// they share an attached [`PlanCache`].
+    /// Memo of the plan whose item routing the combining family
+    /// executes (alltoallv / reduce_scatter / allreduce all route
+    /// identically), the combine programs compiled from it and the
+    /// executors' offset tables. Plan and programs are keyed by the
+    /// plan's build key ([`PlanFingerprint::of_build_v`]) over the
+    /// *current* graph, so `mutate` retires them for free; clones share
+    /// the memo the way they share an attached [`PlanCache`].
     a2a_slot: A2aSlot,
     /// The §V cost model [`Algorithm::Auto`] scores candidates under.
     tuner_cost: SimCost,
@@ -229,12 +223,12 @@ struct CombineMemo {
     compiles: u64,
 }
 
-/// One topology epoch's item routing: the plan and the combine programs
-/// compiled from it, one per op shape seen so far.
+/// One topology epoch's item routing: the plan that implies it and the
+/// combine programs compiled from it, one per op shape seen so far.
 #[derive(Debug)]
 struct Routed {
     fp: PlanFingerprint,
-    plan: Arc<AlltoallPlan>,
+    plan: Arc<CollectivePlan>,
     programs: Vec<(Shape, Arc<CombineProgram>)>,
 }
 
@@ -858,6 +852,40 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn combining_ops_route_distance_halving_on_a_round_robin_layout() {
+        // The combining family used to negotiate its own pattern, straight
+        // through `dh_pattern`, and failed `NonBlockPlacement` here; it now
+        // resolves the gather plan, which re-ranks through `remap`.
+        use crate::collective::reference;
+        use nhood_cluster::Placement;
+        let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
+        let c = DistGraphComm::create_adjacent(erdos_renyi(32, 0.4, 21), layout).unwrap();
+        let own = test_payloads(32, 8, 5);
+        let per_edge: Vec<Vec<u8>> = (0..32)
+            .map(|p| (0..c.graph().outdegree(p) * 8).map(|i| (p * 17 + i) as u8).collect())
+            .collect();
+        for (op, sbufs) in [
+            (CollectiveOp::Alltoallv, &per_edge),
+            (CollectiveOp::ReduceScatter(Reduction::SUM_U8), &per_edge),
+            (CollectiveOp::Allreduce(Reduction::SUM_U8), &own),
+        ] {
+            let want = reference(c.graph(), op, sbufs, None).unwrap();
+            for algo in [Algorithm::DistanceHalving, Algorithm::Auto] {
+                let got = c.collective(&CollectiveRequest::new(op, sbufs).algorithm(algo));
+                assert_eq!(got.unwrap_or_else(|e| panic!("{op} {algo}: {e}")).rbufs, want);
+            }
+            // the node-hierarchical routers stay refused, as for gathers
+            for algo in [Algorithm::HierarchicalLeader { leaders_per_node: 2 }, Algorithm::Bruck] {
+                let got = c.collective(&CollectiveRequest::new(op, sbufs).algorithm(algo));
+                assert!(
+                    matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))),
+                    "{op} {algo}: {got:?}"
+                );
+            }
+        }
+    }
+
     /// `plan(algo)` on a round-robin layout, which the node-hierarchical
     /// routers cannot serve.
     fn plan_off_block_placement(algo: Algorithm) -> Result<CollectivePlan, CommError> {
@@ -891,24 +919,20 @@ mod tests {
     fn unsupported_combinations_reject_typed() {
         let c = comm(16, 0.4);
         let payloads = test_payloads(16, 4, 3);
-        // combining ops have no CN/HL item-routing formulation
-        for algo in [
-            Algorithm::CommonNeighbor { k: 4 },
-            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+        // PAT routes items, but its merged trees cannot carry a reduction
+        let pat = Algorithm::Pat { radix: 2 };
+        assert_eq!(c.alltoall_plan(pat).unwrap().algorithm, pat);
+        for op in [
+            CollectiveOp::ReduceScatter(Reduction::SUM_U8),
+            CollectiveOp::Allreduce(Reduction::SUM_U8),
         ] {
-            match c.alltoall_plan(algo) {
-                Err(CommError::UnsupportedCollective { op, algorithm, .. }) => {
-                    assert_eq!(op, CollectiveOp::Alltoallv);
-                    assert_eq!(algorithm, algo);
+            match c.collective(&CollectiveRequest::new(op, &payloads).algorithm(pat)) {
+                Err(CommError::UnsupportedCollective { op: named, algorithm, reason }) => {
+                    assert_eq!((named, algorithm), (op, pat));
+                    assert!(reason.contains("co-routing"), "{reason}");
                 }
                 other => panic!("expected UnsupportedCollective, got {other:?}"),
             }
-            let req =
-                CollectiveRequest::reduce_scatter(&payloads, Reduction::SUM_U8).algorithm(algo);
-            assert!(matches!(
-                c.collective(&req),
-                Err(CommError::UnsupportedCollective { op: CollectiveOp::ReduceScatter(_), .. })
-            ));
         }
         // robustness covers the allgather family only...
         let req = CollectiveRequest::allreduce(&payloads, Reduction::SUM_U8)

@@ -1,7 +1,7 @@
 //! The request pipeline: [`DistGraphComm::collective`] and the backends
-//! of its two plan families. Each family matches on the backend once —
-//! the `Sim` backend is the `Virtual` byte path plus one simulated
-//! schedule.
+//! of its two engines over the one plan IR. Each engine matches on the
+//! backend once — the `Sim` backend is the `Virtual` byte path plus one
+//! simulated schedule.
 
 use super::{CombineMemo, CommError, DistGraphComm};
 use crate::arena::BlockArena;
@@ -20,15 +20,16 @@ use std::sync::MutexGuard;
 impl DistGraphComm {
     /// Runs any neighborhood collective from one typed request.
     ///
-    /// The allgather family executes the lowered [`crate::plan::CollectivePlan`]
-    /// (every algorithm; robust + fault-injected execution on the
-    /// threaded backend). The combining family — alltoallv, sparse
-    /// reduce_scatter, sparse allreduce — routes the shared item
-    /// [`crate::alltoall::AlltoallPlan`] with reducing agents (Naive and Distance Halving
-    /// only). On [`ExecBackend::Sim`] the output carries **both** real
-    /// oracle bytes and the simulator's makespan (under
-    /// [`SimCost::niagara`]); the bare [`crate::exec::Sim`] executor
-    /// returns empty buffers.
+    /// Every op plans through the one [`crate::plan::CollectivePlan`],
+    /// under every algorithm. The allgather family executes its block
+    /// messages (robust + fault-injected execution on the threaded
+    /// backend). The combining family — alltoallv, sparse reduce_scatter,
+    /// sparse allreduce — executes the item routing the plan implies
+    /// ([`crate::alltoall`]) with reducing agents; PAT's reduce ops are
+    /// the one algorithm refusal. On [`ExecBackend::Sim`] the output
+    /// carries **both** real oracle bytes and the simulator's makespan
+    /// (under [`SimCost::niagara`]); the bare [`crate::exec::Sim`]
+    /// executor returns empty buffers.
     ///
     /// Combinations outside the support matrix return
     /// [`CommError::UnsupportedCollective`] /

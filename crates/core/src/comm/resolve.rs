@@ -1,15 +1,13 @@
 //! Plan resolution: how an [`Algorithm`] choice becomes a plan on this
 //! communicator — normalize the parameters, fingerprint the request,
 //! consult the churn slot / plan cache / tuner memo, and build on a
-//! miss. The combining family's routing plan and compiled programs
-//! resolve here too.
+//! miss. The combining family resolves its routing plan down the same
+//! path and keeps the programs compiled from it in a memo.
 
 use super::{ChurnSlot, CommError, DistGraphComm, Routed};
-use crate::alltoall::{plan_dh_alltoall, plan_naive_alltoall, AlltoallPlan};
 use crate::autotune::{candidates, TuneOutcome};
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::collective::program::{compile, CombineProgram, Shape};
-use crate::collective::{check_support, CollectiveOp, ExecBackend};
 use crate::common_neighbor::plan_common_neighbor;
 use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
 use crate::lower::lower_pooled;
@@ -347,6 +345,7 @@ impl DistGraphComm {
             }
         }
         let Some(cache) = &self.cache else {
+            rec.plan_cache(0, false);
             return Ok(Arc::new(self.build_plan_recorded(algo, sizes, rec)?));
         };
         let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, sizes, self.metric);
@@ -357,11 +356,9 @@ impl DistGraphComm {
     }
 
     /// The concrete algorithm a combining-family request routes under:
-    /// [`Algorithm::Auto`] maps to Distance Halving — the combining
-    /// family has no per-request tuner (its two routings, naive and DH,
-    /// are distinguished by topology shape the §V model already settled
-    /// in the paper's favor) — and the result shares the memo slot with
-    /// explicit Distance Halving requests.
+    /// [`Algorithm::Auto`] maps to Distance Halving — the tuner scores
+    /// gather schedules, not item routings — and the result shares the
+    /// memo slot with explicit Distance Halving requests.
     pub(super) fn combining_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
         match self.normalize_algorithm(algo)? {
             Algorithm::Auto => Ok(Algorithm::DistanceHalving),
@@ -369,12 +366,19 @@ impl DistGraphComm {
         }
     }
 
-    /// The combining family's plan path: one item-routing
-    /// [`AlltoallPlan`] shared (via a fingerprint-keyed memo) by
-    /// alltoallv, reduce_scatter and allreduce — they route identically,
-    /// so mixed-op traffic reuses a single plan instead of rebuilding
-    /// per op — and, per op shape, the [`CombineProgram`] compiled from
-    /// it on first use. A warm request takes both from the memo.
+    /// The combining family's plan path: alltoallv, reduce_scatter and
+    /// allreduce execute the item routing of one gather plan — resolved
+    /// like any gather's ([`Self::plan_shared`]: live churn slot, plan
+    /// cache, build) — and, per op shape, the [`CombineProgram`] compiled
+    /// from it on first use. Plan and programs sit in a memo under the
+    /// plan's build key, checked *before* plan resolution: a warm request
+    /// takes its program from there, and a cache-less communicator
+    /// builds its routing plan once per topology epoch, not per request.
+    ///
+    /// The plan is negotiated at default sizes whatever table is pinned:
+    /// a pinned table sizes gather blocks, the combining ops size theirs
+    /// per request. On uniform sizes both load metrics order candidates
+    /// alike, so the routes are [`LoadMetric::Neighbors`]'s.
     pub(super) fn combine_program(
         &self,
         algo: Algorithm,
@@ -382,23 +386,20 @@ impl DistGraphComm {
         rec: &dyn Recorder,
     ) -> Result<Arc<CombineProgram>, CommError> {
         let algo = self.combining_algorithm(algo)?;
-        let fp = PlanFingerprint::of_collective(
-            &self.graph,
-            &self.layout,
-            algo,
-            &self.planning_sizes(),
-            self.metric,
-            &CollectiveOp::Alltoallv,
-        );
+        let sizes = BlockSizes::default();
+        let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, &sizes, self.metric);
         let routed = self.combine_memo().routed.as_ref().filter(|r| r.fp == fp).map(|r| {
             let prog = r.programs.iter().find(|(s, _)| *s == shape).map(|(_, p)| Arc::clone(p));
             (Arc::clone(&r.plan), prog)
         });
-        rec.plan_cache(0, routed.is_some());
+        if routed.is_some() {
+            rec.plan_cache(0, true);
+        }
         let plan = match routed {
             Some((_, Some(prog))) => return Ok(prog),
             Some((plan, None)) => plan,
-            None => Arc::new(self.alltoall_plan(algo)?),
+            // the shared path reports its own hit or miss
+            None => self.plan_shared_sized(algo, &sizes, rec)?,
         };
         let prog = Arc::new(compile(&plan, &self.graph, shape)?);
         let mut memo = self.combine_memo();
@@ -411,28 +412,12 @@ impl DistGraphComm {
         Ok(prog)
     }
 
-    /// Builds (and validates) the item-routing alltoall plan the
-    /// combining family executes.
-    ///
-    /// # Errors
-    /// Returns [`CommError::UnsupportedCollective`] for
-    /// [`Algorithm::CommonNeighbor`], [`Algorithm::HierarchicalLeader`],
-    /// [`Algorithm::Bruck`] and [`Algorithm::Pat`], which have no
-    /// item-routing formulation. [`Algorithm::Auto`] routes as Distance
-    /// Halving.
-    pub fn alltoall_plan(&self, algo: Algorithm) -> Result<AlltoallPlan, CommError> {
-        check_support(CollectiveOp::Alltoallv, algo, false, ExecBackend::Virtual)?;
-        // check_support left the two routable algorithms (Auto routes as
-        // Distance Halving); the routing negotiates at default sizes.
-        let plan = match self.combining_algorithm(algo)? {
-            Algorithm::Naive => plan_naive_alltoall(&self.graph),
-            _ => {
-                let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
-                plan_dh_alltoall(&self.dh_pattern(&self.graph, &sizes, metric, &NULL)?, &self.graph)
-            }
-        };
-        plan.validate(&self.graph).map_err(CommError::InvalidAlltoallPlan)?;
-        Ok(plan)
+    /// The **uncached**, validated build of the plan whose item routing
+    /// the combining family executes under `algo` — what a cold
+    /// combining request pays before [`Self::collective`] memoizes it
+    /// ([`Algorithm::Auto`] routes as Distance Halving; default sizes).
+    pub fn alltoall_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
+        self.build_plan_recorded(self.combining_algorithm(algo)?, &BlockSizes::default(), &NULL)
     }
 
     /// Simulated latency of `algo` at per-rank message size `m`.

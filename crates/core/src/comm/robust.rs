@@ -407,7 +407,7 @@ impl DistGraphComm {
                     FallbackReason::ExecFailed(e.to_string()),
                     e.into(),
                 )?;
-                run(&compile(&self.alltoall_plan(Algorithm::Naive)?, &self.graph, op.shape)?)?
+                run(&compile(&self.plan(Algorithm::Naive)?, &self.graph, op.shape)?)?
             }
         };
         report.counters = rec.counts();

@@ -378,12 +378,7 @@ impl CollectivePlan {
     pub fn validate(&self, graph: &Topology) -> Result<(), PlanValidationError> {
         use PlanValidationError as E;
         let n = self.n();
-        check_mirror(
-            graph.n(),
-            &self.per_rank,
-            |ph| (&ph.sends, &ph.recvs),
-            |m| (m.peer, &m.blocks[..], m.tag),
-        )?;
+        check_mirror(graph.n(), &self.per_rank)?;
 
         // 3 + 4, one rank at a time: what a rank holds depends only on
         // its own earlier receives, and what an edge's destination was
@@ -427,15 +422,12 @@ impl CollectivePlan {
     }
 }
 
-/// Rules 1 and 2 of [`CollectivePlan::validate`], over any plan IR
-/// whose phases hold sends and recvs of `(peer, payload list, tag)`
-/// messages: every send gets a dense id in program order and every recv
-/// is resolved to the send it mirrors through the matching kernel.
-pub(crate) fn check_mirror<'a, P, M: 'a, U: PartialEq + 'a>(
+/// Rules 1 and 2 of [`CollectivePlan::validate`]: every send gets a dense
+/// id in program order and every recv is resolved to the send it mirrors
+/// through the matching kernel.
+fn check_mirror(
     topology_ranks: usize,
-    per_rank: &'a [Vec<P>],
-    msgs: impl Fn(&'a P) -> (&'a Vec<M>, &'a Vec<M>),
-    parts: impl Fn(&'a M) -> (Rank, &'a [U], u64),
+    per_rank: &[Vec<PlanPhase>],
 ) -> Result<(), PlanValidationError> {
     use PlanValidationError as E;
     let n = per_rank.len();
@@ -447,29 +439,25 @@ pub(crate) fn check_mirror<'a, P, M: 'a, U: PartialEq + 'a>(
         return Err(E::NotLockStep { rank, got: prog.len(), want: phases });
     }
     let (mut sends, mut recvs) = (Vec::new(), 0usize);
-    sends.reserve_exact(per_rank.iter().flatten().map(|ph| msgs(ph).0.len()).sum());
+    sends.reserve_exact(per_rank.iter().flatten().map(|ph| ph.sends.len()).sum());
     for (rank, prog) in per_rank.iter().enumerate() {
         for (phase, ph) in prog.iter().enumerate() {
             let bad = |peer| peer >= n || peer == rank;
-            for m in msgs(ph).0 {
-                let (peer, payload, _) = parts(m);
-                if bad(peer) {
-                    return Err(E::BadPeer { rank, phase, peer, dir: MsgDir::Send });
-                } else if payload.is_empty() {
-                    return Err(E::EmptySend { rank, phase, peer });
+            for m in &ph.sends {
+                if bad(m.peer) {
+                    return Err(E::BadPeer { rank, phase, peer: m.peer, dir: MsgDir::Send });
+                } else if m.blocks.is_empty() {
+                    return Err(E::EmptySend { rank, phase, peer: m.peer });
                 }
                 sends.push((rank, phase, m));
             }
-            if let Some((peer, ..)) = msgs(ph).1.iter().map(&parts).find(|m| bad(m.0)) {
-                return Err(E::BadPeer { rank, phase, peer, dir: MsgDir::Recv });
+            if let Some(m) = ph.recvs.iter().find(|m| bad(m.peer)) {
+                return Err(E::BadPeer { rank, phase, peer: m.peer, dir: MsgDir::Recv });
             }
-            recvs += msgs(ph).1.len();
+            recvs += ph.recvs.len();
         }
     }
-    let keys = sends.iter().map(|&(src, _, m)| {
-        let (dst, _, tag) = parts(m);
-        (src, dst, tag)
-    });
+    let keys = sends.iter().map(|&(src, _, m)| (src, m.peer, m.tag));
     let index = SendIndex::build(n, 0, keys).map_err(|(src, dst, tag)| E::DuplicateKey {
         src,
         dst,
@@ -480,7 +468,7 @@ pub(crate) fn check_mirror<'a, P, M: 'a, U: PartialEq + 'a>(
     let mut differs = None;
     for (dst, prog) in per_rank.iter().enumerate() {
         for (recv_phase, ph) in prog.iter().enumerate() {
-            for (src, payload, tag) in msgs(ph).1.iter().map(&parts) {
+            for &PlannedMsg { peer: src, ref blocks, tag } in &ph.recvs {
                 let Some(id) = index.find(src, dst, tag) else { continue };
                 if std::mem::replace(&mut matched[id as usize], true) {
                     return Err(E::DuplicateKey { src, dst, tag, dir: MsgDir::Recv });
@@ -490,7 +478,7 @@ pub(crate) fn check_mirror<'a, P, M: 'a, U: PartialEq + 'a>(
                 let list = || E::BlockListMismatch { src, dst, tag };
                 differs = differs
                     .or_else(|| (send_phase != recv_phase).then(skew))
-                    .or_else(|| (parts(sent).1 != payload).then(list));
+                    .or_else(|| (sent.blocks != *blocks).then(list));
             }
         }
     }

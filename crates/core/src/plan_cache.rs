@@ -21,7 +21,6 @@
 //! entries, which then simply miss and get rebuilt. See
 //! `docs/PLAN_CACHE.md`.
 
-use crate::collective::CollectiveOp;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::plan_io;
 use crate::sizes::{BlockSizes, LoadMetric};
@@ -75,13 +74,15 @@ impl PlanFingerprint {
         Self::of_build_v(graph, layout, algo, &BlockSizes::default(), LoadMetric::default())
     }
 
-    /// [`of_build`](Self::of_build) for size-aware builds: additionally
-    /// covers the [`LoadMetric`] and — under [`LoadMetric::Bytes`], the
-    /// one metric whose matching consumes the size table — the
-    /// [`BlockSizes`] themselves. Under [`LoadMetric::Neighbors`] the
-    /// builder provably ignores sizes, so uniform and ragged requests
-    /// deliberately share a slot; under `Bytes` a uniform and a ragged
-    /// build can never collide.
+    /// [`of_build`](Self::of_build) for size-aware builds — the one build
+    /// key, whichever collective executes the plan (gathers run its block
+    /// messages, the combining family the item routing it implies).
+    /// Additionally covers the [`LoadMetric`] and — under
+    /// [`LoadMetric::Bytes`], the one metric whose matching consumes the
+    /// size table — the [`BlockSizes`] themselves. Under
+    /// [`LoadMetric::Neighbors`] the builder provably ignores sizes, so
+    /// uniform and ragged requests deliberately share a slot; under
+    /// `Bytes` a uniform and a ragged build can never collide.
     pub fn of_build_v(
         graph: &Topology,
         layout: &ClusterLayout,
@@ -89,28 +90,7 @@ impl PlanFingerprint {
         sizes: &BlockSizes,
         metric: LoadMetric,
     ) -> Self {
-        Self::of_collective(graph, layout, algo, sizes, metric, &CollectiveOp::Allgather)
-    }
-
-    /// [`of_build_v`](Self::of_build_v) with the collective op's
-    /// *plan-family tag* ([`CollectiveOp::plan_tag`]) hashed into the
-    /// key. Ops that provably build the identical plan share a slot
-    /// (allgather/allgatherv; the whole alltoallv/reduce family), while
-    /// the two plan families can never collide — an allgather
-    /// `CollectivePlan` is never served where an item-routed
-    /// `AlltoallPlan` was asked for, even on identical topology, layout
-    /// and algorithm.
-    pub fn of_collective(
-        graph: &Topology,
-        layout: &ClusterLayout,
-        algo: Algorithm,
-        sizes: &BlockSizes,
-        metric: LoadMetric,
-        op: &CollectiveOp,
-    ) -> Self {
-        let tag = op.plan_tag();
         Self::digest(|h| {
-            tag.hash(h);
             let n = graph.n();
             n.hash(h);
             for p in 0..n {
@@ -147,8 +127,8 @@ impl PlanFingerprint {
 
     /// Fingerprint of an *auto-tuning request* — the key under which
     /// [`Algorithm::Auto`] caches its winning plan. Built on
-    /// [`of_collective`](Self::of_collective) with the `Auto` algorithm
-    /// id, so the keyspace is disjoint from every concrete algorithm's
+    /// [`of_build_v`](Self::of_build_v) with the `Auto` algorithm id,
+    /// so the keyspace is disjoint from every concrete algorithm's
     /// build keys; additionally XORs in a digest of the **full size
     /// table** (the tuner scores candidates byte-accurately even under
     /// [`LoadMetric::Neighbors`], where plain build keys skip sizes) and
@@ -166,14 +146,7 @@ impl PlanFingerprint {
         metric: LoadMetric,
         cost_tag: &str,
     ) -> Self {
-        let base = Self::of_collective(
-            graph,
-            layout,
-            Algorithm::Auto,
-            sizes,
-            metric,
-            &CollectiveOp::Allgather,
-        );
+        let base = Self::of_build_v(graph, layout, Algorithm::Auto, sizes, metric);
         let extra = Self::digest(|h| {
             sizes.hash_into(h);
             cost_tag.hash(h);

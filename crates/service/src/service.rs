@@ -256,12 +256,12 @@ struct Tenant {
 }
 
 /// Batch grouping key: clean tenants coalesce across tenants by
-/// fingerprint **and** plan family (the op's plan tag — gather and
-/// message-combining traffic plan differently, so they must not share
-/// a leader plan fetch); fault-armed tenants stay per-tenant.
+/// fingerprint **and** engine (`op.is_gather()` — gather and
+/// message-combining traffic share a plan, not an executor, and only
+/// gathers batch through an arena); fault-armed tenants stay per-tenant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum BatchKey {
-    Clean(PlanFingerprint, u64),
+    Clean(PlanFingerprint, bool),
     Faulty(TenantId),
 }
 
@@ -558,7 +558,7 @@ impl Service {
                 let key = if t.faulty {
                     BatchKey::Faulty(req.tenant)
                 } else {
-                    BatchKey::Clean(t.fp, req.op.plan_tag())
+                    BatchKey::Clean(t.fp, req.op.is_gather())
                 };
                 match index.get(&key) {
                     Some(&g) => groups[g].push(req),

@@ -1,5 +1,5 @@
-//! The warm gather path's and the cold plan path's allocation budgets,
-//! as counts.
+//! The warm gather path's, the cold plan path's and the combining
+//! family's first-request allocation budgets, as counts.
 //!
 //! A timing regression needs ten benchmark pairs to see; an allocation
 //! that creeps back into the per-request path or into build / validate /
@@ -12,8 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nhood_cluster::ClusterLayout;
-use nhood_core::Algorithm;
-use nhood_service::{Service, ServiceConfig};
+use nhood_core::{Algorithm, Reduction};
+use nhood_service::{Service, ServiceConfig, SubmitRequest};
 use nhood_topology::random::erdos_renyi;
 
 thread_local! {
@@ -223,6 +223,56 @@ fn the_cold_plan_path_allocates_by_the_count() {
         "{register_calls} allocator calls to register an Auto tenant (budget {AUTO_REGISTER_CALLS})"
     );
 }
+
+#[test]
+fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
+    // `combine-mixed`'s Distance Halving tenant at n = 96: registration
+    // armed the churn slot, and `churn` repairs it in place.
+    let g = erdos_renyi(96, 0.15, 7);
+    let mut svc = Service::new(ServiceConfig::default());
+    let t = svc.add_tenant(g.clone(), ClusterLayout::new(6, 2, 8), Algorithm::DistanceHalving);
+    let t = t.expect("registers");
+    let first_request = |svc: &mut Service, request: SubmitRequest| {
+        let (calls, done) = calls_of(|| {
+            svc.submit_request(t, request).expect("admitted");
+            assert_eq!(svc.tick(), 1);
+            svc.take_completions()
+        });
+        assert!(done[0].outcome.is_completed());
+        calls
+    };
+
+    // (a) the first alltoallv compiles the live plan's item routing: it
+    // neither negotiates a pattern of its own nor lowers or validates one
+    let a2a = (0..96).map(|p| vec![p as u8; g.outdegree(p) * 64]).collect();
+    let cold = first_request(&mut svc, SubmitRequest::alltoallv(a2a));
+    println!("first alltoallv on a registered DH tenant: {cold} allocator calls");
+    assert!(cold <= FIRST_ALLTOALLV_CALLS, "{cold} calls (budget {FIRST_ALLTOALLV_CALLS})");
+
+    // (b) after a single-edge churn the first allreduce compiles the
+    // *repaired* plan's routing — what gathers are served — instead of
+    // renegotiating from scratch
+    let absent = (0..96).flat_map(|u| (0..96).map(move |v| (u, v)));
+    let new = absent.filter(|&(u, v)| u != v && !g.has_edge(u, v)).nth(40).expect("not complete");
+    assert!(!svc.churn(t, &[new], &[]).expect("repairs").full_rebuild);
+    let own = (0..96).map(|r| vec![r as u8; 64]).collect();
+    let churned = first_request(&mut svc, SubmitRequest::allreduce(own, Reduction::SUM_U8));
+    println!("first allreduce after a single-edge churn: {churned} allocator calls");
+    assert!(
+        churned <= CHURNED_ALLREDUCE_CALLS,
+        "{churned} calls (budget {CHURNED_ALLREDUCE_CALLS})"
+    );
+    assert_eq!(svc.report().stats.corrupt, 0);
+}
+
+/// 5 % above the 1,182 calls the first alltoallv of a registered n = 96
+/// Distance Halving tenant costs today (12,316 while the combining family
+/// negotiated a second pattern of its own).
+const FIRST_ALLTOALLV_CALLS: u64 = 1_241;
+/// 5 % above the 1,056 calls of the first allreduce after one single-edge
+/// `churn` today (12,192 while every churn made the combining memo
+/// renegotiate from scratch).
+const CHURNED_ALLREDUCE_CALLS: u64 = 1_108;
 
 /// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted at
 /// the commit before the dense prepare passes (the same 33 today).

@@ -11,6 +11,7 @@
 //! ```
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::alltoall::simulate_alltoall;
 use nhood_core::{Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, SimCost};
 use nhood_topology::random::erdos_renyi;
 
@@ -99,12 +100,18 @@ fn main() {
         .expect("alltoallv")
         .rbufs;
     assert_eq!(a_naive, a_dh);
-    let naive_plan = comm.alltoall_plan(Algorithm::Naive).expect("plan");
-    let dh_plan = comm.alltoall_plan(Algorithm::DistanceHalving).expect("plan");
+    // What the routing moves, read off the simulated schedule: the plan
+    // is the gather's own, the alltoall runs the items it implies.
+    let routed = |algo| {
+        let plan = comm.alltoall_plan(algo).expect("plan");
+        let sim = simulate_alltoall(&plan, comm.graph(), comm.layout(), m, &SimCost::niagara());
+        sim.expect("sim").stats
+    };
+    let (naive, dh) = (routed(Algorithm::Naive), routed(Algorithm::DistanceHalving));
     println!(
         "alltoallv: {} direct messages vs {} with distance-halving routing ({} item-hops)",
-        naive_plan.message_count(),
-        dh_plan.message_count(),
-        dh_plan.total_items_sent()
+        naive.total_msgs(),
+        dh.total_msgs(),
+        dh.bytes.iter().sum::<usize>() / m
     );
 }

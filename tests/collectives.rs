@@ -2,19 +2,20 @@
 //! API: every op in [`CollectiveOp`]'s family — the gather pair plus
 //! the message-combining trio — must agree byte-for-byte with its
 //! naive MPI-semantics reference on **all three backends**, ragged
-//! shapes (zero-length blocks included) and every supported
-//! algorithm. Unsupported (op, algorithm, robustness, backend)
-//! combinations must fail *typed*, before any work happens, and f32
-//! folds must be bit-deterministic across backends and repeat runs.
+//! shapes (zero-length blocks included) and every algorithm of the
+//! portfolio — cold, warm and after churn. Unsupported (op, algorithm,
+//! robustness, backend) combinations must fail *typed*, before any work
+//! happens, and f32 folds must be bit-deterministic across backends and
+//! repeat runs.
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::collective::{
-    derive_sizes, reference_allreduce, reference_alltoallv, reference_reduce_scatter,
+    derive_sizes, reference, reference_allreduce, reference_alltoallv, reference_reduce_scatter,
 };
 use nhood_core::exec::virtual_exec::reference_allgather;
 use nhood_core::{
     Algorithm, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType, DistGraphComm,
-    ExecBackend, LoadMetric, PlanFingerprint, ReduceOp, Reduction,
+    ExecBackend, ReduceOp, Reduction,
 };
 use nhood_topology::rng::DetRng;
 use nhood_topology::Topology;
@@ -187,10 +188,10 @@ fn f32_allreduce_is_bit_deterministic_across_backends() {
 
 /// The support matrix rejects out-of-matrix combinations *typed* and
 /// before any execution: robust reductions (idempotent retry cannot
-/// replay hop-applied reductions), robust off-threaded, combining under
-/// algorithms with no item-routing formulation, and undefined
-/// operator/lane pairs. Robust alltoallv — items, no reductions — is
-/// IN the matrix and must run.
+/// replay hop-applied reductions), robust off-threaded, PAT's reduce ops
+/// and undefined operator/lane pairs. Robust alltoallv — items, no
+/// reductions — is IN the matrix and must run, and so is every combining
+/// op under Common Neighbor and the leader design.
 #[test]
 fn unsupported_combinations_fail_typed() {
     let n = 16;
@@ -218,15 +219,13 @@ fn unsupported_combinations_fail_typed() {
     let req = CollectiveRequest::allgather(&uniform).robust(true).backend(ExecBackend::Virtual);
     assert!(matches!(comm.collective(&req), Err(CommError::UnsupportedCollective { .. })));
 
-    // combining ops have no CommonNeighbor/HierarchicalLeader formulation
+    // every gather algorithm routes items: the refusals PR 20 removed
     for algo in
         [Algorithm::CommonNeighbor { k: 4 }, Algorithm::HierarchicalLeader { leaders_per_node: 1 }]
     {
         let req = CollectiveRequest::alltoallv(&a2a).sizes(sizes.clone()).algorithm(algo);
-        assert!(
-            matches!(comm.collective(&req), Err(CommError::UnsupportedCollective { .. })),
-            "{algo} must be rejected for alltoallv"
-        );
+        let got = comm.collective(&req).unwrap_or_else(|e| panic!("{algo} alltoallv: {e}"));
+        assert_eq!(got.rbufs, reference_alltoallv(&g, &a2a, &sizes), "{algo}");
     }
 
     // bitor has no defined semantics on f32 lanes
@@ -235,34 +234,141 @@ fn unsupported_combinations_fail_typed() {
     assert!(matches!(comm.collective(&req), Err(CommError::InvalidReduction { .. })));
 }
 
-/// Plan reuse across ops is keyed honestly: ops that build the same
-/// plan share a fingerprint slot (the gather pair; the combining trio),
-/// while the two plan families can never collide.
-#[test]
-fn fingerprints_separate_the_two_plan_families() {
-    let n = 24;
-    let g = nhood_topology::random::erdos_renyi(n, 0.3, 11);
-    let layout = layout_for(n);
-    let sizes = BlockSizes::uniform(8);
-    let red = Reduction::SUM_U8;
-    let fp = |op: &CollectiveOp| {
-        PlanFingerprint::of_collective(
-            &g,
-            &layout,
-            Algorithm::DistanceHalving,
-            &sizes,
-            LoadMetric::Neighbors,
-            op,
-        )
+/// Every algorithm of the portfolio (`Auto` routes as Distance Halving).
+const PORTFOLIO: [Algorithm; 7] = [
+    Algorithm::Naive,
+    Algorithm::DistanceHalving,
+    Algorithm::Auto,
+    Algorithm::CommonNeighbor { k: 4 },
+    Algorithm::HierarchicalLeader { leaders_per_node: 1 },
+    Algorithm::Bruck,
+    Algorithm::Pat { radix: 2 },
+];
+
+/// One request of the sweep: its send buffers and explicit size table.
+struct Case {
+    op: CollectiveOp,
+    sbufs: Vec<Vec<u8>>,
+    sizes: BlockSizes,
+}
+
+/// Every combining op on `g`, uniform and — where the op allows —
+/// ragged with zero sizes: alltoallv, then reduce_scatter and allreduce
+/// under an exact lane and both f32 operators.
+fn combining_cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
+    let n = g.n();
+    let uniform = BlockSizes::uniform(8);
+    let ragged =
+        BlockSizes::per_rank((0..n).map(|r| 4 * ((r * 5 + rng.gen_below(3)) % 4)).collect());
+    let reds = [
+        Reduction::SUM_U8,
+        Reduction::new(ReduceOp::Sum, DType::F32),
+        Reduction::new(ReduceOp::Max, DType::F32),
+    ];
+    // f32 lanes get small finite values, the rest random bytes
+    let mut fill = |op: CollectiveOp, len: usize| -> Vec<u8> {
+        if op.reduction().is_some_and(|r| r.dtype == DType::F32) {
+            let lane = |_| ((rng.gen_below(4001) as f32 - 2000.0) * 0.173).to_le_bytes();
+            (0..len / 4).flat_map(lane).collect()
+        } else {
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        }
     };
-    let gather = [CollectiveOp::Allgather, CollectiveOp::Allgatherv];
-    let combining =
-        [CollectiveOp::Alltoallv, CollectiveOp::ReduceScatter(red), CollectiveOp::Allreduce(red)];
-    assert_eq!(fp(&gather[0]), fp(&gather[1]), "the gather pair shares one plan");
-    for op in &combining {
-        assert_eq!(fp(op), fp(&combining[0]), "the combining trio shares one item-routed plan");
-        for gop in &gather {
-            assert_ne!(fp(gop), fp(op), "{gop} and {op} must never share a cache slot");
+    let mut cases = Vec::new();
+    for sizes in [&uniform, &ragged] {
+        let mut case = |op: CollectiveOp, len: &dyn Fn(usize) -> usize| {
+            let sbufs = (0..n).map(|p| fill(op, len(p))).collect();
+            cases.push(Case { op, sbufs, sizes: sizes.clone() });
+        };
+        case(CollectiveOp::Alltoallv, &|p| g.outdegree(p) * sizes.size(p));
+        for red in reds {
+            let to_dsts = |p: usize| g.out_neighbors(p).iter().map(|&d| sizes.size(d)).sum();
+            case(CollectiveOp::ReduceScatter(red), &to_dsts);
+            if sizes.is_uniform() {
+                case(CollectiveOp::Allreduce(red), &|p| sizes.size(p));
+            }
+        }
+    }
+    cases
+}
+
+/// The support matrix as one sweep: every combining op × every algorithm
+/// of the portfolio × every backend × uniform and ragged sizes, on a
+/// fresh communicator and again after each single-edge mutation (Distance
+/// Halving then runs the surgically repaired live plan), against
+/// [`reference`]. Exact lanes and f32 `Max` are byte-equal to it; f32
+/// `Sum` is bit-equal across backends and repeats. PAT's reduce ops are
+/// the one typed refusal.
+#[test]
+fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
+    let rng = &mut DetRng::seed_from_u64(0x5EED_2020);
+    // a prime n, two non-powers of two, and a graph with isolated ranks
+    for (n, lonely) in [(17, 0), (61, 0), (96, 0), (40, 3)] {
+        let g = nhood_topology::random::erdos_renyi(n, 0.1 + 0.3 * rng.gen_f64(), rng.next_u64());
+        let lonely: Vec<usize> = (0..lonely).map(|_| rng.gen_below(n)).collect();
+        let keep = |&(u, v): &(usize, usize)| !lonely.contains(&u) && !lonely.contains(&v);
+        let g = Topology::from_edges(n, g.edges().filter(keep));
+        let mut comm = DistGraphComm::create_adjacent(g, layout_for(n)).unwrap();
+        // a fresh communicator, then after an added and after a removed
+        // edge (an empty mutation arms the churn slot the two repair)
+        for round in 0..3 {
+            let g = comm.graph();
+            let (added, removed) = match round {
+                0 => (None, None),
+                1 => {
+                    let mut pairs = (0..).map(|_| (rng.gen_below(n), rng.gen_below(n)));
+                    (pairs.find(|&(u, v)| u != v && !g.has_edge(u, v)), None)
+                }
+                _ => (None, g.edges().nth(rng.gen_below(g.edge_count()))),
+            };
+            if round == 1 {
+                comm.mutate(&[], &[]).unwrap();
+            }
+            if round > 0 {
+                let rep = comm.mutate(added.as_slice(), removed.as_slice()).unwrap();
+                assert!(!rep.full_rebuild, "n={n}: one edge repairs surgically");
+            }
+            let g = comm.graph().clone();
+            for case in combining_cases(&g, rng) {
+                let Case { op, sbufs, sizes } = &case;
+                let want = reference(&g, *op, sbufs, Some(sizes)).unwrap();
+                let f32_sum = op.reduction() == Some(Reduction::new(ReduceOp::Sum, DType::F32));
+                for algo in PORTFOLIO {
+                    let mut first: Option<Vec<Vec<u8>>> = None;
+                    for backend in BACKENDS {
+                        let ctx = format!("n={n} round {round} {op} {sizes:?} {algo} {backend}");
+                        let req = || {
+                            let req = CollectiveRequest::new(*op, sbufs).sizes(sizes.clone());
+                            comm.collective(&req.algorithm(algo).backend(backend))
+                        };
+                        if op.reduction().is_some() && matches!(algo, Algorithm::Pat { .. }) {
+                            match req() {
+                                Err(CommError::UnsupportedCollective { reason, .. }) => {
+                                    assert!(reason.contains("co-routing"), "{ctx}: {reason}")
+                                }
+                                other => panic!("{ctx}: expected a typed refusal, got {other:?}"),
+                            }
+                            continue;
+                        }
+                        let got = req().unwrap_or_else(|e| panic!("{ctx}: {e}")).rbufs;
+                        if !f32_sum {
+                            assert_eq!(got, want, "{ctx}");
+                            continue;
+                        }
+                        // f32 sums reassociate: bit-equal across backends
+                        // and repeats, close to the reference
+                        assert_eq!(req().unwrap().rbufs, got, "{ctx}: repeat");
+                        assert_eq!(first.get_or_insert_with(|| got.clone()), &got, "{ctx}");
+                        let lanes = |bufs: &[Vec<u8>]| -> Vec<f32> {
+                            let bytes = bufs.iter().flat_map(|b| b.chunks_exact(4));
+                            bytes.map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect()
+                        };
+                        for (x, y) in lanes(&got).into_iter().zip(lanes(&want)) {
+                            assert!((x - y).abs() <= 1e-2 * y.abs().max(1.0), "{ctx}: {x} vs {y}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

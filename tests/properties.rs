@@ -198,11 +198,13 @@ fn bitset_matches_btreeset_model() {
 #[test]
 fn alltoall_correct_on_arbitrary_graphs() {
     for_cases(0xA7, |rng| {
-        use nhood_core::collective::reference_alltoallv;
+        use nhood_core::collective::{reference, CollectiveOp, Reduction};
         let g = arb_graph(rng, 32);
         let n = g.n();
         let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
         let m = 4;
+        // one distinct block per edge: an alltoallv send buffer, and a
+        // reduce_scatter one at uniform size
         let sbufs: Vec<Vec<u8>> = (0..n)
             .map(|p| {
                 let mut buf = Vec::new();
@@ -212,13 +214,22 @@ fn alltoall_correct_on_arbitrary_graphs() {
                 buf
             })
             .collect();
+        let own: Vec<Vec<u8>> = (0..n).map(|p| vec![(p * 29 + 3) as u8; m]).collect();
         let sizes = BlockSizes::uniform(m);
-        let want = reference_alltoallv(&g, &sbufs, &sizes);
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
         for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
             comm.alltoall_plan(algo).unwrap().validate(&g).unwrap();
-            let req = CollectiveRequest::alltoallv(&sbufs).sizes(sizes.clone()).algorithm(algo);
-            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
+            // the routing checks out for every shape it compiles to: no
+            // request runs before `MissingBlock` / `Undelivered` are ruled out
+            for (op, bufs) in [
+                (CollectiveOp::Alltoallv, &sbufs),
+                (CollectiveOp::ReduceScatter(Reduction::SUM_U8), &sbufs),
+                (CollectiveOp::Allreduce(Reduction::SUM_U8), &own),
+            ] {
+                let req = CollectiveRequest::new(op, bufs).sizes(sizes.clone()).algorithm(algo);
+                let want = reference(&g, op, bufs, Some(&sizes)).unwrap();
+                assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{op} {algo}");
+            }
         }
     });
 }
