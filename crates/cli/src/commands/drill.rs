@@ -2,20 +2,24 @@
 //! schedules, `churn` drills topology mutation and link-down repair,
 //! `serve` hosts tenants on the multi-tenant collective service.
 
+use super::run::{parse_op, shaped_payloads, whole_lanes};
 use super::{edge_list_and_layout, fail, load_topology, parse_algo, parse_backend, parse_layout};
 use crate::args::{parse_bytes, ArgError, Args};
+use nhood_core::collective::matches_reference;
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::exec::{Executor, Virtual};
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, ExecBackend};
 use std::io::Write;
 
-/// `nhood chaos <edge-list> [--algo ..] [--drops 0.01,0.05,0.1]
+/// `nhood chaos <edge-list> [--op ..] [--algo ..] [--drops 0.01,0.05,0.1]
 /// [--runs R] [--seed S] [--size BYTES] [--timeout MS] [layout flags]`
 /// — sweep message-drop rates over seeded fault schedules on the
-/// threaded executor and report, per rate, how many runs completed
-/// cleanly, degraded to the naive fallback, or returned a typed error.
-/// Any run returning buffers that differ from the MPI-semantics
-/// reference is **corruption** and fails the command (nonzero exit).
+/// threaded executor, for any op (`--op` as in `run`, exact lanes
+/// only), and report, per rate,
+/// how many runs completed cleanly, degraded to the naive fallback, or
+/// returned a typed error. Any run returning buffers that differ from
+/// the MPI-semantics reference is **corruption** and fails the command
+/// (nonzero exit).
 pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     use nhood_core::fault::FaultPlan;
     use nhood_core::RobustPolicy;
@@ -23,6 +27,12 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 
     let (graph, layout) = edge_list_and_layout(args, "chaos")?;
     let algo = parse_algo(args)?;
+    let op = parse_op(args)?;
+    if op.reduction().is_some_and(|red| red.dtype == nhood_core::DType::F32) {
+        return Err(fail(
+            "chaos byte-checks every run against the reference: use an exact --dtype",
+        ));
+    }
     let drops: Vec<f64> = args
         .get("drops")
         .unwrap_or("0.01,0.05,0.1")
@@ -47,11 +57,10 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         ..RobustPolicy::default()
     });
     let shape = comm.plan(algo)?;
-    let payloads = test_payloads(graph.n(), m, seed);
-    let want = reference_allgather(&graph, &payloads);
+    let payloads = shaped_payloads(&graph, op, whole_lanes(op, m), seed);
     writeln!(
         w,
-        "chaos: {algo}, {} ranks, {} phases, peak fan-out {}/phase, {runs} runs per rate",
+        "chaos: {op} via {algo}, {} ranks, {} phases, peak fan-out {}/phase, {runs} runs per rate",
         shape.n(),
         shape.phase_count(),
         shape.max_sends_in_phase()
@@ -72,7 +81,7 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
                 .with_message_delay(p / 2.0, Duration::from_micros(200))
                 .with_message_reorder(p / 2.0);
             let c = comm.clone().with_fault_plan(fp);
-            let req = CollectiveRequest::allgather(&payloads)
+            let req = CollectiveRequest::new(op, &payloads)
                 .algorithm(algo)
                 .robust(true)
                 .backend(ExecBackend::Threaded);
@@ -81,7 +90,7 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
                     let report = out.report.expect("robust runs carry an execution report");
                     injected += report.faults.total_injected();
                     retries += report.faults.retries;
-                    if out.rbufs != want {
+                    if !matches_reference(&graph, op, &payloads, None, &out.rbufs)? {
                         corrupt += 1;
                     } else if report.clean() {
                         ok += 1;

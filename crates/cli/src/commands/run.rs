@@ -53,11 +53,17 @@ pub fn parse_op(args: &Args) -> Result<CollectiveOp, ArgError> {
     }
 }
 
+/// `bytes` rounded up to whole lanes of `op`'s reduction (u32 / f32
+/// blocks cannot split one).
+pub fn whole_lanes(op: CollectiveOp, bytes: usize) -> usize {
+    bytes.next_multiple_of(op.reduction().map_or(1, |red| red.dtype.lane_bytes()))
+}
+
 /// Deterministic send buffers shaped for `op`: flat `m`-byte blocks for
 /// allgather/allreduce, ragged per-rank lengths (zeros included) for
 /// allgatherv, out-degree-scaled concatenations for alltoallv and
 /// reduce_scatter.
-fn shaped_payloads(graph: &Topology, op: CollectiveOp, m: usize, seed: u64) -> Vec<Vec<u8>> {
+pub fn shaped_payloads(graph: &Topology, op: CollectiveOp, m: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = nhood_topology::rng::DetRng::seed_from_u64(seed);
     let mut block = |len: usize| -> Vec<u8> {
         let fill = rng.next_u64().to_le_bytes();
@@ -92,12 +98,7 @@ pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let (graph, layout) = edge_list_and_layout(args, "run")?;
     let algo = parse_algo(args)?;
     let op = parse_op(args)?;
-    let m = {
-        let raw = parse_bytes(args.get("size").unwrap_or("1K"))?;
-        // Reductions over u32/f32 need whole lanes.
-        let lane = op.reduction().map_or(1, |red| red.dtype.lane_bytes());
-        raw.next_multiple_of(lane.max(1))
-    };
+    let m = whole_lanes(op, parse_bytes(args.get("size").unwrap_or("1K"))?);
     let backend = parse_backend(args, ExecBackend::Virtual)?;
     let seed = args.get_parsed("seed", 42u64)?;
     let payloads = shaped_payloads(&graph, op, m, seed);

@@ -132,13 +132,13 @@ pub fn simulate_alltoall(
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
-    use crate::collective::program::{run_combining_virtual, CombineOp, CombineScratch};
     use crate::collective::{reference_alltoallv, CollectiveOp};
+    use crate::exec::{execute, ExecOptions};
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use crate::plan::{Algorithm, PlanValidationError, PlannedMsg};
-    use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
 
     /// The validated Distance Halving gather plan of `g` on `layout`.
     fn plan_dh(g: &Topology, layout: &ClusterLayout) -> (CollectivePlan, usize) {
@@ -148,18 +148,18 @@ mod tests {
         (plan, pattern.max_steps())
     }
 
-    /// Executes `plan` as a uniform alltoallv through the one combining
-    /// engine: a `Route` program on the virtual backend.
+    /// Executes `plan` as a uniform alltoallv through the one engine: a
+    /// `Route` program on the virtual backend.
     fn run(
         plan: &CollectivePlan,
         graph: &Topology,
         sbufs: &[Vec<u8>],
         m: usize,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let op = CombineOp::try_from(CollectiveOp::Alltoallv).expect("alltoallv combines");
-        let prog = compile(plan, graph, op.shape)?;
-        let sizes = BlockSizes::uniform(m);
-        run_combining_virtual(&prog, &mut CombineScratch::default(), op, sbufs, &sizes, &NULL)
+        let (plan, sizes) = (Arc::new(plan.clone()), BlockSizes::uniform(m));
+        let (arena, opts) = (&mut Default::default(), ExecOptions::new());
+        execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, graph, sbufs, arena, false, &opts)
+            .map(|out| out.rbufs)
     }
 
     /// Messages the routed schedule of `plan` actually sends.

@@ -1,13 +1,14 @@
-//! The collective-agnostic request surface and the message-combining
-//! executors behind it.
+//! The collective-agnostic request surface and the compiled program
+//! every collective executes.
 //!
 //! One entry point — [`crate::comm::DistGraphComm::collective`] — serves
 //! every neighborhood collective through a typed [`CollectiveRequest`],
-//! and every collective plans on the one IR,
-//! [`crate::plan::CollectivePlan`]: allgather(v) executes the plan's
-//! block messages, and the three *message-combining* collectives
-//! (alltoallv, sparse reduce_scatter, sparse allreduce) execute the item
-//! routing the same plan implies ([`crate::alltoall`]). The combining
+//! every collective plans on the one IR,
+//! [`crate::plan::CollectivePlan`], and every collective runs the one
+//! engine: allgather(v) executes the plan's block messages, and the
+//! three *message-combining* collectives (alltoallv, sparse
+//! reduce_scatter, sparse allreduce) execute the item routing the same
+//! plan implies ([`crate::alltoall`]). The combining
 //! family follows Träff et al.'s isomorphic sparse collectives —
 //! allgather- and alltoall-type collectives from one message-combining
 //! schedule — and the Kolmakov–Zhang allreduce generalization:
@@ -47,15 +48,14 @@
 //!
 //! ## Execution and wire accounting
 //!
-//! Requests do not interpret the plan: `collective::program` compiles it once per
-//! op shape into fixed cells and `copy` / `combine` steps, and every
-//! backend executes that one program. A message is a run of wire
-//! blocks; allreduce partials that are the same value *by construction*
-//! share one block (the first hop sends one copy of `x_src` no matter
-//! how many destinations it serves) — see the module docs of
-//! `program` for the rule. Telemetry counts the block bytes only —
-//! consistent with the allgather executors, which count payload bytes
-//! and not headers.
+//! Requests do not interpret the plan: `collective::program` compiles it
+//! once per op shape into fixed cells and `copy` / `combine` steps, and
+//! both runtimes of [`crate::exec`] execute that one program. A message
+//! is a run of wire blocks; allreduce partials that are the same value
+//! *by construction* share one block (the first hop sends one copy of
+//! `x_src` no matter how many destinations it serves) — see the module
+//! docs of `program` for the rule. Telemetry counts the block bytes
+//! only, not headers.
 
 use crate::comm::{CommError, ExecReport};
 use crate::exec::{check_count, ExecError};
@@ -63,7 +63,7 @@ use crate::plan::Algorithm;
 use crate::sizes::BlockSizes;
 use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
-use nhood_topology::Topology;
+use nhood_topology::{Rank, Topology};
 
 pub(crate) mod program;
 
@@ -155,12 +155,21 @@ impl Reduction {
     /// The identity block of `len` bytes: combining it with any block
     /// yields that block.
     pub fn identity(self, len: usize) -> Vec<u8> {
+        let mut block = Vec::new();
+        self.fill_identity(&mut block, len);
+        block
+    }
+
+    /// Overwrites `block` with the identity block of `len` bytes, keeping
+    /// its allocation.
+    pub(crate) fn fill_identity(self, block: &mut Vec<u8>, len: usize) {
+        block.clear();
         match (self.op, self.dtype) {
             (ReduceOp::Max, DType::F32) => {
-                f32::NEG_INFINITY.to_le_bytes().iter().copied().cycle().take(len).collect()
+                block.extend(f32::NEG_INFINITY.to_le_bytes().iter().copied().cycle().take(len));
             }
             // 0 is the identity for sum and bit-or, and for unsigned max
-            _ => vec![0u8; len],
+            _ => block.resize(len, 0),
         }
     }
 
@@ -247,9 +256,7 @@ impl CollectiveOp {
     }
 
     /// `true` for the allgather family: it executes the plan's block
-    /// messages (the gather executors; robustness and fault injection);
-    /// the other ops execute the plan's item routing (the combining
-    /// engine).
+    /// messages; the other ops execute the plan's item routing.
     pub fn is_gather(&self) -> bool {
         matches!(self, CollectiveOp::Allgather | CollectiveOp::Allgatherv)
     }
@@ -342,8 +349,8 @@ pub struct CollectiveRequest<'a> {
     pub sizes: Option<BlockSizes>,
     /// The execution backend.
     pub backend: ExecBackend,
-    /// Fault-tolerant execution (allgather family on the threaded
-    /// transport only — see the support matrix in docs/EXECUTION_API.md).
+    /// Fault-tolerant execution (any op, on the threaded transport only
+    /// — see the support matrix in docs/EXECUTION_API.md).
     pub robust: bool,
     /// Telemetry sink.
     pub recorder: &'a dyn Recorder,
@@ -413,7 +420,7 @@ impl<'a> CollectiveRequest<'a> {
         self
     }
 
-    /// Requests fault-tolerant execution (threaded allgather family).
+    /// Requests fault-tolerant execution (threaded backend).
     pub fn robust(mut self, robust: bool) -> Self {
         self.robust = robust;
         self
@@ -470,19 +477,8 @@ pub(crate) fn check_support(
             return Err(CommError::InvalidReduction { reduction: red, reason });
         }
     }
-    if robust && !op.is_gather() && op != CollectiveOp::Alltoallv {
-        // The unsupported piece, by name: a retried reduce_scatter /
-        // allreduce would re-apply its operator at every forwarding hop
-        // it replays, corrupting the accumulation. Alltoallv items are
-        // idempotent to resend, so it joins the robust matrix.
-        return Err(CommError::UnsupportedCollective {
-            op,
-            algorithm,
-            reason: "robust execution cannot replay hop-applied reductions \
-                     (reduce_scatter/allreduce); it covers the allgather family and alltoallv",
-        });
-    }
     if robust && backend != ExecBackend::Threaded {
+        // the only transport that injects faults
         return Err(CommError::UnsupportedCollective {
             op,
             algorithm,
@@ -515,65 +511,44 @@ pub fn derive_sizes(
     explicit: Option<&BlockSizes>,
 ) -> Result<BlockSizes, CommError> {
     let n = graph.n();
-    check_count(payloads, graph.n())?;
+    check_count(payloads, n)?;
     let lane_err = |red: Reduction| CommError::InvalidReduction {
         reduction: red,
         reason: "block length is not a whole number of lanes",
     };
+    // every payload against the buffer length the op's contract gives it
+    let checked = |sizes: BlockSizes, want: &dyn Fn(&BlockSizes, Rank) -> usize| {
+        for (rank, payload) in payloads.iter().enumerate() {
+            let (got, want) = (payload.len(), want(&sizes, rank));
+            if got != want {
+                return Err(ExecError::PayloadSizeMismatch { rank, got, want }.into());
+            }
+        }
+        Ok(sizes)
+    };
     match op {
         CollectiveOp::Alltoallv => {
             // per-SOURCE sizing: sbuf[p] = outdegree(p) × sizes[p]
-            let sizes = match explicit {
-                Some(s) => s.clone(),
-                None => BlockSizes::per_rank(
-                    (0..n)
-                        .map(|p| payloads[p].len().checked_div(graph.outdegree(p)).unwrap_or(0))
-                        .collect(),
-                ),
-            };
-            for (p, payload) in payloads.iter().enumerate() {
-                let want = graph.outdegree(p) * sizes.size(p);
-                if payload.len() != want {
-                    return Err(ExecError::PayloadSizeMismatch {
-                        rank: p,
-                        got: payload.len(),
-                        want,
-                    }
-                    .into());
-                }
-            }
-            Ok(sizes)
+            let sizes = explicit.cloned().unwrap_or_else(|| {
+                let of = |p: usize| payloads[p].len().checked_div(graph.outdegree(p)).unwrap_or(0);
+                BlockSizes::per_rank((0..n).map(of).collect())
+            });
+            checked(sizes, &|sizes, p| graph.outdegree(p) * sizes.size(p))
         }
         CollectiveOp::ReduceScatter(red) => {
-            // per-DESTINATION sizing: sbuf[p] = Σ_{d ∈ O(p)} sizes[d]
-            let sizes = match explicit {
-                Some(s) => s.clone(),
-                None => {
-                    // infer a uniform size; ragged tables cannot be
-                    // recovered from concatenated buffers
-                    let m = (0..n)
-                        .find(|&p| graph.outdegree(p) > 0)
-                        .map_or(0, |p| payloads[p].len() / graph.outdegree(p));
-                    BlockSizes::uniform(m)
-                }
-            };
-            for t in 0..n {
-                if !red.fits(sizes.size(t)) {
-                    return Err(lane_err(red));
-                }
+            // per-DESTINATION sizing: sbuf[p] = Σ_{d ∈ O(p)} sizes[d].
+            // Inferred, the table is uniform: ragged ones cannot be
+            // recovered from concatenated buffers.
+            let sizes = explicit.cloned().unwrap_or_else(|| {
+                let m = (0..n)
+                    .find(|&p| graph.outdegree(p) > 0)
+                    .map_or(0, |p| payloads[p].len() / graph.outdegree(p));
+                BlockSizes::uniform(m)
+            });
+            if (0..n).any(|t| !red.fits(sizes.size(t))) {
+                return Err(lane_err(red));
             }
-            for (p, payload) in payloads.iter().enumerate() {
-                let want: usize = graph.out_neighbors(p).iter().map(|&d| sizes.size(d)).sum();
-                if payload.len() != want {
-                    return Err(ExecError::PayloadSizeMismatch {
-                        rank: p,
-                        got: payload.len(),
-                        want,
-                    }
-                    .into());
-                }
-            }
-            Ok(sizes)
+            checked(sizes, &|sizes, p| graph.out_neighbors(p).iter().map(|&d| sizes.size(d)).sum())
         }
         CollectiveOp::Allreduce(red) => {
             let m = match explicit {
@@ -590,16 +565,15 @@ pub fn derive_sizes(
             if !red.fits(m) {
                 return Err(lane_err(red));
             }
-            for (rank, p) in payloads.iter().enumerate() {
-                if p.len() != m {
-                    return Err(
-                        ExecError::PayloadSizeMismatch { rank, got: p.len(), want: m }.into()
-                    );
-                }
-            }
-            Ok(BlockSizes::uniform(m))
+            checked(BlockSizes::uniform(m), &|_, _| m)
         }
-        CollectiveOp::Allgather | CollectiveOp::Allgatherv => Err(program::not_combining(op)),
+        CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
+            Err(CommError::UnsupportedCollective {
+                op,
+                algorithm: Algorithm::DistanceHalving,
+                reason: "the allgather family reads its block lengths off the payloads",
+            })
+        }
     }
 }
 
@@ -737,18 +711,32 @@ mod goldens;
 
 #[cfg(test)]
 mod tests {
-    use super::program::{
-        compile, run_combining_threaded, run_combining_virtual, CombineOp, CombineScratch, Shape,
-    };
+    use super::program::tests::compiles;
+    use super::program::{compile, Shape};
     use super::*;
     use crate::builder::build_pattern;
+    use crate::exec::{execute, ExecOptions};
     use crate::lower::lower;
     use crate::plan::CollectivePlan;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
-    use std::time::Duration;
+    use std::sync::Arc;
 
-    /// Compiles `plan` for `op` and runs it once on a cold scratch.
+    /// Compiles `plan` for `op` and runs it once on a cold workspace.
+    fn run_once(
+        plan: &CollectivePlan,
+        g: &Topology,
+        op: CollectiveOp,
+        sbufs: &[Vec<u8>],
+        sizes: &BlockSizes,
+        threaded: bool,
+        rec: &dyn Recorder,
+    ) -> Vec<Vec<u8>> {
+        let (plan, opts) = (Arc::new(plan.clone()), ExecOptions::new().recorder(rec));
+        let arena = &mut Default::default();
+        execute(op, Some(sizes), &plan, g, sbufs, arena, threaded, &opts).unwrap().rbufs
+    }
+
     fn run_virtual(
         plan: &CollectivePlan,
         g: &Topology,
@@ -757,10 +745,7 @@ mod tests {
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Vec<Vec<u8>> {
-        let cop = CombineOp::try_from(op).unwrap();
-        let prog = compile(plan, g, cop.shape).unwrap();
-        run_combining_virtual(&prog, &mut CombineScratch::default(), cop, sbufs, sizes, rec)
-            .unwrap()
+        run_once(plan, g, op, sbufs, sizes, false, rec)
     }
 
     #[test]
@@ -896,18 +881,7 @@ mod tests {
         let sizes = BlockSizes::uniform(m);
         let op = CollectiveOp::Allreduce(red);
         let v = run_virtual(&plan, &g, op, &payloads, &sizes, &NULL);
-        let cop = CombineOp::try_from(op).unwrap();
-        let prog = compile(&plan, &g, cop.shape).unwrap();
-        let t = run_combining_threaded(
-            &prog,
-            &mut CombineScratch::default(),
-            cop,
-            &payloads,
-            &sizes,
-            Duration::from_secs(10),
-            &NULL,
-        )
-        .unwrap();
+        let t = run_once(&plan, &g, op, &payloads, &sizes, true, &NULL);
         assert_eq!(v, t, "f32 bits must agree across backends");
     }
 
@@ -921,7 +895,6 @@ mod tests {
                 Err(CommError::UnsupportedCollective { op: named, .. }) => assert_eq!(named, op),
                 other => panic!("{op}: {other:?}"),
             }
-            assert!(CombineOp::try_from(op).is_err(), "{op} has no combine shape");
         }
     }
 
@@ -1006,18 +979,21 @@ mod tests {
             assert_eq!(got, reference_reduce_scatter(comm.graph(), &sbufs, sizes, red));
         };
         let uniform = BlockSizes::uniform(64);
+        let cold = compiles();
+        // (the allocator-call pins of `service/tests/alloc_budget.rs` hold
+        // the "grows no table" half)
+        let compiled = || compiles() - cold;
         rs(&comm, &uniform, 1);
-        let warm = comm.combine_counters();
-        assert_eq!(warm.0, 1, "one program for the one op shape seen");
+        assert_eq!(compiled(), 1, "one program for the one op shape seen");
 
-        // the same (op, sizes) again: nothing compiles, nothing grows
+        // the same (op, sizes) again: nothing compiles
         rs(&comm, &uniform, 2);
-        assert_eq!(comm.combine_counters(), warm);
+        assert_eq!(compiled(), 1);
         // another size table on the same shape: offsets re-resolve, the
         // program is reused (a different reduction shares it too)
         let ragged = BlockSizes::per_rank((0..32).map(|t| 4 * (t % 6)).collect());
         rs(&comm, &ragged, 3);
-        assert_eq!(comm.combine_counters(), warm);
+        assert_eq!(compiled(), 1);
         // another shape on the same routing: one more program
         let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
         let ar = |comm: &DistGraphComm| {
@@ -1026,7 +1002,7 @@ mod tests {
         };
         ar(&comm);
         ar(&comm);
-        assert_eq!(comm.combine_counters().0, 2);
+        assert_eq!(compiled(), 2);
 
         // churn retires routing and programs together — and the routing
         // recompiles from the plan `mutate` left in the churn slot: the
@@ -1043,10 +1019,10 @@ mod tests {
         let req = CollectiveRequest::reduce_scatter(&sbufs, red).sizes(uniform.clone());
         let got = comm.collective(&req.recorder(&seen)).unwrap().rbufs;
         assert_eq!(got, reference_reduce_scatter(comm.graph(), &sbufs, &uniform, red));
-        assert_eq!(comm.combine_counters().0, 3, "mutate forces a recompile");
+        assert_eq!(compiled(), 3, "mutate forces a recompile");
         assert_eq!(seen.take(), (1, 0, 0), "served the live plan: one hit, no miss, no build");
         rs(&comm, &uniform, 5);
-        assert_eq!(comm.combine_counters().0, 3);
+        assert_eq!(compiled(), 3);
     }
 
     /// `(plan-cache hits, misses, pattern builds begun)` a request reports.
@@ -1077,7 +1053,7 @@ mod tests {
         // request and a pattern build
         let g = erdos_renyi(32, 0.3, 4);
         let mut comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
-        let seen = PlanningSeen::default();
+        let (seen, cold) = (PlanningSeen::default(), compiles());
         let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
         let request = |comm: &DistGraphComm, red: Reduction| {
             let req = CollectiveRequest::allreduce(&payloads, red).recorder(&seen);
@@ -1091,7 +1067,7 @@ mod tests {
         assert_eq!(request(&comm, Reduction::SUM_U8), (0, 1, 1), "cold: one miss, one build");
         assert_eq!(request(&comm, Reduction::SUM_U8), (1, 0, 0), "warm");
         assert_eq!(request(&comm, f32_max), (1, 0, 0), "a new shape compiles the memoized plan");
-        assert_eq!(comm.combine_counters().0, 2);
+        assert_eq!(compiles() - cold, 2);
         // a clone shares the memo; a new topology epoch builds once more
         assert_eq!(request(&comm.clone(), f32_max), (1, 0, 0));
         let gone = comm.graph().edges().next().expect("the graph has edges");

@@ -2,7 +2,7 @@
 //! PR 14): the compiled combine program must reproduce its receive
 //! buffers, its wire messages and its simulated makespan bit for bit.
 
-use super::program::{compile, CombineOp};
+use super::program::{compile, Shape};
 use super::*;
 use crate::comm::DistGraphComm;
 use nhood_cluster::ClusterLayout;
@@ -135,7 +135,7 @@ fn for_each_cell(
 
 // `[fold_bufs(rbufs), fold_msgs(schedule.all_sends(), true), makespan.to_bits()]`
 // per cell, captured at 35fa375 — the last commit that shipped the
-// interpreting engine — from `run_combining_virtual` (buffers, and the
+// interpreting engine — from its virtual run (buffers, and the
 // per-message `(src, dst, tag, bytes)` list of the `Schedule` it
 // assembled) and `DistGraphComm::collective` on `ExecBackend::Sim`.
 // Column 1 of the Distance Halving rows was re-captured in PR 20, when
@@ -304,7 +304,7 @@ fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
         let virt = comm.collective(&req().recorder(&rec)).unwrap().rbufs;
         assert_eq!(fold_bufs(&virt), want[0], "{label}: virtual buffers");
 
-        let shape = CombineOp::try_from(op).unwrap().shape;
+        let shape = Shape::of(op);
         let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
         assert_eq!(fold_msgs(sched.all_sends(), true), want[1], "{label}: wire messages");
         untagged = fnv(untagged, fold_msgs(sched.all_sends(), false));

@@ -1,24 +1,28 @@
-//! The compiled combine program: what the combining family executes.
+//! The compiled program: what every collective executes.
 //!
-//! [`compile`] derives the item routing a gather plan implies
-//! ([`crate::alltoall::route_items`]) and walks it once per *op shape*
-//! ([`Shape`]) symbolically — no bytes, no size table — fixing everything
-//! a request would otherwise rediscover: where every held item or partial
-//! lives (a cell of the caller's send buffer, a slot of the rank's
-//! arena, or a cell of the receive buffer), which wire blocks each
-//! message carries, and the exact `copy` / `combine` steps each arrival
-//! performs, in the `(peer, tag)` integration order that makes f32
-//! results bit-identical across backends. A routing that forwards an
-//! item its sender does not hold, or never delivers one, fails *here*
-//! with [`ExecError::MissingBlock`] / [`ExecError::Undelivered`] — before
-//! any byte moves.
+//! [`compile`] walks a gather plan once per *op shape* ([`Shape`])
+//! symbolically — no bytes, no size table — fixing everything a request
+//! would otherwise rediscover: where every held block, item or partial
+//! lives (a cell of the caller's send buffer, a slot of the rank's arena,
+//! or a cell of the receive buffer), which wire blocks each message
+//! carries, and the exact `copy` / `combine` steps each arrival performs,
+//! in the `(peer, tag)` integration order that makes f32 results
+//! bit-identical across backends. A gather executes the plan's block
+//! messages as they are; the combining shapes execute the item routing
+//! the plan implies ([`crate::alltoall::route_items`]). A plan that
+//! forwards what its sender does not hold, never delivers an in-neighbor's
+//! contribution, or (gather) posts receives its sends do not mirror fails
+//! *here* with [`ExecError::MissingBlock`] / [`ExecError::Undelivered`] —
+//! before any byte moves.
 //!
-//! A request then resolves cell offsets against its size table
-//! ([`CombineScratch`]: O(cells), no allocation once warm) and does
-//! nothing but `copy_from_slice` / [`Reduction::combine`]. The first hop
-//! reads straight from the send buffer, the last hop writes straight
-//! into the receive buffer; only contributions parked at a forwarding
-//! agent occupy arena slots, and those bytes live for the one request.
+//! A request then resolves cell offsets against its block lengths
+//! ([`Tables::stage`]: O(cells), no allocation once warm) and does
+//! nothing but `copy_from_slice` / [`Reduction::combine`]
+//! ([`Exec::integrate`], the one data path of both runtimes in
+//! [`crate::exec`]). Gather and routed blocks are never modified in
+//! flight, so a receiver reads each one at its origin's send buffer and
+//! nothing is staged; only reduce partials parked at a forwarding agent
+//! occupy arena slots, and those bytes live for the one request.
 //!
 //! ## Coalescing is structural
 //!
@@ -28,27 +32,24 @@
 //! same bits), the same fold tree for f32. reduce_scatter contributions
 //! are distinct per destination and routed items are distinct per edge;
 //! neither ever merges. Wire bytes are therefore a pure function of
-//! (plan, shape, size table) — never of payload contents.
+//! (plan, shape, block lengths) — never of payload contents.
 
 use super::{CollectiveOp, DType, Reduction};
 use crate::alltoall::route_items;
-use crate::arena::two_bufs;
-use crate::comm::CommError;
-use crate::exec::ExecError;
-use crate::plan::{Algorithm, CollectivePlan};
+use crate::exec::{phase_label, ExecError};
+use crate::plan::{CollectivePlan, PlannedMsg};
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, Phase, Schedule};
-use nhood_telemetry::Recorder;
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::mpsc;
-use std::time::Duration;
 
-/// What a program is compiled for. Three shapes cover the combining
-/// family; a gather op has none.
+/// What a program is compiled for: one shape per way data moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Shape {
+    /// allgather(v): block `b` is rank `b`'s whole payload and fans out,
+    /// along the plan's own messages, to every out-neighbor of `b`.
+    Gather,
     /// alltoallv: items move, nothing combines; blocks are sized by
     /// their *source*.
     Route,
@@ -63,57 +64,47 @@ pub(crate) enum Shape {
     },
 }
 
-/// A combining-family op: its [`Shape`] plus the operator reduce shapes
-/// apply. Cannot hold a gather op.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CombineOp {
-    pub shape: Shape,
-    red: Option<Reduction>,
-}
-
-impl TryFrom<CollectiveOp> for CombineOp {
-    type Error = CommError;
-
-    fn try_from(op: CollectiveOp) -> Result<Self, CommError> {
-        let exact = |red: Reduction| red.dtype != DType::F32;
+impl Shape {
+    /// The shape `op` executes; its operator, when it has one, is
+    /// [`CollectiveOp::reduction`] — `Some` exactly for the shapes that
+    /// [`reduce`](Self::reduces).
+    pub(crate) fn of(op: CollectiveOp) -> Self {
         match op {
-            CollectiveOp::Alltoallv => Ok(Self { shape: Shape::Route, red: None }),
-            CollectiveOp::ReduceScatter(red) => {
-                Ok(Self { shape: Shape::ReduceScatter, red: Some(red) })
-            }
-            CollectiveOp::Allreduce(red) => {
-                Ok(Self { shape: Shape::Allreduce { exact: exact(red) }, red: Some(red) })
-            }
-            CollectiveOp::Allgather | CollectiveOp::Allgatherv => Err(not_combining(op)),
+            CollectiveOp::Allgather | CollectiveOp::Allgatherv => Shape::Gather,
+            CollectiveOp::Alltoallv => Shape::Route,
+            CollectiveOp::ReduceScatter(_) => Shape::ReduceScatter,
+            CollectiveOp::Allreduce(red) => Shape::Allreduce { exact: red.dtype != DType::F32 },
         }
     }
-}
 
-/// The typed refusal of a gather op on a combining-only entry point.
-pub(crate) fn not_combining(op: CollectiveOp) -> CommError {
-    CommError::UnsupportedCollective {
-        op,
-        algorithm: Algorithm::DistanceHalving,
-        reason: "the allgather family runs the lowered CollectivePlan, not the combining path",
+    /// `true` for the shapes whose agents combine what they forward;
+    /// gather and routed blocks reach their destination unmodified.
+    pub(crate) fn reduces(self) -> bool {
+        !matches!(self, Shape::Gather | Shape::Route)
     }
 }
+
+/// An index into one of a program's tables (a cell, a rank, a step):
+/// half a `usize`, because the tables are what a warm request streams
+/// through and what a cold compile allocates.
+type Ix = u32;
 
 /// Where a wire block's bytes live on the sender.
 #[derive(Clone, Copy, Debug)]
 enum Src {
     /// A cell of the sender's send buffer (first hop).
-    Send(usize),
+    Send(Ix),
     /// A slot of the sender's arena.
-    Slot(usize),
+    Slot(Ix),
 }
 
 /// Where an arrival lands on the receiver.
 #[derive(Clone, Copy, Debug)]
 enum Dst {
     /// A slot of the receiver's arena (it forwards the value later).
-    Slot(usize),
+    Slot(Ix),
     /// A cell of the receiver's receive buffer (last hop).
-    Recv(usize),
+    Recv(Ix),
 }
 
 /// One thing a receiver does with an arrived wire block.
@@ -126,30 +117,44 @@ enum Step {
     Combine(Dst),
     /// The receiver's own contribution still sits in its send buffer
     /// (cell `from`), which is read-only: `slot = send[from] ⊕ wire`.
-    Fold { from: usize, slot: usize },
+    Fold { from: Ix, slot: Ix },
 }
 
 /// A wire block: `size(key)` bytes read at `src`, then applied by
 /// `steps[..steps_end]` (from the previous block's end).
 #[derive(Clone, Copy, Debug)]
 struct Block {
-    key: Rank,
+    key: Ix,
     src: Src,
-    /// (Route) the send cell, on rank `key`, the item started in. A
-    /// routed item is never modified, so the sequential backend reads it
-    /// there on the delivering hop instead of staging it hop by hop.
-    origin: usize,
-    steps_end: usize,
+    steps_end: Ix,
 }
 
 /// A message: `blocks[..blocks_end]` (from the previous message's end),
 /// concatenated on the wire.
 #[derive(Clone, Copy, Debug)]
-struct ProgMsg {
-    src: Rank,
-    dst: Rank,
-    tag: u64,
+pub(crate) struct ProgMsg {
+    pub src: Rank,
+    pub dst: Rank,
+    pub tag: u64,
     blocks_end: usize,
+}
+
+/// Where block lengths come from: a combining op's size table, or — for
+/// a gather, whose block `b` *is* rank `b`'s payload — the payloads
+/// themselves (no table is built per request).
+#[derive(Clone, Copy)]
+pub(crate) enum Lens<'a> {
+    Table(&'a BlockSizes),
+    Own(&'a [Vec<u8>]),
+}
+
+impl Lens<'_> {
+    fn size(self, key: Ix) -> usize {
+        match self {
+            Lens::Table(sizes) => sizes.size(key as Rank),
+            Lens::Own(payloads) => payloads[key as usize].len(),
+        }
+    }
 }
 
 /// The cells of one address space (send buffers, arena slots or receive
@@ -157,30 +162,31 @@ struct ProgMsg {
 /// rank's cells pack back to back in creation order.
 #[derive(Clone, Debug, Default)]
 struct Cells {
-    rank: Vec<Rank>,
-    key: Vec<Rank>,
+    rank: Vec<Ix>,
+    key: Vec<Ix>,
 }
 
 impl Cells {
-    fn push(&mut self, rank: Rank, key: Rank) -> usize {
-        self.rank.push(rank);
-        self.key.push(key);
-        self.rank.len() - 1
+    fn with_capacity(cells: usize) -> Self {
+        Self { rank: Vec::with_capacity(cells), key: Vec::with_capacity(cells) }
+    }
+
+    fn push(&mut self, rank: Rank, key: Rank) -> Ix {
+        self.rank.push(rank as Ix);
+        self.key.push(key as Ix);
+        (self.rank.len() - 1) as Ix
     }
 
     /// Writes every cell's byte offset within its rank's buffer to
-    /// `off` and leaves each rank's total in `ends`. Returns whether
-    /// `off` had to grow.
-    fn resolve(&self, sizes: &BlockSizes, off: &mut Vec<usize>, ends: &mut [usize]) -> bool {
-        let grew = self.rank.len() > off.capacity();
+    /// `off` (grow-only) and leaves each rank's total in `ends`.
+    fn resolve(&self, lens: Lens, off: &mut Vec<usize>, ends: &mut [usize]) {
         ends.fill(0);
         off.clear();
         off.extend(self.rank.iter().zip(&self.key).map(|(&r, &key)| {
-            let at = ends[r];
-            ends[r] += sizes.size(key);
+            let at = ends[r as usize];
+            ends[r as usize] += lens.size(key);
             at
         }));
-        grew
     }
 }
 
@@ -190,18 +196,23 @@ fn span(ends: &[usize], i: usize) -> Range<usize> {
     start..ends[i]
 }
 
-/// The union of `span(ends, k * n + r)` over all `n` ranks of phase `k`.
-fn phase_span(ends: &[usize], k: usize, n: usize) -> Range<usize> {
-    span(ends, k * n).start..ends[(k + 1) * n - 1]
-}
-
-/// A compiled combine program for one (plan, [`Shape`]). Size-table
-/// independent: every length is `size(key)` of the request's table.
+/// A compiled program for one (plan, op shape) — exported as
+/// [`crate::arena::ArenaLayout`], the view of the gather program.
+/// Independent of block lengths: every length is `size(key)` of what the
+/// request brings (its size table; a gather's own payloads).
 #[derive(Clone, Debug)]
-pub(crate) struct CombineProgram {
-    shape: Shape,
-    n: usize,
-    phases: usize,
+pub struct Program {
+    pub(crate) shape: Shape,
+    pub(crate) n: usize,
+    pub(crate) phases: usize,
+    /// The telemetry label of each phase ([`phase_label`]).
+    labels: Vec<&'static str>,
+    /// (Gather) `copies[k * n + r]`: the plan's `copy_blocks` tally.
+    copies: Vec<usize>,
+    /// (Gather, Route) per receive cell: the send cell, on the rank its
+    /// key names, the block it receives starts in. Nothing modifies such
+    /// a block in flight, so delivery is a copy from there.
+    origin: Vec<Ix>,
     /// Messages in integration order: phase, receiver, `(sender, tag)`.
     msgs: Vec<ProgMsg>,
     /// `span(recv_ends, k * n + r)`: the messages rank `r` integrates in
@@ -290,8 +301,6 @@ struct Walk<'g> {
     in_base: Vec<usize>,
     /// Per edge: the rank holding its contribution, or a sentinel.
     holder: Vec<usize>,
-    /// (Route) per edge: where on `holder` the item sits.
-    item_at: Vec<Src>,
     /// (reduce) per rank: the partials held, sorted by destination.
     held: Vec<Vec<Held>>,
     /// (reduce) per rank: has the receive buffer taken its first value?
@@ -305,7 +314,7 @@ struct Walk<'g> {
     moved: Vec<(usize, usize)>,
     /// One message's items as `(dst, src)`, sorted.
     claimed: Vec<(Rank, Rank)>,
-    prog: CombineProgram,
+    prog: Program,
 }
 
 impl<'g> Walk<'g> {
@@ -323,11 +332,10 @@ impl<'g> Walk<'g> {
                 })
                 .collect()
         };
-        let reduce = shape != Shape::Route;
+        let reduce = shape.reduces();
         let allreduce = matches!(shape, Shape::Allreduce { .. });
         let (mut send, mut recv) = (Cells::default(), Cells::default());
         let mut holder = Vec::with_capacity(graph.edge_count());
-        let mut item_at = Vec::new();
         let mut held: Vec<Vec<Held>> = vec![Vec::new(); n];
         for (p, mine) in held.iter_mut().enumerate() {
             // allreduce: one cell, x_p, feeds every destination
@@ -335,7 +343,8 @@ impl<'g> Walk<'g> {
             for &d in graph.out_neighbors(p) {
                 holder.push(p);
                 match shape {
-                    Shape::Route => item_at.push(Src::Send(send.push(p, p))),
+                    Shape::Gather => unreachable!("`compile` hands gathers to `compile_gather`"),
+                    Shape::Route => drop(send.push(p, p)),
                     Shape::ReduceScatter => {
                         let at = Src::Send(send.push(p, d));
                         mine.push(Held { dst: d, at, count: 1, tree: 0 });
@@ -358,7 +367,6 @@ impl<'g> Walk<'g> {
             out_base: base(&|r| graph.outdegree(r)),
             in_base: base(&|r| graph.indegree(r)),
             holder,
-            item_at,
             held,
             // allreduce folds into x_t, already in place; reduce_scatter
             // copies its first arrival
@@ -369,10 +377,13 @@ impl<'g> Walk<'g> {
             pdsts: Vec::new(),
             moved: Vec::new(),
             claimed: Vec::new(),
-            prog: CombineProgram {
+            prog: Program {
                 shape,
                 n,
                 phases,
+                labels: Vec::new(),
+                copies: Vec::new(),
+                origin: if reduce { Vec::new() } else { vec![0; graph.edge_count()] },
                 msgs: Vec::new(),
                 recv_ends: Vec::with_capacity(phases * n),
                 send_order: Vec::new(),
@@ -416,7 +427,9 @@ impl<'g> Walk<'g> {
             for &(s, d) in items {
                 let e = self.claim(r, peer, (s, d)).ok_or_else(|| missing(peer))?;
                 self.pdsts.push(PendDst { block: self.pblocks.len(), dst: d, count: 1, edge: e });
-                let src = self.item_at[e];
+                // a routed item is never modified: it is read where it
+                // started, whoever forwards it
+                let src = Src::Send(e as Ix);
                 self.pblocks.push(PendBlock { key: s, src, tree: 0, claim: (0, 0) });
             }
         } else {
@@ -495,25 +508,32 @@ impl<'g> Walk<'g> {
     }
 
     /// Pass 2 for one `(block, destination)` arrival at rank `at`: the
-    /// step the receiver runs, and the bookkeeping it implies.
-    fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Step {
+    /// step the receiver runs, and the bookkeeping it implies. A routed
+    /// item has none: reaching its destination fills in where the
+    /// receive cell is read ([`Exec::deliver`]).
+    fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Option<Step> {
         let d = pd.dst;
         if self.prog.shape == Shape::Route {
-            return if d == at {
+            if d == at {
                 let cell = self.graph.in_neighbors(d).binary_search(&pb.key);
-                let cell = cell.expect("an edge's source is an in-neighbor");
-                Step::Copy(Dst::Recv(self.in_base[d] + cell))
-            } else {
-                let slot = self.prog.slots.push(at, pb.key);
-                self.item_at[pd.edge] = Src::Slot(slot);
-                Step::Copy(Dst::Slot(slot))
-            };
+                // INVARIANT: `claim` resolved `(key, d)` to an edge of the
+                // graph, whose in- and out-lists mirror each other.
+                let cell = self.in_base[d] + cell.expect("an edge's source is an in-neighbor");
+                self.prog.origin[cell] = pd.edge as Ix;
+            }
+            return None;
         }
+        Some(self.arrive_partial(at, pb, pd))
+    }
+
+    /// [`Self::arrive`] for the reduce shapes.
+    fn arrive_partial(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Step {
+        let d = pd.dst;
         if d == at {
             return if std::mem::replace(&mut self.acc_live[at], true) {
-                Step::Combine(Dst::Recv(at))
+                Step::Combine(Dst::Recv(at as Ix))
             } else {
-                Step::Copy(Dst::Recv(at))
+                Step::Copy(Dst::Recv(at as Ix))
             };
         }
         match self.held[at].binary_search_by_key(&d, |h| h.dst) {
@@ -563,15 +583,13 @@ impl<'g> Walk<'g> {
             let mut arrivals = pm.dsts.clone().peekable();
             for b in pm.blocks.clone() {
                 let pb = self.pblocks[b];
-                let mut origin = 0;
                 while let Some(i) = arrivals.next_if(|&i| self.pdsts[i].block == b) {
                     let pd = self.pdsts[i];
-                    origin = pd.edge;
                     let step = self.arrive(pm.dst, pb, pd);
-                    self.prog.steps.push(step);
+                    self.prog.steps.extend(step);
                 }
-                let steps_end = self.prog.steps.len();
-                self.prog.blocks.push(Block { key: pb.key, src: pb.src, origin, steps_end });
+                let steps_end = self.prog.steps.len() as Ix;
+                self.prog.blocks.push(Block { key: pb.key as Ix, src: pb.src, steps_end });
             }
             let blocks_end = self.prog.blocks.len();
             self.prog.msgs.push(ProgMsg { src: pm.src, dst: pm.dst, tag: pm.tag, blocks_end });
@@ -589,53 +607,278 @@ impl<'g> Walk<'g> {
     }
 }
 
-/// Compiles the item routing of `plan` ([`route_items`]) for `shape`; a
-/// message the routing leaves without an item is not in the program.
+/// Compiles `plan` for `shape`: the plan's own block messages for a
+/// gather ([`compile_gather`]), the item routing it implies
+/// ([`route_items`]) otherwise — there a message the routing leaves
+/// without an item is not in the program.
 ///
 /// # Errors
-/// [`ExecError::MissingBlock`] when a message forwards an item (or, for
-/// the reduce shapes, a partial over exactly the claimed sources) its
+/// [`ExecError::MissingBlock`] when a message forwards a block (an item;
+/// for the reduce shapes, a partial over exactly the claimed sources) its
 /// sender does not hold at that phase, or names a peer that is out of
-/// range or the sender itself; [`ExecError::Undelivered`] when an edge's
-/// contribution never reaches its destination.
+/// range or the sender itself; [`ExecError::Undelivered`] when an
+/// in-neighbor's contribution never reaches its destination — the lowest
+/// (rank, in-neighbor) — or, for a gather, when a rank's posted receives
+/// are not the arrivals its peers' sends imply ([`check_recvs`]).
 pub(crate) fn compile(
     plan: &CollectivePlan,
     graph: &Topology,
     shape: Shape,
-) -> Result<CombineProgram, ExecError> {
+) -> Result<Program, ExecError> {
+    #[cfg(test)]
+    tests::COMPILES.with(|c| c.set(c.get() + 1));
     let n = graph.n();
     if plan.n() != n {
         return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: n });
     }
-    let routing = route_items(plan, graph)?;
-    let mut walk = Walk::new(graph, shape, plan.phase_count());
-    let mut id = 0;
-    for k in 0..plan.phase_count() {
-        let sent_before = walk.prog.send_order.len();
-        for (r, program) in plan.per_rank.iter().enumerate() {
-            for msg in program.get(k).map_or(&[][..], |ph| &ph.sends[..]) {
-                if !routing.of(id).is_empty() {
-                    walk.pack((r, k), (msg.peer, msg.tag, routing.of(id)))?;
+    let mut prog = if shape == Shape::Gather {
+        compile_gather(plan, graph)?
+    } else {
+        let routing = route_items(plan, graph)?;
+        let mut walk = Walk::new(graph, shape, plan.phase_count());
+        let mut id = 0;
+        for k in 0..plan.phase_count() {
+            let sent_before = walk.prog.send_order.len();
+            for (r, program) in plan.per_rank.iter().enumerate() {
+                for msg in program.get(k).map_or(&[][..], |ph| &ph.sends[..]) {
+                    if !routing.of(id).is_empty() {
+                        walk.pack((r, k), (msg.peer, msg.tag, routing.of(id)))?;
+                    }
+                    id += 1;
                 }
-                id += 1;
+                walk.prog.send_ends.push(sent_before + walk.pend.len());
             }
-            walk.prog.send_ends.push(sent_before + walk.pend.len());
+            walk.integrate();
         }
-        walk.integrate();
-    }
-    // every edge's contribution must have reached its destination
-    for r in 0..n {
-        for &s in graph.in_neighbors(r) {
-            let e = walk.edge(s, r).expect("in/out consistency");
-            if walk.holder[e] != DELIVERED {
-                return Err(ExecError::Undelivered { rank: r, block: s });
+        // every edge's contribution must have reached its destination
+        for r in 0..n {
+            for &s in graph.in_neighbors(r) {
+                // INVARIANT: `Topology` keeps its in- and out-lists mirrored.
+                let e = walk.edge(s, r).expect("in/out consistency");
+                if walk.holder[e] != DELIVERED {
+                    return Err(ExecError::Undelivered { rank: r, block: s });
+                }
             }
         }
-    }
-    Ok(walk.prog)
+        walk.prog
+    };
+    prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
+    Ok(prog)
 }
 
-impl CombineProgram {
+/// The gather walk: the program is the plan's own messages, every
+/// planned `(message, block)` on the wire. Block `b` starts in rank
+/// `b`'s one send cell; its first arrival at a rank takes a slot there
+/// and, when `b` is an in-neighbor, delivers its receive cell; a block
+/// the rank already holds (its own included) carries the same bytes
+/// again and changes nothing. No step is emitted: nothing modifies a
+/// block in flight, so delivery reads it at its origin
+/// ([`Exec::deliver`]). Errors as [`compile`]'s, a `MissingBlock` being
+/// the lowest (phase, receiver, sender, tag).
+fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, ExecError> {
+    let (n, phases) = (graph.n(), plan.phase_count());
+    let (msgs, blocks) = (plan.message_count(), plan.total_blocks_sent());
+    let mut prog = Program {
+        shape: Shape::Gather,
+        n,
+        phases,
+        labels: Vec::with_capacity(phases),
+        copies: Vec::with_capacity(phases * n),
+        origin: vec![Ix::MAX; graph.edge_count()],
+        msgs: Vec::with_capacity(msgs),
+        recv_ends: Vec::with_capacity(phases * n),
+        send_order: vec![0; msgs],
+        send_ends: Vec::with_capacity(phases * n),
+        blocks: Vec::with_capacity(blocks),
+        steps: Vec::new(),
+        send: Cells::with_capacity(n),
+        slots: Cells::with_capacity(blocks),
+        recv: Cells::with_capacity(graph.edge_count()),
+    };
+    // per rank: the blocks held, sorted, and where (own block first)
+    let mut held: Vec<Vec<(Ix, Src)>> = Vec::with_capacity(n);
+    let mut in_base = Vec::with_capacity(n);
+    for p in 0..n {
+        let mut mine = Vec::with_capacity(1 + graph.indegree(p));
+        mine.push((p as Ix, Src::Send(prog.send.push(p, p))));
+        held.push(mine);
+        in_base.push(prog.recv.rank.len());
+        for &s in graph.in_neighbors(p) {
+            prog.recv.push(p, s);
+        }
+    }
+    // the phase in flight: (receiver, sender, message, position in send order)
+    let mut pend: Vec<(Rank, Rank, &PlannedMsg, usize)> = Vec::new();
+    for k in 0..phases {
+        let sent_before = prog.msgs.len();
+        pend.clear();
+        for (r, program) in plan.per_rank.iter().enumerate() {
+            let phase = program.get(k);
+            for msg in phase.map_or(&[][..], |ph| &ph.sends[..]) {
+                if msg.peer >= n || msg.peer == r {
+                    return Err(ExecError::MissingBlock { rank: r, block: msg.peer, phase: k });
+                }
+                pend.push((msg.peer, r, msg, sent_before + pend.len()));
+            }
+            prog.send_ends.push(sent_before + pend.len());
+            prog.copies.push(phase.map_or(0, |ph| ph.copy_blocks));
+        }
+        // integration order: per receiver, ascending (sender, tag)
+        pend.sort_unstable_by_key(|&(dst, src, msg, sent)| (dst, src, msg.tag, sent));
+        // Pass 1: every send against its sender's *pre-phase* possession
+        // (arrivals integrate only after every send is fixed).
+        let mut receiver = 0;
+        for &(dst, src, msg, sent) in &pend {
+            for _ in receiver..dst {
+                prog.recv_ends.push(prog.msgs.len());
+            }
+            receiver = dst;
+            for &b in &msg.blocks {
+                let at = held[src].binary_search_by_key(&(b as Ix), |h| h.0).ok().filter(|_| b < n);
+                let Some(at) = at else {
+                    return Err(ExecError::MissingBlock { rank: src, block: b, phase: k });
+                };
+                prog.blocks.push(Block { key: b as Ix, src: held[src][at].1, steps_end: 0 });
+            }
+            prog.send_order[sent] = prog.msgs.len();
+            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag, blocks_end: prog.blocks.len() });
+        }
+        for _ in receiver..n {
+            prog.recv_ends.push(prog.msgs.len());
+        }
+        // Pass 2: the arrivals, in integration order.
+        for id in sent_before..prog.msgs.len() {
+            let at = prog.msgs[id].dst;
+            for b in prog.blocks_of(id) {
+                let key = prog.blocks[b].key;
+                if let Err(pos) = held[at].binary_search_by_key(&key, |h| h.0) {
+                    let slot = prog.slots.push(at, key as Rank);
+                    held[at].insert(pos, (key, Src::Slot(slot)));
+                    if let Ok(cell) = graph.in_neighbors(at).binary_search(&(key as Rank)) {
+                        prog.origin[in_base[at] + cell] = key;
+                    }
+                }
+            }
+        }
+    }
+    if let Some(cell) = prog.origin.iter().position(|&from| from == Ix::MAX) {
+        let (rank, block) = (prog.recv.rank[cell] as Rank, prog.recv.key[cell] as Rank);
+        return Err(ExecError::Undelivered { rank, block });
+    }
+    check_recvs(plan, &prog)?;
+    Ok(prog)
+}
+
+/// A gather runs what the sends say, so every receive `plan` posts must
+/// be an arrival they imply: per (phase, rank), the posted receives in
+/// `(peer, tag)` order against the program's arrivals — same peers, tags
+/// and block lists. The lowest (phase, rank, position) that differs is
+/// [`ExecError::Undelivered`] at that rank, naming the first block of the
+/// posted receive (of the arrival nobody posted; its peer when it lists
+/// no block).
+fn check_recvs(plan: &CollectivePlan, prog: &Program) -> Result<(), ExecError> {
+    let mut posted: Vec<&PlannedMsg> = Vec::new();
+    for k in 0..prog.phases {
+        for (r, program) in plan.per_rank.iter().enumerate() {
+            posted.clear();
+            posted.extend(program.get(k).map_or(&[][..], |ph| &ph.recvs[..]));
+            posted.sort_by_key(|m| (m.peer, m.tag));
+            let arrived = prog.recvs(k, r);
+            let blocks = |id: usize| prog.blocks[prog.blocks_of(id)].iter().map(|b| b.key as Rank);
+            for i in 0..posted.len().max(arrived.len()) {
+                let (want, got) = (posted.get(i), arrived.clone().nth(i));
+                let mirrored = want.zip(got).is_some_and(|(m, id)| {
+                    let sent = prog.msgs[id];
+                    (m.peer, m.tag) == (sent.src, sent.tag)
+                        && blocks(id).eq(m.blocks.iter().copied())
+                });
+                if !mirrored {
+                    let block = match (want, got) {
+                        (Some(m), _) => m.blocks.first().copied().unwrap_or(m.peer),
+                        (None, Some(id)) => blocks(id).next().unwrap_or(prog.msgs[id].src),
+                        (None, None) => unreachable!("`i` is below one of the two lengths"),
+                    };
+                    return Err(ExecError::Undelivered { rank: r, block });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+impl Program {
+    /// Compiles the gather program of `plan` on `graph`: every block a
+    /// rank ever holds gets a slot (after the rank's own block, in
+    /// arrival order) and every planned message is resolved against
+    /// them, so a corrupt plan fails here — [`ExecError::MissingBlock`]
+    /// for a send of a never-held block, [`ExecError::Undelivered`] for
+    /// an in-neighbor whose block never arrives — before any bytes move.
+    pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
+        compile(plan, graph, Shape::Gather)
+    }
+
+    /// Number of ranks.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Fraction of messages whose blocks sit back to back in the
+    /// sender's buffer — its own block, then its slots in arrival order.
+    /// Distance Halving halving-phase sends are 100% contiguous by
+    /// construction (arrivals append in `main_buf` order, Algorithm 4
+    /// line 15): the growing-message combine §V's bandwidth term models.
+    pub fn contiguous_send_fraction(&self) -> f64 {
+        let mut held = vec![1usize; self.n];
+        let position: Vec<usize> = (self.slots.rank.iter())
+            .map(|&r| {
+                held[r as usize] += 1;
+                held[r as usize] - 1
+            })
+            .collect();
+        let at = |b: &Block| match b.src {
+            Src::Send(_) => 0,
+            Src::Slot(slot) => position[slot as usize],
+        };
+        let one = (0..self.msgs.len())
+            .map(|id| &self.blocks[self.blocks_of(id)])
+            .filter(|bs| !bs.is_empty() && bs.windows(2).all(|w| at(&w[1]) == at(&w[0]) + 1))
+            .count();
+        if self.msgs.is_empty() {
+            1.0
+        } else {
+            one as f64 / self.msgs.len() as f64
+        }
+    }
+
+    /// The blocks rank `r`'s slots hold, in slot order.
+    #[cfg(test)]
+    pub(crate) fn slots_of(&self, r: Rank) -> Vec<Rank> {
+        let held =
+            self.slots.rank.iter().zip(&self.slots.key).filter(|(&rank, _)| rank as Rank == r);
+        held.map(|(_, &block)| block as Rank).collect()
+    }
+
+    /// The messages rank `r` integrates in phase `k`, in integration
+    /// order.
+    pub(crate) fn recvs(&self, k: usize, r: Rank) -> Range<usize> {
+        span(&self.recv_ends, k * self.n + r)
+    }
+
+    /// The messages rank `r` sends in phase `k`, in the plan's order.
+    pub(crate) fn sends(&self, k: usize, r: Rank) -> &[usize] {
+        &self.send_order[span(&self.send_ends, k * self.n + r)]
+    }
+
+    /// Message `id`'s endpoints and tag.
+    pub(crate) fn msg(&self, id: usize) -> ProgMsg {
+        self.msgs[id]
+    }
+
+    /// Phase `k`'s telemetry label and (gather) per-rank copy tallies.
+    pub(crate) fn phase(&self, k: usize) -> (&'static str, &[usize]) {
+        (self.labels[k], self.copies.get(k * self.n..(k + 1) * self.n).unwrap_or(&[]))
+    }
+
     fn blocks_of(&self, id: usize) -> Range<usize> {
         let start = if id == 0 { 0 } else { self.msgs[id - 1].blocks_end };
         start..self.msgs[id].blocks_end
@@ -643,37 +886,28 @@ impl CombineProgram {
 
     fn steps_of(&self, b: usize) -> Range<usize> {
         let start = if b == 0 { 0 } else { self.blocks[b - 1].steps_end };
-        start..self.blocks[b].steps_end
+        start as usize..self.blocks[b].steps_end as usize
     }
 
-    /// Wire bytes of message `id` under `sizes`.
-    fn wire_bytes(&self, id: usize, sizes: &BlockSizes) -> usize {
-        self.blocks[self.blocks_of(id)].iter().map(|b| sizes.size(b.key)).sum()
+    /// Wire bytes of message `id` under `lens`.
+    fn wire_bytes(&self, id: usize, lens: Lens) -> usize {
+        self.blocks[self.blocks_of(id)].iter().map(|b| lens.size(b.key)).sum()
     }
 
-    /// The size table the program's lengths are read from: allreduce is
-    /// uniform by contract, so its blocks all take the table's one size.
-    fn table(&self, sizes: &BlockSizes) -> BlockSizes {
-        match self.shape {
-            Shape::Allreduce { .. } => BlockSizes::uniform(sizes.max_size()),
-            _ => sizes.clone(),
-        }
-    }
-
-    /// The simulator schedule of one execution under `sizes`: the plan's
-    /// phases with every message at its *combined* wire size.
+    /// The simulator schedule of one execution under `sizes` (uniform
+    /// for an allreduce, whose blocks all take the table's one size): the
+    /// plan's phases with every message at its *combined* wire size.
     pub(crate) fn schedule(&self, sizes: &BlockSizes) -> Schedule {
-        let sizes = &self.table(sizes);
         let msg = |id: usize| {
             let m = &self.msgs[id];
-            Msg { src: m.src, dst: m.dst, bytes: self.wire_bytes(id, sizes), tag: m.tag }
+            let bytes = self.wire_bytes(id, Lens::Table(sizes));
+            Msg { src: m.src, dst: m.dst, bytes, tag: m.tag }
         };
         let mut sched = Schedule::new(self.n);
         for k in 0..self.phases {
             for r in 0..self.n {
-                let i = k * self.n + r;
-                let sends = self.send_order[span(&self.send_ends, i)].iter().map(|&id| msg(id));
-                let recvs = span(&self.recv_ends, i).map(msg);
+                let sends = self.sends(k, r).iter().map(|&id| msg(id));
+                let recvs = self.recvs(k, r).map(msg);
                 sched.push_phase(
                     r,
                     Phase { local_seconds: 0.0, sends: sends.collect(), recvs: recvs.collect() },
@@ -688,291 +922,228 @@ impl CombineProgram {
 // Execute: resolve offsets, then copy and combine
 // ---------------------------------------------------------------------
 
-/// The per-communicator workspace of the combining executors: the
-/// offset tables of the last request, reused (grow-only) across ops,
-/// programs and size tables. The arena *bytes* are request-scoped — see
-/// [`Self::prepare`].
+/// What a request adds to a compiled program: the operator of a reduce
+/// shape, the send buffers and where block lengths are read.
+#[derive(Clone, Copy)]
+pub(crate) struct Job<'a> {
+    pub red: Option<Reduction>,
+    pub sbufs: &'a [Vec<u8>],
+    pub lens: Lens<'a>,
+}
+
+/// The grow-only offset tables of the last request, reused across ops,
+/// programs and block lengths (held by [`crate::arena::BlockArena`]).
 #[derive(Debug, Default)]
-pub(crate) struct CombineScratch {
-    send_off: Vec<usize>,
-    slot_off: Vec<usize>,
-    recv_off: Vec<usize>,
-    msg_bytes: Vec<usize>,
+pub(crate) struct Tables {
+    send: Vec<usize>,
+    slot: Vec<usize>,
+    recv: Vec<usize>,
     ends: Vec<usize>,
-    reallocations: u64,
 }
 
-/// What [`CombineScratch::prepare`] hands an execution.
-struct Prepared {
-    /// One buffer per rank, sized for the program's slots (empty when
-    /// the run is not staged through them). Dropped with the request: a
-    /// forwarding agent's parked partials are megabytes at 4 KiB blocks,
-    /// and kept warm they would sit under every later request's receive
-    /// buffers — on *every* tenant of a service.
-    arena: Vec<Vec<u8>>,
-    /// The initialised receive buffers.
-    rbufs: Vec<Vec<u8>>,
-}
-
-impl CombineScratch {
-    /// How many times a table of this workspace had to grow (counted
-    /// the way [`crate::arena::BlockArena::reallocations`] counts).
-    #[cfg(test)]
-    pub(crate) fn reallocations(&self) -> u64 {
-        self.reallocations
-    }
-
-    /// Resolves `prog`'s cells against `sizes`, checks the send buffers'
-    /// shapes, and allocates the request's arena (`staged` runs only)
-    /// and receive buffers.
-    fn prepare(
+impl Tables {
+    /// Resolves `prog`'s cells against `job`'s lengths and checks the
+    /// send buffers' shapes. Sizes `rbufs` (the caller's spare set, one
+    /// per rank) for the program's receive cells, counting the buffers
+    /// that had to grow into `grew`, and returns the request's staging
+    /// arena: one buffer per rank for the slots of a reduce shape, none
+    /// otherwise. Dropped with the request: a forwarding agent's parked
+    /// partials are megabytes at 4 KiB blocks, and kept warm they would
+    /// sit under every later request's receive buffers — on *every*
+    /// tenant of a service.
+    pub(crate) fn stage(
         &mut self,
-        prog: &CombineProgram,
-        op: CombineOp,
-        sbufs: &[Vec<u8>],
-        sizes: &BlockSizes,
-        staged: bool,
-    ) -> Result<Prepared, ExecError> {
-        let n = prog.n;
-        if sbufs.len() != n {
-            return Err(ExecError::PayloadCountMismatch { got: sbufs.len(), want: n });
-        }
-        let grew = &mut self.reallocations;
-        *grew += u64::from(n > self.ends.capacity());
-        self.ends.resize(n, 0);
+        prog: &Program,
+        job: Job,
+        rbufs: &mut [Vec<u8>],
+        grew: &mut u64,
+    ) -> Result<Vec<Vec<u8>>, ExecError> {
+        let Job { red, sbufs, lens } = job;
+        self.ends.resize(prog.n, 0);
         let ends = &mut self.ends[..];
-        *grew += u64::from(prog.send.resolve(sizes, &mut self.send_off, ends));
+        prog.send.resolve(lens, &mut self.send, ends);
         for (rank, (sbuf, &want)) in sbufs.iter().zip(ends.iter()).enumerate() {
             if sbuf.len() != want {
                 return Err(ExecError::PayloadSizeMismatch { rank, got: sbuf.len(), want });
             }
         }
-        *grew += u64::from(prog.slots.resolve(sizes, &mut self.slot_off, ends));
-        let arena = ends.iter().map(|&len| vec![0u8; if staged { len } else { 0 }]).collect();
-        *grew += u64::from(prog.recv.resolve(sizes, &mut self.recv_off, ends));
-        *grew += u64::from(prog.msgs.len() > self.msg_bytes.capacity());
-        self.msg_bytes.clear();
-        self.msg_bytes.extend((0..prog.msgs.len()).map(|id| prog.wire_bytes(id, sizes)));
-        let rbufs = (0..n)
-            .map(|r| match (prog.shape, op.red) {
-                (Shape::ReduceScatter, Some(red)) => red.identity(ends[r]),
-                (Shape::Allreduce { .. }, _) => sbufs[r].clone(),
-                _ => vec![0u8; ends[r]],
-            })
-            .collect();
-        Ok(Prepared { arena, rbufs })
+        let mut arena = Vec::new();
+        if prog.shape.reduces() {
+            prog.slots.resolve(lens, &mut self.slot, ends);
+            arena.extend(ends.iter().map(|&len| vec![0u8; len]));
+        }
+        prog.recv.resolve(lens, &mut self.recv, ends);
+        for (r, rbuf) in rbufs.iter_mut().enumerate() {
+            let cap = rbuf.capacity();
+            match (prog.shape, red) {
+                (Shape::ReduceScatter, Some(red)) => red.fill_identity(rbuf, ends[r]),
+                (Shape::Allreduce { .. }, _) => {
+                    rbuf.clear();
+                    rbuf.extend_from_slice(&sbufs[r]);
+                }
+                // [`Exec::deliver`] appends every cell: no byte of a
+                // gather or routed buffer is zeroed first
+                _ => {
+                    rbuf.clear();
+                    rbuf.reserve(ends[r]);
+                }
+            }
+            *grew += u64::from(rbuf.capacity() != cap);
+        }
+        Ok(arena)
+    }
+
+    /// The `len` bytes of send cell `cell` in its rank's `sbuf`.
+    fn sent<'b>(&self, sbuf: &'b [u8], cell: Ix, len: usize) -> &'b [u8] {
+        &sbuf[self.send[cell as usize]..][..len]
+    }
+
+    /// The `len` bytes of the receiver that `dst` names.
+    fn place<'b>(
+        &self,
+        dst: Dst,
+        len: usize,
+        arena: &'b mut [u8],
+        rbuf: &'b mut [u8],
+    ) -> &'b mut [u8] {
+        match dst {
+            Dst::Slot(s) => &mut arena[self.slot[s as usize]..][..len],
+            Dst::Recv(c) => &mut rbuf[self.recv[c as usize]..][..len],
+        }
     }
 }
 
-/// The resolved offset tables an execution reads.
+/// Where a receiver reads an arrived reduce message's blocks.
 #[derive(Clone, Copy)]
-struct Offsets<'a> {
-    send: &'a [usize],
-    slot: &'a [usize],
-    recv: &'a [usize],
+pub(crate) enum Wire<'a> {
+    /// In the sender's staging arena and send buffer (sequential).
+    Sender(&'a [u8]),
+    /// In the bytes [`Exec::pack`] put on the wire (threaded).
+    Packed(&'a [u8]),
 }
 
-/// The `len` bytes of the receiver that `dst` names.
-fn place<'a>(
-    dst: Dst,
-    len: usize,
-    off: Offsets,
-    arena: &'a mut [u8],
-    rbuf: &'a mut [u8],
-) -> &'a mut [u8] {
-    match dst {
-        Dst::Slot(s) => &mut arena[off.slot[s]..][..len],
-        Dst::Recv(c) => &mut rbuf[off.recv[c]..][..len],
+/// What a staged execution reads: a program, a request and the offset
+/// tables resolved for the pair.
+#[derive(Clone, Copy)]
+pub(crate) struct Exec<'a> {
+    pub prog: &'a Program,
+    pub job: Job<'a>,
+    pub off: &'a Tables,
+}
+
+/// One staged execution — what both runtimes of [`crate::exec`] run —
+/// with the buffers [`Tables::stage`] sized for it.
+pub(crate) struct Staged<'a> {
+    pub exec: Exec<'a>,
+    /// The reduce shapes' per-rank staging arena; empty otherwise.
+    pub arena: Vec<Vec<u8>>,
+    /// The receive buffers, one per rank.
+    pub rbufs: Vec<Vec<u8>>,
+}
+
+impl Exec<'_> {
+    /// Wire bytes of message `id`.
+    pub(crate) fn wire_bytes(&self, id: usize) -> usize {
+        self.prog.wire_bytes(id, self.job.lens)
     }
-}
 
-/// Applies one step of a receiver to an arrived wire block.
-fn apply(
-    step: Step,
-    wire: &[u8],
-    red: Option<Reduction>,
-    off: Offsets,
-    sbuf: &[u8],
-    arena: &mut [u8],
-    rbuf: &mut [u8],
-) {
-    let len = wire.len();
-    let combine = |acc: &mut [u8]| {
-        red.expect("only the reduce shapes compile combine steps").combine(acc, wire)
-    };
-    match step {
-        Step::Copy(dst) => place(dst, len, off, arena, rbuf).copy_from_slice(wire),
-        Step::Combine(dst) => combine(place(dst, len, off, arena, rbuf)),
-        Step::Fold { from, slot } => {
-            let acc = place(Dst::Slot(slot), len, off, arena, rbuf);
-            acc.copy_from_slice(&sbuf[off.send[from]..][..len]);
-            combine(acc);
+    /// (Gather, Route) Appends rank `r`'s receive cells to `rbuf`, each
+    /// read at its origin — the one copy of every delivered byte.
+    /// `compile`'s `Undelivered` check vouches that every cell has one.
+    pub(crate) fn deliver(&self, r: Rank, rbuf: &mut Vec<u8>) {
+        let (cells, Job { sbufs, lens, .. }) = (&self.prog.recv, self.job);
+        let first = cells.rank.partition_point(|&rank| (rank as Rank) < r);
+        let mine = cells.rank[first..].iter().take_while(|&&rank| rank as Rank == r).count();
+        for (&key, &origin) in cells.key[first..][..mine].iter().zip(&self.prog.origin[first..]) {
+            rbuf.extend_from_slice(self.off.sent(&sbufs[key as usize], origin, lens.size(key)));
         }
     }
-}
 
-/// Sequential execution of a combine program — the oracle, and the byte
-/// source of the Sim backend. Wire blocks are copied arena → arena; no
-/// message is materialised. Routed items are immutable, so (like the
-/// interpreter this replaced, which moved their buffers by ownership)
-/// they are not staged hop by hop: the delivering hop copies each one
-/// straight from its origin's send buffer, and the arena stays empty.
-pub(crate) fn run_combining_virtual(
-    prog: &CombineProgram,
-    scratch: &mut CombineScratch,
-    op: CombineOp,
-    sbufs: &[Vec<u8>],
-    sizes: &BlockSizes,
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    debug_assert_eq!(prog.shape, op.shape);
-    let sizes = &prog.table(sizes);
-    let routed = prog.shape == Shape::Route;
-    let Prepared { mut arena, mut rbufs } = scratch.prepare(prog, op, sbufs, sizes, !routed)?;
-    let off = Offsets { send: &scratch.send_off, slot: &scratch.slot_off, recv: &scratch.recv_off };
-    let (bytes, n) = (&scratch.msg_bytes, prog.n);
-    for k in 0..prog.phases {
-        for &id in &prog.send_order[phase_span(&prog.send_ends, k, n)] {
-            rec.msg_sent(prog.msgs[id].src, prog.msgs[id].dst, bytes[id]);
+    /// Packs message `id` for the wire from its sender's send buffer and
+    /// staging `arena`, returning it with its byte count. A gather or
+    /// routed message travels as its id alone: its blocks are read at
+    /// their origins ([`Self::deliver`]).
+    pub(crate) fn pack(&self, id: usize, arena: &[u8]) -> (Vec<u8>, usize) {
+        let bytes = self.wire_bytes(id);
+        if !self.prog.shape.reduces() {
+            return (Vec::new(), bytes);
         }
-        for id in phase_span(&prog.recv_ends, k, n) {
-            let m = prog.msgs[id];
-            rec.msg_recvd(m.dst, m.src, bytes[id]);
-            let (from, to) = two_bufs(&mut arena, m.src, m.dst);
-            for b in prog.blocks_of(id) {
-                let block = prog.blocks[b];
-                let len = sizes.size(block.key);
-                let (holder, at) = if routed {
-                    // a routed item is read where it started
-                    (&sbufs[block.key], off.send[block.origin])
-                } else {
-                    match block.src {
-                        Src::Send(c) => (&sbufs[m.src], off.send[c]),
-                        Src::Slot(s) => (&*from, off.slot[s]),
+        let sbuf = &self.job.sbufs[self.prog.msgs[id].src];
+        let mut wire = Vec::with_capacity(bytes);
+        for block in &self.prog.blocks[self.prog.blocks_of(id)] {
+            let len = self.job.lens.size(block.key);
+            wire.extend_from_slice(match block.src {
+                Src::Send(c) => self.off.sent(sbuf, c, len),
+                Src::Slot(s) => &arena[self.off.slot[s as usize]..][..len],
+            });
+        }
+        (wire, bytes)
+    }
+
+    /// (reduce shapes) Applies message `id`'s steps at its receiver —
+    /// `arena` is the receiver's staging buffer, `rbuf` its receive
+    /// buffer — reading the blocks from `wire`. Returns the message's
+    /// wire bytes.
+    pub(crate) fn integrate(
+        &self,
+        id: usize,
+        wire: Wire,
+        arena: &mut [u8],
+        rbuf: &mut [u8],
+    ) -> usize {
+        let (prog, Job { red, sbufs, lens }, off) = (self.prog, self.job, self.off);
+        // INVARIANT: `Shape::of` gives exactly the ops with a reduction
+        // the reduce shapes, the only ones the runtimes integrate.
+        let red = red.expect("only the reduce shapes integrate steps");
+        let m = prog.msgs[id];
+        let mut at = 0;
+        for b in prog.blocks_of(id) {
+            let block = prog.blocks[b];
+            let len = lens.size(block.key);
+            let bytes = match (wire, block.src) {
+                (Wire::Sender(_), Src::Send(c)) => off.sent(&sbufs[m.src], c, len),
+                (Wire::Sender(from), Src::Slot(s)) => &from[off.slot[s as usize]..][..len],
+                (Wire::Packed(wire), _) => &wire[at..][..len],
+            };
+            at += len;
+            for &step in &prog.steps[prog.steps_of(b)] {
+                match step {
+                    Step::Copy(dst) => off.place(dst, len, arena, rbuf).copy_from_slice(bytes),
+                    Step::Combine(dst) => red.combine(off.place(dst, len, arena, rbuf), bytes),
+                    Step::Fold { from, slot } => {
+                        let acc = off.place(Dst::Slot(slot), len, arena, rbuf);
+                        acc.copy_from_slice(off.sent(&sbufs[m.dst], from, len));
+                        red.combine(acc, bytes);
                     }
-                };
-                let wire = &holder[at..][..len];
-                for &step in &prog.steps[prog.steps_of(b)] {
-                    if routed && matches!(step, Step::Copy(Dst::Slot(_))) {
-                        continue; // parked at a forwarding agent: by reference
-                    }
-                    apply(step, wire, op.red, off, &sbufs[m.dst], &mut to[..], &mut rbufs[m.dst]);
                 }
             }
         }
+        at
     }
-    Ok(rbufs)
-}
-
-/// One-thread-per-rank execution of the same program over real
-/// channels: each message is packed into one `Vec<u8>`, and a rank
-/// integrates a phase's arrivals in program order — the virtual
-/// backend's order — so outputs (f32 bits included) are identical.
-pub(crate) fn run_combining_threaded(
-    prog: &CombineProgram,
-    scratch: &mut CombineScratch,
-    op: CombineOp,
-    sbufs: &[Vec<u8>],
-    sizes: &BlockSizes,
-    recv_timeout: Duration,
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    debug_assert_eq!(prog.shape, op.shape);
-    let sizes = &prog.table(sizes);
-    let Prepared { mut arena, mut rbufs } = scratch.prepare(prog, op, sbufs, sizes, true)?;
-    let off = Offsets { send: &scratch.send_off, slot: &scratch.slot_off, recv: &scratch.recv_off };
-    let (bytes, n) = (&scratch.msg_bytes, prog.n);
-    type Envelope = (usize, Vec<u8>);
-    let (txs, rxs): (Vec<mpsc::Sender<Envelope>>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
-    let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-        let txs = &txs;
-        let handles: Vec<_> = arena
-            .iter_mut()
-            .zip(rbufs.iter_mut())
-            .zip(rxs)
-            .enumerate()
-            .map(|(rank, ((arena, rbuf), rx))| {
-                scope.spawn(move || -> Result<(), ExecError> {
-                    let sbuf = &sbufs[rank];
-                    // arrivals of phases this rank has not reached yet
-                    let mut early: Vec<Envelope> = Vec::new();
-                    for k in 0..prog.phases {
-                        let timeout = || ExecError::Timeout { rank, phase: k };
-                        for &id in &prog.send_order[span(&prog.send_ends, k * n + rank)] {
-                            let mut wire = Vec::with_capacity(bytes[id]);
-                            for block in &prog.blocks[prog.blocks_of(id)] {
-                                let len = sizes.size(block.key);
-                                wire.extend_from_slice(match block.src {
-                                    Src::Send(c) => &sbuf[off.send[c]..][..len],
-                                    Src::Slot(s) => &arena[off.slot[s]..][..len],
-                                });
-                            }
-                            let peer = prog.msgs[id].dst;
-                            rec.msg_sent(rank, peer, wire.len());
-                            txs[peer].send((id, wire)).map_err(|_| timeout())?;
-                        }
-                        let due = span(&prog.recv_ends, k * n + rank);
-                        let mut got: Vec<Option<Vec<u8>>> = vec![None; due.len()];
-                        let mut waiting = due.len();
-                        let mut held_back = std::mem::take(&mut early).into_iter();
-                        while waiting > 0 {
-                            let (id, wire) = match held_back.next() {
-                                Some(envelope) => envelope,
-                                None => rx.recv_timeout(recv_timeout).map_err(|_| timeout())?,
-                            };
-                            if due.contains(&id) {
-                                got[id - due.start] = Some(wire);
-                                waiting -= 1;
-                            } else {
-                                early.push((id, wire));
-                            }
-                        }
-                        early.extend(held_back);
-                        for (id, wire) in due.clone().zip(got) {
-                            let wire = wire.expect("every due message was filed");
-                            rec.msg_recvd(rank, prog.msgs[id].src, wire.len());
-                            let mut at = 0;
-                            for b in prog.blocks_of(id) {
-                                let len = sizes.size(prog.blocks[b].key);
-                                for &step in &prog.steps[prog.steps_of(b)] {
-                                    apply(
-                                        step,
-                                        &wire[at..at + len],
-                                        op.red,
-                                        off,
-                                        sbuf,
-                                        arena,
-                                        rbuf,
-                                    );
-                                }
-                                at += len;
-                            }
-                        }
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
-            .collect()
-    });
-    drop(txs);
-    results.into_iter().collect::<Result<(), _>>()?;
-    Ok(rbufs)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::arena::BlockArena;
     use crate::builder::build_pattern;
     use crate::collective::ReduceOp;
+    use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
     use nhood_topology::random::erdos_renyi;
+    use std::sync::Arc;
+
+    thread_local! {
+        /// [`compile`] calls made by the current test thread.
+        pub(super) static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// [`compile`] calls the current test thread has made so far.
+    pub(crate) fn compiles() -> u64 {
+        COMPILES.with(std::cell::Cell::get)
+    }
 
     const SHAPES: [Shape; 4] = [
         Shape::Route,
@@ -1082,7 +1253,7 @@ mod tests {
     /// 4's as (x1, x0), then ships both to 3 in one message. No gather
     /// plan routes like this (a block's items leave a rank together), so
     /// the walk is driven by hand.
-    fn crossed_folds(shape: Shape) -> (Topology, CombineProgram) {
+    fn crossed_folds(shape: Shape) -> (Topology, Program) {
         type Send = (Rank, Rank, &'static [(Rank, Rank)]);
         let g = Topology::from_edges(5, [(0, 3), (0, 4), (1, 3), (1, 4)]);
         let phases: [&[Send]; 4] = [
@@ -1101,6 +1272,7 @@ mod tests {
                 walk.prog.send_ends.push(sent_before + walk.pend.len());
             }
             walk.integrate();
+            walk.prog.labels.push(nhood_telemetry::labels::PHASE);
         }
         assert!(walk.holder.iter().all(|&h| h == DELIVERED));
         let prog = walk.prog;
@@ -1125,14 +1297,21 @@ mod tests {
             (Reduction::new(ReduceOp::Max, DType::U32), true),
             (Reduction::new(ReduceOp::Sum, DType::F32), false),
         ] {
-            let op = CombineOp::try_from(CollectiveOp::Allreduce(red)).unwrap();
-            assert_eq!(op.shape, Shape::Allreduce { exact });
-            let (g, prog) = crossed_folds(op.shape);
-            let scratch = &mut CombineScratch::default();
-            let v = run_combining_virtual(&prog, scratch, op, &payloads, &sizes, &NULL).unwrap();
-            let wait = Duration::from_secs(10);
-            let t =
-                run_combining_threaded(&prog, scratch, op, &payloads, &sizes, wait, &NULL).unwrap();
+            let shape = Shape::of(CollectiveOp::Allreduce(red));
+            assert_eq!(shape, Shape::Allreduce { exact });
+            let (g, prog) = crossed_folds(shape);
+            let job = Job { red: Some(red), sbufs: &payloads, lens: Lens::Table(&sizes) };
+            let mut arena = BlockArena::new();
+            let [v, t] = [false, true].map(|threaded| {
+                let mut staged = arena.stage(&prog, job).unwrap();
+                if threaded {
+                    let (opts, stats) = (ExecOptions::new(), Default::default());
+                    threaded::run(&mut staged, &opts, &stats).unwrap();
+                } else {
+                    virtual_exec::run(&mut staged, &NULL);
+                }
+                staged.rbufs
+            });
             assert_eq!(v, t, "{red}");
             if exact {
                 assert_eq!(v, crate::collective::reference_allreduce(&g, &payloads, red));
@@ -1147,8 +1326,9 @@ mod tests {
         let (g, plan) = dh_plan(24, 0.5, 9);
         let sizes = BlockSizes::per_rank((0..24).map(|t| 4 * (t % 5)).collect());
         let red = Reduction::SUM_U8;
-        let op = CombineOp::try_from(CollectiveOp::ReduceScatter(red)).unwrap();
-        let prog = compile(&plan, &g, op.shape).unwrap();
+        let op = CollectiveOp::ReduceScatter(red);
+        let plan = Arc::new(plan);
+        let prog = compile(&plan, &g, Shape::ReduceScatter).unwrap();
         let want = prog.schedule(&sizes).total_bytes() as u64;
         for fill in [|_: usize| 7u8, |i: usize| (i * 37 + 11) as u8] {
             let sbufs: Vec<Vec<u8>> = (0..24)
@@ -1158,9 +1338,10 @@ mod tests {
                 })
                 .collect();
             let rec = CountingRecorder::new(24);
-            let scratch = &mut CombineScratch::default();
-            let got = run_combining_virtual(&prog, scratch, op, &sbufs, &sizes, &rec).unwrap();
-            assert_eq!(got, crate::collective::reference_reduce_scatter(&g, &sbufs, &sizes, red));
+            let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new().recorder(&rec));
+            let got = execute(op, Some(&sizes), &plan, &g, &sbufs, arena, false, &opts).unwrap();
+            let reference = crate::collective::reference_reduce_scatter(&g, &sbufs, &sizes, red);
+            assert_eq!(got.rbufs, reference);
             assert_eq!(rec.totals().bytes_sent, want);
         }
     }
@@ -1168,21 +1349,16 @@ mod tests {
     #[test]
     fn payload_shapes_are_checked_against_the_program() {
         let (g, plan) = dh_plan(16, 0.4, 2);
-        let op = CombineOp::try_from(CollectiveOp::Alltoallv).unwrap();
-        let prog = compile(&plan, &g, op.shape).unwrap();
-        let sizes = BlockSizes::uniform(4);
+        let (plan, sizes) = (Arc::new(plan), BlockSizes::uniform(4));
         let mut sbufs: Vec<Vec<u8>> = (0..16).map(|p| vec![1; g.outdegree(p) * 4]).collect();
-        let scratch = &mut CombineScratch::default();
-        run_combining_virtual(&prog, scratch, op, &sbufs, &sizes, &NULL).unwrap();
+        let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new());
+        let mut run = |sbufs: &[Vec<u8>]| {
+            execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, &g, sbufs, arena, false, &opts)
+        };
+        run(&sbufs).unwrap();
         sbufs[5].push(0);
-        assert!(matches!(
-            run_combining_virtual(&prog, scratch, op, &sbufs, &sizes, &NULL),
-            Err(ExecError::PayloadSizeMismatch { rank: 5, .. })
-        ));
+        assert!(matches!(run(&sbufs), Err(ExecError::PayloadSizeMismatch { rank: 5, .. })));
         sbufs.pop();
-        assert!(matches!(
-            run_combining_virtual(&prog, scratch, op, &sbufs, &sizes, &NULL),
-            Err(ExecError::PayloadCountMismatch { got: 15, want: 16 })
-        ));
+        assert!(matches!(run(&sbufs), Err(ExecError::PayloadCountMismatch { got: 15, want: 16 })));
     }
 }

@@ -6,7 +6,7 @@
 //! communicator's state, its builder-style configuration and
 //! [`DistGraphComm::mutate`]; `resolve` turns an algorithm choice into a
 //! plan (normalize, fingerprint, cache, tuner, the combining family's
-//! program memo); `request` is [`DistGraphComm::collective`] and its
+//! routing memo); `request` is [`DistGraphComm::collective`] and its
 //! backends; `robust` is the fault-tolerant path ([`RobustPolicy`],
 //! [`ExecReport`], repair and naive degradation).
 //!
@@ -32,8 +32,8 @@ mod robust;
 
 pub use robust::{ExecReport, FallbackReason, RobustPolicy};
 
+use crate::arena::BlockArena;
 use crate::builder::BuildError;
-use crate::collective::program::{CombineProgram, CombineScratch, Shape};
 use crate::collective::{CollectiveOp, Reduction};
 use crate::exec::sim_exec::SimCost;
 use crate::exec::ExecError;
@@ -67,7 +67,7 @@ pub enum CommError {
     /// The requested (op, algorithm, robustness, backend) combination is
     /// outside the support matrix (see docs/EXECUTION_API.md) — e.g.
     /// PAT's merged trees cannot carry the reduce ops, and robust
-    /// execution cannot replay hop-applied reductions.
+    /// execution needs the threaded transport.
     UnsupportedCollective {
         /// The collective that was requested.
         op: CollectiveOp,
@@ -189,11 +189,11 @@ pub struct DistGraphComm {
     churn: Option<ChurnSlot>,
     /// Memo of the plan whose item routing the combining family
     /// executes (alltoallv / reduce_scatter / allreduce all route
-    /// identically), the combine programs compiled from it and the
-    /// executors' offset tables. Plan and programs are keyed by the
-    /// plan's build key ([`PlanFingerprint::of_build_v`]) over the
-    /// *current* graph, so `mutate` retires them for free; clones share
-    /// the memo the way they share an attached [`PlanCache`].
+    /// identically) and the engine workspace [`Self::collective`] runs
+    /// on. The plan is keyed by its build key
+    /// ([`PlanFingerprint::of_build_v`]) over the *current* graph, so
+    /// `mutate` retires it for free; clones share the memo the way they
+    /// share an attached [`PlanCache`].
     a2a_slot: A2aSlot,
     /// The §V cost model [`Algorithm::Auto`] scores candidates under.
     tuner_cost: SimCost,
@@ -210,26 +210,18 @@ pub struct DistGraphComm {
 /// The shared memo cell of the combining family.
 type A2aSlot = Arc<Mutex<CombineMemo>>;
 
-/// What a communicator remembers between combining-family requests.
+/// What a communicator remembers between requests.
 #[derive(Debug, Default)]
 struct CombineMemo {
-    routed: Option<Routed>,
-    /// The executors' grow-only offset tables: one set per communicator,
-    /// reused across ops, size tables and topology epochs. A running
-    /// request takes them out of the cell (a concurrent one on a clone
-    /// starts from empty ones).
-    scratch: CombineScratch,
-    /// Programs compiled through this communicator and its clones.
-    compiles: u64,
-}
-
-/// One topology epoch's item routing: the plan that implies it and the
-/// combine programs compiled from it, one per op shape seen so far.
-#[derive(Debug)]
-struct Routed {
-    fp: PlanFingerprint,
-    plan: Arc<CollectivePlan>,
-    programs: Vec<(Shape, Arc<CombineProgram>)>,
+    /// One topology epoch's item routing: the plan that implies it,
+    /// under its build key.
+    routed: Option<(PlanFingerprint, Arc<CollectivePlan>)>,
+    /// The engine workspace: the programs compiled from the plans last
+    /// run (one per op shape) and the grow-only offset tables, reused
+    /// across ops, size tables and topology epochs. A running request
+    /// takes it out of the cell (a concurrent one on a clone starts from
+    /// an empty one).
+    arena: BlockArena,
 }
 
 /// The shared memo cell for the auto-tuner's winning plan.
@@ -715,41 +707,27 @@ mod tests {
 
     #[test]
     fn robust_alltoallv_runs_on_threaded_with_a_report() {
+        // ...and so do the reductions: one robust path serves every op
         let c = comm(16, 0.4);
         let m = 4usize;
-        let sbufs: Vec<Vec<u8>> = (0..16)
+        let per_edge: Vec<Vec<u8>> = (0..16)
             .map(|p| (0..c.graph().outdegree(p) * m).map(|i| (p * 17 + i) as u8).collect())
             .collect();
-        let req = CollectiveRequest::alltoallv(&sbufs)
-            .sizes(BlockSizes::uniform(m))
-            .robust(true)
-            .backend(ExecBackend::Threaded);
-        let out = c.collective(&req).unwrap();
-        assert_eq!(
-            out.rbufs,
-            crate::collective::reference_alltoallv(c.graph(), &sbufs, &BlockSizes::uniform(m))
-        );
-        let report = out.report.expect("robust alltoallv carries a report");
-        assert!(report.clean(), "{report}");
-        assert_eq!(report.used, Algorithm::DistanceHalving);
-    }
-
-    #[test]
-    fn robust_reductions_reject_naming_the_unsupported_piece() {
-        let c = comm(16, 0.4);
-        let payloads = test_payloads(16, 4, 3);
-        for req in [
-            CollectiveRequest::reduce_scatter(&payloads, Reduction::SUM_U8),
-            CollectiveRequest::allreduce(&payloads, Reduction::SUM_U8),
+        let own = test_payloads(16, m, 3);
+        for (op, sbufs) in [
+            (CollectiveOp::Alltoallv, &per_edge),
+            (CollectiveOp::ReduceScatter(Reduction::SUM_U8), &per_edge),
+            (CollectiveOp::Allreduce(Reduction::SUM_U8), &own),
         ] {
-            let req = req.robust(true).backend(ExecBackend::Threaded);
-            match c.collective(&req) {
-                Err(CommError::UnsupportedCollective { reason, .. }) => assert!(
-                    reason.contains("reduction"),
-                    "reason must name the unsupported piece: {reason}"
-                ),
-                other => panic!("expected UnsupportedCollective, got {other:?}"),
-            }
+            let req = CollectiveRequest::new(op, sbufs).robust(true).backend(ExecBackend::Threaded);
+            let out = c.collective(&req).unwrap();
+            assert_eq!(
+                out.rbufs,
+                crate::collective::reference(c.graph(), op, sbufs, None).unwrap()
+            );
+            let report = out.report.expect("a robust run carries a report");
+            assert!(report.clean(), "{op}: {report}");
+            assert_eq!(report.used, Algorithm::DistanceHalving);
         }
     }
 
@@ -847,7 +825,7 @@ mod tests {
             Err(CommError::Build(BuildError::NonBlockPlacement))
         ));
         assert!(matches!(
-            c.robust_plan(Algorithm::DistanceHalving),
+            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL),
             Err(CommError::Build(BuildError::NonBlockPlacement))
         ));
     }
@@ -934,14 +912,17 @@ mod tests {
                 other => panic!("expected UnsupportedCollective, got {other:?}"),
             }
         }
-        // robustness covers the allgather family only...
+        // robustness covers every op (a retried reduction restarts from
+        // the send buffers)...
         let req = CollectiveRequest::allreduce(&payloads, Reduction::SUM_U8)
             .robust(true)
             .backend(ExecBackend::Threaded);
-        assert!(matches!(c.collective(&req), Err(CommError::UnsupportedCollective { .. })));
+        assert!(c.collective(&req).unwrap().report.is_some());
         // ...and runs on the threaded transport only
-        let req = CollectiveRequest::allgather(&payloads).robust(true);
-        assert!(matches!(c.collective(&req), Err(CommError::UnsupportedCollective { .. })));
+        for backend in [ExecBackend::Virtual, ExecBackend::Sim] {
+            let req = CollectiveRequest::allgather(&payloads).robust(true).backend(backend);
+            assert!(matches!(c.collective(&req), Err(CommError::UnsupportedCollective { .. })));
+        }
     }
 
     #[test]
@@ -1172,7 +1153,7 @@ mod tests {
         // still be counted in the final report after the naive fallback
         // succeeds — the old code threw away the failed attempt's tally.
         let c = comm(32, 0.3);
-        let plan = c.robust_plan(Algorithm::DistanceHalving).unwrap();
+        let (plan, _) = c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL).unwrap();
         let (src, dst, phase) =
             dh_only_link(&plan, c.graph()).expect("DH at δ=0.3 uses relay links");
         let c = c
@@ -1195,7 +1176,7 @@ mod tests {
     #[test]
     fn link_down_mid_run_repairs_without_fallback() {
         let c = comm(64, 0.4);
-        let plan = c.robust_plan(Algorithm::DistanceHalving).unwrap();
+        let (plan, _) = c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL).unwrap();
         let (src, dst, phase) =
             dh_only_link(&plan, c.graph()).expect("DH at δ=0.4 uses relay links");
         let c =

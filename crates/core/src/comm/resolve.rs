@@ -2,12 +2,11 @@
 //! communicator — normalize the parameters, fingerprint the request,
 //! consult the churn slot / plan cache / tuner memo, and build on a
 //! miss. The combining family resolves its routing plan down the same
-//! path and keeps the programs compiled from it in a memo.
+//! path and keeps it in a memo.
 
-use super::{ChurnSlot, CommError, DistGraphComm, Routed};
+use super::{ChurnSlot, CommError, DistGraphComm};
 use crate::autotune::{candidates, TuneOutcome};
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
-use crate::collective::program::{compile, CombineProgram, Shape};
 use crate::common_neighbor::plan_common_neighbor;
 use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
 use crate::lower::lower_pooled;
@@ -369,47 +368,32 @@ impl DistGraphComm {
     /// The combining family's plan path: alltoallv, reduce_scatter and
     /// allreduce execute the item routing of one gather plan — resolved
     /// like any gather's ([`Self::plan_shared`]: live churn slot, plan
-    /// cache, build) — and, per op shape, the [`CombineProgram`] compiled
-    /// from it on first use. Plan and programs sit in a memo under the
-    /// plan's build key, checked *before* plan resolution: a warm request
-    /// takes its program from there, and a cache-less communicator
-    /// builds its routing plan once per topology epoch, not per request.
+    /// cache, build). The plan sits in a memo under its build key,
+    /// checked *before* plan resolution: a warm request takes it from
+    /// there (and its program from the arena it runs on), and a
+    /// cache-less communicator builds its routing plan once per topology
+    /// epoch, not per request.
     ///
     /// The plan is negotiated at default sizes whatever table is pinned:
     /// a pinned table sizes gather blocks, the combining ops size theirs
     /// per request. On uniform sizes both load metrics order candidates
     /// alike, so the routes are [`LoadMetric::Neighbors`]'s.
-    pub(super) fn combine_program(
+    pub(super) fn routing_plan(
         &self,
         algo: Algorithm,
-        shape: Shape,
         rec: &dyn Recorder,
-    ) -> Result<Arc<CombineProgram>, CommError> {
+    ) -> Result<Arc<CollectivePlan>, CommError> {
         let algo = self.combining_algorithm(algo)?;
         let sizes = BlockSizes::default();
         let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, &sizes, self.metric);
-        let routed = self.combine_memo().routed.as_ref().filter(|r| r.fp == fp).map(|r| {
-            let prog = r.programs.iter().find(|(s, _)| *s == shape).map(|(_, p)| Arc::clone(p));
-            (Arc::clone(&r.plan), prog)
-        });
-        if routed.is_some() {
+        if let Some((_, plan)) = self.combine_memo().routed.as_ref().filter(|r| r.0 == fp) {
             rec.plan_cache(0, true);
+            return Ok(Arc::clone(plan));
         }
-        let plan = match routed {
-            Some((_, Some(prog))) => return Ok(prog),
-            Some((plan, None)) => plan,
-            // the shared path reports its own hit or miss
-            None => self.plan_shared_sized(algo, &sizes, rec)?,
-        };
-        let prog = Arc::new(compile(&plan, &self.graph, shape)?);
-        let mut memo = self.combine_memo();
-        memo.compiles += 1;
-        let entry = (shape, Arc::clone(&prog));
-        match memo.routed.as_mut().filter(|r| r.fp == fp) {
-            Some(r) => r.programs.push(entry),
-            None => memo.routed = Some(Routed { fp, plan, programs: vec![entry] }),
-        }
-        Ok(prog)
+        // the shared path reports its own hit or miss
+        let plan = self.plan_shared_sized(algo, &sizes, rec)?;
+        self.combine_memo().routed = Some((fp, Arc::clone(&plan)));
+        Ok(plan)
     }
 
     /// The **uncached**, validated build of the plan whose item routing

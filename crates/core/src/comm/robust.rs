@@ -1,25 +1,22 @@
 //! The fault-tolerant path of [`DistGraphComm::collective`]: the
 //! [`RobustPolicy`] knobs, the [`ExecReport`] a robust run returns, and
 //! the engine — distributed negotiation, mid-run link-down repair, and
-//! degradation to the naive plan — both robust collectives (the
-//! allgather family and alltoallv) report and degrade through.
+//! degradation to the naive plan — every robust collective reports and
+//! degrades through.
 
 use super::{CommError, DistGraphComm};
 use crate::arena::BlockArena;
-use crate::collective::program::{
-    compile, run_combining_threaded, CombineOp, CombineProgram, CombineScratch,
-};
 use crate::collective::{CollectiveOutput, CollectiveRequest};
 use crate::distributed_builder::{build_pattern_distributed_pooled_v, RECV_TIMEOUT};
 use crate::exec::threaded::DEFAULT_TIMEOUT;
-use crate::exec::{ExecError, ExecOptions, ExecOutcome, Executor, Threaded};
+use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome};
 use crate::fault::{FaultCounts, FaultStats};
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::repair::{repair_link_down, Completeness, RepairPolicy};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
-use nhood_topology::Rank;
+use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,7 +66,7 @@ impl Default for RobustPolicy {
     }
 }
 
-/// Why a robust allgather abandoned the requested algorithm.
+/// Why a robust collective abandoned the requested algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// Pattern construction (the distributed negotiation) failed.
@@ -159,6 +156,11 @@ impl std::fmt::Display for ExecReport {
     }
 }
 
+/// One attempt of a robust run: executes a plan on a (possibly degraded)
+/// topology.
+type Attempt<'a> =
+    dyn FnMut(&Arc<CollectivePlan>, &Topology) -> Result<ExecOutcome, ExecError> + 'a;
+
 impl DistGraphComm {
     /// The threaded transport's options under this communicator's
     /// [`RobustPolicy`] and attached fault plan, on top of `base`.
@@ -173,22 +175,16 @@ impl DistGraphComm {
         }
     }
 
-    /// Plans `algo` the way the robust path does: Distance Halving runs
+    /// The planning path of the robust collective: Distance Halving runs
     /// the *distributed* negotiation (under the communicator's fault
     /// plan and negotiation timeout), so pattern construction is itself
     /// exposed to injected faults; every other algorithm plans as
-    /// [`Self::plan`].
-    pub fn robust_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.robust_plan_with_pattern(algo, &NULL).map(|(plan, _)| Arc::unwrap_or_clone(plan))
-    }
-
-    /// The planning path of the robust collective, keeping the built
-    /// [`DhPattern`] alive alongside the plan — mid-execution link-down
-    /// repair needs the pattern's decisions, not just the lowered
-    /// messages. Non-DH algorithms have no pattern. The distributed
-    /// negotiation reports per-rank negotiation rounds, signal retries
-    /// and `negotiate` spans into `rec` as it runs.
-    fn robust_plan_with_pattern(
+    /// [`Self::plan`]. The built [`DhPattern`] stays alive alongside the
+    /// plan — mid-execution link-down repair needs the pattern's
+    /// decisions, not just the lowered messages; non-DH algorithms have
+    /// none. The negotiation reports per-rank rounds, signal retries and
+    /// `negotiate` spans into `rec` as it runs.
+    pub(super) fn robust_plan_with_pattern(
         &self,
         algo: Algorithm,
         rec: &dyn Recorder,
@@ -240,94 +236,97 @@ impl DistGraphComm {
         Ok(())
     }
 
-    /// The robust-allgather engine behind [`Self::collective`] with
-    /// `robust = true`: distributed negotiation, mid-run link-down
+    /// The robust engine behind [`Self::collective`] with `robust =
+    /// true`, for every op: distributed negotiation, mid-run link-down
     /// self-healing, and naive degradation, per the communicator's
     /// [`RobustPolicy`].
     ///
     /// Plans the request's algorithm (Distance Halving via the
     /// distributed negotiation, so construction itself can fail under
-    /// faults) and executes on the threaded backend with the policy's
-    /// timeouts, retry budget and the attached fault plan. If the policy
-    /// allows it, a failed build or a liveness failure during execution
-    /// **degrades to the naive plan** instead of erroring; the returned
-    /// [`ExecReport`] records what was requested, what ran, why it
-    /// degraded, and the fault/retry tally. Buffers are only ever
-    /// returned when some plan ran to completion — a fault schedule that
-    /// defeats both the requested plan and the naive fallback yields a
-    /// typed error, never corrupt data or a hang. Negotiation, execution,
-    /// retries and the degradation decision all report into the
-    /// request's recorder; a counting recorder's totals are copied into
-    /// [`ExecReport::counters`].
-    pub(super) fn robust_gather(
+    /// faults; a combining op routes over the same plan) and executes on
+    /// the threaded backend with the policy's timeouts, retry budget and
+    /// the attached fault plan. If the policy allows it, a failed build
+    /// or a liveness failure during execution **degrades to the naive
+    /// plan** instead of erroring; the returned [`ExecReport`] records
+    /// what was requested, what ran, why it degraded, and the fault/retry
+    /// tally. Every attempt restarts from the send buffers and the
+    /// transport drops duplicates before anything is integrated, so a
+    /// retried reduction never applies its operator twice. Buffers are
+    /// only ever returned when some plan ran to completion — a fault
+    /// schedule that defeats both the requested plan and the naive
+    /// fallback yields a typed error, never corrupt data or a hang.
+    /// Negotiation, execution, retries and the degradation decision all
+    /// report into the request's recorder; a counting recorder's totals
+    /// are copied into [`ExecReport::counters`].
+    pub(super) fn robust(
         &self,
         req: &CollectiveRequest,
+        sizes: Option<&BlockSizes>,
+        arena: &mut BlockArena,
     ) -> Result<CollectiveOutput, CommError> {
-        let (payloads, rec) = (req.payloads, req.recorder);
+        let rec = req.recorder;
+        let algo = if req.op.is_gather() {
+            req.algorithm
+        } else {
+            self.combining_algorithm(req.algorithm)?
+        };
         let mut report = ExecReport::new(req.algorithm);
         // One shared sink tallies every attempt — the failed primary,
         // repaired re-executions and the naive fallback — so the final
         // report never under-counts the faults a failed run absorbed.
         let sink = FaultStats::default();
-        // Ragged (`allgatherv`-shaped) payloads flow through the same
-        // robust machinery: the executors derive per-rank extents from
-        // the payloads themselves, so detecting raggedness here is all
-        // the plumbing the degraded paths need.
-        let first_len = payloads.first().map_or(0, Vec::len);
-        let ragged = payloads.iter().any(|p| p.len() != first_len);
-        let opts =
-            self.threaded_opts(ExecOptions::new().ragged(ragged).recorder(rec).fault_sink(&sink));
-        let mut arena = BlockArena::new();
+        let opts = self.threaded_opts(ExecOptions::new().recorder(rec).fault_sink(&sink));
+        let mut run = |plan: &Arc<CollectivePlan>, graph: &Topology| {
+            execute(req.op, sizes, plan, graph, req.payloads, arena, true, &opts)
+        };
         let primary = self
-            .robust_plan_with_pattern(req.algorithm, rec)
+            .robust_plan_with_pattern(algo, rec)
             .map_err(|e| (FallbackReason::BuildFailed(e.to_string()), e))
             .and_then(|(plan, pattern)| {
-                self.run_self_healing(plan, pattern, payloads, &mut arena, &opts, &mut report)
+                self.run_self_healing(plan, pattern, &mut run, rec, &mut report)
                     .map_err(|e| (FallbackReason::ExecFailed(e.to_string()), e.into()))
             });
-        let run = match primary {
-            Ok(run) => run,
+        let out = match primary {
+            Ok(out) => out,
             Err((why, err)) => {
                 self.degrade(&mut report, rec, why, err)?;
                 // The naive plan under the same faults and policy. The
                 // shared sink already accumulated the failed attempts'
                 // tallies, so the outcome's snapshot is the complete count.
-                let naive = Arc::new(self.plan(Algorithm::Naive)?);
-                Threaded.run(&naive, &self.graph, payloads, &mut arena, &opts)?
+                run(&Arc::new(self.plan(Algorithm::Naive)?), &self.graph)?
             }
         };
-        report.faults = run.faults;
+        report.faults = out.faults;
         report.counters = rec.counts();
         Ok(CollectiveOutput {
-            rbufs: run.rbufs,
-            faults: run.faults,
+            rbufs: out.rbufs,
+            faults: out.faults,
             report: Some(report),
             sim: None,
         })
     }
 
-    /// Executes `plan`, self-healing around dead links: a LinkDown error
-    /// marks the edge dead, the plan is repaired to route around it, and
-    /// execution restarts — up to the policy's repair budget. Repairs
-    /// are tallied in `report`; only an unrepairable failure returns.
+    /// Executes `plan` through `run`, self-healing around dead links: a
+    /// LinkDown error marks the edge dead, the plan is repaired to route
+    /// around it, and execution restarts — up to the policy's repair
+    /// budget. Repairs are tallied in `report`; only an unrepairable
+    /// failure returns.
     fn run_self_healing(
         &self,
         mut plan: Arc<CollectivePlan>,
         mut pattern: Option<DhPattern>,
-        payloads: &[Vec<u8>],
-        arena: &mut BlockArena,
-        opts: &ExecOptions<'_>,
+        run: &mut Attempt<'_>,
+        rec: &dyn Recorder,
         report: &mut ExecReport,
     ) -> Result<ExecOutcome, ExecError> {
-        let rec = opts.recorder;
         // Auto resolves during planning: report the winner that ran,
         // not the `auto` placeholder the caller requested.
         report.used = plan.algorithm;
         let mut exec_graph = self.graph.clone();
         let mut dead: HashSet<(Rank, Rank)> = HashSet::new();
         loop {
-            let err = match Threaded.run(&plan, &exec_graph, payloads, arena, opts) {
-                Ok(run) => return Ok(run),
+            let err = match run(&plan, &exec_graph) {
+                Ok(out) => return Ok(out),
                 Err(e) => e,
             };
             let (ExecError::LinkDown { src, dst, .. }, Some(base)) = (&err, &pattern) else {
@@ -367,50 +366,9 @@ impl DistGraphComm {
                 }
             };
             report.completeness = rep.completeness;
-            // Patch only the arena rows the repair touched; a failed
-            // patch just leaves the run to rebuild the layout itself.
             plan = Arc::new(rep.plan);
-            let _ = arena.repair(&plan, &rep.exec_graph, &rep.changed_ranks);
             exec_graph = rep.exec_graph;
             pattern = Some(rep.pattern);
         }
-    }
-
-    /// Robust alltoallv on the threaded transport: items are idempotent
-    /// to re-route (no hop-applied reductions to replay), so a failed
-    /// run degrades to the **naive item routing** — direct sends over
-    /// graph edges only — when the policy allows, mirroring the
-    /// allgather family's fallback. The combining transport takes no
-    /// fault plan; robustness here covers real liveness failures
-    /// (timeouts) of the primary routing.
-    pub(super) fn robust_alltoallv(
-        &self,
-        prog: &CombineProgram,
-        scratch: &mut CombineScratch,
-        op: CombineOp,
-        req: &CollectiveRequest,
-        sizes: &BlockSizes,
-    ) -> Result<CollectiveOutput, CommError> {
-        let rec = req.recorder;
-        let mut report = ExecReport::new(req.algorithm);
-        report.used = self.combining_algorithm(req.algorithm)?;
-        let timeout = self.policy.recv_timeout;
-        let mut run = |prog: &CombineProgram| {
-            run_combining_threaded(prog, scratch, op, req.payloads, sizes, timeout, rec)
-        };
-        let rbufs = match run(prog) {
-            Ok(rbufs) => rbufs,
-            Err(e) => {
-                self.degrade(
-                    &mut report,
-                    rec,
-                    FallbackReason::ExecFailed(e.to_string()),
-                    e.into(),
-                )?;
-                run(&compile(&self.plan(Algorithm::Naive)?, &self.graph, op.shape)?)?
-            }
-        };
-        report.counters = rec.counts();
-        Ok(CollectiveOutput { rbufs, report: Some(report), ..Default::default() })
     }
 }

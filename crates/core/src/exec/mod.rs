@@ -1,14 +1,20 @@
 //! Plan executors.
 //!
-//! Three backends run a [`crate::plan::CollectivePlan`]:
+//! One engine runs every collective: a [`crate::plan::CollectivePlan`]
+//! is compiled once per op shape (`collective::program`) and the program
+//! runs on one of two runtimes —
 //!
 //! * [`virtual_exec`] — deterministic sequential execution with real byte
 //!   buffers; scales to thousands of ranks and is the correctness oracle;
-//! * [`threaded`] — one OS thread per rank with real channels and real
-//!   copies, exercising the plan under true concurrency (bounded rank
-//!   counts);
-//! * [`sim_exec`] — lowers the plan onto the `nhood-simnet` discrete-event
-//!   engine to obtain cluster-scale latencies at any message size.
+//! * [`threaded`] — one OS thread per rank with real channels, exercising
+//!   the program under true concurrency and injected faults (bounded
+//!   rank counts);
+//!
+//! while [`sim_exec`] lowers the plan onto the `nhood-simnet`
+//! discrete-event engine to obtain cluster-scale latencies at any
+//! message size. [`Executor`] fronts all three for the allgather family;
+//! [`crate::comm::DistGraphComm::collective`] reaches the same engine
+//! for every op.
 //!
 //! All backends consume the same plan, so agreement between them is a
 //! meaningful cross-check (and is property-tested in the workspace
@@ -19,8 +25,11 @@ pub mod threaded;
 pub mod virtual_exec;
 
 use crate::arena::BlockArena;
+use crate::collective::program::{Job, Lens, Shape};
+use crate::collective::CollectiveOp;
 use crate::fault::{FaultCounts, FaultPlan, FaultStats};
 use crate::plan::{Algorithm, CollectivePlan};
+use crate::sizes::BlockSizes;
 use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
@@ -84,11 +93,6 @@ pub struct ExecOptions<'a> {
     /// [`ExecError`] carries no counters) and can be merged into the
     /// caller's report — the robust fallback path relies on this.
     pub fault_sink: Option<&'a FaultStats>,
-    /// The collective this execution serves. Executors of a
-    /// [`CollectivePlan`] run the allgather family regardless, but the
-    /// tag travels with the options so recorders and diagnostics can
-    /// attribute a run to the request that triggered it.
-    pub op: crate::collective::CollectiveOp,
 }
 
 impl std::fmt::Debug for ExecOptions<'_> {
@@ -100,7 +104,6 @@ impl std::fmt::Debug for ExecOptions<'_> {
             .field("backoff_base", &self.backoff_base)
             .field("fault", &self.fault)
             .field("ragged", &self.ragged)
-            .field("op", &self.op)
             .finish_non_exhaustive()
     }
 }
@@ -116,7 +119,6 @@ impl Default for ExecOptions<'_> {
             recorder: &NULL,
             ragged: false,
             fault_sink: None,
-            op: crate::collective::CollectiveOp::Allgather,
         }
     }
 }
@@ -171,10 +173,14 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Tags the options with the collective op this execution serves.
-    pub fn op(mut self, op: crate::collective::CollectiveOp) -> Self {
-        self.op = op;
-        self
+    /// The allgather-family op an [`Executor::run`] under these options
+    /// serves.
+    pub(crate) fn gather_op(&self) -> CollectiveOp {
+        if self.ragged {
+            CollectiveOp::Allgatherv
+        } else {
+            CollectiveOp::Allgather
+        }
     }
 }
 
@@ -201,11 +207,11 @@ pub trait Executor {
     /// A short backend name for logs and bench labels.
     fn name(&self) -> &'static str;
 
-    /// Executes `plan` over `payloads`, using `arena` as the reusable
-    /// zero-copy workspace (layout cache + slot tables; ignored by the
-    /// simulated backend). The plan comes as the `Arc` it is shared
-    /// under because that allocation is the arena's warm-path identity
-    /// (see [`BlockArena::prepare`]).
+    /// Executes the allgather of `payloads` over `plan`, using `arena` as
+    /// the reusable workspace (compiled program, offset tables, spare
+    /// receive buffers; ignored by the simulated backend). The plan comes
+    /// as the `Arc` it is shared under because that allocation is the
+    /// arena's warm-path identity (see [`BlockArena::prepare`]).
     fn run(
         &self,
         plan: &Arc<CollectivePlan>,
@@ -385,4 +391,40 @@ pub(crate) fn check_payloads(payloads: &[Vec<u8>], n: usize) -> Result<usize, Ex
         }
     }
     Ok(m)
+}
+
+/// The one engine behind every front: runs `op` over `plan` on the
+/// sequential runtime, or the thread-per-rank one when `threaded`.
+/// `sizes` is a combining op's validated size table
+/// ([`crate::collective::derive_sizes`]); a gather reads its block
+/// lengths off `payloads`. The warm path — `arena` already holds the
+/// program of this plan `Arc` — reads nothing of the plan and allocates
+/// nothing the receive buffers do not need.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute(
+    op: CollectiveOp,
+    sizes: Option<&BlockSizes>,
+    plan: &Arc<CollectivePlan>,
+    graph: &Topology,
+    payloads: &[Vec<u8>],
+    arena: &mut BlockArena,
+    threaded: bool,
+    opts: &ExecOptions<'_>,
+) -> Result<ExecOutcome, ExecError> {
+    if op == CollectiveOp::Allgather {
+        check_payloads(payloads, plan.n())?;
+    } else {
+        check_count(payloads, plan.n())?;
+    }
+    let prog = arena.program(plan, graph, Shape::of(op))?;
+    let lens = sizes.map_or(Lens::Own(payloads), Lens::Table);
+    let mut staged = arena.stage(&prog, Job { red: op.reduction(), sbufs: payloads, lens })?;
+    let local = FaultStats::default();
+    let stats = opts.fault_sink.unwrap_or(&local);
+    if threaded {
+        threaded::run(&mut staged, opts, stats)?;
+    } else {
+        virtual_exec::run(&mut staged, opts.recorder);
+    }
+    Ok(ExecOutcome { rbufs: staged.rbufs, faults: stats.snapshot(), sim: None })
 }

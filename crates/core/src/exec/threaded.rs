@@ -1,74 +1,52 @@
-//! The threaded executor: one OS thread per rank, real channels, real
-//! copies.
+//! The threaded executor: one OS thread per rank, real channels.
 //!
-//! Each rank runs its plan program concurrently: per phase it packs and
-//! sends its messages over `std::sync::mpsc` channels, then blocks until
-//! every expected message of the phase has arrived (out-of-order
-//! arrivals are parked, mirroring MPI's unexpected-message queue). This
-//! exercises the plan under genuine concurrency and shared-nothing
-//! message passing — the closest this library gets to running the
-//! collective "for real".
+//! Each rank runs its share of the compiled program concurrently: per
+//! phase it sends its messages over `std::sync::mpsc` channels, then
+//! blocks until every message the program has it integrate that phase
+//! has arrived (early arrivals are parked, mirroring MPI's
+//! unexpected-message queue) and integrates them in program order — the
+//! virtual backend's order — so outputs (f32 bits included) are
+//! identical. This exercises the program under genuine concurrency and
+//! shared-nothing message passing — the closest this library gets to
+//! running the collective "for real".
 //!
-//! Data movement is true zero-copy: a wire message is a list of borrowed
-//! slices into the original payload buffers, **one descriptor per
-//! block** (the shared-memory analog of an RDMA iovec send from
-//! registered memory). Each rank keeps a slot-indexed table of the
-//! slices it holds, laid out like the virtual backend's (see the arena
-//! module docs): a send reads the descriptors its precomputed slot runs
-//! hold, a receive stores the arrived descriptors in the slots it
-//! posted, and payload bytes are copied exactly **once** per rank — into
-//! the final receive buffer. Uniform and ragged (`allgatherv`) payloads
-//! take the same path.
+//! A message travels as its program id. A reduce message carries its
+//! packed partials; gather and routed blocks are never modified in
+//! flight, so their message carries no bytes and a rank that has run
+//! its phases copies each delivered block once, from its origin's send
+//! buffer (the shared-memory analog of an RDMA read from registered
+//! memory).
 //!
 //! # Robustness
 //!
 //! The executor is the primary consumer of the fault-injection layer
-//! ([`crate::fault`]). [`ExecOptions`] carries a receive timeout, an
-//! optional per-phase deadline, a retry budget with bounded exponential
-//! backoff, and an optional [`crate::fault::FaultPlan`]. Sends traverse
-//! a small reliable-transport emulation: an attempt the fault plan drops is
-//! retried (with backoff) until the budget is exhausted, at which point
-//! the message is lost for good and the receiver's timeout converts the
-//! loss into [`ExecError::Timeout`] / [`ExecError::PhaseDeadline`]
-//! instead of a hang. Crashed ranks return
-//! [`ExecError::RankCrashed`]; duplicated and reordered deliveries are
-//! absorbed by the tag-matched, idempotent receive path. The guarantee
+//! ([`crate::fault`]), for every op. [`ExecOptions`] carries a receive
+//! timeout, an optional per-phase deadline, a retry budget with bounded
+//! exponential backoff, and an optional [`crate::fault::FaultPlan`].
+//! Sends traverse a small reliable-transport emulation: an attempt the
+//! fault plan drops is retried (with backoff) until the budget is
+//! exhausted, at which point the message is lost for good and the
+//! receiver's timeout converts the loss into [`ExecError::Timeout`] /
+//! [`ExecError::PhaseDeadline`] instead of a hang. Crashed ranks return
+//! [`ExecError::RankCrashed`]; a duplicated delivery is dropped by
+//! message id before anything is integrated, so no operator is ever
+//! applied twice, and reordered ones wait their turn. The guarantee
 //! chased by the chaos suite: **identical-to-reference buffers or a
 //! typed error — never silent corruption, never a hang.**
 
-use crate::arena::{slots, BlockArena, RankLayout};
-use crate::exec::{
-    check_count, check_payloads, phase_label, ExecError, ExecOptions, ExecOutcome, Executor,
-};
+use crate::arena::BlockArena;
+use crate::collective::program::{Exec, Staged, Wire};
+use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
-use crate::plan::{CollectivePlan, PlanPhase};
+use crate::plan::CollectivePlan;
 use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A zero-copy scatter-gather wire message: one planned message as one
-/// borrowed slice per block, in message block order (empty blocks
-/// included). Every block in the system originates in some rank's
-/// payload, so forwarding re-shares the same slices hop after hop; no
-/// payload byte is copied in transit.
-struct SegWire<'a> {
-    src: Rank,
-    tag: u64,
-    segs: Vec<&'a [u8]>,
-}
-
-impl SegWire<'_> {
-    fn byte_len(&self) -> usize {
-        self.segs.iter().map(|s| s.len()).sum()
-    }
-
-    /// Structural copy for the duplication fault.
-    fn duplicate(&self) -> Self {
-        Self { src: self.src, tag: self.tag, segs: self.segs.clone() }
-    }
-}
+/// A wire message: its program id and, for the reduce shapes, its packed
+/// blocks.
+type Envelope = (usize, Vec<u8>);
 
 /// Default per-receive timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -90,303 +68,231 @@ impl Executor for Threaded {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if opts.ragged {
-            check_count(payloads, plan.n())?;
-        } else {
-            check_payloads(payloads, plan.n())?;
-        }
-        run_arena(plan, graph, payloads, arena, opts)
+        execute(opts.gather_op(), None, plan, graph, payloads, arena, true, opts)
     }
 }
 
-/// Sends `wire` to `dst` during `phase`, consulting the fault plan per
-/// attempt. A dropped attempt is retried after bounded exponential
-/// backoff until the budget runs out; then the message is abandoned (the
-/// receiver's timeout surfaces the loss as a typed error). A dead link
-/// is not retryable: the send fails immediately with
-/// [`ExecError::LinkDown`] so the caller can repair around the edge.
-fn transport_send<'a>(
-    senders: &[Sender<SegWire<'a>>],
-    dst: Rank,
-    wire: SegWire<'a>,
-    phase: usize,
-    opts: &ExecOptions<'_>,
-    stats: &FaultStats,
-) -> Result<(), ExecError> {
-    // one logical message per call, however many attempts it takes
-    opts.recorder.msg_sent(wire.src, dst, wire.byte_len());
-    let Some(fp) = opts.fault else {
+/// One rank's view of a threaded run.
+struct RankCtx<'a> {
+    exec: &'a Exec<'a>,
+    rank: Rank,
+    senders: &'a [Sender<Envelope>],
+    opts: &'a ExecOptions<'a>,
+    stats: &'a FaultStats,
+}
+
+impl RankCtx<'_> {
+    /// Sends message `id` during `phase`, consulting the fault plan per
+    /// attempt — the only place a data message meets a [`FaultAction`].
+    /// A dropped attempt is retried after bounded exponential backoff
+    /// until the budget runs out; then the message is abandoned (the
+    /// receiver's timeout surfaces the loss as a typed error). A dead
+    /// link is not retryable: the send fails immediately with
+    /// [`ExecError::LinkDown`] so the caller can repair around the edge.
+    fn transport_send(&self, id: usize, wire: Vec<u8>, phase: usize) -> Result<(), ExecError> {
+        let (opts, stats) = (self.opts, self.stats);
+        let m = self.exec.prog.msg(id);
         // a send can only fail if the peer already exited on error; the
         // peer's error is the root cause
-        let _ = senders[dst].send(wire);
-        return Ok(());
-    };
-    let mut attempt: u32 = 0;
-    loop {
-        match fp.send_action_at(wire.src, dst, wire.tag, attempt, phase) {
-            FaultAction::Deliver => {
-                let _ = senders[dst].send(wire);
-                return Ok(());
-            }
-            FaultAction::Duplicate => {
-                FaultStats::bump(&stats.duplicates);
-                let _ = senders[dst].send(wire.duplicate());
-                let _ = senders[dst].send(wire);
-                return Ok(());
-            }
-            FaultAction::Delay(d) => {
-                FaultStats::bump(&stats.delays);
-                std::thread::sleep(d);
-                let _ = senders[dst].send(wire);
-                return Ok(());
-            }
-            FaultAction::Drop => {
-                FaultStats::bump(&stats.drops);
-                if attempt >= opts.max_retries {
-                    FaultStats::bump(&stats.lost);
-                    return Ok(());
+        let deliver = |wire| drop(self.senders[m.dst].send((id, wire)));
+        let Some(fp) = opts.fault else {
+            deliver(wire);
+            return Ok(());
+        };
+        let mut attempt: u32 = 0;
+        loop {
+            match fp.send_action_at(m.src, m.dst, m.tag, attempt, phase) {
+                FaultAction::Deliver => break deliver(wire),
+                FaultAction::Duplicate => {
+                    FaultStats::bump(&stats.duplicates);
+                    deliver(wire.clone());
+                    break deliver(wire);
                 }
-                FaultStats::bump(&stats.retries);
-                opts.recorder.retry(wire.src);
-                // jittered exponential backoff, seeded per message so
-                // chaos runs stay deterministic but retrying ranks
-                // don't wake in lockstep
-                let seed = backoff_seed(fp.seed(), wire.src as u64, dst as u64, wire.tag);
-                std::thread::sleep(backoff(opts.backoff_base, attempt, seed));
-                attempt += 1;
+                FaultAction::Delay(d) => {
+                    FaultStats::bump(&stats.delays);
+                    std::thread::sleep(d);
+                    break deliver(wire);
+                }
+                FaultAction::Drop => {
+                    FaultStats::bump(&stats.drops);
+                    if attempt >= opts.max_retries {
+                        FaultStats::bump(&stats.lost);
+                        break;
+                    }
+                    FaultStats::bump(&stats.retries);
+                    opts.recorder.retry(m.src);
+                    // jittered exponential backoff, seeded per message so
+                    // chaos runs stay deterministic but retrying ranks
+                    // don't wake in lockstep
+                    let seed = backoff_seed(fp.seed(), m.src as u64, m.dst as u64, m.tag);
+                    std::thread::sleep(backoff(opts.backoff_base, attempt, seed));
+                    attempt += 1;
+                }
+                FaultAction::LinkDown => {
+                    FaultStats::bump(&stats.link_downs);
+                    return Err(ExecError::LinkDown { src: m.src, dst: m.dst, phase });
+                }
             }
-            FaultAction::LinkDown => {
-                FaultStats::bump(&stats.link_downs);
-                return Err(ExecError::LinkDown { src: wire.src, dst, phase });
+        }
+        Ok(())
+    }
+
+    /// Phase-entry fault hooks: injected crash, then injected stall.
+    fn phase_entry_faults(&self, k: usize) -> Result<(), ExecError> {
+        if let Some(fp) = self.opts.fault {
+            if fp.is_crashed(self.rank, k) {
+                return Err(ExecError::RankCrashed { rank: self.rank, phase: k });
+            }
+            let stall = fp.stall(self.rank);
+            if stall > Duration::ZERO {
+                std::thread::sleep(stall);
             }
         }
+        Ok(())
+    }
+
+    /// Blocks for the next envelope of phase `k`, within the receive
+    /// timeout and what is left of the phase `deadline`.
+    fn recv_wait(
+        &self,
+        rx: &Receiver<Envelope>,
+        k: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Envelope, ExecError> {
+        let late = || ExecError::PhaseDeadline { rank: self.rank, phase: k };
+        let left = deadline.map(|dl| dl.checked_duration_since(Instant::now()).ok_or_else(late));
+        let wait =
+            left.transpose()?.map_or(self.opts.recv_timeout, |d| d.min(self.opts.recv_timeout));
+        rx.recv_timeout(wait).map_err(|_| match deadline {
+            Some(dl) if Instant::now() >= dl => late(),
+            _ => ExecError::Timeout { rank: self.rank, phase: k },
+        })
+    }
+
+    /// The rank's thread: per phase, send, collect the phase's arrivals,
+    /// integrate them in program order. `arena` is the rank's staging
+    /// buffer (reduce shapes), `rbuf` its sized receive buffer.
+    fn main(
+        &self,
+        rx: Receiver<Envelope>,
+        arena: &mut [u8],
+        rbuf: &mut Vec<u8>,
+    ) -> Result<(), ExecError> {
+        let (prog, rank, rec) = (self.exec.prog, self.rank, self.opts.recorder);
+        let by_ref = !prog.shape.reduces();
+        // arrivals of phases this rank has not reached yet
+        let mut early: Vec<Envelope> = Vec::new();
+        let mut got: Vec<Option<Vec<u8>>> = Vec::new();
+        for k in 0..prog.phases {
+            let (label, copies) = prog.phase(k);
+            rec.span_begin(rank, label);
+            if let Some(&blocks) = copies.get(rank).filter(|&&blocks| blocks > 0) {
+                rec.copies(rank, blocks);
+            }
+            self.phase_entry_faults(k)?;
+            let deadline = self.opts.phase_deadline.map(|d| Instant::now() + d);
+
+            // the reorder fault holds one message back past its successor
+            let mut held: Option<Envelope> = None;
+            for &id in prog.sends(k, rank) {
+                let m = prog.msg(id);
+                let (wire, bytes) = self.exec.pack(id, arena);
+                // one logical message, however many attempts it takes
+                rec.msg_sent(rank, m.dst, bytes);
+                if held.is_none()
+                    && self.opts.fault.is_some_and(|fp| fp.reorders(rank, m.dst, m.tag))
+                {
+                    FaultStats::bump(&self.stats.reorders);
+                    held = Some((id, wire));
+                    continue;
+                }
+                self.transport_send(id, wire, k)?;
+                if let Some((id, wire)) = held.take() {
+                    self.transport_send(id, wire, k)?;
+                }
+            }
+            if let Some((id, wire)) = held.take() {
+                self.transport_send(id, wire, k)?;
+            }
+
+            // File the phase's arrivals by id. An id past the phase is
+            // early and parked; one below it, or already filed, is a
+            // transport duplicate and dropped before anything integrates.
+            let due = prog.recvs(k, rank);
+            got.clear();
+            got.resize(due.len(), None);
+            let mut waiting = due.len();
+            let mut parked = std::mem::take(&mut early).into_iter();
+            while waiting > 0 {
+                let (id, wire) = match parked.next() {
+                    Some(envelope) => envelope,
+                    None => self.recv_wait(&rx, k, deadline)?,
+                };
+                if id >= due.end {
+                    early.push((id, wire));
+                } else if id >= due.start && got[id - due.start].is_none() {
+                    got[id - due.start] = Some(wire);
+                    waiting -= 1;
+                }
+            }
+            early.extend(parked);
+            for (id, wire) in due.zip(got.drain(..)) {
+                // INVARIANT: the loop above ends when `waiting` — the
+                // count of unfilled entries of `got` — reaches zero.
+                let wire = wire.expect("every due message was filed");
+                let bytes = if by_ref {
+                    self.exec.wire_bytes(id)
+                } else {
+                    self.exec.integrate(id, Wire::Packed(&wire), arena, rbuf)
+                };
+                rec.msg_recvd(rank, prog.msg(id).src, bytes);
+            }
+            rec.span_end(rank, label);
+        }
+        if by_ref {
+            self.exec.deliver(rank, rbuf);
+        }
+        Ok(())
     }
 }
 
-/// Phase-entry fault hooks: injected crash, then injected stall.
-fn phase_entry_faults(r: Rank, k: usize, opts: &ExecOptions<'_>) -> Result<(), ExecError> {
-    if let Some(fp) = opts.fault {
-        if fp.is_crashed(r, k) {
-            return Err(ExecError::RankCrashed { rank: r, phase: k });
-        }
-        let stall = fp.stall(r);
-        if stall > Duration::ZERO {
-            std::thread::sleep(stall);
-        }
-    }
-    Ok(())
-}
-
-/// Computes the receive wait budget, converting an elapsed deadline into
-/// the right typed error.
-fn recv_wait(
-    r: Rank,
-    k: usize,
-    deadline: Option<Instant>,
-    recv_timeout: Duration,
-) -> Result<Duration, ExecError> {
-    let mut wait = recv_timeout;
-    if let Some(dl) = deadline {
-        let now = Instant::now();
-        if now >= dl {
-            return Err(ExecError::PhaseDeadline { rank: r, phase: k });
-        }
-        wait = wait.min(dl - now);
-    }
-    Ok(wait)
-}
-
-/// Folds per-rank results into receive buffers, choosing the most
-/// actionable error when several ranks failed: a [`ExecError::LinkDown`]
+/// Runs a staged execution with one thread per rank. When several ranks
+/// fail the most actionable error is returned: a [`ExecError::LinkDown`]
 /// beats the timeouts it cascades into on peer ranks (they were waiting
 /// for data that could never cross the dead link), so the caller sees
 /// the root cause rather than a symptom.
-fn collect_rank_results(
-    results: Vec<Result<Vec<u8>, ExecError>>,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let mut rbufs = Vec::with_capacity(results.len());
-    let mut first_err: Option<ExecError> = None;
-    for res in results {
-        match res {
-            Ok(b) => rbufs.push(b),
-            Err(e) => {
-                let have_link_down = matches!(first_err, Some(ExecError::LinkDown { .. }));
-                if first_err.is_none()
-                    || (matches!(e, ExecError::LinkDown { .. }) && !have_link_down)
-                {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(rbufs),
-    }
-}
-
-/// The zero-copy arena engine: each rank thread owns its slot table.
-fn run_arena(
-    plan: &Arc<CollectivePlan>,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    arena: &mut BlockArena,
+pub(crate) fn run(
+    staged: &mut Staged,
     opts: &ExecOptions<'_>,
-) -> Result<ExecOutcome, ExecError> {
-    let n = plan.n();
-    let local_stats = FaultStats::default();
-    let stats = opts.fault_sink.unwrap_or(&local_stats);
-    if n == 0 {
-        return Ok(ExecOutcome::default());
-    }
-    let layout = arena.prepare(plan, graph)?;
-    let rbuf_seed = arena.take_rbufs(n);
-    let rbuf_caps: Vec<usize> = rbuf_seed.iter().map(Vec::capacity).collect();
-
-    let mut senders: Vec<Sender<SegWire<'_>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<SegWire<'_>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let senders = Arc::new(senders);
-    let labels: Vec<&'static str> = (0..plan.phase_count()).map(|k| phase_label(plan, k)).collect();
-
-    type RankOut = Result<Vec<u8>, ExecError>;
-    let results: Vec<RankOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (r, rbuf) in rbuf_seed.into_iter().enumerate() {
-            let rx = receivers[r].take().expect("receiver taken once");
-            let senders = Arc::clone(&senders);
-            let rl = &layout.ranks[r];
-            let program = &plan.per_rank[r];
-            let labels = &labels;
-            let own = payloads[r].as_slice();
-            handles.push(scope.spawn(move || -> RankOut {
-                rank_main_arena(r, rl, program, labels, &senders, rx, opts, stats, own, rbuf)
-            }));
-        }
+    stats: &FaultStats,
+) -> Result<(), ExecError> {
+    let Staged { exec, arena: staged, rbufs } = staged;
+    let exec = &*exec;
+    let (senders, receivers): (Vec<_>, Vec<_>) = rbufs.iter().map(|_| channel()).unzip();
+    let arenas =
+        staged.iter_mut().map(Vec::as_mut_slice).chain(std::iter::repeat_with(Default::default));
+    let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
+        let senders = &senders[..];
+        let handles: Vec<_> = receivers
+            .into_iter()
+            .zip(arenas)
+            .zip(rbufs.iter_mut())
+            .enumerate()
+            .map(|(rank, ((rx, arena), rbuf))| {
+                let ctx = RankCtx { exec, rank, senders, opts, stats };
+                scope.spawn(move || ctx.main(rx, arena, rbuf))
+            })
+            .collect();
         handles
             .into_iter()
             .enumerate()
-            .map(|(r, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank: r })))
+            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
             .collect()
     });
-
-    let rbufs = collect_rank_results(results)?;
-    for (r, rb) in rbufs.iter().enumerate() {
-        arena.note_realloc(rb.capacity() != rbuf_caps[r]);
-    }
-    Ok(ExecOutcome { rbufs, faults: stats.snapshot(), sim: None })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rank_main_arena<'a>(
-    r: Rank,
-    rl: &RankLayout,
-    program: &[PlanPhase],
-    labels: &[&'static str],
-    senders: &[Sender<SegWire<'a>>],
-    rx: Receiver<SegWire<'a>>,
-    opts: &ExecOptions<'_>,
-    stats: &FaultStats,
-    own: &'a [u8],
-    mut rbuf: Vec<u8>,
-) -> Result<Vec<u8>, ExecError> {
-    // the slice each slot holds now; `None` until a block reaches it
-    let mut table: Vec<Option<&'a [u8]>> = vec![None; rl.slots.len()];
-    if let Some(slot0) = table.first_mut() {
-        *slot0 = Some(own);
-    }
-    // messages that arrived before their phase
-    let mut parked: HashMap<(Rank, u64), SegWire<'a>> = HashMap::new();
-    // keys already landed — a late duplicate is dropped, not re-landed
-    let mut seen: std::collections::HashSet<(Rank, u64)> = std::collections::HashSet::new();
-    for (k, ops) in rl.phases.iter().enumerate() {
-        opts.recorder.span_begin(r, labels[k]);
-        if program[k].copy_blocks > 0 {
-            opts.recorder.copies(r, program[k].copy_blocks);
-        }
-        phase_entry_faults(r, k, opts)?;
-        let deadline = opts.phase_deadline.map(|d| Instant::now() + d);
-
-        let mut held: Option<(Rank, SegWire<'a>)> = None;
-        for op in &ops.sends {
-            // resolve precomputed slot runs to the descriptors they hold
-            // now — one per block, no bytes moved
-            let segs = slots(&op.runs)
-                .map(|slot| {
-                    table[slot].ok_or(ExecError::MissingBlock {
-                        rank: r,
-                        block: rl.slots[slot],
-                        phase: k,
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let wire = SegWire { src: r, tag: op.tag, segs };
-            let reorder =
-                opts.fault.is_some_and(|fp| fp.reorders(r, op.peer, op.tag) && held.is_none());
-            if reorder {
-                FaultStats::bump(&stats.reorders);
-                held = Some((op.peer, wire));
-                continue;
-            }
-            transport_send(senders, op.peer, wire, k, opts, stats)?;
-            if let Some((dst, w)) = held.take() {
-                transport_send(senders, dst, w, k, opts, stats)?;
-            }
-        }
-        if let Some((dst, w)) = held.take() {
-            transport_send(senders, dst, w, k, opts, stats)?;
-        }
-
-        // land the phase's arrivals in the slots they were posted to; a
-        // slot hit twice (duplicate-delivery plans) gets the same block
-        for op in &ops.recvs {
-            let key = (op.peer, op.tag);
-            let w = loop {
-                if let Some(w) = parked.remove(&key) {
-                    break w;
-                }
-                let wait = recv_wait(r, k, deadline, opts.recv_timeout)?;
-                let w = rx.recv_timeout(wait).map_err(|_| {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        ExecError::PhaseDeadline { rank: r, phase: k }
-                    } else {
-                        ExecError::Timeout { rank: r, phase: k }
-                    }
-                })?;
-                let wkey = (w.src, w.tag);
-                if wkey == key {
-                    break w;
-                }
-                // stray: park if early, drop if a duplicate of a landed key
-                if !seen.contains(&wkey) {
-                    parked.insert(wkey, w);
-                }
-            };
-            seen.insert(key);
-            opts.recorder.msg_recvd(r, w.src, w.byte_len());
-            for (slot, &seg) in slots(&op.runs).zip(&w.segs) {
-                table[slot] = Some(seg);
-            }
-        }
-        opts.recorder.span_end(r, labels[k]);
-    }
-    // assemble the receive buffer from precomputed slot runs — the one
-    // per-byte copy on this engine
-    let mut want = 0usize;
-    for slot in slots(&rl.out_runs) {
-        let seg = table[slot].ok_or(ExecError::Undelivered { rank: r, block: rl.slots[slot] })?;
-        want += seg.len();
-    }
-    rbuf.clear();
-    rbuf.reserve(want);
-    for seg in slots(&rl.out_runs).filter_map(|slot| table[slot]) {
-        rbuf.extend_from_slice(seg);
-    }
-    Ok(rbuf)
+    let mut errors = results.into_iter().filter_map(Result::err);
+    let Some(first) = errors.next() else { return Ok(()) };
+    let is_link_down = |e: &ExecError| matches!(e, ExecError::LinkDown { .. });
+    Err(if is_link_down(&first) { first } else { errors.find(is_link_down).unwrap_or(first) })
 }
 
 #[cfg(test)]
@@ -445,11 +351,14 @@ mod tests {
     #[test]
     fn lost_message_times_out_cleanly() {
         let g = Topology::from_edges(2, [(0, 1)]);
-        let mut plan = plan_naive(&g);
-        plan.per_rank[0][0].sends.clear(); // rank 1 will wait forever
-        let plan = Arc::new(plan);
+        let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(2, 4, 0);
-        let opts = ExecOptions::new().recv_timeout(Duration::from_millis(50));
+        // every attempt dropped, no retries: rank 1 would wait forever
+        let fp = FaultPlan::seeded(1).with_message_drop(1.0);
+        let opts = ExecOptions::new()
+            .recv_timeout(Duration::from_millis(50))
+            .retries(0, Duration::ZERO)
+            .fault(&fp);
         let err = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap_err();
         assert_eq!(err, ExecError::Timeout { rank: 1, phase: 0 });
     }
@@ -499,51 +408,19 @@ mod tests {
 
     #[test]
     fn out_of_order_arrivals_are_parked() {
-        // rank 0 sends two messages in phases 0 and 1; rank 1 receives
-        // them in opposite phases — the phase-1 message must be parked if
-        // it overtakes. (With unbounded channels ordering is FIFO per
-        // pair, so construct cross-pair overtaking instead.)
+        // Rank 2 integrates 0's block in phase 0 and 1's in phase 1.
+        // Rank 0 stalls at every phase entry, so rank 1 — idle in phase
+        // 0 — has sent its phase-1 message long before: it reaches rank
+        // 2 a phase early and must be parked, not dropped or integrated.
         let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
-        // rank 2 expects 0's block in phase 0 and 1's in phase 1; but rank
-        // 1 sends immediately. Its message arrives "early".
-        let plan = Arc::new(crate::plan::CollectivePlan {
-            algorithm: crate::plan::Algorithm::Naive,
-            per_rank: vec![
-                vec![
-                    crate::plan::PlanPhase {
-                        copy_blocks: 0,
-                        sends: vec![crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 0 }],
-                        recvs: vec![],
-                    },
-                    crate::plan::PlanPhase::default(),
-                ],
-                vec![
-                    crate::plan::PlanPhase {
-                        copy_blocks: 0,
-                        sends: vec![crate::plan::PlannedMsg { peer: 2, blocks: vec![1], tag: 1 }],
-                        recvs: vec![],
-                    },
-                    crate::plan::PlanPhase::default(),
-                ],
-                vec![
-                    crate::plan::PlanPhase {
-                        copy_blocks: 0,
-                        sends: vec![],
-                        recvs: vec![crate::plan::PlannedMsg { peer: 0, blocks: vec![0], tag: 0 }],
-                    },
-                    crate::plan::PlanPhase {
-                        copy_blocks: 0,
-                        sends: vec![],
-                        recvs: vec![crate::plan::PlannedMsg { peer: 1, blocks: vec![1], tag: 1 }],
-                    },
-                ],
-            ],
-            selection: None,
-        });
+        let plan =
+            crate::arena::tests::hand_plan(3, 2, &[(0, 0, 2, &[0], &[0]), (1, 1, 2, &[1], &[1])]);
         let payloads = test_payloads(3, 4, 3);
+        let fp = FaultPlan::seeded(0).with_slow_rank(0, Duration::from_millis(5));
+        let opts = ExecOptions::new().fault(&fp);
         for _ in 0..20 {
-            let got = run_checked(&plan, &g, &payloads).unwrap();
-            assert_eq!(got, reference_allgather(&g, &payloads));
+            let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
         }
     }
 

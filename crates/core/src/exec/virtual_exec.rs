@@ -1,25 +1,19 @@
 //! The virtual executor: deterministic, sequential, real bytes.
 //!
-//! Runs all ranks in lock-step, one plan phase at a time. It is the
-//! correctness oracle for every algorithm and topology in the test suite
-//! and scales to thousands of ranks.
-//!
-//! Each rank holds one table of block descriptors laid out by a
-//! precomputed [`crate::arena::ArenaLayout`] (see the arena module docs
-//! for what a descriptor is). A planned message moves the descriptors
-//! the sender's source runs hold *now* into the receiver's destination
-//! runs — one slice copy of 4 B per block for a Distance Halving halving
-//! step — and each receive buffer is then appended straight from the
-//! origin payloads its slots name: every delivered byte is copied once.
-//! Uniform and ragged (`allgatherv`) payloads take the same path; a
-//! block's length is its payload's.
+//! Runs all ranks in lock-step, one program phase at a time, integrating
+//! every message in the program's order. It is the correctness oracle for
+//! every op, algorithm and topology in the test suite and scales to
+//! thousands of ranks. No message is materialised: a gather or routed
+//! block is copied once, from its origin's send buffer into the receive
+//! buffer, when the phases are over; a reduce partial is read where its
+//! sender holds it.
 
-use crate::arena::{two_bufs, ArenaLayout, BlockArena, SlotRun, EMPTY};
-use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::arena::{two_bufs, BlockArena};
+use crate::collective::program::{Staged, Wire};
+use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use nhood_telemetry::Recorder;
-use nhood_topology::{Rank, Topology};
-use std::collections::HashSet;
+use nhood_topology::Topology;
 use std::sync::Arc;
 
 /// The sequential real-bytes backend (see module docs).
@@ -39,143 +33,33 @@ impl Executor for Virtual {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if opts.ragged {
-            check_count(payloads, plan.n())?;
-        } else {
-            check_payloads(payloads, plan.n())?;
-        }
-        let layout = arena.prepare(plan, graph)?;
-        let mut held = arena.take_tables(&layout);
-        let rbufs = forward(plan, &layout, payloads, &mut held, opts.recorder)
-            .and_then(|()| assemble(&layout, payloads, &held, arena));
-        arena.put_tables(held);
-        Ok(ExecOutcome { rbufs: rbufs?, ..ExecOutcome::default() })
+        execute(opts.gather_op(), None, plan, graph, payloads, arena, false, opts)
     }
 }
 
-/// Runs the plan's phases over the slot tables: every send forwards the
-/// descriptors its source runs hold to the slots its receiver posted.
-fn forward(
-    plan: &CollectivePlan,
-    layout: &ArenaLayout,
-    payloads: &[Vec<u8>],
-    held: &mut [Vec<u32>],
-    rec: &dyn Recorder,
-) -> Result<(), ExecError> {
-    // A layout row sees only its own rank's program, so a posted recv
-    // whose send is missing from the peer's program would leave its
-    // slots empty; counting matched deliveries against posted recvs
-    // names the recv rather than whichever slot is read first.
-    let (mut posted, mut delivered) = (0usize, 0usize);
-    for k in 0..layout.phase_count {
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            if prog[k].copy_blocks > 0 {
-                rec.copies(r, prog[k].copy_blocks);
-            }
+/// Runs a staged execution sequentially.
+pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
+    let Staged { exec, arena: staged, rbufs } = staged;
+    let prog = exec.prog;
+    for k in 0..prog.phases {
+        for (r, &blocks) in prog.phase(k).1.iter().enumerate().filter(|(_, &blocks)| blocks > 0) {
+            rec.copies(r, blocks);
         }
-        for (r, rl) in layout.ranks.iter().enumerate() {
-            posted += rl.phases[k].recvs.len();
-            for op in &rl.phases[k].sends {
-                let bytes = held_bytes(&held[r], &op.runs, payloads).map_err(|slot| {
-                    ExecError::MissingBlock { rank: r, block: rl.slots[slot], phase: k }
-                })?;
-                rec.msg_sent(r, op.peer, bytes);
-                // no receive posted at the peer: the message goes nowhere
-                let Some((ph, i)) = op.dst else { continue };
-                rec.msg_recvd(op.peer, r, bytes);
-                let dst_runs = &layout.ranks[op.peer].phases[ph as usize].recvs[i as usize].runs;
-                let (src, dst) = two_bufs(held, r, op.peer);
-                forward_runs(src, &op.runs, dst, dst_runs);
-                delivered += 1;
-            }
+        for id in (0..prog.n).flat_map(|r| prog.recvs(k, r)) {
+            let m = prog.msg(id);
+            let bytes = if prog.shape.reduces() {
+                let (from, to) = two_bufs(staged, m.src, m.dst);
+                exec.integrate(id, Wire::Sender(from), to, &mut rbufs[m.dst])
+            } else {
+                exec.wire_bytes(id)
+            };
+            rec.msg_sent(m.src, m.dst, bytes);
+            rec.msg_recvd(m.dst, m.src, bytes);
         }
     }
-    if delivered < posted {
-        if let Some(unsent) = first_unsent_recv(layout) {
-            return Err(unsent);
-        }
+    if !prog.shape.reduces() {
+        rbufs.iter_mut().enumerate().for_each(|(r, rbuf)| exec.deliver(r, rbuf));
     }
-    Ok(())
-}
-
-/// Builds every rank's receive buffer from the origin payloads its
-/// `out_runs` slots name — the one copy of each delivered byte.
-fn assemble(
-    layout: &ArenaLayout,
-    payloads: &[Vec<u8>],
-    held: &[Vec<u32>],
-    arena: &mut BlockArena,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let mut rbufs = arena.take_rbufs(layout.n());
-    for (r, (rb, rl)) in rbufs.iter_mut().zip(&layout.ranks).enumerate() {
-        let want = held_bytes(&held[r], &rl.out_runs, payloads)
-            .map_err(|slot| ExecError::Undelivered { rank: r, block: rl.slots[slot] })?;
-        let cap = rb.capacity();
-        rb.clear();
-        rb.reserve(want);
-        for &(s, l) in &rl.out_runs {
-            for &id in &held[r][s as usize..(s + l) as usize] {
-                rb.extend_from_slice(&payloads[id as usize]);
-            }
-        }
-        arena.note_realloc(rb.capacity() != cap);
-    }
-    Ok(rbufs)
-}
-
-/// Payload bytes behind the descriptors `runs` covers in one rank's
-/// table, or the first covered slot that holds nothing.
-fn held_bytes(held: &[u32], runs: &[SlotRun], payloads: &[Vec<u8>]) -> Result<usize, usize> {
-    let mut bytes = 0usize;
-    for &(s, l) in runs {
-        for (i, &id) in held[s as usize..(s + l) as usize].iter().enumerate() {
-            if id == EMPTY {
-                return Err(s as usize + i);
-            }
-            bytes += payloads[id as usize].len();
-        }
-    }
-    Ok(bytes)
-}
-
-/// Moves descriptors from `src` slots to `dst` slots, walking the two
-/// run lists in lock-step. Plan mirror-validation makes them carry the
-/// same blocks in the same order; when they disagree the descriptors
-/// still land in message order — whatever was sent, where it was posted —
-/// and a longer receive list keeps its tail slots as they were.
-fn forward_runs(src: &[u32], src_runs: &[SlotRun], dst: &mut [u32], dst_runs: &[SlotRun]) {
-    let mut src_runs = src_runs.iter();
-    let (mut s, mut left) = (0usize, 0usize);
-    for &(d, need) in dst_runs {
-        let (mut d, mut need) = (d as usize, need as usize);
-        while need > 0 {
-            if left == 0 {
-                let Some(&(start, len)) = src_runs.next() else { return };
-                (s, left) = (start as usize, len as usize);
-            }
-            let take = left.min(need);
-            dst[d..d + take].copy_from_slice(&src[s..s + take]);
-            (s, left, d, need) = (s + take, left - take, d + take, need - take);
-        }
-    }
-}
-
-/// Names the first posted recv (rank, then phase order) that no rank's
-/// program sends — the slow path behind the delivery count above.
-fn first_unsent_recv(layout: &ArenaLayout) -> Option<ExecError> {
-    let mut sent: HashSet<(Rank, Rank, u64)> = HashSet::new();
-    for (r, rl) in layout.ranks.iter().enumerate() {
-        sent.extend(rl.phases.iter().flat_map(|ph| &ph.sends).map(|s| (r, s.peer, s.tag)));
-    }
-    for (r, rl) in layout.ranks.iter().enumerate() {
-        for op in rl.phases.iter().flat_map(|ph| &ph.recvs) {
-            if !sent.contains(&(op.peer, r, op.tag)) {
-                let block = op.runs.first().map_or(op.peer, |&(slot, _)| rl.slots[slot as usize]);
-                return Some(ExecError::Undelivered { rank: r, block });
-            }
-        }
-    }
-    None
 }
 
 /// Reference receive buffers straight from the definition — what any
@@ -214,8 +98,10 @@ pub fn test_payloads(n: usize, m: usize, seed: u64) -> Vec<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::tests::hand_plan;
     use crate::builder::build_pattern;
     use crate::common_neighbor::plan_common_neighbor;
+    use crate::exec::Threaded;
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use nhood_cluster::ClusterLayout;
@@ -436,9 +322,33 @@ mod tests {
     }
 
     #[test]
+    fn malformed_peers_fail_typed_on_both_backends() {
+        // regression: a message a rank addressed to itself panicked the
+        // virtual backend (an `assert_ne!`) and was silently delivered by the
+        // threaded one; an out-of-range peer indexed past the ranks
+        let g = Topology::from_edges(2, [(0, 1)]);
+        let payloads = test_payloads(2, 4, 0);
+        for peer in [0, 7] {
+            let msgs = [(0, 0, 1, &[0][..], &[0][..]), (0, 0, 0, &[0], &[0])];
+            let mut plan = hand_plan(2, 1, &msgs);
+            Arc::get_mut(&mut plan).unwrap().per_rank[0][0].sends[1].peer = peer;
+            let backends: [&dyn Executor; 2] = [&Virtual, &Threaded];
+            for exec in backends {
+                assert_eq!(
+                    exec.run_simple(&plan, &g, &payloads).unwrap_err(),
+                    ExecError::MissingBlock { rank: 0, block: peer, phase: 0 },
+                    "{} peer {peer}",
+                    exec.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_send_nobody_receives_goes_nowhere() {
         // regression: indexed a hash map with the missing (src, tag) key
-        // and panicked; the threaded backend parks such a message forever
+        // and panicked; the threaded backend parked such a message
+        // forever. It goes nowhere — and `compile` now says so, typed
         let g = Topology::from_edges(3, [(0, 2)]);
         let mut plan = plan_naive(&g);
         plan.per_rank[0][0].sends.push(crate::plan::PlannedMsg {
@@ -447,32 +357,10 @@ mod tests {
             tag: 9,
         });
         let payloads = test_payloads(3, 4, 0);
-        run_checked(&Arc::new(plan), &g, &payloads).unwrap();
-    }
-
-    #[test]
-    fn forward_runs_walks_differently_fragmented_lists_in_lock_step() {
-        let src = [10, 11, 12, 13, 14, 15, 16];
-        let mut dst = [EMPTY; 8];
-        // 5 blocks: source slots 0-2 and 5-6, landing in slots 1 and 3-6
-        forward_runs(&src, &[(0, 3), (5, 2)], &mut dst, &[(1, 1), (3, 4)]);
-        assert_eq!(dst, [EMPTY, 10, EMPTY, 11, 12, 15, 16, EMPTY]);
-        // a sender that lists fewer blocks than were posted fills a
-        // prefix and leaves the tail as it was; surplus blocks go nowhere
-        let mut dst = [EMPTY, 7, EMPTY];
-        forward_runs(&src, &[(2, 1)], &mut dst, &[(0, 3)]);
-        assert_eq!(dst, [12, 7, EMPTY]);
-        forward_runs(&src, &[(0, 7)], &mut dst, &[(2, 1)]);
-        assert_eq!(dst, [12, 7, 10]);
-    }
-
-    #[test]
-    fn held_bytes_sums_payload_lengths_and_names_the_first_empty_slot() {
-        let payloads = vec![vec![0u8; 3], vec![], vec![0u8; 5]];
-        let held = [2, 1, EMPTY, 0];
-        assert_eq!(held_bytes(&held, &[(0, 2), (3, 1)], &payloads), Ok(8));
-        assert_eq!(held_bytes(&held, &[(3, 1), (1, 2)], &payloads), Err(2));
-        assert_eq!(held_bytes(&held, &[], &payloads), Ok(0));
+        assert_eq!(
+            run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
+            ExecError::Undelivered { rank: 1, block: 0 }
+        );
     }
 
     #[test]

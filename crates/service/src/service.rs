@@ -19,14 +19,14 @@
 //!    throughput lever (disable it with
 //!    [`ServiceConfig::batching`]` = false` to get the
 //!    one-call-API-per-request baseline).
-//! 3. Fault-armed tenants execute gather ops through the robust
+//! 3. Fault-armed tenants execute every op through the robust
 //!    threaded path (the only transport that injects faults); their
 //!    requests group per-tenant so a degraded tenant never shares a
 //!    batch with a clean one. Combining ops (alltoallv,
-//!    reduce_scatter, allreduce) run the message-combining engine via
-//!    [`DistGraphComm::collective`] and never share a batch with
-//!    gather traffic — the two families plan differently, so the
-//!    grouping key carries the op's plan tag next to the fingerprint.
+//!    reduce_scatter, allreduce) run the same engine as gathers but
+//!    never share a batch with them — the two families plan
+//!    differently, so the grouping key carries the op's plan tag next
+//!    to the fingerprint.
 //! 4. [`Service::churn`] applies PR 6 topology mutations to a live
 //!    tenant **without draining the queue**: the communicator repairs
 //!    (or rebuilds) its plan in place and the tenant's fingerprint is
@@ -43,8 +43,7 @@ use nhood_core::collective::matches_reference;
 use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v};
 use nhood_core::{
     Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType,
-    DistGraphComm, ExecBackend, ExecOptions, Executor, MutationReport, PlanCache, PlanFingerprint,
-    Reduction, SimCost, Threaded, Virtual,
+    DistGraphComm, ExecBackend, MutationReport, PlanCache, PlanFingerprint, Reduction, SimCost,
 };
 use nhood_simnet::{Engine, Perturbation};
 use nhood_telemetry::{labels, CountingRecorder, Recorder};
@@ -237,7 +236,6 @@ struct Pending {
     op: CollectiveOp,
     payloads: Vec<Vec<u8>>,
     sizes: Option<BlockSizes>,
-    ragged: bool,
     arrived: Instant,
 }
 
@@ -247,8 +245,8 @@ struct Tenant {
     /// Grouping key: digests graph + layout + algo + size table +
     /// metric, recomputed on churn (not per request).
     fp: PlanFingerprint,
-    /// Persistent arena — stays laid out for the tenant's live plan, so
-    /// batched requests skip per-request layout work.
+    /// Persistent arena — keeps the programs of the tenant's live plan,
+    /// so batched requests skip per-request compile work.
     arena: BlockArena,
     faulty: bool,
     queued: usize,
@@ -256,9 +254,9 @@ struct Tenant {
 }
 
 /// Batch grouping key: clean tenants coalesce across tenants by
-/// fingerprint **and** engine (`op.is_gather()` — gather and
-/// message-combining traffic share a plan, not an executor, and only
-/// gathers batch through an arena); fault-armed tenants stay per-tenant.
+/// fingerprint **and** family (`op.is_gather()` — under `Auto` or a
+/// pinned size table gather and message-combining traffic resolve
+/// different plans); fault-armed tenants stay per-tenant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum BatchKey {
     Clean(PlanFingerprint, bool),
@@ -278,7 +276,7 @@ pub struct Service {
     stats: ServiceStats,
     latencies_us: Vec<u64>,
     completions: Vec<Completion>,
-    /// One set of receive buffers handed from gather request to gather
+    /// One set of receive buffers handed from clean request to clean
     /// request inside a [`Service::tick`]; empty between ticks, so the
     /// service holds no receive-buffer capacity while idle.
     spare: Vec<Vec<u8>>,
@@ -491,13 +489,16 @@ impl Service {
                 retry_after: self.ema.retry_after(t.queued),
             });
         }
+        // the uniform contract is the submitter's to claim, not to break
         let ragged = payloads.windows(2).any(|w| w[0].len() != w[1].len());
+        let op =
+            if op == CollectiveOp::Allgather && ragged { CollectiveOp::Allgatherv } else { op };
         let id = self.next_id;
         self.next_id += 1;
         t.queued += 1;
         t.stats.admitted += 1;
         self.stats.admitted += 1;
-        self.queue.push_back(Pending { id, tenant, op, payloads, sizes, ragged, arrived });
+        self.queue.push_back(Pending { id, tenant, op, payloads, sizes, arrived });
         Ok(id)
     }
 
@@ -606,21 +607,16 @@ impl Service {
         finished
     }
 
-    /// A clean group: one plan fetch for the whole batch (every member
-    /// shares the group fingerprint, so the leader's plan is everyone's
-    /// plan), warm per-tenant arenas, the tick's spare receive buffers.
-    /// Combining-family groups route through
-    /// [`DistGraphComm::collective`] per request — the communicator's
-    /// memoized routing plan plays the leader-plan role.
+    /// A clean group, any op: warm per-tenant arenas and the tick's spare
+    /// receive buffers, through [`DistGraphComm::collective_on`]. A
+    /// gather group pays one plan fetch for the whole batch (every
+    /// member shares the group fingerprint, so the leader's plan is
+    /// everyone's plan); a combining group resolves through each
+    /// communicator's memoized routing plan.
     fn run_clean_batch(&mut self, batch: Vec<Pending>) {
-        if !batch[0].op.is_gather() {
-            for req in batch {
-                self.run_combining(req);
-            }
-            return;
-        }
+        let gather = batch[0].op.is_gather();
         let lead = &self.tenants[batch[0].tenant];
-        let plan = match lead.comm.plan_shared(lead.algo) {
+        let plan = match gather.then(|| lead.comm.plan_shared(lead.algo)).transpose() {
             Ok(p) => p,
             Err(e) => {
                 for req in batch {
@@ -629,24 +625,22 @@ impl Service {
                 return;
             }
         };
-        let exec: &dyn Executor = match self.cfg.backend {
-            Backend::Virtual => &Virtual,
-            Backend::Threaded => &Threaded,
-            Backend::Sim => {
-                for req in batch {
-                    let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-                    let t = &self.tenants[req.tenant];
-                    match simulate_v(&plan, t.comm.layout(), &sizes, &self.cfg.sim_cost) {
-                        Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
-                        Err(e) => self.fail(req, e),
-                    }
-                }
-                return;
-            }
-        };
         for req in batch {
-            let opts = ExecOptions::new().ragged(req.ragged).recorder(&self.rec);
             let t = &mut self.tenants[req.tenant];
+            if let (Backend::Sim, Some(plan)) = (self.cfg.backend, &plan) {
+                // no bytes move: the gather plan's schedule alone
+                let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
+                match simulate_v(plan, t.comm.layout(), &sizes, &self.cfg.sim_cost) {
+                    Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
+                    Err(e) => self.fail(req, e),
+                }
+                continue;
+            }
+            let mut creq = CollectiveRequest::new(req.op, &req.payloads)
+                .algorithm(t.algo)
+                .backend(self.cfg.backend)
+                .recorder(&self.rec);
+            creq.sizes = req.sizes.clone();
             // The warm per-tenant arena is part of the batching design;
             // with batching off each request pays a cold arena, exactly
             // like the public one-call API.
@@ -658,61 +652,41 @@ impl Service {
                 &mut scratch
             };
             arena.adopt_rbufs(std::mem::take(&mut self.spare));
-            let res = exec.run(&plan, t.comm.graph(), &req.payloads, arena, &opts);
+            let res = t.comm.collective_on(&creq, plan.as_ref(), arena);
             // a failed run may leave the set adopted; it must not outlive the tick
             arena.adopt_rbufs(Vec::new());
-            self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true);
+            match res {
+                Ok(out) if self.cfg.backend == Backend::Sim => {
+                    self.finish(req, CLEAN, None, None, out.sim.map(|s| s.makespan))
+                }
+                res => self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true),
+            }
         }
     }
 
-    /// One combining-family request (alltoallv, reduce_scatter,
-    /// allreduce): the message-combining engine behind
-    /// [`DistGraphComm::collective`], on the configured backend. The
-    /// communicator memoizes the routing plan, so a batch of these pays
-    /// planning once per topology epoch, not per request.
-    fn run_combining(&mut self, req: Pending) {
-        let res = {
-            let t = &self.tenants[req.tenant];
-            let mut creq = CollectiveRequest::new(req.op, &req.payloads)
-                .algorithm(t.algo)
-                .backend(self.cfg.backend)
-                .recorder(&self.rec);
-            if let Some(s) = req.sizes.clone() {
-                creq = creq.sizes(s);
-            }
-            t.comm.collective(&creq)
-        };
-        match res {
-            Ok(out) if self.cfg.backend == Backend::Sim => {
-                self.finish(req, CLEAN, None, None, out.sim.map(|s| s.makespan))
-            }
-            res => self.complete(req, res.map(|out| (CLEAN, out.rbufs)), false),
-        }
-    }
-
-    /// A fault-armed tenant's group: gather requests run the robust
-    /// path (threaded transport — the only one that injects faults),
-    /// with plan negotiation amortized by the tenant's live churn slot
-    /// and the shared cache. On [`Backend::Sim`] the fault plan lowers
-    /// to a latency perturbation instead. Combining ops have no robust
-    /// transport — a fault-armed tenant's alltoallv/reduce traffic runs
-    /// the plain combining engine.
+    /// A fault-armed tenant's group: every op runs the robust path
+    /// (threaded transport — the only one that injects faults), with
+    /// plan negotiation amortized by the tenant's live churn slot and
+    /// the shared cache. On [`Backend::Sim`] a gather's fault plan
+    /// lowers to a latency perturbation instead, and combining traffic
+    /// simulates clean.
     fn run_robust_batch(&mut self, batch: Vec<Pending>) {
         for req in batch {
-            if !req.op.is_gather() {
-                self.run_combining(req);
-                continue;
-            }
             if self.cfg.backend == Backend::Sim {
-                self.run_sim_perturbed(req);
+                if req.op.is_gather() {
+                    self.run_sim_perturbed(req);
+                } else {
+                    self.run_clean_batch(vec![req]);
+                }
                 continue;
             }
             let t = &self.tenants[req.tenant];
-            let creq = CollectiveRequest::new(req.op, &req.payloads)
+            let mut creq = CollectiveRequest::new(req.op, &req.payloads)
                 .algorithm(t.algo)
                 .robust(true)
                 .backend(ExecBackend::Threaded)
                 .recorder(&self.rec);
+            creq.sizes = req.sizes.clone();
             let res = t.comm.collective(&creq).map_err(|e| e.to_string()).and_then(|out| {
                 let rep = out.report.ok_or("robust run returned no execution report")?;
                 let outcome = Outcome::Completed {
@@ -1218,16 +1192,21 @@ mod tests {
     }
 
     #[test]
-    fn faulty_tenant_combining_traffic_uses_the_plain_engine() {
+    fn faulty_tenant_combining_traffic_runs_the_robust_path() {
         use nhood_core::FaultPlan;
         let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
         let mut svc = Service::new(cfg);
         let g = erdos_renyi(12, 0.35, 9);
-        let comm = DistGraphComm::create_adjacent(g, layout_for(12))
-            .unwrap()
-            .with_fault_plan(FaultPlan::seeded(3).with_message_drop(0.05));
+        let comm = DistGraphComm::create_adjacent(g, layout_for(12)).unwrap().with_fault_plan(
+            FaultPlan::seeded(3).with_message_drop(0.2).with_message_duplication(0.5),
+        );
         let t = svc.add_tenant_comm(comm, Algorithm::DistanceHalving).unwrap();
-        svc.submit(t, uniform_payloads(12, 24, 0)).unwrap();
+        svc.submit_request(t, SubmitRequest::alltoallv(combining_payloads(&svc, t, 8, 2))).unwrap();
+        svc.submit_request(
+            t,
+            SubmitRequest::reduce_scatter(combining_payloads(&svc, t, 8, 3), Reduction::SUM_U8),
+        )
+        .unwrap();
         svc.submit_request(
             t,
             SubmitRequest::allreduce(uniform_payloads(12, 24, 1), Reduction::SUM_U8),
@@ -1235,8 +1214,12 @@ mod tests {
         .unwrap();
         svc.drain();
         let report = svc.report();
-        assert_eq!(report.stats.completed + report.stats.failed, 2);
-        assert_eq!(report.stats.corrupt, 0);
+        assert_eq!(report.stats.completed + report.stats.failed, 3);
+        assert!(report.stats.completed > 0, "a 20 % drop rate is survivable");
+        assert_eq!(report.stats.verified, report.stats.completed);
+        assert_eq!(report.stats.corrupt, 0, "no operator was applied twice");
+        // only a transport that consults the fault plan retries a send
+        assert!(report.counters.expect("counting recorder").retries > 0);
     }
 
     #[test]

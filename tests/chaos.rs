@@ -351,3 +351,133 @@ fn direct_threaded_exact_under_retry_budget() {
         }
     }
 }
+
+/// Send buffers of every combining op on `g`: alltoallv and
+/// reduce_scatter at one `m`-byte block per out-neighbor, allreduce at
+/// one per rank; `f32` fills whole lanes with small finite values.
+fn combining_ops(g: &Topology, m: usize) -> Vec<(nhood_core::CollectiveOp, Vec<Vec<u8>>)> {
+    use nhood_core::{CollectiveOp, DType, ReduceOp, Reduction};
+    let bytes =
+        |p: usize, len: usize| -> Vec<u8> { (0..len).map(|i| (p * 31 + i * 7) as u8).collect() };
+    let lanes = |p: usize, len: usize| -> Vec<u8> {
+        (0..len / 4).flat_map(|i| ((p * 13 + i) as f32 * 0.37 - 5.0).to_le_bytes()).collect()
+    };
+    let per_edge = |fill: &dyn Fn(usize, usize) -> Vec<u8>| -> Vec<Vec<u8>> {
+        (0..g.n()).map(|p| fill(p, g.outdegree(p) * m)).collect()
+    };
+    let f32_sum = Reduction::new(ReduceOp::Sum, DType::F32);
+    vec![
+        (CollectiveOp::Alltoallv, per_edge(&bytes)),
+        (CollectiveOp::ReduceScatter(Reduction::SUM_U8), per_edge(&bytes)),
+        (
+            CollectiveOp::Allreduce(Reduction::new(ReduceOp::Max, DType::U32)),
+            test_payloads(g.n(), m, 5),
+        ),
+        (CollectiveOp::ReduceScatter(f32_sum), per_edge(&lanes)),
+        (CollectiveOp::Allreduce(f32_sum), (0..g.n()).map(|p| lanes(p, m)).collect()),
+    ]
+}
+
+/// A communicator whose Distance Halving plan is live (so the drills
+/// exercise the data path, not the negotiation) under `fp` and `policy`.
+fn armed(g: &Topology, fp: Option<FaultPlan>, policy: RobustPolicy) -> DistGraphComm {
+    let comm = DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(4, 2, 4)).unwrap();
+    let mut comm = comm.with_policy(policy);
+    comm.mutate(&[], &[]).unwrap();
+    match fp {
+        Some(fp) => comm.with_fault_plan(fp),
+        None => comm,
+    }
+}
+
+fn robust_threaded(op: nhood_core::CollectiveOp, sbufs: &[Vec<u8>]) -> CollectiveRequest<'_> {
+    CollectiveRequest::new(op, sbufs).robust(true).backend(ExecBackend::Threaded)
+}
+
+/// One transport for every op: the combining family under 5 % drops,
+/// duplicates, reorders and 300 µs delays. Exact lanes are byte-equal to
+/// the reference; an f32 sum is **bit-equal to the fault-free run** —
+/// the proof that no duplicate or retry folded anything twice.
+#[test]
+fn combining_ops_survive_drop_duplicate_reorder_delay() {
+    use nhood_core::{collective::reference, DType};
+    let g = nhood_topology::random::erdos_renyi(32, 0.3, 17);
+    let clean = armed(&g, None, RobustPolicy::default());
+    for (op, sbufs) in combining_ops(&g, 16) {
+        let quiet = clean.collective(&robust_threaded(op, &sbufs)).unwrap();
+        assert_eq!(quiet.faults.total_injected(), 0);
+        for seed in [3u64, 0xC0FFEE, 0xACCE97] {
+            let fp = FaultPlan::seeded(seed)
+                .with_message_drop(0.05)
+                .with_message_duplication(0.05)
+                .with_message_reorder(0.05)
+                .with_message_delay(0.05, Duration::from_micros(300));
+            let comm = armed(&g, Some(fp), RobustPolicy::default());
+            let out = comm.collective(&robust_threaded(op, &sbufs)).unwrap();
+            let report = out.report.expect("robust runs carry an execution report");
+            assert!(report.clean(), "{op} seed {seed}: {report}");
+            assert!(report.faults.total_injected() > 0, "{op} seed {seed}: no fault fired");
+            if op.reduction().is_some_and(|red| red.dtype == DType::F32) {
+                assert_eq!(out.rbufs, quiet.rbufs, "{op} seed {seed}: an operator ran twice");
+            } else {
+                assert_eq!(out.rbufs, reference(&g, op, &sbufs, None).unwrap(), "{op} seed {seed}");
+            }
+        }
+    }
+}
+
+/// Every attempt of every message dropped: neither the requested plan
+/// nor the naive fallback can finish, and the caller must see a
+/// timeout-class error within its budget — never a hang.
+#[test]
+fn an_unsurvivable_combining_schedule_is_timeout_class() {
+    use nhood_core::CommError;
+    let g = nhood_topology::random::erdos_renyi(16, 0.4, 31);
+    let policy = RobustPolicy { recv_timeout: Duration::from_millis(200), ..Default::default() };
+    let comm = armed(&g, Some(FaultPlan::seeded(1).with_message_drop(1.0)), policy);
+    for (op, sbufs) in combining_ops(&g, 8) {
+        let t0 = Instant::now();
+        match comm.collective(&robust_threaded(op, &sbufs)) {
+            Err(CommError::Exec(e)) => assert!(e.is_timeout_class(), "{op}: {e:?}"),
+            other => panic!("{op}: expected a timeout-class error, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(10), "{op} hung");
+    }
+}
+
+/// Every relay link of the Distance Halving plan — a pair of ranks no
+/// graph edge joins — is dead and repair is off: each combining op
+/// degrades to the naive program, which crosses graph edges only, and
+/// says so in its report.
+#[test]
+fn a_dead_link_degrades_combining_ops_to_the_naive_program() {
+    use nhood_core::{collective::reference, DType, FallbackReason};
+    let g = nhood_topology::random::erdos_renyi(32, 0.3, 17);
+    // ranks waiting on the rank that hit the dead link sit out one
+    // receive timeout before the failed attempt returns
+    let policy = RobustPolicy {
+        repair_link_down: false,
+        recv_timeout: Duration::from_millis(300),
+        ..Default::default()
+    };
+    let plan = Arc::clone(armed(&g, None, policy).churn_plan().unwrap());
+    let mut fp = FaultPlan::seeded(7);
+    for (r, prog) in plan.per_rank.iter().enumerate() {
+        for peer in prog.iter().flat_map(|ph| &ph.sends).map(|msg| msg.peer) {
+            if !g.has_edge(r, peer) && !g.has_edge(peer, r) {
+                fp = fp.with_link_down(r, peer, 0);
+            }
+        }
+    }
+    let comm = armed(&g, Some(fp), policy);
+    for (op, sbufs) in combining_ops(&g, 8) {
+        let out = comm.collective(&robust_threaded(op, &sbufs)).unwrap();
+        let report = out.report.expect("robust runs carry an execution report");
+        assert_eq!(report.used, Algorithm::Naive, "{op}: {report}");
+        assert!(matches!(report.fallback, Some(FallbackReason::ExecFailed(_))), "{op}: {report}");
+        assert!(report.faults.link_downs >= 1, "{op}: {report}");
+        if !op.reduction().is_some_and(|red| red.dtype == DType::F32) {
+            assert_eq!(out.rbufs, reference(&g, op, &sbufs, None).unwrap(), "{op}");
+        }
+    }
+}

@@ -3,7 +3,8 @@
 //! the message-combining trio — must agree byte-for-byte with its
 //! naive MPI-semantics reference on **all three backends**, ragged
 //! shapes (zero-length blocks included) and every algorithm of the
-//! portfolio — cold, warm and after churn. Unsupported (op, algorithm,
+//! portfolio — cold, warm and after churn: one generator, one oracle,
+//! one sweep for the one engine. Unsupported (op, algorithm,
 //! robustness, backend) combinations must fail *typed*, before any work
 //! happens, and f32 folds must be bit-deterministic across backends and
 //! repeat runs.
@@ -12,7 +13,6 @@ use nhood_cluster::ClusterLayout;
 use nhood_core::collective::{
     derive_sizes, reference, reference_allreduce, reference_alltoallv, reference_reduce_scatter,
 };
-use nhood_core::exec::virtual_exec::reference_allgather;
 use nhood_core::{
     Algorithm, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType, DistGraphComm,
     ExecBackend, ReduceOp, Reduction,
@@ -31,17 +31,6 @@ fn layout_for(n: usize) -> ClusterLayout {
 fn uniform_payloads(n: usize, m: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = DetRng::seed_from_u64(seed);
     (0..n).map(|_| (0..m).map(|_| rng.next_u64() as u8).collect()).collect()
-}
-
-/// Ragged per-rank payloads with deliberate zero-length blocks.
-fn ragged_payloads(n: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = DetRng::seed_from_u64(seed);
-    (0..n)
-        .map(|r| {
-            let len = if r % 5 == 0 { 0 } else { 1 + rng.gen_below(24) };
-            (0..len).map(|_| rng.next_u64() as u8).collect()
-        })
-        .collect()
 }
 
 /// Per-source alltoallv send buffers: rank `p` holds `outdeg(p)` blocks
@@ -64,74 +53,6 @@ fn alltoallv_payloads(g: &Topology, seed: u64) -> (Vec<Vec<u8>>, BlockSizes) {
 fn reduce_scatter_payloads(g: &Topology, m: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = DetRng::seed_from_u64(seed);
     (0..g.n()).map(|p| (0..g.outdegree(p) * m).map(|_| rng.next_u64() as u8).collect()).collect()
-}
-
-fn run(comm: &DistGraphComm, req: CollectiveRequest, label: &std::fmt::Arguments) -> Vec<Vec<u8>> {
-    comm.collective(&req).unwrap_or_else(|e| panic!("{label}: {e}")).rbufs
-}
-
-/// The headline property: `collective(op) ≡ naive reference` for all
-/// four op families, across sizes, densities, algorithms and backends.
-/// Sim is included because it moves real bytes alongside the latency
-/// model.
-#[test]
-fn every_op_matches_its_reference_on_every_backend() {
-    for &(n, delta) in &[(24usize, 0.1f64), (32, 0.3), (48, 0.6)] {
-        let g = nhood_topology::random::erdos_renyi(n, delta, 0xC011EC7);
-        let comm = DistGraphComm::create_adjacent(g.clone(), layout_for(n)).unwrap();
-        let seed = (n as u64) << 8 | (delta * 10.0) as u64;
-
-        let uniform = uniform_payloads(n, 16, seed);
-        let ragged = ragged_payloads(n, seed ^ 1);
-        let (a2a, a2a_sizes) = alltoallv_payloads(&g, seed ^ 2);
-        let rs = reduce_scatter_payloads(&g, 8, seed ^ 3);
-        let red = Reduction::SUM_U8;
-
-        let want_ag = reference_allgather(&g, &uniform);
-        let want_agv = reference_allgather(&g, &ragged);
-        let want_a2a = reference_alltoallv(&g, &a2a, &a2a_sizes);
-        let want_rs = reference_reduce_scatter(&g, &rs, &BlockSizes::uniform(8), red);
-        let want_ar = reference_allreduce(&g, &uniform, red);
-
-        for algo in ALGOS {
-            for backend in BACKENDS {
-                let ctx = format_args!("n={n} δ={delta} {algo} {backend:?}");
-                let got = run(
-                    &comm,
-                    CollectiveRequest::allgather(&uniform).algorithm(algo).backend(backend),
-                    &ctx,
-                );
-                assert_eq!(got, want_ag, "allgather {ctx}");
-                let got = run(
-                    &comm,
-                    CollectiveRequest::allgatherv(&ragged).algorithm(algo).backend(backend),
-                    &ctx,
-                );
-                assert_eq!(got, want_agv, "allgatherv {ctx}");
-                let got = run(
-                    &comm,
-                    CollectiveRequest::alltoallv(&a2a)
-                        .algorithm(algo)
-                        .sizes(a2a_sizes.clone())
-                        .backend(backend),
-                    &ctx,
-                );
-                assert_eq!(got, want_a2a, "alltoallv {ctx}");
-                let got = run(
-                    &comm,
-                    CollectiveRequest::reduce_scatter(&rs, red).algorithm(algo).backend(backend),
-                    &ctx,
-                );
-                assert_eq!(got, want_rs, "reduce_scatter {ctx}");
-                let got = run(
-                    &comm,
-                    CollectiveRequest::allreduce(&uniform, red).algorithm(algo).backend(backend),
-                    &ctx,
-                );
-                assert_eq!(got, want_ar, "allreduce {ctx}");
-            }
-        }
-    }
 }
 
 /// Lane-typed reductions (Max/U32) agree with the reference too — the
@@ -187,11 +108,11 @@ fn f32_allreduce_is_bit_deterministic_across_backends() {
 }
 
 /// The support matrix rejects out-of-matrix combinations *typed* and
-/// before any execution: robust reductions (idempotent retry cannot
-/// replay hop-applied reductions), robust off-threaded, PAT's reduce ops
-/// and undefined operator/lane pairs. Robust alltoallv — items, no
-/// reductions — is IN the matrix and must run, and so is every combining
-/// op under Common Neighbor and the leader design.
+/// before any execution: robust off-threaded, PAT's reduce ops and
+/// undefined operator/lane pairs. Robust combining ops — reductions
+/// included: a retry restarts from the send buffers — are IN the matrix
+/// and must run, and so is every combining op under Common Neighbor and
+/// the leader design.
 #[test]
 fn unsupported_combinations_fail_typed() {
     let n = 16;
@@ -200,11 +121,13 @@ fn unsupported_combinations_fail_typed() {
     let (a2a, sizes) = alltoallv_payloads(&g, 5);
     let uniform = uniform_payloads(n, 8, 5);
 
-    // robust covers the gather family and alltoallv, not reductions
-    let req = CollectiveRequest::reduce_scatter(&uniform, Reduction::SUM_U8)
-        .robust(true)
-        .backend(ExecBackend::Threaded);
-    assert!(matches!(comm.collective(&req), Err(CommError::UnsupportedCollective { .. })));
+    // robust reductions run and report clean
+    let rs = reduce_scatter_payloads(&g, 8, 5);
+    let red = Reduction::SUM_U8;
+    let req = CollectiveRequest::reduce_scatter(&rs, red).robust(true);
+    let out = comm.collective(&req.backend(ExecBackend::Threaded)).expect("robust reduce_scatter");
+    assert_eq!(out.rbufs, reference_reduce_scatter(&g, &rs, &BlockSizes::uniform(8), red));
+    assert!(out.report.expect("robust run carries a report").clean());
 
     // robust alltoallv runs and reports clean
     let req = CollectiveRequest::alltoallv(&a2a)
@@ -252,10 +175,10 @@ struct Case {
     sizes: BlockSizes,
 }
 
-/// Every combining op on `g`, uniform and — where the op allows —
-/// ragged with zero sizes: alltoallv, then reduce_scatter and allreduce
-/// under an exact lane and both f32 operators.
-fn combining_cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
+/// Every op on `g`, uniform and — where the op allows — ragged with zero
+/// sizes: allgather / allgatherv, alltoallv, then reduce_scatter and
+/// allreduce under an exact lane and both f32 operators.
+fn cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
     let n = g.n();
     let uniform = BlockSizes::uniform(8);
     let ragged =
@@ -280,6 +203,9 @@ fn combining_cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
             let sbufs = (0..n).map(|p| fill(op, len(p))).collect();
             cases.push(Case { op, sbufs, sizes: sizes.clone() });
         };
+        let gather =
+            if sizes.is_uniform() { CollectiveOp::Allgather } else { CollectiveOp::Allgatherv };
+        case(gather, &|p| sizes.size(p));
         case(CollectiveOp::Alltoallv, &|p| g.outdegree(p) * sizes.size(p));
         for red in reds {
             let to_dsts = |p: usize| g.out_neighbors(p).iter().map(|&d| sizes.size(d)).sum();
@@ -292,8 +218,8 @@ fn combining_cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
     cases
 }
 
-/// The support matrix as one sweep: every combining op × every algorithm
-/// of the portfolio × every backend × uniform and ragged sizes, on a
+/// The support matrix as one sweep: every op × every algorithm of the
+/// portfolio × every backend × uniform and ragged sizes, on a
 /// fresh communicator and again after each single-edge mutation (Distance
 /// Halving then runs the surgically repaired live plan), against
 /// [`reference`]. Exact lanes and f32 `Max` are byte-equal to it; f32
@@ -329,7 +255,7 @@ fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
                 assert!(!rep.full_rebuild, "n={n}: one edge repairs surgically");
             }
             let g = comm.graph().clone();
-            for case in combining_cases(&g, rng) {
+            for case in cases(&g, rng) {
                 let Case { op, sbufs, sizes } = &case;
                 let want = reference(&g, *op, sbufs, Some(sizes)).unwrap();
                 let f32_sum = op.reduction() == Some(Reduction::new(ReduceOp::Sum, DType::F32));
