@@ -43,11 +43,14 @@ pub const GATE_SHARD_SPEEDUP: f64 = 2.0;
 pub const GATE_RSS_RATIO: f64 = 10.0;
 /// Required decode-validate / mmap first-rank-ready warm-start ratio.
 /// It stood at 5.0 while the slow arm's `validate` hashed every message
-/// (≈ 10× measured); on dense ids that arm is ≈ 2.6× faster at
-/// n = 10 000 and the mapped arm is unchanged, so the ratio reads ≈ 4×
-/// (3.75–6.71× over seven full runs). The claim it guards — the mapped
-/// path is worth having — holds at 3.0.
-pub const GATE_MMAP_SPEEDUP: f64 = 3.0;
+/// (≈ 10× measured) and at 3.0 while `decode_plan` allocated a vector
+/// per message (3.75–6.71×). Decoding into the flat tables, the slow arm
+/// at n = 10 000 is 10.6–14.2 ms (16.5–18.0 ms at the parent, same host,
+/// alternating runs) against a mapped arm of 3.8–4.7 ms on both trees —
+/// two checksum passes over the file, which only a format change moves
+/// — so the ratio reads 2.30–3.29× (2.45–3.02× at `--quick`'s n = 2 025).
+/// The claim it guards — the mapped path is worth having — holds at 2.0.
+pub const GATE_MMAP_SPEEDUP: f64 = 2.0;
 
 /// Pool width 1 vs the full pool on one schedule (same engine).
 #[derive(Debug, Clone)]
@@ -275,9 +278,7 @@ pub fn mmap_cell(graph: &Topology, plan: &CollectivePlan, reps: usize) -> MmapRo
     let cache = PlanCache::new(2).with_disk_dir(&dir).expect("disk tier");
     let mapped = cache.lookup_mapped(fp, graph).expect("mapped disk hit");
     let (mmap_full_secs, materialized) = timed(reps, || mapped.to_plan().expect("materialize"));
-    let identical = materialized.per_rank == plan.per_rank
-        && materialized.algorithm == plan.algorithm
-        && materialized.selection == plan.selection;
+    let identical = materialized == *plan;
     drop(mapped);
     let _ = std::fs::remove_dir_all(&dir);
     MmapRow { n, decode_validate_secs, mmap_fast_secs, mmap_full_secs, fast_path_hit, identical }
@@ -459,7 +460,7 @@ mod tests {
         assert_eq!(g.shard_speedup_ok, host < 4);
 
         // Slow mmap or a missed fast path fails unconditionally.
-        let g = gates(&bench(3.0, (Some(1), Some(1)), 2.0));
+        let g = gates(&bench(3.0, (Some(1), Some(1)), 1.5));
         assert!(!g.mmap_speedup_ok && !g.all_ok(), "{g:?}");
         let mut b = bench(3.0, (Some(1), Some(1)), 8.0);
         b.mmap.fast_path_hit = false;

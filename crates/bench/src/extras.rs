@@ -29,14 +29,12 @@ pub fn run_model_example(out: &Path) -> std::io::Result<Report> {
     let n = graph.n() as f64;
     let mut off = 0usize;
     let mut intra = 0usize;
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for phase in prog {
-            for m in &phase.sends {
-                if layout.same_socket(r, m.peer) {
-                    intra += 1;
-                } else {
-                    off += 1;
-                }
+    for r in 0..plan.n() {
+        for m in plan.phases(r).flat_map(|phase| phase.sends()) {
+            if layout.same_socket(r, m.peer()) {
+                intra += 1;
+            } else {
+                off += 1;
             }
         }
     }

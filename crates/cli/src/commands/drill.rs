@@ -217,14 +217,11 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     // Link-down drill: kill a relay link (a plan send that is not a
     // graph edge) mid-collective and require recovery by repair.
     let plan = comm.churn_plan().expect("warm-up built the live plan").clone();
-    let link = plan.per_rank.iter().enumerate().find_map(|(r, prog)| {
-        prog.iter().enumerate().find_map(|(k, ph)| {
-            ph.sends
-                .iter()
-                .find(|msg| {
-                    !comm.graph().has_edge(r, msg.peer) && !comm.graph().has_edge(msg.peer, r)
-                })
-                .map(|msg| (r, msg.peer, k))
+    let g = comm.graph();
+    let link = (0..plan.n()).find_map(|r| {
+        plan.phases(r).enumerate().find_map(|(k, phase)| {
+            let mut peers = phase.sends().map(|m| m.peer());
+            peers.find(|&p| !g.has_edge(r, p) && !g.has_edge(p, r)).map(|p| (r, p, k))
         })
     });
     match link {

@@ -33,19 +33,18 @@ use nhood_cluster::ClusterLayout;
 use nhood_simnet::{Engine, SimReport};
 use nhood_topology::{Rank, Topology};
 
-/// The items every send of a gather plan carries. Messages are numbered
-/// in phase-major program order (phase, rank, the plan's send order) —
-/// the order [`compile`] packs them in.
+/// The items every send of a gather plan carries, a send being named by
+/// its row in the plan's message table ([`crate::plan::MsgView::id`]).
 pub(crate) struct ItemRouting {
     items: Vec<(Rank, Rank)>,
-    /// Message `id` carries `items[ends[id]..ends[id + 1]]`.
-    ends: Vec<usize>,
+    /// Send `id` carries `items[spans[id].0..spans[id].1]`.
+    spans: Vec<(usize, usize)>,
 }
 
 impl ItemRouting {
-    /// The `(src, dst)` items of message `id`.
+    /// The `(src, dst)` items of send `id`.
     pub(crate) fn of(&self, id: usize) -> &[(Rank, Rank)] {
-        &self.items[self.ends[id]..self.ends[id + 1]]
+        &self.items[self.spans[id].0..self.spans[id].1]
     }
 }
 
@@ -61,27 +60,30 @@ pub(crate) fn route_items(
     // Each (message, block) pair is a *slot*. `parent[s]` is the slot
     // that handed slot `s`'s sender its block — `NONE` for the owner, and
     // for a rank forwarding what it never held (`compile` refuses that).
+    // Slots are numbered phase-major, in the order the walk meets them.
     let mut parent = Vec::new();
-    // Message id -> its first slot.
-    let mut first = vec![0];
+    // Send id -> its slots, a range.
+    let mut spans = vec![(0, 0); plan.message_count()];
     // Per rank, sorted by block: the first slot to hand it each block.
     let mut handed: Vec<Vec<(Rank, usize)>> = vec![Vec::new(); n];
     // The phase in flight: (receiver, block, slot).
     let mut arrivals = Vec::new();
     let mut deliveries = Vec::with_capacity(graph.edge_count());
     for k in 0..plan.phase_count() {
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            for msg in prog.get(k).map_or(&[][..], |ph| &ph.sends[..]) {
-                let bad_peer = (msg.peer >= n || msg.peer == r).then_some(msg.peer);
-                if let Some(block) = bad_peer.or(msg.blocks.iter().copied().find(|&b| b >= n)) {
+        for (r, handed) in handed.iter().enumerate() {
+            for msg in plan.phase(r, k).sends() {
+                let (peer, blocks) = (msg.peer(), msg.blocks());
+                let bad_peer = (peer >= n || peer == r).then_some(peer);
+                if let Some(block) = bad_peer.or(blocks.iter().copied().find(|&b| b >= n)) {
                     return Err(ExecError::MissingBlock { rank: r, block, phase: k });
                 }
-                for &b in &msg.blocks {
-                    let at = handed[r].binary_search_by_key(&b, |h| h.0);
-                    arrivals.push((msg.peer, b, parent.len()));
-                    parent.push(at.map_or(NONE, |i| handed[r][i].1));
+                let first = parent.len();
+                for &b in blocks {
+                    let at = handed.binary_search_by_key(&b, |h| h.0);
+                    arrivals.push((peer, b, parent.len()));
+                    parent.push(at.map_or(NONE, |i| handed[i].1));
                 }
-                first.push(parent.len());
+                spans[msg.id()] = (first, parent.len());
             }
         }
         // A phase's arrivals count only once all its sends are fixed.
@@ -111,7 +113,10 @@ pub(crate) fn route_items(
             cursor[s] += 1;
         }
     }
-    Ok(ItemRouting { items, ends: first.iter().map(|&slot| ends[slot]).collect() })
+    for span in &mut spans {
+        *span = (ends[span.0], ends[span.1]);
+    }
+    Ok(ItemRouting { items, spans })
 }
 
 /// Simulates `plan` as an alltoall at uniform item payload `m`: the
@@ -280,10 +285,11 @@ mod tests {
         // key and `compile` the lowest undelivered (dst, src), on every
         // call — dense tables, no hasher's iteration order to pick.
         let g = erdos_renyi(32, 0.3, 5);
-        let mut plan = plan_naive(&g);
-        for prog in &mut plan.per_rank[..8] {
-            prog[0].sends.clear();
-        }
+        let plan = plan_naive(&g).edited(|rows| {
+            for prog in &mut rows[..8] {
+                prog[0].sends.clear();
+            }
+        });
         let (dst, src) = (0..32)
             .flat_map(|r| g.in_neighbors(r).iter().map(move |&s| (r, s)))
             .find(|&(_, s)| s < 8)
@@ -305,9 +311,10 @@ mod tests {
         let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
         let sbufs = a2a_payloads(&g, 4);
         // a dropped delivery never compiles
-        let mut plan = plan_naive(&g);
-        plan.per_rank[0][0].sends.clear();
-        plan.per_rank[2][0].recvs.retain(|m| m.peer != 0);
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[0][0].sends.clear();
+            rows[2][0].recvs.retain(|m| m.peer != 0);
+        });
         assert_eq!(
             plan.validate(&g).unwrap_err(),
             PlanValidationError::NeverDelivered { src: 0, dst: 2 }
@@ -319,9 +326,10 @@ mod tests {
         // a duplicated delivery is the gather validator's to refuse; the
         // item routing hands an item on from its first arrival only, so
         // the copy carries nothing and is not sent
-        let mut plan = plan_naive(&g);
-        plan.per_rank[1][0].sends.push(PlannedMsg { peer: 2, blocks: vec![1], tag: 9 });
-        plan.per_rank[2][0].recvs.push(PlannedMsg { peer: 1, blocks: vec![1], tag: 9 });
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[1][0].sends.push(PlannedMsg { peer: 2, blocks: vec![1], tag: 9 });
+            rows[2][0].recvs.push(PlannedMsg { peer: 1, blocks: vec![1], tag: 9 });
+        });
         assert_eq!(
             plan.validate(&g).unwrap_err(),
             PlanValidationError::DuplicateDelivery { src: 1, dst: 2, count: 2 }
@@ -333,8 +341,8 @@ mod tests {
         );
         // a rank forwarding a block it was never handed: the item it
         // claims to carry is still at its source
-        let mut plan = plan_naive(&g);
-        plan.per_rank[0][0].sends[0] = PlannedMsg { peer: 2, blocks: vec![1], tag: 0 };
+        let forged = PlannedMsg { peer: 2, blocks: vec![1], tag: 0 };
+        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends[0] = forged);
         assert_eq!(
             run(&plan, &g, &sbufs, 4).unwrap_err(),
             ExecError::MissingBlock { rank: 0, block: 2, phase: 0 }

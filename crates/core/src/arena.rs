@@ -114,7 +114,7 @@ impl BlockArena {
             Some(w) if Arc::ptr_eq(&w.plan, plan) => return Ok(Arc::clone(&w.prog)),
             // a program is a function of the messages (and, for its phase
             // labels, the algorithm): equal ones share it
-            Some(w) if w.plan.algorithm == plan.algorithm && w.plan.per_rank == plan.per_rank => {
+            Some(w) if w.plan.algorithm == plan.algorithm && w.plan.same_rows(plan) => {
                 Arc::clone(&w.prog)
             }
             _ => Arc::new(compile(plan, graph, shape)?),
@@ -175,7 +175,7 @@ pub(crate) mod tests {
     use crate::exec::{ExecOptions, Executor, Threaded, Virtual};
     use crate::lower::lower;
     use crate::naive::plan_naive;
-    use crate::plan::{Algorithm, PlanPhase, PlannedMsg};
+    use crate::plan::{Algorithm, PlanWriter};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
@@ -189,9 +189,8 @@ pub(crate) mod tests {
         assert!(ArenaLayout::for_plan(&plan, &g).unwrap().contiguous_send_fraction() > 0.5);
         // the halving phases alone (delivering to nobody, so compiled on
         // the edgeless graph): every send is one span
-        let mut halving = plan.clone();
         let phases = plan.phase_count() - 2;
-        halving.per_rank.iter_mut().for_each(|prog| prog.truncate(phases));
+        let halving = plan.edited(|rows| rows.iter_mut().for_each(|prog| prog.truncate(phases)));
         let al = ArenaLayout::for_plan(&halving, &Topology::from_edges(32, [])).unwrap();
         assert_eq!(al.contiguous_send_fraction(), 1.0, "a halving send fragmented");
         assert_eq!(al.n(), 32);
@@ -213,20 +212,17 @@ pub(crate) mod tests {
     #[test]
     fn corrupt_plan_fails_at_layout_time() {
         let g = Topology::from_edges(3, [(0, 2)]);
-        let mut plan = plan_naive(&g);
-        plan.per_rank[1][0].sends.push(crate::plan::PlannedMsg {
-            peer: 2,
-            blocks: vec![0],
-            tag: 5,
-        });
+        let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
+        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
         assert_eq!(
             ArenaLayout::for_plan(&plan, &g).unwrap_err(),
             ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
         );
         let g2 = Topology::from_edges(2, [(0, 1)]);
-        let mut plan2 = plan_naive(&g2);
-        plan2.per_rank[0][0].sends.clear();
-        plan2.per_rank[1][0].recvs.clear();
+        let plan2 = plan_naive(&g2).edited(|rows| {
+            rows[0][0].sends.clear();
+            rows[1][0].recvs.clear();
+        });
         assert_eq!(
             ArenaLayout::for_plan(&plan2, &g2).unwrap_err(),
             ExecError::Undelivered { rank: 1, block: 0 }
@@ -361,13 +357,12 @@ pub(crate) mod tests {
     /// A hand-built plan over `n` ranks and `phases` phases; message `i`
     /// travels under tag `i`.
     pub(crate) fn hand_plan(n: usize, phases: usize, msgs: &[HandMsg]) -> Arc<CollectivePlan> {
-        let mut per_rank = vec![vec![PlanPhase::default(); phases]; n];
+        let mut w = PlanWriter::new(Algorithm::Naive, n, phases);
         for (tag, &(k, src, dst, sent, posted)) in msgs.iter().enumerate() {
-            let tag = tag as u64;
-            per_rank[src][k].sends.push(PlannedMsg { peer: dst, blocks: sent.to_vec(), tag });
-            per_rank[dst][k].recvs.push(PlannedMsg { peer: src, blocks: posted.to_vec(), tag });
+            w.send(src, k, dst, tag as u64, sent);
+            w.recv(dst, k, src, tag as u64, posted);
         }
-        Arc::new(CollectivePlan { algorithm: Algorithm::Naive, per_rank, selection: None })
+        Arc::new(w.finish())
     }
 
     /// The relay every disagreement test runs on: 1 → 0 in phase 0, then

@@ -25,7 +25,7 @@
 //! blocks through intermediate routers; the auto-tuner decides which
 //! trade wins for a given (topology, δ, sizes) point.
 
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,7 +44,7 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");
     if n == 0 {
-        return CollectivePlan { algorithm: Algorithm::Bruck, per_rank: vec![], selection: None };
+        return PlanWriter::new(Algorithm::Bruck, 0, 0).finish();
     }
     let per_node = layout.ranks_per_node();
     let node_of = |r: Rank| r / per_node;
@@ -58,10 +58,10 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     // R = smallest number of rounds covering every offset 1..nn-1.
     let rounds = if nn <= 1 { 0 } else { usize::BITS as usize - (nn - 1).leading_zeros() as usize };
 
-    let mut local: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut round_phases: Vec<Vec<PlanPhase>> = vec![vec![PlanPhase::default(); n]; rounds];
-    let mut scatter: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut epilogue: Vec<PlanPhase> = vec![PlanPhase::default(); n];
+    // phases: local, the log-stride rounds, scatter, a copy-only epilogue
+    let (local, scatter, epilogue) = (0, rounds + 1, rounds + 2);
+    let mut w = PlanWriter::new(Algorithm::Bruck, n, rounds + 3);
+    w.reserve(graph.edge_count(), graph.edge_count());
 
     // Destination nodes per block, and whether the block leaves its node.
     // gathered: blocks that travel to their local router in the local phase.
@@ -103,8 +103,7 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
         if l == b {
             continue; // the router already holds its own block
         }
-        local[b].sends.push(PlannedMsg { peer: l, blocks: vec![b], tag: 0 });
-        local[l].recvs.push(PlannedMsg { peer: b, blocks: vec![b], tag: 0 });
+        w.message(local, b, l, 0, &[b]);
     }
     for b in 0..n {
         let a = node_of(b);
@@ -117,8 +116,7 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
                 continue; // delivered by the gather
             }
             let tag = 1_000_000 + t as u64;
-            local[b].sends.push(PlannedMsg { peer: t, blocks: vec![b], tag });
-            local[t].recvs.push(PlannedMsg { peer: b, blocks: vec![b], tag });
+            w.message(local, b, t, tag, &[b]);
         }
     }
 
@@ -132,9 +130,8 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
         let tag = 1 + r as u64;
         for (&(src, dst), blocks) in round {
             let blocks: Vec<Rank> = blocks.iter().copied().collect();
-            round_phases[r][src].copy_blocks += blocks.len(); // pack
-            round_phases[r][src].sends.push(PlannedMsg { peer: dst, blocks: blocks.clone(), tag });
-            round_phases[r][dst].recvs.push(PlannedMsg { peer: src, blocks, tag });
+            w.copy(src, 1 + r, blocks.len()); // pack
+            w.message(1 + r, src, dst, tag, &blocks);
         }
     }
 
@@ -152,26 +149,12 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
             }
         }
         for (t, blocks) in per_target {
-            scatter[l].copy_blocks += blocks.len();
-            epilogue[t].copy_blocks += blocks.len();
-            scatter[l].sends.push(PlannedMsg { peer: t, blocks: blocks.clone(), tag: scatter_tag });
-            scatter[t].recvs.push(PlannedMsg { peer: l, blocks, tag: scatter_tag });
+            w.copy(l, scatter, blocks.len());
+            w.copy(t, epilogue, blocks.len());
+            w.message(scatter, l, t, scatter_tag, &blocks);
         }
     }
-
-    let per_rank = (0..n)
-        .map(|r| {
-            let mut prog = Vec::with_capacity(rounds + 3);
-            prog.push(std::mem::take(&mut local[r]));
-            for round in &mut round_phases {
-                prog.push(std::mem::take(&mut round[r]));
-            }
-            prog.push(std::mem::take(&mut scatter[r]));
-            prog.push(std::mem::take(&mut epilogue[r]));
-            prog
-        })
-        .collect();
-    CollectivePlan { algorithm: Algorithm::Bruck, per_rank, selection: None }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -201,9 +184,7 @@ mod tests {
         let layout = ClusterLayout::new(1, 2, 4);
         let plan = plan_bruck(&g, &layout);
         plan.validate(&g).unwrap();
-        let sends: usize =
-            plan.per_rank.iter().flat_map(|p| p.iter()).map(|ph| ph.sends.len()).sum();
-        assert_eq!(sends, g.edge_count(), "one direct send per edge, no relaying");
+        assert_eq!(plan.message_count(), g.edge_count(), "one direct send per edge, no relaying");
     }
 
     #[test]
@@ -213,14 +194,9 @@ mod tests {
         let plan = plan_bruck(&g, &layout);
         plan.validate(&g).unwrap();
         let mut internode = 0usize;
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            for phase in prog {
-                for m in &phase.sends {
-                    if !layout.same_node(r, m.peer) {
-                        internode += 1;
-                    }
-                }
-            }
+        for (r, prog) in plan.to_rows().iter().enumerate() {
+            let sends = prog.iter().flat_map(|phase| &phase.sends);
+            internode += sends.filter(|m| !layout.same_node(r, m.peer)).count();
         }
         // 8 nodes, 3 rounds: at most nodes * rounds router hops.
         assert!(internode <= 8 * 3, "{internode} inter-node messages exceed the Bruck bound");

@@ -37,7 +37,7 @@
 use super::{CollectiveOp, DType, Reduction};
 use crate::alltoall::route_items;
 use crate::exec::{phase_label, ExecError};
-use crate::plan::{CollectivePlan, PlannedMsg};
+use crate::plan::{CollectivePlan, MsgView};
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, Phase, Schedule};
 use nhood_topology::{Rank, Topology};
@@ -636,15 +636,14 @@ pub(crate) fn compile(
     } else {
         let routing = route_items(plan, graph)?;
         let mut walk = Walk::new(graph, shape, plan.phase_count());
-        let mut id = 0;
         for k in 0..plan.phase_count() {
             let sent_before = walk.prog.send_order.len();
-            for (r, program) in plan.per_rank.iter().enumerate() {
-                for msg in program.get(k).map_or(&[][..], |ph| &ph.sends[..]) {
-                    if !routing.of(id).is_empty() {
-                        walk.pack((r, k), (msg.peer, msg.tag, routing.of(id)))?;
+            for r in 0..n {
+                for msg in plan.phase(r, k).sends() {
+                    let items = routing.of(msg.id());
+                    if !items.is_empty() {
+                        walk.pack((r, k), (msg.peer(), msg.tag(), items))?;
                     }
-                    id += 1;
                 }
                 walk.prog.send_ends.push(sent_before + walk.pend.len());
             }
@@ -708,23 +707,24 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         }
     }
     // the phase in flight: (receiver, sender, message, position in send order)
-    let mut pend: Vec<(Rank, Rank, &PlannedMsg, usize)> = Vec::new();
+    let mut pend: Vec<(Rank, Rank, MsgView<'_>, usize)> = Vec::new();
     for k in 0..phases {
         let sent_before = prog.msgs.len();
         pend.clear();
-        for (r, program) in plan.per_rank.iter().enumerate() {
-            let phase = program.get(k);
-            for msg in phase.map_or(&[][..], |ph| &ph.sends[..]) {
-                if msg.peer >= n || msg.peer == r {
-                    return Err(ExecError::MissingBlock { rank: r, block: msg.peer, phase: k });
+        for r in 0..n {
+            let phase = plan.phase(r, k);
+            for msg in phase.sends() {
+                let peer = msg.peer();
+                if peer >= n || peer == r {
+                    return Err(ExecError::MissingBlock { rank: r, block: peer, phase: k });
                 }
-                pend.push((msg.peer, r, msg, sent_before + pend.len()));
+                pend.push((peer, r, msg, sent_before + pend.len()));
             }
             prog.send_ends.push(sent_before + pend.len());
-            prog.copies.push(phase.map_or(0, |ph| ph.copy_blocks));
+            prog.copies.push(phase.copy_blocks());
         }
         // integration order: per receiver, ascending (sender, tag)
-        pend.sort_unstable_by_key(|&(dst, src, msg, sent)| (dst, src, msg.tag, sent));
+        pend.sort_unstable_by_key(|&(dst, src, msg, sent)| (dst, src, msg.tag(), sent));
         // Pass 1: every send against its sender's *pre-phase* possession
         // (arrivals integrate only after every send is fixed).
         let mut receiver = 0;
@@ -733,7 +733,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
                 prog.recv_ends.push(prog.msgs.len());
             }
             receiver = dst;
-            for &b in &msg.blocks {
+            for &b in msg.blocks() {
                 let at = held[src].binary_search_by_key(&(b as Ix), |h| h.0).ok().filter(|_| b < n);
                 let Some(at) = at else {
                     return Err(ExecError::MissingBlock { rank: src, block: b, phase: k });
@@ -741,7 +741,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
                 prog.blocks.push(Block { key: b as Ix, src: held[src][at].1, steps_end: 0 });
             }
             prog.send_order[sent] = prog.msgs.len();
-            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag, blocks_end: prog.blocks.len() });
+            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.blocks.len() });
         }
         for _ in receiver..n {
             prog.recv_ends.push(prog.msgs.len());
@@ -777,24 +777,24 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
 /// posted receive (of the arrival nobody posted; its peer when it lists
 /// no block).
 fn check_recvs(plan: &CollectivePlan, prog: &Program) -> Result<(), ExecError> {
-    let mut posted: Vec<&PlannedMsg> = Vec::new();
+    let mut posted: Vec<MsgView<'_>> = Vec::new();
     for k in 0..prog.phases {
-        for (r, program) in plan.per_rank.iter().enumerate() {
+        for r in 0..plan.n() {
             posted.clear();
-            posted.extend(program.get(k).map_or(&[][..], |ph| &ph.recvs[..]));
-            posted.sort_by_key(|m| (m.peer, m.tag));
+            posted.extend(plan.phase(r, k).recvs());
+            posted.sort_by_key(|m| (m.peer(), m.tag()));
             let arrived = prog.recvs(k, r);
             let blocks = |id: usize| prog.blocks[prog.blocks_of(id)].iter().map(|b| b.key as Rank);
             for i in 0..posted.len().max(arrived.len()) {
                 let (want, got) = (posted.get(i), arrived.clone().nth(i));
                 let mirrored = want.zip(got).is_some_and(|(m, id)| {
                     let sent = prog.msgs[id];
-                    (m.peer, m.tag) == (sent.src, sent.tag)
-                        && blocks(id).eq(m.blocks.iter().copied())
+                    (m.peer(), m.tag()) == (sent.src, sent.tag)
+                        && blocks(id).eq(m.blocks().iter().copied())
                 });
                 if !mirrored {
                     let block = match (want, got) {
-                        (Some(m), _) => m.blocks.first().copied().unwrap_or(m.peer),
+                        (Some(m), _) => m.blocks().first().copied().unwrap_or(m.peer()),
                         (None, Some(id)) => blocks(id).next().unwrap_or(prog.msgs[id].src),
                         (None, None) => unreachable!("`i` is below one of the two lengths"),
                     };
@@ -1169,19 +1169,18 @@ pub(crate) mod tests {
         pick: impl Fn((Rank, Rank), Rank, usize) -> bool,
     ) -> (CollectivePlan, usize, (Rank, Rank)) {
         let routing = route_items(plan, g).unwrap();
-        let mut id = 0;
         for k in 0..plan.phase_count() {
-            for (r, prog) in plan.per_rank.iter().enumerate() {
-                for (mi, msg) in prog[k].sends.iter().enumerate() {
-                    let items = routing.of(id);
+            for r in 0..plan.n() {
+                for (mi, msg) in plan.phase(r, k).sends().enumerate() {
+                    let items = routing.of(msg.id());
                     let of_block = |b| items.iter().filter(|it| it.0 == b).count();
-                    if let Some(&it) = items.iter().find(|it| pick(**it, msg.peer, of_block(it.0)))
-                    {
-                        let mut cut = plan.clone();
-                        cut.per_rank[r][k].sends[mi].blocks.retain(|&b| b != it.0);
-                        return (cut, k, it);
+                    let picked = |it: &&(Rank, Rank)| pick(**it, msg.peer(), of_block(it.0));
+                    if let Some(&it) = items.iter().find(picked) {
+                        let cut = |rows: &mut [Vec<crate::plan::PlanPhase>]| {
+                            rows[r][k].sends[mi].blocks.retain(|&b| b != it.0)
+                        };
+                        return (plan.edited(cut), k, it);
                     }
-                    id += 1;
                 }
             }
         }
@@ -1216,15 +1215,13 @@ pub(crate) mod tests {
     fn malformed_peers_fail_typed() {
         let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
         for peer in [0, 7] {
-            let mut plan = crate::naive::plan_naive(&g);
-            plan.per_rank[0][0].sends[0].peer = peer;
+            let plan = crate::naive::plan_naive(&g).edited(|rows| rows[0][0].sends[0].peer = peer);
             assert_eq!(
                 compile(&plan, &g, Shape::Route).unwrap_err(),
                 ExecError::MissingBlock { rank: 0, block: peer, phase: 0 }
             );
         }
-        let mut plan = crate::naive::plan_naive(&g);
-        plan.per_rank[1][0].sends[0].blocks.push(3);
+        let plan = crate::naive::plan_naive(&g).edited(|rows| rows[1][0].sends[0].blocks.push(3));
         assert_eq!(
             compile(&plan, &g, Shape::Route).unwrap_err(),
             ExecError::MissingBlock { rank: 1, block: 3, phase: 0 }

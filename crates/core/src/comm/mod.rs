@@ -205,6 +205,24 @@ pub struct DistGraphComm {
     /// communicator (and its clones) — the cache-effectiveness counter
     /// [`Self::tuner_sims`] exposes.
     tuner_sims: Arc<std::sync::atomic::AtomicU64>,
+    /// The keys the two memos above are looked up under, kept so that a
+    /// warm request does not re-hash its topology to find its own memo.
+    /// Each is a function of the graph, the layout, the load metric and
+    /// the tuner cost (plus what it is stored beside), so clones share
+    /// the cell and whatever changes one of those — [`Self::mutate`],
+    /// `with_load_metric`, `with_block_sizes`, `with_tuner_cost` — swaps
+    /// in an empty one.
+    keys: Arc<Mutex<Keys>>,
+}
+
+/// See [`DistGraphComm::keys`].
+#[derive(Debug, Default)]
+struct Keys {
+    /// [`PlanFingerprint::of_tuner`] at these planning sizes.
+    tuner: Option<(BlockSizes, PlanFingerprint)>,
+    /// [`PlanFingerprint::of_build_v`] of this routing algorithm at the
+    /// default sizes.
+    routing: Option<(Algorithm, PlanFingerprint)>,
 }
 
 /// The shared memo cell of the combining family.
@@ -262,6 +280,7 @@ impl DistGraphComm {
             tuner_cost: SimCost::niagara(),
             tuner_slot: Arc::new(Mutex::new(None)),
             tuner_sims: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            keys: Arc::default(),
         })
     }
 
@@ -271,6 +290,7 @@ impl DistGraphComm {
     /// link speeds never share winners.
     pub fn with_tuner_cost(mut self, cost: SimCost) -> Self {
         self.tuner_cost = cost;
+        self.keys = Arc::default();
         self
     }
 
@@ -294,6 +314,7 @@ impl DistGraphComm {
     /// otherwise derived per call from the `allgatherv` payloads.
     pub fn with_load_metric(mut self, metric: LoadMetric) -> Self {
         self.metric = metric;
+        self.keys = Arc::default();
         self
     }
 
@@ -303,6 +324,7 @@ impl DistGraphComm {
     /// payloads they are handed.
     pub fn with_block_sizes(mut self, sizes: BlockSizes) -> Self {
         self.sizes = Some(sizes);
+        self.keys = Arc::default();
         self
     }
 
@@ -499,6 +521,7 @@ impl DistGraphComm {
             }
         };
         self.graph = new_graph;
+        self.keys = Arc::default();
         Ok(MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
@@ -1135,16 +1158,12 @@ mod tests {
     /// no edge between (either direction) — a pure relay link, invisible
     /// to the naive plan.
     fn dh_only_link(plan: &CollectivePlan, g: &Topology) -> Option<(usize, usize, usize)> {
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            for (k, ph) in prog.iter().enumerate() {
-                for m in &ph.sends {
-                    if !g.has_edge(r, m.peer) && !g.has_edge(m.peer, r) {
-                        return Some((r, m.peer, k));
-                    }
-                }
-            }
-        }
-        None
+        (0..plan.n()).find_map(|r| {
+            plan.phases(r).enumerate().find_map(|(k, phase)| {
+                let mut peers = phase.sends().map(|m| m.peer());
+                peers.find(|&p| !g.has_edge(r, p) && !g.has_edge(p, r)).map(|p| (r, p, k))
+            })
+        })
     }
 
     #[test]

@@ -173,13 +173,14 @@ impl DistGraphComm {
     }
 
     pub(super) fn tuner_fingerprint_sized(&self, sizes: &BlockSizes) -> PlanFingerprint {
-        PlanFingerprint::of_tuner(
-            &self.graph,
-            &self.layout,
-            sizes,
-            self.metric,
-            &format!("{:?}", self.tuner_cost),
-        )
+        let mut keys = self.keys.lock().expect("key memo poisoned");
+        if let Some((_, key)) = keys.tuner.as_ref().filter(|(of, _)| of == sizes) {
+            return *key;
+        }
+        let cost = format!("{:?}", self.tuner_cost);
+        let key = PlanFingerprint::of_tuner(&self.graph, &self.layout, sizes, self.metric, &cost);
+        keys.tuner = Some((sizes.clone(), key));
+        key
     }
 
     /// Serves the auto-tuner's winning plan: memo, then the attached
@@ -385,7 +386,15 @@ impl DistGraphComm {
     ) -> Result<Arc<CollectivePlan>, CommError> {
         let algo = self.combining_algorithm(algo)?;
         let sizes = BlockSizes::default();
-        let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, &sizes, self.metric);
+        let fp = {
+            let mut keys = self.keys.lock().expect("key memo poisoned");
+            let kept = keys.routing.filter(|(of, _)| *of == algo);
+            let (_, fp) = *keys.routing.insert(kept.unwrap_or_else(|| {
+                let (graph, layout) = (&self.graph, &self.layout);
+                (algo, PlanFingerprint::of_build_v(graph, layout, algo, &sizes, self.metric))
+            }));
+            fp
+        };
         if let Some((_, plan)) = self.combine_memo().routed.as_ref().filter(|r| r.0 == fp) {
             rec.plan_cache(0, true);
             return Ok(Arc::clone(plan));

@@ -21,7 +21,7 @@
 //! index) so the relay load spreads across the group — the paper sweeps
 //! `K` and reports the best, which `crate::comm` mirrors.
 
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_topology::{Rank, Topology};
 
 /// Builds a Common Neighbor plan with groups of `k`.
@@ -36,7 +36,8 @@ pub fn plan_common_neighbor(graph: &Topology, k: usize) -> CollectivePlan {
     // scatters combined payloads into rbuf. Senders are walked in rank
     // order and their peers ascend, so every rank's sends come out
     // ordered by peer and so do its recvs.
-    let mut per_rank: Vec<Vec<PlanPhase>> = vec![vec![PlanPhase::default(); 3]; n];
+    let mut w = PlanWriter::new(Algorithm::CommonNeighbor { k }, n, 3);
+    w.reserve(graph.edge_count(), graph.edge_count());
     let mut leaders: Vec<Rank> = Vec::new();
     for s in 0..n {
         let group = s / k * k..s / k * k + k;
@@ -56,8 +57,7 @@ pub fn plan_common_neighbor(graph: &Topology, k: usize) -> CollectivePlan {
         leaders.sort_unstable();
         leaders.dedup();
         for &l in leaders.iter().filter(|&&l| l != s) {
-            per_rank[s][0].sends.push(PlannedMsg { peer: l, blocks: vec![s], tag: 0 });
-            per_rank[l][0].recvs.push(PlannedMsg { peer: s, blocks: vec![s], tag: 0 });
+            w.message(0, s, l, 0, &[s]);
         }
         for &t in graph.out_neighbors(s) {
             let blocks = match combined(t) {
@@ -70,15 +70,13 @@ pub fn plan_common_neighbor(graph: &Topology, k: usize) -> CollectivePlan {
                 None => std::slice::from_ref(&s),
             };
             if blocks.len() > 1 {
-                per_rank[s][1].copy_blocks += blocks.len(); // pack into temp buffer
-                per_rank[t][2].copy_blocks += blocks.len(); // unpack at the receiver
+                w.copy(s, 1, blocks.len()); // pack into temp buffer
+                w.copy(t, 2, blocks.len()); // unpack at the receiver
             }
-            per_rank[t][1].recvs.push(PlannedMsg { peer: s, blocks: blocks.to_vec(), tag: 1 });
-            per_rank[s][1].sends.push(PlannedMsg { peer: t, blocks: blocks.to_vec(), tag: 1 });
+            w.message(1, s, t, 1, blocks);
         }
     }
-
-    CollectivePlan { algorithm: Algorithm::CommonNeighbor { k }, per_rank, selection: None }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -130,12 +128,12 @@ mod tests {
         let plan = plan_common_neighbor(&g, 4);
         plan.validate(&g).unwrap();
         // rank 5 receives exactly one (combined) message
-        let recvs: usize = plan.per_rank[5].iter().map(|p| p.recvs.len()).sum();
-        assert_eq!(recvs, 1);
-        let msg = plan.per_rank[5].iter().flat_map(|p| p.recvs.iter()).next().unwrap();
-        assert_eq!(msg.blocks, vec![0, 1, 2, 3]);
+        let mut recvs = (0..3).flat_map(|p| plan.phase(5, p).recvs());
+        let msg = recvs.next().unwrap();
+        assert!(recvs.next().is_none());
+        assert_eq!(msg.blocks(), [0, 1, 2, 3]);
         // leader is round-robin: target 5 % 4 sharers = index 1 → rank 1
-        assert_eq!(msg.peer, 1);
+        assert_eq!(msg.peer(), 1);
     }
 
     #[test]
@@ -145,7 +143,7 @@ mod tests {
         let plan = plan_common_neighbor(&g, 4);
         plan.validate(&g).unwrap();
         // no phase-0 traffic: nothing to combine across groups
-        let phase0_msgs: usize = plan.per_rank.iter().map(|p| p[0].sends.len()).sum();
+        let phase0_msgs: usize = (0..4).map(|r| plan.phase(r, 0).sends().len()).sum();
         assert_eq!(phase0_msgs, 0);
         assert_eq!(plan.message_count(), 2);
     }
@@ -160,8 +158,8 @@ mod tests {
         let loads = plan.sends_per_rank();
         // 4 combined deliveries split 2/2 between members (plus the
         // intra-group block exchanges)
-        let deliveries0 = plan.per_rank[0][1].sends.len();
-        let deliveries1 = plan.per_rank[1][1].sends.len();
+        let deliveries0 = plan.phase(0, 1).sends().len();
+        let deliveries1 = plan.phase(1, 1).sends().len();
         assert_eq!(deliveries0, 2);
         assert_eq!(deliveries1, 2);
         assert!(loads[0] > 0 && loads[1] > 0);

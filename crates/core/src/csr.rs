@@ -68,17 +68,24 @@ impl RespMap {
         map
     }
 
-    /// Inserts (or replaces) one entry, keeping the CSR canonical. An
-    /// empty `targets` removes the entry. O(total) rebuild — meant for
-    /// construction in tests and small fix-ups, not hot paths (the
-    /// builder uses [`RespBuilder`]).
+    /// Inserts (or replaces) one entry in place, keeping the CSR
+    /// canonical. An empty `targets` removes the entry. One splice of the
+    /// target list and a shift of the later offsets — for fix-ups, not
+    /// construction (the builder uses [`RespBuilder`]).
     pub fn insert(&mut self, block: Rank, targets: Vec<Rank>) {
-        let mut entries: Vec<(Rank, Vec<Rank>)> =
-            self.iter().filter(|&(b, _)| b != block).map(|(b, t)| (b, t.to_vec())).collect();
-        if !targets.is_empty() {
-            entries.push((block, targets));
+        let i = self.keys.binary_search(&block).unwrap_or_else(|i| {
+            self.keys.insert(i, block);
+            self.offsets.insert(i, self.offsets[i]);
+            i
+        });
+        let old = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        let (was, now) = (old.len() as u32, targets.len() as u32);
+        self.offsets[i + 1..].iter_mut().for_each(|end| *end = *end - was + now);
+        self.targets.splice(old, targets);
+        if now == 0 {
+            self.keys.remove(i);
+            self.offsets.remove(i + 1);
         }
-        *self = Self::from_entries(entries);
     }
 
     /// The targets owed for `block`, if any.

@@ -150,32 +150,30 @@ pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> 
         }
     };
     let mut s = Schedule::new(n);
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for phase in prog {
+    for r in 0..n {
+        for phase in plan.phases(r) {
             let sends = phase
-                .sends
-                .iter()
+                .sends()
                 .map(|msg| Msg {
                     src: r,
-                    dst: msg.peer,
-                    bytes: bytes_of(&msg.blocks),
-                    tag: msg.tag,
+                    dst: msg.peer(),
+                    bytes: bytes_of(msg.blocks()),
+                    tag: msg.tag(),
                 })
                 .collect();
             let recvs = phase
-                .recvs
-                .iter()
+                .recvs()
                 .map(|msg| Msg {
-                    src: msg.peer,
+                    src: msg.peer(),
                     dst: r,
-                    bytes: bytes_of(&msg.blocks),
-                    tag: msg.tag,
+                    bytes: bytes_of(msg.blocks()),
+                    tag: msg.tag(),
                 })
                 .collect();
             s.push_phase(
                 r,
                 Phase {
-                    local_seconds: phase.copy_blocks as f64 * mean / cost.memcpy_bytes_per_sec,
+                    local_seconds: phase.copy_blocks() as f64 * mean / cost.memcpy_bytes_per_sec,
                     sends,
                     recvs,
                 },

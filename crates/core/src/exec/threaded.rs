@@ -369,9 +369,7 @@ mod tests {
         let plan = Arc::new(plan_naive(&g));
         // Pick a directed edge the naive plan actually sends over.
         let (src, dst) = {
-            let msg = plan.per_rank.iter().enumerate().find_map(|(r, prog)| {
-                prog.iter().flat_map(|p| p.sends.iter()).next().map(|m| (r, m.peer))
-            });
+            let msg = (0..16).find_map(|r| Some((r, plan.phase(r, 0).sends().next()?.peer())));
             msg.expect("naive plan on a connected-ish graph has sends")
         };
         let fp = FaultPlan::seeded(1).with_link_down(src, dst, 0);

@@ -182,13 +182,9 @@ mod tests {
     #[test]
     fn corrupt_plan_caught_as_missing_block() {
         let g = Topology::from_edges(3, [(0, 2)]);
-        let mut plan = plan_naive(&g);
         // rank 1 claims to send block 0 which it never received
-        plan.per_rank[1][0].sends.push(crate::plan::PlannedMsg {
-            peer: 2,
-            blocks: vec![0],
-            tag: 5,
-        });
+        let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
+        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
@@ -199,8 +195,7 @@ mod tests {
     #[test]
     fn dropped_message_caught_as_undelivered() {
         let g = Topology::from_edges(2, [(0, 1)]);
-        let mut plan = plan_naive(&g);
-        plan.per_rank[0][0].sends.clear();
+        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends.clear());
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
@@ -330,8 +325,8 @@ mod tests {
         let payloads = test_payloads(2, 4, 0);
         for peer in [0, 7] {
             let msgs = [(0, 0, 1, &[0][..], &[0][..]), (0, 0, 0, &[0], &[0])];
-            let mut plan = hand_plan(2, 1, &msgs);
-            Arc::get_mut(&mut plan).unwrap().per_rank[0][0].sends[1].peer = peer;
+            let plan =
+                Arc::new(hand_plan(2, 1, &msgs).edited(|rows| rows[0][0].sends[1].peer = peer));
             let backends: [&dyn Executor; 2] = [&Virtual, &Threaded];
             for exec in backends {
                 assert_eq!(
@@ -350,12 +345,8 @@ mod tests {
         // and panicked; the threaded backend parked such a message
         // forever. It goes nowhere — and `compile` now says so, typed
         let g = Topology::from_edges(3, [(0, 2)]);
-        let mut plan = plan_naive(&g);
-        plan.per_rank[0][0].sends.push(crate::plan::PlannedMsg {
-            peer: 1,
-            blocks: vec![0],
-            tag: 9,
-        });
+        let stray = crate::plan::PlannedMsg { peer: 1, blocks: vec![0], tag: 9 };
+        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends.push(stray));
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),

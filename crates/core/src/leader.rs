@@ -21,7 +21,7 @@
 //! constant depth (3 phases) and never inflates payloads beyond what some
 //! receiver actually needs — at the price of leader hot-spots.
 
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,10 +59,9 @@ pub fn plan_hierarchical_leader(
         lo + slot % count.max(1)
     };
 
-    let mut phase0: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut phase1: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut phase2: Vec<PlanPhase> = vec![PlanPhase::default(); n];
-    let mut epilogue: Vec<PlanPhase> = vec![PlanPhase::default(); n];
+    // phases: gather, exchange, scatter, a copy-only epilogue
+    let mut w = PlanWriter::new(Algorithm::HierarchicalLeader { leaders_per_node }, n, 4);
+    w.reserve(graph.edge_count(), graph.edge_count());
 
     // Which blocks of node A does node B need, per leader slot?
     // needs[(A, B, slot)] -> set of blocks
@@ -90,8 +89,7 @@ pub fn plan_hierarchical_leader(
         if l == b {
             continue; // leader already holds its own block
         }
-        phase0[b].sends.push(PlannedMsg { peer: l, blocks: vec![b], tag: 0 });
-        phase0[l].recvs.push(PlannedMsg { peer: b, blocks: vec![b], tag: 0 });
+        w.message(0, b, l, 0, &[b]);
     }
 
     // Phase 1a: inter-node combined exchange, one message per
@@ -104,9 +102,8 @@ pub fn plan_hierarchical_leader(
         let dst = leader_rank(*bnode, *slot);
         let tag = 1 + ((*a * n_nodes + *bnode) * leaders_per_node + *slot) as u64;
         let blocks: Vec<Rank> = blocks.iter().copied().collect();
-        phase1[src].copy_blocks += blocks.len(); // pack
-        phase1[src].sends.push(PlannedMsg { peer: dst, blocks: blocks.clone(), tag });
-        phase1[dst].recvs.push(PlannedMsg { peer: src, blocks, tag });
+        w.copy(src, 1, blocks.len()); // pack
+        w.message(1, src, dst, tag, &blocks);
     }
     // Phase 1b: intra-node edges as direct sends — except where the
     // phase-0 gather already delivered the block to its leader.
@@ -121,8 +118,7 @@ pub fn plan_hierarchical_leader(
                 continue; // delivered by the gather
             }
             let tag = 1_000_000 + t as u64;
-            phase1[b].sends.push(PlannedMsg { peer: t, blocks: vec![b], tag });
-            phase1[t].recvs.push(PlannedMsg { peer: b, blocks: vec![b], tag });
+            w.message(1, b, t, tag, &[b]);
         }
     }
 
@@ -145,29 +141,12 @@ pub fn plan_hierarchical_leader(
             }
         }
         for (r, blocks) in per_target {
-            phase2[l].copy_blocks += blocks.len();
-            epilogue[r].copy_blocks += blocks.len();
-            let tag = 2_000_000 + slot as u64;
-            phase2[l].sends.push(PlannedMsg { peer: r, blocks: blocks.clone(), tag });
-            phase2[r].recvs.push(PlannedMsg { peer: l, blocks, tag });
+            w.copy(l, 2, blocks.len());
+            w.copy(r, 3, blocks.len());
+            w.message(2, l, r, 2_000_000 + slot as u64, &blocks);
         }
     }
-
-    let per_rank = (0..n)
-        .map(|r| {
-            vec![
-                std::mem::take(&mut phase0[r]),
-                std::mem::take(&mut phase1[r]),
-                std::mem::take(&mut phase2[r]),
-                std::mem::take(&mut epilogue[r]),
-            ]
-        })
-        .collect();
-    CollectivePlan {
-        algorithm: Algorithm::HierarchicalLeader { leaders_per_node },
-        per_rank,
-        selection: None,
-    }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -201,14 +180,9 @@ mod tests {
         let leaders = 2;
         let plan = plan_hierarchical_leader(&g, &layout, leaders);
         let mut internode = 0usize;
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            for phase in prog {
-                for m in &phase.sends {
-                    if !layout.same_node(r, m.peer) {
-                        internode += 1;
-                    }
-                }
-            }
+        for (r, prog) in plan.to_rows().iter().enumerate() {
+            let sends = prog.iter().flat_map(|phase| &phase.sends);
+            internode += sends.filter(|m| !layout.same_node(r, m.peer)).count();
         }
         // at most node-pairs × leaders combined messages cross nodes
         assert!(internode <= 4 * 3 * leaders, "{internode} inter-node messages");
@@ -222,16 +196,10 @@ mod tests {
         let one = plan_hierarchical_leader(&g, &layout, 1);
         let four = plan_hierarchical_leader(&g, &layout, 4);
         let max_load = |p: &CollectivePlan| {
-            p.per_rank
-                .iter()
-                .map(|prog| {
-                    prog.iter()
-                        .flat_map(|ph| ph.sends.iter())
-                        .map(|m| m.blocks.len())
-                        .sum::<usize>()
-                })
-                .max()
-                .unwrap()
+            let sent = |prog: &Vec<crate::plan::PlanPhase>| {
+                prog.iter().flat_map(|ph| &ph.sends).map(|m| m.blocks.len()).sum::<usize>()
+            };
+            p.to_rows().iter().map(sent).max().unwrap()
         };
         assert!(
             max_load(&four) < max_load(&one),
@@ -249,7 +217,7 @@ mod tests {
         plan.validate(&g).unwrap();
         assert_eq!(plan.message_count(), g.edge_count());
         // no gather traffic at all
-        let phase0: usize = plan.per_rank.iter().map(|p| p[0].sends.len()).sum();
+        let phase0: usize = (0..16).map(|r| plan.phase(r, 0).sends().len()).sum();
         assert_eq!(phase0, 0);
     }
 

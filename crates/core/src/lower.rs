@@ -21,24 +21,43 @@
 //!   of all outgoing final messages (lines 21–28);
 //! * epilogue: one copy per received final-phase block (line 33).
 //!
-//! Ordering contract with the zero-copy engine: [`crate::arena`] derives
-//! each rank's flat slot layout by walking phases — and the `recvs` list
-//! within a phase — in exactly the order emitted here, assigning fresh
-//! blocks consecutive tail slots on first arrival. Because a halving-step
-//! receive delivers the peer's whole pre-step buffer (itself laid out by
-//! the same walk) and final-phase `recvs` are sorted by peer, every
-//! delivered message lands as one contiguous slot run. Reordering the
+//! Ordering contract with the gather compile (`collective::program`):
+//! the gather program gives every rank's blocks their slots by walking
+//! the phases — and, within a (rank, phase) bucket, the arrivals in
+//! (sender, tag) order — assigning fresh blocks consecutive tail slots on
+//! first arrival. Because a halving-step receive delivers the peer's
+//! whole pre-step buffer (itself laid out by the same walk) and a
+//! final-phase bucket's messages are emitted ascending by peer, every
+//! delivered message lands as one contiguous slot run. The writer keeps
+//! emission order within a bucket and nothing else, so reordering the
 //! emission here is safe for correctness (the layout just follows), but
-//! can fragment those runs and cost the arena engine its single-slice
-//! sends.
+//! can fragment those runs and cost the engine its single-slice sends.
 
 use crate::pattern::DhPattern;
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::WorkerPool;
 use nhood_topology::{Rank, Topology};
 
 /// Tag for final-phase messages (halving steps use their step index).
 pub const FINAL_TAG: u64 = 1 << 32;
+
+/// Per halving step of rank `r`: how many of the step's arrivals are
+/// `r`'s in-neighbors — the receive-buffer copies they cost (charged to
+/// the *next* phase; the last step's to the final phase).
+pub(crate) fn arrival_copies(pattern: &DhPattern, graph: &Topology, r: Rank) -> Vec<usize> {
+    let wanted = |t| pattern.arriving(r, t).iter().filter(|&&b| graph.has_edge(b, r)).count();
+    (0..pattern.ranks[r].steps.len()).map(wanted).collect()
+}
+
+/// The copy count of halving phase `t`: phase 0 pays the sbuf copy, phase
+/// `t` the copies of step `t - 1`'s arrivals.
+pub(crate) fn halving_copies(arrival_copies: &[usize], t: usize) -> usize {
+    if t == 0 {
+        1
+    } else {
+        arrival_copies.get(t - 1).copied().unwrap_or(0)
+    }
+}
 
 /// Lowers a built pattern into an executable plan.
 ///
@@ -49,117 +68,83 @@ pub fn lower(pattern: &DhPattern, graph: &Topology) -> CollectivePlan {
     lower_pooled(pattern, graph, &WorkerPool::serial())
 }
 
-/// [`lower`] running the per-rank descriptor lowering on `pool`. Each
-/// rank's program (halving phases, final-phase sends, copy accounting)
-/// is independent of every other rank's, so ranks lower concurrently;
-/// only the receive mirror of the final phase is merged serially — in
-/// rank order, with `recvs` sorted by peer — keeping the plan
-/// byte-identical to a serial lowering.
+/// [`lower`] running the per-rank work on `pool`: a rank's receive-copy
+/// counts and its sorted final-phase deliveries are independent of every
+/// other rank's, so ranks compute them concurrently; the rows are then
+/// emitted serially, in rank order, which keeps the plan byte-identical
+/// to a serial lowering.
 pub fn lower_pooled(pattern: &DhPattern, graph: &Topology, pool: &WorkerPool) -> CollectivePlan {
     let n = graph.n();
     assert_eq!(pattern.n(), n, "pattern/topology rank mismatch");
     let steps = pattern.max_steps();
 
-    // Stage 1 (parallel): per-rank programs up to the final-phase sends,
-    // plus the outgoing (target, blocks) list the merge needs.
-    type Lowered = (Vec<PlanPhase>, Vec<(Rank, Vec<Rank>)>);
+    // Stage 1 (parallel), per rank: its arrival copies, and the
+    // responsibilities as (target, block) pairs, whose lexicographic
+    // sort yields targets ascending with each target's blocks ascending.
+    type Lowered = (Vec<usize>, Vec<(Rank, Rank)>);
     let built: Vec<Lowered> = pool.map(n, |p| {
         let rp = &pattern.ranks[p];
-        // phases: steps halving + 1 final + 1 epilogue
-        let mut prog: Vec<PlanPhase> = Vec::with_capacity(steps + 2);
-
-        // Halving phases.
-        for t in 0..steps {
-            let mut phase = PlanPhase::default();
-            if t == 0 {
-                phase.copy_blocks = 1;
-            } else if rp.steps.get(t - 1).is_some() {
-                phase.copy_blocks =
-                    pattern.arriving(p, t - 1).iter().filter(|&&b| graph.has_edge(b, p)).count();
-            }
-            if let Some(step) = rp.steps.get(t) {
-                if let Some(agent) = step.agent {
-                    phase.sends.push(PlannedMsg {
-                        peer: agent,
-                        blocks: pattern.held_before(p, t).to_vec(),
-                        tag: t as u64,
-                    });
-                }
-                if let Some(origin) = step.origin {
-                    phase.recvs.push(PlannedMsg {
-                        peer: origin,
-                        blocks: pattern.arriving(p, t).to_vec(),
-                        tag: t as u64,
-                    });
-                }
-            }
-            prog.push(phase);
-        }
-
-        // Final phase: group responsibilities by target. The CSR map
-        // flattens to (target, block) pairs whose lexicographic sort
-        // yields targets ascending with each target's blocks ascending —
-        // the same grouping the old BTreeMap inversion produced.
-        let mut phase = PlanPhase::default();
-        if steps == 0 {
-            // no halving at all: sbuf is sent directly, no main_buf copy
-        } else if !rp.steps.is_empty() {
-            let last = rp.steps.len() - 1;
-            phase.copy_blocks +=
-                pattern.arriving(p, last).iter().filter(|&&b| graph.has_edge(b, p)).count();
-        }
+        let arrival_copies = arrival_copies(pattern, graph, p);
         let mut pairs: Vec<(Rank, Rank)> = Vec::with_capacity(rp.responsibilities.total_targets());
         for (block, targets) in rp.responsibilities.iter() {
-            for &t in targets {
-                pairs.push((t, block));
-            }
+            pairs.extend(targets.iter().map(|&t| (t, block)));
         }
         pairs.sort_unstable();
-        let mut outgoing: Vec<(Rank, Vec<Rank>)> = Vec::new();
-        let mut i = 0usize;
-        while i < pairs.len() {
-            let target = pairs[i].0;
-            let mut blocks = Vec::new();
-            while i < pairs.len() && pairs[i].0 == target {
-                blocks.push(pairs[i].1);
-                i += 1;
-            }
-            phase.copy_blocks += blocks.len(); // temp-buffer packing
-            phase.sends.push(PlannedMsg { peer: target, blocks: blocks.clone(), tag: FINAL_TAG });
-            outgoing.push((target, blocks));
-        }
-        prog.push(phase);
-        (prog, outgoing)
+        (arrival_copies, pairs)
     });
 
-    // Stage 2 (serial): mirror the receives + epilogue copies, in rank
-    // order.
-    let mut incoming: Vec<Vec<(Rank, Vec<Rank>)>> = vec![Vec::new(); n];
-    for (q, (_, outgoing)) in built.iter().enumerate() {
-        for (target, blocks) in outgoing {
-            incoming[*target].push((q, blocks.clone()));
-        }
-    }
-    let mut per_rank: Vec<Vec<PlanPhase>> = Vec::with_capacity(n);
-    for (r, (mut prog, _)) in built.into_iter().enumerate() {
-        let mut scatter = 0usize;
-        {
-            let final_phase = prog.last_mut().expect("final phase exists");
-            for (src, blocks) in incoming[r].drain(..) {
-                scatter += blocks.len();
-                final_phase.recvs.push(PlannedMsg { peer: src, blocks, tag: FINAL_TAG });
+    // Stage 2 (serial): emit. Phases: `steps` halving + 1 final + 1
+    // epilogue. A halving transfer whose two ends agree is one message
+    // over one block range; ends that disagree (a pattern no builder
+    // produces) are written as they stand, for validation to name.
+    let mirrored = |src: Rank, dst: Rank, t: usize| {
+        let sent = pattern.ranks[src].steps.get(t).filter(|s| s.agent == Some(dst));
+        let got = pattern.ranks[dst].steps.get(t).filter(|s| s.origin == Some(src));
+        sent.zip(got).is_some_and(|(s, g)| s.held_len == g.arr_len)
+    };
+    let mut w = PlanWriter::new(Algorithm::DistanceHalving, n, steps + 2);
+    w.selection = Some(pattern.stats);
+    let halving = || pattern.ranks.iter().flat_map(|rp| &rp.steps).filter(|s| s.agent.is_some());
+    let finals = |(_, pairs): &Lowered| pairs.chunk_by(|a, b| a.0 == b.0).count();
+    w.reserve(
+        halving().count() + built.iter().map(finals).sum::<usize>(),
+        halving().map(|s| s.held_len).sum::<usize>()
+            + built.iter().map(|b| b.1.len()).sum::<usize>(),
+    );
+    let mut blocks: Vec<Rank> = Vec::new();
+    for (p, (arrival_copies, pairs)) in built.iter().enumerate() {
+        let rp = &pattern.ranks[p];
+        for t in 0..steps {
+            w.copy(p, t, halving_copies(arrival_copies, t));
+            let Some(step) = rp.steps.get(t) else { continue };
+            let tag = t as u64;
+            match step.agent {
+                Some(agent) if mirrored(p, agent, t) => {
+                    w.message(t, p, agent, tag, pattern.held_before(p, t));
+                }
+                Some(agent) => w.send(p, t, agent, tag, pattern.held_before(p, t)),
+                None => {}
             }
-            final_phase.recvs.sort_by_key(|m| m.peer);
+            if let Some(origin) = step.origin.filter(|&o| !mirrored(o, p, t)) {
+                w.recv(p, t, origin, tag, pattern.arriving(p, t));
+            }
         }
-        prog.push(PlanPhase { copy_blocks: scatter, sends: vec![], recvs: vec![] });
-        per_rank.push(prog);
+        // Final phase: the last step's arrival copies (with no halving at
+        // all, sbuf is sent directly and there is no main_buf copy), then
+        // one combined message per target.
+        if steps > 0 {
+            w.copy(p, steps, arrival_copies.last().copied().unwrap_or(0));
+        }
+        for delivery in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let target = delivery[0].0;
+            blocks.clear();
+            blocks.extend(delivery.iter().map(|&(_, block)| block));
+            w.copy(p, steps, blocks.len()); // temp-buffer packing
+            w.copy(target, steps + 1, blocks.len()); // the receiver's scatter
+            w.message(steps, p, target, FINAL_TAG, &blocks);
+        }
     }
-
-    CollectivePlan {
-        algorithm: Algorithm::DistanceHalving,
-        per_rank,
-        selection: Some(pattern.stats),
-    }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -215,14 +200,14 @@ mod tests {
         let g = erdos_renyi(16, 0.6, 9);
         let pat = build_pattern(&g, &layout).unwrap();
         let plan = lower(&pat, &g);
-        for (p, prog) in plan.per_rank.iter().enumerate() {
+        for p in 0..plan.n() {
             for (t, step) in pat.ranks[p].steps.iter().enumerate() {
-                let phase = &prog[t];
+                let mut sends = plan.phase(p, t).sends();
                 if step.agent.is_some() {
-                    assert_eq!(phase.sends.len(), 1);
-                    assert_eq!(phase.sends[0].blocks, pat.held_before(p, t));
+                    assert_eq!(sends.len(), 1);
+                    assert_eq!(sends.next().unwrap().blocks(), pat.held_before(p, t));
                 } else {
-                    assert!(phase.sends.is_empty());
+                    assert_eq!(sends.len(), 0);
                 }
             }
         }
@@ -235,8 +220,8 @@ mod tests {
         let pat = build_pattern(&g, &layout).unwrap();
         let plan = lower(&pat, &g);
         let final_idx = plan.phase_count() - 2;
-        for (q, prog) in plan.per_rank.iter().enumerate() {
-            let sent: usize = prog[final_idx].sends.iter().map(|m| m.blocks.len()).sum();
+        for q in 0..plan.n() {
+            let sent: usize = plan.phase(q, final_idx).sends().map(|m| m.blocks().len()).sum();
             let owed: usize = pat.ranks[q].responsibilities.total_targets();
             assert_eq!(sent, owed, "rank {q} final messages mismatch responsibilities");
         }
@@ -249,12 +234,12 @@ mod tests {
         let pat = build_pattern(&g, &layout).unwrap();
         let plan = lower(&pat, &g);
         // phase 0 always pays the sbuf copy
-        for prog in &plan.per_rank {
-            assert_eq!(prog[0].copy_blocks, 1);
+        for r in 0..plan.n() {
+            assert_eq!(plan.phase(r, 0).copy_blocks(), 1);
             // epilogue copies equal received final blocks
             let final_idx = plan.phase_count() - 2;
-            let got: usize = prog[final_idx].recvs.iter().map(|m| m.blocks.len()).sum();
-            assert_eq!(prog[final_idx + 1].copy_blocks, got);
+            let got: usize = plan.phase(r, final_idx).recvs().map(|m| m.blocks().len()).sum();
+            assert_eq!(plan.phase(r, final_idx + 1).copy_blocks(), got);
         }
     }
 
@@ -267,9 +252,7 @@ mod tests {
             let serial = lower(&pat, &g);
             for threads in [2usize, 4] {
                 let pooled = lower_pooled(&pat, &g, &WorkerPool::new(threads));
-                assert_eq!(serial.per_rank, pooled.per_rank, "n={n} threads={threads}");
-                assert_eq!(serial.algorithm, pooled.algorithm);
-                assert_eq!(serial.selection, pooled.selection);
+                assert!(serial == pooled, "n={n} threads={threads}");
             }
         }
     }

@@ -5,28 +5,19 @@
 //! outgoing neighbor, directly from the send buffer into the receive
 //! buffer, and wait for all of them. One phase, no combining, no copies.
 
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_topology::Topology;
 
 /// Builds the naïve direct point-to-point plan.
 pub fn plan_naive(graph: &Topology) -> CollectivePlan {
-    let n = graph.n();
-    let per_rank = (0..n)
-        .map(|r| {
-            let sends = graph
-                .out_neighbors(r)
-                .iter()
-                .map(|&d| PlannedMsg { peer: d, blocks: vec![r], tag: 0 })
-                .collect();
-            let recvs = graph
-                .in_neighbors(r)
-                .iter()
-                .map(|&s| PlannedMsg { peer: s, blocks: vec![s], tag: 0 })
-                .collect();
-            vec![PlanPhase { copy_blocks: 0, sends, recvs }]
-        })
-        .collect();
-    CollectivePlan { algorithm: Algorithm::Naive, per_rank, selection: None }
+    let mut w = PlanWriter::new(Algorithm::Naive, graph.n(), 1);
+    w.reserve(graph.edge_count(), graph.edge_count());
+    // Senders ascend, and so do a sender's targets: every rank's sends
+    // come out ordered by peer and so do its recvs.
+    for (src, dst) in graph.edges() {
+        w.message(0, src, dst, 0, &[src]);
+    }
+    w.finish()
 }
 
 #[cfg(test)]

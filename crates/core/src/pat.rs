@@ -21,7 +21,7 @@
 //! sends come out ordered by destination and its recvs by source:
 //! exactly the order a phase-major merge over keyed maps produces.
 
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_topology::{Rank, Topology};
 
 /// Builds the PAT aggregated-tree plan.
@@ -82,28 +82,28 @@ pub fn plan_pat(graph: &Topology, radix: usize) -> CollectivePlan {
     // is not concurrently receiving this phase, so overlapping trees
     // cannot double-deliver and every send reads pre-phase possession.
     // The last phase is the unpack epilogue.
-    let mut per_rank: Vec<Vec<PlanPhase>> = vec![vec![PlanPhase::default(); depth + 1]; n];
+    let mut w = PlanWriter::new(Algorithm::Pat { radix }, n, depth + 1);
+    w.reserve(graph.edge_count(), moves.len());
     let mut held = vec![0usize; n];
+    let mut blocks: Vec<Rank> = Vec::new();
     for msg in moves.chunk_by(|a, b| a >> 32 == b >> 32) {
         let (dst, round, src) = (field(msg[0], 0), field(msg[0], 1), field(msg[0], 2));
         held[dst] = dst + 1;
-        let blocks: Vec<Rank> = msg
-            .iter()
-            .map(|&m| field(m, 3))
-            .filter(|&b| std::mem::replace(&mut held[b], dst + 1) != dst + 1)
-            .collect();
+        blocks.clear();
+        blocks.extend(
+            (msg.iter().map(|&m| field(m, 3)))
+                .filter(|&b| std::mem::replace(&mut held[b], dst + 1) != dst + 1),
+        );
         if blocks.is_empty() {
             continue;
         }
         if blocks.len() > 1 {
-            per_rank[src][round].copy_blocks += blocks.len(); // pack
-            per_rank[dst][depth].copy_blocks += blocks.len(); // unpack
+            w.copy(src, round, blocks.len()); // pack
+            w.copy(dst, depth, blocks.len()); // unpack
         }
-        let tag = round as u64;
-        per_rank[src][round].sends.push(PlannedMsg { peer: dst, blocks: blocks.clone(), tag });
-        per_rank[dst][round].recvs.push(PlannedMsg { peer: src, blocks, tag });
+        w.message(round, src, dst, round as u64, &blocks);
     }
-    CollectivePlan { algorithm: Algorithm::Pat { radix }, per_rank, selection: None }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -139,7 +139,7 @@ mod tests {
         let g = erdos_renyi(64, 0.9, 5);
         let plan = plan_pat(&g, 4);
         plan.validate(&g).unwrap();
-        let depth = plan.per_rank.iter().map(Vec::len).max().unwrap_or(0);
+        let depth = (0..plan.n()).map(|r| plan.phases(r).len()).max().unwrap_or(0);
         // radix 4, in-degree <= 63: ceil(log4 63) = 3 aggregation rounds
         // + 1 delivery + 1 epilogue.
         assert!(depth <= 5, "depth {depth} exceeds the radix-4 binomial bound");
@@ -150,11 +150,8 @@ mod tests {
         let g = Topology::from_edges(4, []);
         let plan = plan_pat(&g, 2);
         plan.validate(&g).unwrap();
-        assert!(plan
-            .per_rank
-            .iter()
-            .flat_map(|p| p.iter())
-            .all(|ph| ph.sends.is_empty() && ph.recvs.is_empty()));
+        assert_eq!(plan.message_count(), 0);
+        assert!(plan.to_rows().iter().flatten().all(|ph| ph.recvs.is_empty()));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! entries, which then simply miss and get rebuilt. See
 //! `docs/PLAN_CACHE.md`.
 
-use crate::plan::{Algorithm, CollectivePlan};
+use crate::plan::{Algorithm, CollectivePlan, MsgDir};
 use crate::plan_io;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
@@ -187,17 +187,15 @@ impl PlanFingerprint {
     pub fn of_plan(plan: &CollectivePlan, graph: &Topology) -> Self {
         Self::digest(|h| {
             plan.n().hash(h);
-            for prog in &plan.per_rank {
-                prog.len().hash(h);
-                for ph in prog {
-                    ph.copy_blocks.hash(h);
-                    for m in &ph.sends {
-                        (0u8, m.peer, m.tag).hash(h);
-                        m.blocks.hash(h);
-                    }
-                    for m in &ph.recvs {
-                        (1u8, m.peer, m.tag).hash(h);
-                        m.blocks.hash(h);
+            for r in 0..plan.n() {
+                plan.phases(r).len().hash(h);
+                for ph in plan.phases(r) {
+                    ph.copy_blocks().hash(h);
+                    for (side, dir) in [(0u8, MsgDir::Send), (1u8, MsgDir::Recv)] {
+                        for m in ph.msgs(dir) {
+                            (side, m.peer(), m.tag()).hash(h);
+                            m.blocks().hash(h);
+                        }
                     }
                 }
             }
@@ -633,9 +631,9 @@ mod tests {
         );
         let plan = |layout: ClusterLayout| {
             let comm = crate::comm::DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
-            comm.plan(algo).expect("re-ranked build").per_rank
+            comm.plan(algo).expect("re-ranked build")
         };
-        assert_ne!(plan(rr()), plan(moved), "the plans these keys name differ");
+        assert!(plan(rr()) != plan(moved), "the plans these keys name differ");
     }
 
     #[test]
@@ -643,8 +641,7 @@ mod tests {
         let g = erdos_renyi(16, 0.4, 3);
         let plan = plan_naive(&g);
         assert_eq!(PlanFingerprint::of_plan(&plan, &g), PlanFingerprint::of_plan(&plan, &g));
-        let mut other = plan.clone();
-        other.per_rank[0][0].copy_blocks += 1;
+        let other = plan.edited(|rows| rows[0][0].copy_blocks += 1);
         assert_ne!(PlanFingerprint::of_plan(&plan, &g), PlanFingerprint::of_plan(&other, &g));
     }
 
@@ -869,8 +866,7 @@ mod tests {
         // fast path and serve a plan identical to the built one
         let warm = PlanCache::new(4).with_disk_dir(&dir).unwrap();
         let served = warm.lookup(fp, &g).expect("warm disk hit");
-        assert_eq!(served.per_rank, built.per_rank);
-        assert_eq!(served.algorithm, built.algorithm);
+        assert!(served == built);
         let s = warm.stats();
         assert_eq!(s.disk_hits, 1);
         assert_eq!(s.disk_fast_hits, 1, "verified file + matching digest must fast-path");
@@ -912,9 +908,9 @@ mod tests {
         let mapped = warm.lookup_mapped(fp, &g).expect("mapped warm hit");
         assert_eq!(mapped.n(), plan.n());
         for r in 0..plan.n() {
-            assert_eq!(mapped.rank(r).unwrap(), plan.per_rank[r], "rank {r}");
+            assert_eq!(mapped.rank(r).unwrap(), plan.rank_rows(r), "rank {r}");
         }
-        assert_eq!(mapped.to_plan().unwrap().per_rank, plan.per_rank);
+        assert!(mapped.to_plan().unwrap() == *plan);
         let s = warm.stats();
         assert_eq!((s.hits, s.disk_hits, s.disk_fast_hits), (1, 1, 1), "{s:?}");
 

@@ -8,7 +8,7 @@
 //! rank's phases as length-prefixed send/recv lists.
 
 use crate::pattern::SelectionStats;
-use crate::plan::{Algorithm, CollectivePlan, PlanPhase, PlannedMsg};
+use crate::plan::{Algorithm, CollectivePlan, MsgDir, MsgView, PlanPhase, PlanWriter};
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
 
@@ -141,24 +141,30 @@ impl Cursor<'_> {
     }
 }
 
-fn write_msg(w: &mut impl Write, m: &PlannedMsg) -> io::Result<()> {
-    w64(w, m.peer as u64)?;
-    w64(w, m.tag)?;
-    w64(w, m.blocks.len() as u64)?;
-    for &b in &m.blocks {
+fn write_msg(w: &mut impl Write, m: MsgView<'_>) -> io::Result<()> {
+    w64(w, m.peer() as u64)?;
+    w64(w, m.tag())?;
+    w64(w, m.blocks().len() as u64)?;
+    for &b in m.blocks() {
         w64(w, b as u64)?;
     }
     Ok(())
 }
 
-fn read_msg(c: &mut Cursor<'_>, n: usize) -> Result<PlannedMsg, PlanIoError> {
+/// Decodes one message at the cursor: `(peer, tag)`, its block list left
+/// in `blocks`.
+fn read_msg(
+    c: &mut Cursor<'_>,
+    n: usize,
+    blocks: &mut Vec<usize>,
+) -> Result<(usize, u64), PlanIoError> {
     let peer = checked_len(c.u64("peer")?, "peer")?;
     if peer >= n {
         return Err(PlanIoError::Corrupt(format!("peer {peer} out of {n} ranks")));
     }
     let tag = c.u64("tag")?;
     let len = c.count(8, "blocks")?;
-    let mut blocks = Vec::with_capacity(len);
+    blocks.clear();
     for _ in 0..len {
         let b = checked_len(c.u64("block")?, "block")?;
         if b >= n {
@@ -166,7 +172,7 @@ fn read_msg(c: &mut Cursor<'_>, n: usize) -> Result<PlannedMsg, PlanIoError> {
         }
         blocks.push(b);
     }
-    Ok(PlannedMsg { peer, blocks, tag })
+    Ok((peer, tag))
 }
 
 /// The stable `(id, parameter)` pair of an algorithm — the on-disk
@@ -226,18 +232,16 @@ fn encode_body(plan: &CollectivePlan) -> (Vec<u8>, Vec<u64>) {
     }
     w64(&mut w, plan.n() as u64).expect(ok);
     let mut offsets = Vec::with_capacity(plan.n() + 1);
-    for prog in &plan.per_rank {
+    for r in 0..plan.n() {
         offsets.push(w.len() as u64);
-        w64(&mut w, prog.len() as u64).expect(ok);
-        for phase in prog {
-            w64(&mut w, phase.copy_blocks as u64).expect(ok);
-            w64(&mut w, phase.sends.len() as u64).expect(ok);
-            for m in &phase.sends {
-                write_msg(&mut w, m).expect(ok);
-            }
-            w64(&mut w, phase.recvs.len() as u64).expect(ok);
-            for m in &phase.recvs {
-                write_msg(&mut w, m).expect(ok);
+        w64(&mut w, plan.phases(r).len() as u64).expect(ok);
+        for phase in plan.phases(r) {
+            w64(&mut w, phase.copy_blocks() as u64).expect(ok);
+            for dir in [MsgDir::Send, MsgDir::Recv] {
+                w64(&mut w, phase.msgs(dir).len() as u64).expect(ok);
+                for m in phase.msgs(dir) {
+                    write_msg(&mut w, m).expect(ok);
+                }
             }
         }
     }
@@ -272,11 +276,12 @@ pub fn decode_plan(buf: &[u8]) -> Result<CollectivePlan, PlanIoError> {
     let (algorithm, selection) = read_header(&mut c)?;
     // every rank contributes at least a phase count (8 bytes)
     let n = c.count(8, "rank")?;
-    let mut per_rank = Vec::with_capacity(n);
+    let mut w = PlanWriter::new(algorithm, 0, 0);
+    w.selection = selection;
     for _ in 0..n {
-        per_rank.push(read_rank_program(&mut c, n)?);
+        read_rank_program(&mut c, n, &mut w)?;
     }
-    Ok(CollectivePlan { algorithm, per_rank, selection })
+    w.try_finish().map_err(PlanIoError::Corrupt)
 }
 
 /// Decodes the fixed header after the magic: algorithm + selection
@@ -306,28 +311,28 @@ fn read_header(c: &mut Cursor<'_>) -> Result<(Algorithm, Option<SelectionStats>)
     Ok((algorithm, selection))
 }
 
-/// Decodes one rank's program at the cursor. Bounds discipline matches
-/// [`decode_plan`]: every phase occupies at least copy + send count +
-/// recv count (24 bytes); every message at least peer + tag + block
-/// count (24); every block 8.
-fn read_rank_program(c: &mut Cursor<'_>, n: usize) -> Result<Vec<PlanPhase>, PlanIoError> {
+/// Decodes one rank's program at the cursor as `w`'s next rank. Bounds
+/// discipline matches [`decode_plan`]: every phase occupies at least its
+/// copy, send and recv counts (24 bytes); every message at least its
+/// peer, tag and block count (24); every block 8. (The table counts
+/// those bounds admit are checked against the writer's `u32` offsets
+/// when it finishes.)
+fn read_rank_program(c: &mut Cursor<'_>, n: usize, w: &mut PlanWriter) -> Result<(), PlanIoError> {
     let phases = c.count(24, "phase")?;
-    let mut prog = Vec::with_capacity(phases);
-    for _ in 0..phases {
-        let copy_blocks = checked_len(c.u64("copy")?, "copy")?;
-        let ns = c.count(24, "send")?;
-        let mut sends = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            sends.push(read_msg(c, n)?);
+    let r = w.add_rank(phases);
+    let mut blocks = Vec::new();
+    for p in 0..phases {
+        w.copy(r, p, checked_len(c.u64("copy")?, "copy")?);
+        for _ in 0..c.count(24, "send")? {
+            let (peer, tag) = read_msg(c, n, &mut blocks)?;
+            w.send(r, p, peer, tag, &blocks);
         }
-        let nr = c.count(24, "recv")?;
-        let mut recvs = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            recvs.push(read_msg(c, n)?);
+        for _ in 0..c.count(24, "recv")? {
+            let (peer, tag) = read_msg(c, n, &mut blocks)?;
+            w.recv(r, p, peer, tag, &blocks);
         }
-        prog.push(PlanPhase { copy_blocks, sends, recvs });
     }
-    Ok(prog)
+    Ok(())
 }
 
 /// Convenience: save to a path.
@@ -601,24 +606,32 @@ impl MappedPlan {
         if r >= self.n {
             return Err(PlanIoError::Corrupt(format!("rank {r} out of {}", self.n)));
         }
+        let mut w = PlanWriter::new(self.algorithm, 0, 0);
+        self.decode_rank(r, &mut w)?;
+        Ok(w.try_finish().map_err(PlanIoError::Corrupt)?.rank_rows(0))
+    }
+
+    /// Decodes rank `r`'s slice of the file as `w`'s next rank.
+    fn decode_rank(&self, r: usize, w: &mut PlanWriter) -> Result<(), PlanIoError> {
         let (start, end) = (self.offset(r), self.offset(r + 1));
         let mut c = Cursor { buf: &self.src.bytes()[..end], pos: start };
-        let prog = read_rank_program(&mut c, self.n)?;
+        read_rank_program(&mut c, self.n, w)?;
         if c.pos != end {
             return Err(PlanIoError::Corrupt(format!("rank {r} program does not fill its slot")));
         }
-        Ok(prog)
+        Ok(())
     }
 
     /// Fully materializes the plan (every rank decoded). Equivalent to
     /// [`decode_plan`] on the body; use it when the whole plan is going
     /// to be executed anyway and an owned [`CollectivePlan`] is needed.
     pub fn to_plan(&self) -> Result<CollectivePlan, PlanIoError> {
-        let mut per_rank = Vec::with_capacity(self.n);
+        let mut w = PlanWriter::new(self.algorithm, 0, 0);
+        w.selection = self.selection;
         for r in 0..self.n {
-            per_rank.push(self.rank(r)?);
+            self.decode_rank(r, &mut w)?;
         }
-        Ok(CollectivePlan { algorithm: self.algorithm, per_rank, selection: self.selection })
+        w.try_finish().map_err(PlanIoError::Corrupt)
     }
 }
 
@@ -740,7 +753,7 @@ mod tests {
             let plan = comm.plan(algo).unwrap();
             let back = round_trip(&plan);
             assert_eq!(back.algorithm, plan.algorithm);
-            assert_eq!(back.per_rank, plan.per_rank, "{algo}");
+            assert!(back.same_rows(&plan), "{algo}");
             assert_eq!(back.selection, plan.selection);
             back.validate(&g).unwrap();
         }
@@ -837,6 +850,26 @@ mod tests {
     }
 
     #[test]
+    fn a_header_claiming_more_rows_than_the_tables_index_is_corrupt() {
+        // The tables keep `u32` offsets. A send count past `u32::MAX` in
+        // rank 0's first phase (magic + algo + selection flag + ranks +
+        // phases + copy = offset 56) is refused against the file size
+        // before a row is staged — and a count the file could hold is
+        // still refused by the writer itself (`plan.rs`), never wrapped.
+        let plan = crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3));
+        let mut buf = Vec::new();
+        write_plan(&plan, &mut buf).unwrap();
+        for rows in [u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut hacked = buf.clone();
+            hacked[56..64].copy_from_slice(&rows.to_le_bytes());
+            match decode_plan(&hacked) {
+                Err(PlanIoError::Corrupt(what)) => assert!(what.contains("send count"), "{what}"),
+                other => panic!("{rows} rows decoded to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_peer_rejected() {
         let g = erdos_renyi(8, 0.5, 1);
         let plan = crate::naive::plan_naive(&g);
@@ -863,9 +896,9 @@ mod tests {
         let back = load_plan_checked(&path).unwrap();
         assert!(back.verified);
         assert_eq!(back.graph_digest, Some((0xabcd, 0x1234)));
-        assert_eq!(back.plan.per_rank, plan.per_rank);
+        assert!(back.plan.same_rows(&plan));
         // the legacy reader ignores the footer
-        assert_eq!(load_plan(&path).unwrap().per_rank, plan.per_rank);
+        assert!(load_plan(&path).unwrap().same_rows(&plan));
 
         // checked save without a digest: verified but digest-less
         save_plan_checked(&plan, &path, None).unwrap();
@@ -877,7 +910,7 @@ mod tests {
         save_plan(&plan, &path).unwrap();
         let back = load_plan_checked(&path).unwrap();
         assert!(!back.verified);
-        assert_eq!(back.plan.per_rank, plan.per_rank);
+        assert!(back.plan.same_rows(&plan));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -930,7 +963,7 @@ mod tests {
                 if byte < buf.len() - 8 {
                     assert!(!c.verified, "flip at byte {byte} bit {bit} must not verify");
                 } else {
-                    assert_eq!(c.plan.per_rank, plan.per_rank, "magic flip serves legacy body");
+                    assert!(c.plan.same_rows(&plan), "magic flip serves legacy body");
                 }
             }
             // every byte of a v2 file is either under the checksum, the
@@ -957,11 +990,11 @@ mod tests {
         assert_eq!(mapped.graph_digest(), Some((7, 9)));
         // per-rank lazy decode matches the materialized plan exactly
         for r in 0..plan.n() {
-            assert_eq!(mapped.rank(r).unwrap(), plan.per_rank[r], "rank {r}");
+            assert_eq!(mapped.rank(r).unwrap(), plan.rank_rows(r), "rank {r}");
         }
         assert!(mapped.rank(plan.n()).is_err(), "out-of-range rank must fail typed");
         let full = mapped.to_plan().unwrap();
-        assert_eq!(full.per_rank, plan.per_rank);
+        assert!(full.same_rows(&plan));
         assert_eq!(full.algorithm, plan.algorithm);
         assert_eq!(full.selection, plan.selection);
         full.validate(&g).unwrap();
@@ -991,7 +1024,7 @@ mod tests {
         let back = load_plan_checked(&path).unwrap();
         assert!(back.verified, "v1 footer must still verify");
         assert_eq!(back.graph_digest, Some((7, 9)));
-        assert_eq!(back.plan.per_rank, plan.per_rank);
+        assert!(back.plan.same_rows(&plan));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1002,6 +1035,6 @@ mod tests {
         let path = std::env::temp_dir().join("nhood_plan_io_test.bin");
         save_plan(&plan, &path).unwrap();
         let back = load_plan(&path).unwrap();
-        assert_eq!(back.per_rank, plan.per_rank);
+        assert!(back.same_rows(&plan));
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::lower::lower_pooled;
-use crate::plan::CollectivePlan;
+use crate::plan::{CollectivePlan, MsgDir, PlanWriter};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_telemetry::{labels, Recorder};
@@ -94,23 +94,28 @@ pub fn plan_distance_halving_reordered(
 
     // Translate back: program of virtual rank v belongs to physical rank
     // physical[v]; peers and block ids are physical ranks again.
-    let mut per_rank = vec![Vec::new(); n];
-    for (v, prog) in vplan.per_rank.into_iter().enumerate() {
-        let p = order.physical[v];
-        per_rank[p] = prog
-            .into_iter()
-            .map(|mut phase| {
-                for msg in phase.sends.iter_mut().chain(phase.recvs.iter_mut()) {
-                    msg.peer = order.physical[msg.peer];
-                    for b in &mut msg.blocks {
-                        *b = order.physical[*b];
+    let to_physical = |v: &Rank| order.physical[*v];
+    let mut w = PlanWriter::new(vplan.algorithm, n, vplan.phase_count());
+    w.selection = vplan.selection;
+    w.reserve(vplan.message_count(), 2 * vplan.total_blocks_sent());
+    let mut blocks: Vec<Rank> = Vec::new();
+    for (v, &p) in order.physical.iter().enumerate() {
+        for (k, phase) in vplan.phases(v).enumerate() {
+            w.copy(p, k, phase.copy_blocks());
+            for dir in [MsgDir::Send, MsgDir::Recv] {
+                for msg in phase.msgs(dir) {
+                    blocks.clear();
+                    blocks.extend(msg.blocks().iter().map(to_physical));
+                    let peer = order.physical[msg.peer()];
+                    match dir {
+                        MsgDir::Send => w.send(p, k, peer, msg.tag(), &blocks),
+                        MsgDir::Recv => w.recv(p, k, peer, msg.tag(), &blocks),
                     }
                 }
-                phase
-            })
-            .collect();
+            }
+        }
     }
-    Ok(CollectivePlan { algorithm: vplan.algorithm, per_rank, selection: vplan.selection })
+    Ok(w.finish())
 }
 
 #[cfg(test)]
@@ -179,7 +184,7 @@ mod tests {
         let layout = ClusterLayout::new(4, 2, 4);
         let plain = lower(&build_pattern(&g, &layout).unwrap(), &g);
         // identity permutation → byte-identical plans
-        assert_eq!(plain.per_rank, reordered(&g, &layout).per_rank);
+        assert!(plain == reordered(&g, &layout));
     }
 
     #[test]
@@ -193,9 +198,9 @@ mod tests {
         let final_idx = plan.phase_count() - 2;
         let mut local = 0usize;
         let mut remote = 0usize;
-        for (p, prog) in plan.per_rank.iter().enumerate() {
-            for msg in &prog[final_idx].sends {
-                if layout.same_node(p, msg.peer) {
+        for p in 0..plan.n() {
+            for msg in plan.phase(p, final_idx).sends() {
+                if layout.same_node(p, msg.peer()) {
                     local += 1;
                 } else {
                     remote += 1;

@@ -28,9 +28,9 @@
 //! the caller should cut its losses and rebuild from scratch.
 
 use crate::builder::{assemble_pattern, Decision};
-use crate::lower::{lower, FINAL_TAG};
+use crate::lower::{arrival_copies, halving_copies, lower, FINAL_TAG};
 use crate::pattern::{in_range, DhPattern};
-use crate::plan::{CollectivePlan, PlanValidationError, PlannedMsg};
+use crate::plan::{CollectivePlan, Edits, MsgDir, PlanValidationError};
 use nhood_topology::{Rank, Topology};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -194,72 +194,65 @@ fn notification_count(pattern: &DhPattern, u: Rank, v: Rank) -> usize {
 }
 
 /// Re-derives every `copy_blocks` of rank `r`'s program from the
-/// pattern and graph, exactly as [`crate::lower`] computes them:
-/// phase 0 pays the sbuf copy, phase `t > 0` the in-neighbor copies of
-/// step `t-1`'s arrivals, the final phase the last step's arrival
-/// copies plus the temp-buffer packing of its own sends, the epilogue
-/// one copy per received final block.
+/// pattern, the graph and the plan's own final-phase messages, exactly as
+/// [`crate::lower`] charges them: the halving phases their arrival
+/// copies, the final phase the last step's plus the temp-buffer packing
+/// of its own sends, the epilogue one copy per received final block.
 fn recompute_copies(
     pattern: &DhPattern,
     graph: &Topology,
     steps: usize,
     r: Rank,
-    prog: &mut [crate::plan::PlanPhase],
+    plan: &mut CollectivePlan,
 ) {
-    let rp = &pattern.ranks[r];
-    let arrival_copies =
-        |t: usize| pattern.arriving(r, t).iter().filter(|&&b| graph.has_edge(b, r)).count();
-    for (t, phase) in prog.iter_mut().enumerate().take(steps) {
-        phase.copy_blocks = if t == 0 {
-            1
-        } else if t - 1 < rp.steps.len() {
-            arrival_copies(t - 1)
-        } else {
-            0
-        };
+    let arrived = arrival_copies(pattern, graph, r);
+    for t in 0..steps {
+        plan.set_copy_blocks(r, t, halving_copies(&arrived, t));
     }
-    let mut fin = 0usize;
-    if steps > 0 && !rp.steps.is_empty() {
-        fin += arrival_copies(rp.steps.len() - 1);
-    }
-    fin += prog[steps].sends.iter().map(|m| m.blocks.len()).sum::<usize>();
-    prog[steps].copy_blocks = fin;
-    prog[steps + 1].copy_blocks = prog[steps].recvs.iter().map(|m| m.blocks.len()).sum::<usize>();
+    let moved = |dir| plan.phase(r, steps).msgs(dir).map(|m| m.blocks().len()).sum::<usize>();
+    let (packed, scattered) = (moved(MsgDir::Send), moved(MsgDir::Recv));
+    let last = arrived.last().filter(|_| steps > 0).copied().unwrap_or(0);
+    plan.set_copy_blocks(r, steps, last + packed);
+    plan.set_copy_blocks(r, steps + 1, scattered);
 }
 
-/// Adds `block` to the final-phase message `r -> peer` (send or recv
-/// side), creating the message at its sorted position if absent. Keeps
-/// the lowering's ordering contract: messages ascending by peer, blocks
-/// ascending within a message.
-fn final_msg_add(msgs: &mut Vec<PlannedMsg>, peer: Rank, block: Rank) {
-    match msgs.binary_search_by_key(&peer, |m| m.peer) {
-        Ok(i) => {
-            let blocks = &mut msgs[i].blocks;
-            if let Err(j) = blocks.binary_search(&block) {
-                blocks.insert(j, block);
-            }
-        }
-        Err(i) => {
-            msgs.insert(i, PlannedMsg { peer, blocks: vec![block], tag: FINAL_TAG });
-        }
-    }
+/// The final-phase messages a churn repair rewrites, as `(peer, blocks)`:
+/// per bucket side, ascending by peer like the bucket itself (the
+/// lowering's ordering contract), each taken out of `plan` on first
+/// touch. [`CollectivePlan::patched`] puts them back, dropping a message
+/// left with no block.
+struct FinalEdits<'a> {
+    plan: &'a CollectivePlan,
+    rows: Edits,
 }
 
-/// Removes `block` from the final-phase message `r -> peer`, dropping
-/// the message when it empties. Returns `false` when the message or the
-/// block was not there (inconsistent state).
-fn final_msg_remove(msgs: &mut Vec<PlannedMsg>, peer: Rank, block: Rank) -> bool {
-    let Ok(i) = msgs.binary_search_by_key(&peer, |m| m.peer) else {
-        return false;
-    };
-    let Ok(j) = msgs[i].blocks.binary_search(&block) else {
-        return false;
-    };
-    msgs[i].blocks.remove(j);
-    if msgs[i].blocks.is_empty() {
-        msgs.remove(i);
+impl FinalEdits<'_> {
+    /// The block list — ascending — of the final-phase message between
+    /// `r` and `peer`; empty if `plan` has no such message.
+    fn blocks(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank) -> &mut Vec<Rank> {
+        let msgs = self.rows.entry((dir, r, phase)).or_default();
+        let at = msgs.binary_search_by_key(&peer, |m| m.0).unwrap_or_else(|at| {
+            let old = self.plan.phase(r, phase).msgs(dir).find(|m| m.peer() == peer);
+            msgs.insert(at, (peer, old.map_or_else(Vec::new, |m| m.blocks().to_vec())));
+            at
+        });
+        &mut msgs[at].1
     }
-    true
+
+    /// Adds `block` to that message.
+    fn add(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank, block: Rank) {
+        let blocks = self.blocks(dir, r, phase, peer);
+        if let Err(at) = blocks.binary_search(&block) {
+            blocks.insert(at, block);
+        }
+    }
+
+    /// Removes `block` from that message; `false` when it was not there
+    /// (inconsistent state).
+    fn remove(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank, block: Rank) -> bool {
+        let blocks = self.blocks(dir, r, phase, peer);
+        blocks.binary_search(&block).map(|at| blocks.remove(at)).is_ok()
+    }
 }
 
 /// Patches `pattern`/`plan` for a set of edge additions and removals,
@@ -282,9 +275,11 @@ pub fn repair_for_churn(
     let n = pattern.n();
     let steps = pattern.max_steps();
     let mut new_pattern = pattern.clone();
-    let mut new_plan = plan.clone();
     let final_idx = steps; // phases: 0..steps halving, steps final, steps+1 epilogue
     let mut changed: BTreeSet<Rank> = BTreeSet::new();
+    // The final-phase bucket sides the churn rewrites, in the owned row
+    // form; every other row of the plan is carried over by range.
+    let mut edits = FinalEdits { plan, rows: Edits::new() };
 
     for (&edge, add) in added.iter().map(|e| (e, true)).chain(removed.iter().map(|e| (e, false))) {
         let (u, v) = edge;
@@ -308,8 +303,8 @@ pub fn repair_for_churn(
                         Err(j) => targets.insert(j, v),
                     }
                     new_pattern.ranks[w].responsibilities.insert(u, targets);
-                    final_msg_add(&mut new_plan.per_rank[w][final_idx].sends, v, u);
-                    final_msg_add(&mut new_plan.per_rank[v][final_idx].recvs, w, u);
+                    edits.add(MsgDir::Send, w, final_idx, v, u);
+                    edits.add(MsgDir::Recv, v, final_idx, w, u);
                 } else {
                     let mut targets = row.ok_or(RepairError::InconsistentState {
                         edge,
@@ -323,8 +318,8 @@ pub fn repair_for_churn(
                     };
                     targets.remove(j);
                     new_pattern.ranks[w].responsibilities.insert(u, targets);
-                    let ok = final_msg_remove(&mut new_plan.per_rank[w][final_idx].sends, v, u)
-                        && final_msg_remove(&mut new_plan.per_rank[v][final_idx].recvs, w, u);
+                    let ok = edits.remove(MsgDir::Send, w, final_idx, v, u)
+                        && edits.remove(MsgDir::Recv, v, final_idx, w, u);
                     if !ok {
                         return Err(RepairError::InconsistentState {
                             edge,
@@ -345,10 +340,11 @@ pub fn repair_for_churn(
             new_pattern.stats.notifications -= delta;
         }
     }
+    let mut new_plan = plan.patched(&edits.rows, FINAL_TAG);
     new_plan.selection = Some(new_pattern.stats);
 
     for &r in &changed {
-        recompute_copies(&new_pattern, new_graph, steps, r, &mut new_plan.per_rank[r]);
+        recompute_copies(&new_pattern, new_graph, steps, r, &mut new_plan);
     }
 
     let changed_ranks: Vec<Rank> = changed.into_iter().collect();
@@ -451,16 +447,17 @@ pub fn repair_link_down(
     };
     let plan = lower(&repaired, &exec_graph);
     plan.validate(&exec_graph).map_err(RepairError::Invalid)?;
+    let crosses_dead = |r: Rank, prog: &[crate::plan::PlanPhase]| {
+        prog.iter().flat_map(|ph| &ph.sends).any(|m| dead.contains(&(r, m.peer)))
+    };
     debug_assert!(
-        plan.per_rank.iter().enumerate().all(|(r, prog)| prog
-            .iter()
-            .flat_map(|ph| ph.sends.iter())
-            .all(|m| !dead.contains(&(r, m.peer)))),
+        !(0..n).any(|r| crosses_dead(r, &plan.rank_rows(r))),
         "repaired plan still schedules a send over a dead link"
     );
 
+    let rows = |plan: &CollectivePlan, r: Rank| (r < plan.n()).then(|| plan.rank_rows(r));
     let changed_ranks: Vec<Rank> =
-        (0..n).filter(|&r| old_plan.per_rank.get(r) != plan.per_rank.get(r)).collect();
+        (0..n).filter(|&r| rows(old_plan, r) != rows(&plan, r)).collect();
     let damage_frac = changed_ranks.len() as f64 / n.max(1) as f64;
     let completeness =
         if missing.is_empty() { Completeness::Full } else { Completeness::Degraded { missing } };
@@ -581,14 +578,24 @@ mod tests {
 
             assert_eq!(rep.pattern.stats, want_pat.stats, "n={n} delta={delta}");
             assert_eq!(rep.pattern.ranks, want_pat.ranks, "n={n} delta={delta}");
-            assert_eq!(rep.plan.per_rank, want_plan.per_rank, "n={n} delta={delta}");
+            assert!(rep.plan == want_plan, "n={n} delta={delta}");
+            let bytes = |plan: &CollectivePlan| {
+                let mut out = Vec::new();
+                crate::plan_io::write_plan(plan, &mut out).unwrap();
+                out
+            };
+            assert_eq!(bytes(&rep.plan), bytes(&want_plan), "n={n} delta={delta}");
             rep.plan.validate(&g2).unwrap();
 
             // The changed-rank list is truthful: untouched programs are
             // bitwise-unchanged from the old plan.
             for r in 0..n {
                 if !rep.changed_ranks.contains(&r) {
-                    assert_eq!(rep.plan.per_rank[r], plan.per_rank[r], "rank {r} silently changed");
+                    assert_eq!(
+                        rep.plan.rank_rows(r),
+                        plan.rank_rows(r),
+                        "rank {r} silently changed"
+                    );
                 }
             }
         }
@@ -607,7 +614,7 @@ mod tests {
         let back = repair_for_churn(&rep.pattern, &rep.plan, &g, &[], &added).unwrap();
         assert_eq!(back.pattern.ranks, pat.ranks);
         assert_eq!(back.pattern.stats, pat.stats);
-        assert_eq!(back.plan.per_rank, plan.per_rank);
+        assert!(back.plan.same_rows(&plan));
     }
 
     #[test]
@@ -646,11 +653,9 @@ mod tests {
         assert_eq!(rep.pattern.ranks[p].steps[0].agent, None, "dead matching not revoked");
         assert_eq!(rep.pattern.ranks[a].steps[0].origin, None);
         // no message crosses the dead link, either direction
-        for (r, prog) in rep.plan.per_rank.iter().enumerate() {
-            for ph in prog {
-                for m in &ph.sends {
-                    assert!(!dead.contains(&(r, m.peer)), "send {r} -> {} over dead link", m.peer);
-                }
+        for (r, prog) in rep.plan.to_rows().iter().enumerate() {
+            for m in prog.iter().flat_map(|ph| &ph.sends) {
+                assert!(!dead.contains(&(r, m.peer)), "send {r} -> {} over dead link", m.peer);
             }
         }
         // the repaired plan produces correct output on its exec graph

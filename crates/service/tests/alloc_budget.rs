@@ -215,6 +215,32 @@ fn a_warm_combining_tick_draws_its_receive_buffers_from_the_spare_set() {
     assert_eq!(svc.report().stats.corrupt, 0);
 }
 
+/// A warm `Auto` tenant costs what a tenant registered under the tuner's
+/// winner costs: the request finds its memo under a key the communicator
+/// keeps, so it neither re-hashes its topology nor formats the cost model
+/// (the `String` that made every warm `Auto` batch one call dearer).
+#[test]
+fn a_warm_auto_request_computes_no_fingerprint() {
+    let layout = ClusterLayout::new(8, 2, 4);
+    let graphs: Vec<_> = (0..TENANTS).map(|t| erdos_renyi(N, 0.15, 100 + t as u64)).collect();
+    let warm_tick = |algo_of: &dyn Fn(&nhood_topology::Topology) -> Algorithm| {
+        let mut svc = Service::new(ServiceConfig::default());
+        for g in &graphs {
+            svc.add_tenant(g.clone(), layout.clone(), algo_of(g)).unwrap();
+        }
+        counted_tick(&mut svc, inputs(0));
+        counted_tick(&mut svc, inputs(1));
+        counted_tick(&mut svc, inputs(2))
+    };
+    let winner = |g: &nhood_topology::Topology| {
+        let comm = nhood_core::DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
+        comm.resolve_algorithm(Algorithm::Auto).unwrap()
+    };
+    let (auto, explicit) = (warm_tick(&|_| Algorithm::Auto), warm_tick(&winner));
+    println!("warm tick: {auto} allocator calls under Auto, {explicit} under its winners");
+    assert_eq!(auto, explicit, "a warm Auto request pays for finding its own memo");
+}
+
 /// Allocator calls `f` makes on this thread.
 fn calls_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = CALLS.with(Cell::get);
@@ -237,9 +263,9 @@ fn the_cold_plan_path_allocates_by_the_count() {
         (g, plan)
     };
 
-    // (a) validating costs a fixed handful of allocations — the send
-    // table, the index's two vectors, the flags, two stamp arrays —
-    // however many messages the plan holds. (A hash table per rule
+    // (a) validating costs a fixed handful of allocations — the index's
+    // two vectors, the flags, two stamp arrays — however many messages
+    // the plan holds. (A hash table per rule
     // made this hundreds, growing with the message count.)
     let (sparse_graph, sparse) = pat(0.15);
     let (dense_graph, dense) = pat(0.5);
@@ -260,7 +286,28 @@ fn the_cold_plan_path_allocates_by_the_count() {
     println!("Engine::run: {run_calls} allocator calls");
     assert!(run_calls <= ENGINE_RUN_CALLS, "{run_calls} allocator calls (was {ENGINE_RUN_CALLS})");
 
-    // (c) registering the Auto tenant — ten arms built, validated,
+    // (c) a builder allocates per plan, not per message: the writer's
+    // staging list and pool are sized from the edge count, `finish` is
+    // two vectors, and what is left is the builder's own scratch, whose
+    // growth is logarithmic. (One `Vec` per phase, per message and per
+    // block list made these 3,031 / 3,308 / 3,642 at δ = 0.15.)
+    for (graph, delta) in [(&sparse_graph, 0.15), (&dense_graph, 0.5)] {
+        let (naive, _) = calls_of(|| nhood_core::naive::plan_naive(graph));
+        let (cn, _) = calls_of(|| nhood_core::common_neighbor::plan_common_neighbor(graph, 4));
+        let (pat, _) = calls_of(|| nhood_core::pat::plan_pat(graph, 2));
+        println!("build at δ = {delta}: naive {naive}, cn:4 {cn}, pat:2 {pat} allocator calls");
+        for (name, calls) in [("naive", naive), ("cn:4", cn), ("pat:2", pat)] {
+            assert!(calls <= 64, "{name} at δ = {delta}: {calls} allocator calls (budget 64)");
+        }
+    }
+    // ... and lowering a Distance Halving pattern per rank (its sorted
+    // final-phase deliveries and copy counts), not per message
+    let pattern = nhood_core::builder::build_pattern(&sparse_graph, &layout).expect("builds");
+    let (lower_calls, _) = calls_of(|| nhood_core::lower::lower(&pattern, &sparse_graph));
+    println!("lower: {lower_calls} allocator calls");
+    assert!(lower_calls <= 1_000, "{lower_calls} allocator calls to lower (3,964 before)");
+
+    // (d) registering the Auto tenant — ten arms built, validated,
     // lowered, simulated and nine dropped, then the winner laid out.
     let mut svc = Service::new(ServiceConfig::default());
     let (register_calls, tenant) =
@@ -303,7 +350,13 @@ fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
     // renegotiating from scratch
     let absent = (0..96).flat_map(|u| (0..96).map(move |v| (u, v)));
     let new = absent.filter(|&(u, v)| u != v && !g.has_edge(u, v)).nth(40).expect("not complete");
-    assert!(!svc.churn(t, &[new], &[]).expect("repairs").full_rebuild);
+    let (churn_calls, repaired) = calls_of(|| svc.churn(t, &[new], &[]));
+    assert!(!repaired.expect("repairs").full_rebuild);
+    println!("one single-edge churn: {churn_calls} allocator calls");
+    assert!(
+        churn_calls <= SINGLE_EDGE_CHURN_CALLS,
+        "{churn_calls} calls (budget {SINGLE_EDGE_CHURN_CALLS})"
+    );
     let own = (0..96).map(|r| vec![r as u8; 64]).collect();
     let churned = first_request(&mut svc, SubmitRequest::allreduce(own, Reduction::SUM_U8));
     println!("first allreduce after a single-edge churn: {churned} allocator calls");
@@ -323,19 +376,30 @@ const WARM_GATHER_TICK_CALLS: u64 = 152;
 /// is left is mostly the reduce shapes' request-scoped staging arena.
 const WARM_COMBINING_TICK_CALLS: u64 = 877;
 
-/// 5 % above the 1,182 calls the first alltoallv of a registered n = 96
+/// 5 % above the 1,134 calls the first alltoallv of a registered n = 96
 /// Distance Halving tenant costs today (12,316 while the combining family
-/// negotiated a second pattern of its own).
-const FIRST_ALLTOALLV_CALLS: u64 = 1_241;
-/// 5 % above the 1,056 calls of the first allreduce after one single-edge
+/// negotiated a second pattern of its own; 1,144 before the plan went
+/// flat).
+const FIRST_ALLTOALLV_CALLS: u64 = 1_190;
+/// 5 % above the 1,051 calls of the first allreduce after one single-edge
 /// `churn` today (12,192 while every churn made the combining memo
-/// renegotiate from scratch).
-const CHURNED_ALLREDUCE_CALLS: u64 = 1_108;
+/// renegotiate from scratch; 1,061 before the plan went flat).
+const CHURNED_ALLREDUCE_CALLS: u64 = 1_103;
+
+/// One single-edge `churn` of the registered n = 96 Distance Halving
+/// tenant, as counted today: 3,754 while `repair_for_churn` deep-cloned
+/// the plan (2,612 of them that clone); the budget is exactly that much
+/// lower. What is left is the new topology (624) and the pattern clone
+/// (479).
+const SINGLE_EDGE_CHURN_CALLS: u64 = 3_754 - 2_612;
 
 /// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted at
 /// the commit before the dense prepare passes (the same 33 today).
 const ENGINE_RUN_CALLS: u64 = 33;
-/// 5 % above the 44,191 calls registering the Auto tenant costs today
-/// (67,985 before the cold path ran on dense ids); a map that creeps back
-/// into build / validate / lay out shows as a number here.
-const AUTO_REGISTER_CALLS: u64 = 46_400;
+/// 5 % above the 14,007 calls registering the Auto tenant costs today
+/// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
+/// a vector of vectors of messages of block vectors — 27,378 of those to
+/// clone or drop the representation). What is left: the ten `Schedule`
+/// lowerings and simulations (≈ 6.2 k), the Distance Halving negotiation
+/// (≈ 5.6 k), Bruck's and the leader hierarchy's B-trees.
+const AUTO_REGISTER_CALLS: u64 = 14_700;

@@ -462,8 +462,8 @@ fn a_dead_link_degrades_combining_ops_to_the_naive_program() {
     };
     let plan = Arc::clone(armed(&g, None, policy).churn_plan().unwrap());
     let mut fp = FaultPlan::seeded(7);
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for peer in prog.iter().flat_map(|ph| &ph.sends).map(|msg| msg.peer) {
+    for r in 0..plan.n() {
+        for peer in plan.phases(r).flat_map(|phase| phase.sends()).map(|m| m.peer()) {
             if !g.has_edge(r, peer) && !g.has_edge(peer, r) {
                 fp = fp.with_link_down(r, peer, 0);
             }

@@ -154,16 +154,12 @@ fn churn_roundtrips_match_scratch_builds_at_128() {
 /// edge in either direction — killing it cannot change the reference
 /// output, only the relay routing.
 fn dh_only_link(plan: &CollectivePlan, g: &Topology) -> Option<(usize, usize, usize)> {
-    for (r, prog) in plan.per_rank.iter().enumerate() {
-        for (k, ph) in prog.iter().enumerate() {
-            for m in &ph.sends {
-                if !g.has_edge(r, m.peer) && !g.has_edge(m.peer, r) {
-                    return Some((r, m.peer, k));
-                }
-            }
-        }
-    }
-    None
+    (0..plan.n()).find_map(|r| {
+        plan.phases(r).enumerate().find_map(|(k, phase)| {
+            let mut peers = phase.sends().map(|m| m.peer());
+            peers.find(|&p| !g.has_edge(r, p) && !g.has_edge(p, r)).map(|p| (r, p, k))
+        })
+    })
 }
 
 /// The acceptance bar from the issue: a `LinkDown` surfacing mid-run at

@@ -307,8 +307,7 @@ fn plan_io_round_trips_arbitrary_plans() {
             let mut buf = Vec::new();
             write_plan(&plan, &mut buf).unwrap();
             let back = read_plan(&buf[..]).unwrap();
-            assert_eq!(&back.per_rank, &plan.per_rank);
-            assert_eq!(back.algorithm, plan.algorithm);
+            assert!(back == plan);
             // truncation at any point must error, never mis-parse
             if buf.len() > 16 {
                 let cut = buf.len() / 2;

@@ -1,6 +1,8 @@
 //! Generated differential suite for `CollectivePlan::validate`.
 //!
-//! Every case is one seeded mutation of one generated plan: all six
+//! Every case is one seeded mutation of one generated plan — taken out
+//! in the owned row form (`to_rows`), mutated there, and put back
+//! (`from_rows`), so the plan the validator reads is a flat one: all six
 //! algorithms × n ∈ {17, 32, 61, 96} × `DetRng`-drawn δ × the eight
 //! mutations below. The dense validator must return **the same error**
 //! — not merely the same verdict — as a brute-force oracle written here
@@ -16,7 +18,7 @@
 
 use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_core::exec::sim_exec::to_schedule_v;
-use nhood_core::plan::{MsgDir, PlannedMsg};
+use nhood_core::plan::{MsgDir, PlanPhase, PlannedMsg};
 use nhood_core::{Algorithm, CollectivePlan, DistGraphComm, PlanValidationError as E, SimCost};
 use nhood_simnet::{Engine, SimError, SimReport};
 use nhood_topology::random::erdos_renyi;
@@ -36,10 +38,13 @@ const SIZES: [usize; 4] = [17, 32, 61, 96];
 const DELTAS: u64 = 11;
 const MUTATIONS: u64 = 8;
 
+/// A plan in the owned row form: `rows[r]` is rank `r`'s program.
+type Rows = Vec<Vec<PlanPhase>>;
+
 /// Every message of one side, in program order: `(rank, phase, msg)`.
-fn side(plan: &CollectivePlan, dir: MsgDir) -> Vec<(Rank, usize, &PlannedMsg)> {
+fn side(plan: &Rows, dir: MsgDir) -> Vec<(Rank, usize, &PlannedMsg)> {
     let mut out = Vec::new();
-    for (r, prog) in plan.per_rank.iter().enumerate() {
+    for (r, prog) in plan.iter().enumerate() {
         for (k, ph) in prog.iter().enumerate() {
             let msgs = if dir == MsgDir::Send { &ph.sends } else { &ph.recvs };
             out.extend(msgs.iter().map(|m| (r, k, m)));
@@ -49,20 +54,20 @@ fn side(plan: &CollectivePlan, dir: MsgDir) -> Vec<(Rank, usize, &PlannedMsg)> {
 }
 
 /// The five rules, by brute force, in the documented defect order.
-fn oracle(plan: &CollectivePlan, graph: &Topology) -> Result<(), E> {
-    let n = plan.per_rank.len();
+fn oracle(plan: &Rows, graph: &Topology) -> Result<(), E> {
+    let n = plan.len();
     if graph.n() != n {
         return Err(E::RankCountMismatch { plan: n, topology: graph.n() });
     }
     // 1: lock-step, lowest rank
-    let want = plan.per_rank.first().map_or(0, Vec::len);
-    for (rank, prog) in plan.per_rank.iter().enumerate() {
+    let want = plan.first().map_or(0, Vec::len);
+    for (rank, prog) in plan.iter().enumerate() {
         if prog.len() != want {
             return Err(E::NotLockStep { rank, got: prog.len(), want });
         }
     }
     // 2: per-message sanity in program order, sends before recvs
-    for (rank, prog) in plan.per_rank.iter().enumerate() {
+    for (rank, prog) in plan.iter().enumerate() {
         for (phase, ph) in prog.iter().enumerate() {
             for (dir, msgs) in [(MsgDir::Send, &ph.sends), (MsgDir::Recv, &ph.recvs)] {
                 for m in msgs {
@@ -130,14 +135,14 @@ fn oracle(plan: &CollectivePlan, graph: &Topology) -> Result<(), E> {
         own[r] = true;
     }
     for phase in 0..want {
-        for (rank, prog) in plan.per_rank.iter().enumerate() {
+        for (rank, prog) in plan.iter().enumerate() {
             for &block in prog[phase].sends.iter().flat_map(|m| &m.blocks) {
                 if block >= n || !holds[rank][block] {
                     return Err(E::UnheldBlock { rank, phase, block });
                 }
             }
         }
-        for (rank, prog) in plan.per_rank.iter().enumerate() {
+        for (rank, prog) in plan.iter().enumerate() {
             for &block in prog[phase].recvs.iter().flat_map(|m| &m.blocks) {
                 holds[rank][block] = true;
                 delivered[block][rank] += 1;
@@ -155,23 +160,18 @@ fn oracle(plan: &CollectivePlan, graph: &Topology) -> Result<(), E> {
 }
 
 /// `(rank, phase, index)` of a random message of one side, if any.
-fn pick(plan: &CollectivePlan, dir: MsgDir, rng: &mut DetRng) -> Option<(Rank, usize, usize)> {
+fn pick(plan: &Rows, dir: MsgDir, rng: &mut DetRng) -> Option<(Rank, usize, usize)> {
     let all = side(plan, dir);
     if all.is_empty() {
         return None;
     }
     let (r, k, m) = all[rng.gen_below(all.len())];
-    let msgs =
-        if dir == MsgDir::Send { &plan.per_rank[r][k].sends } else { &plan.per_rank[r][k].recvs };
+    let msgs = if dir == MsgDir::Send { &plan[r][k].sends } else { &plan[r][k].recvs };
     Some((r, k, msgs.iter().position(|x| std::ptr::eq(x, m)).expect("picked from this phase")))
 }
 
-fn msg_mut(
-    plan: &mut CollectivePlan,
-    dir: MsgDir,
-    (r, k, i): (Rank, usize, usize),
-) -> &mut PlannedMsg {
-    let ph = &mut plan.per_rank[r][k];
+fn msg_mut(plan: &mut Rows, dir: MsgDir, (r, k, i): (Rank, usize, usize)) -> &mut PlannedMsg {
+    let ph = &mut plan[r][k];
     if dir == MsgDir::Send {
         &mut ph.sends[i]
     } else {
@@ -180,30 +180,25 @@ fn msg_mut(
 }
 
 /// Appends `block` to a random send and to the recv that mirrors it.
-fn append_both_sides(
-    plan: &mut CollectivePlan,
-    block: impl Fn(Rank, Rank) -> Rank,
-    rng: &mut DetRng,
-) {
+fn append_both_sides(plan: &mut Rows, block: impl Fn(Rank, Rank) -> Rank, rng: &mut DetRng) {
     let Some((src, k, i)) = pick(plan, MsgDir::Send, rng) else { return };
-    let (dst, tag) = (plan.per_rank[src][k].sends[i].peer, plan.per_rank[src][k].sends[i].tag);
+    let (dst, tag) = (plan[src][k].sends[i].peer, plan[src][k].sends[i].tag);
     let b = block(src, dst);
-    plan.per_rank[src][k].sends[i].blocks.push(b);
-    if let Some(m) = plan.per_rank[dst][k].recvs.iter_mut().find(|m| (m.peer, m.tag) == (src, tag))
-    {
+    plan[src][k].sends[i].blocks.push(b);
+    if let Some(m) = plan[dst][k].recvs.iter_mut().find(|m| (m.peer, m.tag) == (src, tag)) {
         m.blocks.push(b);
     }
 }
 
 /// One seeded mutation; a mutation with nothing to bite on leaves the
 /// plan valid, which exercises the accept path.
-fn mutate(plan: &mut CollectivePlan, graph: &Topology, kind: u64, rng: &mut DetRng) {
-    let n = plan.per_rank.len();
+fn mutate(plan: &mut Rows, graph: &Topology, kind: u64, rng: &mut DetRng) {
+    let n = plan.len();
     match kind {
         // drop a recv
         0 => {
             if let Some((r, k, i)) = pick(plan, MsgDir::Recv, rng) {
-                plan.per_rank[r][k].recvs.remove(i);
+                plan[r][k].recvs.remove(i);
             }
         }
         // duplicate a tag: a message takes the tag of a message of the
@@ -219,11 +214,9 @@ fn mutate(plan: &mut CollectivePlan, graph: &Topology, kind: u64, rng: &mut DetR
         2 => {
             let Some((src, k, i)) = pick(plan, MsgDir::Send, rng) else { return };
             let both = rng.gen_below(4) == 0;
-            let (dst, tag) =
-                (plan.per_rank[src][k].sends[i].peer, plan.per_rank[src][k].sends[i].tag);
-            plan.per_rank[src][k].sends[i].blocks.rotate_left(1);
-            let mirror =
-                plan.per_rank[dst][k].recvs.iter_mut().find(|m| (m.peer, m.tag) == (src, tag));
+            let (dst, tag) = (plan[src][k].sends[i].peer, plan[src][k].sends[i].tag);
+            plan[src][k].sends[i].blocks.rotate_left(1);
+            let mirror = plan[dst][k].recvs.iter_mut().find(|m| (m.peer, m.tag) == (src, tag));
             if let (true, Some(m)) = (both, mirror) {
                 m.blocks.rotate_left(1);
             }
@@ -231,9 +224,9 @@ fn mutate(plan: &mut CollectivePlan, graph: &Topology, kind: u64, rng: &mut DetR
         // move a recv to another phase
         3 => {
             let Some((r, k, i)) = pick(plan, MsgDir::Recv, rng) else { return };
-            let m = plan.per_rank[r][k].recvs.remove(i);
-            let to = rng.gen_below(plan.per_rank[r].len());
-            plan.per_rank[r][to].recvs.push(m);
+            let m = plan[r][k].recvs.remove(i);
+            let to = rng.gen_below(plan[r].len());
+            plan[r][to].recvs.push(m);
         }
         // retarget a peer (possibly onto the rank itself)
         4 => {
@@ -261,7 +254,7 @@ fn mutate(plan: &mut CollectivePlan, graph: &Topology, kind: u64, rng: &mut DetR
         }
         // drop a whole rank's last phase
         _ => {
-            plan.per_rank[rng.gen_below(n)].pop();
+            plan[rng.gen_below(n)].pop();
         }
     }
 }
@@ -283,17 +276,19 @@ fn dense_validator_agrees_with_the_brute_force_oracle() {
                 let comm = DistGraphComm::create_adjacent(graph.clone(), layout.clone()).unwrap();
                 let pristine = comm.plan(algorithm).unwrap();
                 assert_eq!(
-                    oracle(&pristine, &graph),
+                    oracle(&pristine.to_rows(), &graph),
                     Ok(()),
                     "{algorithm} n={n} δ-seed {delta_seed}"
                 );
                 for kind in 0..MUTATIONS {
                     let mutation_seed = hash_mix(&[delta_seed, kind, n as u64, a as u64]);
                     let case = format!("({algorithm}, {n}, {delta_seed}, {mutation_seed:#x})");
-                    let mut plan = pristine.clone();
-                    mutate(&mut plan, &graph, kind, &mut DetRng::seed_from_u64(mutation_seed));
+                    let mut rows = pristine.to_rows();
+                    mutate(&mut rows, &graph, kind, &mut DetRng::seed_from_u64(mutation_seed));
+                    let plan = CollectivePlan::from_rows(algorithm, pristine.selection, &rows);
+                    assert_eq!(plan.to_rows(), rows, "case {case}: the row form round-trips");
 
-                    let (got, want) = (plan.validate(&graph), oracle(&plan, &graph));
+                    let (got, want) = (plan.validate(&graph), oracle(&rows, &graph));
                     assert_eq!(got, want, "validator and oracle disagree on case {case}");
                     cases += 1;
                     if let Err(e) = &got {
