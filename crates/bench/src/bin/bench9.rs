@@ -1,7 +1,7 @@
 //! `bench9` — regenerate `BENCH_9.json`: raw speed at 100k+ ranks.
 //! Sharded simulator vs pool width 1, streaming plan-build peak RSS across a
-//! 10× rank jump on matched edges/rank, and the mmap warm-start path
-//! vs decode + validate.
+//! 10× rank jump on matched edges/rank, and the plan file's digest fast
+//! path vs its validated load.
 //!
 //! ```text
 //! bench9 [--quick] [--out FILE]
@@ -11,7 +11,7 @@
 //! that depend on the host (≥ 4 threads for the 2× sharded speedup,
 //! a working `/proc` RSS probe for the 10× RSS ceiling) self-disable
 //! and record why; bit-identity of the sharded report and
-//! reference-identity of the mmap-served plan are always enforced.
+//! reference-identity of the file-served plan are always enforced.
 //! Exits nonzero when an armed gate fails.
 
 use nhood_bench::bench9;
@@ -32,7 +32,7 @@ fn main() {
         }
     }
     eprintln!(
-        ">> BENCH_9: sharded simnet / plan-build RSS / mmap warm start ({} scale)...",
+        ">> BENCH_9: sharded simnet / plan-build RSS / plan-file warm start ({} scale)...",
         if quick { "quick" } else { "full" }
     );
     let b = bench9::run(quick);
@@ -62,7 +62,7 @@ fn main() {
         );
     }
     eprintln!(
-        "   mmap warm     n={:<7} decode+validate {:.6}s  mmap fast {:.6}s  {:.2}x  identical={}",
+        "   warm start    n={:<7} validated load {:.6}s  digest fast path {:.6}s  {:.2}x  identical={}",
         b.mmap.n,
         b.mmap.decode_validate_secs,
         b.mmap.mmap_fast_secs,
@@ -107,7 +107,7 @@ fn main() {
     }
     if !report.mmap_speedup_ok {
         eprintln!(
-            "!! mmap warm-start gate failed: {:.2}x under {:.1}x (fast path hit: {})",
+            "!! warm-start gate failed: {:.2}x under {:.1}x (fast path hit: {})",
             report.mmap_speedup,
             bench9::GATE_MMAP_SPEEDUP,
             b.mmap.fast_path_hit
@@ -115,7 +115,7 @@ fn main() {
         failed = true;
     }
     if !report.mmap_identical {
-        eprintln!("!! mmap-served plan diverged from the inserted plan");
+        eprintln!("!! file-served plan diverged from the inserted plan");
         failed = true;
     }
     if failed {

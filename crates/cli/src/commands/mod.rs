@@ -407,6 +407,11 @@ mod tests {
         cmd_simulate(&args(&["simulate", &path, "--load", &plan_path, "--sizes", "64"]), &mut out)
             .unwrap();
         assert_eq!(String::from_utf8_lossy(&out).lines().count(), 2);
+        // a file of an older format generation is a typed error, not a plan
+        std::fs::write(&plan_path, [&b"NHPLAN1\0"[..], &[0; 32]].concat()).unwrap();
+        let loaded = ["simulate", &path, "--load", &plan_path, "--sizes", "64"];
+        let err = cmd_simulate(&args(&loaded), &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
 
         let mut out = Vec::new();
         cmd_recommend(&args(&["recommend", &path, "--size", "64"]), &mut out).unwrap();

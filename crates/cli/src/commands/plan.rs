@@ -96,7 +96,7 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         std::sync::Arc::new(comm.plan(algo)?)
     };
     if let Some(save) = args.get("save") {
-        nhood_core::plan_io::save_plan(&plan, std::path::Path::new(save))?;
+        nhood_core::plan_io::save_plan(&plan, std::path::Path::new(save), None)?;
         writeln!(w, "plan saved to {save}")?;
     }
     if plan.algorithm == algo {
@@ -146,8 +146,9 @@ pub fn cmd_simulate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let algo = parse_algo(args)?;
     let sizes = parse_sizes(args)?;
     let plan = if let Some(loaded) = args.get("load") {
-        let p = nhood_core::plan_io::load_plan(std::path::Path::new(loaded))
-            .map_err(|e| fail(e.to_string()))?;
+        let p = nhood_core::plan_io::PlanFile::open(std::path::Path::new(loaded))
+            .map_err(|e| fail(e.to_string()))?
+            .to_plan();
         p.validate(&graph)
             .map_err(|e| fail(format!("loaded plan invalid for this topology: {e}")))?;
         p

@@ -279,7 +279,7 @@ impl std::fmt::Display for Algorithm {
 /// One planned message in the **owned row form** (module docs): `blocks`
 /// (payload contributions of those ranks, concatenated in order) moving
 /// between this rank and `peer`. See [`CollectivePlan::from_rows`] /
-/// [`CollectivePlan::to_rows`] and [`crate::plan_io::MappedPlan::rank`].
+/// [`CollectivePlan::to_rows`] and [`crate::plan_io::PlanFile::rank`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedMsg {
     /// The other endpoint.
@@ -307,11 +307,11 @@ pub struct PlanPhase {
 /// One row of the message table; its blocks are
 /// `pool[block_off..block_off + block_len]`.
 #[derive(Clone, Copy, Debug, Default)]
-struct MsgRow {
-    tag: u64,
-    peer: u32,
-    block_off: u32,
-    block_len: u32,
+pub(crate) struct MsgRow {
+    pub(crate) tag: u64,
+    pub(crate) peer: u32,
+    pub(crate) block_off: u32,
+    pub(crate) block_len: u32,
 }
 
 impl MsgRow {
@@ -342,22 +342,25 @@ pub struct CollectivePlan {
     pub algorithm: Algorithm,
     /// Selection statistics (Distance Halving only).
     pub selection: Option<SelectionStats>,
+    // The tables are `pub(crate)` for `plan_io` alone: they are the plan
+    // file's columns, and its parser establishes every condition below
+    // before it fills them in.
     /// Rank `r`'s phases are buckets `phase_off[r]..phase_off[r + 1]`.
-    phase_off: Vec<u32>,
+    pub(crate) phase_off: Vec<u32>,
     /// Per bucket: block-sized memcpys at phase entry.
-    copy_blocks: Vec<usize>,
+    pub(crate) copy_blocks: Vec<usize>,
     /// With `B` buckets, bucket `b`'s sends are rows
     /// `msg_off[b]..msg_off[b + 1]` and its recvs rows
     /// `msg_off[B + b]..msg_off[B + b + 1]`: every send sits before every
     /// recv, each side in (rank, phase) order, so a send's row index *is*
     /// its dense id in program order.
-    msg_off: Vec<u32>,
-    msgs: Vec<MsgRow>,
+    pub(crate) msg_off: Vec<u32>,
+    pub(crate) msgs: Vec<MsgRow>,
     /// The block lists; a message written by [`PlanWriter::message`]
     /// shares one range between its two sides.
-    pool: Vec<Rank>,
-    /// Sum of the send rows' block counts.
-    blocks_sent: usize,
+    pub(crate) pool: Vec<Rank>,
+    /// Sum of the send rows' block counts ([`Self::checked`] derives it).
+    pub(crate) blocks_sent: usize,
 }
 
 /// Equal when the algorithm, the selection statistics and every row are:
@@ -477,7 +480,7 @@ impl CollectivePlan {
         self.phases(r).nth(p).unwrap_or(PhaseView { plan: self, bucket: None })
     }
 
-    fn blocks_of(&self, row: MsgRow) -> &[Rank] {
+    pub(crate) fn blocks_of(&self, row: MsgRow) -> &[Rank] {
         let at = row.block_off as usize;
         &self.pool[at..at + row.block_len as usize]
     }
@@ -635,7 +638,7 @@ impl CollectivePlan {
 
     /// The tables as a plan, once their message, block and phase counts
     /// are known to fit the `u32` offsets they were written under.
-    fn checked(mut self) -> Result<Self, String> {
+    pub(crate) fn checked(mut self) -> Result<Self, String> {
         fits_u32("messages", self.msgs.len())?;
         fits_u32("blocks", self.pool.len())?;
         fits_u32("phases", self.copy_blocks.len())?;
@@ -748,14 +751,10 @@ impl PlanWriter {
     pub fn finish(self) -> CollectivePlan {
         // INVARIANT: table offsets are `u32`; a builder that outgrows
         // them stops here instead of handing out wrapped offsets.
-        self.try_finish().unwrap_or_else(|e| panic!("plan writer: {e}"))
-    }
-
-    /// [`finish`](Self::finish), an overflowing count as an `Err` naming
-    /// it (what a decoder reports as a corrupt file).
-    pub(crate) fn try_finish(self) -> Result<CollectivePlan, String> {
         let buckets = self.copy_blocks.len();
-        fits_u32("messages", self.rows.len())?;
+        if let Err(e) = fits_u32("messages", self.rows.len()) {
+            panic!("plan writer: {e}");
+        }
         // One stable counting sort by (direction, bucket): count, prefix,
         // fill with the offsets as cursors — which leaves each at its
         // bucket's end, the next one's start — and shift back by one.
@@ -785,6 +784,7 @@ impl PlanWriter {
             blocks_sent: 0,
         }
         .checked()
+        .unwrap_or_else(|e| panic!("plan writer: {e}"))
     }
 }
 
@@ -1114,16 +1114,16 @@ mod tests {
 
     #[test]
     fn table_counts_past_u32_are_refused_not_wrapped() {
-        // what `PlanWriter::finish`, `from_rows`, `patched` and the
-        // decoder all end in: a count the `u32` offsets cannot hold is an
-        // error that names it
+        // what `PlanWriter::finish`, `from_rows`, `patched` and the plan
+        // file's owned exit all end in: a count the `u32` offsets cannot
+        // hold is an error that names it
         assert_eq!(fits_u32("messages", u32::MAX as usize), Ok(u32::MAX));
         let e = fits_u32("messages", u32::MAX as usize + 1).unwrap_err();
         assert!(e.contains("4294967296 messages"), "{e}");
         // ... and an in-range writer finishes to offsets that index
         let mut w = PlanWriter::new(Algorithm::Naive, 2, 1);
         w.message(0, 0, 1, 7, &[0]);
-        let plan = w.try_finish().unwrap();
+        let plan = w.finish();
         assert_eq!(plan.phase(1, 0).recvs().next().unwrap().blocks(), [0]);
     }
 

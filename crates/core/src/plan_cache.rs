@@ -12,8 +12,8 @@
 //! The key is a [`PlanFingerprint`]: a 128-bit hash of everything the
 //! build consumes (adjacency, rank placement, algorithm parameters), so
 //! two setups share a cache slot only when the builder would provably
-//! emit the same plan. Disk loads are re-validated against the topology
-//! before use; a stale or corrupt file is treated as a miss and removed.
+//! emit the same plan. Disk loads are checksummed and digest-matched or
+//! re-validated before use; a stale or corrupt file is a miss and removed.
 //!
 //! Fingerprints are computed with `std`'s `DefaultHasher` (SipHash with
 //! fixed keys). That is stable within one build of the library but not
@@ -52,7 +52,7 @@ impl PlanFingerprint {
 
     /// Runs `feed` twice into differently seeded hashers and combines
     /// the two 64-bit digests.
-    fn digest(feed: impl Fn(&mut DefaultHasher)) -> Self {
+    pub(crate) fn digest(feed: impl Fn(&mut DefaultHasher)) -> Self {
         let pass = |seed: u64| {
             let mut h = DefaultHasher::new();
             seed.hash(&mut h);
@@ -199,12 +199,16 @@ impl PlanFingerprint {
                     }
                 }
             }
-            graph.n().hash(h);
-            for r in 0..graph.n() {
-                graph.in_neighbors(r).hash(h);
-            }
+            hash_in_lists(graph, h);
         })
     }
+}
+
+/// Feeds `h` what delivery depends on in a topology: the rank count and
+/// every in-neighbor list.
+fn hash_in_lists(graph: &Topology, h: &mut DefaultHasher) {
+    graph.n().hash(h);
+    (0..graph.n()).for_each(|r| graph.in_neighbors(r).hash(h));
 }
 
 impl std::fmt::Display for PlanFingerprint {
@@ -222,9 +226,9 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// The subset of `hits` that came off the disk tier.
     pub disk_hits: u64,
-    /// The subset of `disk_hits` served through the memory-mapped fast
-    /// path: integrity checksum good and topology digest matched, so
-    /// the full `validate` pass was skipped.
+    /// The subset of `disk_hits` served on the fast path: integrity
+    /// checksum good and topology digest matched, so the full `validate`
+    /// pass was skipped.
     pub disk_fast_hits: u64,
     /// Plans inserted.
     pub insertions: u64,
@@ -233,6 +237,7 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     map: HashMap<PlanFingerprint, Arc<CollectivePlan>>,
     /// Recency order: front = least recently used.
@@ -247,6 +252,12 @@ impl Inner {
             self.order.remove(i);
         }
         self.order.push_back(fp);
+    }
+
+    fn count_disk_hit(&mut self, fast: bool) {
+        self.stats.hits += 1;
+        self.stats.disk_hits += 1;
+        self.stats.disk_fast_hits += u64::from(fast);
     }
 }
 
@@ -283,15 +294,7 @@ impl PlanCache {
     /// An in-memory cache holding at most `capacity` plans (clamped to at
     /// least 1).
     pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                stats: PlanCacheStats::default(),
-            }),
-            disk_dir: None,
-            capacity: capacity.max(1),
-        }
+        Self { inner: Mutex::default(), disk_dir: None, capacity: capacity.max(1) }
     }
 
     /// Adds a disk tier under `dir` (created if absent): every insert is
@@ -316,7 +319,7 @@ impl PlanCache {
 
     /// Current number of in-memory entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").map.len()
+        self.lock().map.len()
     }
 
     /// `true` when no plan is cached in memory.
@@ -326,7 +329,7 @@ impl PlanCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
-        self.inner.lock().expect("plan cache poisoned").stats
+        self.lock().stats
     }
 
     fn disk_path(&self, fp: PlanFingerprint) -> Option<PathBuf> {
@@ -334,100 +337,86 @@ impl PlanCache {
     }
 
     /// Digest of the topology facts the disk tier's staleness check
-    /// cares about: rank count and every in-neighbor list. Saved into
-    /// the plan file's integrity footer by [`insert_validated`] and
-    /// compared on lookup — a match (under a good checksum) proves the
-    /// file holds exactly the plan that was validated against this
-    /// topology at insert time, so re-validation can be skipped.
-    fn graph_digest(graph: &Topology) -> (u64, u64) {
-        let pass = |seed: u64| {
-            let mut h = DefaultHasher::new();
-            seed.hash(&mut h);
-            graph.n().hash(&mut h);
-            for r in 0..graph.n() {
-                graph.in_neighbors(r).hash(&mut h);
-            }
-            h.finish()
-        };
-        (pass(0x6e68_6764_5f68_6921), pass(0x6e68_6764_5f6c_6f21))
+    /// cares about ([`hash_in_lists`]). Saved into the plan file's footer
+    /// by [`insert_validated`](Self::insert_validated) and compared on
+    /// lookup — a match (under a good checksum) proves the file holds
+    /// exactly the plan that was validated against this topology at
+    /// insert time, so re-validation can be skipped.
+    fn graph_digest(graph: &Topology) -> u128 {
+        PlanFingerprint::digest(|h| hash_in_lists(graph, h)).as_u128()
     }
 
-    /// Looks `fp` up: memory first, then the disk tier. The disk probe
-    /// goes through the memory-mapped checked reader: a file whose
-    /// integrity checksum and topology digest both hold is promoted
-    /// without the expensive `validate` pass (the warm-start fast path);
-    /// anything else is re-validated against `graph` before promotion. A
-    /// file that fails to parse, checksum or validate is deleted and
-    /// counted as a miss (the caller rebuilds and the insert overwrites
-    /// it).
-    pub fn lookup(&self, fp: PlanFingerprint, graph: &Topology) -> Option<Arc<CollectivePlan>> {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        if let Some(plan) = inner.map.get(&fp).cloned() {
-            inner.touch(fp);
-            inner.stats.hits += 1;
-            return Some(plan);
-        }
-        if let Some(path) = self.disk_path(fp) {
-            if let Ok(checked) = plan_io::load_plan_checked(&path) {
-                let fast =
-                    checked.verified && checked.graph_digest == Some(Self::graph_digest(graph));
-                if fast || checked.plan.validate(graph).is_ok() {
-                    let plan = Arc::new(checked.plan);
-                    Self::insert_locked(&mut inner, self.capacity, fp, Arc::clone(&plan));
-                    // the disk promotion is a reuse, not a fresh build
-                    inner.stats.insertions -= 1;
-                    inner.stats.hits += 1;
-                    inner.stats.disk_hits += 1;
-                    inner.stats.disk_fast_hits += u64::from(fast);
-                    return Some(plan);
-                }
-            }
-            // unreadable, corrupt, or stale for this topology: drop it
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("plan cache poisoned")
+    }
+
+    /// The one disk probe: the tier's file for `fp`, judged against
+    /// `graph` with **no lock held** — file I/O, the checksum pass and an
+    /// O(plan) `validate` must not queue every other tenant's memory hit
+    /// behind one cold file. A file whose recorded topology digest
+    /// matches `graph` is served as it stands (`true` beside it: the
+    /// warm-start fast path); one with no digest, or another topology's,
+    /// only once the plan it holds validates. A file that fails to open,
+    /// parse, checksum or validate is deleted and is a miss (the caller
+    /// rebuilds and the insert replaces it).
+    fn probe(&self, fp: PlanFingerprint, graph: &Topology) -> Option<(plan_io::PlanFile, bool)> {
+        let path = self.disk_path(fp)?;
+        let judged = plan_io::PlanFile::open(&path).ok().and_then(|file| {
+            let fast = file.graph_digest() == Some(Self::graph_digest(graph));
+            (fast || file.to_plan().validate(graph).is_ok()).then_some((file, fast))
+        });
+        if judged.is_none() {
             let _ = std::fs::remove_file(&path);
         }
-        inner.stats.misses += 1;
-        None
+        judged
     }
 
-    /// Memory-mapped warm start: serves the disk tier's copy of `fp` as
-    /// a [`plan_io::MappedPlan`], whose per-rank programs decode lazily
-    /// out of the mapping — "time to first rank ready" costs one
-    /// checksum pass over the file instead of a full decode-copy plus
-    /// validation. Only fast-path-eligible files are served: the v2
-    /// footer must verify **and** the recorded topology digest must
-    /// match `graph` (the same rule [`lookup`](Self::lookup) uses to
-    /// skip re-validation, counted in `disk_fast_hits`). Everything
-    /// else is a miss: legacy or digest-mismatched files are left on
-    /// disk for `lookup`'s validated path, corrupt files are deleted.
-    /// The memory tier is neither consulted nor populated — it holds
-    /// materialized plans, and callers wanting one should use `lookup`.
+    /// Looks `fp` up: memory first, then the disk tier
+    /// (`probe`, above), whose plan is promoted to memory. The
+    /// lock is held to read the memory tier and again to promote and
+    /// count — never across the probe.
+    pub fn lookup(&self, fp: PlanFingerprint, graph: &Topology) -> Option<Arc<CollectivePlan>> {
+        {
+            let mut inner = self.lock();
+            if let Some(plan) = inner.map.get(&fp).cloned() {
+                inner.touch(fp);
+                inner.stats.hits += 1;
+                return Some(plan);
+            }
+        }
+        let found = self.probe(fp, graph).map(|(file, fast)| (Arc::new(file.to_plan()), fast));
+        let mut inner = self.lock();
+        let Some((plan, fast)) = found else {
+            inner.stats.misses += 1;
+            return None;
+        };
+        Self::insert_locked(&mut inner, self.capacity, fp, Arc::clone(&plan));
+        // the disk promotion is a reuse, not a fresh build
+        inner.stats.insertions -= 1;
+        inner.count_disk_hit(fast);
+        Some(plan)
+    }
+
+    /// The disk tier's file for `fp`, verified ([`plan_io::PlanFile`]):
+    /// its [`rank`](plan_io::PlanFile::rank) reads one rank's program out
+    /// of the file's bytes, so "time to first rank ready" on the fast path
+    /// is one checksum pass plus the table checks, no owned plan. The same
+    /// `probe` as [`lookup`](Self::lookup) decides what is
+    /// served; the memory tier is neither consulted nor populated — it
+    /// holds owned plans. (The name is older than the one file format:
+    /// nothing is memory-mapped.)
     pub fn lookup_mapped(
         &self,
         fp: PlanFingerprint,
         graph: &Topology,
-    ) -> Option<plan_io::MappedPlan> {
-        let path = self.disk_path(fp)?;
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        match plan_io::load_plan_mapped(&path) {
-            Ok(m) if m.graph_digest() == Some(Self::graph_digest(graph)) => {
-                inner.stats.hits += 1;
-                inner.stats.disk_hits += 1;
-                inner.stats.disk_fast_hits += 1;
-                Some(m)
-            }
-            // wrong topology, digest-less, absent, or pre-v2: not ours
-            // to serve (or delete) — the validated path decides
-            Ok(_) | Err(plan_io::PlanIoError::Io(_)) | Err(plan_io::PlanIoError::BadMagic) => {
-                inner.stats.misses += 1;
-                None
-            }
-            Err(plan_io::PlanIoError::Corrupt(_)) => {
-                inner.stats.misses += 1;
-                drop(inner);
-                let _ = std::fs::remove_file(&path);
-                None
-            }
+    ) -> Option<plan_io::PlanFile> {
+        let found = self.probe(fp, graph);
+        let mut inner = self.lock();
+        match found {
+            Some((_, fast)) => inner.count_disk_hit(fast),
+            None => inner.stats.misses += 1,
         }
+        found.map(|(file, _)| file)
     }
 
     fn insert_locked(
@@ -448,37 +437,36 @@ impl PlanCache {
 
     /// Inserts (or replaces) the plan for `fp`, evicting the least
     /// recently used entry when the memory tier is full. With a disk
-    /// tier, the plan is also written to `<fingerprint>.nhplan` with an
-    /// integrity checksum (best-effort: an I/O failure leaves only the
-    /// memory entry). No topology digest is recorded — later disk hits
-    /// take the full re-validation path. Prefer
+    /// tier, the plan is also written to `<fingerprint>.nhplan`
+    /// (atomically — [`plan_io::save_plan`]; best-effort: an I/O failure
+    /// leaves only the memory entry). No topology digest is recorded —
+    /// later disk hits take the full re-validation path. Prefer
     /// [`insert_validated`](Self::insert_validated) when the plan is
     /// known-valid for its topology.
     pub fn insert(&self, fp: PlanFingerprint, plan: Arc<CollectivePlan>) {
-        if let Some(path) = self.disk_path(fp) {
-            let _ = plan_io::save_plan_checked(&plan, &path, None);
-        }
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        Self::insert_locked(&mut inner, self.capacity, fp, plan);
+        self.store(fp, plan, None);
     }
 
     /// [`insert`](Self::insert) for a plan the caller has validated (or
     /// built) against `graph`: the disk copy additionally records the
-    /// topology digest, enabling the validation-free memory-mapped fast
-    /// path on later lookups. The caller vouches that
-    /// `plan.validate(graph)` holds — an unvalidated plan inserted here
-    /// would be served without its runtime checks.
+    /// topology digest, enabling the validation-free fast path on later
+    /// lookups. The caller vouches that `plan.validate(graph)` holds — an
+    /// unvalidated plan inserted here would be served without its
+    /// runtime checks.
     pub fn insert_validated(
         &self,
         fp: PlanFingerprint,
         plan: Arc<CollectivePlan>,
         graph: &Topology,
     ) {
+        self.store(fp, plan, Some(graph));
+    }
+
+    fn store(&self, fp: PlanFingerprint, plan: Arc<CollectivePlan>, valid_for: Option<&Topology>) {
         if let Some(path) = self.disk_path(fp) {
-            let _ = plan_io::save_plan_checked(&plan, &path, Some(Self::graph_digest(graph)));
+            let _ = plan_io::save_plan(&plan, &path, valid_for.map(Self::graph_digest));
         }
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        Self::insert_locked(&mut inner, self.capacity, fp, plan);
+        Self::insert_locked(&mut self.lock(), self.capacity, fp, plan);
     }
 
     /// Drops the entry for `fp` from both tiers: the in-memory slot (and
@@ -487,7 +475,7 @@ impl PlanCache {
     /// a plan the mutation invalidated. Returns `true` when either tier
     /// held the entry.
     pub fn retire(&self, fp: PlanFingerprint) -> bool {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
+        let mut inner = self.lock();
         let had_mem = inner.map.remove(&fp).is_some();
         if had_mem {
             if let Some(i) = inner.order.iter().position(|&k| k == fp) {
@@ -771,7 +759,7 @@ mod tests {
         let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
         // plant the PRE-churn plan on disk under the POST-churn key
         let stale = dir.join(format!("{mutated}.nhplan"));
-        crate::plan_io::save_plan(&plan_naive(&g), &stale).unwrap();
+        crate::plan_io::save_plan(&plan_naive(&g), &stale, None).unwrap();
 
         assert!(
             cache.lookup(mutated, &g2).is_none(),
@@ -843,6 +831,43 @@ mod tests {
             })
             .unwrap();
         plan.validate(&graphs[0]).unwrap();
+
+        // ... and a memory hit never queues behind another key's disk
+        // probe, which runs with the lock released. The second key's file
+        // is a FIFO: opening its write end returns exactly when the prober
+        // sits inside its probe with the read end open, and there it stays
+        // until the write end closes — memory hits on the first key must
+        // complete meanwhile.
+        #[cfg(unix)]
+        {
+            let dir = std::env::temp_dir().join(format!("nhood_probe_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
+            cache.insert(fps[0], Arc::new(plan_naive(&graphs[0])));
+            let fifo = dir.join(format!("{}.nhplan", fps[1]));
+            let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("mkfifo");
+            assert!(made.success());
+            let (cache, fps, graphs) = (&cache, &fps, &graphs);
+            std::thread::scope(|scope| {
+                let prober = scope.spawn(move || cache.lookup(fps[1], &graphs[1]));
+                let write_end = std::fs::OpenOptions::new().write(true).open(&fifo).unwrap();
+                let (done, hits_done) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        assert!(cache.lookup(fps[0], &graphs[0]).is_some());
+                    }
+                    done.send(()).unwrap();
+                });
+                let free = hits_done.recv_timeout(std::time::Duration::from_secs(20));
+                drop(write_end); // end of file: the probe has read no plan
+                assert!(free.is_ok(), "memory hits queued behind a disk probe");
+                assert!(prober.join().unwrap().is_none());
+            });
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses), (100, 1), "{s:?}");
+            assert!(!fifo.exists(), "what held no plan is deleted");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -892,43 +917,46 @@ mod tests {
         let l = layout(32);
         let fp = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
         let plan = Arc::new(plan_naive(&g));
+        let path = dir.join(format!("{fp}.nhplan"));
+        let fresh = || PlanCache::new(4).with_disk_dir(&dir).unwrap();
 
-        // no disk tier: trivially a non-answer (and no counter churn)
-        let memonly = PlanCache::new(4);
-        assert!(memonly.lookup_mapped(fp, &g).is_none());
-
-        let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-        // absent file: miss
+        // no disk tier, or no file: a miss
+        assert!(PlanCache::new(4).lookup_mapped(fp, &g).is_none());
+        let cache = fresh();
         assert!(cache.lookup_mapped(fp, &g).is_none());
         cache.insert_validated(fp, Arc::clone(&plan), &g);
 
-        // a fresh cache (fresh process, conceptually) maps it, counts a
+        // a fresh cache (fresh process, conceptually) opens it, counts a
         // fast hit, and serves per-rank programs identical to the plan
-        let warm = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-        let mapped = warm.lookup_mapped(fp, &g).expect("mapped warm hit");
+        let warm = fresh();
+        let mapped = warm.lookup_mapped(fp, &g).expect("warm hit");
         assert_eq!(mapped.n(), plan.n());
         for r in 0..plan.n() {
-            assert_eq!(mapped.rank(r).unwrap(), plan.rank_rows(r), "rank {r}");
+            assert_eq!(mapped.rank(r), plan.rank_rows(r), "rank {r}");
         }
-        assert!(mapped.to_plan().unwrap() == *plan);
+        assert!(mapped.to_plan() == *plan);
         let s = warm.stats();
         assert_eq!((s.hits, s.disk_hits, s.disk_fast_hits), (1, 1, 1), "{s:?}");
+        assert!(warm.is_empty(), "the memory tier holds owned plans only");
 
-        // DIFFERENT topology: digest mismatch is a miss, and the file
-        // survives for the validated path to judge
+        // a digest-less (plain insert) file is served too — by the same
+        // probe as `lookup`: validated first, not a fast hit
+        cache.insert(fp, Arc::clone(&plan));
+        let slow = fresh();
+        assert!(slow.lookup_mapped(fp, &g).expect("validated hit").to_plan() == *plan);
+        let s = slow.stats();
+        assert_eq!((s.hits, s.disk_hits, s.disk_fast_hits), (1, 1, 0), "{s:?}");
+
+        // DIFFERENT topology: the digest mismatch forces `validate`, the
+        // plan under-delivers there, and the stale file is deleted
+        cache.insert_validated(fp, Arc::clone(&plan), &g);
         let grown = (0..32)
             .flat_map(|u| (0..32).map(move |v| (u, v)))
             .find(|&(u, v)| u != v && !g.has_edge(u, v))
             .unwrap();
         let g2 = Topology::from_edges(32, g.edges().chain(std::iter::once(grown)));
         assert!(warm.lookup_mapped(fp, &g2).is_none());
-        let path = dir.join(format!("{fp}.nhplan"));
-        assert!(path.exists(), "digest mismatch must not delete the file");
-
-        // digest-less (plain insert) files are not fast-path eligible
-        cache.insert(fp, Arc::clone(&plan));
-        assert!(PlanCache::new(4).with_disk_dir(&dir).unwrap().lookup_mapped(fp, &g).is_none());
-        assert!(path.exists());
+        assert!(!path.exists(), "a plan that fails validation is deleted");
 
         // corrupt file: miss, deleted — the cold build takes over
         cache.insert_validated(fp, Arc::clone(&plan), &g);
@@ -936,8 +964,32 @@ mod tests {
         let mid = evil.len() / 2;
         evil[mid] ^= 0x10;
         std::fs::write(&path, &evil).unwrap();
-        assert!(PlanCache::new(4).with_disk_dir(&dir).unwrap().lookup_mapped(fp, &g).is_none());
-        assert!(!path.exists(), "corrupt mapped file must be deleted");
+        assert!(fresh().lookup_mapped(fp, &g).is_none());
+        assert!(!path.exists(), "corrupt file must be deleted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_smaller_reinsert_replaces_the_file_under_a_reader_without_tearing_it() {
+        // The disk write is a rename, never an in-place truncate: a view
+        // held over the old (larger) file keeps serving the old bytes —
+        // in place, this was a SIGBUS on a mapped reader — and the next
+        // lookup sees the new plan, whole.
+        let dir = std::env::temp_dir().join(format!("nhood_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (big_g, small_g) = (erdos_renyi(256, 0.5, 3), erdos_renyi(8, 0.3, 3));
+        let (big, small) = (Arc::new(plan_naive(&big_g)), Arc::new(plan_naive(&small_g)));
+        let fp = PlanFingerprint::of_build(&big_g, &layout(256), Algorithm::Naive);
+        let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
+        cache.insert_validated(fp, Arc::clone(&big), &big_g);
+        let held = cache.lookup_mapped(fp, &big_g).expect("the large plan's file");
+
+        cache.insert_validated(fp, Arc::clone(&small), &small_g);
+        assert_eq!(held.rank(255), big.rank_rows(255), "the held view still serves its last rank");
+        assert!(held.to_plan() == *big);
+        let fresh = PlanCache::new(4).with_disk_dir(&dir).unwrap();
+        assert!(*fresh.lookup(fp, &small_g).expect("the new file") == *small);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no temp file is left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -959,34 +1011,28 @@ mod tests {
             // corrupt the file: bit flips and truncations alternating
             let mut evil = pristine.clone();
             if i % 2 == 0 {
-                let byte = rng.gen_below(evil.len() - 8); // under the checksum
+                let byte = rng.gen_below(evil.len());
                 evil[byte] ^= 1 << rng.gen_below(8);
             } else {
                 evil.truncate(rng.gen_below(evil.len()));
             }
             std::fs::write(&path, &evil).unwrap();
 
-            // fresh cache (no memory tier): the lookup must never panic,
-            // and must either serve a byte-correct plan (a flip the
-            // decoder tolerates never verifies, so it gets re-validated)
-            // or miss and delete the file
+            // fresh cache (no memory tier): the lookup must never panic;
+            // the checksum covers every byte, so every one of these is a
+            // miss that deletes the file
             let fresh = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-            match fresh.lookup(fp, &g) {
-                Some(p) => p.validate(&g).expect("served plan must validate"),
-                None => {
-                    assert!(!path.exists(), "iteration {i}: corrupt file must be deleted");
-                    // cold-build fallback repopulates the tier
-                    let (p, hit) = fresh
-                        .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> {
-                            Ok(plan_naive(&g))
-                        })
-                        .unwrap();
-                    assert!(!hit);
-                    p.validate(&g).unwrap();
-                    assert!(path.exists(), "iteration {i}: rebuild must repopulate disk");
-                }
-            }
-            std::fs::write(&path, &pristine).unwrap();
+            assert!(fresh.lookup(fp, &g).is_none(), "iteration {i}: served a corrupt file");
+            assert!(!path.exists(), "iteration {i}: corrupt file must be deleted");
+            // cold-build fallback repopulates the tier
+            let (p, hit) = fresh
+                .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> {
+                    Ok(plan_naive(&g))
+                })
+                .unwrap();
+            assert!(!hit);
+            p.validate(&g).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), pristine, "iteration {i}: rebuilt whole");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

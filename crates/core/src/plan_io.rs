@@ -3,60 +3,50 @@
 //! expensive one-time step (Fig. 8); applications that run the same
 //! topology repeatedly can pay it once and reload the plan afterwards.
 //!
-//! The format is a small versioned little-endian binary (no external
-//! dependencies): magic `NHPLAN1\0`, algorithm id, rank count, then each
-//! rank's phases as length-prefixed send/recv lists.
+//! # One file format: the flat tables
+//!
+//! A plan file *is* the plan's tables (`plan.rs`), little-endian, every
+//! value read with `from_le_bytes` (no alignment requirement); what each
+//! check refuses is tabulated in `docs/PLAN_CACHE.md`:
+//!
+//! ```text
+//! header  128 B  "NHPLAN2\0", then 15 × u64: algorithm id, parameter,
+//!                selection flag, 8 statistics, and the counts — n ranks,
+//!                B phase buckets, M message rows, K pooled blocks
+//! columns        phase_off (n + 1) × u32 | copy_blocks B × u64
+//!                | msg_off (2B + 1) × u32 | tag M × u64 | peer M × u32
+//!                | block_off (M + 1) × u32 | pool K × u32
+//! footer   40 B  topology digest u128 (0: none recorded) | checksum u128
+//!                of every byte before it | "NHEND\0\0\x02"
+//! ```
+//!
+//! Row `i`'s blocks are `pool[block_off[i]..block_off[i + 1]]`: the file's
+//! pool is dense and in row order, so equal plans write equal bytes
+//! wherever their in-memory pools keep (or share) a block list.
+//! [`encode_plan`] is the one writer and [`PlanFile::parse`] the one
+//! reader; what it verified either *borrows* ([`PlanFile::rank`]) or
+//! *owns* ([`PlanFile::to_plan`]). A file of an older generation
+//! (`NHPLAN1`) is [`PlanIoError::BadMagic`]: this is a cache format, not
+//! an archive.
 
 use crate::pattern::SelectionStats;
-use crate::plan::{Algorithm, CollectivePlan, MsgDir, MsgView, PlanPhase, PlanWriter};
+use crate::plan::{Algorithm, CollectivePlan, MsgRow, PlanPhase, PlannedMsg};
+use crate::plan_cache::PlanFingerprint;
+use nhood_topology::Rank;
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
+use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"NHPLAN1\0";
-
-/// Trailing marker of the *version-1* integrity footer. The footer sits
-/// *after* the plan body — the bounded decoder consumes exactly the
-/// encoded bytes and ignores trailers, so checksummed files remain
-/// readable by [`read_plan`] and pre-footer files load fine through
-/// [`load_plan_checked`] (as unverified). v1 files are still read; new
-/// files are written with the v2 footer below.
-const FOOTER_MAGIC: &[u8; 8] = b"NHCK\0\0\0\x01";
-
-/// v1 footer layout: graph digest (16) + checksum (16) + magic (8).
+const MAGIC: &[u8; 8] = b"NHPLAN2\0";
+const END_MAGIC: &[u8; 8] = b"NHEND\0\0\x02";
+/// Magic + 15 `u64` fields.
+const HEADER_LEN: usize = 128;
+/// Topology digest (16) + checksum (16) + end magic (8).
 const FOOTER_LEN: usize = 40;
 
-/// Trailing marker of the *version-2* footer, which additionally embeds
-/// a per-rank offset index so the memory-mapped path can decode any one
-/// rank's program without touching the rest of the file:
-///
-/// ```text
-/// body || index: (n+1) × u64 LE absolute offsets || index_count: u64
-///      || graph digest (16) || checksum (16) || magic (8)
-/// ```
-///
-/// `index[r]` is the byte offset (into the file) where rank `r`'s
-/// program starts; `index[n]` is the end of the body. The checksum
-/// covers everything before it — body, index *and* count — so a flipped
-/// index bit can never steer [`MappedPlan::rank`] while still
-/// verifying. Like v1, the whole footer is a trailer the legacy
-/// decoder ignores.
-const FOOTER_MAGIC_V2: &[u8; 8] = b"NHCK\0\0\0\x02";
-
-/// Fixed part of the v2 footer, after the variable-length index:
-/// index_count (8) + graph digest (16) + checksum (16) + magic (8).
-const FOOTER_V2_FIXED: usize = 48;
-
-/// Dual-seeded SipHash digest of a byte slice (same construction as
-/// `PlanFingerprint`: a collision needs both independently keyed halves
-/// to collide at once).
-fn content_digest(bytes: &[u8]) -> (u64, u64) {
-    let pass = |seed: u64| {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write_u64(seed);
-        h.write(bytes);
-        h.finish()
-    };
-    (pass(0x6e68_636b_5f68_6921), pass(0x6e68_636b_5f6c_6f21))
+/// The checksum: [`PlanFingerprint`]'s dual-seeded SipHash digest.
+fn content_digest(bytes: &[u8]) -> u128 {
+    PlanFingerprint::digest(|h| h.write(bytes)).as_u128()
 }
 
 /// Load failure.
@@ -64,9 +54,9 @@ fn content_digest(bytes: &[u8]) -> (u64, u64) {
 pub enum PlanIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Not a plan file, or an unsupported version.
+    /// Not a plan file, or one of another format generation.
     BadMagic,
-    /// Structurally invalid content (truncated, absurd counts).
+    /// Structurally invalid: truncated, checksum mismatch, bad counts or offsets.
     Corrupt(String),
 }
 
@@ -86,93 +76,6 @@ impl From<io::Error> for PlanIoError {
     fn from(e: io::Error) -> Self {
         PlanIoError::Io(e)
     }
-}
-
-fn w64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-/// Guard against absurd scalar values from corrupt files.
-fn checked_len(v: u64, what: &str) -> Result<usize, PlanIoError> {
-    const LIMIT: u64 = 1 << 32;
-    if v > LIMIT {
-        return Err(PlanIoError::Corrupt(format!("{what} count {v} exceeds limit")));
-    }
-    Ok(v as usize)
-}
-
-/// Bounded decode cursor over the whole file. Every *count* field is
-/// validated against the bytes actually remaining in the input before
-/// anything is allocated or looped over — a flipped length bit can
-/// therefore neither over-allocate (the old decoder accepted any count
-/// up to 2³² after a bare overflow check) nor send the decoder spinning
-/// past the end of the file.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, PlanIoError> {
-        if self.remaining() < 8 {
-            return Err(PlanIoError::Corrupt(format!("truncated reading {what}")));
-        }
-        let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("8 bytes"));
-        self.pos += 8;
-        Ok(v)
-    }
-
-    /// Reads a count of records that each occupy at least
-    /// `min_elem_bytes` of input, and rejects it unless that many
-    /// records can still fit in the remaining file.
-    fn count(&mut self, min_elem_bytes: u64, what: &str) -> Result<usize, PlanIoError> {
-        let v = self.u64(what)?;
-        let rem = self.remaining() as u64;
-        match v.checked_mul(min_elem_bytes) {
-            Some(need) if need <= rem => Ok(v as usize),
-            _ => Err(PlanIoError::Corrupt(format!(
-                "{what} count {v} cannot fit in {rem} remaining bytes"
-            ))),
-        }
-    }
-}
-
-fn write_msg(w: &mut impl Write, m: MsgView<'_>) -> io::Result<()> {
-    w64(w, m.peer() as u64)?;
-    w64(w, m.tag())?;
-    w64(w, m.blocks().len() as u64)?;
-    for &b in m.blocks() {
-        w64(w, b as u64)?;
-    }
-    Ok(())
-}
-
-/// Decodes one message at the cursor: `(peer, tag)`, its block list left
-/// in `blocks`.
-fn read_msg(
-    c: &mut Cursor<'_>,
-    n: usize,
-    blocks: &mut Vec<usize>,
-) -> Result<(usize, u64), PlanIoError> {
-    let peer = checked_len(c.u64("peer")?, "peer")?;
-    if peer >= n {
-        return Err(PlanIoError::Corrupt(format!("peer {peer} out of {n} ranks")));
-    }
-    let tag = c.u64("tag")?;
-    let len = c.count(8, "blocks")?;
-    blocks.clear();
-    for _ in 0..len {
-        let b = checked_len(c.u64("block")?, "block")?;
-        if b >= n {
-            return Err(PlanIoError::Corrupt(format!("block {b} out of {n} ranks")));
-        }
-        blocks.push(b);
-    }
-    Ok((peer, tag))
 }
 
 /// The stable `(id, parameter)` pair of an algorithm — the on-disk
@@ -202,525 +105,296 @@ fn algorithm_from(id: u64, param: u64) -> Result<Algorithm, PlanIoError> {
     })
 }
 
-/// Encodes a plan body and returns it together with the per-rank offset
-/// table the v2 footer embeds: `offsets[r]` is the byte offset where
-/// rank `r`'s program starts, `offsets[n]` the end of the body.
-fn encode_body(plan: &CollectivePlan) -> (Vec<u8>, Vec<u64>) {
-    let mut w: Vec<u8> = Vec::new();
-    let ok = "Vec<u8> writes are infallible";
+/// The selection statistics in their file order.
+fn stats_fields(s: &mut SelectionStats) -> [&mut usize; 8] {
+    [
+        &mut s.req,
+        &mut s.accept,
+        &mut s.drop,
+        &mut s.exit,
+        &mut s.notifications,
+        &mut s.descriptors,
+        &mut s.agent_searches,
+        &mut s.agents_found,
+    ]
+}
+
+/// Appends a column of little-endian values.
+fn put<const N: usize>(w: &mut Vec<u8>, col: impl Iterator<Item = [u8; N]>) {
+    col.for_each(|v| w.extend_from_slice(&v));
+}
+
+/// The one encoder: `plan` as a plan file (module docs), `graph_digest`
+/// — the topology the plan is known valid for, if any — in its footer.
+pub fn encode_plan(plan: &CollectivePlan, graph_digest: Option<u128>) -> Vec<u8> {
+    let (buckets, rows) = (plan.copy_blocks.len(), plan.msgs.len());
+    let blocks: usize = plan.msgs.iter().map(|m| m.block_len as usize).sum();
+    // INVARIANT: the file's dense pool is indexed by `u32`, like the tables.
+    assert!(u32::try_from(blocks).is_ok(), "{blocks} blocks do not fit the file's u32 offsets");
+    let words = plan.n() + 2 * (buckets + rows) + blocks + 3;
+    let len = HEADER_LEN + 4 * words + 8 * (buckets + rows);
+    let mut w = Vec::with_capacity(len + FOOTER_LEN);
     w.extend_from_slice(MAGIC);
     let (id, param) = algorithm_id(plan.algorithm);
-    w64(&mut w, id).expect(ok);
-    w64(&mut w, param).expect(ok);
-    match plan.selection {
-        None => w64(&mut w, 0).expect(ok),
-        Some(s) => {
-            w64(&mut w, 1).expect(ok);
-            for v in [
-                s.req,
-                s.accept,
-                s.drop,
-                s.exit,
-                s.notifications,
-                s.descriptors,
-                s.agent_searches,
-                s.agents_found,
-            ] {
-                w64(&mut w, v as u64).expect(ok);
-            }
-        }
-    }
-    w64(&mut w, plan.n() as u64).expect(ok);
-    let mut offsets = Vec::with_capacity(plan.n() + 1);
-    for r in 0..plan.n() {
-        offsets.push(w.len() as u64);
-        w64(&mut w, plan.phases(r).len() as u64).expect(ok);
-        for phase in plan.phases(r) {
-            w64(&mut w, phase.copy_blocks() as u64).expect(ok);
-            for dir in [MsgDir::Send, MsgDir::Recv] {
-                w64(&mut w, phase.msgs(dir).len() as u64).expect(ok);
-                for m in phase.msgs(dir) {
-                    write_msg(&mut w, m).expect(ok);
-                }
-            }
-        }
-    }
-    offsets.push(w.len() as u64);
-    (w, offsets)
+    let mut stats = plan.selection.unwrap_or_default();
+    let head = [id, param, u64::from(plan.selection.is_some())].into_iter();
+    let tallies =
+        stats_fields(&mut stats).map(|s| *s).into_iter().chain([plan.n(), buckets, rows, blocks]);
+    put(&mut w, head.chain(tallies.map(|v| v as u64)).map(u64::to_le_bytes));
+    put(&mut w, plan.phase_off.iter().map(|o| o.to_le_bytes()));
+    put(&mut w, plan.copy_blocks.iter().map(|&c| (c as u64).to_le_bytes()));
+    put(&mut w, plan.msg_off.iter().map(|o| o.to_le_bytes()));
+    put(&mut w, plan.msgs.iter().map(|m| m.tag.to_le_bytes()));
+    put(&mut w, plan.msgs.iter().map(|m| m.peer.to_le_bytes()));
+    // the dense pool's offsets: a running sum of the rows' block counts
+    let ends = plan.msgs.iter().scan(0u32, |end, m| {
+        *end += m.block_len;
+        Some(*end)
+    });
+    put(&mut w, std::iter::once(0).chain(ends).map(u32::to_le_bytes));
+    // (a block past `u32` is written truncated: validation refuses a block
+    // that is no rank, so the plan that held it was never valid)
+    let pool = plan.msgs.iter().flat_map(|m| plan.blocks_of(*m));
+    put(&mut w, pool.map(|&b| (b as u32).to_le_bytes()));
+    debug_assert_eq!(w.len(), len);
+    w.extend_from_slice(&graph_digest.unwrap_or(0).to_le_bytes());
+    // the checksum covers the digest too: a flipped digest bit cannot
+    // smuggle a plan past the cache's topology check
+    let checksum = content_digest(&w);
+    w.extend_from_slice(&checksum.to_le_bytes());
+    w.extend_from_slice(END_MAGIC);
+    w
 }
 
-/// Serializes a plan.
+/// Serializes a plan (no topology digest).
 pub fn write_plan(plan: &CollectivePlan, mut w: impl Write) -> io::Result<()> {
-    let (buf, _) = encode_body(plan);
-    w.write_all(&buf)
+    w.write_all(&encode_plan(plan, None))
 }
 
-/// Deserializes a plan. The whole stream is read up front and decoded
-/// through a bounded cursor, so corrupt counts are rejected against
-/// the real file size instead of being trusted up to 2³² (see
-/// `docs/PLAN_CACHE.md`).
+/// Writes `plan` to `path` atomically: the bytes go to
+/// `<path>.tmp.<pid>.<seq>` and are renamed over the target, so a reader
+/// that has the old file open (or mapped) keeps the old bytes and a
+/// concurrent one sees the old file or the new, never a torn one. (No
+/// `fsync`: after a crash a torn file fails its checksum and is rebuilt.)
+pub fn save_plan(plan: &CollectivePlan, path: &Path, graph_digest: Option<u128>) -> io::Result<()> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
+    std::fs::write(&tmp, encode_plan(plan, graph_digest))?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// [`decode_plan`] of a stream, read to its end.
 pub fn read_plan(mut r: impl Read) -> Result<CollectivePlan, PlanIoError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     decode_plan(&buf)
 }
 
-/// Decodes a plan from an in-memory (or memory-mapped) byte slice.
-/// Trailing bytes after the encoded plan — such as the integrity footer
-/// [`save_plan_checked`] appends — are ignored.
+/// Decodes a plan from the bytes of a plan file.
 pub fn decode_plan(buf: &[u8]) -> Result<CollectivePlan, PlanIoError> {
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Err(PlanIoError::BadMagic);
-    }
-    let mut c = Cursor { buf, pos: MAGIC.len() };
-    let (algorithm, selection) = read_header(&mut c)?;
-    // every rank contributes at least a phase count (8 bytes)
-    let n = c.count(8, "rank")?;
-    let mut w = PlanWriter::new(algorithm, 0, 0);
-    w.selection = selection;
-    for _ in 0..n {
-        read_rank_program(&mut c, n, &mut w)?;
-    }
-    w.try_finish().map_err(PlanIoError::Corrupt)
+    Ok(PlanFile::parse(buf)?.to_plan())
 }
 
-/// Decodes the fixed header after the magic: algorithm + selection
-/// stats. Leaves the cursor at the rank count.
-fn read_header(c: &mut Cursor<'_>) -> Result<(Algorithm, Option<SelectionStats>), PlanIoError> {
-    let algorithm = algorithm_from(c.u64("algorithm id")?, c.u64("algorithm param")?)?;
-    let selection = match c.u64("selection flag")? {
-        0 => None,
-        1 => {
-            let mut v = [0usize; 8];
-            for slot in &mut v {
-                *slot = checked_len(c.u64("stat")?, "stat")?;
-            }
-            Some(SelectionStats {
-                req: v[0],
-                accept: v[1],
-                drop: v[2],
-                exit: v[3],
-                notifications: v[4],
-                descriptors: v[5],
-                agent_searches: v[6],
-                agents_found: v[7],
-            })
-        }
-        other => return Err(PlanIoError::Corrupt(format!("bad selection flag {other}"))),
-    };
-    Ok((algorithm, selection))
+/// The `N` bytes at `at`, for `from_le_bytes`.
+fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    buf[at..at + N].try_into().expect("a slice of N bytes")
 }
 
-/// Decodes one rank's program at the cursor as `w`'s next rank. Bounds
-/// discipline matches [`decode_plan`]: every phase occupies at least its
-/// copy, send and recv counts (24 bytes); every message at least its
-/// peer, tag and block count (24); every block 8. (The table counts
-/// those bounds admit are checked against the writer's `u32` offsets
-/// when it finishes.)
-fn read_rank_program(c: &mut Cursor<'_>, n: usize, w: &mut PlanWriter) -> Result<(), PlanIoError> {
-    let phases = c.count(24, "phase")?;
-    let r = w.add_rank(phases);
-    let mut blocks = Vec::new();
-    for p in 0..phases {
-        w.copy(r, p, checked_len(c.u64("copy")?, "copy")?);
-        for _ in 0..c.count(24, "send")? {
-            let (peer, tag) = read_msg(c, n, &mut blocks)?;
-            w.send(r, p, peer, tag, &blocks);
-        }
-        for _ in 0..c.count(24, "recv")? {
-            let (peer, tag) = read_msg(c, n, &mut blocks)?;
-            w.recv(r, p, peer, tag, &blocks);
-        }
-    }
-    Ok(())
+/// `count` little-endian `u32`s at `at`.
+fn u32s(buf: &[u8], at: usize, count: usize) -> impl Iterator<Item = u32> + '_ {
+    buf[at..at + 4 * count].chunks_exact(4).map(|c| u32::from_le_bytes(le(c, 0)))
 }
 
-/// Convenience: save to a path.
-pub fn save_plan(plan: &CollectivePlan, path: &std::path::Path) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_plan(plan, io::BufWriter::new(f))
+/// `count` little-endian `u64`s at `at`.
+fn u64s(buf: &[u8], at: usize, count: usize) -> impl Iterator<Item = u64> + '_ {
+    buf[at..at + 8 * count].chunks_exact(8).map(|c| u64::from_le_bytes(le(c, 0)))
 }
 
-/// Convenience: load from a path.
-pub fn load_plan(path: &std::path::Path) -> Result<CollectivePlan, PlanIoError> {
-    let f = std::fs::File::open(path)?;
-    read_plan(io::BufReader::new(f))
+/// `true` when `col` is an offset column over `end` items: it starts at
+/// 0, never decreases and ends at `end`.
+fn spans(mut col: impl Iterator<Item = u32>, end: usize) -> bool {
+    let mut at = 0;
+    col.next() == Some(0)
+        && col.all(|next| std::mem::replace(&mut at, next) <= next)
+        && at as usize == end
 }
 
-/// A plan loaded through [`load_plan_checked`].
-#[derive(Debug)]
-pub struct CheckedPlan {
-    /// The decoded plan.
-    pub plan: CollectivePlan,
-    /// `true` when an integrity footer was present and its checksum
-    /// matched the bytes on disk.
-    pub verified: bool,
-    /// The topology digest recorded at save time, when one was (the
-    /// cache uses it to skip re-validation — see `plan_cache`).
-    pub graph_digest: Option<(u64, u64)>,
-}
-
-/// [`save_plan`] plus the v2 integrity footer: a per-rank offset index
-/// (enabling [`load_plan_mapped`]'s lazy decode), a dual-SipHash
-/// checksum of everything before it (and, when given, a digest of the
-/// topology the plan was validated against). The footer lets
-/// [`load_plan_checked`] detect bit rot without decoding and lets the
-/// plan cache skip its expensive re-validation on the warm path.
-pub fn save_plan_checked(
-    plan: &CollectivePlan,
-    path: &std::path::Path,
-    graph_digest: Option<(u64, u64)>,
-) -> io::Result<()> {
-    let (mut buf, offsets) = encode_body(plan);
-    for &o in &offsets {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    buf.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    let (gd_hi, gd_lo) = graph_digest.unwrap_or((0, 0));
-    buf.extend_from_slice(&gd_hi.to_le_bytes());
-    buf.extend_from_slice(&gd_lo.to_le_bytes());
-    // the checksum covers the body, the index AND the graph digest, so
-    // a flipped index or digest bit cannot smuggle a plan past the
-    // cache's topology check or steer the mapped reader
-    let (ck_hi, ck_lo) = content_digest(&buf);
-    buf.extend_from_slice(&ck_hi.to_le_bytes());
-    buf.extend_from_slice(&ck_lo.to_le_bytes());
-    buf.extend_from_slice(FOOTER_MAGIC_V2);
-    std::fs::write(path, &buf)
-}
-
-fn le64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8 bytes"))
-}
-
-/// Parsed fixed part of a v2 footer.
-struct V2Footer {
-    /// End of the encoded plan body == start of the offset index.
-    body_end: usize,
-    /// Number of index entries (must equal `n + 1`; checked by the
-    /// mapped reader once `n` is known).
-    index_count: usize,
-    /// Recorded topology digest, `(0, 0)` when none was saved.
-    gd: (u64, u64),
-}
-
-/// Probes `buf` for a v2 footer. `None` when the trailing magic is not
-/// v2 (legacy v1 or bare files); `Some(Err)` when the magic is present
-/// but the checksum fails or the index count cannot fit — the file is
-/// corrupt, not merely old.
-fn probe_v2_footer(buf: &[u8]) -> Option<Result<V2Footer, PlanIoError>> {
-    if buf.len() < MAGIC.len() + FOOTER_V2_FIXED + 8 || &buf[buf.len() - 8..] != FOOTER_MAGIC_V2 {
-        return None;
-    }
-    let ck_at = buf.len() - 24;
-    let want = (le64(&buf[ck_at..ck_at + 8]), le64(&buf[ck_at + 8..ck_at + 16]));
-    if content_digest(&buf[..ck_at]) != want {
-        return Some(Err(PlanIoError::Corrupt("integrity checksum mismatch".into())));
-    }
-    let gd_at = buf.len() - 40;
-    let gd = (le64(&buf[gd_at..gd_at + 8]), le64(&buf[gd_at + 8..gd_at + 16]));
-    let count = le64(&buf[buf.len() - 48..buf.len() - 40]);
-    let index_end = buf.len() - FOOTER_V2_FIXED;
-    let max_bytes = (index_end - MAGIC.len()) as u64;
-    let index_bytes = match count.checked_mul(8) {
-        Some(b) if (1..=max_bytes).contains(&b) => b as usize,
-        _ => {
-            return Some(Err(PlanIoError::Corrupt(format!(
-                "rank index count {count} cannot fit in the file"
-            ))))
-        }
-    };
-    Some(Ok(V2Footer { body_end: index_end - index_bytes, index_count: count as usize, gd }))
-}
-
-/// Loads a plan through the memory-mapped read path, verifying the
-/// integrity footer when one is present.
-///
-/// * Footer present, checksum good → `verified: true` (plus the saved
-///   graph digest); the plan bytes are decoded straight out of the
-///   mapping, no intermediate file copy.
-/// * Footer present, checksum bad → [`PlanIoError::Corrupt`] without
-///   decoding anything — a flipped bit can't reach the decoder.
-/// * No footer (legacy file) → decodes normally with `verified: false`.
-///
-/// On non-Unix targets (or if `mmap` itself fails) the file is read
-/// into memory instead; semantics are identical.
-pub fn load_plan_checked(path: &std::path::Path) -> Result<CheckedPlan, PlanIoError> {
-    let f = std::fs::File::open(path)?;
-    let len = f.metadata()?.len() as usize;
-    #[cfg(unix)]
-    if let Some(map) = mmap::Mapping::map(&f, len) {
-        return decode_checked(map.bytes());
-    }
-    drop(f);
-    decode_checked(&std::fs::read(path)?)
-}
-
-/// Shared tail of [`load_plan_checked`]: footer probe (v2, then v1) +
-/// checksum + decode over any byte source (mapping or heap buffer).
-fn decode_checked(buf: &[u8]) -> Result<CheckedPlan, PlanIoError> {
-    if let Some(v2) = probe_v2_footer(buf) {
-        let v2 = v2?;
-        let plan = decode_plan(&buf[..v2.body_end])?;
-        return Ok(CheckedPlan {
-            plan,
-            verified: true,
-            graph_digest: (v2.gd != (0, 0)).then_some(v2.gd),
-        });
-    }
-    if buf.len() >= MAGIC.len() + FOOTER_LEN && &buf[buf.len() - 8..] == FOOTER_MAGIC {
-        let body_end = buf.len() - FOOTER_LEN;
-        let ck_at = buf.len() - 24;
-        let want = (le64(&buf[ck_at..ck_at + 8]), le64(&buf[ck_at + 8..ck_at + 16]));
-        if content_digest(&buf[..ck_at]) != want {
-            return Err(PlanIoError::Corrupt("integrity checksum mismatch".into()));
-        }
-        let gd = (le64(&buf[body_end..body_end + 8]), le64(&buf[body_end + 8..body_end + 16]));
-        let plan = decode_plan(&buf[..body_end])?;
-        return Ok(CheckedPlan {
-            plan,
-            verified: true,
-            graph_digest: (gd != (0, 0)).then_some(gd),
-        });
-    }
-    Ok(CheckedPlan { plan: decode_plan(buf)?, verified: false, graph_digest: None })
-}
-
-/// Byte source behind a [`MappedPlan`]: the file mapping when the
-/// platform delivers one, a heap buffer otherwise (non-Unix targets, or
-/// an `mmap` failure) — semantics are identical either way.
-enum PlanBytes {
-    #[cfg(unix)]
-    Mapped(mmap::Mapping),
-    Heap(Vec<u8>),
-}
-
-impl PlanBytes {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            PlanBytes::Mapped(m) => m.bytes(),
-            PlanBytes::Heap(v) => v,
-        }
-    }
-}
-
-/// A plan served straight out of its (memory-mapped) file: the header
-/// and the v2 footer's per-rank offset index are decoded eagerly, the
-/// per-rank programs stay as raw mapped bytes until asked for. Warm
-/// starts therefore cost one checksum pass over the file plus an O(n)
-/// index sanity scan — not the full decode-copy of every phase of every
-/// rank — and ranks that are never queried are never even paged in.
-///
-/// Only v2 files (written by [`save_plan_checked`]) can be mapped; the
-/// checksum must verify and must cover the index, so every offset this
-/// type dereferences is integrity-protected. [`MappedPlan::rank`]
-/// decodes one rank through the same bounded cursor as the full
-/// decoder — a corrupt file that somehow passed the checksum still
-/// cannot over-allocate or read out of bounds.
-pub struct MappedPlan {
-    src: PlanBytes,
+/// A verified plan file over its bytes `B` — a borrowed `&[u8]`, or the
+/// `Vec<u8>` of an [opened](PlanFile::open) file: what
+/// [`parse`](Self::parse) checked once, every read below relies on.
+pub struct PlanFile<B = Vec<u8>> {
+    bytes: B,
     algorithm: Algorithm,
     selection: Option<SelectionStats>,
-    n: usize,
-    /// Byte offset of the rank-offset index within the file.
-    index_at: usize,
-    graph_digest: Option<(u64, u64)>,
+    graph_digest: Option<u128>,
+    /// Ranks, phase buckets, message rows and pooled blocks.
+    counts: [usize; 4],
+    /// Where each column starts, in file order, then the footer.
+    cols: [usize; 8],
 }
 
-impl std::fmt::Debug for MappedPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MappedPlan")
-            .field("algorithm", &self.algorithm)
-            .field("n", &self.n)
-            .field("bytes", &self.src.bytes().len())
-            .field("graph_digest", &self.graph_digest)
-            .finish()
-    }
-}
+const PHASE_OFF: usize = 0;
+const COPY: usize = 1;
+const MSG_OFF: usize = 2;
+const TAG: usize = 3;
+const PEER: usize = 4;
+const BLOCK_OFF: usize = 5;
+const POOL: usize = 6;
+const FOOTER: usize = 7;
 
-impl MappedPlan {
-    fn from_src(src: PlanBytes) -> Result<Self, PlanIoError> {
-        let buf = src.bytes();
-        let v2 = match probe_v2_footer(buf) {
-            Some(r) => r?,
-            // no per-rank index: a legacy (v1 or bare) file — the caller
-            // falls back to the decode-copy path
-            None => return Err(PlanIoError::BadMagic),
-        };
-        if &buf[..MAGIC.len()] != MAGIC {
+impl<B: AsRef<[u8]>> PlanFile<B> {
+    /// The one parser (module docs): every check a plan file gets, in
+    /// order of cost. Nothing is allocated.
+    pub fn parse(bytes: B) -> Result<Self, PlanIoError> {
+        let buf = bytes.as_ref();
+        let corrupt = |what: String| Err(PlanIoError::Corrupt(what));
+        if buf.len() < MAGIC.len() || buf[..MAGIC.len()] != *MAGIC {
             return Err(PlanIoError::BadMagic);
         }
-        let mut c = Cursor { buf: &buf[..v2.body_end], pos: MAGIC.len() };
-        let (algorithm, selection) = read_header(&mut c)?;
-        let n = c.count(8, "rank")?;
-        if v2.index_count != n + 1 {
-            return Err(PlanIoError::Corrupt(format!(
-                "rank index holds {} entries for {n} ranks",
-                v2.index_count
-            )));
+        if buf.len() < HEADER_LEN + FOOTER_LEN || buf[buf.len() - 8..] != *END_MAGIC {
+            return corrupt(format!("{} bytes end in no footer (truncated?)", buf.len()));
         }
-        // The index is under the checksum, so these can only fail on a
-        // checksum collision — but they are cheap, and they are what
-        // makes every later `offset()` dereference safe by construction.
-        let index_at = v2.body_end;
-        let off = |i: usize| le64(&buf[index_at + 8 * i..index_at + 8 * i + 8]) as usize;
-        if off(0) != c.pos || off(n) != v2.body_end {
-            return Err(PlanIoError::Corrupt("rank index does not span the body".into()));
+        // Extents: each count fits the tables' `u32` offsets, and together
+        // they describe exactly the bytes present.
+        let head = |i: usize| u64::from_le_bytes(le(buf, MAGIC.len() + 8 * i));
+        let counts = [11, 12, 13, 14].map(head);
+        if let Some(c) = counts.iter().find(|&&c| c > u64::from(u32::MAX)) {
+            return corrupt(format!("header count {c} does not fit the tables' u32 offsets"));
         }
-        if (0..n).any(|i| off(i) > off(i + 1)) {
-            return Err(PlanIoError::Corrupt("rank index is not monotone".into()));
+        let [n, buckets, rows, blocks] = counts;
+        let widths = [4 * (n + 1), 8 * buckets, 4 * (2 * buckets + 1), 8 * rows, 4 * rows];
+        let widths = widths.into_iter().chain([4 * (rows + 1), 4 * blocks]);
+        let mut cols = [HEADER_LEN; 8];
+        let mut end = HEADER_LEN as u64;
+        for (col, width) in cols[1..].iter_mut().zip(widths) {
+            end += width;
+            // (past the file's length the value is never used)
+            *col = end as usize;
         }
-        let graph_digest = (v2.gd != (0, 0)).then_some(v2.gd);
-        Ok(Self { src, algorithm, selection, n, index_at, graph_digest })
+        if end + FOOTER_LEN as u64 != buf.len() as u64 {
+            return corrupt(format!(
+                "header counts describe {} bytes, the file holds {}",
+                end + FOOTER_LEN as u64,
+                buf.len()
+            ));
+        }
+        let ck_at = buf.len() - 24;
+        if content_digest(&buf[..ck_at]) != u128::from_le_bytes(le(buf, ck_at)) {
+            return corrupt("integrity checksum mismatch".into());
+        }
+        let algorithm = algorithm_from(head(0), head(1))?;
+        // (statistics and copy counts are tallies: nothing indexes by them)
+        let mut stats = SelectionStats::default();
+        stats_fields(&mut stats).into_iter().zip(3..).for_each(|(s, i)| *s = head(i) as usize);
+        let selection = match head(2) {
+            0 => None,
+            1 => Some(stats),
+            flag => return corrupt(format!("bad selection flag {flag}")),
+        };
+        let counts = counts.map(|c| c as usize);
+        let [n, buckets, rows, blocks] = counts;
+        // Table invariants — what `CollectivePlan`'s read API indexes by:
+        // each offset column spans the table it indexes, and every peer
+        // and block is a rank.
+        let offsets = [
+            ("phase", PHASE_OFF, n + 1, buckets),
+            ("message", MSG_OFF, 2 * buckets + 1, rows),
+            ("block", BLOCK_OFF, rows + 1, blocks),
+        ];
+        for (what, col, len, end) in offsets {
+            if !spans(u32s(buf, cols[col], len), end) {
+                return corrupt(format!("{what} offsets do not span their {end} entries"));
+            }
+        }
+        for (what, col, len) in [("peer", PEER, rows), ("block", POOL, blocks)] {
+            if let Some(v) = u32s(buf, cols[col], len).find(|&v| v as usize >= n) {
+                return corrupt(format!("{what} {v} out of {n} ranks"));
+            }
+        }
+        let graph_digest = Some(u128::from_le_bytes(le(buf, cols[FOOTER]))).filter(|&d| d != 0);
+        Ok(Self { bytes, algorithm, selection, graph_digest, counts, cols })
     }
 
     /// Number of ranks.
     pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The plan's algorithm (from the eagerly decoded header).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Selection statistics recorded at save time, if any.
-    pub fn selection(&self) -> Option<SelectionStats> {
-        self.selection
+        self.counts[0]
     }
 
     /// The topology digest recorded at save time, when one was — the
     /// cache compares it to skip re-validation (see `plan_cache`).
-    pub fn graph_digest(&self) -> Option<(u64, u64)> {
+    pub fn graph_digest(&self) -> Option<u128> {
         self.graph_digest
     }
 
-    fn offset(&self, i: usize) -> usize {
-        le64(&self.src.bytes()[self.index_at + 8 * i..self.index_at + 8 * i + 8]) as usize
+    /// Rank `r`'s program in the owned row form, read out of the file's
+    /// bytes — the only ones touched are `r`'s own.
+    ///
+    /// # Panics
+    /// Panics if `r >= n`.
+    pub fn rank(&self, r: Rank) -> Vec<PlanPhase> {
+        assert!(r < self.n(), "rank {r} out of {}", self.n());
+        let buf = self.bytes.as_ref();
+        let at =
+            |col: usize, i: usize| u32::from_le_bytes(le(buf, self.cols[col] + 4 * i)) as usize;
+        let pool_at = |row: usize| self.cols[POOL] + 4 * at(BLOCK_OFF, row);
+        let msgs = |side: usize| -> Vec<PlannedMsg> {
+            (at(MSG_OFF, side)..at(MSG_OFF, side + 1))
+                .map(|i| PlannedMsg {
+                    peer: at(PEER, i),
+                    tag: u64::from_le_bytes(le(buf, self.cols[TAG] + 8 * i)),
+                    blocks: u32s(buf, pool_at(i), at(BLOCK_OFF, i + 1) - at(BLOCK_OFF, i))
+                        .map(|b| b as Rank)
+                        .collect(),
+                })
+                .collect()
+        };
+        (at(PHASE_OFF, r)..at(PHASE_OFF, r + 1))
+            .map(|b| PlanPhase {
+                copy_blocks: u64::from_le_bytes(le(buf, self.cols[COPY] + 8 * b)) as usize,
+                sends: msgs(b),
+                recvs: msgs(self.counts[1] + b),
+            })
+            .collect()
     }
 
-    /// Decodes rank `r`'s program out of the mapping — the only bytes
-    /// touched are `r`'s own slice of the file.
-    pub fn rank(&self, r: usize) -> Result<Vec<PlanPhase>, PlanIoError> {
-        if r >= self.n {
-            return Err(PlanIoError::Corrupt(format!("rank {r} out of {}", self.n)));
+    /// The whole plan, owned: one bulk copy per column.
+    pub fn to_plan(&self) -> CollectivePlan {
+        let buf = self.bytes.as_ref();
+        let [n, buckets, rows, blocks] = self.counts;
+        let col = |col: usize, len: usize| u32s(buf, self.cols[col], len);
+        let ranges = col(BLOCK_OFF, rows + 1).zip(col(BLOCK_OFF, rows + 1).skip(1));
+        let msgs = u64s(buf, self.cols[TAG], rows).zip(col(PEER, rows)).zip(ranges);
+        CollectivePlan {
+            algorithm: self.algorithm,
+            selection: self.selection,
+            phase_off: col(PHASE_OFF, n + 1).collect(),
+            copy_blocks: u64s(buf, self.cols[COPY], buckets).map(|c| c as usize).collect(),
+            msg_off: col(MSG_OFF, 2 * buckets + 1).collect(),
+            msgs: msgs
+                .map(|((tag, peer), (lo, hi))| MsgRow {
+                    tag,
+                    peer,
+                    block_off: lo,
+                    block_len: hi - lo,
+                })
+                .collect(),
+            pool: col(POOL, blocks).map(|b| b as Rank).collect(),
+            blocks_sent: 0,
         }
-        let mut w = PlanWriter::new(self.algorithm, 0, 0);
-        self.decode_rank(r, &mut w)?;
-        Ok(w.try_finish().map_err(PlanIoError::Corrupt)?.rank_rows(0))
-    }
-
-    /// Decodes rank `r`'s slice of the file as `w`'s next rank.
-    fn decode_rank(&self, r: usize, w: &mut PlanWriter) -> Result<(), PlanIoError> {
-        let (start, end) = (self.offset(r), self.offset(r + 1));
-        let mut c = Cursor { buf: &self.src.bytes()[..end], pos: start };
-        read_rank_program(&mut c, self.n, w)?;
-        if c.pos != end {
-            return Err(PlanIoError::Corrupt(format!("rank {r} program does not fill its slot")));
-        }
-        Ok(())
-    }
-
-    /// Fully materializes the plan (every rank decoded). Equivalent to
-    /// [`decode_plan`] on the body; use it when the whole plan is going
-    /// to be executed anyway and an owned [`CollectivePlan`] is needed.
-    pub fn to_plan(&self) -> Result<CollectivePlan, PlanIoError> {
-        let mut w = PlanWriter::new(self.algorithm, 0, 0);
-        w.selection = self.selection;
-        for r in 0..self.n {
-            self.decode_rank(r, &mut w)?;
-        }
-        w.try_finish().map_err(PlanIoError::Corrupt)
+        .checked()
+        // INVARIANT: `parse` bounded every count by `u32::MAX`.
+        .expect("a parsed plan file's counts fit the tables")
     }
 }
 
-/// Opens `path` as a [`MappedPlan`]: the file is memory-mapped (heap
-/// fallback off Unix), its v2 footer checksum verified, and only the
-/// header + offset index decoded. Files without a v2 footer fail with
-/// [`PlanIoError::BadMagic`] — they are not corrupt, just not mappable;
-/// load them through [`load_plan_checked`] instead.
-pub fn load_plan_mapped(path: &std::path::Path) -> Result<MappedPlan, PlanIoError> {
-    let f = std::fs::File::open(path)?;
-    #[cfg(unix)]
-    {
-        let len = f.metadata()?.len() as usize;
-        if let Some(map) = mmap::Mapping::map(&f, len) {
-            return MappedPlan::from_src(PlanBytes::Mapped(map));
-        }
-    }
-    drop(f);
-    MappedPlan::from_src(PlanBytes::Heap(std::fs::read(path)?))
-}
-
-/// Minimal read-only `mmap` wrapper (no external crates: the two libc
-/// symbols are declared directly).
-#[cfg(unix)]
-mod mmap {
-    use std::ffi::{c_int, c_void};
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// A read-only private mapping of a whole file, unmapped on drop.
-    pub(super) struct Mapping {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ + MAP_PRIVATE — immutable shared
-    // memory with no interior mutability; `munmap` runs exactly once,
-    // on drop, wherever the owner ends up.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        /// Maps `len` bytes of `f`; `None` on failure (empty files can't
-        /// be mapped — the caller falls back to a plain read, which then
-        /// reports the usual bad-magic error).
-        pub(super) fn map(f: &std::fs::File, len: usize) -> Option<Self> {
-            if len == 0 {
-                return None;
-            }
-            let ptr = unsafe {
-                mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, f.as_raw_fd(), 0)
-            };
-            // MAP_FAILED is (void *)-1
-            if ptr as isize == -1 {
-                None
-            } else {
-                Some(Self { ptr, len })
-            }
-        }
-
-        pub(super) fn bytes(&self) -> &[u8] {
-            // SAFETY: the mapping is PROT_READ, covers exactly `len`
-            // bytes, and lives until `self` is dropped; the borrow is
-            // tied to `self`.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` came from a successful mmap call.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
+impl PlanFile {
+    /// Reads the plan file at `path` into memory and parses it.
+    pub fn open(path: &Path) -> Result<Self, PlanIoError> {
+        Self::parse(std::fs::read(path)?)
     }
 }
 
@@ -729,14 +403,52 @@ mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::lower::lower;
+    use crate::plan_cache::{PlanCache, PlanFingerprint};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use nhood_topology::Topology;
     use std::sync::Arc;
 
-    fn round_trip(plan: &CollectivePlan) -> CollectivePlan {
-        let mut buf = Vec::new();
-        write_plan(plan, &mut buf).unwrap();
-        read_plan(&buf[..]).unwrap()
+    fn dh_plan(n: usize) -> (Topology, CollectivePlan) {
+        let g = erdos_renyi(n, 0.4, 7);
+        let layout = ClusterLayout::new(n / 4, 2, 2);
+        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
+        (g, plan)
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("nhood_{name}_{}.nhplan", std::process::id()))
+    }
+
+    /// Both exits of the one parser: the owned plan, once every rank the
+    /// borrowed view serves is seen to be that plan's.
+    fn exits(buf: &[u8]) -> Result<CollectivePlan, PlanIoError> {
+        let file = PlanFile::parse(buf)?;
+        let plan = file.to_plan();
+        for r in 0..file.n() {
+            assert_eq!(file.rank(r), plan.rank_rows(r), "rank {r}");
+        }
+        Ok(plan)
+    }
+
+    /// `buf` with `edit` applied and the checksum recomputed over it: a
+    /// file only the structural checks can refuse.
+    fn resealed(buf: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = buf.to_vec();
+        edit(&mut out);
+        let ck_at = out.len() - 24;
+        let checksum = content_digest(&out[..ck_at]);
+        out[ck_at..ck_at + 16].copy_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    fn corrupt_naming(buf: &[u8], what: &str) {
+        match exits(buf) {
+            Err(PlanIoError::Corrupt(m)) => {
+                assert!(m.contains(what), "{m:?} does not name {what:?}")
+            }
+            other => panic!("expected a corrupt file naming {what:?}, got {other:?}"),
+        }
     }
 
     #[test]
@@ -751,7 +463,7 @@ mod tests {
             Algorithm::HierarchicalLeader { leaders_per_node: 2 },
         ] {
             let plan = comm.plan(algo).unwrap();
-            let back = round_trip(&plan);
+            let back = exits(&encode_plan(&plan, None)).unwrap();
             assert_eq!(back.algorithm, plan.algorithm);
             assert!(back.same_rows(&plan), "{algo}");
             assert_eq!(back.selection, plan.selection);
@@ -763,10 +475,9 @@ mod tests {
     fn loaded_plan_executes_identically() {
         use crate::exec::virtual_exec::test_payloads;
         use crate::exec::{Executor, Virtual};
-        let g = erdos_renyi(32, 0.3, 9);
-        let layout = ClusterLayout::new(4, 2, 4);
-        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
-        let back = Arc::new(round_trip(&plan));
+        let (g, plan) = dh_plan(32);
+        let plan = Arc::new(plan);
+        let back = Arc::new(decode_plan(&encode_plan(&plan, None)).unwrap());
         let payloads = test_payloads(32, 16, 3);
         assert_eq!(
             Virtual.run_simple(&plan, &g, &payloads).unwrap(),
@@ -776,265 +487,184 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(
-            read_plan(&b"not a plan"[..]),
-            Err(PlanIoError::BadMagic) | Err(PlanIoError::Io(_))
-        ));
-        // right magic, truncated body
+        assert!(matches!(read_plan(&b"not a plan"[..]), Err(PlanIoError::BadMagic)));
+        assert!(matches!(read_plan(&b""[..]), Err(PlanIoError::BadMagic)));
+        // right magic, nothing like a header and a footer behind it
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&2u64.to_le_bytes());
-        assert!(read_plan(&buf[..]).is_err());
-        // absurd rank count
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&0u64.to_le_bytes()); // naive
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // no selection
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // ranks
-        assert!(matches!(read_plan(&buf[..]), Err(PlanIoError::Corrupt(_))));
+        corrupt_naming(&buf, "no footer");
+        buf.resize(HEADER_LEN + FOOTER_LEN, 0);
+        corrupt_naming(&buf, "no footer");
     }
 
     #[test]
     fn every_truncation_errors_and_bit_flips_never_panic() {
-        use nhood_topology::rng::DetRng;
-        let g = erdos_renyi(24, 0.4, 7);
-        let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let mut buf = Vec::new();
-        write_plan(&plan, &mut buf).unwrap();
-        assert!(read_plan(&buf[..]).is_ok(), "pristine file must load");
-
-        // The decoder consumes exactly the encoded bytes, so every
-        // strict prefix must come back as a typed error — never a panic,
-        // a hang, or a silently shorter plan.
-        let mut rng = DetRng::seed_from_u64(0x71a6);
-        let mut cuts: Vec<usize> = (0..64).collect();
-        cuts.extend((0..200).map(|_| rng.gen_below(buf.len())));
-        cuts.extend(buf.len().saturating_sub(64)..buf.len());
-        for k in cuts {
-            assert!(read_plan(&buf[..k]).is_err(), "prefix of {k} bytes must not parse");
+        // The checksum covers every byte before it and the parser wants
+        // the end magic at the very end: every strict prefix and every
+        // single-bit flip anywhere — header, columns, digest, checksum,
+        // magic — is a typed error from both exits, never a panic, a
+        // hang or a silently different plan.
+        let (_, plan) = dh_plan(12);
+        let buf = encode_plan(&plan, Some(12));
+        assert!(exits(&buf).unwrap() == plan, "pristine file must load");
+        for cut in 0..buf.len() {
+            assert!(exits(&buf[..cut]).is_err(), "prefix of {cut} bytes must not parse");
         }
+        let mut evil = buf.clone();
+        for bit in 0..8 * buf.len() {
+            evil[bit / 8] ^= 1 << (bit % 8);
+            assert!(exits(&evil).is_err(), "flip of bit {bit} must not parse");
+            evil[bit / 8] ^= 1 << (bit % 8);
+        }
+        // ... and the same through a file on disk
+        let path = tmp("fuzz");
+        for damaged in [&buf[..buf.len() / 2], &buf[..buf.len() - 1], &[][..]] {
+            std::fs::write(&path, damaged).unwrap();
+            assert!(PlanFile::open(&path).is_err());
+        }
+        evil[buf.len() / 3] ^= 4;
+        std::fs::write(&path, &evil).unwrap();
+        assert!(matches!(PlanFile::open(&path), Err(PlanIoError::Corrupt(_))));
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(PlanFile::open(&path), Err(PlanIoError::Io(_))));
+    }
 
-        // Single-bit flips anywhere in the file must never panic or
-        // over-allocate; they either fail typed or still decode (a flip
-        // in a payload-irrelevant field like a stat or a tag is legal).
-        for _ in 0..500 {
-            let byte = rng.gen_below(buf.len());
-            let bit = rng.gen_below(8) as u32;
-            let mut evil = buf.clone();
-            evil[byte] ^= 1 << bit;
-            if let Ok(p) = read_plan(&evil[..]) {
-                // decoded plans are structurally sane even when wrong
-                assert!(p.n() <= evil.len());
+    #[test]
+    fn length_fields_are_bounded_by_remaining_file_size() {
+        // A count the file cannot hold is refused against the file's real
+        // size — before the checksum pass, before anything is allocated —
+        // and so is one the file has bytes to spare for.
+        let buf = encode_plan(&crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3)), None);
+        for field in 11..15 {
+            let at = MAGIC.len() + 8 * field;
+            let honest = u64::from_le_bytes(le(&buf, at));
+            for claimed in [1 << 20, 1 << 31, honest + 1, honest.saturating_sub(1)] {
+                let mut hacked = buf.clone();
+                hacked[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+                if claimed != honest {
+                    corrupt_naming(&hacked, "header counts describe");
+                }
             }
         }
     }
 
     #[test]
-    fn length_fields_are_bounded_by_remaining_file_size() {
-        let g = erdos_renyi(8, 0.5, 3);
-        let plan = crate::naive::plan_naive(&g);
-        let mut buf = Vec::new();
-        write_plan(&plan, &mut buf).unwrap();
-        // Blow up the rank count at offset 32 (magic + algo + selection
-        // flag): far below the old 2^32 limit, far above what the file
-        // can hold. The bounded cursor must reject it up front.
-        for absurd in [1u64 << 20, 1 << 31] {
-            let mut hacked = buf.clone();
-            hacked[32..40].copy_from_slice(&absurd.to_le_bytes());
-            assert!(
-                matches!(read_plan(&hacked[..]), Err(PlanIoError::Corrupt(_))),
-                "rank count {absurd} must be rejected against the file size"
-            );
-        }
-    }
-
-    #[test]
     fn a_header_claiming_more_rows_than_the_tables_index_is_corrupt() {
-        // The tables keep `u32` offsets. A send count past `u32::MAX` in
-        // rank 0's first phase (magic + algo + selection flag + ranks +
-        // phases + copy = offset 56) is refused against the file size
-        // before a row is staged — and a count the file could hold is
-        // still refused by the writer itself (`plan.rs`), never wrapped.
-        let plan = crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3));
-        let mut buf = Vec::new();
-        write_plan(&plan, &mut buf).unwrap();
-        for rows in [u64::from(u32::MAX) + 1, u64::MAX] {
-            let mut hacked = buf.clone();
-            hacked[56..64].copy_from_slice(&rows.to_le_bytes());
-            match decode_plan(&hacked) {
-                Err(PlanIoError::Corrupt(what)) => assert!(what.contains("send count"), "{what}"),
-                other => panic!("{rows} rows decoded to {other:?}"),
+        // The tables keep `u32` offsets: a count past them is refused by
+        // name, never wrapped (and never multiplied into an extent).
+        let buf = encode_plan(&crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3)), None);
+        for field in 11..15 {
+            for count in [u64::from(u32::MAX) + 1, 1 << 40, u64::MAX] {
+                let mut hacked = buf.clone();
+                let at = MAGIC.len() + 8 * field;
+                hacked[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                corrupt_naming(&hacked, "u32 offsets");
             }
         }
     }
 
     #[test]
     fn out_of_range_peer_rejected() {
-        let g = erdos_renyi(8, 0.5, 1);
-        let plan = crate::naive::plan_naive(&g);
-        let mut buf = Vec::new();
-        write_plan(&plan, &mut buf).unwrap();
-        // plan for 8 ranks claims to be for 4: peers out of range
-        let mut hacked = buf.clone();
-        // ranks field sits after magic(8) + algo(16) + selection flag(8)
-        hacked[32..40].copy_from_slice(&4u64.to_le_bytes());
-        let err = read_plan(&hacked[..]);
-        assert!(err.is_err());
+        // Table invariants, each refused by name on a file whose checksum
+        // holds: a peer or a block that is no rank, an offset column that
+        // decreases or starts or ends elsewhere, a block range that leaves
+        // the pool.
+        let (_, plan) = dh_plan(12);
+        let buf = encode_plan(&plan, None);
+        let cols = PlanFile::parse(&buf[..]).unwrap().cols;
+        let put = |col: usize, i: usize, v: u32| {
+            resealed(&buf, |b| b[cols[col] + 4 * i..][..4].copy_from_slice(&v.to_le_bytes()))
+        };
+        let get = |col: usize, i: usize| u32::from_le_bytes(le(&buf, cols[col] + 4 * i));
+        corrupt_naming(&put(PEER, 3, 12), "peer 12 out of 12 ranks");
+        corrupt_naming(&put(POOL, 5, u32::MAX), "block 4294967295 out of 12 ranks");
+        corrupt_naming(&put(PHASE_OFF, 0, 1), "phase offsets");
+        corrupt_naming(&put(PHASE_OFF, 12, get(PHASE_OFF, 12) - 1), "phase offsets");
+        corrupt_naming(&put(PHASE_OFF, 4, get(PHASE_OFF, 5) + 1), "phase offsets");
+        corrupt_naming(&put(MSG_OFF, 7, get(MSG_OFF, 8) + 1), "message offsets");
+        let last = plan.msgs.len();
+        corrupt_naming(&put(BLOCK_OFF, last, get(BLOCK_OFF, last) + 1), "block offsets");
+        corrupt_naming(&put(BLOCK_OFF, 2, get(BLOCK_OFF, 3) + 1), "block offsets");
+        // a selection flag that is neither, an algorithm nobody wrote
+        let head = |field: usize, v: u64| {
+            resealed(&buf, |b| b[MAGIC.len() + 8 * field..][..8].copy_from_slice(&v.to_le_bytes()))
+        };
+        corrupt_naming(&head(2, 2), "selection flag");
+        corrupt_naming(&head(0, 99), "unknown algorithm id 99");
     }
 
     #[test]
-    fn checked_round_trip_and_legacy_interop() {
-        let g = erdos_renyi(24, 0.4, 7);
-        let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("nhood_checked_rt_{}.nhplan", std::process::id()));
-
-        // checked save → checked load: verified, digest preserved
-        save_plan_checked(&plan, &path, Some((0xabcd, 0x1234))).unwrap();
-        let back = load_plan_checked(&path).unwrap();
-        assert!(back.verified);
-        assert_eq!(back.graph_digest, Some((0xabcd, 0x1234)));
-        assert!(back.plan.same_rows(&plan));
-        // the legacy reader ignores the footer
-        assert!(load_plan(&path).unwrap().same_rows(&plan));
-
-        // checked save without a digest: verified but digest-less
-        save_plan_checked(&plan, &path, None).unwrap();
-        let back = load_plan_checked(&path).unwrap();
-        assert!(back.verified);
-        assert_eq!(back.graph_digest, None);
-
-        // legacy save → checked load: decodes, unverified
-        save_plan(&plan, &path).unwrap();
-        let back = load_plan_checked(&path).unwrap();
-        assert!(!back.verified);
-        assert!(back.plan.same_rows(&plan));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mmap_path_survives_truncation_and_bit_flips() {
-        use nhood_topology::rng::DetRng;
-        let g = erdos_renyi(24, 0.4, 7);
-        let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let path =
-            std::env::temp_dir().join(format!("nhood_mmap_fuzz_{}.nhplan", std::process::id()));
-        save_plan_checked(&plan, &path, Some((1, 2))).unwrap();
-        let buf = std::fs::read(&path).unwrap();
-        let mut encoded = Vec::new();
-        write_plan(&plan, &mut encoded).unwrap();
-        let body_len = encoded.len();
-
-        // Every strict prefix: never a panic; never a *verified* load;
-        // truncation inside the body never yields a plan at all.
-        let mut rng = DetRng::seed_from_u64(0x6b63);
-        let mut cuts: Vec<usize> = (0..48).collect();
-        cuts.extend((0..200).map(|_| rng.gen_below(buf.len())));
-        cuts.extend(buf.len().saturating_sub(48)..buf.len());
-        for k in cuts {
-            std::fs::write(&path, &buf[..k]).unwrap();
-            if let Ok(c) = load_plan_checked(&path) {
-                // only possible when the whole body survived and the
-                // cut merely amputated (part of) the footer
-                assert!(!c.verified, "prefix of {k} bytes must not verify");
-                assert!(k >= body_len, "body truncated at {k} must not decode");
-            }
-            // the mapped reader needs the v2 footer intact at the very
-            // end of the file: every strict prefix must refuse to map
-            assert!(load_plan_mapped(&path).is_err(), "prefix of {k} bytes must not map");
-        }
-
-        // Single-bit flips: never a panic, and a flip anywhere under the
-        // checksum (body, digest, checksum itself) must not verify. A
-        // flip in the trailing magic demotes the file to legacy, which
-        // decodes the pristine body unverified — that's the designed
-        // fallback, not a corruption escape (the cache re-validates
-        // unverified loads).
-        for _ in 0..500 {
-            let byte = rng.gen_below(buf.len());
-            let bit = rng.gen_below(8) as u32;
-            let mut evil = buf.clone();
-            evil[byte] ^= 1 << bit;
-            std::fs::write(&path, &evil).unwrap();
-            if let Ok(c) = load_plan_checked(&path) {
-                if byte < buf.len() - 8 {
-                    assert!(!c.verified, "flip at byte {byte} bit {bit} must not verify");
-                } else {
-                    assert!(c.plan.same_rows(&plan), "magic flip serves legacy body");
-                }
-            }
-            // every byte of a v2 file is either under the checksum, the
-            // checksum itself, or the trailing magic — so a single flip
-            // anywhere must keep the mapped reader from serving at all
-            assert!(load_plan_mapped(&path).is_err(), "flip at byte {byte} bit {bit} must not map");
-        }
-        let _ = std::fs::remove_file(&path);
+    fn an_old_generation_file_is_bad_magic_deleted_by_the_cache_and_rebuilt() {
+        // A complete bare `NHPLAN1` file (naive, no selection, 0 ranks),
+        // as the previous generation wrote it. It is not read: not by the
+        // decoder, not from a path, and the cache deletes and rebuilds.
+        let old = [&b"NHPLAN1\0"[..], &[0u8; 32]].concat();
+        assert!(matches!(decode_plan(&old), Err(PlanIoError::BadMagic)));
+        let dir = std::env::temp_dir().join(format!("nhood_oldgen_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = PlanCache::new(2).with_disk_dir(&dir).unwrap();
+        let g = erdos_renyi(8, 0.5, 3);
+        let fp = PlanFingerprint::of_build(&g, &ClusterLayout::new(1, 2, 4), Algorithm::Naive);
+        let path = dir.join(format!("{fp}.nhplan"));
+        std::fs::write(&path, &old).unwrap();
+        assert!(matches!(PlanFile::open(&path), Err(PlanIoError::BadMagic)));
+        assert!(cache.lookup(fp, &g).is_none() && !path.exists(), "deleted, a miss");
+        let build = || -> Result<_, std::convert::Infallible> { Ok(crate::naive::plan_naive(&g)) };
+        let (built, hit) = cache.get_or_build(fp, &g, build).unwrap();
+        assert!(!hit);
+        let file = PlanFile::open(&path).expect("rebuilt in this generation");
+        assert!(file.graph_digest().is_some() && file.to_plan() == *built);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mapped_plan_serves_per_rank_slices() {
-        let g = erdos_renyi(24, 0.4, 7);
-        let layout = ClusterLayout::new(3, 2, 4);
-        let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        let path =
-            std::env::temp_dir().join(format!("nhood_mapped_rt_{}.nhplan", std::process::id()));
-        save_plan_checked(&plan, &path, Some((7, 9))).unwrap();
+        let (g, plan) = dh_plan(24);
+        let path = tmp("mapped_rt");
+        save_plan(&plan, &path, Some(79)).unwrap();
 
-        let mapped = load_plan_mapped(&path).unwrap();
-        assert_eq!(mapped.n(), plan.n());
-        assert_eq!(mapped.algorithm(), plan.algorithm);
-        assert_eq!(mapped.selection(), plan.selection);
-        assert_eq!(mapped.graph_digest(), Some((7, 9)));
-        // per-rank lazy decode matches the materialized plan exactly
+        let file = PlanFile::open(&path).unwrap();
+        assert_eq!(file.n(), plan.n());
+        assert_eq!(file.graph_digest(), Some(79));
+        // one rank read out of the file's bytes is that rank of the plan
         for r in 0..plan.n() {
-            assert_eq!(mapped.rank(r).unwrap(), plan.rank_rows(r), "rank {r}");
+            assert_eq!(file.rank(r), plan.rank_rows(r), "rank {r}");
         }
-        assert!(mapped.rank(plan.n()).is_err(), "out-of-range rank must fail typed");
-        let full = mapped.to_plan().unwrap();
-        assert!(full.same_rows(&plan));
-        assert_eq!(full.algorithm, plan.algorithm);
-        assert_eq!(full.selection, plan.selection);
+        let full = file.to_plan();
+        assert!(full == plan);
         full.validate(&g).unwrap();
+        // the file's pool is dense whatever the plan's shares: equal
+        // plans are equal bytes, and a loaded plan re-encodes to its file
+        assert_eq!(encode_plan(&full, Some(79)), std::fs::read(&path).unwrap());
 
-        // a digest-less save maps too, just without a digest
-        save_plan_checked(&plan, &path, None).unwrap();
-        assert_eq!(load_plan_mapped(&path).unwrap().graph_digest(), None);
-
-        // bare legacy files are not mappable (BadMagic, not Corrupt:
-        // the caller falls back to the decode path, nothing is deleted)
-        save_plan(&plan, &path).unwrap();
-        assert!(matches!(load_plan_mapped(&path), Err(PlanIoError::BadMagic)));
-
-        // v1-footer files (hand-built: body ‖ gd ‖ ck ‖ v1 magic) are
-        // likewise unmappable but still load verified via the checked
-        // reader — the two footers interoperate
-        let mut v1 = Vec::new();
-        write_plan(&plan, &mut v1).unwrap();
-        v1.extend_from_slice(&7u64.to_le_bytes());
-        v1.extend_from_slice(&9u64.to_le_bytes());
-        let (hi, lo) = content_digest(&v1);
-        v1.extend_from_slice(&hi.to_le_bytes());
-        v1.extend_from_slice(&lo.to_le_bytes());
-        v1.extend_from_slice(FOOTER_MAGIC);
-        std::fs::write(&path, &v1).unwrap();
-        assert!(matches!(load_plan_mapped(&path), Err(PlanIoError::BadMagic)));
-        let back = load_plan_checked(&path).unwrap();
-        assert!(back.verified, "v1 footer must still verify");
-        assert_eq!(back.graph_digest, Some((7, 9)));
-        assert!(back.plan.same_rows(&plan));
+        // a digest-less save opens too, just without a digest
+        save_plan(&plan, &path, None).unwrap();
+        assert_eq!(PlanFile::open(&path).unwrap().graph_digest(), None);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 24 out of 24")]
+    fn a_rank_past_the_file_is_a_caller_bug() {
+        let (_, plan) = dh_plan(24);
+        PlanFile::parse(encode_plan(&plan, None)).unwrap().rank(24);
     }
 
     #[test]
     fn file_round_trip() {
         let g = erdos_renyi(16, 0.4, 2);
         let plan = crate::naive::plan_naive(&g);
-        let path = std::env::temp_dir().join("nhood_plan_io_test.bin");
-        save_plan(&plan, &path).unwrap();
-        let back = load_plan(&path).unwrap();
-        assert!(back.same_rows(&plan));
+        let path = tmp("round_trip");
+        save_plan(&plan, &path, None).unwrap();
+        assert!(PlanFile::open(&path).unwrap().to_plan() == plan);
+        // the write is a rename: nothing else is left beside the target
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_str().unwrap().to_owned();
+        let strays = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_str().is_some_and(|n| n.starts_with(&stem) && n != stem));
+        assert_eq!(strays.count(), 0);
+        let _ = std::fs::remove_file(&path);
     }
 }

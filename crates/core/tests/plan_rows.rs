@@ -1,9 +1,15 @@
 //! The flat plan representation is invisible: every builder's plan for
-//! seven shapes × two seeds writes the plan file the nested
-//! representation wrote (FNV-1a of `write_plan`'s bytes, captured at the
-//! commit before the tables went flat), survives the row form both ways,
-//! and a `PlanWriter` finishes to the same tables however its rows were
+//! seven shapes × two seeds writes the plan file it is pinned to (FNV-1a
+//! of `write_plan`'s bytes), survives the row form both ways, and a
+//! `PlanWriter` finishes to the same tables however its rows were
 //! interleaved across buckets — in emission order within one.
+//!
+//! The pins were taken once, when the file became the flat tables
+//! (`NHPLAN2`), by proof: with both codecs in one tree, each of these 98
+//! plans still wrote the bytes the nested representation had written
+//! (the previous pins), and `new_decode(new_write(p)) == p ==
+//! old_decode(old_write(p))` held for every one and for the hand plan
+//! below (CHANGES.md, PR 23).
 
 use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::plan::{MsgDir, PlanPhase, PlanWriter, PlannedMsg};
@@ -61,106 +67,106 @@ fn file_fnv(plan: &CollectivePlan) -> u64 {
     fnv(&bytes)
 }
 
-/// `(shape/seed/builder, FNV-1a of the plan file)` at the parent commit.
+/// `(shape/seed/builder, FNV-1a of the plan file)`.
 const GOLDENS: [(&str, u64); 98] = [
-    ("n0/s1/naive", 0x63a11fe420da040d),
-    ("n0/s1/cn4", 0xc3a9c80e883c1a08),
-    ("n0/s1/dh", 0xe32ed65ff220bace),
-    ("n0/s1/pat2", 0x9634f3da6cde964a),
-    ("n0/s1/bruck", 0x4e3e544995010209),
-    ("n0/s1/hl2", 0x1baa805348fc6fcc),
-    ("n0/s1/dh-remap", 0xe32ed65ff220bace),
-    ("n0/s2/naive", 0x63a11fe420da040d),
-    ("n0/s2/cn4", 0xc3a9c80e883c1a08),
-    ("n0/s2/dh", 0xe32ed65ff220bace),
-    ("n0/s2/pat2", 0x9634f3da6cde964a),
-    ("n0/s2/bruck", 0x4e3e544995010209),
-    ("n0/s2/hl2", 0x1baa805348fc6fcc),
-    ("n0/s2/dh-remap", 0xe32ed65ff220bace),
-    ("n1/s1/naive", 0xa510fa055d80f06d),
-    ("n1/s1/cn4", 0xbbe95968ac4c8e8f),
-    ("n1/s1/dh", 0xed3e9363d278a64d),
-    ("n1/s1/pat2", 0xc39cc5a790b4956a),
-    ("n1/s1/bruck", 0xcb0fc889a923a5ab),
-    ("n1/s1/hl2", 0x342a4de080005e89),
-    ("n1/s1/dh-remap", 0xed3e9363d278a64d),
-    ("n1/s2/naive", 0xa510fa055d80f06d),
-    ("n1/s2/cn4", 0xbbe95968ac4c8e8f),
-    ("n1/s2/dh", 0xed3e9363d278a64d),
-    ("n1/s2/pat2", 0xc39cc5a790b4956a),
-    ("n1/s2/bruck", 0xcb0fc889a923a5ab),
-    ("n1/s2/hl2", 0x342a4de080005e89),
-    ("n1/s2/dh-remap", 0xed3e9363d278a64d),
-    ("n2/s1/naive", 0x934c112159e9a6cf),
-    ("n2/s1/cn4", 0x8ffed7dcfe4f1dcc),
-    ("n2/s1/dh", 0x486719f79a0c794c),
-    ("n2/s1/pat2", 0xab2543dabb1e8a88),
-    ("n2/s1/bruck", 0x447f3a5b6df3960b),
-    ("n2/s1/hl2", 0x661e7862be77030e),
-    ("n2/s1/dh-remap", 0x486719f79a0c794c),
-    ("n2/s2/naive", 0xc5f151fc3e20ff2e),
-    ("n2/s2/cn4", 0x6b03445b73dc71ed),
-    ("n2/s2/dh", 0x1a1beb8c7d93be2d),
-    ("n2/s2/pat2", 0xbda25f668d82b2a9),
-    ("n2/s2/bruck", 0xf6c6f6f853166546),
-    ("n2/s2/hl2", 0x679879f8298abeef),
-    ("n2/s2/dh-remap", 0x1a1beb8c7d93be2d),
-    ("n17/s1/naive", 0x44442445f12229e7),
-    ("n17/s1/cn4", 0x4847bb302b1c0bc9),
-    ("n17/s1/dh", 0xc1fbeb2aa7de0cf5),
-    ("n17/s1/pat2", 0x08c0f4da0b9ebf63),
-    ("n17/s1/bruck", 0x6bbcbce82e99383d),
-    ("n17/s1/hl2", 0x4fa26ee86bac5bf3),
-    ("n17/s1/dh-remap", 0x329d9bcee89ff863),
-    ("n17/s2/naive", 0xc42db508a75b59f5),
-    ("n17/s2/cn4", 0xe74cbd06dd1a1104),
-    ("n17/s2/dh", 0xc3164a6e889bb05d),
-    ("n17/s2/pat2", 0xf67787b4cc3e21fa),
-    ("n17/s2/bruck", 0xfd99d2e8a866a7cc),
-    ("n17/s2/hl2", 0x9fc213b05c9fe13f),
-    ("n17/s2/dh-remap", 0x2d7bdd1b3857e265),
-    ("n61/s1/naive", 0xf2f3cabeecbe02a1),
-    ("n61/s1/cn4", 0x4e08decf66851c53),
-    ("n61/s1/dh", 0x7ad92b53b5f169e7),
-    ("n61/s1/pat2", 0xfd8436f802ea1cb0),
-    ("n61/s1/bruck", 0x4afad39f0ae346a5),
-    ("n61/s1/hl2", 0x6021a7fef9a6f2de),
-    ("n61/s1/dh-remap", 0xc32c562f74cc2dfa),
-    ("n61/s2/naive", 0xa3605aff187f0150),
-    ("n61/s2/cn4", 0x0809afe520f12374),
-    ("n61/s2/dh", 0xf7dcf0f6037392dc),
-    ("n61/s2/pat2", 0x35d85c0fb12aa519),
-    ("n61/s2/bruck", 0x6171d3fdba5ed037),
-    ("n61/s2/hl2", 0x0a00b33bfec3efe4),
-    ("n61/s2/dh-remap", 0x7404ca93b85d3032),
-    ("n96/s1/naive", 0xc56fc1f799418d73),
-    ("n96/s1/cn4", 0x85485145f82f195f),
-    ("n96/s1/dh", 0xcff40728bf9cd1ec),
-    ("n96/s1/pat2", 0x2a00c7bf38394923),
-    ("n96/s1/bruck", 0x199c3fad4f24df60),
-    ("n96/s1/hl2", 0x0136aee9017fc978),
-    ("n96/s1/dh-remap", 0x996b2708f637639b),
-    ("n96/s2/naive", 0xb659b95fcc93ce03),
-    ("n96/s2/cn4", 0x7c62ee3495bef517),
-    ("n96/s2/dh", 0x40845724d8aaab95),
-    ("n96/s2/pat2", 0xc961e190eab80116),
-    ("n96/s2/bruck", 0x3cbfcb891333b329),
-    ("n96/s2/hl2", 0x17e3fba4efdf6bb9),
-    ("n96/s2/dh-remap", 0xb1ba5bc9f5ee0ba2),
-    ("n40-isolated/s1/naive", 0xaa3c0315a7f518ed),
-    ("n40-isolated/s1/cn4", 0x1d572c9f93d73f0f),
-    ("n40-isolated/s1/dh", 0xf09cc5ced25b19c1),
-    ("n40-isolated/s1/pat2", 0x6e1dfe9a51549930),
-    ("n40-isolated/s1/bruck", 0xc953d1ebc5b23b18),
-    ("n40-isolated/s1/hl2", 0x58a17f3295f52e1e),
-    ("n40-isolated/s1/dh-remap", 0x561ace1cdeb26b78),
-    ("n40-isolated/s2/naive", 0x4e2ed939ccc89bec),
-    ("n40-isolated/s2/cn4", 0x4db5b894cc5203bf),
-    ("n40-isolated/s2/dh", 0x8f215801f33c31ac),
-    ("n40-isolated/s2/pat2", 0xae67bcebc169245a),
-    ("n40-isolated/s2/bruck", 0xd15ef239ab8ab618),
-    ("n40-isolated/s2/hl2", 0xab317ed1514c3756),
-    ("n40-isolated/s2/dh-remap", 0x4af1247e4160762c),
+    ("n0/s1/naive", 0xe0f9bc063caa9e29),
+    ("n0/s1/cn4", 0xdd4376dd10ad2f74),
+    ("n0/s1/dh", 0xddf9df03f5f8a83f),
+    ("n0/s1/pat2", 0x5263f531dd469125),
+    ("n0/s1/bruck", 0xebf225ebb61c3aaf),
+    ("n0/s1/hl2", 0x4246ba847f13cdfd),
+    ("n0/s1/dh-remap", 0xddf9df03f5f8a83f),
+    ("n0/s2/naive", 0xe0f9bc063caa9e29),
+    ("n0/s2/cn4", 0xdd4376dd10ad2f74),
+    ("n0/s2/dh", 0xddf9df03f5f8a83f),
+    ("n0/s2/pat2", 0x5263f531dd469125),
+    ("n0/s2/bruck", 0xebf225ebb61c3aaf),
+    ("n0/s2/hl2", 0x4246ba847f13cdfd),
+    ("n0/s2/dh-remap", 0xddf9df03f5f8a83f),
+    ("n1/s1/naive", 0xf22af5c458bb3eb5),
+    ("n1/s1/cn4", 0x4971194a15a116b0),
+    ("n1/s1/dh", 0xd1f809cdaef6894a),
+    ("n1/s1/pat2", 0x83daea98aa12e7a9),
+    ("n1/s1/bruck", 0x73abd12888b0288c),
+    ("n1/s1/hl2", 0x1df9f5fd8d9eef55),
+    ("n1/s1/dh-remap", 0xd1f809cdaef6894a),
+    ("n1/s2/naive", 0xf22af5c458bb3eb5),
+    ("n1/s2/cn4", 0x4971194a15a116b0),
+    ("n1/s2/dh", 0xd1f809cdaef6894a),
+    ("n1/s2/pat2", 0x83daea98aa12e7a9),
+    ("n1/s2/bruck", 0x73abd12888b0288c),
+    ("n1/s2/hl2", 0x1df9f5fd8d9eef55),
+    ("n1/s2/dh-remap", 0xd1f809cdaef6894a),
+    ("n2/s1/naive", 0xd77b55aa36549045),
+    ("n2/s1/cn4", 0x7a87ce47fe34875c),
+    ("n2/s1/dh", 0x13e47b166fa1d8eb),
+    ("n2/s1/pat2", 0xc8cd6bde60c83ff0),
+    ("n2/s1/bruck", 0x9853d0fdca4a8335),
+    ("n2/s1/hl2", 0x6eaf9bb2596c9d05),
+    ("n2/s1/dh-remap", 0x13e47b166fa1d8eb),
+    ("n2/s2/naive", 0xc8cac856f247b518),
+    ("n2/s2/cn4", 0xffec6cf8dfad8512),
+    ("n2/s2/dh", 0xc61305c3a37b9b0e),
+    ("n2/s2/pat2", 0x7283be1b4179eff5),
+    ("n2/s2/bruck", 0x5ec7998d077038c3),
+    ("n2/s2/hl2", 0x1b62608025271376),
+    ("n2/s2/dh-remap", 0xc61305c3a37b9b0e),
+    ("n17/s1/naive", 0xaa15621c27356fb8),
+    ("n17/s1/cn4", 0x9f144ea46b85f020),
+    ("n17/s1/dh", 0x0f23f8e423f79e71),
+    ("n17/s1/pat2", 0x36dd21135d73cbfb),
+    ("n17/s1/bruck", 0xdd1b44265c40653b),
+    ("n17/s1/hl2", 0x44b3f51ecb1c3d67),
+    ("n17/s1/dh-remap", 0x9ab832c5318c37d2),
+    ("n17/s2/naive", 0x41e6678a98fa920c),
+    ("n17/s2/cn4", 0xe4a7c3fcd9a04a9e),
+    ("n17/s2/dh", 0x1a432b71c39d3bc6),
+    ("n17/s2/pat2", 0x70b846e577dfe906),
+    ("n17/s2/bruck", 0x7069eddf00471f37),
+    ("n17/s2/hl2", 0x7a2301d5d7acc134),
+    ("n17/s2/dh-remap", 0xbc6ade71500a2ed9),
+    ("n61/s1/naive", 0xb94c3cf94974750b),
+    ("n61/s1/cn4", 0xb05dedecaa045519),
+    ("n61/s1/dh", 0xa36b88fbfd78b16a),
+    ("n61/s1/pat2", 0x9c5030d799697cb7),
+    ("n61/s1/bruck", 0x9b4f26860b325932),
+    ("n61/s1/hl2", 0xb59c19f74884be21),
+    ("n61/s1/dh-remap", 0xf0bebd028f1a0ddc),
+    ("n61/s2/naive", 0xf1d17e0ddc9946fb),
+    ("n61/s2/cn4", 0x3bea2032b654297a),
+    ("n61/s2/dh", 0x5ddf956d168507de),
+    ("n61/s2/pat2", 0x5d287cfebd01336e),
+    ("n61/s2/bruck", 0xf50c3f236b441f5a),
+    ("n61/s2/hl2", 0x6138b854e4ffbca6),
+    ("n61/s2/dh-remap", 0x7ffb964458a27ef7),
+    ("n96/s1/naive", 0xcb15803c185ad85d),
+    ("n96/s1/cn4", 0xa78ac6af031e1794),
+    ("n96/s1/dh", 0x07ef82ba534103d1),
+    ("n96/s1/pat2", 0x3632ce0b810550cb),
+    ("n96/s1/bruck", 0x038b451f229e8fb5),
+    ("n96/s1/hl2", 0x872042b929d69801),
+    ("n96/s1/dh-remap", 0x197ebe570577fe0a),
+    ("n96/s2/naive", 0x334cb1713440baed),
+    ("n96/s2/cn4", 0x7c4c601f91a06034),
+    ("n96/s2/dh", 0x22c9a98acc7871f9),
+    ("n96/s2/pat2", 0xc9df3fe9831233f9),
+    ("n96/s2/bruck", 0xc403d593634f499c),
+    ("n96/s2/hl2", 0x9e45553b25dd3b87),
+    ("n96/s2/dh-remap", 0x5f7ef15ecc5d9744),
+    ("n40-isolated/s1/naive", 0x2a0870f3f3460499),
+    ("n40-isolated/s1/cn4", 0xfac983d475fe46b5),
+    ("n40-isolated/s1/dh", 0xb00b3e68c02f7563),
+    ("n40-isolated/s1/pat2", 0x138c67e9a92d4bcb),
+    ("n40-isolated/s1/bruck", 0x1a791dda07aaa31a),
+    ("n40-isolated/s1/hl2", 0x07434970a92a240b),
+    ("n40-isolated/s1/dh-remap", 0x16068483145fa6c7),
+    ("n40-isolated/s2/naive", 0x085fd318595fb945),
+    ("n40-isolated/s2/cn4", 0xb639a3622f4ac464),
+    ("n40-isolated/s2/dh", 0x5fafc071a77de029),
+    ("n40-isolated/s2/pat2", 0x44c3b0b26db52a4b),
+    ("n40-isolated/s2/bruck", 0xfa0ffc20c879ea42),
+    ("n40-isolated/s2/hl2", 0x38ebf53c67e34d2f),
+    ("n40-isolated/s2/dh-remap", 0xf7f823694bdb0a6e),
 ];
 
 #[test]
