@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the discrete-event engine itself: events per
-//! second on naive vs Distance Halving schedules.
+//! Micro-benchmarks of the discrete-event engine itself: lowering a plan
+//! to a schedule and replaying it, on naive vs Distance Halving plans.
 
 use nhood_bench::harness::Bench;
 use nhood_cluster::ClusterLayout;
@@ -18,10 +18,14 @@ fn main() {
     let group = Bench::group("simnet_engine");
     for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
         let plan = comm.plan(algo).unwrap();
-        let schedule = to_schedule_v(&plan, &vec![1024; plan.n()], &cost);
+        let sizes = vec![1024; plan.n()];
+        let schedule = to_schedule_v(&plan, &sizes, &cost);
         let engine = Engine::new(&layout, cost.net);
-        group.case(&format!("run/{algo} ({} msgs)", schedule.message_count()), 10, 0, || {
-            engine.run(&schedule).unwrap()
+        let msgs = schedule.message_count();
+        // what a simulated request pays: the lowering, then the replay
+        group.case(&format!("lower/{algo} ({msgs} msgs)"), 10, 0, || {
+            to_schedule_v(&plan, &sizes, &cost)
         });
+        group.case(&format!("run/{algo} ({msgs} msgs)"), 10, 0, || engine.run(&schedule).unwrap());
     }
 }

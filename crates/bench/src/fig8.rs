@@ -96,7 +96,7 @@ pub fn simulate_negotiation(
     use nhood_core::builder::segments_per_step;
     use nhood_core::pattern::split_half;
     use nhood_core::selection::{run_matching, Event, RoundCandidates};
-    use nhood_simnet::{Engine, Msg, Phase, Schedule};
+    use nhood_simnet::{Engine, Msg, Schedule};
 
     let n = graph.n();
     let out_sets = graph.out_bitsets();
@@ -123,27 +123,24 @@ pub fn simulate_negotiation(
     let mut schedule = Schedule::new(n);
     let mut send_seq: std::collections::HashMap<(usize, usize), u64> = Default::default();
     let mut recv_seq: std::collections::HashMap<(usize, usize), u64> = Default::default();
+    // Rank by rank (a stable sort keeps each rank's own order, and with
+    // it every FIFO tag): the schedule's rows then never move.
+    log.sort_by_key(|ev| match *ev {
+        Event::Sent { from, .. } => from,
+        Event::Received { by, .. } => by,
+    });
     for ev in log {
         match ev {
             Event::Sent { from, to } => {
                 let tag = send_seq.entry((from, to)).or_insert(0);
-                schedule.push(
-                    from,
-                    vec![Msg { src: from, dst: to, bytes: SIGNAL_BYTES, tag: *tag }],
-                    vec![],
-                );
+                let send = Msg { src: from, dst: to, bytes: SIGNAL_BYTES, tag: *tag };
+                schedule.push(from, Some(send), None);
                 *tag += 1;
             }
             Event::Received { by, from } => {
                 let tag = recv_seq.entry((from, by)).or_insert(0);
-                schedule.push_phase(
-                    by,
-                    Phase {
-                        local_seconds: 0.0,
-                        sends: vec![],
-                        recvs: vec![Msg { src: from, dst: by, bytes: SIGNAL_BYTES, tag: *tag }],
-                    },
-                );
+                let recv = Msg { src: from, dst: by, bytes: SIGNAL_BYTES, tag: *tag };
+                schedule.push(by, None, Some(recv));
                 *tag += 1;
             }
         }

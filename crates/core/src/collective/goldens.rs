@@ -26,8 +26,8 @@ fn fold_bufs(bufs: &[Vec<u8>]) -> u64 {
 
 /// FNV fold of a message list, count included: `(src, dst, tag, bytes)`
 /// per message when `tagged`, `(src, dst, bytes)` otherwise.
-fn fold_msgs<'a>(msgs: impl Iterator<Item = &'a Msg>, tagged: bool) -> u64 {
-    let (h, count) = msgs.fold((FNV_OFFSET, 0u64), |(h, c), m| {
+fn fold_msgs(msgs: &[Msg], tagged: bool) -> u64 {
+    let (h, count) = msgs.iter().fold((FNV_OFFSET, 0u64), |(h, c), m| {
         let tag = tagged.then_some(m.tag);
         let words = [m.src as u64, m.dst as u64].into_iter().chain(tag).chain([m.bytes as u64]);
         (words.fold(h, fnv), c + 1)

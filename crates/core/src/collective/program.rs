@@ -39,7 +39,7 @@ use crate::alltoall::route_items;
 use crate::exec::{phase_label, ExecError};
 use crate::plan::{CollectivePlan, MsgView};
 use crate::sizes::BlockSizes;
-use nhood_simnet::{Msg, Phase, Schedule};
+use nhood_simnet::{Msg, Schedule};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -903,15 +903,12 @@ impl Program {
             let bytes = self.wire_bytes(id, Lens::Table(sizes));
             Msg { src: m.src, dst: m.dst, bytes, tag: m.tag }
         };
-        let mut sched = Schedule::new(self.n);
-        for k in 0..self.phases {
-            for r in 0..self.n {
+        let msgs = self.msgs.len();
+        let mut sched = Schedule::with_rows(self.n, self.phases * self.n, msgs, msgs);
+        for r in 0..self.n {
+            for k in 0..self.phases {
                 let sends = self.sends(k, r).iter().map(|&id| msg(id));
-                let recvs = self.recvs(k, r).map(msg);
-                sched.push_phase(
-                    r,
-                    Phase { local_seconds: 0.0, sends: sends.collect(), recvs: recvs.collect() },
-                );
+                sched.push_phase(r, 0.0, sends, self.recvs(k, r).map(msg));
             }
         }
         sched
@@ -1283,8 +1280,9 @@ pub(crate) mod tests {
         let payloads: Vec<Vec<u8>> = (0..5u8)
             .map(|r| [1.5f32 + f32::from(r), -0.25 * f32::from(r)].map(f32::to_le_bytes).concat())
             .collect();
-        let agent_ships =
-            |shape| crossed_folds(shape).1.schedule(&sizes).phases(2)[2].sends[0].bytes;
+        let agent_ships = |shape| {
+            crossed_folds(shape).1.schedule(&sizes).phases(2).nth(2).unwrap().sends[0].bytes
+        };
         assert_eq!(agent_ships(Shape::Allreduce { exact: true }), m, "same sources: one block");
         assert_eq!(agent_ships(Shape::Allreduce { exact: false }), 2 * m, "different fold trees");
         assert_eq!(agent_ships(Shape::ReduceScatter), 2 * m, "per-destination values");

@@ -11,7 +11,7 @@ use crate::arena::BlockArena;
 use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use nhood_cluster::{ClusterLayout, WorkerPool};
-use nhood_simnet::{Engine, Msg, Phase, Schedule, SimConfig, SimError, SimReport};
+use nhood_simnet::{Engine, Msg, Schedule, SimConfig, SimError, SimReport};
 use nhood_topology::Topology;
 use std::sync::Arc;
 
@@ -139,6 +139,8 @@ pub fn simulate(
 /// approximation that matters only for highly skewed payloads).
 pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> Schedule {
     let n = plan.n();
+    // INVARIANT: every caller that takes sizes from outside the crate
+    // (`simulate_v`, `Sim::run`, the communicator) has counted them.
     assert_eq!(sizes.len(), n, "need one payload size per rank");
     let mean = if n == 0 { 0.0 } else { sizes.iter().sum::<usize>() as f64 / n as f64 };
     // a uniform table prices a message by its block count alone
@@ -149,35 +151,16 @@ pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> 
             None => blocks.iter().map(|&b| sizes[b]).sum(),
         }
     };
-    let mut s = Schedule::new(n);
+    // one allocation per table: a valid plan receives what it sends
+    let (phases, msgs) = ((0..n).map(|r| plan.phases(r).len()).sum(), plan.message_count());
+    let mut s = Schedule::with_rows(n, phases, msgs, msgs);
     for r in 0..n {
         for phase in plan.phases(r) {
-            let sends = phase
-                .sends()
-                .map(|msg| Msg {
-                    src: r,
-                    dst: msg.peer(),
-                    bytes: bytes_of(msg.blocks()),
-                    tag: msg.tag(),
-                })
-                .collect();
-            let recvs = phase
-                .recvs()
-                .map(|msg| Msg {
-                    src: msg.peer(),
-                    dst: r,
-                    bytes: bytes_of(msg.blocks()),
-                    tag: msg.tag(),
-                })
-                .collect();
-            s.push_phase(
-                r,
-                Phase {
-                    local_seconds: phase.copy_blocks() as f64 * mean / cost.memcpy_bytes_per_sec,
-                    sends,
-                    recvs,
-                },
-            );
+            let msg = |src, dst, bytes, tag| Msg { src, dst, bytes, tag };
+            let local_seconds = phase.copy_blocks() as f64 * mean / cost.memcpy_bytes_per_sec;
+            let sends = phase.sends().map(|m| msg(r, m.peer(), bytes_of(m.blocks()), m.tag()));
+            let recvs = phase.recvs().map(|m| msg(m.peer(), r, bytes_of(m.blocks()), m.tag()));
+            s.push_phase(r, local_seconds, sends, recvs);
         }
     }
     s
@@ -190,8 +173,12 @@ pub fn simulate_v(
     sizes: &[usize],
     cost: &SimCost,
 ) -> Result<SimReport, SimError> {
-    let schedule = to_schedule_v(plan, sizes, cost);
-    Engine::new(layout, cost.net).run(&schedule)
+    if sizes.len() != plan.n() {
+        let (got, want) = (sizes.len(), plan.n());
+        let why = format!("need one payload size per rank: got {got}, want {want}");
+        return Err(SimError::InvalidSchedule(why));
+    }
+    Engine::new(layout, cost.net).run(&to_schedule_v(plan, sizes, cost))
 }
 
 #[cfg(test)]

@@ -320,6 +320,63 @@ fn the_cold_plan_path_allocates_by_the_count() {
     );
 }
 
+/// `sim-sweep`'s shape: a simulated gather lowers its plan into one flat
+/// schedule — a table per column, not a vector per (rank, phase) — and
+/// replays it.
+#[test]
+fn a_sim_gather_request_allocates_by_the_column() {
+    use nhood_core::exec::sim_exec::to_schedule_v;
+    use nhood_core::SimCost;
+    use nhood_service::Backend;
+
+    let layout = ClusterLayout::new(8, 2, 8);
+    let algos = [
+        Algorithm::DistanceHalving,
+        Algorithm::CommonNeighbor { k: 8 },
+        Algorithm::Naive,
+        Algorithm::Pat { radix: 2 },
+    ];
+    // (a) one warm request per algorithm, admission to completion
+    let mut svc = Service::new(ServiceConfig { backend: Backend::Sim, ..Default::default() });
+    let graph = erdos_renyi(128, 0.2, 400);
+    for algo in algos {
+        svc.add_tenant(graph.clone(), layout.clone(), algo).expect("registers");
+    }
+    let mut request = |tenant: usize| {
+        let payloads: Vec<Vec<u8>> = vec![vec![tenant as u8; 1 << 10]; 128];
+        svc.reset_metrics();
+        let (calls, done) = calls_of(|| {
+            svc.submit(tenant, payloads).expect("admitted");
+            assert_eq!(svc.tick(), 1);
+            svc.take_completions()
+        });
+        assert!(done[0].outcome.is_completed() && done[0].sim_makespan.is_some());
+        calls
+    };
+    for (tenant, algo) in algos.iter().enumerate() {
+        request(tenant);
+        let (first, second) = (request(tenant), request(tenant));
+        println!("warm Sim gather under {algo}: {first} allocator calls");
+        assert_eq!(second, first, "an identical warm request must allocate exactly as often");
+        assert!(first <= SIM_GATHER_CALLS, "{algo}: {first} calls (budget {SIM_GATHER_CALLS})");
+    }
+
+    // (b) the lowering alone: per schedule, whatever the phase and
+    // message counts
+    let lowering = |delta: f64| {
+        let g = erdos_renyi(128, delta, 400);
+        let plan = nhood_core::pat::plan_pat(&g, 2);
+        let (calls, schedule) =
+            calls_of(|| to_schedule_v(&plan, &[1 << 10; 128], &SimCost::niagara()));
+        (calls, schedule.message_count())
+    };
+    let ((sparse, few), (dense, many)) = (lowering(0.15), lowering(0.5));
+    println!("to_schedule_v: {sparse} allocator calls at δ = 0.15, {dense} at δ = 0.5");
+    assert!(many > few);
+    assert!(sparse <= 8, "{sparse} allocator calls to lower a plan (budget 8)");
+    assert_eq!(dense, sparse, "lowering allocates per schedule, not per phase");
+}
+
 #[test]
 fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
     // `combine-mixed`'s Distance Halving tenant at n = 96: registration
@@ -393,13 +450,20 @@ const CHURNED_ALLREDUCE_CALLS: u64 = 1_103;
 /// (479).
 const SINGLE_EDGE_CHURN_CALLS: u64 = 3_754 - 2_612;
 
-/// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted at
-/// the commit before the dense prepare passes (the same 33 today).
-const ENGINE_RUN_CALLS: u64 = 33;
-/// 5 % above the 14,007 calls registering the Auto tenant costs today
+/// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted
+/// today: 33 while the replay built its own send / recv prefix tables and
+/// kept three cursors per rank; it reads the schedule's offsets now.
+const ENGINE_RUN_CALLS: u64 = 28;
+/// 5 % above the 8,167 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
-/// a vector of vectors of messages of block vectors — 27,378 of those to
-/// clone or drop the representation). What is left: the ten `Schedule`
-/// lowerings and simulations (≈ 6.2 k), the Distance Halving negotiation
-/// (≈ 5.6 k), Bruck's and the leader hierarchy's B-trees.
-const AUTO_REGISTER_CALLS: u64 = 14_700;
+/// a vector of vectors of messages of block vectors, 14,007 while a
+/// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
+/// tuner's ten lowerings). What is left: the Distance Halving
+/// negotiation (≈ 5.6 k), Bruck's and the leader hierarchy's B-trees, the
+/// ten replays (28 each).
+const AUTO_REGISTER_CALLS: u64 = 8_575;
+/// One warm simulated gather at n = 128, submit to completion: the
+/// schedule's 4 tables, the replay's 28–31 vectors, the size table, the
+/// queue and the completion (38–39 counted; ≈ 400–1,600 while every
+/// phase owned two vectors).
+const SIM_GATHER_CALLS: u64 = 50;

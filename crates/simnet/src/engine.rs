@@ -320,9 +320,8 @@ impl<'a> Engine<'a> {
     /// analysis — the raw material of gantt-style visualizations.
     pub fn run_traced(&self, schedule: &Schedule) -> Result<(SimReport, Vec<MsgTrace>), SimError> {
         let run = self.replay(schedule, &WorkerPool::serial(), None)?;
-        let mut traces: Vec<MsgTrace> = schedule
-            .all_sends()
-            .enumerate()
+        let sends = schedule.all_sends().iter().enumerate();
+        let mut traces: Vec<MsgTrace> = sends
             .map(|(sid, m)| MsgTrace {
                 src: m.src,
                 dst: m.dst,
@@ -354,7 +353,7 @@ impl<'a> Engine<'a> {
         rec: &dyn nhood_telemetry::Recorder,
     ) -> Result<SimReport, SimError> {
         let run = self.replay(schedule, pool, None)?;
-        for (sid, m) in schedule.all_sends().enumerate() {
+        for (sid, m) in schedule.all_sends().iter().enumerate() {
             let level = self.layout.locality(m.src, m.dst);
             let label = if level == Locality::SameSocket {
                 nhood_telemetry::labels::INTRA_SOCKET
@@ -424,7 +423,7 @@ mod tests {
         for src in 1..4usize {
             s.push(src, vec![msg(src, 0, 1000, src as u64)], vec![]);
         }
-        s.push(0, vec![], (1..4).map(|src| msg(src, 0, 1000, src as u64)).collect());
+        s.push_phase(0, 0.0, None, (1..4).map(|src| msg(src, 0, 1000, src as u64)));
         let r = flat_engine_run(&layout, 0.0, 1e9, NicMode::Off, &s);
         // three concurrent 1µs sends arrive at 1µs, but rank 0's port must
         // drain them one at a time: last finishes at 3µs.
@@ -449,14 +448,7 @@ mod tests {
     fn local_seconds_delay_the_phase() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push_phase(
-            0,
-            crate::schedule::Phase {
-                local_seconds: 5e-6,
-                sends: vec![msg(0, 1, 0, 0)],
-                recvs: vec![],
-            },
-        );
+        s.push_phase(0, 5e-6, vec![msg(0, 1, 0, 0)], vec![]);
         s.push(1, vec![], vec![msg(0, 1, 0, 0)]);
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         assert!((r.per_rank_finish[1] - 6e-6).abs() < 1e-12);
@@ -570,14 +562,7 @@ mod tests {
     fn port_busy_accounts_for_all_occupancy() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push_phase(
-            0,
-            crate::schedule::Phase {
-                local_seconds: 3e-6,
-                sends: vec![msg(0, 1, 1000, 0)],
-                recvs: vec![],
-            },
-        );
+        s.push_phase(0, 3e-6, vec![msg(0, 1, 1000, 0)], vec![]);
         s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
         let cfg = SimConfig {
             hockney: HockneyParams::flat(1e-6, 1e9),
@@ -895,11 +880,9 @@ mod tests {
         let layout = ClusterLayout::new(1, 1, k);
         let mut s = Schedule::new(k);
         for r in 0..k {
-            let sends =
-                (0..k).filter(|&d| d != r).map(|d| msg(r, d, 1000, (r * k + d) as u64)).collect();
-            let recvs =
-                (0..k).filter(|&q| q != r).map(|q| msg(q, r, 1000, (q * k + r) as u64)).collect();
-            s.push(r, sends, recvs);
+            let sends = (0..k).filter(|&d| d != r).map(|d| msg(r, d, 1000, (r * k + d) as u64));
+            let recvs = (0..k).filter(|&q| q != r).map(|q| msg(q, r, 1000, (q * k + r) as u64));
+            s.push_phase(r, 0.0, sends, recvs);
         }
         let rep = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         let t = 1e-6 + 1000.0 / 1e9;

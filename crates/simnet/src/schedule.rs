@@ -24,66 +24,142 @@ pub struct Msg {
     pub tag: u64,
 }
 
-/// One post-and-wait block of a rank's program.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Phase {
+/// One post-and-wait block of a rank's program: a view into the
+/// schedule's tables.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Phase<'a> {
     /// Local (CPU/memcpy) time charged before any communication of the
     /// phase starts — used for the pack/copy overheads of Algorithm 4.
     pub local_seconds: f64,
     /// Messages this rank sends in this phase, issued in order.
-    pub sends: Vec<Msg>,
+    pub sends: &'a [Msg],
     /// Messages this rank waits for in this phase (completion order is
     /// arrival order, not posting order).
-    pub recvs: Vec<Msg>,
+    pub recvs: &'a [Msg],
 }
 
-/// A complete communication schedule over `n` ranks.
-#[derive(Clone, Debug, Default)]
+/// One phase row: its local work, and where its sends and recvs end in
+/// their tables (they start where the row before it ends).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Row {
+    local_seconds: f64,
+    send_end: usize,
+    recv_end: usize,
+}
+
+/// A complete communication schedule over `n` ranks, as flat tables in
+/// program order (rank, phase, index): one row per phase, one send table
+/// and one recv table — so a send's row index *is* the dense id the
+/// engine names it by.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
-    ranks: Vec<Vec<Phase>>,
+    n: usize,
+    /// Rank `r`'s phases are rows `phase_off[r]..phase_off[r + 1]`. Written
+    /// up to the highest rank pushed so far: every later rank's (empty)
+    /// program starts where the table ends.
+    phase_off: Vec<usize>,
+    rows: Vec<Row>,
+    send_table: Vec<Msg>,
+    recv_table: Vec<Msg>,
 }
 
 impl Schedule {
     /// Creates an empty schedule for `n` ranks (each with zero phases).
     pub fn new(n: usize) -> Self {
-        Self { ranks: vec![Vec::new(); n] }
+        Self { n, ..Self::default() }
+    }
+
+    /// [`new`](Self::new) with every table allocated once, for `phases`
+    /// phases holding `sends` sends and `recvs` recvs in all.
+    pub fn with_rows(n: usize, phases: usize, sends: usize, recvs: usize) -> Self {
+        let (phase_off, rows) = (Vec::with_capacity(n), Vec::with_capacity(phases));
+        let (send_table, recv_table) = (Vec::with_capacity(sends), Vec::with_capacity(recvs));
+        Self { n, phase_off, rows, send_table, recv_table }
     }
 
     /// Number of ranks.
     pub fn n(&self) -> usize {
-        self.ranks.len()
+        self.n
     }
 
-    /// Phases of rank `r`.
-    pub fn phases(&self, r: Rank) -> &[Phase] {
-        &self.ranks[r]
+    /// The phase rows of the ranks in `ranks`.
+    pub(crate) fn rows(&self, ranks: Range<Rank>) -> Range<usize> {
+        assert!(ranks.end <= self.n, "rank {} of a {}-rank schedule", ranks.end, self.n);
+        let first = |r: Rank| self.phase_off.get(r).copied().unwrap_or(self.rows.len());
+        first(ranks.start)..first(ranks.end)
+    }
+
+    /// The send-table rows — the send ids — and the recv-table rows of
+    /// the phase rows `rows`.
+    pub(crate) fn msg_ids(&self, rows: Range<usize>) -> (Range<usize>, Range<usize>) {
+        let at = |p: usize| self.rows[..p].last().map_or((0, 0), |r| (r.send_end, r.recv_end));
+        let ((send_lo, recv_lo), (send_hi, recv_hi)) = (at(rows.start), at(rows.end));
+        (send_lo..send_hi, recv_lo..recv_hi)
+    }
+
+    /// Phase row `p`.
+    pub(crate) fn row(&self, p: usize) -> Phase<'_> {
+        let (sends, recvs) = self.msg_ids(p..p + 1);
+        let local_seconds = self.rows[p].local_seconds;
+        Phase { local_seconds, sends: &self.send_table[sends], recvs: &self.recv_table[recvs] }
+    }
+
+    /// Phases of rank `r`, in program order; `len()` is their number.
+    pub fn phases(&self, r: Rank) -> impl ExactSizeIterator<Item = Phase<'_>> + Clone {
+        self.rows(r..r + 1).map(|p| self.row(p))
     }
 
     /// Appends a phase to rank `r`'s program; nothing is checked until
-    /// [`validate`](Self::validate).
-    pub fn push_phase(&mut self, r: Rank, phase: Phase) {
-        self.ranks[r].push(phase);
+    /// [`validate`](Self::validate). The tables stay in program order
+    /// whatever order the ranks come in, so a push behind the highest
+    /// rank written so far moves every later row: a bulk writer goes
+    /// rank by rank, and then no row ever moves.
+    pub fn push_phase(
+        &mut self,
+        r: Rank,
+        local_seconds: f64,
+        sends: impl IntoIterator<Item = Msg>,
+        recvs: impl IntoIterator<Item = Msg>,
+    ) {
+        assert!(r < self.n, "rank {r} of a {}-rank schedule", self.n);
+        self.phase_off.resize(self.phase_off.len().max(r + 1), self.rows.len());
+        // the new row goes after rank `r`'s last, its messages likewise:
+        // appended, then rotated past the later ranks' (none, rank by rank)
+        let p = self.rows(r..r + 1).end;
+        let (send_at, recv_at) = self.msg_ids(p..p);
+        let (had_sends, had_recvs) = (self.send_table.len(), self.recv_table.len());
+        self.send_table.extend(sends);
+        self.recv_table.extend(recvs);
+        let (sends, recvs) = (self.send_table.len() - had_sends, self.recv_table.len() - had_recvs);
+        self.send_table[send_at.start..].rotate_right(sends);
+        self.recv_table[recv_at.start..].rotate_right(recvs);
+        let (send_end, recv_end) = (send_at.end + sends, recv_at.end + recvs);
+        self.rows.insert(p, Row { local_seconds, send_end, recv_end });
+        for later in &mut self.rows[p + 1..] {
+            (later.send_end, later.recv_end) = (later.send_end + sends, later.recv_end + recvs);
+        }
+        self.phase_off[r + 1..].iter_mut().for_each(|off| *off += 1);
     }
 
-    /// Convenience: appends a phase built from send/recv lists.
-    pub fn push(&mut self, r: Rank, sends: Vec<Msg>, recvs: Vec<Msg>) {
-        self.push_phase(r, Phase { local_seconds: 0.0, sends, recvs });
+    /// Convenience: appends a phase without local work.
+    pub fn push<I: IntoIterator<Item = Msg>>(&mut self, r: Rank, sends: I, recvs: I) {
+        self.push_phase(r, 0.0, sends, recvs);
     }
 
     /// Total number of messages (counting each once, on the send side).
     pub fn message_count(&self) -> usize {
-        self.ranks.iter().flat_map(|ph| ph.iter()).map(|p| p.sends.len()).sum()
+        self.send_table.len()
     }
 
-    /// Iterates every send message in the schedule (rank by rank, phase
-    /// by phase).
-    pub fn all_sends(&self) -> impl Iterator<Item = &Msg> + '_ {
-        self.ranks.iter().flat_map(|phases| phases.iter()).flat_map(|p| p.sends.iter())
+    /// Every send message in the schedule, in program order (rank by
+    /// rank, phase by phase): index = send id.
+    pub fn all_sends(&self) -> &[Msg] {
+        &self.send_table
     }
 
     /// Total bytes sent.
     pub fn total_bytes(&self) -> usize {
-        self.all_sends().map(|m| m.bytes).sum()
+        self.send_table.iter().map(|m| m.bytes).sum()
     }
 
     /// Checks structural sanity:
@@ -104,18 +180,17 @@ impl Schedule {
     /// mismatch); then an unmatched send, lowest `(dst, src, tag)`.
     pub fn validate(&self) -> Result<(), String> {
         let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
-        let index = self.send_index(0..self.n(), 0)?;
-        let sends: Vec<&Msg> = self.all_sends().collect();
-        let mut matched = vec![false; sends.len()];
-        for (r, phases) in self.ranks.iter().enumerate() {
-            for (k, phase) in phases.iter().enumerate() {
-                for m in &phase.recvs {
+        let index = self.send_index(0..self.n())?;
+        let mut matched = vec![false; self.send_table.len()];
+        for r in 0..self.n {
+            for (k, phase) in self.phases(r).enumerate() {
+                for m in phase.recvs {
                     self.check_recv(r, k, m)?;
                     let at = (m.src, m.dst, m.tag);
                     let Some(id) = index.find(m.src, r, m.tag) else {
                         return Err(format!("recv {} has no matching send", key(at)));
                     };
-                    let send = sends[id as usize].bytes;
+                    let send = self.send_table[id as usize].bytes;
                     if std::mem::replace(&mut matched[id as usize], true) {
                         return Err(format!("duplicate recv key {}", key(at)));
                     } else if send != m.bytes {
@@ -131,16 +206,16 @@ impl Schedule {
 
     /// The send side of [`validate`](Self::validate) for the ranks in
     /// `span`: checks their phases' `local_seconds` and every send's
-    /// owner and range, then indexes the sends under ids counted from
-    /// `first_id` in program order.
-    pub(crate) fn send_index(&self, span: Range<Rank>, first_id: u32) -> Result<SendIndex, String> {
+    /// owner and range, then indexes the sends under their ids — their
+    /// rows in the send table.
+    pub(crate) fn send_index(&self, span: Range<Rank>) -> Result<SendIndex, String> {
         let n = self.n();
         for r in span.clone() {
-            for (k, phase) in self.ranks[r].iter().enumerate() {
+            for (k, phase) in self.phases(r).enumerate() {
                 if phase.local_seconds < 0.0 || !phase.local_seconds.is_finite() {
                     return Err(format!("rank {r} phase {k}: bad local_seconds"));
                 }
-                for m in &phase.sends {
+                for m in phase.sends {
                     if m.src != r {
                         return Err(format!("rank {r} phase {k}: send with src {}", m.src));
                     } else if m.dst >= n {
@@ -151,8 +226,9 @@ impl Schedule {
                 }
             }
         }
-        let sends = self.ranks[span].iter().flatten().flat_map(|p| &p.sends);
-        SendIndex::build(n, first_id, sends.map(|m| (m.src, m.dst, m.tag)))
+        let ids = self.msg_ids(self.rows(span)).0;
+        let first_id = u32::try_from(ids.start).expect("send ids fit u32");
+        SendIndex::build(n, first_id, self.send_table[ids].iter().map(|m| (m.src, m.dst, m.tag)))
             .map_err(|(s, d, t)| format!("duplicate send key (src {s}, dst {d}, tag {t})"))
     }
 
@@ -280,6 +356,49 @@ mod tests {
     }
 
     #[test]
+    fn empty_ranks_empty_phases_and_the_empty_schedule_read_back() {
+        let empty = Schedule::new(0);
+        assert_eq!((empty.n(), empty.message_count()), (0, 0));
+        assert!(empty.all_sends().is_empty());
+        empty.validate().unwrap();
+
+        // ranks 0, 2 and 4 stay without a phase; rank 1 holds a
+        // send-only, an empty and a recv-only phase, pushed behind rank 3
+        let (a, b) = (msg(1, 3, 8, 0), msg(3, 1, 4, 1));
+        let mut s = Schedule::new(5);
+        s.push(3, vec![], vec![a]);
+        s.push_phase(1, 2e-6, vec![a], vec![]);
+        s.push(1, vec![], vec![]);
+        s.push(1, vec![], vec![b]);
+        s.push(3, vec![b], vec![]);
+        let shape = |r| s.phases(r).map(|p| (p.sends.len(), p.recvs.len())).collect::<Vec<_>>();
+        assert_eq!(shape(1), [(1, 0), (0, 0), (0, 1)]);
+        assert_eq!(shape(3), [(0, 1), (1, 0)]);
+        assert!([0, 2, 4].into_iter().all(|r| s.phases(r).len() == 0));
+        assert_eq!(
+            s.phases(1).next().unwrap(),
+            Phase { local_seconds: 2e-6, sends: &[a], recvs: &[] }
+        );
+        assert_eq!(s.all_sends(), [a, b], "program order: rank 1's send sits before rank 3's");
+        s.validate().unwrap();
+
+        // ... which is the schedule the same phases give rank by rank
+        let mut in_order = Schedule::with_rows(5, 5, 2, 2);
+        in_order.push_phase(1, 2e-6, vec![a], vec![]);
+        in_order.push(1, vec![], vec![]);
+        in_order.push(1, vec![], vec![b]);
+        in_order.push(3, vec![], vec![a]);
+        in_order.push(3, vec![b], vec![]);
+        assert_eq!(s, in_order);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 of a 5-rank schedule")]
+    fn a_phase_of_a_rank_the_schedule_does_not_have_is_refused() {
+        Schedule::new(5).push(5, vec![], vec![]);
+    }
+
+    #[test]
     fn validate_catches_unmatched_send() {
         let mut s = Schedule::new(2);
         s.push(0, vec![msg(0, 1, 8, 0)], vec![]);
@@ -348,8 +467,10 @@ mod tests {
             assert_eq!(e, "recv (src 15, dst 0, tag 99) has no matching send");
         }
         // with the orphans gone, the lowest (dst, src, tag) unmatched send
-        for r in 0..8 {
-            s.ranks[r][0].recvs.clear();
+        let mut s = Schedule::new(n);
+        for r in 0..n {
+            let recv = (r >= 8).then(|| msg((r + n - 1) % n, r, 8, 0));
+            s.push_phase(r, 0.0, Some(msg(r, (r + 1) % n, 8, 0)), recv);
         }
         for _ in 0..64 {
             let e = s.validate().unwrap_err();

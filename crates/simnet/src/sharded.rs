@@ -25,10 +25,10 @@
 //! ## Determinism contract
 //!
 //! Reports are **bit-identical** (`to_bits`) for every pool width. A
-//! send's id is its position in program order (rank, phase, index),
-//! fixed by per-rank prefix sums *before* any chunk buckets anything, so
-//! where the chunk boundaries fall cannot change an id, and a recv finds
-//! the same id in whichever chunk's index holds its sender. The
+//! send's id is its row in the schedule's send table — program order
+//! (rank, phase, index), fixed when the schedule was written — so where
+//! the chunk boundaries fall cannot change an id, and a recv finds the
+//! same id in whichever chunk's index holds its sender. The
 //! precomputed costs are pure functions of the message, the layout and
 //! the perturbation, so computing them on worker threads changes
 //! nothing; the replay performs every floating-point operation in one
@@ -47,13 +47,13 @@ use crate::schedule::{Schedule, SendIndex};
 use nhood_cluster::{Locality, Rank, WorkerPool};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Sentinel for "no rank is waiting on this send".
 const NO_WAITER: u32 = u32::MAX;
 
 /// Pure per-send costs, precomputed in parallel.
 struct SendPre {
-    bytes: usize,
     level: Locality,
     /// `α + m/β` at the message's locality level, plus perturbation
     /// jitter (arrival delay).
@@ -76,13 +76,6 @@ struct SendPre {
 struct RecvPre {
     send_id: u32,
     occupancy: f64,
-}
-
-/// Per-chunk output of the send-side prepare pass.
-struct TxShard {
-    pre: Vec<SendPre>,
-    /// This chunk's ranks' sends, under their global send ids.
-    index: SendIndex,
 }
 
 /// Where a rank sits: one table entry per rank, built once per replay,
@@ -140,21 +133,10 @@ impl Engine<'_> {
             p.check()?;
         }
         let n = schedule.n();
-
-        // Dense send/recv id spaces: per-rank prefix offsets.
-        let mut send_off = vec![0usize; n + 1];
-        let mut recv_off = vec![0usize; n + 1];
-        for r in 0..n {
-            let (mut s, mut c) = (0usize, 0usize);
-            for ph in schedule.phases(r) {
-                s += ph.sends.len();
-                c += ph.recvs.len();
-            }
-            send_off[r + 1] = send_off[r] + s;
-            recv_off[r + 1] = recv_off[r] + c;
-        }
-        let total_sends = send_off[n];
-        let total_recvs = recv_off[n];
+        // Dense send/recv id spaces: the rows of the schedule's own tables.
+        let sends = schedule.all_sends();
+        let (total_sends, total_recvs) =
+            (sends.len(), schedule.msg_ids(schedule.rows(0..n)).1.len());
         let id_space = NO_WAITER as usize;
         if total_sends > id_space || total_recvs > id_space || n >= id_space {
             return Err(SimError::ScheduleTooLarge { messages: total_sends.max(total_recvs) });
@@ -187,66 +169,48 @@ impl Engine<'_> {
         let chunk = n.div_ceil(pool.threads()).max(1);
         let chunks = n.div_ceil(chunk);
 
-        // Pass A: per-chunk send-side validation, send index and costs.
-        let hockney = &self.config.hockney;
-        let tx: Vec<Option<TxShard>> = pool.map(chunks, |c| {
+        // Pass A: per-chunk send-side validation, send index (the chunk's
+        // ranks' sends under their global ids) and costs.
+        let (hockney, overhead) = (&self.config.hockney, self.config.cpu_overhead);
+        let tx: Vec<Option<(SendIndex, Vec<SendPre>)>> = pool.map(chunks, |c| {
             let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let index = schedule.send_index(lo..hi, send_off[lo] as u32).ok()?;
-            let mut pre = Vec::with_capacity(send_off[hi] - send_off[lo]);
-            for r in lo..hi {
-                let me = place[r];
-                for m in schedule.phases(r).iter().flat_map(|ph| &ph.sends) {
-                    let peer = place[m.dst];
-                    let level = me.locality(peer);
-                    let h = hockney.level(level);
-                    let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
-                    let wire = h.time(m.bytes) + jitter;
-                    let serial = m.bytes as f64 / h.bytes_per_sec;
-                    let occupancy = self.config.cpu_overhead.map_or(wire, |o| o + serial);
-                    let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
-                    let (gl_hold, sg, dg) = match (level, self.config.global_links) {
-                        (Locality::RemoteGroup, Some(gl)) => {
-                            (gl.gap + m.bytes as f64 / gl.bytes_per_sec, me.group, peer.group)
-                        }
-                        _ => (0.0, 0, 0),
-                    };
-                    pre.push(SendPre {
-                        bytes: m.bytes,
-                        level,
-                        wire,
-                        occupancy,
-                        nic_hold,
-                        gl_hold,
-                        dst_node: peer.node,
-                        sg,
-                        dg,
-                    });
-                }
-            }
-            Some(TxShard { pre, index })
+            let index = schedule.send_index(lo..hi).ok()?;
+            // (a send the index admitted names its own rank as `src`)
+            let costs = sends[schedule.msg_ids(schedule.rows(lo..hi)).0].iter().map(|m| {
+                let (me, peer) = (place[m.src], place[m.dst]);
+                let level = me.locality(peer);
+                let h = hockney.level(level);
+                let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
+                let wire = h.time(m.bytes) + jitter;
+                let serial = m.bytes as f64 / h.bytes_per_sec;
+                let occupancy = overhead.map_or(wire, |o| o + serial);
+                let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
+                let (gl_hold, sg, dg) = match (level, self.config.global_links) {
+                    (Locality::RemoteGroup, Some(gl)) => {
+                        (gl.gap + m.bytes as f64 / gl.bytes_per_sec, me.group, peer.group)
+                    }
+                    _ => (0.0, 0, 0),
+                };
+                SendPre { level, wire, occupancy, nic_hold, gl_hold, dst_node: peer.node, sg, dg }
+            });
+            Some((index, costs.collect()))
         });
-        let tx: Vec<TxShard> = tx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
+        let tx: Vec<_> = tx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
 
         // Pass B: resolve each recv in the index of its sender's chunk.
         let rx: Vec<Option<Vec<RecvPre>>> = pool.map(chunks, |c| {
             let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let mut pre = Vec::with_capacity(recv_off[hi] - recv_off[lo]);
+            let mut pre = Vec::with_capacity(schedule.msg_ids(schedule.rows(lo..hi)).1.len());
             for r in lo..hi {
-                for (k, ph) in schedule.phases(r).iter().enumerate() {
-                    for m in &ph.recvs {
+                for (k, ph) in schedule.phases(r).enumerate() {
+                    for m in ph.recvs {
                         schedule.check_recv(r, k, m).ok()?;
-                        let from = m.src / chunk;
-                        let sid = tx[from].index.find(m.src, r, m.tag)?; // else unmatched recv
-                        let send = &tx[from].pre[sid as usize - send_off[from * chunk]];
-                        if send.bytes != m.bytes {
-                            return None; // size mismatch
-                        }
-                        let h = hockney.level(send.level);
+                        let sid = tx[m.src / chunk].0.find(m.src, r, m.tag)?; // else unmatched recv
+                        (sends[sid as usize].bytes == m.bytes).then_some(())?; // else size mismatch
+                        let h = hockney.level(place[m.src].locality(place[r]));
                         let wire = h.time(m.bytes);
-                        let occupancy = self
-                            .config
-                            .cpu_overhead
-                            .map_or(wire, |o| o + m.bytes as f64 / h.bytes_per_sec);
+                        let occupancy =
+                            overhead.map_or(wire, |o| o + m.bytes as f64 / h.bytes_per_sec);
                         pre.push(RecvPre { send_id: sid, occupancy });
                     }
                 }
@@ -267,12 +231,12 @@ impl Engine<'_> {
         }
         sent_flag.fill(false);
         if let Some(p) = perturbation.filter(|p| !p.dead_links.is_empty()) {
-            if let Some(m) = schedule.all_sends().find(|m| p.link_is_down(m.src, m.dst)) {
+            if let Some(m) = sends.iter().find(|m| p.link_is_down(m.src, m.dst)) {
                 return Err(SimError::LinkDown { src: m.src, dst: m.dst });
             }
         }
 
-        let pre_send = flatten(tx.into_iter().map(|shard| shard.pre), total_sends);
+        let pre_send = flatten(tx.into_iter().map(|(_, costs)| costs), total_sends);
         let pre_recv = flatten(rx.into_iter(), total_recvs);
 
         // ---- Serial replay ----
@@ -288,18 +252,14 @@ impl Engine<'_> {
             nic_rx: vec![0.0; self.layout.nodes()],
             glob_tx: vec![0.0; n_groups],
             glob_rx: vec![0.0; n_groups],
-            phase_idx: vec![0; n],
+            row: (0..n).map(|r| schedule.rows(r..r + 1)).collect(),
             info_start: vec![0.0; total_sends],
             info_end: vec![0.0; total_sends],
             sent_flag,
             waiter_of: vec![NO_WAITER; total_sends],
             missing: vec![0; n],
-            stats: LevelStats::default(),
             finish: vec![0.0; n],
             busy: vec![0.0; n],
-            next_send: send_off[..n].to_vec(),
-            next_recv: recv_off[..n].to_vec(),
-            cur_recv: vec![(0, 0); n],
             arrivals: Vec::new(),
         };
 
@@ -310,7 +270,7 @@ impl Engine<'_> {
 
         // Bootstrap: every rank with at least one phase enters phase 0.
         for r in 0..n {
-            if !schedule.phases(r).is_empty() && rp.issue(r, schedule) {
+            if !rp.row[r].is_empty() && rp.issue(r, schedule) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
         }
@@ -321,39 +281,34 @@ impl Engine<'_> {
             }
         }
 
-        let total_phases: usize = (0..n).map(|r| schedule.phases(r).len()).sum();
-        let mut completed_phases = 0usize;
-
         while let Some(Reverse((_, r))) = heap.pop() {
-            rp.drain(r);
-            completed_phases += 1;
-            rp.phase_idx[r] += 1;
-
-            if rp.phase_idx[r] == schedule.phases(r).len() {
+            rp.drain(r, schedule);
+            rp.row[r].start += 1;
+            if rp.row[r].is_empty() {
                 rp.finish[r] = rp.port_free[r];
                 continue;
             }
             // Enter the next phase: issue its sends, maybe unblock others.
-            let s_before = rp.next_send[r];
             if rp.issue(r, schedule) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
-            for sid in s_before..rp.next_send[r] {
+            for sid in schedule.msg_ids(rp.row[r].start..rp.row[r].start + 1).0 {
                 rp.wake(sid, &mut heap);
             }
         }
 
-        if completed_phases != total_phases {
-            let blocked: Vec<(Rank, usize)> = (0..n)
-                .filter(|&r| rp.phase_idx[r] < schedule.phases(r).len())
-                .map(|r| (r, rp.phase_idx[r]))
-                .collect();
+        let phase = |r: Rank| rp.row[r].start - schedule.rows(r..r + 1).start;
+        let blocked = (0..n).filter(|&r| !rp.row[r].is_empty()).map(|r| (r, phase(r)));
+        let blocked: Vec<(Rank, usize)> = blocked.collect();
+        if !blocked.is_empty() {
             return Err(SimError::Deadlock(blocked));
         }
 
+        // every send was issued, once: the tallies need no event order
+        let mut stats = LevelStats::default();
+        pre_send.iter().zip(sends).for_each(|(p, m)| stats.record(p.level, m.bytes));
         let makespan = rp.finish.iter().copied().fold(0.0, f64::max);
-        let report =
-            SimReport { makespan, per_rank_finish: rp.finish, stats: rp.stats, port_busy: rp.busy };
+        let report = SimReport { makespan, per_rank_finish: rp.finish, stats, port_busy: rp.busy };
         Ok(Timeline { report, posted: rp.info_start, arrival: rp.info_end })
     }
 }
@@ -372,7 +327,8 @@ struct Replay<'p> {
     /// Dragonfly+ global links: per-group egress/ingress queues.
     glob_tx: Vec<f64>,
     glob_rx: Vec<f64>,
-    phase_idx: Vec<usize>,
+    /// The phase rows each rank has yet to complete: it is in the first.
+    row: Vec<Range<usize>>,
     info_start: Vec<f64>,
     info_end: Vec<f64>,
     sent_flag: Vec<bool>,
@@ -380,16 +336,8 @@ struct Replay<'p> {
     waiter_of: Vec<u32>,
     /// For each rank currently blocked on recvs: how many are unmatched.
     missing: Vec<usize>,
-    stats: LevelStats,
     finish: Vec<f64>,
     busy: Vec<f64>,
-    /// Next unissued send / undrained recv id per rank (ids are assigned
-    /// in phase order, and phases are entered in order).
-    next_send: Vec<usize>,
-    next_recv: Vec<usize>,
-    /// Recv-id range `(start, len)` of the phase each rank is currently
-    /// in — saved at issue time, consumed by the drain.
-    cur_recv: Vec<(usize, usize)>,
     /// The drain's sort scratch `(posted, arrival, occupancy)`: one
     /// vector for the whole replay instead of one per (rank, phase).
     arrivals: Vec<(f64, f64, f64)>,
@@ -400,17 +348,16 @@ impl Replay<'_> {
     /// register waits for recvs whose send is not yet issued. Returns
     /// true when the rank can complete the phase immediately.
     fn issue(&mut self, r: Rank, schedule: &Schedule) -> bool {
-        let k = self.phase_idx[r];
-        let phase = &schedule.phases(r)[k];
+        let at = self.row[r].start;
         // straggler modeling: a perturbed rank pays its stall on top of
         // the phase's local work
-        let local = phase.local_seconds + self.perturbation.map_or(0.0, |p| p.stall(r));
+        let local = schedule.row(at).local_seconds + self.perturbation.map_or(0.0, |p| p.stall(r));
         self.busy[r] += local;
         let mut t = self.port_free[r] + local;
         let my_node = self.place[r].node as usize;
 
-        let s0 = self.next_send[r];
-        for sid in s0..s0 + phase.sends.len() {
+        let (sends, recvs) = schedule.msg_ids(at..at + 1);
+        for sid in sends {
             let p = &self.pre_send[sid];
             self.busy[r] += p.occupancy;
             // The CPU posts the message and moves on; the NIC queues it
@@ -447,20 +394,14 @@ impl Replay<'_> {
                     }
                 }
             }
-            self.stats.record(p.level, p.bytes);
             self.info_start[sid] = posted;
             self.info_end[sid] = wire_start + p.wire;
             self.sent_flag[sid] = true;
         }
-        self.next_send[r] = s0 + phase.sends.len();
         self.port_free[r] = t;
 
-        let r0 = self.next_recv[r];
-        let rn = phase.recvs.len();
-        self.next_recv[r] = r0 + rn;
-        self.cur_recv[r] = (r0, rn);
         let mut unmatched = 0usize;
-        for q in r0..r0 + rn {
+        for q in recvs {
             let sid = self.pre_recv[q].send_id as usize;
             if !self.sent_flag[sid] {
                 self.waiter_of[sid] = r as u32;
@@ -485,10 +426,10 @@ impl Replay<'_> {
     }
 
     /// Completes the recvs of rank `r`'s current phase in arrival order.
-    fn drain(&mut self, r: Rank) {
-        let (r0, rn) = self.cur_recv[r];
+    fn drain(&mut self, r: Rank, schedule: &Schedule) {
+        let recvs = schedule.msg_ids(self.row[r].start..self.row[r].start + 1).1;
         self.arrivals.clear();
-        self.arrivals.extend(self.pre_recv[r0..r0 + rn].iter().map(|p| {
+        self.arrivals.extend(self.pre_recv[recvs].iter().map(|p| {
             let sid = p.send_id as usize;
             (self.info_start[sid], self.info_end[sid], p.occupancy)
         }));
@@ -656,6 +597,77 @@ mod tests {
 
         let empty = Schedule::new(4);
         assert_bit_identical(&layout, SimConfig::niagara(), &empty);
+    }
+
+    #[test]
+    fn the_order_ranks_are_pushed_in_changes_nothing() {
+        let n = 64;
+        let layout = ClusterLayout::with_groups(16, 2, 2, 4);
+        let rounds = perm_rounds(n, 6, 0xC0FFEE);
+        // the reference: rank by rank, every table allocated once
+        let mut base =
+            Schedule::with_rows(n, 6 * n, rounds.message_count(), rounds.message_count());
+        // the same phases, the ranks taking turns in a seeded order (each
+        // rank's own phases in theirs)
+        let mut turns: Vec<usize> = (0..6 * n).map(|i| i % n).collect();
+        DetRng::seed_from_u64(0xBEEF).shuffle(&mut turns);
+        let mut shuffled = Schedule::new(n);
+        let local = |r: usize, k: usize| (r % 3 + k) as f64 * 1e-7;
+        for r in 0..n {
+            for (k, ph) in rounds.phases(r).enumerate() {
+                base.push_phase(r, local(r, k), ph.sends.iter().copied(), ph.recvs.iter().copied());
+            }
+        }
+        let mut next = vec![0; n];
+        for r in turns {
+            let (k, ph) = (next[r], rounds.phases(r).nth(next[r]).unwrap());
+            shuffled.push_phase(r, local(r, k), ph.sends.iter().copied(), ph.recvs.iter().copied());
+            next[r] += 1;
+        }
+        assert_eq!(shuffled, base);
+
+        let engine = Engine::new(&layout, SimConfig::niagara());
+        let p = seeded_perturbation(n);
+        for perturbation in [None, Some(&p)] {
+            for threads in [1, 3] {
+                let pool = WorkerPool::new(threads);
+                let want = engine.replay(&base, &pool, perturbation).unwrap();
+                let got = engine.replay(&shuffled, &pool, perturbation).unwrap();
+                assert_eq!(want.report.makespan.to_bits(), got.report.makespan.to_bits());
+                assert_eq!(bits(&want.report.per_rank_finish), bits(&got.report.per_rank_finish));
+                assert_eq!(bits(&want.report.port_busy), bits(&got.report.port_busy));
+                assert_eq!(want.report.stats, got.report.stats);
+                assert_eq!(bits(&want.arrival), bits(&got.arrival));
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_and_invalid_schedules_fail_typed_and_in_order() {
+        let layout = ClusterLayout::new(2, 1, 1);
+        let engine = Engine::new(&layout, SimConfig::niagara());
+        let m = Msg { src: 0, dst: 1, bytes: 8, tag: 0 };
+        // more ranks than the `u32` id space: refused before anything is
+        // sized by the rank count ...
+        let huge = Schedule::new(u32::MAX as usize);
+        for pool in [WorkerPool::serial(), WorkerPool::new(3)] {
+            let err = engine.run_sharded(&huge, &pool).unwrap_err();
+            assert_eq!(err, SimError::ScheduleTooLarge { messages: 0 });
+        }
+        // ... but after a bad perturbation
+        let bad = Perturbation { jitter_p: 2.0, ..Perturbation::none() };
+        let err = engine.run_perturbed(&huge, &bad).unwrap_err();
+        assert!(matches!(err, SimError::InvalidPerturbation(_)), "{err:?}");
+        // more ranks than cores: an invalid schedule is reported as that,
+        // a valid one as too large for the layout
+        let mut s = Schedule::new(8);
+        s.push(0, vec![m], vec![]);
+        let invalid = SimError::InvalidSchedule(s.validate().unwrap_err());
+        assert_eq!(engine.run(&s).unwrap_err(), invalid);
+        s.push(1, vec![], vec![m]);
+        let too_small = SimError::LayoutTooSmall { ranks: 8, capacity: 2 };
+        assert_eq!(engine.run(&s).unwrap_err(), too_small);
+        assert_eq!(engine.run_sharded(&s, &WorkerPool::new(3)).unwrap_err(), too_small);
     }
 
     #[test]
