@@ -11,8 +11,9 @@
 //! from its origin's payload into the receive buffer.
 //!
 //! [`BlockArena`] is what a caller keeps between executions: the
-//! compiled programs of the plan it last ran (one per op shape), the
-//! grow-only offset tables, and the receive buffers handed back through
+//! compiled programs of the plan it last ran (one per op shape) and,
+//! beside them, the simulator's prepared structure of each, the grow-only
+//! offset tables, and the receive buffers handed back through
 //! [`BlockArena::adopt_rbufs`]. The warm-path contract — which request
 //! reads nothing of the plan and allocates nothing — is spelled out in
 //! `docs/EXECUTION_API.md`.
@@ -20,13 +21,16 @@
 use crate::collective::program::{compile, Exec, Job, Program, Shape, Staged, Tables};
 use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
+use nhood_cluster::ClusterLayout;
+use nhood_simnet::Prepared;
 use nhood_topology::{Rank, Topology};
 use std::sync::Arc;
 
 pub use crate::collective::program::Program as ArenaLayout;
 
 /// Reusable execution workspace: the compiled programs of the plan last
-/// run, the offset tables, and the receive buffers the caller hands back.
+/// run and their simulated structures, the offset tables, and the
+/// receive buffers the caller hands back.
 ///
 /// Pass the same arena to repeated [`crate::exec::Executor::run`] calls
 /// to amortize compilation, the tables and — through
@@ -37,16 +41,16 @@ pub use crate::collective::program::Program as ArenaLayout;
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct BlockArena {
-    /// The topology every program of `warm` was compiled on.
+    /// The topology every slot of `warm` was filled on.
     graph: Option<Topology>,
-    /// At most one program per op shape.
+    /// At most one slot per op shape.
     warm: Vec<Warm>,
     tables: Tables,
     spare_rbufs: Vec<Vec<u8>>,
     reallocations: u64,
 }
 
-/// A program a [`BlockArena`] serves and the plan it was compiled from.
+/// What a [`BlockArena`] serves for one op shape of one plan.
 #[derive(Debug)]
 struct Warm {
     /// Held, not merely compared against: while this clone lives the
@@ -55,7 +59,11 @@ struct Warm {
     /// content identity.
     plan: Arc<CollectivePlan>,
     shape: Shape,
-    prog: Arc<Program>,
+    /// Compiled when a request needs it (a simulated gather needs none).
+    prog: Option<Arc<Program>>,
+    /// The simulator's structure of the lowered schedule, and the layout
+    /// it is placed on.
+    sim: Option<(ClusterLayout, Prepared)>,
 }
 
 impl BlockArena {
@@ -108,24 +116,67 @@ impl BlockArena {
         graph: &Topology,
         shape: Shape,
     ) -> Result<Arc<Program>, ExecError> {
-        let same_graph = self.graph.as_ref() == Some(graph);
-        let cached = self.warm.iter().find(|w| w.shape == shape).filter(|_| same_graph);
-        let prog = match cached {
-            Some(w) if Arc::ptr_eq(&w.plan, plan) => return Ok(Arc::clone(&w.prog)),
-            // a program is a function of the messages (and, for its phase
-            // labels, the algorithm): equal ones share it
-            Some(w) if w.plan.algorithm == plan.algorithm && w.plan.same_rows(plan) => {
-                Arc::clone(&w.prog)
-            }
-            _ => Arc::new(compile(plan, graph, shape)?),
-        };
-        if !same_graph {
-            self.warm.clear();
-            self.graph = Some(graph.clone());
+        if let Some(prog) = self.served(plan, graph, shape).and_then(|w| w.prog.clone()) {
+            return Ok(prog);
         }
-        self.warm.retain(|w| w.shape != shape);
-        self.warm.push(Warm { plan: Arc::clone(plan), shape, prog: Arc::clone(&prog) });
+        let prog = Arc::new(compile(plan, graph, shape)?);
+        self.slot(plan, graph, shape).prog = Some(Arc::clone(&prog));
         Ok(prog)
+    }
+
+    /// The simulator's structure of `plan`'s `shape` on `graph`, placed
+    /// on `layout`: kept in the slot that serves the shape's program, and
+    /// `None` until a request fills it (a miss empties the slot).
+    pub(crate) fn simulation(
+        &mut self,
+        plan: &Arc<CollectivePlan>,
+        graph: &Topology,
+        shape: Shape,
+        layout: &ClusterLayout,
+    ) -> &mut Option<(ClusterLayout, Prepared)> {
+        let sim = &mut self.slot(plan, graph, shape).sim;
+        if sim.as_ref().is_some_and(|(placed_on, _)| placed_on != layout) {
+            *sim = None;
+        }
+        sim
+    }
+
+    /// The slot that serves `plan`'s `shape` on `graph`: the one filled
+    /// for this plan allocation, or — re-pinned to `plan`, so the next
+    /// call is warm — for a plan of equal messages (a program and a
+    /// structure are functions of the messages and, for the program's
+    /// phase labels, the algorithm).
+    fn served(
+        &mut self,
+        plan: &Arc<CollectivePlan>,
+        graph: &Topology,
+        shape: Shape,
+    ) -> Option<&mut Warm> {
+        let same_graph = self.graph.as_ref() == Some(graph);
+        let w = self.warm.iter_mut().find(|w| w.shape == shape).filter(|_| same_graph)?;
+        if !Arc::ptr_eq(&w.plan, plan) {
+            if w.plan.algorithm != plan.algorithm || !w.plan.same_rows(plan) {
+                return None;
+            }
+            w.plan = Arc::clone(plan);
+        }
+        Some(w)
+    }
+
+    /// The [served](Self::served) slot, or an empty one pinned to `plan`
+    /// in place of whatever `shape` held (another topology retires every
+    /// slot).
+    fn slot(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology, shape: Shape) -> &mut Warm {
+        if self.served(plan, graph, shape).is_none() {
+            if self.graph.as_ref() != Some(graph) {
+                self.warm.clear();
+                self.graph = Some(graph.clone());
+            }
+            self.warm.retain(|w| w.shape != shape);
+            self.warm.push(Warm { plan: Arc::clone(plan), shape, prog: None, sim: None });
+        }
+        let at = self.warm.iter().position(|w| w.shape == shape).unwrap_or_default();
+        &mut self.warm[at]
     }
 
     /// Stages one execution of `prog`: resolves the offset tables for
@@ -171,8 +222,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::collective::program::tests::compiles;
+    use crate::exec::sim_exec::simulate;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
-    use crate::exec::{ExecOptions, Executor, Threaded, Virtual};
+    use crate::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use crate::plan::{Algorithm, PlanWriter};
@@ -260,9 +312,18 @@ pub(crate) mod tests {
             0 => plan_naive(&g),
             _ => crate::common_neighbor::plan_common_neighbor(&g, 4),
         };
+        // ... and the simulated structure kept beside the program
+        let layout = ClusterLayout::new(3, 2, 2);
+        let sim = Sim::new(layout.clone()).message_size(64);
+        let simulated = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>| {
+            let out = sim.run(plan, &g, &[], arena, &ExecOptions::default()).unwrap();
+            out.sim.expect("a simulated report").makespan.to_bits()
+        };
+        let cold = |plan: &CollectivePlan| simulate(plan, &layout, 64, &sim.cost).unwrap();
         let mut arena = BlockArena::new();
         let first = Arc::new(nth(0));
         arena.prepare(&first, &g).unwrap();
+        simulated(&mut arena, &first);
         let mut freed = Arc::as_ptr(&first);
         drop(first);
         for i in 1..=1000 {
@@ -270,8 +331,32 @@ pub(crate) mod tests {
             let reused = Arc::as_ptr(&plan) == freed;
             let got = arena.prepare(&plan, &g).unwrap();
             assert_layout_eq(&got, &ArenaLayout::for_plan(&plan, &g).unwrap());
+            assert_eq!(simulated(&mut arena, &plan), cold(&plan).makespan.to_bits(), "try {i}");
             assert!(!reused, "the arena held the plan at {freed:?}, yet try {i} got its address");
             freed = Arc::as_ptr(&plan);
+        }
+    }
+
+    #[test]
+    fn a_churned_plan_or_another_layout_gets_a_fresh_simulated_structure() {
+        use crate::repair::repair_for_churn;
+        let g = erdos_renyi(32, 0.3, 5);
+        let (a, b) = (ClusterLayout::new(4, 2, 4), ClusterLayout::with_groups(8, 2, 2, 2));
+        let pattern = build_pattern(&g, &a).unwrap();
+        let plan = Arc::new(lower(&pattern, &g));
+        let gone = g.edges().next().unwrap();
+        let g2 = Topology::from_edges(32, g.edges().filter(|&e| e != gone));
+        let churned = Arc::new(repair_for_churn(&pattern, &plan, &g2, &[], &[gone]).unwrap().plan);
+        let mut arena = BlockArena::new();
+        let steps = [(&plan, &g, &a), (&plan, &g, &a), (&plan, &g, &b), (&plan, &g, &a)];
+        let churn = [(&churned, &g2, &a), (&churned, &g2, &a), (&plan, &g, &a)];
+        for (i, &(plan, graph, layout)) in steps.iter().chain(&churn).enumerate() {
+            let warm = arena.simulation(plan, graph, Shape::Gather, layout).is_some();
+            assert_eq!(warm, [1, 5].contains(&i), "step {i}: a structure kept for it");
+            let sim = Sim::new(layout.clone()).message_size(256);
+            let out = sim.run(plan, graph, &[], &mut arena, &ExecOptions::default()).unwrap();
+            let want = simulate(plan, layout, 256, &sim.cost).unwrap().makespan;
+            assert_eq!(out.sim.unwrap().makespan.to_bits(), want.to_bits(), "step {i}");
         }
     }
 

@@ -39,7 +39,7 @@ use crate::alltoall::route_items;
 use crate::exec::{phase_label, ExecError};
 use crate::plan::{CollectivePlan, MsgView};
 use crate::sizes::BlockSizes;
-use nhood_simnet::{Msg, Schedule};
+use nhood_simnet::{Msg, PhaseWriter, Schedule};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -898,20 +898,26 @@ impl Program {
     /// for an allreduce, whose blocks all take the table's one size): the
     /// plan's phases with every message at its *combined* wire size.
     pub(crate) fn schedule(&self, sizes: &BlockSizes) -> Schedule {
+        let msgs = self.msgs.len();
+        let mut sched = Schedule::with_rows(self.n, self.phases * self.n, msgs, msgs);
+        self.lower(sizes, &mut sched);
+        sched
+    }
+
+    /// [`schedule`](Self::schedule)'s lowering into any [`PhaseWriter`]:
+    /// a whole schedule, or the price columns of one already prepared.
+    pub(crate) fn lower(&self, sizes: &BlockSizes, out: &mut impl PhaseWriter) {
         let msg = |id: usize| {
             let m = &self.msgs[id];
             let bytes = self.wire_bytes(id, Lens::Table(sizes));
             Msg { src: m.src, dst: m.dst, bytes, tag: m.tag }
         };
-        let msgs = self.msgs.len();
-        let mut sched = Schedule::with_rows(self.n, self.phases * self.n, msgs, msgs);
         for r in 0..self.n {
             for k in 0..self.phases {
                 let sends = self.sends(k, r).iter().map(|&id| msg(id));
-                sched.push_phase(r, 0.0, sends, self.recvs(k, r).map(msg));
+                out.push_phase(r, 0.0, sends, self.recvs(k, r).map(msg));
             }
         }
-        sched
     }
 }
 

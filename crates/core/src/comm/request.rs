@@ -1,7 +1,8 @@
 //! The request pipeline: [`DistGraphComm::collective`] resolves a
 //! request's plan and hands it to [`DistGraphComm::collective_on`], the
 //! one execution path of every op on every backend — the `Sim` backend
-//! is the `Virtual` byte path plus one simulated schedule.
+//! is the `Virtual` byte path plus one simulated request, which
+//! [`DistGraphComm::simulate_on`] serves alone.
 
 use super::{CombineMemo, CommError, DistGraphComm};
 use crate::arena::BlockArena;
@@ -9,11 +10,12 @@ use crate::collective::program::Shape;
 use crate::collective::{
     check_support, derive_sizes, CollectiveOp, CollectiveOutput, CollectiveRequest, ExecBackend,
 };
-use crate::exec::sim_exec::{simulate_v, SimCost};
+use crate::exec::sim_exec::{Priced, SimCost};
+use crate::exec::Sim;
 use crate::exec::{execute, ExecOptions};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
-use nhood_simnet::Engine;
+use nhood_simnet::{Perturbation, SimReport};
 use std::sync::{Arc, MutexGuard};
 
 impl DistGraphComm {
@@ -29,7 +31,8 @@ impl DistGraphComm {
     /// serves every op on the threaded backend. On [`ExecBackend::Sim`]
     /// the output carries **both** real oracle bytes and the simulator's
     /// makespan (under [`SimCost::niagara`]); the bare
-    /// [`crate::exec::Sim`] executor returns empty buffers.
+    /// [`crate::exec::Sim`] executor returns empty buffers, and
+    /// [`Self::simulate_on`] the makespan alone, at any cost.
     ///
     /// Combinations outside the support matrix return
     /// [`CommError::UnsupportedCollective`] /
@@ -55,13 +58,7 @@ impl DistGraphComm {
         arena: &mut BlockArena,
     ) -> Result<CollectiveOutput, CommError> {
         check_support(req.op, req.algorithm, req.robust, req.backend)?;
-        // a combining op's validated size table; a gather reads its
-        // block lengths off the payloads
-        let sizes = if req.op.is_gather() {
-            None
-        } else {
-            Some(derive_sizes(&self.graph, req.op, req.payloads, req.sizes.as_ref())?)
-        };
+        let sizes = self.request_sizes(req)?;
         if req.robust {
             // check_support pinned the backend to Threaded already.
             return self.robust(req, sizes.as_ref(), arena);
@@ -75,21 +72,53 @@ impl DistGraphComm {
         let opts = if threaded { self.threaded_opts(base) } else { base };
         let (graph, sbufs) = (&self.graph, req.payloads);
         let out = execute(req.op, sizes.as_ref(), &plan, graph, sbufs, arena, threaded, &opts)?;
-        let sim = match (req.backend, &sizes) {
-            (ExecBackend::Sim, None) => {
-                let lens: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-                Some(simulate_v(&plan, &self.layout, &lens, &SimCost::niagara())?)
-            }
-            // The schedule comes off the program, whose per-message sizes
-            // are the combined wire bytes — which is what makes the
-            // simulated makespan reflect message combining.
-            (ExecBackend::Sim, Some(sizes)) => {
-                let prog = arena.program(&plan, graph, Shape::of(req.op))?;
-                Some(Engine::new(&self.layout, SimCost::niagara().net).run(&prog.schedule(sizes))?)
+        let sim = match req.backend {
+            ExecBackend::Sim => {
+                Some(self.simulate_on(req, Some(&plan), arena, &SimCost::niagara(), None)?)
             }
             _ => None,
         };
         Ok(CollectiveOutput { rbufs: out.rbufs, faults: out.faults, report: None, sim })
+    }
+
+    /// Simulates `req` at `cost`, under an optional latency
+    /// `perturbation`, moving no byte: the makespan `collective_on`
+    /// reports on [`ExecBackend::Sim`] at [`SimCost::niagara`]. A gather
+    /// simulates its plan at the payloads' lengths, a combining op its
+    /// compiled program at combined wire sizes. `plan` and `arena` are
+    /// `collective_on`'s; the arena keeps the schedule's prepared
+    /// structure beside the programs, so a repeated request of one plan
+    /// writes only its prices and replays (`docs/EXECUTION_API.md`). The
+    /// request's backend and robustness are not read.
+    pub fn simulate_on(
+        &self,
+        req: &CollectiveRequest,
+        plan: Option<&Arc<CollectivePlan>>,
+        arena: &mut BlockArena,
+        cost: &SimCost,
+        perturbation: Option<&Perturbation>,
+    ) -> Result<SimReport, CommError> {
+        check_support(req.op, req.algorithm, false, ExecBackend::Sim)?;
+        let sizes = self.request_sizes(req)?;
+        let plan = match plan {
+            Some(plan) => Arc::clone(plan),
+            None => self.resolve_plan(req)?,
+        };
+        let (graph, sim) = (&self.graph, Sim::new(self.layout.clone()).cost(*cost));
+        let sizes = match &sizes {
+            None => Priced::Gather(&req.payloads.iter().map(Vec::len).collect::<Vec<_>>()),
+            Some(sizes) => {
+                Priced::Program(&*arena.program(&plan, graph, Shape::of(req.op))?, sizes)
+            }
+        };
+        Ok(sim.simulate(arena, &plan, graph, sizes, perturbation, None)?)
+    }
+
+    /// A combining op's validated size table; a gather reads its block
+    /// lengths off the payloads.
+    fn request_sizes(&self, req: &CollectiveRequest) -> Result<Option<BlockSizes>, CommError> {
+        let sizes = || derive_sizes(&self.graph, req.op, req.payloads, req.sizes.as_ref());
+        (!req.op.is_gather()).then(sizes).transpose()
     }
 
     /// The plan a non-robust request executes: the allgather family's is

@@ -6,13 +6,20 @@
 //! discrete-event engine to obtain the collective's latency on a modelled
 //! cluster — the stand-in for the paper's wall-clock measurements
 //! (Figs. 4–7).
+//! On a [`BlockArena`], only a plan's first request lowers a whole
+//! schedule: the arena keeps its prepared structure, and later requests
+//! lower only their [`PriceColumns`] and replay.
 
 use crate::arena::BlockArena;
+use crate::collective::program::{Program, Shape};
 use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
+use crate::sizes::BlockSizes;
 use nhood_cluster::{ClusterLayout, WorkerPool};
-use nhood_simnet::{Engine, Msg, Schedule, SimConfig, SimError, SimReport};
-use nhood_topology::Topology;
+use nhood_simnet::{Engine, Msg, Perturbation, PhaseWriter, PriceColumns, Schedule};
+use nhood_simnet::{SimConfig, SimError, SimReport};
+use nhood_telemetry::Recorder;
+use nhood_topology::{Rank, Topology};
 use std::sync::Arc;
 
 /// Cost knobs of the simulated execution.
@@ -51,11 +58,10 @@ pub struct Sim {
     /// Simulated per-rank payload size in bytes; `None` derives it from
     /// the payloads passed to [`Executor::run`].
     pub m: Option<usize>,
-    /// Worker threads for schedule validation, send/recv matching and
-    /// cost precomputation ([`Engine::run_sharded_recorded`]); `1` (the
-    /// default) runs them inline. The report is bit-identical for every
-    /// width, so this is purely a wall-clock knob for cluster-scale
-    /// schedules.
+    /// Worker threads for schedule validation and send/recv matching
+    /// ([`Engine::prepare`], a plan's first run); `1` (the default) runs
+    /// them inline. The report is bit-identical for every width, so this
+    /// is purely a wall-clock knob for cluster-scale schedules.
     pub threads: usize,
 }
 
@@ -95,9 +101,9 @@ impl Executor for Sim {
     fn run(
         &self,
         plan: &Arc<CollectivePlan>,
-        _graph: &Topology,
+        graph: &Topology,
         payloads: &[Vec<u8>],
-        _arena: &mut BlockArena,
+        arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
         let sizes: Vec<usize> = if opts.ragged {
@@ -110,11 +116,9 @@ impl Executor for Sim {
             };
             vec![m; plan.n()]
         };
-        let schedule = to_schedule_v(plan, &sizes, &self.cost);
-        let engine = Engine::new(&self.layout, self.cost.net);
-        let report = engine
-            .run_sharded_recorded(&schedule, &WorkerPool::new(self.threads), opts.recorder)
-            .map_err(|e| ExecError::SimFailed { msg: e.to_string() })?;
+        let report =
+            (self.simulate(arena, plan, graph, Priced::Gather(&sizes), None, Some(opts.recorder)))
+                .map_err(|e| ExecError::SimFailed { msg: e.to_string() })?;
         Ok(ExecOutcome { sim: Some(report), ..ExecOutcome::default() })
     }
 }
@@ -139,31 +143,38 @@ pub fn simulate(
 /// approximation that matters only for highly skewed payloads).
 pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> Schedule {
     let n = plan.n();
+    // one allocation per table: a valid plan receives what it sends
+    let (phases, msgs) = ((0..n).map(|r| plan.phases(r).len()).sum(), plan.message_count());
+    let mut s = Schedule::with_rows(n, phases, msgs, msgs);
+    lower_v(plan, sizes, cost, &mut s);
+    s
+}
+
+/// [`to_schedule_v`]'s lowering into any [`PhaseWriter`]: a whole
+/// schedule, or the price columns of one already prepared.
+fn lower_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost, out: &mut impl PhaseWriter) {
+    let n = plan.n();
     // INVARIANT: every caller that takes sizes from outside the crate
-    // (`simulate_v`, `Sim::run`, the communicator) has counted them.
+    // (`simulate_v`, `Sim::simulate`) has counted them.
     assert_eq!(sizes.len(), n, "need one payload size per rank");
     let mean = if n == 0 { 0.0 } else { sizes.iter().sum::<usize>() as f64 / n as f64 };
     // a uniform table prices a message by its block count alone
     let uniform = sizes.first().copied().filter(|m| sizes.iter().all(|s| s == m));
-    let bytes_of = |blocks: &[nhood_topology::Rank]| -> usize {
+    let bytes_of = |blocks: &[Rank]| -> usize {
         match uniform {
             Some(m) => blocks.len() * m,
             None => blocks.iter().map(|&b| sizes[b]).sum(),
         }
     };
-    // one allocation per table: a valid plan receives what it sends
-    let (phases, msgs) = ((0..n).map(|r| plan.phases(r).len()).sum(), plan.message_count());
-    let mut s = Schedule::with_rows(n, phases, msgs, msgs);
     for r in 0..n {
         for phase in plan.phases(r) {
             let msg = |src, dst, bytes, tag| Msg { src, dst, bytes, tag };
             let local_seconds = phase.copy_blocks() as f64 * mean / cost.memcpy_bytes_per_sec;
             let sends = phase.sends().map(|m| msg(r, m.peer(), bytes_of(m.blocks()), m.tag()));
             let recvs = phase.recvs().map(|m| msg(m.peer(), r, bytes_of(m.blocks()), m.tag()));
-            s.push_phase(r, local_seconds, sends, recvs);
+            out.push_phase(r, local_seconds, sends, recvs);
         }
     }
-    s
 }
 
 /// Simulates `plan` with per-rank payload sizes (`neighbor_allgatherv`).
@@ -173,12 +184,67 @@ pub fn simulate_v(
     sizes: &[usize],
     cost: &SimCost,
 ) -> Result<SimReport, SimError> {
-    if sizes.len() != plan.n() {
-        let (got, want) = (sizes.len(), plan.n());
-        let why = format!("need one payload size per rank: got {got}, want {want}");
-        return Err(SimError::InvalidSchedule(why));
-    }
+    check_sizes(plan, sizes)?;
     Engine::new(layout, cost.net).run(&to_schedule_v(plan, sizes, cost))
+}
+
+fn check_sizes(plan: &CollectivePlan, sizes: &[usize]) -> Result<(), SimError> {
+    let (got, want) = (sizes.len(), plan.n());
+    let why = || format!("need one payload size per rank: got {got}, want {want}");
+    (got == want).then_some(()).ok_or_else(|| SimError::InvalidSchedule(why()))
+}
+
+/// What a simulated request lowers: a gather plan at per-rank payload
+/// sizes ([`to_schedule_v`]), or a compiled program at its size table
+/// ([`Program::schedule`]: combined wire sizes).
+#[derive(Clone, Copy)]
+pub(crate) enum Priced<'a> {
+    Gather(&'a [usize]),
+    Program(&'a Program, &'a BlockSizes),
+}
+
+impl Sim {
+    /// One simulated request on `arena`, replayed into `rec`: the first
+    /// for this plan (or one of equal messages), shape, topology and
+    /// layout lowers a whole schedule and keeps its prepared structure;
+    /// later ones lower only their price columns. Reports, errors and
+    /// recorder traffic are `Engine::run*`'s on the lowered schedule.
+    pub(crate) fn simulate(
+        &self,
+        arena: &mut BlockArena,
+        plan: &Arc<CollectivePlan>,
+        graph: &Topology,
+        priced: Priced<'_>,
+        perturbation: Option<&Perturbation>,
+        rec: Option<&dyn Recorder>,
+    ) -> Result<SimReport, SimError> {
+        let shape = match priced {
+            Priced::Gather(sizes) => check_sizes(plan, sizes).map(|()| Shape::Gather)?,
+            Priced::Program(prog, _) => prog.shape,
+        };
+        perturbation.map_or(Ok(()), Perturbation::check)?;
+        let engine = Engine::new(&self.layout, self.cost.net);
+        let kept = arena.simulation(plan, graph, shape, &self.layout);
+        let (prepared, prices) = match kept {
+            Some((_, prepared)) => {
+                let mut prices = prepared.price_columns();
+                match priced {
+                    Priced::Gather(sizes) => lower_v(plan, sizes, &self.cost, &mut prices),
+                    Priced::Program(prog, sizes) => prog.lower(sizes, &mut prices),
+                }
+                (&*prepared, prices)
+            }
+            None => {
+                let schedule = match priced {
+                    Priced::Gather(sizes) => to_schedule_v(plan, sizes, &self.cost),
+                    Priced::Program(prog, sizes) => prog.schedule(sizes),
+                };
+                let prepared = engine.prepare(&schedule, &WorkerPool::new(self.threads))?;
+                (&kept.insert((self.layout.clone(), prepared)).1, PriceColumns::from(&schedule))
+            }
+        };
+        engine.run_prepared(prepared, &prices, perturbation, rec)
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +523,188 @@ mod tests {
                     assert_eq!(row(e.run_perturbed(&s, &p).unwrap()), *perturbed, "{what}");
                 }
             }
+        }
+    }
+
+    /// `NicMode::{Off, TxOnly, TxRx}` × global links off/on × LogGP
+    /// off/on.
+    fn every_net() -> Vec<SimConfig> {
+        use nhood_simnet::GlobalLinkConfig;
+        let mut nets = Vec::new();
+        for nic_mode in [NicMode::Off, NicMode::TxOnly, NicMode::TxRx] {
+            for gl in [false, true] {
+                for loggp in [false, true] {
+                    nets.push(SimConfig {
+                        hockney: HockneyParams::niagara(),
+                        nic_mode,
+                        cpu_overhead: loggp.then_some(0.15e-6),
+                        nic_gap: loggp.then_some(0.025e-6),
+                        global_links: gl.then(GlobalLinkConfig::niagara),
+                    });
+                }
+            }
+        }
+        nets
+    }
+
+    fn same_report(want: &SimReport, got: &SimReport, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(want.makespan.to_bits(), got.makespan.to_bits(), "makespan: {what}");
+        assert_eq!(bits(&want.per_rank_finish), bits(&got.per_rank_finish), "finish: {what}");
+        assert_eq!(bits(&want.port_busy), bits(&got.port_busy), "busy: {what}");
+        assert_eq!(want.stats, got.stats, "stats: {what}");
+    }
+
+    #[test]
+    fn a_warm_arena_replays_every_request_as_a_cold_run_would() {
+        use nhood_simnet::Perturbation;
+        use nhood_telemetry::CountingRecorder;
+        // three groups of two nodes: every locality level and both
+        // global-link queues carry traffic
+        let (n, layout) = (48, ClusterLayout::with_groups(6, 2, 4, 2));
+        let g = erdos_renyi(n, 0.3, 21);
+        let plans = [
+            Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g)),
+            Arc::new(plan_common_neighbor(&g, 4)),
+            Arc::new(plan_naive(&g)),
+            Arc::new(crate::pat::plan_pat(&g, 2)),
+        ];
+        // uniform, ragged with zero-length blocks, and the same ragged
+        // multiset permuted
+        let ragged: Vec<usize> = (0..n).map(|r| (r * 37 % 11) * 96).collect();
+        assert!(ragged.contains(&0));
+        let mut permuted = ragged.clone();
+        permuted.rotate_left(17);
+        let tables = [vec![512; n], ragged, permuted];
+        let pert = Perturbation {
+            seed: 0xA11CE,
+            rank_stall: (0..n).map(|r| if r % 7 == 0 { 1.5e-6 } else { 0.0 }).collect(),
+            jitter_p: 0.4,
+            max_jitter: 2e-6,
+            dead_links: Vec::new(),
+        };
+        for net in every_net() {
+            let cost = SimCost { net, memcpy_bytes_per_sec: 5.0e9 };
+            let engine = Engine::new(&layout, net);
+            for threads in [1, 2, 3, 8] {
+                // one arena: each plan for three requests in a row, then
+                // the next, twice round — a cold request, then warm ones
+                let mut arena = BlockArena::new();
+                for i in 0..24 {
+                    let plan = &plans[(i / 3) % plans.len()];
+                    let sizes = &tables[i % tables.len()];
+                    let perturbation = (i % 2 == 1).then_some(&pert);
+                    let warm = arena.simulation(plan, &g, Shape::Gather, &layout).is_some();
+                    assert_eq!(warm, i % 3 != 0, "request {i}: the structure is kept per plan");
+                    let what = format!("{net:?}, {threads} threads, request {i}");
+                    let rec = CountingRecorder::new(n);
+                    let sim = Sim { layout: layout.clone(), cost, m: None, threads };
+                    let got = sim.simulate(
+                        &mut arena,
+                        plan,
+                        &g,
+                        Priced::Gather(sizes),
+                        perturbation,
+                        Some(&rec),
+                    );
+                    let got = got.unwrap();
+                    let schedule = to_schedule_v(plan, sizes, &cost);
+                    let cold_rec = CountingRecorder::new(n);
+                    let want = match perturbation {
+                        Some(p) => engine.run_perturbed(&schedule, p),
+                        None => engine.run_sharded_recorded(
+                            &schedule,
+                            &WorkerPool::new(threads),
+                            &cold_rec,
+                        ),
+                    };
+                    same_report(&want.unwrap(), &got, &what);
+                    if perturbation.is_none() {
+                        assert_eq!(rec.totals(), cold_rec.totals(), "recorder: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_request_fails_as_a_cold_one_and_leaves_the_arena_usable() {
+        use crate::arena::tests::hand_plan;
+        use nhood_simnet::Perturbation;
+        let (n, layout) = (24, ClusterLayout::new(3, 2, 4));
+        let g = erdos_renyi(n, 0.4, 8);
+        let dh = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let niagara = SimCost::niagara();
+        let request = |arena: &mut BlockArena,
+                       plan: &Arc<CollectivePlan>,
+                       g: &Topology,
+                       sizes: &[usize],
+                       cost,
+                       perturbation: Option<&Perturbation>| {
+            let sim = Sim { layout: layout.clone(), cost, m: None, threads: 2 };
+            sim.simulate(arena, plan, g, Priced::Gather(sizes), perturbation, None)
+        };
+        let good = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>, g: &Topology| {
+            let sizes = vec![256; plan.n()];
+            let got = request(arena, plan, g, &sizes, niagara, None);
+            let want = simulate_v(plan, &layout, &sizes, &niagara).unwrap();
+            same_report(&want, &got.unwrap(), "the good request");
+        };
+        let mut arena = BlockArena::new();
+        good(&mut arena, &dh, &g);
+
+        // a non-finite copy charge: Distance Halving copies, at 0 B/s
+        let stalled = SimCost { memcpy_bytes_per_sec: 0.0, ..niagara };
+        let sizes = vec![64; n];
+        let warm = request(&mut arena, &dh, &g, &sizes, stalled, None);
+        let cold = simulate_v(&dh, &layout, &sizes, &stalled).unwrap_err();
+        assert!(
+            matches!(&cold, SimError::InvalidSchedule(why) if why.contains("bad local_seconds"))
+        );
+        assert_eq!(warm.unwrap_err(), cold);
+        good(&mut arena, &dh, &g);
+
+        // a dead link the plan sends over
+        let (src, m) =
+            (0..n).find_map(|r| Some((r, dh.phases(r).find_map(|p| p.sends().next())?))).unwrap();
+        let dead = Perturbation { dead_links: vec![(src, m.peer())], ..Perturbation::none() };
+        let warm = request(&mut arena, &dh, &g, &sizes, niagara, Some(&dead));
+        let schedule = to_schedule_v(&dh, &sizes, &niagara);
+        let cold = Engine::new(&layout, niagara.net).run_perturbed(&schedule, &dead).unwrap_err();
+        assert_eq!(cold, SimError::LinkDown { src, dst: m.peer() });
+        assert_eq!(warm.unwrap_err(), cold);
+        good(&mut arena, &dh, &g);
+
+        // a size table of the wrong length
+        let short = vec![64; n - 1];
+        let warm = request(&mut arena, &dh, &g, &short, niagara, None);
+        assert_eq!(warm.unwrap_err(), simulate_v(&dh, &layout, &short, &niagara).unwrap_err());
+        good(&mut arena, &dh, &g);
+
+        // a recv whose blocks differ from its send's: equal lengths on a
+        // uniform table (warm), a size mismatch on a ragged one
+        let g3 = Topology::from_edges(3, [(1, 0), (0, 2), (1, 2)]);
+        let skew = hand_plan(3, 2, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[1])]);
+        let small = ClusterLayout::new(1, 1, 3);
+        let sim = Sim::new(small.clone());
+        let mut arena = BlockArena::new();
+        for _ in 0..2 {
+            let uniform = [32; 3];
+            let got = sim.simulate(&mut arena, &skew, &g3, Priced::Gather(&uniform), None, None);
+            assert_eq!(
+                got.unwrap().makespan,
+                simulate_v(&skew, &small, &uniform, &niagara).unwrap().makespan
+            );
+            let ragged = [8, 24, 40];
+            let warm = sim.simulate(&mut arena, &skew, &g3, Priced::Gather(&ragged), None, None);
+            let cold = simulate_v(&skew, &small, &ragged, &niagara).unwrap_err();
+            assert_eq!(
+                cold,
+                SimError::InvalidSchedule(
+                    "size mismatch on (src 0, dst 2, tag 1): send 8 vs recv 24".into()
+                )
+            );
+            assert_eq!(warm.unwrap_err(), cold);
         }
     }
 }

@@ -40,12 +40,11 @@ use std::time::{Duration, Instant};
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::collective::matches_reference;
-use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v};
 use nhood_core::{
-    Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveRequest, CommError, DType,
-    DistGraphComm, ExecBackend, MutationReport, PlanCache, PlanFingerprint, Reduction, SimCost,
+    Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectivePlan, CollectiveRequest, CommError,
+    DType, DistGraphComm, ExecBackend, MutationReport, PlanCache, PlanFingerprint, Reduction,
+    SimCost,
 };
-use nhood_simnet::{Engine, Perturbation};
 use nhood_telemetry::{labels, CountingRecorder, Recorder};
 use nhood_topology::{Rank, Topology};
 
@@ -626,16 +625,11 @@ impl Service {
             }
         };
         for req in batch {
-            let t = &mut self.tenants[req.tenant];
-            if let (Backend::Sim, Some(plan)) = (self.cfg.backend, &plan) {
-                // no bytes move: the gather plan's schedule alone
-                let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-                match simulate_v(plan, t.comm.layout(), &sizes, &self.cfg.sim_cost) {
-                    Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
-                    Err(e) => self.fail(req, e),
-                }
+            if self.cfg.backend == Backend::Sim {
+                self.run_sim(req, plan.as_ref());
                 continue;
             }
+            let t = &mut self.tenants[req.tenant];
             let mut creq = CollectiveRequest::new(req.op, &req.payloads)
                 .algorithm(t.algo)
                 .backend(self.cfg.backend)
@@ -655,12 +649,7 @@ impl Service {
             let res = t.comm.collective_on(&creq, plan.as_ref(), arena);
             // a failed run may leave the set adopted; it must not outlive the tick
             arena.adopt_rbufs(Vec::new());
-            match res {
-                Ok(out) if self.cfg.backend == Backend::Sim => {
-                    self.finish(req, CLEAN, None, None, out.sim.map(|s| s.makespan))
-                }
-                res => self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true),
-            }
+            self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true);
         }
     }
 
@@ -672,15 +661,14 @@ impl Service {
     /// simulates clean.
     fn run_robust_batch(&mut self, batch: Vec<Pending>) {
         for req in batch {
+            let t = &self.tenants[req.tenant];
             if self.cfg.backend == Backend::Sim {
-                if req.op.is_gather() {
-                    self.run_sim_perturbed(req);
-                } else {
-                    self.run_clean_batch(vec![req]);
+                match req.op.is_gather().then(|| t.comm.plan_shared(t.algo)).transpose() {
+                    Ok(plan) => self.run_sim(req, plan.as_ref()),
+                    Err(e) => self.fail(req, e),
                 }
                 continue;
             }
-            let t = &self.tenants[req.tenant];
             let mut creq = CollectiveRequest::new(req.op, &req.payloads)
                 .algorithm(t.algo)
                 .robust(true)
@@ -700,19 +688,26 @@ impl Service {
         }
     }
 
-    fn run_sim_perturbed(&mut self, req: Pending) {
-        let t = &self.tenants[req.tenant];
-        let plan = match t.comm.plan_shared(t.algo) {
-            Ok(p) => p,
-            Err(e) => return self.fail(req, e),
+    /// Every request on [`Backend::Sim`]: no bytes move, and the tenant's
+    /// arena keeps the simulated structure of its plan, so a warm
+    /// request pays only its prices and the replay. A gather simulates
+    /// `plan` (the batch's; `None` resolves the tenant's), perturbed by
+    /// a fault-armed tenant's fault plan; a combining op its compiled
+    /// program, clean.
+    fn run_sim(&mut self, req: Pending, plan: Option<&Arc<CollectivePlan>>) {
+        let t = &mut self.tenants[req.tenant];
+        let faults = t.comm.fault_plan().filter(|_| t.faulty && req.op.is_gather());
+        let pert = faults.map(|f| f.to_perturbation(t.comm.n()));
+        let mut creq = CollectiveRequest::new(req.op, &req.payloads).algorithm(t.algo);
+        creq.sizes = req.sizes.clone();
+        let mut scratch;
+        let arena = if self.cfg.batching {
+            &mut t.arena
+        } else {
+            scratch = BlockArena::new();
+            &mut scratch
         };
-        let sizes: Vec<usize> = req.payloads.iter().map(Vec::len).collect();
-        let schedule = to_schedule_v(&plan, &sizes, &self.cfg.sim_cost);
-        let pert =
-            t.comm.fault_plan().map_or_else(Perturbation::none, |f| f.to_perturbation(t.comm.n()));
-        let run =
-            Engine::new(t.comm.layout(), self.cfg.sim_cost.net).run_perturbed(&schedule, &pert);
-        match run {
+        match t.comm.simulate_on(&creq, plan, arena, &self.cfg.sim_cost, pert.as_ref()) {
             Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
             Err(e) => self.fail(req, e),
         }
@@ -1187,6 +1182,48 @@ mod tests {
                 assert!(completions[0].sim_makespan.expect("sim makespan") > 0.0);
             } else {
                 assert_eq!(completions[0].verified, Some(true), "backend {backend:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn combining_sim_requests_are_priced_at_the_configured_cost() {
+        use nhood_cluster::HockneyParams;
+        use nhood_simnet::{NicMode, SimConfig};
+        let g = erdos_renyi(16, 0.3, 7);
+        // `DistGraphComm::collective` prices its Sim output at niagara
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout_for(16)).unwrap();
+        let slow = SimCost {
+            net: SimConfig::classic(HockneyParams::flat(5e-6, 1e8), NicMode::TxRx),
+            ..SimCost::niagara()
+        };
+        for (sim_cost, slower) in [(SimCost::niagara(), false), (slow, true)] {
+            let cfg = ServiceConfig { backend: Backend::Sim, sim_cost, ..Default::default() };
+            let mut svc = Service::new(cfg);
+            let t = svc.add_tenant(g.clone(), layout_for(16), Algorithm::DistanceHalving).unwrap();
+            let requests = [
+                SubmitRequest::alltoallv(combining_payloads(&svc, t, 8, 2)),
+                SubmitRequest::reduce_scatter(combining_payloads(&svc, t, 8, 3), Reduction::SUM_U8),
+                SubmitRequest::allreduce(uniform_payloads(16, 16, 4), Reduction::SUM_U8),
+            ];
+            for request in requests {
+                let op = request.op;
+                let req = CollectiveRequest::new(op, &request.payloads).backend(Backend::Sim);
+                let niagara = comm.collective(&req).unwrap().sim.unwrap().makespan;
+                // twice: the second request runs the tenant's warm structure
+                for _ in 0..2 {
+                    svc.submit_request(t, request.clone()).unwrap();
+                    svc.drain();
+                    let done = svc.take_completions();
+                    let c = &done[0];
+                    assert!(c.outcome.is_completed() && c.output.is_none(), "{op:?}");
+                    let got = c.sim_makespan.expect("a simulated makespan");
+                    if slower {
+                        assert!(got > niagara, "{op:?}: {got} at the slow cost vs {niagara}");
+                    } else {
+                        assert_eq!(got.to_bits(), niagara.to_bits(), "{op:?}");
+                    }
+                }
             }
         }
     }

@@ -278,8 +278,9 @@ fn the_cold_plan_path_allocates_by_the_count() {
     assert!(sparse_calls <= 8, "{sparse_calls} allocator calls to validate (budget 8)");
     assert_eq!(dense_calls, sparse_calls, "validation allocates per plan, not per message");
 
-    // (b) simulating the lowered plan: the matching kernel's index
-    // replaces the hash tables allocation for allocation.
+    // (b) simulating the lowered plan cold — prepare, then run: the
+    // matching kernel's index replaces the hash tables allocation for
+    // allocation, and the replay prices messages in place.
     let schedule = to_schedule_v(&sparse, &[64; 96], &cost);
     let (run_calls, report) = calls_of(|| Engine::new(&layout, cost.net).run(&schedule));
     report.expect("a valid schedule simulates");
@@ -326,9 +327,10 @@ fn the_cold_plan_path_allocates_by_the_count() {
     );
 }
 
-/// `sim-sweep`'s shape: a simulated gather lowers its plan into one flat
-/// schedule — a table per column, not a vector per (rank, phase) — and
-/// replays it.
+/// `sim-sweep`'s shape: a warm simulated gather writes only its prices —
+/// three columns, the structure is the tenant arena's — and replays; the
+/// cold lowering writes one flat schedule, a table per column, not a
+/// vector per (rank, phase).
 #[test]
 fn a_sim_gather_request_allocates_by_the_column() {
     use nhood_core::exec::sim_exec::to_schedule_v;
@@ -456,9 +458,13 @@ const CHURNED_ALLREDUCE_CALLS: u64 = 1_103;
 /// (479).
 const SINGLE_EDGE_CHURN_CALLS: u64 = 3_754 - 2_612;
 
-/// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan, as counted
-/// today: 33 while the replay built its own send / recv prefix tables and
-/// kept three cursors per rank; it reads the schedule's offsets now.
+/// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan — the cold
+/// path: prepare, then run on the schedule's own price columns — as
+/// counted today: 33 while the replay built its own send / recv prefix
+/// tables and kept three cursors per rank. 28 since it reads the
+/// schedule's offsets; the split kept it there (the structure's columns
+/// and the three price columns replace the per-send and per-recv cost
+/// tables, the per-send flags and the heap's growth).
 const ENGINE_RUN_CALLS: u64 = 28;
 /// 5 % above the 6,625 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
@@ -469,11 +475,14 @@ const ENGINE_RUN_CALLS: u64 = 28;
 /// it the pattern assembly), Bruck's and the leader hierarchy's B-trees,
 /// the ten replays (28 each).
 const AUTO_REGISTER_CALLS: u64 = 6_956;
-/// One warm simulated gather at n = 128, submit to completion: the
-/// schedule's 4 tables, the replay's 28–31 vectors, the size table, the
-/// queue and the completion (38–39 counted; ≈ 400–1,600 while every
-/// phase owned two vectors).
-const SIM_GATHER_CALLS: u64 = 50;
+/// 5 % above one warm simulated gather at n = 128, submit to
+/// completion: the size table, the 3 price columns, the replay's vectors
+/// (its sort scratch grows with the widest phase: 24 calls counted under
+/// Distance Halving, CN and PAT, 26 under naive), the queue and the
+/// completion. 38–39 while every request lowered a whole schedule and
+/// re-validated and re-matched it; ≈ 400–1,600 while every phase owned
+/// two vectors.
+const SIM_GATHER_CALLS: u64 = 27;
 /// One Distance Halving `build_pattern` at `plan-churn`'s shape (n = 96,
 /// δ = 0.15, 6 × 2 × 8): 5,599 calls at the parent of the one-negotiation
 /// merge, when every proposer's score row, every acceptor's candidate

@@ -30,7 +30,7 @@
 //! engine detects that and returns [`SimError::Deadlock`].
 
 use crate::perturb::Perturbation;
-use crate::schedule::Schedule;
+use crate::schedule::{PriceColumns, Schedule};
 use nhood_cluster::{ClusterLayout, HockneyParams, Locality, Rank, Seconds, WorkerPool};
 
 /// Which node NICs an inter-node message holds while on the wire.
@@ -226,7 +226,8 @@ pub struct SimReport {
 }
 
 /// The timing engine. Cheap to construct; [`run`](Self::run) is pure
-/// (no internal state survives a run).
+/// (no internal state survives a run), and so is
+/// [`run_prepared`](Self::run_prepared) on a structure kept between runs.
 pub struct Engine<'a> {
     pub(crate) layout: &'a ClusterLayout,
     pub(crate) config: SimConfig,
@@ -275,8 +276,9 @@ impl Ord for Key {
     }
 }
 
-/// Every entry point below is a thin wrapper over the one replay in
-/// [`crate::sharded`]; the pool-less ones run it at pool width 1.
+/// Every entry point below is [`prepare`](Self::prepare) then
+/// [`run_prepared`](Self::run_prepared) (in [`crate::sharded`]) on the
+/// schedule's own prices; the pool-less ones prepare at pool width 1.
 impl<'a> Engine<'a> {
     /// Creates an engine over `layout` with `config`.
     pub fn new(layout: &'a ClusterLayout, config: SimConfig) -> Self {
@@ -301,77 +303,74 @@ impl<'a> Engine<'a> {
         schedule: &Schedule,
         perturbation: &Perturbation,
     ) -> Result<SimReport, SimError> {
-        self.replay(schedule, &WorkerPool::serial(), Some(perturbation)).map(|t| t.report)
+        perturbation.check()?;
+        self.run_schedule(schedule, &WorkerPool::serial(), Some(perturbation), None)
     }
 
-    /// Like [`run`](Self::run), but with schedule validation, send/recv
-    /// matching and cost-model evaluation sharded across `pool`. The
-    /// report is bit-identical for any pool width.
+    /// Like [`run`](Self::run), but with schedule validation and send/recv
+    /// matching sharded across `pool`. The report is bit-identical for
+    /// any pool width.
     pub fn run_sharded(
         &self,
         schedule: &Schedule,
         pool: &WorkerPool,
     ) -> Result<SimReport, SimError> {
-        self.replay(schedule, pool, None).map(|t| t.report)
+        self.run_schedule(schedule, pool, None, None)
     }
 
     /// Like [`run`](Self::run), but also returns one [`MsgTrace`] per
     /// message (posting time, arrival time, locality level) for timeline
     /// analysis — the raw material of gantt-style visualizations.
     pub fn run_traced(&self, schedule: &Schedule) -> Result<(SimReport, Vec<MsgTrace>), SimError> {
-        let run = self.replay(schedule, &WorkerPool::serial(), None)?;
-        let sends = schedule.all_sends().iter().enumerate();
-        let mut traces: Vec<MsgTrace> = sends
-            .map(|(sid, m)| MsgTrace {
-                src: m.src,
-                dst: m.dst,
-                tag: m.tag,
-                bytes: m.bytes,
-                level: self.layout.locality(m.src, m.dst),
-                posted: run.posted[sid],
-                arrival: run.arrival[sid],
+        let prepared = self.prepare(schedule, &WorkerPool::serial())?;
+        let (report, times) = self.replay(&prepared, &PriceColumns::from(schedule), None)?;
+        let mut traces: Vec<MsgTrace> = (schedule.all_sends().iter().zip(times))
+            .map(|(m, times)| {
+                let (posted, arrival) = times.unwrap_or_default();
+                let level = self.layout.locality(m.src, m.dst);
+                MsgTrace {
+                    src: m.src,
+                    dst: m.dst,
+                    tag: m.tag,
+                    bytes: m.bytes,
+                    level,
+                    posted,
+                    arrival,
+                }
             })
             .collect();
         traces.sort_by(|a, b| a.posted.partial_cmp(&b.posted).expect("finite"));
-        Ok((run.report, traces))
+        Ok((report, traces))
     }
 
     /// Like [`run_sharded`](Self::run_sharded), but replays every
-    /// simulated message into `rec` afterwards: one
-    /// `msg_sent`/`msg_recvd` pair per message plus a
-    /// [`span_at`](nhood_telemetry::Recorder::span_at) on the sending
-    /// rank's track covering posting→arrival in *simulated* seconds.
-    /// Same-socket transfers are labelled
-    /// [`INTRA_SOCKET`](nhood_telemetry::labels::INTRA_SOCKET), everything
-    /// farther is [`HALVING_STEP`](nhood_telemetry::labels::HALVING_STEP)
-    /// — the locality split the paper's model predicts, so the recorder's
-    /// counters line up with the virtual/threaded executors' phase labels.
+    /// simulated message into `rec` afterwards (see
+    /// [`run_prepared`](Self::run_prepared)).
     pub fn run_sharded_recorded(
         &self,
         schedule: &Schedule,
         pool: &WorkerPool,
         rec: &dyn nhood_telemetry::Recorder,
     ) -> Result<SimReport, SimError> {
-        let run = self.replay(schedule, pool, None)?;
-        for (sid, m) in schedule.all_sends().iter().enumerate() {
-            let level = self.layout.locality(m.src, m.dst);
-            let label = if level == Locality::SameSocket {
-                nhood_telemetry::labels::INTRA_SOCKET
-            } else {
-                nhood_telemetry::labels::HALVING_STEP
-            };
-            rec.msg_sent(m.src, m.dst, m.bytes);
-            rec.msg_recvd(m.dst, m.src, m.bytes);
-            rec.span_at(m.src, label, run.posted[sid], run.arrival[sid]);
-        }
-        Ok(run.report)
+        self.run_schedule(schedule, pool, None, Some(rec))
+    }
+
+    fn run_schedule(
+        &self,
+        schedule: &Schedule,
+        pool: &WorkerPool,
+        perturbation: Option<&Perturbation>,
+        rec: Option<&dyn nhood_telemetry::Recorder>,
+    ) -> Result<SimReport, SimError> {
+        let prices = PriceColumns::from(schedule);
+        self.run_prepared(&self.prepare(schedule, pool)?, &prices, perturbation, rec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Msg;
+    use crate::schedule::{Msg, PhaseWriter};
 
     fn msg(src: Rank, dst: Rank, bytes: usize, tag: u64) -> Msg {
         Msg { src, dst, bytes, tag }

@@ -35,4 +35,5 @@ pub use engine::{
     SimReport,
 };
 pub use perturb::Perturbation;
-pub use schedule::{Msg, Phase, Schedule, SendIndex};
+pub use schedule::{Msg, Phase, PhaseWriter, PriceColumns, Schedule, SendIndex};
+pub use sharded::Prepared;

@@ -52,8 +52,9 @@ impl Perturbation {
 
     /// Rejects values that would put a NaN or a negative duration into
     /// the engine's event times (the fields are public, so any caller
-    /// can construct them).
-    pub(crate) fn check(&self) -> Result<(), SimError> {
+    /// can construct them) with [`SimError::InvalidPerturbation`] —
+    /// the first check of every perturbed run.
+    pub fn check(&self) -> Result<(), SimError> {
         let duration = |s: Seconds| s.is_finite() && s >= 0.0;
         let bad = if let Some(r) = self.rank_stall.iter().position(|&s| !duration(s)) {
             format!("rank_stall[{r}] = {}", self.rank_stall[r])

@@ -7,8 +7,12 @@
 //! them, then moves to the next phase. Messages are matched across ranks
 //! by `(src, dst, tag)`, which must be unique per schedule (collective
 //! algorithms get this for free by tagging with the step number).
+//! A schedule's structure is prepared once ([`crate::Prepared`]); a
+//! lowering that re-prices it writes only [`PriceColumns`].
 
-use nhood_cluster::Rank;
+use crate::engine::SimError;
+use crate::sharded::Prepared;
+use nhood_cluster::{Rank, WorkerPool};
 use std::ops::Range;
 
 /// One directed message: `bytes` from `src` to `dst`, matched by `tag`.
@@ -41,10 +45,10 @@ pub struct Phase<'a> {
 /// One phase row: its local work, and where its sends and recvs end in
 /// their tables (they start where the row before it ends).
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Row {
-    local_seconds: f64,
-    send_end: usize,
-    recv_end: usize,
+pub(crate) struct Row {
+    pub(crate) local_seconds: f64,
+    pub(crate) send_end: usize,
+    pub(crate) recv_end: usize,
 }
 
 /// A complete communication schedule over `n` ranks, as flat tables in
@@ -58,9 +62,9 @@ pub struct Schedule {
     /// up to the highest rank pushed so far: every later rank's (empty)
     /// program starts where the table ends.
     phase_off: Vec<usize>,
-    rows: Vec<Row>,
-    send_table: Vec<Msg>,
-    recv_table: Vec<Msg>,
+    pub(crate) rows: Vec<Row>,
+    pub(crate) send_table: Vec<Msg>,
+    pub(crate) recv_table: Vec<Msg>,
 }
 
 impl Schedule {
@@ -109,38 +113,6 @@ impl Schedule {
         self.rows(r..r + 1).map(|p| self.row(p))
     }
 
-    /// Appends a phase to rank `r`'s program; nothing is checked until
-    /// [`validate`](Self::validate). The tables stay in program order
-    /// whatever order the ranks come in, so a push behind the highest
-    /// rank written so far moves every later row: a bulk writer goes
-    /// rank by rank, and then no row ever moves.
-    pub fn push_phase(
-        &mut self,
-        r: Rank,
-        local_seconds: f64,
-        sends: impl IntoIterator<Item = Msg>,
-        recvs: impl IntoIterator<Item = Msg>,
-    ) {
-        assert!(r < self.n, "rank {r} of a {}-rank schedule", self.n);
-        self.phase_off.resize(self.phase_off.len().max(r + 1), self.rows.len());
-        // the new row goes after rank `r`'s last, its messages likewise:
-        // appended, then rotated past the later ranks' (none, rank by rank)
-        let p = self.rows(r..r + 1).end;
-        let (send_at, recv_at) = self.msg_ids(p..p);
-        let (had_sends, had_recvs) = (self.send_table.len(), self.recv_table.len());
-        self.send_table.extend(sends);
-        self.recv_table.extend(recvs);
-        let (sends, recvs) = (self.send_table.len() - had_sends, self.recv_table.len() - had_recvs);
-        self.send_table[send_at.start..].rotate_right(sends);
-        self.recv_table[recv_at.start..].rotate_right(recvs);
-        let (send_end, recv_end) = (send_at.end + sends, recv_at.end + recvs);
-        self.rows.insert(p, Row { local_seconds, send_end, recv_end });
-        for later in &mut self.rows[p + 1..] {
-            (later.send_end, later.recv_end) = (later.send_end + sends, later.recv_end + recvs);
-        }
-        self.phase_off[r + 1..].iter_mut().for_each(|off| *off += 1);
-    }
-
     /// Convenience: appends a phase without local work.
     pub fn push<I: IntoIterator<Item = Msg>>(&mut self, r: Rank, sends: I, recvs: I) {
         self.push_phase(r, 0.0, sends, recvs);
@@ -168,68 +140,30 @@ impl Schedule {
     ///   `dst == r`;
     /// * ranks are in range;
     /// * `(src, dst, tag)` keys are unique;
-    /// * every send has exactly one matching recv and vice versa.
+    /// * every send has exactly one matching recv and vice versa;
+    ///
+    /// then its prices: every `local_seconds` finite and non-negative,
+    /// every recv as long as its send.
     ///
     /// Returns a description of the first problem found, and *first* is
-    /// part of the contract (a schedule always gets the same text):
-    /// send-side defects (bad `local_seconds`, wrong owner, out-of-range,
-    /// self-send) in program order — rank, phase, index; then a
-    /// duplicate send key, lowest `(dst, src, tag)`; then the first
-    /// defective recv in program order (wrong owner, out-of-range, no
-    /// matching send, a send an earlier recv already claimed, size
-    /// mismatch); then an unmatched send, lowest `(dst, src, tag)`.
+    /// part of the contract (a schedule always gets the same text): the
+    /// structure before the prices. Send-side defects (wrong owner,
+    /// out-of-range, self-send) in program order — rank, phase, index;
+    /// then a duplicate send key, lowest `(dst, src, tag)`; then the
+    /// first defective recv in program order (wrong owner, out-of-range,
+    /// no matching send, a send an earlier recv already claimed); then an
+    /// unmatched send, lowest `(dst, src, tag)`; then a bad
+    /// `local_seconds` in program order; then the first recv whose size
+    /// differs from its send's. It is [`crate::Engine::prepare`]'s
+    /// matching at pool width 1, then [`crate::Engine::run_prepared`]'s
+    /// price check: a run names the same defect in the same words.
     pub fn validate(&self) -> Result<(), String> {
-        let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
-        let index = self.send_index(0..self.n())?;
-        let mut matched = vec![false; self.send_table.len()];
-        for r in 0..self.n {
-            for (k, phase) in self.phases(r).enumerate() {
-                for m in phase.recvs {
-                    self.check_recv(r, k, m)?;
-                    let at = (m.src, m.dst, m.tag);
-                    let Some(id) = index.find(m.src, r, m.tag) else {
-                        return Err(format!("recv {} has no matching send", key(at)));
-                    };
-                    let send = self.send_table[id as usize].bytes;
-                    if std::mem::replace(&mut matched[id as usize], true) {
-                        return Err(format!("duplicate recv key {}", key(at)));
-                    } else if send != m.bytes {
-                        let (at, recv) = (key(at), m.bytes);
-                        return Err(format!("size mismatch on {at}: send {send} vs recv {recv}"));
-                    }
-                }
-            }
-        }
-        let unmatched = |send| Err(format!("send {} has no matching recv", key(send)));
-        index.first_unmatched(&matched).map_or(Ok(()), unmatched)
-    }
-
-    /// The send side of [`validate`](Self::validate) for the ranks in
-    /// `span`: checks their phases' `local_seconds` and every send's
-    /// owner and range, then indexes the sends under their ids — their
-    /// rows in the send table.
-    pub(crate) fn send_index(&self, span: Range<Rank>) -> Result<SendIndex, String> {
-        let n = self.n();
-        for r in span.clone() {
-            for (k, phase) in self.phases(r).enumerate() {
-                if phase.local_seconds < 0.0 || !phase.local_seconds.is_finite() {
-                    return Err(format!("rank {r} phase {k}: bad local_seconds"));
-                }
-                for m in phase.sends {
-                    if m.src != r {
-                        return Err(format!("rank {r} phase {k}: send with src {}", m.src));
-                    } else if m.dst >= n {
-                        return Err(format!("rank {r} phase {k}: send to out-of-range {}", m.dst));
-                    } else if m.dst == r {
-                        return Err(format!("rank {r} phase {k}: send to self"));
-                    }
-                }
-            }
-        }
-        let ids = self.msg_ids(self.rows(span)).0;
-        let first_id = u32::try_from(ids.start).expect("send ids fit u32");
-        SendIndex::build(n, first_id, self.send_table[ids].iter().map(|m| (m.src, m.dst, m.tag)))
-            .map_err(|(s, d, t)| format!("duplicate send key (src {s}, dst {d}, tag {t})"))
+        let text = |e| match e {
+            SimError::InvalidSchedule(why) => why,
+            other => other.to_string(),
+        };
+        let prepared = Prepared::matched(self, &WorkerPool::serial()).map_err(text)?;
+        prepared.check_prices(&PriceColumns::from(self))
     }
 
     /// The owner and range conditions of recv `m`, posted by rank `r` in
@@ -242,6 +176,92 @@ impl Schedule {
         } else {
             Ok(())
         }
+    }
+}
+
+/// What one run of a [`crate::Prepared`] structure pays, in the program
+/// order of the schedule it was prepared from.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PriceColumns {
+    /// Bytes per send, by send id.
+    pub send_bytes: Vec<usize>,
+    /// Bytes per recv, in recv order.
+    pub recv_bytes: Vec<usize>,
+    /// Local work per phase row, seconds.
+    pub local_seconds: Vec<f64>,
+}
+
+/// A schedule's own prices: what a cold run replays.
+impl From<&Schedule> for PriceColumns {
+    fn from(s: &Schedule) -> Self {
+        let bytes = |t: &[Msg]| t.iter().map(|m| m.bytes).collect();
+        let (send_bytes, recv_bytes) = (bytes(&s.send_table), bytes(&s.recv_table));
+        Self {
+            send_bytes,
+            recv_bytes,
+            local_seconds: s.rows.iter().map(|p| p.local_seconds).collect(),
+        }
+    }
+}
+
+/// Where a lowering writes, phase by phase and rank by rank: a whole
+/// [`Schedule`], or the [`PriceColumns`] of a structure prepared before.
+pub trait PhaseWriter {
+    /// Appends a phase to rank `r`'s program.
+    fn push_phase(
+        &mut self,
+        r: Rank,
+        local_seconds: f64,
+        sends: impl IntoIterator<Item = Msg>,
+        recvs: impl IntoIterator<Item = Msg>,
+    );
+}
+
+impl PhaseWriter for Schedule {
+    /// Appends a phase to rank `r`'s program; nothing is checked until
+    /// [`validate`](Schedule::validate). The tables stay in program order
+    /// whatever order the ranks come in, so a push behind the highest
+    /// rank written so far moves every later row: a bulk writer goes
+    /// rank by rank, and then no row ever moves.
+    fn push_phase(
+        &mut self,
+        r: Rank,
+        local_seconds: f64,
+        sends: impl IntoIterator<Item = Msg>,
+        recvs: impl IntoIterator<Item = Msg>,
+    ) {
+        assert!(r < self.n, "rank {r} of a {}-rank schedule", self.n);
+        self.phase_off.resize(self.phase_off.len().max(r + 1), self.rows.len());
+        // the new row goes after rank `r`'s last, its messages likewise:
+        // appended, then rotated past the later ranks' (none, rank by rank)
+        let p = self.rows(r..r + 1).end;
+        let (send_at, recv_at) = self.msg_ids(p..p);
+        let (had_sends, had_recvs) = (self.send_table.len(), self.recv_table.len());
+        self.send_table.extend(sends);
+        self.recv_table.extend(recvs);
+        let (sends, recvs) = (self.send_table.len() - had_sends, self.recv_table.len() - had_recvs);
+        self.send_table[send_at.start..].rotate_right(sends);
+        self.recv_table[recv_at.start..].rotate_right(recvs);
+        let (send_end, recv_end) = (send_at.end + sends, recv_at.end + recvs);
+        self.rows.insert(p, Row { local_seconds, send_end, recv_end });
+        for later in &mut self.rows[p + 1..] {
+            (later.send_end, later.recv_end) = (later.send_end + sends, later.recv_end + recvs);
+        }
+        self.phase_off[r + 1..].iter_mut().for_each(|off| *off += 1);
+    }
+}
+
+impl PhaseWriter for PriceColumns {
+    fn push_phase(
+        &mut self,
+        _: Rank,
+        local_seconds: f64,
+        sends: impl IntoIterator<Item = Msg>,
+        recvs: impl IntoIterator<Item = Msg>,
+    ) {
+        self.local_seconds.push(local_seconds);
+        self.send_bytes.extend(sends.into_iter().map(|m| m.bytes));
+        self.recv_bytes.extend(recvs.into_iter().map(|m| m.bytes));
     }
 }
 

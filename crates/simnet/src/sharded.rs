@@ -1,86 +1,57 @@
-//! The replay engine: sharded prepare, serial event loop.
+//! The replay engine: a structure prepared once, a run per request.
 //!
-//! Most of a simulated run is per-message bookkeeping that does not
-//! depend on simulated time — validating the schedule, matching each
-//! recv to its send, evaluating the Hockney cost model. Only the final
-//! event loop is inherently sequential. Every `Engine::run*` entry point
-//! funnels into `Engine::replay`, which exploits that split:
+//! [`Engine::prepare`] does what no message size changes — it validates
+//! the schedule, matches each recv to its send and places each rank — and
+//! keeps it as a compact [`Prepared`] structure (`u32` offsets, each
+//! send's endpoints and tag, each recv's send id, one place per rank).
+//! [`Engine::run_prepared`] checks one request's [`PriceColumns`] and
+//! replays a lean event loop over flat arrays: ready heap keyed by port
+//! time, arrivals drained in arrival order, each message priced by the
+//! Hockney model as it is issued and drained. Every `Engine::run*` entry
+//! point is the two at the schedule's own prices; a caller that keeps the
+//! structure (the core's `BlockArena`, per plan) pays only the run.
 //!
-//! 1. **Parallel prepare** — ranks are partitioned into contiguous
-//!    chunks, one per [`WorkerPool`] thread (a single chunk, run inline,
-//!    for the pool-less entry points). Each chunk validates its own
-//!    ranks' sends, indexes them under dense global send ids
-//!    ([`SendIndex`]: a counting sort by destination), and precomputes
-//!    every pure per-message cost (wire time including perturbation
-//!    jitter, port occupancy, NIC hold, global-link hold, locality — read
-//!    off one rank-location table built up front). A second parallel
-//!    pass resolves each recv to its send id by binary search in the
-//!    (read-only) index of the sender's chunk; duplicate recvs are then
-//!    caught on the replay's own per-send flags.
-//! 2. **Serial replay** — a lean event loop over flat arrays: ready heap
-//!    keyed by port time, arrivals drained in arrival order.
-//!
-//! No hash map is touched anywhere on this path.
+//! Preparing is sharded: ranks are partitioned into contiguous chunks,
+//! one per [`WorkerPool`] thread (one chunk, inline, for the pool-less
+//! entry points). Each chunk validates its ranks' sends and indexes them
+//! under dense global send ids ([`crate::SendIndex`]: a counting sort by
+//! destination); a second parallel pass resolves each recv in the
+//! (read-only) index of its sender's chunk; one serial pass in program
+//! order catches duplicate and missing matches. No hash map is touched
+//! anywhere on this path.
 //!
 //! ## Determinism contract
 //!
-//! Reports are **bit-identical** (`to_bits`) for every pool width. A
-//! send's id is its row in the schedule's send table — program order
-//! (rank, phase, index), fixed when the schedule was written — so where
-//! the chunk boundaries fall cannot change an id, and a recv finds the
-//! same id in whichever chunk's index holds its sender. The
-//! precomputed costs are pure functions of the message, the layout and
-//! the perturbation, so computing them on worker threads changes
-//! nothing; the replay performs every floating-point operation in one
-//! fixed order; and the one batch of heap pushes whose order depends on
-//! iteration (the bootstrap waiter sweep) pushes ranks whose keys are
-//! already fixed — a binary heap pops the minimum of its contents
-//! regardless of insertion order, and ranks are heap-unique so ties
-//! cannot arise. `docs/SCALE.md` documents the contract; golden
-//! constants captured from the retired hash-map engine pin the
-//! arithmetic, and the tests below check both across schedules, NIC
-//! modes, perturbations and pool widths.
+//! Reports are **bit-identical** (`to_bits`) for every pool width and
+//! however often a structure is rerun. A send's id is its row in the
+//! schedule's send table — program order (rank, phase, index), fixed when
+//! the schedule was written — so where the chunk boundaries fall cannot
+//! change an id, and a recv finds the same id in whichever chunk's index
+//! holds its sender. No run writes to a structure; the replay performs
+//! every floating-point operation in one fixed order; the one batch of
+//! heap pushes whose order depends on iteration (the bootstrap waiter
+//! sweep) pushes ranks whose keys are already fixed — a binary heap pops
+//! the minimum of its contents regardless of insertion order, and ranks
+//! are heap-unique so ties cannot arise. `docs/SCALE.md` documents the
+//! contract; golden constants captured from the retired hash-map engine
+//! pin the arithmetic, and the tests below check it across schedules, NIC
+//! modes, perturbations, widths and reruns.
 
 use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
 use crate::perturb::Perturbation;
-use crate::schedule::{Schedule, SendIndex};
+use crate::schedule::{PriceColumns, Schedule, SendIndex};
 use nhood_cluster::{Locality, Rank, WorkerPool};
+use nhood_telemetry::{labels, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-/// Sentinel for "no rank is waiting on this send".
-const NO_WAITER: u32 = u32::MAX;
+/// Sentinel: no rank waits on this send; no send matches this recv.
+const NONE: u32 = u32::MAX;
 
-/// Pure per-send costs, precomputed in parallel.
-struct SendPre {
-    level: Locality,
-    /// `α + m/β` at the message's locality level, plus perturbation
-    /// jitter (arrival delay).
-    wire: f64,
-    /// Port hold: `cpu_overhead + m/β` under LogGP, else `wire`.
-    occupancy: f64,
-    /// NIC hold: `nic_gap + m/β`, else `occupancy`.
-    nic_hold: f64,
-    /// Global-link hold, meaningful only for remote-group messages when
-    /// global links are configured; 0.0 otherwise.
-    gl_hold: f64,
-    dst_node: u32,
-    /// Source / destination group, meaningful with `gl_hold`.
-    sg: u32,
-    dg: u32,
-}
-
-/// A recv resolved to the send it matches, plus its drain-side port
-/// occupancy (the only cost the drain derives per arrival).
-struct RecvPre {
-    send_id: u32,
-    occupancy: f64,
-}
-
-/// Where a rank sits: one table entry per rank, built once per replay,
-/// instead of a div/mod location per message endpoint.
-#[derive(Clone, Copy)]
+/// Where a rank sits: one table entry per rank, built once per
+/// structure, instead of a div/mod location per message endpoint.
+#[derive(Clone, Copy, Debug)]
 struct Place {
     node: u32,
     socket: u32,
@@ -99,226 +70,324 @@ impl Place {
     }
 }
 
-/// A finished run: the report plus every message's posting and arrival
-/// time, indexed by global send id (= [`Schedule::all_sends`] order).
-pub(crate) struct Timeline {
-    pub(crate) report: SimReport,
-    pub(crate) posted: Vec<f64>,
-    pub(crate) arrival: Vec<f64>,
+/// A schedule's structure: validated, matched and placed; see the
+/// [module docs](self).
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// Rank `r`'s phase rows are `rank_rows[r]..rank_rows[r + 1]`.
+    rank_rows: Vec<u32>,
+    /// Where each row's send ids and recvs end.
+    row_ends: Vec<(u32, u32)>,
+    /// Per send: `(tag, src, dst)`.
+    sends: Vec<(u64, u32, u32)>,
+    /// The id of the send each recv matches.
+    matched: Vec<u32>,
+    place: Vec<Place>,
+    nodes: usize,
+    groups: usize,
 }
 
-/// Concatenates per-chunk tables into one dense id-indexed table. Chunks
-/// are contiguous rank ranges, so concatenation is id order; a single
-/// chunk (every pool-less run) is taken as is, without a copy.
-fn flatten<T>(mut chunks: impl Iterator<Item = Vec<T>>, total: usize) -> Vec<T> {
-    let mut flat = chunks.next().unwrap_or_default();
-    flat.reserve_exact(total - flat.len());
-    for chunk in chunks {
-        flat.extend(chunk);
+/// Pass A of [`Prepared::matched`] for the ranks in `span`: checks every
+/// send's owner and range in program order, then indexes the sends under
+/// their ids — their rows in the send table (which fit `u32`: checked).
+fn send_index(schedule: &Schedule, span: Range<Rank>) -> Result<SendIndex, String> {
+    let n = schedule.n();
+    for r in span.clone() {
+        for (k, phase) in schedule.phases(r).enumerate() {
+            for m in phase.sends {
+                if m.src != r {
+                    return Err(format!("rank {r} phase {k}: send with src {}", m.src));
+                } else if m.dst >= n {
+                    return Err(format!("rank {r} phase {k}: send to out-of-range {}", m.dst));
+                } else if m.dst == r {
+                    return Err(format!("rank {r} phase {k}: send to self"));
+                }
+            }
+        }
     }
-    flat
+    let ids = schedule.msg_ids(schedule.rows(span)).0;
+    let keys = schedule.send_table[ids.clone()].iter().map(|m| (m.src, m.dst, m.tag));
+    SendIndex::build(n, ids.start as u32, keys)
+        .map_err(|(s, d, t)| format!("duplicate send key (src {s}, dst {d}, tag {t})"))
 }
+
+impl Prepared {
+    /// Empty price columns with room for this structure's messages and
+    /// rows, for a lowering to fill.
+    pub fn price_columns(&self) -> PriceColumns {
+        PriceColumns {
+            send_bytes: Vec::with_capacity(self.sends.len()),
+            recv_bytes: Vec::with_capacity(self.matched.len()),
+            local_seconds: Vec::with_capacity(self.row_ends.len()),
+        }
+    }
+
+    fn rows(&self, r: Rank) -> Range<usize> {
+        self.rank_rows[r] as usize..self.rank_rows[r + 1] as usize
+    }
+
+    /// The send ids and the recvs of phase row `p`.
+    fn msgs(&self, p: usize) -> (Range<usize>, Range<usize>) {
+        let (send_lo, recv_lo) = p.checked_sub(1).map_or((0, 0), |q| self.row_ends[q]);
+        let (send_hi, recv_hi) = self.row_ends[p];
+        (send_lo as usize..send_hi as usize, recv_lo as usize..recv_hi as usize)
+    }
+
+    /// The structural half of [`Schedule::validate`], its text included,
+    /// on `pool`: every recv matched to its send, nobody placed yet.
+    pub(crate) fn matched(schedule: &Schedule, pool: &WorkerPool) -> Result<Self, SimError> {
+        let (n, sends, recvs) = (schedule.n(), &schedule.send_table, &schedule.recv_table);
+        let id_space = NONE as usize;
+        if sends.len().max(recvs.len()).max(schedule.rows.len()) > id_space || n >= id_space {
+            return Err(SimError::ScheduleTooLarge { messages: sends.len().max(recvs.len()) });
+        }
+        let invalid = SimError::InvalidSchedule;
+        let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
+        let chunk = n.div_ceil(pool.threads()).max(1);
+        let (chunks, span) = (n.div_ceil(chunk), |c: usize| c * chunk..((c + 1) * chunk).min(n));
+
+        // Pass A: per-chunk send-side validation and send index (the
+        // chunk's ranks' sends under their global ids); one index over
+        // every rank names the first defect the way the validator does.
+        let index = pool.map(chunks, |c| send_index(schedule, span(c)));
+        if index.iter().any(Result::is_err) {
+            return Err(invalid(send_index(schedule, 0..n).err().unwrap_or_default()));
+        }
+        // Pass B: every recv's send id, or NONE, from its sender's chunk.
+        let rx = pool.map(chunks, |c| {
+            let mut ids = Vec::with_capacity(schedule.msg_ids(schedule.rows(span(c))).1.len());
+            for r in span(c) {
+                for (k, phase) in schedule.phases(r).enumerate() {
+                    ids.extend(phase.recvs.iter().map(|m| {
+                        let sender = schedule.check_recv(r, k, m).ok().map(|()| m.src / chunk);
+                        let index = sender.and_then(|c| index[c].as_ref().ok());
+                        index.and_then(|i| i.find(m.src, r, m.tag)).unwrap_or(NONE)
+                    }));
+                }
+            }
+            ids
+        });
+        // chunks are contiguous rank ranges: concatenated, program order
+        let mut rx = rx.into_iter();
+        let mut matched = rx.next().unwrap_or_default();
+        matched.extend(rx.flatten());
+        // In program order: a recv without a send, or claiming one an
+        // earlier recv claimed; then a send no recv claimed.
+        let mut claimed = vec![false; sends.len()];
+        let mut ids = matched.iter();
+        for r in 0..n {
+            for (k, phase) in schedule.phases(r).enumerate() {
+                for (m, &id) in phase.recvs.iter().zip(ids.by_ref()) {
+                    let at = || key((m.src, m.dst, m.tag));
+                    if id == NONE {
+                        schedule.check_recv(r, k, m).map_err(invalid)?;
+                        return Err(invalid(format!("recv {} has no matching send", at())));
+                    } else if std::mem::replace(&mut claimed[id as usize], true) {
+                        return Err(invalid(format!("duplicate recv key {}", at())));
+                    }
+                }
+            }
+        }
+        let unclaimed = index.iter().flatten().filter_map(|i| i.first_unmatched(&claimed));
+        if let Some(send) = unclaimed.min_by_key(|&(s, d, t)| (d, s, t)) {
+            return Err(invalid(format!("send {} has no matching recv", key(send))));
+        }
+        Ok(Self {
+            rank_rows: (0..=n).map(|r| schedule.rows(r..r).start as u32).collect(),
+            row_ends: schedule
+                .rows
+                .iter()
+                .map(|p| (p.send_end as u32, p.recv_end as u32))
+                .collect(),
+            sends: sends.iter().map(|m| (m.tag, m.src as u32, m.dst as u32)).collect(),
+            matched,
+            place: Vec::new(),
+            nodes: 0,
+            groups: 0,
+        })
+    }
+
+    /// The price half of [`Schedule::validate`]: one price per send,
+    /// recv and row; every row's local work finite and non-negative (the
+    /// first bad one in program order); every recv as long as its send.
+    pub(crate) fn check_prices(&self, p: &PriceColumns) -> Result<(), String> {
+        let got = (p.send_bytes.len(), p.recv_bytes.len(), p.local_seconds.len());
+        if got != (self.sends.len(), self.matched.len(), self.row_ends.len()) {
+            return Err(format!("{got:?} sends, recvs and phases priced, not this schedule's"));
+        }
+        let bad = p.local_seconds.iter().position(|&s| s < 0.0 || !s.is_finite());
+        if let Some(row) = bad {
+            let r = self.rank_rows.partition_point(|&first| first as usize <= row) - 1;
+            return Err(format!("rank {r} phase {}: bad local_seconds", row - self.rows(r).start));
+        }
+        let ids = self.matched.iter().map(|&id| id as usize);
+        if let Some((id, recv)) = ids.zip(&p.recv_bytes).find(|&(id, &b)| p.send_bytes[id] != b) {
+            let ((tag, src, dst), send) = (self.sends[id], p.send_bytes[id]);
+            let at = format!("(src {src}, dst {dst}, tag {tag})");
+            return Err(format!("size mismatch on {at}: send {send} vs recv {recv}"));
+        }
+        Ok(())
+    }
+}
+
+/// A finished run: the report, and every message's posting and arrival
+/// time by send id (= [`Schedule::all_sends`] order).
+pub(crate) type Timeline = (SimReport, Vec<Option<(f64, f64)>>);
 
 impl Engine<'_> {
-    /// The one simulation path: validates `schedule`, precomputes
-    /// per-message costs on `pool`, and replays the event loop under an
-    /// optional latency `perturbation`.
-    pub(crate) fn replay(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-        perturbation: Option<&Perturbation>,
-    ) -> Result<Timeline, SimError> {
-        if let Some(p) = perturbation {
-            p.check()?;
+    /// Validates and matches `schedule` on `pool` and places its ranks on
+    /// this engine's layout, for [`run_prepared`](Self::run_prepared) to
+    /// replay at any prices. Fails as [`run`](Self::run) does:
+    /// [`SimError::ScheduleTooLarge`], then [`SimError::InvalidSchedule`],
+    /// then — for more ranks than the layout has cores — `InvalidSchedule`
+    /// if the schedule's own prices are bad, else
+    /// [`SimError::LayoutTooSmall`]. Identical for every pool width.
+    pub fn prepare(&self, schedule: &Schedule, pool: &WorkerPool) -> Result<Prepared, SimError> {
+        let mut s = Prepared::matched(schedule, pool)?;
+        let (n, capacity) = (schedule.n(), self.layout.capacity());
+        if n > capacity {
+            s.check_prices(&PriceColumns::from(schedule)).map_err(SimError::InvalidSchedule)?;
+            return Err(SimError::LayoutTooSmall { ranks: n, capacity });
         }
-        let n = schedule.n();
-        // Dense send/recv id spaces: the rows of the schedule's own tables.
-        let sends = schedule.all_sends();
-        let (total_sends, total_recvs) =
-            (sends.len(), schedule.msg_ids(schedule.rows(0..n)).1.len());
-        let id_space = NO_WAITER as usize;
-        if total_sends > id_space || total_recvs > id_space || n >= id_space {
-            return Err(SimError::ScheduleTooLarge { messages: total_sends.max(total_recvs) });
-        }
-
-        // Capacity must be checked before the prepare pass may resolve
-        // rank locations — but an invalid schedule is reported ahead of
-        // an oversized one.
-        if n > self.layout.capacity() {
-            schedule.validate().map_err(SimError::InvalidSchedule)?;
-            return Err(SimError::LayoutTooSmall { ranks: n, capacity: self.layout.capacity() });
-        }
-        // The prepare passes apply `Schedule::validate`'s conditions
-        // chunk-locally and only flag a violation; the serial validator
-        // supplies the canonical text.
-        let invalid = || {
-            let why = schedule.validate().err();
-            SimError::InvalidSchedule(why.unwrap_or_else(|| "rejected by the prepare pass".into()))
-        };
-
-        let place: Vec<Place> = (0..n)
+        s.place = (0..n)
             .map(|r| {
                 let at = self.layout.location(r);
                 let group = self.layout.group_of_node(at.node) as u32;
                 Place { node: at.node as u32, socket: at.socket as u32, group }
             })
             .collect();
+        (s.nodes, s.groups) =
+            (self.layout.nodes(), self.layout.nodes().div_ceil(self.layout.nodes_per_group()));
+        Ok(s)
+    }
 
-        // Contiguous rank chunks, one per pool thread.
-        let chunk = n.div_ceil(pool.threads()).max(1);
-        let chunks = n.div_ceil(chunk);
-
-        // Pass A: per-chunk send-side validation, send index (the chunk's
-        // ranks' sends under their global ids) and costs.
-        let (hockney, overhead) = (&self.config.hockney, self.config.cpu_overhead);
-        let tx: Vec<Option<(SendIndex, Vec<SendPre>)>> = pool.map(chunks, |c| {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let index = schedule.send_index(lo..hi).ok()?;
-            // (a send the index admitted names its own rank as `src`)
-            let costs = sends[schedule.msg_ids(schedule.rows(lo..hi)).0].iter().map(|m| {
-                let (me, peer) = (place[m.src], place[m.dst]);
-                let level = me.locality(peer);
-                let h = hockney.level(level);
-                let jitter = perturbation.map_or(0.0, |p| p.jitter(m.src, m.dst, m.tag));
-                let wire = h.time(m.bytes) + jitter;
-                let serial = m.bytes as f64 / h.bytes_per_sec;
-                let occupancy = overhead.map_or(wire, |o| o + serial);
-                let nic_hold = self.config.nic_gap.map_or(occupancy, |g| g + serial);
-                let (gl_hold, sg, dg) = match (level, self.config.global_links) {
-                    (Locality::RemoteGroup, Some(gl)) => {
-                        (gl.gap + m.bytes as f64 / gl.bytes_per_sec, me.group, peer.group)
-                    }
-                    _ => (0.0, 0, 0),
-                };
-                SendPre { level, wire, occupancy, nic_hold, gl_hold, dst_node: peer.node, sg, dg }
-            });
-            Some((index, costs.collect()))
-        });
-        let tx: Vec<_> = tx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
-
-        // Pass B: resolve each recv in the index of its sender's chunk.
-        let rx: Vec<Option<Vec<RecvPre>>> = pool.map(chunks, |c| {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let mut pre = Vec::with_capacity(schedule.msg_ids(schedule.rows(lo..hi)).1.len());
-            for r in lo..hi {
-                for (k, ph) in schedule.phases(r).enumerate() {
-                    for m in ph.recvs {
-                        schedule.check_recv(r, k, m).ok()?;
-                        let sid = tx[m.src / chunk].0.find(m.src, r, m.tag)?; // else unmatched recv
-                        (sends[sid as usize].bytes == m.bytes).then_some(())?; // else size mismatch
-                        let h = hockney.level(place[m.src].locality(place[r]));
-                        let wire = h.time(m.bytes);
-                        let occupancy =
-                            overhead.map_or(wire, |o| o + m.bytes as f64 / h.bytes_per_sec);
-                        pre.push(RecvPre { send_id: sid, occupancy });
-                    }
-                }
-            }
-            Some(pre)
-        });
-        let rx: Vec<Vec<RecvPre>> = rx.into_iter().collect::<Option<_>>().ok_or_else(invalid)?;
-        // The matched flags are the replay's own `sent_flag`: a recv whose
-        // send's flag is set is a duplicate; with none, equal totals make
-        // the matching a bijection and every flag is set, so clearing
-        // them all hands the replay the vector it expects.
-        let mut sent_flag = vec![false; total_sends];
-        let mut claims = rx.iter().flatten().map(|p| p.send_id as usize);
-        if claims.any(|sid| std::mem::replace(&mut sent_flag[sid], true))
-            || total_sends != total_recvs
-        {
-            return Err(invalid());
+    /// Replays `prepared` (on its layout, at this engine's costs) under
+    /// `prices` and an optional `perturbation`: a `run*` entry point's
+    /// report for the schedule of this structure at these prices, bit for
+    /// bit. Checks the perturbation, the prices (with
+    /// [`Schedule::validate`]'s words), then dead links. `rec` then gets
+    /// one `msg_sent` / `msg_recvd` pair per message and a
+    /// [`span_at`](Recorder::span_at) on the sender's track from posting
+    /// to arrival in *simulated* seconds: [`INTRA_SOCKET`](labels::INTRA_SOCKET)
+    /// within a socket, [`HALVING_STEP`](labels::HALVING_STEP) farther —
+    /// the paper's locality split, as the executors label their phases.
+    pub fn run_prepared(
+        &self,
+        prepared: &Prepared,
+        prices: &PriceColumns,
+        perturbation: Option<&Perturbation>,
+        rec: Option<&dyn Recorder>,
+    ) -> Result<SimReport, SimError> {
+        let (report, times) = self.replay(prepared, prices, perturbation)?;
+        let Some(rec) = rec else { return Ok(report) };
+        for (sid, &(_, src, dst)) in prepared.sends.iter().enumerate() {
+            let (src, dst, bytes) = (src as Rank, dst as Rank, prices.send_bytes[sid]);
+            let label = match prepared.place[src].locality(prepared.place[dst]) {
+                Locality::SameSocket => labels::INTRA_SOCKET,
+                _ => labels::HALVING_STEP,
+            };
+            let (posted, arrival) = times[sid].unwrap_or_default();
+            rec.msg_sent(src, dst, bytes);
+            rec.msg_recvd(dst, src, bytes);
+            rec.span_at(src, label, posted, arrival);
         }
-        sent_flag.fill(false);
+        Ok(report)
+    }
+
+    /// [`run_prepared`](Self::run_prepared) with the message timeline.
+    pub(crate) fn replay(
+        &self,
+        prepared: &Prepared,
+        prices: &PriceColumns,
+        perturbation: Option<&Perturbation>,
+    ) -> Result<Timeline, SimError> {
+        if let Some(p) = perturbation {
+            p.check()?;
+        }
+        prepared.check_prices(prices).map_err(SimError::InvalidSchedule)?;
         if let Some(p) = perturbation.filter(|p| !p.dead_links.is_empty()) {
-            if let Some(m) = sends.iter().find(|m| p.link_is_down(m.src, m.dst)) {
-                return Err(SimError::LinkDown { src: m.src, dst: m.dst });
+            let mut links = prepared.sends.iter().map(|&(_, s, d)| (s as Rank, d as Rank));
+            if let Some((src, dst)) = links.find(|&(s, d)| p.link_is_down(s, d)) {
+                return Err(SimError::LinkDown { src, dst });
             }
         }
-
-        let pre_send = flatten(tx.into_iter().map(|(_, costs)| costs), total_sends);
-        let pre_recv = flatten(rx.into_iter(), total_recvs);
 
         // ---- Serial replay ----
-        let n_groups = self.layout.nodes().div_ceil(self.layout.nodes_per_group());
+        let (n, sends) = (prepared.rank_rows.len() - 1, prepared.sends.len());
         let mut rp = Replay {
-            pre_send: &pre_send,
-            pre_recv: &pre_recv,
-            place: &place,
-            nic_mode: self.config.nic_mode,
+            s: prepared,
+            prices,
+            engine: self,
             perturbation,
             port_free: vec![0.0; n],
-            nic_tx: vec![0.0; self.layout.nodes()],
-            nic_rx: vec![0.0; self.layout.nodes()],
-            glob_tx: vec![0.0; n_groups],
-            glob_rx: vec![0.0; n_groups],
-            row: (0..n).map(|r| schedule.rows(r..r + 1)).collect(),
-            info_start: vec![0.0; total_sends],
-            info_end: vec![0.0; total_sends],
-            sent_flag,
-            waiter_of: vec![NO_WAITER; total_sends],
+            nic_tx: vec![0.0; prepared.nodes],
+            nic_rx: vec![0.0; prepared.nodes],
+            glob_tx: vec![0.0; prepared.groups],
+            glob_rx: vec![0.0; prepared.groups],
+            row: prepared.rank_rows[..n].iter().map(|&p| p as usize).collect(),
+            times: vec![None; sends],
+            waiter_of: vec![NONE; sends],
             missing: vec![0; n],
             finish: vec![0.0; n],
             busy: vec![0.0; n],
             arrivals: Vec::new(),
+            stats: LevelStats::default(),
         };
 
         // Ready heap of ranks whose current phase's recvs are all
         // matched. Keyed by current port time so resource serialization
-        // approximates event order.
-        let mut heap: BinaryHeap<Reverse<(Key, Rank)>> = BinaryHeap::new();
+        // approximates event order; ranks are heap-unique, so at most n.
+        let mut heap: BinaryHeap<Reverse<(Key, Rank)>> = BinaryHeap::with_capacity(n);
 
         // Bootstrap: every rank with at least one phase enters phase 0.
         for r in 0..n {
-            if !rp.row[r].is_empty() && rp.issue(r, schedule) {
+            if !prepared.rows(r).is_empty() && rp.issue(r) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
         }
         // Sweep waiters registered before their send was issued.
-        for sid in 0..total_sends {
-            if rp.sent_flag[sid] {
+        for sid in 0..sends {
+            if rp.times[sid].is_some() {
                 rp.wake(sid, &mut heap);
             }
         }
 
         while let Some(Reverse((_, r))) = heap.pop() {
-            rp.drain(r, schedule);
-            rp.row[r].start += 1;
-            if rp.row[r].is_empty() {
+            rp.drain(r);
+            rp.row[r] += 1;
+            if rp.row[r] == prepared.rows(r).end {
                 rp.finish[r] = rp.port_free[r];
                 continue;
             }
             // Enter the next phase: issue its sends, maybe unblock others.
-            if rp.issue(r, schedule) {
+            if rp.issue(r) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
-            for sid in schedule.msg_ids(rp.row[r].start..rp.row[r].start + 1).0 {
+            for sid in prepared.msgs(rp.row[r]).0 {
                 rp.wake(sid, &mut heap);
             }
         }
 
-        let phase = |r: Rank| rp.row[r].start - schedule.rows(r..r + 1).start;
-        let blocked = (0..n).filter(|&r| !rp.row[r].is_empty()).map(|r| (r, phase(r)));
+        let phase = |r: Rank| rp.row[r] - prepared.rows(r).start;
+        let blocked = (0..n).filter(|&r| rp.row[r] < prepared.rows(r).end).map(|r| (r, phase(r)));
         let blocked: Vec<(Rank, usize)> = blocked.collect();
         if !blocked.is_empty() {
             return Err(SimError::Deadlock(blocked));
         }
 
         // every send was issued, once: the tallies need no event order
-        let mut stats = LevelStats::default();
-        pre_send.iter().zip(sends).for_each(|(p, m)| stats.record(p.level, m.bytes));
         let makespan = rp.finish.iter().copied().fold(0.0, f64::max);
-        let report = SimReport { makespan, per_rank_finish: rp.finish, stats, port_busy: rp.busy };
-        Ok(Timeline { report, posted: rp.info_start, arrival: rp.info_end })
+        let report =
+            SimReport { makespan, per_rank_finish: rp.finish, stats: rp.stats, port_busy: rp.busy };
+        Ok((report, rp.times))
     }
 }
 
 /// Dense replay state of the event loop.
 struct Replay<'p> {
-    pre_send: &'p [SendPre],
-    pre_recv: &'p [RecvPre],
-    place: &'p [Place],
-    nic_mode: NicMode,
+    s: &'p Prepared,
+    prices: &'p PriceColumns,
+    engine: &'p Engine<'p>,
     perturbation: Option<&'p Perturbation>,
     port_free: Vec<f64>,
     /// Full-duplex NICs: independent transmit and receive queues.
@@ -327,12 +396,11 @@ struct Replay<'p> {
     /// Dragonfly+ global links: per-group egress/ingress queues.
     glob_tx: Vec<f64>,
     glob_rx: Vec<f64>,
-    /// The phase rows each rank has yet to complete: it is in the first.
-    row: Vec<Range<usize>>,
-    info_start: Vec<f64>,
-    info_end: Vec<f64>,
-    sent_flag: Vec<bool>,
-    /// The rank blocked on each send right now, or [`NO_WAITER`].
+    /// The phase row each rank is in.
+    row: Vec<usize>,
+    /// Per send, once issued: when it was posted, when it arrives.
+    times: Vec<Option<(f64, f64)>>,
+    /// The rank blocked on each send right now, or [`NONE`].
     waiter_of: Vec<u32>,
     /// For each rank currently blocked on recvs: how many are unmatched.
     missing: Vec<usize>,
@@ -341,25 +409,38 @@ struct Replay<'p> {
     /// The drain's sort scratch `(posted, arrival, occupancy)`: one
     /// vector for the whole replay instead of one per (rank, phase).
     arrivals: Vec<(f64, f64, f64)>,
+    stats: LevelStats,
 }
 
 impl Replay<'_> {
     /// Issues rank `r`'s current phase: charge local work and sends,
     /// register waits for recvs whose send is not yet issued. Returns
     /// true when the rank can complete the phase immediately.
-    fn issue(&mut self, r: Rank, schedule: &Schedule) -> bool {
-        let at = self.row[r].start;
+    fn issue(&mut self, r: Rank) -> bool {
+        let (at, cfg) = (self.row[r], &self.engine.config);
         // straggler modeling: a perturbed rank pays its stall on top of
         // the phase's local work
-        let local = schedule.row(at).local_seconds + self.perturbation.map_or(0.0, |p| p.stall(r));
+        let local = self.prices.local_seconds[at] + self.perturbation.map_or(0.0, |p| p.stall(r));
         self.busy[r] += local;
         let mut t = self.port_free[r] + local;
-        let my_node = self.place[r].node as usize;
+        let me = self.s.place[r];
 
-        let (sends, recvs) = schedule.msg_ids(at..at + 1);
+        let (sends, recvs) = self.s.msgs(at);
         for sid in sends {
-            let p = &self.pre_send[sid];
-            self.busy[r] += p.occupancy;
+            let ((tag, _, dst), bytes) = (self.s.sends[sid], self.prices.send_bytes[sid]);
+            let peer = self.s.place[dst as usize];
+            let level = me.locality(peer);
+            self.stats.record(level, bytes);
+            // `α + m/β` (plus jitter) until arrival; the port is busy
+            // `o + m/β` under LogGP, else as long; a NIC `g + m/β`, else
+            // as long as the port
+            let h = cfg.hockney.level(level);
+            let wire =
+                h.time(bytes) + self.perturbation.map_or(0.0, |p| p.jitter(r, dst as Rank, tag));
+            let serial = bytes as f64 / h.bytes_per_sec;
+            let occupancy = cfg.cpu_overhead.map_or(wire, |o| o + serial);
+            let nic_hold = cfg.nic_gap.map_or(occupancy, |g| g + serial);
+            self.busy[r] += occupancy;
             // The CPU posts the message and moves on; the NIC queues it
             // (store-and-forward) without stalling the port. Under TxRx
             // the message first drains through the sender node's NIC
@@ -367,43 +448,51 @@ impl Replay<'_> {
             // serializations, never a simultaneous hold (which would let
             // an idle NIC be blocked by a busy one).
             let posted = t;
-            t = posted + p.occupancy;
-            let internode = matches!(p.level, Locality::SameGroup | Locality::RemoteGroup);
+            t = posted + occupancy;
+            let internode = matches!(level, Locality::SameGroup | Locality::RemoteGroup);
+            let (my_node, dst_node) = (me.node as usize, peer.node as usize);
             let mut wire_start = posted;
             if internode {
-                match self.nic_mode {
+                match cfg.nic_mode {
                     NicMode::Off => {}
                     NicMode::TxOnly => {
                         wire_start = wire_start.max(self.nic_tx[my_node]);
-                        self.nic_tx[my_node] = wire_start + p.nic_hold;
+                        self.nic_tx[my_node] = wire_start + nic_hold;
                     }
                     NicMode::TxRx => {
                         let tx_start = wire_start.max(self.nic_tx[my_node]);
-                        self.nic_tx[my_node] = tx_start + p.nic_hold;
+                        self.nic_tx[my_node] = tx_start + nic_hold;
                         let mut at = tx_start;
-                        if p.level == Locality::RemoteGroup && p.gl_hold != 0.0 {
-                            let g_tx = at.max(self.glob_tx[p.sg as usize]);
-                            self.glob_tx[p.sg as usize] = g_tx + p.gl_hold;
-                            let g_rx = g_tx.max(self.glob_rx[p.dg as usize]);
-                            self.glob_rx[p.dg as usize] = g_rx + p.gl_hold;
+                        // a remote-group message holds both groups' global
+                        // links too, when they are modelled
+                        let gl_hold = match (level, cfg.global_links) {
+                            (Locality::RemoteGroup, Some(gl)) => {
+                                gl.gap + bytes as f64 / gl.bytes_per_sec
+                            }
+                            _ => 0.0,
+                        };
+                        if gl_hold != 0.0 {
+                            let (sg, dg) = (me.group as usize, peer.group as usize);
+                            let g_tx = at.max(self.glob_tx[sg]);
+                            self.glob_tx[sg] = g_tx + gl_hold;
+                            let g_rx = g_tx.max(self.glob_rx[dg]);
+                            self.glob_rx[dg] = g_rx + gl_hold;
                             at = g_rx;
                         }
-                        let rx_start = at.max(self.nic_rx[p.dst_node as usize]);
-                        self.nic_rx[p.dst_node as usize] = rx_start + p.nic_hold;
+                        let rx_start = at.max(self.nic_rx[dst_node]);
+                        self.nic_rx[dst_node] = rx_start + nic_hold;
                         wire_start = rx_start;
                     }
                 }
             }
-            self.info_start[sid] = posted;
-            self.info_end[sid] = wire_start + p.wire;
-            self.sent_flag[sid] = true;
+            self.times[sid] = Some((posted, wire_start + wire));
         }
         self.port_free[r] = t;
 
         let mut unmatched = 0usize;
         for q in recvs {
-            let sid = self.pre_recv[q].send_id as usize;
-            if !self.sent_flag[sid] {
+            let sid = self.s.matched[q] as usize;
+            if self.times[sid].is_none() {
                 self.waiter_of[sid] = r as u32;
                 unmatched += 1;
             }
@@ -415,8 +504,8 @@ impl Replay<'_> {
     /// Send `sid` has been issued: releases the rank waiting on it, if
     /// any, onto the ready heap once it has nothing else outstanding.
     fn wake(&mut self, sid: usize, heap: &mut BinaryHeap<Reverse<(Key, Rank)>>) {
-        let w = std::mem::replace(&mut self.waiter_of[sid], NO_WAITER);
-        if w != NO_WAITER {
+        let w = std::mem::replace(&mut self.waiter_of[sid], NONE);
+        if w != NONE {
             let w = w as usize;
             self.missing[w] -= 1;
             if self.missing[w] == 0 {
@@ -425,14 +514,20 @@ impl Replay<'_> {
         }
     }
 
-    /// Completes the recvs of rank `r`'s current phase in arrival order.
-    fn drain(&mut self, r: Rank, schedule: &Schedule) {
-        let recvs = schedule.msg_ids(self.row[r].start..self.row[r].start + 1).1;
+    /// Completes the recvs of rank `r`'s current phase in arrival order,
+    /// each holding the port `o + m/β` under LogGP, else `α + m/β`.
+    fn drain(&mut self, r: Rank) {
+        let (cfg, me) = (&self.engine.config, self.s.place[r]);
         self.arrivals.clear();
-        self.arrivals.extend(self.pre_recv[recvs].iter().map(|p| {
-            let sid = p.send_id as usize;
-            (self.info_start[sid], self.info_end[sid], p.occupancy)
-        }));
+        for q in self.s.msgs(self.row[r]).1 {
+            let sid = self.s.matched[q] as usize;
+            let (bytes, (posted, arrival)) =
+                (self.prices.recv_bytes[q], self.times[sid].unwrap_or_default());
+            let h = cfg.hockney.level(self.s.place[self.s.sends[sid].1 as usize].locality(me));
+            let occupancy =
+                cfg.cpu_overhead.map_or(h.time(bytes), |o| o + bytes as f64 / h.bytes_per_sec);
+            self.arrivals.push((posted, arrival, occupancy));
+        }
         self.arrivals.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("sim times are never NaN"));
         let mut t = self.port_free[r];
         for &(start, end, occupancy) in &self.arrivals {
@@ -446,9 +541,10 @@ impl Replay<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::Timeline;
     use crate::engine::{Engine, GlobalLinkConfig, NicMode, SimConfig, SimError};
     use crate::perturb::Perturbation;
-    use crate::schedule::{Msg, Schedule};
+    use crate::schedule::{Msg, PhaseWriter, PriceColumns, Schedule};
     use nhood_cluster::{ClusterLayout, HockneyParams, WorkerPool};
     use nhood_topology::rng::DetRng;
 
@@ -468,26 +564,79 @@ mod tests {
         }
     }
 
+    /// Every message's `(posted, arrival)` as bits.
+    fn time_bits(t: &Timeline) -> Vec<Option<(u64, u64)>> {
+        t.1.iter().map(|t| t.map(|(a, b)| (a.to_bits(), b.to_bits()))).collect()
+    }
+
+    /// One cold run: prepare `s` on `pool`, replay it at its own prices.
+    fn replay(
+        engine: &Engine,
+        s: &Schedule,
+        pool: &WorkerPool,
+        perturbation: Option<&Perturbation>,
+    ) -> Result<Timeline, SimError> {
+        engine.replay(&engine.prepare(s, pool)?, &PriceColumns::from(s), perturbation)
+    }
+
+    fn assert_same(want: &Timeline, got: &Timeline, what: &str) {
+        let (a, b) = (&want.0, &got.0);
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "makespan differs: {what}");
+        assert_eq!(bits(&a.per_rank_finish), bits(&b.per_rank_finish), "{what}");
+        assert_eq!(bits(&a.port_busy), bits(&b.port_busy), "{what}");
+        assert_eq!(a.stats, b.stats, "{what}");
+        assert_eq!(time_bits(want), time_bits(got), "{what}");
+    }
+
+    /// The phases of `s` with every message at `3 m + 1` bytes and twice
+    /// the local work: the same structure at other prices.
+    fn repriced(s: &Schedule) -> Schedule {
+        let bigger = |m: &Msg| Msg { bytes: 3 * m.bytes + 1, ..*m };
+        let mut out = Schedule::new(s.n());
+        for r in 0..s.n() {
+            for ph in s.phases(r) {
+                let (sends, recvs) = (ph.sends.iter().map(bigger), ph.recvs.iter().map(bigger));
+                out.push_phase(r, 2.0 * ph.local_seconds + 1e-7, sends, recvs);
+            }
+        }
+        out
+    }
+
     /// Asserts the run — report and per-message timeline — is
     /// bit-identical under every pool width, with and without a
-    /// perturbation.
+    /// perturbation, and that a structure prepared once replays any
+    /// prices of its shape as a cold run of them does, however often.
     fn assert_bit_identical(layout: &ClusterLayout, config: SimConfig, s: &Schedule) {
         let engine = Engine::new(layout, config);
         let p = seeded_perturbation(s.n());
+        let other = repriced(s);
+        // the other prices, written as a lowering writes them
+        let mut columns =
+            engine.prepare(s, &WorkerPool::serial()).expect("prepares").price_columns();
+        for r in 0..other.n() {
+            for ph in other.phases(r) {
+                let (sends, recvs) = (ph.sends.iter().copied(), ph.recvs.iter().copied());
+                PhaseWriter::push_phase(&mut columns, r, ph.local_seconds, sends, recvs);
+            }
+        }
+        assert_eq!(columns, PriceColumns::from(&other));
         for perturbation in [None, Some(&p)] {
-            let base = engine.replay(s, &WorkerPool::serial(), perturbation).expect("width-1 run");
-            for threads in [2, 3, 8] {
-                let wide = engine.replay(s, &WorkerPool::new(threads), perturbation).expect("run");
-                assert_eq!(
-                    base.report.makespan.to_bits(),
-                    wide.report.makespan.to_bits(),
-                    "makespan differs at {threads} threads"
-                );
-                assert_eq!(bits(&base.report.per_rank_finish), bits(&wide.report.per_rank_finish));
-                assert_eq!(bits(&base.report.port_busy), bits(&wide.report.port_busy));
-                assert_eq!(base.report.stats, wide.report.stats);
-                assert_eq!(bits(&base.posted), bits(&wide.posted));
-                assert_eq!(bits(&base.arrival), bits(&wide.arrival));
+            let serial = WorkerPool::serial();
+            let base = replay(&engine, s, &serial, perturbation).expect("width-1 run");
+            let base_other = replay(&engine, &other, &serial, perturbation).expect("width-1 run");
+            for threads in [1, 2, 3, 8] {
+                let pool = WorkerPool::new(threads);
+                let wide = replay(&engine, s, &pool, perturbation).expect("run");
+                assert_same(&base, &wide, &format!("{threads} threads"));
+                let kept = engine.prepare(s, &pool).expect("prepares");
+                for round in 0..2 {
+                    let what = format!("{threads} threads, warm round {round}");
+                    let again = engine.replay(&kept, &PriceColumns::from(s), perturbation);
+                    let again = again.expect("run");
+                    assert_same(&base, &again, &what);
+                    let warm = engine.replay(&kept, &columns, perturbation).expect("run");
+                    assert_same(&base_other, &warm, &format!("{what}, re-priced"));
+                }
             }
         }
     }
@@ -631,13 +780,13 @@ mod tests {
         for perturbation in [None, Some(&p)] {
             for threads in [1, 3] {
                 let pool = WorkerPool::new(threads);
-                let want = engine.replay(&base, &pool, perturbation).unwrap();
-                let got = engine.replay(&shuffled, &pool, perturbation).unwrap();
-                assert_eq!(want.report.makespan.to_bits(), got.report.makespan.to_bits());
-                assert_eq!(bits(&want.report.per_rank_finish), bits(&got.report.per_rank_finish));
-                assert_eq!(bits(&want.report.port_busy), bits(&got.report.port_busy));
-                assert_eq!(want.report.stats, got.report.stats);
-                assert_eq!(bits(&want.arrival), bits(&got.arrival));
+                let want = replay(&engine, &base, &pool, perturbation).unwrap();
+                let got = replay(&engine, &shuffled, &pool, perturbation).unwrap();
+                assert_eq!(want.0.makespan.to_bits(), got.0.makespan.to_bits());
+                assert_eq!(bits(&want.0.per_rank_finish), bits(&got.0.per_rank_finish));
+                assert_eq!(bits(&want.0.port_busy), bits(&got.0.port_busy));
+                assert_eq!(want.0.stats, got.0.stats);
+                assert_eq!(time_bits(&want), time_bits(&got));
             }
         }
     }
@@ -828,7 +977,7 @@ mod tests {
                     let want = rows.next().expect("two golden rows per config");
                     for threads in [1, 2, 3, 8] {
                         let pool = WorkerPool::new(threads);
-                        let rep = engine.replay(s, &pool, perturbation).unwrap().report;
+                        let rep = replay(&engine, s, &pool, perturbation).unwrap().0;
                         let got = [
                             rep.makespan.to_bits(),
                             fold_bits(&rep.per_rank_finish),
