@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the plan executors: sequential virtual execution
-//! vs one-thread-per-rank execution, across algorithms.
+//! vs the threaded backend (rank machines on a worker pool), across
+//! algorithms.
 
 use nhood_bench::harness::Bench;
 use nhood_cluster::ClusterLayout;

@@ -1,21 +1,15 @@
 //! A fixed-size, dependency-free worker pool.
 //!
 //! The registry is unreachable in this workspace, so there is no rayon;
-//! this module provides the two parallel shapes the plan builder and the
-//! sharded simulator need on top of `std::thread::scope` alone:
-//!
-//! * [`WorkerPool::map`] — bounded data parallelism: `items` independent
-//!   jobs pulled off an atomic index by at most
-//!   [`threads`](WorkerPool::threads) scoped workers, results returned
-//!   **in index order** regardless of completion order. This is what the
-//!   per-half matchmaking scoring and the per-rank descriptor lowering
-//!   run on, and the index-ordered merge is what keeps parallel-built
-//!   plans byte-identical to serial ones.
-//! * [`WorkerPool::run_all`] — one scoped thread per job, regardless of
-//!   the pool size. Negotiation jobs (the threaded negotiation's rank threads)
-//!   block on each other's messages, so running them on a bounded pool
-//!   would deadlock; this entry point deliberately oversubscribes while
-//!   keeping spawn/join/panic handling in one place.
+//! this module provides the one parallel shape the plan builder, the
+//! sharded simulator and the rank runtime's workers need on top of
+//! `std::thread::scope` alone: [`WorkerPool::map`] — bounded data
+//! parallelism: `items` independent jobs pulled off an atomic index by at
+//! most [`threads`](WorkerPool::threads) scoped workers, results returned
+//! **in index order** regardless of completion order. This is what the
+//! per-half matchmaking scoring and the per-rank descriptor lowering run
+//! on, and the index-ordered merge is what keeps parallel-built plans
+//! byte-identical to serial ones.
 //!
 //! A pool of one thread ([`WorkerPool::serial`]) runs every job inline
 //! on the caller's thread — the degenerate case the byte-identity
@@ -25,8 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// A fixed-size worker pool (see module docs). Cheap to copy: the pool
-/// holds no threads between calls — workers are scoped to each `map` /
-/// `run_all` invocation, so borrowed job data needs no `'static` bound.
+/// holds no threads between calls — workers are scoped to each `map`
+/// invocation, so borrowed job data needs no `'static` bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerPool {
     threads: usize,
@@ -99,24 +93,9 @@ impl WorkerPool {
                     std::panic::resume_unwind(payload);
                 }
             }
-            out.into_iter().map(|v| v.expect("every index produced")).collect()
-        })
-    }
-
-    /// Runs every job on its own scoped thread and returns the results
-    /// in job order. Use for jobs that *block on each other* (the rank
-    /// negotiation threads): a bounded pool would deadlock them, so this
-    /// entry point intentionally ignores the pool size.
-    ///
-    /// # Panics
-    /// Panics with "pool job panicked" if any job panics.
-    pub fn run_all<T: Send, F: FnOnce() -> T + Send>(&self, jobs: Vec<F>) -> Vec<T> {
-        if jobs.len() <= 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs.into_iter().map(|j| scope.spawn(j)).collect();
-            handles.into_iter().map(|h| h.join().expect("pool job panicked")).collect()
+            // INVARIANT: with no panic, the counter handed out every index
+            // once and its worker sent it (`rx` outlives every sender)
+            out.into_iter().flatten().collect()
         })
     }
 }
@@ -156,27 +135,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         let out = pool.map(data.len(), |i| data[i] * 2);
         assert_eq!(out[63], 126);
-    }
-
-    #[test]
-    fn run_all_executes_mutually_blocking_jobs() {
-        use std::sync::mpsc::channel;
-        // two jobs that must run concurrently: each blocks on the other's
-        // message — a bounded executor would deadlock
-        let (tx_a, rx_a) = channel::<u32>();
-        let (tx_b, rx_b) = channel::<u32>();
-        let pool = WorkerPool::new(1); // run_all ignores the bound
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(move || {
-                tx_b.send(1).unwrap();
-                rx_a.recv().unwrap() + 10
-            }),
-            Box::new(move || {
-                tx_a.send(2).unwrap();
-                rx_b.recv().unwrap() + 20
-            }),
-        ];
-        assert_eq!(pool.run_all(jobs), vec![12, 21]);
     }
 
     #[test]

@@ -163,7 +163,7 @@ mod tests {
     ) -> Result<Vec<Vec<u8>>, ExecError> {
         let (plan, sizes) = (Arc::new(plan.clone()), BlockSizes::uniform(m));
         let (arena, opts) = (&mut Default::default(), ExecOptions::new());
-        execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, graph, sbufs, arena, false, &opts)
+        execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, graph, sbufs, arena, None, &opts)
             .map(|out| out.rbufs)
     }
 

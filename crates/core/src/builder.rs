@@ -12,10 +12,10 @@
 //! [`build_pattern_recorded_v`] drives the negotiation through its
 //! deterministic FIFO driver (scales to thousands of ranks, counts every
 //! signal for the Fig. 8 overhead analysis);
-//! [`crate::negotiate::build_pattern_distributed_pooled_v`] runs it with
-//! one thread per rank over real channels — the closest analogue of the
-//! paper's MPI-side code. Both score through `score_step` and fold
-//! their decisions through one `PatternAssembler`.
+//! [`crate::negotiate::build_pattern_distributed_pooled_v`] runs it as
+//! rank machines exchanging signals over a fault transport — the closest
+//! analogue of the paper's MPI-side code. Both score through
+//! `score_step` and fold their decisions through one `PatternAssembler`.
 //!
 //! # Interpretation notes (where the paper's pseudocode is ambiguous)
 //!
@@ -55,8 +55,8 @@ pub enum BuildError {
     /// Distance Halving needs contiguous socket ranges, i.e. block
     /// placement.
     NonBlockPlacement,
-    /// A rank of the threaded negotiation timed out (lost signals or a
-    /// crashed peer) — see
+    /// A rank of the distributed negotiation timed out (lost signals or
+    /// a straggling peer) — see
     /// [`crate::negotiate::build_pattern_distributed_pooled_v`].
     NegotiationTimeout {
         /// The rank that gave up waiting.

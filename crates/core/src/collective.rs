@@ -285,8 +285,8 @@ pub enum ExecBackend {
     /// Deterministic sequential execution with real bytes (the oracle).
     #[default]
     Virtual,
-    /// One OS thread per rank, real channels, the communicator's
-    /// timeouts; the only backend with fault injection and robustness.
+    /// Rank machines on a worker pool, the communicator's timeouts; the
+    /// only backend with fault injection and robustness.
     Threaded,
     /// Discrete-event simulated time. Unlike the bare `Sim` executor,
     /// the request API *also* returns oracle bytes (computed on the
@@ -734,7 +734,8 @@ mod tests {
     ) -> Vec<Vec<u8>> {
         let (plan, opts) = (Arc::new(plan.clone()), ExecOptions::new().recorder(rec));
         let arena = &mut Default::default();
-        execute(op, Some(sizes), &plan, g, sbufs, arena, threaded, &opts).unwrap().rbufs
+        let clock = threaded.then_some(crate::runtime::Clock::Wall);
+        execute(op, Some(sizes), &plan, g, sbufs, arena, clock, &opts).unwrap().rbufs
     }
 
     fn run_virtual(

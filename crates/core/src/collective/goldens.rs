@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Goldens of the retired interpreting combining engine (deleted in
 //! PR 14): the compiled combine program must reproduce its receive
 //! buffers, its wire messages and its simulated makespan bit for bit.

@@ -1133,6 +1133,7 @@ pub(crate) mod tests {
     use crate::collective::ReduceOp;
     use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
+    use crate::runtime::Clock;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
     use nhood_topology::random::erdos_renyi;
@@ -1307,7 +1308,7 @@ pub(crate) mod tests {
                 let mut staged = arena.stage(&prog, job).unwrap();
                 if threaded {
                     let (opts, stats) = (ExecOptions::new(), Default::default());
-                    threaded::run(&mut staged, &opts, &stats).unwrap();
+                    threaded::run(&mut staged, &opts, &stats, Clock::Wall).unwrap();
                 } else {
                     virtual_exec::run(&mut staged, &NULL);
                 }
@@ -1340,7 +1341,7 @@ pub(crate) mod tests {
                 .collect();
             let rec = CountingRecorder::new(24);
             let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new().recorder(&rec));
-            let got = execute(op, Some(&sizes), &plan, &g, &sbufs, arena, false, &opts).unwrap();
+            let got = execute(op, Some(&sizes), &plan, &g, &sbufs, arena, None, &opts).unwrap();
             let reference = crate::collective::reference_reduce_scatter(&g, &sbufs, &sizes, red);
             assert_eq!(got.rbufs, reference);
             assert_eq!(rec.totals().bytes_sent, want);
@@ -1354,7 +1355,7 @@ pub(crate) mod tests {
         let mut sbufs: Vec<Vec<u8>> = (0..16).map(|p| vec![1; g.outdegree(p) * 4]).collect();
         let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new());
         let mut run = |sbufs: &[Vec<u8>]| {
-            execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, &g, sbufs, arena, false, &opts)
+            execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, &g, sbufs, arena, None, &opts)
         };
         run(&sbufs).unwrap();
         sbufs[5].push(0);

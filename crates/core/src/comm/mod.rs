@@ -350,9 +350,9 @@ impl DistGraphComm {
         self
     }
 
-    /// Attaches a fault plan: the threaded executor and the distributed
-    /// negotiation of a robust [`Self::collective`] request consult it
-    /// at every send.
+    /// Attaches a fault plan: the transport of a robust
+    /// [`Self::collective`] request — its distributed negotiation and
+    /// its threaded execution — consults it at every send.
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
         self
@@ -539,6 +539,7 @@ mod tests {
     use crate::collective::{CollectiveRequest, ExecBackend};
     use crate::exec::sim_exec::{simulate, simulate_v};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
+    use crate::exec::ExecOptions;
     use nhood_topology::random::erdos_renyi;
     use std::time::Duration;
 
@@ -848,7 +849,7 @@ mod tests {
             Err(CommError::Build(BuildError::NonBlockPlacement))
         ));
         assert!(matches!(
-            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL),
+            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()),
             Err(CommError::Build(BuildError::NonBlockPlacement))
         ));
     }
@@ -1172,7 +1173,8 @@ mod tests {
         // still be counted in the final report after the naive fallback
         // succeeds — the old code threw away the failed attempt's tally.
         let c = comm(32, 0.3);
-        let (plan, _) = c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL).unwrap();
+        let (plan, _) =
+            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
         let (src, dst, phase) =
             dh_only_link(&plan, c.graph()).expect("DH at δ=0.3 uses relay links");
         let c = c
@@ -1195,7 +1197,8 @@ mod tests {
     #[test]
     fn link_down_mid_run_repairs_without_fallback() {
         let c = comm(64, 0.4);
-        let (plan, _) = c.robust_plan_with_pattern(Algorithm::DistanceHalving, &NULL).unwrap();
+        let (plan, _) =
+            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
         let (src, dst, phase) =
             dh_only_link(&plan, c.graph()).expect("DH at δ=0.4 uses relay links");
         let c =

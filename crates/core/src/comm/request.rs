@@ -14,6 +14,7 @@ use crate::exec::sim_exec::{Priced, SimCost};
 use crate::exec::Sim;
 use crate::exec::{execute, ExecOptions};
 use crate::plan::CollectivePlan;
+use crate::runtime::Clock;
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Perturbation, SimReport};
 use std::sync::{Arc, MutexGuard};
@@ -71,7 +72,8 @@ impl DistGraphComm {
         let base = ExecOptions::new().recorder(req.recorder);
         let opts = if threaded { self.threaded_opts(base) } else { base };
         let (graph, sbufs) = (&self.graph, req.payloads);
-        let out = execute(req.op, sizes.as_ref(), &plan, graph, sbufs, arena, threaded, &opts)?;
+        let clock = threaded.then_some(Clock::Wall);
+        let out = execute(req.op, sizes.as_ref(), &plan, graph, sbufs, arena, clock, &opts)?;
         let sim = match req.backend {
             ExecBackend::Sim => {
                 Some(self.simulate_on(req, Some(&plan), arena, &SimCost::niagara(), None)?)

@@ -14,6 +14,7 @@ use crate::negotiate::{build_pattern_distributed_pooled_v, RECV_TIMEOUT};
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::repair::{repair_link_down, Completeness, RepairPolicy};
+use crate::runtime::Clock;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
 use nhood_topology::{Rank, Topology};
@@ -26,17 +27,20 @@ use std::time::Duration;
 /// degrade to the naive plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustPolicy {
-    /// Per-receive timeout of the threaded executor (previously the
-    /// hard-coded `DEFAULT_TIMEOUT`).
+    /// Per-receive timeout of the threaded executor.
     pub recv_timeout: Duration,
     /// Optional wall-clock budget per plan phase; `None` leaves only the
     /// per-receive timeout.
     pub phase_deadline: Option<Duration>,
-    /// Per-receive timeout of the distributed pattern negotiation.
+    /// Per-signal timeout of the distributed pattern negotiation,
+    /// measured on its logical clock: a rank that hears nothing for this
+    /// long in virtual time gives up, so an unsurvivable negotiation
+    /// fails at once in wall time, and the same way every time.
     pub negotiation_timeout: Duration,
-    /// Retransmissions per message under fault injection.
+    /// Retransmissions per message — and per negotiation signal — under
+    /// fault injection.
     pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
+    /// How much later the first retry lands; doubles per attempt.
     pub backoff_base: Duration,
     /// Degrade to the naive plan when Distance Halving pattern
     /// construction or execution fails, instead of returning the error.
@@ -176,37 +180,33 @@ impl DistGraphComm {
     }
 
     /// The planning path of the robust collective: Distance Halving runs
-    /// the *distributed* negotiation (under the communicator's fault
-    /// plan and negotiation timeout), so pattern construction is itself
-    /// exposed to injected faults; every other algorithm plans as
-    /// [`Self::plan`]. The built [`DhPattern`] stays alive alongside the
-    /// plan — mid-execution link-down repair needs the pattern's
-    /// decisions, not just the lowered messages; non-DH algorithms have
-    /// none. The negotiation reports per-rank rounds, signal retries and
-    /// `negotiate` spans into `rec` as it runs.
+    /// the *distributed* negotiation over the transport of `opts` (the
+    /// communicator's fault plan and retry policy, under its negotiation
+    /// timeout), so pattern construction is itself exposed to injected
+    /// faults; every other algorithm plans as [`Self::plan`]. The built
+    /// [`DhPattern`] stays alive alongside the plan — mid-execution
+    /// link-down repair needs the pattern's decisions, not just the
+    /// lowered messages; non-DH algorithms have none. The negotiation
+    /// tallies its faults into `opts`' sink and reports per-rank rounds,
+    /// signal retries and `negotiate` spans into its recorder.
     pub(super) fn robust_plan_with_pattern(
         &self,
         algo: Algorithm,
-        rec: &dyn Recorder,
+        opts: &ExecOptions<'_>,
     ) -> Result<(Arc<CollectivePlan>, Option<DhPattern>), CommError> {
         if algo != Algorithm::DistanceHalving {
             return Ok((Arc::new(self.plan(algo)?), None));
         }
         let sizes = self.planning_sizes();
         // A live churn slot IS the current plan — no negotiation.
-        if let Some(slot) = self.live_slot(&sizes, rec) {
+        if let Some(slot) = self.live_slot(&sizes, opts.recorder) {
             return Ok((Arc::clone(&slot.plan), Some((*slot.pattern).clone())));
         }
-        let pattern = build_pattern_distributed_pooled_v(
-            &self.graph,
-            &self.layout,
-            self.fault.as_ref(),
-            self.policy.negotiation_timeout,
-            &sizes,
-            self.metric,
-            &self.build_pool,
-            rec,
-        )?;
+        let opts = opts.recv_timeout(self.policy.negotiation_timeout);
+        let (graph, layout) = (&self.graph, &self.layout);
+        let pool = &self.build_pool;
+        let pattern =
+            build_pattern_distributed_pooled_v(graph, layout, &sizes, self.metric, pool, &opts)?;
         Ok((Arc::new(self.lower_checked(&pattern, &self.graph)?), Some(pattern)))
     }
 
@@ -277,10 +277,10 @@ impl DistGraphComm {
         let sink = FaultStats::default();
         let opts = self.threaded_opts(ExecOptions::new().recorder(rec).fault_sink(&sink));
         let mut run = |plan: &Arc<CollectivePlan>, graph: &Topology| {
-            execute(req.op, sizes, plan, graph, req.payloads, arena, true, &opts)
+            execute(req.op, sizes, plan, graph, req.payloads, arena, Some(Clock::Wall), &opts)
         };
         let primary = self
-            .robust_plan_with_pattern(algo, rec)
+            .robust_plan_with_pattern(algo, &opts)
             .map_err(|e| (FallbackReason::BuildFailed(e.to_string()), e))
             .and_then(|(plan, pattern)| {
                 self.run_self_healing(plan, pattern, &mut run, rec, &mut report)

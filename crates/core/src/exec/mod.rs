@@ -6,9 +6,9 @@
 //!
 //! * [`virtual_exec`] — deterministic sequential execution with real byte
 //!   buffers; scales to thousands of ranks and is the correctness oracle;
-//! * [`threaded`] — one OS thread per rank with real channels, exercising
-//!   the program under true concurrency and injected faults (bounded
-//!   rank counts);
+//! * [`threaded`] — every rank a machine on the one rank runtime (the
+//!   crate-private `runtime` module), polled by a fixed worker pool,
+//!   exercising the program under true concurrency and injected faults;
 //!
 //! while [`sim_exec`] lowers the plan onto the `nhood-simnet`
 //! discrete-event engine to obtain cluster-scale latencies at any
@@ -29,6 +29,7 @@ use crate::collective::program::{Job, Lens, Shape};
 use crate::collective::CollectiveOp;
 use crate::fault::{FaultCounts, FaultPlan, FaultStats};
 use crate::plan::{Algorithm, CollectivePlan};
+use crate::runtime::Clock;
 use crate::sizes::BlockSizes;
 use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
@@ -70,15 +71,15 @@ pub fn phase_label(plan: &CollectivePlan, k: usize) -> &'static str {
 /// recorder, uniform payloads.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
-    /// How long one blocked receive may wait before erroring (threaded
-    /// backend only).
+    /// How long a rank may hear nothing before erroring (threaded
+    /// backend; the distributed negotiation's per-signal timeout).
     pub recv_timeout: Duration,
-    /// Wall-clock budget for one whole phase; `None` disables the
-    /// deadline (threaded backend only).
+    /// Time budget for one whole phase; `None` disables the deadline
+    /// (threaded backend only).
     pub phase_deadline: Option<Duration>,
-    /// Retransmission attempts per message when the fault plan drops it.
+    /// Retransmission attempts per dropped message or signal.
     pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
+    /// How much later the first retry lands; doubles per attempt.
     pub backoff_base: Duration,
     /// Fault schedule consulted at every send; `None` injects nothing.
     pub fault: Option<&'a FaultPlan>,
@@ -87,7 +88,7 @@ pub struct ExecOptions<'a> {
     /// `true` accepts per-rank payloads of different lengths (the
     /// `neighbor_allgatherv` semantics).
     pub ragged: bool,
-    /// External fault-tally sink. When set, the threaded backend counts
+    /// External fault-tally sink. When set, the transport counts
     /// into this shared [`FaultStats`] instead of a run-local one, so
     /// the faults a *failed* run injected survive the `Err` (an
     /// [`ExecError`] carries no counters) and can be merged into the
@@ -201,7 +202,7 @@ pub struct ExecOutcome {
 /// A plan-execution backend behind one uniform call.
 ///
 /// Three implementations: [`Virtual`] (sequential oracle), [`Threaded`]
-/// (one OS thread per rank) and [`Sim`] (discrete-event simulated
+/// (concurrent rank machines) and [`Sim`] (discrete-event simulated
 /// time). See `docs/EXECUTION_API.md`.
 pub trait Executor {
     /// A short backend name for logs and bench labels.
@@ -277,9 +278,9 @@ pub enum ExecError {
         /// Phase it was stuck in.
         phase: usize,
     },
-    /// A rank thread panicked.
+    /// A rank of the threaded backend panicked.
     WorkerPanic {
-        /// The rank whose thread died.
+        /// The rank that panicked.
         rank: Rank,
     },
     /// A rank exceeded its per-phase wall-clock deadline (see
@@ -394,7 +395,7 @@ pub(crate) fn check_payloads(payloads: &[Vec<u8>], n: usize) -> Result<usize, Ex
 }
 
 /// The one engine behind every front: runs `op` over `plan` on the
-/// sequential runtime, or the thread-per-rank one when `threaded`.
+/// sequential runtime, or as rank machines on `clock`.
 /// `sizes` is a combining op's validated size table
 /// ([`crate::collective::derive_sizes`]); a gather reads its block
 /// lengths off `payloads`. The warm path — `arena` already holds the
@@ -408,7 +409,7 @@ pub(crate) fn execute(
     graph: &Topology,
     payloads: &[Vec<u8>],
     arena: &mut BlockArena,
-    threaded: bool,
+    clock: Option<Clock>,
     opts: &ExecOptions<'_>,
 ) -> Result<ExecOutcome, ExecError> {
     if op == CollectiveOp::Allgather {
@@ -421,10 +422,9 @@ pub(crate) fn execute(
     let mut staged = arena.stage(&prog, Job { red: op.reduction(), sbufs: payloads, lens })?;
     let local = FaultStats::default();
     let stats = opts.fault_sink.unwrap_or(&local);
-    if threaded {
-        threaded::run(&mut staged, opts, stats)?;
-    } else {
-        virtual_exec::run(&mut staged, opts.recorder);
+    match clock {
+        Some(clock) => threaded::run(&mut staged, opts, stats, clock)?,
+        None => virtual_exec::run(&mut staged, opts.recorder),
     }
     Ok(ExecOutcome { rbufs: staged.rbufs, faults: stats.snapshot(), sim: None })
 }

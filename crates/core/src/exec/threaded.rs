@@ -1,48 +1,36 @@
-//! The threaded executor: one OS thread per rank, real channels.
+//! The threaded executor: every rank's share of the compiled program is
+//! a machine on the one rank runtime (the crate-private `runtime`
+//! module), polled by a fixed pool of workers under genuine concurrency
+//! and shared-nothing message passing.
 //!
-//! Each rank runs its share of the compiled program concurrently: per
-//! phase it sends its messages over `std::sync::mpsc` channels, then
-//! blocks until every message the program has it integrate that phase
-//! has arrived (early arrivals are parked, mirroring MPI's
-//! unexpected-message queue) and integrates them in program order — the
-//! virtual backend's order — so outputs (f32 bits included) are
-//! identical. This exercises the program under genuine concurrency and
-//! shared-nothing message passing — the closest this library gets to
-//! running the collective "for real".
+//! Per phase a rank posts its sends, files what arrives by program id
+//! (early arrivals are parked, mirroring MPI's unexpected-message queue;
+//! a duplicate is dropped before anything integrates, so no operator
+//! runs twice) and integrates the phase's messages in program order —
+//! the virtual backend's — so outputs (f32 bits included) are identical.
+//! A reduce message carries its packed partials; a gather or routed one
+//! travels as its id alone, and a rank that has run its phases copies
+//! each delivered block once, from its origin's send buffer (the
+//! shared-memory analog of an RDMA read from registered memory).
 //!
-//! A message travels as its program id. A reduce message carries its
-//! packed partials; gather and routed blocks are never modified in
-//! flight, so their message carries no bytes and a rank that has run
-//! its phases copies each delivered block once, from its origin's send
-//! buffer (the shared-memory analog of an RDMA read from registered
-//! memory).
-//!
-//! # Robustness
-//!
-//! The executor is the primary consumer of the fault-injection layer
-//! ([`crate::fault`]), for every op. [`ExecOptions`] carries a receive
-//! timeout, an optional per-phase deadline, a retry budget with bounded
-//! exponential backoff, and an optional [`crate::fault::FaultPlan`].
-//! Sends traverse a small reliable-transport emulation: an attempt the
-//! fault plan drops is retried (with backoff) until the budget is
-//! exhausted, at which point the message is lost for good and the
-//! receiver's timeout converts the loss into [`ExecError::Timeout`] /
-//! [`ExecError::PhaseDeadline`] instead of a hang. Crashed ranks return
-//! [`ExecError::RankCrashed`]; a duplicated delivery is dropped by
-//! message id before anything is integrated, so no operator is ever
-//! applied twice, and reordered ones wait their turn. The guarantee
-//! chased by the chaos suite: **identical-to-reference buffers or a
-//! typed error — never silent corruption, never a hang.**
+//! [`ExecOptions`] carries the runtime's fault plan and retry budget, a
+//! receive timeout and an optional phase deadline: a message lost for
+//! good is [`ExecError::Timeout`] / [`ExecError::PhaseDeadline`], a
+//! crashed rank [`ExecError::RankCrashed`], a dead link
+//! [`ExecError::LinkDown`] — the chaos suite's guarantee is
+//! **identical-to-reference buffers or a typed error, never silent
+//! corruption, never a hang.**
 
 use crate::arena::BlockArena;
 use crate::collective::program::{Exec, Staged, Wire};
 use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome, Executor};
-use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
+use crate::fault::FaultStats;
 use crate::plan::CollectivePlan;
+use crate::runtime::{self, Clock, LinkDown, Machine, Poll, Port};
 use nhood_topology::{Rank, Topology};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::any::Any;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A wire message: its program id and, for the reduce shapes, its packed
 /// blocks.
@@ -51,7 +39,7 @@ type Envelope = (usize, Vec<u8>);
 /// Default per-receive timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The one-OS-thread-per-rank backend (see module docs).
+/// The concurrent backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Threaded;
 
@@ -68,237 +56,178 @@ impl Executor for Threaded {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        execute(opts.gather_op(), None, plan, graph, payloads, arena, true, opts)
+        execute(opts.gather_op(), None, plan, graph, payloads, arena, Some(Clock::Wall), opts)
     }
 }
 
-/// One rank's view of a threaded run.
-struct RankCtx<'a> {
+/// One rank of a threaded run.
+struct RankRun<'a> {
     exec: &'a Exec<'a>,
-    rank: Rank,
-    senders: &'a [Sender<Envelope>],
     opts: &'a ExecOptions<'a>,
-    stats: &'a FaultStats,
+    rank: Rank,
+    /// Its staging buffer (reduce shapes) and receive buffer.
+    arena: &'a mut [u8],
+    rbuf: &'a mut Vec<u8>,
+    /// The phase, whether the rank has entered it, and its deadline.
+    k: usize,
+    entered: bool,
+    deadline: Option<Duration>,
+    /// The phase's next message to integrate; its arrived ones by id,
+    /// from its first; arrivals not filed (of later phases, or new).
+    next: usize,
+    got: Vec<Option<Vec<u8>>>,
+    early: Vec<Envelope>,
+    /// When the rank last heard anything: its receive timeout runs from
+    /// there.
+    heard: Duration,
 }
 
-impl RankCtx<'_> {
-    /// Sends message `id` during `phase`, consulting the fault plan per
-    /// attempt — the only place a data message meets a [`FaultAction`].
-    /// A dropped attempt is retried after bounded exponential backoff
-    /// until the budget runs out; then the message is abandoned (the
-    /// receiver's timeout surfaces the loss as a typed error). A dead
-    /// link is not retryable: the send fails immediately with
-    /// [`ExecError::LinkDown`] so the caller can repair around the edge.
-    fn transport_send(&self, id: usize, wire: Vec<u8>, phase: usize) -> Result<(), ExecError> {
-        let (opts, stats) = (self.opts, self.stats);
-        let m = self.exec.prog.msg(id);
-        // a send can only fail if the peer already exited on error; the
-        // peer's error is the root cause
-        let deliver = |wire| drop(self.senders[m.dst].send((id, wire)));
-        let Some(fp) = opts.fault else {
-            deliver(wire);
-            return Ok(());
-        };
-        let mut attempt: u32 = 0;
-        loop {
-            match fp.send_action_at(m.src, m.dst, m.tag, attempt, phase) {
-                FaultAction::Deliver => break deliver(wire),
-                FaultAction::Duplicate => {
-                    FaultStats::bump(&stats.duplicates);
-                    deliver(wire.clone());
-                    break deliver(wire);
-                }
-                FaultAction::Delay(d) => {
-                    FaultStats::bump(&stats.delays);
-                    std::thread::sleep(d);
-                    break deliver(wire);
-                }
-                FaultAction::Drop => {
-                    FaultStats::bump(&stats.drops);
-                    if attempt >= opts.max_retries {
-                        FaultStats::bump(&stats.lost);
-                        break;
-                    }
-                    FaultStats::bump(&stats.retries);
-                    opts.recorder.retry(m.src);
-                    // jittered exponential backoff, seeded per message so
-                    // chaos runs stay deterministic but retrying ranks
-                    // don't wake in lockstep
-                    let seed = backoff_seed(fp.seed(), m.src as u64, m.dst as u64, m.tag);
-                    std::thread::sleep(backoff(opts.backoff_base, attempt, seed));
-                    attempt += 1;
-                }
-                FaultAction::LinkDown => {
-                    FaultStats::bump(&stats.link_downs);
-                    return Err(ExecError::LinkDown { src: m.src, dst: m.dst, phase });
-                }
-            }
+impl Machine for RankRun<'_> {
+    type Msg = Envelope;
+    type Error = ExecError;
+
+    fn poll(
+        &mut self,
+        inbox: &mut Vec<Envelope>,
+        port: &mut Port<'_, Envelope>,
+    ) -> Result<Poll, ExecError> {
+        let (prog, rank, k) = (self.exec.prog, self.rank, self.k);
+        if !inbox.is_empty() {
+            self.heard = port.now;
+            self.early.append(inbox);
         }
-        Ok(())
+        if k == prog.phases {
+            if !prog.shape.reduces() {
+                self.exec.deliver(rank, self.rbuf);
+            }
+            return Ok(Poll::Done);
+        }
+        if !self.entered {
+            self.enter(port)?;
+        }
+        self.integrate();
+        let timeout = self.heard.saturating_add(self.opts.recv_timeout);
+        if self.next < prog.recvs(k, rank).end {
+            return match self.deadline {
+                Some(dl) if port.now >= dl => Err(ExecError::PhaseDeadline { rank, phase: k }),
+                _ if port.now >= timeout => Err(ExecError::Timeout { rank, phase: k }),
+                dl => Ok(Poll::Blocked { deadline: dl.map_or(timeout, |dl| dl.min(timeout)) }),
+            };
+        }
+        self.opts.recorder.span_end(rank, prog.phase(k).0);
+        (self.k, self.entered) = (k + 1, false);
+        Ok(Poll::Ready)
     }
 
-    /// Phase-entry fault hooks: injected crash, then injected stall.
-    fn phase_entry_faults(&self, k: usize) -> Result<(), ExecError> {
-        if let Some(fp) = self.opts.fault {
-            if fp.is_crashed(self.rank, k) {
-                return Err(ExecError::RankCrashed { rank: self.rank, phase: k });
-            }
-            let stall = fp.stall(self.rank);
-            if stall > Duration::ZERO {
-                std::thread::sleep(stall);
-            }
-        }
-        Ok(())
-    }
-
-    /// Blocks for the next envelope of phase `k`, within the receive
-    /// timeout and what is left of the phase `deadline`.
-    fn recv_wait(
-        &self,
-        rx: &Receiver<Envelope>,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Envelope, ExecError> {
-        let late = || ExecError::PhaseDeadline { rank: self.rank, phase: k };
-        let left = deadline.map(|dl| dl.checked_duration_since(Instant::now()).ok_or_else(late));
-        let wait =
-            left.transpose()?.map_or(self.opts.recv_timeout, |d| d.min(self.opts.recv_timeout));
-        rx.recv_timeout(wait).map_err(|_| match deadline {
-            Some(dl) if Instant::now() >= dl => late(),
-            _ => ExecError::Timeout { rank: self.rank, phase: k },
-        })
-    }
-
-    /// The rank's thread: per phase, send, collect the phase's arrivals,
-    /// integrate them in program order. `arena` is the rank's staging
-    /// buffer (reduce shapes), `rbuf` its sized receive buffer.
-    fn main(
-        &self,
-        rx: Receiver<Envelope>,
-        arena: &mut [u8],
-        rbuf: &mut Vec<u8>,
-    ) -> Result<(), ExecError> {
-        let (prog, rank, rec) = (self.exec.prog, self.rank, self.opts.recorder);
-        let by_ref = !prog.shape.reduces();
-        // arrivals of phases this rank has not reached yet
-        let mut early: Vec<Envelope> = Vec::new();
-        let mut got: Vec<Option<Vec<u8>>> = Vec::new();
-        for k in 0..prog.phases {
-            let (label, copies) = prog.phase(k);
-            rec.span_begin(rank, label);
-            if let Some(&blocks) = copies.get(rank).filter(|&&blocks| blocks > 0) {
-                rec.copies(rank, blocks);
-            }
-            self.phase_entry_faults(k)?;
-            let deadline = self.opts.phase_deadline.map(|d| Instant::now() + d);
-
-            // the reorder fault holds one message back past its successor
-            let mut held: Option<Envelope> = None;
-            for &id in prog.sends(k, rank) {
-                let m = prog.msg(id);
-                let (wire, bytes) = self.exec.pack(id, arena);
-                // one logical message, however many attempts it takes
-                rec.msg_sent(rank, m.dst, bytes);
-                if held.is_none()
-                    && self.opts.fault.is_some_and(|fp| fp.reorders(rank, m.dst, m.tag))
-                {
-                    FaultStats::bump(&self.stats.reorders);
-                    held = Some((id, wire));
-                    continue;
-                }
-                self.transport_send(id, wire, k)?;
-                if let Some((id, wire)) = held.take() {
-                    self.transport_send(id, wire, k)?;
-                }
-            }
-            if let Some((id, wire)) = held.take() {
-                self.transport_send(id, wire, k)?;
-            }
-
-            // File the phase's arrivals by id. An id past the phase is
-            // early and parked; one below it, or already filed, is a
-            // transport duplicate and dropped before anything integrates.
-            let due = prog.recvs(k, rank);
-            got.clear();
-            got.resize(due.len(), None);
-            let mut waiting = due.len();
-            let mut parked = std::mem::take(&mut early).into_iter();
-            while waiting > 0 {
-                let (id, wire) = match parked.next() {
-                    Some(envelope) => envelope,
-                    None => self.recv_wait(&rx, k, deadline)?,
-                };
-                if id >= due.end {
-                    early.push((id, wire));
-                } else if id >= due.start && got[id - due.start].is_none() {
-                    got[id - due.start] = Some(wire);
-                    waiting -= 1;
-                }
-            }
-            early.extend(parked);
-            for (id, wire) in due.zip(got.drain(..)) {
-                // INVARIANT: the loop above ends when `waiting` — the
-                // count of unfilled entries of `got` — reaches zero.
-                let wire = wire.expect("every due message was filed");
-                let bytes = if by_ref {
-                    self.exec.wire_bytes(id)
-                } else {
-                    self.exec.integrate(id, Wire::Packed(&wire), arena, rbuf)
-                };
-                rec.msg_recvd(rank, prog.msg(id).src, bytes);
-            }
-            rec.span_end(rank, label);
-        }
-        if by_ref {
-            self.exec.deliver(rank, rbuf);
-        }
-        Ok(())
+    fn panicked(&self, _: Box<dyn Any + Send>) -> ExecError {
+        ExecError::WorkerPanic { rank: self.rank }
     }
 }
 
-/// Runs a staged execution with one thread per rank. When several ranks
-/// fail the most actionable error is returned: a [`ExecError::LinkDown`]
-/// beats the timeouts it cascades into on peer ranks (they were waiting
-/// for data that could never cross the dead link), so the caller sees
-/// the root cause rather than a symptom.
+impl RankRun<'_> {
+    /// Enters phase `k`, crashed or stalled as the fault plan says, and
+    /// posts its sends.
+    fn enter(&mut self, port: &mut Port<'_, Envelope>) -> Result<(), ExecError> {
+        let (prog, rank, k, rec) = (self.exec.prog, self.rank, self.k, self.opts.recorder);
+        let (label, copies) = prog.phase(k);
+        rec.span_begin(rank, label);
+        if let Some(&blocks) = copies.get(rank).filter(|&&blocks| blocks > 0) {
+            rec.copies(rank, blocks);
+        }
+        if !port.enter(rank, Some(k)) {
+            return Err(ExecError::RankCrashed { rank, phase: k });
+        }
+        let due = prog.recvs(k, rank);
+        (self.entered, self.heard, self.next) = (true, port.now, due.start);
+        self.deadline = self.opts.phase_deadline.map(|d| port.now.saturating_add(d));
+        self.got.clear();
+        self.got.resize(due.len(), None);
+        for &id in prog.sends(k, rank) {
+            let m = prog.msg(id);
+            let (wire, bytes) = self.exec.pack(id, self.arena);
+            // one logical message, however many attempts it takes
+            rec.msg_sent(rank, m.dst, bytes);
+            let refused = |LinkDown| ExecError::LinkDown { src: m.src, dst: m.dst, phase: k };
+            port.send(m.src, m.dst, m.tag, Some(k), (id, wire)).map_err(refused)?;
+        }
+        Ok(())
+    }
+
+    /// Files the unfiled arrivals — one of a later phase stays parked, one
+    /// already integrated or filed is a duplicate — and integrates the
+    /// phase's messages in program order as far as they have arrived.
+    fn integrate(&mut self) {
+        let (prog, rank) = (self.exec.prog, self.rank);
+        let due = prog.recvs(self.k, rank);
+        let mut i = 0;
+        while let Some(&(id, _)) = self.early.get(i) {
+            if id >= due.end {
+                i += 1;
+                continue;
+            }
+            let (id, wire) = self.early.swap_remove(i);
+            if id >= self.next {
+                self.got[id - due.start].get_or_insert(wire);
+            }
+        }
+        while let Some(wire) = self.got.get_mut(self.next - due.start).and_then(Option::take) {
+            let id = self.next;
+            let bytes = if prog.shape.reduces() {
+                self.exec.integrate(id, Wire::Packed(&wire), self.arena, self.rbuf)
+            } else {
+                self.exec.wire_bytes(id)
+            };
+            self.opts.recorder.msg_recvd(rank, prog.msg(id).src, bytes);
+            self.next += 1;
+        }
+    }
+}
+
+/// Runs a staged execution, every rank a machine on the runtime's
+/// `clock`. When several ranks fail the root cause is returned — a
+/// [`ExecError::LinkDown`], then a [`ExecError::WorkerPanic`], beats the
+/// timeouts it cascades into on its peers — else the first error in rank
+/// order.
 pub(crate) fn run(
     staged: &mut Staged,
     opts: &ExecOptions<'_>,
     stats: &FaultStats,
+    clock: Clock,
 ) -> Result<(), ExecError> {
-    let Staged { exec, arena: staged, rbufs } = staged;
+    let Staged { exec, arena, rbufs } = staged;
     let exec = &*exec;
-    let (senders, receivers): (Vec<_>, Vec<_>) = rbufs.iter().map(|_| channel()).unzip();
     let arenas =
-        staged.iter_mut().map(Vec::as_mut_slice).chain(std::iter::repeat_with(Default::default));
-    let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
-        let senders = &senders[..];
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .zip(arenas)
-            .zip(rbufs.iter_mut())
-            .enumerate()
-            .map(|(rank, ((rx, arena), rbuf))| {
-                let ctx = RankCtx { exec, rank, senders, opts, stats };
-                scope.spawn(move || ctx.main(rx, arena, rbuf))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
-            .collect()
-    });
-    let mut errors = results.into_iter().filter_map(Result::err);
-    let Some(first) = errors.next() else { return Ok(()) };
-    let is_link_down = |e: &ExecError| matches!(e, ExecError::LinkDown { .. });
-    Err(if is_link_down(&first) { first } else { errors.find(is_link_down).unwrap_or(first) })
+        arena.iter_mut().map(Vec::as_mut_slice).chain(std::iter::repeat_with(Default::default));
+    let mut ranks: Vec<RankRun> = (rbufs.iter_mut().zip(arenas).enumerate())
+        .map(|(rank, (rbuf, arena))| RankRun {
+            exec,
+            opts,
+            rank,
+            arena,
+            rbuf,
+            k: 0,
+            entered: false,
+            deadline: None,
+            next: 0,
+            got: Vec::new(),
+            early: Vec::new(),
+            heard: Duration::ZERO,
+        })
+        .collect();
+    let errors = runtime::run(&mut ranks, opts, stats, clock).into_iter().filter_map(Result::err);
+    let cause = |e: &ExecError| match e {
+        ExecError::LinkDown { .. } => 0,
+        ExecError::WorkerPanic { .. } => 1,
+        _ => 2,
+    };
+    errors.min_by_key(cause).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
+    use crate::collective::CollectiveOp;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads, Virtual};
     use crate::fault::FaultPlan;
@@ -306,6 +235,7 @@ mod tests {
     use crate::naive::plan_naive;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use std::time::Instant;
 
     /// Runs the plan and checks the buffers against the definition.
     fn run_checked(
@@ -614,5 +544,167 @@ mod tests {
                 Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn a_panicking_rank_is_a_typed_error_on_every_clock() {
+        struct Breaks;
+        impl nhood_telemetry::Recorder for Breaks {
+            fn span_begin(&self, rank: Rank, _: &'static str) {
+                assert_ne!(rank, 3, "rank 3 breaks");
+            }
+        }
+        let g = erdos_renyi(8, 0.5, 4);
+        let plan = Arc::new(plan_naive(&g));
+        let payloads = test_payloads(8, 4, 1);
+        // its peers time out waiting for it: the panic is the root cause
+        let opts = ExecOptions::new().recorder(&Breaks).recv_timeout(Duration::from_millis(100));
+        for clock in [Clock::Wall, Clock::Logical(Some(1))] {
+            let arena = &mut BlockArena::new();
+            let err = execute(
+                CollectiveOp::Allgather,
+                None,
+                &plan,
+                &g,
+                &payloads,
+                arena,
+                Some(clock),
+                &opts,
+            );
+            assert_eq!(err.unwrap_err(), ExecError::WorkerPanic { rank: 3 }, "{clock:?}");
+        }
+    }
+
+    #[test]
+    fn a_delayed_message_arrives_late_and_its_sender_moves_on() {
+        // rank 0 sends to 20 peers in one phase, each message late by up
+        // to 50 ms: all of them make a 60 ms phase deadline. A sender
+        // stalled by every delay in turn (≈ 0.5 s in all) would not.
+        let g = Topology::from_edges(21, (1..21).map(|d| (0, d)));
+        let plan = Arc::new(plan_naive(&g));
+        let payloads = test_payloads(21, 4, 2);
+        let fp = FaultPlan::seeded(4).with_message_delay(1.0, Duration::from_millis(50));
+        let opts = ExecOptions::new().phase_deadline(Some(Duration::from_millis(60))).fault(&fp);
+        let arena = &mut BlockArena::new();
+        let clock = Some(Clock::Logical(None));
+        let out = execute(CollectiveOp::Allgather, None, &plan, &g, &payloads, arena, clock, &opts);
+        let out = out.unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+        assert_eq!(out.faults.delays, 20);
+    }
+
+    /// The seeded-interleaving contract of the executor, on the logical
+    /// clock: every algorithm that serves `op`, 1,000 seeds over small
+    /// generated graphs — prime n, isolated ranks, ragged tables with zero
+    /// blocks — under drop, duplicate, reorder, delay and stall faults.
+    /// Each run delivers `collective::reference`'s bytes or a typed
+    /// timeout-class error, and a seed run twice gives the same bytes,
+    /// fault counts and error.
+    fn any_seeded_interleaving(op: CollectiveOp) {
+        use crate::collective::{derive_sizes, reference};
+        use crate::comm::DistGraphComm;
+        use crate::plan::Algorithm;
+        use crate::sizes::BlockSizes;
+        let graphs = [(23, 0.3, &[0, 11][..]), (19, 0.5, &[][..]), (13, 0.2, &[7][..])].map(
+            |(n, delta, alone): (usize, f64, &[Rank])| {
+                let g = erdos_renyi(n, delta, n as u64);
+                let keep = |&(s, d): &(Rank, Rank)| !alone.contains(&s) && !alone.contains(&d);
+                Topology::from_edges(n, g.edges().filter(keep))
+            },
+        );
+        let algos = [
+            Algorithm::Naive,
+            Algorithm::DistanceHalving,
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 1 },
+            Algorithm::Bruck,
+            Algorithm::Pat { radix: 2 },
+        ];
+        let fill =
+            |p: Rank, len: usize| -> Vec<u8> { (0..len).map(|i| (p * 31 + i * 7) as u8).collect() };
+        for algo in algos {
+            if op.reduction().is_some() && matches!(algo, Algorithm::Pat { .. }) {
+                continue; // the one refusal of the support matrix
+            }
+            let mut cells: Vec<_> = graphs
+                .iter()
+                .map(|g| {
+                    let n = g.n();
+                    let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
+                    let plan = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+                    let plan = plan.plan_shared(algo).unwrap();
+                    let ragged: Vec<usize> = (0..n).map(|r| [0, 3, 8, 0, 5][r % 5]).collect();
+                    let out = |p: Rank| g.out_neighbors(p).iter();
+                    let sbufs: Vec<Vec<u8>> = (0..n)
+                        .map(|p| match op {
+                            CollectiveOp::Allgather | CollectiveOp::Allreduce(_) => fill(p, 8),
+                            CollectiveOp::Allgatherv => fill(p, ragged[p]),
+                            CollectiveOp::Alltoallv => fill(p, g.outdegree(p) * ragged[p]),
+                            CollectiveOp::ReduceScatter(_) => {
+                                fill(p, out(p).map(|&d| ragged[d]).sum())
+                            }
+                        })
+                        .collect();
+                    let table = BlockSizes::per_rank(ragged);
+                    let sizes = match op {
+                        CollectiveOp::Allgather | CollectiveOp::Allgatherv => None,
+                        CollectiveOp::Allreduce(_) => {
+                            Some(derive_sizes(g, op, &sbufs, None).unwrap())
+                        }
+                        _ => Some(derive_sizes(g, op, &sbufs, Some(&table)).unwrap()),
+                    };
+                    let want = reference(g, op, &sbufs, sizes.as_ref()).unwrap();
+                    (g, plan, sbufs, sizes, want, BlockArena::new())
+                })
+                .collect();
+            for seed in 0..1_000u64 {
+                let (g, plan, sbufs, sizes, want, arena) = &mut cells[seed as usize % 3];
+                let fp = FaultPlan::seeded(seed)
+                    .with_message_drop(0.1)
+                    .with_message_duplication(0.1)
+                    .with_message_reorder(0.2)
+                    .with_message_delay(0.2, Duration::from_micros(300))
+                    .with_slow_rank(seed as usize % g.n(), Duration::from_micros(100));
+                let mut once = || {
+                    let sink = FaultStats::default();
+                    let opts = ExecOptions::new().fault(&fp).fault_sink(&sink);
+                    let clock = Some(Clock::Logical(Some(seed)));
+                    let out = execute(op, sizes.as_ref(), plan, g, sbufs, arena, clock, &opts);
+                    (out.map(|out| out.rbufs), sink.snapshot())
+                };
+                let first = once();
+                assert_eq!(first, once(), "{op} {algo} seed {seed}: the replay diverged");
+                match first.0 {
+                    Ok(bufs) => assert_eq!(&bufs, want, "{op} {algo} seed {seed}"),
+                    Err(e) => assert!(e.is_timeout_class(), "{op} {algo} seed {seed}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_seeded_interleaving_of_an_allgather_is_exact_or_typed() {
+        any_seeded_interleaving(CollectiveOp::Allgather);
+    }
+
+    #[test]
+    fn any_seeded_interleaving_of_an_allgatherv_is_exact_or_typed() {
+        any_seeded_interleaving(CollectiveOp::Allgatherv);
+    }
+
+    #[test]
+    fn any_seeded_interleaving_of_an_alltoallv_is_exact_or_typed() {
+        any_seeded_interleaving(CollectiveOp::Alltoallv);
+    }
+
+    #[test]
+    fn any_seeded_interleaving_of_a_reduce_scatter_is_exact_or_typed() {
+        any_seeded_interleaving(CollectiveOp::ReduceScatter(crate::collective::Reduction::SUM_U8));
+    }
+
+    #[test]
+    fn any_seeded_interleaving_of_an_allreduce_is_exact_or_typed() {
+        use crate::collective::{DType, ReduceOp, Reduction};
+        any_seeded_interleaving(CollectiveOp::Allreduce(Reduction::new(ReduceOp::Max, DType::U32)));
     }
 }

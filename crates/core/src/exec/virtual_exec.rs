@@ -33,7 +33,7 @@ impl Executor for Virtual {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        execute(opts.gather_op(), None, plan, graph, payloads, arena, false, opts)
+        execute(opts.gather_op(), None, plan, graph, payloads, arena, None, opts)
     }
 }
 

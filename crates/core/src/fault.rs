@@ -1,5 +1,5 @@
-//! Deterministic fault injection for executors and the distributed
-//! pattern builder.
+//! Deterministic fault injection for the threaded executor and the
+//! distributed pattern builder.
 //!
 //! A [`FaultPlan`] is a *seeded, stateless* description of adverse
 //! network and process behaviour: message drops, delays, duplication,
@@ -13,17 +13,19 @@
 //!
 //! Consumers:
 //!
-//! * [`crate::exec::threaded`] consults the plan at every send (and
-//!   retries dropped messages with bounded exponential backoff — the
-//!   "reliable transport over a lossy link" emulation);
-//! * [`crate::negotiate`]'s thread driver perturbs the REQ/ACCEPT/DROP/EXIT
-//!   negotiation signals of Algorithms 2–3;
+//! * the rank runtime's fault transport — the one place the plan is
+//!   consulted at run time: every send of the threaded executor
+//!   ([`crate::exec::threaded`]) and every REQ/ACCEPT/DROP/EXIT signal of
+//!   the robust path's negotiation ([`crate::negotiate`]) goes through
+//!   it, dropped attempts are retried after bounded exponential backoff
+//!   (the "reliable transport over a lossy link" emulation), and delays,
+//!   backoffs and stalls become later delivery and wake-up times;
 //! * `nhood_simnet` consumes the same plan as a
 //!   [`Perturbation`](nhood_simnet::Perturbation) so simulated latencies
 //!   reflect the stragglers the real executors would see.
 //!
 //! [`FaultStats`] aggregates what was actually injected during one run,
-//! using atomics so rank threads can tally without locking.
+//! using atomics so the runtime's workers can tally without locking.
 
 use nhood_topology::rng::{hash_mix, unit_f64};
 use nhood_topology::Rank;
@@ -42,30 +44,29 @@ mod domain {
     pub const JITTER: u64 = 0x05;
 }
 
-/// Cap on any single backoff sleep, so a large attempt count (or a
-/// pathological base) cannot stall a rank for minutes: `base * 2^16`
-/// un-jittered used to reach ~6.5 s at the 100 µs default base.
+/// Cap on any single backoff, so a large attempt count (or a
+/// pathological base) cannot put a retry minutes out: `base * 2^16`
+/// un-jittered reaches ~6.5 s at a 100 µs base.
 pub const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-/// Jittered exponential backoff for retry loops: `base * 2^attempt`,
-/// capped at [`BACKOFF_CAP`], then scaled by a deterministic jitter
-/// factor in `[0.5, 1.0)` derived from `(seed, attempt)`.
+/// Jittered exponential backoff for the transport's retries: `base *
+/// 2^attempt`, capped at [`BACKOFF_CAP`], then scaled by a deterministic
+/// jitter factor in `[0.5, 1.0)` derived from `(seed, attempt)` — the
+/// time a retried attempt lands after the one dropped before it.
 ///
-/// Both retry sites (the threaded transport and the distributed
-/// builder's control signals) previously used the same un-jittered
-/// formula, so ranks that dropped messages in the same attempt woke in
-/// lockstep and re-collided. The jitter decorrelates wake-ups while
-/// staying a pure function of its inputs — chaos tests remain exactly
-/// reproducible per seed.
+/// An un-jittered formula lands the retries of messages dropped in the
+/// same attempt in lockstep, where they re-collide. The jitter
+/// decorrelates them while staying a pure function of its inputs —
+/// chaos tests remain exactly reproducible per seed.
 pub fn backoff(base: Duration, attempt: u32, seed: u64) -> Duration {
     let exp = base.saturating_mul(1u32 << attempt.min(16)).min(BACKOFF_CAP);
     let f = 0.5 + 0.5 * unit_f64(hash_mix(&[seed, attempt as u64]));
     exp.mul_f64(f)
 }
 
-/// The canonical per-message jitter seed both retry sites use: mixes the
-/// fault plan's seed with the message identity, so two runs with the
-/// same fault schedule sleep the same jittered schedule.
+/// The canonical per-message jitter seed of the transport's retries:
+/// mixes the fault plan's seed with the message identity, so two runs
+/// with the same fault schedule retry on the same jittered schedule.
 pub fn backoff_seed(plan_seed: u64, src: u64, dst: u64, tag: u64) -> u64 {
     hash_mix(&[plan_seed, src, dst, tag])
 }
@@ -77,7 +78,8 @@ pub enum FaultAction {
     Deliver,
     /// Silently discard this attempt (the transport may retry).
     Drop,
-    /// Deliver after stalling the sender for the given duration.
+    /// Deliver late, by the given duration. The sender is not stalled:
+    /// its later sends leave on time.
     Delay(Duration),
     /// Deliver twice (the receive path must be duplicate-tolerant).
     Duplicate,
@@ -132,8 +134,9 @@ impl FaultPlan {
         self
     }
 
-    /// Delays a message (stalling its sender) with probability `p`, for a
-    /// deterministic duration in `[0, max_delay)`.
+    /// Delays a message with probability `p`, by a deterministic duration
+    /// in `[0, max_delay)`: the message arrives late, its sender is not
+    /// stalled.
     pub fn with_message_delay(mut self, p: f64, max_delay: Duration) -> Self {
         self.delay_p = p.clamp(0.0, 1.0);
         self.max_delay = max_delay;
@@ -146,8 +149,8 @@ impl FaultPlan {
         self
     }
 
-    /// Holds a message back so it overtakes its successor within the
-    /// sender's phase, with probability `p`.
+    /// Holds a message back behind the ones its sender posts with it (so
+    /// they overtake it), with probability `p`.
     pub fn with_message_reorder(mut self, p: f64) -> Self {
         self.reorder_p = p.clamp(0.0, 1.0);
         self
@@ -188,9 +191,21 @@ impl FaultPlan {
     }
 
     /// The verdict for transmission `attempt` of message `(src, dst,
-    /// tag)`. Drop takes precedence over delay over duplication, so a
-    /// single attempt suffers at most one fault.
-    pub fn send_action(&self, src: Rank, dst: Rank, tag: u64, attempt: u32) -> FaultAction {
+    /// tag)`. A data message sent during `phase` first meets the link
+    /// state — a dead link preempts every probabilistic fault — while a
+    /// control signal (`None`) sees none. Drop takes precedence over delay
+    /// over duplication, so a single attempt suffers at most one fault.
+    pub fn send_action(
+        &self,
+        src: Rank,
+        dst: Rank,
+        tag: u64,
+        attempt: u32,
+        phase: Option<usize>,
+    ) -> FaultAction {
+        if phase.is_some_and(|k| self.link_down.get(&(src, dst)).is_some_and(|&at| k >= at)) {
+            return FaultAction::LinkDown;
+        }
         if self.roll(domain::DROP, src, dst, tag, attempt) < self.drop_p {
             return FaultAction::Drop;
         }
@@ -204,8 +219,8 @@ impl FaultPlan {
         FaultAction::Deliver
     }
 
-    /// Whether message `(src, dst, tag)` should be held back and sent
-    /// after its phase-successor.
+    /// Whether message `(src, dst, tag)` is held back behind the messages
+    /// its sender posts with it.
     pub fn reorders(&self, src: Rank, dst: Rank, tag: u64) -> bool {
         self.roll(domain::REORDER, src, dst, tag, 0) < self.reorder_p
     }
@@ -219,33 +234,6 @@ impl FaultPlan {
     /// True if `rank` has crashed by `phase`.
     pub fn is_crashed(&self, rank: Rank, phase: usize) -> bool {
         self.crashed.get(&rank).is_some_and(|&at| phase >= at)
-    }
-
-    /// The phase at which `rank` crashes, if scheduled.
-    pub fn crash_phase(&self, rank: Rank) -> Option<usize> {
-        self.crashed.get(&rank).copied()
-    }
-
-    /// True if the directed edge `src -> dst` is dead at `phase`.
-    pub fn link_is_down(&self, src: Rank, dst: Rank, phase: usize) -> bool {
-        self.link_down.get(&(src, dst)).is_some_and(|&at| phase >= at)
-    }
-
-    /// The verdict for transmission `attempt` of message `(src, dst,
-    /// tag)` sent during `phase`. A dead link preempts every
-    /// probabilistic fault; otherwise defers to [`Self::send_action`].
-    pub fn send_action_at(
-        &self,
-        src: Rank,
-        dst: Rank,
-        tag: u64,
-        attempt: u32,
-        phase: usize,
-    ) -> FaultAction {
-        if self.link_is_down(src, dst, phase) {
-            return FaultAction::LinkDown;
-        }
-        self.send_action(src, dst, tag, attempt)
     }
 
     /// Lowers this plan onto the simulator's perturbation model:
@@ -363,13 +351,16 @@ mod tests {
         let fp = FaultPlan::seeded(7).with_message_drop(0.5);
         for src in 0..8 {
             for tag in 0..8 {
-                assert_eq!(fp.send_action(src, 1, tag, 0), fp.send_action(src, 1, tag, 0));
+                assert_eq!(
+                    fp.send_action(src, 1, tag, 0, None),
+                    fp.send_action(src, 1, tag, 0, None)
+                );
             }
         }
         // with p=0.5 some (message, attempt) pairs must differ across
         // attempts — retries can succeed
-        let differs =
-            (0..64u64).any(|tag| fp.send_action(0, 1, tag, 0) != fp.send_action(0, 1, tag, 1));
+        let differs = (0..64u64)
+            .any(|tag| fp.send_action(0, 1, tag, 0, None) != fp.send_action(0, 1, tag, 1, None));
         assert!(differs);
     }
 
@@ -377,7 +368,7 @@ mod tests {
     fn inactive_plan_injects_nothing() {
         let fp = FaultPlan::seeded(3);
         for tag in 0..100 {
-            assert_eq!(fp.send_action(0, 1, tag, 0), FaultAction::Deliver);
+            assert_eq!(fp.send_action(0, 1, tag, 0, Some(0)), FaultAction::Deliver);
             assert!(!fp.reorders(0, 1, tag));
         }
         assert!(!fp.is_crashed(0, 0));
@@ -388,7 +379,8 @@ mod tests {
     fn drop_rate_concentrates_near_p() {
         let fp = FaultPlan::seeded(11).with_message_drop(0.05);
         let n = 20_000;
-        let drops = (0..n).filter(|&tag| fp.send_action(2, 3, tag, 0) == FaultAction::Drop).count();
+        let drops =
+            (0..n).filter(|&tag| fp.send_action(2, 3, tag, 0, None) == FaultAction::Drop).count();
         let expect = 0.05 * n as f64;
         assert!((drops as f64 - expect).abs() < 5.0 * expect.sqrt(), "{drops}");
     }
@@ -402,8 +394,7 @@ mod tests {
         assert!(!fp.is_crashed(3, 1));
         assert!(fp.is_crashed(3, 2));
         assert!(fp.is_crashed(3, 9));
-        assert_eq!(fp.crash_phase(3), Some(2));
-        assert_eq!(fp.crash_phase(4), None);
+        assert!(!fp.is_crashed(4, 9));
         assert_eq!(fp.stall(1), Duration::from_millis(5));
     }
 
@@ -411,7 +402,7 @@ mod tests {
     fn delay_durations_bounded() {
         let fp = FaultPlan::seeded(5).with_message_delay(1.0, Duration::from_millis(10));
         for tag in 0..200 {
-            match fp.send_action(0, 1, tag, 0) {
+            match fp.send_action(0, 1, tag, 0, None) {
                 FaultAction::Delay(d) => assert!(d < Duration::from_millis(10)),
                 other => panic!("p=1 must delay, got {other:?}"),
             }
@@ -460,17 +451,17 @@ mod tests {
     fn link_down_is_bidirectional_phased_and_unretryable() {
         let fp = FaultPlan::seeded(1).with_link_down(2, 5, 1);
         // before the failure phase the link behaves normally
-        assert!(!fp.link_is_down(2, 5, 0));
-        assert_eq!(fp.send_action_at(2, 5, 9, 0, 0), FaultAction::Deliver);
+        assert_eq!(fp.send_action(2, 5, 9, 0, Some(0)), FaultAction::Deliver);
         // from the failure phase on, both directions die, every attempt
         for phase in 1..4 {
             for attempt in 0..3 {
-                assert_eq!(fp.send_action_at(2, 5, 9, attempt, phase), FaultAction::LinkDown);
-                assert_eq!(fp.send_action_at(5, 2, 9, attempt, phase), FaultAction::LinkDown);
+                assert_eq!(fp.send_action(2, 5, 9, attempt, Some(phase)), FaultAction::LinkDown);
+                assert_eq!(fp.send_action(5, 2, 9, attempt, Some(phase)), FaultAction::LinkDown);
             }
         }
-        // unrelated edges are untouched
-        assert_eq!(fp.send_action_at(2, 4, 9, 0, 3), FaultAction::Deliver);
+        // unrelated edges are untouched, and control signals see no link
+        assert_eq!(fp.send_action(2, 4, 9, 0, Some(3)), FaultAction::Deliver);
+        assert_eq!(fp.send_action(2, 5, 9, 0, None), FaultAction::Deliver);
     }
 
     #[test]

@@ -14,19 +14,19 @@
 //!   joint agent/origin selection — producing a [`pattern::DhPattern`];
 //!   [`negotiate`] is that selection (Algorithms 2–3: one
 //!   REQ/ACCEPT/DROP/EXIT transition function over one scoring kernel,
-//!   driven by a counted FIFO queue or by one thread per rank).
+//!   driven by a counted FIFO queue or by the rank runtime).
 //! * [`lower`] turns the pattern into an executable
 //!   [`plan::CollectivePlan`] (the planning half of Algorithm 4);
 //!   [`naive`] and [`common_neighbor`] produce plans of the same shape.
 //! * [`exec`] runs plans behind one [`exec::Executor`] trait with three
 //!   backends: sequentially with real bytes ([`exec::Virtual`]),
-//!   concurrently with one thread per rank ([`exec::Threaded`]), and in
+//!   concurrently as rank machines on a worker pool ([`exec::Threaded`]), and in
 //!   simulated time on a modelled cluster ([`exec::Sim`]); [`arena`] is
 //!   the zero-copy flat-buffer engine they share.
 //! * [`model`] is the paper's §V closed-form performance model.
 //! * [`fault`] is a deterministic fault-injection layer (message drops,
 //!   delays, duplicates, reorders, stragglers, crashes) consulted by the
-//!   threaded executor and the threaded negotiation; paired with
+//!   rank runtime's transport (threaded executor, negotiation); paired with
 //!   [`comm::RobustPolicy`] it gives graceful degradation to the naive
 //!   plan instead of hard failure.
 //! * [`remap`] re-ranks into locality order so Distance Halving plans
@@ -85,6 +85,7 @@ pub mod plan_cache;
 pub mod plan_io;
 pub mod remap;
 pub mod repair;
+mod runtime;
 pub mod sizes;
 
 // The protocol's contract tests, by driver, under the test ids they had

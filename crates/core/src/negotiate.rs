@@ -50,9 +50,12 @@
 //!   process: deterministic, every signal counted for the Fig. 8 analysis,
 //!   optionally logged in causal order ([`negotiation_events`]). The
 //!   sequential builder, `remap` and the tuner run it.
-//! * [`build_pattern_distributed_pooled_v`] runs one thread per rank over
-//!   channels, in whatever order the OS delivers, under a [`FaultPlan`].
-//!   The robust path runs it.
+//! * [`build_pattern_distributed_pooled_v`] makes every rank a machine on
+//!   the one rank runtime, over its fault transport, under a
+//!   [`FaultPlan`]: on the logical clock, in the order the plan's seed
+//!   draws (first come, first served without one), so a fault schedule
+//!   replays exactly and a timeout costs no wall time. The robust path
+//!   runs it.
 //!
 //! Both hand `step` a rank's own slice of pair flags; the matching any
 //! delivery order reaches is a valid one (the tests drive `step` in
@@ -61,27 +64,23 @@
 use crate::builder::{
     check_inputs, score_step, segments_per_step, step_decisions, BuildError, PatternAssembler,
 };
-use crate::fault::{FaultAction, FaultPlan};
+use crate::exec::ExecOptions;
+use crate::fault::{FaultPlan, FaultStats};
 use crate::pattern::{in_range, range_len, DhPattern, SelectionStats};
+use crate::runtime::{self, Clock, Machine, Poll, Port};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::{ClusterLayout, WorkerPool};
-use nhood_telemetry::{labels, Recorder, NULL};
+use nhood_telemetry::labels;
 use nhood_topology::{Rank, Topology};
+use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-/// Default per-receive timeout: converts protocol bugs (or unsurvivable
-/// fault schedules) into errors, not hangs.
+/// Default per-signal timeout, on the logical clock: converts protocol
+/// bugs (or unsurvivable fault schedules) into errors, not hangs.
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(20);
-
-/// Retransmission budget per control signal under fault injection.
-const SIGNAL_MAX_RETRIES: u32 = 5;
-/// First retry backoff for control signals; doubles per attempt with
-/// deterministic jitter (see [`crate::fault::backoff`]).
-const SIGNAL_BACKOFF: Duration = Duration::from_micros(100);
 
 /// A protocol signal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -316,8 +315,10 @@ pub(crate) fn step(
         }
         Some((k, sig)) => {
             mark(flags, me, k, RECEIVED);
-            match (proposer, sig) {
-                (true, Sig::Accept) => {
+            // the signal's kind names the side it reaches: ACCEPT and DROP
+            // travel to proposers, REQ and EXIT to acceptors
+            match sig {
+                Sig::Accept => {
                     me.sel = Some(k as u32);
                     for j in 0..flags.len() {
                         if flags[j] & SENT == 0 {
@@ -325,7 +326,7 @@ pub(crate) fn step(
                         }
                     }
                 }
-                (true, Sig::Drop) => {
+                Sig::Drop => {
                     flags[k] |= INACTIVE;
                     if flags[k] & SENT == 0 {
                         send(flags, me, k, Sig::Exit);
@@ -339,7 +340,7 @@ pub(crate) fn step(
                         }
                     }
                 }
-                (false, Sig::Req) => {
+                Sig::Req => {
                     if flags[k] & SENT != 0 {
                         // our DROP crossed it: the pair is resolved
                     } else if me.sel.is_some() {
@@ -348,13 +349,12 @@ pub(crate) fn step(
                         flags[k] |= WAITING;
                     }
                 }
-                (false, Sig::Exit) => {
+                Sig::Exit => {
                     flags[k] |= INACTIVE;
                     if flags[k] & SENT == 0 {
                         send(flags, me, k, Sig::Drop);
                     }
                 }
-                (_, sig) => unreachable!("{sig:?} travels the other way"),
             }
         }
     }
@@ -460,7 +460,8 @@ pub(crate) fn drive(
     Matching { sel, stats }
 }
 
-/// One halving step: its active segments and their scored rounds.
+/// One halving step: its active segments and their scored rounds (two
+/// per segment, A then B).
 type ScoredStep = (Vec<(Rank, Rank)>, Vec<Round>);
 
 /// Every halving step of `graph` at `l` ranks per socket, scored.
@@ -494,236 +495,206 @@ pub fn negotiation_events(graph: &Topology, layout: &ClusterLayout) -> Vec<Event
     log
 }
 
-/// Builds the Distance Halving pattern by actually running the
-/// negotiation with one thread per rank — fault-free, under
-/// [`RECV_TIMEOUT`], with count-based scoring, unrecorded: the defaults
-/// of [`build_pattern_distributed_pooled_v`].
-///
-/// Produces the same pattern *structure* as
-/// [`crate::builder::build_pattern`]; the matching itself may differ (it
-/// depends on real message arrival order). Intended for moderate rank
-/// counts (one OS thread each).
+/// Builds the Distance Halving pattern by running the negotiation rank
+/// by rank on the logical clock — fault-free, so first come, first
+/// served — under [`RECV_TIMEOUT`], with count-based scoring, unrecorded:
+/// the defaults of [`build_pattern_distributed_pooled_v`]. The matching
+/// is [`crate::builder::build_pattern`]'s (it does not depend on the
+/// order signals cross in); the tallies may differ.
 pub fn build_pattern_distributed(
     graph: &Topology,
     layout: &ClusterLayout,
 ) -> Result<DhPattern, BuildError> {
-    build_pattern_distributed_pooled_v(
-        graph,
-        layout,
-        None,
-        RECV_TIMEOUT,
-        &BlockSizes::default(),
-        LoadMetric::Neighbors,
-        &WorkerPool::serial(),
-        &NULL,
-    )
+    let (sizes, metric, pool) =
+        (BlockSizes::default(), LoadMetric::Neighbors, WorkerPool::serial());
+    let opts = ExecOptions::new().recv_timeout(RECV_TIMEOUT);
+    build_pattern_distributed_pooled_v(graph, layout, &sizes, metric, &pool, &opts)
 }
 
 /// The full form of [`build_pattern_distributed`] — every input a
-/// negotiation takes:
-///
-/// * `fault` / `recv_timeout`: control signals consult the fault plan at
-///   every send (drops are retried with bounded backoff, delays sleep, a
-///   downed link loses the signal), slow ranks stall at step entry, and
-///   any rank left waiting longer than `recv_timeout` returns
-///   [`BuildError::NegotiationTimeout`] instead of panicking or hanging;
-///   the first error in rank order is the one reported. Duplication and
-///   reordering are not applied: the two-message invariant assumes
-///   exactly-once delivery, which the transport provides (as MPI would);
-/// * `sizes` / `metric`: the module's scoring;
-/// * `pool` scores the rounds and manages the rank threads. Negotiation
-///   jobs block on each other's messages, so its
-///   [`run_all`](WorkerPool::run_all) entry point gives every rank a
-///   thread regardless of the pool's bound;
-/// * `rec`: every rank reports a `negotiate` span per halving step, one
-///   negotiation-round event per proposer/acceptor role it plays, and a
-///   retry event per retransmitted control signal.
-#[allow(clippy::too_many_arguments)]
+/// negotiation takes: the module's scoring (`sizes`, `metric`; `pool`
+/// scores the rounds) and `opts`, the transport the ranks negotiate over.
+/// Its fault plan perturbs the signals (drops are retried within its
+/// retry budget, delays deliver late, slow ranks stall at step entry;
+/// duplication is not applied — the two-message invariant assumes
+/// exactly-once delivery, as MPI's), its sink tallies the faults, its
+/// recorder gets a `negotiate` span per rank and halving step, a
+/// negotiation-round event per proposer/acceptor role and a retry event
+/// per retransmitted signal. A rank that hears nothing for
+/// `opts.recv_timeout` returns [`BuildError::NegotiationTimeout`]
+/// instead of hanging; the first error in rank order is reported. The
+/// ranks run on the logical clock — a timeout costs no wall time — in the
+/// order the fault plan's seed draws: one (graph, layout, fault plan)
+/// negotiates one way.
 pub fn build_pattern_distributed_pooled_v(
     graph: &Topology,
     layout: &ClusterLayout,
-    fault: Option<&FaultPlan>,
-    recv_timeout: Duration,
     sizes: &BlockSizes,
     metric: LoadMetric,
     pool: &WorkerPool,
-    rec: &dyn Recorder,
+    opts: &ExecOptions<'_>,
 ) -> Result<DhPattern, BuildError> {
     check_inputs(graph, layout)?;
     let steps = scored_steps(graph, layout.ranks_per_socket(), sizes, metric, pool);
-    let (senders, receivers): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
-        (0..graph.n()).map(|_| channel()).unzip();
-    let (steps, senders) = (&steps, &senders);
-    let jobs: Vec<_> = receivers
-        .into_iter()
-        .enumerate()
-        .map(|(p, rx)| {
-            move || {
-                let mut net =
-                    Net { p, rx, senders, parked: HashMap::new(), fault, recv_timeout, rec };
-                net.run(steps)
-            }
+    let mut ranks: Vec<Negotiator> = (0..graph.n())
+        .map(|p| Negotiator {
+            p,
+            steps: &steps,
+            opts,
+            picks: Vec::with_capacity(steps.len()),
+            stats: SelectionStats::default(),
+            round: None,
+            flags: Vec::new(),
+            me: RankState::default(),
+            early: Vec::new(),
+            heard: Duration::ZERO,
         })
         .collect();
-    let mut stats = SelectionStats::default();
-    let mut picks = Vec::with_capacity(graph.n());
-    for outcome in pool.run_all(jobs) {
-        let (mine, s) = outcome?;
-        stats.merge(&s);
-        picks.push(mine);
+    let (local, clock) = (FaultStats::default(), Clock::Logical(opts.fault.map(FaultPlan::seed)));
+    for outcome in runtime::run(&mut ranks, opts, opts.fault_sink.unwrap_or(&local), clock) {
+        outcome?;
     }
+    let mut stats = SelectionStats::default();
+    ranks.iter().for_each(|rank| stats.merge(&rank.stats));
     let mut asm = PatternAssembler::new(graph, layout.ranks_per_socket());
     for (t, (active, _)) in steps.iter().enumerate() {
-        asm.step(&step_decisions(active, |_, p| picks[p][t]));
+        asm.step(&step_decisions(active, |_, p| ranks[p].picks[t]));
     }
     Ok(asm.finish(&stats))
 }
 
-/// One signal between rank threads: its round, the pair it travels (an
-/// index into the round's table, in the receiver's row) and its kind.
+/// One signal between negotiating ranks: its step and round, the pair it
+/// travels (an index into the round's table, in the receiver's row) and
+/// its kind.
 #[derive(Clone, Copy, Debug)]
-struct Wire {
+struct Signal {
     step: u32,
     round: u8,
     pair: u32,
     sig: Sig,
 }
 
-/// A rank thread's end of the transport.
-struct Net<'a> {
+/// One negotiating rank: per halving step it stalls as the fault plan
+/// says, then plays its role in round A (the lower half proposes) and in
+/// round B (the upper half does) — Algorithm 1 lines 14–24.
+struct Negotiator<'a> {
     p: Rank,
-    rx: Receiver<Wire>,
-    senders: &'a [Sender<Wire>],
-    /// Signals that arrived for a later round than the one running.
-    parked: HashMap<(u32, u8), Vec<Wire>>,
-    fault: Option<&'a FaultPlan>,
-    recv_timeout: Duration,
-    rec: &'a dyn Recorder,
+    steps: &'a [ScoredStep],
+    opts: &'a ExecOptions<'a>,
+    /// Per step entered, its selection in round A and in round B.
+    picks: Vec<[Option<Rank>; 2]>,
+    stats: SelectionStats,
+    /// The round being played (0 or 1) among the step's two tables, and
+    /// the rank's pair flags and state in it.
+    round: Option<(u8, &'a [Round])>,
+    flags: Vec<u8>,
+    me: RankState,
+    /// Signals not handled yet (of later rounds, or since the last poll),
+    /// and when the rank last heard anything: its timeout runs from there.
+    early: Vec<Signal>,
+    heard: Duration,
 }
 
-/// What one rank thread produces: per halving step its selection in
-/// round A and in round B (`[None; 2]` once its segment has stopped), plus
-/// its share of the tallies.
-type RankOutcome = (Vec<[Option<Rank>; 2]>, SelectionStats);
+impl Machine for Negotiator<'_> {
+    type Msg = Signal;
+    type Error = BuildError;
 
-impl Net<'_> {
-    /// Walks the rank's halving steps, playing its role in round A (the
-    /// lower half proposes) and then in round B (the upper half does) —
-    /// Algorithm 1 lines 14–24.
-    fn run(&mut self, steps: &[ScoredStep]) -> Result<RankOutcome, BuildError> {
-        let mut stats = SelectionStats::default();
-        let mut picks = Vec::with_capacity(steps.len());
-        for (t, (active, rounds)) in steps.iter().enumerate() {
-            let si = active.partition_point(|s| s.1 < self.p);
-            if !active.get(si).is_some_and(|&s| in_range(self.p, s)) {
-                picks.push([None; 2]);
-                continue;
-            }
-            if let Some(stall) = self.fault.map(|fp| fp.stall(self.p)).filter(|d| !d.is_zero()) {
-                std::thread::sleep(stall);
-            }
-            self.rec.span_begin(self.p, labels::NEGOTIATE);
-            let a = self.round(t as u32, 0, &rounds[2 * si], &mut stats)?;
-            let b = self.round(t as u32, 1, &rounds[2 * si + 1], &mut stats)?;
-            self.rec.span_end(self.p, labels::NEGOTIATE);
-            picks.push([a, b]);
-        }
-        Ok((picks, stats))
-    }
-
-    /// Plays one round to the end of all of this rank's pairs; returns
-    /// what it selected.
-    fn round(
+    fn poll(
         &mut self,
-        t: u32,
-        round: u8,
-        table: &Round,
-        stats: &mut SelectionStats,
-    ) -> Result<Option<Rank>, BuildError> {
-        let i = table.row_of(self.p);
-        let (proposer, row) = (i < table.np, table.row(i));
-        stats.agent_searches += usize::from(proposer);
-        self.rec.negotiation_round(self.p);
-        let mut flags = vec![0u8; row.len()];
-        let mut me = RankState::default();
-        let mut input = None;
+        inbox: &mut Vec<Signal>,
+        port: &mut Port<'_, Signal>,
+    ) -> Result<Poll, BuildError> {
+        let (p, rec) = (self.p, self.opts.recorder);
+        if !inbox.is_empty() {
+            self.heard = port.now;
+            self.early.append(inbox);
+        }
         loop {
-            step(proposer, &mut flags, &mut me, input, &mut |k, sig| {
-                let j = row.start + k;
-                count(stats, sig);
-                let to = table.rank(table.peer[j] as usize);
-                self.send(to, Wire { step: t, round, pair: table.mirror[j], sig });
+            let Some((r, tables)) = self.round else {
+                // enter the next step, if the rank's segment plays it
+                let Some((active, rounds)) = self.steps.get(self.picks.len()) else {
+                    return Ok(Poll::Done);
+                };
+                self.picks.push([None; 2]);
+                let si = active.partition_point(|s| s.1 < p);
+                if active.get(si).is_some_and(|&s| in_range(p, s)) {
+                    port.enter(p, None);
+                    rec.span_begin(p, labels::NEGOTIATE);
+                    self.step(0, &rounds[2 * si..2 * si + 2], None, port);
+                }
+                continue;
+            };
+            let t = self.picks.len() - 1;
+            let mut early = std::mem::take(&mut self.early);
+            early.retain(|&s| {
+                let later = (s.step as usize, s.round) != (t, r);
+                if !later {
+                    self.step(r, tables, Some(s), port);
+                }
+                later
             });
-            if me.open == 0 {
-                break;
+            self.early = early;
+            if self.me.open > 0 {
+                let deadline = self.heard.saturating_add(self.opts.recv_timeout);
+                if port.now >= deadline {
+                    return Err(BuildError::NegotiationTimeout { rank: p, step: t, round: r });
+                }
+                return Ok(Poll::Blocked { deadline });
             }
-            let w = self.recv(t, round)?;
-            input = Some((w.pair as usize - row.start, w.sig));
-        }
-        stats.agents_found += usize::from(proposer && me.sel.is_some());
-        Ok(me.sel.map(|k| table.rank(table.peer[row.start + k as usize] as usize)))
-    }
-
-    fn send(&self, to: Rank, wire: Wire) {
-        let Some(fp) = self.fault else {
-            // a peer can only be gone if the whole build is tearing down
-            // on another rank's error; the join surfaces that
-            let _ = self.senders[to].send(wire);
-            return;
-        };
-        // one message per direction per pair per round, so (step, round)
-        // identifies the signal on this (src, dst) pair
-        let tag = (wire.step as u64) << 1 | wire.round as u64;
-        let mut attempt: u32 = 0;
-        loop {
-            match fp.send_action(self.p, to, tag, attempt) {
-                FaultAction::Deliver | FaultAction::Duplicate => {
-                    // duplication is suppressed on the control plane: the
-                    // two-message invariant requires exactly-once signals
-                    let _ = self.senders[to].send(wire);
-                    return;
-                }
-                FaultAction::Delay(d) => {
-                    std::thread::sleep(d);
-                    let _ = self.senders[to].send(wire);
-                    return;
-                }
-                FaultAction::LinkDown => {
-                    // a severed link never heals within a round: the signal
-                    // is lost outright and the peer's timeout reports it
-                    return;
-                }
-                FaultAction::Drop => {
-                    if attempt >= SIGNAL_MAX_RETRIES {
-                        return; // lost for good; the peer's timeout reports it
-                    }
-                    self.rec.retry(self.p);
-                    // jittered per (src, dst, tag) so colliding ranks
-                    // desynchronize; deterministic per fault seed
-                    let seed = crate::fault::backoff_seed(fp.seed(), self.p as u64, to as u64, tag);
-                    std::thread::sleep(crate::fault::backoff(SIGNAL_BACKOFF, attempt, seed));
-                    attempt += 1;
-                }
+            let (table, sel) = (&tables[r as usize], self.me.sel);
+            let i = table.row_of(p);
+            let pick =
+                sel.map(|k| table.rank(table.peer[table.row(i).start + k as usize] as usize));
+            self.stats.agents_found += usize::from(i < table.np && pick.is_some());
+            self.picks[t][r as usize] = pick;
+            if r == 0 {
+                self.step(1, tables, None, port);
+            } else {
+                self.round = None;
+                rec.span_end(p, labels::NEGOTIATE);
+                return Ok(Poll::Ready);
             }
         }
     }
 
-    /// Receives the next signal for round `round` of step `t`, parking strays.
-    /// A wait longer than the configured timeout is a typed error — lost
-    /// signals and dead peers must not hang the build.
-    fn recv(&mut self, t: u32, round: u8) -> Result<Wire, BuildError> {
-        if let Some(w) = self.parked.get_mut(&(t, round)).and_then(Vec::pop) {
-            return Ok(w);
+    fn panicked(&self, payload: Box<dyn Any + Send>) -> BuildError {
+        // a broken protocol invariant: re-raise it on the caller
+        std::panic::resume_unwind(payload)
+    }
+}
+
+impl<'a> Negotiator<'a> {
+    /// Runs `step` on the rank's row of round `r` of the step's `tables`
+    /// — opening the round when `input` is `None` — and sends what it
+    /// emits.
+    fn step(
+        &mut self,
+        r: u8,
+        tables: &'a [Round],
+        input: Option<Signal>,
+        port: &mut Port<'_, Signal>,
+    ) {
+        let (table, p, t) = (&tables[r as usize], self.p, self.picks.len() - 1);
+        let i = table.row_of(p);
+        let (row, proposer) = (table.row(i), i < table.np);
+        if input.is_none() {
+            self.stats.agent_searches += usize::from(proposer);
+            self.opts.recorder.negotiation_round(p);
+            self.flags.clear();
+            self.flags.resize(row.len(), 0);
+            (self.round, self.heard) = (Some((r, tables)), port.now);
         }
-        loop {
-            let w = self.rx.recv_timeout(self.recv_timeout).map_err(|_| {
-                BuildError::NegotiationTimeout { rank: self.p, step: t as usize, round }
-            })?;
-            if (w.step, w.round) == (t, round) {
-                return Ok(w);
-            }
-            self.parked.entry((w.step, w.round)).or_default().push(w);
-        }
+        let (input, stats) = (input.map(|s| (s.pair as usize - row.start, s.sig)), &mut self.stats);
+        step(proposer, &mut self.flags, &mut self.me, input, &mut |k, sig| {
+            let j = row.start + k;
+            count(stats, sig);
+            let signal = Signal { step: t as u32, round: r, pair: table.mirror[j], sig };
+            // one signal per direction per pair per round: (step, round)
+            // identifies it on its (src, dst) link
+            let tag = (t as u64) << 1 | u64::from(r);
+            let _never_refused =
+                port.send(p, table.rank(table.peer[j] as usize), tag, None, signal);
+        });
     }
 }
 
@@ -732,8 +703,10 @@ mod tests {
     use super::*;
     use crate::builder::{build_pattern_recorded_v, PairingStrategy};
     use crate::lower::lower;
+    use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
     use nhood_topology::rng::{hash_mix, DetRng};
+    use std::collections::HashMap;
 
     /// Checks one driven round against the protocol's contract.
     fn check_round(round: &Round, m: &Matching) {
@@ -788,8 +761,8 @@ mod tests {
 
     /// Drives `graph`'s negotiation under 1,000 seeded delivery orders:
     /// every round satisfies [`check_round`], every pattern lowers to a
-    /// valid plan, and seed 0 (global FIFO) is `build_pattern_recorded_v`'s
-    /// pattern field for field.
+    /// valid plan with the FIFO order's matching, and seed 0 (global
+    /// FIFO) is `build_pattern_recorded_v`'s pattern field for field.
     fn any_delivery_order(graph: &Topology, sizes: &BlockSizes, metric: LoadMetric) {
         let serial = WorkerPool::serial();
         let layout = ClusterLayout::new(graph.n().div_ceil(8), 2, 4);
@@ -806,6 +779,8 @@ mod tests {
             lower(&pattern, graph)
                 .validate(graph)
                 .unwrap_or_else(|e| panic!("n = {} seed {seed}: {e}", graph.n()));
+            // the matching does not depend on the order: only tallies do
+            assert!(pattern.ranks == fifo.ranks, "n = {} seed {seed}", graph.n());
         }
     }
 
@@ -840,6 +815,57 @@ mod tests {
     fn any_delivery_order_negotiates_a_ragged_table_by_bytes() {
         let ragged = BlockSizes::per_rank((0..29).map(|r| [0, 8, 64, 8, 512][r % 5]).collect());
         any_delivery_order(&erdos_renyi(29, 0.3, 4), &ragged, LoadMetric::Bytes);
+    }
+
+    /// The robust negotiation under 1,000 fault seeds — drops past the
+    /// retry budget, delays and a straggler — on the logical clock. Each
+    /// gives a pattern that lowers to a valid plan, with every candidate
+    /// pair of every round resolved by one signal each way (so `req +
+    /// exit == accept + drop` round by round), or a typed
+    /// `NegotiationTimeout`; a seed run twice gives the same pattern,
+    /// field for field, or the same error. The matching itself does not
+    /// depend on the order signals cross in — only the tallies do — so
+    /// every pattern that builds is the FIFO builder's, rank for rank.
+    #[test]
+    fn any_fault_seed_negotiates_or_times_out_typed_and_replays() {
+        use crate::fault::FaultPlan;
+        let g = erdos_renyi(23, 0.3, 7);
+        let g = Topology::from_edges(23, g.edges().filter(|&(s, d)| ![4, 17].contains(&s.max(d))));
+        let layout = ClusterLayout::new(3, 2, 4);
+        let (sizes, serial, metric) =
+            (BlockSizes::default(), WorkerPool::serial(), LoadMetric::Neighbors);
+        let steps = scored_steps(&g, layout.ranks_per_socket(), &sizes, metric, &serial);
+        let signals: usize =
+            steps.iter().flat_map(|(_, rounds)| rounds).map(|r| r.peer.len()).sum();
+        let mut built = 0;
+        let fifo = crate::builder::build_pattern(&g, &layout).expect("builds");
+        for seed in 0..1_000u64 {
+            let fp = FaultPlan::seeded(seed)
+                .with_message_drop(0.3)
+                .with_message_delay(0.2, Duration::from_micros(300))
+                .with_slow_rank(seed as usize % 23, Duration::from_millis(1));
+            let opts = ExecOptions::new().recv_timeout(Duration::from_millis(5)).fault(&fp);
+            let run =
+                || build_pattern_distributed_pooled_v(&g, &layout, &sizes, metric, &serial, &opts);
+            let fields = |p: &DhPattern| (p.ranks.clone(), p.stats, p.ranks_per_socket);
+            let first = run();
+            let again = run();
+            assert_eq!(first.as_ref().map(fields), again.as_ref().map(fields), "seed {seed}");
+            match first {
+                Ok(pattern) => {
+                    built += 1;
+                    let s = pattern.stats;
+                    assert_eq!(s.total_signals(), signals, "seed {seed}: a pair left unresolved");
+                    assert_eq!(s.req + s.exit, s.accept + s.drop, "seed {seed}");
+                    lower(&pattern, &g).validate(&g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                    assert!(pattern.ranks == fifo.ranks, "seed {seed}: not the FIFO matching");
+                }
+                Err(e) => {
+                    assert!(matches!(e, BuildError::NegotiationTimeout { .. }), "seed {seed}: {e}")
+                }
+            }
+        }
+        assert!((1..1_000).contains(&built), "{built} of 1,000 seeds built: one outcome untested");
     }
 
     /// One rank's `step`, collecting what it sends.

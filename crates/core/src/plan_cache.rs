@@ -271,7 +271,7 @@ pub struct PlanCache {
 }
 
 // The service layer hands one `Arc<PlanCache>` to every tenant and the
-// threaded executor's rank threads hit it concurrently — losing `Send`
+// threaded executor's workers hit it concurrently — losing `Send`
 // or `Sync` (e.g. by caching an `Rc` or a raw pointer in `Inner`) must
 // be a compile error here, not a runtime surprise at the call site.
 const _: () = {

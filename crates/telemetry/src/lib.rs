@@ -76,8 +76,8 @@ pub mod labels {
 
 /// The instrumentation surface. All hooks default to no-ops, so an
 /// implementor overrides only what it measures and `NullRecorder` is an
-/// empty type. Implementations must be `Sync`: the threaded executor and
-/// the threaded negotiation call hooks from one thread per rank.
+/// empty type. Implementations must be `Sync`: the threaded executor
+/// calls hooks from every worker of its pool.
 pub trait Recorder: Sync {
     /// A message from `rank` to `peer` carrying `bytes` payload bytes was
     /// handed to the transport (counted once even if the fault layer

@@ -1,5 +1,6 @@
 //! Chaos suite: seeded fault schedules against the threaded executor,
-//! the distributed negotiation, and the robust communicator API.
+//! the distributed negotiation, and the robust communicator API — all of
+//! them rank machines on one fault transport.
 //!
 //! The invariant under test everywhere: **a faulted run either returns
 //! buffers exactly equal to `reference_allgather`, or a typed
@@ -162,16 +163,10 @@ fn negotiation_chaos_yields_valid_pattern_or_typed_timeout() {
         let p = [0.02, 0.05, 0.1, 0.3, 0.6, 0.95][seed as usize % 6];
         let fp = FaultPlan::seeded(seed).with_message_drop(p);
         let t0 = Instant::now();
-        let built = build_pattern_distributed_pooled_v(
-            &g,
-            &layout,
-            Some(&fp),
-            Duration::from_millis(400),
-            &BlockSizes::default(),
-            LoadMetric::Neighbors,
-            &WorkerPool::serial(),
-            &nhood_telemetry::NULL,
-        );
+        let opts = ExecOptions::new().recv_timeout(Duration::from_millis(400)).fault(&fp);
+        let (sizes, metric, pool) =
+            (BlockSizes::default(), LoadMetric::Neighbors, WorkerPool::serial());
+        let built = build_pattern_distributed_pooled_v(&g, &layout, &sizes, metric, &pool, &opts);
         match built {
             Ok(pat) => {
                 // a pattern that builds must be fully correct
@@ -192,6 +187,39 @@ fn negotiation_chaos_yields_valid_pattern_or_typed_timeout() {
         }
         assert!(t0.elapsed() < Duration::from_secs(30), "seed {seed} hung");
     }
+}
+
+/// The robust report counts the negotiation's faults too: under 10 %
+/// drops the robust path's negotiation drops and retries control
+/// signals, and the report's tally — "across every attempt this call
+/// made" — holds them, as the request's counting recorder does.
+#[test]
+fn the_robust_report_counts_the_negotiations_faults() {
+    let g = nhood_topology::random::erdos_renyi(32, 0.3, 17);
+    let comm = DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(4, 2, 4))
+        .unwrap()
+        .with_fault_plan(FaultPlan::seeded(0xD0).with_message_drop(0.1));
+    let payloads = test_payloads(32, 16, 3);
+    let run = |comm: &DistGraphComm| {
+        let rec = nhood_telemetry::CountingRecorder::new(32);
+        let req = CollectiveRequest::allgather(&payloads)
+            .algorithm(Algorithm::DistanceHalving)
+            .robust(true)
+            .backend(ExecBackend::Threaded)
+            .recorder(&rec);
+        let out = comm.collective(&req).unwrap();
+        let report = out.report.expect("robust runs carry an execution report");
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads), "{report}");
+        assert_eq!(rec.totals().retries, report.faults.retries, "{report}");
+        report.faults
+    };
+    let negotiated = run(&comm);
+    // the same plan already live (an empty churn arms it): the same
+    // messages meet the same faults, and nothing is negotiated
+    let mut live = comm.clone();
+    live.mutate(&[], &[]).unwrap();
+    let executed = run(&live);
+    assert!(negotiated.drops > executed.drops, "negotiated {negotiated}, live {executed}");
 }
 
 /// The acceptance bar from the issue: 64-rank Erdős–Rényi graph, 5%
