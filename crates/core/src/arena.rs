@@ -23,7 +23,7 @@ use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
 use nhood_cluster::ClusterLayout;
 use nhood_simnet::Prepared;
-use nhood_topology::{Rank, Topology};
+use nhood_topology::Topology;
 use std::sync::Arc;
 
 pub use crate::collective::program::Program as ArenaLayout;
@@ -95,18 +95,6 @@ impl BlockArena {
         graph: &Topology,
     ) -> Result<Arc<ArenaLayout>, ExecError> {
         self.program(plan, graph, Shape::Gather)
-    }
-
-    /// [`prepare`](Self::prepare) after a plan mutation: the program is
-    /// recompiled whole, whatever `changed_ranks` says (a row-wise patch
-    /// of the program is an open item).
-    pub fn repair(
-        &mut self,
-        plan: &Arc<CollectivePlan>,
-        graph: &Topology,
-        _changed_ranks: &[Rank],
-    ) -> Result<Arc<ArenaLayout>, ExecError> {
-        self.prepare(plan, graph)
     }
 
     /// [`prepare`](Self::prepare) for any op shape.
@@ -230,6 +218,7 @@ pub(crate) mod tests {
     use crate::plan::{Algorithm, PlanWriter};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
+    use nhood_topology::Rank;
 
     #[test]
     fn dh_halving_sends_are_single_spans() {
@@ -413,16 +402,13 @@ pub(crate) mod tests {
         let rep = repair_for_churn(&pat, &plan, &g2, &[grown], &[gone]).unwrap();
         let repaired = Arc::new(rep.plan);
 
-        let patched = arena.repair(&repaired, &g2, &rep.changed_ranks).unwrap();
+        let patched = arena.prepare(&repaired, &g2).unwrap();
         assert!(!Arc::ptr_eq(&before, &patched), "churn must produce a new layout");
         assert_layout_eq(&patched, &ArenaLayout::for_plan(&repaired, &g2).unwrap());
 
         // same (plan, graph) again: the patched layout is now cached
-        let again = arena.repair(&repaired, &g2, &[]).unwrap();
+        let again = arena.prepare(&repaired, &g2).unwrap();
         assert!(Arc::ptr_eq(&patched, &again));
-        // and prepare() agrees it is current
-        let prep = arena.prepare(&repaired, &g2).unwrap();
-        assert!(Arc::ptr_eq(&patched, &prep));
     }
 
     #[test]
@@ -430,7 +416,7 @@ pub(crate) mod tests {
         let g = erdos_renyi(12, 0.4, 4);
         let plan = Arc::new(plan_naive(&g));
         let mut arena = BlockArena::new();
-        let l = arena.repair(&plan, &g, &[0, 1]).unwrap();
+        let l = arena.prepare(&plan, &g).unwrap();
         assert_layout_eq(&l, &ArenaLayout::for_plan(&plan, &g).unwrap());
     }
 

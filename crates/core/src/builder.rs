@@ -31,11 +31,8 @@
 //!   arrives (Algorithm 4 lines 15–17) and therefore never appear in the
 //!   responsibility map.
 
-use crate::csr::RespBuilder;
 use crate::negotiate::{self, Matching, Round};
-use crate::pattern::{
-    in_range, range_len, split_half, DhPattern, DhStep, RankPattern, SelectionStats,
-};
+use crate::pattern::{in_range, range_len, split_half, DhPattern, DhStep, SelectionStats};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
 use nhood_cluster::WorkerPool;
@@ -115,32 +112,23 @@ pub(crate) fn check_inputs(graph: &Topology, layout: &ClusterLayout) -> Result<(
     Ok(())
 }
 
-/// The segment list at each halving step: `segments_per_step(n, l)[t]` is
-/// the set of ranges still being halved at step `t` (ranges of length
-/// `≤ l` have stopped). Empty when `n ≤ l`.
-pub fn segments_per_step(n: usize, l: usize) -> Vec<Vec<(Rank, Rank)>> {
-    let mut out = Vec::new();
-    if n == 0 {
-        return out;
-    }
-    let mut segments = vec![(0, n - 1)];
-    while segments.iter().any(|&s| range_len(s) > l) {
-        let active: Vec<(Rank, Rank)> =
-            segments.iter().copied().filter(|&s| range_len(s) > l).collect();
-        out.push(active.clone());
-        let mut next = Vec::with_capacity(segments.len() * 2);
-        for seg in segments {
-            if range_len(seg) <= l {
-                next.push(seg);
-            } else {
-                let (_, lo, hi) = split_half(seg.0, seg.1);
-                next.push(lo);
-                next.push(hi);
-            }
+/// The segment list at each halving step, one step at a time: step
+/// `t`'s item is the set of ranges still being halved then (ranges of
+/// length `≤ l` have stopped). Empty when `n ≤ l`.
+pub fn segments_per_step(n: usize, l: usize) -> impl Iterator<Item = Vec<(Rank, Rank)>> {
+    let mut segments = if n == 0 { Vec::new() } else { vec![(0, n - 1)] };
+    std::iter::from_fn(move || {
+        segments.retain(|&s| range_len(s) > l);
+        if segments.is_empty() {
+            return None;
         }
-        segments = next;
-    }
-    out
+        let next = segments.iter().flat_map(|&(s, e)| {
+            let (_, lo, hi) = split_half(s, e);
+            [lo, hi]
+        });
+        let next = next.collect();
+        Some(std::mem::replace(&mut segments, next))
+    })
 }
 
 /// Builds the Distance Halving pattern with the paper's load-aware
@@ -311,36 +299,60 @@ pub fn build_pattern_recorded_v(
 }
 
 /// Streaming pattern assembly: folds one step's (agent, origin)
-/// decisions at a time into the evolving per-rank state — records every
-/// rank's steps, moves responsibilities to agents (the descriptor `D`
-/// of Algorithm 1 lines 31–49), grows buffers, and tallies notification
-/// and descriptor messages. Both negotiation drivers and the repair
-/// replay feed it.
+/// decisions at a time into the pattern's columns — records every rank's
+/// step, moves responsibilities to agents (the descriptor `D` of
+/// Algorithm 1 lines 31–49), grows buffers, and tallies notification and
+/// descriptor messages. Both negotiation drivers and the repair replay
+/// feed it.
 ///
 /// Each step's decision list can be dropped as soon as [`Self::step`]
 /// returns, so a builder that feeds decisions as rounds complete keeps
-/// peak memory at the evolving pattern itself — it never materializes
-/// the O(n log n) all-steps decision table.
+/// peak memory at the pattern itself — it never materializes the
+/// O(n log n) all-steps decision table. The step table is laid out up
+/// front (a rank halves until its segment fits on a socket) and written
+/// in place; responsibilities are one `(owner, block, target)` column
+/// whose owners move; buffers are tracked as lengths, and filled once, at
+/// [`Self::finish`].
 pub(crate) struct PatternAssembler<'g> {
     graph: &'g Topology,
     l: usize,
-    // Responsibilities stay in mutable RespBuilder form while the steps
-    // replay; they freeze into the pattern's CSR maps at the end.
-    resp: Vec<RespBuilder>,
-    step_rows: Vec<Vec<DhStep>>,
-    held: Vec<Vec<Rank>>,
+    /// Halving steps folded so far.
+    t: usize,
+    step_off: Vec<usize>,
+    step_table: Vec<DhStep>,
+    /// Blocks each rank holds so far, and a trailing zero: `finish`
+    /// turns it into the held pool's offsets in place.
+    held: Vec<usize>,
+    /// `(owner, block, target)`: `owner` still owes `target` a delivery
+    /// of `block`; one row per graph edge not yet covered.
+    resp: Vec<(Rank, Rank, Rank)>,
     stats: SelectionStats,
 }
 
 impl<'g> PatternAssembler<'g> {
     pub(crate) fn new(graph: &'g Topology, l: usize) -> Self {
         let n = graph.n();
+        let mut step_off = vec![0; n + 1];
+        for active in segments_per_step(n, l) {
+            active
+                .iter()
+                .for_each(|&(s, e)| step_off[s + 1..=e + 1].iter_mut().for_each(|c| *c += 1));
+        }
+        for r in 0..n {
+            step_off[r + 1] += step_off[r];
+        }
+        let mut held = vec![1; n + 1];
+        held[n] = 0;
+        let mut resp = Vec::with_capacity(graph.edge_count());
+        resp.extend(graph.edges().map(|(b, t)| (b, b, t)));
         Self {
             graph,
             l,
-            resp: (0..n).map(|p| RespBuilder::seeded(p, graph.out_neighbors(p))).collect(),
-            step_rows: vec![Vec::new(); n],
-            held: (0..n).map(|p| vec![p]).collect(),
+            t: 0,
+            step_table: vec![DhStep::default(); step_off[n]],
+            step_off,
+            held,
+            resp,
             stats: SelectionStats::default(),
         }
     }
@@ -348,91 +360,96 @@ impl<'g> PatternAssembler<'g> {
     /// Folds one halving step's decisions into the pattern state.
     ///
     /// # Panics
-    /// Panics if a decision references an origin that did not
-    /// participate in the same step — both builders construct matchings
-    /// per segment, which makes that unreachable.
+    /// Panics if a decision names a rank whose halving stopped before
+    /// this step — both builders and the repair replay take their
+    /// participants from [`segments_per_step`], which makes that
+    /// unreachable.
     pub(crate) fn step(&mut self, decisions: &[Decision]) {
-        let (resp, step_rows, held) = (&mut self.resp, &mut self.step_rows, &mut self.held);
+        let t = self.t;
+        self.t += 1;
         // Record the step for every participating rank. Buffers only
         // grow by appending (below, after every step is recorded), so
         // pre-step contents are fully described by their current
-        // lengths — no per-step snapshot clones.
-        for &(p, agent, origin, h1, h2) in decisions.iter() {
-            let arr_len = origin.map(|o| held[o].len()).unwrap_or(0);
-            step_rows[p].push(DhStep { h1, h2, agent, origin, held_len: held[p].len(), arr_len });
+        // lengths — no per-step snapshot.
+        for &(p, agent, origin, h1, h2) in decisions {
+            let arr_len = origin.map_or(0, |o| self.held[o]);
+            self.step_table[self.step_off[p]..self.step_off[p + 1]][t] =
+                DhStep::new(h1, h2, agent, origin, self.held[p], arr_len);
             // Notifications: agent announcements to outgoing neighbors in
             // h2 (Algorithm 1 line 30), sent whether or not one was found.
+            let out = self.graph.out_neighbors(p);
             self.stats.notifications +=
-                self.graph.out_neighbors(p).iter().filter(|&&o| in_range(o, h2)).count();
-            if agent.is_some() {
-                self.stats.descriptors += 1;
-            }
+                out.partition_point(|&o| o <= h2.1) - out.partition_point(|&o| o < h2.0);
+            self.stats.descriptors += usize::from(agent.is_some());
         }
 
-        // Apply responsibility transfers (descriptor D), all against the
-        // pre-step responsibility maps: p's outgoing D never contains
-        // targets that arrive at p in this same step.
-        // (agent, [(block, targets)]) descriptor batches per step
-        type Transfers = Vec<(Rank, Vec<(Rank, Vec<Rank>)>)>;
-        let mut transfers: Transfers = Vec::new();
-        for &(p, agent, _, _, h2) in decisions {
-            let Some(a) = agent else { continue };
-            let mut d: Vec<(Rank, Vec<Rank>)> = Vec::new();
-            for (block, targets) in resp[p].iter() {
-                let moved: Vec<Rank> =
-                    targets.iter().copied().filter(|&t| in_range(t, h2)).collect();
-                if !moved.is_empty() {
-                    d.push((block, moved));
+        // Apply responsibility transfers (descriptor D) against the
+        // pre-step owners: each row is visited once, so a row that moves
+        // to an agent in this step does not move on with the agent's own
+        // D. A target that is its new owner is satisfied by the rbuf copy
+        // on arrival.
+        let (steps, off) = (&self.step_table, &self.step_off);
+        self.resp.retain_mut(|(owner, _, target)| {
+            let Some(step) = steps[off[*owner]..off[*owner + 1]].get(t) else { return true };
+            match step.agent() {
+                Some(a) if in_range(*target, step.h2()) => {
+                    *owner = a;
+                    *target != a
                 }
+                _ => true,
             }
-            transfers.push((a, d));
-            // drop the moved targets from the sender
-            resp[p].retain_targets(|t| !in_range(t, h2));
-        }
-        for (a, d) in transfers {
-            for (block, mut moved) in d {
-                // self-targets are satisfied by the rbuf copy on arrival
-                moved.retain(|&t| t != a);
-                if moved.is_empty() {
-                    continue;
-                }
-                resp[a].merge(block, &moved);
-            }
-        }
+        });
 
-        // Apply buffer growth: origin's pre-step buffer appends to
-        // ours. The pre-step length was captured as `arr_len` above,
-        // before any of this step's appends mutated `held`.
-        let appends: Vec<(Rank, Rank, usize)> = decisions
-            .iter()
-            .filter_map(|&(p, _, origin, _, _)| {
-                origin.map(|o| (p, o, step_rows[p].last().expect("just pushed").arr_len))
-            })
-            .collect();
-        for (p, o, len) in appends {
-            let blocks: Vec<Rank> = held[o][..len].to_vec();
-            held[p].extend(blocks);
+        // Apply buffer growth: the origin's pre-step buffer appends to
+        // ours (its length was captured as `arr_len` above).
+        for &(p, ..) in decisions {
+            self.held[p] += self.step_table[self.step_off[p] + t].arr_len();
         }
     }
 
     /// Freezes the evolved state into the final pattern, merging
     /// `stats` accumulated by the matching rounds on top of the
     /// assembler's own notification/descriptor tallies.
-    pub(crate) fn finish(self, round_stats: &SelectionStats) -> DhPattern {
+    pub(crate) fn finish(mut self, round_stats: &SelectionStats) -> DhPattern {
+        let n = self.graph.n();
         let mut stats = self.stats;
         stats.merge(round_stats);
-        let ranks: Vec<RankPattern> = self
-            .resp
-            .into_iter()
-            .zip(self.step_rows)
-            .zip(self.held)
-            .map(|((rb, mut steps), mut held_final)| {
-                steps.shrink_to_fit();
-                held_final.shrink_to_fit();
-                RankPattern { steps, responsibilities: rb.freeze(), held_final }
-            })
-            .collect();
-        DhPattern { ranks, stats, ranks_per_socket: self.l }
+        // One sort makes every rank's rows, ascending by (block, target).
+        self.resp.sort_unstable();
+        let mut resp_off = vec![0; n + 1];
+        self.resp.iter().for_each(|&(owner, ..)| resp_off[owner + 1] += 1);
+        for r in 0..n {
+            resp_off[r + 1] += resp_off[r];
+        }
+        let mut held_off = self.held;
+        let mut total = 0;
+        for h in &mut held_off {
+            (*h, total) = (total, total + *h);
+        }
+        let mut pattern = DhPattern {
+            step_off: self.step_off,
+            step_table: self.step_table,
+            held_pool: vec![0; total],
+            held_off,
+            resp_off,
+            resp_table: self.resp.iter().map(|&(_, b, t)| (b, t)).collect(),
+            stats,
+            ranks_per_socket: self.l,
+        };
+        // Each rank's own block, then its arrivals in step order: an
+        // arrival is a prefix of the origin's pool, complete by then.
+        for r in 0..n {
+            pattern.held_pool[pattern.held_off[r]] = r;
+        }
+        for t in 0..self.t {
+            for r in 0..n {
+                let Some(&step) = pattern.steps(r).get(t) else { continue };
+                let Some(o) = step.origin() else { continue };
+                let (from, to) = (pattern.held_off[o], pattern.held_off[r] + step.held_len());
+                pattern.held_pool.copy_within(from..from + step.arr_len(), to);
+            }
+        }
+        pattern
     }
 }
 
@@ -468,7 +485,7 @@ mod tests {
         use std::collections::HashMap;
         let mut covered: HashMap<(Rank, Rank), usize> = HashMap::new();
         for t in 0..graph.n() {
-            for s in 0..pat.ranks[t].steps.len() {
+            for s in 0..pat.steps(t).len() {
                 for &b in pat.arriving(t, s) {
                     if graph.has_edge(b, t) {
                         *covered.entry((b, t)).or_default() += 1;
@@ -477,15 +494,13 @@ mod tests {
             }
         }
         for q in 0..graph.n() {
-            for (b, targets) in pat.ranks[q].responsibilities.iter() {
+            for &(b, t) in pat.resp(q) {
                 assert!(
-                    pat.ranks[q].held_final.contains(&b),
+                    pat.held(q).contains(&b),
                     "rank {q} responsible for block {b} it does not hold"
                 );
-                for &t in targets {
-                    assert!(graph.has_edge(b, t), "spurious responsibility ({b} -> {t})");
-                    *covered.entry((b, t)).or_default() += 1;
-                }
+                assert!(graph.has_edge(b, t), "spurious responsibility ({b} -> {t})");
+                *covered.entry((b, t)).or_default() += 1;
             }
         }
         for (s, d) in graph.edges() {
@@ -502,19 +517,14 @@ mod tests {
     /// A rank that found an agent in a step must end with no remaining
     /// responsibilities inside that step's h2 (later h2s are disjoint).
     fn assert_no_stale_h2(pat: &DhPattern) {
-        for rp in &pat.ranks {
-            for step in &rp.steps {
-                if step.agent.is_none() {
-                    continue;
-                }
-                for targets in rp.responsibilities.values() {
-                    for &t in targets {
-                        assert!(
-                            !in_range(t, step.h2),
-                            "rank kept target {t} inside offloaded half {:?}",
-                            step.h2
-                        );
-                    }
+        for r in 0..pat.n() {
+            for step in pat.steps(r).iter().filter(|s| s.agent().is_some()) {
+                for &(_, t) in pat.resp(r) {
+                    assert!(
+                        !in_range(t, step.h2()),
+                        "rank kept target {t} inside offloaded half {:?}",
+                        step.h2()
+                    );
                 }
             }
         }
@@ -523,16 +533,17 @@ mod tests {
     #[test]
     fn segments_per_step_shapes() {
         // 32 ranks, L = 4: 32 → 16 → 8 → (4,4): three active steps
-        let s = segments_per_step(32, 4);
+        let steps = |n, l| segments_per_step(n, l).collect::<Vec<_>>();
+        let s = steps(32, 4);
         assert_eq!(s.len(), 3);
         assert_eq!(s[0], vec![(0, 31)]);
         assert_eq!(s[1], vec![(0, 15), (16, 31)]);
         assert_eq!(s[2].len(), 4);
         // n ≤ L: no halving at all
-        assert!(segments_per_step(8, 8).is_empty());
-        assert!(segments_per_step(0, 4).is_empty());
+        assert!(steps(8, 8).is_empty());
+        assert!(steps(0, 4).is_empty());
         // odd sizes: 17 with L=4: [0,16] → [0,8],[9,16] → 5,4,4,4 → 3,2
-        let s = segments_per_step(17, 4);
+        let s = steps(17, 4);
         assert_eq!(s[0], vec![(0, 16)]);
         assert_eq!(s[1], vec![(0, 8), (9, 16)]);
         // step 2 only halves the length-5 segment
@@ -548,9 +559,9 @@ mod tests {
         assert_eq!(pat.n(), 8);
         assert_eq!(pat.stats.total_signals(), 0);
         assert_eq!(pat.stats.agents_found, 0);
-        for rp in &pat.ranks {
-            assert!(rp.responsibilities.is_empty());
-            assert_eq!(rp.held_final.len(), 1);
+        for r in 0..8 {
+            assert!(pat.resp(r).is_empty());
+            assert_eq!(pat.held(r), [r]);
         }
         assert_exactly_once(&g, &pat);
     }
@@ -574,8 +585,8 @@ mod tests {
         assert_eq!(pat.stats.agents_found, 8);
         assert_exactly_once(&g, &pat);
         assert_no_stale_h2(&pat);
-        for rp in &pat.ranks {
-            assert_eq!(rp.held_final.len(), 2);
+        for r in 0..8 {
+            assert_eq!(pat.held(r).len(), 2);
         }
     }
 
@@ -603,20 +614,20 @@ mod tests {
         let g = erdos_renyi(32, 0.4, 7);
         let layout = ClusterLayout::new(4, 2, 4);
         let pat = build_pattern(&g, &layout).unwrap();
-        for (p, rp) in pat.ranks.iter().enumerate() {
-            for (t, step) in rp.steps.iter().enumerate() {
-                if let Some(a) = step.agent {
-                    assert!(in_range(a, step.h2), "agent outside h2");
+        for p in 0..32 {
+            for (t, step) in pat.steps(p).iter().enumerate() {
+                if let Some(a) = step.agent() {
+                    assert!(in_range(a, step.h2()), "agent outside h2");
                     assert_eq!(
-                        pat.ranks[a].steps[t].origin,
+                        pat.steps(a)[t].origin(),
                         Some(p),
                         "agent {a} of {p} does not list {p} as origin at step {t}"
                     );
                     assert_eq!(pat.arriving(a, t), pat.held_before(p, t));
                 }
-                if let Some(o) = step.origin {
-                    assert!(in_range(o, step.h2), "origin outside h2");
-                    assert_eq!(pat.ranks[o].steps[t].agent, Some(p));
+                if let Some(o) = step.origin() {
+                    assert!(in_range(o, step.h2()), "origin outside h2");
+                    assert_eq!(pat.steps(o)[t].agent(), Some(p));
                 }
             }
         }
@@ -627,14 +638,14 @@ mod tests {
         let g = erdos_renyi(32, 0.5, 3);
         let layout = ClusterLayout::new(4, 2, 4); // L = 4 → 3 halving steps
         let pat = build_pattern(&g, &layout).unwrap();
-        for rp in &pat.ranks {
+        for r in 0..32 {
             let mut expect = 1usize;
-            for step in &rp.steps {
-                assert_eq!(step.held_len, expect);
-                expect += step.arr_len;
+            for step in pat.steps(r) {
+                assert_eq!(step.held_len(), expect);
+                expect += step.arr_len();
             }
-            assert_eq!(rp.held_final.len(), expect);
-            assert!(expect <= 1 << rp.steps.len());
+            assert_eq!(pat.held(r).len(), expect);
+            assert!(expect <= 1 << pat.steps(r).len());
         }
     }
 
@@ -644,8 +655,8 @@ mod tests {
         let layout = ClusterLayout::new(4, 2, 4);
         let pat = build_pattern(&g, &layout).unwrap();
         assert_eq!(pat.max_steps(), 3);
-        for rp in &pat.ranks {
-            assert_eq!(rp.steps.len(), 3);
+        for r in 0..32 {
+            assert_eq!(pat.steps(r).len(), 3);
         }
     }
 
@@ -654,12 +665,10 @@ mod tests {
         let g = full_graph(16);
         let layout = ClusterLayout::new(2, 2, 4); // L = 4
         let pat = build_pattern(&g, &layout).unwrap();
-        for (q, rp) in pat.ranks.iter().enumerate() {
+        for q in 0..16 {
             let (lo, hi) = layout.socket_range(q);
-            for targets in rp.responsibilities.values() {
-                for &t in targets {
-                    assert!(t >= lo && t <= hi, "rank {q} still owes a delivery to off-socket {t}");
-                }
+            for &(_, t) in pat.resp(q) {
+                assert!(t >= lo && t <= hi, "rank {q} still owes a delivery to off-socket {t}");
             }
         }
         assert_exactly_once(&g, &pat);
@@ -706,8 +715,8 @@ mod tests {
         let pat = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::serial());
         for p in 0..16usize {
             let expect = if p < 8 { p + 8 } else { p - 8 };
-            assert_eq!(pat.ranks[p].steps[0].agent, Some(expect));
-            assert_eq!(pat.ranks[p].steps[0].origin, Some(expect));
+            assert_eq!(pat.steps(p)[0].agent(), Some(expect));
+            assert_eq!(pat.steps(p)[0].origin(), Some(expect));
         }
     }
 
@@ -717,10 +726,7 @@ mod tests {
         let layout = ClusterLayout::new(5, 2, 4);
         let a = build_pattern(&g, &layout).unwrap();
         let b = build_pattern(&g, &layout).unwrap();
-        assert_eq!(a.stats, b.stats);
-        for (x, y) in a.ranks.iter().zip(&b.ranks) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -732,8 +738,7 @@ mod tests {
             for threads in [2usize, 3, 8] {
                 let pool = WorkerPool::new(threads);
                 let pooled = build(&g, &layout, PairingStrategy::LoadAware, &pool);
-                assert_eq!(serial.stats, pooled.stats, "n={n} threads={threads}");
-                assert_eq!(serial.ranks, pooled.ranks, "n={n} threads={threads}");
+                assert_eq!(serial, pooled, "n={n} threads={threads}");
             }
         }
     }
@@ -744,7 +749,39 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let serial = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::serial());
         let pooled = build(&g, &layout, PairingStrategy::Mirror, &WorkerPool::new(4));
-        assert_eq!(serial.stats, pooled.stats);
-        assert_eq!(serial.ranks, pooled.ranks);
+        assert_eq!(serial, pooled);
+    }
+
+    #[test]
+    fn assembled_rows_are_sorted_unique_and_held() {
+        for (n, delta, strategy) in [
+            (37usize, 0.3, PairingStrategy::LoadAware),
+            (40, 0.6, PairingStrategy::LoadAware),
+            (17, 0.4, PairingStrategy::Mirror),
+        ] {
+            let g = erdos_renyi(n, delta, 5);
+            let pat = build(
+                &g,
+                &ClusterLayout::new(n.div_ceil(8), 2, 4),
+                strategy,
+                &WorkerPool::serial(),
+            );
+            for r in 0..n {
+                let rows = pat.resp(r);
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "rank {r}: rows not strictly ascending"
+                );
+                assert!(
+                    rows.iter().all(|(b, _)| pat.held(r).contains(b)),
+                    "rank {r} owes a block it lacks"
+                );
+                let mut held = pat.held(r).to_vec();
+                assert_eq!(held[0], r);
+                held.sort_unstable();
+                held.dedup();
+                assert_eq!(held.len(), pat.held(r).len(), "rank {r} holds a block twice");
+            }
+        }
     }
 }

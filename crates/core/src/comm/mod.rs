@@ -48,7 +48,6 @@ use nhood_cluster::WorkerPool;
 use nhood_simnet::SimError;
 use nhood_telemetry::NULL;
 use nhood_topology::{Rank, Topology};
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Errors from the communicator API.
@@ -426,34 +425,21 @@ impl DistGraphComm {
     /// [`PlanFingerprint::mutated`], whose XOR delta makes an
     /// add-then-remove round trip land back on the original key.
     ///
-    /// Edges the graph already has (for adds), lacks (for removes) and
-    /// self-loops are ignored; `mutate(&[], &[])` is a warm-up that just
-    /// (re)builds the slot. Subsequent collectives on this communicator
-    /// plan against the mutated topology automatically.
+    /// Edges the graph already has (for adds), lacks (for removes),
+    /// self-loops and edges with an endpoint `>= n` are ignored
+    /// ([`Topology::edits`]); the new topology is
+    /// [`Topology::with_edits`] of the old, so it pays for the edges that
+    /// change. `mutate(&[], &[])` is a warm-up that just (re)builds the
+    /// slot. Subsequent collectives on this communicator plan against the
+    /// mutated topology automatically.
     pub fn mutate(
         &mut self,
         edges_added: &[(Rank, Rank)],
         edges_removed: &[(Rank, Rank)],
     ) -> Result<MutationReport, CommError> {
-        let mut added: Vec<(Rank, Rank)> = edges_added
-            .iter()
-            .copied()
-            .filter(|&(u, v)| u != v && u < self.n() && v < self.n() && !self.graph.has_edge(u, v))
-            .collect();
-        added.sort_unstable();
-        added.dedup();
-        let mut removed: Vec<(Rank, Rank)> =
-            edges_removed.iter().copied().filter(|&(u, v)| self.graph.has_edge(u, v)).collect();
-        removed.sort_unstable();
-        removed.dedup();
-
-        let gone: HashSet<(Rank, Rank)> = removed.iter().copied().collect();
-        let new_graph = Topology::from_edges(
-            self.n(),
-            self.graph.edges().filter(|e| !gone.contains(e)).chain(added.iter().copied()),
-        );
+        let (added, removed) = self.graph.edits(edges_added, edges_removed);
+        let new_graph = self.graph.with_edits(&added, &removed);
         let sizes = self.planning_sizes();
-        let n = self.n();
 
         // Retire the auto-tuner's winner for the pre-churn topology.
         // The churned adjacency hashes to a fresh tuner key, so the old
@@ -517,7 +503,7 @@ impl DistGraphComm {
                 });
                 self.churn =
                     Some(ChurnSlot { pattern: Arc::new(pattern), plan, fp, repairs: 0, sizes });
-                (true, n, 1.0, 0)
+                (true, new_graph.n(), 1.0, 0)
             }
         };
         self.graph = new_graph;
@@ -1107,6 +1093,42 @@ mod tests {
         let fresh = DistGraphComm::create_adjacent(c.graph().clone(), c.layout().clone()).unwrap();
         let want = allgather(&fresh, Algorithm::DistanceHalving, &payloads);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn mutate_ignores_edges_with_an_endpoint_out_of_range() {
+        // A removed edge whose source is >= n used to index past the
+        // adjacency offsets and panic; it is an edge the graph lacks.
+        let mut c = comm(16, 0.3);
+        c.mutate(&[], &[]).unwrap();
+        let before = c.graph().clone();
+        let junk = [(16, 0), (0, 16), (usize::MAX, 3), (5, 5)];
+        let rep = c.mutate(&junk, &junk).unwrap();
+        assert_eq!((rep.edges_added, rep.edges_removed), (0, 0));
+        assert_eq!(c.graph(), &before);
+        // and beside a real edit
+        let real = before.edges().next().unwrap();
+        let rep = c.mutate(&[(3, 99)], &[(16, 0), real]).unwrap();
+        assert_eq!((rep.edges_added, rep.edges_removed), (0, 1));
+        assert!(!c.graph().has_edge(real.0, real.1));
+        let payloads = test_payloads(16, 8, 4);
+        let got = allgather(&c, Algorithm::DistanceHalving, &payloads);
+        assert_eq!(got, reference_allgather(c.graph(), &payloads));
+    }
+
+    #[test]
+    fn mutate_churns_the_topology_a_rebuild_would_build() {
+        let mut c = comm(32, 0.3);
+        let before = c.graph().clone();
+        let (added, removed) = churn_sets(&before, 3, 11);
+        // repeats, an edit that is already true, a self-loop
+        let noisy_added = [&added[..], &added[..1], &[before.edges().next().unwrap(), (4, 4)]];
+        let noisy_removed = [&removed[..], &removed[1..], &[added[0]]];
+        let rep = c.mutate(&noisy_added.concat(), &noisy_removed.concat()).unwrap();
+        assert_eq!((rep.edges_added, rep.edges_removed), (3, 3));
+        let kept = before.edges().filter(|e| !removed.contains(e));
+        let want = Topology::from_edges(32, kept.chain(added.iter().copied()));
+        assert_eq!(c.graph(), &want);
     }
 
     #[test]

@@ -41,22 +41,28 @@ use nhood_topology::{Rank, Topology};
 /// Tag for final-phase messages (halving steps use their step index).
 pub const FINAL_TAG: u64 = 1 << 32;
 
-/// Per halving step of rank `r`: how many of the step's arrivals are
-/// `r`'s in-neighbors — the receive-buffer copies they cost (charged to
-/// the *next* phase; the last step's to the final phase).
-pub(crate) fn arrival_copies(pattern: &DhPattern, graph: &Topology, r: Rank) -> Vec<usize> {
-    let wanted = |t| pattern.arriving(r, t).iter().filter(|&&b| graph.has_edge(b, r)).count();
-    (0..pattern.ranks[r].steps.len()).map(wanted).collect()
+/// How many of the blocks arriving at rank `r` in its halving step `t`
+/// are `r`'s in-neighbors — the receive-buffer copies they cost (charged
+/// to the *next* phase; the last step's to the final phase too). Zero
+/// past `r`'s last step.
+pub(crate) fn arrival_copies(pattern: &DhPattern, graph: &Topology, r: Rank, t: usize) -> usize {
+    if t >= pattern.steps(r).len() {
+        return 0;
+    }
+    pattern.arriving(r, t).iter().filter(|&&b| graph.has_edge(b, r)).count()
 }
 
-/// The copy count of halving phase `t`: phase 0 pays the sbuf copy, phase
-/// `t` the copies of step `t - 1`'s arrivals.
-pub(crate) fn halving_copies(arrival_copies: &[usize], t: usize) -> usize {
-    if t == 0 {
-        1
-    } else {
-        arrival_copies.get(t - 1).copied().unwrap_or(0)
-    }
+/// The copy count of rank `r`'s halving phase `t`: phase 0 pays the sbuf
+/// copy, phase `t` the copies of step `t - 1`'s arrivals.
+pub(crate) fn halving_copies(pattern: &DhPattern, graph: &Topology, r: Rank, t: usize) -> usize {
+    t.checked_sub(1).map_or(1, |prev| arrival_copies(pattern, graph, r, prev))
+}
+
+/// The receive-buffer copies of rank `r`'s last halving step (none
+/// without one), which its final phase pays.
+pub(crate) fn last_arrival_copies(pattern: &DhPattern, graph: &Topology, r: Rank) -> usize {
+    let last = pattern.steps(r).len().checked_sub(1);
+    last.map_or(0, |t| arrival_copies(pattern, graph, r, t))
 }
 
 /// Lowers a built pattern into an executable plan.
@@ -68,64 +74,64 @@ pub fn lower(pattern: &DhPattern, graph: &Topology) -> CollectivePlan {
     lower_pooled(pattern, graph, &WorkerPool::serial())
 }
 
-/// [`lower`] running the per-rank work on `pool`: a rank's receive-copy
-/// counts and its sorted final-phase deliveries are independent of every
-/// other rank's, so ranks compute them concurrently; the rows are then
+/// [`lower`] sorting the final-phase deliveries on `pool`: ranks are cut
+/// into one contiguous run per worker, and each run's rows are copied into
+/// one scratch table as `(target, block)` and sorted rank by rank —
+/// targets ascending, each target's blocks ascending. The rows are then
 /// emitted serially, in rank order, which keeps the plan byte-identical
-/// to a serial lowering.
+/// to a serial lowering (one scratch table in all).
 pub fn lower_pooled(pattern: &DhPattern, graph: &Topology, pool: &WorkerPool) -> CollectivePlan {
     let n = graph.n();
     assert_eq!(pattern.n(), n, "pattern/topology rank mismatch");
     let steps = pattern.max_steps();
+    let off = &pattern.resp_off;
 
-    // Stage 1 (parallel), per rank: its arrival copies, and the
-    // responsibilities as (target, block) pairs, whose lexicographic
-    // sort yields targets ascending with each target's blocks ascending.
-    type Lowered = (Vec<usize>, Vec<(Rank, Rank)>);
-    let built: Vec<Lowered> = pool.map(n, |p| {
-        let rp = &pattern.ranks[p];
-        let arrival_copies = arrival_copies(pattern, graph, p);
-        let mut pairs: Vec<(Rank, Rank)> = Vec::with_capacity(rp.responsibilities.total_targets());
-        for (block, targets) in rp.responsibilities.iter() {
-            pairs.extend(targets.iter().map(|&t| (t, block)));
+    let run = n.div_ceil(pool.threads()).max(1);
+    let tables = pool.map(n.div_ceil(run), |c| {
+        let ranks = c * run..((c + 1) * run).min(n);
+        let rows = &pattern.resp_table[off[ranks.start]..off[ranks.end]];
+        let mut table: Vec<(Rank, Rank)> = rows.iter().map(|&(b, t)| (t, b)).collect();
+        for r in ranks.clone() {
+            table[off[r] - off[ranks.start]..off[r + 1] - off[ranks.start]].sort_unstable();
         }
-        pairs.sort_unstable();
-        (arrival_copies, pairs)
+        table
     });
+    let deliveries = |p: Rank| {
+        let base = off[p / run * run];
+        &tables[p / run][off[p] - base..off[p + 1] - base]
+    };
 
-    // Stage 2 (serial): emit. Phases: `steps` halving + 1 final + 1
-    // epilogue. A halving transfer whose two ends agree is one message
-    // over one block range; ends that disagree (a pattern no builder
-    // produces) are written as they stand, for validation to name.
+    // Phases: `steps` halving + 1 final + 1 epilogue. A halving transfer
+    // whose two ends agree is one message over one block range; ends that
+    // disagree (a pattern no builder produces) are written as they stand,
+    // for validation to name.
     let mirrored = |src: Rank, dst: Rank, t: usize| {
-        let sent = pattern.ranks[src].steps.get(t).filter(|s| s.agent == Some(dst));
-        let got = pattern.ranks[dst].steps.get(t).filter(|s| s.origin == Some(src));
-        sent.zip(got).is_some_and(|(s, g)| s.held_len == g.arr_len)
+        let sent = pattern.steps(src).get(t).filter(|s| s.agent() == Some(dst));
+        let got = pattern.steps(dst).get(t).filter(|s| s.origin() == Some(src));
+        sent.zip(got).is_some_and(|(s, g)| s.held_len() == g.arr_len())
     };
     let mut w = PlanWriter::new(Algorithm::DistanceHalving, n, steps + 2);
     w.selection = Some(pattern.stats);
-    let halving = || pattern.ranks.iter().flat_map(|rp| &rp.steps).filter(|s| s.agent.is_some());
-    let finals = |(_, pairs): &Lowered| pairs.chunk_by(|a, b| a.0 == b.0).count();
+    let halving = || pattern.step_table.iter().filter(|s| s.agent().is_some());
+    let finals = (0..n).map(|p| deliveries(p).chunk_by(|a, b| a.0 == b.0).count());
     w.reserve(
-        halving().count() + built.iter().map(finals).sum::<usize>(),
-        halving().map(|s| s.held_len).sum::<usize>()
-            + built.iter().map(|b| b.1.len()).sum::<usize>(),
+        halving().count() + finals.sum::<usize>(),
+        halving().map(|s| s.held_len()).sum::<usize>() + pattern.resp_table.len(),
     );
     let mut blocks: Vec<Rank> = Vec::new();
-    for (p, (arrival_copies, pairs)) in built.iter().enumerate() {
-        let rp = &pattern.ranks[p];
+    for p in 0..n {
         for t in 0..steps {
-            w.copy(p, t, halving_copies(arrival_copies, t));
-            let Some(step) = rp.steps.get(t) else { continue };
+            w.copy(p, t, halving_copies(pattern, graph, p, t));
+            let Some(step) = pattern.steps(p).get(t) else { continue };
             let tag = t as u64;
-            match step.agent {
+            match step.agent() {
                 Some(agent) if mirrored(p, agent, t) => {
                     w.message(t, p, agent, tag, pattern.held_before(p, t));
                 }
                 Some(agent) => w.send(p, t, agent, tag, pattern.held_before(p, t)),
                 None => {}
             }
-            if let Some(origin) = step.origin.filter(|&o| !mirrored(o, p, t)) {
+            if let Some(origin) = step.origin().filter(|&o| !mirrored(o, p, t)) {
                 w.recv(p, t, origin, tag, pattern.arriving(p, t));
             }
         }
@@ -133,9 +139,9 @@ pub fn lower_pooled(pattern: &DhPattern, graph: &Topology, pool: &WorkerPool) ->
         // all, sbuf is sent directly and there is no main_buf copy), then
         // one combined message per target.
         if steps > 0 {
-            w.copy(p, steps, arrival_copies.last().copied().unwrap_or(0));
+            w.copy(p, steps, last_arrival_copies(pattern, graph, p));
         }
-        for delivery in pairs.chunk_by(|a, b| a.0 == b.0) {
+        for delivery in deliveries(p).chunk_by(|a, b| a.0 == b.0) {
             let target = delivery[0].0;
             blocks.clear();
             blocks.extend(delivery.iter().map(|&(_, block)| block));
@@ -201,9 +207,9 @@ mod tests {
         let pat = build_pattern(&g, &layout).unwrap();
         let plan = lower(&pat, &g);
         for p in 0..plan.n() {
-            for (t, step) in pat.ranks[p].steps.iter().enumerate() {
+            for (t, step) in pat.steps(p).iter().enumerate() {
                 let mut sends = plan.phase(p, t).sends();
-                if step.agent.is_some() {
+                if step.agent().is_some() {
                     assert_eq!(sends.len(), 1);
                     assert_eq!(sends.next().unwrap().blocks(), pat.held_before(p, t));
                 } else {
@@ -222,7 +228,7 @@ mod tests {
         let final_idx = plan.phase_count() - 2;
         for q in 0..plan.n() {
             let sent: usize = plan.phase(q, final_idx).sends().map(|m| m.blocks().len()).sum();
-            let owed: usize = pat.ranks[q].responsibilities.total_targets();
+            let owed = pat.resp(q).len();
             assert_eq!(sent, owed, "rank {q} final messages mismatch responsibilities");
         }
     }

@@ -10,76 +10,115 @@
 //! evolving responsibility map `O_org`/`O_on` that drives the final
 //! (intra-socket + leftover) phase.
 //!
+//! The pattern is three tables across ranks, each behind per-rank
+//! offsets — the steps, the held blocks, the owed deliveries — written
+//! once by the builder's `PatternAssembler`, as `PlanWriter` writes a
+//! plan: a clone is one copy per column.
+//!
 //! Terminology follows Table I of the paper; "block `b`" always means
 //! "the allgather payload contributed by rank `b`".
 
-use crate::csr::RespMap;
 use nhood_topology::Rank;
 
 /// One halving step of one rank.
 ///
 /// Block lists are **not** stored per step: a rank's buffer only ever
 /// grows by appending arrivals, so the blocks held before any step are
-/// a prefix of [`RankPattern::held_final`], and the blocks arriving
-/// from the origin are a prefix of the *origin's* `held_final`. Each
-/// step therefore records only the two prefix lengths — 80 flat bytes
-/// instead of two heap vectors — which keeps the Θ(n log n) step table
-/// from dominating peak RSS at 100k ranks. Resolve the actual slices
-/// with [`DhPattern::held_before`] / [`DhPattern::arriving`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// a prefix of [`DhPattern::held`], and the blocks arriving from the
+/// origin are a prefix of the *origin's* held blocks. Each step
+/// therefore records only the two prefix lengths. Every field is a
+/// 32-bit rank or count (an absent agent or origin is 0, a present one
+/// `rank + 1`), so a step is 32 flat bytes — the Θ(n log n) step table
+/// is most of a pattern, and at 100k ranks most of a build's peak RSS.
+/// Read it through the accessors; resolve the actual slices with
+/// [`DhPattern::held_before`] / [`DhPattern::arriving`].
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct DhStep {
-    /// The inclusive rank range of this rank's half (`h1`) *after* the
-    /// split of this step.
-    pub h1: (Rank, Rank),
-    /// The inclusive rank range of the opposite half (`h2`).
-    pub h2: (Rank, Rank),
-    /// Agent selected in this step, if the search succeeded.
-    pub agent: Option<Rank>,
-    /// Origin selected in this step, if any.
-    pub origin: Option<Rank>,
-    /// Number of blocks this rank holds *before* this step (and
-    /// therefore ships to the agent, wholesale, per Algorithm 4
-    /// line 12): the first `held_len` entries of this rank's
-    /// `held_final`, in buffer order.
-    pub held_len: usize,
-    /// Number of blocks that arrive from the origin during this step
-    /// (the origin's pre-step buffer): the first `arr_len` entries of
-    /// the **origin's** `held_final`. Zero when `origin == None`.
-    pub arr_len: usize,
+    h1: [u32; 2],
+    h2: [u32; 2],
+    agent: u32,
+    origin: u32,
+    held_len: u32,
+    arr_len: u32,
 }
 
-/// The full pattern of one rank.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RankPattern {
-    /// Halving steps, in order.
-    pub steps: Vec<DhStep>,
-    /// Final responsibility map after the last halving step: for each
-    /// held block `b`, the targets this rank must still deliver `b` to
-    /// (the union of the paper's `O_on` for `b == self` and
-    /// `O_org[b]` for origin blocks). Self-targets never appear — they
-    /// are satisfied by the receive-buffer copy on arrival. Stored as a
-    /// flat CSR ([`RespMap`]) so the lowering hot path reads contiguous
-    /// slices instead of chasing tree nodes.
-    pub responsibilities: RespMap,
-    /// All blocks held at the end of the halving phase, in buffer order
-    /// (starts with this rank's own block).
-    pub held_final: Vec<Rank>,
+/// `x` as a step field.
+///
+/// # Panics
+/// Panics past `u32::MAX - 1` — a pattern that large does not fit in
+/// memory anyway.
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).ok().filter(|&v| v < u32::MAX).expect("rank or count beyond u32")
 }
 
-impl RankPattern {
-    /// Number of steps in which an agent was found.
-    pub fn agents_found(&self) -> usize {
-        self.steps.iter().filter(|s| s.agent.is_some()).count()
+impl DhStep {
+    /// A step from its fields (see the accessors for their meaning).
+    pub(crate) fn new(
+        h1: (Rank, Rank),
+        h2: (Rank, Rank),
+        agent: Option<Rank>,
+        origin: Option<Rank>,
+        held_len: usize,
+        arr_len: usize,
+    ) -> Self {
+        let peer = |p: Option<Rank>| p.map_or(0, |r| narrow(r) + 1);
+        Self {
+            h1: [narrow(h1.0), narrow(h1.1)],
+            h2: [narrow(h2.0), narrow(h2.1)],
+            agent: peer(agent),
+            origin: peer(origin),
+            held_len: narrow(held_len),
+            arr_len: narrow(arr_len),
+        }
     }
 
-    /// Total final-phase messages this rank sends (one per distinct
-    /// target).
-    pub fn final_targets(&self) -> Vec<Rank> {
-        let mut t: Vec<Rank> =
-            self.responsibilities.values().flat_map(|v| v.iter().copied()).collect();
-        t.sort_unstable();
-        t.dedup();
-        t
+    /// The inclusive rank range of this rank's half (`h1`) *after* the
+    /// split of this step.
+    pub fn h1(&self) -> (Rank, Rank) {
+        (self.h1[0] as Rank, self.h1[1] as Rank)
+    }
+
+    /// The inclusive rank range of the opposite half (`h2`).
+    pub fn h2(&self) -> (Rank, Rank) {
+        (self.h2[0] as Rank, self.h2[1] as Rank)
+    }
+
+    /// Agent selected in this step, if the search succeeded.
+    pub fn agent(&self) -> Option<Rank> {
+        self.agent.checked_sub(1).map(|r| r as Rank)
+    }
+
+    /// Origin selected in this step, if any.
+    pub fn origin(&self) -> Option<Rank> {
+        self.origin.checked_sub(1).map(|r| r as Rank)
+    }
+
+    /// Number of blocks this rank holds *before* this step (and
+    /// therefore ships to the agent, wholesale, per Algorithm 4
+    /// line 12): the first `held_len` of this rank's held blocks, in
+    /// buffer order.
+    pub fn held_len(&self) -> usize {
+        self.held_len as usize
+    }
+
+    /// Number of blocks that arrive from the origin during this step
+    /// (the origin's pre-step buffer): the first `arr_len` of the
+    /// **origin's** held blocks. Zero when there is no origin.
+    pub fn arr_len(&self) -> usize {
+        self.arr_len as usize
+    }
+}
+
+impl std::fmt::Debug for DhStep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DhStep")
+            .field("h1", &self.h1())
+            .field("h2", &self.h2())
+            .field("agent", &self.agent())
+            .field("origin", &self.origin())
+            .field("held_len", &self.held_len())
+            .field("arr_len", &self.arr_len())
+            .finish()
     }
 }
 
@@ -135,10 +174,23 @@ impl SelectionStats {
 }
 
 /// The complete Distance Halving communication pattern of a communicator.
-#[derive(Clone, Debug, Default)]
+///
+/// Three tables across ranks, rank `r`'s entries at `off[r]..off[r + 1]`
+/// of each: its halving steps, in order ([`steps`](Self::steps)); the
+/// blocks it holds at the end of the halving phase, in buffer order, its
+/// own first ([`held`](Self::held)); and the `(block, target)`
+/// deliveries it still owes in the final phase, sorted
+/// ([`resp`](Self::resp)) — the union of the paper's `O_on` for its own
+/// block and `O_org` for its origins'. Self-targets never appear: they
+/// are satisfied by the receive-buffer copy on arrival.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DhPattern {
-    /// Per-rank patterns, indexed by rank.
-    pub ranks: Vec<RankPattern>,
+    pub(crate) step_off: Vec<usize>,
+    pub(crate) step_table: Vec<DhStep>,
+    pub(crate) held_off: Vec<usize>,
+    pub(crate) held_pool: Vec<Rank>,
+    pub(crate) resp_off: Vec<usize>,
+    pub(crate) resp_table: Vec<(Rank, Rank)>,
     /// Selection-protocol statistics accumulated over all steps.
     pub stats: SelectionStats,
     /// `L`: ranks per socket used for the stop condition.
@@ -148,41 +200,104 @@ pub struct DhPattern {
 impl DhPattern {
     /// Number of ranks.
     pub fn n(&self) -> usize {
-        self.ranks.len()
+        self.step_off.len().saturating_sub(1)
+    }
+
+    /// Rank `r`'s halving steps, in order.
+    pub fn steps(&self, r: Rank) -> &[DhStep] {
+        &self.step_table[self.step_off[r]..self.step_off[r + 1]]
+    }
+
+    /// The blocks rank `r` holds at the end of the halving phase, in
+    /// buffer order (its own block first).
+    pub fn held(&self, r: Rank) -> &[Rank] {
+        &self.held_pool[self.held_off[r]..self.held_off[r + 1]]
+    }
+
+    /// The `(block, target)` deliveries rank `r` owes in the final
+    /// phase, ascending.
+    pub fn resp(&self, r: Rank) -> &[(Rank, Rank)] {
+        &self.resp_table[self.resp_off[r]..self.resp_off[r + 1]]
+    }
+
+    /// The targets rank `r` owes a delivery of `block`, ascending.
+    pub fn owed(&self, r: Rank, block: Rank) -> impl ExactSizeIterator<Item = Rank> + '_ {
+        let rows = self.resp(r);
+        let lo = rows.partition_point(|&(b, _)| b < block);
+        let hi = lo + rows[lo..].partition_point(|&(b, _)| b == block);
+        rows[lo..hi].iter().map(|&(_, t)| t)
     }
 
     /// Maximum number of halving steps over all ranks.
     pub fn max_steps(&self) -> usize {
-        self.ranks.iter().map(|r| r.steps.len()).max().unwrap_or(0)
+        self.step_off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
     /// The blocks rank `r` holds before its step `t`, in buffer order —
-    /// the prefix of `r`'s `held_final` that [`DhStep::held_len`]
+    /// the prefix of [`held`](Self::held) that [`DhStep::held_len`]
     /// denotes.
     pub fn held_before(&self, r: Rank, t: usize) -> &[Rank] {
-        let rp = &self.ranks[r];
-        &rp.held_final[..rp.steps[t].held_len]
+        &self.held(r)[..self.steps(r)[t].held_len()]
     }
 
     /// The blocks arriving at rank `r` during its step `t` (the
     /// origin's pre-step buffer, in the origin's buffer order), or the
     /// empty slice when the step has no origin.
     pub fn arriving(&self, r: Rank, t: usize) -> &[Rank] {
-        let step = &self.ranks[r].steps[t];
-        match step.origin {
-            Some(o) => &self.ranks[o].held_final[..step.arr_len],
-            None => &[],
-        }
+        let step = &self.steps(r)[t];
+        step.origin().map_or(&[], |o| &self.held(o)[..step.arr_len()])
     }
 
     /// Mean number of blocks held at the end of the halving phase — the
     /// buffer-growth indicator of §V-B.
     pub fn mean_final_blocks(&self) -> f64 {
-        if self.ranks.is_empty() {
+        if self.n() == 0 {
             return 0.0;
         }
-        let total: usize = self.ranks.iter().map(|r| r.held_final.len()).sum();
-        total as f64 / self.ranks.len() as f64
+        self.held_pool.len() as f64 / self.n() as f64
+    }
+
+    /// `true` when both patterns hold the same steps, blocks and
+    /// deliveries for every rank, whatever their selection statistics.
+    pub fn same_rows(&self, other: &Self) -> bool {
+        (&self.step_off, &self.step_table, &self.held_off, &self.held_pool)
+            == (&other.step_off, &other.step_table, &other.held_off, &other.held_pool)
+            && (&self.resp_off, &self.resp_table) == (&other.resp_off, &other.resp_table)
+    }
+
+    /// A copy with room for `rows` more deliveries, so that many
+    /// [`owe`](Self::owe)s move no column.
+    pub(crate) fn with_room(&self, rows: usize) -> Self {
+        let mut resp_table = Vec::with_capacity(self.resp_table.len() + rows);
+        resp_table.extend_from_slice(&self.resp_table);
+        Self {
+            step_off: self.step_off.clone(),
+            step_table: self.step_table.clone(),
+            held_off: self.held_off.clone(),
+            held_pool: self.held_pool.clone(),
+            resp_off: self.resp_off.clone(),
+            resp_table,
+            stats: self.stats,
+            ranks_per_socket: self.ranks_per_socket,
+        }
+    }
+
+    /// Makes rank `r` owe `target` a delivery of `block`, in place;
+    /// `false` (and nothing changes) when it already does.
+    pub(crate) fn owe(&mut self, r: Rank, block: Rank, target: Rank) -> bool {
+        let Err(at) = self.resp(r).binary_search(&(block, target)) else { return false };
+        self.resp_table.insert(self.resp_off[r] + at, (block, target));
+        self.resp_off[r + 1..].iter_mut().for_each(|o| *o += 1);
+        true
+    }
+
+    /// Drops rank `r`'s delivery of `block` to `target`, in place;
+    /// `false` (and nothing changes) when it owes none.
+    pub(crate) fn disown(&mut self, r: Rank, block: Rank, target: Rank) -> bool {
+        let Ok(at) = self.resp(r).binary_search(&(block, target)) else { return false };
+        self.resp_table.remove(self.resp_off[r] + at);
+        self.resp_off[r + 1..].iter_mut().for_each(|o| *o -= 1);
+        true
     }
 }
 
@@ -279,24 +394,40 @@ mod tests {
     }
 
     #[test]
-    fn rank_pattern_final_targets_dedup() {
-        let mut rp = RankPattern::default();
-        rp.responsibilities.insert(0, vec![3, 5]);
-        rp.responsibilities.insert(2, vec![5, 4]);
-        assert_eq!(rp.final_targets(), vec![3, 4, 5]);
-    }
-
-    #[test]
     fn pattern_aggregates() {
-        let mut p = DhPattern { ranks_per_socket: 2, ..Default::default() };
-        let mut r0 = RankPattern { held_final: vec![0, 7], ..Default::default() };
-        r0.steps.push(DhStep { agent: Some(1), ..Default::default() });
-        r0.steps.push(DhStep::default());
-        let r1 = RankPattern { held_final: vec![1], ..Default::default() };
-        p.ranks = vec![r0, r1];
+        // two ranks by hand: rank 0 halved twice and holds block 7 too
+        let steps = [DhStep::new((0, 0), (1, 1), Some(1), None, 1, 0), DhStep::default()];
+        let p = DhPattern {
+            step_off: vec![0, 2, 2],
+            step_table: steps.to_vec(),
+            held_off: vec![0, 2, 3],
+            held_pool: vec![0, 7, 1],
+            resp_off: vec![0, 0, 0],
+            ranks_per_socket: 2,
+            ..Default::default()
+        };
         assert_eq!(p.n(), 2);
         assert_eq!(p.max_steps(), 2);
         assert!((p.mean_final_blocks() - 1.5).abs() < 1e-12);
-        assert_eq!(p.ranks[0].agents_found(), 1);
+        assert_eq!(p.steps(0).iter().filter(|s| s.agent().is_some()).count(), 1);
+        assert_eq!((p.held(0), p.held(1)), (&[0, 7][..], &[1][..]));
+        assert_eq!(DhPattern::default().n(), 0);
+        assert_eq!(DhPattern::default().mean_final_blocks(), 0.0);
+    }
+
+    #[test]
+    fn a_step_is_32_flat_bytes_and_reads_back_its_fields() {
+        assert_eq!(std::mem::size_of::<DhStep>(), 32);
+        let s = DhStep::new((4, 7), (0, 3), Some(0), None, 3, 0);
+        assert_eq!((s.h1(), s.h2(), s.agent(), s.origin()), ((4, 7), (0, 3), Some(0), None));
+        assert_eq!((s.held_len(), s.arr_len()), (3, 0));
+        let d = DhStep::default();
+        assert_eq!((d.agent(), d.origin(), d.held_len()), (None, None, 0));
+        let big = (u32::MAX - 2) as Rank;
+        assert_eq!(DhStep::new((0, 0), (0, 0), None, Some(big), 0, 0).origin(), Some(big));
+        assert_eq!(
+            format!("{s:?}"),
+            "DhStep { h1: (4, 7), h2: (0, 3), agent: Some(0), origin: None, held_len: 3, arr_len: 0 }"
+        );
     }
 }

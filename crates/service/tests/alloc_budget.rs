@@ -302,19 +302,39 @@ fn the_cold_plan_path_allocates_by_the_count() {
         }
     }
     // ... the Distance Halving build: the negotiation keeps one flat table
-    // per round, not a vector per rank
+    // per round and the pattern is columns written in place, not a
+    // vector per rank
     let (build_calls, pattern) =
         calls_of(|| nhood_core::builder::build_pattern(&sparse_graph, &layout));
     let pattern = pattern.expect("builds");
     println!("build_pattern: {build_calls} allocator calls");
     assert!(build_calls <= DH_BUILD_CALLS, "{build_calls} calls (budget {DH_BUILD_CALLS})");
-    // ... and lowering a Distance Halving pattern per rank (its sorted
-    // final-phase deliveries and copy counts), not per message
+    // ... a clone is one copy per column
+    let (clone_calls, copy) = calls_of(|| pattern.clone());
+    println!("DhPattern::clone: {clone_calls} allocator calls");
+    assert!(
+        clone_calls <= PATTERN_COLUMNS,
+        "{clone_calls} calls (one per column: {PATTERN_COLUMNS})"
+    );
+    assert_eq!(copy, pattern);
+    // ... and lowering a Distance Halving pattern reads its rows through
+    // one scratch table, not a vector per rank or per message
     let (lower_calls, _) = calls_of(|| nhood_core::lower::lower(&pattern, &sparse_graph));
     println!("lower: {lower_calls} allocator calls");
-    assert!(lower_calls <= 1_000, "{lower_calls} allocator calls to lower (3,964 before)");
+    assert!(lower_calls <= LOWER_CALLS, "{lower_calls} allocator calls (budget {LOWER_CALLS})");
 
-    // (d) registering the Auto tenant — ten arms built, validated,
+    // (d) a topology is one staged edge list and two CSRs, written by
+    // counting sort
+    let (topology_calls, rebuilt) =
+        calls_of(|| nhood_topology::Topology::from_edges(96, sparse_graph.edges()));
+    println!("Topology::from_edges: {topology_calls} allocator calls");
+    assert!(
+        topology_calls <= FROM_EDGES_CALLS,
+        "{topology_calls} calls (budget {FROM_EDGES_CALLS})"
+    );
+    assert_eq!(rebuilt, sparse_graph);
+
+    // (e) registering the Auto tenant — ten arms built, validated,
     // lowered, simulated and nine dropped, then the winner laid out.
     let mut svc = Service::new(ServiceConfig::default());
     let (register_calls, tenant) =
@@ -451,12 +471,14 @@ const FIRST_ALLTOALLV_CALLS: u64 = 1_190;
 /// renegotiate from scratch; 1,061 before the plan went flat).
 const CHURNED_ALLREDUCE_CALLS: u64 = 1_103;
 
-/// One single-edge `churn` of the registered n = 96 Distance Halving
-/// tenant, as counted today: 3,754 while `repair_for_churn` deep-cloned
-/// the plan (2,612 of them that clone); the budget is exactly that much
-/// lower. What is left is the new topology (624) and the pattern clone
-/// (479).
-const SINGLE_EDGE_CHURN_CALLS: u64 = 3_754 - 2_612;
+/// 5 % above the 37 calls of one single-edge `churn` of the registered
+/// n = 96 Distance Halving tenant today: 3,754 while `repair_for_churn`
+/// deep-cloned the plan, 1,142 while the new topology was rebuilt through
+/// a vector per rank both ways (624) and the pattern clone copied five
+/// vectors per rank (479). The topology is now `Topology::churned` (the
+/// touched rows merged, the rest copied whole) and the clone one copy
+/// per column.
+const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
 
 /// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan — the cold
 /// path: prepare, then run on the schedule's own price columns — as
@@ -466,15 +488,15 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 3_754 - 2_612;
 /// and the three price columns replace the per-send and per-recv cost
 /// tables, the per-send flags and the heap's growth).
 const ENGINE_RUN_CALLS: u64 = 28;
-/// 5 % above the 6,625 calls registering the Auto tenant costs today
+/// 5 % above the 2,978 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
-/// tuner's ten lowerings — and 8,167 while the negotiation kept a vector
-/// per rank). What is left: the Distance Halving build (≈ 4.1 k, most of
-/// it the pattern assembly), Bruck's and the leader hierarchy's B-trees,
-/// the ten replays (28 each).
-const AUTO_REGISTER_CALLS: u64 = 6_956;
+/// tuner's ten lowerings — 8,167 while the negotiation kept a vector per
+/// rank, and 6,625 while the Distance Halving pattern did). What is left:
+/// the Distance Halving build (≈ 600, scoring and matching), Bruck's and
+/// the leader hierarchy's B-trees, the ten replays (28 each).
+const AUTO_REGISTER_CALLS: u64 = 3_127;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 3 price columns, the replay's vectors
 /// (its sort scratch grows with the widest phase: 24 calls counted under
@@ -483,11 +505,23 @@ const AUTO_REGISTER_CALLS: u64 = 6_956;
 /// re-validated and re-matched it; ≈ 400–1,600 while every phase owned
 /// two vectors.
 const SIM_GATHER_CALLS: u64 = 27;
-/// One Distance Halving `build_pattern` at `plan-churn`'s shape (n = 96,
-/// δ = 0.15, 6 × 2 × 8): 5,599 calls at the parent of the one-negotiation
-/// merge, when every proposer's score row, every acceptor's candidate
-/// list and a hash table per round were vectors of their own; 4,057 now
-/// (each round is one two-sided table, one flag per pair and one state
-/// per rank). The budget is the parent's count; what is left is mostly
-/// the pattern assembly's per-rank responsibility maps.
-const DH_BUILD_CALLS: u64 = 5_599;
+/// 5 % above the 600 calls of one Distance Halving `build_pattern` at
+/// `plan-churn`'s shape (n = 96, δ = 0.15, 6 × 2 × 8) today: 5,599 while
+/// every proposer's score row, every acceptor's candidate list and a hash
+/// table per round were vectors of their own, 4,057 while the pattern
+/// assembly staged a step list, a buffer and a responsibility map per
+/// rank (≈ 3,460 of them). The assembly now writes the pattern's columns
+/// in place (a handful of calls); what is left is the scoring's and the
+/// matching's tables, per round.
+const DH_BUILD_CALLS: u64 = 630;
+/// The columns of a `DhPattern` — step offsets and table, held offsets
+/// and pool, responsibility offsets and table: its clone's budget.
+const PATTERN_COLUMNS: u64 = 6;
+/// 5 % above the 11 calls of lowering that pattern today (201 while
+/// every rank staged its arrival copies and its final deliveries in
+/// vectors of their own, 3,964 before the plan went flat).
+const LOWER_CALLS: u64 = 12;
+/// `Topology::from_edges` of the n = 96, δ = 0.15 graph's own edges: the
+/// staged list and the two CSRs' offsets and entries, 5 counted (622
+/// while both directions went through a vector per rank).
+const FROM_EDGES_CALLS: u64 = 8;

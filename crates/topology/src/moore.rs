@@ -126,9 +126,9 @@ pub fn moore_on_grid(dims: &[usize], r: usize) -> Topology {
     }
     offsets.retain(|o| o.iter().any(|&x| x != 0));
 
-    let mut adj: Vec<Vec<Rank>> = vec![Vec::with_capacity(offsets.len()); n];
+    let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(offsets.len() * n);
     let mut coord = vec![0usize; d];
-    for (p, a) in adj.iter_mut().enumerate() {
+    for p in 0..n {
         rank_to_coord(p, dims, &mut coord);
         for o in &offsets {
             let mut q = 0usize;
@@ -137,10 +137,10 @@ pub fn moore_on_grid(dims: &[usize], r: usize) -> Topology {
                 let c = (coord[k] as isize + o[k]).rem_euclid(side) as usize;
                 q = q * dims[k] + c;
             }
-            a.push(q);
+            edges.push((p, q));
         }
     }
-    Topology::from_out_adjacency(adj)
+    Topology::from_edges(n, edges)
 }
 
 /// Decodes rank `p` into grid coordinates (row-major, last dim fastest).

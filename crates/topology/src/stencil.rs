@@ -52,9 +52,9 @@ pub fn von_neumann_on_grid(dims: &[usize], r: usize) -> Topology {
     }
     offsets.retain(|o| o.iter().any(|&x| x != 0));
 
-    let mut adj: Vec<Vec<Rank>> = vec![Vec::with_capacity(offsets.len()); n];
+    let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(offsets.len() * n);
     let mut coord = vec![0usize; d];
-    for (p, a) in adj.iter_mut().enumerate() {
+    for p in 0..n {
         let mut rem = p;
         for k in (0..d).rev() {
             coord[k] = rem % dims[k];
@@ -67,10 +67,10 @@ pub fn von_neumann_on_grid(dims: &[usize], r: usize) -> Topology {
                 let c = (coord[k] as isize + o[k]).rem_euclid(side) as usize;
                 q = q * dims[k] + c;
             }
-            a.push(q);
+            edges.push((p, q));
         }
     }
-    Topology::from_out_adjacency(adj)
+    Topology::from_edges(n, edges)
 }
 
 #[cfg(test)]

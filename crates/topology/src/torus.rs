@@ -84,14 +84,14 @@ pub fn torus_on_grid(dims: &[usize]) -> Topology {
     }
     let n: usize = dims.iter().product();
     let d = dims.len();
-    let mut adj: Vec<Vec<Rank>> = vec![Vec::with_capacity(2 * d); n];
+    let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(2 * d * n);
     // strides[k] = product of sides after k (row-major, last dim fastest)
     let mut strides = vec![1usize; d];
     for k in (0..d.saturating_sub(1)).rev() {
         strides[k] = strides[k + 1] * dims[k + 1];
     }
     let mut coord = vec![0usize; d];
-    for (p, a) in adj.iter_mut().enumerate() {
+    for p in 0..n {
         let mut rem = p;
         for k in (0..d).rev() {
             coord[k] = rem % dims[k];
@@ -101,11 +101,11 @@ pub fn torus_on_grid(dims: &[usize]) -> Topology {
             let up = (coord[k] + 1) % dims[k];
             let down = (coord[k] + dims[k] - 1) % dims[k];
             let base = p - coord[k] * strides[k];
-            a.push(base + up * strides[k]);
-            a.push(base + down * strides[k]);
+            edges.push((p, base + up * strides[k]));
+            edges.push((p, base + down * strides[k]));
         }
     }
-    Topology::from_out_adjacency(adj)
+    Topology::from_edges(n, edges)
 }
 
 #[cfg(test)]

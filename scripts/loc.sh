@@ -98,10 +98,21 @@
 # threaded gather that runs 2,160 ranks. What they cost: a rank that
 # yields instead of blocking carries its own control state, and the
 # scheduling that OS threads and channels did is now code.
+#
+# Then the Distance Halving pattern became columns: 13,312 -> 13,191
+# (-121). csr.rs (`RespMap` / `RespBuilder`, 191 lines) is gone; the
+# pattern's three tables behind per-rank offsets, its assembler writing
+# them in place and a repair that edits single deliveries are about as
+# long as the per-rank forms they replace. `DhStep`'s 32-bit fields
+# behind accessors (+57) are what keeps the step table, the one
+# Theta(n log n) column, under BENCH_9's 10x peak-RSS gate. (The
+# topology crate, outside the sweep, grew 1,475 -> 1,582: the
+# counting-sort build, the row splice and the one rule for which edits
+# are real.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=13312   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=13191   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1640  # crates/service/src
 
 count() {

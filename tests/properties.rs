@@ -77,32 +77,33 @@ fn dh_plan_structure_invariants() {
         let n = g.n();
         let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
         let pattern = nhood_core::builder::build_pattern(&g, &layout).unwrap();
-        for (p, rp) in pattern.ranks.iter().enumerate() {
+        for p in 0..n {
             // buffer always starts with the rank's own block
-            assert_eq!(rp.held_final.first(), Some(&p));
+            assert_eq!(pattern.held(p).first(), Some(&p));
             // held blocks are unique (a block never arrives twice)
             let mut seen = std::collections::HashSet::new();
-            for &b in &rp.held_final {
+            for &b in pattern.held(p) {
                 assert!(seen.insert(b), "rank {p} holds block {b} twice");
             }
             // h2 ranges of successive steps are disjoint
-            for (i, a) in rp.steps.iter().enumerate() {
-                for b in rp.steps.iter().skip(i + 1) {
+            let steps = pattern.steps(p);
+            for (i, a) in steps.iter().enumerate() {
+                for b in steps.iter().skip(i + 1) {
                     assert!(
-                        a.h2.1 < b.h2.0 || b.h2.1 < a.h2.0,
+                        a.h2().1 < b.h2().0 || b.h2().1 < a.h2().0,
                         "overlapping h2 ranges {:?} and {:?}",
-                        a.h2,
-                        b.h2
+                        a.h2(),
+                        b.h2()
                     );
                 }
             }
             // agents/origins always live in that step's h2
-            for s in &rp.steps {
-                if let Some(a) = s.agent {
-                    assert!(a >= s.h2.0 && a <= s.h2.1);
+            for s in steps {
+                if let Some(a) = s.agent() {
+                    assert!(a >= s.h2().0 && a <= s.h2().1);
                 }
-                if let Some(o) = s.origin {
-                    assert!(o >= s.h2.0 && o <= s.h2.1);
+                if let Some(o) = s.origin() {
+                    assert!(o >= s.h2().0 && o <= s.h2().1);
                 }
             }
         }
