@@ -10,18 +10,20 @@
 //! direct sends, Common Neighbor at the conventional K = 8, Distance
 //! Halving, the leader hierarchy, Bruck, and PAT at radix 4.
 //!
-//! Acceptance gates, evaluated by [`gates`]:
+//! Gates, see [`report`]:
 //!
-//! * `auto_vs_best` — geometric mean of best-fixed / Auto makespan
+//! * `gmean_vs_best` — geometric mean of best-fixed / Auto makespan
 //!   ≥ [`GATE_VS_BEST`]. Auto sweeps a superset of the fixed arms, so
 //!   anything under 1.0 would mean the tuner picked a loser somewhere.
-//! * `auto_vs_worst` — geometric mean of worst-fixed / Auto makespan
+//! * `gmean_vs_worst` — geometric mean of worst-fixed / Auto makespan
 //!   ≥ [`GATE_VS_WORST`]: the payoff for not hard-coding the wrong
 //!   algorithm must be real.
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::{Algorithm, BlockSizes, DistGraphComm, SimCost};
 use nhood_topology::random::erdos_renyi;
+
+use crate::suite::{gmean, row, Gate, Measured, Val};
 
 /// Gate: gmean(best fixed / Auto) must be at least this.
 pub const GATE_VS_BEST: f64 = 1.0;
@@ -69,19 +71,6 @@ impl TuneRow {
     }
 }
 
-/// The acceptance verdict (also embedded in the JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Geometric mean of best-fixed / Auto across cells.
-    pub gmean_vs_best: f64,
-    /// Geometric mean of worst-fixed / Auto across cells.
-    pub gmean_vs_worst: f64,
-    /// Gate: `gmean_vs_best >=` [`GATE_VS_BEST`].
-    pub vs_best_ok: bool,
-    /// Gate: `gmean_vs_worst >=` [`GATE_VS_WORST`].
-    pub vs_worst_ok: bool,
-}
-
 /// Runs one cell: resolve Auto for the (topology, layout, m)
 /// fingerprint, then price the winner and every fixed arm.
 pub fn tune_cell(n: usize, delta: f64, m: usize, seed: u64) -> TuneRow {
@@ -118,72 +107,33 @@ pub fn run_tuning(quick: bool) -> Vec<TuneRow> {
     rows
 }
 
-fn gmean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut count) = (0.0f64, 0usize);
-    for r in ratios {
-        log_sum += r.max(1e-300).ln();
-        count += 1;
+/// The `cells` section and the two gates of a run.
+pub fn report(rows: &[TuneRow]) -> Measured {
+    let cells = rows.iter().map(|r| {
+        let arms = r.fixed_s.iter().map(|(a, t)| (a.to_string(), Val::Sci(*t))).collect();
+        row! {
+            "case" => r.case.as_str(), "n" => r.n, "delta" => r.delta, "m" => r.m,
+            "winner" => r.winner.to_string(), "auto_s" => Val::Sci(r.auto_s),
+            "fixed_s" => Val::Obj(arms), "vs_best" => Val::Fix(r.best_fixed() / r.auto_s, 3),
+            "vs_worst" => Val::Fix(r.worst_fixed() / r.auto_s, 3),
+        }
+    });
+    let vs_best = gmean(rows.iter().map(|r| r.best_fixed() / r.auto_s));
+    let vs_worst = gmean(rows.iter().map(|r| r.worst_fixed() / r.auto_s));
+    Measured {
+        sections: vec![("cells", cells.collect())],
+        gates: vec![
+            Gate::at_least("gmean_vs_best", vs_best, GATE_VS_BEST),
+            Gate::at_least("gmean_vs_worst", vs_worst, GATE_VS_WORST),
+        ],
     }
-    if count == 0 {
-        return 0.0;
-    }
-    (log_sum / count as f64).exp()
-}
-
-/// Evaluates the acceptance gates.
-pub fn gates(rows: &[TuneRow]) -> GateReport {
-    let gmean_vs_best = gmean(rows.iter().map(|r| r.best_fixed() / r.auto_s));
-    let gmean_vs_worst = gmean(rows.iter().map(|r| r.worst_fixed() / r.auto_s));
-    GateReport {
-        gmean_vs_best,
-        gmean_vs_worst,
-        vs_best_ok: gmean_vs_best >= GATE_VS_BEST,
-        vs_worst_ok: gmean_vs_worst >= GATE_VS_WORST,
-    }
-}
-
-/// Renders the result as the `BENCH_10.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(rows: &[TuneRow], report: &GateReport, quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_10\",\n");
-    s.push_str(
-        "  \"description\": \"Algorithm::Auto vs every fixed algorithm, simulated makespan\",\n",
-    );
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let arms: Vec<String> =
-            r.fixed_s.iter().map(|(a, t)| format!("\"{a}\": {t:.6e}")).collect();
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"n\": {}, \"delta\": {}, \"m\": {}, \"winner\": \"{}\", \"auto_s\": {:.6e}, \"fixed_s\": {{{}}}, \"vs_best\": {:.3}, \"vs_worst\": {:.3}}}{}\n",
-            r.case,
-            r.n,
-            r.delta,
-            r.m,
-            r.winner,
-            r.auto_s,
-            arms.join(", "),
-            r.best_fixed() / r.auto_s,
-            r.worst_fixed() / r.auto_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    s.push_str(&format!("    \"gmean_vs_best\": {:.3},\n", report.gmean_vs_best));
-    s.push_str(&format!("    \"gmean_vs_worst\": {:.3},\n", report.gmean_vs_worst));
-    s.push_str(&format!("    \"vs_best_ok\": {},\n", report.vs_best_ok));
-    s.push_str(&format!("    \"vs_worst_ok\": {}\n", report.vs_worst_ok));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::{parse, Json};
+    use crate::suite::{document, SUITES};
 
     fn row(auto_s: f64, fixed: &[f64]) -> TuneRow {
         TuneRow {
@@ -200,18 +150,17 @@ mod tests {
     #[test]
     fn gates_take_geometric_means_of_both_ratios() {
         // cells at 1.0x / 4.0x vs best → gmean 2.0; 2.0x / 8.0x vs worst → 4.0
-        let rows = [row(1.0, &[1.0, 2.0]), row(1.0, &[4.0, 8.0])];
-        let g = gates(&rows);
-        assert!((g.gmean_vs_best - 2.0).abs() < 1e-9, "{g:?}");
-        assert!((g.gmean_vs_worst - 4.0).abs() < 1e-9, "{g:?}");
-        assert!(g.vs_best_ok && g.vs_worst_ok);
+        let m = report(&[row(1.0, &[1.0, 2.0]), row(1.0, &[4.0, 8.0])]);
+        assert!((m.gate("gmean_vs_best").value.unwrap() - 2.0).abs() < 1e-9, "{:?}", m.gates);
+        assert!((m.gate("gmean_vs_worst").value.unwrap() - 4.0).abs() < 1e-9, "{:?}", m.gates);
+        assert!(m.all_ok());
 
         // auto slower than the best fixed arm: the superset gate trips
-        let g = gates(&[row(2.0, &[1.0, 1.5])]);
-        assert!(!g.vs_best_ok, "{g:?}");
+        let m = report(&[row(2.0, &[1.0, 1.5])]);
+        assert!(!m.gate("gmean_vs_best").ok, "{:?}", m.gates);
 
-        let g = gates(&[]);
-        assert!(!g.vs_best_ok && !g.vs_worst_ok, "an empty grid is not evidence");
+        let m = report(&[]);
+        assert!(m.gates.iter().all(|g| g.armed && !g.ok), "an empty grid is not evidence");
     }
 
     #[test]
@@ -228,12 +177,16 @@ mod tests {
 
     #[test]
     fn json_document_is_balanced() {
-        let rows = vec![row(1.0, &[1.0, 2.0])];
-        let report = gates(&rows);
-        let json = write_json(&rows, &report, true);
+        let m = report(&[row(1.0, &[1.0, 2.0])]);
+        let suite = SUITES.iter().find(|s| s.id == 10).expect("suite 10");
+        let json = document(suite, true, 1, &m);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"vs_best_ok\": true"));
         assert!(json.contains("\"winner\""));
+        let doc = parse(&json).expect("valid JSON");
+        let gates = doc.get("gates").items();
+        let gate = gates.iter().find(|g| g.get("name") == &Json::Str("gmean_vs_best".into()));
+        assert_eq!(gate.expect("the vs-best gate").get("ok"), &Json::Bool(true));
+        assert_eq!(doc.get("all_ok"), &Json::Bool(true));
     }
 }

@@ -15,13 +15,11 @@
 //! * `cache_hit` — `plan_shared` against a warm cache: fingerprint plus
 //!   an LRU lookup, no build at all.
 //!
-//! Results are written as `BENCH_4.json` (see [`write_json`]). Two
-//! acceptance gates ride on the numbers, evaluated by [`gates`]:
-//! cache hits must be ≥ 20× a cold build (always enforced), and the
-//! pooled build must be ≥ 1.5× serial at n ≥ 512 — enforced only when
-//! the host actually has ≥ 2 hardware threads (`host_threads` is
-//! recorded in the JSON so a single-core CI runner cannot fabricate a
-//! parallel speedup either way).
+//! One gate rides on the numbers (see [`report`]): cache hits ≥ 20× a
+//! cold build in geometric mean (`cache_gmean`). Each cell's
+//! `parallel_over_serial` is recorded ungated: the claim that a pooled
+//! build is ≥ 1.5× serial at n ≥ 512 was retired (1.16× on a 2-thread
+//! host, below 1× on some cells).
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::{Algorithm, DistGraphComm, PlanCache};
@@ -30,6 +28,11 @@ use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::suite::{gmean, row, Gate, Measured, Val};
+
+/// Required gmean cache-hit / cold-build ratio.
+pub const GATE_CACHE_SPEEDUP: f64 = 20.0;
 
 /// One timed (workload, n, delta, phase) cell.
 #[derive(Debug, Clone)]
@@ -67,25 +70,6 @@ pub struct Speedup {
     pub parallel_over_serial: f64,
     /// `cold_min / hit_min` — how much a warm cache saves.
     pub hit_over_cold: f64,
-}
-
-/// The acceptance verdict derived from a run (also embedded in the
-/// JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    pub host_threads: usize,
-    /// Whether the parallel gate was evaluated at all: it needs ≥ 2
-    /// hardware threads *and* at least one n ≥ 512 cell (full scale).
-    pub parallel_gate_applicable: bool,
-    /// Geometric-mean pooled-build speedup over cells with n ≥ 512.
-    pub parallel_gmean_large_n: Option<f64>,
-    /// Parallel gate verdict (vacuously true when not applicable).
-    pub parallel_ok: bool,
-    /// Geometric-mean cache-hit speedup over every cell.
-    pub cache_gmean: f64,
-    /// Cache gate verdict (≥ 20×, always enforced).
-    pub cache_ok: bool,
 }
 
 fn time_ns(iters: usize, mut f: impl FnMut()) -> (u128, u128, u128) {
@@ -160,7 +144,7 @@ fn bench_workload(
 
 /// Runs the full grid. `quick` shrinks densities, rank counts, and
 /// iterations for CI smoke runs.
-pub fn run(quick: bool) -> (Vec<Row>, Vec<Speedup>) {
+pub fn run(quick: bool) -> Vec<Row> {
     let (densities, sizes): (&[f64], &[usize]) =
         if quick { (&[0.05, 0.3], &[64]) } else { (&[0.05, 0.2, 0.45, 0.7], &[128, 512, 1024]) };
     let mut rows = Vec::new();
@@ -177,143 +161,57 @@ pub fn run(quick: bool) -> (Vec<Row>, Vec<Speedup>) {
         let iters = if quick || n >= 512 { 3 } else { 5 };
         bench_workload("moore", None, &g, iters, &mut rows);
     }
-    let speedups = derive_speedups(&rows);
-    (rows, speedups)
-}
-
-fn min_of<'a>(rows: &'a [Row], w: &str, n: usize, d: Option<f64>, phase: &str) -> Option<&'a Row> {
-    rows.iter().find(|r| r.workload == w && r.n == n && r.delta == d && r.phase == phase)
+    rows
 }
 
 /// Pairs the four phases of each (workload, n, delta) cell into the two
 /// speedup columns.
 pub fn derive_speedups(rows: &[Row]) -> Vec<Speedup> {
-    let mut out = Vec::new();
-    for r in rows.iter().filter(|r| r.phase == "serial_build") {
-        let (w, n, d) = (r.workload.as_str(), r.n, r.delta);
-        let (Some(par), Some(cold), Some(hit)) = (
-            min_of(rows, w, n, d, "parallel_build"),
-            min_of(rows, w, n, d, "cold_cached"),
-            min_of(rows, w, n, d, "cache_hit"),
-        ) else {
-            continue;
-        };
-        out.push(Speedup {
+    let min_ns = |of: &Row, phase: &str| {
+        let same = |r: &&Row| (&r.workload, r.n, r.delta) == (&of.workload, of.n, of.delta);
+        rows.iter().filter(same).find(|r| r.phase == phase).map(|r| r.min_ns.max(1) as f64)
+    };
+    let speedup = |r: &Row| {
+        Some(Speedup {
             workload: r.workload.clone(),
-            n,
-            delta: d,
-            parallel_over_serial: r.min_ns as f64 / par.min_ns.max(1) as f64,
-            hit_over_cold: cold.min_ns as f64 / hit.min_ns.max(1) as f64,
-        });
-    }
-    out
+            n: r.n,
+            delta: r.delta,
+            parallel_over_serial: r.min_ns as f64 / min_ns(r, "parallel_build")?,
+            hit_over_cold: min_ns(r, "cold_cached")? / min_ns(r, "cache_hit")?,
+        })
+    };
+    rows.iter().filter(|r| r.phase == "serial_build").filter_map(speedup).collect()
 }
 
-fn gmean(vals: impl Iterator<Item = f64>) -> Option<f64> {
-    let logs: Vec<f64> = vals.map(f64::ln).collect();
-    if logs.is_empty() {
-        None
-    } else {
-        Some((logs.iter().sum::<f64>() / logs.len() as f64).exp())
+/// The `rows` and `speedups` sections and the cache gate of a run.
+pub fn report(rows: &[Row]) -> Measured {
+    let speedups = derive_speedups(rows);
+    let cache_gmean = gmean(speedups.iter().map(|s| s.hit_over_cold));
+    let rows = rows.iter().map(|r| {
+        row! {
+            "workload" => r.workload.as_str(), "n" => r.n, "delta" => r.delta,
+            "phase" => r.phase.as_str(), "median_ns" => r.median_ns, "mean_ns" => r.mean_ns,
+            "min_ns" => r.min_ns, "iters" => r.iters,
+        }
+    });
+    let speedups = speedups.iter().map(|s| {
+        row! {
+            "workload" => s.workload.as_str(), "n" => s.n, "delta" => s.delta,
+            "parallel_over_serial" => Val::Fix(s.parallel_over_serial, 3),
+            "hit_over_cold" => Val::Fix(s.hit_over_cold, 3),
+        }
+    });
+    Measured {
+        sections: vec![("rows", rows.collect()), ("speedups", speedups.collect())],
+        gates: vec![Gate::at_least("cache_gmean", cache_gmean, GATE_CACHE_SPEEDUP)],
     }
-}
-
-/// Evaluates both acceptance gates against a run's speedups. The host's
-/// thread count is measured, never assumed: on a single-core runner the
-/// pool degenerates to the serial path, so the parallel gate is
-/// reported as not applicable rather than passed or failed.
-pub fn gates(speedups: &[Speedup]) -> GateReport {
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_gmean_large_n =
-        gmean(speedups.iter().filter(|s| s.n >= 512).map(|s| s.parallel_over_serial));
-    let parallel_gate_applicable = host_threads >= 2 && parallel_gmean_large_n.is_some();
-    let parallel_ok = !parallel_gate_applicable || parallel_gmean_large_n.unwrap() >= 1.5;
-    let cache_gmean = gmean(speedups.iter().map(|s| s.hit_over_cold)).unwrap_or(0.0);
-    let cache_ok = cache_gmean >= 20.0;
-    GateReport {
-        host_threads,
-        parallel_gate_applicable,
-        parallel_gmean_large_n,
-        parallel_ok,
-        cache_gmean,
-        cache_ok,
-    }
-}
-
-fn fmt_delta(d: Option<f64>) -> String {
-    match d {
-        Some(d) => format!("{d}"),
-        None => "null".to_string(),
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.3}"),
-        None => "null".to_string(),
-    }
-}
-
-/// Renders the result as the `BENCH_4.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(rows: &[Row], speedups: &[Speedup], report: &GateReport, quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_4\",\n");
-    s.push_str(
-        "  \"description\": \"plan construction: serial vs pooled build vs fingerprint cache\",\n",
-    );
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str(&format!("  \"host_threads\": {},\n", report.host_threads));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"delta\": {}, \"phase\": \"{}\", \"median_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"iters\": {}}}{}\n",
-            r.workload,
-            r.n,
-            fmt_delta(r.delta),
-            r.phase,
-            r.median_ns,
-            r.mean_ns,
-            r.min_ns,
-            r.iters,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"speedups\": [\n");
-    for (i, sp) in speedups.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"delta\": {}, \"parallel_over_serial\": {:.3}, \"hit_over_cold\": {:.3}}}{}\n",
-            sp.workload,
-            sp.n,
-            fmt_delta(sp.delta),
-            sp.parallel_over_serial,
-            sp.hit_over_cold,
-            if i + 1 < speedups.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    s.push_str(&format!(
-        "    \"parallel_gate_applicable\": {},\n",
-        report.parallel_gate_applicable
-    ));
-    s.push_str(&format!(
-        "    \"parallel_gmean_large_n\": {},\n",
-        fmt_opt(report.parallel_gmean_large_n)
-    ));
-    s.push_str(&format!("    \"parallel_ok\": {},\n", report.parallel_ok));
-    s.push_str(&format!("    \"cache_gmean\": {:.3},\n", report.cache_gmean));
-    s.push_str(&format!("    \"cache_ok\": {}\n", report.cache_ok));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::{parse, Json};
+    use crate::suite::{document, SUITES};
 
     fn row(phase: &str, min_ns: u128) -> Row {
         Row {
@@ -328,15 +226,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn speedups_pair_the_four_phases() {
-        let rows = vec![
+    fn cell(cold: u128, hit: u128) -> Vec<Row> {
+        vec![
             row("serial_build", 2000),
             row("parallel_build", 1000),
-            row("cold_cached", 2100),
-            row("cache_hit", 50),
-        ];
-        let sp = derive_speedups(&rows);
+            row("cold_cached", cold),
+            row("cache_hit", hit),
+        ]
+    }
+
+    #[test]
+    fn speedups_pair_the_four_phases() {
+        let sp = derive_speedups(&cell(2100, 50));
         assert_eq!(sp.len(), 1);
         assert!((sp[0].parallel_over_serial - 2.0).abs() < 1e-9);
         assert!((sp[0].hit_over_cold - 42.0).abs() < 1e-9);
@@ -344,40 +245,29 @@ mod tests {
 
     #[test]
     fn cache_gate_is_always_evaluated() {
-        let sp = vec![Speedup {
-            workload: "rsg".into(),
-            n: 512,
-            delta: Some(0.3),
-            parallel_over_serial: 1.0,
-            hit_over_cold: 5.0,
-        }];
-        let g = gates(&sp);
-        assert!(!g.cache_ok, "5x must fail the 20x bar");
-        // parallel verdict depends on the host; on a single core the
-        // gate must be inapplicable rather than failed
-        if g.host_threads < 2 {
-            assert!(!g.parallel_gate_applicable);
-            assert!(g.parallel_ok);
-        }
+        let m = report(&cell(250, 50));
+        let g = m.gate("cache_gmean");
+        assert!(g.armed && !g.ok, "5x must fail the 20x bar: {g:?}");
+        // the retired parallel claim arms nothing, whatever the host
+        assert_eq!(m.gates.len(), 1, "{:?}", m.gates);
+        let g = report(&[]).gates[0].clone();
+        assert!(g.armed && !g.ok && g.value.is_none(), "an empty grid is not evidence: {g:?}");
     }
 
     #[test]
     fn json_is_well_formed_and_carries_the_gates() {
-        let rows = vec![
-            row("serial_build", 2000),
-            row("parallel_build", 1000),
-            row("cold_cached", 2100),
-            row("cache_hit", 50),
-        ];
-        let sp = derive_speedups(&rows);
-        let g = gates(&sp);
-        let json = write_json(&rows, &sp, &g, true);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"host_threads\""));
-        assert!(json.contains("\"hit_over_cold\": 42.000"));
+        let doc =
+            parse(&document(&SUITES[0], true, 1, &report(&cell(2100, 50)))).expect("valid JSON");
+        assert_eq!(doc.get("host_threads"), &Json::Num(1.0));
+        assert_eq!(doc.get("rows").items().len(), 4);
+        let sp = &doc.get("speedups").items()[0];
+        assert_eq!(sp.get("hit_over_cold"), &Json::Num(42.0));
+        assert_eq!(sp.get("delta"), &Json::Num(0.3));
         // 42x clears the 20x bar regardless of the host's core count
-        assert!(json.contains("\"cache_gmean\": 42.000"));
-        assert!(json.contains("\"cache_ok\": true"));
+        let gate = &doc.get("gates").items()[0];
+        assert_eq!(gate.get("name"), &Json::Str("cache_gmean".into()));
+        assert_eq!(gate.get("value"), &Json::Num(42.0));
+        assert_eq!(gate.get("ok"), &Json::Bool(true));
+        assert_eq!(doc.get("all_ok"), &Json::Bool(true));
     }
 }

@@ -17,10 +17,10 @@
 //! under both metrics ([`mean_block_bytes`]): the plain mean and the
 //! size-biased mean, whose gap measures how ragged the size table is.
 //!
-//! One acceptance gate rides on the numbers, evaluated by [`gates`]:
-//! on the ragged SpMM workload, Bytes-metric selection must be no
-//! slower than Neighbors-metric selection in geometric mean
-//! (`spmm_bytes_gmean >= 1.0`).
+//! One gate rides on the numbers (see [`report`]): on the ragged SpMM
+//! workload, Bytes-metric selection must be no slower than
+//! Neighbors-metric selection in geometric mean (`spmm_bytes_gmean`
+//! ≥ 1.0).
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::{simulate, simulate_v};
@@ -32,6 +32,8 @@ use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::DetRng;
 use nhood_topology::spmm_graph::spmm_topology;
 use nhood_topology::{BlockPartition, Topology};
+
+use crate::suite::{gmean, row, Gate, Measured, Val};
 
 /// One simulated (workload, case) cell.
 #[derive(Debug, Clone)]
@@ -72,22 +74,6 @@ impl Row {
     pub fn bytes_gain(&self) -> f64 {
         self.ragged_neighbors_s / self.ragged_bytes_s
     }
-}
-
-/// The acceptance verdict derived from a run (also embedded in the
-/// JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Geometric-mean `padded_over_ragged` across every cell.
-    pub padded_gmean: f64,
-    /// Geometric-mean `bytes_gain` across every cell.
-    pub bytes_gmean_all: f64,
-    /// Geometric-mean `bytes_gain` over the SpMM cells — the gated
-    /// quantity.
-    pub spmm_bytes_gmean: f64,
-    /// Gate verdict: `spmm_bytes_gmean >= 1.0` (with a 1e-9 tolerance
-    /// for float noise on identical plans).
-    pub spmm_bytes_ok: bool,
 }
 
 /// Skewed per-rank block sizes for the synthetic-topology workloads:
@@ -180,69 +166,33 @@ pub fn run(quick: bool) -> Vec<Row> {
     rows
 }
 
-fn gmean(vals: impl Iterator<Item = f64>) -> f64 {
-    let logs: Vec<f64> = vals.map(f64::ln).collect();
-    if logs.is_empty() {
-        1.0
-    } else {
-        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+/// The `rows` section and the SpMM gate of a run.
+pub fn report(rows: &[Row]) -> Measured {
+    let spmm = rows.iter().filter(|r| r.workload == "spmm");
+    let rows = rows.iter().map(|r| {
+        row! {
+            "workload" => r.workload.as_str(), "case" => r.case.as_str(), "n" => r.n,
+            "total_bytes" => r.total_bytes, "max_bytes" => r.max_bytes,
+            "model_mean_neighbors" => Val::Fix(r.model_mean_neighbors, 3),
+            "model_mean_bytes" => Val::Fix(r.model_mean_bytes, 3),
+            "padded_s" => Val::Fix(r.padded_s, 9),
+            "ragged_neighbors_s" => Val::Fix(r.ragged_neighbors_s, 9),
+            "ragged_bytes_s" => Val::Fix(r.ragged_bytes_s, 9),
+            "padded_over_ragged" => Val::Fix(r.padded_over_ragged(), 3),
+            "bytes_gain" => Val::Fix(r.bytes_gain(), 4),
+        }
+    });
+    Measured {
+        sections: vec![("rows", rows.collect())],
+        gates: vec![Gate::at_least("spmm_bytes_gmean", gmean(spmm.map(Row::bytes_gain)), 1.0)],
     }
-}
-
-/// Evaluates the acceptance gate against a run's rows.
-pub fn gates(rows: &[Row]) -> GateReport {
-    let spmm_bytes_gmean = gmean(rows.iter().filter(|r| r.workload == "spmm").map(Row::bytes_gain));
-    GateReport {
-        padded_gmean: gmean(rows.iter().map(Row::padded_over_ragged)),
-        bytes_gmean_all: gmean(rows.iter().map(Row::bytes_gain)),
-        spmm_bytes_gmean,
-        spmm_bytes_ok: spmm_bytes_gmean >= 1.0 - 1e-9,
-    }
-}
-
-/// Renders the result as the `BENCH_5.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(rows: &[Row], report: &GateReport, quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_5\",\n");
-    s.push_str(
-        "  \"description\": \"allgatherv: padded vs ragged, neighbors- vs byte-weighted selection\",\n",
-    );
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"case\": \"{}\", \"n\": {}, \"total_bytes\": {}, \"max_bytes\": {}, \"model_mean_neighbors\": {:.3}, \"model_mean_bytes\": {:.3}, \"padded_s\": {:.9}, \"ragged_neighbors_s\": {:.9}, \"ragged_bytes_s\": {:.9}, \"padded_over_ragged\": {:.3}, \"bytes_gain\": {:.4}}}{}\n",
-            r.workload,
-            r.case,
-            r.n,
-            r.total_bytes,
-            r.max_bytes,
-            r.model_mean_neighbors,
-            r.model_mean_bytes,
-            r.padded_s,
-            r.ragged_neighbors_s,
-            r.ragged_bytes_s,
-            r.padded_over_ragged(),
-            r.bytes_gain(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    s.push_str(&format!("    \"padded_gmean\": {:.3},\n", report.padded_gmean));
-    s.push_str(&format!("    \"bytes_gmean_all\": {:.4},\n", report.bytes_gmean_all));
-    s.push_str(&format!("    \"spmm_bytes_gmean\": {:.4},\n", report.spmm_bytes_gmean));
-    s.push_str(&format!("    \"spmm_bytes_ok\": {}\n", report.spmm_bytes_ok));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::{parse, Json};
+    use crate::suite::{document, SUITES};
 
     fn row(workload: &str, padded: f64, neighbors: f64, bytes: f64) -> Row {
         Row {
@@ -263,13 +213,16 @@ mod tests {
     fn gate_is_spmm_only_and_tolerates_identical_plans() {
         // an rsg cell where Bytes loses must not fail the SpMM gate
         let rows = vec![row("rsg", 4.0, 2.0, 3.0), row("spmm", 4.0, 2.0, 2.0)];
-        let g = gates(&rows);
-        assert!(g.spmm_bytes_ok, "identical plans (gain 1.0) must pass");
-        assert!((g.spmm_bytes_gmean - 1.0).abs() < 1e-12);
-        assert!(g.bytes_gmean_all < 1.0, "the all-cells gmean still sees the rsg loss");
+        assert!(rows[0].bytes_gain() < 1.0);
+        let m = report(&rows);
+        let g = m.gate("spmm_bytes_gmean");
+        assert!(g.armed && g.ok, "identical plans (gain 1.0) must pass: {g:?}");
+        assert!((g.value.unwrap() - 1.0).abs() < 1e-12);
 
-        let rows = vec![row("spmm", 4.0, 2.0, 2.5)];
-        assert!(!gates(&rows).spmm_bytes_ok, "a real SpMM regression must fail");
+        let g = report(&[row("spmm", 4.0, 2.0, 2.5)]).gates[0].clone();
+        assert!(!g.ok, "a real SpMM regression must fail: {g:?}");
+        let g = report(&[row("rsg", 4.0, 2.0, 2.0)]).gates[0].clone();
+        assert!(g.armed && !g.ok, "no SpMM cell is not evidence: {g:?}");
     }
 
     #[test]
@@ -298,10 +251,10 @@ mod tests {
             );
             assert!(r.padded_over_ragged() >= 1.0 - 1e-9, "padding can never beat exact sizes");
         }
-        let report = gates(&rows);
-        let json = write_json(&rows, &report, true);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"spmm_bytes_gmean\""));
+        let m = report(&rows);
+        assert!(m.all_ok(), "{:?}", m.gates);
+        let doc = parse(&document(&SUITES[1], true, 2, &m)).expect("valid JSON");
+        assert_eq!(doc.get("rows").items().len(), rows.len());
+        assert_eq!(doc.get("gates").items()[0].get("name"), &Json::Str("spmm_bytes_gmean".into()));
     }
 }

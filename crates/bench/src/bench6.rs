@@ -8,15 +8,15 @@
 //! to the MPI-semantics reference, and to a from-scratch build over the
 //! same mutated topology.
 //!
-//! Two acceptance gates ride on the numbers, evaluated by [`gates`]:
+//! Two gates ride on the numbers (see [`report`]):
 //!
-//! * `repair_exact_ok` — every repaired plan reproduced the reference
+//! * `repair_exact` — every repaired plan reproduced the reference
 //!   output and every sampled mutation stayed surgical (no silent
 //!   rebuilds inflating the numbers);
-//! * `speedup_ok` — at every cell with `n >= 512`, the median
+//! * `min_gate_speedup` — at every cell with `n >= 512`, the median
 //!   single-edge repair is **≥ 10× cheaper** than the cold build
-//!   (vacuously true on quick runs, which stop at n = 128; the
-//!   reported speedups still make regressions visible in CI).
+//!   (unarmed on quick runs, which stop at n = 128; the reported
+//!   speedups still make regressions visible in CI).
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
@@ -25,6 +25,8 @@ use nhood_core::{Algorithm, DistGraphComm};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::DetRng;
 use std::time::Instant;
+
+use crate::suite::{median, row, Gate, Measured, Val};
 
 /// The `n` from which the ≥10× speedup gate applies.
 pub const GATE_N: usize = 512;
@@ -62,25 +64,6 @@ impl Row {
     pub fn speedup(&self) -> f64 {
         self.cold_build_s / self.repair_s.max(1e-12)
     }
-}
-
-/// The acceptance verdict derived from a run (also embedded in the
-/// JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Smallest per-cell speedup among cells with `n >=` [`GATE_N`]
-    /// (`None` when the run had no such cell — quick runs).
-    pub min_gate_speedup: Option<f64>,
-    /// Gate: every `n >=` [`GATE_N`] cell repaired ≥ [`GATE_SPEEDUP`]×
-    /// cheaper than its cold build.
-    pub speedup_ok: bool,
-    /// Gate: every cell was surgical and reference-exact.
-    pub repair_exact_ok: bool,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
 }
 
 fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
@@ -162,51 +145,29 @@ pub fn run(quick: bool) -> Vec<Row> {
     rows
 }
 
-/// Evaluates the acceptance gates against a run's rows.
-pub fn gates(rows: &[Row]) -> GateReport {
-    let gate_cells: Vec<f64> = rows.iter().filter(|r| r.n >= GATE_N).map(Row::speedup).collect();
-    let min_gate_speedup = gate_cells.iter().copied().min_by(f64::total_cmp);
-    GateReport {
-        min_gate_speedup,
-        speedup_ok: gate_cells.iter().all(|&s| s >= GATE_SPEEDUP),
-        repair_exact_ok: rows.iter().all(|r| r.all_surgical && r.exact),
+/// The `rows` section and the two gates of a run.
+pub fn report(rows: &[Row]) -> Measured {
+    let min_gate_speedup =
+        rows.iter().filter(|r| r.n >= GATE_N).map(Row::speedup).min_by(f64::total_cmp);
+    let rows_out = rows.iter().map(|r| {
+        row! {
+            "case" => r.case.as_str(), "n" => r.n, "delta" => r.delta,
+            "cold_build_s" => Val::Fix(r.cold_build_s, 9), "repair_s" => Val::Fix(r.repair_s, 9),
+            "speedup" => Val::Fix(r.speedup(), 2), "all_surgical" => r.all_surgical,
+            "exact" => r.exact,
+        }
+    });
+    Measured {
+        sections: vec![("rows", rows_out.collect())],
+        gates: vec![
+            Gate::at_least("min_gate_speedup", min_gate_speedup, GATE_SPEEDUP)
+                .armed_if(min_gate_speedup.is_some()),
+            Gate::holds(
+                "repair_exact",
+                !rows.is_empty() && rows.iter().all(|r| r.all_surgical && r.exact),
+            ),
+        ],
     }
-}
-
-/// Renders the result as the `BENCH_6.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(rows: &[Row], report: &GateReport, quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_6\",\n");
-    s.push_str("  \"description\": \"topology churn: single-edge plan repair vs cold rebuild\",\n");
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"n\": {}, \"delta\": {}, \"cold_build_s\": {:.9}, \"repair_s\": {:.9}, \"speedup\": {:.2}, \"all_surgical\": {}, \"exact\": {}}}{}\n",
-            r.case,
-            r.n,
-            r.delta,
-            r.cold_build_s,
-            r.repair_s,
-            r.speedup(),
-            r.all_surgical,
-            r.exact,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    match report.min_gate_speedup {
-        Some(m) => s.push_str(&format!("    \"min_gate_speedup\": {m:.2},\n")),
-        None => s.push_str("    \"min_gate_speedup\": null,\n"),
-    }
-    s.push_str(&format!("    \"speedup_ok\": {},\n", report.speedup_ok));
-    s.push_str(&format!("    \"repair_exact_ok\": {}\n", report.repair_exact_ok));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
@@ -228,36 +189,34 @@ mod tests {
     #[test]
     fn speedup_gate_applies_only_from_gate_n() {
         // a slow small cell must not trip the gate; a slow gate cell must
-        let rows = vec![row(128, 1e-3, 1e-3, true, true), row(512, 1e-2, 1e-3, true, true)];
-        let g = gates(&rows);
-        assert!(g.speedup_ok, "{g:?}");
-        assert_eq!(g.min_gate_speedup.map(|s| s.round()), Some(10.0));
+        let m = report(&[row(128, 1e-3, 1e-3, true, true), row(512, 1e-2, 1e-3, true, true)]);
+        let g = m.gate("min_gate_speedup");
+        assert!(g.armed && g.ok, "{g:?}");
+        assert_eq!(g.value.map(|s| s.round()), Some(10.0));
 
-        let rows = vec![row(512, 1e-2, 2e-3, true, true)];
-        assert!(!gates(&rows).speedup_ok, "5x at n=512 must fail the gate");
+        let g = report(&[row(512, 1e-2, 2e-3, true, true)]).gate("min_gate_speedup").clone();
+        assert!(g.armed && !g.ok, "5x at n=512 must fail the gate: {g:?}");
 
-        let rows = vec![row(128, 1.0, 1.0, true, true)];
-        let g = gates(&rows);
-        assert!(g.speedup_ok && g.min_gate_speedup.is_none(), "quick runs gate vacuously");
+        let g = report(&[row(128, 1.0, 1.0, true, true)]).gate("min_gate_speedup").clone();
+        assert!(!g.armed && g.ok && g.value.is_none(), "quick runs leave it unarmed: {g:?}");
     }
 
     #[test]
     fn exactness_gate_rejects_rebuilds_and_corruption() {
-        assert!(!gates(&[row(128, 1.0, 0.01, false, true)]).repair_exact_ok);
-        assert!(!gates(&[row(128, 1.0, 0.01, true, false)]).repair_exact_ok);
-        assert!(gates(&[row(128, 1.0, 0.01, true, true)]).repair_exact_ok);
+        let exact = |rows: &[Row]| report(rows).gate("repair_exact").ok;
+        assert!(!exact(&[row(128, 1.0, 0.01, false, true)]));
+        assert!(!exact(&[row(128, 1.0, 0.01, true, false)]));
+        assert!(!exact(&[]), "an empty grid is not evidence");
+        assert!(exact(&[row(128, 1.0, 0.01, true, true)]));
     }
 
     #[test]
     fn quick_run_repairs_surgically_and_exactly() {
         let rows = run(true);
         assert_eq!(rows.len(), 2);
-        let report = gates(&rows);
-        assert!(report.repair_exact_ok, "{rows:?}");
-        assert!(report.speedup_ok, "no n>=512 cell in quick runs: {report:?}");
-        let json = write_json(&rows, &report, true);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"min_gate_speedup\""));
+        let m = report(&rows);
+        assert!(m.gate("repair_exact").ok, "{rows:?}");
+        assert!(!m.gate("min_gate_speedup").armed, "no n>=512 cell in quick runs: {:?}", m.gates);
+        assert!(m.all_ok());
     }
 }

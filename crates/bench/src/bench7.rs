@@ -15,13 +15,12 @@
 //!   per-request (the public one-call-API baseline: plan fetch and cold
 //!   arena per request). Throughput is requests over wall time.
 //!
-//! Acceptance gates, evaluated by [`gates`]:
-//!
-//! * `completion_ok` — every sustained cell completes ≥ 99 % of
-//!   *admitted* requests ([`GATE_COMPLETION`]) with **zero** corrupt
-//!   buffers and a non-trivial number of byte-verifications;
-//! * `batch_speedup_ok` — the best batching cell beats its per-request
-//!   baseline by ≥ [`GATE_SPEEDUP`]× on throughput.
+//! Gates, see [`report`]: every sustained cell completes ≥ 99 % of
+//! *admitted* requests (`min_completion`, [`GATE_COMPLETION`]) with
+//! **zero** corrupt buffers (`corrupt_total`) and at least one
+//! byte-verification (`every_cell_verified`); the best batching cell
+//! beats its per-request baseline by ≥ [`GATE_SPEEDUP`]× on throughput
+//! (`max_batch_speedup`).
 
 use std::time::{Duration, Instant};
 
@@ -30,9 +29,11 @@ use nhood_core::{Algorithm, DistGraphComm, FaultPlan};
 use nhood_service::traffic::{
     drive_stream, generate_requests, run_open_loop, GenRequest, TrafficSpec,
 };
-use nhood_service::{AdmissionConfig, OpMix, Service, ServiceConfig, Verify};
+use nhood_service::{AdmissionConfig, OpMix, Service, ServiceConfig, ServiceReport, Verify};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::hash_mix;
+
+use crate::suite::{row, Gate, Measured, Val};
 
 /// Required completed / admitted fraction per sustained cell.
 pub const GATE_COMPLETION: f64 = 0.99;
@@ -44,49 +45,13 @@ pub const GATE_SPEEDUP: f64 = 1.2;
 /// run.
 #[derive(Debug, Clone)]
 pub struct SustainedRow {
-    /// Cell label, e.g. `"mixed n=24 drop=0.05 churn=20ms"`.
+    /// Cell label, e.g. `"mixed n=24 t=4 drop=0.05 churn=20ms"`.
     pub case: String,
     /// Registered tenants (the last one fault-armed).
     pub tenants: usize,
-    /// Submissions attempted.
-    pub submitted: u64,
-    /// Submissions admitted.
-    pub admitted: u64,
-    /// Submissions rejected by admission control (typed backpressure).
-    pub rejected: u64,
-    /// Requests completed with buffers.
-    pub completed: u64,
-    /// Requests failed with a typed error.
-    pub failed: u64,
-    /// Completed-but-degraded requests (quorum subset).
-    pub degraded: u64,
-    /// Completions byte-verified against the naive reference.
-    pub verified: u64,
-    /// Verified completions with wrong bytes (must be zero).
-    pub corrupt: u64,
-    /// Churn events applied mid-run.
-    pub churn_events: u64,
-    /// Churn events absorbed surgically.
-    pub repairs: u64,
-    /// Churn events that forced a full rebuild.
-    pub full_rebuilds: u64,
-    /// Nearest-rank median latency, µs (arrival → completion).
-    pub p50_us: u64,
-    /// Nearest-rank 99th-percentile latency, µs.
-    pub p99_us: u64,
-    /// Completed requests per wall-clock second.
-    pub throughput_rps: f64,
-}
-
-impl SustainedRow {
-    /// Completed / admitted (1.0 when nothing was admitted).
-    pub fn completion_rate(&self) -> f64 {
-        if self.admitted == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.admitted as f64
-        }
-    }
+    /// The service's counters, nearest-rank latency (arrival →
+    /// completion, µs) and throughput over the run.
+    pub report: ServiceReport,
 }
 
 /// One batching-comparison cell: identical stream, two configurations.
@@ -107,22 +72,6 @@ impl BatchRow {
     pub fn speedup(&self) -> f64 {
         self.batched_rps / self.unbatched_rps.max(1e-9)
     }
-}
-
-/// The acceptance verdict (also embedded in the JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Smallest completion rate among sustained cells.
-    pub min_completion: f64,
-    /// Total corrupt completions across sustained cells.
-    pub corrupt_total: u64,
-    /// Gate: every sustained cell at ≥ [`GATE_COMPLETION`], zero
-    /// corrupt, and at least one byte-verification actually ran.
-    pub completion_ok: bool,
-    /// Largest batched/per-request speedup among batching cells.
-    pub max_batch_speedup: f64,
-    /// Gate: `max_batch_speedup >=` [`GATE_SPEEDUP`].
-    pub batch_speedup_ok: bool,
 }
 
 /// Sustained-cell parameters (exposed so tests can run a tiny cell).
@@ -176,8 +125,6 @@ pub fn sustained_cell(p: SustainedParams) -> SustainedRow {
         // Gather-only: BENCH_8 owns the message-combining comparison.
         op_mix: OpMix::default(),
     };
-    let report = run_open_loop(&mut svc, &spec);
-    let (p50, p99) = report.latency.map_or((0, 0), |l| (l.p50, l.p99));
     SustainedRow {
         case: format!(
             "mixed n={} t={} drop={} churn={}ms",
@@ -187,20 +134,7 @@ pub fn sustained_cell(p: SustainedParams) -> SustainedRow {
             p.churn_period.as_millis()
         ),
         tenants: p.clean_tenants + 1,
-        submitted: report.stats.submitted,
-        admitted: report.stats.admitted,
-        rejected: report.stats.rejected,
-        completed: report.stats.completed,
-        failed: report.stats.failed,
-        degraded: report.stats.degraded,
-        verified: report.stats.verified,
-        corrupt: report.stats.corrupt,
-        churn_events: report.stats.churn_events,
-        repairs: report.stats.repairs,
-        full_rebuilds: report.stats.full_rebuilds,
-        p50_us: p50,
-        p99_us: p99,
-        throughput_rps: report.throughput_rps,
+        report: run_open_loop(&mut svc, &spec),
     }
 }
 
@@ -308,112 +242,63 @@ pub fn run_batching(quick: bool) -> Vec<BatchRow> {
     rows
 }
 
-/// Evaluates the acceptance gates.
-pub fn gates(sustained: &[SustainedRow], batching: &[BatchRow]) -> GateReport {
+/// The `sustained` and `batching` sections and the four gates of a run.
+pub fn report(sustained: &[SustainedRow], batching: &[BatchRow]) -> Measured {
+    let stats = |r: &SustainedRow| r.report.stats;
     let min_completion =
-        sustained.iter().map(SustainedRow::completion_rate).min_by(f64::total_cmp).unwrap_or(1.0);
-    let corrupt_total = sustained.iter().map(|r| r.corrupt).sum();
-    let completion_ok = min_completion >= GATE_COMPLETION
-        && corrupt_total == 0
-        && sustained.iter().all(|r| r.verified > 0);
-    let max_batch_speedup =
-        batching.iter().map(BatchRow::speedup).max_by(f64::total_cmp).unwrap_or(0.0);
-    GateReport {
-        min_completion,
-        corrupt_total,
-        completion_ok,
-        max_batch_speedup,
-        batch_speedup_ok: max_batch_speedup >= GATE_SPEEDUP,
+        sustained.iter().map(|r| r.report.completion_rate()).min_by(f64::total_cmp);
+    let corrupt_total = sustained.iter().map(|r| stats(r).corrupt).sum::<u64>() as f64;
+    let max_batch_speedup = batching.iter().map(BatchRow::speedup).max_by(f64::total_cmp);
+    let sustained_rows = sustained.iter().map(|r| {
+        let (s, l) = (stats(r), r.report.latency.as_ref());
+        row! {
+            "case" => r.case.as_str(), "tenants" => r.tenants, "submitted" => s.submitted,
+            "admitted" => s.admitted, "rejected" => s.rejected, "completed" => s.completed,
+            "failed" => s.failed, "degraded" => s.degraded, "verified" => s.verified,
+            "corrupt" => s.corrupt, "churn_events" => s.churn_events, "repairs" => s.repairs,
+            "full_rebuilds" => s.full_rebuilds, "p50_us" => l.map_or(0, |l| l.p50),
+            "p99_us" => l.map_or(0, |l| l.p99),
+            "throughput_rps" => Val::Fix(r.report.throughput_rps, 1),
+            "completion_rate" => Val::Fix(r.report.completion_rate(), 6),
+        }
+    });
+    let batching_rows = batching.iter().map(|r| {
+        row! {
+            "case" => r.case.as_str(), "requests" => r.requests,
+            "batched_rps" => Val::Fix(r.batched_rps, 1),
+            "unbatched_rps" => Val::Fix(r.unbatched_rps, 1), "speedup" => Val::Fix(r.speedup(), 3),
+        }
+    });
+    Measured {
+        sections: vec![
+            ("sustained", sustained_rows.collect()),
+            ("batching", batching_rows.collect()),
+        ],
+        gates: vec![
+            Gate::at_least("min_completion", min_completion, GATE_COMPLETION),
+            Gate::below("corrupt_total", Some(corrupt_total), 1.0),
+            Gate::holds(
+                "every_cell_verified",
+                !sustained.is_empty() && sustained.iter().all(|r| stats(r).verified > 0),
+            ),
+            Gate::at_least("max_batch_speedup", max_batch_speedup, GATE_SPEEDUP),
+        ],
     }
-}
-
-/// Renders the result as the `BENCH_7.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(
-    sustained: &[SustainedRow],
-    batching: &[BatchRow],
-    report: &GateReport,
-    quick: bool,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_7\",\n");
-    s.push_str(
-        "  \"description\": \"multi-tenant service under sustained open-loop load; batched vs per-request execution\",\n",
-    );
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str("  \"sustained\": [\n");
-    for (i, r) in sustained.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"tenants\": {}, \"submitted\": {}, \"admitted\": {}, \"rejected\": {}, \"completed\": {}, \"failed\": {}, \"degraded\": {}, \"verified\": {}, \"corrupt\": {}, \"churn_events\": {}, \"repairs\": {}, \"full_rebuilds\": {}, \"p50_us\": {}, \"p99_us\": {}, \"throughput_rps\": {:.1}, \"completion_rate\": {:.6}}}{}\n",
-            r.case,
-            r.tenants,
-            r.submitted,
-            r.admitted,
-            r.rejected,
-            r.completed,
-            r.failed,
-            r.degraded,
-            r.verified,
-            r.corrupt,
-            r.churn_events,
-            r.repairs,
-            r.full_rebuilds,
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.completion_rate(),
-            if i + 1 < sustained.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"batching\": [\n");
-    for (i, r) in batching.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"requests\": {}, \"batched_rps\": {:.1}, \"unbatched_rps\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.case,
-            r.requests,
-            r.batched_rps,
-            r.unbatched_rps,
-            r.speedup(),
-            if i + 1 < batching.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    s.push_str(&format!("    \"min_completion\": {:.6},\n", report.min_completion));
-    s.push_str(&format!("    \"corrupt_total\": {},\n", report.corrupt_total));
-    s.push_str(&format!("    \"completion_ok\": {},\n", report.completion_ok));
-    s.push_str(&format!("    \"max_batch_speedup\": {:.3},\n", report.max_batch_speedup));
-    s.push_str(&format!("    \"batch_speedup_ok\": {}\n", report.batch_speedup_ok));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::{parse, Json};
+    use crate::suite::{document, SUITES};
 
     fn srow(admitted: u64, completed: u64, verified: u64, corrupt: u64) -> SustainedRow {
-        SustainedRow {
-            case: "test".into(),
-            tenants: 2,
-            submitted: admitted,
-            admitted,
-            rejected: 0,
-            completed,
-            failed: admitted - completed,
-            degraded: 0,
-            verified,
-            corrupt,
-            churn_events: 0,
-            repairs: 0,
-            full_rebuilds: 0,
-            p50_us: 10,
-            p99_us: 100,
-            throughput_rps: 1000.0,
-        }
+        let mut report = ServiceReport::default();
+        report.stats.admitted = admitted;
+        report.stats.completed = completed;
+        report.stats.verified = verified;
+        report.stats.corrupt = corrupt;
+        SustainedRow { case: "test".into(), tenants: 2, report }
     }
 
     fn brow(batched: f64, unbatched: f64) -> BatchRow {
@@ -427,25 +312,29 @@ mod tests {
 
     #[test]
     fn completion_gate_requires_rate_verification_and_zero_corruption() {
-        let ok = gates(&[srow(100, 100, 100, 0)], &[brow(1200.0, 1000.0)]);
-        assert!(ok.completion_ok && ok.batch_speedup_ok, "{ok:?}");
+        let ok = report(&[srow(100, 100, 100, 0)], &[brow(1200.0, 1000.0)]);
+        assert!(ok.all_ok() && ok.gates.iter().all(|g| g.armed), "{:?}", ok.gates);
 
-        let low = gates(&[srow(100, 98, 98, 0)], &[]);
-        assert!(!low.completion_ok, "98% must fail the 99% bar: {low:?}");
+        let low = report(&[srow(100, 98, 98, 0)], &[brow(1200.0, 1000.0)]);
+        assert!(!low.gate("min_completion").ok, "98% must fail the 99% bar: {:?}", low.gates);
 
-        let corrupt = gates(&[srow(100, 100, 100, 1)], &[]);
-        assert!(!corrupt.completion_ok, "any corruption fails: {corrupt:?}");
+        let corrupt = report(&[srow(100, 100, 100, 1)], &[brow(1200.0, 1000.0)]);
+        assert!(!corrupt.gate("corrupt_total").ok, "any corruption fails: {:?}", corrupt.gates);
 
-        let unverified = gates(&[srow(100, 100, 0, 0)], &[]);
-        assert!(!unverified.completion_ok, "a cell that never verified is not evidence");
+        let unverified = report(&[srow(100, 100, 0, 0)], &[brow(1200.0, 1000.0)]);
+        let g = unverified.gate("every_cell_verified");
+        assert!(g.armed && !g.ok, "a cell that never verified is not evidence: {g:?}");
+        assert!(!unverified.all_ok());
     }
 
     #[test]
     fn speedup_gate_takes_the_best_cell() {
-        let g = gates(&[srow(10, 10, 10, 0)], &[brow(1000.0, 900.0), brow(1500.0, 1000.0)]);
-        assert!(g.batch_speedup_ok, "1.5x best cell passes: {g:?}");
-        let g = gates(&[srow(10, 10, 10, 0)], &[brow(1100.0, 1000.0)]);
-        assert!(!g.batch_speedup_ok, "1.1x fails the 1.2x bar: {g:?}");
+        let m = report(&[srow(10, 10, 10, 0)], &[brow(1000.0, 900.0), brow(1500.0, 1000.0)]);
+        assert!(m.gate("max_batch_speedup").ok, "1.5x best cell passes: {:?}", m.gates);
+        let m = report(&[srow(10, 10, 10, 0)], &[brow(1100.0, 1000.0)]);
+        assert!(!m.gate("max_batch_speedup").ok, "1.1x fails the 1.2x bar: {:?}", m.gates);
+        let m = report(&[srow(10, 10, 10, 0)], &[]);
+        assert!(!m.gate("max_batch_speedup").ok, "no batching cell is not evidence");
     }
 
     #[test]
@@ -459,24 +348,29 @@ mod tests {
             churn_period: Duration::from_millis(12),
             seed: 7,
         });
-        assert!(row.admitted > 0, "{row:?}");
-        assert_eq!(row.completed + row.failed, row.admitted, "{row:?}");
-        assert_eq!(row.corrupt, 0, "{row:?}");
-        assert!(row.verified > 0, "{row:?}");
-        assert!(row.p99_us >= row.p50_us, "{row:?}");
+        let s = row.report.stats;
+        assert!(s.admitted > 0, "{row:?}");
+        assert_eq!(s.completed + s.failed, s.admitted, "{row:?}");
+        assert_eq!(s.corrupt, 0, "{row:?}");
+        assert!(s.verified > 0, "{row:?}");
+        let l = row.report.latency.as_ref().expect("completions have latencies");
+        assert!(l.p99 >= l.p50, "{row:?}");
     }
 
     #[test]
     fn json_document_is_balanced() {
-        let sustained = vec![srow(100, 100, 100, 0)];
-        let batching = vec![brow(1300.0, 1000.0)];
-        let report = gates(&sustained, &batching);
-        let json = write_json(&sustained, &batching, &report, true);
+        let m = report(&[srow(100, 100, 100, 0)], &[brow(1300.0, 1000.0)]);
+        let suite = SUITES.iter().find(|s| s.id == 7).expect("suite 7");
+        let json = document(suite, true, 1, &m);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"p99_us\""));
         assert!(json.contains("\"rejected\""));
         assert!(json.contains("\"degraded\""));
-        assert!(json.contains("\"batch_speedup_ok\": true"));
+        let doc = parse(&json).expect("valid JSON");
+        let gates = doc.get("gates").items();
+        let gate = gates.iter().find(|g| g.get("name") == &Json::Str("max_batch_speedup".into()));
+        assert_eq!(gate.expect("the batch gate").get("ok"), &Json::Bool(true));
+        assert_eq!(doc.get("all_ok"), &Json::Bool(true));
     }
 }

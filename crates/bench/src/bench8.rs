@@ -13,9 +13,9 @@
 //! forwarding agents, collapsing the blocks that share a relay hop
 //! into one.
 //!
-//! Acceptance gate, evaluated by [`gates`]: the best cell moves
-//! ≥ [`GATE_BYTES_RATIO`]× fewer bytes fused than emulated, and every
-//! cell's fused output byte-matches [`reference_allreduce`].
+//! Gates, see [`report`]: the best cell moves ≥ [`GATE_BYTES_RATIO`]×
+//! fewer bytes fused than emulated (`max_bytes_ratio`), and every cell's
+//! fused output byte-matches [`reference_allreduce`] (`all_correct`).
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::collective::reference_allreduce;
@@ -23,6 +23,8 @@ use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, Reduction};
 use nhood_telemetry::CountingRecorder;
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::hash_mix;
+
+use crate::suite::{row, Gate, Measured, Val};
 
 /// Required emulated / fused bytes-moved ratio (best cell).
 pub const GATE_BYTES_RATIO: f64 = 1.2;
@@ -55,19 +57,6 @@ impl FusionRow {
     pub fn bytes_ratio(&self) -> f64 {
         self.emulated_bytes as f64 / (self.fused_bytes as f64).max(1e-9)
     }
-}
-
-/// The acceptance verdict (also embedded in the JSON document).
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Largest emulated/fused bytes ratio among cells.
-    pub max_bytes_ratio: f64,
-    /// Smallest ratio — reported for honesty, not gated.
-    pub min_bytes_ratio: f64,
-    /// Gate: `max_bytes_ratio >=` [`GATE_BYTES_RATIO`].
-    pub bytes_ratio_ok: bool,
-    /// Gate: every cell's fused buffers matched the reference.
-    pub all_correct: bool,
 }
 
 /// Runs one cell: fused allreduce and its allgather emulation over the
@@ -121,61 +110,31 @@ pub fn run_fusion(quick: bool) -> Vec<FusionRow> {
     cells.iter().map(|&(n, delta)| fusion_cell(n, delta, m, 0xB8)).collect()
 }
 
-/// Evaluates the acceptance gates.
-pub fn gates(rows: &[FusionRow]) -> GateReport {
-    let max_bytes_ratio =
-        rows.iter().map(FusionRow::bytes_ratio).max_by(f64::total_cmp).unwrap_or(0.0);
-    let min_bytes_ratio =
-        rows.iter().map(FusionRow::bytes_ratio).min_by(f64::total_cmp).unwrap_or(0.0);
-    GateReport {
-        max_bytes_ratio,
-        min_bytes_ratio,
-        bytes_ratio_ok: max_bytes_ratio >= GATE_BYTES_RATIO,
-        all_correct: !rows.is_empty() && rows.iter().all(|r| r.correct),
+/// The `cells` section and the two gates of a run.
+pub fn report(rows: &[FusionRow]) -> Measured {
+    let max_bytes_ratio = rows.iter().map(FusionRow::bytes_ratio).max_by(f64::total_cmp);
+    let cells = rows.iter().map(|r| {
+        row! {
+            "case" => r.case.as_str(), "n" => r.n, "delta" => r.delta, "m" => r.m,
+            "fused_bytes" => r.fused_bytes, "fused_msgs" => r.fused_msgs,
+            "emulated_bytes" => r.emulated_bytes, "emulated_msgs" => r.emulated_msgs,
+            "bytes_ratio" => Val::Fix(r.bytes_ratio(), 3), "correct" => r.correct,
+        }
+    });
+    Measured {
+        sections: vec![("cells", cells.collect())],
+        gates: vec![
+            Gate::at_least("max_bytes_ratio", max_bytes_ratio, GATE_BYTES_RATIO),
+            Gate::holds("all_correct", !rows.is_empty() && rows.iter().all(|r| r.correct)),
+        ],
     }
-}
-
-/// Renders the result as the `BENCH_8.json` document (pretty-printed,
-/// hand-rolled — the workspace builds offline, no serde).
-pub fn write_json(rows: &[FusionRow], report: &GateReport, quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"BENCH_8\",\n");
-    s.push_str(
-        "  \"description\": \"fused sparse allreduce vs allgather-then-local-reduce, bytes moved\",\n",
-    );
-    s.push_str(&format!("  \"scale\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"n\": {}, \"delta\": {}, \"m\": {}, \"fused_bytes\": {}, \"fused_msgs\": {}, \"emulated_bytes\": {}, \"emulated_msgs\": {}, \"bytes_ratio\": {:.3}, \"correct\": {}}}{}\n",
-            r.case,
-            r.n,
-            r.delta,
-            r.m,
-            r.fused_bytes,
-            r.fused_msgs,
-            r.emulated_bytes,
-            r.emulated_msgs,
-            r.bytes_ratio(),
-            r.correct,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"gates\": {\n");
-    s.push_str(&format!("    \"max_bytes_ratio\": {:.3},\n", report.max_bytes_ratio));
-    s.push_str(&format!("    \"min_bytes_ratio\": {:.3},\n", report.min_bytes_ratio));
-    s.push_str(&format!("    \"bytes_ratio_ok\": {},\n", report.bytes_ratio_ok));
-    s.push_str(&format!("    \"all_correct\": {}\n", report.all_correct));
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::{parse, Json};
+    use crate::suite::{document, SUITES};
 
     fn row(fused: u64, emulated: u64, correct: bool) -> FusionRow {
         FusionRow {
@@ -193,19 +152,18 @@ mod tests {
 
     #[test]
     fn ratio_gate_takes_the_best_cell_and_demands_correctness() {
-        let g = gates(&[row(1000, 1100, true), row(1000, 1500, true)]);
-        assert!(g.bytes_ratio_ok && g.all_correct, "{g:?}");
-        assert!((g.max_bytes_ratio - 1.5).abs() < 1e-9);
-        assert!((g.min_bytes_ratio - 1.1).abs() < 1e-9);
+        let m = report(&[row(1000, 1100, true), row(1000, 1500, true)]);
+        assert!(m.all_ok(), "{:?}", m.gates);
+        assert!((m.gate("max_bytes_ratio").value.unwrap() - 1.5).abs() < 1e-9);
 
-        let g = gates(&[row(1000, 1100, true)]);
-        assert!(!g.bytes_ratio_ok, "1.1x fails the 1.2x bar: {g:?}");
+        let m = report(&[row(1000, 1100, true)]);
+        assert!(!m.gate("max_bytes_ratio").ok, "1.1x fails the 1.2x bar: {:?}", m.gates);
 
-        let g = gates(&[row(1000, 1500, false)]);
-        assert!(!g.all_correct, "a wrong fused buffer poisons the verdict");
+        let m = report(&[row(1000, 1500, false)]);
+        assert!(!m.gate("all_correct").ok, "a wrong fused buffer poisons the verdict");
 
-        let g = gates(&[]);
-        assert!(!g.all_correct, "an empty grid is not evidence");
+        let m = report(&[]);
+        assert!(m.gates.iter().all(|g| g.armed && !g.ok), "an empty grid is not evidence");
     }
 
     #[test]
@@ -218,12 +176,16 @@ mod tests {
 
     #[test]
     fn json_document_is_balanced() {
-        let rows = vec![row(1000, 1500, true)];
-        let report = gates(&rows);
-        let json = write_json(&rows, &report, true);
+        let m = report(&[row(1000, 1500, true)]);
+        let suite = SUITES.iter().find(|s| s.id == 8).expect("suite 8");
+        let json = document(suite, true, 1, &m);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"bytes_ratio_ok\": true"));
         assert!(json.contains("\"fused_bytes\""));
+        let doc = parse(&json).expect("valid JSON");
+        let gates = doc.get("gates").items();
+        let gate = gates.iter().find(|g| g.get("name") == &Json::Str("max_bytes_ratio".into()));
+        assert_eq!(gate.expect("the ratio gate").get("ok"), &Json::Bool(true));
+        assert_eq!(doc.get("all_ok"), &Json::Bool(true));
     }
 }

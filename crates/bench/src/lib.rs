@@ -14,7 +14,10 @@
 //!
 //! Run everything with `cargo run --release -p nhood-bench --bin repro --
 //! all`; wall-clock micro-benchmarks of the library itself live under
-//! `benches/` (driven by the in-repo [`harness`]).
+//! `benches/` (driven by the in-repo [`harness`]). The gated acceptance
+//! suites `bench4` … `bench10` report through the one harness in
+//! [`suite`]: `cargo run --release -p nhood-bench --bin bench -- N
+//! [--quick]` writes `BENCH_N.json`.
 
 pub mod bench10;
 pub mod bench4;
@@ -34,3 +37,4 @@ pub mod figures;
 pub mod harness;
 pub mod mirror;
 pub mod plot;
+pub mod suite;
