@@ -220,8 +220,9 @@ impl Gate {
             Op::Holds => (Val::Bool(self.value == Some(1.0)), Val::Bool(true)),
             _ => (self.value.map_or(Val::Null, |v| Val::Fix(v, 4)), Val::Num(self.bound)),
         };
+        let op = ["at_least", "below", "holds"][self.op as usize];
         row! {
-            "name" => self.name, "value" => value, "op" => format!("{:?}", self.op), "bound" => bound,
+            "name" => self.name, "value" => value, "op" => op, "bound" => bound,
             "armed" => self.armed, "ok" => self.ok,
         }
     }
@@ -590,7 +591,7 @@ pub(crate) mod tests {
         assert_eq!(gates[1].get("armed"), &Json::Bool(false));
         assert_eq!(gates[1].get("ok"), &Json::Bool(true), "an unarmed gate cannot fail");
         assert_eq!(gates[2].get("value"), &Json::Bool(false));
-        assert_eq!(gates[2].get("op"), &Json::Str("Holds".into()));
+        assert_eq!(gates[2].get("op"), &Json::Str("holds".into()));
         assert_eq!(doc.get("all_ok"), &Json::Bool(false), "the failed property fails the run");
         assert!(parse(&text[..text.len() - 3]).is_err(), "a truncated document does not parse");
     }

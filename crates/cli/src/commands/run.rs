@@ -18,9 +18,11 @@ use nhood_telemetry::{CountingRecorder, ModelPrediction, Recorder, SpanRecorder}
 use nhood_topology::Topology;
 use std::io::Write;
 
-/// Parses `--reduce sum|max|bitor` and `--dtype u8|u32|f32` into a
-/// [`Reduction`] (defaults: Sum over u8 lanes).
-pub fn parse_reduction(args: &Args) -> Result<Reduction, ArgError> {
+/// Parses `--op` (plus `--reduce sum|max|bitor` and `--dtype
+/// u8|u32|f32` for the reducing ops; defaults: Sum over u8 lanes). The
+/// reduction flags are validated even for non-reducing ops so a typo
+/// never passes silently.
+pub fn parse_op(args: &Args) -> Result<CollectiveOp, ArgError> {
     let op = match args.get("reduce").unwrap_or("sum") {
         "sum" => ReduceOp::Sum,
         "max" => ReduceOp::Max,
@@ -33,14 +35,7 @@ pub fn parse_reduction(args: &Args) -> Result<Reduction, ArgError> {
         "f32" => DType::F32,
         other => return Err(fail(format!("unknown --dtype '{other}' (u8 | u32 | f32)"))),
     };
-    Ok(Reduction::new(op, dtype))
-}
-
-/// Parses `--op` (plus `--reduce`/`--dtype` for the reducing ops).
-/// The reduction flags are validated even for non-reducing ops so a
-/// typo never passes silently.
-pub fn parse_op(args: &Args) -> Result<CollectiveOp, ArgError> {
-    let red = parse_reduction(args)?;
+    let red = Reduction::new(op, dtype);
     match args.get("op").unwrap_or("allgather") {
         "allgather" => Ok(CollectiveOp::Allgather),
         "allgatherv" => Ok(CollectiveOp::Allgatherv),
@@ -166,12 +161,7 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         Ok(())
     };
     let counting = || {
-        let socket_of = (0..graph.n())
-            .map(|r| {
-                let loc = layout.location(r);
-                loc.node * layout.sockets_per_node() + loc.socket
-            })
-            .collect();
+        let socket_of = (0..graph.n()).map(|r| layout.socket_index(r)).collect();
         CountingRecorder::with_sockets(socket_of)
     };
 

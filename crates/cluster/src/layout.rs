@@ -234,6 +234,13 @@ impl ClusterLayout {
         self.location(a).node == self.location(b).node
     }
 
+    /// The cluster-wide index of `rank`'s socket (`node · S + socket`):
+    /// two ranks share a socket exactly when these agree.
+    pub fn socket_index(&self, rank: Rank) -> usize {
+        let at = self.location(rank);
+        at.node * self.sockets_per_node + at.socket
+    }
+
     /// `true` if the two ranks share a socket.
     pub fn same_socket(&self, a: Rank, b: Rank) -> bool {
         let la = self.location(a);

@@ -25,6 +25,7 @@
 //! blocks through intermediate routers; the auto-tuner decides which
 //! trade wins for a given (topology, δ, sizes) point.
 
+use crate::leader::{gather_to_relays, scatter_from_relay, send_intra_node};
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
@@ -59,7 +60,7 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     let rounds = if nn <= 1 { 0 } else { usize::BITS as usize - (nn - 1).leading_zeros() as usize };
 
     // phases: local, the log-stride rounds, scatter, a copy-only epilogue
-    let (local, scatter, epilogue) = (0, rounds + 1, rounds + 2);
+    let (local, scatter) = (0, rounds + 1);
     let mut w = PlanWriter::new(Algorithm::Bruck, n, rounds + 3);
     w.reserve(graph.edge_count(), graph.edge_count());
 
@@ -98,27 +99,9 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     }
 
     // Local phase: gather to the router, plus intra-node direct sends.
-    for &b in &gathered {
-        let l = router(node_of(b));
-        if l == b {
-            continue; // the router already holds its own block
-        }
-        w.message(local, b, l, 0, &[b]);
-    }
-    for b in 0..n {
-        let a = node_of(b);
-        let l = router(a);
-        for &t in graph.out_neighbors(b) {
-            if node_of(t) != a {
-                continue;
-            }
-            if t == l && gathered.contains(&b) && l != b {
-                continue; // delivered by the gather
-            }
-            let tag = 1_000_000 + t as u64;
-            w.message(local, b, t, tag, &[b]);
-        }
-    }
+    let relay = |b: Rank| router(node_of(b));
+    gather_to_relays(&mut w, local, &gathered, relay);
+    send_intra_node(&mut w, local, graph, (node_of, relay), &gathered);
 
     // Log-stride rounds: one combined message per router pair per round.
     // An arrival at offset `p` happens exactly once — in the round where
@@ -137,22 +120,9 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
 
     // Scatter: deliver each remote arrival to the local ranks that need
     // it. The router's own in-edges were satisfied by the arrival itself.
-    let scatter_tag = 1 + rounds as u64;
     for (&bn, blocks) in &arrivals {
-        let l = router(bn);
-        let mut per_target: BTreeMap<Rank, Vec<Rank>> = BTreeMap::new();
-        for &b in blocks {
-            for t in ranks_on(bn) {
-                if t != l && graph.has_edge(b, t) {
-                    per_target.entry(t).or_default().push(b);
-                }
-            }
-        }
-        for (t, blocks) in per_target {
-            w.copy(l, scatter, blocks.len());
-            w.copy(t, epilogue, blocks.len());
-            w.message(scatter, l, t, scatter_tag, &blocks);
-        }
+        let at = (scatter, 1 + rounds as u64);
+        scatter_from_relay(&mut w, at, graph, (router(bn), ranks_on(bn)), blocks);
     }
     w.finish()
 }

@@ -40,6 +40,7 @@ use crate::exec::{phase_label, ExecError};
 use crate::plan::{CollectivePlan, MsgView};
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, PhaseWriter, Schedule};
+use nhood_telemetry::{Tally, Traffic};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -139,9 +140,9 @@ pub(crate) struct ProgMsg {
     blocks_end: usize,
 }
 
-/// Where block lengths come from: a combining op's size table, or — for
-/// a gather, whose block `b` *is* rank `b`'s payload — the payloads
-/// themselves (no table is built per request).
+/// Where block lengths come from: a size table (a combining op's, or a
+/// uniform gather's one length), or — for a ragged gather, whose block
+/// `b` *is* rank `b`'s payload — the payloads themselves.
 #[derive(Clone, Copy)]
 pub(crate) enum Lens<'a> {
     Table(&'a BlockSizes),
@@ -191,9 +192,9 @@ impl Cells {
 }
 
 /// `ends[i - 1]..ends[i]`, with an implicit leading 0.
-fn span(ends: &[usize], i: usize) -> Range<usize> {
+fn span(ends: &[Ix], i: usize) -> Range<usize> {
     let start = if i == 0 { 0 } else { ends[i - 1] };
-    start..ends[i]
+    start as usize..ends[i] as usize
 }
 
 /// A compiled program for one (plan, op shape) — exported as
@@ -208,7 +209,7 @@ pub struct Program {
     /// The telemetry label of each phase ([`phase_label`]).
     labels: Vec<&'static str>,
     /// (Gather) `copies[k * n + r]`: the plan's `copy_blocks` tally.
-    copies: Vec<usize>,
+    copies: Vec<Ix>,
     /// (Gather, Route) per receive cell: the send cell, on the rank its
     /// key names, the block it receives starts in. Nothing modifies such
     /// a block in flight, so delivery is a copy from there.
@@ -217,16 +218,18 @@ pub struct Program {
     msgs: Vec<ProgMsg>,
     /// `span(recv_ends, k * n + r)`: the messages rank `r` integrates in
     /// phase `k`.
-    recv_ends: Vec<usize>,
+    recv_ends: Vec<Ix>,
     /// Message ids in send order: phase, sender, the plan's order.
     send_order: Vec<usize>,
     /// `span(send_ends, k * n + r)` into `send_order`.
-    send_ends: Vec<usize>,
+    send_ends: Vec<Ix>,
     blocks: Vec<Block>,
     steps: Vec<Step>,
     send: Cells,
     slots: Cells,
     recv: Cells,
+    /// Per rank, its traffic at one byte per block ([`Exec::traffic`]).
+    units: Vec<Traffic>,
 }
 
 // ---------------------------------------------------------------------
@@ -393,6 +396,7 @@ impl<'g> Walk<'g> {
                 send,
                 slots: Cells::default(),
                 recv,
+                units: Vec::new(),
             },
         }
     }
@@ -576,7 +580,7 @@ impl<'g> Walk<'g> {
         for &pi in &order {
             let pm = &pend[pi];
             while receiver < pm.dst {
-                self.prog.recv_ends.push(self.prog.msgs.len());
+                self.prog.recv_ends.push(self.prog.msgs.len() as Ix);
                 receiver += 1;
             }
             final_id[pi] = self.prog.msgs.len();
@@ -595,7 +599,7 @@ impl<'g> Walk<'g> {
             self.prog.msgs.push(ProgMsg { src: pm.src, dst: pm.dst, tag: pm.tag, blocks_end });
         }
         while receiver < self.prog.n {
-            self.prog.recv_ends.push(self.prog.msgs.len());
+            self.prog.recv_ends.push(self.prog.msgs.len() as Ix);
             receiver += 1;
         }
         self.prog.send_order.extend(final_id);
@@ -645,7 +649,7 @@ pub(crate) fn compile(
                         walk.pack((r, k), (msg.peer(), msg.tag(), items))?;
                     }
                 }
-                walk.prog.send_ends.push(sent_before + walk.pend.len());
+                walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
             }
             walk.integrate();
         }
@@ -662,6 +666,8 @@ pub(crate) fn compile(
         walk.prog
     };
     prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
+    let blocks = |id| prog.blocks_of(id).len();
+    prog.units = (0..n).map(|r| prog.traffic_of(r, Tally::default(), blocks)).collect();
     Ok(prog)
 }
 
@@ -693,6 +699,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         send: Cells::with_capacity(n),
         slots: Cells::with_capacity(blocks),
         recv: Cells::with_capacity(graph.edge_count()),
+        units: Vec::new(),
     };
     // per rank: the blocks held, sorted, and where (own block first)
     let mut held: Vec<Vec<(Ix, Src)>> = Vec::with_capacity(n);
@@ -720,8 +727,8 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
                 }
                 pend.push((peer, r, msg, sent_before + pend.len()));
             }
-            prog.send_ends.push(sent_before + pend.len());
-            prog.copies.push(phase.copy_blocks());
+            prog.send_ends.push((sent_before + pend.len()) as Ix);
+            prog.copies.push(phase.copy_blocks() as Ix);
         }
         // integration order: per receiver, ascending (sender, tag)
         pend.sort_unstable_by_key(|&(dst, src, msg, sent)| (dst, src, msg.tag(), sent));
@@ -730,7 +737,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         let mut receiver = 0;
         for &(dst, src, msg, sent) in &pend {
             for _ in receiver..dst {
-                prog.recv_ends.push(prog.msgs.len());
+                prog.recv_ends.push(prog.msgs.len() as Ix);
             }
             receiver = dst;
             for &b in msg.blocks() {
@@ -744,7 +751,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
             prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.blocks.len() });
         }
         for _ in receiver..n {
-            prog.recv_ends.push(prog.msgs.len());
+            prog.recv_ends.push(prog.msgs.len() as Ix);
         }
         // Pass 2: the arrivals, in integration order.
         for id in sent_before..prog.msgs.len() {
@@ -875,13 +882,28 @@ impl Program {
     }
 
     /// Phase `k`'s telemetry label and (gather) per-rank copy tallies.
-    pub(crate) fn phase(&self, k: usize) -> (&'static str, &[usize]) {
+    pub(crate) fn phase(&self, k: usize) -> (&'static str, &[Ix]) {
         (self.labels[k], self.copies.get(k * self.n..(k + 1) * self.n).unwrap_or(&[]))
     }
 
     fn blocks_of(&self, id: usize) -> Range<usize> {
         let start = if id == 0 { 0 } else { self.msgs[id - 1].blocks_end };
         start..self.msgs[id].blocks_end
+    }
+
+    /// Rank `r`'s traffic under `tally`, one pass over its share of the
+    /// program: its copies, and every message it sends and integrates at
+    /// `bytes(id)`.
+    fn traffic_of(&self, r: Rank, tally: Tally, bytes: impl Fn(usize) -> usize) -> Traffic {
+        let mut t = Traffic::default();
+        for k in 0..self.phases {
+            t.copies += self.copies.get(k * self.n + r).map_or(0, |&blocks| blocks.into());
+            for &id in self.sends(k, r) {
+                t.send(tally, r, self.msgs[id].dst, bytes(id));
+            }
+            self.recvs(k, r).for_each(|id| t.recv(bytes(id)));
+        }
+        t
     }
 
     fn steps_of(&self, b: usize) -> Range<usize> {
@@ -1050,6 +1072,25 @@ impl Exec<'_> {
         self.prog.wire_bytes(id, self.job.lens)
     }
 
+    /// Every rank's traffic under `tally`, handed to `each` rank by rank.
+    /// A uniform request without a socket map scales the program's units
+    /// (O(ranks)); walking its messages, as any other request does, makes
+    /// counting `gather-small` about five times as dear.
+    pub(crate) fn traffic(&self, tally: Tally, mut each: impl FnMut(Rank, &Traffic)) {
+        let (prog, lens) = (self.prog, self.job.lens);
+        let uniform = matches!(lens, Lens::Table(s) if s.is_uniform()).then(|| lens.size(0) as u64);
+        for (r, unit) in prog.units.iter().enumerate() {
+            let t = match uniform {
+                Some(m) if tally.socket_of.is_none() => {
+                    let (bytes_sent, bytes_recvd) = (unit.bytes_sent * m, unit.bytes_recvd * m);
+                    Traffic { bytes_sent, bytes_recvd, ..*unit }
+                }
+                _ => prog.traffic_of(r, tally, |id| prog.wire_bytes(id, lens)),
+            };
+            each(r, &t);
+        }
+    }
+
     /// (Gather, Route) Appends rank `r`'s receive cells to `rbuf`, each
     /// read at its origin — the one copy of every delivered byte.
     /// `compile`'s `Undelivered` check vouches that every cell has one.
@@ -1063,16 +1104,14 @@ impl Exec<'_> {
     }
 
     /// Packs message `id` for the wire from its sender's send buffer and
-    /// staging `arena`, returning it with its byte count. A gather or
-    /// routed message travels as its id alone: its blocks are read at
-    /// their origins ([`Self::deliver`]).
-    pub(crate) fn pack(&self, id: usize, arena: &[u8]) -> (Vec<u8>, usize) {
-        let bytes = self.wire_bytes(id);
+    /// staging `arena`. A gather or routed message travels as its id
+    /// alone: its blocks are read at their origins ([`Self::deliver`]).
+    pub(crate) fn pack(&self, id: usize, arena: &[u8]) -> Vec<u8> {
         if !self.prog.shape.reduces() {
-            return (Vec::new(), bytes);
+            return Vec::new();
         }
         let sbuf = &self.job.sbufs[self.prog.msgs[id].src];
-        let mut wire = Vec::with_capacity(bytes);
+        let mut wire = Vec::with_capacity(self.wire_bytes(id));
         for block in &self.prog.blocks[self.prog.blocks_of(id)] {
             let len = self.job.lens.size(block.key);
             wire.extend_from_slice(match block.src {
@@ -1080,20 +1119,13 @@ impl Exec<'_> {
                 Src::Slot(s) => &arena[self.off.slot[s as usize]..][..len],
             });
         }
-        (wire, bytes)
+        wire
     }
 
     /// (reduce shapes) Applies message `id`'s steps at its receiver —
     /// `arena` is the receiver's staging buffer, `rbuf` its receive
-    /// buffer — reading the blocks from `wire`. Returns the message's
-    /// wire bytes.
-    pub(crate) fn integrate(
-        &self,
-        id: usize,
-        wire: Wire,
-        arena: &mut [u8],
-        rbuf: &mut [u8],
-    ) -> usize {
+    /// buffer — reading the blocks from `wire`.
+    pub(crate) fn integrate(&self, id: usize, wire: Wire, arena: &mut [u8], rbuf: &mut [u8]) {
         let (prog, Job { red, sbufs, lens }, off) = (self.prog, self.job, self.off);
         // INVARIANT: `Shape::of` gives exactly the ops with a reduction
         // the reduce shapes, the only ones the runtimes integrate.
@@ -1121,7 +1153,6 @@ impl Exec<'_> {
                 }
             }
         }
-        at
     }
 }
 
@@ -1270,7 +1301,7 @@ pub(crate) mod tests {
                 for &(_, to, items) in sends.iter().filter(|s| s.0 == r) {
                     walk.pack((r, k), (to, k as u64, items)).unwrap();
                 }
-                walk.prog.send_ends.push(sent_before + walk.pend.len());
+                walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
             }
             walk.integrate();
             walk.prog.labels.push(nhood_telemetry::labels::PHASE);

@@ -412,13 +412,13 @@ pub(crate) fn execute(
     clock: Option<Clock>,
     opts: &ExecOptions<'_>,
 ) -> Result<ExecOutcome, ExecError> {
-    if op == CollectiveOp::Allgather {
-        check_payloads(payloads, plan.n())?;
-    } else {
-        check_count(payloads, plan.n())?;
-    }
+    // a uniform gather's blocks all take its one payload length
+    let uniform = match op {
+        CollectiveOp::Allgather => Some(BlockSizes::uniform(check_payloads(payloads, plan.n())?)),
+        _ => check_count(payloads, plan.n()).map(|()| None)?,
+    };
     let prog = arena.program(plan, graph, Shape::of(op))?;
-    let lens = sizes.map_or(Lens::Own(payloads), Lens::Table);
+    let lens = sizes.or(uniform.as_ref()).map_or(Lens::Own(payloads), Lens::Table);
     let mut staged = arena.stage(&prog, Job { red: op.reduction(), sbufs: payloads, lens })?;
     let local = FaultStats::default();
     let stats = opts.fault_sink.unwrap_or(&local);

@@ -47,8 +47,8 @@ impl SimCost {
 /// `report.makespan`) in [`ExecOutcome::sim`]. The message size comes
 /// from [`Sim::m`] when set — so cluster-scale sizes need no real
 /// payload allocation — and from the payloads otherwise. The
-/// [`ExecOptions`] recorder receives every simulated message, making
-/// sim telemetry directly comparable with the real executors'.
+/// [`ExecOptions`] recorder gets a span per simulated message and each
+/// rank's traffic, comparable with the real executors' records.
 #[derive(Clone, Debug)]
 pub struct Sim {
     /// The modelled cluster.
@@ -612,11 +612,11 @@ mod tests {
                     let cold_rec = CountingRecorder::new(n);
                     let want = match perturbation {
                         Some(p) => engine.run_perturbed(&schedule, p),
-                        None => engine.run_sharded_recorded(
-                            &schedule,
-                            &WorkerPool::new(threads),
-                            &cold_rec,
-                        ),
+                        None => {
+                            let cold = engine.prepare(&schedule, &WorkerPool::new(threads));
+                            let prices = PriceColumns::from(&schedule);
+                            engine.run_prepared(&cold.unwrap(), &prices, None, Some(&cold_rec))
+                        }
                     };
                     same_report(&want.unwrap(), &got, &what);
                     if perturbation.is_none() {

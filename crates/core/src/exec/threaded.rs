@@ -27,6 +27,7 @@ use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::fault::FaultStats;
 use crate::plan::CollectivePlan;
 use crate::runtime::{self, Clock, LinkDown, Machine, Poll, Port};
+use nhood_telemetry::Traffic;
 use nhood_topology::{Rank, Topology};
 use std::any::Any;
 use std::sync::Arc;
@@ -80,6 +81,9 @@ struct RankRun<'a> {
     /// When the rank last heard anything: its receive timeout runs from
     /// there.
     heard: Duration,
+    /// What it has sent, integrated and copied (its sends split by the
+    /// recorder's socket map): handed to the recorder when the run is over.
+    traffic: Traffic,
 }
 
 impl Machine for RankRun<'_> {
@@ -129,11 +133,9 @@ impl RankRun<'_> {
     /// posts its sends.
     fn enter(&mut self, port: &mut Port<'_, Envelope>) -> Result<(), ExecError> {
         let (prog, rank, k, rec) = (self.exec.prog, self.rank, self.k, self.opts.recorder);
-        let (label, copies) = prog.phase(k);
+        let ((label, copies), tally) = (prog.phase(k), rec.tally().unwrap_or_default());
         rec.span_begin(rank, label);
-        if let Some(&blocks) = copies.get(rank).filter(|&&blocks| blocks > 0) {
-            rec.copies(rank, blocks);
-        }
+        self.traffic.copies += copies.get(rank).map_or(0, |&blocks| blocks.into());
         if !port.enter(rank, Some(k)) {
             return Err(ExecError::RankCrashed { rank, phase: k });
         }
@@ -144,9 +146,9 @@ impl RankRun<'_> {
         self.got.resize(due.len(), None);
         for &id in prog.sends(k, rank) {
             let m = prog.msg(id);
-            let (wire, bytes) = self.exec.pack(id, self.arena);
+            let wire = self.exec.pack(id, self.arena);
             // one logical message, however many attempts it takes
-            rec.msg_sent(rank, m.dst, bytes);
+            self.traffic.send(tally, rank, m.dst, self.exec.wire_bytes(id));
             let refused = |LinkDown| ExecError::LinkDown { src: m.src, dst: m.dst, phase: k };
             port.send(m.src, m.dst, m.tag, Some(k), (id, wire)).map_err(refused)?;
         }
@@ -172,19 +174,18 @@ impl RankRun<'_> {
         }
         while let Some(wire) = self.got.get_mut(self.next - due.start).and_then(Option::take) {
             let id = self.next;
-            let bytes = if prog.shape.reduces() {
-                self.exec.integrate(id, Wire::Packed(&wire), self.arena, self.rbuf)
-            } else {
-                self.exec.wire_bytes(id)
-            };
-            self.opts.recorder.msg_recvd(rank, prog.msg(id).src, bytes);
+            if prog.shape.reduces() {
+                self.exec.integrate(id, Wire::Packed(&wire), self.arena, self.rbuf);
+            }
+            self.traffic.recv(self.exec.wire_bytes(id));
             self.next += 1;
         }
     }
 }
 
 /// Runs a staged execution, every rank a machine on the runtime's
-/// `clock`. When several ranks fail the root cause is returned — a
+/// `clock`, then hands the recorder each rank's traffic (a failed one's so
+/// far). When several ranks fail the root cause is returned — a
 /// [`ExecError::LinkDown`], then a [`ExecError::WorkerPanic`], beats the
 /// timeouts it cascades into on its peers — else the first error in rank
 /// order.
@@ -212,9 +213,14 @@ pub(crate) fn run(
             got: Vec::new(),
             early: Vec::new(),
             heard: Duration::ZERO,
+            traffic: Traffic::default(),
         })
         .collect();
-    let errors = runtime::run(&mut ranks, opts, stats, clock).into_iter().filter_map(Result::err);
+    let results = runtime::run(&mut ranks, opts, stats, clock);
+    if opts.recorder.tally().is_some() {
+        ranks.iter().for_each(|r| opts.recorder.traffic(r.rank, &r.traffic));
+    }
+    let errors = results.into_iter().filter_map(Result::err);
     let cause = |e: &ExecError| match e {
         ExecError::LinkDown { .. } => 0,
         ExecError::WorkerPanic { .. } => 1,
@@ -314,6 +320,49 @@ mod tests {
         assert!(matches!(err, ExecError::LinkDown { .. }), "{err:?}");
         let counts = sink.snapshot();
         assert!(counts.link_downs >= 1, "{counts}");
+    }
+
+    #[test]
+    fn a_link_down_run_keeps_the_partial_traffic_it_moved() {
+        // The refused send counts (it was handed to the transport), and so
+        // does everything the other ranks sent and integrated before they
+        // gave up. `(messages, bytes, digest of every rank's counters)`
+        // captured while the executor reported each message by its own
+        // hook; the same under every seeded order.
+        const PARTIAL: (u64, u64, u64) = (113, 1928, 0xa6082787a3b60b24);
+        let g = erdos_renyi(24, 0.4, 8);
+        let layout = ClusterLayout::new(3, 2, 4);
+        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let (src, dst) = (0..24)
+            .find_map(|r| Some((r, plan.phase(r, 1).sends().next()?.peer())))
+            .expect("a second-phase send");
+        let fp = FaultPlan::seeded(1).with_link_down(src, dst, 1);
+        let payloads = test_payloads(24, 8, 5);
+        let socket_of: Vec<usize> = (0..24).map(|r| r / 4).collect();
+        for seed in 0..4 {
+            let rec = nhood_telemetry::CountingRecorder::with_sockets(socket_of.clone());
+            let opts = ExecOptions::new().fault(&fp).recorder(&rec);
+            let (arena, clock) = (&mut BlockArena::new(), Some(Clock::Logical(Some(seed))));
+            let err =
+                execute(CollectiveOp::Allgather, None, &plan, &g, &payloads, arena, clock, &opts);
+            assert_eq!(err.unwrap_err(), ExecError::LinkDown { src, dst, phase: 1 });
+            let digest = (0..24).map(|r| rec.per_rank(r)).fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
+                let fields = [
+                    c.msgs_sent,
+                    c.bytes_sent,
+                    c.msgs_recvd,
+                    c.bytes_recvd,
+                    c.copies,
+                    c.msgs_off_socket,
+                    c.bytes_off_socket,
+                    c.msgs_intra_socket,
+                    c.bytes_intra_socket,
+                ];
+                fields.iter().fold(h, |h, &x| (h ^ x).wrapping_mul(0x0100_0000_01b3))
+            });
+            let t = rec.totals();
+            assert_eq!((t.msgs_sent, t.bytes_sent, digest), PARTIAL, "seed {seed}");
+        }
     }
 
     #[test]

@@ -37,28 +37,23 @@ impl Executor for Virtual {
     }
 }
 
-/// Runs a staged execution sequentially.
+/// Runs a staged execution sequentially, then hands `rec` each rank's
+/// traffic when it tallies.
 pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
     let Staged { exec, arena: staged, rbufs } = staged;
     let prog = exec.prog;
-    for k in 0..prog.phases {
-        for (r, &blocks) in prog.phase(k).1.iter().enumerate().filter(|(_, &blocks)| blocks > 0) {
-            rec.copies(r, blocks);
-        }
-        for id in (0..prog.n).flat_map(|r| prog.recvs(k, r)) {
+    if prog.shape.reduces() {
+        // phase by phase, receiver by receiver: the program's message order
+        for id in (0..prog.phases).flat_map(|k| (0..prog.n).flat_map(move |r| prog.recvs(k, r))) {
             let m = prog.msg(id);
-            let bytes = if prog.shape.reduces() {
-                let (from, to) = two_bufs(staged, m.src, m.dst);
-                exec.integrate(id, Wire::Sender(from), to, &mut rbufs[m.dst])
-            } else {
-                exec.wire_bytes(id)
-            };
-            rec.msg_sent(m.src, m.dst, bytes);
-            rec.msg_recvd(m.dst, m.src, bytes);
+            let (from, to) = two_bufs(staged, m.src, m.dst);
+            exec.integrate(id, Wire::Sender(from), to, &mut rbufs[m.dst]);
         }
-    }
-    if !prog.shape.reduces() {
+    } else {
         rbufs.iter_mut().enumerate().for_each(|(r, rbuf)| exec.deliver(r, rbuf));
+    }
+    if let Some(tally) = rec.tally() {
+        exec.traffic(tally, |r, traffic| rec.traffic(r, traffic));
     }
 }
 
@@ -257,6 +252,40 @@ mod tests {
         assert_eq!(t.msgs_sent, t.msgs_recvd);
         assert_eq!(t.bytes_sent, t.bytes_recvd);
         assert_eq!(t.bytes_sent as usize, plan.total_blocks_sent() * 8);
+    }
+
+    #[test]
+    fn a_request_hands_the_recorder_one_traffic_record_per_rank() {
+        // Counting costs per rank, not per message: however many
+        // messages a request moves, a recorder sees at most n records.
+        struct Calls(std::sync::atomic::AtomicUsize);
+        impl Recorder for Calls {
+            fn tally(&self) -> Option<Tally<'_>> {
+                Some(Tally::default())
+            }
+            fn traffic(&self, _: Rank, _: &Traffic) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        use crate::collective::{derive_sizes, CollectiveOp, Reduction};
+        use nhood_telemetry::{Tally, Traffic};
+        use nhood_topology::Rank;
+        for (n, delta) in [(24, 0.3), (48, 0.6)] {
+            let g = erdos_renyi(n, delta, 4);
+            let layout = ClusterLayout::new(n / 8, 2, 4);
+            let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+            assert!(plan.message_count() > 2 * n, "a request of more messages than ranks");
+            let payloads = test_payloads(n, 8, 2);
+            let op = CollectiveOp::Allreduce(Reduction::SUM_U8);
+            let sizes = derive_sizes(&g, op, &payloads, None).unwrap();
+            for (op, sizes) in [(CollectiveOp::Allgather, None), (op, Some(&sizes))] {
+                let rec = Calls(Default::default());
+                let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new().recorder(&rec));
+                execute(op, sizes, &plan, &g, &payloads, arena, None, &opts).unwrap();
+                let calls = rec.0.into_inner();
+                assert!(calls <= n, "{op} at n = {n}: {calls} traffic calls");
+            }
+        }
     }
 
     #[test]

@@ -84,13 +84,8 @@ pub fn plan_hierarchical_leader(
     }
 
     // Phase 0: gather to the local leader of the block's slot.
-    for &b in &gathered {
-        let l = leader_rank(node_of(b), slot_of(b));
-        if l == b {
-            continue; // leader already holds its own block
-        }
-        w.message(0, b, l, 0, &[b]);
-    }
+    let relay = |b: Rank| leader_rank(node_of(b), slot_of(b));
+    gather_to_relays(&mut w, 0, &gathered, relay);
 
     // Phase 1a: inter-node combined exchange, one message per
     // (source node, dest node, leader slot). The tag encodes the full
@@ -105,22 +100,8 @@ pub fn plan_hierarchical_leader(
         w.copy(src, 1, blocks.len()); // pack
         w.message(1, src, dst, tag, &blocks);
     }
-    // Phase 1b: intra-node edges as direct sends — except where the
-    // phase-0 gather already delivered the block to its leader.
-    for b in 0..n {
-        let a = node_of(b);
-        let l = leader_rank(a, slot_of(b));
-        for &t in graph.out_neighbors(b) {
-            if node_of(t) != a {
-                continue;
-            }
-            if t == l && gathered.contains(&b) && l != b {
-                continue; // delivered by the gather
-            }
-            let tag = 1_000_000 + t as u64;
-            w.message(1, b, t, tag, &[b]);
-        }
-    }
+    // Phase 1b: intra-node edges as direct sends.
+    send_intra_node(&mut w, 1, graph, (node_of, relay), &gathered);
 
     // Phase 2: scatter remote blocks to the local ranks that need them —
     // aggregated per (receiving node, slot) across all source nodes, so
@@ -130,23 +111,65 @@ pub fn plan_hierarchical_leader(
         arrived.entry((*bnode, *slot)).or_default().extend(blocks.iter().copied());
     }
     for ((bnode, slot), blocks) in arrived {
-        let l = leader_rank(bnode, slot);
-        // target rank -> blocks it needs from this slot's arrivals
-        let mut per_target: BTreeMap<Rank, Vec<Rank>> = BTreeMap::new();
-        for &b in &blocks {
-            for r in ranks_on(bnode) {
-                if r != l && graph.has_edge(b, r) {
-                    per_target.entry(r).or_default().push(b);
-                }
-            }
-        }
-        for (r, blocks) in per_target {
-            w.copy(l, 2, blocks.len());
-            w.copy(r, 3, blocks.len());
-            w.message(2, l, r, 2_000_000 + slot as u64, &blocks);
-        }
+        let (l, tag) = (leader_rank(bnode, slot), 2_000_000 + slot as u64);
+        scatter_from_relay(&mut w, (2, tag), graph, (l, ranks_on(bnode)), &blocks);
     }
     w.finish()
+}
+
+/// The gather half of a relayed plan (here and in [`crate::bruck`]):
+/// every `gathered` block to its `relay` in `phase` (a relay holds its
+/// own).
+pub(crate) fn gather_to_relays(
+    w: &mut PlanWriter,
+    phase: usize,
+    gathered: &BTreeSet<Rank>,
+    relay: impl Fn(Rank) -> Rank,
+) {
+    for &b in gathered.iter().filter(|&&b| relay(b) != b) {
+        w.message(phase, b, relay(b), 0, &[b]);
+    }
+}
+
+/// Every intra-node edge as a direct send in `phase` — bar the ones a
+/// block's gather to its relay already served.
+pub(crate) fn send_intra_node(
+    w: &mut PlanWriter,
+    phase: usize,
+    graph: &Topology,
+    (node_of, relay): (impl Fn(Rank) -> usize, impl Fn(Rank) -> Rank),
+    gathered: &BTreeSet<Rank>,
+) {
+    for b in 0..graph.n() {
+        let (a, l) = (node_of(b), relay(b));
+        let served = |t: Rank| t == l && gathered.contains(&b) && l != b;
+        for &t in graph.out_neighbors(b).iter().filter(|&&t| node_of(t) == a && !served(t)) {
+            w.message(phase, b, t, 1_000_000 + t as u64, &[b]);
+        }
+    }
+}
+
+/// The scatter half: relay `l` hands its `arrived` blocks to the ranks of
+/// `local` whose in-edges want them, one combined message per rank in
+/// `phase`, unpacked in the epilogue after it.
+pub(crate) fn scatter_from_relay(
+    w: &mut PlanWriter,
+    (phase, tag): (usize, u64),
+    graph: &Topology,
+    (l, local): (Rank, std::ops::Range<Rank>),
+    arrived: &BTreeSet<Rank>,
+) {
+    let mut per_target: BTreeMap<Rank, Vec<Rank>> = BTreeMap::new();
+    for &b in arrived {
+        for t in local.clone().filter(|&t| t != l && graph.has_edge(b, t)) {
+            per_target.entry(t).or_default().push(b);
+        }
+    }
+    for (t, blocks) in per_target {
+        w.copy(l, phase, blocks.len());
+        w.copy(t, phase + 1, blocks.len());
+        w.message(phase, l, t, tag, &blocks);
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@
 //!    refreshed, so queued requests simply execute against the
 //!    repaired plan when their tick comes.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,6 +230,8 @@ impl SubmitRequest {
 
 struct Pending {
     id: RequestId,
+    /// The tick's batch: the first-arrival index of its grouping key.
+    group: usize,
     tenant: TenantId,
     op: CollectiveOp,
     payloads: Vec<Vec<u8>>,
@@ -256,7 +257,7 @@ struct Tenant {
 /// fingerprint **and** family (`op.is_gather()` — under `Auto` or a
 /// pinned size table gather and message-combining traffic resolve
 /// different plans); fault-armed tenants stay per-tenant.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum BatchKey {
     Clean(PlanFingerprint, bool),
     Faulty(TenantId),
@@ -275,6 +276,10 @@ pub struct Service {
     stats: ServiceStats,
     latencies_us: Vec<u64>,
     completions: Vec<Completion>,
+    /// A tick's drained requests and its batches' keys in first-arrival
+    /// order: empty between ticks, their capacity kept.
+    ticked: Vec<Pending>,
+    keys: Vec<BatchKey>,
     /// One set of receive buffers handed from clean request to clean
     /// request inside a [`Service::tick`]; empty between ticks, so the
     /// service holds no receive-buffer capacity while idle.
@@ -298,6 +303,8 @@ impl Service {
             stats: ServiceStats::default(),
             latencies_us: Vec::new(),
             completions: Vec::new(),
+            ticked: Vec::new(),
+            keys: Vec::new(),
             spare: Vec::new(),
             epoch: Instant::now(),
             busy: Duration::ZERO,
@@ -458,35 +465,21 @@ impl Service {
             });
         };
         t.stats.submitted += 1;
-        if payloads.len() != t.comm.n() {
+        let (depth, queued, limits) = (self.queue.len(), t.queued, self.cfg.admission);
+        let refused = if payloads.len() != t.comm.n() {
+            let detail = format!("{} payloads for an {}-rank tenant", payloads.len(), t.comm.n());
+            Some((RejectReason::BadRequest { detail }, Duration::ZERO))
+        } else if depth >= limits.queue_capacity {
+            Some((RejectReason::QueueFull { depth }, self.ema.retry_after(depth)))
+        } else if queued >= limits.per_tenant_quota {
+            Some((RejectReason::TenantQuota { queued }, self.ema.retry_after(queued)))
+        } else {
+            None
+        };
+        if let Some((reason, retry_after)) = refused {
             self.stats.rejected += 1;
             t.stats.rejected += 1;
-            return Err(Rejected {
-                reason: RejectReason::BadRequest {
-                    detail: format!(
-                        "{} payloads for an {}-rank tenant",
-                        payloads.len(),
-                        t.comm.n()
-                    ),
-                },
-                retry_after: Duration::ZERO,
-            });
-        }
-        if self.queue.len() >= self.cfg.admission.queue_capacity {
-            self.stats.rejected += 1;
-            t.stats.rejected += 1;
-            return Err(Rejected {
-                reason: RejectReason::QueueFull { depth: self.queue.len() },
-                retry_after: self.ema.retry_after(self.queue.len()),
-            });
-        }
-        if t.queued >= self.cfg.admission.per_tenant_quota {
-            self.stats.rejected += 1;
-            t.stats.rejected += 1;
-            return Err(Rejected {
-                reason: RejectReason::TenantQuota { queued: t.queued },
-                retry_after: self.ema.retry_after(t.queued),
-            });
+            return Err(Rejected { reason, retry_after });
         }
         // the uniform contract is the submitter's to claim, not to break
         let ragged = payloads.windows(2).any(|w| w[0].len() != w[1].len());
@@ -497,7 +490,7 @@ impl Service {
         t.queued += 1;
         t.stats.admitted += 1;
         self.stats.admitted += 1;
-        self.queue.push_back(Pending { id, tenant, op, payloads, sizes, arrived });
+        self.queue.push_back(Pending { id, group: 0, tenant, op, payloads, sizes, arrived });
         Ok(id)
     }
 
@@ -545,53 +538,53 @@ impl Service {
         }
         self.stats.ticks += 1;
         self.rec.span_begin(0, labels::SERVICE_TICK);
-        let drained: Vec<Pending> = self.queue.drain(..take).collect();
+        let mut ticked = std::mem::take(&mut self.ticked);
+        ticked.extend(self.queue.drain(..take));
 
-        // Group while preserving arrival order within each group (and
-        // group order by first arrival). With batching off, every
-        // request is its own singleton group — the per-request baseline.
-        let mut groups: Vec<Vec<Pending>> = Vec::new();
-        if self.cfg.batching {
-            let mut index: HashMap<BatchKey, usize> = HashMap::new();
-            for req in drained {
-                let t = &self.tenants[req.tenant];
-                let key = if t.faulty {
-                    BatchKey::Faulty(req.tenant)
-                } else {
-                    BatchKey::Clean(t.fp, req.op.is_gather())
-                };
-                match index.get(&key) {
-                    Some(&g) => groups[g].push(req),
-                    None => {
-                        index.insert(key, groups.len());
-                        groups.push(vec![req]);
-                    }
-                }
-            }
-        } else {
-            groups.extend(drained.into_iter().map(|r| vec![r]));
+        // Group in place: a request's batch is its key's first-arrival
+        // rank, and sorting on (batch, id) keeps arrival order within one
+        // (ids are issued in queue order). With batching off every request
+        // is a batch of its own — the per-request baseline.
+        self.keys.clear();
+        for req in ticked.iter_mut() {
+            let t = &self.tenants[req.tenant];
+            let key = match t.faulty {
+                true => BatchKey::Faulty(req.tenant),
+                false => BatchKey::Clean(t.fp, req.op.is_gather()),
+            };
+            let seen = self.cfg.batching.then(|| self.keys.iter().position(|k| *k == key));
+            req.group = seen.flatten().unwrap_or_else(|| {
+                self.keys.push(key);
+                self.keys.len() - 1
+            });
         }
+        ticked.sort_unstable_by_key(|req| (req.group, req.id));
 
         let mut finished = 0;
-        for batch in groups {
+        let mut reqs = ticked.drain(..).peekable();
+        while let Some(&Pending { group, tenant, .. }) = reqs.peek() {
             let t0 = Instant::now();
             self.rec.span_begin(0, labels::SERVICE_BATCH);
             self.stats.batches += 1;
-            if batch.len() >= 2 {
-                self.stats.coalesced += batch.len() as u64;
-            }
-            let len = batch.len();
-            finished += len;
-            if self.tenants[batch[0].tenant].faulty {
+            let mut len = 0;
+            let batch = std::iter::from_fn(|| reqs.next_if(|req| req.group == group));
+            let batch = batch.inspect(|_| len += 1);
+            if self.tenants[tenant].faulty {
                 self.run_robust_batch(batch);
             } else {
                 self.run_clean_batch(batch);
             }
+            if len >= 2 {
+                self.stats.coalesced += len as u64;
+            }
+            finished += len;
             self.rec.span_end(0, labels::SERVICE_BATCH);
             let dt = t0.elapsed();
             self.busy += dt;
             self.ema.observe(dt, len);
         }
+        drop(reqs);
+        self.ticked = ticked;
         self.spare = Vec::new();
         self.rec.span_end(0, labels::SERVICE_TICK);
         finished
@@ -612,10 +605,12 @@ impl Service {
     /// member shares the group fingerprint, so the leader's plan is
     /// everyone's plan); a combining group resolves through each
     /// communicator's memoized routing plan.
-    fn run_clean_batch(&mut self, batch: Vec<Pending>) {
-        let gather = batch[0].op.is_gather();
-        let lead = &self.tenants[batch[0].tenant];
-        let plan = match gather.then(|| lead.comm.plan_shared(lead.algo)).transpose() {
+    fn run_clean_batch(&mut self, batch: impl Iterator<Item = Pending>) {
+        let mut batch = batch.peekable();
+        let Some(first) = batch.peek() else { return };
+        let lead = &self.tenants[first.tenant];
+        let plan = match first.op.is_gather().then(|| lead.comm.plan_shared(lead.algo)).transpose()
+        {
             Ok(p) => p,
             Err(e) => {
                 for req in batch {
@@ -659,7 +654,7 @@ impl Service {
     /// the shared cache. On [`Backend::Sim`] a gather's fault plan
     /// lowers to a latency perturbation instead, and combining traffic
     /// simulates clean.
-    fn run_robust_batch(&mut self, batch: Vec<Pending>) {
+    fn run_robust_batch(&mut self, batch: impl Iterator<Item = Pending>) {
         for req in batch {
             let t = &self.tenants[req.tenant];
             if self.cfg.backend == Backend::Sim {
@@ -808,9 +803,11 @@ impl Service {
         });
     }
 
-    /// Hands back (and clears) the accumulated completion records.
+    /// Hands back (and clears) the accumulated completion records, in a
+    /// vector of their length: the service keeps its own capacity for the
+    /// next tick's.
     pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+        self.completions.drain(..).collect()
     }
 
     /// The current aggregate report (counters, latency percentiles,

@@ -176,18 +176,35 @@ fn exp_gap(rng: &mut DetRng, mean_secs: f64) -> f64 {
     -mean_secs * (1.0 - u).ln()
 }
 
+/// `len` bytes from one rng draw, so every block's bytes are distinct.
+fn fill_block(len: usize, rng: &mut DetRng) -> Vec<u8> {
+    let fill = rng.next_u64().to_le_bytes();
+    (0..len).map(|i| fill[i % 8] ^ (i as u8)).collect()
+}
+
+/// One block per rank, `per_rank(r) * m` bytes: `m` one Zipf draw for
+/// every rank, or (ragged) an independent draw per rank.
+fn gen_blocks(
+    n: usize,
+    per_rank: impl Fn(Rank) -> usize,
+    sizes: &ZipfSizes,
+    ragged: bool,
+    rng: &mut DetRng,
+) -> Vec<Vec<u8>> {
+    let uniform = if ragged { 0 } else { sizes.sample(rng) };
+    (0..n)
+        .map(|r| {
+            let m = if ragged { sizes.sample(rng) } else { uniform };
+            fill_block(per_rank(r) * m, rng)
+        })
+        .collect()
+}
+
 /// Per-rank payloads for one request: uniform (one Zipf draw for all
 /// ranks) or ragged (an independent draw per rank), content filled from
 /// the rng so every request's bytes are distinct.
 pub fn gen_payloads(n: usize, sizes: &ZipfSizes, ragged: bool, rng: &mut DetRng) -> Vec<Vec<u8>> {
-    let uniform = if ragged { 0 } else { sizes.sample(rng) };
-    (0..n)
-        .map(|_| {
-            let m = if ragged { sizes.sample(rng) } else { uniform };
-            let fill = rng.next_u64().to_le_bytes();
-            (0..m).map(|i| fill[i % 8] ^ (i as u8)).collect()
-        })
-        .collect()
+    gen_blocks(n, |_| 1, sizes, ragged, rng)
 }
 
 /// Shapes one request's send buffers for `op` on tenant topology `g`:
@@ -204,44 +221,21 @@ pub fn gen_op_payloads(
     ragged: bool,
     rng: &mut DetRng,
 ) -> Vec<Vec<u8>> {
-    let fill_block = |len: usize, rng: &mut DetRng| -> Vec<u8> {
-        let fill = rng.next_u64().to_le_bytes();
-        (0..len).map(|i| fill[i % 8] ^ (i as u8)).collect()
-    };
+    let degree = |p: Rank| g.outdegree(p);
     match op {
         CollectiveOp::Allgather | CollectiveOp::Allgatherv => {
             gen_payloads(g.n(), sizes, ragged, rng)
         }
-        CollectiveOp::Alltoallv => {
-            let uniform = if ragged { 0 } else { sizes.sample(rng) };
-            (0..g.n())
-                .map(|p| {
-                    let m = if ragged { sizes.sample(rng) } else { uniform };
-                    fill_block(g.out_neighbors(p).len() * m, rng)
-                })
-                .collect()
-        }
-        CollectiveOp::ReduceScatter(_) => {
-            let m = sizes.sample(rng);
-            (0..g.n()).map(|p| fill_block(g.out_neighbors(p).len() * m, rng)).collect()
-        }
-        CollectiveOp::Allreduce(_) => {
-            let m = sizes.sample(rng);
-            (0..g.n()).map(|_| fill_block(m, rng)).collect()
-        }
+        CollectiveOp::Alltoallv => gen_blocks(g.n(), degree, sizes, ragged, rng),
+        CollectiveOp::ReduceScatter(_) => gen_blocks(g.n(), degree, sizes, false, rng),
+        CollectiveOp::Allreduce(_) => gen_payloads(g.n(), sizes, false, rng),
     }
 }
 
 /// Per-rank payloads at explicit sizes (e.g. the exact SpMM stripe
 /// bytes from [`spmm_tenant`]).
 pub fn payloads_with_sizes(sizes: &[usize], rng: &mut DetRng) -> Vec<Vec<u8>> {
-    sizes
-        .iter()
-        .map(|&m| {
-            let fill = rng.next_u64().to_le_bytes();
-            (0..m).map(|i| fill[i % 8] ^ (i as u8)).collect()
-        })
-        .collect()
+    sizes.iter().map(|&m| fill_block(m, rng)).collect()
 }
 
 /// A pre-generated request for closed ("drain") drives, where two
@@ -292,15 +286,20 @@ pub fn generate_mixed_requests(
     (0..count)
         .map(|_| {
             let tenant = rng.gen_below(graphs.len());
-            let mut op = spec.op_mix.sample(&mut rng);
-            let ragged = rng.gen_bool(spec.ragged_frac);
-            if op == CollectiveOp::Allgather && ragged {
-                op = CollectiveOp::Allgatherv;
-            }
+            let (op, ragged) = draw_op(spec, &mut rng);
             let payloads = gen_op_payloads(graphs[tenant], op, &sizes, ragged, &mut rng);
             GenRequest { tenant, op, payloads }
         })
         .collect()
+}
+
+/// One request's op per [`TrafficSpec::op_mix`] and whether it is
+/// ragged; a ragged gather is an allgatherv.
+fn draw_op(spec: &TrafficSpec, rng: &mut DetRng) -> (CollectiveOp, bool) {
+    let op = spec.op_mix.sample(rng);
+    let ragged = rng.gen_bool(spec.ragged_frac);
+    let gatherv = op == CollectiveOp::Allgather && ragged;
+    (if gatherv { CollectiveOp::Allgatherv } else { op }, ragged)
 }
 
 /// Closed-loop drive: pushes a pre-generated stream through the
@@ -377,11 +376,7 @@ pub fn run_open_loop(service: &mut Service, spec: &TrafficSpec) -> ServiceReport
         // the report.
         while next_arrival <= now && next_arrival <= horizon {
             let tenant = rng.gen_below(ntenants);
-            let mut op = spec.op_mix.sample(&mut rng);
-            let ragged = rng.gen_bool(spec.ragged_frac);
-            if op == CollectiveOp::Allgather && ragged {
-                op = CollectiveOp::Allgatherv;
-            }
+            let (op, ragged) = draw_op(spec, &mut rng);
             let payloads =
                 gen_op_payloads(service.tenant_graph(tenant), op, &sizes, ragged, &mut rng);
             let arrived = epoch + Duration::from_secs_f64(next_arrival);

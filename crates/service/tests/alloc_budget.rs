@@ -452,14 +452,18 @@ fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
     assert_eq!(svc.report().stats.corrupt, 0);
 }
 
-/// What a warm 16-request gather tick costs, and cost at the parent of
-/// the one-engine merge: the engine must not add a call to it.
-const WARM_GATHER_TICK_CALLS: u64 = 152;
+/// What a warm 16-request gather tick costs today: 152 (as at the parent
+/// of the one-engine merge) while every tick grouped its requests through
+/// a fresh hash map and a vector per batch and handed its completion
+/// vector away, so the next tick's regrew from empty. The tick now sorts
+/// a buffer the service keeps.
+const WARM_GATHER_TICK_CALLS: u64 = 128;
 /// What a warm 16-request combining tick costs today — 1,715 at the
 /// parent of the one-engine merge, when every request allocated its
-/// receive buffers afresh instead of drawing the tick's spare set. What
-/// is left is mostly the reduce shapes' request-scoped staging arena.
-const WARM_COMBINING_TICK_CALLS: u64 = 877;
+/// receive buffers afresh instead of drawing the tick's spare set; 877
+/// before the tick grouped in place. What is left is mostly the reduce
+/// shapes' request-scoped staging arena.
+const WARM_COMBINING_TICK_CALLS: u64 = 866;
 
 /// 5 % above the 1,134 calls the first alltoallv of a registered n = 96
 /// Distance Halving tenant costs today (12,316 while the combining family
@@ -499,12 +503,13 @@ const ENGINE_RUN_CALLS: u64 = 28;
 const AUTO_REGISTER_CALLS: u64 = 3_127;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 3 price columns, the replay's vectors
-/// (its sort scratch grows with the widest phase: 24 calls counted under
-/// Distance Halving, CN and PAT, 26 under naive), the queue and the
-/// completion. 38–39 while every request lowered a whole schedule and
-/// re-validated and re-matched it; ≈ 400–1,600 while every phase owned
-/// two vectors.
-const SIM_GATHER_CALLS: u64 = 27;
+/// (its sort scratch grows with the widest phase: 20 calls counted under
+/// Distance Halving, CN and PAT, 22 under naive), the queue and the
+/// completion. 24–26 while every tick grouped through a hash map and a
+/// vector per batch; 38–39 while every request lowered a whole schedule
+/// and re-validated and re-matched it; ≈ 400–1,600 while every phase
+/// owned two vectors.
+const SIM_GATHER_CALLS: u64 = 23;
 /// 5 % above the 600 calls of one Distance Halving `build_pattern` at
 /// `plan-churn`'s shape (n = 96, δ = 0.15, 6 × 2 × 8) today: 5,599 while
 /// every proposer's score row, every acceptor's candidate list and a hash

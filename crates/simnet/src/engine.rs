@@ -183,17 +183,8 @@ pub struct LevelStats {
 }
 
 impl LevelStats {
-    fn level_index(l: Locality) -> usize {
-        match l {
-            Locality::SameSocket => 0,
-            Locality::SameNode => 1,
-            Locality::SameGroup => 2,
-            Locality::RemoteGroup => 3,
-        }
-    }
-
     pub(crate) fn record(&mut self, l: Locality, bytes: usize) {
-        let i = Self::level_index(l);
+        let i = l as usize; // declaration order: nearest first
         self.msgs[i] += 1;
         self.bytes[i] += bytes;
     }
@@ -304,7 +295,7 @@ impl<'a> Engine<'a> {
         perturbation: &Perturbation,
     ) -> Result<SimReport, SimError> {
         perturbation.check()?;
-        self.run_schedule(schedule, &WorkerPool::serial(), Some(perturbation), None)
+        self.run_schedule(schedule, &WorkerPool::serial(), Some(perturbation))
     }
 
     /// Like [`run`](Self::run), but with schedule validation and send/recv
@@ -315,7 +306,7 @@ impl<'a> Engine<'a> {
         schedule: &Schedule,
         pool: &WorkerPool,
     ) -> Result<SimReport, SimError> {
-        self.run_schedule(schedule, pool, None, None)
+        self.run_schedule(schedule, pool, None)
     }
 
     /// Like [`run`](Self::run), but also returns one [`MsgTrace`] per
@@ -343,27 +334,14 @@ impl<'a> Engine<'a> {
         Ok((report, traces))
     }
 
-    /// Like [`run_sharded`](Self::run_sharded), but replays every
-    /// simulated message into `rec` afterwards (see
-    /// [`run_prepared`](Self::run_prepared)).
-    pub fn run_sharded_recorded(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-        rec: &dyn nhood_telemetry::Recorder,
-    ) -> Result<SimReport, SimError> {
-        self.run_schedule(schedule, pool, None, Some(rec))
-    }
-
     fn run_schedule(
         &self,
         schedule: &Schedule,
         pool: &WorkerPool,
         perturbation: Option<&Perturbation>,
-        rec: Option<&dyn nhood_telemetry::Recorder>,
     ) -> Result<SimReport, SimError> {
         let prices = PriceColumns::from(schedule);
-        self.run_prepared(&self.prepare(schedule, pool)?, &prices, perturbation, rec)
+        self.run_prepared(&self.prepare(schedule, pool)?, &prices, perturbation, None)
     }
 }
 
@@ -679,7 +657,10 @@ mod tests {
         s.push(3, vec![], vec![msg(2, 3, 100, 2)]);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let rec = nhood_telemetry::CountingRecorder::new(4);
-        let report = engine.run_sharded_recorded(&s, &WorkerPool::serial(), &rec).unwrap();
+        let prepared = engine.prepare(&s, &WorkerPool::serial()).unwrap();
+        let recorded =
+            |rec| engine.run_prepared(&prepared, &PriceColumns::from(&s), None, Some(rec));
+        let report = recorded(&rec).unwrap();
         assert_eq!(report.makespan, engine.run(&s).unwrap().makespan);
         let totals = rec.totals();
         assert_eq!(totals.msgs_sent, 3);
@@ -690,7 +671,7 @@ mod tests {
         assert_eq!(rec.per_rank(3).msgs_recvd, 1);
         // span replay: one Complete span per message, labelled by locality
         let spans = nhood_telemetry::SpanRecorder::new();
-        engine.run_sharded_recorded(&s, &WorkerPool::serial(), &spans).unwrap();
+        recorded(&spans).unwrap();
         let events = spans.events();
         assert_eq!(events.len(), 3);
         let intra =

@@ -41,7 +41,7 @@ use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
 use crate::perturb::Perturbation;
 use crate::schedule::{PriceColumns, Schedule, SendIndex};
 use nhood_cluster::{Locality, Rank, WorkerPool};
-use nhood_telemetry::{labels, Recorder};
+use nhood_telemetry::{labels, Recorder, Traffic};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -126,10 +126,10 @@ impl Prepared {
         self.rank_rows[r] as usize..self.rank_rows[r + 1] as usize
     }
 
-    /// The send ids and the recvs of phase row `p`.
-    fn msgs(&self, p: usize) -> (Range<usize>, Range<usize>) {
-        let (send_lo, recv_lo) = p.checked_sub(1).map_or((0, 0), |q| self.row_ends[q]);
-        let (send_hi, recv_hi) = self.row_ends[p];
+    /// The send ids and the recvs of the phase rows `rows`.
+    fn msgs(&self, rows: Range<usize>) -> (Range<usize>, Range<usize>) {
+        let end = |p: usize| p.checked_sub(1).map_or((0, 0), |q| self.row_ends[q]);
+        let ((send_lo, recv_lo), (send_hi, recv_hi)) = (end(rows.start), end(rows.end));
         (send_lo as usize..send_hi as usize, recv_lo as usize..recv_hi as usize)
     }
 
@@ -265,12 +265,12 @@ impl Engine<'_> {
     /// `prices` and an optional `perturbation`: a `run*` entry point's
     /// report for the schedule of this structure at these prices, bit for
     /// bit. Checks the perturbation, the prices (with
-    /// [`Schedule::validate`]'s words), then dead links. `rec` then gets
-    /// one `msg_sent` / `msg_recvd` pair per message and a
-    /// [`span_at`](Recorder::span_at) on the sender's track from posting
-    /// to arrival in *simulated* seconds: [`INTRA_SOCKET`](labels::INTRA_SOCKET)
-    /// within a socket, [`HALVING_STEP`](labels::HALVING_STEP) farther —
-    /// the paper's locality split, as the executors label their phases.
+    /// [`Schedule::validate`]'s words), then dead links. `rec` then gets a
+    /// [`span_at`](Recorder::span_at) per message on the sender's track,
+    /// posting to arrival in *simulated* seconds ([`INTRA_SOCKET`](labels::INTRA_SOCKET)
+    /// within a socket, [`HALVING_STEP`](labels::HALVING_STEP) farther: the
+    /// paper's locality split, as the executors label their phases), and,
+    /// when it [tallies](Recorder::tally), one traffic record per rank.
     pub fn run_prepared(
         &self,
         prepared: &Prepared,
@@ -280,16 +280,22 @@ impl Engine<'_> {
     ) -> Result<SimReport, SimError> {
         let (report, times) = self.replay(prepared, prices, perturbation)?;
         let Some(rec) = rec else { return Ok(report) };
-        for (sid, &(_, src, dst)) in prepared.sends.iter().enumerate() {
-            let (src, dst, bytes) = (src as Rank, dst as Rank, prices.send_bytes[sid]);
-            let label = match prepared.place[src].locality(prepared.place[dst]) {
-                Locality::SameSocket => labels::INTRA_SOCKET,
-                _ => labels::HALVING_STEP,
-            };
-            let (posted, arrival) = times[sid].unwrap_or_default();
-            rec.msg_sent(src, dst, bytes);
-            rec.msg_recvd(dst, src, bytes);
-            rec.span_at(src, label, posted, arrival);
+        let tally = rec.tally();
+        for r in 0..prepared.place.len() {
+            let (sends, recvs) = prepared.msgs(prepared.rows(r));
+            let mut traffic = Traffic::default();
+            for sid in sends {
+                let (dst, bytes) = (prepared.sends[sid].2 as Rank, prices.send_bytes[sid]);
+                let label = match prepared.place[r].locality(prepared.place[dst]) {
+                    Locality::SameSocket => labels::INTRA_SOCKET,
+                    _ => labels::HALVING_STEP,
+                };
+                let (posted, arrival) = times[sid].unwrap_or_default();
+                rec.span_at(r, label, posted, arrival);
+                traffic.send(tally.unwrap_or_default(), r, dst, bytes);
+            }
+            recvs.for_each(|q| traffic.recv(prices.recv_bytes[q]));
+            tally.is_some().then(|| rec.traffic(r, &traffic));
         }
         Ok(report)
     }
@@ -363,7 +369,7 @@ impl Engine<'_> {
             if rp.issue(r) {
                 heap.push(Reverse((Key(rp.port_free[r]), r)));
             }
-            for sid in prepared.msgs(rp.row[r]).0 {
+            for sid in prepared.msgs(rp.row[r]..rp.row[r] + 1).0 {
                 rp.wake(sid, &mut heap);
             }
         }
@@ -425,7 +431,7 @@ impl Replay<'_> {
         let mut t = self.port_free[r] + local;
         let me = self.s.place[r];
 
-        let (sends, recvs) = self.s.msgs(at);
+        let (sends, recvs) = self.s.msgs(at..at + 1);
         for sid in sends {
             let ((tag, _, dst), bytes) = (self.s.sends[sid], self.prices.send_bytes[sid]);
             let peer = self.s.place[dst as usize];
@@ -519,7 +525,7 @@ impl Replay<'_> {
     fn drain(&mut self, r: Rank) {
         let (cfg, me) = (&self.engine.config, self.s.place[r]);
         self.arrivals.clear();
-        for q in self.s.msgs(self.row[r]).1 {
+        for q in self.s.msgs(self.row[r]..self.row[r] + 1).1 {
             let sid = self.s.matched[q] as usize;
             let (bytes, (posted, arrival)) =
                 (self.prices.recv_bytes[q], self.times[sid].unwrap_or_default());
@@ -869,11 +875,14 @@ mod tests {
         let layout = ClusterLayout::new(4, 1, 2);
         let s = perm_rounds(8, 3, 11);
         let engine = Engine::new(&layout, SimConfig::niagara());
+        let recorded = |pool: &WorkerPool, rec: &CountingRecorder| {
+            let prepared = engine.prepare(&s, pool).unwrap();
+            engine.run_prepared(&prepared, &PriceColumns::from(&s), None, Some(rec)).unwrap();
+        };
         let serial_rec = CountingRecorder::new(8);
-        engine.run_sharded_recorded(&s, &WorkerPool::serial(), &serial_rec).unwrap();
+        recorded(&WorkerPool::serial(), &serial_rec);
         let sharded_rec = CountingRecorder::new(8);
-        let pool = WorkerPool::new(4);
-        engine.run_sharded_recorded(&s, &pool, &sharded_rec).unwrap();
+        recorded(&WorkerPool::new(4), &sharded_rec);
         for r in 0..8 {
             assert_eq!(serial_rec.per_rank(r), sharded_rec.per_rank(r), "rank {r}");
         }

@@ -167,7 +167,7 @@ pub fn model_check_report(rec: &CountingRecorder, pred: &ModelPrediction) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{labels, Recorder};
+    use crate::{labels, Recorder, Traffic};
 
     #[test]
     fn chrome_json_structure() {
@@ -199,8 +199,8 @@ mod tests {
     #[test]
     fn summary_table_has_rank_and_total_rows() {
         let rec = CountingRecorder::new(2);
-        rec.msg_sent(0, 1, 128);
-        rec.msg_recvd(1, 0, 128);
+        rec.traffic(0, &Traffic { msgs_sent: 1, bytes_sent: 128, ..Traffic::default() });
+        rec.traffic(1, &Traffic { msgs_recvd: 1, bytes_recvd: 128, ..Traffic::default() });
         let table = summary_table(&rec);
         assert!(table.contains("rank"));
         assert!(table.lines().count() >= 4, "{table}");
@@ -218,11 +218,12 @@ mod tests {
     fn model_check_reports_relative_error() {
         let rec = CountingRecorder::with_sockets(vec![0, 0, 1, 1]);
         // each rank sends 1 off-socket msg of 8 bytes and 1 intra of 8
+        let tally = rec.tally().expect("a counting recorder tallies");
         for r in 0..4 {
-            let off_peer = (r + 2) % 4;
-            let in_peer = r ^ 1;
-            rec.msg_sent(r, off_peer, 8);
-            rec.msg_sent(r, in_peer, 8);
+            let mut t = Traffic::default();
+            t.send(tally, r, (r + 2) % 4, 8);
+            t.send(tally, r, r ^ 1, 8);
+            rec.traffic(r, &t);
         }
         let pred = ModelPrediction {
             off_socket_msgs: 1.0,

@@ -4,13 +4,16 @@
 //! distributed agent negotiation, the fault layer and the discrete-event
 //! simulator — reports through one narrow [`Recorder`] trait. Callers
 //! that do not care pass [`NullRecorder`] (every hook is an empty default
-//! method, so the uninstrumented path costs one virtual call that inlines
-//! to nothing); callers that do care pick:
+//! method, and it asks for no traffic tally, so the uninstrumented path
+//! costs one empty virtual call per phase-level event); callers that do
+//! care pick:
 //!
 //! * [`CountingRecorder`] — per-rank atomic counters (messages / bytes
 //!   sent and received, copies, retries, fallbacks, negotiation rounds),
 //!   optionally classified by socket locality so measurements can be
-//!   joined against the §V model's E\[n_off\] / E\[n_in\] / E\[m_in\];
+//!   joined against the §V model's E\[n_off\] / E\[n_in\] / E\[m_in\].
+//!   Executors tally a request's traffic in plain integers and hand it
+//!   over once per rank ([`Recorder::traffic`]), never per message;
 //! * [`SpanRecorder`] — timestamped begin/end/instant events with a rank
 //!   and a phase label, exportable as Chrome `chrome://tracing` JSON.
 //!
@@ -28,7 +31,7 @@ mod export;
 mod percentile;
 mod span;
 
-pub use counting::{CountingRecorder, Counts};
+pub use counting::{CountingRecorder, Counts, Tally, Traffic};
 pub use export::{chrome_trace_json, model_check_report, summary_table, ModelPrediction};
 pub use percentile::{percentile, percentile_sorted, LatencySummary};
 pub use span::{EventKind, SpanEvent, SpanRecorder};
@@ -79,21 +82,20 @@ pub mod labels {
 /// empty type. Implementations must be `Sync`: the threaded executor
 /// calls hooks from every worker of its pool.
 pub trait Recorder: Sync {
-    /// A message from `rank` to `peer` carrying `bytes` payload bytes was
-    /// handed to the transport (counted once even if the fault layer
-    /// retries or duplicates it).
-    fn msg_sent(&self, rank: Rank, peer: Rank, bytes: usize) {
-        let _ = (rank, peer, bytes);
+    /// Whether this recorder takes [`traffic`](Self::traffic) records:
+    /// `None` (the default) and executors tally nothing; else the
+    /// [`Tally`] they keep — its socket map splits each rank's sends.
+    /// Asked once per request.
+    fn tally(&self) -> Option<Tally<'_>> {
+        None
     }
 
-    /// A message from `peer` was consumed by `rank`.
-    fn msg_recvd(&self, rank: Rank, peer: Rank, bytes: usize) {
-        let _ = (rank, peer, bytes);
-    }
-
-    /// `rank` charged `blocks` block copies (pack/unpack work).
-    fn copies(&self, rank: Rank, blocks: usize) {
-        let _ = (rank, blocks);
+    /// `rank`'s [`Traffic`] in one request, tallied under
+    /// [`tally`](Self::tally): the one data-path hook, called at most
+    /// once per rank per request, whatever its message count — when the
+    /// rank is done, or has failed (a failed run reports what it moved).
+    fn traffic(&self, rank: Rank, traffic: &Traffic) {
+        let _ = (rank, traffic);
     }
 
     /// `rank` retried a dropped send.
@@ -165,9 +167,8 @@ mod tests {
     #[test]
     fn null_recorder_accepts_everything() {
         let r: &dyn Recorder = &NULL;
-        r.msg_sent(0, 1, 64);
-        r.msg_recvd(1, 0, 64);
-        r.copies(0, 3);
+        assert!(r.tally().is_none());
+        r.traffic(0, &Traffic { msgs_sent: 1, bytes_sent: 64, copies: 3, ..Traffic::default() });
         r.retry(2);
         r.fallback(0);
         r.negotiation_round(1);

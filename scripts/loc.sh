@@ -117,12 +117,21 @@
 # one module (suite.rs: one `Gate` record, one document writer, one
 # driver) and one binary, `bench N`. What the suites keep is their
 # measurement. The repro binary and the figure code did not move.
+#
+# Then traffic counted per rank: 13,191 -> 13,190, the service 1,640 ->
+# 1,632, the bench 3,746 -> 3,747. The per-rank tally (`Traffic`, the
+# program's per-rank units, each rank machine's record) is paid for by
+# one relay gather / intra-node send / relay scatter shared by the
+# hierarchical leader and Bruck planners; the service tick no longer
+# builds a grouping map. The bench's extra line names a gate's
+# comparison as the checked-in BENCH_*.json files spell it (`at_least`,
+# not the `AtLeast` its `Debug` printed), so a regenerated file matches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=13191   # crates/{core,simnet,cli}/src
-SERVICE_BUDGET=1640  # crates/service/src
-BENCH_BUDGET=3746    # crates/bench/src
+SWEEP_BUDGET=13190   # crates/{core,simnet,cli}/src
+SERVICE_BUDGET=1632  # crates/service/src
+BENCH_BUDGET=3747    # crates/bench/src
 
 count() {
   find "crates/$1/src" -name '*.rs' -print0 | sort -z |

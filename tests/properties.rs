@@ -348,9 +348,10 @@ fn telemetry_counters_agree_across_all_backends() {
         let cost = SimCost::niagara();
         let srec = CountingRecorder::new(n);
         let schedule = to_schedule_v(&plan, &vec![m; plan.n()], &cost);
-        nhood_simnet::Engine::new(&layout, cost.net)
-            .run_sharded_recorded(&schedule, &nhood_cluster::WorkerPool::serial(), &srec)
-            .unwrap();
+        let engine = nhood_simnet::Engine::new(&layout, cost.net);
+        let prepared = engine.prepare(&schedule, &nhood_cluster::WorkerPool::serial()).unwrap();
+        let prices = nhood_simnet::PriceColumns::from(&schedule);
+        engine.run_prepared(&prepared, &prices, None, Some(&srec)).unwrap();
         let (v, s) = (vrec.totals(), srec.totals());
         assert_eq!(v.msgs_sent, s.msgs_sent, "{algo}: sim message totals diverge");
         assert_eq!(v.msgs_recvd, s.msgs_recvd, "{algo}");
@@ -423,9 +424,10 @@ fn chrome_trace_json_is_stable_and_well_formed() {
     let schedule = to_schedule_v(&plan, &vec![8; plan.n()], &cost);
     let render = || {
         let spans = SpanRecorder::new();
-        Engine::new(&layout, cost.net)
-            .run_sharded_recorded(&schedule, &nhood_cluster::WorkerPool::serial(), &spans)
-            .unwrap();
+        let engine = Engine::new(&layout, cost.net);
+        let prepared = engine.prepare(&schedule, &nhood_cluster::WorkerPool::serial()).unwrap();
+        let prices = nhood_simnet::PriceColumns::from(&schedule);
+        engine.run_prepared(&prepared, &prices, None, Some(&spans)).unwrap();
         chrome_trace_json(&spans.events())
     };
     let json = render();
