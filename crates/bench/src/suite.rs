@@ -79,7 +79,7 @@ pub const SUITES: [Suite; 7] = [
     Suite {
         id: 10,
         description: "Algorithm::Auto vs every fixed algorithm, simulated makespan",
-        run: |quick| bench10::report(&bench10::run_tuning(quick)),
+        run: |quick| bench10::report(&bench10::run_tuning(quick), &bench10::run_frontier(quick)),
     },
 ];
 

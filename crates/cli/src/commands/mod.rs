@@ -324,7 +324,8 @@ mod tests {
         let path = tmp("nhood_cli_pr10.el");
         let mut out = Vec::new();
         cmd_gen(&args(&["gen", "er", &path, "--n", "32", "--delta", "0.3"]), &mut out).unwrap();
-        for algo in ["bruck", "pat:2", "auto"] {
+        // PAT left the tuner's portfolio but stays callable by name
+        for algo in ["bruck", "pat", "pat:2", "auto"] {
             let mut out = Vec::new();
             cmd_plan(&args(&["plan", &path, "--algo", algo]), &mut out).unwrap();
             let text = String::from_utf8_lossy(&out).to_string();
@@ -335,12 +336,26 @@ mod tests {
             assert!(text.contains("execution check: ok"), "--algo {algo}: {text}");
         }
         let mut out = Vec::new();
-        cmd_recommend(&args(&["recommend", &path, "--size", "4K"]), &mut out).unwrap();
+        cmd_run(&args(&["run", &path, "--algo", "pat", "--size", "64"]), &mut out).unwrap();
+        let text = String::from_utf8_lossy(&out).to_string();
+        assert!(text.contains("verify: ok"), "--algo pat: {text}");
+
+        // the listing is the tuner's portfolio, in its order
+        let recommend = args(&["recommend", &path, "--size", "4K"]);
+        let mut out = Vec::new();
+        cmd_recommend(&recommend, &mut out).unwrap();
         let text = String::from_utf8_lossy(&out).to_string();
         assert!(text.contains("recommended:"), "{text}");
-        assert!(text.contains("bruck"), "portfolio listing must include bruck: {text}");
-        assert!(text.contains("pat(r=4)"), "portfolio listing must include pat: {text}");
-        assert!(text.contains("<-- recommended"), "{text}");
+        assert_eq!(text.matches("<-- recommended").count(), 1, "{text}");
+        let (graph, layout) = edge_list_and_layout(&recommend, "recommend").unwrap();
+        let sizes = BlockSizes::uniform(4 << 10);
+        let portfolio: Vec<String> = nhood_core::autotune::candidates(&graph, &layout, &sizes)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let listed: Vec<&str> = text.lines().skip(1).filter_map(|l| l.split(':').next()).collect();
+        assert_eq!(listed.iter().map(|l| l.trim()).collect::<Vec<_>>(), portfolio, "{text}");
+        assert!(portfolio.iter().any(|a| a == "bruck"), "a multi-node layout offers bruck");
     }
 
     #[test]

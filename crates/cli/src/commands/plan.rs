@@ -247,12 +247,10 @@ pub fn cmd_validate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 pub fn cmd_recommend(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let (graph, layout) = edge_list_and_layout(args, "recommend")?;
     let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
-    // The tuner's own portfolio and sweep, so the listing shows exactly
-    // what the recommendation scored (placement-gated candidates
-    // included; candidates that cannot build on this layout are skipped).
-    let cands = nhood_core::autotune::candidates(graph.n(), &layout, 8);
+    // The tuner's own pass at these sizes: the listing is exactly the
+    // portfolio the recommendation scored.
     let comm = DistGraphComm::create_adjacent(graph, layout)?;
-    let tuned = comm.tune_candidates(&cands, &BlockSizes::uniform(m), &nhood_telemetry::NULL)?;
+    let tuned = comm.with_block_sizes(BlockSizes::uniform(m)).tune()?;
     writeln!(w, "recommended: {} (for {m}-byte payloads)", tuned.winner)?;
     for (algo, t) in &tuned.scores {
         let marker = if *algo == tuned.winner { "  <-- recommended" } else { "" };

@@ -25,11 +25,10 @@
 //! blocks through intermediate routers; the auto-tuner decides which
 //! trade wins for a given (topology, δ, sizes) point.
 
-use crate::leader::{gather_to_relays, scatter_from_relay, send_intra_node};
+use crate::leader::{route, runs, scatter_from_relays, send_intra_node};
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Builds the locality-aware Bruck plan.
 ///
@@ -44,18 +43,11 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     );
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");
-    if n == 0 {
-        return PlanWriter::new(Algorithm::Bruck, 0, 0).finish();
-    }
     let per_node = layout.ranks_per_node();
     let node_of = |r: Rank| r / per_node;
     // Only occupied nodes take part in the ring of offsets.
     let nn = n.div_ceil(per_node);
     let router = |node: usize| node * per_node;
-    let ranks_on = |node: usize| {
-        let lo = node * per_node;
-        lo..(lo + per_node).min(n)
-    };
     // R = smallest number of rounds covering every offset 1..nn-1.
     let rounds = if nn <= 1 { 0 } else { usize::BITS as usize - (nn - 1).leading_zeros() as usize };
 
@@ -64,44 +56,30 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     let mut w = PlanWriter::new(Algorithm::Bruck, n, rounds + 3);
     w.reserve(graph.edge_count(), graph.edge_count());
 
-    // Destination nodes per block, and whether the block leaves its node.
-    // gathered: blocks that travel to their local router in the local phase.
-    let mut gathered: BTreeSet<Rank> = BTreeSet::new();
-    // Combined router-to-router traffic: (round, src router, dst router) -> blocks.
-    let mut hops: Vec<BTreeMap<(Rank, Rank), BTreeSet<Rank>>> = vec![BTreeMap::new(); rounds];
-    // Remote blocks arriving at each node's router (destinations only).
-    let mut arrivals: BTreeMap<usize, BTreeSet<Rank>> = BTreeMap::new();
-    for b in 0..n {
-        let a = node_of(b);
-        let mut dest_nodes: BTreeSet<usize> = BTreeSet::new();
-        for &t in graph.out_neighbors(b) {
-            let bn = node_of(t);
-            if bn != a {
-                dest_nodes.insert(bn);
-            }
+    // Per (block, destination node) at offset `q`: a row `(round, src
+    // node · nn + dst node, block)` for each set bit of `q` — the
+    // combined router-to-router hops — and `(rounds, dst node, block)`,
+    // the arrival the destination's router scatters. Every hop row sorts
+    // before every arrival row.
+    let (rows, gathered) = route(graph, per_node, |rows, b, bn| {
+        let (a, q) = (node_of(b), (bn + nn - node_of(b)) % nn);
+        debug_assert!(q > 0);
+        for r in (0..rounds).filter(|&r| q >> r & 1 == 1) {
+            let src = (a + (q & ((1 << r) - 1))) % nn;
+            let dst = (a + (q & ((1 << (r + 1)) - 1))) % nn;
+            rows.push((r, src * nn + dst, b));
         }
-        if dest_nodes.is_empty() {
-            continue;
-        }
-        gathered.insert(b);
-        for &bn in &dest_nodes {
-            let q = (bn + nn - a) % nn;
-            debug_assert!(q > 0);
-            for (r, hop) in hops.iter_mut().enumerate().take(rounds) {
-                if q >> r & 1 == 1 {
-                    let src = router((a + (q & ((1 << r) - 1))) % nn);
-                    let dst = router((a + (q & ((1 << (r + 1)) - 1))) % nn);
-                    hop.entry((src, dst)).or_default().insert(b);
-                }
-            }
-            arrivals.entry(bn).or_default().insert(b);
-        }
-    }
+        rows.push((rounds, bn, b));
+    });
+    let split = rows.partition_point(|row| row.0 < rounds);
 
-    // Local phase: gather to the router, plus intra-node direct sends.
-    let relay = |b: Rank| router(node_of(b));
-    gather_to_relays(&mut w, local, &gathered, relay);
-    send_intra_node(&mut w, local, graph, (node_of, relay), &gathered);
+    // Local phase: gather to the router (a router holds its own), plus
+    // intra-node direct sends.
+    let to_router = |b: Rank| router(node_of(b));
+    for b in (0..n).filter(|&b| gathered[b] && to_router(b) != b) {
+        w.message(local, b, to_router(b), 0, &[b]);
+    }
+    send_intra_node(&mut w, local, graph, (node_of, to_router), &gathered);
 
     // Log-stride rounds: one combined message per router pair per round.
     // An arrival at offset `p` happens exactly once — in the round where
@@ -109,21 +87,21 @@ pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
     // twice, and a router forwarding in round `r` received the block at
     // an offset below `2^r`, i.e. in an earlier round (or holds it from
     // the local phase at offset 0).
-    for (r, round) in hops.iter().enumerate() {
-        let tag = 1 + r as u64;
-        for (&(src, dst), blocks) in round {
-            let blocks: Vec<Rank> = blocks.iter().copied().collect();
-            w.copy(src, 1 + r, blocks.len()); // pack
-            w.message(1 + r, src, dst, tag, &blocks);
-        }
+    let mut blocks = Vec::new();
+    for run in runs(&rows[..split]) {
+        let (r, pair, _) = run[0];
+        blocks.clear();
+        blocks.extend(run.iter().map(|row| row.2));
+        w.copy(router(pair / nn), 1 + r, blocks.len()); // pack
+        w.message(1 + r, router(pair / nn), router(pair % nn), 1 + r as u64, &blocks);
     }
 
     // Scatter: deliver each remote arrival to the local ranks that need
     // it. The router's own in-edges were satisfied by the arrival itself.
-    for (&bn, blocks) in &arrivals {
-        let at = (scatter, 1 + rounds as u64);
-        scatter_from_relay(&mut w, at, graph, (router(bn), ranks_on(bn)), blocks);
-    }
+    let tag = 1 + rounds as u64;
+    scatter_from_relays(&mut w, scatter, (graph, per_node), &rows[split..], |_, bn| {
+        (tag, router(bn))
+    });
     w.finish()
 }
 

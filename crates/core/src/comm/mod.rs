@@ -657,8 +657,8 @@ mod tests {
     /// The tuner's winner, re-scored independently, is no slower than
     /// any candidate under the same cost model and size table.
     fn assert_winner_is_argmin(c: &DistGraphComm, table: &[usize]) {
-        let cands = crate::autotune::candidates(c.n(), c.layout(), 8);
         let sizes = BlockSizes::per_rank(table.to_vec());
+        let cands = crate::autotune::candidates(c.graph(), c.layout(), &sizes);
         let winner = c.tune_candidates(&cands, &sizes, &NULL).unwrap().winner;
         let score = |algo| {
             let plan = c.plan(algo).unwrap();

@@ -212,7 +212,8 @@ impl DistGraphComm {
             }
         }
         rec.plan_cache(0, false);
-        let outcome = self.tune_sized(sizes, rec)?;
+        let outcome =
+            self.tune_candidates(&candidates(&self.graph, &self.layout, sizes), sizes, rec)?;
         let plan = outcome.plan;
         if let Some(cache) = &self.cache {
             cache.insert_validated(key, Arc::clone(&plan), &self.graph);
@@ -239,12 +240,8 @@ impl DistGraphComm {
     /// always simulates; the cached entry points are
     /// [`Algorithm::Auto`] requests and [`Self::resolve_algorithm`].
     pub fn tune(&self) -> Result<TuneOutcome, CommError> {
-        self.tune_sized(&self.planning_sizes(), &NULL)
-    }
-
-    fn tune_sized(&self, sizes: &BlockSizes, rec: &dyn Recorder) -> Result<TuneOutcome, CommError> {
-        let cands = candidates(self.n(), &self.layout, 8);
-        self.tune_candidates(&cands, sizes, rec)
+        let sizes = self.planning_sizes();
+        self.tune_candidates(&candidates(&self.graph, &self.layout, &sizes), &sizes, &NULL)
     }
 
     /// [`Self::tune`] over an explicit candidate list. Candidates whose

@@ -24,7 +24,6 @@
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Builds the hierarchical leader plan.
 ///
@@ -46,89 +45,92 @@ pub fn plan_hierarchical_leader(
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");
     let per_node = layout.ranks_per_node();
     let node_of = |r: Rank| r / per_node;
-    let node_base = |node: usize| node * per_node;
-    let ranks_on = |node: usize| {
-        let lo = node_base(node);
-        lo..(lo + per_node).min(n)
-    };
-    // leader slot for a block, and the hosting rank on a given node
+    // leader slot for a block, and the hosting rank on a given node: the
+    // slot among the leaders the node's ranks can host
     let slot_of = |b: Rank| b % leaders_per_node;
     let leader_rank = |node: usize, slot: usize| {
-        let lo = node_base(node);
-        let count = ranks_on(node).len().min(leaders_per_node);
-        lo + slot % count.max(1)
+        let lo = node * per_node;
+        lo + slot % (n - lo).min(per_node).min(leaders_per_node).max(1)
     };
 
     // phases: gather, exchange, scatter, a copy-only epilogue
     let mut w = PlanWriter::new(Algorithm::HierarchicalLeader { leaders_per_node }, n, 4);
     w.reserve(graph.edge_count(), graph.edge_count());
 
-    // Which blocks of node A does node B need, per leader slot?
-    // needs[(A, B, slot)] -> set of blocks
-    let mut needs: BTreeMap<(usize, usize, usize), BTreeSet<Rank>> = BTreeMap::new();
-    // gathered: blocks that travel to their local leader in phase 0
-    let mut gathered: BTreeSet<Rank> = BTreeSet::new();
-    for b in 0..n {
-        let a = node_of(b);
-        let mut remote = false;
-        for &t in graph.out_neighbors(b) {
-            let bn = node_of(t);
-            if bn != a {
-                remote = true;
-                needs.entry((a, bn, slot_of(b))).or_default().insert(b);
-            }
-        }
-        if remote {
-            gathered.insert(b);
-        }
-    }
+    // Per (block, destination node B): `(A · nodes + B, slot, block)` —
+    // which A-blocks node B needs from leader slot `slot` — and
+    // `(nodes² + B, slot, block)`, what that slot's leader on B scatters.
+    // Every exchange row sorts before every scatter row.
+    let nodes = layout.nodes();
+    let (rows, gathered) = route(graph, per_node, |rows, b, bnode| {
+        rows.push((node_of(b) * nodes + bnode, slot_of(b), b));
+        rows.push((nodes * nodes + bnode, slot_of(b), b));
+    });
+    let split = rows.partition_point(|row| row.0 < nodes * nodes);
 
-    // Phase 0: gather to the local leader of the block's slot.
-    let relay = |b: Rank| leader_rank(node_of(b), slot_of(b));
-    gather_to_relays(&mut w, 0, &gathered, relay);
+    // Phase 0: gather to the local leader of the block's slot (a leader
+    // holds its own).
+    let to_leader = |b: Rank| leader_rank(node_of(b), slot_of(b));
+    for b in (0..n).filter(|&b| gathered[b] && to_leader(b) != b) {
+        w.message(0, b, to_leader(b), 0, &[b]);
+    }
 
     // Phase 1a: inter-node combined exchange, one message per
     // (source node, dest node, leader slot). The tag encodes the full
     // triple: two slots can share a leader rank on small nodes, so the
     // (src, dst) pair alone is not unique.
-    let n_nodes = layout.nodes();
-    for ((a, bnode, slot), blocks) in &needs {
-        let src = leader_rank(*a, *slot);
-        let dst = leader_rank(*bnode, *slot);
-        let tag = 1 + ((*a * n_nodes + *bnode) * leaders_per_node + *slot) as u64;
-        let blocks: Vec<Rank> = blocks.iter().copied().collect();
+    let mut blocks = Vec::new();
+    for run in runs(&rows[..split]) {
+        let (pair, slot, _) = run[0];
+        let (src, dst) = (leader_rank(pair / nodes, slot), leader_rank(pair % nodes, slot));
+        blocks.clear();
+        blocks.extend(run.iter().map(|row| row.2));
         w.copy(src, 1, blocks.len()); // pack
-        w.message(1, src, dst, tag, &blocks);
+        w.message(1, src, dst, 1 + (pair * leaders_per_node + slot) as u64, &blocks);
     }
     // Phase 1b: intra-node edges as direct sends.
-    send_intra_node(&mut w, 1, graph, (node_of, relay), &gathered);
+    send_intra_node(&mut w, 1, graph, (node_of, to_leader), &gathered);
 
     // Phase 2: scatter remote blocks to the local ranks that need them —
     // aggregated per (receiving node, slot) across all source nodes, so
     // each (leader, target) pair sends at most one message per slot.
-    let mut arrived: BTreeMap<(usize, usize), BTreeSet<Rank>> = BTreeMap::new();
-    for ((_, bnode, slot), blocks) in &needs {
-        arrived.entry((*bnode, *slot)).or_default().extend(blocks.iter().copied());
-    }
-    for ((bnode, slot), blocks) in arrived {
-        let (l, tag) = (leader_rank(bnode, slot), 2_000_000 + slot as u64);
-        scatter_from_relay(&mut w, (2, tag), graph, (l, ranks_on(bnode)), &blocks);
-    }
+    scatter_from_relays(&mut w, 2, (graph, per_node), &rows[split..], |bnode, slot| {
+        (2_000_000 + slot as u64, leader_rank(bnode - nodes * nodes, slot))
+    });
     w.finish()
 }
 
-/// The gather half of a relayed plan (here and in [`crate::bruck`]):
-/// every `gathered` block to its `relay` in `phase` (a relay holds its
-/// own).
-pub(crate) fn gather_to_relays(
-    w: &mut PlanWriter,
-    phase: usize,
-    gathered: &BTreeSet<Rank>,
-    relay: impl Fn(Rank) -> Rank,
-) {
-    for &b in gathered.iter().filter(|&&b| relay(b) != b) {
-        w.message(phase, b, relay(b), 0, &[b]);
+/// A relay builder's routing row, `(group, key, block)`.
+pub(crate) type Row = (usize, usize, Rank);
+
+/// The rows of a relayed plan (here and in [`crate::bruck`]), sorted and
+/// deduplicated, and which blocks leave their node: `push` adds the rows
+/// of every pair of a block and a node of `per_node` ranks other than its
+/// own that its out-edges reach.
+pub(crate) fn route(
+    graph: &Topology,
+    per_node: usize,
+    mut push: impl FnMut(&mut Vec<Row>, Rank, usize),
+) -> (Vec<Row>, Vec<bool>) {
+    let (mut rows, mut gathered) = (Vec::new(), vec![false; graph.n()]);
+    for (b, leaves) in gathered.iter_mut().enumerate() {
+        // the sorted out-list visits each node in one run
+        for run in graph.out_neighbors(b).chunk_by(|x, y| x / per_node == y / per_node) {
+            if run[0] / per_node != b / per_node {
+                *leaves = true;
+                push(&mut rows, b, run[0] / per_node);
+            }
+        }
     }
+    rows.sort_unstable();
+    rows.dedup();
+    (rows, gathered)
+}
+
+/// The `(group, key)` runs of sorted, deduplicated rows: one group's
+/// blocks each, in ascending order.
+pub(crate) fn runs(rows: &[Row]) -> impl Iterator<Item = &[Row]> {
+    rows.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1))
 }
 
 /// Every intra-node edge as a direct send in `phase` — bar the ones a
@@ -138,37 +140,43 @@ pub(crate) fn send_intra_node(
     phase: usize,
     graph: &Topology,
     (node_of, relay): (impl Fn(Rank) -> usize, impl Fn(Rank) -> Rank),
-    gathered: &BTreeSet<Rank>,
+    gathered: &[bool],
 ) {
-    for b in 0..graph.n() {
+    for (b, &leaves) in gathered.iter().enumerate() {
         let (a, l) = (node_of(b), relay(b));
-        let served = |t: Rank| t == l && gathered.contains(&b) && l != b;
+        let served = |t: Rank| t == l && leaves && l != b;
         for &t in graph.out_neighbors(b).iter().filter(|&&t| node_of(t) == a && !served(t)) {
             w.message(phase, b, t, 1_000_000 + t as u64, &[b]);
         }
     }
 }
 
-/// The scatter half: relay `l` hands its `arrived` blocks to the ranks of
-/// `local` whose in-edges want them, one combined message per rank in
-/// `phase`, unpacked in the epilogue after it.
-pub(crate) fn scatter_from_relay(
+/// The scatter half: for each run of `arrivals`, whose `(group, key)`
+/// names its `(tag, l)`, relay `l` hands the run's blocks to the other
+/// ranks of its node of `per_node` whose in-edges want them — each walks
+/// its in-neighbours against a stamp of the run — one combined message
+/// per rank in `phase`, unpacked in the epilogue after it.
+pub(crate) fn scatter_from_relays(
     w: &mut PlanWriter,
-    (phase, tag): (usize, u64),
-    graph: &Topology,
-    (l, local): (Rank, std::ops::Range<Rank>),
-    arrived: &BTreeSet<Rank>,
+    phase: usize,
+    (graph, per_node): (&Topology, usize),
+    arrivals: &[Row],
+    at: impl Fn(usize, usize) -> (u64, Rank),
 ) {
-    let mut per_target: BTreeMap<Rank, Vec<Rank>> = BTreeMap::new();
-    for &b in arrived {
-        for t in local.clone().filter(|&t| t != l && graph.has_edge(b, t)) {
-            per_target.entry(t).or_default().push(b);
+    let (mut stamp, mut blocks) = (vec![(usize::MAX, 0); graph.n()], Vec::new());
+    for run in runs(arrivals) {
+        let (id, (tag, l)) = ((run[0].0, run[0].1), at(run[0].0, run[0].1));
+        run.iter().for_each(|&(.., b)| stamp[b] = id);
+        let lo = l / per_node * per_node;
+        for t in (lo..(lo + per_node).min(graph.n())).filter(|&t| t != l) {
+            blocks.clear();
+            blocks.extend(graph.in_neighbors(t).iter().filter(|&&b| stamp[b] == id));
+            if !blocks.is_empty() {
+                w.copy(l, phase, blocks.len());
+                w.copy(t, phase + 1, blocks.len());
+                w.message(phase, l, t, tag, &blocks);
+            }
         }
-    }
-    for (t, blocks) in per_target {
-        w.copy(l, phase, blocks.len());
-        w.copy(t, phase + 1, blocks.len());
-        w.message(phase, l, t, tag, &blocks);
     }
 }
 

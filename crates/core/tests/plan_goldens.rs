@@ -114,6 +114,132 @@ fn entry_point_sweep_moved_no_plan_byte_and_no_makespan_bit() {
     }
 }
 
+/// `(case, of_plan digest)` of the two relay builders — the leader
+/// hierarchy at l ∈ {1, 2, 8} and Bruck — captured while they grouped
+/// through `BTreeMap<_, BTreeSet<Rank>>` and scattered by `has_edge`:
+/// their flat-table rewrite must reproduce every plan byte for byte.
+const RELAY_GOLDENS: [(&str, u128); 80] = [
+    ("n0 hierarchical-leader(l=1)", 0xb6d48f7c12ef2b88446d3dce77e23764),
+    ("n0 hierarchical-leader(l=2)", 0xb6d48f7c12ef2b88446d3dce77e23764),
+    ("n0 hierarchical-leader(l=8)", 0xb6d48f7c12ef2b88446d3dce77e23764),
+    ("n0 bruck", 0xb6d48f7c12ef2b88446d3dce77e23764),
+    ("n1-d0 hierarchical-leader(l=1)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0 hierarchical-leader(l=2)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0 hierarchical-leader(l=8)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0 bruck", 0xa96ce5e58c73f8665b914981054f45a1),
+    ("n1-d0.15 hierarchical-leader(l=1)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0.15 hierarchical-leader(l=2)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0.15 hierarchical-leader(l=8)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d0.15 bruck", 0xa96ce5e58c73f8665b914981054f45a1),
+    ("n1-d1 hierarchical-leader(l=1)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d1 hierarchical-leader(l=2)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d1 hierarchical-leader(l=8)", 0x448bbd7a1e07a8c04b4598597c9f7d55),
+    ("n1-d1 bruck", 0xa96ce5e58c73f8665b914981054f45a1),
+    ("n2-d0 hierarchical-leader(l=1)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0 hierarchical-leader(l=2)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0 hierarchical-leader(l=8)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0 bruck", 0x34732dd7b33cd5abdb5812673e60b6ae),
+    ("n2-d0.15 hierarchical-leader(l=1)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0.15 hierarchical-leader(l=2)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0.15 hierarchical-leader(l=8)", 0xe61f11f103bcd68d21274812931c2eed),
+    ("n2-d0.15 bruck", 0x34732dd7b33cd5abdb5812673e60b6ae),
+    ("n2-d1 hierarchical-leader(l=1)", 0xf1aca81c5d20a585f8d78508d723171b),
+    ("n2-d1 hierarchical-leader(l=2)", 0xf1aca81c5d20a585f8d78508d723171b),
+    ("n2-d1 hierarchical-leader(l=8)", 0xf1aca81c5d20a585f8d78508d723171b),
+    ("n2-d1 bruck", 0x759a9647724ec8028891ea2c9e31f7fd),
+    ("n5-d0 hierarchical-leader(l=1)", 0xb0336c718c810795dd71b49909b08b80),
+    ("n5-d0 hierarchical-leader(l=2)", 0xb0336c718c810795dd71b49909b08b80),
+    ("n5-d0 hierarchical-leader(l=8)", 0xb0336c718c810795dd71b49909b08b80),
+    ("n5-d0 bruck", 0x5a7ca70a58d2b259b651ce43e4fad3dc),
+    ("n5-d0.15 hierarchical-leader(l=1)", 0x54129121a8677436910ad7825c4eb8be),
+    ("n5-d0.15 hierarchical-leader(l=2)", 0x54129121a8677436910ad7825c4eb8be),
+    ("n5-d0.15 hierarchical-leader(l=8)", 0x54129121a8677436910ad7825c4eb8be),
+    ("n5-d0.15 bruck", 0x6040f8191127485f206f77215a294cb7),
+    ("n5-d1 hierarchical-leader(l=1)", 0x01eea4e86a6ddd3e51df2807544620b3),
+    ("n5-d1 hierarchical-leader(l=2)", 0x01eea4e86a6ddd3e51df2807544620b3),
+    ("n5-d1 hierarchical-leader(l=8)", 0x01eea4e86a6ddd3e51df2807544620b3),
+    ("n5-d1 bruck", 0xaf997d4359a152cdf843ece906c18cc7),
+    ("n17-d0 hierarchical-leader(l=1)", 0x50be81c408733d11fbbb123c00d6834b),
+    ("n17-d0 hierarchical-leader(l=2)", 0x50be81c408733d11fbbb123c00d6834b),
+    ("n17-d0 hierarchical-leader(l=8)", 0x50be81c408733d11fbbb123c00d6834b),
+    ("n17-d0 bruck", 0x4c4cc19a933206dc51277d2f8d319576),
+    ("n17-d0.15 hierarchical-leader(l=1)", 0x37af90b348cc6264723cacc3ea0cd708),
+    ("n17-d0.15 hierarchical-leader(l=2)", 0x8d52ae0476c8dd7e42017f8c1180186c),
+    ("n17-d0.15 hierarchical-leader(l=8)", 0x743f1bf243bc7f254c0a276c86cbd6e8),
+    ("n17-d0.15 bruck", 0xd7e2d33f194d921f487372b68f0e3c06),
+    ("n17-d1 hierarchical-leader(l=1)", 0x2c2bbfaffa2690e965d40be8fe536dc7),
+    ("n17-d1 hierarchical-leader(l=2)", 0x08a1ff361df05193a7f7c68ae8376320),
+    ("n17-d1 hierarchical-leader(l=8)", 0x4a5b461f7990eeab46dc34262149892b),
+    ("n17-d1 bruck", 0x46a43dc708b53a9a21caafd502f1dbd5),
+    ("n96-d0 hierarchical-leader(l=1)", 0xa6c7b022509f474928f07aace551b843),
+    ("n96-d0 hierarchical-leader(l=2)", 0xa6c7b022509f474928f07aace551b843),
+    ("n96-d0 hierarchical-leader(l=8)", 0xa6c7b022509f474928f07aace551b843),
+    ("n96-d0 bruck", 0x8d6ccf0860bf69d4c940a3ba0bd2c4bc),
+    ("n96-d0.15 hierarchical-leader(l=1)", 0xdec63cb5fa724a6a3102f9f6e1242b3d),
+    ("n96-d0.15 hierarchical-leader(l=2)", 0xad231d17775c33b7213b44e5b374cc05),
+    ("n96-d0.15 hierarchical-leader(l=8)", 0x52d90a01bc1e8caac3edab37f1472045),
+    ("n96-d0.15 bruck", 0x136820cda191225c84df2ae55e82113c),
+    ("n96-d1 hierarchical-leader(l=1)", 0x71935f8b71fe1fe13b7fe2594ed43fb4),
+    ("n96-d1 hierarchical-leader(l=2)", 0xb4e08c24f84050a3a2a43a8d71fc353e),
+    ("n96-d1 hierarchical-leader(l=8)", 0x4dbce763abd0c3571287c43a95caeb4d),
+    ("n96-d1 bruck", 0xb9eb919e36dd77ed8e622dade026df5f),
+    ("n101-d0 hierarchical-leader(l=1)", 0x31c910c41a8ef05b564ab27f7a1496ff),
+    ("n101-d0 hierarchical-leader(l=2)", 0x31c910c41a8ef05b564ab27f7a1496ff),
+    ("n101-d0 hierarchical-leader(l=8)", 0x31c910c41a8ef05b564ab27f7a1496ff),
+    ("n101-d0 bruck", 0xaf4a9e1983e8a94f9095043816b8f546),
+    ("n101-d0.15 hierarchical-leader(l=1)", 0xe8e06207193693e1d0c2533cd812f6ad),
+    ("n101-d0.15 hierarchical-leader(l=2)", 0xdf720645b90dec1611d306b9b4c10ea5),
+    ("n101-d0.15 hierarchical-leader(l=8)", 0xaeb8441ffa63fca998bc068354daffd6),
+    ("n101-d0.15 bruck", 0xffa1b79d6e75a7a5cb1183a26c19baf1),
+    ("n101-d1 hierarchical-leader(l=1)", 0x5ca8dd694200554ed394dbaa14944404),
+    ("n101-d1 hierarchical-leader(l=2)", 0x4ee4fea86933faf51fb7907cbfd11607),
+    ("n101-d1 hierarchical-leader(l=8)", 0x17a486543420d43ea9b9cb3bcad0679e),
+    ("n101-d1 bruck", 0xe1008409abd5f15110833e82507f23d2),
+    ("tuner-n96 hierarchical-leader(l=1)", 0xb3033335c2b7c4c557ad1a5e8f9c8a61),
+    ("tuner-n96 hierarchical-leader(l=2)", 0x2c5b48a114682a0607aef0a61c5bf17d),
+    ("tuner-n96 hierarchical-leader(l=8)", 0x0cfc1467c254bd83e278aec0a110aceb),
+    ("tuner-n96 bruck", 0xb4c0b2e4b3903ef9cccaf43144819e39),
+];
+
+/// The relay builders' plans on an empty communicator, then over n ∈ {1,
+/// 2, 5, 17, 96, 101} × δ ∈ {0, 0.15, 1} on nodes of 8 (17 and 101 leave
+/// one and five ranks on the last node, fewer than l = 8 leaders, so its
+/// slots share leader ranks), plus the tuner's own `plan-churn` shape:
+/// n = 96, δ = 0.15 on 6 × 2 × 8.
+fn relay_cases() -> Vec<(String, nhood_topology::Topology, ClusterLayout)> {
+    let empty = nhood_topology::Topology::from_edges(0, []);
+    let mut cases = vec![("n0".to_string(), empty, ClusterLayout::new(1, 2, 4))];
+    for n in [1usize, 2, 5, 17, 96, 101] {
+        for delta in [0.0, 0.15, 1.0] {
+            let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
+            cases.push((format!("n{n}-d{delta}"), erdos_renyi(n, delta, 0xB7 + n as u64), layout));
+        }
+    }
+    cases.push(("tuner-n96".into(), erdos_renyi(96, 0.15, 7), ClusterLayout::new(6, 2, 8)));
+    cases
+}
+
+#[test]
+fn relay_builders_keep_every_plan_byte() {
+    use nhood_core::{bruck::plan_bruck, leader::plan_hierarchical_leader};
+    let mut actual = Vec::new();
+    for (case, graph, layout) in relay_cases() {
+        let plans = [1, 2, 8].map(|l| plan_hierarchical_leader(&graph, &layout, l));
+        for plan in plans.into_iter().chain([plan_bruck(&graph, &layout)]) {
+            plan.validate(&graph).unwrap_or_else(|e| panic!("{case} {}: {e}", plan.algorithm));
+            let digest = PlanFingerprint::of_plan(&plan, &graph).as_u128();
+            actual.push((format!("{case} {}", plan.algorithm), digest));
+        }
+    }
+    let matches = actual.len() == RELAY_GOLDENS.len()
+        && actual.iter().zip(RELAY_GOLDENS).all(|(a, g)| (a.0.as_str(), a.1) == g);
+    if !matches {
+        let table: String =
+            actual.iter().map(|(c, d)| format!("    ({c:?}, {d:#034x}),\n")).collect();
+        panic!("relay plan goldens moved; actual table:\n{table}");
+    }
+}
+
 /// The threaded negotiation's matching depends on thread scheduling, so
 /// its default rung is pinned structurally: every pair exchanged one
 /// signal each way, and the pattern lowers to a plan that validates and

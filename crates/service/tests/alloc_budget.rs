@@ -291,13 +291,21 @@ fn the_cold_plan_path_allocates_by_the_count() {
     // staging list and pool are sized from the edge count, `finish` is
     // two vectors, and what is left is the builder's own scratch, whose
     // growth is logarithmic. (One `Vec` per phase, per message and per
-    // block list made these 3,031 / 3,308 / 3,642 at δ = 0.15.)
+    // block list made these 3,031 / 3,308 / 3,642 at δ = 0.15; the relay
+    // builders' `BTreeMap<_, BTreeSet<Rank>>` grouping, a node per group
+    // and per block, is what their row table replaced.)
     for (graph, delta) in [(&sparse_graph, 0.15), (&dense_graph, 0.5)] {
         let (naive, _) = calls_of(|| nhood_core::naive::plan_naive(graph));
         let (cn, _) = calls_of(|| nhood_core::common_neighbor::plan_common_neighbor(graph, 4));
         let (pat, _) = calls_of(|| nhood_core::pat::plan_pat(graph, 2));
-        println!("build at δ = {delta}: naive {naive}, cn:4 {cn}, pat:2 {pat} allocator calls");
-        for (name, calls) in [("naive", naive), ("cn:4", cn), ("pat:2", pat)] {
+        let (hl, _) = calls_of(|| nhood_core::leader::plan_hierarchical_leader(graph, &layout, 8));
+        let (bruck, _) = calls_of(|| nhood_core::bruck::plan_bruck(graph, &layout));
+        println!(
+            "build at δ = {delta}: naive {naive}, cn:4 {cn}, pat:2 {pat}, leader:8 {hl}, \
+             bruck {bruck} allocator calls"
+        );
+        let builds = [("naive", naive), ("cn:4", cn), ("pat:2", pat), ("leader:8", hl)];
+        for (name, calls) in builds.into_iter().chain([("bruck", bruck)]) {
             assert!(calls <= 64, "{name} at δ = {delta}: {calls} allocator calls (budget 64)");
         }
     }
@@ -334,8 +342,8 @@ fn the_cold_plan_path_allocates_by_the_count() {
     );
     assert_eq!(rebuilt, sparse_graph);
 
-    // (e) registering the Auto tenant — ten arms built, validated,
-    // lowered, simulated and nine dropped, then the winner laid out.
+    // (e) registering the Auto tenant — eight arms built, validated,
+    // lowered, simulated and seven dropped, then the winner laid out.
     let mut svc = Service::new(ServiceConfig::default());
     let (register_calls, tenant) =
         calls_of(|| svc.add_tenant(sparse_graph.clone(), layout.clone(), Algorithm::Auto));
@@ -492,15 +500,18 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
 /// and the three price columns replace the per-send and per-recv cost
 /// tables, the per-send flags and the heap's growth).
 const ENGINE_RUN_CALLS: u64 = 28;
-/// 5 % above the 2,978 calls registering the Auto tenant costs today
+/// 5 % above the 1,027 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
 /// tuner's ten lowerings — 8,167 while the negotiation kept a vector per
-/// rank, and 6,625 while the Distance Halving pattern did). What is left:
-/// the Distance Halving build (≈ 600, scoring and matching), Bruck's and
-/// the leader hierarchy's B-trees, the ten replays (28 each).
-const AUTO_REGISTER_CALLS: u64 = 3_127;
+/// rank, 6,625 while the Distance Halving pattern did, and 2,978 while
+/// the tuner built PAT at radix 2 and 4 and the leader hierarchy and
+/// Bruck grouped through B-trees: 1,304 and 565 calls a build, 21 and 25
+/// now, most of them their row table's growth). What is left: the
+/// Distance Halving build (≈ 600, scoring and matching) and the eight
+/// replays (28 each).
+const AUTO_REGISTER_CALLS: u64 = 1_078;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 3 price columns, the replay's vectors
 /// (its sort scratch grows with the widest phase: 20 calls counted under
