@@ -1,13 +1,11 @@
-//! BENCH_9 — raw speed at 100k+ ranks: the simulator's sharded prepare
-//! against pool width 1 of the same engine, streaming plan-build peak
-//! RSS across a 10× rank jump, and the plan file's digest fast path
-//! against its validated load.
+//! BENCH_9 — raw speed at 100k+ ranks: streaming plan-build peak RSS
+//! across a 10× rank jump, and the plan file's digest fast path against
+//! its validated load.
 //!
-//! All three sections run on 2-d torus topologies so the per-rank edge
-//! count (degree 4) is **identical across scales** — the RSS gate
-//! compares peak memory at ~10k and ~100k ranks on matched edges/rank,
-//! which is only meaningful when the workload per rank does not grow
-//! with `n`.
+//! Both sections run on 2-d torus topologies so the per-rank edge count
+//! (degree 4) is **identical across scales** — the RSS gate compares
+//! peak memory at ~10k and ~100k ranks on matched edges/rank, which is
+//! only meaningful when the workload per rank does not grow with `n`.
 //!
 //! Gates, see [`report`]:
 //!
@@ -15,25 +13,18 @@
 //!   `/proc/self/status` `VmHWM` probe and the `clear_refs` peak reset
 //!   both work — containers often mount procfs read-only, and a stale
 //!   watermark would gate on noise;
-//! * bit-identity of the sharded report, the warm-start speedup and
-//!   fast-path hit, and reference-identity of the file-served plan are
-//!   **always** armed.
-//!
-//! The sharded run's speedup over width 1 is recorded ungated: the claim
-//! that the full pool is ≥ 2× width 1 was retired (it never armed on a
-//! recorded host; 0.91–1.09× on two threads).
+//! * the warm-start speedup and fast-path hit, and reference-identity
+//!   of the file-served plan, are **always** armed.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use nhood_cluster::rss::{peak_rss_bytes, reset_peak_rss};
-use nhood_cluster::{ClusterLayout, WorkerPool};
+use nhood_cluster::ClusterLayout;
 use nhood_core::builder::build_pattern;
-use nhood_core::exec::sim_exec::{to_schedule_v, SimCost};
 use nhood_core::lower::lower;
 use nhood_core::plan_io::PlanFile;
 use nhood_core::{Algorithm, CollectivePlan, PlanCache, PlanFingerprint};
-use nhood_simnet::{Engine, Schedule};
 use nhood_topology::torus::{torus, TorusSpec};
 use nhood_topology::Topology;
 
@@ -46,28 +37,6 @@ pub const GATE_RSS_RATIO: f64 = 10.0;
 /// separates them is `validate`: the claim is that skipping it on a
 /// digest match is worth having (the gate's history: `docs/SCALE.md`).
 pub const GATE_MMAP_SPEEDUP: f64 = 1.5;
-
-/// Pool width 1 vs the full pool on one schedule (same engine).
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    /// Rank count of the simulated plan.
-    pub n: usize,
-    /// Worker threads in the sharded pool.
-    pub threads: usize,
-    /// Best-of-reps `Engine::run` (pool width 1) wall time.
-    pub serial_secs: f64,
-    /// Best-of-reps `Engine::run_sharded` wall time.
-    pub sharded_secs: f64,
-    /// Whether every report field matched bit-for-bit.
-    pub bit_identical: bool,
-}
-
-impl ShardRow {
-    /// Width-1 over sharded wall time.
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs / self.sharded_secs.max(1e-12)
-    }
-}
 
 /// One plan build under the peak-RSS probe.
 #[derive(Debug, Clone)]
@@ -119,11 +88,9 @@ impl MmapRow {
     }
 }
 
-/// The three sections of one BENCH_9 run.
+/// The two sections of one BENCH_9 run.
 #[derive(Debug, Clone)]
 pub struct Bench9 {
-    /// Sharded-simulator cell (small scale).
-    pub shard: ShardRow,
     /// Plan-build RSS cells, small scale then large scale.
     pub rss: Vec<RssRow>,
     /// Warm-start cell (small scale).
@@ -136,38 +103,6 @@ fn torus_graph(k: usize) -> Topology {
 
 fn layout_for(n: usize) -> ClusterLayout {
     ClusterLayout::new(n.div_ceil(16), 2, 8)
-}
-
-fn reports_bit_identical(a: &nhood_simnet::SimReport, b: &nhood_simnet::SimReport) -> bool {
-    a.makespan.to_bits() == b.makespan.to_bits()
-        && a.per_rank_finish.len() == b.per_rank_finish.len()
-        && a.per_rank_finish.iter().zip(&b.per_rank_finish).all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.port_busy.len() == b.port_busy.len()
-        && a.port_busy.iter().zip(&b.port_busy).all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.stats == b.stats
-}
-
-/// Times `schedule` on `layout` at pool width 1 and at `threads`, and
-/// checks the reports bit-identical.
-pub fn shard_cell(
-    layout: &ClusterLayout,
-    schedule: &Schedule,
-    n: usize,
-    threads: usize,
-    reps: usize,
-) -> ShardRow {
-    let cost = SimCost::niagara();
-    let engine = Engine::new(layout, cost.net);
-    let pool = WorkerPool::new(threads);
-    // Warm both paths once so allocator and page-cache effects do not
-    // penalise whichever arm runs first.
-    let warm_serial = engine.run(schedule).expect("width-1 sim");
-    let warm_sharded = engine.run_sharded(schedule, &pool).expect("sharded sim");
-    let bit_identical = reports_bit_identical(&warm_serial, &warm_sharded);
-    let (serial_secs, _) = best_of(reps, || engine.run(schedule).expect("width-1 sim"));
-    let (sharded_secs, _) =
-        best_of(reps, || engine.run_sharded(schedule, &pool).expect("sharded sim"));
-    ShardRow { n, threads, serial_secs, sharded_secs, bit_identical }
 }
 
 /// Builds the Distance Halving pattern for a `k`×`k` torus under the
@@ -230,7 +165,7 @@ pub fn mmap_cell(graph: &Topology, plan: &CollectivePlan, reps: usize) -> MmapRo
     MmapRow { n, decode_validate_secs, mmap_fast_secs, mmap_full_secs, fast_path_hit, identical }
 }
 
-/// Runs all three sections. Quick runs shrink the tori for CI smoke
+/// Runs both sections. Quick runs shrink the tori for CI smoke
 /// (2 025 / 19 881 ranks instead of 10 000 / 99 856).
 pub fn run(quick: bool) -> Bench9 {
     let (k_small, k_large) = if quick { (45, 141) } else { (100, 316) };
@@ -241,34 +176,20 @@ pub fn run(quick: bool) -> Bench9 {
     drop(pattern_large);
 
     let g_small = torus_graph(k_small);
-    let n = g_small.n();
-    let layout = layout_for(n);
     let plan = lower(&pattern_small, &g_small);
     drop(pattern_small);
-
-    let cost = SimCost::niagara();
-    let schedule = to_schedule_v(&plan, &vec![4096; plan.n()], &cost);
-    let threads = WorkerPool::auto().threads();
-    let shard = shard_cell(&layout, &schedule, n, threads, reps);
-    drop(schedule);
-
     let mmap = mmap_cell(&g_small, &plan, reps);
 
-    Bench9 { shard, rss: vec![rss_small, rss_large], mmap }
+    Bench9 { rss: vec![rss_small, rss_large], mmap }
 }
 
-/// The three sections and five gates of a run.
+/// The two sections and four gates of a run.
 pub fn report(b: &Bench9) -> Measured {
     let rss_ratio = match b.rss.iter().map(|r| r.peak_rss_bytes).collect::<Vec<_>>()[..] {
         [Some(small), Some(large)] => Some(large as f64 / small.max(1) as f64),
         _ => None,
     };
-    let (s, m) = (&b.shard, &b.mmap);
-    let shard = row! {
-        "n" => s.n, "threads" => s.threads, "serial_secs" => Val::Fix(s.serial_secs, 6),
-        "sharded_secs" => Val::Fix(s.sharded_secs, 6), "speedup" => Val::Fix(s.speedup(), 3),
-        "bit_identical" => s.bit_identical,
-    };
+    let m = &b.mmap;
     let rss = b.rss.iter().map(|r| {
         row! {
             "n" => r.n, "degree" => r.degree, "build_secs" => Val::Fix(r.build_secs, 6),
@@ -282,13 +203,8 @@ pub fn report(b: &Bench9) -> Measured {
         "fast_path_hit" => m.fast_path_hit, "identical" => m.identical,
     };
     Measured {
-        sections: vec![
-            ("sharded_sim", vec![shard]),
-            ("plan_build_rss", rss.collect()),
-            ("mmap_warm_start", vec![mmap]),
-        ],
+        sections: vec![("plan_build_rss", rss.collect()), ("mmap_warm_start", vec![mmap])],
         gates: vec![
-            Gate::holds("shard_bit_identical", s.bit_identical),
             Gate::below("rss_ratio", rss_ratio, GATE_RSS_RATIO).armed_if(rss_ratio.is_some()),
             Gate::at_least("mmap_speedup", Some(m.speedup()), GATE_MMAP_SPEEDUP),
             Gate::holds("fast_path_hit", m.fast_path_hit),
@@ -303,15 +219,8 @@ mod tests {
     use crate::suite::tests::{parse, Json};
     use crate::suite::{document, SUITES};
 
-    fn bench(shard_speedup: f64, rss: (Option<u64>, Option<u64>), mmap_speedup: f64) -> Bench9 {
+    fn bench(rss: (Option<u64>, Option<u64>), mmap_speedup: f64) -> Bench9 {
         Bench9 {
-            shard: ShardRow {
-                n: 64,
-                threads: 4,
-                serial_secs: shard_speedup,
-                sharded_secs: 1.0,
-                bit_identical: true,
-            },
             rss: vec![
                 RssRow { n: 64, degree: 4, build_secs: 0.1, peak_rss_bytes: rss.0 },
                 RssRow { n: 640, degree: 4, build_secs: 1.0, peak_rss_bytes: rss.1 },
@@ -329,33 +238,28 @@ mod tests {
 
     #[test]
     fn gates_arm_and_disarm_honestly() {
-        let m = report(&bench(3.0, (Some(1 << 20), Some(5 << 20)), 8.0));
+        let m = report(&bench((Some(1 << 20), Some(5 << 20)), 8.0));
         assert!(m.all_ok() && m.gates.iter().all(|g| g.armed), "{:?}", m.gates);
 
         // RSS probe unavailable: the ratio gate disarms and says so.
-        let m = report(&bench(3.0, (None, Some(5 << 20)), 8.0));
+        let m = report(&bench((None, Some(5 << 20)), 8.0));
         let g = m.gate("rss_ratio");
         assert!(!g.armed && g.ok && g.value.is_none(), "{g:?}");
 
         // An 11x RSS blow-up fails when the probe works.
-        let m = report(&bench(3.0, (Some(1 << 20), Some(11 << 20)), 8.0));
+        let m = report(&bench((Some(1 << 20), Some(11 << 20)), 8.0));
         let g = m.gate("rss_ratio");
         assert!(g.armed && !g.ok, "{g:?}");
 
-        // A slow sharded run fails nothing, on any host: the speedup is
-        // a row value.
-        let m = report(&bench(0.5, (Some(1), Some(1)), 8.0));
-        assert!(m.all_ok(), "{:?}", m.gates);
-
         // A slow fast path or a missed one fails unconditionally.
-        let m = report(&bench(3.0, (Some(1), Some(1)), 1.2));
+        let m = report(&bench((Some(1), Some(1)), 1.2));
         assert!(!m.gate("mmap_speedup").ok && !m.all_ok(), "{:?}", m.gates);
-        let mut b = bench(3.0, (Some(1), Some(1)), 8.0);
+        let mut b = bench((Some(1), Some(1)), 8.0);
         b.mmap.fast_path_hit = false;
         assert!(!report(&b).gate("fast_path_hit").ok);
         b.mmap.fast_path_hit = true;
-        b.shard.bit_identical = false;
-        assert!(!report(&b).all_ok());
+        b.mmap.identical = false;
+        assert!(!report(&b).gate("mmap_identical").ok && !report(&b).all_ok());
     }
 
     #[test]
@@ -367,18 +271,13 @@ mod tests {
         assert_eq!(row.degree, 4);
         let g = torus_graph(5);
         let plan = lower(&pattern, &g);
-        let cost = SimCost::niagara();
-        let schedule = to_schedule_v(&plan, &vec![256; plan.n()], &cost);
-        let layout = layout_for(25);
-        let shard = shard_cell(&layout, &schedule, 25, 2, 1);
-        assert!(shard.bit_identical, "{shard:?}");
         let mmap = mmap_cell(&g, &plan, 1);
         assert!(mmap.fast_path_hit && mmap.identical, "{mmap:?}");
     }
 
     #[test]
     fn json_document_is_balanced() {
-        let m = report(&bench(3.0, (Some(1 << 20), None), 8.0));
+        let m = report(&bench((Some(1 << 20), None), 8.0));
         let suite = SUITES.iter().find(|s| s.id == 9).expect("suite 9");
         let json = document(suite, true, 1, &m);
         assert_eq!(json.matches('{').count(), json.matches('}').count());

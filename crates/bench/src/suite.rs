@@ -73,7 +73,7 @@ pub const SUITES: [Suite; 7] = [
     },
     Suite {
         id: 9,
-        description: "scale: sharded simnet speedup, plan-build peak RSS, plan-file warm start",
+        description: "scale: plan-build peak RSS across a 10x rank jump, plan-file warm start",
         run: |quick| bench9::report(&bench9::run(quick)),
     },
     Suite {

@@ -149,7 +149,7 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let run_backend = |rec: &dyn Recorder| -> Result<(), ArgError> {
         let opts = ExecOptions::new().recorder(rec);
         let arena = &mut BlockArena::new();
-        let sim = Sim { layout: layout.clone(), cost, m: Some(m), threads: 1 };
+        let sim = Sim { layout: layout.clone(), cost, m: Some(m) };
         let bytes = || test_payloads(graph.n(), m, 0xC0FFEE);
         let (exec, payloads): (&dyn Executor, Vec<Vec<u8>>) = match backend {
             // the simulator takes its message size from `m`, not from bytes

@@ -1,8 +1,8 @@
 //! A fixed-size, dependency-free worker pool.
 //!
 //! The registry is unreachable in this workspace, so there is no rayon;
-//! this module provides the one parallel shape the plan builder, the
-//! sharded simulator and the rank runtime's workers need on top of
+//! this module provides the one parallel shape the plan builder and the
+//! rank runtime's workers need on top of
 //! `std::thread::scope` alone: [`WorkerPool::map`] — bounded data
 //! parallelism: `items` independent jobs pulled off an atomic index by at
 //! most [`threads`](WorkerPool::threads) scoped workers, results returned

@@ -49,8 +49,8 @@ pub enum BuildError {
         /// Cores in the layout.
         capacity: usize,
     },
-    /// Distance Halving needs contiguous socket ranges, i.e. block
-    /// placement.
+    /// The planner (Distance Halving's builder, the leader hierarchy,
+    /// Bruck) reads nodes off the rank number: block placement only.
     NonBlockPlacement,
     /// A rank of the distributed negotiation timed out (lost signals or
     /// a straggling peer) — see
@@ -72,7 +72,7 @@ impl std::fmt::Display for BuildError {
                 write!(f, "{ranks} ranks exceed layout capacity {capacity}")
             }
             BuildError::NonBlockPlacement => {
-                write!(f, "Distance Halving requires block rank placement")
+                write!(f, "the planner reads nodes off ranks and requires block rank placement")
             }
             BuildError::NegotiationTimeout { rank, step, round } => {
                 write!(f, "rank {rank} timed out negotiating step {step} round {round}")

@@ -57,8 +57,9 @@
 //! docs of `program` for the rule. Telemetry counts the block bytes
 //! only, not headers.
 
-use crate::comm::{CommError, ExecReport};
+use crate::comm::{CommError, DistGraphComm, ExecReport};
 use crate::exec::{check_count, ExecError};
+use crate::leader::shares_leader_slots;
 use crate::plan::Algorithm;
 use crate::sizes::BlockSizes;
 use nhood_simnet::SimReport;
@@ -464,13 +465,14 @@ pub struct CollectiveOutput {
 }
 
 /// Rejects (op, algorithm, robustness, backend) combinations outside the
-/// support matrix with a typed error. See docs/EXECUTION_API.md for the
-/// full table.
+/// support matrix with a typed error, on `comm`'s ranks and layout. See
+/// docs/EXECUTION_API.md for the full table.
 pub(crate) fn check_support(
     op: CollectiveOp,
     algorithm: Algorithm,
     robust: bool,
     backend: ExecBackend,
+    comm: &DistGraphComm,
 ) -> Result<(), CommError> {
     if let Some(red) = op.reduction() {
         if let Err(reason) = red.validate() {
@@ -485,18 +487,29 @@ pub(crate) fn check_support(
             reason: "robust execution runs on the threaded transport",
         });
     }
-    if op.reduction().is_some() && matches!(algorithm, Algorithm::Pat { .. }) {
-        // `program::tests::pat_trees_break_the_co_routing_invariant_of_the_reduce_shapes`
-        // pins the cause, so the refusal cannot outlive it.
-        return Err(CommError::UnsupportedCollective {
-            op,
-            algorithm,
-            reason: "PAT's merged trees break the reducing agents' co-routing invariant (a \
-                     destination's contributions leave a rank in different messages); PAT \
-                     serves alltoallv and the allgather family",
-        });
+    // `program::tests::{pat_trees,shared_leader_slots}_break_the_co_routing_invariant_of_the_reduce_shapes`
+    // pin the causes, so the refusals cannot outlive them.
+    let breaks_co_routing = match algorithm {
+        Algorithm::Pat { .. } => Some(
+            "PAT's merged trees break the reducing agents' co-routing invariant (a \
+             destination's contributions leave a rank in different messages); PAT serves \
+             alltoallv and the allgather family",
+        ),
+        Algorithm::HierarchicalLeader { leaders_per_node: l }
+            if shares_leader_slots(comm.n(), comm.layout(), l) =>
+        {
+            Some(
+                "two leader slots share a rank on a node hosting fewer ranks than leaders, \
+                 which breaks the reducing agents' co-routing invariant; the leader \
+                 hierarchy serves alltoallv and the allgather family there",
+            )
+        }
+        _ => None,
+    };
+    match (breaks_co_routing, op.reduction()) {
+        (Some(reason), Some(_)) => Err(CommError::UnsupportedCollective { op, algorithm, reason }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Derives (or validates) the size table of a combining-family request
@@ -1064,11 +1077,11 @@ mod tests {
             );
             seen.take()
         };
-        let f32_max = Reduction::new(ReduceOp::Max, DType::F32); // exact, on the inexact shape
+        let f32_max = Reduction::new(ReduceOp::Max, DType::F32);
         assert_eq!(request(&comm, Reduction::SUM_U8), (0, 1, 1), "cold: one miss, one build");
         assert_eq!(request(&comm, Reduction::SUM_U8), (1, 0, 0), "warm");
-        assert_eq!(request(&comm, f32_max), (1, 0, 0), "a new shape compiles the memoized plan");
-        assert_eq!(compiles() - cold, 2);
+        assert_eq!(request(&comm, f32_max), (1, 0, 0), "another lane: the memoized plan");
+        assert_eq!(compiles() - cold, 1, "and the one allreduce program, on every lane");
         // a clone shares the memo; a new topology epoch builds once more
         assert_eq!(request(&comm.clone(), f32_max), (1, 0, 0));
         let gone = comm.graph().edges().next().expect("the graph has edges");

@@ -2,6 +2,8 @@
 //! Goldens of the retired interpreting combining engine (deleted in
 //! PR 14): the compiled combine program must reproduce its receive
 //! buffers, its wire messages and its simulated makespan bit for bit.
+//! A second table pins the f32 allreduce of the relay planners as it was
+//! while partials coalesced by fold tree (see `program`'s module docs).
 
 use super::program::{compile, Shape};
 use super::*;
@@ -109,18 +111,21 @@ fn payloads(g: &Topology, op: CollectiveOp, sizes: &BlockSizes, seed: u64) -> Ve
         .collect()
 }
 
-/// Every golden cell, in row order: graph × algorithm × size class ×
-/// op (allreduce is uniform-only, so it sits out the ragged class).
+/// Every cell of `algos` × `ops`, in row order: graph × algorithm ×
+/// size class × op (allreduce is uniform-only, so it sits out the
+/// ragged class).
 fn for_each_cell(
+    algos: &[Algorithm],
+    ops: &[CollectiveOp],
     mut cell: impl FnMut(&str, &DistGraphComm, Algorithm, CollectiveOp, &BlockSizes, &[Vec<u8>]),
 ) {
     for (gi, &(n, delta, seed)) in GRAPHS.iter().enumerate() {
         let g = erdos_renyi(n, delta, seed);
         let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
-        for algo in [Algorithm::DistanceHalving, Algorithm::Naive] {
+        for &algo in algos {
             for class in SIZE_CLASSES {
-                for op in ops() {
+                for &op in ops {
                     if class == SizeClass::Ragged && matches!(op, CollectiveOp::Allreduce(_)) {
                         continue;
                     }
@@ -132,6 +137,39 @@ fn for_each_cell(
             }
         }
     }
+}
+
+/// One cell's `[fold_bufs(rbufs), fold_msgs(wire, true), makespan bits]`
+/// and its untagged wire fold, after checking that the threaded and
+/// simulated runs return the virtual run's buffers and that the counters
+/// saw the program's wire messages.
+fn cell_row(
+    label: &str,
+    comm: &DistGraphComm,
+    algo: Algorithm,
+    op: CollectiveOp,
+    sizes: &BlockSizes,
+    sbufs: &[Vec<u8>],
+) -> ([u64; 3], u64) {
+    let g = comm.graph();
+    let req = || CollectiveRequest::new(op, sbufs).algorithm(algo).sizes(sizes.clone());
+
+    let rec = CountingRecorder::new(g.n());
+    let virt = comm.collective(&req().recorder(&rec)).unwrap().rbufs;
+
+    let shape = Shape::of(op);
+    let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
+    let sent = (rec.totals().msgs_sent as usize, rec.totals().bytes_sent as usize);
+    assert_eq!(sent, (sched.message_count(), sched.total_bytes()), "{label}: counters");
+
+    let sim = comm.collective(&req().backend(ExecBackend::Sim)).unwrap();
+    assert_eq!(sim.rbufs, virt, "{label}: sim buffers");
+    let makespan = sim.sim.expect("sim backend reports").makespan;
+
+    let threaded = comm.collective(&req().backend(ExecBackend::Threaded)).unwrap().rbufs;
+    assert_eq!(threaded, virt, "{label}: threaded buffers");
+    let row = [fold_bufs(&virt), fold_msgs(sched.all_sends(), true), makespan.to_bits()];
+    (row, fold_msgs(sched.all_sends(), false))
 }
 
 // `[fold_bufs(rbufs), fold_msgs(schedule.all_sends(), true), makespan.to_bits()]`
@@ -295,32 +333,88 @@ const UNTAGGED: u64 = 0xf42cdad95f808ca4;
 fn goldens_of_the_retired_interpreter_hold_on_every_backend() {
     let (mut rows, mut untagged) = (GOLDEN.iter(), FNV_OFFSET);
     let mut isolated = false;
-    for_each_cell(|label, comm, algo, op, sizes, sbufs| {
+    let algos = [Algorithm::DistanceHalving, Algorithm::Naive];
+    for_each_cell(&algos, &ops(), |label, comm, algo, op, sizes, sbufs| {
         let g = comm.graph();
         isolated |= (0..g.n()).any(|r| g.outdegree(r) + g.indegree(r) == 0);
         let want = rows.next().expect("one golden row per cell");
-        let req = || CollectiveRequest::new(op, sbufs).algorithm(algo).sizes(sizes.clone());
-
-        let rec = CountingRecorder::new(g.n());
-        let virt = comm.collective(&req().recorder(&rec)).unwrap().rbufs;
-        assert_eq!(fold_bufs(&virt), want[0], "{label}: virtual buffers");
-
-        let shape = Shape::of(op);
-        let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
-        assert_eq!(fold_msgs(sched.all_sends(), true), want[1], "{label}: wire messages");
-        untagged = fnv(untagged, fold_msgs(sched.all_sends(), false));
-        let sent = (rec.totals().msgs_sent as usize, rec.totals().bytes_sent as usize);
-        assert_eq!(sent, (sched.message_count(), sched.total_bytes()), "{label}: counters");
-
-        let sim = comm.collective(&req().backend(ExecBackend::Sim)).unwrap();
-        assert_eq!(sim.rbufs, virt, "{label}: sim buffers");
-        let makespan = sim.sim.expect("sim backend reports").makespan;
-        assert_eq!(makespan.to_bits(), want[2], "{label}: makespan");
-
-        let threaded = comm.collective(&req().backend(ExecBackend::Threaded)).unwrap().rbufs;
-        assert_eq!(threaded, virt, "{label}: threaded buffers");
+        let (got, wire) = cell_row(label, comm, algo, op, sizes, sbufs);
+        assert_eq!(got[0], want[0], "{label}: virtual buffers");
+        assert_eq!(got[1], want[1], "{label}: wire messages");
+        assert_eq!(got[2], want[2], "{label}: makespan");
+        untagged = fnv(untagged, wire);
     });
     assert!(rows.next().is_none(), "every golden row is consumed");
     assert_eq!(untagged, UNTAGGED, "a wire message moved or changed size, not just its tag");
     assert!(isolated, "one graph must leave ranks without an edge");
+}
+
+/// The relay planners whose f32 allreduce partials the goldens below
+/// pin: every node of `for_each_cell`'s layouts hosts at least two ranks,
+/// so the leader hierarchy runs with two distinct leaders per node.
+const RELAYS: [Algorithm; 3] = [
+    Algorithm::CommonNeighbor { k: 4 },
+    Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+    Algorithm::Bruck,
+];
+
+fn f32_allreduces() -> [CollectiveOp; 2] {
+    [Reduction::new(ReduceOp::Sum, DType::F32), Reduction::new(ReduceOp::Max, DType::F32)]
+        .map(CollectiveOp::Allreduce)
+}
+
+// `cell_row` of every `RELAYS` × `f32_allreduces()` cell, captured while
+// f32 partials still coalesced by interned fold tree: coalescing by
+// source set must leave every buffer bit, wire message and makespan.
+const RELAY_F32_ALLREDUCE: [[u64; 3]; 36] = [
+    [0x279023a7b05b3a8c, 0xf66e7e4d4f3f4e44, 0x3ed296b15229c441], // graph 0 CommonNeighbor { k: 4 } Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0xf66e7e4d4f3f4e44, 0x3ed296b15229c441], // graph 0 CommonNeighbor { k: 4 } Uniform(64) allreduce(max-f32)
+    [0x69dbe4282614cd24, 0x5314319746a05e04, 0x3efc0cccef720f35], // graph 0 CommonNeighbor { k: 4 } Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0x5314319746a05e04, 0x3efc0cccef720f35], // graph 0 CommonNeighbor { k: 4 } Uniform(4096) allreduce(max-f32)
+    [0x06f4b4a64c5dde3d, 0x97f1421434942b25, 0x3ed1eae42f410b58], // graph 0 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0x97f1421434942b25, 0x3ed1eae42f410b58], // graph 0 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(max-f32)
+    [0xc73443e4d301b278, 0xc5b377e112025165, 0x3efe171016dc334d], // graph 0 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0xc5b377e112025165, 0x3efe171016dc334d], // graph 0 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(max-f32)
+    [0xa6b3052fac4e51c8, 0x6654300f71eca12e, 0x3ed8b0ceb1db828f], // graph 0 Bruck Uniform(64) allreduce(sum-f32)
+    [0xbea8dd9290dedea6, 0x6654300f71eca12e, 0x3ed8b0ceb1db828f], // graph 0 Bruck Uniform(64) allreduce(max-f32)
+    [0xd40c7ae66ae5a772, 0x340f474f67c8666e, 0x3f0001e0ee9eb9d8], // graph 0 Bruck Uniform(4096) allreduce(sum-f32)
+    [0xed5342333b57417a, 0x340f474f67c8666e, 0x3f0001e0ee9eb9d8], // graph 0 Bruck Uniform(4096) allreduce(max-f32)
+    [0x13387e4c352d1bd9, 0x3579b2ff990fe9f7, 0x3ed46c8c670b3fc9], // graph 1 CommonNeighbor { k: 4 } Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0x3579b2ff990fe9f7, 0x3ed46c8c670b3fc9], // graph 1 CommonNeighbor { k: 4 } Uniform(64) allreduce(max-f32)
+    [0xf91a3c61bcbf7b06, 0xb3ae4336537db937, 0x3efd8352c91c7337], // graph 1 CommonNeighbor { k: 4 } Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0xb3ae4336537db937, 0x3efd8352c91c7337], // graph 1 CommonNeighbor { k: 4 } Uniform(4096) allreduce(max-f32)
+    [0xc7052b3cb70dcf3a, 0x2a310cd9462a62d2, 0x3ed1bc69e5e62246], // graph 1 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0x2a310cd9462a62d2, 0x3ed1bc69e5e62246], // graph 1 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(max-f32)
+    [0x380ccd4709f04325, 0xc631b5624c1b1a92, 0x3efadab889b3086e], // graph 1 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0xc631b5624c1b1a92, 0x3efadab889b3086e], // graph 1 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(max-f32)
+    [0x371b33906108521e, 0x33be988cd8e85a40, 0x3ed8b6ae4ce70c8e], // graph 1 Bruck Uniform(64) allreduce(sum-f32)
+    [0xa47db37aa52db150, 0x33be988cd8e85a40, 0x3ed8b6ae4ce70c8e], // graph 1 Bruck Uniform(64) allreduce(max-f32)
+    [0x140691e353c3ce6d, 0x7d138688006003c0, 0x3efe272d85fc28f5], // graph 1 Bruck Uniform(4096) allreduce(sum-f32)
+    [0x6d02584185794fa6, 0x7d138688006003c0, 0x3efe272d85fc28f5], // graph 1 Bruck Uniform(4096) allreduce(max-f32)
+    [0x8c91629f7e6bdc3c, 0xf01af34bc4554d99, 0x3ec322fd5bb89863], // graph 2 CommonNeighbor { k: 4 } Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0xf01af34bc4554d99, 0x3ec322fd5bb89863], // graph 2 CommonNeighbor { k: 4 } Uniform(64) allreduce(max-f32)
+    [0xf542f17680ba77d9, 0x6189cce7cf775e99, 0x3ee53785e46c36f1], // graph 2 CommonNeighbor { k: 4 } Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0x6189cce7cf775e99, 0x3ee53785e46c36f1], // graph 2 CommonNeighbor { k: 4 } Uniform(4096) allreduce(max-f32)
+    [0x78b88c3757946327, 0x729637f4bead9965, 0x3ed0b207ad28cb59], // graph 2 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0x729637f4bead9965, 0x3ed0b207ad28cb59], // graph 2 HierarchicalLeader { leaders_per_node: 2 } Uniform(64) allreduce(max-f32)
+    [0x9eb56b44ef14d184, 0x1310c8a842ec9265, 0x3ef0606d4a85ad1f], // graph 2 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0x1310c8a842ec9265, 0x3ef0606d4a85ad1f], // graph 2 HierarchicalLeader { leaders_per_node: 2 } Uniform(4096) allreduce(max-f32)
+    [0xe37ca9b096c5bfa9, 0xdd6e69aad4db3240, 0x3edaec8b4b01260c], // graph 2 Bruck Uniform(64) allreduce(sum-f32)
+    [0xa31f2255f651576f, 0xdd6e69aad4db3240, 0x3edaec8b4b01260c], // graph 2 Bruck Uniform(64) allreduce(max-f32)
+    [0xe29c073876e6726c, 0x580bffac8b891c40, 0x3ef4204178ac5d26], // graph 2 Bruck Uniform(4096) allreduce(sum-f32)
+    [0xc00f4dafd5a8a380, 0x580bffac8b891c40, 0x3ef4204178ac5d26], // graph 2 Bruck Uniform(4096) allreduce(max-f32)
+];
+
+#[test]
+fn f32_allreduce_goldens_hold_under_the_relay_planners() {
+    for &(n, _, _) in &GRAPHS {
+        // the layouts' nodes host 8 ranks each but the last
+        assert!(n % 8 == 0 || n % 8 >= 2, "a node hosts fewer ranks than leaders");
+    }
+    let mut rows = RELAY_F32_ALLREDUCE.iter();
+    for_each_cell(&RELAYS, &f32_allreduces(), |label, comm, algo, op, sizes, sbufs| {
+        let want = rows.next().expect("one golden row per cell");
+        assert_eq!(cell_row(label, comm, algo, op, sizes, sbufs).0, *want, "{label}");
+    });
+    assert!(rows.next().is_none(), "every golden row is consumed");
 }

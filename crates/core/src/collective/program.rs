@@ -27,14 +27,23 @@
 //! ## Coalescing is structural
 //!
 //! Two allreduce partials leaving a rank in one message share a wire
-//! block when they are *the same value by construction*: the same sorted
-//! source set for the exact lanes (u8/u32 — any fold order gives the
-//! same bits), the same fold tree for f32. reduce_scatter contributions
-//! are distinct per destination and routed items are distinct per edge;
-//! neither ever merges. Wire bytes are therefore a pure function of
-//! (plan, shape, block lengths) — never of payload contents.
+//! block when they fold the same sorted source set — on every lane, f32
+//! included, because under a gather plan's derived routing equal source
+//! sets imply equal fold trees. At any rank, every held item `(s, ·)`
+//! arrived in one slot: the first message that handed the rank block `s`
+//! ([`route_items`]' `parent`). So which messages a partial's sources
+//! arrived in, and the order it integrated them, depend only on its
+//! source set; and each arrival was its sender's whole partial over that
+//! message's share of the set, or `compile` would have failed on the
+//! co-routing invariant ([`Walk::pack_partials`]). By induction on the
+//! phase — a partial starts as its rank's own leaf or its first arrival —
+//! its fold tree, and with it every f32 bit, depends only on its rank and
+//! source set. reduce_scatter contributions are distinct per destination
+//! and routed items are distinct per edge; neither ever merges. Wire
+//! bytes are therefore a pure function of (plan, shape, block lengths) —
+//! never of payload contents.
 
-use super::{CollectiveOp, DType, Reduction};
+use super::{CollectiveOp, Reduction};
 use crate::alltoall::route_items;
 use crate::exec::{phase_label, ExecError};
 use crate::plan::{CollectivePlan, MsgView};
@@ -42,7 +51,6 @@ use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, PhaseWriter, Schedule};
 use nhood_telemetry::{Tally, Traffic};
 use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// What a program is compiled for: one shape per way data moves.
@@ -57,12 +65,9 @@ pub(crate) enum Shape {
     /// Sparse reduce_scatter: one partial per destination, sized by the
     /// *destination*.
     ReduceScatter,
-    /// Sparse allreduce (uniform size). `exact` lanes coalesce by source
-    /// set, inexact (f32) lanes by fold tree.
-    Allreduce {
-        /// `true` for the integer lanes.
-        exact: bool,
-    },
+    /// Sparse allreduce (uniform size): partials coalesce by source set
+    /// on every lane.
+    Allreduce,
 }
 
 impl Shape {
@@ -74,7 +79,7 @@ impl Shape {
             CollectiveOp::Allgather | CollectiveOp::Allgatherv => Shape::Gather,
             CollectiveOp::Alltoallv => Shape::Route,
             CollectiveOp::ReduceScatter(_) => Shape::ReduceScatter,
-            CollectiveOp::Allreduce(red) => Shape::Allreduce { exact: red.dtype != DType::F32 },
+            CollectiveOp::Allreduce(_) => Shape::Allreduce,
         }
     }
 
@@ -242,13 +247,12 @@ const IN_FLIGHT: usize = usize::MAX;
 const DELIVERED: usize = usize::MAX - 1;
 
 /// A partial held at a rank (reduce shapes): the contributions of
-/// `count` sources to `dst`, folded in the order `tree` names.
+/// `count` sources to `dst`.
 #[derive(Clone, Copy, Debug)]
 struct Held {
     dst: Rank,
     at: Src,
     count: usize,
-    tree: usize,
 }
 
 /// A wire block between the two passes of a phase.
@@ -256,7 +260,6 @@ struct Held {
 struct PendBlock {
     key: Rank,
     src: Src,
-    tree: usize,
     /// (reduce) `claimed[lo..hi]` of its message: the sources it folds.
     claim: (usize, usize),
 }
@@ -280,20 +283,6 @@ struct PendMsg {
     dsts: Range<usize>,
 }
 
-/// Fold-tree interning: two partials with the same id were built by the
-/// same combines in the same order, so their f32 bits agree.
-struct Trees {
-    nodes: HashMap<(usize, usize), usize>,
-    leaves: usize,
-}
-
-impl Trees {
-    fn combine(&mut self, acc: usize, rhs: usize) -> usize {
-        let next = self.leaves + self.nodes.len();
-        *self.nodes.entry((acc, rhs)).or_insert(next)
-    }
-}
-
 /// The symbolic walk: who holds what, phase by phase, and the program
 /// emitted so far. All tables are dense — per edge or per rank.
 struct Walk<'g> {
@@ -308,7 +297,6 @@ struct Walk<'g> {
     held: Vec<Vec<Held>>,
     /// (reduce) per rank: has the receive buffer taken its first value?
     acc_live: Vec<bool>,
-    trees: Trees,
     // the phase in flight, between its passes
     pend: Vec<PendMsg>,
     pblocks: Vec<PendBlock>,
@@ -336,7 +324,7 @@ impl<'g> Walk<'g> {
                 .collect()
         };
         let reduce = shape.reduces();
-        let allreduce = matches!(shape, Shape::Allreduce { .. });
+        let allreduce = shape == Shape::Allreduce;
         let (mut send, mut recv) = (Cells::default(), Cells::default());
         let mut holder = Vec::with_capacity(graph.edge_count());
         let mut held: Vec<Vec<Held>> = vec![Vec::new(); n];
@@ -350,11 +338,9 @@ impl<'g> Walk<'g> {
                     Shape::Route => drop(send.push(p, p)),
                     Shape::ReduceScatter => {
                         let at = Src::Send(send.push(p, d));
-                        mine.push(Held { dst: d, at, count: 1, tree: 0 });
+                        mine.push(Held { dst: d, at, count: 1 });
                     }
-                    Shape::Allreduce { .. } => {
-                        mine.push(Held { dst: d, at: Src::Send(own), count: 1, tree: p });
-                    }
+                    Shape::Allreduce => mine.push(Held { dst: d, at: Src::Send(own), count: 1 }),
                 }
             }
             if reduce {
@@ -374,7 +360,6 @@ impl<'g> Walk<'g> {
             // allreduce folds into x_t, already in place; reduce_scatter
             // copies its first arrival
             acc_live: vec![allreduce; n],
-            trees: Trees { nodes: HashMap::new(), leaves: n },
             pend: Vec::new(),
             pblocks: Vec::new(),
             pdsts: Vec::new(),
@@ -434,7 +419,7 @@ impl<'g> Walk<'g> {
                 // a routed item is never modified: it is read where it
                 // started, whoever forwards it
                 let src = Src::Send(e as Ix);
-                self.pblocks.push(PendBlock { key: s, src, tree: 0, claim: (0, 0) });
+                self.pblocks.push(PendBlock { key: s, src, claim: (0, 0) });
             }
         } else {
             self.pack_partials(r, peer, items, &missing)?;
@@ -467,7 +452,6 @@ impl<'g> Walk<'g> {
         claimed.extend(items.iter().map(|&(s, d)| (d, s)));
         claimed.sort_unstable();
         let mut lo = 0;
-        let mut merged = false;
         for run in claimed.chunk_by(|a, b| a.0 == b.0) {
             let (d, hi) = (run[0].0, lo + run.len());
             let pos = self.held[r].binary_search_by_key(&d, |h| h.dst).map_err(|_| missing(d))?;
@@ -479,32 +463,26 @@ impl<'g> Walk<'g> {
                 return Err(missing(d));
             }
             // Share one wire block across destinations whose value is
-            // the same by construction — the allreduce first hop carries
-            // x_src once, not once per destination.
+            // the same by construction (module docs) — the allreduce first
+            // hop carries x_src once, not once per destination.
             let sources = |(lo, hi): (usize, usize)| claimed[lo..hi].iter().map(|c| c.1);
-            let twin = match shape {
-                Shape::Allreduce { exact } => self.pblocks[b0..].iter().position(|b| {
-                    (exact || b.tree == h.tree) && sources(b.claim).eq(sources((lo, hi)))
-                }),
-                _ => None,
-            };
+            let twin = self.pblocks[b0..]
+                .iter()
+                .position(|b| shape == Shape::Allreduce && sources(b.claim).eq(sources((lo, hi))));
             let block = match twin {
-                Some(i) => {
-                    merged = true;
-                    b0 + i
-                }
+                Some(i) => b0 + i,
                 None => {
                     let key = if shape == Shape::ReduceScatter { d } else { 0 };
-                    self.pblocks.push(PendBlock { key, src: h.at, tree: h.tree, claim: (lo, hi) });
+                    self.pblocks.push(PendBlock { key, src: h.at, claim: (lo, hi) });
                     self.pblocks.len() - 1
                 }
             };
             self.pdsts.push(PendDst { block, dst: d, count: run.len(), edge: 0 });
             lo = hi;
         }
-        if merged {
-            // group arrivals by wire block; stable, so each block keeps
-            // its destinations ascending
+        if self.pblocks.len() - b0 < self.pdsts.len() - d0 {
+            // blocks were shared: group arrivals by wire block; stable, so
+            // each block keeps its destinations ascending
             self.pdsts[d0..].sort_by_key(|pd| pd.block);
         }
         self.claimed = claimed;
@@ -544,9 +522,6 @@ impl<'g> Walk<'g> {
             Ok(pos) => {
                 let h = &mut self.held[at][pos];
                 h.count += pd.count;
-                if self.prog.shape == (Shape::Allreduce { exact: false }) {
-                    h.tree = self.trees.combine(h.tree, pb.tree);
-                }
                 match h.at {
                     Src::Slot(slot) => Step::Combine(Dst::Slot(slot)),
                     Src::Send(from) => {
@@ -558,7 +533,7 @@ impl<'g> Walk<'g> {
             }
             Err(pos) => {
                 let slot = self.prog.slots.push(at, pb.key);
-                let h = Held { dst: d, at: Src::Slot(slot), count: pd.count, tree: pb.tree };
+                let h = Held { dst: d, at: Src::Slot(slot), count: pd.count };
                 self.held[at].insert(pos, h);
                 Step::Copy(Dst::Slot(slot))
             }
@@ -1002,7 +977,7 @@ impl Tables {
             let cap = rbuf.capacity();
             match (prog.shape, red) {
                 (Shape::ReduceScatter, Some(red)) => red.fill_identity(rbuf, ends[r]),
-                (Shape::Allreduce { .. }, _) => {
+                (Shape::Allreduce, _) => {
                     rbuf.clear();
                     rbuf.extend_from_slice(&sbufs[r]);
                 }
@@ -1161,9 +1136,10 @@ pub(crate) mod tests {
     use super::*;
     use crate::arena::BlockArena;
     use crate::builder::build_pattern;
-    use crate::collective::ReduceOp;
+    use crate::collective::{DType, ReduceOp};
     use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
+    use crate::plan::Algorithm;
     use crate::runtime::Clock;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
@@ -1180,12 +1156,7 @@ pub(crate) mod tests {
         COMPILES.with(std::cell::Cell::get)
     }
 
-    const SHAPES: [Shape; 4] = [
-        Shape::Route,
-        Shape::ReduceScatter,
-        Shape::Allreduce { exact: true },
-        Shape::Allreduce { exact: false },
-    ];
+    const SHAPES: [Shape; 3] = [Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
 
     fn dh_plan(n: usize, delta: f64, seed: u64) -> (Topology, CollectivePlan) {
         let g = erdos_renyi(n, delta, seed);
@@ -1265,7 +1236,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pat_trees_break_the_co_routing_invariant_of_the_reduce_shapes() {
-        // The cause behind `check_support`'s one algorithm refusal: PAT's
+        // The cause behind `check_support`'s PAT refusal: PAT's
         // merged trees drop a block the receiver already holds, so a
         // destination's contributions leave a rank in different messages
         // and no held partial covers exactly the claimed sources. When
@@ -1280,11 +1251,74 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn shared_leader_slots_break_the_co_routing_invariant_of_the_reduce_shapes() {
+        // The cause behind `check_support`'s leader-hierarchy refusal: on
+        // a node hosting at least two but fewer than `leaders_per_node`
+        // ranks, two leader slots share a rank, which then relays a
+        // destination's contributions in one message per slot, and no
+        // held partial covers exactly the claimed sources. When this
+        // starts compiling, lift the refusal.
+        let n = 12;
+        let pairs = (0..n).flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)));
+        let g = Topology::from_edges(n, pairs);
+        let layout = ClusterLayout::new(2, 2, 4); // nodes of 8 and 4 ranks
+        for l in [1, 2, 4, 5, 8] {
+            let plan = crate::leader::plan_hierarchical_leader(&g, &layout, l);
+            plan.validate(&g).unwrap();
+            compile(&plan, &g, Shape::Route).unwrap();
+            let shared = crate::leader::shares_leader_slots(n, &layout, l);
+            assert_eq!(shared, l > 4, "l = {l}");
+            for shape in &SHAPES[1..] {
+                match compile(&plan, &g, *shape) {
+                    Err(ExecError::MissingBlock { .. }) if shared => {}
+                    Ok(_) if !shared => {}
+                    got => panic!("l = {l}, {shape:?}: {got:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_items_hand_a_rank_each_source_in_one_message() {
+        // The lemma of the module docs' coalescing proof: every item
+        // `(s, ·)` a rank receives rides the message that first handed
+        // it block `s`, under every planner that serves the reduce shapes.
+        let g = erdos_renyi(40, 0.3, 4);
+        let layout = ClusterLayout::new(5, 2, 4);
+        let comm = crate::comm::DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+        for algo in [
+            Algorithm::DistanceHalving,
+            Algorithm::Naive,
+            Algorithm::CommonNeighbor { k: 2 },
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 1 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 8 },
+            Algorithm::Bruck,
+        ] {
+            let plan = comm.alltoall_plan(algo).unwrap();
+            let routing = route_items(&plan, &g).unwrap();
+            let mut slot = std::collections::BTreeMap::new();
+            for k in 0..plan.phase_count() {
+                for r in 0..plan.n() {
+                    for msg in plan.phase(r, k).sends() {
+                        for &(s, _) in routing.of(msg.id()) {
+                            let first = *slot.entry((msg.peer(), s)).or_insert(msg.id());
+                            assert_eq!(first, msg.id(), "{algo}: source {s} at {}", msg.peer());
+                        }
+                    }
+                }
+            }
+            compile(&plan, &g, Shape::Allreduce).unwrap();
+        }
+    }
+
     /// Five ranks; 0 and 1 each feed 3 and 4 through the pure agent 2,
     /// which folds destination 3's partial as (x0, x1) and destination
     /// 4's as (x1, x0), then ships both to 3 in one message. No gather
-    /// plan routes like this (a block's items leave a rank together), so
-    /// the walk is driven by hand.
+    /// plan routes like this — agent 2 gets x0's items in two messages,
+    /// which [`route_items`] never does — so the walk is driven by hand.
     fn crossed_folds(shape: Shape) -> (Topology, Program) {
         type Send = (Rank, Rank, &'static [(Rank, Rank)]);
         let g = Topology::from_edges(5, [(0, 3), (0, 4), (1, 3), (1, 4)]);
@@ -1312,7 +1346,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn exact_lanes_coalesce_by_source_set_and_f32_by_fold_tree() {
+    fn allreduce_coalesces_by_source_set_on_every_lane() {
         let m = 8;
         let sizes = BlockSizes::uniform(m);
         let payloads: Vec<Vec<u8>> = (0..5u8)
@@ -1321,18 +1355,16 @@ pub(crate) mod tests {
         let agent_ships = |shape| {
             crossed_folds(shape).1.schedule(&sizes).phases(2).nth(2).unwrap().sends[0].bytes
         };
-        assert_eq!(agent_ships(Shape::Allreduce { exact: true }), m, "same sources: one block");
-        assert_eq!(agent_ships(Shape::Allreduce { exact: false }), 2 * m, "different fold trees");
+        assert_eq!(agent_ships(Shape::Allreduce), m, "same sources: one block");
         assert_eq!(agent_ships(Shape::ReduceScatter), 2 * m, "per-destination values");
         assert_eq!(agent_ships(Shape::Route), 4 * m, "routed items never merge");
 
-        for (red, exact) in [
-            (Reduction::new(ReduceOp::Max, DType::U32), true),
-            (Reduction::new(ReduceOp::Sum, DType::F32), false),
-        ] {
-            let shape = Shape::of(CollectiveOp::Allreduce(red));
-            assert_eq!(shape, Shape::Allreduce { exact });
-            let (g, prog) = crossed_folds(shape);
+        // an f32 and an integer allreduce run one program
+        let (g, prog) = crossed_folds(Shape::Allreduce);
+        for red in
+            [Reduction::new(ReduceOp::Max, DType::U32), Reduction::new(ReduceOp::Sum, DType::F32)]
+        {
+            assert_eq!(Shape::of(CollectiveOp::Allreduce(red)), Shape::Allreduce);
             let job = Job { red: Some(red), sbufs: &payloads, lens: Lens::Table(&sizes) };
             let mut arena = BlockArena::new();
             let [v, t] = [false, true].map(|threaded| {
@@ -1346,7 +1378,7 @@ pub(crate) mod tests {
                 staged.rbufs
             });
             assert_eq!(v, t, "{red}");
-            if exact {
+            if red.dtype != DType::F32 {
                 assert_eq!(v, crate::collective::reference_allreduce(&g, &payloads, red));
             }
         }

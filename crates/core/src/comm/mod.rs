@@ -65,7 +65,8 @@ pub enum CommError {
     InvalidPlan(PlanValidationError),
     /// The requested (op, algorithm, robustness, backend) combination is
     /// outside the support matrix (see docs/EXECUTION_API.md) — e.g.
-    /// PAT's merged trees cannot carry the reduce ops, and robust
+    /// PAT's merged trees cannot carry the reduce ops, nor can a leader
+    /// hierarchy whose node hosts fewer ranks than leaders, and robust
     /// execution needs the threaded transport.
     UnsupportedCollective {
         /// The collective that was requested.
@@ -887,6 +888,9 @@ mod tests {
         // regression: tripped the `assert_eq!` in `plan_bruck`
         let got = plan_off_block_placement(Algorithm::Bruck);
         assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
+        // the text names the placement, not one planner
+        let text = got.unwrap_err().to_string();
+        assert!(text.contains("block rank placement") && !text.contains("Distance Halving"));
     }
 
     #[test]
@@ -894,6 +898,9 @@ mod tests {
         // regression: tripped the `assert_eq!` in `plan_hierarchical_leader`
         let got = plan_off_block_placement(Algorithm::HierarchicalLeader { leaders_per_node: 2 });
         assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
+        // the text names the placement, not one planner
+        let text = got.unwrap_err().to_string();
+        assert!(text.contains("block rank placement") && !text.contains("Distance Halving"));
     }
 
     #[test]

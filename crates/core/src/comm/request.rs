@@ -27,8 +27,9 @@ impl DistGraphComm {
     /// compiles from it: the allgather family the plan's block messages,
     /// the combining family — alltoallv, sparse reduce_scatter, sparse
     /// allreduce — the item routing the plan implies
-    /// ([`crate::alltoall`]) with reducing agents; PAT's reduce ops are
-    /// the one algorithm refusal. Robust, fault-injected execution
+    /// ([`crate::alltoall`]) with reducing agents; PAT's reduce ops, and
+    /// the leader hierarchy's where two of a node's leader slots share a
+    /// rank, are the algorithm refusals. Robust, fault-injected execution
     /// serves every op on the threaded backend. On [`ExecBackend::Sim`]
     /// the output carries **both** real oracle bytes and the simulator's
     /// makespan (under [`SimCost::niagara`]); the bare
@@ -58,7 +59,7 @@ impl DistGraphComm {
         plan: Option<&Arc<CollectivePlan>>,
         arena: &mut BlockArena,
     ) -> Result<CollectiveOutput, CommError> {
-        check_support(req.op, req.algorithm, req.robust, req.backend)?;
+        check_support(req.op, req.algorithm, req.robust, req.backend, self)?;
         let sizes = self.request_sizes(req)?;
         if req.robust {
             // check_support pinned the backend to Threaded already.
@@ -100,7 +101,7 @@ impl DistGraphComm {
         cost: &SimCost,
         perturbation: Option<&Perturbation>,
     ) -> Result<SimReport, CommError> {
-        check_support(req.op, req.algorithm, false, ExecBackend::Sim)?;
+        check_support(req.op, req.algorithm, false, ExecBackend::Sim, self)?;
         let sizes = self.request_sizes(req)?;
         let plan = match plan {
             Some(plan) => Arc::clone(plan),

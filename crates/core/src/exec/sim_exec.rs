@@ -15,7 +15,7 @@ use crate::collective::program::{Program, Shape};
 use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
-use nhood_cluster::{ClusterLayout, WorkerPool};
+use nhood_cluster::ClusterLayout;
 use nhood_simnet::{Engine, Msg, Perturbation, PhaseWriter, PriceColumns, Schedule};
 use nhood_simnet::{SimConfig, SimError, SimReport};
 use nhood_telemetry::Recorder;
@@ -58,18 +58,13 @@ pub struct Sim {
     /// Simulated per-rank payload size in bytes; `None` derives it from
     /// the payloads passed to [`Executor::run`].
     pub m: Option<usize>,
-    /// Worker threads for schedule validation and send/recv matching
-    /// ([`Engine::prepare`], a plan's first run); `1` (the default) runs
-    /// them inline. The report is bit-identical for every width, so this
-    /// is purely a wall-clock knob for cluster-scale schedules.
-    pub threads: usize,
 }
 
 impl Sim {
     /// A simulator for `layout` with Niagara-like costs, message size
     /// taken from the payloads.
     pub fn new(layout: ClusterLayout) -> Self {
-        Self { layout, cost: SimCost::niagara(), m: None, threads: 1 }
+        Self { layout, cost: SimCost::niagara(), m: None }
     }
 
     /// Overrides the simulated message size (payload bytes are then
@@ -82,13 +77,6 @@ impl Sim {
     /// Overrides the cost model.
     pub fn cost(mut self, cost: SimCost) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Runs the engine's prepare passes on `threads` workers (`0` = one
-    /// per host core). The report stays bit-identical.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 { WorkerPool::auto().threads() } else { threads };
         self
     }
 }
@@ -239,7 +227,7 @@ impl Sim {
                     Priced::Gather(sizes) => to_schedule_v(plan, sizes, &self.cost),
                     Priced::Program(prog, sizes) => prog.schedule(sizes),
                 };
-                let prepared = engine.prepare(&schedule, &WorkerPool::new(self.threads))?;
+                let prepared = engine.prepare(&schedule)?;
                 (&kept.insert((self.layout.clone(), prepared)).1, PriceColumns::from(&schedule))
             }
         };
@@ -398,30 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_sim_is_bit_identical_to_serial() {
-        let g = erdos_renyi(48, 0.3, 9);
-        let layout = ClusterLayout::new(4, 2, 6);
-        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
-        let serial = Sim::new(layout.clone()).message_size(512);
-        let sharded = Sim::new(layout).message_size(512).threads(4);
-        let a = serial
-            .run(&plan, &g, &[], &mut BlockArena::new(), &ExecOptions::default())
-            .unwrap()
-            .sim
-            .unwrap();
-        let b = sharded
-            .run(&plan, &g, &[], &mut BlockArena::new(), &ExecOptions::default())
-            .unwrap()
-            .sim
-            .unwrap();
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-        for (x, y) in a.per_rank_finish.iter().zip(&b.per_rank_finish) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
     fn memcpy_cost_is_charged() {
         let g = erdos_renyi(16, 0.5, 2);
         let layout = ClusterLayout::new(2, 2, 4);
@@ -454,8 +418,8 @@ mod tests {
     // that shipped simnet's hash-map serial engine (a91473c) from
     // `Engine::run` / `Engine::run_perturbed`: `NicMode::{Off, TxOnly,
     // TxRx}` × global links off/on × LogGP off/on, plain then perturbed.
-    // (simnet's own golden test covers synthetic schedules at every pool
-    // width under perturbation too; it cannot build a plan.)
+    // (simnet's own golden test covers synthetic schedules under
+    // perturbation too; it cannot build a plan.)
     const DH: [[u64; 3]; 24] = [
         [0x3f205e663626bb94, 0xc76e4d42a23c8021, 0xa8fdd2ed1501eba7],
         [0x3f2271178b30b1a7, 0xf84445c2849e11bf, 0x113874a406835e1c],
@@ -515,10 +479,6 @@ mod tests {
                     let what = format!("{nic_mode:?}, global links {gl}, LogGP {loggp}");
                     let plain = rows.next().expect("two golden rows per config");
                     assert_eq!(row(e.run(&s).unwrap()), *plain, "{what}");
-                    for threads in [1, 2, 3, 8] {
-                        let rep = e.run_sharded(&s, &WorkerPool::new(threads)).unwrap();
-                        assert_eq!(row(rep), *plain, "{what}, {threads} threads");
-                    }
                     let perturbed = rows.next().expect("two golden rows per config");
                     assert_eq!(row(e.run_perturbed(&s, &p).unwrap()), *perturbed, "{what}");
                 }
@@ -586,42 +546,40 @@ mod tests {
         for net in every_net() {
             let cost = SimCost { net, memcpy_bytes_per_sec: 5.0e9 };
             let engine = Engine::new(&layout, net);
-            for threads in [1, 2, 3, 8] {
-                // one arena: each plan for three requests in a row, then
-                // the next, twice round — a cold request, then warm ones
-                let mut arena = BlockArena::new();
-                for i in 0..24 {
-                    let plan = &plans[(i / 3) % plans.len()];
-                    let sizes = &tables[i % tables.len()];
-                    let perturbation = (i % 2 == 1).then_some(&pert);
-                    let warm = arena.simulation(plan, &g, Shape::Gather, &layout).is_some();
-                    assert_eq!(warm, i % 3 != 0, "request {i}: the structure is kept per plan");
-                    let what = format!("{net:?}, {threads} threads, request {i}");
-                    let rec = CountingRecorder::new(n);
-                    let sim = Sim { layout: layout.clone(), cost, m: None, threads };
-                    let got = sim.simulate(
-                        &mut arena,
-                        plan,
-                        &g,
-                        Priced::Gather(sizes),
-                        perturbation,
-                        Some(&rec),
-                    );
-                    let got = got.unwrap();
-                    let schedule = to_schedule_v(plan, sizes, &cost);
-                    let cold_rec = CountingRecorder::new(n);
-                    let want = match perturbation {
-                        Some(p) => engine.run_perturbed(&schedule, p),
-                        None => {
-                            let cold = engine.prepare(&schedule, &WorkerPool::new(threads));
-                            let prices = PriceColumns::from(&schedule);
-                            engine.run_prepared(&cold.unwrap(), &prices, None, Some(&cold_rec))
-                        }
-                    };
-                    same_report(&want.unwrap(), &got, &what);
-                    if perturbation.is_none() {
-                        assert_eq!(rec.totals(), cold_rec.totals(), "recorder: {what}");
+            // one arena: each plan for three requests in a row, then the
+            // next, twice round — a cold request, then warm ones
+            let mut arena = BlockArena::new();
+            for i in 0..24 {
+                let plan = &plans[(i / 3) % plans.len()];
+                let sizes = &tables[i % tables.len()];
+                let perturbation = (i % 2 == 1).then_some(&pert);
+                let warm = arena.simulation(plan, &g, Shape::Gather, &layout).is_some();
+                assert_eq!(warm, i % 3 != 0, "request {i}: the structure is kept per plan");
+                let what = format!("{net:?}, request {i}");
+                let rec = CountingRecorder::new(n);
+                let sim = Sim::new(layout.clone()).cost(cost);
+                let got = sim.simulate(
+                    &mut arena,
+                    plan,
+                    &g,
+                    Priced::Gather(sizes),
+                    perturbation,
+                    Some(&rec),
+                );
+                let got = got.unwrap();
+                let schedule = to_schedule_v(plan, sizes, &cost);
+                let cold_rec = CountingRecorder::new(n);
+                let want = match perturbation {
+                    Some(p) => engine.run_perturbed(&schedule, p),
+                    None => {
+                        let cold = engine.prepare(&schedule);
+                        let prices = PriceColumns::from(&schedule);
+                        engine.run_prepared(&cold.unwrap(), &prices, None, Some(&cold_rec))
                     }
+                };
+                same_report(&want.unwrap(), &got, &what);
+                if perturbation.is_none() {
+                    assert_eq!(rec.totals(), cold_rec.totals(), "recorder: {what}");
                 }
             }
         }
@@ -641,7 +599,7 @@ mod tests {
                        sizes: &[usize],
                        cost,
                        perturbation: Option<&Perturbation>| {
-            let sim = Sim { layout: layout.clone(), cost, m: None, threads: 2 };
+            let sim = Sim::new(layout.clone()).cost(cost);
             sim.simulate(arena, plan, g, Priced::Gather(sizes), perturbation, None)
         };
         let good = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>, g: &Topology| {

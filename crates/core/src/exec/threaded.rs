@@ -673,7 +673,7 @@ mod tests {
             |p: Rank, len: usize| -> Vec<u8> { (0..len).map(|i| (p * 31 + i * 7) as u8).collect() };
         for algo in algos {
             if op.reduction().is_some() && matches!(algo, Algorithm::Pat { .. }) {
-                continue; // the one refusal of the support matrix
+                continue; // PAT's refusal (one leader per node never shares a slot)
             }
             let mut cells: Vec<_> = graphs
                 .iter()

@@ -22,7 +22,7 @@
 //! receiver actually needs — at the price of leader hot-spots.
 
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
-use nhood_cluster::ClusterLayout;
+use nhood_cluster::{ClusterLayout, Placement};
 use nhood_topology::{Rank, Topology};
 
 /// Builds the hierarchical leader plan.
@@ -38,7 +38,7 @@ pub fn plan_hierarchical_leader(
     assert!(leaders_per_node > 0, "need at least one leader per node");
     assert_eq!(
         layout.placement(),
-        nhood_cluster::Placement::Block,
+        Placement::Block,
         "leader hierarchy needs block placement (only Distance Halving re-ranks through remap)"
     );
     let n = graph.n();
@@ -98,6 +98,17 @@ pub fn plan_hierarchical_leader(
         (2_000_000 + slot as u64, leader_rank(bnode - nodes * nodes, slot))
     });
     w.finish()
+}
+
+/// Whether some node of the block-placed `layout` hosts at least two of
+/// the `n` ranks but fewer than `l` leaders: two leader slots then share a
+/// rank, which relays a destination's blocks in one message per slot —
+/// fine for the gather family, a broken co-routing invariant for the
+/// reduce ops. A node of one rank relays only its own block.
+pub(crate) fn shares_leader_slots(n: usize, layout: &ClusterLayout, l: usize) -> bool {
+    let per_node = layout.ranks_per_node().max(1);
+    let mut hosted = (0..n).step_by(per_node).map(|lo| (n - lo).min(per_node));
+    layout.placement() == Placement::Block && hosted.any(|c| (2..l).contains(&c))
 }
 
 /// A relay builder's routing row, `(group, key, block)`.

@@ -896,7 +896,7 @@ impl CollectivePlan {
         let keys = (0..n).flat_map(|src| {
             self.msgs[sent_by(src)].iter().map(move |m| (src, m.peer as Rank, m.tag))
         });
-        let index = SendIndex::build(n, 0, keys).map_err(|(src, dst, tag)| E::DuplicateKey {
+        let index = SendIndex::build(n, keys).map_err(|(src, dst, tag)| E::DuplicateKey {
             src,
             dst,
             tag,

@@ -498,9 +498,10 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
 /// tables and kept three cursors per rank. 28 since it reads the
 /// schedule's offsets; the split kept it there (the structure's columns
 /// and the three price columns replace the per-send and per-recv cost
-/// tables, the per-send flags and the heap's growth).
-const ENGINE_RUN_CALLS: u64 = 28;
-/// 5 % above the 1,027 calls registering the Auto tenant costs today
+/// tables, the per-send flags and the heap's growth). 26 since the
+/// prepare matches in one serial pass: no per-chunk result vectors.
+const ENGINE_RUN_CALLS: u64 = 26;
+/// 5 % above the 1,011 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
@@ -508,10 +509,10 @@ const ENGINE_RUN_CALLS: u64 = 28;
 /// rank, 6,625 while the Distance Halving pattern did, and 2,978 while
 /// the tuner built PAT at radix 2 and 4 and the leader hierarchy and
 /// Bruck grouped through B-trees: 1,304 and 565 calls a build, 21 and 25
-/// now, most of them their row table's growth). What is left: the
-/// Distance Halving build (≈ 600, scoring and matching) and the eight
-/// replays (28 each).
-const AUTO_REGISTER_CALLS: u64 = 1_078;
+/// now, most of them their row table's growth; 1,027 while the prepare
+/// was sharded). What is left: the Distance Halving build (≈ 600, scoring
+/// and matching) and the eight replays (26 each).
+const AUTO_REGISTER_CALLS: u64 = 1_062;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 3 price columns, the replay's vectors
 /// (its sort scratch grows with the widest phase: 20 calls counted under

@@ -31,7 +31,7 @@
 
 use crate::perturb::Perturbation;
 use crate::schedule::{PriceColumns, Schedule};
-use nhood_cluster::{ClusterLayout, HockneyParams, Locality, Rank, Seconds, WorkerPool};
+use nhood_cluster::{ClusterLayout, HockneyParams, Locality, Rank, Seconds};
 
 /// Which node NICs an inter-node message holds while on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -269,7 +269,7 @@ impl Ord for Key {
 
 /// Every entry point below is [`prepare`](Self::prepare) then
 /// [`run_prepared`](Self::run_prepared) (in [`crate::sharded`]) on the
-/// schedule's own prices; the pool-less ones prepare at pool width 1.
+/// schedule's own prices.
 impl<'a> Engine<'a> {
     /// Creates an engine over `layout` with `config`.
     pub fn new(layout: &'a ClusterLayout, config: SimConfig) -> Self {
@@ -280,7 +280,8 @@ impl<'a> Engine<'a> {
     ///
     /// Validates the schedule first; see [`SimError`] for failure modes.
     pub fn run(&self, schedule: &Schedule) -> Result<SimReport, SimError> {
-        self.run_sharded(schedule, &WorkerPool::serial())
+        let prices = PriceColumns::from(schedule);
+        self.run_prepared(&self.prepare(schedule)?, &prices, None, None)
     }
 
     /// Like [`run`](Self::run), but under a latency [`Perturbation`]:
@@ -295,25 +296,15 @@ impl<'a> Engine<'a> {
         perturbation: &Perturbation,
     ) -> Result<SimReport, SimError> {
         perturbation.check()?;
-        self.run_schedule(schedule, &WorkerPool::serial(), Some(perturbation))
-    }
-
-    /// Like [`run`](Self::run), but with schedule validation and send/recv
-    /// matching sharded across `pool`. The report is bit-identical for
-    /// any pool width.
-    pub fn run_sharded(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-    ) -> Result<SimReport, SimError> {
-        self.run_schedule(schedule, pool, None)
+        let prices = PriceColumns::from(schedule);
+        self.run_prepared(&self.prepare(schedule)?, &prices, Some(perturbation), None)
     }
 
     /// Like [`run`](Self::run), but also returns one [`MsgTrace`] per
     /// message (posting time, arrival time, locality level) for timeline
     /// analysis — the raw material of gantt-style visualizations.
     pub fn run_traced(&self, schedule: &Schedule) -> Result<(SimReport, Vec<MsgTrace>), SimError> {
-        let prepared = self.prepare(schedule, &WorkerPool::serial())?;
+        let prepared = self.prepare(schedule)?;
         let (report, times) = self.replay(&prepared, &PriceColumns::from(schedule), None)?;
         let mut traces: Vec<MsgTrace> = (schedule.all_sends().iter().zip(times))
             .map(|(m, times)| {
@@ -332,16 +323,6 @@ impl<'a> Engine<'a> {
             .collect();
         traces.sort_by(|a, b| a.posted.partial_cmp(&b.posted).expect("finite"));
         Ok((report, traces))
-    }
-
-    fn run_schedule(
-        &self,
-        schedule: &Schedule,
-        pool: &WorkerPool,
-        perturbation: Option<&Perturbation>,
-    ) -> Result<SimReport, SimError> {
-        let prices = PriceColumns::from(schedule);
-        self.run_prepared(&self.prepare(schedule, pool)?, &prices, perturbation, None)
     }
 }
 
@@ -657,7 +638,7 @@ mod tests {
         s.push(3, vec![], vec![msg(2, 3, 100, 2)]);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let rec = nhood_telemetry::CountingRecorder::new(4);
-        let prepared = engine.prepare(&s, &WorkerPool::serial()).unwrap();
+        let prepared = engine.prepare(&s).unwrap();
         let recorded =
             |rec| engine.run_prepared(&prepared, &PriceColumns::from(&s), None, Some(rec));
         let report = recorded(&rec).unwrap();

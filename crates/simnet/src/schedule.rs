@@ -12,7 +12,7 @@
 
 use crate::engine::SimError;
 use crate::sharded::Prepared;
-use nhood_cluster::{Rank, WorkerPool};
+use nhood_cluster::Rank;
 use std::ops::Range;
 
 /// One directed message: `bytes` from `src` to `dst`, matched by `tag`.
@@ -155,14 +155,14 @@ impl Schedule {
     /// unmatched send, lowest `(dst, src, tag)`; then a bad
     /// `local_seconds` in program order; then the first recv whose size
     /// differs from its send's. It is [`crate::Engine::prepare`]'s
-    /// matching at pool width 1, then [`crate::Engine::run_prepared`]'s
+    /// matching, then [`crate::Engine::run_prepared`]'s
     /// price check: a run names the same defect in the same words.
     pub fn validate(&self) -> Result<(), String> {
         let text = |e| match e {
             SimError::InvalidSchedule(why) => why,
             other => other.to_string(),
         };
-        let prepared = Prepared::matched(self, &WorkerPool::serial()).map_err(text)?;
+        let prepared = Prepared::matched(self).map_err(text)?;
         prepared.check_prices(&PriceColumns::from(self))
     }
 
@@ -287,7 +287,7 @@ impl Slot {
 /// caller keeps one *matched* flag per send id: a recv whose send's flag
 /// is already set is a duplicate, and a flag still clear after every
 /// recv was looked up is an unmatched send. `docs/SCALE.md` has the
-/// method and why chunking cannot change an id.
+/// method.
 pub struct SendIndex {
     /// Bucket `d` is `slots[off[d]..off[d + 1]]`.
     off: Vec<u32>,
@@ -296,7 +296,7 @@ pub struct SendIndex {
 
 impl SendIndex {
     /// Indexes `sends` — `(src, dst, tag)` triples over `n` ranks, the
-    /// `i`-th under id `first_id + i`. `Err` carries a key two sends
+    /// `i`-th under id `i`. `Err` carries a key two sends
     /// share: the lowest `(dst, src, tag)` among the repeated ones.
     ///
     /// # Panics
@@ -304,7 +304,6 @@ impl SendIndex {
     /// ids do not fit `u32`.
     pub fn build(
         n: usize,
-        first_id: u32,
         sends: impl Iterator<Item = (Rank, Rank, u64)> + Clone,
     ) -> Result<Self, (Rank, Rank, u64)> {
         const FIT: &str = "send ids fit u32";
@@ -319,7 +318,7 @@ impl SendIndex {
         // the bucket's end, so shifting by one restores the starts.
         let mut slots = vec![Slot::default(); off[n] as usize];
         for (i, (src, dst, tag)) in sends.enumerate() {
-            let id = u32::try_from(i).ok().and_then(|i| first_id.checked_add(i)).expect(FIT);
+            let id = u32::try_from(i).expect(FIT);
             slots[off[dst] as usize] = Slot { src: u32::try_from(src).expect(FIT), id, tag };
             off[dst] += 1;
         }
@@ -502,25 +501,25 @@ mod tests {
     fn index_orders_buckets_and_names_the_lowest_duplicate() {
         // tags fall with the send order, so both buckets need the sort
         let sends = [(2, 0, 5), (2, 0, 1), (1, 0, 9), (3, 4, 7), (0, 4, 7)];
-        let index = SendIndex::build(5, 10, sends.iter().copied()).unwrap();
+        let index = SendIndex::build(5, sends.iter().copied()).unwrap();
         for (i, &(src, dst, tag)) in sends.iter().enumerate() {
-            assert_eq!(index.find(src, dst, tag), Some(10 + i as u32));
+            assert_eq!(index.find(src, dst, tag), Some(i as u32));
         }
         assert_eq!(index.find(2, 0, 9), None);
         assert_eq!(index.find(2, 7, 5), None, "no such bucket");
         assert_eq!(index.find(usize::MAX, 0, 5), None, "src beyond u32");
-        // ids 10.. index a flag vector of that length; clear flags are
+        // one flag per send id; clear flags are
         // reported in (dst, src, tag) order
-        let mut matched = vec![true; 15];
-        (matched[11], matched[14]) = (false, false);
+        let mut matched = vec![true; 5];
+        (matched[1], matched[4]) = (false, false);
         assert_eq!(index.first_unmatched(&matched), Some((2, 0, 1)));
-        matched[11] = true;
+        matched[1] = true;
         assert_eq!(index.first_unmatched(&matched), Some((0, 4, 7)));
-        matched[14] = true;
+        matched[4] = true;
         assert_eq!(index.first_unmatched(&matched), None);
 
         let twice = [(3, 4, 7), (1, 2, 8), (1, 2, 3), (3, 4, 7), (1, 2, 8)];
-        let dup = SendIndex::build(5, 0, twice.iter().copied()).err();
+        let dup = SendIndex::build(5, twice.iter().copied()).err();
         assert_eq!(dup, Some((1, 2, 8)), "dst 2 sorts before dst 4");
     }
 

@@ -11,23 +11,19 @@
 //! point is the two at the schedule's own prices; a caller that keeps the
 //! structure (the core's `BlockArena`, per plan) pays only the run.
 //!
-//! Preparing is sharded: ranks are partitioned into contiguous chunks,
-//! one per [`WorkerPool`] thread (one chunk, inline, for the pool-less
-//! entry points). Each chunk validates its ranks' sends and indexes them
-//! under dense global send ids ([`crate::SendIndex`]: a counting sort by
-//! destination); a second parallel pass resolves each recv in the
-//! (read-only) index of its sender's chunk; one serial pass in program
-//! order catches duplicate and missing matches. No hash map is touched
-//! anywhere on this path.
+//! Preparing is one pass in program order: it checks every send's
+//! owner and range, indexes the whole send table under dense send ids
+//! ([`crate::SendIndex`]: a counting sort by destination), then resolves
+//! each recv in that index, catching a recv without a send or claiming
+//! one twice as it goes, and last a send no recv claimed. No hash map is
+//! touched anywhere on this path.
 //!
 //! ## Determinism contract
 //!
-//! Reports are **bit-identical** (`to_bits`) for every pool width and
-//! however often a structure is rerun. A send's id is its row in the
-//! schedule's send table — program order (rank, phase, index), fixed when
-//! the schedule was written — so where the chunk boundaries fall cannot
-//! change an id, and a recv finds the same id in whichever chunk's index
-//! holds its sender. No run writes to a structure; the replay performs
+//! Reports are **bit-identical** (`to_bits`) however often a structure
+//! is rerun. A send's id is its row in the schedule's send table —
+//! program order (rank, phase, index), fixed when the schedule was
+//! written. No run writes to a structure; the replay performs
 //! every floating-point operation in one fixed order; the one batch of
 //! heap pushes whose order depends on iteration (the bootstrap waiter
 //! sweep) pushes ranks whose keys are already fixed — a binary heap pops
@@ -35,12 +31,12 @@
 //! are heap-unique so ties cannot arise. `docs/SCALE.md` documents the
 //! contract; golden constants captured from the retired hash-map engine
 //! pin the arithmetic, and the tests below check it across schedules, NIC
-//! modes, perturbations, widths and reruns.
+//! modes, perturbations, prices and reruns.
 
 use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
 use crate::perturb::Perturbation;
 use crate::schedule::{PriceColumns, Schedule, SendIndex};
-use nhood_cluster::{Locality, Rank, WorkerPool};
+use nhood_cluster::{Locality, Rank};
 use nhood_telemetry::{labels, Recorder, Traffic};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,30 +83,6 @@ pub struct Prepared {
     groups: usize,
 }
 
-/// Pass A of [`Prepared::matched`] for the ranks in `span`: checks every
-/// send's owner and range in program order, then indexes the sends under
-/// their ids — their rows in the send table (which fit `u32`: checked).
-fn send_index(schedule: &Schedule, span: Range<Rank>) -> Result<SendIndex, String> {
-    let n = schedule.n();
-    for r in span.clone() {
-        for (k, phase) in schedule.phases(r).enumerate() {
-            for m in phase.sends {
-                if m.src != r {
-                    return Err(format!("rank {r} phase {k}: send with src {}", m.src));
-                } else if m.dst >= n {
-                    return Err(format!("rank {r} phase {k}: send to out-of-range {}", m.dst));
-                } else if m.dst == r {
-                    return Err(format!("rank {r} phase {k}: send to self"));
-                }
-            }
-        }
-    }
-    let ids = schedule.msg_ids(schedule.rows(span)).0;
-    let keys = schedule.send_table[ids.clone()].iter().map(|m| (m.src, m.dst, m.tag));
-    SendIndex::build(n, ids.start as u32, keys)
-        .map_err(|(s, d, t)| format!("duplicate send key (src {s}, dst {d}, tag {t})"))
-}
-
 impl Prepared {
     /// Empty price columns with room for this structure's messages and
     /// rows, for a lowering to fill.
@@ -133,9 +105,11 @@ impl Prepared {
         (send_lo as usize..send_hi as usize, recv_lo as usize..recv_hi as usize)
     }
 
-    /// The structural half of [`Schedule::validate`], its text included,
-    /// on `pool`: every recv matched to its send, nobody placed yet.
-    pub(crate) fn matched(schedule: &Schedule, pool: &WorkerPool) -> Result<Self, SimError> {
+    /// The structural half of [`Schedule::validate`], its text included:
+    /// every recv matched to its send, nobody placed yet. One pass in
+    /// program order: the sends' owners and ranges, one index over the
+    /// whole send table, then each recv looked up in it.
+    pub(crate) fn matched(schedule: &Schedule) -> Result<Self, SimError> {
         let (n, sends, recvs) = (schedule.n(), &schedule.send_table, &schedule.recv_table);
         let id_space = NONE as usize;
         if sends.len().max(recvs.len()).max(schedule.rows.len()) > id_space || n >= id_space {
@@ -143,53 +117,43 @@ impl Prepared {
         }
         let invalid = SimError::InvalidSchedule;
         let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
-        let chunk = n.div_ceil(pool.threads()).max(1);
-        let (chunks, span) = (n.div_ceil(chunk), |c: usize| c * chunk..((c + 1) * chunk).min(n));
-
-        // Pass A: per-chunk send-side validation and send index (the
-        // chunk's ranks' sends under their global ids); one index over
-        // every rank names the first defect the way the validator does.
-        let index = pool.map(chunks, |c| send_index(schedule, span(c)));
-        if index.iter().any(Result::is_err) {
-            return Err(invalid(send_index(schedule, 0..n).err().unwrap_or_default()));
-        }
-        // Pass B: every recv's send id, or NONE, from its sender's chunk.
-        let rx = pool.map(chunks, |c| {
-            let mut ids = Vec::with_capacity(schedule.msg_ids(schedule.rows(span(c))).1.len());
-            for r in span(c) {
-                for (k, phase) in schedule.phases(r).enumerate() {
-                    ids.extend(phase.recvs.iter().map(|m| {
-                        let sender = schedule.check_recv(r, k, m).ok().map(|()| m.src / chunk);
-                        let index = sender.and_then(|c| index[c].as_ref().ok());
-                        index.and_then(|i| i.find(m.src, r, m.tag)).unwrap_or(NONE)
-                    }));
-                }
-            }
-            ids
-        });
-        // chunks are contiguous rank ranges: concatenated, program order
-        let mut rx = rx.into_iter();
-        let mut matched = rx.next().unwrap_or_default();
-        matched.extend(rx.flatten());
-        // In program order: a recv without a send, or claiming one an
-        // earlier recv claimed; then a send no recv claimed.
-        let mut claimed = vec![false; sends.len()];
-        let mut ids = matched.iter();
         for r in 0..n {
             for (k, phase) in schedule.phases(r).enumerate() {
-                for (m, &id) in phase.recvs.iter().zip(ids.by_ref()) {
-                    let at = || key((m.src, m.dst, m.tag));
-                    if id == NONE {
-                        schedule.check_recv(r, k, m).map_err(invalid)?;
-                        return Err(invalid(format!("recv {} has no matching send", at())));
-                    } else if std::mem::replace(&mut claimed[id as usize], true) {
-                        return Err(invalid(format!("duplicate recv key {}", at())));
+                let bad = |why: String| Err(invalid(format!("rank {r} phase {k}: {why}")));
+                for m in phase.sends {
+                    if m.src != r {
+                        return bad(format!("send with src {}", m.src));
+                    } else if m.dst >= n {
+                        return bad(format!("send to out-of-range {}", m.dst));
+                    } else if m.dst == r {
+                        return bad("send to self".into());
                     }
                 }
             }
         }
-        let unclaimed = index.iter().flatten().filter_map(|i| i.first_unmatched(&claimed));
-        if let Some(send) = unclaimed.min_by_key(|&(s, d, t)| (d, s, t)) {
+        // a send's id is its row in the send table (which fits `u32`)
+        let index = SendIndex::build(n, sends.iter().map(|m| (m.src, m.dst, m.tag)))
+            .map_err(|send| invalid(format!("duplicate send key {}", key(send))))?;
+        // In program order: a recv without a send, or claiming one an
+        // earlier recv claimed; then a send no recv claimed.
+        let mut claimed = vec![false; sends.len()];
+        let mut matched = Vec::with_capacity(recvs.len());
+        for r in 0..n {
+            for (k, phase) in schedule.phases(r).enumerate() {
+                for m in phase.recvs {
+                    schedule.check_recv(r, k, m).map_err(invalid)?;
+                    let at = || key((m.src, m.dst, m.tag));
+                    let Some(id) = index.find(m.src, r, m.tag) else {
+                        return Err(invalid(format!("recv {} has no matching send", at())));
+                    };
+                    if std::mem::replace(&mut claimed[id as usize], true) {
+                        return Err(invalid(format!("duplicate recv key {}", at())));
+                    }
+                    matched.push(id);
+                }
+            }
+        }
+        if let Some(send) = index.first_unmatched(&claimed) {
             return Err(invalid(format!("send {} has no matching recv", key(send))));
         }
         Ok(Self {
@@ -235,15 +199,15 @@ impl Prepared {
 pub(crate) type Timeline = (SimReport, Vec<Option<(f64, f64)>>);
 
 impl Engine<'_> {
-    /// Validates and matches `schedule` on `pool` and places its ranks on
-    /// this engine's layout, for [`run_prepared`](Self::run_prepared) to
+    /// Validates and matches `schedule` and places its ranks on this
+    /// engine's layout, for [`run_prepared`](Self::run_prepared) to
     /// replay at any prices. Fails as [`run`](Self::run) does:
     /// [`SimError::ScheduleTooLarge`], then [`SimError::InvalidSchedule`],
     /// then — for more ranks than the layout has cores — `InvalidSchedule`
     /// if the schedule's own prices are bad, else
-    /// [`SimError::LayoutTooSmall`]. Identical for every pool width.
-    pub fn prepare(&self, schedule: &Schedule, pool: &WorkerPool) -> Result<Prepared, SimError> {
-        let mut s = Prepared::matched(schedule, pool)?;
+    /// [`SimError::LayoutTooSmall`].
+    pub fn prepare(&self, schedule: &Schedule) -> Result<Prepared, SimError> {
+        let mut s = Prepared::matched(schedule)?;
         let (n, capacity) = (schedule.n(), self.layout.capacity());
         if n > capacity {
             s.check_prices(&PriceColumns::from(schedule)).map_err(SimError::InvalidSchedule)?;
@@ -551,14 +515,14 @@ mod tests {
     use crate::engine::{Engine, GlobalLinkConfig, NicMode, SimConfig, SimError};
     use crate::perturb::Perturbation;
     use crate::schedule::{Msg, PhaseWriter, PriceColumns, Schedule};
-    use nhood_cluster::{ClusterLayout, HockneyParams, WorkerPool};
+    use nhood_cluster::{ClusterLayout, HockneyParams};
     use nhood_topology::rng::DetRng;
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The perturbation every width/golden check runs under: stragglers
+    /// The perturbation every rerun/golden check runs under: stragglers
     /// on every fifth rank, jitter on about half the messages.
     fn seeded_perturbation(n: usize) -> Perturbation {
         Perturbation {
@@ -575,14 +539,13 @@ mod tests {
         t.1.iter().map(|t| t.map(|(a, b)| (a.to_bits(), b.to_bits()))).collect()
     }
 
-    /// One cold run: prepare `s` on `pool`, replay it at its own prices.
+    /// One cold run: prepare `s`, replay it at its own prices.
     fn replay(
         engine: &Engine,
         s: &Schedule,
-        pool: &WorkerPool,
         perturbation: Option<&Perturbation>,
     ) -> Result<Timeline, SimError> {
-        engine.replay(&engine.prepare(s, pool)?, &PriceColumns::from(s), perturbation)
+        engine.replay(&engine.prepare(s)?, &PriceColumns::from(s), perturbation)
     }
 
     fn assert_same(want: &Timeline, got: &Timeline, what: &str) {
@@ -608,17 +571,17 @@ mod tests {
         out
     }
 
-    /// Asserts the run — report and per-message timeline — is
-    /// bit-identical under every pool width, with and without a
-    /// perturbation, and that a structure prepared once replays any
-    /// prices of its shape as a cold run of them does, however often.
+    /// Asserts that a structure prepared once replays its own prices, and
+    /// any other prices of its shape, as a cold run of them does — report
+    /// and per-message timeline, bit for bit, however often, with and
+    /// without a perturbation.
     fn assert_bit_identical(layout: &ClusterLayout, config: SimConfig, s: &Schedule) {
         let engine = Engine::new(layout, config);
         let p = seeded_perturbation(s.n());
         let other = repriced(s);
         // the other prices, written as a lowering writes them
-        let mut columns =
-            engine.prepare(s, &WorkerPool::serial()).expect("prepares").price_columns();
+        let kept = engine.prepare(s).expect("prepares");
+        let mut columns = kept.price_columns();
         for r in 0..other.n() {
             for ph in other.phases(r) {
                 let (sends, recvs) = (ph.sends.iter().copied(), ph.recvs.iter().copied());
@@ -627,22 +590,14 @@ mod tests {
         }
         assert_eq!(columns, PriceColumns::from(&other));
         for perturbation in [None, Some(&p)] {
-            let serial = WorkerPool::serial();
-            let base = replay(&engine, s, &serial, perturbation).expect("width-1 run");
-            let base_other = replay(&engine, &other, &serial, perturbation).expect("width-1 run");
-            for threads in [1, 2, 3, 8] {
-                let pool = WorkerPool::new(threads);
-                let wide = replay(&engine, s, &pool, perturbation).expect("run");
-                assert_same(&base, &wide, &format!("{threads} threads"));
-                let kept = engine.prepare(s, &pool).expect("prepares");
-                for round in 0..2 {
-                    let what = format!("{threads} threads, warm round {round}");
-                    let again = engine.replay(&kept, &PriceColumns::from(s), perturbation);
-                    let again = again.expect("run");
-                    assert_same(&base, &again, &what);
-                    let warm = engine.replay(&kept, &columns, perturbation).expect("run");
-                    assert_same(&base_other, &warm, &format!("{what}, re-priced"));
-                }
+            let base = replay(&engine, s, perturbation).expect("cold run");
+            let base_other = replay(&engine, &other, perturbation).expect("cold run");
+            for round in 0..2 {
+                let what = format!("warm round {round}");
+                let again = engine.replay(&kept, &PriceColumns::from(s), perturbation);
+                assert_same(&base, &again.expect("run"), &what);
+                let warm = engine.replay(&kept, &columns, perturbation).expect("run");
+                assert_same(&base_other, &warm, &format!("{what}, re-priced"));
             }
         }
     }
@@ -784,16 +739,9 @@ mod tests {
         let engine = Engine::new(&layout, SimConfig::niagara());
         let p = seeded_perturbation(n);
         for perturbation in [None, Some(&p)] {
-            for threads in [1, 3] {
-                let pool = WorkerPool::new(threads);
-                let want = replay(&engine, &base, &pool, perturbation).unwrap();
-                let got = replay(&engine, &shuffled, &pool, perturbation).unwrap();
-                assert_eq!(want.0.makespan.to_bits(), got.0.makespan.to_bits());
-                assert_eq!(bits(&want.0.per_rank_finish), bits(&got.0.per_rank_finish));
-                assert_eq!(bits(&want.0.port_busy), bits(&got.0.port_busy));
-                assert_eq!(want.0.stats, got.0.stats);
-                assert_eq!(time_bits(&want), time_bits(&got));
-            }
+            let want = replay(&engine, &base, perturbation).unwrap();
+            let got = replay(&engine, &shuffled, perturbation).unwrap();
+            assert_same(&want, &got, &format!("perturbed {}", perturbation.is_some()));
         }
     }
 
@@ -805,10 +753,8 @@ mod tests {
         // more ranks than the `u32` id space: refused before anything is
         // sized by the rank count ...
         let huge = Schedule::new(u32::MAX as usize);
-        for pool in [WorkerPool::serial(), WorkerPool::new(3)] {
-            let err = engine.run_sharded(&huge, &pool).unwrap_err();
-            assert_eq!(err, SimError::ScheduleTooLarge { messages: 0 });
-        }
+        let err = engine.run(&huge).unwrap_err();
+        assert_eq!(err, SimError::ScheduleTooLarge { messages: 0 });
         // ... but after a bad perturbation
         let bad = Perturbation { jitter_p: 2.0, ..Perturbation::none() };
         let err = engine.run_perturbed(&huge, &bad).unwrap_err();
@@ -822,7 +768,7 @@ mod tests {
         s.push(1, vec![], vec![m]);
         let too_small = SimError::LayoutTooSmall { ranks: 8, capacity: 2 };
         assert_eq!(engine.run(&s).unwrap_err(), too_small);
-        assert_eq!(engine.run_sharded(&s, &WorkerPool::new(3)).unwrap_err(), too_small);
+        assert_eq!(engine.prepare(&s).unwrap_err(), too_small);
     }
 
     #[test]
@@ -839,14 +785,12 @@ mod tests {
         mismatch.push(1, vec![], vec![Msg { src: 0, dst: 1, bytes: 16, tag: 0 }]);
         for s in [&unmatched, &mismatch] {
             assert_eq!(engine.run(s).unwrap_err(), canonical(s));
-            assert_eq!(engine.run_sharded(s, &WorkerPool::new(4)).unwrap_err(), canonical(s));
         }
     }
 
     #[test]
     fn deadlock_and_capacity_match_serial() {
         let layout = ClusterLayout::new(2, 1, 1);
-        let pool = WorkerPool::new(4);
         let engine = Engine::new(&layout, SimConfig::niagara());
         // Mutual cross-phase waits: 0 waits for 1's phase-1 send and vice
         // versa — valid per the matcher, but cyclic.
@@ -857,36 +801,17 @@ mod tests {
         s.push(0, vec![a], vec![]);
         s.push(1, vec![], vec![a]);
         s.push(1, vec![b], vec![]);
-        let serial = engine.run(&s).unwrap_err();
-        let sharded = engine.run_sharded(&s, &pool).unwrap_err();
-        assert!(matches!(serial, SimError::Deadlock(_)));
-        assert_eq!(serial, sharded);
+        let err = engine.run(&s).unwrap_err();
+        assert_eq!(err, SimError::Deadlock(vec![(0, 0), (1, 0)]));
+        // a kept structure deadlocks the same way at other prices
+        let kept = engine.prepare(&s).unwrap();
+        let prices = PriceColumns::from(&repriced(&s));
+        assert_eq!(engine.run_prepared(&kept, &prices, None, None).unwrap_err(), err);
 
         // More ranks than cores.
         let big = perm_rounds(8, 1, 3);
-        let serial = engine.run(&big).unwrap_err();
-        assert!(matches!(serial, SimError::LayoutTooSmall { .. }));
-        assert_eq!(serial, engine.run_sharded(&big, &pool).unwrap_err());
-    }
-
-    #[test]
-    fn recorded_replay_matches_serial_recorder() {
-        use nhood_telemetry::CountingRecorder;
-        let layout = ClusterLayout::new(4, 1, 2);
-        let s = perm_rounds(8, 3, 11);
-        let engine = Engine::new(&layout, SimConfig::niagara());
-        let recorded = |pool: &WorkerPool, rec: &CountingRecorder| {
-            let prepared = engine.prepare(&s, pool).unwrap();
-            engine.run_prepared(&prepared, &PriceColumns::from(&s), None, Some(rec)).unwrap();
-        };
-        let serial_rec = CountingRecorder::new(8);
-        recorded(&WorkerPool::serial(), &serial_rec);
-        let sharded_rec = CountingRecorder::new(8);
-        recorded(&WorkerPool::new(4), &sharded_rec);
-        for r in 0..8 {
-            assert_eq!(serial_rec.per_rank(r), sharded_rec.per_rank(r), "rank {r}");
-        }
-        assert_eq!(serial_rec.totals(), sharded_rec.totals());
+        let err = engine.run(&big).unwrap_err();
+        assert_eq!(err, SimError::LayoutTooSmall { ranks: 8, capacity: 2 });
     }
 
     fn fold_bits(v: &[f64]) -> u64 {
@@ -984,21 +909,13 @@ mod tests {
                 let engine = Engine::new(layout, config);
                 for perturbation in [None, Some(&p)] {
                     let want = rows.next().expect("two golden rows per config");
-                    for threads in [1, 2, 3, 8] {
-                        let pool = WorkerPool::new(threads);
-                        let rep = replay(&engine, s, &pool, perturbation).unwrap().0;
-                        let got = [
-                            rep.makespan.to_bits(),
-                            fold_bits(&rep.per_rank_finish),
-                            fold_bits(&rep.port_busy),
-                        ];
-                        assert_eq!(
-                            got,
-                            *want,
-                            "config {i}, perturbed {}, {threads} threads",
-                            perturbation.is_some()
-                        );
-                    }
+                    let rep = replay(&engine, s, perturbation).unwrap().0;
+                    let got = [
+                        rep.makespan.to_bits(),
+                        fold_bits(&rep.per_rank_finish),
+                        fold_bits(&rep.port_busy),
+                    ];
+                    assert_eq!(got, *want, "config {i}, perturbed {}", perturbation.is_some());
                 }
             }
         }

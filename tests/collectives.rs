@@ -157,16 +157,33 @@ fn unsupported_combinations_fail_typed() {
     assert!(matches!(comm.collective(&req), Err(CommError::InvalidReduction { .. })));
 }
 
-/// Every algorithm of the portfolio (`Auto` routes as Distance Halving).
-const PORTFOLIO: [Algorithm; 7] = [
+/// Every algorithm of the portfolio (`Auto` routes as Distance Halving),
+/// the leader hierarchy at one, two and eight leaders per node.
+const PORTFOLIO: [Algorithm; 9] = [
     Algorithm::Naive,
     Algorithm::DistanceHalving,
     Algorithm::Auto,
     Algorithm::CommonNeighbor { k: 4 },
     Algorithm::HierarchicalLeader { leaders_per_node: 1 },
+    Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+    Algorithm::HierarchicalLeader { leaders_per_node: 8 },
     Algorithm::Bruck,
     Algorithm::Pat { radix: 2 },
 ];
+
+/// Whether `algo` refuses the reduce ops on `layout_for(n)`: PAT always;
+/// the leader hierarchy when a node hosts at least two but fewer than
+/// `leaders_per_node` ranks, so that two leader slots share a rank.
+fn refuses_reductions(algo: Algorithm, n: usize) -> bool {
+    let per_node = layout_for(n).ranks_per_node();
+    match algo {
+        Algorithm::Pat { .. } => true,
+        Algorithm::HierarchicalLeader { leaders_per_node: l } => {
+            (0..n).step_by(per_node).any(|lo| (2..l).contains(&(n - lo).min(per_node)))
+        }
+        _ => false,
+    }
+}
 
 /// One request of the sweep: its send buffers and explicit size table.
 struct Case {
@@ -223,11 +240,15 @@ fn cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
 /// fresh communicator and again after each single-edge mutation (Distance
 /// Halving then runs the surgically repaired live plan), against
 /// [`reference`]. Exact lanes and f32 `Max` are byte-equal to it; f32
-/// `Sum` is bit-equal across backends and repeats. PAT's reduce ops are
-/// the one typed refusal.
+/// `Sum` is bit-equal across backends and repeats. PAT's reduce ops, and
+/// the leader hierarchy's on a node hosting fewer ranks than leaders, are
+/// the typed refusals.
 #[test]
 fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
     let rng = &mut DetRng::seed_from_u64(0x5EED_2020);
+    // n = 61 leaves a node of five ranks: eight leaders refuse there
+    let leaders = Algorithm::HierarchicalLeader { leaders_per_node: 8 };
+    assert!(refuses_reductions(leaders, 61) && !refuses_reductions(leaders, 17));
     // a prime n, two non-powers of two, and a graph with isolated ranks
     for (n, lonely) in [(17, 0), (61, 0), (96, 0), (40, 3)] {
         let g = nhood_topology::random::erdos_renyi(n, 0.1 + 0.3 * rng.gen_f64(), rng.next_u64());
@@ -267,7 +288,7 @@ fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
                             let req = CollectiveRequest::new(*op, sbufs).sizes(sizes.clone());
                             comm.collective(&req.algorithm(algo).backend(backend))
                         };
-                        if op.reduction().is_some() && matches!(algo, Algorithm::Pat { .. }) {
+                        if op.reduction().is_some() && refuses_reductions(algo, n) {
                             match req() {
                                 Err(CommError::UnsupportedCollective { reason, .. }) => {
                                     assert!(reason.contains("co-routing"), "{ctx}: {reason}")

@@ -349,7 +349,7 @@ fn telemetry_counters_agree_across_all_backends() {
         let srec = CountingRecorder::new(n);
         let schedule = to_schedule_v(&plan, &vec![m; plan.n()], &cost);
         let engine = nhood_simnet::Engine::new(&layout, cost.net);
-        let prepared = engine.prepare(&schedule, &nhood_cluster::WorkerPool::serial()).unwrap();
+        let prepared = engine.prepare(&schedule).unwrap();
         let prices = nhood_simnet::PriceColumns::from(&schedule);
         engine.run_prepared(&prepared, &prices, None, Some(&srec)).unwrap();
         let (v, s) = (vrec.totals(), srec.totals());
@@ -425,7 +425,7 @@ fn chrome_trace_json_is_stable_and_well_formed() {
     let render = || {
         let spans = SpanRecorder::new();
         let engine = Engine::new(&layout, cost.net);
-        let prepared = engine.prepare(&schedule, &nhood_cluster::WorkerPool::serial()).unwrap();
+        let prepared = engine.prepare(&schedule).unwrap();
         let prices = nhood_simnet::PriceColumns::from(&schedule);
         engine.run_prepared(&prepared, &prices, None, Some(&spans)).unwrap();
         chrome_trace_json(&spans.events())

@@ -12,11 +12,11 @@
 //! printed as `(algorithm, n, δ-seed, mutation-seed)`.
 //!
 //! The lowered schedule of every mutated plan then goes through
-//! `Schedule::validate` and `Engine::run` at pool widths 1 and 3: the
-//! engine must answer `InvalidSchedule` with the validator's exact text
-//! iff the validator rejects, and the two widths must agree.
+//! `Schedule::validate` and `Engine::run`: the engine must answer
+//! `InvalidSchedule` with the validator's exact text iff the validator
+//! rejects.
 
-use nhood_cluster::{ClusterLayout, WorkerPool};
+use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::plan::{MsgDir, PlanPhase, PlannedMsg};
 use nhood_core::{Algorithm, CollectivePlan, DistGraphComm, PlanValidationError as E, SimCost};
@@ -261,7 +261,6 @@ fn mutate(plan: &mut Rows, graph: &Topology, kind: u64, rng: &mut DetRng) {
 
 #[test]
 fn dense_validator_agrees_with_the_brute_force_oracle() {
-    let pool = WorkerPool::new(3);
     let cost = SimCost::niagara();
     let (mut cases, mut rejected) = (0usize, 0usize);
     let mut seen = std::collections::BTreeSet::new();
@@ -298,24 +297,18 @@ fn dense_validator_agrees_with_the_brute_force_oracle() {
                     }
 
                     // The lowered schedule: rejected by the engine iff
-                    // its validator rejects it, in the same words, at
-                    // both pool widths.
+                    // its validator rejects it, in the same words.
                     let schedule = to_schedule_v(&plan, &vec![64; n], &cost);
                     let engine = Engine::new(&layout, cost.net);
                     let bits = |r: Result<SimReport, SimError>| r.map(|rep| rep.makespan.to_bits());
-                    let serial = bits(engine.run(&schedule));
-                    assert_eq!(
-                        serial,
-                        bits(engine.run_sharded(&schedule, &pool)),
-                        "widths, case {case}"
-                    );
+                    let ran = bits(engine.run(&schedule));
                     match schedule.validate() {
                         Err(text) => {
-                            assert_eq!(serial, Err(SimError::InvalidSchedule(text)), "case {case}")
+                            assert_eq!(ran, Err(SimError::InvalidSchedule(text)), "case {case}")
                         }
                         Ok(()) => assert!(
-                            !matches!(serial, Err(SimError::InvalidSchedule(_))),
-                            "case {case}: {serial:?}"
+                            !matches!(ran, Err(SimError::InvalidSchedule(_))),
+                            "case {case}: {ran:?}"
                         ),
                     }
                 }
