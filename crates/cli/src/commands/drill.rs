@@ -51,11 +51,8 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         return Err(fail(format!("--min-complete {min_complete} outside [0, 1]")));
     }
 
-    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?.with_policy(RobustPolicy {
-        recv_timeout: timeout,
-        negotiation_timeout: timeout,
-        ..RobustPolicy::default()
-    });
+    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?
+        .with_policy(RobustPolicy { recv_timeout: timeout, negotiation_timeout: timeout });
     let shape = comm.plan(algo)?;
     let payloads = shaped_payloads(&graph, op, whole_lanes(op, m), seed);
     writeln!(
@@ -148,12 +145,8 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let m = parse_bytes(args.get("size").unwrap_or("32"))?;
     let timeout = Duration::from_millis(args.get_parsed("timeout", 5000u64)?);
 
-    let mut comm =
-        DistGraphComm::create_adjacent(graph.clone(), layout)?.with_policy(RobustPolicy {
-            recv_timeout: timeout,
-            negotiation_timeout: timeout,
-            ..RobustPolicy::default()
-        });
+    let mut comm = DistGraphComm::create_adjacent(graph.clone(), layout)?
+        .with_policy(RobustPolicy { recv_timeout: timeout, negotiation_timeout: timeout });
 
     // Warm-up: the cold build every later mutation is measured against.
     let t0 = Instant::now();

@@ -35,13 +35,12 @@ pub use robust::{ExecReport, FallbackReason, RobustPolicy};
 use crate::arena::BlockArena;
 use crate::builder::BuildError;
 use crate::collective::{CollectiveOp, Reduction};
-use crate::exec::sim_exec::SimCost;
 use crate::exec::ExecError;
 use crate::fault::FaultPlan;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::plan_cache::{PlanCache, PlanFingerprint};
-use crate::repair::repair_for_churn;
+use crate::repair::{repair_for_churn, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
 use nhood_cluster::WorkerPool;
@@ -195,8 +194,6 @@ pub struct DistGraphComm {
     /// `mutate` retires it for free; clones share the memo the way they
     /// share an attached [`PlanCache`].
     a2a_slot: A2aSlot,
-    /// The §V cost model [`Algorithm::Auto`] scores candidates under.
-    tuner_cost: SimCost,
     /// Memo of the tuner's winning plan, keyed like the cache entry
     /// ([`PlanFingerprint::of_tuner`]); shared by clones, cleared by
     /// [`Self::mutate`].
@@ -207,11 +204,10 @@ pub struct DistGraphComm {
     tuner_sims: Arc<std::sync::atomic::AtomicU64>,
     /// The keys the two memos above are looked up under, kept so that a
     /// warm request does not re-hash its topology to find its own memo.
-    /// Each is a function of the graph, the layout, the load metric and
-    /// the tuner cost (plus what it is stored beside), so clones share
-    /// the cell and whatever changes one of those — [`Self::mutate`],
-    /// `with_load_metric`, `with_block_sizes`, `with_tuner_cost` — swaps
-    /// in an empty one.
+    /// Each is a function of the graph, the layout and the load metric
+    /// (plus what it is stored beside), so clones share the cell and
+    /// whatever changes one of those — [`Self::mutate`],
+    /// `with_load_metric`, `with_block_sizes` — swaps in an empty one.
     keys: Arc<Mutex<Keys>>,
 }
 
@@ -277,26 +273,10 @@ impl DistGraphComm {
             sizes: None,
             churn: None,
             a2a_slot: Arc::default(),
-            tuner_cost: SimCost::niagara(),
             tuner_slot: Arc::new(Mutex::new(None)),
             tuner_sims: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             keys: Arc::default(),
         })
-    }
-
-    /// Replaces the §V cost model [`Algorithm::Auto`] scores candidates
-    /// under (default: [`SimCost::niagara`]). The cost model is part of
-    /// the tuner cache key — two communicators tuning under different
-    /// link speeds never share winners.
-    pub fn with_tuner_cost(mut self, cost: SimCost) -> Self {
-        self.tuner_cost = cost;
-        self.keys = Arc::default();
-        self
-    }
-
-    /// The cost model the auto-tuner scores with.
-    pub fn tuner_cost(&self) -> &SimCost {
-        &self.tuner_cost
     }
 
     /// Total candidate simulations the auto-tuner has performed through
@@ -344,7 +324,7 @@ impl DistGraphComm {
         self.sizes.clone().unwrap_or_default()
     }
 
-    /// Replaces the robustness policy (timeouts, retries, fallback).
+    /// Replaces the robust path's two timeouts.
     pub fn with_policy(mut self, policy: RobustPolicy) -> Self {
         self.policy = policy;
         self
@@ -411,9 +391,9 @@ impl DistGraphComm {
     /// live Distance Halving plan instead of rebuilding it.
     ///
     /// The first call (or any call whose damage exceeds
-    /// [`crate::repair::RepairPolicy::max_damage_frac`], or arriving after
-    /// [`crate::repair::RepairPolicy::max_repair_rounds`] successive repairs) performs a
-    /// full build on the new topology and validates it. Every other call
+    /// [`MAX_DAMAGE_FRAC`], or arriving after [`MAX_REPAIR_ROUNDS`]
+    /// successive repairs) performs a full build on the new topology and
+    /// validates it. Every other call
     /// runs [`crate::repair::repair_for_churn`]: all agent matchings are
     /// preserved and only the responsibility rows, final-phase messages
     /// and copy counts the changed edges touch are patched — the result
@@ -451,14 +431,14 @@ impl DistGraphComm {
         }
         *self.tuner_slot.lock().expect("tuner memo poisoned") = None;
 
-        // Surgical attempt against the live slot, bounded by policy.
+        // Surgical attempt against the live slot, within the repair bounds.
         let surgical = self.churn.as_ref().and_then(|slot| {
-            if slot.repairs >= self.policy.repair.max_repair_rounds || slot.sizes != sizes {
+            if slot.repairs >= MAX_REPAIR_ROUNDS || slot.sizes != sizes {
                 return None;
             }
             repair_for_churn(&slot.pattern, &slot.plan, &new_graph, &added, &removed)
                 .ok()
-                .filter(|rep| rep.damage_frac <= self.policy.repair.max_damage_frac)
+                .filter(|rep| rep.damage_frac <= MAX_DAMAGE_FRAC)
         });
 
         let (full_rebuild, changed_ranks, damage_frac, repairs) = match surgical {
@@ -524,7 +504,7 @@ impl DistGraphComm {
 mod tests {
     use super::*;
     use crate::collective::{CollectiveRequest, ExecBackend};
-    use crate::exec::sim_exec::{simulate, simulate_v};
+    use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::ExecOptions;
     use nhood_topology::random::erdos_renyi;
@@ -663,7 +643,7 @@ mod tests {
         let winner = c.tune_candidates(&cands, &sizes, &NULL).unwrap().winner;
         let score = |algo| {
             let plan = c.plan(algo).unwrap();
-            simulate_v(&plan, c.layout(), table, c.tuner_cost()).unwrap().makespan
+            simulate_v(&plan, c.layout(), table, &SimCost::niagara()).unwrap().makespan
         };
         let t_win = score(winner);
         for cand in cands {
@@ -830,15 +810,15 @@ mod tests {
         let want = reference_allgather(c.graph(), &payloads);
         assert_eq!(allgather(&c, Algorithm::DistanceHalving, &payloads), want);
         assert_eq!(allgather(&c, Algorithm::Auto, &payloads), want);
-        // churn and the distributed negotiation keep the typed refusal
+        // churn keeps the typed refusal; the robust path plans as `plan`
+        // does and keeps no pattern (a dead link degrades it to naive)
         assert!(matches!(
             c.clone().mutate(&[], &[]),
             Err(CommError::Build(BuildError::NonBlockPlacement))
         ));
-        assert!(matches!(
-            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()),
-            Err(CommError::Build(BuildError::NonBlockPlacement))
-        ));
+        let (robust, pattern) =
+            c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
+        assert_eq!((robust.algorithm, pattern.is_none()), (Algorithm::DistanceHalving, true));
     }
 
     #[test]
@@ -1053,6 +1033,8 @@ mod tests {
         assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
         assert_eq!(report.used, Algorithm::Naive);
         assert!(matches!(report.fallback, Some(FallbackReason::BuildFailed(_))), "{report}");
+        // the reason is the build error's own text, said once
+        assert_eq!(report.to_string().matches("pattern build failed").count(), 1, "{report}");
     }
 
     type EdgeSet = Vec<(usize, usize)>;
@@ -1196,22 +1178,31 @@ mod tests {
         })
     }
 
+    /// A fault plan under which every relay link of `plan` — a pair of
+    /// ranks no graph edge joins — is dead: more dead links than the
+    /// repair budget routes around, so the run ends on the naive plan.
+    fn relay_links_down(plan: &CollectivePlan, g: &Topology) -> FaultPlan {
+        let mut fp = FaultPlan::seeded(7);
+        for r in 0..plan.n() {
+            for peer in plan.phases(r).flat_map(|phase| phase.sends()).map(|m| m.peer()) {
+                if !g.has_edge(r, peer) && !g.has_edge(peer, r) {
+                    fp = fp.with_link_down(r, peer, 0);
+                }
+            }
+        }
+        fp
+    }
+
     #[test]
     fn failed_primary_faults_survive_into_the_fallback_report() {
-        // Regression (satellite 3): a LinkDown that kills the DH run must
-        // still be counted in the final report after the naive fallback
-        // succeeds — the old code threw away the failed attempt's tally.
+        // Regression: a LinkDown that kills the DH run must still be
+        // counted in the final report after the naive fallback succeeds —
+        // the old code threw away the failed attempt's tally.
         let c = comm(32, 0.3);
         let (plan, _) =
             c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
-        let (src, dst, phase) =
-            dh_only_link(&plan, c.graph()).expect("DH at δ=0.3 uses relay links");
-        let c = c
-            .with_policy(RobustPolicy {
-                repair_link_down: false, // force the naive fallback path
-                ..RobustPolicy::default()
-            })
-            .with_fault_plan(crate::fault::FaultPlan::seeded(7).with_link_down(src, dst, phase));
+        let fp = relay_links_down(&plan, c.graph());
+        let c = c.with_fault_plan(fp);
         let payloads = test_payloads(32, 8, 6);
         let (bufs, report) = robust(&c, Algorithm::DistanceHalving, &payloads).unwrap();
         assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
@@ -1233,7 +1224,11 @@ mod tests {
         let c =
             c.with_fault_plan(crate::fault::FaultPlan::seeded(13).with_link_down(src, dst, phase));
         let payloads = test_payloads(64, 8, 9);
+        let t0 = std::time::Instant::now();
         let (bufs, report) = robust(&c, Algorithm::DistanceHalving, &payloads).unwrap();
+        // the dead link ends the failed attempt at once: no rank sits out
+        // the default 10 s receive timeout before the repair
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
         assert_eq!(report.used, Algorithm::DistanceHalving, "{report}");
         assert!(report.fallback.is_none(), "repair must obviate the naive fallback: {report}");
         assert!(report.repairs >= 1, "{report}");
@@ -1247,21 +1242,17 @@ mod tests {
     }
 
     #[test]
-    fn fallback_disabled_surfaces_the_build_error() {
-        let graph = erdos_renyi(16, 0.4, 5);
-        let layout = ClusterLayout::new(2, 2, 4);
-        let c = DistGraphComm::create_adjacent(graph, layout)
-            .unwrap()
-            .with_policy(RobustPolicy {
-                negotiation_timeout: Duration::from_millis(50),
-                fallback_to_naive: false,
-                ..RobustPolicy::default()
-            })
-            .with_fault_plan(crate::fault::FaultPlan::seeded(9).with_message_drop(1.0));
-        let payloads = test_payloads(16, 4, 0);
-        match robust(&c, Algorithm::DistanceHalving, &payloads) {
-            Err(CommError::Build(BuildError::NegotiationTimeout { .. })) => {}
-            other => panic!("expected NegotiationTimeout, got {other:?}"),
-        }
+    fn robust_distance_halving_plans_through_remap_off_block_placement() {
+        // as `plan` does: the robust path re-ranks instead of refusing
+        // the placement and degrading to naive
+        use nhood_cluster::Placement;
+        let graph = erdos_renyi(32, 0.3, 21);
+        let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
+        let c = DistGraphComm::create_adjacent(graph, layout).unwrap();
+        let payloads = test_payloads(32, 8, 7);
+        let (bufs, report) = robust(&c, Algorithm::DistanceHalving, &payloads).unwrap();
+        assert!(report.clean(), "{report}");
+        assert_eq!(report.used, Algorithm::DistanceHalving, "{report}");
+        assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
     }
 }

@@ -166,8 +166,8 @@ impl DistGraphComm {
 
     /// The cache key this communicator's [`Algorithm::Auto`] winner
     /// lives under — [`PlanFingerprint::of_tuner`] over the current
-    /// topology, layout, planning sizes, load metric and tuner cost
-    /// model.
+    /// topology, layout, planning sizes, load metric and the tuner's cost
+    /// model, [`SimCost::niagara`].
     pub fn tuner_fingerprint(&self) -> PlanFingerprint {
         self.tuner_fingerprint_sized(&self.planning_sizes())
     }
@@ -177,7 +177,7 @@ impl DistGraphComm {
         if let Some((_, key)) = keys.tuner.as_ref().filter(|(of, _)| of == sizes) {
             return *key;
         }
-        let cost = format!("{:?}", self.tuner_cost);
+        let cost = format!("{:?}", SimCost::niagara());
         let key = PlanFingerprint::of_tuner(&self.graph, &self.layout, sizes, self.metric, &cost);
         keys.tuner = Some((sizes.clone(), key));
         key
@@ -235,7 +235,7 @@ impl DistGraphComm {
 
     /// Runs one full tuning pass for this communicator's planning sizes
     /// — every portfolio candidate ([`crate::autotune::candidates`]) is
-    /// built and scored through the tuner cost model; the strict-minimum
+    /// built and scored under [`SimCost::niagara`]; the strict-minimum
     /// makespan wins, ties breaking toward the earlier candidate. This
     /// always simulates; the cached entry points are
     /// [`Algorithm::Auto`] requests and [`Self::resolve_algorithm`].
@@ -256,6 +256,7 @@ impl DistGraphComm {
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<TuneOutcome, CommError> {
+        let cost = SimCost::niagara();
         let lens: Vec<usize> = (0..self.n()).map(|r| sizes.size(r)).collect();
         let mut scores: Vec<(Algorithm, f64)> = Vec::with_capacity(cands.len());
         let mut sims = 0u64;
@@ -270,7 +271,7 @@ impl DistGraphComm {
                     continue;
                 }
             };
-            let t = simulate_v(&plan, &self.layout, &lens, &self.tuner_cost)?.makespan;
+            let t = simulate_v(&plan, &self.layout, &lens, &cost)?.makespan;
             sims += 1;
             scores.push((plan.algorithm, t));
             if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {

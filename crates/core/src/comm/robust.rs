@@ -1,6 +1,6 @@
-//! The fault-tolerant path of [`DistGraphComm::collective`]: the
-//! [`RobustPolicy`] knobs, the [`ExecReport`] a robust run returns, and
-//! the engine — distributed negotiation, mid-run link-down repair, and
+//! The fault-tolerant path of [`DistGraphComm::collective`]: its two
+//! timeouts ([`RobustPolicy`]), the [`ExecReport`] a robust run returns,
+//! and the engine — distributed negotiation, mid-run link-down repair, and
 //! degradation to the naive plan — every robust collective reports and
 //! degrades through.
 
@@ -13,60 +13,35 @@ use crate::fault::{FaultCounts, FaultStats};
 use crate::negotiate::{build_pattern_distributed_pooled_v, RECV_TIMEOUT};
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
-use crate::repair::{repair_link_down, Completeness, RepairPolicy};
+use crate::repair::{repair_dead_links, Completeness, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::runtime::Clock;
 use crate::sizes::{BlockSizes, LoadMetric};
+use nhood_cluster::Placement;
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Robustness knobs of a communicator: timeouts, the retry policy of the
-/// threaded transport, link-down self-healing, and whether failures
-/// degrade to the naive plan.
+/// The two timeouts of a communicator's robust path. The rest of it is
+/// fixed: the transport retries as [`ExecOptions`]' defaults say, a dead
+/// link is repaired around (within [`MAX_REPAIR_ROUNDS`] repairs, each
+/// touching at most [`MAX_DAMAGE_FRAC`] of the ranks), and a run that
+/// cannot be built or repaired degrades to the naive plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RobustPolicy {
     /// Per-receive timeout of the threaded executor.
     pub recv_timeout: Duration,
-    /// Optional wall-clock budget per plan phase; `None` leaves only the
-    /// per-receive timeout.
-    pub phase_deadline: Option<Duration>,
     /// Per-signal timeout of the distributed pattern negotiation,
     /// measured on its logical clock: a rank that hears nothing for this
     /// long in virtual time gives up, so an unsurvivable negotiation
     /// fails at once in wall time, and the same way every time.
     pub negotiation_timeout: Duration,
-    /// Retransmissions per message — and per negotiation signal — under
-    /// fault injection.
-    pub max_retries: u32,
-    /// How much later the first retry lands; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Degrade to the naive plan when Distance Halving pattern
-    /// construction or execution fails, instead of returning the error.
-    pub fallback_to_naive: bool,
-    /// When a link dies mid-execution, repair the plan around it
-    /// ([`crate::repair::repair_link_down`]) and re-execute, instead of
-    /// immediately degrading to naive (which would cross the same dead
-    /// link anyway whenever it is a graph edge).
-    pub repair_link_down: bool,
-    /// Blast-radius bounds for incremental repairs — both mid-run
-    /// link-down recovery and [`DistGraphComm::mutate`].
-    pub repair: RepairPolicy,
 }
 
 impl Default for RobustPolicy {
     fn default() -> Self {
-        Self {
-            recv_timeout: DEFAULT_TIMEOUT,
-            phase_deadline: None,
-            negotiation_timeout: RECV_TIMEOUT,
-            max_retries: 4,
-            backoff_base: Duration::from_micros(200),
-            fallback_to_naive: true,
-            repair_link_down: true,
-            repair: RepairPolicy::default(),
-        }
+        Self { recv_timeout: DEFAULT_TIMEOUT, negotiation_timeout: RECV_TIMEOUT }
     }
 }
 
@@ -167,12 +142,9 @@ type Attempt<'a> =
 
 impl DistGraphComm {
     /// The threaded transport's options under this communicator's
-    /// [`RobustPolicy`] and attached fault plan, on top of `base`.
+    /// receive timeout and attached fault plan, on top of `base`.
     pub(super) fn threaded_opts<'a>(&'a self, base: ExecOptions<'a>) -> ExecOptions<'a> {
-        let opts = base
-            .recv_timeout(self.policy.recv_timeout)
-            .phase_deadline(self.policy.phase_deadline)
-            .retries(self.policy.max_retries, self.policy.backoff_base);
+        let opts = base.recv_timeout(self.policy.recv_timeout);
         match &self.fault {
             Some(fp) => opts.fault(fp),
             None => opts,
@@ -181,12 +153,14 @@ impl DistGraphComm {
 
     /// The planning path of the robust collective: Distance Halving runs
     /// the *distributed* negotiation over the transport of `opts` (the
-    /// communicator's fault plan and retry policy, under its negotiation
-    /// timeout), so pattern construction is itself exposed to injected
-    /// faults; every other algorithm plans as [`Self::plan`]. The built
-    /// [`DhPattern`] stays alive alongside the plan — mid-execution
-    /// link-down repair needs the pattern's decisions, not just the
-    /// lowered messages; non-DH algorithms have none. The negotiation
+    /// communicator's fault plan and the default retry budget, under its
+    /// negotiation timeout), so pattern construction is itself exposed to
+    /// injected faults; every other algorithm — and Distance Halving off
+    /// block placement, which re-ranks through [`crate::remap`] — plans as
+    /// [`Self::plan`]. The negotiated [`DhPattern`] stays alive alongside
+    /// the plan — mid-execution link-down repair needs the pattern's
+    /// decisions, not just the lowered messages; the other plans keep
+    /// none, and a dead link degrades them to naive. The negotiation
     /// tallies its faults into `opts`' sink and reports per-rank rounds,
     /// signal retries and `negotiate` spans into its recorder.
     pub(super) fn robust_plan_with_pattern(
@@ -194,7 +168,7 @@ impl DistGraphComm {
         algo: Algorithm,
         opts: &ExecOptions<'_>,
     ) -> Result<(Arc<CollectivePlan>, Option<DhPattern>), CommError> {
-        if algo != Algorithm::DistanceHalving {
+        if algo != Algorithm::DistanceHalving || self.layout.placement() != Placement::Block {
             return Ok((Arc::new(self.plan(algo)?), None));
         }
         let sizes = self.planning_sizes();
@@ -211,11 +185,10 @@ impl DistGraphComm {
     }
 
     /// The one degradation decision of the robust path: a failed attempt
-    /// (`why`, `err`) either surfaces `err` — the policy forbids the
-    /// fallback, or the failed plan already was the naive one — or is
-    /// recorded in `report` (and against rank 0 of `rec`, the
-    /// communicator-wide event's representative), after which the caller
-    /// runs the naive plan.
+    /// (`why`, `err`) either surfaces `err` — the failed plan already was
+    /// the naive one — or is recorded in `report` (and against rank 0 of
+    /// `rec`, the communicator-wide event's representative), after which
+    /// the caller runs the naive plan.
     fn degrade(
         &self,
         report: &mut ExecReport,
@@ -223,7 +196,7 @@ impl DistGraphComm {
         why: FallbackReason,
         err: CommError,
     ) -> Result<(), CommError> {
-        if !(self.policy.fallback_to_naive && report.used != Algorithm::Naive) {
+        if report.used == Algorithm::Naive {
             return Err(err);
         }
         rec.fallback(0);
@@ -238,16 +211,16 @@ impl DistGraphComm {
 
     /// The robust engine behind [`Self::collective`] with `robust =
     /// true`, for every op: distributed negotiation, mid-run link-down
-    /// self-healing, and naive degradation, per the communicator's
-    /// [`RobustPolicy`].
+    /// self-healing, and naive degradation, under the communicator's
+    /// [`RobustPolicy`] timeouts.
     ///
     /// Plans the request's algorithm (Distance Halving via the
     /// distributed negotiation, so construction itself can fail under
     /// faults; a combining op routes over the same plan) and executes on
-    /// the threaded backend with the policy's timeouts, retry budget and
-    /// the attached fault plan. If the policy allows it, a failed build
-    /// or a liveness failure during execution **degrades to the naive
-    /// plan** instead of erroring; the returned [`ExecReport`] records
+    /// the threaded backend with the policy's receive timeout, the default
+    /// retry budget and the attached fault plan. A failed build or a
+    /// failure during execution that repair cannot heal **degrades to the
+    /// naive plan** instead of erroring; the returned [`ExecReport`] records
     /// what was requested, what ran, why it degraded, and the fault/retry
     /// tally. Every attempt restarts from the send buffers and the
     /// transport drops duplicates before anything is integrated, so a
@@ -281,7 +254,13 @@ impl DistGraphComm {
         };
         let primary = self
             .robust_plan_with_pattern(algo, &opts)
-            .map_err(|e| (FallbackReason::BuildFailed(e.to_string()), e))
+            .map_err(|e| {
+                let why = match &e {
+                    CommError::Build(b) => b.to_string(),
+                    e => e.to_string(),
+                };
+                (FallbackReason::BuildFailed(why), e)
+            })
             .and_then(|(plan, pattern)| {
                 self.run_self_healing(plan, pattern, &mut run, rec, &mut report)
                     .map_err(|e| (FallbackReason::ExecFailed(e.to_string()), e.into()))
@@ -307,10 +286,10 @@ impl DistGraphComm {
     }
 
     /// Executes `plan` through `run`, self-healing around dead links: a
-    /// LinkDown error marks the edge dead, the plan is repaired to route
-    /// around it, and execution restarts — up to the policy's repair
-    /// budget. Repairs are tallied in `report`; only an unrepairable
-    /// failure returns.
+    /// LinkDown error — which ends the run at once — marks the edge dead,
+    /// the plan is repaired to route around it, and execution restarts,
+    /// up to [`MAX_REPAIR_ROUNDS`] times. Repairs are tallied in `report`;
+    /// only an unrepairable failure returns.
     fn run_self_healing(
         &self,
         mut plan: Arc<CollectivePlan>,
@@ -332,9 +311,7 @@ impl DistGraphComm {
             let (ExecError::LinkDown { src, dst, .. }, Some(base)) = (&err, &pattern) else {
                 return Err(err);
             };
-            if !self.policy.repair_link_down
-                || report.repairs >= self.policy.repair.max_repair_rounds
-            {
+            if report.repairs >= MAX_REPAIR_ROUNDS {
                 return Err(err);
             }
             dead.insert((*src, *dst));
@@ -344,13 +321,13 @@ impl DistGraphComm {
             // threshold, rebuild the matchings from scratch first —
             // fresh negotiation avoids the dead links where it can,
             // and the reroute pass covers what it cannot.
-            let repaired = repair_link_down(base, &plan, &self.graph, &dead)
+            let repaired = repair_dead_links(base, &plan, &self.graph, &dead)
                 .ok()
-                .filter(|r| r.damage_frac <= self.policy.repair.max_damage_frac)
+                .filter(|r| r.damage_frac <= MAX_DAMAGE_FRAC)
                 .or_else(|| {
                     let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
                     let fresh = self.dh_pattern(&self.graph, &sizes, metric, &NULL).ok()?;
-                    repair_link_down(&fresh, &plan, &self.graph, &dead).ok()
+                    repair_dead_links(&fresh, &plan, &self.graph, &dead).ok()
                 });
             rec.span_end(0, labels::REPAIR);
             let Some(rep) = repaired else { return Err(err) };

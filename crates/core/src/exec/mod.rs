@@ -67,16 +67,13 @@ pub fn phase_label(plan: &CollectivePlan, k: usize) -> &'static str {
 /// assert_eq!(opts.recv_timeout, Duration::from_secs(2));
 /// ```
 ///
-/// `Default`: 10 s receive timeout, no phase deadline, no faults, a null
-/// recorder, uniform payloads.
+/// `Default`: 10 s receive timeout, 4 retries from a 200 µs backoff, no
+/// faults, a null recorder, uniform payloads.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
     /// How long a rank may hear nothing before erroring (threaded
     /// backend; the distributed negotiation's per-signal timeout).
     pub recv_timeout: Duration,
-    /// Time budget for one whole phase; `None` disables the deadline
-    /// (threaded backend only).
-    pub phase_deadline: Option<Duration>,
     /// Retransmission attempts per dropped message or signal.
     pub max_retries: u32,
     /// How much later the first retry lands; doubles per attempt.
@@ -100,7 +97,6 @@ impl std::fmt::Debug for ExecOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecOptions")
             .field("recv_timeout", &self.recv_timeout)
-            .field("phase_deadline", &self.phase_deadline)
             .field("max_retries", &self.max_retries)
             .field("backoff_base", &self.backoff_base)
             .field("fault", &self.fault)
@@ -113,7 +109,6 @@ impl Default for ExecOptions<'_> {
     fn default() -> Self {
         Self {
             recv_timeout: threaded::DEFAULT_TIMEOUT,
-            phase_deadline: None,
             max_retries: 4,
             backoff_base: Duration::from_micros(200),
             fault: None,
@@ -133,12 +128,6 @@ impl<'a> ExecOptions<'a> {
     /// Sets the per-receive timeout.
     pub fn recv_timeout(mut self, t: Duration) -> Self {
         self.recv_timeout = t;
-        self
-    }
-
-    /// Sets (or clears) the per-phase wall-clock deadline.
-    pub fn phase_deadline(mut self, d: Option<Duration>) -> Self {
-        self.phase_deadline = d;
         self
     }
 
@@ -283,14 +272,6 @@ pub enum ExecError {
         /// The rank that panicked.
         rank: Rank,
     },
-    /// A rank exceeded its per-phase wall-clock deadline (see
-    /// [`ExecOptions::phase_deadline`]).
-    PhaseDeadline {
-        /// The rank that blew its budget.
-        rank: Rank,
-        /// Phase it was in.
-        phase: usize,
-    },
     /// The fault plan crashed this rank before the given phase (see
     /// [`crate::fault::FaultPlan::with_crashed_rank`]).
     RankCrashed {
@@ -322,18 +303,13 @@ pub enum ExecError {
 
 impl ExecError {
     /// `true` for the liveness-failure family — errors that mean "a rank
-    /// stopped making progress" (timeout, blown deadline, injected
-    /// crash) rather than a malformed plan or payload. Chaos tests
+    /// stopped making progress" (timeout, injected crash) rather than a
+    /// malformed plan or payload. Chaos tests
     /// accept any of these as the correct outcome of an unsurvivable
     /// fault schedule; what they must never observe is a hang or a
     /// silently-corrupted buffer.
     pub fn is_timeout_class(&self) -> bool {
-        matches!(
-            self,
-            ExecError::Timeout { .. }
-                | ExecError::PhaseDeadline { .. }
-                | ExecError::RankCrashed { .. }
-        )
+        matches!(self, ExecError::Timeout { .. } | ExecError::RankCrashed { .. })
     }
 }
 
@@ -356,9 +332,6 @@ impl std::fmt::Display for ExecError {
                 write!(f, "rank {rank} timed out in phase {phase}")
             }
             ExecError::WorkerPanic { rank } => write!(f, "rank {rank} worker panicked"),
-            ExecError::PhaseDeadline { rank, phase } => {
-                write!(f, "rank {rank} exceeded the phase deadline in phase {phase}")
-            }
             ExecError::RankCrashed { rank, phase } => {
                 write!(f, "rank {rank} crashed at entry to phase {phase}")
             }

@@ -13,13 +13,12 @@
 //! each delivered block once, from its origin's send buffer (the
 //! shared-memory analog of an RDMA read from registered memory).
 //!
-//! [`ExecOptions`] carries the runtime's fault plan and retry budget, a
-//! receive timeout and an optional phase deadline: a message lost for
-//! good is [`ExecError::Timeout`] / [`ExecError::PhaseDeadline`], a
-//! crashed rank [`ExecError::RankCrashed`], a dead link
-//! [`ExecError::LinkDown`] — the chaos suite's guarantee is
-//! **identical-to-reference buffers or a typed error, never silent
-//! corruption, never a hang.**
+//! [`ExecOptions`] carries the runtime's fault plan and retry budget and
+//! a receive timeout: a message lost for good is [`ExecError::Timeout`],
+//! a crashed rank [`ExecError::RankCrashed`], a dead link
+//! [`ExecError::LinkDown`] — the first failure ends the run — and the
+//! chaos suite's guarantee is **identical-to-reference buffers or a
+//! typed error, never silent corruption, never a hang.**
 
 use crate::arena::BlockArena;
 use crate::collective::program::{Exec, Staged, Wire};
@@ -69,10 +68,9 @@ struct RankRun<'a> {
     /// Its staging buffer (reduce shapes) and receive buffer.
     arena: &'a mut [u8],
     rbuf: &'a mut Vec<u8>,
-    /// The phase, whether the rank has entered it, and its deadline.
+    /// The phase, and whether the rank has entered it.
     k: usize,
     entered: bool,
-    deadline: Option<Duration>,
     /// The phase's next message to integrate; its arrived ones by id,
     /// from its first; arrivals not filed (of later phases, or new).
     next: usize,
@@ -110,13 +108,12 @@ impl Machine for RankRun<'_> {
             self.enter(port)?;
         }
         self.integrate();
-        let timeout = self.heard.saturating_add(self.opts.recv_timeout);
         if self.next < prog.recvs(k, rank).end {
-            return match self.deadline {
-                Some(dl) if port.now >= dl => Err(ExecError::PhaseDeadline { rank, phase: k }),
-                _ if port.now >= timeout => Err(ExecError::Timeout { rank, phase: k }),
-                dl => Ok(Poll::Blocked { deadline: dl.map_or(timeout, |dl| dl.min(timeout)) }),
-            };
+            let deadline = self.heard.saturating_add(self.opts.recv_timeout);
+            if port.now >= deadline {
+                return Err(ExecError::Timeout { rank, phase: k });
+            }
+            return Ok(Poll::Blocked { deadline });
         }
         self.opts.recorder.span_end(rank, prog.phase(k).0);
         (self.k, self.entered) = (k + 1, false);
@@ -141,7 +138,6 @@ impl RankRun<'_> {
         }
         let due = prog.recvs(k, rank);
         (self.entered, self.heard, self.next) = (true, port.now, due.start);
-        self.deadline = self.opts.phase_deadline.map(|d| port.now.saturating_add(d));
         self.got.clear();
         self.got.resize(due.len(), None);
         for &id in prog.sends(k, rank) {
@@ -184,11 +180,8 @@ impl RankRun<'_> {
 }
 
 /// Runs a staged execution, every rank a machine on the runtime's
-/// `clock`, then hands the recorder each rank's traffic (a failed one's so
-/// far). When several ranks fail the root cause is returned — a
-/// [`ExecError::LinkDown`], then a [`ExecError::WorkerPanic`], beats the
-/// timeouts it cascades into on its peers — else the first error in rank
-/// order.
+/// `clock`, to its end or its first failure, then hands the recorder each
+/// rank's traffic (what it moved so far, when the run failed).
 pub(crate) fn run(
     staged: &mut Staged,
     opts: &ExecOptions<'_>,
@@ -208,7 +201,6 @@ pub(crate) fn run(
             rbuf,
             k: 0,
             entered: false,
-            deadline: None,
             next: 0,
             got: Vec::new(),
             early: Vec::new(),
@@ -216,17 +208,11 @@ pub(crate) fn run(
             traffic: Traffic::default(),
         })
         .collect();
-    let results = runtime::run(&mut ranks, opts, stats, clock);
+    let result = runtime::run(&mut ranks, opts, stats, clock);
     if opts.recorder.tally().is_some() {
         ranks.iter().for_each(|r| opts.recorder.traffic(r.rank, &r.traffic));
     }
-    let errors = results.into_iter().filter_map(Result::err);
-    let cause = |e: &ExecError| match e {
-        ExecError::LinkDown { .. } => 0,
-        ExecError::WorkerPanic { .. } => 1,
-        _ => 2,
-    };
-    errors.min_by_key(cause).map_or(Ok(()), Err)
+    result
 }
 
 #[cfg(test)]
@@ -316,7 +302,7 @@ mod tests {
             .fault_sink(&sink)
             .recv_timeout(Duration::from_millis(200));
         let err = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap_err();
-        // LinkDown must win over the timeouts it cascades into on peers.
+        // the LinkDown ends the run before its peers time out
         assert!(matches!(err, ExecError::LinkDown { .. }), "{err:?}");
         let counts = sink.snapshot();
         assert!(counts.link_downs >= 1, "{counts}");
@@ -544,24 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_deadline_fires_when_messages_are_lost_for_good() {
-        let g = Topology::from_edges(2, [(0, 1)]);
-        let plan = Arc::new(plan_naive(&g));
-        let payloads = test_payloads(2, 4, 0);
-        // p=1 drop: every attempt (and every retry) is discarded
-        let fp = FaultPlan::seeded(1).with_message_drop(1.0);
-        let opts = ExecOptions::new()
-            .recv_timeout(Duration::from_secs(30))
-            .phase_deadline(Some(Duration::from_millis(80)))
-            .retries(2, Duration::from_micros(10))
-            .fault(&fp);
-        let t0 = Instant::now();
-        let err = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap_err();
-        assert_eq!(err, ExecError::PhaseDeadline { rank: 1, phase: 0 });
-        assert!(t0.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
     fn slow_rank_stalls_but_completes() {
         let g = erdos_renyi(8, 0.5, 4);
         let plan = Arc::new(plan_naive(&g));
@@ -606,7 +574,7 @@ mod tests {
         let g = erdos_renyi(8, 0.5, 4);
         let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(8, 4, 1);
-        // its peers time out waiting for it: the panic is the root cause
+        // the panic ends the run before its peers time out waiting for it
         let opts = ExecOptions::new().recorder(&Breaks).recv_timeout(Duration::from_millis(100));
         for clock in [Clock::Wall, Clock::Logical(Some(1))] {
             let arena = &mut BlockArena::new();
@@ -627,13 +595,13 @@ mod tests {
     #[test]
     fn a_delayed_message_arrives_late_and_its_sender_moves_on() {
         // rank 0 sends to 20 peers in one phase, each message late by up
-        // to 50 ms: all of them make a 60 ms phase deadline. A sender
+        // to 50 ms: all of them make a 60 ms receive timeout. A sender
         // stalled by every delay in turn (≈ 0.5 s in all) would not.
         let g = Topology::from_edges(21, (1..21).map(|d| (0, d)));
         let plan = Arc::new(plan_naive(&g));
         let payloads = test_payloads(21, 4, 2);
         let fp = FaultPlan::seeded(4).with_message_delay(1.0, Duration::from_millis(50));
-        let opts = ExecOptions::new().phase_deadline(Some(Duration::from_millis(60))).fault(&fp);
+        let opts = ExecOptions::new().recv_timeout(Duration::from_millis(60)).fault(&fp);
         let arena = &mut BlockArena::new();
         let clock = Some(Clock::Logical(None));
         let out = execute(CollectiveOp::Allgather, None, &plan, &g, &payloads, arena, clock, &opts);

@@ -26,9 +26,10 @@
 //! * [`model`] is the paper's §V closed-form performance model.
 //! * [`fault`] is a deterministic fault-injection layer (message drops,
 //!   delays, duplicates, reorders, stragglers, crashes) consulted by the
-//!   rank runtime's transport (threaded executor, negotiation); paired with
-//!   [`comm::RobustPolicy`] it gives graceful degradation to the naive
-//!   plan instead of hard failure.
+//!   rank runtime's transport (threaded executor, negotiation); under a
+//!   robust request (timeouts in [`comm::RobustPolicy`]) a dead link is
+//!   repaired around, and what cannot be healed degrades to the naive
+//!   plan instead of failing hard.
 //! * [`remap`] re-ranks into locality order so Distance Halving plans
 //!   under any rank placement; [`comm::DistGraphComm::plan`] routes
 //!   through it whenever the layout is not block-placed.
@@ -115,5 +116,5 @@ pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultStats};
 pub use pattern::{DhPattern, SelectionStats};
 pub use plan::{Algorithm, CollectivePlan, PlanValidationError};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanFingerprint};
-pub use repair::{Completeness, RepairPolicy};
+pub use repair::Completeness;
 pub use sizes::{BlockSizes, LoadMetric};

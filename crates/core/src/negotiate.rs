@@ -522,8 +522,9 @@ pub fn build_pattern_distributed(
 /// negotiation-round event per proposer/acceptor role and a retry event
 /// per retransmitted signal. A rank that hears nothing for
 /// `opts.recv_timeout` returns [`BuildError::NegotiationTimeout`]
-/// instead of hanging; the first error in rank order is reported. The
-/// ranks run on the logical clock — a timeout costs no wall time — in the
+/// instead of hanging, and the first timeout ends the negotiation (of
+/// those at one instant, the lowest rank's is reported). The ranks run on
+/// the logical clock — a timeout costs no wall time — in the
 /// order the fault plan's seed draws: one (graph, layout, fault plan)
 /// negotiates one way.
 pub fn build_pattern_distributed_pooled_v(
@@ -551,9 +552,7 @@ pub fn build_pattern_distributed_pooled_v(
         })
         .collect();
     let (local, clock) = (FaultStats::default(), Clock::Logical(opts.fault.map(FaultPlan::seed)));
-    for outcome in runtime::run(&mut ranks, opts, opts.fault_sink.unwrap_or(&local), clock) {
-        outcome?;
-    }
+    runtime::run(&mut ranks, opts, opts.fault_sink.unwrap_or(&local), clock)?;
     let mut stats = SelectionStats::default();
     ranks.iter().for_each(|rank| stats.merge(&rank.stats));
     let mut asm = PatternAssembler::new(graph, layout.ranks_per_socket());

@@ -14,7 +14,7 @@
 //!   the old decisions through `PatternAssembler` + `lower` on the new
 //!   graph ([`replay`]) — at the cost of a pattern/plan clone plus
 //!   O(changed) work instead of a full rebuild.
-//! * **Link failure** ([`repair_link_down`]): when a physical link dies
+//! * **Link failure** ([`repair_dead_links`]): when a physical link dies
 //!   mid-execution, every matching that crossed it is revoked (those
 //!   ranks fall back to the failed-agent-search direct-send path) and
 //!   every final-phase delivery routed over it moves to an alternate
@@ -23,9 +23,9 @@
 //!   [`Completeness::Degraded`] — degraded output, never a hang or
 //!   silent corruption.
 //!
-//! Both paths bound their blast radius with a [`RepairPolicy`]: past a
-//! damaged-rank fraction (or a run of successive incremental repairs)
-//! the caller should cut its losses and rebuild from scratch.
+//! Both paths bound their blast radius: past [`MAX_DAMAGE_FRAC`] of the
+//! ranks damaged (or [`MAX_REPAIR_ROUNDS`] successive incremental
+//! repairs) the caller cuts its losses and rebuilds from scratch.
 
 use crate::builder::PatternAssembler;
 use crate::lower::{halving_copies, last_arrival_copies, lower, FINAL_TAG};
@@ -34,22 +34,14 @@ use crate::plan::{CollectivePlan, Edits, MsgDir, PlanValidationError};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 
-/// When an incremental repair should give up and rebuild from scratch.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RepairPolicy {
-    /// Maximum fraction of ranks a repair may touch before a full
-    /// rebuild is cheaper/safer than patching.
-    pub max_damage_frac: f64,
-    /// Maximum successive incremental repairs before a forced rebuild
-    /// (bounds drift accumulated over long churn sequences).
-    pub max_repair_rounds: u32,
-}
+/// The largest fraction of ranks a repair may touch before a full
+/// rebuild is cheaper and safer than patching.
+pub const MAX_DAMAGE_FRAC: f64 = 0.25;
 
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        Self { max_damage_frac: 0.25, max_repair_rounds: 8 }
-    }
-}
+/// The most successive incremental repairs before a forced rebuild: it
+/// bounds the drift of a long churn sequence, and the repairs of one
+/// robust run.
+pub const MAX_REPAIR_ROUNDS: u32 = 8;
 
 /// Whether a repaired plan still delivers every edge of the virtual
 /// topology.
@@ -355,7 +347,7 @@ pub fn repair_for_churn(
 /// reported via [`LinkDownRepair::completeness`]; the returned
 /// `exec_graph` excludes them so the plan validates and executes
 /// cleanly.
-pub fn repair_link_down(
+pub fn repair_dead_links(
     pattern: &DhPattern,
     old_plan: &CollectivePlan,
     graph: &Topology,
@@ -616,7 +608,7 @@ mod tests {
             .find_map(|p| pat.steps(p).first().and_then(|s| s.agent()).map(|a| (p, a)))
             .expect("some rank matched in step 0");
         let dead: HashSet<(Rank, Rank)> = [(p, a), (a, p)].into_iter().collect();
-        let rep = repair_link_down(&pat, &plan, &g, &dead).unwrap();
+        let rep = repair_dead_links(&pat, &plan, &g, &dead).unwrap();
         assert_eq!(rep.pattern.steps(p)[0].agent(), None, "dead matching not revoked");
         assert_eq!(rep.pattern.steps(a)[0].origin(), None);
         // no message crosses the dead link, either direction
@@ -653,7 +645,7 @@ mod tests {
         // kill every link into t, so no reroute can exist
         let dead: HashSet<(Rank, Rank)> =
             (0..8).filter(|&z| z != t).flat_map(|z| [(z, t), (t, z)]).collect();
-        let rep = repair_link_down(&pat, &plan, &g, &dead).unwrap();
+        let rep = repair_dead_links(&pat, &plan, &g, &dead).unwrap();
         match &rep.completeness {
             Completeness::Degraded { missing } => {
                 assert!(missing.iter().any(|&(_, mt)| mt == t), "t={t} must lose a delivery");

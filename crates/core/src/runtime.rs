@@ -9,7 +9,8 @@
 //! a fixed pool of `available_parallelism()` workers — not a thread per
 //! rank — or on a logical clock at width 1 that jumps to the next event
 //! when no rank can move (a timeout costs no wall time), where a seed
-//! draws the next ready rank: the same seed replays the same run.
+//! draws the next ready rank: the same seed replays the same run. A run
+//! ends at its first failure.
 
 use crate::exec::ExecOptions;
 use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
@@ -167,7 +168,8 @@ struct Sched<M, E> {
     rng: Option<DetRng>,
     live: usize,
     clock: Duration,
-    results: Vec<Result<(), E>>,
+    /// The failure that ends the run, and its rank.
+    failed: Option<(Rank, E)>,
 }
 
 impl<M, E> Sched<M, E> {
@@ -208,13 +210,18 @@ struct Driver<'a, R: Machine> {
 
 impl<R: Machine> Driver<'_, R> {
     /// One worker: takes the events due, in order, polling ranks as they
-    /// come up, until every rank is done; with none due, waits for the
-    /// next — on the logical clock, by jumping to it.
+    /// come up, until every rank is done or one failed; with none due,
+    /// waits for the next — on the logical clock, by jumping to it, unless
+    /// a failure is booked: then the clock stops at its instant.
     fn work(&self) {
+        let wall = self.clock == Clock::Wall;
         let (mut out, mut s) = (Vec::new(), lock(&self.sched));
-        while s.live > 0 {
-            let now = if self.clock == Clock::Wall { self.start.elapsed() } else { s.clock };
+        while s.live > 0 && !(wall && s.failed.is_some()) {
+            let now = if wall { self.start.elapsed() } else { s.clock };
             let Some(due) = s.events.first_entry().filter(|e| e.key().0 <= now) else {
+                if s.failed.is_some() {
+                    break;
+                }
                 let next = s.events.keys().next().map(|&(at, ..)| at);
                 s = match (self.clock, next) {
                     (Clock::Wall, Some(at)) => {
@@ -269,7 +276,13 @@ impl<R: Machine> Driver<'_, R> {
                 }
                 Ok(Poll::Ready | Poll::Blocked { .. }) => s.queue(r, now),
                 res => {
-                    (s.state[r], s.live, s.results[r]) = (State::Done, s.live - 1, res.map(drop))
+                    (s.state[r], s.live) = (State::Done, s.live - 1);
+                    // the first on the wall clock; the lowest rank of the
+                    // failure's instant on the logical one
+                    let first = s.failed.as_ref().is_none_or(|&(f, _)| !wall && r < f);
+                    if let (Err(e), true) = (res, first) {
+                        s.failed = Some((r, e));
+                    }
                 }
             }
             self.booked.notify_all();
@@ -277,15 +290,20 @@ impl<R: Machine> Driver<'_, R> {
     }
 }
 
-/// Runs `ranks` to the end on `clock` over the transport of `opts` (its
-/// fault plan, retry budget and recorder), tallying into `stats`: every
-/// rank's outcome, in rank order.
+/// Runs `ranks` on `clock` over the transport of `opts` (its fault plan,
+/// retry budget and recorder), tallying into `stats`, until every rank is
+/// done or one fails. On the wall clock the first failure a worker
+/// records stops the run: no further poll starts, and waiting ranks are
+/// abandoned. On the logical clock the events due at the failure's
+/// instant still run, then the clock stops — so what failed and what
+/// moved are the same under every seed — and the lowest-ranked failure
+/// of that instant is returned.
 pub(crate) fn run<R: Machine>(
     ranks: &mut [R],
     opts: &ExecOptions<'_>,
     stats: &FaultStats,
     clock: Clock,
-) -> Vec<Result<(), R::Error>> {
+) -> Result<(), R::Error> {
     let n = ranks.len();
     let mut sched = Sched {
         state: vec![State::Queued; n],
@@ -299,7 +317,7 @@ pub(crate) fn run<R: Machine>(
         },
         live: n,
         clock: Duration::ZERO,
-        results: (0..n).map(|_| Ok(())).collect(),
+        failed: None,
     };
     (0..n).for_each(|r| sched.queue(r, Duration::ZERO));
     let (sched, booked, start) = (Mutex::new(sched), Condvar::new(), Instant::now());
@@ -307,7 +325,7 @@ pub(crate) fn run<R: Machine>(
     let driver = Driver { sched, booked, ranks, opts, stats, clock, start };
     let pool = if clock == Clock::Wall { WorkerPool::auto() } else { WorkerPool::serial() };
     pool.map(pool.threads().min(n), |_| driver.work());
-    unpoisoned(driver.sched.into_inner()).results
+    unpoisoned(driver.sched.into_inner()).failed.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 #[cfg(test)]
@@ -370,22 +388,36 @@ mod tests {
         for clock in [Clock::Wall, Clock::Logical(None), Clock::Logical(Some(7))] {
             let mut ranks = relay(5, 3);
             let out = run(&mut ranks, &ExecOptions::new(), &stats, clock);
-            assert!(out.iter().all(Result::is_ok), "{clock:?}: {out:?}");
+            assert!(out.is_ok(), "{clock:?}: {out:?}");
         }
     }
 
     #[test]
     fn a_lost_message_times_out_at_once_on_the_logical_clock() {
         // every attempt dropped: the ring stalls, and every rank gives up
-        // at its one-second deadline — in virtual time, not wall time
+        // at its one-second deadline — in virtual time, not wall time; the
+        // lowest rank of that instant is reported
         let fp = crate::fault::FaultPlan::seeded(3).with_message_drop(1.0);
         let (stats, t0) = (FaultStats::default(), Instant::now());
         let opts = ExecOptions::new().retries(2, Duration::from_millis(100)).fault(&fp);
         let out = run(&mut relay(4, 1), &opts, &stats, Clock::Logical(Some(1)));
-        let at = Duration::from_secs(1);
-        assert_eq!(out, (0..4).map(|r| Err((r, at))).collect::<Vec<_>>());
+        assert_eq!(out, Err((0, Duration::from_secs(1))));
         assert!(t0.elapsed() < Duration::from_millis(500));
         let c = stats.snapshot();
         assert_eq!((c.drops, c.retries, c.lost), (3, 2, 1));
+    }
+
+    #[test]
+    fn the_first_failure_ends_the_run_on_every_clock() {
+        // rank 0's first send hits a dead link: the ranks waiting on the
+        // token are abandoned, not left to sit out their deadlines
+        let fp = crate::fault::FaultPlan::seeded(5).with_link_down(0, 1, 0);
+        let opts = ExecOptions::new().fault(&fp);
+        for clock in [Clock::Wall, Clock::Logical(None), Clock::Logical(Some(7))] {
+            let (stats, t0) = (FaultStats::default(), Instant::now());
+            let out = run(&mut relay(4, 1), &opts, &stats, clock);
+            assert_eq!(out.map_err(|(r, _)| r), Err(0), "{clock:?}");
+            assert!(t0.elapsed() < Duration::from_millis(500), "{clock:?}");
+        }
     }
 }

@@ -18,7 +18,7 @@ use nhood_cluster::{ClusterLayout, WorkerPool};
 use nhood_core::builder::{build_pattern, build_pattern_recorded_v, PairingStrategy};
 use nhood_core::lower::lower;
 use nhood_core::negotiate::build_pattern_distributed_pooled_v;
-use nhood_core::repair::{repair_for_churn, repair_link_down};
+use nhood_core::repair::{repair_dead_links, repair_for_churn};
 use nhood_core::{BlockSizes, DhPattern, ExecOptions, FaultPlan, LoadMetric};
 use nhood_telemetry::NULL;
 use nhood_topology::random::erdos_renyi;
@@ -137,7 +137,7 @@ fn link_down(g: &Topology, layout: ClusterLayout, degraded: bool) -> DhPattern {
         let (p, a) = first.expect("a rank matched in step 0");
         [(p, a), (a, p)].into_iter().collect()
     };
-    let rep = repair_link_down(&pat, &plan, g, &dead).expect("repairs");
+    let rep = repair_dead_links(&pat, &plan, g, &dead).expect("repairs");
     assert_eq!(rep.completeness.is_full(), !degraded);
     rep.pattern
 }
