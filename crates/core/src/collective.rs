@@ -1082,11 +1082,24 @@ mod tests {
         assert_eq!(request(&comm, Reduction::SUM_U8), (1, 0, 0), "warm");
         assert_eq!(request(&comm, f32_max), (1, 0, 0), "another lane: the memoized plan");
         assert_eq!(compiles() - cold, 1, "and the one allreduce program, on every lane");
-        // a clone shares the memo; a new topology epoch builds once more
-        assert_eq!(request(&comm.clone(), f32_max), (1, 0, 0));
+        // a clone shares the memo until one of them changes epoch
+        let before = comm.clone();
+        assert_eq!(request(&before, f32_max), (1, 0, 0));
         let gone = comm.graph().edges().next().expect("the graph has edges");
         comm.mutate(&[], &[gone]).unwrap();
         assert_eq!(request(&comm, f32_max), (1, 0, 0), "mutate armed the churn slot");
+        // each keeps its own epoch's plan: alternating requests never rebuild
+        for _ in 0..2 {
+            assert_eq!(request(&before, f32_max), (1, 0, 0), "the unmutated clone's memo");
+            assert_eq!(request(&comm, f32_max), (1, 0, 0), "the mutated clone's memo");
+        }
+        // an epoch no churn slot serves misses once, then hits
+        let bytes = before.clone().with_load_metric(crate::sizes::LoadMetric::Bytes);
+        assert_eq!(request(&bytes, f32_max), (0, 1, 1), "a new epoch builds once");
+        for _ in 0..2 {
+            assert_eq!(request(&bytes, f32_max), (1, 0, 0), "the new epoch's memo");
+            assert_eq!(request(&before, f32_max), (1, 0, 0), "the old epoch's memo");
+        }
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub struct MutationReport {
     /// Edges actually removed (after dropping edges the graph lacked).
     pub edges_removed: usize,
     /// `true` when the change was absorbed by a full pattern rebuild
-    /// (cold slot, damage over threshold, or repair-round budget spent);
+    /// (cold slot, damage over threshold, repair-round budget spent, or a
+    /// non-block placement);
     /// `false` when the surgical repair path handled it.
     pub full_rebuild: bool,
     /// Ranks whose plan rows changed (= `n` for a full rebuild).
@@ -186,60 +187,46 @@ pub struct DistGraphComm {
     metric: LoadMetric,
     sizes: Option<BlockSizes>,
     churn: Option<ChurnSlot>,
-    /// Memo of the plan whose item routing the combining family
-    /// executes (alltoallv / reduce_scatter / allreduce all route
-    /// identically) and the engine workspace [`Self::collective`] runs
-    /// on. The plan is keyed by its build key
-    /// ([`PlanFingerprint::of_build_v`]) over the *current* graph, so
-    /// `mutate` retires it for free; clones share the memo the way they
-    /// share an attached [`PlanCache`].
-    a2a_slot: A2aSlot,
-    /// Memo of the tuner's winning plan, keyed like the cache entry
-    /// ([`PlanFingerprint::of_tuner`]); shared by clones, cleared by
-    /// [`Self::mutate`].
-    tuner_slot: TunerSlot,
+    /// What this communicator resolved for its current topology epoch
+    /// (see [`Memo`]). Clones share the cell until one of them changes
+    /// epoch: [`Self::mutate`], `with_load_metric` and `with_block_sizes`
+    /// install a fresh cell on `self` and nothing clears one in place.
+    memo: Arc<Mutex<Memo>>,
+    /// The engine workspace [`Self::collective`] runs on: the programs
+    /// compiled from the plans last run (one per op shape) and the
+    /// grow-only offset tables, reused across ops, size tables and
+    /// topology epochs, so it outlives the memo. Clones share it; a
+    /// running request takes it out of the cell (a concurrent one on a
+    /// clone starts from an empty one).
+    arena: Arc<Mutex<BlockArena>>,
     /// Candidate simulations the tuner has performed through this
     /// communicator (and its clones) — the cache-effectiveness counter
     /// [`Self::tuner_sims`] exposes.
     tuner_sims: Arc<std::sync::atomic::AtomicU64>,
-    /// The keys the two memos above are looked up under, kept so that a
-    /// warm request does not re-hash its topology to find its own memo.
-    /// Each is a function of the graph, the layout and the load metric
-    /// (plus what it is stored beside), so clones share the cell and
-    /// whatever changes one of those — [`Self::mutate`],
-    /// `with_load_metric`, `with_block_sizes` — swaps in an empty one.
-    keys: Arc<Mutex<Keys>>,
 }
 
-/// See [`DistGraphComm::keys`].
+/// One topology epoch's resolutions: each entry is a function of the
+/// graph, the layout and the load metric — what defines the epoch — and
+/// of what it is stored beside, so a warm request finds its plan with one
+/// lookup under one lock and never re-hashes its topology.
 #[derive(Debug, Default)]
-struct Keys {
-    /// [`PlanFingerprint::of_tuner`] at these planning sizes.
-    tuner: Option<(BlockSizes, PlanFingerprint)>,
-    /// [`PlanFingerprint::of_build_v`] of this routing algorithm at the
-    /// default sizes.
-    routing: Option<(Algorithm, PlanFingerprint)>,
+struct Memo {
+    /// The auto-tuner's entry: the planning sizes it was keyed at, their
+    /// [`PlanFingerprint::of_tuner`] key and, once resolved, the winner.
+    tuner: Option<TunerEntry>,
+    /// The plan whose item routing the combining family executes
+    /// (alltoallv / reduce_scatter / allreduce all route identically),
+    /// under the concrete algorithm it was resolved for.
+    routing: Option<(Algorithm, Arc<CollectivePlan>)>,
 }
 
-/// The shared memo cell of the combining family.
-type A2aSlot = Arc<Mutex<CombineMemo>>;
-
-/// What a communicator remembers between requests.
-#[derive(Debug, Default)]
-struct CombineMemo {
-    /// One topology epoch's item routing: the plan that implies it,
-    /// under its build key.
-    routed: Option<(PlanFingerprint, Arc<CollectivePlan>)>,
-    /// The engine workspace: the programs compiled from the plans last
-    /// run (one per op shape) and the grow-only offset tables, reused
-    /// across ops, size tables and topology epochs. A running request
-    /// takes it out of the cell (a concurrent one on a clone starts from
-    /// an empty one).
-    arena: BlockArena,
+/// See [`Memo::tuner`].
+#[derive(Debug)]
+struct TunerEntry {
+    sizes: BlockSizes,
+    key: PlanFingerprint,
+    winner: Option<Arc<CollectivePlan>>,
 }
-
-/// The shared memo cell for the auto-tuner's winning plan.
-type TunerSlot = Arc<Mutex<Option<(PlanFingerprint, Arc<CollectivePlan>)>>>;
 
 // Tenants of the collective service own one communicator each and may
 // be dispatched from worker threads while sharing a plan cache — the
@@ -272,10 +259,9 @@ impl DistGraphComm {
             metric: LoadMetric::default(),
             sizes: None,
             churn: None,
-            a2a_slot: Arc::default(),
-            tuner_slot: Arc::new(Mutex::new(None)),
+            memo: Arc::default(),
+            arena: Arc::default(),
             tuner_sims: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            keys: Arc::default(),
         })
     }
 
@@ -294,7 +280,7 @@ impl DistGraphComm {
     /// otherwise derived per call from the `allgatherv` payloads.
     pub fn with_load_metric(mut self, metric: LoadMetric) -> Self {
         self.metric = metric;
-        self.keys = Arc::default();
+        self.memo = Arc::default();
         self
     }
 
@@ -304,7 +290,7 @@ impl DistGraphComm {
     /// payloads they are handed.
     pub fn with_block_sizes(mut self, sizes: BlockSizes) -> Self {
         self.sizes = Some(sizes);
-        self.keys = Arc::default();
+        self.memo = Arc::default();
         self
     }
 
@@ -412,7 +398,13 @@ impl DistGraphComm {
     /// [`Topology::with_edits`] of the old, so it pays for the edges that
     /// change. `mutate(&[], &[])` is a warm-up that just (re)builds the
     /// slot. Subsequent collectives on this communicator plan against the
-    /// mutated topology automatically.
+    /// mutated topology automatically; clones made before the call keep
+    /// the old topology and what they resolved for it.
+    ///
+    /// Off block placement Distance Halving plans through
+    /// [`crate::remap`]'s re-ranking, as [`Self::plan`] does, and the
+    /// repair engine patches patterns in rank space: there every call is
+    /// a full rebuild and no slot is kept.
     pub fn mutate(
         &mut self,
         edges_added: &[(Rank, Rank)],
@@ -425,11 +417,11 @@ impl DistGraphComm {
         // Retire the auto-tuner's winner for the pre-churn topology.
         // The churned adjacency hashes to a fresh tuner key, so the old
         // entry could never be *served* again — but it would squat in
-        // the LRU until evicted; drop it (and the memo) eagerly.
+        // the LRU until evicted; drop it eagerly. A clone still in the
+        // old epoch keeps its winner in the memo it shares.
         if let Some(cache) = &self.cache {
             cache.retire(self.tuner_fingerprint_sized(&sizes));
         }
-        *self.tuner_slot.lock().expect("tuner memo poisoned") = None;
 
         // Surgical attempt against the live slot, within the repair bounds.
         let surgical = self.churn.as_ref().and_then(|slot| {
@@ -463,32 +455,40 @@ impl DistGraphComm {
                 (false, rep.changed_ranks.len(), rep.damage_frac, slot.repairs)
             }
             None => {
-                // Not through `remap`: the repair engine patches patterns
-                // in rank space, so a non-block placement stays a typed
-                // `BuildError::NonBlockPlacement` here.
-                let pattern = self.dh_pattern(&new_graph, &sizes, self.metric, &NULL)?;
-                let plan = Arc::new(self.lower_checked(&pattern, &new_graph)?);
+                // Off block placement the plan comes through `remap` and
+                // no pattern: repair patches patterns in rank space, so
+                // there every call rebuilds and no slot is kept.
+                let (plan, pattern) = self.dh_plan(&new_graph, &sizes, &NULL)?;
+                let plan = Arc::new(plan);
                 let fp = self.cache.as_ref().map(|cache| {
-                    if let Some(old) = self.churn.as_ref().and_then(|s| s.fp) {
+                    let (layout, dh) = (&self.layout, Algorithm::DistanceHalving);
+                    let key =
+                        |graph| PlanFingerprint::of_build_v(graph, layout, dh, &sizes, self.metric);
+                    // Off block placement no slot holds the previous
+                    // epoch's key; its plan sits under the canonical one.
+                    let old = match &pattern {
+                        Some(_) => self.churn.as_ref().and_then(|s| s.fp),
+                        None => Some(key(&self.graph)),
+                    };
+                    if let Some(old) = old {
                         cache.retire(old);
                     }
-                    let fp = PlanFingerprint::of_build_v(
-                        &new_graph,
-                        &self.layout,
-                        Algorithm::DistanceHalving,
-                        &sizes,
-                        self.metric,
-                    );
+                    let fp = key(&new_graph);
                     cache.insert(fp, Arc::clone(&plan));
                     fp
                 });
-                self.churn =
-                    Some(ChurnSlot { pattern: Arc::new(pattern), plan, fp, repairs: 0, sizes });
+                self.churn = pattern.map(|pattern| ChurnSlot {
+                    pattern: Arc::new(pattern),
+                    plan,
+                    fp,
+                    repairs: 0,
+                    sizes,
+                });
                 (true, new_graph.n(), 1.0, 0)
             }
         };
         self.graph = new_graph;
-        self.keys = Arc::default();
+        self.memo = Arc::default();
         Ok(MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
@@ -697,6 +697,39 @@ mod tests {
     }
 
     #[test]
+    fn a_siblings_mutate_leaves_a_clones_tuner_memo_warm() {
+        // no plan cache: the memo alone stands between a request and a
+        // tuning pass, and the sibling's epoch change is its own
+        let c = comm(32, 0.3);
+        let payloads = test_payloads(32, 8, 2);
+        assert_eq!(
+            allgather(&c, Algorithm::Auto, &payloads),
+            reference_allgather(c.graph(), &payloads)
+        );
+        let sims = c.tuner_sims();
+        assert!(sims > 0, "a cold Auto resolution tunes");
+        let mut sibling = c.clone();
+        let (added, removed) = churn_sets(sibling.graph(), 2, 4);
+        sibling.mutate(&added, &removed).unwrap();
+        assert_eq!(
+            allgather(&c, Algorithm::Auto, &payloads),
+            reference_allgather(c.graph(), &payloads)
+        );
+        assert_eq!(c.tuner_sims(), sims, "the untouched clone's winner stays memoized");
+        // the sibling tunes once for its own epoch, then hits
+        let want = reference_allgather(sibling.graph(), &payloads);
+        assert_eq!(allgather(&sibling, Algorithm::Auto, &payloads), want);
+        let retuned = sibling.tuner_sims();
+        assert!(retuned > sims, "the mutated clone tunes its new topology");
+        assert_eq!(allgather(&sibling, Algorithm::Auto, &payloads), want);
+        assert_eq!(
+            allgather(&c, Algorithm::Auto, &payloads),
+            reference_allgather(c.graph(), &payloads)
+        );
+        assert_eq!(c.tuner_sims(), retuned, "neither epoch evicts the other");
+    }
+
+    #[test]
     fn robust_alltoallv_runs_on_threaded_with_a_report() {
         // ...and so do the reductions: one robust path serves every op
         let c = comm(16, 0.4);
@@ -810,12 +843,8 @@ mod tests {
         let want = reference_allgather(c.graph(), &payloads);
         assert_eq!(allgather(&c, Algorithm::DistanceHalving, &payloads), want);
         assert_eq!(allgather(&c, Algorithm::Auto, &payloads), want);
-        // churn keeps the typed refusal; the robust path plans as `plan`
-        // does and keeps no pattern (a dead link degrades it to naive)
-        assert!(matches!(
-            c.clone().mutate(&[], &[]),
-            Err(CommError::Build(BuildError::NonBlockPlacement))
-        ));
+        // the robust path plans as `plan` does and keeps no pattern (a
+        // dead link degrades it to naive)
         let (robust, pattern) =
             c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
         assert_eq!((robust.algorithm, pattern.is_none()), (Algorithm::DistanceHalving, true));
@@ -1164,6 +1193,36 @@ mod tests {
         let payloads = test_payloads(32, 8, 4);
         let got = allgather(&c, Algorithm::DistanceHalving, &payloads);
         assert_eq!(got, reference_allgather(c.graph(), &payloads));
+    }
+
+    #[test]
+    fn mutate_off_block_placement_rebuilds_through_remap() {
+        use nhood_cluster::Placement;
+        let cache = Arc::new(PlanCache::new(8));
+        let layout = ClusterLayout::new(2, 2, 8).with_placement(Placement::RoundRobinNodes);
+        let mut c = DistGraphComm::create_adjacent(erdos_renyi(32, 0.3, 21), layout)
+            .unwrap()
+            .with_plan_cache(Arc::clone(&cache));
+        let key = |c: &DistGraphComm, g: &Topology| {
+            let (algo, sizes) = (Algorithm::DistanceHalving, BlockSizes::default());
+            PlanFingerprint::of_build_v(g, c.layout(), algo, &sizes, LoadMetric::default())
+        };
+        let payloads = test_payloads(32, 8, 3);
+        for seed in [5, 6] {
+            let old = c.graph().clone();
+            c.plan_shared(Algorithm::DistanceHalving).unwrap();
+            let (added, removed) = churn_sets(&old, 2, seed);
+            let rep = c.mutate(&added, &removed).unwrap();
+            assert!(rep.full_rebuild && rep.repairs == 0, "every call rebuilds: {rep:?}");
+            assert_eq!((rep.edges_added, rep.edges_removed, rep.changed_ranks), (2, 2, 32));
+            assert!(c.churn_plan().is_none(), "no pattern to repair off block placement");
+            assert!(cache.lookup(key(&c, &old), &old).is_none(), "the old epoch's plan retired");
+            let plan = cache.lookup(key(&c, c.graph()), c.graph()).expect("the rebuilt plan");
+            assert_eq!(plan.algorithm, Algorithm::DistanceHalving);
+            assert!(Arc::ptr_eq(&plan, &c.plan_shared(Algorithm::DistanceHalving).unwrap()));
+            let got = allgather(&c, Algorithm::DistanceHalving, &payloads);
+            assert_eq!(got, reference_allgather(c.graph(), &payloads));
+        }
     }
 
     /// Finds a (src, dst) pair the DH plan sends over but the graph has

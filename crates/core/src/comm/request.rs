@@ -4,7 +4,7 @@
 //! is the `Virtual` byte path plus one simulated request, which
 //! [`DistGraphComm::simulate_on`] serves alone.
 
-use super::{CombineMemo, CommError, DistGraphComm};
+use super::{CommError, DistGraphComm};
 use crate::arena::BlockArena;
 use crate::collective::program::Shape;
 use crate::collective::{
@@ -17,7 +17,7 @@ use crate::plan::CollectivePlan;
 use crate::runtime::Clock;
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Perturbation, SimReport};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 impl DistGraphComm {
     /// Runs any neighborhood collective from one typed request.
@@ -40,9 +40,9 @@ impl DistGraphComm {
     /// [`CommError::UnsupportedCollective`] /
     /// [`CommError::InvalidReduction`] before any work happens.
     pub fn collective(&self, req: &CollectiveRequest) -> Result<CollectiveOutput, CommError> {
-        let mut arena = std::mem::take(&mut self.combine_memo().arena);
+        let mut arena = std::mem::take(&mut *self.arena.lock().expect("arena poisoned"));
         let out = self.collective_on(req, None, &mut arena);
-        self.combine_memo().arena = arena;
+        *self.arena.lock().expect("arena poisoned") = arena;
         out
     }
 
@@ -140,9 +140,5 @@ impl DistGraphComm {
             (None, _) => self.planning_sizes(),
         };
         self.plan_shared_sized(req.algorithm, &sizes, req.recorder)
-    }
-
-    pub(super) fn combine_memo(&self) -> MutexGuard<'_, CombineMemo> {
-        self.a2a_slot.lock().expect("combining memo poisoned")
     }
 }

@@ -1,10 +1,10 @@
 //! Plan resolution: how an [`Algorithm`] choice becomes a plan on this
 //! communicator — normalize the parameters, fingerprint the request,
-//! consult the churn slot / plan cache / tuner memo, and build on a
-//! miss. The combining family resolves its routing plan down the same
-//! path and keeps it in a memo.
+//! consult the churn slot / plan cache / the epoch's memo, and build on
+//! a miss. The combining family resolves its routing plan down the same
+//! path and keeps it in the same memo.
 
-use super::{ChurnSlot, CommError, DistGraphComm};
+use super::{ChurnSlot, CommError, DistGraphComm, Memo, TunerEntry};
 use crate::autotune::{candidates, TuneOutcome};
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::common_neighbor::plan_common_neighbor;
@@ -21,7 +21,7 @@ use nhood_simnet::SimReport;
 use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::Topology;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 impl DistGraphComm {
     /// Builds (and validates) the data-movement plan for an algorithm.
@@ -65,10 +65,33 @@ impl DistGraphComm {
         Ok(plan)
     }
 
+    /// Distance Halving on `graph`, validated. On block placement the
+    /// pattern comes back beside the plan (churn repair patches it); off
+    /// it — Halving needs rank order to mirror locality — the plan comes
+    /// through [`crate::remap`]'s locality re-ranking with the same
+    /// sizes, metric, pool and recorder, and no pattern.
+    pub(super) fn dh_plan(
+        &self,
+        graph: &Topology,
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
+        let (plan, pattern) = if self.layout.placement() == Placement::Block {
+            let pattern = self.dh_pattern(graph, sizes, self.metric, rec)?;
+            rec.span_begin(0, labels::PLAN_LOWER);
+            let plan = lower_pooled(&pattern, graph, &self.build_pool);
+            rec.span_end(0, labels::PLAN_LOWER);
+            (plan, Some(pattern))
+        } else {
+            let (layout, pool) = (&self.layout, &self.build_pool);
+            (plan_distance_halving_reordered(graph, layout, sizes, self.metric, pool, rec)?, None)
+        };
+        plan.validate(graph).map_err(CommError::InvalidPlan)?;
+        Ok((plan, pattern))
+    }
+
     /// The uncached build path shared by [`Self::plan`] and cache
-    /// misses. Distance Halving on a non-block placement plans through
-    /// [`crate::remap`]'s locality re-ranking with the same sizes,
-    /// metric, pool and recorder.
+    /// misses.
     fn build_plan_recorded(
         &self,
         algo: Algorithm,
@@ -78,24 +101,8 @@ impl DistGraphComm {
         let plan = match self.normalize_algorithm(algo)? {
             Algorithm::Naive => plan_naive(&self.graph),
             Algorithm::CommonNeighbor { k } => plan_common_neighbor(&self.graph, k),
-            // Halving needs rank order to mirror locality; off block
-            // placement `remap` re-ranks into locality order first.
-            Algorithm::DistanceHalving if self.layout.placement() != Placement::Block => {
-                plan_distance_halving_reordered(
-                    &self.graph,
-                    &self.layout,
-                    sizes,
-                    self.metric,
-                    &self.build_pool,
-                    rec,
-                )?
-            }
             Algorithm::DistanceHalving => {
-                let pattern = self.dh_pattern(&self.graph, sizes, self.metric, rec)?;
-                rec.span_begin(0, labels::PLAN_LOWER);
-                let plan = lower_pooled(&pattern, &self.graph, &self.build_pool);
-                rec.span_end(0, labels::PLAN_LOWER);
-                plan
+                return self.dh_plan(&self.graph, sizes, rec).map(|(plan, _)| plan);
             }
             // The node-hierarchical routers read node membership off the
             // rank number and have no re-ranking path.
@@ -173,14 +180,25 @@ impl DistGraphComm {
     }
 
     pub(super) fn tuner_fingerprint_sized(&self, sizes: &BlockSizes) -> PlanFingerprint {
-        let mut keys = self.keys.lock().expect("key memo poisoned");
-        if let Some((_, key)) = keys.tuner.as_ref().filter(|(of, _)| of == sizes) {
-            return *key;
-        }
-        let cost = format!("{:?}", SimCost::niagara());
-        let key = PlanFingerprint::of_tuner(&self.graph, &self.layout, sizes, self.metric, &cost);
-        keys.tuner = Some((sizes.clone(), key));
-        key
+        self.tuner_entry(&mut self.memo(), sizes).key
+    }
+
+    /// This epoch's tuner entry at `sizes`: the memo's, or a fresh one
+    /// keyed now (hashing the topology) in its place.
+    fn tuner_entry<'m>(&self, memo: &'m mut Memo, sizes: &BlockSizes) -> &'m mut TunerEntry {
+        let kept = memo.tuner.take().filter(|entry| entry.sizes == *sizes);
+        memo.tuner.insert(kept.unwrap_or_else(|| {
+            let cost = format!("{:?}", SimCost::niagara());
+            let (graph, layout) = (&self.graph, &self.layout);
+            let key = PlanFingerprint::of_tuner(graph, layout, sizes, self.metric, &cost);
+            TunerEntry { sizes: sizes.clone(), key, winner: None }
+        }))
+    }
+
+    /// The communicator's memo cell: what it resolved for its current
+    /// topology epoch.
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("memo poisoned")
     }
 
     /// Serves the auto-tuner's winning plan: memo, then the attached
@@ -193,23 +211,19 @@ impl DistGraphComm {
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<Arc<CollectivePlan>, CommError> {
-        let key = self.tuner_fingerprint_sized(sizes);
-        {
-            let slot = self.tuner_slot.lock().expect("tuner memo poisoned");
-            if let Some((k, plan)) = slot.as_ref() {
-                if *k == key {
-                    rec.plan_cache(0, true);
-                    return Ok(Arc::clone(plan));
-                }
-            }
-        }
-        if let Some(cache) = &self.cache {
-            if let Some(plan) = cache.lookup(key, &self.graph) {
+        let key = {
+            let mut memo = self.memo();
+            let entry = self.tuner_entry(&mut memo, sizes);
+            if let Some(plan) = &entry.winner {
                 rec.plan_cache(0, true);
-                *self.tuner_slot.lock().expect("tuner memo poisoned") =
-                    Some((key, Arc::clone(&plan)));
-                return Ok(plan);
+                return Ok(Arc::clone(plan));
             }
+            entry.key
+        };
+        if let Some(plan) = self.cache.as_ref().and_then(|cache| cache.lookup(key, &self.graph)) {
+            rec.plan_cache(0, true);
+            self.tuner_entry(&mut self.memo(), sizes).winner = Some(Arc::clone(&plan));
+            return Ok(plan);
         }
         rec.plan_cache(0, false);
         let outcome =
@@ -229,7 +243,7 @@ impl DistGraphComm {
             );
             cache.insert_validated(canonical, Arc::clone(&plan), &self.graph);
         }
-        *self.tuner_slot.lock().expect("tuner memo poisoned") = Some((key, Arc::clone(&plan)));
+        self.tuner_entry(&mut self.memo(), sizes).winner = Some(Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -295,19 +309,7 @@ impl DistGraphComm {
     /// inside the cache). Without an attached cache this is a plain
     /// build wrapped in an `Arc`.
     pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
-        self.plan_shared_recorded(algo, &NULL)
-    }
-
-    /// [`Self::plan_shared`] with a telemetry [`Recorder`]: the lookup
-    /// reports `plan_cache` hit/miss (against rank 0, the
-    /// communicator-wide event's representative) and cold builds report
-    /// their build/lower spans.
-    pub fn plan_shared_recorded(
-        &self,
-        algo: Algorithm,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        self.plan_shared_sized(algo, &self.planning_sizes(), rec)
+        self.plan_shared_sized(algo, &self.planning_sizes(), &NULL)
     }
 
     /// A live churn slot holds THE current Distance Halving pattern and
@@ -324,7 +326,10 @@ impl DistGraphComm {
     /// The sized planning path behind every cached build: the cache key
     /// is [`PlanFingerprint::of_build_v`] over this communicator's
     /// metric and `sizes`, so a Bytes-metric ragged build can never be
-    /// served a plan negotiated for different block sizes.
+    /// served a plan negotiated for different block sizes. `rec` sees
+    /// the lookup's `plan_cache` hit or miss (against rank 0, the
+    /// communicator-wide event's representative) and a cold build's
+    /// build/lower spans.
     pub(super) fn plan_shared_sized(
         &self,
         algo: Algorithm,
@@ -367,11 +372,10 @@ impl DistGraphComm {
     /// The combining family's plan path: alltoallv, reduce_scatter and
     /// allreduce execute the item routing of one gather plan — resolved
     /// like any gather's ([`Self::plan_shared`]: live churn slot, plan
-    /// cache, build). The plan sits in a memo under its build key,
-    /// checked *before* plan resolution: a warm request takes it from
-    /// there (and its program from the arena it runs on), and a
-    /// cache-less communicator builds its routing plan once per topology
-    /// epoch, not per request.
+    /// cache, build). The plan sits in the epoch's memo, checked *before*
+    /// plan resolution: a warm request takes it from there (and its
+    /// program from the arena it runs on), and a cache-less communicator
+    /// builds its routing plan once per topology epoch, not per request.
     ///
     /// The plan is negotiated at default sizes whatever table is pinned:
     /// a pinned table sizes gather blocks, the combining ops size theirs
@@ -383,23 +387,13 @@ impl DistGraphComm {
         rec: &dyn Recorder,
     ) -> Result<Arc<CollectivePlan>, CommError> {
         let algo = self.combining_algorithm(algo)?;
-        let sizes = BlockSizes::default();
-        let fp = {
-            let mut keys = self.keys.lock().expect("key memo poisoned");
-            let kept = keys.routing.filter(|(of, _)| *of == algo);
-            let (_, fp) = *keys.routing.insert(kept.unwrap_or_else(|| {
-                let (graph, layout) = (&self.graph, &self.layout);
-                (algo, PlanFingerprint::of_build_v(graph, layout, algo, &sizes, self.metric))
-            }));
-            fp
-        };
-        if let Some((_, plan)) = self.combine_memo().routed.as_ref().filter(|r| r.0 == fp) {
+        if let Some((_, plan)) = self.memo().routing.as_ref().filter(|(of, _)| *of == algo) {
             rec.plan_cache(0, true);
             return Ok(Arc::clone(plan));
         }
         // the shared path reports its own hit or miss
-        let plan = self.plan_shared_sized(algo, &sizes, rec)?;
-        self.combine_memo().routed = Some((fp, Arc::clone(&plan)));
+        let plan = self.plan_shared_sized(algo, &BlockSizes::default(), rec)?;
+        self.memo().routing = Some((algo, Arc::clone(&plan)));
         Ok(plan)
     }
 

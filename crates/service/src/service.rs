@@ -845,6 +845,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nhood_cluster::Placement;
     use nhood_topology::random::erdos_renyi;
 
     fn layout_for(n: usize) -> ClusterLayout {
@@ -1020,6 +1021,28 @@ mod tests {
         assert_eq!(report.stats.corrupt, 0);
         assert_eq!(report.stats.churn_events, 1);
         assert_eq!(report.stats.repairs + report.stats.full_rebuilds, 1);
+    }
+
+    #[test]
+    fn a_distance_halving_tenant_registers_and_churns_off_block_placement() {
+        // the tenant's plan re-ranks through `remap`; each churn rebuilds it
+        let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
+        let mut svc = Service::new(cfg);
+        let layout = ClusterLayout::new(2, 2, 8).with_placement(Placement::RoundRobinNodes);
+        let t =
+            svc.add_tenant(erdos_renyi(32, 0.3, 7), layout, Algorithm::DistanceHalving).unwrap();
+        svc.submit(t, uniform_payloads(32, 32, 1)).unwrap();
+        svc.drain();
+        let edge = svc.tenant_graph(t).edges().next().expect("seeded graph has edges");
+        for (added, removed) in [(vec![], vec![edge]), (vec![edge], vec![])] {
+            let rep = svc.churn(t, &added, &removed).unwrap();
+            assert!(rep.full_rebuild, "{rep:?}");
+            svc.submit(t, uniform_payloads(32, 32, 2)).unwrap();
+            svc.drain();
+        }
+        let stats = svc.report().stats;
+        assert_eq!((stats.completed, stats.verified, stats.corrupt), (3, 3, 0));
+        assert_eq!((stats.churn_events, stats.full_rebuilds), (2, 2));
     }
 
     #[test]

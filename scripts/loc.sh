@@ -156,10 +156,17 @@
 # copies, the repair and fallback switches and `RepairPolicy` went — the
 # repair bounds are two constants), and `with_tuner_cost` went with the
 # tuner-cost field.
+#
+# Then one memo per topology epoch: 13,040 -> 13,030. The communicator's
+# key cell, tuner slot and routing memo became one cell that only an
+# epoch change replaces (comm/mod.rs, resolve.rs, request.rs), and
+# `plan_shared_recorded` went. What the sweep paid for: `mutate` off
+# block placement re-plans through `remap` (one Distance Halving build
+# path, `dh_plan`, serves `plan` and `mutate` on either placement).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=13040   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=13030   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1632  # crates/service/src
 BENCH_BUDGET=3837    # crates/bench/src
 
