@@ -9,8 +9,10 @@ use crate::common::{fmt_secs, fmt_x, Report, Scale};
 use nhood_cluster::{ClusterLayout, HockneyParams};
 use nhood_core::builder::build_pattern;
 use nhood_core::exec::sim_exec::simulate;
+use nhood_core::lower::lower;
 use nhood_core::model::ModelParams;
-use nhood_core::{Algorithm, DistGraphComm, SimCost};
+use nhood_core::remap::{locality_order, reranked};
+use nhood_core::{Algorithm, BlockSizes, DistGraphComm, SimCost};
 use nhood_simnet::{NicMode, SimConfig};
 use nhood_topology::random::erdos_renyi;
 use std::path::Path;
@@ -287,16 +289,11 @@ pub fn run_variance(scale: Scale, out: &Path) -> std::io::Result<Report> {
             samples.entry(name).or_default().push(t);
         }
         // DH with group-aware virtual re-ranking: halving splits align
-        // with the *allocated* group boundaries, restoring stability
-        let reordered = nhood_core::remap::plan_distance_halving_reordered(
-            &graph,
-            &layout,
-            &nhood_core::BlockSizes::default(),
-            nhood_core::LoadMetric::Neighbors,
-            &nhood_cluster::WorkerPool::serial(),
-            &nhood_telemetry::NULL,
-        )
-        .expect("reordered plan");
+        // with the *allocated* group boundaries, restoring stability (the
+        // layout is block-placed, so the order is asked for explicitly)
+        let order = locality_order(&layout, graph.n());
+        let dh = |g: &_, _: &_| build_pattern(g, &layout).map(|p| lower(&p, g));
+        let reordered = reranked(&graph, &order, &BlockSizes::default(), dh).expect("reordered");
         let t = simulate(&reordered, &layout, m, &cost).expect("sim").makespan;
         samples.entry("dh-reordered").or_default().push(t);
     }

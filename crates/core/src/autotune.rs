@@ -19,7 +19,7 @@
 
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::sizes::BlockSizes;
-use nhood_cluster::{ClusterLayout, Placement};
+use nhood_cluster::ClusterLayout;
 use nhood_topology::Topology;
 use std::sync::Arc;
 
@@ -59,9 +59,8 @@ pub const PAT_MIN_DENSITY: f64 = 0.85;
 /// Halving, the [`CN_SWEEP`] of Common Neighbor group sizes (those below
 /// `n`), and in PAT's regime ([`PAT_MAX_BLOCK`]) PAT at radix 2 and 4.
 /// The node-hierarchical designs — `HierarchicalLeader` with 8 leaders
-/// per node, and `Bruck` — join only under block placement (their
-/// builders require it) and only when the layout actually spans multiple
-/// nodes.
+/// per node, and `Bruck` — join when the layout spans multiple nodes, on
+/// any placement (the communicator re-ranks them into locality order).
 pub fn candidates(graph: &Topology, layout: &ClusterLayout, sizes: &BlockSizes) -> Vec<Algorithm> {
     let n = graph.n();
     let mut cands = vec![Algorithm::Naive];
@@ -78,7 +77,7 @@ pub fn candidates(graph: &Topology, layout: &ClusterLayout, sizes: &BlockSizes) 
     if sizes.max_size() <= PAT_MAX_BLOCK && density >= PAT_MIN_DENSITY {
         cands.extend([Algorithm::Pat { radix: 2 }, Algorithm::Pat { radix: 4 }]);
     }
-    if layout.placement() == Placement::Block && layout.nodes() > 1 {
+    if layout.nodes() > 1 {
         cands.push(Algorithm::HierarchicalLeader { leaders_per_node: 8 });
         cands.push(Algorithm::Bruck);
     }
@@ -111,9 +110,12 @@ mod tests {
         assert!(!small.contains(&Algorithm::CommonNeighbor { k: 8 }));
         assert!(small.contains(&Algorithm::CommonNeighbor { k: 4 }));
 
-        // non-block placement drops the node-hierarchical designs
-        let rr = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
-        let no_hier = offered(32, 0.3, &rr, 64);
+        // any placement offers the node-hierarchical designs; one node
+        // does not
+        let rr =
+            ClusterLayout::new(4, 2, 4).with_placement(nhood_cluster::Placement::RoundRobinNodes);
+        assert_eq!(offered(32, 0.3, &rr, 64), full);
+        let no_hier = offered(32, 0.3, &ClusterLayout::new(1, 2, 16), 64);
         assert!(!no_hier.contains(&Algorithm::Bruck));
         assert!(!no_hier.iter().any(|a| matches!(a, Algorithm::HierarchicalLeader { .. })));
     }

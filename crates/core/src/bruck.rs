@@ -4,7 +4,10 @@
 //! funnel to the router, routers exchange combined messages over
 //! log-stride *node* offsets, and arrivals scatter locally.
 //!
-//! Phases under block placement:
+//! The builder plans in rank order: rank `r` sits on node
+//! `r / ranks_per_node`, and only the layout's shape is read. Off block
+//! placement the communicator relabels into locality order first
+//! ([`crate::remap::reranked`]). Phases:
 //!
 //! 1. **local** — every block with at least one off-node outgoing
 //!    neighbor is gathered to its node's router; intra-node edges are
@@ -33,14 +36,8 @@ use nhood_topology::{Rank, Topology};
 /// Builds the locality-aware Bruck plan.
 ///
 /// # Panics
-/// Panics if the layout is not block-placed or the topology exceeds the
-/// layout capacity.
+/// Panics if the topology exceeds the layout capacity.
 pub fn plan_bruck(graph: &Topology, layout: &ClusterLayout) -> CollectivePlan {
-    assert_eq!(
-        layout.placement(),
-        nhood_cluster::Placement::Block,
-        "Bruck routing needs block placement (only Distance Halving re-ranks through remap)"
-    );
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");
     let per_node = layout.ranks_per_node();
@@ -151,11 +148,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block placement")]
-    fn non_block_placement_rejected() {
+    fn non_block_placement_planned_in_rank_order() {
+        // Only the layout's shape is read: a round-robin layout gives the
+        // rank-order plan of the block layout of the same shape.
         let g = erdos_renyi(8, 0.5, 1);
-        let layout =
+        let rr =
             ClusterLayout::new(2, 2, 2).with_placement(nhood_cluster::Placement::RoundRobinNodes);
-        let _ = plan_bruck(&g, &layout);
+        let plan = plan_bruck(&g, &rr);
+        plan.validate(&g).unwrap();
+        let block = plan_bruck(&g, &ClusterLayout::new(2, 2, 2));
+        let encode = |p: &CollectivePlan| crate::plan_io::encode_plan(p, None);
+        assert_eq!(encode(&plan), encode(&block));
     }
 }

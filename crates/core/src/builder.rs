@@ -49,9 +49,6 @@ pub enum BuildError {
         /// Cores in the layout.
         capacity: usize,
     },
-    /// The planner (Distance Halving's builder, the leader hierarchy,
-    /// Bruck) reads nodes off the rank number: block placement only.
-    NonBlockPlacement,
     /// A rank of the distributed negotiation timed out (lost signals or
     /// a straggling peer) — see
     /// [`crate::negotiate::build_pattern_distributed_pooled_v`].
@@ -70,9 +67,6 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::LayoutTooSmall { ranks, capacity } => {
                 write!(f, "{ranks} ranks exceed layout capacity {capacity}")
-            }
-            BuildError::NonBlockPlacement => {
-                write!(f, "the planner reads nodes off ranks and requires block rank placement")
             }
             BuildError::NegotiationTimeout { rank, step, round } => {
                 write!(f, "rank {rank} timed out negotiating step {step} round {round}")
@@ -105,9 +99,6 @@ pub type Decision = (Rank, Option<Rank>, Option<Rank>, (Rank, Rank), (Rank, Rank
 pub(crate) fn check_inputs(graph: &Topology, layout: &ClusterLayout) -> Result<(), BuildError> {
     if graph.n() > layout.capacity() {
         return Err(BuildError::LayoutTooSmall { ranks: graph.n(), capacity: layout.capacity() });
-    }
-    if layout.placement() != nhood_cluster::Placement::Block {
-        return Err(BuildError::NonBlockPlacement);
     }
     Ok(())
 }
@@ -682,9 +673,12 @@ mod tests {
             build_pattern(&g, &small).err(),
             Some(BuildError::LayoutTooSmall { ranks: 8, capacity: 4 })
         );
+        // the builder plans in rank order and reads only the layout's
+        // shape: any placement of that shape builds the block pattern
         let rr =
             ClusterLayout::new(2, 2, 2).with_placement(nhood_cluster::Placement::RoundRobinNodes);
-        assert_eq!(build_pattern(&g, &rr).err(), Some(BuildError::NonBlockPlacement));
+        let block = build_pattern(&g, &ClusterLayout::new(2, 2, 2)).unwrap();
+        assert_eq!(build_pattern(&g, &rr).unwrap(), block);
     }
 
     #[test]

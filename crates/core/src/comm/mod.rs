@@ -823,21 +823,22 @@ mod tests {
 
     #[test]
     fn tuner_scores_distance_halving_on_a_round_robin_layout() {
-        // Distance Halving used to fail `NonBlockPlacement` here and the
-        // tuner silently dropped it; it now plans through the locality
-        // re-ranking and is a scored candidate (the node-hierarchical
-        // designs stay gated on block placement).
+        // Off block placement Distance Halving plans through the locality
+        // re-ranking and is a scored candidate, as are the
+        // node-hierarchical designs.
         use nhood_cluster::Placement;
         let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
         let c = DistGraphComm::create_adjacent(erdos_renyi(32, 0.4, 21), layout).unwrap();
         let plan = c.plan(Algorithm::DistanceHalving).unwrap();
         assert_eq!(plan.algorithm, Algorithm::DistanceHalving);
         let tuned = c.tune().unwrap();
-        assert!(
-            tuned.scores.iter().any(|(a, _)| *a == Algorithm::DistanceHalving),
-            "DH missing from {:?}",
-            tuned.scores
-        );
+        for algo in [
+            Algorithm::DistanceHalving,
+            Algorithm::HierarchicalLeader { leaders_per_node: 8 },
+            Algorithm::Bruck,
+        ] {
+            assert!(tuned.scores.iter().any(|(a, _)| *a == algo), "{algo} missing");
+        }
         assert_eq!(tuned.scores.len() as u64, tuned.simulations);
         let payloads = test_payloads(32, 16, 5);
         let want = reference_allgather(c.graph(), &payloads);
@@ -852,9 +853,9 @@ mod tests {
 
     #[test]
     fn combining_ops_route_distance_halving_on_a_round_robin_layout() {
-        // The combining family used to negotiate its own pattern, straight
-        // through `dh_pattern`, and failed `NonBlockPlacement` here; it now
-        // resolves the gather plan, which re-ranks through `remap`.
+        // The combining family resolves the gather plan, which re-ranks
+        // through `remap` off block placement — for Distance Halving, the
+        // leader hierarchy and Bruck alike.
         use crate::collective::reference;
         use nhood_cluster::Placement;
         let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
@@ -869,47 +870,54 @@ mod tests {
             (CollectiveOp::Allreduce(Reduction::SUM_U8), &own),
         ] {
             let want = reference(c.graph(), op, sbufs, None).unwrap();
-            for algo in [Algorithm::DistanceHalving, Algorithm::Auto] {
+            for algo in [
+                Algorithm::DistanceHalving,
+                Algorithm::Auto,
+                Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+                Algorithm::Bruck,
+            ] {
                 let got = c.collective(&CollectiveRequest::new(op, sbufs).algorithm(algo));
                 assert_eq!(got.unwrap_or_else(|e| panic!("{op} {algo}: {e}")).rbufs, want);
-            }
-            // the node-hierarchical routers stay refused, as for gathers
-            for algo in [Algorithm::HierarchicalLeader { leaders_per_node: 2 }, Algorithm::Bruck] {
-                let got = c.collective(&CollectiveRequest::new(op, sbufs).algorithm(algo));
-                assert!(
-                    matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))),
-                    "{op} {algo}: {got:?}"
-                );
             }
         }
     }
 
-    /// `plan(algo)` on a round-robin layout, which the node-hierarchical
-    /// routers cannot serve.
-    fn plan_off_block_placement(algo: Algorithm) -> Result<CollectivePlan, CommError> {
+    /// HL and Bruck read nodes off rank numbers, so off block placement
+    /// the communicator relabels into locality order first: the plan
+    /// validates, moves reference bytes, and crosses fewer node boundaries
+    /// than the builder run straight on the round-robin rank order.
+    fn plans_off_block_placement_through_remap(
+        in_rank_order: impl Fn(&Topology, &ClusterLayout) -> CollectivePlan,
+    ) {
         use nhood_cluster::Placement;
+        let graph = erdos_renyi(32, 0.4, 21);
         let layout = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
-        DistGraphComm::create_adjacent(erdos_renyi(32, 0.4, 21), layout).unwrap().plan(algo)
+        let c = DistGraphComm::create_adjacent(graph.clone(), layout.clone()).unwrap();
+        let payloads = test_payloads(32, 8, 5);
+        let internode = |plan: &CollectivePlan| {
+            let sends = (0..32)
+                .flat_map(|r| plan.phases(r).flat_map(|ph| ph.sends()).map(move |m| (r, m.peer())));
+            sends.filter(|&(r, peer)| !layout.same_node(r, peer)).count()
+        };
+        let plain = in_rank_order(&graph, &layout);
+        let algo = plain.algorithm;
+        let plan = c.plan(algo).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        plan.validate(&graph).unwrap();
+        let want = reference_allgather(&graph, &payloads);
+        assert_eq!(allgather(&c, algo, &payloads), want, "{algo}");
+        assert!(internode(&plan) < internode(&plain), "{algo}");
     }
 
     #[test]
-    fn bruck_off_block_placement_is_refused_typed() {
-        // regression: tripped the `assert_eq!` in `plan_bruck`
-        let got = plan_off_block_placement(Algorithm::Bruck);
-        assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
-        // the text names the placement, not one planner
-        let text = got.unwrap_err().to_string();
-        assert!(text.contains("block rank placement") && !text.contains("Distance Halving"));
+    fn hierarchical_leader_plans_off_block_placement() {
+        plans_off_block_placement_through_remap(|g, l| {
+            crate::leader::plan_hierarchical_leader(g, l, 2)
+        });
     }
 
     #[test]
-    fn hierarchical_leader_off_block_placement_is_refused_typed() {
-        // regression: tripped the `assert_eq!` in `plan_hierarchical_leader`
-        let got = plan_off_block_placement(Algorithm::HierarchicalLeader { leaders_per_node: 2 });
-        assert!(matches!(got, Err(CommError::Build(BuildError::NonBlockPlacement))), "{got:?}");
-        // the text names the placement, not one planner
-        let text = got.unwrap_err().to_string();
-        assert!(text.contains("block rank placement") && !text.contains("Distance Halving"));
+    fn bruck_plans_off_block_placement() {
+        plans_off_block_placement_through_remap(crate::bruck::plan_bruck);
     }
 
     #[test]

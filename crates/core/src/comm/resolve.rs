@@ -6,15 +6,17 @@
 
 use super::{ChurnSlot, CommError, DistGraphComm, Memo, TunerEntry};
 use crate::autotune::{candidates, TuneOutcome};
+use crate::bruck::plan_bruck;
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::common_neighbor::plan_common_neighbor;
 use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
+use crate::leader::plan_hierarchical_leader;
 use crate::lower::lower_pooled;
 use crate::naive::plan_naive;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::plan_cache::PlanFingerprint;
-use crate::remap::plan_distance_halving_reordered;
+use crate::remap::{locality_order, reranked};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::Placement;
 use nhood_simnet::SimReport;
@@ -65,29 +67,46 @@ impl DistGraphComm {
         Ok(plan)
     }
 
-    /// Distance Halving on `graph`, validated. On block placement the
-    /// pattern comes back beside the plan (churn repair patches it); off
-    /// it — Halving needs rank order to mirror locality — the plan comes
-    /// through [`crate::remap`]'s locality re-ranking with the same
-    /// sizes, metric, pool and recorder, and no pattern.
+    /// The placement rule, in its one place. Distance Halving, the leader
+    /// hierarchy and Bruck read locality off rank numbers, so each plans
+    /// `graph` at `sizes` in rank order through `build`: directly on block
+    /// placement, where rank order is locality order, and otherwise
+    /// through [`reranked`] in [`locality_order`]. The flag says whether
+    /// the plan was relabelled.
+    fn in_locality_order<E>(
+        &self,
+        graph: &Topology,
+        sizes: &BlockSizes,
+        build: impl FnOnce(&Topology, &BlockSizes) -> Result<CollectivePlan, E>,
+    ) -> Result<(CollectivePlan, bool), E> {
+        if self.layout.placement() == Placement::Block {
+            return Ok((build(graph, sizes)?, false));
+        }
+        let order = locality_order(&self.layout, graph.n());
+        Ok((reranked(graph, &order, sizes, build)?, true))
+    }
+
+    /// Distance Halving on `graph`, validated, in locality order
+    /// ([`Self::in_locality_order`]). The pattern comes back beside a plan
+    /// built in place (churn repair patches it); a relabelled plan keeps
+    /// none, because repair patches patterns in rank space.
     pub(super) fn dh_plan(
         &self,
         graph: &Topology,
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
-        let (plan, pattern) = if self.layout.placement() == Placement::Block {
-            let pattern = self.dh_pattern(graph, sizes, self.metric, rec)?;
+        let mut pattern = None;
+        let (plan, relabelled) = self.in_locality_order(graph, sizes, |graph, sizes| {
+            let dh = self.dh_pattern(graph, sizes, self.metric, rec)?;
             rec.span_begin(0, labels::PLAN_LOWER);
-            let plan = lower_pooled(&pattern, graph, &self.build_pool);
+            let plan = lower_pooled(&dh, graph, &self.build_pool);
             rec.span_end(0, labels::PLAN_LOWER);
-            (plan, Some(pattern))
-        } else {
-            let (layout, pool) = (&self.layout, &self.build_pool);
-            (plan_distance_halving_reordered(graph, layout, sizes, self.metric, pool, rec)?, None)
-        };
+            pattern = Some(dh);
+            Ok::<_, BuildError>(plan)
+        })?;
         plan.validate(graph).map_err(CommError::InvalidPlan)?;
-        Ok((plan, pattern))
+        Ok((plan, pattern.filter(|_| !relabelled)))
     }
 
     /// The uncached build path shared by [`Self::plan`] and cache
@@ -98,30 +117,29 @@ impl DistGraphComm {
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<CollectivePlan, CommError> {
+        let (graph, layout) = (&self.graph, &self.layout);
         let plan = match self.normalize_algorithm(algo)? {
-            Algorithm::Naive => plan_naive(&self.graph),
-            Algorithm::CommonNeighbor { k } => plan_common_neighbor(&self.graph, k),
+            Algorithm::Naive => plan_naive(graph),
+            Algorithm::CommonNeighbor { k } => plan_common_neighbor(graph, k),
             Algorithm::DistanceHalving => {
-                return self.dh_plan(&self.graph, sizes, rec).map(|(plan, _)| plan);
+                return self.dh_plan(graph, sizes, rec).map(|(plan, _)| plan);
             }
-            // The node-hierarchical routers read node membership off the
-            // rank number and have no re-ranking path.
-            Algorithm::HierarchicalLeader { .. } | Algorithm::Bruck
-                if self.layout.placement() != Placement::Block =>
-            {
-                return Err(BuildError::NonBlockPlacement.into());
+            Algorithm::HierarchicalLeader { leaders_per_node: l } => {
+                let build =
+                    |g: &_, _: &_| Ok::<_, CommError>(plan_hierarchical_leader(g, layout, l));
+                self.in_locality_order(graph, sizes, build)?.0
             }
-            Algorithm::HierarchicalLeader { leaders_per_node } => {
-                crate::leader::plan_hierarchical_leader(&self.graph, &self.layout, leaders_per_node)
+            Algorithm::Bruck => {
+                let build = |g: &_, _: &_| Ok::<_, CommError>(plan_bruck(g, layout));
+                self.in_locality_order(graph, sizes, build)?.0
             }
-            Algorithm::Bruck => crate::bruck::plan_bruck(&self.graph, &self.layout),
-            Algorithm::Pat { radix } => crate::pat::plan_pat(&self.graph, radix),
+            Algorithm::Pat { radix } => crate::pat::plan_pat(graph, radix),
             Algorithm::Auto => {
                 // The tuner validates (and usually caches) the winner.
                 return self.resolve_auto(sizes, rec).map(|p| (*p).clone());
             }
         };
-        plan.validate(&self.graph).map_err(CommError::InvalidPlan)?;
+        plan.validate(graph).map_err(CommError::InvalidPlan)?;
         Ok(plan)
     }
 

@@ -3,7 +3,10 @@
 //! reference \[9\]), implemented for comparison in the regime where
 //! Distance Halving's buffer doubling hurts.
 //!
-//! Three phases under block placement:
+//! The builder plans in rank order: rank `r` sits on node
+//! `r / ranks_per_node`, and only the layout's shape is read. Off block
+//! placement the communicator relabels into locality order first
+//! ([`crate::remap::reranked`]). Three phases:
 //!
 //! 1. **gather** — every rank with at least one off-node outgoing
 //!    neighbor sends its block to one of its node's leaders (blocks are
@@ -22,25 +25,19 @@
 //! receiver actually needs — at the price of leader hot-spots.
 
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
-use nhood_cluster::{ClusterLayout, Placement};
+use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
 
 /// Builds the hierarchical leader plan.
 ///
 /// # Panics
-/// Panics if `leaders_per_node == 0`, the layout is not block-placed, or
-/// the topology exceeds the layout.
+/// Panics if `leaders_per_node == 0` or the topology exceeds the layout.
 pub fn plan_hierarchical_leader(
     graph: &Topology,
     layout: &ClusterLayout,
     leaders_per_node: usize,
 ) -> CollectivePlan {
     assert!(leaders_per_node > 0, "need at least one leader per node");
-    assert_eq!(
-        layout.placement(),
-        Placement::Block,
-        "leader hierarchy needs block placement (only Distance Halving re-ranks through remap)"
-    );
     let n = graph.n();
     assert!(n <= layout.capacity(), "{n} ranks exceed layout capacity");
     let per_node = layout.ranks_per_node();
@@ -100,15 +97,15 @@ pub fn plan_hierarchical_leader(
     w.finish()
 }
 
-/// Whether some node of the block-placed `layout` hosts at least two of
-/// the `n` ranks but fewer than `l` leaders: two leader slots then share a
-/// rank, which relays a destination's blocks in one message per slot —
-/// fine for the gather family, a broken co-routing invariant for the
-/// reduce ops. A node of one rank relays only its own block.
+/// Whether some node of `layout`'s shape, filled in rank order (the order
+/// the leader hierarchy plans in), hosts at least two of the `n` ranks but
+/// fewer than `l` leaders: two leader slots then share a rank, which
+/// relays a destination's blocks in one message per slot — fine for the
+/// gather family, a broken co-routing invariant for the reduce ops. A
+/// node of one rank relays only its own block.
 pub(crate) fn shares_leader_slots(n: usize, layout: &ClusterLayout, l: usize) -> bool {
     let per_node = layout.ranks_per_node().max(1);
-    let mut hosted = (0..n).step_by(per_node).map(|lo| (n - lo).min(per_node));
-    layout.placement() == Placement::Block && hosted.any(|c| (2..l).contains(&c))
+    (0..n).step_by(per_node).any(|lo| (2..l).contains(&(n - lo).min(per_node)))
 }
 
 /// A relay builder's routing row, `(group, key, block)`.

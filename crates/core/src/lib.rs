@@ -30,9 +30,9 @@
 //!   robust request (timeouts in [`comm::RobustPolicy`]) a dead link is
 //!   repaired around, and what cannot be healed degrades to the naive
 //!   plan instead of failing hard.
-//! * [`remap`] re-ranks into locality order so Distance Halving plans
-//!   under any rank placement; [`comm::DistGraphComm::plan`] routes
-//!   through it whenever the layout is not block-placed.
+//! * [`remap`] re-ranks any builder into locality order; the communicator
+//!   runs Distance Halving, the leader hierarchy and Bruck through it
+//!   whenever the layout is not block-placed (the builders read shape).
 //! * [`comm::DistGraphComm`] is the user-facing entry point, split along
 //!   its seams: `comm/mod.rs` (state, configuration, `mutate`),
 //!   `comm/resolve.rs` (algorithm → plan: normalize, fingerprint, cache,

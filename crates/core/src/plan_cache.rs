@@ -108,7 +108,7 @@ impl PlanFingerprint {
                     // block placement — all the plain DH builder reads
                     layout.socket_range(r).hash(h);
                 } else {
-                    // any other placement plans Distance Halving through
+                    // any other placement plans DH, HL and Bruck through
                     // `remap`'s locality re-ranking, which sorts ranks by
                     // exactly this key
                     let loc = layout.location(r);

@@ -1,22 +1,21 @@
-//! Virtual re-ranking: Distance Halving under arbitrary rank placements.
+//! Virtual re-ranking: planning under arbitrary rank placements.
 //!
-//! The halving algorithm needs rank order to mirror physical locality
-//! (contiguous socket ranges), which block placement gives for free. For
-//! any other placement — `--map-by node`, explicit rankfiles — a real
-//! library would *relabel*: sort ranks by physical location into
-//! **virtual ranks**, run the whole pattern machinery in virtual space,
-//! and translate the resulting plan back. This module does exactly that.
+//! Distance Halving reads sockets off rank ranges, and the leader
+//! hierarchy and Bruck read nodes off rank numbers: all three need rank
+//! order to mirror physical locality, which block placement gives for
+//! free. For any other placement — `--map-by node`, explicit rankfiles —
+//! a real library would *relabel*: sort ranks by physical location into
+//! **virtual ranks**, plan in virtual space, and translate the resulting
+//! plan back. [`reranked`] does that around any builder; the builders
+//! themselves plan in rank order and read only the layout's shape.
 //!
 //! Alignment is exact when every socket holds the same number of ranks;
 //! with partially filled sockets the virtual "socket" boundaries are
 //! best-effort (correctness never depends on them — only locality does).
 
-use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
-use crate::lower::lower_pooled;
 use crate::plan::{CollectivePlan, MsgDir, PlanWriter};
-use crate::sizes::{BlockSizes, LoadMetric};
-use nhood_cluster::{ClusterLayout, WorkerPool};
-use nhood_telemetry::{labels, Recorder};
+use crate::sizes::BlockSizes;
+use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
 
 /// The permutation used by a reordered plan.
@@ -45,32 +44,23 @@ pub fn locality_order(layout: &ClusterLayout, n: usize) -> RankOrder {
     RankOrder { physical, virtual_of }
 }
 
-/// Builds a Distance Halving plan for `graph` on a layout with *any*
-/// placement, by re-ranking into locality order, planning in virtual
-/// space, and relabelling the plan back to physical ranks. `sizes`
-/// (indexed by physical rank, relabelled here), `metric`, `pool` and
-/// `rec` reach the pattern build and the lowering exactly as they do on
-/// a block-placed layout ([`build_pattern_recorded_v`],
-/// [`lower_pooled`]). This is what
-/// [`DistGraphComm::plan`](crate::comm::DistGraphComm::plan) runs for
-/// Distance Halving on a non-block placement.
-pub fn plan_distance_halving_reordered(
+/// Plans `graph` in the virtual rank space of `order`: relabels every
+/// edge, and the size table (indexed by physical rank), into virtual
+/// ranks, runs `build` on them, and relabels the lock-step plan it
+/// returns back — virtual rank `v`'s program becomes physical rank
+/// `order.physical[v]`'s, and every peer and block id is a physical rank
+/// again. Under the identity order the plan equals `build(graph, sizes)`.
+/// [`DistGraphComm`](crate::comm::DistGraphComm) plans Distance Halving,
+/// the leader hierarchy and Bruck through it, in [`locality_order`], on
+/// any placement but block.
+pub fn reranked<E>(
     graph: &Topology,
-    layout: &ClusterLayout,
+    order: &RankOrder,
     sizes: &BlockSizes,
-    metric: LoadMetric,
-    pool: &WorkerPool,
-    rec: &dyn Recorder,
-) -> Result<CollectivePlan, BuildError> {
+    build: impl FnOnce(&Topology, &BlockSizes) -> Result<CollectivePlan, E>,
+) -> Result<CollectivePlan, E> {
     let n = graph.n();
-    if n > layout.capacity() {
-        return Err(BuildError::LayoutTooSmall { ranks: n, capacity: layout.capacity() });
-    }
-    let order = locality_order(layout, n);
-
-    // Virtual graph and size table: relabel every edge and every entry.
-    let vedges: Vec<(Rank, Rank)> =
-        graph.edges().map(|(s, d)| (order.virtual_of[s], order.virtual_of[d])).collect();
+    let vedges = graph.edges().map(|(s, d)| (order.virtual_of[s], order.virtual_of[d]));
     let vgraph = Topology::from_edges(n, vedges);
     let vsizes = match sizes {
         BlockSizes::Uniform(_) => sizes.clone(),
@@ -78,22 +68,8 @@ pub fn plan_distance_halving_reordered(
             BlockSizes::per_rank(order.physical.iter().map(|&p| sizes.size(p)).collect())
         }
     };
+    let vplan = build(&vgraph, &vsizes)?;
 
-    // A block-placed layout of the same shape hosts the virtual ranks.
-    let block = ClusterLayout::with_groups(
-        layout.nodes(),
-        layout.sockets_per_node(),
-        layout.ranks_per_socket(),
-        layout.nodes_per_group(),
-    );
-    let strategy = PairingStrategy::LoadAware;
-    let pattern = build_pattern_recorded_v(&vgraph, &block, strategy, &vsizes, metric, pool, rec)?;
-    rec.span_begin(0, labels::PLAN_LOWER);
-    let vplan = lower_pooled(&pattern, &vgraph, pool);
-    rec.span_end(0, labels::PLAN_LOWER);
-
-    // Translate back: program of virtual rank v belongs to physical rank
-    // physical[v]; peers and block ids are physical ranks again.
     let to_physical = |v: &Rank| order.physical[*v];
     let mut w = PlanWriter::new(vplan.algorithm, n, vplan.phase_count());
     w.selection = vplan.selection;
@@ -126,15 +102,14 @@ mod tests {
     use crate::exec::{Executor, Virtual};
     use crate::lower::lower;
     use nhood_cluster::Placement;
-    use nhood_telemetry::NULL;
     use nhood_topology::random::erdos_renyi;
     use std::sync::Arc;
 
-    /// The re-ranked plan at the builder's default sizes and metric.
+    /// Distance Halving re-ranked into `layout`'s locality order, at the
+    /// builder's default sizes and metric.
     fn reordered(g: &Topology, layout: &ClusterLayout) -> CollectivePlan {
-        let (sizes, pool) = (BlockSizes::default(), WorkerPool::serial());
-        plan_distance_halving_reordered(g, layout, &sizes, LoadMetric::Neighbors, &pool, &NULL)
-            .unwrap()
+        let build = |g: &Topology, _: &BlockSizes| build_pattern(g, layout).map(|p| lower(&p, g));
+        reranked(g, &locality_order(layout, g.n()), &BlockSizes::default(), build).unwrap()
     }
 
     #[test]
@@ -168,9 +143,6 @@ mod tests {
     fn reordered_plan_is_correct_under_round_robin() {
         let g = erdos_renyi(24, 0.4, 9);
         let layout = ClusterLayout::new(3, 2, 4).with_placement(Placement::RoundRobinNodes);
-        // the plain builder refuses this placement...
-        assert!(build_pattern(&g, &layout).is_err());
-        // ...but the reordered planner handles it
         let plan = Arc::new(reordered(&g, &layout));
         plan.validate(&g).unwrap();
         let payloads = test_payloads(24, 8, 2);
@@ -179,12 +151,43 @@ mod tests {
     }
 
     #[test]
+    fn reranked_hands_build_the_relabelled_graph_and_size_table() {
+        let g = erdos_renyi(24, 0.3, 3);
+        let layout = ClusterLayout::new(3, 2, 4).with_placement(Placement::RoundRobinNodes);
+        let order = locality_order(&layout, 24);
+        let sizes = BlockSizes::per_rank((0..24).map(|p| 3 * p).collect());
+        let plan = reranked(&g, &order, &sizes, |vg: &Topology, vsizes: &BlockSizes| {
+            for (v, &p) in order.physical.iter().enumerate() {
+                assert_eq!(vsizes.size(v), sizes.size(p), "virtual rank {v}");
+                let mut want: Vec<Rank> =
+                    g.out_neighbors(p).iter().map(|&d| order.virtual_of[d]).collect();
+                want.sort_unstable();
+                assert_eq!(vg.out_neighbors(v), want, "virtual rank {v}");
+            }
+            Ok::<_, ()>(crate::naive::plan_naive(vg))
+        });
+        // ... and the plan comes back in physical ranks
+        plan.unwrap().validate(&g).unwrap();
+    }
+
+    #[test]
     fn reordered_equals_plain_under_block_placement() {
         let g = erdos_renyi(32, 0.3, 4);
         let layout = ClusterLayout::new(4, 2, 4);
         let plain = lower(&build_pattern(&g, &layout).unwrap(), &g);
-        // identity permutation → byte-identical plans
+        // identity permutation → byte-identical plans, for every builder
+        // the communicator re-ranks
         assert!(plain == reordered(&g, &layout));
+        let order = locality_order(&layout, 32);
+        let relays: [fn(&Topology, &ClusterLayout) -> CollectivePlan; 2] = [
+            |g, layout| crate::leader::plan_hierarchical_leader(g, layout, 2),
+            crate::bruck::plan_bruck,
+        ];
+        for relay in relays {
+            let same =
+                reranked(&g, &order, &BlockSizes::default(), |g, _| Ok::<_, ()>(relay(g, &layout)));
+            assert!(relay(&g, &layout) == same.unwrap());
+        }
     }
 
     #[test]

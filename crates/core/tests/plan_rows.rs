@@ -17,6 +17,11 @@
 //! of all 98 plans showed every column, every `PlanFingerprint` and the
 //! footer digest identical and `drop` the only header word that differs
 //! (CHANGES.md, PR 25).
+//!
+//! The 28 `hl-remap` and `bruck-remap` pins were taken when the
+//! communicator began re-ranking the leader hierarchy and Bruck off block
+//! placement, as Distance Halving already was; the 98 pins before them
+//! held unedited through that change, the 14 `dh-remap` ones included.
 
 use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::plan::{MsgDir, PlanPhase, PlanWriter, PlannedMsg};
@@ -27,7 +32,7 @@ use nhood_topology::Topology;
 
 const SHAPES: [(&str, usize); 7] =
     [("n0", 0), ("n1", 1), ("n2", 2), ("n17", 17), ("n61", 61), ("n96", 96), ("n40-isolated", 40)];
-const BUILDERS: [(&str, Algorithm, bool); 7] = [
+const BUILDERS: [(&str, Algorithm, bool); 9] = [
     ("naive", Algorithm::Naive, false),
     ("cn4", Algorithm::CommonNeighbor { k: 4 }, false),
     ("dh", Algorithm::DistanceHalving, false),
@@ -35,6 +40,8 @@ const BUILDERS: [(&str, Algorithm, bool); 7] = [
     ("bruck", Algorithm::Bruck, false),
     ("hl2", Algorithm::HierarchicalLeader { leaders_per_node: 2 }, false),
     ("dh-remap", Algorithm::DistanceHalving, true),
+    ("hl-remap", Algorithm::HierarchicalLeader { leaders_per_node: 2 }, true),
+    ("bruck-remap", Algorithm::Bruck, true),
 ];
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -75,7 +82,7 @@ fn file_fnv(plan: &CollectivePlan) -> u64 {
 }
 
 /// `(shape/seed/builder, FNV-1a of the plan file)`.
-const GOLDENS: [(&str, u64); 98] = [
+const GOLDENS: [(&str, u64); 126] = [
     ("n0/s1/naive", 0xe0f9bc063caa9e29),
     ("n0/s1/cn4", 0xdd4376dd10ad2f74),
     ("n0/s1/dh", 0xddf9df03f5f8a83f),
@@ -83,6 +90,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n0/s1/bruck", 0xebf225ebb61c3aaf),
     ("n0/s1/hl2", 0x4246ba847f13cdfd),
     ("n0/s1/dh-remap", 0xddf9df03f5f8a83f),
+    ("n0/s1/hl-remap", 0x4246ba847f13cdfd),
+    ("n0/s1/bruck-remap", 0xebf225ebb61c3aaf),
     ("n0/s2/naive", 0xe0f9bc063caa9e29),
     ("n0/s2/cn4", 0xdd4376dd10ad2f74),
     ("n0/s2/dh", 0xddf9df03f5f8a83f),
@@ -90,6 +99,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n0/s2/bruck", 0xebf225ebb61c3aaf),
     ("n0/s2/hl2", 0x4246ba847f13cdfd),
     ("n0/s2/dh-remap", 0xddf9df03f5f8a83f),
+    ("n0/s2/hl-remap", 0x4246ba847f13cdfd),
+    ("n0/s2/bruck-remap", 0xebf225ebb61c3aaf),
     ("n1/s1/naive", 0xf22af5c458bb3eb5),
     ("n1/s1/cn4", 0x4971194a15a116b0),
     ("n1/s1/dh", 0xd1f809cdaef6894a),
@@ -97,6 +108,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n1/s1/bruck", 0x73abd12888b0288c),
     ("n1/s1/hl2", 0x1df9f5fd8d9eef55),
     ("n1/s1/dh-remap", 0xd1f809cdaef6894a),
+    ("n1/s1/hl-remap", 0x1df9f5fd8d9eef55),
+    ("n1/s1/bruck-remap", 0x73abd12888b0288c),
     ("n1/s2/naive", 0xf22af5c458bb3eb5),
     ("n1/s2/cn4", 0x4971194a15a116b0),
     ("n1/s2/dh", 0xd1f809cdaef6894a),
@@ -104,6 +117,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n1/s2/bruck", 0x73abd12888b0288c),
     ("n1/s2/hl2", 0x1df9f5fd8d9eef55),
     ("n1/s2/dh-remap", 0xd1f809cdaef6894a),
+    ("n1/s2/hl-remap", 0x1df9f5fd8d9eef55),
+    ("n1/s2/bruck-remap", 0x73abd12888b0288c),
     ("n2/s1/naive", 0xd77b55aa36549045),
     ("n2/s1/cn4", 0x7a87ce47fe34875c),
     ("n2/s1/dh", 0x13e47b166fa1d8eb),
@@ -111,6 +126,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n2/s1/bruck", 0x9853d0fdca4a8335),
     ("n2/s1/hl2", 0x6eaf9bb2596c9d05),
     ("n2/s1/dh-remap", 0x13e47b166fa1d8eb),
+    ("n2/s1/hl-remap", 0x6eaf9bb2596c9d05),
+    ("n2/s1/bruck-remap", 0x9853d0fdca4a8335),
     ("n2/s2/naive", 0xc8cac856f247b518),
     ("n2/s2/cn4", 0xffec6cf8dfad8512),
     ("n2/s2/dh", 0xc61305c3a37b9b0e),
@@ -118,6 +135,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n2/s2/bruck", 0x5ec7998d077038c3),
     ("n2/s2/hl2", 0x1b62608025271376),
     ("n2/s2/dh-remap", 0xc61305c3a37b9b0e),
+    ("n2/s2/hl-remap", 0x1b62608025271376),
+    ("n2/s2/bruck-remap", 0x5ec7998d077038c3),
     ("n17/s1/naive", 0xaa15621c27356fb8),
     ("n17/s1/cn4", 0x9f144ea46b85f020),
     ("n17/s1/dh", 0x9ad59dc19c1e8eb2),
@@ -125,6 +144,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n17/s1/bruck", 0xdd1b44265c40653b),
     ("n17/s1/hl2", 0x44b3f51ecb1c3d67),
     ("n17/s1/dh-remap", 0x9ab832c5318c37d2),
+    ("n17/s1/hl-remap", 0x15996faef86e9be0),
+    ("n17/s1/bruck-remap", 0xa7f05eb2f2881fd6),
     ("n17/s2/naive", 0x41e6678a98fa920c),
     ("n17/s2/cn4", 0xe4a7c3fcd9a04a9e),
     ("n17/s2/dh", 0xed5eec4745abbecd),
@@ -132,6 +153,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n17/s2/bruck", 0x7069eddf00471f37),
     ("n17/s2/hl2", 0x7a2301d5d7acc134),
     ("n17/s2/dh-remap", 0xad9929e954763abc),
+    ("n17/s2/hl-remap", 0xf3816861a4cd4f3c),
+    ("n17/s2/bruck-remap", 0x9522c4020810a376),
     ("n61/s1/naive", 0xb94c3cf94974750b),
     ("n61/s1/cn4", 0xb05dedecaa045519),
     ("n61/s1/dh", 0xb85d63c82987665c),
@@ -139,6 +162,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n61/s1/bruck", 0x9b4f26860b325932),
     ("n61/s1/hl2", 0xb59c19f74884be21),
     ("n61/s1/dh-remap", 0x9bee25c225f08c0b),
+    ("n61/s1/hl-remap", 0x69b634a6c5ba25db),
+    ("n61/s1/bruck-remap", 0xf82f28efb0983fb0),
     ("n61/s2/naive", 0xf1d17e0ddc9946fb),
     ("n61/s2/cn4", 0x3bea2032b654297a),
     ("n61/s2/dh", 0x8cb804c5f10f7c64),
@@ -146,6 +171,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n61/s2/bruck", 0xf50c3f236b441f5a),
     ("n61/s2/hl2", 0x6138b854e4ffbca6),
     ("n61/s2/dh-remap", 0xf0a288f316a8fd03),
+    ("n61/s2/hl-remap", 0x4e39340446b18f03),
+    ("n61/s2/bruck-remap", 0xf1c497cf7de51145),
     ("n96/s1/naive", 0xcb15803c185ad85d),
     ("n96/s1/cn4", 0xa78ac6af031e1794),
     ("n96/s1/dh", 0x1ea38b82dbc4c63d),
@@ -153,6 +180,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n96/s1/bruck", 0x038b451f229e8fb5),
     ("n96/s1/hl2", 0x872042b929d69801),
     ("n96/s1/dh-remap", 0x42d2a2d13bec0ae7),
+    ("n96/s1/hl-remap", 0x7a91b318dbcaeb19),
+    ("n96/s1/bruck-remap", 0xbd0c29bba249b223),
     ("n96/s2/naive", 0x334cb1713440baed),
     ("n96/s2/cn4", 0x7c4c601f91a06034),
     ("n96/s2/dh", 0x6bb132e876697d65),
@@ -160,6 +189,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n96/s2/bruck", 0xc403d593634f499c),
     ("n96/s2/hl2", 0x9e45553b25dd3b87),
     ("n96/s2/dh-remap", 0x690fc9ae64dbc6ed),
+    ("n96/s2/hl-remap", 0x3efeac082aebe14d),
+    ("n96/s2/bruck-remap", 0x55f81839b387f87a),
     ("n40-isolated/s1/naive", 0x2a0870f3f3460499),
     ("n40-isolated/s1/cn4", 0xfac983d475fe46b5),
     ("n40-isolated/s1/dh", 0x736626a468dfc4ae),
@@ -167,6 +198,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n40-isolated/s1/bruck", 0x1a791dda07aaa31a),
     ("n40-isolated/s1/hl2", 0x07434970a92a240b),
     ("n40-isolated/s1/dh-remap", 0xe6abf3bea0bdcfe8),
+    ("n40-isolated/s1/hl-remap", 0x2cc3f01bbda3aa1f),
+    ("n40-isolated/s1/bruck-remap", 0x0f86dee8e8435baf),
     ("n40-isolated/s2/naive", 0x085fd318595fb945),
     ("n40-isolated/s2/cn4", 0xb639a3622f4ac464),
     ("n40-isolated/s2/dh", 0x33126ac8ce0caab9),
@@ -174,6 +207,8 @@ const GOLDENS: [(&str, u64); 98] = [
     ("n40-isolated/s2/bruck", 0xfa0ffc20c879ea42),
     ("n40-isolated/s2/hl2", 0x38ebf53c67e34d2f),
     ("n40-isolated/s2/dh-remap", 0xc706ee0c77ea15e1),
+    ("n40-isolated/s2/hl-remap", 0x59634510b9bcc085),
+    ("n40-isolated/s2/bruck-remap", 0x29c1b6170e47bd90),
 ];
 
 #[test]

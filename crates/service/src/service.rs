@@ -1046,6 +1046,24 @@ mod tests {
     }
 
     #[test]
+    fn auto_and_relay_tenants_serve_off_block_placement() {
+        // the leader hierarchy and Bruck re-rank through `remap` as
+        // Distance Halving does, so every arm registers there and an Auto
+        // tenant tunes over the whole portfolio
+        let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
+        let mut svc = Service::new(cfg);
+        let layout = ClusterLayout::new(2, 2, 8).with_placement(Placement::RoundRobinNodes);
+        let leaders = Algorithm::HierarchicalLeader { leaders_per_node: 2 };
+        for (seed, algo) in [(7, Algorithm::Auto), (8, leaders), (9, Algorithm::Bruck)] {
+            let t = svc.add_tenant(erdos_renyi(32, 0.3, seed), layout.clone(), algo).unwrap();
+            svc.submit(t, uniform_payloads(32, 32, 1)).unwrap();
+        }
+        svc.drain();
+        let stats = svc.report().stats;
+        assert_eq!((stats.completed, stats.verified, stats.corrupt), (3, 3, 0));
+    }
+
+    #[test]
     fn warm_requests_verify_across_churn_and_shared_fingerprints() {
         // The arena's warm check must follow the plan through every way
         // a tenant's plan changes under it: two tenants sharing one

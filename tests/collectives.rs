@@ -9,7 +9,7 @@
 //! happens, and f32 folds must be bit-deterministic across backends and
 //! repeat runs.
 
-use nhood_cluster::ClusterLayout;
+use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::collective::{
     derive_sizes, reference, reference_allreduce, reference_alltoallv, reference_reduce_scatter,
 };
@@ -171,9 +171,11 @@ const PORTFOLIO: [Algorithm; 9] = [
     Algorithm::Pat { radix: 2 },
 ];
 
-/// Whether `algo` refuses the reduce ops on `layout_for(n)`: PAT always;
-/// the leader hierarchy when a node hosts at least two but fewer than
-/// `leaders_per_node` ranks, so that two leader slots share a rank.
+/// Whether `algo` refuses the reduce ops on `layout_for(n)`'s shape, on
+/// any placement: PAT always; the leader hierarchy when a node of the
+/// block shape (the one it plans on, in locality order off block
+/// placement) hosts at least two but fewer than `leaders_per_node` ranks,
+/// so that two leader slots share a rank.
 fn refuses_reductions(algo: Algorithm, n: usize) -> bool {
     let per_node = layout_for(n).ranks_per_node();
     match algo {
@@ -236,10 +238,11 @@ fn cases(g: &Topology, rng: &mut DetRng) -> Vec<Case> {
 }
 
 /// The support matrix as one sweep: every op × every algorithm of the
-/// portfolio × every backend × uniform and ragged sizes, on a
-/// fresh communicator and again after each single-edge mutation (Distance
-/// Halving then runs the surgically repaired live plan), against
-/// [`reference`]. Exact lanes and f32 `Max` are byte-equal to it; f32
+/// portfolio × every backend × uniform and ragged sizes × block and
+/// round-robin placement, on a fresh communicator and again after each
+/// single-edge mutation (on block placement Distance Halving then runs
+/// the surgically repaired live plan; off it every mutation rebuilds),
+/// against [`reference`]. Exact lanes and f32 `Max` are byte-equal to it; f32
 /// `Sum` is bit-equal across backends and repeats. PAT's reduce ops, and
 /// the leader hierarchy's on a node hosting fewer ranks than leaders, are
 /// the typed refusals.
@@ -249,13 +252,20 @@ fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
     // n = 61 leaves a node of five ranks: eight leaders refuse there
     let leaders = Algorithm::HierarchicalLeader { leaders_per_node: 8 };
     assert!(refuses_reductions(leaders, 61) && !refuses_reductions(leaders, 17));
-    // a prime n, two non-powers of two, and a graph with isolated ranks
-    for (n, lonely) in [(17, 0), (61, 0), (96, 0), (40, 3)] {
+    // a prime n, two non-powers of two, and a graph with isolated ranks,
+    // block-placed; then the three odd shapes round-robin, where the
+    // planners that read locality off ranks plan in locality order (and
+    // the leader hierarchy on the block shape `refuses_reductions` reads)
+    let (block, rr) = (Placement::Block, Placement::RoundRobinNodes);
+    let shapes = [(17, 0, block), (61, 0, block), (96, 0, block), (40, 3, block)];
+    for (n, lonely, placement) in shapes.into_iter().chain([(17, 0, rr), (61, 0, rr), (40, 3, rr)])
+    {
         let g = nhood_topology::random::erdos_renyi(n, 0.1 + 0.3 * rng.gen_f64(), rng.next_u64());
         let lonely: Vec<usize> = (0..lonely).map(|_| rng.gen_below(n)).collect();
         let keep = |&(u, v): &(usize, usize)| !lonely.contains(&u) && !lonely.contains(&v);
         let g = Topology::from_edges(n, g.edges().filter(keep));
-        let mut comm = DistGraphComm::create_adjacent(g, layout_for(n)).unwrap();
+        let layout = layout_for(n).with_placement(placement);
+        let mut comm = DistGraphComm::create_adjacent(g, layout).unwrap();
         // a fresh communicator, then after an added and after a removed
         // edge (an empty mutation arms the churn slot the two repair)
         for round in 0..3 {
@@ -273,7 +283,9 @@ fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
             }
             if round > 0 {
                 let rep = comm.mutate(added.as_slice(), removed.as_slice()).unwrap();
-                assert!(!rep.full_rebuild, "n={n}: one edge repairs surgically");
+                // off block placement no pattern is kept to repair
+                let rebuilt = placement != block;
+                assert_eq!(rep.full_rebuild, rebuilt, "n={n} {placement:?}: one edge");
             }
             let g = comm.graph().clone();
             for case in cases(&g, rng) {
@@ -283,7 +295,9 @@ fn the_support_matrix_holds_on_every_backend_before_and_after_churn() {
                 for algo in PORTFOLIO {
                     let mut first: Option<Vec<Vec<u8>>> = None;
                     for backend in BACKENDS {
-                        let ctx = format!("n={n} round {round} {op} {sizes:?} {algo} {backend}");
+                        let ctx = format!(
+                            "n={n} {placement:?} round {round} {op} {sizes:?} {algo} {backend}"
+                        );
                         let req = || {
                             let req = CollectiveRequest::new(*op, sbufs).sizes(sizes.clone());
                             comm.collective(&req.algorithm(algo).backend(backend))

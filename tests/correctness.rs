@@ -135,18 +135,22 @@ fn zero_and_large_payloads() {
 fn dh_off_block_placement_plans_through_the_reranking() {
     let g = erdos_renyi(16, 0.3, 1);
     let rr = ClusterLayout::new(4, 2, 2).with_placement(Placement::RoundRobinNodes);
-    // the halving builder itself needs rank order to mirror locality...
-    assert_eq!(
-        nhood_core::builder::build_pattern(&g, &rr).unwrap_err(),
-        nhood_core::builder::BuildError::NonBlockPlacement
-    );
-    // ...so the communicator re-ranks into locality order first; naive
-    // and CN are placement-agnostic
+    // the halving builder plans in rank order, reading only the layout's
+    // shape...
+    let in_rank_order = nhood_core::builder::build_pattern(&g, &rr).unwrap();
+    // ...so the communicator re-ranks into locality order first, and its
+    // plan is not the rank-order one; naive and CN are placement-agnostic
     let comm = DistGraphComm::create_adjacent(g.clone(), rr).unwrap();
-    comm.plan(Algorithm::DistanceHalving).unwrap().validate(&g).unwrap();
+    let plan = comm.plan(Algorithm::DistanceHalving).unwrap();
+    plan.validate(&g).unwrap();
+    assert!(plan != nhood_core::lower::lower(&in_rank_order, &g));
     let payloads = test_payloads(16, 8, 1);
     let want = reference_allgather(&g, &payloads);
-    for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k: 4 }, Algorithm::DistanceHalving] {
+    let relays = [Algorithm::HierarchicalLeader { leaders_per_node: 2 }, Algorithm::Bruck];
+    for algo in [Algorithm::Naive, Algorithm::CommonNeighbor { k: 4 }, Algorithm::DistanceHalving]
+        .into_iter()
+        .chain(relays)
+    {
         let req = CollectiveRequest::allgather(&payloads).algorithm(algo);
         assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
     }

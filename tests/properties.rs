@@ -224,14 +224,18 @@ fn reordered_planner_correct_under_any_placement() {
         if round_robin {
             layout = layout.with_placement(nhood_cluster::Placement::RoundRobinNodes);
         }
-        // the request path: off block placement `plan(DistanceHalving)`
-        // runs the locality re-ranking, on every backend
+        // the request path: off block placement every planner that reads
+        // locality off rank numbers runs the locality re-ranking, on every
+        // backend
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
         let payloads = test_payloads(n, 4, 13);
         let want = reference_allgather(&g, &payloads);
-        for backend in [ExecBackend::Virtual, ExecBackend::Threaded, ExecBackend::Sim] {
-            let req = CollectiveRequest::allgather(&payloads).backend(backend);
-            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{backend}");
+        let leaders = [1, 2, 8].map(|l| Algorithm::HierarchicalLeader { leaders_per_node: l });
+        for algo in [Algorithm::DistanceHalving, Algorithm::Bruck].into_iter().chain(leaders) {
+            for backend in [ExecBackend::Virtual, ExecBackend::Threaded, ExecBackend::Sim] {
+                let req = CollectiveRequest::allgather(&payloads).algorithm(algo).backend(backend);
+                assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo} {backend}");
+            }
         }
     });
 }
