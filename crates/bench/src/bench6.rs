@@ -4,7 +4,7 @@
 //! [`DistGraphComm`] plan is mutated one edge at a time —
 //! add-a-non-edge then remove-it-again pairs, so the topology never
 //! drifts — and each surgical repair is timed against the cold build
-//! that seeded the slot. Every repaired plan is executed and compared
+//! that seeded the live plan. Every repaired plan is executed and compared
 //! to the MPI-semantics reference, and to a from-scratch build over the
 //! same mutated topology.
 //!
@@ -48,7 +48,7 @@ pub struct Row {
     pub n: usize,
     /// Edge density of the Erdős–Rényi graph.
     pub delta: f64,
-    /// Cold build into the churn slot (build + lower + validate), s.
+    /// Cold build of the live plan (build + lower + validate), s.
     pub cold_build_s: f64,
     /// Median single-edge `mutate` over the sampled repairs, s.
     pub repair_s: f64,
@@ -71,7 +71,7 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
     let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
     // The cold arm, like the repair arm, is a median: one un-repeated
     // build moved the ratio by 40 % from run to run. Every sample builds
-    // on a fresh communicator; the last one is the slot the repairs patch.
+    // on a fresh communicator; the last one is the plan the repairs patch.
     let cold_build = |_| {
         let mut comm =
             DistGraphComm::create_adjacent(g.clone(), layout.clone()).expect("layout fits");
@@ -83,7 +83,7 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
     let cold = median(builds.iter().map(|build| build.0).collect());
     let mut comm = builds.pop().expect("COLD_SAMPLES > 0").1;
 
-    // Add-then-remove pairs over seeded non-edges: the slot sees 2
+    // Add-then-remove pairs over seeded non-edges: the plan sees 2
     // mutations per sample and the topology ends where it started.
     let mut rng = DetRng::seed_from_u64(0xC4 + n as u64);
     let mut times = Vec::with_capacity(samples * 2);
@@ -108,7 +108,7 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
     // against a from-scratch build over the same (restored) topology.
     let payloads = test_payloads(n, 8, 0xB6);
     let want = reference_allgather(comm.graph(), &payloads);
-    let live = comm.churn_plan().expect("mutate leaves a live plan");
+    let live = &comm.churn_plan().expect("mutate leaves a live plan");
     let exact = Virtual.run_simple(live, comm.graph(), &payloads).expect("repaired run") == want
         && {
             let fresh = DistGraphComm::create_adjacent(comm.graph().clone(), layout)

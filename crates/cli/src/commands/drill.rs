@@ -184,7 +184,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         let dt = t0.elapsed();
         let payloads = test_payloads(comm.n(), m, seed ^ e as u64);
         let want = reference_allgather(comm.graph(), &payloads);
-        let live = comm.churn_plan().expect("mutate leaves a live plan");
+        let live = &comm.churn_plan().expect("mutate leaves a live plan");
         let got = Virtual.run_simple(live, comm.graph(), &payloads)?;
         if got != want {
             corrupt += 1;
@@ -209,7 +209,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 
     // Link-down drill: kill a relay link (a plan send that is not a
     // graph edge) mid-collective and require recovery by repair.
-    let plan = comm.churn_plan().expect("warm-up built the live plan").clone();
+    let plan = comm.churn_plan().expect("warm-up built the live plan");
     let g = comm.graph();
     let link = (0..plan.n()).find_map(|r| {
         plan.phases(r).enumerate().find_map(|(k, phase)| {

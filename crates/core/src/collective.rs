@@ -1019,7 +1019,7 @@ mod tests {
         assert_eq!(compiled(), 2);
 
         // churn retires routing and programs together — and the routing
-        // recompiles from the plan `mutate` left in the churn slot: the
+        // recompiles from the plan `mutate` left in the fresh memo: the
         // request's recorder sees a plan-cache hit, and nothing is built
         let g = comm.graph();
         let gone = g.edges().next().expect("the graph has edges");
@@ -1063,8 +1063,8 @@ mod tests {
     #[test]
     fn a_cacheless_communicator_builds_its_routing_plan_once_per_topology_epoch() {
         use crate::comm::DistGraphComm;
-        // no plan cache, no churn slot: the memo alone stands between a
-        // request and a pattern build
+        // no plan cache: the epoch's memo alone stands between a request
+        // and a pattern build
         let g = erdos_renyi(32, 0.3, 4);
         let mut comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
         let (seen, cold) = (PlanningSeen::default(), compiles());
@@ -1087,18 +1087,81 @@ mod tests {
         assert_eq!(request(&before, f32_max), (1, 0, 0));
         let gone = comm.graph().edges().next().expect("the graph has edges");
         comm.mutate(&[], &[gone]).unwrap();
-        assert_eq!(request(&comm, f32_max), (1, 0, 0), "mutate armed the churn slot");
+        assert_eq!(request(&comm, f32_max), (1, 0, 0), "mutate installed the live plan");
         // each keeps its own epoch's plan: alternating requests never rebuild
         for _ in 0..2 {
             assert_eq!(request(&before, f32_max), (1, 0, 0), "the unmutated clone's memo");
             assert_eq!(request(&comm, f32_max), (1, 0, 0), "the mutated clone's memo");
         }
-        // an epoch no churn slot serves misses once, then hits
+        // an epoch `mutate` did not open misses once, then hits
         let bytes = before.clone().with_load_metric(crate::sizes::LoadMetric::Bytes);
         assert_eq!(request(&bytes, f32_max), (0, 1, 1), "a new epoch builds once");
         for _ in 0..2 {
             assert_eq!(request(&bytes, f32_max), (1, 0, 0), "the new epoch's memo");
             assert_eq!(request(&before, f32_max), (1, 0, 0), "the old epoch's memo");
+        }
+        // the churn state is the epoch's too: the next churn repairs the
+        // live plan, unless a new load metric dropped it with the epoch
+        let edge = comm.graph().edges().next().expect("the graph has edges");
+        assert!(!comm.clone().mutate(&[], &[edge]).unwrap().full_rebuild, "a surgical repair");
+        let mut bytes = comm.clone().with_load_metric(crate::sizes::LoadMetric::Bytes);
+        assert!(bytes.mutate(&[], &[edge]).unwrap().full_rebuild, "no live plan to repair");
+
+        // and every gather arm: the second identical request builds and
+        // compiles nothing
+        let comm =
+            DistGraphComm::create_adjacent(erdos_renyi(32, 0.3, 4), ClusterLayout::new(4, 2, 4))
+                .unwrap();
+        let gather = |algo: Algorithm| {
+            let req = CollectiveRequest::allgather(&payloads).algorithm(algo).recorder(&seen);
+            let want = reference(comm.graph(), CollectiveOp::Allgather, &payloads, None).unwrap();
+            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
+            seen.take()
+        };
+        for algo in [
+            Algorithm::Naive,
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::DistanceHalving,
+            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+            Algorithm::Bruck,
+            Algorithm::Pat { radix: 2 },
+            Algorithm::Auto,
+        ] {
+            let (hits, misses, _) = gather(algo);
+            assert_eq!((hits, misses), (0, 1), "{algo}: cold");
+            let compiled = compiles();
+            assert_eq!(gather(algo), (1, 0, 0), "{algo}: warm");
+            assert_eq!(compiles(), compiled, "{algo}: the memoized plan's program");
+        }
+    }
+
+    #[test]
+    fn after_a_churn_every_op_is_served_the_repaired_plan() {
+        // allgatherv's ragged table does not key a `Neighbors` plan, so
+        // the repaired plan serves it too, with or without a cache
+        let uniform: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
+        let ragged: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; r % 5]).collect();
+        for cache in [None, Some(Arc::new(crate::plan_cache::PlanCache::new(8)))] {
+            let g = erdos_renyi(32, 0.3, 4);
+            let mut comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
+            if let Some(cache) = &cache {
+                comm = comm.with_plan_cache(Arc::clone(cache));
+            }
+            comm.mutate(&[], &[]).unwrap();
+            let gone = comm.graph().edges().next().expect("the graph has edges");
+            assert!(!comm.mutate(&[], &[gone]).unwrap().full_rebuild, "a surgical repair");
+            let seen = PlanningSeen::default();
+            for (op, sbufs) in [
+                (CollectiveOp::Allgather, &uniform),
+                (CollectiveOp::Allgatherv, &ragged),
+                (CollectiveOp::Allreduce(Reduction::SUM_U8), &uniform),
+            ] {
+                let req = CollectiveRequest::new(op, sbufs).algorithm(Algorithm::DistanceHalving);
+                let got = comm.collective(&req.recorder(&seen)).unwrap().rbufs;
+                assert_eq!(got, reference(comm.graph(), op, sbufs, None).unwrap(), "{op}");
+                let cached = cache.is_some();
+                assert_eq!(seen.take(), (1, 0, 0), "{op} (cache: {cached}): the repaired plan");
+            }
         }
     }
 

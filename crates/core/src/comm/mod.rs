@@ -5,8 +5,9 @@
 //! The module is split along its seams: this file holds the
 //! communicator's state, its builder-style configuration and
 //! [`DistGraphComm::mutate`]; `resolve` turns an algorithm choice into a
-//! plan (normalize, fingerprint, cache, tuner, the combining family's
-//! routing memo); `request` is [`DistGraphComm::collective`] and its
+//! plan through the one lookup every request takes (normalize, the
+//! epoch's plan table, the plan cache, a build or a tuning pass) and
+//! holds that table; `request` is [`DistGraphComm::collective`] and its
 //! backends; `robust` is the fault-tolerant path ([`RobustPolicy`],
 //! [`ExecReport`], repair and naive degradation).
 //!
@@ -32,12 +33,13 @@ mod robust;
 
 pub use robust::{ExecReport, FallbackReason, RobustPolicy};
 
+use resolve::{Entry, Memo};
+
 use crate::arena::BlockArena;
 use crate::builder::BuildError;
 use crate::collective::{CollectiveOp, Reduction};
 use crate::exec::ExecError;
 use crate::fault::FaultPlan;
-use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::plan_cache::{PlanCache, PlanFingerprint};
 use crate::repair::{repair_for_churn, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
@@ -143,8 +145,8 @@ pub struct MutationReport {
     /// Edges actually removed (after dropping edges the graph lacked).
     pub edges_removed: usize,
     /// `true` when the change was absorbed by a full pattern rebuild
-    /// (cold slot, damage over threshold, repair-round budget spent, or a
-    /// non-block placement);
+    /// (no live plan, damage over threshold, repair-round budget spent, or
+    /// a non-block placement);
     /// `false` when the surgical repair path handled it.
     pub full_rebuild: bool,
     /// Ranks whose plan rows changed (= `n` for a full rebuild).
@@ -154,21 +156,6 @@ pub struct MutationReport {
     /// Successive surgical repairs absorbed by the active plan since its
     /// last full build (resets to 0 on rebuild).
     pub repairs: u32,
-}
-
-/// The communicator's churn state: the live Distance Halving pattern and
-/// plan that [`DistGraphComm::mutate`] patches in place, with the
-/// fingerprint its cache entry lives under.
-#[derive(Clone, Debug)]
-struct ChurnSlot {
-    pattern: Arc<DhPattern>,
-    plan: Arc<CollectivePlan>,
-    /// Cache key of `plan` (`None` when no cache is attached).
-    fp: Option<PlanFingerprint>,
-    /// Surgical repairs since the last full build.
-    repairs: u32,
-    /// Size table the pattern was negotiated against.
-    sizes: BlockSizes,
 }
 
 /// A communicator with an attached virtual topology and cluster layout.
@@ -186,10 +173,10 @@ pub struct DistGraphComm {
     build_pool: WorkerPool,
     metric: LoadMetric,
     sizes: Option<BlockSizes>,
-    churn: Option<ChurnSlot>,
-    /// What this communicator resolved for its current topology epoch
-    /// (see [`Memo`]). Clones share the cell until one of them changes
-    /// epoch: [`Self::mutate`], `with_load_metric` and `with_block_sizes`
+    /// The plans this communicator resolved for its current topology
+    /// epoch, Distance Halving's churn state among them (see [`Memo`]).
+    /// Clones share the cell until one of them changes epoch:
+    /// [`Self::mutate`], `with_load_metric` and `with_block_sizes`
     /// install a fresh cell on `self` and nothing clears one in place.
     memo: Arc<Mutex<Memo>>,
     /// The engine workspace [`Self::collective`] runs on: the programs
@@ -203,29 +190,6 @@ pub struct DistGraphComm {
     /// communicator (and its clones) — the cache-effectiveness counter
     /// [`Self::tuner_sims`] exposes.
     tuner_sims: Arc<std::sync::atomic::AtomicU64>,
-}
-
-/// One topology epoch's resolutions: each entry is a function of the
-/// graph, the layout and the load metric — what defines the epoch — and
-/// of what it is stored beside, so a warm request finds its plan with one
-/// lookup under one lock and never re-hashes its topology.
-#[derive(Debug, Default)]
-struct Memo {
-    /// The auto-tuner's entry: the planning sizes it was keyed at, their
-    /// [`PlanFingerprint::of_tuner`] key and, once resolved, the winner.
-    tuner: Option<TunerEntry>,
-    /// The plan whose item routing the combining family executes
-    /// (alltoallv / reduce_scatter / allreduce all route identically),
-    /// under the concrete algorithm it was resolved for.
-    routing: Option<(Algorithm, Arc<CollectivePlan>)>,
-}
-
-/// See [`Memo::tuner`].
-#[derive(Debug)]
-struct TunerEntry {
-    sizes: BlockSizes,
-    key: PlanFingerprint,
-    winner: Option<Arc<CollectivePlan>>,
 }
 
 // Tenants of the collective service own one communicator each and may
@@ -258,7 +222,6 @@ impl DistGraphComm {
             build_pool: WorkerPool::serial(),
             metric: LoadMetric::default(),
             sizes: None,
-            churn: None,
             memo: Arc::default(),
             arena: Arc::default(),
             tuner_sims: Arc::new(std::sync::atomic::AtomicU64::new(0)),
@@ -268,7 +231,7 @@ impl DistGraphComm {
     /// Total candidate simulations the auto-tuner has performed through
     /// this communicator and its clones. A second resolution of an
     /// identical tuner fingerprint must not move this counter — the
-    /// winner comes from the memo or the attached [`PlanCache`].
+    /// winner comes from the epoch's memo or the attached [`PlanCache`].
     pub fn tuner_sims(&self) -> u64 {
         self.tuner_sims.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -367,28 +330,35 @@ impl DistGraphComm {
     }
 
     /// The live Distance Halving plan maintained across
-    /// [`mutate`](Self::mutate) calls, if one has been built.
-    pub fn churn_plan(&self) -> Option<&Arc<CollectivePlan>> {
-        self.churn.as_ref().map(|s| &s.plan)
+    /// [`mutate`](Self::mutate) calls: this epoch's Distance Halving
+    /// entry, when `mutate` installed it with its pattern.
+    pub fn churn_plan(&self) -> Option<Arc<CollectivePlan>> {
+        let memo = self.memo();
+        memo.plans.iter().find(|entry| entry.pattern.is_some()).map(|entry| Arc::clone(&entry.plan))
     }
 
     /// Absorbs a topology change — `edges_added` joins the neighborhood,
     /// `edges_removed` leaves it — by **repairing** the communicator's
     /// live Distance Halving plan instead of rebuilding it.
     ///
-    /// The first call (or any call whose damage exceeds
-    /// [`MAX_DAMAGE_FRAC`], or arriving after [`MAX_REPAIR_ROUNDS`]
-    /// successive repairs) performs a full build on the new topology and
-    /// validates it. Every other call
+    /// The live plan is this epoch's Distance Halving entry with the
+    /// pattern an earlier call installed beside it. A call without one
+    /// (the first, or the first after `with_load_metric` /
+    /// `with_block_sizes`), whose damage exceeds [`MAX_DAMAGE_FRAC`], or
+    /// arriving after [`MAX_REPAIR_ROUNDS`] successive repairs performs a
+    /// full build on the new topology and validates it. Every other call
     /// runs [`crate::repair::repair_for_churn`]: all agent matchings are
     /// preserved and only the responsibility rows, final-phase messages
     /// and copy counts the changed edges touch are patched — the result
     /// is byte-identical to a decision-preserving rebuild (a property
     /// the repair engine pins with tests), so the surgical path skips
     /// re-validation and costs O(clone + changed) instead of a build.
+    /// Either plan, with its pattern, is the one entry of the fresh
+    /// epoch's memo, so every op's next request is served it.
     ///
-    /// An attached [`PlanCache`] is kept coherent: the old entry is
-    /// retired from both tiers and the patched plan is inserted under
+    /// An attached [`PlanCache`] is kept coherent: the old epoch's
+    /// Distance Halving entry and tuner winner are retired from both
+    /// tiers and the patched plan is inserted under
     /// [`PlanFingerprint::mutated`], whose XOR delta makes an
     /// add-then-remove round trip land back on the original key.
     ///
@@ -397,14 +367,13 @@ impl DistGraphComm {
     /// ([`Topology::edits`]); the new topology is
     /// [`Topology::with_edits`] of the old, so it pays for the edges that
     /// change. `mutate(&[], &[])` is a warm-up that just (re)builds the
-    /// slot. Subsequent collectives on this communicator plan against the
-    /// mutated topology automatically; clones made before the call keep
-    /// the old topology and what they resolved for it.
+    /// live plan. Clones made before the call keep the old topology and
+    /// what they resolved for it.
     ///
     /// Off block placement Distance Halving plans through
     /// [`crate::remap`]'s re-ranking, as [`Self::plan`] does, and the
     /// repair engine patches patterns in rank space: there every call is
-    /// a full rebuild and no slot is kept.
+    /// a full rebuild and the entry keeps no pattern.
     pub fn mutate(
         &mut self,
         edges_added: &[(Rank, Rank)],
@@ -413,90 +382,73 @@ impl DistGraphComm {
         let (added, removed) = self.graph.edits(edges_added, edges_removed);
         let new_graph = self.graph.with_edits(&added, &removed);
         let sizes = self.planning_sizes();
+        let dh = Algorithm::DistanceHalving;
+        let keyed = self.keyed_sizes(dh, &sizes).cloned();
+        // What this epoch resolved that the churn supersedes.
+        let (tuner_key, live) = {
+            let memo = self.memo();
+            let entry = |algo| memo.plans.iter().find(|e: &&Entry| e.algo == algo);
+            (entry(Algorithm::Auto).and_then(|e| e.key), entry(dh).cloned())
+        };
 
         // Retire the auto-tuner's winner for the pre-churn topology.
         // The churned adjacency hashes to a fresh tuner key, so the old
         // entry could never be *served* again — but it would squat in
         // the LRU until evicted; drop it eagerly. A clone still in the
         // old epoch keeps its winner in the memo it shares.
-        if let Some(cache) = &self.cache {
-            cache.retire(self.tuner_fingerprint_sized(&sizes));
+        if let (Some(cache), Some(key)) = (&self.cache, tuner_key) {
+            cache.retire(key);
         }
 
-        // Surgical attempt against the live slot, within the repair bounds.
-        let surgical = self.churn.as_ref().and_then(|slot| {
-            if slot.repairs >= MAX_REPAIR_ROUNDS || slot.sizes != sizes {
-                return None;
-            }
-            repair_for_churn(&slot.pattern, &slot.plan, &new_graph, &added, &removed)
+        // Surgical attempt against the live plan, within the repair bounds.
+        let surgical = live.as_ref().filter(|e| e.sizes == keyed && e.repairs < MAX_REPAIR_ROUNDS);
+        let surgical = surgical.and_then(|e| {
+            repair_for_churn(e.pattern.as_ref()?, &e.plan, &new_graph, &added, &removed)
                 .ok()
                 .filter(|rep| rep.damage_frac <= MAX_DAMAGE_FRAC)
+                .map(|rep| (rep, e.repairs + 1))
         });
-
-        let (full_rebuild, changed_ranks, damage_frac, repairs) = match surgical {
-            Some(rep) => {
-                let churned: Vec<(Rank, Rank)> =
-                    added.iter().chain(removed.iter()).copied().collect();
-                let slot = self.churn.as_mut().expect("surgical repair implies a live slot");
-                let new_fp = slot.fp.map(|fp| fp.mutated(&churned));
-                let plan = Arc::new(rep.plan);
-                if let Some(cache) = &self.cache {
-                    if let Some(old) = slot.fp {
-                        cache.retire(old);
-                    }
-                    if let Some(fp) = new_fp {
-                        cache.insert(fp, Arc::clone(&plan));
-                    }
-                }
-                slot.pattern = Arc::new(rep.pattern);
-                slot.plan = plan;
-                slot.fp = new_fp;
-                slot.repairs += 1;
-                (false, rep.changed_ranks.len(), rep.damage_frac, slot.repairs)
+        let (plan, pattern, repairs, changed_ranks, damage_frac) = match surgical {
+            Some((rep, repairs)) => {
+                (rep.plan, Some(rep.pattern), repairs, rep.changed_ranks.len(), rep.damage_frac)
             }
             None => {
                 // Off block placement the plan comes through `remap` and
-                // no pattern: repair patches patterns in rank space, so
-                // there every call rebuilds and no slot is kept.
+                // no pattern: repair patches patterns in rank space.
                 let (plan, pattern) = self.dh_plan(&new_graph, &sizes, &NULL)?;
-                let plan = Arc::new(plan);
-                let fp = self.cache.as_ref().map(|cache| {
-                    let (layout, dh) = (&self.layout, Algorithm::DistanceHalving);
-                    let key =
-                        |graph| PlanFingerprint::of_build_v(graph, layout, dh, &sizes, self.metric);
-                    // Off block placement no slot holds the previous
-                    // epoch's key; its plan sits under the canonical one.
-                    let old = match &pattern {
-                        Some(_) => self.churn.as_ref().and_then(|s| s.fp),
-                        None => Some(key(&self.graph)),
-                    };
-                    if let Some(old) = old {
-                        cache.retire(old);
-                    }
-                    let fp = key(&new_graph);
-                    cache.insert(fp, Arc::clone(&plan));
-                    fp
-                });
-                self.churn = pattern.map(|pattern| ChurnSlot {
-                    pattern: Arc::new(pattern),
-                    plan,
-                    fp,
-                    repairs: 0,
-                    sizes,
-                });
-                (true, new_graph.n(), 1.0, 0)
+                (plan, pattern, 0, new_graph.n(), 1.0)
             }
         };
-        self.graph = new_graph;
-        self.memo = Arc::default();
-        Ok(MutationReport {
+        // A repaired plan's key is the old one moved by the churned
+        // edges; a rebuilt plan's is its build key.
+        let old_key = live.and_then(|e| e.key);
+        let key = match repairs {
+            0 => self.cache.as_ref().map(|_| {
+                PlanFingerprint::of_build_v(&new_graph, &self.layout, dh, &sizes, self.metric)
+            }),
+            _ => old_key.map(|key| key.mutated(&[added.as_slice(), &removed].concat())),
+        };
+        let (plan, pattern) = (Arc::new(plan), pattern.map(Arc::new));
+        let entry = Entry { algo: dh, sizes: keyed, plan, key, pattern, repairs };
+        if let Some(cache) = &self.cache {
+            if let Some(old) = old_key {
+                cache.retire(old);
+            }
+            if let Some(key) = entry.key {
+                cache.insert(key, Arc::clone(&entry.plan));
+            }
+        }
+        let report = MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
-            full_rebuild,
+            full_rebuild: repairs == 0,
             changed_ranks,
             damage_frac,
             repairs,
-        })
+        };
+        self.graph = new_graph;
+        self.memo = Arc::new(Mutex::new(Memo { plans: vec![entry] }));
+        Ok(report)
     }
 }
 
@@ -1099,7 +1051,7 @@ mod tests {
     fn mutate_cold_builds_then_repairs_surgically() {
         let mut c = comm(32, 0.3);
         let payloads = test_payloads(32, 8, 3);
-        // warm-up: cold slot → full build
+        // warm-up: no live plan → full build
         let warm = c.mutate(&[], &[]).unwrap();
         assert!(warm.full_rebuild);
         assert_eq!(warm.repairs, 0);
@@ -1119,6 +1071,19 @@ mod tests {
         let fresh = DistGraphComm::create_adjacent(c.graph().clone(), c.layout().clone()).unwrap();
         let want = allgather(&fresh, Algorithm::DistanceHalving, &payloads);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_request_at_another_size_table_leaves_the_live_plan_to_repair() {
+        // under `Bytes` a ragged allgatherv keys its own Distance Halving
+        // plan; the live one stays the memo's, and the next churn repairs it
+        let mut c = comm(32, 0.3).with_load_metric(LoadMetric::Bytes);
+        c.mutate(&[], &[]).unwrap();
+        let ragged: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; r % 5]).collect();
+        let req = CollectiveRequest::allgatherv(&ragged).algorithm(Algorithm::DistanceHalving);
+        assert_eq!(c.collective(&req).unwrap().rbufs, reference_allgather(c.graph(), &ragged));
+        let (added, removed) = churn_sets(c.graph(), 1, 5);
+        assert!(!c.mutate(&added, &removed).unwrap().full_rebuild, "the live plan was kept");
     }
 
     #[test]
@@ -1172,7 +1137,7 @@ mod tests {
         c.mutate(&added, &[]).unwrap();
         assert_eq!(cache.len(), 1, "old entry retired, mutated entry inserted");
         // removing the same edges restores the canonical fingerprint:
-        // the slot's key equals a cold build request for the original graph
+        // the live plan's key equals a cold build request for the original graph
         let original = erdos_renyi(32, 0.3, 21);
         c.mutate(&[], &added).unwrap();
         let canonical = PlanFingerprint::of_build_v(

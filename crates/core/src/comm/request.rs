@@ -124,13 +124,22 @@ impl DistGraphComm {
         (!req.op.is_gather()).then(sizes).transpose()
     }
 
-    /// The plan a non-robust request executes: the allgather family's is
-    /// sized by the request (an explicit table, the pinned one, or — for
-    /// allgatherv — the payloads' own lengths), the combining family's is
-    /// the memoized routing plan.
+    /// The plan a non-robust request executes, through the one lookup
+    /// ([`Self::plan_shared`]'s). The allgather family's is sized by the
+    /// request (an explicit table, the pinned one, or — for allgatherv —
+    /// the payloads' own lengths). The combining family executes the item
+    /// routing of a gather plan (alltoallv, reduce_scatter and allreduce
+    /// all route identically) negotiated at default sizes whatever table
+    /// is pinned: a pinned table sizes gather blocks, the combining ops
+    /// size theirs per request. On uniform sizes both load metrics order
+    /// candidates alike, so the routes are [`LoadMetric::Neighbors`]'s,
+    /// and under that metric they share the gathers' memo entry.
+    ///
+    /// [`LoadMetric::Neighbors`]: crate::sizes::LoadMetric::Neighbors
     fn resolve_plan(&self, req: &CollectiveRequest) -> Result<Arc<CollectivePlan>, CommError> {
         if !req.op.is_gather() {
-            return self.routing_plan(req.algorithm, req.recorder);
+            let algo = self.combining_algorithm(req.algorithm)?;
+            return self.plan_shared_sized(algo, &BlockSizes::default(), req.recorder);
         }
         let sizes = match (&req.sizes, req.op) {
             (Some(s), _) => s.clone(),

@@ -1,10 +1,11 @@
 //! Plan resolution: how an [`Algorithm`] choice becomes a plan on this
-//! communicator — normalize the parameters, fingerprint the request,
-//! consult the churn slot / plan cache / the epoch's memo, and build on
-//! a miss. The combining family resolves its routing plan down the same
-//! path and keeps it in the same memo.
+//! communicator — normalize the parameters, look in the epoch's plan
+//! table ([`Memo`]), then the plan cache, and build on a miss. Every
+//! plan request takes that one lookup: a gather's plan, the combining
+//! family's routing plan, the tuner's winner and the robust path's
+//! Distance Halving plan.
 
-use super::{ChurnSlot, CommError, DistGraphComm, Memo, TunerEntry};
+use super::{CommError, DistGraphComm};
 use crate::autotune::{candidates, TuneOutcome};
 use crate::bruck::plan_bruck;
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
@@ -15,7 +16,7 @@ use crate::lower::lower_pooled;
 use crate::naive::plan_naive;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
-use crate::plan_cache::PlanFingerprint;
+use crate::plan_cache::{PlanCache, PlanFingerprint};
 use crate::remap::{locality_order, reranked};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::Placement;
@@ -24,6 +25,51 @@ use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::Topology;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
+
+/// One topology epoch's plan table: at most one entry per normalized
+/// [`Algorithm`] (`Auto` included), each a function of the graph, the
+/// layout and the load metric — what defines the epoch — and of its key.
+/// A warm request finds its plan with one lookup under one lock and
+/// never re-hashes its topology; only an epoch change replaces the table.
+#[derive(Debug, Default)]
+pub(super) struct Memo {
+    pub(super) plans: Vec<Entry>,
+}
+
+/// A plan resolved this epoch, keyed by its algorithm and
+/// [`DistGraphComm::keyed_sizes`].
+#[derive(Clone, Debug)]
+pub(super) struct Entry {
+    pub(super) algo: Algorithm,
+    pub(super) sizes: Option<BlockSizes>,
+    pub(super) plan: Arc<CollectivePlan>,
+    /// The cache key `plan` lives under (`None` without a cache): the
+    /// tuner key for `Auto`, a build key otherwise.
+    pub(super) key: Option<PlanFingerprint>,
+    /// Distance Halving's churn state, installed by
+    /// [`DistGraphComm::mutate`] alone: the pattern the repair engine
+    /// patches, and the surgical repairs since its last full build.
+    pub(super) pattern: Option<Arc<DhPattern>>,
+    pub(super) repairs: u32,
+}
+
+impl Memo {
+    /// The entry for `algo` at the keyed size table `sizes`.
+    pub(super) fn get(&self, algo: Algorithm, sizes: Option<&BlockSizes>) -> Option<&Entry> {
+        self.plans.iter().find(|e| e.algo == algo && e.sizes.as_ref() == sizes)
+    }
+
+    /// Installs `entry` in place of its algorithm's entry at another key,
+    /// unless that one carries churn state: only `mutate` replaces the
+    /// live plan, so a request at another size table leaves it to repair.
+    pub(super) fn insert(&mut self, entry: Entry) {
+        match self.plans.iter_mut().find(|e| e.algo == entry.algo) {
+            Some(slot) if slot.pattern.is_none() => *slot = entry,
+            Some(_) => {}
+            None => self.plans.push(entry),
+        }
+    }
+}
 
 impl DistGraphComm {
     /// Builds (and validates) the data-movement plan for an algorithm.
@@ -135,8 +181,8 @@ impl DistGraphComm {
             }
             Algorithm::Pat { radix } => crate::pat::plan_pat(graph, radix),
             Algorithm::Auto => {
-                // The tuner validates (and usually caches) the winner.
-                return self.resolve_auto(sizes, rec).map(|p| (*p).clone());
+                // The tuner validates (and memoizes) the winner.
+                return self.plan_shared_sized(algo, sizes, rec).map(|p| (*p).clone());
             }
         };
         plan.validate(graph).map_err(CommError::InvalidPlan)?;
@@ -184,7 +230,7 @@ impl DistGraphComm {
     /// tenants that picked the winner explicitly.
     pub fn resolve_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
         match self.normalize_algorithm(algo)? {
-            Algorithm::Auto => Ok(self.resolve_auto(&self.planning_sizes(), &NULL)?.algorithm),
+            Algorithm::Auto => Ok(self.plan_shared(Algorithm::Auto)?.algorithm),
             concrete => Ok(concrete),
         }
     }
@@ -194,75 +240,37 @@ impl DistGraphComm {
     /// topology, layout, planning sizes, load metric and the tuner's cost
     /// model, [`SimCost::niagara`].
     pub fn tuner_fingerprint(&self) -> PlanFingerprint {
-        self.tuner_fingerprint_sized(&self.planning_sizes())
+        self.cache_key(Algorithm::Auto, &self.planning_sizes())
     }
 
-    pub(super) fn tuner_fingerprint_sized(&self, sizes: &BlockSizes) -> PlanFingerprint {
-        self.tuner_entry(&mut self.memo(), sizes).key
-    }
-
-    /// This epoch's tuner entry at `sizes`: the memo's, or a fresh one
-    /// keyed now (hashing the topology) in its place.
-    fn tuner_entry<'m>(&self, memo: &'m mut Memo, sizes: &BlockSizes) -> &'m mut TunerEntry {
-        let kept = memo.tuner.take().filter(|entry| entry.sizes == *sizes);
-        memo.tuner.insert(kept.unwrap_or_else(|| {
+    /// The cache key of a request for `algo` (normalized) at `sizes`:
+    /// [`PlanFingerprint::of_tuner`] for [`Algorithm::Auto`],
+    /// [`PlanFingerprint::of_build_v`] for a concrete algorithm.
+    fn cache_key(&self, algo: Algorithm, sizes: &BlockSizes) -> PlanFingerprint {
+        let (graph, layout) = (&self.graph, &self.layout);
+        if algo == Algorithm::Auto {
             let cost = format!("{:?}", SimCost::niagara());
-            let (graph, layout) = (&self.graph, &self.layout);
-            let key = PlanFingerprint::of_tuner(graph, layout, sizes, self.metric, &cost);
-            TunerEntry { sizes: sizes.clone(), key, winner: None }
-        }))
+            return PlanFingerprint::of_tuner(graph, layout, sizes, self.metric, &cost);
+        }
+        PlanFingerprint::of_build_v(graph, layout, algo, sizes, self.metric)
+    }
+
+    /// The size table an entry for `algo` is keyed at, by the cache keys'
+    /// rule: under [`LoadMetric::Bytes`], whose matching reads it, and
+    /// for [`Algorithm::Auto`], whose tuner scores bytes under either
+    /// metric. [`LoadMetric::Neighbors`] builds ignore it.
+    pub(super) fn keyed_sizes<'s>(
+        &self,
+        algo: Algorithm,
+        sizes: &'s BlockSizes,
+    ) -> Option<&'s BlockSizes> {
+        (algo == Algorithm::Auto || self.metric == LoadMetric::Bytes).then_some(sizes)
     }
 
     /// The communicator's memo cell: what it resolved for its current
     /// topology epoch.
-    fn memo(&self) -> MutexGuard<'_, Memo> {
+    pub(super) fn memo(&self) -> MutexGuard<'_, Memo> {
         self.memo.lock().expect("memo poisoned")
-    }
-
-    /// Serves the auto-tuner's winning plan: memo, then the attached
-    /// plan cache under the tuner key, then a full tuning pass whose
-    /// winner is cached under both the tuner key and the winner's own
-    /// canonical build key. Only the tuning pass performs candidate
-    /// simulations ([`Self::tuner_sims`]).
-    fn resolve_auto(
-        &self,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        let key = {
-            let mut memo = self.memo();
-            let entry = self.tuner_entry(&mut memo, sizes);
-            if let Some(plan) = &entry.winner {
-                rec.plan_cache(0, true);
-                return Ok(Arc::clone(plan));
-            }
-            entry.key
-        };
-        if let Some(plan) = self.cache.as_ref().and_then(|cache| cache.lookup(key, &self.graph)) {
-            rec.plan_cache(0, true);
-            self.tuner_entry(&mut self.memo(), sizes).winner = Some(Arc::clone(&plan));
-            return Ok(plan);
-        }
-        rec.plan_cache(0, false);
-        let outcome =
-            self.tune_candidates(&candidates(&self.graph, &self.layout, sizes), sizes, rec)?;
-        let plan = outcome.plan;
-        if let Some(cache) = &self.cache {
-            cache.insert_validated(key, Arc::clone(&plan), &self.graph);
-            // Also park the winner under its own build key: a later
-            // explicit request for the winning algorithm (same sizes
-            // and metric) hits instead of rebuilding.
-            let canonical = PlanFingerprint::of_build_v(
-                &self.graph,
-                &self.layout,
-                outcome.winner,
-                sizes,
-                self.metric,
-            );
-            cache.insert_validated(canonical, Arc::clone(&plan), &self.graph);
-        }
-        self.tuner_entry(&mut self.memo(), sizes).winner = Some(Arc::clone(&plan));
-        Ok(plan)
     }
 
     /// Runs one full tuning pass for this communicator's planning sizes
@@ -320,99 +328,97 @@ impl DistGraphComm {
         Ok(TuneOutcome { winner, scores, simulations: sims, plan: Arc::new(plan) })
     }
 
-    /// [`Self::plan`] through the attached
-    /// [`PlanCache`](crate::plan_cache::PlanCache): on a hit the cached
-    /// `Arc` is returned with no build or validation work (plans are
-    /// validated before insertion, and disk-tier loads are re-validated
-    /// inside the cache). Without an attached cache this is a plain
-    /// build wrapped in an `Arc`.
+    /// [`Self::plan`] through this epoch's memo and the attached
+    /// [`PlanCache`]: a plan resolved
+    /// before in this topology epoch is returned with no fingerprint,
+    /// cache lookup, build or validation work, so a communicator builds
+    /// each algorithm's plan once per epoch, with or without a cache. A
+    /// first request takes it from the cache (plans are validated before
+    /// insertion, and disk-tier loads are re-validated inside the cache)
+    /// or builds it.
     pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
         self.plan_shared_sized(algo, &self.planning_sizes(), &NULL)
     }
 
-    /// A live churn slot holds THE current Distance Halving pattern and
-    /// plan for this communicator's (possibly mutated) topology: when it
-    /// was negotiated against `sizes` it is served — recorded as a plan
-    /// cache hit — without touching the cache, rebuilding or
-    /// renegotiating.
-    pub(super) fn live_slot(&self, sizes: &BlockSizes, rec: &dyn Recorder) -> Option<&ChurnSlot> {
-        let slot = self.churn.as_ref().filter(|slot| slot.sizes == *sizes)?;
-        rec.plan_cache(0, true);
-        Some(slot)
-    }
-
-    /// The sized planning path behind every cached build: the cache key
-    /// is [`PlanFingerprint::of_build_v`] over this communicator's
-    /// metric and `sizes`, so a Bytes-metric ragged build can never be
-    /// served a plan negotiated for different block sizes. `rec` sees
-    /// the lookup's `plan_cache` hit or miss (against rank 0, the
-    /// communicator-wide event's representative) and a cold build's
-    /// build/lower spans.
+    /// The one plan lookup every request goes through — a gather's plan,
+    /// the combining family's routing plan, the tuner's winner: this
+    /// epoch's memo entry for `algo` at `sizes` ([`Memo::get`]), else the
+    /// attached cache under [`Self::cache_key`], else a build (a tuning
+    /// pass for [`Algorithm::Auto`], whose winner is cached under both
+    /// the tuner key and its own build key); a miss installs its plan in
+    /// the memo. Only a tuning pass performs candidate simulations
+    /// ([`Self::tuner_sims`]). `rec` sees the lookup's `plan_cache` hit
+    /// or miss (against rank 0, the communicator-wide event's
+    /// representative) and a cold build's build/lower spans.
     pub(super) fn plan_shared_sized(
         &self,
         algo: Algorithm,
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<Arc<CollectivePlan>, CommError> {
-        // Normalize first: the clamp must land before fingerprinting so
-        // equivalent requests (k = n vs k = 10·n) share a cache slot.
+        // Normalize first: the clamp must land before the lookup so
+        // equivalent requests (k = n vs k = 10·n) share an entry.
         let algo = self.normalize_algorithm(algo)?;
-        if algo == Algorithm::Auto {
-            return self.resolve_auto(sizes, rec);
+        let keyed = self.keyed_sizes(algo, sizes);
+        if let Some(entry) = self.memo().get(algo, keyed) {
+            rec.plan_cache(0, true);
+            return Ok(Arc::clone(&entry.plan));
         }
-        if algo == Algorithm::DistanceHalving {
-            if let Some(slot) = self.live_slot(sizes, rec) {
-                return Ok(Arc::clone(&slot.plan));
+        let cached = self.cache.as_ref().map(|cache| (cache, self.cache_key(algo, sizes)));
+        let plan = match cached {
+            _ if algo == Algorithm::Auto => self.tuned(cached, sizes, rec)?,
+            Some((cache, key)) => {
+                let build = || self.build_plan_recorded(algo, sizes, rec);
+                let (plan, hit) = cache.get_or_build(key, &self.graph, build)?;
+                rec.plan_cache(0, hit);
+                plan
             }
-        }
-        let Some(cache) = &self.cache else {
-            rec.plan_cache(0, false);
-            return Ok(Arc::new(self.build_plan_recorded(algo, sizes, rec)?));
+            None => {
+                rec.plan_cache(0, false);
+                Arc::new(self.build_plan_recorded(algo, sizes, rec)?)
+            }
         };
-        let fp = PlanFingerprint::of_build_v(&self.graph, &self.layout, algo, sizes, self.metric);
-        let (plan, hit) =
-            cache.get_or_build(fp, &self.graph, || self.build_plan_recorded(algo, sizes, rec))?;
-        rec.plan_cache(0, hit);
+        let (sizes, key) = (keyed.cloned(), cached.map(|(_, key)| key));
+        let entry = Entry { algo, sizes, plan: Arc::clone(&plan), key, pattern: None, repairs: 0 };
+        self.memo().insert(entry);
         Ok(plan)
+    }
+
+    /// The tuner's winner at `sizes`: from the attached cache under the
+    /// tuner key, or a full tuning pass.
+    fn tuned(
+        &self,
+        cached: Option<(&Arc<PlanCache>, PlanFingerprint)>,
+        sizes: &BlockSizes,
+        rec: &dyn Recorder,
+    ) -> Result<Arc<CollectivePlan>, CommError> {
+        if let Some(plan) = cached.and_then(|(cache, key)| cache.lookup(key, &self.graph)) {
+            rec.plan_cache(0, true);
+            return Ok(plan);
+        }
+        rec.plan_cache(0, false);
+        let outcome =
+            self.tune_candidates(&candidates(&self.graph, &self.layout, sizes), sizes, rec)?;
+        if let Some((cache, key)) = cached {
+            cache.insert_validated(key, Arc::clone(&outcome.plan), &self.graph);
+            // Also park the winner under its own build key: a later
+            // explicit request for the winning algorithm (same sizes
+            // and metric) hits instead of rebuilding.
+            let canonical = self.cache_key(outcome.winner, sizes);
+            cache.insert_validated(canonical, Arc::clone(&outcome.plan), &self.graph);
+        }
+        Ok(outcome.plan)
     }
 
     /// The concrete algorithm a combining-family request routes under:
     /// [`Algorithm::Auto`] maps to Distance Halving — the tuner scores
     /// gather schedules, not item routings — and the result shares the
-    /// memo slot with explicit Distance Halving requests.
+    /// memo entry with explicit Distance Halving requests.
     pub(super) fn combining_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
         match self.normalize_algorithm(algo)? {
             Algorithm::Auto => Ok(Algorithm::DistanceHalving),
             concrete => Ok(concrete),
         }
-    }
-
-    /// The combining family's plan path: alltoallv, reduce_scatter and
-    /// allreduce execute the item routing of one gather plan — resolved
-    /// like any gather's ([`Self::plan_shared`]: live churn slot, plan
-    /// cache, build). The plan sits in the epoch's memo, checked *before*
-    /// plan resolution: a warm request takes it from there (and its
-    /// program from the arena it runs on), and a cache-less communicator
-    /// builds its routing plan once per topology epoch, not per request.
-    ///
-    /// The plan is negotiated at default sizes whatever table is pinned:
-    /// a pinned table sizes gather blocks, the combining ops size theirs
-    /// per request. On uniform sizes both load metrics order candidates
-    /// alike, so the routes are [`LoadMetric::Neighbors`]'s.
-    pub(super) fn routing_plan(
-        &self,
-        algo: Algorithm,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        let algo = self.combining_algorithm(algo)?;
-        if let Some((_, plan)) = self.memo().routing.as_ref().filter(|(of, _)| *of == algo) {
-            rec.plan_cache(0, true);
-            return Ok(Arc::clone(plan));
-        }
-        // the shared path reports its own hit or miss
-        let plan = self.plan_shared_sized(algo, &BlockSizes::default(), rec)?;
-        self.memo().routing = Some((algo, Arc::clone(&plan)));
-        Ok(plan)
     }
 
     /// The **uncached**, validated build of the plan whose item routing

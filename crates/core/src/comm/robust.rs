@@ -172,9 +172,15 @@ impl DistGraphComm {
             return Ok((Arc::new(self.plan(algo)?), None));
         }
         let sizes = self.planning_sizes();
-        // A live churn slot IS the current plan — no negotiation.
-        if let Some(slot) = self.live_slot(&sizes, opts.recorder) {
-            return Ok((Arc::clone(&slot.plan), Some((*slot.pattern).clone())));
+        // The memo's Distance Halving entry, when `mutate` installed it
+        // with its pattern, IS the current plan — no negotiation.
+        let live = self
+            .memo()
+            .get(algo, self.keyed_sizes(algo, &sizes))
+            .and_then(|entry| Some((Arc::clone(&entry.plan), Arc::clone(entry.pattern.as_ref()?))));
+        if let Some((plan, pattern)) = live {
+            opts.recorder.plan_cache(0, true);
+            return Ok((plan, Some((*pattern).clone())));
         }
         let opts = opts.recv_timeout(self.policy.negotiation_timeout);
         let (graph, layout) = (&self.graph, &self.layout);

@@ -65,7 +65,12 @@ fn all_backends_match_reference_from_cached_plans() {
         .with_plan_cache(Arc::new(PlanCache::new(4)));
 
     let first = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
-    let plan = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
+    // a second communicator sharing the cache (the first's own epoch
+    // memo would serve it without a lookup)
+    let twin = DistGraphComm::create_adjacent(g.clone(), layout.clone())
+        .unwrap()
+        .with_plan_cache(Arc::clone(comm.plan_cache().unwrap()));
+    let plan = twin.plan_shared(Algorithm::DistanceHalving).unwrap();
     assert!(Arc::ptr_eq(&first, &plan), "second lookup must be a cache hit");
     let stats = comm.plan_cache().unwrap().stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));

@@ -312,8 +312,8 @@ impl Service {
     }
 
     /// Registers a tenant from a raw topology + layout, planning with
-    /// `algo`. Warm-up happens here (plan built and cached, Distance
-    /// Halving churn slot armed), so the first request pays no build.
+    /// `algo`. Warm-up happens here (plan built, cached and memoized —
+    /// Distance Halving's with its pattern), so no request pays a build.
     pub fn add_tenant(
         &mut self,
         graph: Topology,
@@ -336,8 +336,8 @@ impl Service {
             .with_plan_cache(self.cache.clone())
             .with_build_threads(self.cfg.build_threads.max(1));
         if algo == Algorithm::DistanceHalving {
-            // Arm the churn slot: robust runs and later mutations serve
-            // and patch the live plan instead of renegotiating.
+            // Install the live plan with its pattern: robust runs and
+            // later mutations serve and patch it instead of renegotiating.
             comm.mutate(&[], &[])?;
         } else {
             comm.plan_shared(algo)?;
@@ -650,8 +650,8 @@ impl Service {
 
     /// A fault-armed tenant's group: every op runs the robust path
     /// (threaded transport — the only one that injects faults), with
-    /// plan negotiation amortized by the tenant's live churn slot and
-    /// the shared cache. On [`Backend::Sim`] a gather's fault plan
+    /// plan negotiation amortized by the tenant's live Distance Halving
+    /// plan and the shared cache. On [`Backend::Sim`] a gather's fault plan
     /// lowers to a latency perturbation instead, and combining traffic
     /// simulates clean.
     fn run_robust_batch(&mut self, batch: impl Iterator<Item = Pending>) {

@@ -172,10 +172,16 @@
 # became `remap::reranked` around any builder. `DistGraphComm` decides
 # block-or-relabel in one helper, which Distance Halving, the leader
 # hierarchy and Bruck all go through.
+#
+# Then one plan table per topology epoch: 13,008 -> 12,981. The churn
+# slot, the memo's routing entry and the tuner's winner cell became one
+# table with one entry per algorithm that every plan request looks in
+# first (comm/resolve.rs); `ChurnSlot`, `live_slot`, `TunerEntry`,
+# `resolve_auto` and `routing_plan` went.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=13008   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=12981   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1632  # crates/service/src
 BENCH_BUDGET=3834    # crates/bench/src
 

@@ -478,7 +478,7 @@ fn a_dead_link_degrades_combining_ops_to_the_naive_program() {
     use nhood_core::{collective::reference, DType, FallbackReason};
     let g = nhood_topology::random::erdos_renyi(32, 0.3, 17);
     let policy = RobustPolicy::default();
-    let plan = Arc::clone(armed(&g, None, policy).churn_plan().unwrap());
+    let plan = armed(&g, None, policy).churn_plan().unwrap();
     let mut fp = FaultPlan::seeded(7);
     for r in 0..plan.n() {
         for peer in plan.phases(r).flat_map(|phase| phase.sends()).map(|m| m.peer()) {

@@ -50,7 +50,7 @@ fn churn_set(g: &Topology, k: usize, seed: u64) -> (EdgeSet, EdgeSet) {
 /// and agree with a from-scratch build over the same mutated topology.
 fn assert_plan_matches_scratch(comm: &DistGraphComm, step: usize) {
     let g = comm.graph();
-    let plan = comm.churn_plan().expect("mutate leaves a live plan");
+    let plan = &comm.churn_plan().expect("mutate leaves a live plan");
     let payloads = test_payloads(g.n(), 8, 0xC0 + step as u64);
     let want = reference_allgather(g, &payloads);
 
