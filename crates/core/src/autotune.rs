@@ -13,9 +13,11 @@
 //! Tuning is paid once per fingerprint: the winning plan is inserted
 //! into the attached [`crate::plan_cache::PlanCache`] under the tuner
 //! key (and under the winner's own canonical build key, so explicit
-//! requests for the winning algorithm coalesce with `Auto` requests),
-//! and [`crate::comm::DistGraphComm::mutate`] retires the entry when
-//! the topology churns. See `docs/AUTOTUNE.md`.
+//! requests for the winning algorithm coalesce with `Auto` requests).
+//! A churned topology hashes to another tuner key, so
+//! [`crate::comm::DistGraphComm::mutate`] leaves the entry cached for
+//! the topology it was tuned on and the churned communicator re-tunes.
+//! See `docs/AUTOTUNE.md`.
 
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::sizes::BlockSizes;

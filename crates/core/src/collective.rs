@@ -1136,6 +1136,28 @@ mod tests {
     }
 
     #[test]
+    fn a_cacheless_auto_request_memoizes_its_winner_under_its_own_algorithm() {
+        // the tuning pass built the winner's plan; an explicit request for
+        // the winner in the same epoch is served it, not built again
+        let g = erdos_renyi(32, 0.3, 21);
+        let comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(4, 2, 4)).unwrap();
+        let payloads: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; 16]).collect();
+        let seen = PlanningSeen::default();
+        let want = reference(comm.graph(), CollectiveOp::Allgather, &payloads, None).unwrap();
+        let gather = |algo: Algorithm| {
+            let req = CollectiveRequest::allgather(&payloads).algorithm(algo).recorder(&seen);
+            assert_eq!(comm.collective(&req).unwrap().rbufs, want, "{algo}");
+        };
+        gather(Algorithm::Auto);
+        let (hits, misses, _) = seen.take();
+        let winner = comm.resolve_algorithm(Algorithm::Auto).unwrap();
+        gather(winner);
+        let (more_hits, more_misses, builds) = seen.take();
+        assert_eq!((hits + more_hits, misses + more_misses), (1, 1), "{winner}");
+        assert_eq!(builds, 0, "{winner}: the tuner's plan");
+    }
+
+    #[test]
     fn after_a_churn_every_op_is_served_the_repaired_plan() {
         // allgatherv's ragged table does not key a `Neighbors` plan, so
         // the repaired plan serves it too, with or without a cache

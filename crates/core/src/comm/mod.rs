@@ -41,7 +41,7 @@ use crate::collective::{CollectiveOp, Reduction};
 use crate::exec::ExecError;
 use crate::fault::FaultPlan;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
-use crate::plan_cache::{PlanCache, PlanFingerprint};
+use crate::plan_cache::PlanCache;
 use crate::repair::{repair_for_churn, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
@@ -289,8 +289,8 @@ impl DistGraphComm {
 
     /// Attaches a shared plan cache: [`Self::plan_shared`] (and every
     /// collective that plans through it) first consults the cache, keyed
-    /// by a [`PlanFingerprint`] of this communicator's topology, layout
-    /// and the requested algorithm.
+    /// by a [`PlanFingerprint`](crate::plan_cache::PlanFingerprint) of
+    /// this communicator's topology, layout and the requested algorithm.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -356,11 +356,13 @@ impl DistGraphComm {
     /// Either plan, with its pattern, is the one entry of the fresh
     /// epoch's memo, so every op's next request is served it.
     ///
-    /// An attached [`PlanCache`] is kept coherent: the old epoch's
-    /// Distance Halving entry and tuner winner are retired from both
-    /// tiers and the patched plan is inserted under
-    /// [`PlanFingerprint::mutated`], whose XOR delta makes an
-    /// add-then-remove round trip land back on the original key.
+    /// `mutate` reads nothing from an attached [`PlanCache`] and writes
+    /// at most one entry: a full rebuild, under the new topology's build
+    /// key ([`PlanCache::insert_validated`]), where a cold request on that
+    /// topology looks. A repaired plan lives in the fresh epoch's memo
+    /// alone. The cache's keys are content addresses, so what it holds
+    /// for the old topology — the Distance Halving plan, the tuner's
+    /// winner — stays there for communicators still on it.
     ///
     /// Edges the graph already has (for adds), lacks (for removes),
     /// self-loops and edges with an endpoint `>= n` are ignored
@@ -384,21 +386,8 @@ impl DistGraphComm {
         let sizes = self.planning_sizes();
         let dh = Algorithm::DistanceHalving;
         let keyed = self.keyed_sizes(dh, &sizes).cloned();
-        // What this epoch resolved that the churn supersedes.
-        let (tuner_key, live) = {
-            let memo = self.memo();
-            let entry = |algo| memo.plans.iter().find(|e: &&Entry| e.algo == algo);
-            (entry(Algorithm::Auto).and_then(|e| e.key), entry(dh).cloned())
-        };
-
-        // Retire the auto-tuner's winner for the pre-churn topology.
-        // The churned adjacency hashes to a fresh tuner key, so the old
-        // entry could never be *served* again — but it would squat in
-        // the LRU until evicted; drop it eagerly. A clone still in the
-        // old epoch keeps its winner in the memo it shares.
-        if let (Some(cache), Some(key)) = (&self.cache, tuner_key) {
-            cache.retire(key);
-        }
+        // The live plan this epoch resolved, which the churn supersedes.
+        let live = self.memo().plans.iter().find(|e| e.algo == dh).cloned();
 
         // Surgical attempt against the live plan, within the repair bounds.
         let surgical = live.as_ref().filter(|e| e.sizes == keyed && e.repairs < MAX_REPAIR_ROUNDS);
@@ -419,25 +408,7 @@ impl DistGraphComm {
                 (plan, pattern, 0, new_graph.n(), 1.0)
             }
         };
-        // A repaired plan's key is the old one moved by the churned
-        // edges; a rebuilt plan's is its build key.
-        let old_key = live.and_then(|e| e.key);
-        let key = match repairs {
-            0 => self.cache.as_ref().map(|_| {
-                PlanFingerprint::of_build_v(&new_graph, &self.layout, dh, &sizes, self.metric)
-            }),
-            _ => old_key.map(|key| key.mutated(&[added.as_slice(), &removed].concat())),
-        };
         let (plan, pattern) = (Arc::new(plan), pattern.map(Arc::new));
-        let entry = Entry { algo: dh, sizes: keyed, plan, key, pattern, repairs };
-        if let Some(cache) = &self.cache {
-            if let Some(old) = old_key {
-                cache.retire(old);
-            }
-            if let Some(key) = entry.key {
-                cache.insert(key, Arc::clone(&entry.plan));
-            }
-        }
         let report = MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
@@ -447,6 +418,12 @@ impl DistGraphComm {
             repairs,
         };
         self.graph = new_graph;
+        if let (Some(cache), 0) = (&self.cache, repairs) {
+            // a full rebuild is a build of the new topology: `dh_plan`
+            // validated it there
+            cache.insert_validated(self.cache_key(dh, &sizes), Arc::clone(&plan), &self.graph);
+        }
+        let entry = Entry { algo: dh, sizes: keyed, plan, pattern, repairs };
         self.memo = Arc::new(Mutex::new(Memo { plans: vec![entry] }));
         Ok(report)
     }
@@ -459,6 +436,7 @@ mod tests {
     use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::ExecOptions;
+    use crate::plan_cache::PlanFingerprint;
     use nhood_topology::random::erdos_renyi;
     use std::time::Duration;
 
@@ -629,17 +607,20 @@ mod tests {
     }
 
     #[test]
-    fn mutate_retires_the_tuner_entry() {
+    fn mutate_leaves_the_tuner_entry_to_its_topology() {
         let cache = Arc::new(PlanCache::new(16));
         let mut c = comm(32, 0.4).with_plan_cache(Arc::clone(&cache));
-        c.plan_shared(Algorithm::Auto).unwrap();
+        let winner = c.plan_shared(Algorithm::Auto).unwrap();
         let old_key = c.tuner_fingerprint();
         let old_graph = c.graph().clone();
         assert!(cache.lookup(old_key, &old_graph).is_some(), "tuner entry cached");
         let (added, removed) = churn_sets(c.graph(), 2, 4);
         c.mutate(&added, &removed).unwrap();
-        assert!(cache.lookup(old_key, &old_graph).is_none(), "mutate must retire the tuner entry");
         assert_ne!(c.tuner_fingerprint(), old_key, "churn moves the tuner key");
+        // the old key still names the old topology's winner, for any
+        // communicator still on it
+        let kept = cache.lookup(old_key, &old_graph).expect("mutate leaves the tuner entry");
+        assert!(Arc::ptr_eq(&kept, &winner));
         // a fresh Auto resolution tunes against the churned topology
         let sims = c.tuner_sims();
         let payloads = test_payloads(32, 8, 2);
@@ -1135,9 +1116,9 @@ mod tests {
 
         let (added, _) = churn_sets(c.graph(), 2, 9);
         c.mutate(&added, &[]).unwrap();
-        assert_eq!(cache.len(), 1, "old entry retired, mutated entry inserted");
-        // removing the same edges restores the canonical fingerprint:
-        // the live plan's key equals a cold build request for the original graph
+        assert_eq!(cache.len(), 1, "a surgical repair stores nothing");
+        // the original graph's build key still serves it, before and
+        // after the round trip back to it
         let original = erdos_renyi(32, 0.3, 21);
         c.mutate(&[], &added).unwrap();
         let canonical = PlanFingerprint::of_build_v(
@@ -1149,8 +1130,53 @@ mod tests {
         );
         assert!(
             cache.lookup(canonical, &original).is_some(),
-            "add/remove round trip must land back on the original cache key"
+            "the original graph's plan stays under its build key"
         );
+    }
+
+    #[test]
+    fn a_churn_leaves_each_cached_plan_to_the_topology_its_key_names() {
+        // The cache is content-addressed: a surgical repair neither evicts
+        // nor re-keys, and a full rebuild is stored once, under the new
+        // topology's build key.
+        let dir = std::env::temp_dir().join(format!("nhood_churn_cache_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(PlanCache::new(16).with_disk_dir(&dir).unwrap());
+        let original = erdos_renyi(32, 0.3, 21);
+        let open = |g: &Topology| {
+            DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(4, 2, 4))
+                .unwrap()
+                .with_plan_cache(Arc::clone(&cache))
+        };
+        let files = || -> std::collections::BTreeSet<_> {
+            std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().file_name()).collect()
+        };
+        let mut c = open(&original);
+        c.mutate(&[], &[]).unwrap();
+        open(&original).plan_shared(Algorithm::Auto).unwrap();
+        let (len, warm, on_disk) = (cache.len(), cache.stats(), files());
+
+        let (added, removed) = churn_sets(&original, 1, 3);
+        assert!(!c.mutate(&added, &removed).unwrap().full_rebuild, "a surgical repair");
+        let stored = (cache.len(), cache.stats().insertions, files());
+        assert_eq!(stored, (len, warm.insertions, on_disk.clone()), "a repair stores nothing");
+        open(&original).plan_shared(Algorithm::DistanceHalving).unwrap();
+        let s = cache.stats();
+        let seen = (s.hits - warm.hits, s.misses - warm.misses);
+        assert_eq!(seen, (1, 0), "the original topology's plan is still served");
+
+        // a third of the edges go: past MAX_DAMAGE_FRAC, a full rebuild
+        let gone: Vec<_> = c.graph().edges().step_by(3).collect();
+        assert!(c.mutate(&[], &gone).unwrap().full_rebuild);
+        let (dh, sizes) = (Algorithm::DistanceHalving, BlockSizes::default());
+        let key = PlanFingerprint::of_build_v(c.graph(), c.layout(), dh, &sizes, c.load_metric());
+        let mut want = on_disk;
+        want.insert(format!("{key}.nhplan").into());
+        assert_eq!(files(), want, "one file, under the new topology's build key");
+        let fresh = PlanCache::new(4).with_disk_dir(&dir).unwrap();
+        assert!(fresh.lookup(key, c.graph()).is_some());
+        assert_eq!(fresh.stats().disk_fast_hits, 1, "the file records its topology's digest");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1189,7 +1215,6 @@ mod tests {
             assert!(rep.full_rebuild && rep.repairs == 0, "every call rebuilds: {rep:?}");
             assert_eq!((rep.edges_added, rep.edges_removed, rep.changed_ranks), (2, 2, 32));
             assert!(c.churn_plan().is_none(), "no pattern to repair off block placement");
-            assert!(cache.lookup(key(&c, &old), &old).is_none(), "the old epoch's plan retired");
             let plan = cache.lookup(key(&c, c.graph()), c.graph()).expect("the rebuilt plan");
             assert_eq!(plan.algorithm, Algorithm::DistanceHalving);
             assert!(Arc::ptr_eq(&plan, &c.plan_shared(Algorithm::DistanceHalving).unwrap()));

@@ -43,9 +43,6 @@ pub(super) struct Entry {
     pub(super) algo: Algorithm,
     pub(super) sizes: Option<BlockSizes>,
     pub(super) plan: Arc<CollectivePlan>,
-    /// The cache key `plan` lives under (`None` without a cache): the
-    /// tuner key for `Auto`, a build key otherwise.
-    pub(super) key: Option<PlanFingerprint>,
     /// Distance Halving's churn state, installed by
     /// [`DistGraphComm::mutate`] alone: the pattern the repair engine
     /// patches, and the surgical repairs since its last full build.
@@ -62,9 +59,11 @@ impl Memo {
     /// Installs `entry` in place of its algorithm's entry at another key,
     /// unless that one carries churn state: only `mutate` replaces the
     /// live plan, so a request at another size table leaves it to repair.
+    /// An entry already at `entry`'s key stays: the plan it holds is the
+    /// one its requests have been served.
     pub(super) fn insert(&mut self, entry: Entry) {
         match self.plans.iter_mut().find(|e| e.algo == entry.algo) {
-            Some(slot) if slot.pattern.is_none() => *slot = entry,
+            Some(slot) if slot.pattern.is_none() && slot.sizes != entry.sizes => *slot = entry,
             Some(_) => {}
             None => self.plans.push(entry),
         }
@@ -246,7 +245,7 @@ impl DistGraphComm {
     /// The cache key of a request for `algo` (normalized) at `sizes`:
     /// [`PlanFingerprint::of_tuner`] for [`Algorithm::Auto`],
     /// [`PlanFingerprint::of_build_v`] for a concrete algorithm.
-    fn cache_key(&self, algo: Algorithm, sizes: &BlockSizes) -> PlanFingerprint {
+    pub(super) fn cache_key(&self, algo: Algorithm, sizes: &BlockSizes) -> PlanFingerprint {
         let (graph, layout) = (&self.graph, &self.layout);
         if algo == Algorithm::Auto {
             let cost = format!("{:?}", SimCost::niagara());
@@ -346,7 +345,9 @@ impl DistGraphComm {
     /// attached cache under [`Self::cache_key`], else a build (a tuning
     /// pass for [`Algorithm::Auto`], whose winner is cached under both
     /// the tuner key and its own build key); a miss installs its plan in
-    /// the memo. Only a tuning pass performs candidate simulations
+    /// the memo — an `Auto` plan under the winner's algorithm as well, so
+    /// an explicit request for the winner is served the same plan. Only
+    /// a tuning pass performs candidate simulations
     /// ([`Self::tuner_sims`]). `rec` sees the lookup's `plan_cache` hit
     /// or miss (against rank 0, the communicator-wide event's
     /// representative) and a cold build's build/lower spans.
@@ -378,9 +379,15 @@ impl DistGraphComm {
                 Arc::new(self.build_plan_recorded(algo, sizes, rec)?)
             }
         };
-        let (sizes, key) = (keyed.cloned(), cached.map(|(_, key)| key));
-        let entry = Entry { algo, sizes, plan: Arc::clone(&plan), key, pattern: None, repairs: 0 };
-        self.memo().insert(entry);
+        let entry = Entry { algo, sizes: None, plan: Arc::clone(&plan), pattern: None, repairs: 0 };
+        let mut memo = self.memo();
+        if algo == Algorithm::Auto {
+            // the tuner built the winner: its algorithm's requests are served that plan
+            let winner = plan.algorithm;
+            let sizes = self.keyed_sizes(winner, sizes).cloned();
+            memo.insert(Entry { algo: winner, sizes, ..entry.clone() });
+        }
+        memo.insert(Entry { sizes: keyed.cloned(), ..entry });
         Ok(plan)
     }
 

@@ -14,6 +14,8 @@
 //! two setups share a cache slot only when the builder would provably
 //! emit the same plan. Disk loads are checksummed and digest-matched or
 //! re-validated before use; a stale or corrupt file is a miss and removed.
+//! A key names one topology, so a topology change never evicts or
+//! re-keys an entry: the changed communicator asks under its new key.
 //!
 //! Fingerprints are computed with `std`'s `DefaultHasher` (SipHash with
 //! fixed keys). That is stable within one build of the library but not
@@ -33,8 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// A 128-bit content fingerprint of the inputs a plan was built from
-/// (or of a finished plan itself — see [`PlanFingerprint::of_plan`],
-/// which the zero-copy arena uses to key cached layouts).
+/// (or of a finished plan itself — see [`PlanFingerprint::of_plan`]).
 ///
 /// Two independently seeded 64-bit SipHash passes; a collision requires
 /// both halves to collide at once.
@@ -135,10 +136,9 @@ impl PlanFingerprint {
     /// of `cost_tag`, a stable rendering of the §V cost model — two
     /// tuners with different link speeds must not share winners.
     ///
-    /// The entry is retired on `mutate` alongside the plan keys it
-    /// shadows: a churned adjacency hashes differently, so stale winners
-    /// can never be served, but the communicator still explicitly
-    /// retires the old key to free its LRU slot.
+    /// A churned adjacency hashes to another key, so a winner is only
+    /// ever served for the topology it was tuned on; `mutate` leaves the
+    /// entry cached for communicators still on that topology.
     pub fn of_tuner(
         graph: &Topology,
         layout: &ClusterLayout,
@@ -154,36 +154,11 @@ impl PlanFingerprint {
         Self { hi: base.hi ^ extra.hi, lo: base.lo ^ extra.lo }
     }
 
-    /// Derives the fingerprint of a *mutated* build request from this
-    /// one without rehashing the whole world: each churned edge `(u, v)`
-    /// is hashed through the same dual-seed digest and XOR-folded into
-    /// both halves. XOR makes the operation self-inverting — adding an
-    /// edge and then removing it (or vice versa) restores the original
-    /// fingerprint, so an add/remove round trip re-hits the original
-    /// cache slot. Toggling the same edge set in any order commutes.
-    ///
-    /// The mutated keyspace is deliberately distinct from
-    /// [`of_build_v`](Self::of_build_v) on the churned graph: a mutated
-    /// key names "this base build plus this churn", not "a cold build of
-    /// the new graph" (which could legitimately pick different agents).
-    /// Disk lookups still re-validate against the actual topology, so a
-    /// stale file under a mutated key is detected and removed.
-    pub fn mutated(&self, edges: &[(nhood_topology::Rank, nhood_topology::Rank)]) -> Self {
-        let mut out = *self;
-        for &(u, v) in edges {
-            let delta = Self::digest(|h| {
-                u.hash(h);
-                v.hash(h);
-            });
-            out.hi ^= delta.hi;
-            out.lo ^= delta.lo;
-        }
-        out
-    }
-
-    /// Fingerprint of a *finished plan* on a topology — the key the
-    /// [`crate::arena::BlockArena`] uses to decide whether its cached
-    /// slot layout still applies to the plan it is handed.
+    /// Fingerprint of a *finished plan* on a topology: every phase's
+    /// copy count and messages, and the in-neighbor lists delivery
+    /// depends on. The plan goldens pin builders' output by it; nothing
+    /// is cached under it (the arena recognizes a plan by its `Arc` and
+    /// `same_rows`).
     pub fn of_plan(plan: &CollectivePlan, graph: &Topology) -> Self {
         Self::digest(|h| {
             plan.n().hash(h);
@@ -435,24 +410,24 @@ impl PlanCache {
         inner.stats.insertions += 1;
     }
 
-    /// Inserts (or replaces) the plan for `fp`, evicting the least
-    /// recently used entry when the memory tier is full. With a disk
-    /// tier, the plan is also written to `<fingerprint>.nhplan`
-    /// (atomically — [`plan_io::save_plan`]; best-effort: an I/O failure
-    /// leaves only the memory entry). No topology digest is recorded —
-    /// later disk hits take the full re-validation path. Prefer
-    /// [`insert_validated`](Self::insert_validated) when the plan is
-    /// known-valid for its topology.
+    /// [`insert_validated`](Self::insert_validated) without a topology:
+    /// the disk copy records no digest, so a later disk hit takes the
+    /// full re-validation path. The library stores every plan it builds
+    /// through `insert_validated`; this stays for callers timing the
+    /// bare store (`benchmark/`'s `plan_cache.insert_us`).
     pub fn insert(&self, fp: PlanFingerprint, plan: Arc<CollectivePlan>) {
         self.store(fp, plan, None);
     }
 
-    /// [`insert`](Self::insert) for a plan the caller has validated (or
-    /// built) against `graph`: the disk copy additionally records the
-    /// topology digest, enabling the validation-free fast path on later
-    /// lookups. The caller vouches that `plan.validate(graph)` holds — an
-    /// unvalidated plan inserted here would be served without its
-    /// runtime checks.
+    /// Inserts (or replaces) the plan for `fp`, a plan the caller has
+    /// validated (or built) against `graph`, evicting the least recently
+    /// used entry when the memory tier is full. With a disk tier, the
+    /// plan is also written to `<fingerprint>.nhplan` (atomically —
+    /// [`plan_io::save_plan`]; best-effort: an I/O failure leaves only the
+    /// memory entry) with the topology digest, which enables the
+    /// validation-free fast path on later lookups. The caller vouches
+    /// that `plan.validate(graph)` holds — an unvalidated plan inserted
+    /// here would be served without its runtime checks.
     pub fn insert_validated(
         &self,
         fp: PlanFingerprint,
@@ -467,27 +442,6 @@ impl PlanCache {
             let _ = plan_io::save_plan(&plan, &path, valid_for.map(Self::graph_digest));
         }
         Self::insert_locked(&mut self.lock(), self.capacity, fp, plan);
-    }
-
-    /// Drops the entry for `fp` from both tiers: the in-memory slot (and
-    /// its recency record) and, when a disk tier is configured, the
-    /// `<fingerprint>.nhplan` file. Used under topology churn to retire
-    /// a plan the mutation invalidated. Returns `true` when either tier
-    /// held the entry.
-    pub fn retire(&self, fp: PlanFingerprint) -> bool {
-        let mut inner = self.lock();
-        let had_mem = inner.map.remove(&fp).is_some();
-        if had_mem {
-            if let Some(i) = inner.order.iter().position(|&k| k == fp) {
-                inner.order.remove(i);
-            }
-        }
-        drop(inner);
-        let had_disk = match self.disk_path(fp) {
-            Some(path) => std::fs::remove_file(path).is_ok(),
-            None => false,
-        };
-        had_mem || had_disk
     }
 
     /// Looks `fp` up and, on a miss, runs `build`, caches its result and
@@ -645,11 +599,11 @@ mod tests {
                 .map(|a| PlanFingerprint::of_build(&g, &l, a))
                 .collect();
 
-        cache.insert(fps[0], Arc::clone(&plan));
-        cache.insert(fps[1], Arc::clone(&plan));
+        cache.insert_validated(fps[0], Arc::clone(&plan), &g);
+        cache.insert_validated(fps[1], Arc::clone(&plan), &g);
         // touch fps[0] so fps[1] becomes LRU
         assert!(cache.lookup(fps[0], &g).is_some());
-        cache.insert(fps[2], Arc::clone(&plan));
+        cache.insert_validated(fps[2], Arc::clone(&plan), &g);
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(fps[1], &g).is_none(), "LRU entry should be gone");
         assert!(cache.lookup(fps[0], &g).is_some());
@@ -698,54 +652,16 @@ mod tests {
     }
 
     #[test]
-    fn mutated_fingerprint_is_self_inverting_and_order_free() {
-        let g = erdos_renyi(32, 0.3, 7);
-        let l = layout(32);
-        let base = PlanFingerprint::of_build(&g, &l, Algorithm::DistanceHalving);
-        let churn = [(3usize, 17usize), (9, 2), (21, 30)];
-        let fwd = base.mutated(&churn);
-        assert_ne!(fwd, base, "churn must move the key");
-        // self-inverting: toggling the same edges again restores the key
-        assert_eq!(fwd.mutated(&churn), base);
-        // order-free: any permutation lands on the same key
-        let rev: Vec<_> = churn.iter().rev().copied().collect();
-        assert_eq!(base.mutated(&rev), fwd);
-        // each edge is its own toggle
-        assert_eq!(base.mutated(&churn[..1]).mutated(&churn[1..]), fwd);
-        // direction matters: (u, v) and (v, u) are different edges
-        assert_ne!(base.mutated(&[(3, 17)]), base.mutated(&[(17, 3)]));
-    }
-
-    #[test]
-    fn retire_drops_memory_and_disk_tiers() {
-        let dir = std::env::temp_dir().join(format!("nhood_retire_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let g = erdos_renyi(16, 0.4, 5);
-        let l = layout(16);
-        let fp = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
-        let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-        cache.insert(fp, Arc::new(plan_naive(&g)));
-        assert!(dir.join(format!("{fp}.nhplan")).exists());
-
-        assert!(cache.retire(fp));
-        assert!(cache.is_empty());
-        assert!(!dir.join(format!("{fp}.nhplan")).exists());
-        assert!(cache.lookup(fp, &g).is_none());
-        assert!(!cache.retire(fp), "second retire finds nothing");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn mutated_key_never_promotes_a_stale_disk_plan() {
         // The churn-stale hazard: a plan for the PRE-mutation topology
-        // sits on disk under the post-mutation key (e.g. written by a
-        // buggy or crashed mutator). The disk tier's revalidation must
-        // refuse to promote it for the churned topology and clean it up.
+        // sits on disk, with no topology digest, under the mutated
+        // graph's build key (e.g. written by a buggy or crashed writer).
+        // The disk tier's revalidation must refuse to promote it for the
+        // churned topology and clean it up.
         let dir = std::env::temp_dir().join(format!("nhood_churn_stale_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let g = erdos_renyi(16, 0.5, 31);
         let l = layout(16);
-        let base = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
         // churn: add an edge, so the pre-churn plan under-delivers on
         // the churned topology (a removed edge would merely leave the
         // old plan over-delivering, which validation tolerates)
@@ -754,7 +670,7 @@ mod tests {
             .find(|&(u, v)| u != v && !g.has_edge(u, v))
             .unwrap();
         let g2 = nhood_topology::Topology::from_edges(16, g.edges().chain(std::iter::once(grown)));
-        let mutated = base.mutated(&[grown]);
+        let mutated = PlanFingerprint::of_build(&g2, &l, Algorithm::Naive);
 
         let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
         // plant the PRE-churn plan on disk under the POST-churn key
@@ -767,11 +683,12 @@ mod tests {
         );
         assert!(!stale.exists(), "stale file must be removed on detection");
         // and a correct post-churn plan inserted under the same key works
-        cache.insert(mutated, Arc::new(plan_naive(&g2)));
+        cache.insert_validated(mutated, Arc::new(plan_naive(&g2)), &g2);
         drop(cache);
         let fresh = PlanCache::new(4).with_disk_dir(&dir).unwrap();
         let plan = fresh.lookup(mutated, &g2).expect("valid churned plan promotes");
         plan.validate(&g2).unwrap();
+        assert_eq!(fresh.stats().disk_fast_hits, 1, "{:?}", fresh.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -779,7 +696,7 @@ mod tests {
     fn contention_smoke_shared_cache_across_threads() {
         // The multi-tenant service shares ONE cache across every tenant
         // and worker thread. Hammer a small cache from several threads —
-        // concurrent get_or_build / lookup / retire over more keys than
+        // concurrent get_or_build / lookup / insert over more keys than
         // the capacity holds — and require: no deadlock, no panic, every
         // served plan validates for its topology, capacity respected,
         // and the counter deltas add up.
@@ -806,12 +723,12 @@ mod tests {
                             })
                             .unwrap();
                         plan.validate(g).expect("served plan must fit its topology");
-                        // interleave reads and occasional retirements
+                        // interleave reads and occasional re-inserts
                         if let Some(p) = cache.lookup(fp, g) {
                             p.validate(g).unwrap();
                         }
                         if i % 17 == t % 17 {
-                            cache.retire(fp);
+                            cache.insert_validated(fp, Arc::new(plan_naive(g)), g);
                         }
                     }
                 });
@@ -843,7 +760,7 @@ mod tests {
             let dir = std::env::temp_dir().join(format!("nhood_probe_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-            cache.insert(fps[0], Arc::new(plan_naive(&graphs[0])));
+            cache.insert_validated(fps[0], Arc::new(plan_naive(&graphs[0])), &graphs[0]);
             let fifo = dir.join(format!("{}.nhplan", fps[1]));
             let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("mkfifo");
             assert!(made.success());
@@ -939,9 +856,9 @@ mod tests {
         assert_eq!((s.hits, s.disk_hits, s.disk_fast_hits), (1, 1, 1), "{s:?}");
         assert!(warm.is_empty(), "the memory tier holds owned plans only");
 
-        // a digest-less (plain insert) file is served too — by the same
-        // probe as `lookup`: validated first, not a fast hit
-        cache.insert(fp, Arc::clone(&plan));
+        // a digest-less file is served too — by the same probe as
+        // `lookup`: validated first, not a fast hit
+        crate::plan_io::save_plan(&plan, &path, None).unwrap();
         let slow = fresh();
         assert!(slow.lookup_mapped(fp, &g).expect("validated hit").to_plan() == *plan);
         let s = slow.stats();
@@ -1046,7 +963,7 @@ mod tests {
         let fp = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
 
         let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-        cache.insert(fp, Arc::new(plan_naive(&g)));
+        cache.insert_validated(fp, Arc::new(plan_naive(&g)), &g);
         drop(cache);
 
         // a brand-new cache (fresh process, conceptually) finds it on disk
