@@ -10,10 +10,10 @@
 //!   keeps rejected / degraded / failed counts and deterministic
 //!   nearest-rank p50/p99 latency.
 //! * **Batching cells** — the identical pre-generated request stream is
-//!   pushed through the service twice: once with same-fingerprint
-//!   coalescing on (one plan fetch + warm arena per batch) and once
-//!   per-request (the public one-call-API baseline: plan fetch and cold
-//!   arena per request). Throughput is requests over wall time.
+//!   pushed through the service twice: once with per-tenant batching
+//!   on (one plan fetch + warm arena per batch) and once per-request
+//!   (every request alone, on a cold arena). Throughput is requests
+//!   over wall time.
 //!
 //! Gates, see [`report`]: every sustained cell completes ≥ 99 % of
 //! *admitted* requests (`min_completion`, [`GATE_COMPLETION`]) with
@@ -61,7 +61,7 @@ pub struct BatchRow {
     pub case: String,
     /// Requests in the stream.
     pub requests: usize,
-    /// Throughput with same-fingerprint coalescing, req/s.
+    /// Throughput with per-tenant batching, req/s.
     pub batched_rps: f64,
     /// Throughput per-request (batching off), req/s.
     pub unbatched_rps: f64,
@@ -157,8 +157,8 @@ pub fn batching_cell(
         ragged_frac: 0.25,
         ..TrafficSpec::default()
     };
-    // Every tenant shares one topology → one fingerprint → cross-tenant
-    // coalescing in the batched arm.
+    // Every tenant shares one topology: the arms differ only in the warm
+    // arena a batch runs on (each tenant still batches alone).
     let graph = erdos_renyi(n, 0.3, seed);
     let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
     let stream = generate_requests(&spec, &vec![n; tenants], requests);

@@ -1312,4 +1312,24 @@ mod tests {
         assert_eq!(report.used, Algorithm::DistanceHalving, "{report}");
         assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
     }
+
+    #[test]
+    fn robust_requests_take_their_plan_from_the_epoch_memo() {
+        // a cacheless communicator builds once: the second robust request
+        // is served the first one's plan
+        let c = comm(32, 0.3);
+        let rec = nhood_telemetry::CountingRecorder::new(32);
+        let payloads = test_payloads(32, 8, 3);
+        for _ in 0..2 {
+            let req = CollectiveRequest::allgather(&payloads)
+                .algorithm(Algorithm::CommonNeighbor { k: 4 })
+                .robust(true)
+                .backend(ExecBackend::Threaded)
+                .recorder(&rec);
+            let out = c.collective(&req).unwrap();
+            assert_eq!(out.rbufs, reference_allgather(c.graph(), &payloads));
+        }
+        let t = rec.totals();
+        assert_eq!((t.plan_cache_hits, t.plan_cache_misses), (1, 1));
+    }
 }

@@ -2,8 +2,8 @@
 //! communicator — normalize the parameters, look in the epoch's plan
 //! table ([`Memo`]), then the plan cache, and build on a miss. Every
 //! plan request takes that one lookup: a gather's plan, the combining
-//! family's routing plan, the tuner's winner and the robust path's
-//! Distance Halving plan.
+//! family's routing plan, the tuner's winner and a robust request's
+//! plan.
 
 use super::{CommError, DistGraphComm};
 use crate::autotune::{candidates, TuneOutcome};
@@ -224,9 +224,7 @@ impl DistGraphComm {
     /// The concrete algorithm a request for `algo` executes:
     /// [`Algorithm::Auto`] resolves to the tuner's winner for this
     /// communicator's current fingerprint (tuning now if the winner is
-    /// not yet cached), anything else just normalizes. The service's
-    /// batching keys on the result, so Auto tenants coalesce with
-    /// tenants that picked the winner explicitly.
+    /// not yet cached), anything else just normalizes.
     pub fn resolve_algorithm(&self, algo: Algorithm) -> Result<Algorithm, CommError> {
         match self.normalize_algorithm(algo)? {
             Algorithm::Auto => Ok(self.plan_shared(Algorithm::Auto)?.algorithm),

@@ -156,22 +156,23 @@ impl DistGraphComm {
     /// communicator's fault plan and the default retry budget, under its
     /// negotiation timeout), so pattern construction is itself exposed to
     /// injected faults; every other algorithm — and Distance Halving off
-    /// block placement, which re-ranks through [`crate::remap`] — plans as
-    /// [`Self::plan`]. The negotiated [`DhPattern`] stays alive alongside
-    /// the plan — mid-execution link-down repair needs the pattern's
-    /// decisions, not just the lowered messages; the other plans keep
-    /// none, and a dead link degrades them to naive. The negotiation
-    /// tallies its faults into `opts`' sink and reports per-rank rounds,
-    /// signal retries and `negotiate` spans into its recorder.
+    /// block placement, which re-ranks through [`crate::remap`] — takes
+    /// its plan from the epoch memo ([`Self::plan_shared`]). The negotiated
+    /// [`DhPattern`] stays alive alongside the plan — mid-execution
+    /// link-down repair needs the pattern's decisions, not just the lowered
+    /// messages; the other plans keep none, and a dead link degrades them
+    /// to naive. The negotiation tallies its faults into `opts`' sink and
+    /// reports per-rank rounds, signal retries and `negotiate` spans into
+    /// its recorder.
     pub(super) fn robust_plan_with_pattern(
         &self,
         algo: Algorithm,
         opts: &ExecOptions<'_>,
     ) -> Result<(Arc<CollectivePlan>, Option<DhPattern>), CommError> {
-        if algo != Algorithm::DistanceHalving || self.layout.placement() != Placement::Block {
-            return Ok((Arc::new(self.plan(algo)?), None));
-        }
         let sizes = self.planning_sizes();
+        if algo != Algorithm::DistanceHalving || self.layout.placement() != Placement::Block {
+            return Ok((self.plan_shared_sized(algo, &sizes, opts.recorder)?, None));
+        }
         // The memo's Distance Halving entry, when `mutate` installed it
         // with its pattern, IS the current plan — no negotiation.
         let live = self
@@ -275,10 +276,11 @@ impl DistGraphComm {
             Ok(out) => out,
             Err((why, err)) => {
                 self.degrade(&mut report, rec, why, err)?;
-                // The naive plan under the same faults and policy. The
-                // shared sink already accumulated the failed attempts'
-                // tallies, so the outcome's snapshot is the complete count.
-                run(&Arc::new(self.plan(Algorithm::Naive)?), &self.graph)?
+                // The naive plan under the same faults and policy; the shared
+                // sink already holds every failed attempt's tally.
+                let naive =
+                    self.plan_shared_sized(Algorithm::Naive, &self.planning_sizes(), rec)?;
+                run(&naive, &self.graph)?
             }
         };
         report.faults = out.faults;

@@ -9,10 +9,10 @@
 //! allreduce), op-tagged via [`SubmitRequest`] — flow through a bounded
 //! submission queue with **admission control** — per-tenant fairness
 //! quotas and typed backpressure ([`Rejected`]` { retry_after }`) —
-//! and an event-driven reactor coalesces requests whose
-//! [`PlanFingerprint`](nhood_core::PlanFingerprint)s agree into **batched
-//! executions** that pay plan lookup and arena layout once per batch
-//! instead of once per request.
+//! and an event-driven reactor coalesces a tenant's requests of one op
+//! family into **batched executions** on the tenant's warm arena, which
+//! pay plan lookup and arena layout once per batch instead of once per
+//! request.
 //!
 //! Topology churn integrates live: [`Service::churn`] repairs the
 //! affected tenant's plan in place (PR 6 machinery) without draining

@@ -9,29 +9,22 @@
 //!    never blocks and never silently drops.
 //! 2. [`Service::tick`] drains up to
 //!    [`AdmissionConfig::max_batch`](crate::AdmissionConfig) requests
-//!    and groups them by the submitting tenant's
-//!    [`PlanFingerprint`]: requests whose fingerprints agree are
-//!    provably planning the identical collective (the fingerprint
-//!    digests topology, layout, algorithm, size table and load
-//!    metric), so the group shares **one** plan fetch and each tenant's
-//!    **warm** block arena instead of paying fingerprint hashing and
-//!    arena layout per request. That amortization is the service's
-//!    throughput lever (disable it with
-//!    [`ServiceConfig::batching`]` = false` to get the
-//!    one-call-API-per-request baseline).
+//!    and groups them by tenant and op family: a batch is one tenant's
+//!    run. Its gather requests share **one** plan fetch from the
+//!    tenant communicator's epoch memo, and every batch runs on the
+//!    tenant's **warm** block arena instead of laying one out per
+//!    request. That amortization is the service's throughput lever
+//!    (disable it with [`ServiceConfig::batching`]` = false`: every
+//!    request alone, on a cold arena).
 //! 3. Fault-armed tenants execute every op through the robust
-//!    threaded path (the only transport that injects faults); their
-//!    requests group per-tenant so a degraded tenant never shares a
-//!    batch with a clean one. Combining ops (alltoallv,
-//!    reduce_scatter, allreduce) run the same engine as gathers but
-//!    never share a batch with them — the two families plan
-//!    differently, so the grouping key carries the op's plan tag next
-//!    to the fingerprint.
+//!    threaded path (the only transport that injects faults). Combining
+//!    ops (alltoallv, reduce_scatter, allreduce) run the same engine as
+//!    gathers but never share a batch with them — under `Auto` or a
+//!    pinned size table the two families resolve different plans.
 //! 4. [`Service::churn`] applies PR 6 topology mutations to a live
 //!    tenant **without draining the queue**: the communicator repairs
-//!    (or rebuilds) its plan in place and the tenant's fingerprint is
-//!    refreshed, so queued requests simply execute against the
-//!    repaired plan when their tick comes.
+//!    (or rebuilds) its plan in place, so queued requests simply execute
+//!    against the repaired plan when their tick comes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -41,8 +34,7 @@ use nhood_cluster::ClusterLayout;
 use nhood_core::collective::matches_reference;
 use nhood_core::{
     Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectivePlan, CollectiveRequest, CommError,
-    DType, DistGraphComm, ExecBackend, MutationReport, PlanCache, PlanFingerprint, Reduction,
-    SimCost,
+    DType, DistGraphComm, ExecBackend, MutationReport, PlanCache, Reduction, SimCost,
 };
 use nhood_telemetry::{labels, CountingRecorder, Recorder};
 use nhood_topology::{Rank, Topology};
@@ -94,9 +86,9 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Transport for clean tenants.
     pub backend: Backend,
-    /// Coalesce same-fingerprint requests into batched executions
-    /// (`false` = per-request baseline: every request pays its own plan
-    /// fetch and a cold arena).
+    /// Coalesce a tick's requests of one tenant and op family into one
+    /// batched execution on the tenant's warm arena (`false` =
+    /// per-request baseline: every request alone, on a cold arena).
     pub batching: bool,
     /// Byte-verification policy.
     pub verify: Verify,
@@ -230,7 +222,7 @@ impl SubmitRequest {
 
 struct Pending {
     id: RequestId,
-    /// The tick's batch: the first-arrival index of its grouping key.
+    /// The tick's batch: the first-arrival index of its (tenant, family).
     group: usize,
     tenant: TenantId,
     op: CollectiveOp,
@@ -242,25 +234,12 @@ struct Pending {
 struct Tenant {
     comm: DistGraphComm,
     algo: Algorithm,
-    /// Grouping key: digests graph + layout + algo + size table +
-    /// metric, recomputed on churn (not per request).
-    fp: PlanFingerprint,
     /// Persistent arena — keeps the programs of the tenant's live plan,
     /// so batched requests skip per-request compile work.
     arena: BlockArena,
     faulty: bool,
     queued: usize,
     stats: TenantStats,
-}
-
-/// Batch grouping key: clean tenants coalesce across tenants by
-/// fingerprint **and** family (`op.is_gather()` — under `Auto` or a
-/// pinned size table gather and message-combining traffic resolve
-/// different plans); fault-armed tenants stay per-tenant.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BatchKey {
-    Clean(PlanFingerprint, bool),
-    Faulty(TenantId),
 }
 
 /// The multi-tenant collective service. See the [crate docs](crate)
@@ -276,10 +255,10 @@ pub struct Service {
     stats: ServiceStats,
     latencies_us: Vec<u64>,
     completions: Vec<Completion>,
-    /// A tick's drained requests and its batches' keys in first-arrival
-    /// order: empty between ticks, their capacity kept.
+    /// A tick's drained requests and its batches' (tenant, family) keys
+    /// in first-arrival order: empty between ticks, their capacity kept.
     ticked: Vec<Pending>,
-    keys: Vec<BatchKey>,
+    keys: Vec<(TenantId, bool)>,
     /// One set of receive buffers handed from clean request to clean
     /// request inside a [`Service::tick`]; empty between ticks, so the
     /// service holds no receive-buffer capacity while idle.
@@ -349,28 +328,15 @@ impl Service {
             // loses nothing).
             self.rec = CountingRecorder::new(comm.n());
         }
-        let fp = Self::fingerprint(&comm, algo);
         self.tenants.push(Tenant {
             comm,
             algo,
-            fp,
             arena: BlockArena::new(),
             faulty,
             queued: 0,
             stats: TenantStats::default(),
         });
         Ok(self.tenants.len() - 1)
-    }
-
-    fn fingerprint(comm: &DistGraphComm, algo: Algorithm) -> PlanFingerprint {
-        // Key batches on the CONCRETE algorithm: `Auto` resolves to its
-        // tuned winner (a memo / cache hit — registration and churn
-        // both plan before fingerprinting) and degenerate parameters
-        // canonicalize, so an `Auto` tenant coalesces with tenants that
-        // request the winning algorithm explicitly.
-        let algo = comm.resolve_algorithm(algo).unwrap_or(algo);
-        let sizes = comm.block_sizes().cloned().unwrap_or_else(|| BlockSizes::uniform(0));
-        PlanFingerprint::of_build_v(comm.graph(), comm.layout(), algo, &sizes, comm.load_metric())
     }
 
     /// Number of registered tenants.
@@ -404,32 +370,14 @@ impl Service {
         &self.cache
     }
 
-    /// Submits an allgather(v) arriving now (op inferred from payload
-    /// raggedness). See [`Service::submit_request_at`].
+    /// Submits an allgather(v) arriving now (`payloads[r]` is rank `r`'s;
+    /// ragged lengths make it an allgatherv). See [`Service::submit_request_at`].
     pub fn submit(
         &mut self,
         tenant: TenantId,
         payloads: Vec<Vec<u8>>,
     ) -> Result<RequestId, Rejected> {
-        self.submit_at(tenant, payloads, Instant::now())
-    }
-
-    /// Submits an allgather(v) with an explicit arrival stamp.
-    /// `payloads[r]` is rank `r`'s contribution; lengths may differ
-    /// (allgatherv). See [`Service::submit_request_at`].
-    ///
-    /// # Errors
-    /// Returns [`Rejected`] when admission control turns the request
-    /// away; the queue and tenant state are untouched.
-    pub fn submit_at(
-        &mut self,
-        tenant: TenantId,
-        payloads: Vec<Vec<u8>>,
-        arrived: Instant,
-    ) -> Result<RequestId, Rejected> {
-        let ragged = payloads.windows(2).any(|w| w[0].len() != w[1].len());
-        let op = if ragged { CollectiveOp::Allgatherv } else { CollectiveOp::Allgather };
-        self.submit_request_at(tenant, SubmitRequest { op, payloads, sizes: None }, arrived)
+        self.submit_request(tenant, SubmitRequest::allgather(payloads))
     }
 
     /// Submits an op-tagged request arriving now. See
@@ -496,8 +444,7 @@ impl Service {
 
     /// Applies a topology mutation to a live tenant **without draining
     /// the queue**: the communicator repairs (or rebuilds) its plan in
-    /// place and the tenant's batching fingerprint is refreshed; queued
-    /// requests execute against the repaired plan.
+    /// place; queued requests execute against the repaired plan.
     ///
     /// # Errors
     /// Propagates [`CommError`] when the mutated topology cannot be
@@ -513,7 +460,6 @@ impl Service {
     ) -> Result<MutationReport, CommError> {
         let t = &mut self.tenants[tenant];
         let rep = t.comm.mutate(added, removed)?;
-        t.fp = Self::fingerprint(&t.comm, t.algo);
         t.stats.churn_events += 1;
         self.stats.churn_events += 1;
         if rep.full_rebuild {
@@ -541,17 +487,13 @@ impl Service {
         let mut ticked = std::mem::take(&mut self.ticked);
         ticked.extend(self.queue.drain(..take));
 
-        // Group in place: a request's batch is its key's first-arrival
-        // rank, and sorting on (batch, id) keeps arrival order within one
-        // (ids are issued in queue order). With batching off every request
-        // is a batch of its own — the per-request baseline.
+        // Group in place: a request's batch is its (tenant, family)'s
+        // first-arrival rank, and sorting on (batch, id) keeps arrival order
+        // within one (ids are issued in queue order). With batching off
+        // every request is a batch of its own — the per-request baseline.
         self.keys.clear();
         for req in ticked.iter_mut() {
-            let t = &self.tenants[req.tenant];
-            let key = match t.faulty {
-                true => BatchKey::Faulty(req.tenant),
-                false => BatchKey::Clean(t.fp, req.op.is_gather()),
-            };
+            let key = (req.tenant, req.op.is_gather());
             let seen = self.cfg.batching.then(|| self.keys.iter().position(|k| *k == key));
             req.group = seen.flatten().unwrap_or_else(|| {
                 self.keys.push(key);
@@ -599,18 +541,15 @@ impl Service {
         finished
     }
 
-    /// A clean group, any op: warm per-tenant arenas and the tick's spare
-    /// receive buffers, through [`DistGraphComm::collective_on`]. A
-    /// gather group pays one plan fetch for the whole batch (every
-    /// member shares the group fingerprint, so the leader's plan is
-    /// everyone's plan); a combining group resolves through each
-    /// communicator's memoized routing plan.
+    /// A clean tenant's batch, any op: its warm arena and the tick's
+    /// spare receive buffers, through [`DistGraphComm::collective_on`]. A
+    /// gather batch fetches its plan once, from the tenant's epoch memo;
+    /// a combining batch resolves the memoized routing plan per request.
     fn run_clean_batch(&mut self, batch: impl Iterator<Item = Pending>) {
         let mut batch = batch.peekable();
         let Some(first) = batch.peek() else { return };
-        let lead = &self.tenants[first.tenant];
-        let plan = match first.op.is_gather().then(|| lead.comm.plan_shared(lead.algo)).transpose()
-        {
+        let t = &self.tenants[first.tenant];
+        let plan = match first.op.is_gather().then(|| t.comm.plan_shared(t.algo)).transpose() {
             Ok(p) => p,
             Err(e) => {
                 for req in batch {
@@ -631,8 +570,7 @@ impl Service {
                 .recorder(&self.rec);
             creq.sizes = req.sizes.clone();
             // The warm per-tenant arena is part of the batching design;
-            // with batching off each request pays a cold arena, exactly
-            // like the public one-call API.
+            // with batching off each request lays out a cold one.
             let mut scratch;
             let arena = if self.cfg.batching {
                 &mut t.arena
@@ -648,10 +586,10 @@ impl Service {
         }
     }
 
-    /// A fault-armed tenant's group: every op runs the robust path
-    /// (threaded transport — the only one that injects faults), with
-    /// plan negotiation amortized by the tenant's live Distance Halving
-    /// plan and the shared cache. On [`Backend::Sim`] a gather's fault plan
+    /// A fault-armed tenant's batch: every op runs the robust path
+    /// (threaded transport — the only one that injects faults) on a plan
+    /// from the tenant's epoch memo, where a Distance Halving tenant's
+    /// live plan spares the negotiation. On [`Backend::Sim`] a gather's fault plan
     /// lowers to a latency perturbation instead, and combining traffic
     /// simulates clean.
     fn run_robust_batch(&mut self, batch: impl Iterator<Item = Pending>) {
@@ -878,7 +816,7 @@ mod tests {
         assert_eq!(report.stats.completed, 5);
         assert_eq!(report.stats.verified, 5);
         assert_eq!(report.stats.corrupt, 0);
-        // All five share one fingerprint → one batch.
+        // All five are one tenant's gathers → one batch.
         assert_eq!(report.stats.batches, 1);
         assert_eq!(report.stats.coalesced, 5);
         let completions = svc.take_completions();
@@ -971,7 +909,8 @@ mod tests {
     }
 
     #[test]
-    fn same_topology_tenants_coalesce_cross_tenant() {
+    fn same_topology_tenants_batch_apart() {
+        // a batch is one tenant's run: equal topologies do not merge tenants
         let mut svc = Service::new(ServiceConfig::default());
         let g = erdos_renyi(16, 0.3, 5);
         let a = svc.add_tenant(g.clone(), layout_for(16), Algorithm::DistanceHalving).unwrap();
@@ -980,27 +919,7 @@ mod tests {
         svc.submit(b, uniform_payloads(16, 32, 2)).unwrap();
         svc.drain();
         let report = svc.report();
-        assert_eq!(report.stats.batches, 1, "identical fingerprints must share a batch");
-        assert_eq!(report.stats.completed, 2);
-    }
-
-    #[test]
-    fn auto_tenants_coalesce_with_the_explicit_winner() {
-        // `BatchKey::Clean` must key on the tuned winner, not on the
-        // `Auto` marker: a tenant registered with `Auto` and one that
-        // names the winning algorithm explicitly share one batch.
-        let mut svc = Service::new(ServiceConfig::default());
-        let g = erdos_renyi(16, 0.4, 5);
-        let probe = DistGraphComm::create_adjacent(g.clone(), layout_for(16)).unwrap();
-        let winner = probe.resolve_algorithm(Algorithm::Auto).unwrap();
-        assert_ne!(winner, Algorithm::Auto);
-        let a = svc.add_tenant(g.clone(), layout_for(16), Algorithm::Auto).unwrap();
-        let b = svc.add_tenant(g, layout_for(16), winner).unwrap();
-        svc.submit(a, uniform_payloads(16, 32, 1)).unwrap();
-        svc.submit(b, uniform_payloads(16, 32, 2)).unwrap();
-        svc.drain();
-        let report = svc.report();
-        assert_eq!(report.stats.batches, 1, "Auto must batch under its concrete winner");
+        assert_eq!(report.stats.batches, 2, "each tenant runs its own batch");
         assert_eq!(report.stats.completed, 2);
     }
 
@@ -1064,11 +983,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_requests_verify_across_churn_and_shared_fingerprints() {
+    fn warm_requests_verify_across_churn_and_equal_topologies() {
         // The arena's warm check must follow the plan through every way
-        // a tenant's plan changes under it: two tenants sharing one
-        // fingerprint (one plan `Arc`, two topologies that are equal),
-        // a churn that repairs tenant a only, and a churn back.
+        // a tenant's plan changes under it: two tenants on equal
+        // topologies (one cached plan `Arc` between them), a churn that
+        // repairs tenant a only, and a churn back.
         for batching in [true, false] {
             let cfg = ServiceConfig { verify: Verify::All, batching, ..Default::default() };
             let mut svc = Service::new(cfg);
@@ -1196,8 +1115,8 @@ mod tests {
         assert_eq!(report.stats.completed, 4);
         assert_eq!(report.stats.verified, 4, "every op family must be byte-checked");
         assert_eq!(report.stats.corrupt, 0);
-        // One gather batch + one combining batch: same fingerprint,
-        // different plan tags.
+        // One gather batch + one combining batch: one tenant, two
+        // op families.
         assert_eq!(report.stats.batches, 2);
     }
 

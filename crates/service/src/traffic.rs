@@ -370,7 +370,7 @@ pub fn run_open_loop(service: &mut Service, spec: &TrafficSpec) -> ServiceReport
             }
         }
         // Open loop: admit every arrival that is due, regardless of how
-        // far behind execution is. `submit_at` stamps the intended
+        // far behind execution is. `submit_request_at` stamps the intended
         // arrival so queueing delay lands in the latency samples, and
         // rejections are the admission controller's problem, counted in
         // the report.

@@ -71,9 +71,9 @@ pub mod labels {
     /// recovery) — see `Recorder::repair`.
     pub const REPAIR: &str = "repair";
     /// One reactor tick of the collective service: drain the submission
-    /// queue, group by fingerprint, execute the batches.
+    /// queue, group by tenant and op family, execute the batches.
     pub const SERVICE_TICK: &str = "service_tick";
-    /// One batched execution of same-fingerprint service requests.
+    /// One batched execution of one tenant's service requests.
     pub const SERVICE_BATCH: &str = "service_batch";
 }
 
