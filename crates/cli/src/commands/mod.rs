@@ -463,6 +463,7 @@ mod tests {
         assert!(json.contains("thread_name"), "{json}");
 
         // summary and model-check on every backend
+        let mut summaries = Vec::new();
         for backend in ["virtual", "threaded", "sim"] {
             let mut out = Vec::new();
             cmd_trace(
@@ -471,7 +472,8 @@ mod tests {
             )
             .unwrap();
             let text = String::from_utf8_lossy(&out).to_string();
-            assert!(text.contains("total"), "{backend}: {text}");
+            assert!(text.contains("total") && text.contains("locality:"), "{backend}: {text}");
+            summaries.push(text);
 
             let mut out = Vec::new();
             cmd_trace(
@@ -483,6 +485,14 @@ mod tests {
             assert!(text.contains("E[n_off]"), "{backend}: {text}");
             assert!(text.contains("predicted") && text.contains("measured"), "{backend}: {text}");
         }
+        // the simulator replays the plan's messages: its per-rank
+        // msgs / bytes out and in and its locality split are the virtual run's
+        let traffic = |text: &str| -> Vec<String> {
+            let columns = |l: &str| l.split_whitespace().take(5).collect::<Vec<_>>().join(" ");
+            let line = |l: &str| if l.starts_with("locality:") { l.into() } else { columns(l) };
+            text.lines().map(line).collect()
+        };
+        assert_eq!(traffic(&summaries[2]), traffic(&summaries[0]));
 
         // invalid combinations fail typed
         let mut out = Vec::new();

@@ -7,13 +7,14 @@ use super::{
 };
 use crate::args::{parse_bytes, ArgError, Args};
 use nhood_core::collective::matches_reference;
-use nhood_core::exec::sim_exec::{to_schedule_v, Sim};
+use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::exec::virtual_exec::test_payloads;
 use nhood_core::exec::{ExecOptions, Executor, Threaded, Virtual};
 use nhood_core::{
     BlockArena, CollectiveOp, CollectiveRequest, DType, DistGraphComm, ExecBackend, ReduceOp,
     Reduction,
 };
+use nhood_simnet::{Engine, PriceColumns};
 use nhood_telemetry::{CountingRecorder, ModelPrediction, Recorder, SpanRecorder};
 use nhood_topology::Topology;
 use std::io::Write;
@@ -145,19 +146,24 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let comm = DistGraphComm::create_adjacent(graph.clone(), layout.clone())?;
     let plan = comm.plan_shared(algo)?;
 
+    let engine = Engine::new(&layout, cost.net);
+    let schedule = || to_schedule_v(&plan, &vec![m; plan.n()], &cost);
     // Runs the chosen backend once with `rec` observing it.
     let run_backend = |rec: &dyn Recorder| -> Result<(), ArgError> {
-        let opts = ExecOptions::new().recorder(rec);
-        let arena = &mut BlockArena::new();
-        let sim = Sim { layout: layout.clone(), cost, m: Some(m) };
-        let bytes = || test_payloads(graph.n(), m, 0xC0FFEE);
-        let (exec, payloads): (&dyn Executor, Vec<Vec<u8>>) = match backend {
-            // the simulator takes its message size from `m`, not from bytes
-            ExecBackend::Sim => (&sim, Vec::new()),
-            ExecBackend::Threaded => (&Threaded, bytes()),
-            ExecBackend::Virtual => (&Virtual, bytes()),
+        let exec: &dyn Executor = match backend {
+            // the simulator replays the schedule at `m`, moving no bytes
+            ExecBackend::Sim => {
+                let s = schedule();
+                let prices = PriceColumns::from(&s);
+                engine.run_prepared(&engine.prepare(&s)?, &prices, None, Some(rec))?;
+                return Ok(());
+            }
+            ExecBackend::Threaded => &Threaded,
+            ExecBackend::Virtual => &Virtual,
         };
-        exec.run(&plan, &graph, &payloads, arena, &opts)?;
+        let payloads = test_payloads(graph.n(), m, 0xC0FFEE);
+        let opts = ExecOptions::new().recorder(rec);
+        exec.run(&plan, &graph, &payloads, &mut BlockArena::new(), &opts)?;
         Ok(())
     };
     let counting = || {
@@ -170,9 +176,7 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
             if backend != ExecBackend::Sim {
                 return Err(fail("--format csv needs --backend sim (simulated timestamps)"));
             }
-            let schedule = to_schedule_v(&plan, &vec![m; plan.n()], &cost);
-            let (report, traces) =
-                nhood_simnet::Engine::new(&layout, cost.net).run_traced(&schedule)?;
+            let (report, traces) = engine.run_traced(&schedule())?;
             let out_path = args.get("out").unwrap_or("trace.csv");
             let f = std::fs::File::create(out_path)?;
             nhood_simnet::write_trace_csv(&traces, std::io::BufWriter::new(f))?;

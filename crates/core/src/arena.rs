@@ -210,9 +210,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::collective::program::tests::compiles;
-    use crate::exec::sim_exec::simulate;
+    use crate::exec::sim_exec::{simulate, simulate_kept, Priced, SimCost};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
-    use crate::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
+    use crate::exec::{ExecOptions, Executor, Threaded, Virtual};
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use crate::plan::{Algorithm, PlanWriter};
@@ -302,13 +302,13 @@ pub(crate) mod tests {
             _ => crate::common_neighbor::plan_common_neighbor(&g, 4),
         };
         // ... and the simulated structure kept beside the program
-        let layout = ClusterLayout::new(3, 2, 2);
-        let sim = Sim::new(layout.clone()).message_size(64);
+        let (layout, cost) = (ClusterLayout::new(3, 2, 2), SimCost::niagara());
         let simulated = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>| {
-            let out = sim.run(plan, &g, &[], arena, &ExecOptions::default()).unwrap();
-            out.sim.expect("a simulated report").makespan.to_bits()
+            let sizes = Priced::Gather(&[64; 12]);
+            let got = simulate_kept(arena, plan, &g, &layout, &cost, sizes, None).unwrap();
+            got.makespan.to_bits()
         };
-        let cold = |plan: &CollectivePlan| simulate(plan, &layout, 64, &sim.cost).unwrap();
+        let cold = |plan: &CollectivePlan| simulate(plan, &layout, 64, &cost).unwrap();
         let mut arena = BlockArena::new();
         let first = Arc::new(nth(0));
         arena.prepare(&first, &g).unwrap();
@@ -342,10 +342,10 @@ pub(crate) mod tests {
         for (i, &(plan, graph, layout)) in steps.iter().chain(&churn).enumerate() {
             let warm = arena.simulation(plan, graph, Shape::Gather, layout).is_some();
             assert_eq!(warm, [1, 5].contains(&i), "step {i}: a structure kept for it");
-            let sim = Sim::new(layout.clone()).message_size(256);
-            let out = sim.run(plan, graph, &[], &mut arena, &ExecOptions::default()).unwrap();
-            let want = simulate(plan, layout, 256, &sim.cost).unwrap().makespan;
-            assert_eq!(out.sim.unwrap().makespan.to_bits(), want.to_bits(), "step {i}");
+            let (cost, sizes) = (SimCost::niagara(), Priced::Gather(&[256; 32]));
+            let got = simulate_kept(&mut arena, plan, graph, layout, &cost, sizes, None).unwrap();
+            let want = simulate(plan, layout, 256, &cost).unwrap().makespan;
+            assert_eq!(got.makespan.to_bits(), want.to_bits(), "step {i}");
         }
     }
 

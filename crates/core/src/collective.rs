@@ -289,10 +289,9 @@ pub enum ExecBackend {
     /// Rank machines on a worker pool, the communicator's timeouts; the
     /// only backend with fault injection and robustness.
     Threaded,
-    /// Discrete-event simulated time. Unlike the bare `Sim` executor,
-    /// the request API *also* returns oracle bytes (computed on the
-    /// virtual data path) next to the makespan, so reference-equivalence
-    /// holds on this backend too.
+    /// Discrete-event simulated time: the request returns oracle bytes
+    /// (computed on the virtual data path) next to the simulated
+    /// makespan, so reference-equivalence holds on this backend too.
     Sim,
 }
 

@@ -712,11 +712,13 @@ mod tests {
     fn best_k_sweep_picks_a_swept_value() {
         let c = comm(32, 0.4);
         let cost = SimCost::niagara();
-        let (k, plan) = c.best_common_neighbor(&[2, 4, 8], 256, &cost).unwrap();
+        let ks = [2, 4, 8].map(|k| Algorithm::CommonNeighbor { k });
+        let out = c.tune_candidates(&ks, &BlockSizes::uniform(256), &NULL).unwrap();
+        let Algorithm::CommonNeighbor { k } = out.winner else { panic!("{}", out.winner) };
         assert!([2, 4, 8].contains(&k));
-        assert_eq!(plan.algorithm, Algorithm::CommonNeighbor { k });
+        assert_eq!(out.plan.algorithm, out.winner);
         // the chosen K is at least as good as the others
-        let t_best = simulate(&plan, c.layout(), 256, &cost).unwrap().makespan;
+        let t_best = simulate(&out.plan, c.layout(), 256, &cost).unwrap().makespan;
         for other in [2usize, 4, 8] {
             let p = c.plan(Algorithm::CommonNeighbor { k: other }).unwrap();
             let t = simulate(&p, c.layout(), 256, &cost).unwrap().makespan;
@@ -736,13 +738,6 @@ mod tests {
             matches!(err, CommError::Exec(ExecError::PayloadCountMismatch { got: 31, want: 32 })),
             "{err}"
         );
-    }
-
-    #[test]
-    fn best_k_sweep_rejects_an_empty_sweep_typed() {
-        let c = comm(32, 0.3);
-        let err = c.best_common_neighbor(&[], 64, &SimCost::niagara()).unwrap_err();
-        assert!(matches!(err, CommError::BadAlgorithmParam { .. }), "{err}");
     }
 
     #[test]

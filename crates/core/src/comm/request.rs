@@ -10,8 +10,7 @@ use crate::collective::program::Shape;
 use crate::collective::{
     check_support, derive_sizes, CollectiveOp, CollectiveOutput, CollectiveRequest, ExecBackend,
 };
-use crate::exec::sim_exec::{Priced, SimCost};
-use crate::exec::Sim;
+use crate::exec::sim_exec::{simulate_kept, Priced, SimCost};
 use crate::exec::{execute, ExecOptions};
 use crate::plan::CollectivePlan;
 use crate::runtime::Clock;
@@ -32,9 +31,8 @@ impl DistGraphComm {
     /// rank, are the algorithm refusals. Robust, fault-injected execution
     /// serves every op on the threaded backend. On [`ExecBackend::Sim`]
     /// the output carries **both** real oracle bytes and the simulator's
-    /// makespan (under [`SimCost::niagara`]); the bare
-    /// [`crate::exec::Sim`] executor returns empty buffers, and
-    /// [`Self::simulate_on`] the makespan alone, at any cost.
+    /// makespan (under [`SimCost::niagara`]); [`Self::simulate_on`]
+    /// prices the request alone, at any cost, moving no byte.
     ///
     /// Combinations outside the support matrix return
     /// [`CommError::UnsupportedCollective`] /
@@ -107,14 +105,14 @@ impl DistGraphComm {
             Some(plan) => Arc::clone(plan),
             None => self.resolve_plan(req)?,
         };
-        let (graph, sim) = (&self.graph, Sim::new(self.layout.clone()).cost(*cost));
+        let graph = &self.graph;
         let sizes = match &sizes {
             None => Priced::Gather(&req.payloads.iter().map(Vec::len).collect::<Vec<_>>()),
             Some(sizes) => {
                 Priced::Program(&*arena.program(&plan, graph, Shape::of(req.op))?, sizes)
             }
         };
-        Ok(sim.simulate(arena, &plan, graph, sizes, perturbation, None)?)
+        Ok(simulate_kept(arena, &plan, graph, &self.layout, cost, sizes, perturbation)?)
     }
 
     /// A combining op's validated size table; a gather reads its block

@@ -444,31 +444,4 @@ impl DistGraphComm {
         let plan = self.plan(algo)?;
         Ok(simulate(&plan, &self.layout, m, cost)?)
     }
-
-    /// Sweeps Common Neighbor over `ks` and returns `(k, plan)` with the
-    /// lowest simulated latency at message size `m` — the paper launches
-    /// CN "with various values of K" and reports the best.
-    ///
-    /// # Errors
-    /// [`CommError::BadAlgorithmParam`] for an empty `ks`.
-    pub fn best_common_neighbor(
-        &self,
-        ks: &[usize],
-        m: usize,
-        cost: &SimCost,
-    ) -> Result<(usize, CollectivePlan), CommError> {
-        let mut best: Option<(f64, usize, CollectivePlan)> = None;
-        for &k in ks {
-            let plan = self.plan(Algorithm::CommonNeighbor { k })?;
-            let t = simulate(&plan, &self.layout, m, cost)?.makespan;
-            if best.as_ref().is_none_or(|(bt, ..)| t < *bt) {
-                best = Some((t, k, plan));
-            }
-        }
-        let (_, k, plan) = best.ok_or(CommError::BadAlgorithmParam {
-            algorithm: Algorithm::CommonNeighbor { k: 0 },
-            reason: "need at least one K to sweep",
-        })?;
-        Ok((k, plan))
-    }
 }

@@ -10,15 +10,15 @@
 //!   crate-private `runtime` module), polled by a fixed worker pool,
 //!   exercising the program under true concurrency and injected faults;
 //!
-//! while [`sim_exec`] lowers the plan onto the `nhood-simnet`
-//! discrete-event engine to obtain cluster-scale latencies at any
-//! message size. [`Executor`] fronts all three for the allgather family;
-//! [`crate::comm::DistGraphComm::collective`] reaches the same engine
-//! for every op.
+//! while [`sim_exec`] prices the plan on the `nhood-simnet`
+//! discrete-event engine — cluster-scale latencies at any message size,
+//! no byte moved. [`Executor`] fronts the two runtimes for the allgather
+//! family; [`crate::comm::DistGraphComm::collective`] reaches the same
+//! engine for every op.
 //!
-//! All backends consume the same plan, so agreement between them is a
-//! meaningful cross-check (and is property-tested in the workspace
-//! integration suite).
+//! Both runtimes and the simulator consume the same plan, so agreement
+//! between them is a meaningful cross-check (and is property-tested in
+//! the workspace integration suite).
 
 pub mod sim_exec;
 pub mod threaded;
@@ -31,13 +31,11 @@ use crate::fault::{FaultCounts, FaultPlan, FaultStats};
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::runtime::Clock;
 use crate::sizes::BlockSizes;
-use nhood_simnet::SimReport;
 use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use sim_exec::Sim;
 pub use threaded::Threaded;
 pub use virtual_exec::Virtual;
 
@@ -178,30 +176,29 @@ impl<'a> ExecOptions<'a> {
 #[derive(Clone, Debug, Default)]
 pub struct ExecOutcome {
     /// Per-rank receive buffers: each rank's in-neighbor payloads
-    /// concatenated in `in_neighbors` order. Empty for the simulated
-    /// backend (which moves no real bytes).
+    /// concatenated in `in_neighbors` order.
     pub rbufs: Vec<Vec<u8>>,
     /// Faults injected and retries spent (all zero without a fault
-    /// plan; always zero on the virtual and simulated backends).
+    /// plan; always zero on the virtual backend).
     pub faults: FaultCounts,
-    /// The simulator's report (`Some` only for [`Sim`]).
-    pub sim: Option<SimReport>,
 }
 
 /// A plan-execution backend behind one uniform call.
 ///
-/// Three implementations: [`Virtual`] (sequential oracle), [`Threaded`]
-/// (concurrent rank machines) and [`Sim`] (discrete-event simulated
-/// time). See `docs/EXECUTION_API.md`.
+/// Two implementations, both moving real bytes: [`Virtual`] (sequential
+/// oracle) and [`Threaded`] (concurrent rank machines). Simulated time is
+/// a pricing call, not a backend: [`sim_exec::simulate_v`] for a plan,
+/// [`crate::DistGraphComm::simulate_on`] for a request. See
+/// `docs/EXECUTION_API.md`.
 pub trait Executor {
     /// A short backend name for logs and bench labels.
     fn name(&self) -> &'static str;
 
     /// Executes the allgather of `payloads` over `plan`, using `arena` as
     /// the reusable workspace (compiled program, offset tables, spare
-    /// receive buffers; ignored by the simulated backend). The plan comes
-    /// as the `Arc` it is shared under because that allocation is the
-    /// arena's warm-path identity (see [`BlockArena::prepare`]).
+    /// receive buffers). The plan comes as the `Arc` it is shared under
+    /// because that allocation is the arena's warm-path identity (see
+    /// [`BlockArena::prepare`]).
     fn run(
         &self,
         plan: &Arc<CollectivePlan>,
@@ -280,13 +277,6 @@ pub enum ExecError {
         /// The phase at whose entry it died.
         phase: usize,
     },
-    /// The simulated backend failed (schedule validation or engine
-    /// error), carried as a message because `nhood-simnet` errors live
-    /// in another crate.
-    SimFailed {
-        /// The simulator's error text.
-        msg: String,
-    },
     /// A send hit a dead link (see
     /// [`crate::fault::FaultPlan::with_link_down`]). Unretryable at the
     /// transport level: the caller must repair the plan around the edge
@@ -335,7 +325,6 @@ impl std::fmt::Display for ExecError {
             ExecError::RankCrashed { rank, phase } => {
                 write!(f, "rank {rank} crashed at entry to phase {phase}")
             }
-            ExecError::SimFailed { msg } => write!(f, "simulation failed: {msg}"),
             ExecError::LinkDown { src, dst, phase } => {
                 write!(f, "link {src} -> {dst} is down (send refused in phase {phase})")
             }
@@ -399,5 +388,5 @@ pub(crate) fn execute(
         Some(clock) => threaded::run(&mut staged, opts, stats, clock)?,
         None => virtual_exec::run(&mut staged, opts.recorder),
     }
-    Ok(ExecOutcome { rbufs: staged.rbufs, faults: stats.snapshot(), sim: None })
+    Ok(ExecOutcome { rbufs: staged.rbufs, faults: stats.snapshot() })
 }

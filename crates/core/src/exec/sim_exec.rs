@@ -1,24 +1,23 @@
-//! The simulated-time executor: lowers a plan onto `nhood-simnet`.
+//! Simulated time: prices a plan on `nhood-simnet`.
 //!
 //! Turns every planned message into a simulator message of
 //! `blocks.len() × m` bytes and every `copy_blocks` tally into local
 //! pack/copy time at a configurable memcpy bandwidth, then runs the
 //! discrete-event engine to obtain the collective's latency on a modelled
 //! cluster — the stand-in for the paper's wall-clock measurements
-//! (Figs. 4–7).
-//! On a [`BlockArena`], only a plan's first request lowers a whole
-//! schedule: the arena keeps its prepared structure, and later requests
-//! lower only their [`PriceColumns`] and replay.
+//! (Figs. 4–7). A simulation moves no bytes: it takes a plan (or a
+//! request, through [`crate::DistGraphComm::simulate_on`]) and returns a
+//! [`SimReport`]. On a [`BlockArena`], only a plan's first request lowers
+//! a whole schedule: the arena keeps its prepared structure, and later
+//! requests lower only their [`PriceColumns`] and replay.
 
 use crate::arena::BlockArena;
 use crate::collective::program::{Program, Shape};
-use crate::exec::{check_count, check_payloads, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
 use nhood_cluster::ClusterLayout;
 use nhood_simnet::{Engine, Msg, Perturbation, PhaseWriter, PriceColumns, Schedule};
 use nhood_simnet::{SimConfig, SimError, SimReport};
-use nhood_telemetry::Recorder;
 use nhood_topology::{Rank, Topology};
 use std::sync::Arc;
 
@@ -36,78 +35,6 @@ impl SimCost {
     /// single-core ~5 GB/s packing bandwidth.
     pub fn niagara() -> Self {
         Self { net: SimConfig::niagara(), memcpy_bytes_per_sec: 5.0e9 }
-    }
-}
-
-/// The discrete-event simulated-time backend.
-///
-/// Unlike [`crate::exec::Virtual`] and [`crate::exec::Threaded`], the
-/// simulator moves no real bytes: [`Executor::run`] returns empty
-/// receive buffers and puts the engine's [`SimReport`] (latency =
-/// `report.makespan`) in [`ExecOutcome::sim`]. The message size comes
-/// from [`Sim::m`] when set — so cluster-scale sizes need no real
-/// payload allocation — and from the payloads otherwise. The
-/// [`ExecOptions`] recorder gets a span per simulated message and each
-/// rank's traffic, comparable with the real executors' records.
-#[derive(Clone, Debug)]
-pub struct Sim {
-    /// The modelled cluster.
-    pub layout: ClusterLayout,
-    /// Network + memcpy cost knobs.
-    pub cost: SimCost,
-    /// Simulated per-rank payload size in bytes; `None` derives it from
-    /// the payloads passed to [`Executor::run`].
-    pub m: Option<usize>,
-}
-
-impl Sim {
-    /// A simulator for `layout` with Niagara-like costs, message size
-    /// taken from the payloads.
-    pub fn new(layout: ClusterLayout) -> Self {
-        Self { layout, cost: SimCost::niagara(), m: None }
-    }
-
-    /// Overrides the simulated message size (payload bytes are then
-    /// ignored, only their count is checked if non-empty).
-    pub fn message_size(mut self, m: usize) -> Self {
-        self.m = Some(m);
-        self
-    }
-
-    /// Overrides the cost model.
-    pub fn cost(mut self, cost: SimCost) -> Self {
-        self.cost = cost;
-        self
-    }
-}
-
-impl Executor for Sim {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(
-        &self,
-        plan: &Arc<CollectivePlan>,
-        graph: &Topology,
-        payloads: &[Vec<u8>],
-        arena: &mut BlockArena,
-        opts: &ExecOptions<'_>,
-    ) -> Result<ExecOutcome, ExecError> {
-        let sizes: Vec<usize> = if opts.ragged {
-            check_count(payloads, plan.n())?;
-            payloads.iter().map(Vec::len).collect()
-        } else {
-            let m = match self.m {
-                Some(m) => m,
-                None => check_payloads(payloads, plan.n())?,
-            };
-            vec![m; plan.n()]
-        };
-        let report =
-            (self.simulate(arena, plan, graph, Priced::Gather(&sizes), None, Some(opts.recorder)))
-                .map_err(|e| ExecError::SimFailed { msg: e.to_string() })?;
-        Ok(ExecOutcome { sim: Some(report), ..ExecOutcome::default() })
     }
 }
 
@@ -129,6 +56,10 @@ pub fn simulate(
 /// its blocks' sizes; copy charges use the mean block size (the plan
 /// records copy *counts*, not which blocks — exact on uniform tables, an
 /// approximation that matters only for highly skewed payloads).
+///
+/// # Panics
+/// If `sizes` does not hold one payload size per rank of `plan`;
+/// [`simulate_v`] returns that as a typed [`SimError::InvalidSchedule`].
 pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> Schedule {
     let n = plan.n();
     // one allocation per table: a valid plan receives what it sends
@@ -142,8 +73,8 @@ pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> 
 /// schedule, or the price columns of one already prepared.
 fn lower_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost, out: &mut impl PhaseWriter) {
     let n = plan.n();
-    // INVARIANT: every caller that takes sizes from outside the crate
-    // (`simulate_v`, `Sim::simulate`) has counted them.
+    // INVARIANT: `check_sizes` guards the crate's callers (`simulate_v`,
+    // `simulate_kept`); `to_schedule_v`'s callers get its `# Panics`.
     assert_eq!(sizes.len(), n, "need one payload size per rank");
     let mean = if n == 0 { 0.0 } else { sizes.iter().sum::<usize>() as f64 / n as f64 };
     // a uniform table prices a message by its block count alone
@@ -191,48 +122,46 @@ pub(crate) enum Priced<'a> {
     Program(&'a Program, &'a BlockSizes),
 }
 
-impl Sim {
-    /// One simulated request on `arena`, replayed into `rec`: the first
-    /// for this plan (or one of equal messages), shape, topology and
-    /// layout lowers a whole schedule and keeps its prepared structure;
-    /// later ones lower only their price columns. Reports, errors and
-    /// recorder traffic are `Engine::run*`'s on the lowered schedule.
-    pub(crate) fn simulate(
-        &self,
-        arena: &mut BlockArena,
-        plan: &Arc<CollectivePlan>,
-        graph: &Topology,
-        priced: Priced<'_>,
-        perturbation: Option<&Perturbation>,
-        rec: Option<&dyn Recorder>,
-    ) -> Result<SimReport, SimError> {
-        let shape = match priced {
-            Priced::Gather(sizes) => check_sizes(plan, sizes).map(|()| Shape::Gather)?,
-            Priced::Program(prog, _) => prog.shape,
-        };
-        perturbation.map_or(Ok(()), Perturbation::check)?;
-        let engine = Engine::new(&self.layout, self.cost.net);
-        let kept = arena.simulation(plan, graph, shape, &self.layout);
-        let (prepared, prices) = match kept {
-            Some((_, prepared)) => {
-                let mut prices = prepared.price_columns();
-                match priced {
-                    Priced::Gather(sizes) => lower_v(plan, sizes, &self.cost, &mut prices),
-                    Priced::Program(prog, sizes) => prog.lower(sizes, &mut prices),
-                }
-                (&*prepared, prices)
+/// One simulated request on `arena`: the first for this plan (or one of
+/// equal messages), shape, topology and layout lowers a whole schedule
+/// and keeps its prepared structure; later ones lower only their price
+/// columns. Reports and errors are `Engine::run*`'s on the lowered
+/// schedule.
+pub(crate) fn simulate_kept(
+    arena: &mut BlockArena,
+    plan: &Arc<CollectivePlan>,
+    graph: &Topology,
+    layout: &ClusterLayout,
+    cost: &SimCost,
+    priced: Priced<'_>,
+    perturbation: Option<&Perturbation>,
+) -> Result<SimReport, SimError> {
+    let shape = match priced {
+        Priced::Gather(sizes) => check_sizes(plan, sizes).map(|()| Shape::Gather)?,
+        Priced::Program(prog, _) => prog.shape,
+    };
+    perturbation.map_or(Ok(()), Perturbation::check)?;
+    let engine = Engine::new(layout, cost.net);
+    let kept = arena.simulation(plan, graph, shape, layout);
+    let (prepared, prices) = match kept {
+        Some((_, prepared)) => {
+            let mut prices = prepared.price_columns();
+            match priced {
+                Priced::Gather(sizes) => lower_v(plan, sizes, cost, &mut prices),
+                Priced::Program(prog, sizes) => prog.lower(sizes, &mut prices),
             }
-            None => {
-                let schedule = match priced {
-                    Priced::Gather(sizes) => to_schedule_v(plan, sizes, &self.cost),
-                    Priced::Program(prog, sizes) => prog.schedule(sizes),
-                };
-                let prepared = engine.prepare(&schedule)?;
-                (&kept.insert((self.layout.clone(), prepared)).1, PriceColumns::from(&schedule))
-            }
-        };
-        engine.run_prepared(prepared, &prices, perturbation, rec)
-    }
+            (&*prepared, prices)
+        }
+        None => {
+            let schedule = match priced {
+                Priced::Gather(sizes) => to_schedule_v(plan, sizes, cost),
+                Priced::Program(prog, sizes) => prog.schedule(sizes),
+            };
+            let prepared = engine.prepare(&schedule)?;
+            (&kept.insert((layout.clone(), prepared)).1, PriceColumns::from(&schedule))
+        }
+    };
+    engine.run_prepared(prepared, &prices, perturbation, None)
 }
 
 #[cfg(test)]
@@ -321,68 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn recorded_sim_matches_plan_statics() {
-        let g = erdos_renyi(16, 0.4, 3);
-        let layout = ClusterLayout::new(2, 2, 4);
-        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
-        let m = 64;
-        let rec = nhood_telemetry::CountingRecorder::new(plan.n());
-        let sim = Sim::new(layout).message_size(m);
-        let out = sim
-            .run(&plan, &g, &[], &mut BlockArena::new(), &ExecOptions::new().recorder(&rec))
-            .unwrap();
-        let rep = out.sim.expect("sim backend must return a report");
-        assert!(out.rbufs.is_empty(), "sim moves no real bytes");
-        assert!(rep.makespan > 0.0);
-        let totals = rec.totals();
-        assert_eq!(totals.msgs_sent as usize, plan.message_count());
-        assert_eq!(totals.msgs_recvd as usize, plan.message_count());
-        assert_eq!(totals.bytes_sent as usize, plan.total_blocks_sent() * m);
-        assert_eq!(totals.bytes_recvd as usize, plan.total_blocks_sent() * m);
-    }
-
-    #[test]
-    fn trait_run_agrees_with_free_functions() {
-        let g = erdos_renyi(24, 0.4, 6);
-        let layout = ClusterLayout::new(2, 2, 6);
-        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
-        let cost = SimCost::niagara();
-        let m = 4096;
-        let direct = simulate(&plan, &layout, m, &cost).unwrap();
-        let sim = Sim::new(layout.clone()).message_size(m).cost(cost);
-        let via_trait = sim
-            .run(&plan, &g, &[], &mut BlockArena::new(), &ExecOptions::default())
-            .unwrap()
-            .sim
-            .unwrap();
-        assert_eq!(via_trait.makespan, direct.makespan);
-
-        // ragged: sizes derived from real payloads
-        let payloads: Vec<Vec<u8>> = (0..24).map(|r| vec![0u8; 16 + r]).collect();
-        let sizes: Vec<usize> = payloads.iter().map(Vec::len).collect();
-        let direct_v = simulate_v(&plan, &layout, &sizes, &cost).unwrap();
-        let via_trait_v = sim
-            .run(&plan, &g, &payloads, &mut BlockArena::new(), &ExecOptions::new().ragged(true))
-            .unwrap()
-            .sim
-            .unwrap();
-        assert_eq!(via_trait_v.makespan, direct_v.makespan);
-    }
-
-    #[test]
-    fn derives_message_size_from_payloads_when_unset() {
+    #[should_panic(expected = "need one payload size per rank")]
+    fn to_schedule_v_panics_on_a_short_size_table() {
         let g = erdos_renyi(12, 0.5, 4);
-        let layout = ClusterLayout::new(2, 2, 3);
-        let plan = Arc::new(plan_naive(&g));
-        let payloads: Vec<Vec<u8>> = vec![vec![0u8; 256]; 12];
-        let sim = Sim::new(layout.clone());
-        let got = sim
-            .run(&plan, &g, &payloads, &mut BlockArena::new(), &ExecOptions::default())
-            .unwrap()
-            .sim
-            .unwrap();
-        let want = simulate(&plan, &layout, 256, &SimCost::niagara()).unwrap();
-        assert_eq!(got.makespan, want.makespan);
+        let plan = plan_naive(&g);
+        to_schedule_v(&plan, &vec![64; plan.n() - 1], &SimCost::niagara());
     }
 
     #[test]
@@ -518,7 +390,6 @@ mod tests {
     #[test]
     fn a_warm_arena_replays_every_request_as_a_cold_run_would() {
         use nhood_simnet::Perturbation;
-        use nhood_telemetry::CountingRecorder;
         // three groups of two nodes: every locality level and both
         // global-link queues carry traffic
         let (n, layout) = (48, ClusterLayout::with_groups(6, 2, 4, 2));
@@ -556,31 +427,14 @@ mod tests {
                 let warm = arena.simulation(plan, &g, Shape::Gather, &layout).is_some();
                 assert_eq!(warm, i % 3 != 0, "request {i}: the structure is kept per plan");
                 let what = format!("{net:?}, request {i}");
-                let rec = CountingRecorder::new(n);
-                let sim = Sim::new(layout.clone()).cost(cost);
-                let got = sim.simulate(
-                    &mut arena,
-                    plan,
-                    &g,
-                    Priced::Gather(sizes),
-                    perturbation,
-                    Some(&rec),
-                );
-                let got = got.unwrap();
+                let priced = Priced::Gather(sizes);
+                let got = simulate_kept(&mut arena, plan, &g, &layout, &cost, priced, perturbation);
                 let schedule = to_schedule_v(plan, sizes, &cost);
-                let cold_rec = CountingRecorder::new(n);
                 let want = match perturbation {
                     Some(p) => engine.run_perturbed(&schedule, p),
-                    None => {
-                        let cold = engine.prepare(&schedule);
-                        let prices = PriceColumns::from(&schedule);
-                        engine.run_prepared(&cold.unwrap(), &prices, None, Some(&cold_rec))
-                    }
+                    None => engine.run(&schedule),
                 };
-                same_report(&want.unwrap(), &got, &what);
-                if perturbation.is_none() {
-                    assert_eq!(rec.totals(), cold_rec.totals(), "recorder: {what}");
-                }
+                same_report(&want.unwrap(), &got.unwrap(), &what);
             }
         }
     }
@@ -599,8 +453,7 @@ mod tests {
                        sizes: &[usize],
                        cost,
                        perturbation: Option<&Perturbation>| {
-            let sim = Sim::new(layout.clone()).cost(cost);
-            sim.simulate(arena, plan, g, Priced::Gather(sizes), perturbation, None)
+            simulate_kept(arena, plan, g, &layout, &cost, Priced::Gather(sizes), perturbation)
         };
         let good = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>, g: &Topology| {
             let sizes = vec![256; plan.n()];
@@ -644,17 +497,17 @@ mod tests {
         let g3 = Topology::from_edges(3, [(1, 0), (0, 2), (1, 2)]);
         let skew = hand_plan(3, 2, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[1])]);
         let small = ClusterLayout::new(1, 1, 3);
-        let sim = Sim::new(small.clone());
         let mut arena = BlockArena::new();
         for _ in 0..2 {
-            let uniform = [32; 3];
-            let got = sim.simulate(&mut arena, &skew, &g3, Priced::Gather(&uniform), None, None);
+            let uniform = Priced::Gather(&[32; 3]);
+            let got = simulate_kept(&mut arena, &skew, &g3, &small, &niagara, uniform, None);
             assert_eq!(
                 got.unwrap().makespan,
-                simulate_v(&skew, &small, &uniform, &niagara).unwrap().makespan
+                simulate_v(&skew, &small, &[32; 3], &niagara).unwrap().makespan
             );
             let ragged = [8, 24, 40];
-            let warm = sim.simulate(&mut arena, &skew, &g3, Priced::Gather(&ragged), None, None);
+            let priced = Priced::Gather(&ragged);
+            let warm = simulate_kept(&mut arena, &skew, &g3, &small, &niagara, priced, None);
             let cold = simulate_v(&skew, &small, &ragged, &niagara).unwrap_err();
             assert_eq!(
                 cold,

@@ -18,11 +18,12 @@
 //! * [`lower`] turns the pattern into an executable
 //!   [`plan::CollectivePlan`] (the planning half of Algorithm 4);
 //!   [`naive`] and [`common_neighbor`] produce plans of the same shape.
-//! * [`exec`] runs plans behind one [`exec::Executor`] trait with three
-//!   backends: sequentially with real bytes ([`exec::Virtual`]),
-//!   concurrently as rank machines on a worker pool ([`exec::Threaded`]), and in
-//!   simulated time on a modelled cluster ([`exec::Sim`]); [`arena`] is
-//!   the zero-copy flat-buffer engine they share.
+//! * [`exec`] runs plans behind one [`exec::Executor`] trait with two
+//!   backends: sequentially with real bytes ([`exec::Virtual`]) and
+//!   concurrently as rank machines on a worker pool ([`exec::Threaded`]);
+//!   [`arena`] is the zero-copy flat-buffer engine they share.
+//!   [`exec::sim_exec`] prices a plan in simulated time on a modelled
+//!   cluster, moving no byte.
 //! * [`model`] is the paper's §V closed-form performance model.
 //! * [`fault`] is a deterministic fault-injection layer (message drops,
 //!   delays, duplicates, reorders, stragglers, crashes) consulted by the
@@ -111,7 +112,7 @@ pub use comm::{
     CommError, DistGraphComm, ExecReport, FallbackReason, MutationReport, RobustPolicy,
 };
 pub use exec::sim_exec::SimCost;
-pub use exec::{ExecError, ExecOptions, ExecOutcome, Executor, Sim, Threaded, Virtual};
+pub use exec::{ExecError, ExecOptions, ExecOutcome, Executor, Threaded, Virtual};
 pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultStats};
 pub use pattern::{DhPattern, SelectionStats};
 pub use plan::{Algorithm, CollectivePlan, PlanValidationError};

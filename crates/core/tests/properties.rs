@@ -10,10 +10,11 @@
 //!    executes exactly like a freshly built one on every backend.
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::{simulate, simulate_v};
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::{
     plan_io, Algorithm, BlockArena, BlockSizes, CollectiveRequest, DistGraphComm, ExecOptions,
-    Executor, LoadMetric, PlanCache, Sim, Threaded, Virtual,
+    Executor, LoadMetric, PlanCache, SimCost, Threaded, Virtual,
 };
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::DetRng;
@@ -86,16 +87,10 @@ fn all_backends_match_reference_from_cached_plans() {
     let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
     assert_eq!(out.rbufs, want, "threaded backend diverged on a cached plan");
 
-    let rec = nhood_telemetry::CountingRecorder::new(n);
-    let sim = Sim::new(layout).message_size(m);
-    let out = sim
-        .run(&plan, &g, &payloads, &mut BlockArena::new(), &ExecOptions::new().recorder(&rec))
-        .unwrap();
-    assert!(out.rbufs.is_empty(), "sim moves no real bytes");
-    assert!(out.sim.expect("sim report").makespan > 0.0);
-    let totals = rec.totals();
-    assert_eq!(totals.msgs_sent as usize, plan.message_count());
-    assert_eq!(totals.bytes_sent as usize, plan.total_blocks_sent() * m);
+    let report = simulate(&plan, &layout, m, &SimCost::niagara()).unwrap();
+    assert!(report.makespan > 0.0);
+    assert_eq!(report.stats.total_msgs(), plan.message_count());
+    assert_eq!(report.stats.bytes.iter().sum::<usize>(), plan.total_blocks_sent() * m);
 }
 
 /// Per-rank payload lengths from `DetRng`, with zero-length blocks
@@ -111,9 +106,10 @@ fn ragged_payloads(n: usize, seed: u64) -> Vec<Vec<u8>> {
 }
 
 /// Ragged `neighbor_allgatherv` is byte-identical to the naive
-/// reference across every algorithm, both load metrics, and all three
-/// executor backends — n ≤ 64 at low, medium, and high density, with
-/// per-rank sizes drawn from `DetRng` (zero-length blocks included).
+/// reference across every algorithm, both load metrics and both
+/// executors, and simulates to completion — n ≤ 64 at low, medium, and
+/// high density, with per-rank sizes drawn from `DetRng` (zero-length
+/// blocks included).
 #[test]
 fn ragged_allgatherv_matches_reference_on_every_backend() {
     for n in [16usize, 33, 64] {
@@ -149,11 +145,10 @@ fn ragged_allgatherv_matches_reference_on_every_backend() {
             assert_eq!(out.rbufs, want, "virtual: n={n} delta={delta}");
             let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
             assert_eq!(out.rbufs, want, "threaded: n={n} delta={delta}");
-            // Sim moves no real bytes; its observable is per-size traffic
-            let sim = Sim::new(ClusterLayout::new(n.div_ceil(8), 2, 4));
-            let out = sim.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
-            assert!(out.rbufs.is_empty(), "sim moves no real bytes");
-            assert!(out.sim.expect("sim report").makespan > 0.0, "sim: n={n} delta={delta}");
+            // the simulator moves no real bytes; it prices the payloads' sizes
+            let sizes: Vec<usize> = payloads.iter().map(Vec::len).collect();
+            let report = simulate_v(&plan, comm.layout(), &sizes, &SimCost::niagara()).unwrap();
+            assert!(report.makespan > 0.0, "sim: n={n} delta={delta}");
         }
     }
 }

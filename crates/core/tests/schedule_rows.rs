@@ -6,9 +6,8 @@
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::arena::BlockArena;
-use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v, Sim, SimCost};
-use nhood_core::exec::{ExecError, ExecOptions, Executor};
-use nhood_core::{Algorithm, DistGraphComm};
+use nhood_core::exec::sim_exec::{simulate_v, to_schedule_v, SimCost};
+use nhood_core::{Algorithm, CollectiveRequest, CommError, DistGraphComm};
 use nhood_simnet::{Msg, SimError};
 use nhood_topology::random::erdos_renyi;
 
@@ -77,11 +76,13 @@ fn a_short_size_table_is_a_typed_error_not_a_panic() {
         let got = simulate_v(&plan, &layout, &sizes, &SimCost::niagara()).unwrap_err();
         assert_eq!(got, SimError::InvalidSchedule(want));
     }
-    // the executor counts its payloads before it sizes anything by them
-    let sim = Sim::new(layout);
+    // a simulated request counts its payloads before it sizes anything
+    // by them
     let short: Vec<Vec<u8>> = vec![vec![0; 64]; 23];
-    for opts in [ExecOptions::new().ragged(true), ExecOptions::new()] {
-        let got = sim.run(&plan, &g, &short, &mut BlockArena::new(), &opts).unwrap_err();
-        assert!(matches!(got, ExecError::PayloadCountMismatch { .. }), "{got:?}");
+    let want = SimError::InvalidSchedule("need one payload size per rank: got 23, want 24".into());
+    for req in [CollectiveRequest::allgatherv(&short), CollectiveRequest::allgather(&short)] {
+        let (arena, cost) = (&mut BlockArena::new(), &SimCost::niagara());
+        let got = comm.simulate_on(&req, Some(&plan), arena, cost, None).unwrap_err();
+        assert!(matches!(&got, CommError::Sim(e) if *e == want), "{got}");
     }
 }

@@ -3,7 +3,7 @@
 //! copies, the off-socket / intra-socket split — for every op ×
 //! {Distance Halving, Common Neighbor, naive, PAT where it serves the op}
 //! × {uniform, ragged with zero-length blocks}, on the Virtual, Threaded
-//! and Sim request paths and the `Sim` executor, under a plain and a
+//! and Sim request paths and a gather's replay on the simulator, under a plain and a
 //! socket-classifying `CountingRecorder`. The digests were captured
 //! while the executors reported every message through its own hook; a
 //! mismatch prints the full actual table. They fold the plan-cache hit
@@ -17,10 +17,12 @@
 //! sends exactly its plan's messages and blocks.
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::{
-    Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveRequest, DType, DistGraphComm,
-    ExecBackend, ExecOptions, Executor, ReduceOp, Reduction, Sim,
+    Algorithm, BlockSizes, CollectiveOp, CollectiveRequest, DType, DistGraphComm, ExecBackend,
+    ReduceOp, Reduction, SimCost,
 };
+use nhood_simnet::{Engine, PriceColumns};
 use nhood_telemetry::{CountingRecorder, Counts};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::{Rank, Topology};
@@ -228,16 +230,18 @@ fn every_ranks_counters_are_the_goldens_on_every_backend() {
                 if op.is_gather() {
                     let rec = fresh();
                     let plan = comm.plan_shared(algo).unwrap();
-                    let opts =
-                        ExecOptions::new().ragged(op == CollectiveOp::Allgatherv).recorder(&rec);
-                    let sim = Sim::new(comm.layout().clone());
-                    sim.run(&plan, &g, &request.0, &mut BlockArena::new(), &opts).unwrap();
+                    let (cost, sizes) = (SimCost::niagara(), request.0.iter().map(Vec::len));
+                    let schedule = to_schedule_v(&plan, &sizes.collect::<Vec<_>>(), &cost);
+                    let engine = Engine::new(comm.layout(), cost.net);
+                    let prepared = engine.prepare(&schedule).unwrap();
+                    let prices = PriceColumns::from(&schedule);
+                    engine.run_prepared(&prepared, &prices, None, Some(&rec)).unwrap();
                     digest = fold(digest, &rec);
                     let t = rec.totals();
                     assert_eq!(
                         (t.msgs_sent, t.bytes_sent, t.msgs_intra_socket, t.bytes_intra_socket),
                         (v.msgs_sent, v.bytes_sent, v.msgs_intra_socket, v.bytes_intra_socket),
-                        "{what}: the Sim executor's messages are the program's"
+                        "{what}: the simulated messages are the program's"
                     );
                 }
             }

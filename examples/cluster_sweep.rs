@@ -7,7 +7,7 @@
 //! ```
 
 use nhood_cluster::ClusterLayout;
-use nhood_core::{Algorithm, DistGraphComm, SimCost};
+use nhood_core::{Algorithm, BlockSizes, DistGraphComm, SimCost};
 use nhood_topology::random::erdos_renyi;
 
 fn main() {
@@ -28,8 +28,9 @@ fn main() {
         let naive = comm.plan(Algorithm::Naive).expect("plan");
         let dh = comm.plan(Algorithm::DistanceHalving).expect("plan");
         // the paper sweeps K and keeps the best; do the same at 1 KB
-        let (best_k, _) = comm.best_common_neighbor(&[2, 4, 8, 16], 1024, &cost).expect("sweep");
-        let cn = comm.plan(Algorithm::CommonNeighbor { k: best_k }).expect("plan");
+        let ks = [2, 4, 8, 16].map(|k| Algorithm::CommonNeighbor { k });
+        let sizes = BlockSizes::uniform(1024);
+        let cn = comm.tune_candidates(&ks, &sizes, &nhood_telemetry::NULL).expect("sweep").plan;
         for m in [64usize, 4096, 262_144] {
             let tn = nhood_core::exec::sim_exec::simulate(&naive, comm.layout(), m, &cost)
                 .expect("sim")

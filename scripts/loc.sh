@@ -190,10 +190,18 @@
 # 1,570. A service batch is one tenant's run, so the service's own
 # fingerprint, `BatchKey` and `submit_at` went; the robust path takes its
 # plans from the epoch memo (comm/robust.rs) at no net line.
+#
+# Then the simulator is a pricing call: 12,921 -> 12,814 (core 10,229 ->
+# 10,118, cli 1,359 -> 1,363). The `Sim` executor — its struct, three
+# knobs, two builders and `impl Executor` — `ExecError::SimFailed`,
+# `ExecOutcome::sim` and `DistGraphComm::best_common_neighbor` went; a
+# warm simulated request is one crate-private `simulate_kept` behind
+# `simulate_on`. The cli's +4: `nhood trace --backend sim` replays the
+# schedule through `Engine::prepare` + `run_prepared`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=12921   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=12814   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1570  # crates/service/src
 BENCH_BUDGET=3834    # crates/bench/src
 

@@ -279,7 +279,7 @@ fn ragged_payloads(sizes: &[usize], seed: u64) -> Vec<Vec<u8>> {
 /// the discrete-event simulator.
 #[test]
 fn acceptance_64_rank_5pct_drop_ragged() {
-    use nhood_core::exec::Sim;
+    use nhood_core::exec::sim_exec::{simulate_v, SimCost};
     use nhood_core::BlockSizes;
 
     let g = nhood_topology::random::erdos_renyi(64, 0.3, 2024);
@@ -336,10 +336,7 @@ fn acceptance_64_rank_5pct_drop_ragged() {
 
     // Backend 3 — the simulator consumes the ragged schedule: no real
     // bytes move, so acceptance is a finite positive makespan.
-    let out = Sim::new(layout)
-        .run(&plan, &g, &payloads, &mut BlockArena::new(), &ExecOptions::new().ragged(true))
-        .unwrap();
-    let report = out.sim.expect("sim backend returns a report");
+    let report = simulate_v(&plan, &layout, &sizes, &SimCost::niagara()).unwrap();
     assert!(
         report.makespan.is_finite() && report.makespan > 0.0,
         "ragged schedule must simulate to completion, got makespan {}",

@@ -4,13 +4,14 @@
 //! The invariant under test: **a repaired plan is indistinguishable, by
 //! its outputs, from a from-scratch build on the mutated topology** —
 //! property-tested across sizes, densities and add/remove/add-back
-//! churn sequences on all three executor backends — and a `LinkDown`
+//! churn sequences on both executors and the simulator — and a `LinkDown`
 //! mid-run heals by repair, not by falling back to naive, whenever the
 //! damage is under threshold.
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::{simulate, SimCost};
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
-use nhood_core::exec::{ExecOptions, Executor, Sim, Threaded, Virtual};
+use nhood_core::exec::{ExecOptions, Executor, Threaded, Virtual};
 use nhood_core::fault::FaultPlan;
 use nhood_core::repair::MAX_DAMAGE_FRAC;
 use nhood_core::BlockArena;
@@ -68,11 +69,7 @@ fn assert_plan_matches_scratch(comm: &DistGraphComm, step: usize) {
 
     // Backend 3 — the simulator: the repaired schedule must run to
     // completion in virtual time (no real bytes to compare).
-    let sim = Sim::new(comm.layout().clone())
-        .run(plan, g, &payloads, &mut BlockArena::new(), &ExecOptions::new())
-        .unwrap()
-        .sim
-        .expect("sim backend returns a report");
+    let sim = simulate(plan, comm.layout(), 8, &SimCost::niagara()).unwrap();
     assert!(
         sim.makespan.is_finite() && sim.makespan > 0.0,
         "step {step}: repaired schedule failed to simulate (makespan {})",

@@ -369,10 +369,9 @@ fn arena_path_byte_identical_to_reference_on_all_backends() {
     // Satellite invariant of the zero-copy arena: on random graphs
     // (n ≤ 64, δ ∈ {0.1, 0.3, 0.6}) the arena engine produces receive
     // buffers byte-identical to `reference_allgather` on both
-    // byte-moving backends, and the `Sim` backend — run through the same
-    // `Executor` trait — agrees with them on message and byte totals.
-    use nhood_core::exec::sim_exec::SimCost;
-    use nhood_core::Sim;
+    // byte-moving backends, and the simulated schedule of the same plan
+    // agrees with them on message and byte totals.
+    use nhood_core::exec::sim_exec::{simulate, SimCost};
     use nhood_telemetry::CountingRecorder;
 
     for_cases(0xAE, |rng| {
@@ -397,13 +396,14 @@ fn arena_path_byte_identical_to_reference_on_all_backends() {
             assert_eq!(&v.rbufs, &want, "{algo}: virtual arena diverges from reference");
             let t = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
             assert_eq!(&t.rbufs, &want, "{algo}: threaded arena diverges from reference");
-            let srec = CountingRecorder::new(n);
-            let sim = Sim::new(layout.clone()).cost(SimCost::niagara()).message_size(m);
-            sim.run(&plan, &g, &[], &mut BlockArena::new(), &ExecOptions::new().recorder(&srec))
-                .unwrap();
-            let (vt, st) = (vrec.totals(), srec.totals());
-            assert_eq!(vt.msgs_sent, st.msgs_sent, "{algo}: sim message totals diverge");
-            assert_eq!(vt.bytes_sent, st.bytes_sent, "{algo}: sim byte totals diverge");
+            let st = simulate(&plan, &layout, m, &SimCost::niagara()).unwrap().stats;
+            let (vt, sim_bytes) = (vrec.totals(), st.bytes.iter().sum::<usize>());
+            assert_eq!(
+                vt.msgs_sent as usize,
+                st.total_msgs(),
+                "{algo}: sim message totals diverge"
+            );
+            assert_eq!(vt.bytes_sent as usize, sim_bytes, "{algo}: sim byte totals diverge");
         }
     });
 }
