@@ -1,12 +1,11 @@
 //! BENCH_6 — topology churn: incremental plan repair vs cold rebuild.
 //!
-//! For random sparse graphs at growing rank counts the live
-//! [`DistGraphComm`] plan is mutated one edge at a time —
-//! add-a-non-edge then remove-it-again pairs, so the topology never
-//! drifts — and each surgical repair is timed against the cold build
-//! that seeded the live plan. Every repaired plan is executed and compared
-//! to the MPI-semantics reference, and to a from-scratch build over the
-//! same mutated topology.
+//! On block and round-robin placement, for random sparse graphs at
+//! growing rank counts, the live [`DistGraphComm`] plan is mutated one
+//! edge at a time (add-a-non-edge, remove-it-again: the topology never
+//! drifts) and each surgical repair is timed against the cold build that
+//! seeded it. Every repaired plan is executed against the MPI-semantics
+//! reference and a from-scratch build over the same mutated topology.
 //!
 //! Two gates ride on the numbers (see [`report`]):
 //!
@@ -18,7 +17,7 @@
 //!   (unarmed on quick runs, which stop at n = 128; the reported
 //!   speedups still make regressions visible in CI).
 
-use nhood_cluster::ClusterLayout;
+use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::exec::{Executor, Virtual};
 use nhood_core::{Algorithm, DistGraphComm};
@@ -66,17 +65,16 @@ impl Row {
     }
 }
 
-fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
-    let g = erdos_renyi(n, delta, 42);
-    let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
+fn cell(n: usize, delta: f64, samples: usize, placement: Placement, rows: &mut Vec<Row>) {
+    let (g, dh) = (erdos_renyi(n, delta, 42), Algorithm::DistanceHalving);
+    let layout = ClusterLayout::new(n.div_ceil(8), 2, 4).with_placement(placement);
     // The cold arm, like the repair arm, is a median: one un-repeated
     // build moved the ratio by 40 % from run to run. Every sample builds
     // on a fresh communicator; the last one is the plan the repairs patch.
     let cold_build = |_| {
-        let mut comm =
-            DistGraphComm::create_adjacent(g.clone(), layout.clone()).expect("layout fits");
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).expect("layout fits");
         let t0 = Instant::now();
-        comm.mutate(&[], &[]).expect("cold build");
+        comm.plan_shared(dh).expect("cold build");
         (t0.elapsed().as_secs_f64(), comm)
     };
     let mut builds: Vec<_> = (0..COLD_SAMPLES).map(cold_build).collect();
@@ -108,18 +106,18 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
     // against a from-scratch build over the same (restored) topology.
     let payloads = test_payloads(n, 8, 0xB6);
     let want = reference_allgather(comm.graph(), &payloads);
-    let live = &comm.churn_plan().expect("mutate leaves a live plan");
+    let live = &comm.plan_shared(dh).expect("the live plan");
     let exact = Virtual.run_simple(live, comm.graph(), &payloads).expect("repaired run") == want
         && {
             let fresh = DistGraphComm::create_adjacent(comm.graph().clone(), layout)
                 .expect("layout fits")
-                .plan_shared(Algorithm::DistanceHalving)
+                .plan_shared(dh)
                 .expect("scratch plan");
             Virtual.run_simple(&fresh, comm.graph(), &payloads).expect("scratch run") == want
         };
 
     rows.push(Row {
-        case: format!("n={n} d={delta}"),
+        case: format!("n={n} d={delta} {placement:?}"),
         n,
         delta,
         cold_build_s: cold,
@@ -135,12 +133,14 @@ fn cell(n: usize, delta: f64, samples: usize, rows: &mut Vec<Row>) {
 pub fn run(quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     let ns: &[usize] = if quick { &[64, 128] } else { &[128, 256, 512] };
-    for &n in ns {
-        cell(n, 0.3, 3, &mut rows);
-    }
-    if !quick {
-        // density sweep at the gate size: sparse and dense repairs
-        cell(GATE_N, 0.1, 3, &mut rows);
+    for placement in [Placement::Block, Placement::RoundRobinNodes] {
+        for &n in ns {
+            cell(n, 0.3, 3, placement, &mut rows);
+        }
+        if !quick {
+            // density sweep at the gate size: sparse and dense repairs
+            cell(GATE_N, 0.1, 3, placement, &mut rows);
+        }
     }
     rows
 }
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn quick_run_repairs_surgically_and_exactly() {
         let rows = run(true);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 4, "two sizes on two placements");
         let m = report(&rows);
         assert!(m.gate("repair_exact").ok, "{rows:?}");
         assert!(!m.gate("min_gate_speedup").armed, "no n>=512 cell in quick runs: {:?}", m.gates);

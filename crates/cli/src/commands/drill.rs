@@ -14,8 +14,8 @@ use std::io::Write;
 /// `nhood chaos <edge-list> [--op ..] [--algo ..] [--drops 0.01,0.05,0.1]
 /// [--runs R] [--seed S] [--size BYTES] [--timeout MS] [layout flags]`
 /// — sweep message-drop rates over seeded fault schedules on the
-/// threaded executor, for any op (`--op` as in `run`, exact lanes
-/// only), and report, per rate,
+/// threaded executor, for any op (`--op` as in `run`, exact lanes only),
+/// each run a fresh communicator's first request, and report, per rate,
 /// how many runs completed cleanly, degraded to the naive fallback, or
 /// returned a typed error. Any run returning buffers that differ from
 /// the MPI-semantics reference is **corruption** and fails the command
@@ -51,9 +51,9 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         return Err(fail(format!("--min-complete {min_complete} outside [0, 1]")));
     }
 
-    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?
-        .with_policy(RobustPolicy { recv_timeout: timeout, negotiation_timeout: timeout });
-    let shape = comm.plan(algo)?;
+    let policy = RobustPolicy { recv_timeout: timeout, negotiation_timeout: timeout };
+    let open = || DistGraphComm::create_adjacent(graph.clone(), layout.clone());
+    let shape = open()?.plan(algo)?;
     let payloads = shaped_payloads(&graph, op, whole_lanes(op, m), seed);
     writeln!(
         w,
@@ -77,7 +77,7 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
                 .with_message_drop(p)
                 .with_message_delay(p / 2.0, Duration::from_micros(200))
                 .with_message_reorder(p / 2.0);
-            let c = comm.clone().with_fault_plan(fp);
+            let c = open()?.with_policy(policy).with_fault_plan(fp);
             let req = CollectiveRequest::new(op, &payloads)
                 .algorithm(algo)
                 .robust(true)
@@ -148,9 +148,9 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let mut comm = DistGraphComm::create_adjacent(graph.clone(), layout)?
         .with_policy(RobustPolicy { recv_timeout: timeout, negotiation_timeout: timeout });
 
-    // Warm-up: the cold build every later mutation is measured against.
-    let t0 = Instant::now();
-    comm.mutate(&[], &[])?;
+    // The cold build every later mutation is measured against.
+    let (dh, t0) = (Algorithm::DistanceHalving, Instant::now());
+    comm.plan_shared(dh)?;
     let cold = t0.elapsed();
     writeln!(
         w,
@@ -184,7 +184,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         let dt = t0.elapsed();
         let payloads = test_payloads(comm.n(), m, seed ^ e as u64);
         let want = reference_allgather(comm.graph(), &payloads);
-        let live = &comm.churn_plan().expect("mutate leaves a live plan");
+        let live = &comm.plan_shared(dh)?;
         let got = Virtual.run_simple(live, comm.graph(), &payloads)?;
         if got != want {
             corrupt += 1;
@@ -209,7 +209,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 
     // Link-down drill: kill a relay link (a plan send that is not a
     // graph edge) mid-collective and require recovery by repair.
-    let plan = comm.churn_plan().expect("warm-up built the live plan");
+    let plan = comm.plan_shared(dh)?;
     let g = comm.graph();
     let link = (0..plan.n()).find_map(|r| {
         plan.phases(r).enumerate().find_map(|(k, phase)| {
@@ -225,7 +225,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
                 .clone()
                 .with_fault_plan(FaultPlan::seeded(seed).with_link_down(src, dst, phase));
             let req = CollectiveRequest::allgather(&payloads)
-                .algorithm(Algorithm::DistanceHalving)
+                .algorithm(dh)
                 .robust(true)
                 .backend(ExecBackend::Threaded);
             let out = drilled.collective(&req)?;

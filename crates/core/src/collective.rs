@@ -1168,7 +1168,7 @@ mod tests {
             if let Some(cache) = &cache {
                 comm = comm.with_plan_cache(Arc::clone(cache));
             }
-            comm.mutate(&[], &[]).unwrap();
+            comm.plan_shared(Algorithm::DistanceHalving).unwrap();
             let gone = comm.graph().edges().next().expect("the graph has edges");
             assert!(!comm.mutate(&[], &[gone]).unwrap().full_rebuild, "a surgical repair");
             let seen = PlanningSeen::default();

@@ -40,12 +40,12 @@ use crate::builder::BuildError;
 use crate::collective::{CollectiveOp, Reduction};
 use crate::exec::ExecError;
 use crate::fault::FaultPlan;
-use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
+use crate::plan::{Algorithm, PlanValidationError};
 use crate::plan_cache::PlanCache;
+use crate::remap::{locality_order, RankOrder};
 use crate::repair::{repair_for_churn, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::sizes::{BlockSizes, LoadMetric};
-use nhood_cluster::ClusterLayout;
-use nhood_cluster::WorkerPool;
+use nhood_cluster::{ClusterLayout, Placement, WorkerPool};
 use nhood_simnet::SimError;
 use nhood_telemetry::NULL;
 use nhood_topology::{Rank, Topology};
@@ -145,9 +145,8 @@ pub struct MutationReport {
     /// Edges actually removed (after dropping edges the graph lacked).
     pub edges_removed: usize,
     /// `true` when the change was absorbed by a full pattern rebuild
-    /// (no live plan, damage over threshold, repair-round budget spent, or
-    /// a non-block placement);
-    /// `false` when the surgical repair path handled it.
+    /// (no live plan, damage over threshold, or repair-round budget
+    /// spent); `false` when the surgical repair path handled it.
     pub full_rebuild: bool,
     /// Ranks whose plan rows changed (= `n` for a full rebuild).
     pub changed_ranks: usize,
@@ -167,24 +166,23 @@ pub struct MutationReport {
 pub struct DistGraphComm {
     graph: Topology,
     layout: ClusterLayout,
+    /// The virtual ranks the rank-order builders plan in, derived once
+    /// from the layout: [`locality_order`], `None` on block placement.
+    order: Option<Arc<RankOrder>>,
     policy: RobustPolicy,
     fault: Option<FaultPlan>,
     cache: Option<Arc<PlanCache>>,
     build_pool: WorkerPool,
     metric: LoadMetric,
     sizes: Option<BlockSizes>,
-    /// The plans this communicator resolved for its current topology
-    /// epoch, Distance Halving's churn state among them (see [`Memo`]).
-    /// Clones share the cell until one of them changes epoch:
-    /// [`Self::mutate`], `with_load_metric` and `with_block_sizes`
-    /// install a fresh cell on `self` and nothing clears one in place.
+    /// The plans resolved for the current topology epoch ([`Memo`]).
+    /// Clones share the cell until one changes epoch: [`Self::mutate`],
+    /// `with_load_metric` and `with_block_sizes` install a fresh one.
     memo: Arc<Mutex<Memo>>,
-    /// The engine workspace [`Self::collective`] runs on: the programs
-    /// compiled from the plans last run (one per op shape) and the
-    /// grow-only offset tables, reused across ops, size tables and
-    /// topology epochs, so it outlives the memo. Clones share it; a
-    /// running request takes it out of the cell (a concurrent one on a
-    /// clone starts from an empty one).
+    /// The engine workspace [`Self::collective`] runs on — the programs
+    /// compiled from the plans last run and grow-only offset tables,
+    /// reused across ops, size tables and epochs, so it outlives the memo.
+    /// Clones share it; a running request takes it out of the cell.
     arena: Arc<Mutex<BlockArena>>,
     /// Candidate simulations the tuner has performed through this
     /// communicator (and its clones) — the cache-effectiveness counter
@@ -213,9 +211,12 @@ impl DistGraphComm {
                 capacity: layout.capacity(),
             }));
         }
+        let block = layout.placement() == Placement::Block;
+        let order = (!block).then(|| Arc::new(locality_order(&layout, graph.n())));
         Ok(Self {
             graph,
             layout,
+            order,
             policy: RobustPolicy::default(),
             fault: None,
             cache: None,
@@ -329,53 +330,34 @@ impl DistGraphComm {
         self.graph.n()
     }
 
-    /// The live Distance Halving plan maintained across
-    /// [`mutate`](Self::mutate) calls: this epoch's Distance Halving
-    /// entry, when `mutate` installed it with its pattern.
-    pub fn churn_plan(&self) -> Option<Arc<CollectivePlan>> {
-        let memo = self.memo();
-        memo.plans.iter().find(|entry| entry.pattern.is_some()).map(|entry| Arc::clone(&entry.plan))
-    }
-
     /// Absorbs a topology change — `edges_added` joins the neighborhood,
     /// `edges_removed` leaves it — by **repairing** the communicator's
     /// live Distance Halving plan instead of rebuilding it.
     ///
     /// The live plan is this epoch's Distance Halving entry with the
-    /// pattern an earlier call installed beside it. A call without one
-    /// (the first, or the first after `with_load_metric` /
-    /// `with_block_sizes`), whose damage exceeds [`MAX_DAMAGE_FRAC`], or
-    /// arriving after [`MAX_REPAIR_ROUNDS`] successive repairs performs a
-    /// full build on the new topology and validates it. Every other call
-    /// runs [`crate::repair::repair_for_churn`]: all agent matchings are
-    /// preserved and only the responsibility rows, final-phase messages
-    /// and copy counts the changed edges touch are patched — the result
-    /// is byte-identical to a decision-preserving rebuild (a property
-    /// the repair engine pins with tests), so the surgical path skips
-    /// re-validation and costs O(clone + changed) instead of a build.
+    /// pattern its build kept. Without one (none built this epoch, or a
+    /// plan from the [`PlanCache`], which keeps no pattern), past
+    /// [`MAX_DAMAGE_FRAC`] or after [`MAX_REPAIR_ROUNDS`] successive
+    /// repairs, the call builds and validates the new topology's plan.
+    /// Otherwise [`crate::repair::repair_for_churn`] keeps every agent
+    /// matching and patches only what the changed edges touch, in the
+    /// pattern's virtual ranks: the result is byte-identical to a
+    /// decision-preserving rebuild (a property the repair engine pins with
+    /// tests), so it skips re-validation and costs O(clone + changed).
     /// Either plan, with its pattern, is the one entry of the fresh
     /// epoch's memo, so every op's next request is served it.
     ///
-    /// `mutate` reads nothing from an attached [`PlanCache`] and writes
-    /// at most one entry: a full rebuild, under the new topology's build
-    /// key ([`PlanCache::insert_validated`]), where a cold request on that
-    /// topology looks. A repaired plan lives in the fresh epoch's memo
-    /// alone. The cache's keys are content addresses, so what it holds
-    /// for the old topology — the Distance Halving plan, the tuner's
-    /// winner — stays there for communicators still on it.
+    /// `mutate` reads nothing from an attached [`PlanCache`] and writes at
+    /// most a full rebuild, under the new topology's build key
+    /// ([`PlanCache::insert_validated`]); a repaired plan lives in the
+    /// memo alone. What the cache holds for the old topology stays there
+    /// for communicators still on it.
     ///
-    /// Edges the graph already has (for adds), lacks (for removes),
-    /// self-loops and edges with an endpoint `>= n` are ignored
+    /// Edits that change nothing — edges the graph has (adds) or lacks
+    /// (removes), self-loops, endpoints `>= n` — are ignored
     /// ([`Topology::edits`]); the new topology is
-    /// [`Topology::with_edits`] of the old, so it pays for the edges that
-    /// change. `mutate(&[], &[])` is a warm-up that just (re)builds the
-    /// live plan. Clones made before the call keep the old topology and
-    /// what they resolved for it.
-    ///
-    /// Off block placement Distance Halving plans through
-    /// [`crate::remap`]'s re-ranking, as [`Self::plan`] does, and the
-    /// repair engine patches patterns in rank space: there every call is
-    /// a full rebuild and the entry keeps no pattern.
+    /// [`Topology::with_edits`] of the old. Clones made before the call
+    /// keep the old topology and what they resolved for it.
     pub fn mutate(
         &mut self,
         edges_added: &[(Rank, Rank)],
@@ -392,23 +374,25 @@ impl DistGraphComm {
         // Surgical attempt against the live plan, within the repair bounds.
         let surgical = live.as_ref().filter(|e| e.sizes == keyed && e.repairs < MAX_REPAIR_ROUNDS);
         let surgical = surgical.and_then(|e| {
-            repair_for_churn(e.pattern.as_ref()?, &e.plan, &new_graph, &added, &removed)
+            let pattern = e.pattern.as_ref()?;
+            let (plan, graph) = (self.to_virtual(&*e.plan), self.to_virtual(&new_graph));
+            let (add, rm) = (self.to_virtual(&added), self.to_virtual(&removed));
+            repair_for_churn(pattern, &plan, &graph, &add, &rm)
                 .ok()
                 .filter(|rep| rep.damage_frac <= MAX_DAMAGE_FRAC)
                 .map(|rep| (rep, e.repairs + 1))
         });
         let (plan, pattern, repairs, changed_ranks, damage_frac) = match surgical {
             Some((rep, repairs)) => {
-                (rep.plan, Some(rep.pattern), repairs, rep.changed_ranks.len(), rep.damage_frac)
+                let plan = self.to_physical(rep.plan);
+                (plan, rep.pattern, repairs, rep.changed_ranks.len(), rep.damage_frac)
             }
             None => {
-                // Off block placement the plan comes through `remap` and
-                // no pattern: repair patches patterns in rank space.
-                let (plan, pattern) = self.dh_plan(&new_graph, &sizes, &NULL)?;
+                let (plan, pattern) = self.dh_plan(&new_graph, &sizes, &NULL, None)?;
                 (plan, pattern, 0, new_graph.n(), 1.0)
             }
         };
-        let (plan, pattern) = (Arc::new(plan), pattern.map(Arc::new));
+        let (plan, pattern) = (Arc::new(plan), Some(Arc::new(pattern)));
         let report = MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
@@ -423,8 +407,8 @@ impl DistGraphComm {
             // validated it there
             cache.insert_validated(self.cache_key(dh, &sizes), Arc::clone(&plan), &self.graph);
         }
-        let entry = Entry { algo: dh, sizes: keyed, plan, pattern, repairs };
-        self.memo = Arc::new(Mutex::new(Memo { plans: vec![entry] }));
+        self.memo = Arc::default();
+        self.memo().install_live(Entry { algo: dh, sizes: keyed, plan, pattern, repairs });
         Ok(report)
     }
 }
@@ -436,6 +420,7 @@ mod tests {
     use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::ExecOptions;
+    use crate::plan::CollectivePlan;
     use crate::plan_cache::PlanFingerprint;
     use nhood_topology::random::erdos_renyi;
     use std::time::Duration;
@@ -772,11 +757,12 @@ mod tests {
         let want = reference_allgather(c.graph(), &payloads);
         assert_eq!(allgather(&c, Algorithm::DistanceHalving, &payloads), want);
         assert_eq!(allgather(&c, Algorithm::Auto, &payloads), want);
-        // the robust path plans as `plan` does and keeps no pattern (a
-        // dead link degrades it to naive)
+        // the robust path is served the memo's entry, pattern included (a
+        // dead link is repaired around in locality order)
         let (robust, pattern) =
             c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
-        assert_eq!((robust.algorithm, pattern.is_none()), (Algorithm::DistanceHalving, true));
+        let live = c.plan_shared(Algorithm::DistanceHalving).unwrap();
+        assert!(Arc::ptr_eq(&robust, &live) && pattern.is_some());
     }
 
     #[test]
@@ -1027,10 +1013,11 @@ mod tests {
     fn mutate_cold_builds_then_repairs_surgically() {
         let mut c = comm(32, 0.3);
         let payloads = test_payloads(32, 8, 3);
-        // warm-up: no live plan → full build
-        let warm = c.mutate(&[], &[]).unwrap();
-        assert!(warm.full_rebuild);
-        assert_eq!(warm.repairs, 0);
+        // no live plan → full build
+        let (added, _) = churn_sets(c.graph(), 1, 7);
+        let cold = c.mutate(&added, &[]).unwrap();
+        assert!(cold.full_rebuild);
+        assert_eq!(cold.repairs, 0);
 
         let (added, removed) = churn_sets(c.graph(), 2, 5);
         let rep = c.mutate(&added, &removed).unwrap();
@@ -1054,7 +1041,7 @@ mod tests {
         // under `Bytes` a ragged allgatherv keys its own Distance Halving
         // plan; the live one stays the memo's, and the next churn repairs it
         let mut c = comm(32, 0.3).with_load_metric(LoadMetric::Bytes);
-        c.mutate(&[], &[]).unwrap();
+        c.plan_shared(Algorithm::DistanceHalving).unwrap();
         let ragged: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; r % 5]).collect();
         let req = CollectiveRequest::allgatherv(&ragged).algorithm(Algorithm::DistanceHalving);
         assert_eq!(c.collective(&req).unwrap().rbufs, reference_allgather(c.graph(), &ragged));
@@ -1067,7 +1054,7 @@ mod tests {
         // A removed edge whose source is >= n used to index past the
         // adjacency offsets and panic; it is an edge the graph lacks.
         let mut c = comm(16, 0.3);
-        c.mutate(&[], &[]).unwrap();
+        c.plan_shared(Algorithm::DistanceHalving).unwrap();
         let before = c.graph().clone();
         let junk = [(16, 0), (0, 16), (usize::MAX, 3), (5, 5)];
         let rep = c.mutate(&junk, &junk).unwrap();
@@ -1106,8 +1093,8 @@ mod tests {
         let mut c = DistGraphComm::create_adjacent(graph, layout)
             .unwrap()
             .with_plan_cache(Arc::clone(&cache));
-        c.mutate(&[], &[]).unwrap();
-        assert_eq!(cache.len(), 1, "warm-up inserts under the canonical key");
+        c.plan_shared(Algorithm::DistanceHalving).unwrap();
+        assert_eq!(cache.len(), 1, "the build is cached under the canonical key");
 
         let (added, _) = churn_sets(c.graph(), 2, 9);
         c.mutate(&added, &[]).unwrap();
@@ -1147,7 +1134,7 @@ mod tests {
             std::fs::read_dir(&dir).unwrap().map(|f| f.unwrap().file_name()).collect()
         };
         let mut c = open(&original);
-        c.mutate(&[], &[]).unwrap();
+        c.plan_shared(Algorithm::DistanceHalving).unwrap();
         open(&original).plan_shared(Algorithm::Auto).unwrap();
         let (len, warm, on_disk) = (cache.len(), cache.stats(), files());
 
@@ -1177,7 +1164,7 @@ mod tests {
     #[test]
     fn mutate_over_damage_threshold_rebuilds() {
         let mut c = comm(32, 0.5);
-        c.mutate(&[], &[]).unwrap();
+        c.plan_shared(Algorithm::DistanceHalving).unwrap();
         // churn a third of all edges: far past the default 25% damage cap
         let edges: Vec<_> = c.graph().edges().collect();
         let removed: Vec<_> = edges.iter().copied().step_by(3).collect();
@@ -1190,30 +1177,44 @@ mod tests {
     }
 
     #[test]
-    fn mutate_off_block_placement_rebuilds_through_remap() {
+    fn mutate_off_block_placement_repairs_in_locality_order() {
+        // the pattern lives in locality order: a single-edge churn relabels
+        // in, repairs there and relabels the plan back out, byte for byte
+        // the decision-preserving rebuild re-ranked through `remap`
+        use crate::lower::lower;
+        use crate::remap::{locality_order, reranked};
+        use crate::repair::replay;
         use nhood_cluster::Placement;
         let cache = Arc::new(PlanCache::new(8));
         let layout = ClusterLayout::new(2, 2, 8).with_placement(Placement::RoundRobinNodes);
         let mut c = DistGraphComm::create_adjacent(erdos_renyi(32, 0.3, 21), layout)
             .unwrap()
             .with_plan_cache(Arc::clone(&cache));
+        let (dh, sizes) = (Algorithm::DistanceHalving, BlockSizes::default());
         let key = |c: &DistGraphComm, g: &Topology| {
-            let (algo, sizes) = (Algorithm::DistanceHalving, BlockSizes::default());
-            PlanFingerprint::of_build_v(g, c.layout(), algo, &sizes, LoadMetric::default())
+            PlanFingerprint::of_build_v(g, c.layout(), dh, &sizes, LoadMetric::default())
         };
         let payloads = test_payloads(32, 8, 3);
-        for seed in [5, 6] {
+        c.plan_shared(dh).unwrap();
+        for (round, seed) in [5, 6].into_iter().enumerate() {
             let old = c.graph().clone();
-            c.plan_shared(Algorithm::DistanceHalving).unwrap();
+            let pattern = c.memo().get(dh, None).and_then(|e| e.pattern.clone()).unwrap();
             let (added, removed) = churn_sets(&old, 2, seed);
             let rep = c.mutate(&added, &removed).unwrap();
-            assert!(rep.full_rebuild && rep.repairs == 0, "every call rebuilds: {rep:?}");
-            assert_eq!((rep.edges_added, rep.edges_removed, rep.changed_ranks), (2, 2, 32));
-            assert!(c.churn_plan().is_none(), "no pattern to repair off block placement");
-            let plan = cache.lookup(key(&c, c.graph()), c.graph()).expect("the rebuilt plan");
-            assert_eq!(plan.algorithm, Algorithm::DistanceHalving);
-            assert!(Arc::ptr_eq(&plan, &c.plan_shared(Algorithm::DistanceHalving).unwrap()));
-            let got = allgather(&c, Algorithm::DistanceHalving, &payloads);
+            assert!(!rep.full_rebuild && rep.repairs == round as u32 + 1, "{rep:?}");
+            assert_eq!((rep.edges_added, rep.edges_removed), (2, 2));
+            let order = locality_order(c.layout(), 32);
+            let want = reranked(c.graph(), &order, &sizes, |vg, _| {
+                Ok::<_, ()>(lower(&replay(&pattern, vg, |_, _| false), vg))
+            })
+            .unwrap();
+            let plan = c.plan_shared(dh).unwrap();
+            assert!(*plan == want, "seed {seed}: the relabelled decision-preserving rebuild");
+            // one write: a repaired plan lives in the memo alone, and the
+            // first topology's build stays under its key
+            assert_eq!(cache.len(), 1);
+            assert!(cache.lookup(key(&c, c.graph()), c.graph()).is_none());
+            let got = allgather(&c, dh, &payloads);
             assert_eq!(got, reference_allgather(c.graph(), &payloads));
         }
     }
@@ -1310,21 +1311,105 @@ mod tests {
 
     #[test]
     fn robust_requests_take_their_plan_from_the_epoch_memo() {
-        // a cacheless communicator builds once: the second robust request
-        // is served the first one's plan
-        let c = comm(32, 0.3);
-        let rec = nhood_telemetry::CountingRecorder::new(32);
-        let payloads = test_payloads(32, 8, 3);
-        for _ in 0..2 {
-            let req = CollectiveRequest::allgather(&payloads)
-                .algorithm(Algorithm::CommonNeighbor { k: 4 })
-                .robust(true)
-                .backend(ExecBackend::Threaded)
-                .recorder(&rec);
-            let out = c.collective(&req).unwrap();
-            assert_eq!(out.rbufs, reference_allgather(c.graph(), &payloads));
+        // a cacheless communicator builds (or negotiates) once: the second
+        // robust request is served the first one's plan
+        for algo in [Algorithm::CommonNeighbor { k: 4 }, Algorithm::DistanceHalving] {
+            let c = comm(32, 0.3);
+            let rec = nhood_telemetry::CountingRecorder::new(32);
+            let payloads = test_payloads(32, 8, 3);
+            for _ in 0..2 {
+                let req = CollectiveRequest::allgather(&payloads)
+                    .algorithm(algo)
+                    .robust(true)
+                    .backend(ExecBackend::Threaded)
+                    .recorder(&rec);
+                let out = c.collective(&req).unwrap();
+                assert_eq!(out.rbufs, reference_allgather(c.graph(), &payloads), "{algo}");
+            }
+            let t = rec.totals();
+            assert_eq!((t.plan_cache_hits, t.plan_cache_misses), (1, 1), "{algo}");
         }
-        let t = rec.totals();
-        assert_eq!((t.plan_cache_hits, t.plan_cache_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_robust_link_down_off_block_placement_is_repaired_not_degraded() {
+        // the negotiated pattern is kept in locality order, so a dead relay
+        // link is repaired around there instead of degrading to naive; the
+        // link is down from the first request on, negotiation included
+        use nhood_cluster::Placement;
+        let open = || {
+            let layout = ClusterLayout::new(8, 2, 4).with_placement(Placement::RoundRobinNodes);
+            DistGraphComm::create_adjacent(erdos_renyi(64, 0.4, 21), layout).unwrap()
+        };
+        let probe = open();
+        let (plan, pattern) = probe
+            .robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new())
+            .unwrap();
+        assert!(pattern.is_some(), "the negotiation keeps its pattern");
+        let (src, dst, phase) =
+            dh_only_link(&plan, probe.graph()).expect("DH at δ=0.4 uses relay links");
+        let c = open().with_fault_plan(FaultPlan::seeded(13).with_link_down(src, dst, phase));
+        let payloads = test_payloads(64, 8, 9);
+        for _ in 0..2 {
+            let (bufs, report) = robust(&c, Algorithm::DistanceHalving, &payloads).unwrap();
+            assert_eq!(report.used, Algorithm::DistanceHalving, "{report}");
+            assert!(report.fallback.is_none(), "{report}");
+            assert!(report.repairs >= 1 && report.faults.link_downs >= 1, "{report}");
+            assert!(report.completeness.is_full(), "{report}");
+            assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
+        }
+    }
+
+    #[test]
+    fn a_cache_served_distance_halving_plan_is_not_negotiated_again() {
+        // a plan another communicator built keeps no pattern: the robust
+        // path builds one beside it instead of negotiating under faults
+        // that starve every negotiation (as in
+        // `starved_negotiation_degrades_to_naive`)
+        let cache = Arc::new(PlanCache::new(8));
+        let open = || {
+            let layout = ClusterLayout::new(4, 2, 4);
+            DistGraphComm::create_adjacent(erdos_renyi(32, 0.3, 21), layout)
+                .unwrap()
+                .with_plan_cache(Arc::clone(&cache))
+        };
+        let dh = Algorithm::DistanceHalving;
+        let built = open().plan_shared(dh).unwrap();
+        let c = open()
+            .with_policy(RobustPolicy {
+                negotiation_timeout: Duration::from_millis(60),
+                ..RobustPolicy::default()
+            })
+            .with_fault_plan(FaultPlan::seeded(3).with_slow_rank(0, Duration::from_millis(300)));
+        assert!(Arc::ptr_eq(&c.plan_shared(dh).unwrap(), &built), "the cache serves it");
+        let payloads = test_payloads(32, 8, 1);
+        let (bufs, report) = robust(&c, dh, &payloads).unwrap();
+        assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
+        assert_eq!((report.used, &report.fallback), (dh, &None), "{report}");
+        let (plan, pattern) = c.robust_plan_with_pattern(dh, &ExecOptions::new()).unwrap();
+        assert!(Arc::ptr_eq(&plan, &built) && pattern.is_some(), "the served plan, with a pattern");
+    }
+
+    #[test]
+    fn an_auto_allgatherv_at_a_ragged_table_is_memoized_beside_the_planning_entry() {
+        // only Distance Halving's planning-table entry stays for the epoch:
+        // an Auto request at another table takes Auto's slot, and a
+        // cacheless communicator tunes it once
+        let c = comm(32, 0.3);
+        c.plan_shared(Algorithm::Auto).unwrap();
+        let ragged: Vec<Vec<u8>> = (0..32).map(|r| vec![r as u8; r % 5]).collect();
+        let want = reference_allgather(c.graph(), &ragged);
+        let sims = c.tuner_sims();
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            let rec = nhood_telemetry::CountingRecorder::new(32);
+            let req = CollectiveRequest::allgatherv(&ragged).algorithm(Algorithm::Auto);
+            assert_eq!(c.collective(&req.recorder(&rec)).unwrap().rbufs, want);
+            let t = rec.totals();
+            seen.push((t.plan_cache_hits, t.plan_cache_misses, c.tuner_sims() - sims));
+        }
+        let tuned = seen[0].2;
+        assert!(tuned > 0, "the ragged table is tuned once");
+        assert_eq!(seen, [(0, 1, tuned), (1, 0, tuned)], "the second request is a memo hit");
     }
 }

@@ -1,9 +1,7 @@
 //! Plan resolution: how an [`Algorithm`] choice becomes a plan on this
 //! communicator — normalize the parameters, look in the epoch's plan
 //! table ([`Memo`]), then the plan cache, and build on a miss. Every
-//! plan request takes that one lookup: a gather's plan, the combining
-//! family's routing plan, the tuner's winner and a robust request's
-//! plan.
+//! plan request, robust ones included, takes that one lookup.
 
 use super::{CommError, DistGraphComm};
 use crate::autotune::{candidates, TuneOutcome};
@@ -11,18 +9,20 @@ use crate::bruck::plan_bruck;
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::common_neighbor::plan_common_neighbor;
 use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
+use crate::exec::ExecOptions;
 use crate::leader::plan_hierarchical_leader;
 use crate::lower::lower_pooled;
 use crate::naive::plan_naive;
+use crate::negotiate::build_pattern_distributed_pooled_v;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::plan_cache::{PlanCache, PlanFingerprint};
-use crate::remap::{locality_order, reranked};
+use crate::remap::Relabel;
 use crate::sizes::{BlockSizes, LoadMetric};
-use nhood_cluster::Placement;
 use nhood_simnet::SimReport;
 use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::Topology;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 
@@ -43,9 +43,9 @@ pub(super) struct Entry {
     pub(super) algo: Algorithm,
     pub(super) sizes: Option<BlockSizes>,
     pub(super) plan: Arc<CollectivePlan>,
-    /// Distance Halving's churn state, installed by
-    /// [`DistGraphComm::mutate`] alone: the pattern the repair engine
-    /// patches, and the surgical repairs since its last full build.
+    /// Distance Halving's churn state: the pattern the plan is lowered
+    /// from, in virtual ranks (`None` for a plan the cache or the tuner
+    /// served), and the surgical repairs since its last build.
     pub(super) pattern: Option<Arc<DhPattern>>,
     pub(super) repairs: u32,
 }
@@ -56,17 +56,35 @@ impl Memo {
         self.plans.iter().find(|e| e.algo == algo && e.sizes.as_ref() == sizes)
     }
 
-    /// Installs `entry` in place of its algorithm's entry at another key,
-    /// unless that one carries churn state: only `mutate` replaces the
-    /// live plan, so a request at another size table leaves it to repair.
-    /// An entry already at `entry`'s key stays: the plan it holds is the
-    /// one its requests have been served.
-    pub(super) fn insert(&mut self, entry: Entry) {
+    /// Installs a request's `entry` in place of its algorithm's entry at
+    /// another key, but for the live one — Distance Halving's at the
+    /// `planning` size table — which only [`Self::install_live`] replaces.
+    /// An entry at `entry`'s key stays: its requests have been served it.
+    pub(super) fn insert(&mut self, entry: Entry, planning: &BlockSizes) {
+        let live =
+            |e: &Entry| e.algo == Algorithm::DistanceHalving && e.sizes.as_ref() == Some(planning);
         match self.plans.iter_mut().find(|e| e.algo == entry.algo) {
-            Some(slot) if slot.pattern.is_none() && slot.sizes != entry.sizes => *slot = entry,
-            Some(_) => {}
+            Some(e) if e.sizes == entry.sizes || live(e) => {}
+            Some(e) => *e = entry,
             None => self.plans.push(entry),
         }
+    }
+
+    /// Installs `entry`, a plan with its pattern, as its algorithm's live
+    /// entry in place of any other; an equal plan at the same key keeps
+    /// the `Arc` its requests have been served.
+    pub(super) fn install_live(
+        &mut self,
+        mut entry: Entry,
+    ) -> (Arc<CollectivePlan>, Option<Arc<DhPattern>>) {
+        if let Some(e) = self.get(entry.algo, entry.sizes.as_ref()).filter(|e| e.plan == entry.plan)
+        {
+            entry.plan = Arc::clone(&e.plan);
+        }
+        self.plans.retain(|e| e.algo != entry.algo);
+        let live = (Arc::clone(&entry.plan), entry.pattern.clone());
+        self.plans.push(entry);
+        live
     }
 }
 
@@ -76,12 +94,11 @@ impl DistGraphComm {
     /// ([`Self::with_build_threads`]); the plan cache is **not**
     /// consulted — use [`Self::plan_shared`] for the cached path.
     pub fn plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.build_plan_recorded(algo, &self.planning_sizes(), &NULL)
+        Ok(self.build_plan_recorded(algo, &self.planning_sizes(), &NULL)?.0)
     }
 
-    /// One Distance Halving pattern build on this communicator's layout
-    /// and build pool — the sequential builder's full form with the
-    /// paper's load-aware pairing.
+    /// One Distance Halving pattern build on this communicator's layout and
+    /// build pool, with the paper's load-aware pairing.
     pub(super) fn dh_pattern(
         &self,
         graph: &Topology,
@@ -89,103 +106,77 @@ impl DistGraphComm {
         metric: LoadMetric,
         rec: &dyn Recorder,
     ) -> Result<DhPattern, BuildError> {
-        let strategy = PairingStrategy::LoadAware;
-        build_pattern_recorded_v(
-            graph,
-            &self.layout,
-            strategy,
-            sizes,
-            metric,
-            &self.build_pool,
-            rec,
-        )
+        let (layout, pool, pairing) = (&self.layout, &self.build_pool, PairingStrategy::LoadAware);
+        build_pattern_recorded_v(graph, layout, pairing, sizes, metric, pool, rec)
     }
 
-    /// Lowers `pattern` on the build pool and validates the plan.
-    pub(super) fn lower_checked(
-        &self,
-        pattern: &DhPattern,
-        graph: &Topology,
-    ) -> Result<CollectivePlan, CommError> {
-        let plan = lower_pooled(pattern, graph, &self.build_pool);
-        plan.validate(graph).map_err(CommError::InvalidPlan)?;
-        Ok(plan)
+    /// `x` in the virtual ranks the rank-order builders plan and patterns
+    /// live in: [`crate::remap::locality_order`] off block placement.
+    pub(super) fn to_virtual<'a, T: Relabel>(&self, x: &'a T) -> Cow<'a, T> {
+        self.order.as_ref().map_or(Cow::Borrowed(x), |o| Cow::Owned(x.relabelled(&o.virtual_of)))
     }
 
-    /// The placement rule, in its one place. Distance Halving, the leader
-    /// hierarchy and Bruck read locality off rank numbers, so each plans
-    /// `graph` at `sizes` in rank order through `build`: directly on block
-    /// placement, where rank order is locality order, and otherwise
-    /// through [`reranked`] in [`locality_order`]. The flag says whether
-    /// the plan was relabelled.
-    fn in_locality_order<E>(
-        &self,
-        graph: &Topology,
-        sizes: &BlockSizes,
-        build: impl FnOnce(&Topology, &BlockSizes) -> Result<CollectivePlan, E>,
-    ) -> Result<(CollectivePlan, bool), E> {
-        if self.layout.placement() == Placement::Block {
-            return Ok((build(graph, sizes)?, false));
+    /// `x`, named in virtual ranks, back in physical ones.
+    pub(super) fn to_physical<T: Relabel>(&self, x: T) -> T {
+        match &self.order {
+            Some(order) => x.relabelled(&order.physical),
+            None => x,
         }
-        let order = locality_order(&self.layout, graph.n());
-        Ok((reranked(graph, &order, sizes, build)?, true))
     }
 
-    /// Distance Halving on `graph`, validated, in locality order
-    /// ([`Self::in_locality_order`]). The pattern comes back beside a plan
-    /// built in place (churn repair patches it); a relabelled plan keeps
-    /// none, because repair patches patterns in rank space.
+    /// Distance Halving on `graph`, validated, beside its pattern in virtual
+    /// ranks: built, or negotiated over `negotiate` (its faults relabelled).
     pub(super) fn dh_plan(
         &self,
         graph: &Topology,
         sizes: &BlockSizes,
         rec: &dyn Recorder,
-    ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
-        let mut pattern = None;
-        let (plan, relabelled) = self.in_locality_order(graph, sizes, |graph, sizes| {
-            let dh = self.dh_pattern(graph, sizes, self.metric, rec)?;
-            rec.span_begin(0, labels::PLAN_LOWER);
-            let plan = lower_pooled(&dh, graph, &self.build_pool);
-            rec.span_end(0, labels::PLAN_LOWER);
-            pattern = Some(dh);
-            Ok::<_, BuildError>(plan)
-        })?;
+        negotiate: Option<&ExecOptions<'_>>,
+    ) -> Result<(CollectivePlan, DhPattern), CommError> {
+        let (vgraph, vsizes) = (self.to_virtual(graph), self.to_virtual(sizes));
+        let pattern = match negotiate {
+            None => self.dh_pattern(&vgraph, &vsizes, self.metric, rec)?,
+            Some(opts) => {
+                let fault = opts.fault.map(|fp| self.to_virtual(fp));
+                let opts = ExecOptions { fault: fault.as_deref(), ..*opts };
+                let (layout, metric, pool) = (&self.layout, self.metric, &self.build_pool);
+                build_pattern_distributed_pooled_v(&vgraph, layout, &vsizes, metric, pool, &opts)?
+            }
+        };
+        rec.span_begin(0, labels::PLAN_LOWER);
+        let plan = self.to_physical(lower_pooled(&pattern, &vgraph, &self.build_pool));
+        rec.span_end(0, labels::PLAN_LOWER);
         plan.validate(graph).map_err(CommError::InvalidPlan)?;
-        Ok((plan, pattern.filter(|_| !relabelled)))
+        Ok((plan, pattern))
     }
 
     /// The uncached build path shared by [`Self::plan`] and cache
-    /// misses.
+    /// misses: the plan, and Distance Halving's pattern beside it.
     fn build_plan_recorded(
         &self,
         algo: Algorithm,
         sizes: &BlockSizes,
         rec: &dyn Recorder,
-    ) -> Result<CollectivePlan, CommError> {
+    ) -> Result<(CollectivePlan, Option<DhPattern>), CommError> {
         let (graph, layout) = (&self.graph, &self.layout);
         let plan = match self.normalize_algorithm(algo)? {
             Algorithm::Naive => plan_naive(graph),
             Algorithm::CommonNeighbor { k } => plan_common_neighbor(graph, k),
             Algorithm::DistanceHalving => {
-                return self.dh_plan(graph, sizes, rec).map(|(plan, _)| plan);
+                return self.dh_plan(graph, sizes, rec, None).map(|(plan, p)| (plan, Some(p)));
             }
             Algorithm::HierarchicalLeader { leaders_per_node: l } => {
-                let build =
-                    |g: &_, _: &_| Ok::<_, CommError>(plan_hierarchical_leader(g, layout, l));
-                self.in_locality_order(graph, sizes, build)?.0
+                self.to_physical(plan_hierarchical_leader(&self.to_virtual(graph), layout, l))
             }
-            Algorithm::Bruck => {
-                let build = |g: &_, _: &_| Ok::<_, CommError>(plan_bruck(g, layout));
-                self.in_locality_order(graph, sizes, build)?.0
-            }
+            Algorithm::Bruck => self.to_physical(plan_bruck(&self.to_virtual(graph), layout)),
             Algorithm::Pat { radix } => crate::pat::plan_pat(graph, radix),
             Algorithm::Auto => {
                 // The tuner validates (and memoizes) the winner.
-                return self.plan_shared_sized(algo, sizes, rec).map(|p| (*p).clone());
+                return Ok(((*self.plan_shared_sized(algo, sizes, rec)?).clone(), None));
             }
         };
         plan.validate(graph).map_err(CommError::InvalidPlan)?;
-        Ok(plan)
+        Ok((plan, None))
     }
 
     /// Validates and canonicalizes an algorithm choice for this
@@ -302,7 +293,7 @@ impl DistGraphComm {
         for &cand in cands {
             debug_assert_ne!(cand, Algorithm::Auto, "the tuner only scores concrete candidates");
             let plan = match self.build_plan_recorded(cand, sizes, rec) {
-                Ok(p) => p,
+                Ok((p, _)) => p,
                 Err(e) => {
                     last_err = Some(e);
                     continue;
@@ -326,29 +317,25 @@ impl DistGraphComm {
     }
 
     /// [`Self::plan`] through this epoch's memo and the attached
-    /// [`PlanCache`]: a plan resolved
-    /// before in this topology epoch is returned with no fingerprint,
-    /// cache lookup, build or validation work, so a communicator builds
-    /// each algorithm's plan once per epoch, with or without a cache. A
-    /// first request takes it from the cache (plans are validated before
-    /// insertion, and disk-tier loads are re-validated inside the cache)
-    /// or builds it.
+    /// [`PlanCache`]: a plan resolved before in this topology epoch costs
+    /// no fingerprint, lookup, build or validation, so a communicator
+    /// builds each plan once per epoch, with or without a cache. A first
+    /// request takes it from the cache (which validates what it serves,
+    /// disk loads included) or builds it.
     pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
         self.plan_shared_sized(algo, &self.planning_sizes(), &NULL)
     }
 
-    /// The one plan lookup every request goes through — a gather's plan,
-    /// the combining family's routing plan, the tuner's winner: this
-    /// epoch's memo entry for `algo` at `sizes` ([`Memo::get`]), else the
-    /// attached cache under [`Self::cache_key`], else a build (a tuning
-    /// pass for [`Algorithm::Auto`], whose winner is cached under both
-    /// the tuner key and its own build key); a miss installs its plan in
-    /// the memo — an `Auto` plan under the winner's algorithm as well, so
-    /// an explicit request for the winner is served the same plan. Only
-    /// a tuning pass performs candidate simulations
-    /// ([`Self::tuner_sims`]). `rec` sees the lookup's `plan_cache` hit
-    /// or miss (against rank 0, the communicator-wide event's
-    /// representative) and a cold build's build/lower spans.
+    /// The one plan lookup every request takes — a gather's plan, the
+    /// combining family's routing plan, the tuner's winner: this epoch's
+    /// memo entry for `algo` at `sizes` ([`Memo::get`]), else the attached
+    /// cache under [`Self::cache_key`], else a build (for
+    /// [`Algorithm::Auto`] a tuning pass, the one path that simulates,
+    /// whose winner is cached under the tuner key and its own build key).
+    /// A miss installs its plan in the memo, an `Auto` plan under the
+    /// winner's algorithm too. `rec` sees the lookup's `plan_cache` hit or
+    /// miss (against rank 0, the communicator-wide event's representative)
+    /// and a build's spans.
     pub(super) fn plan_shared_sized(
         &self,
         algo: Algorithm,
@@ -364,28 +351,34 @@ impl DistGraphComm {
             return Ok(Arc::clone(&entry.plan));
         }
         let cached = self.cache.as_ref().map(|cache| (cache, self.cache_key(algo, sizes)));
+        let mut pattern = None; // a build's; a cached plan keeps none
+        let mut build = || {
+            let (plan, built) = self.build_plan_recorded(algo, sizes, rec)?;
+            pattern = built.map(Arc::new);
+            Ok::<_, CommError>(plan)
+        };
         let plan = match cached {
             _ if algo == Algorithm::Auto => self.tuned(cached, sizes, rec)?,
             Some((cache, key)) => {
-                let build = || self.build_plan_recorded(algo, sizes, rec);
                 let (plan, hit) = cache.get_or_build(key, &self.graph, build)?;
                 rec.plan_cache(0, hit);
                 plan
             }
             None => {
                 rec.plan_cache(0, false);
-                Arc::new(self.build_plan_recorded(algo, sizes, rec)?)
+                Arc::new(build()?)
             }
         };
-        let entry = Entry { algo, sizes: None, plan: Arc::clone(&plan), pattern: None, repairs: 0 };
+        let entry = Entry { algo, sizes: None, plan: Arc::clone(&plan), pattern, repairs: 0 };
+        let planning = self.planning_sizes();
         let mut memo = self.memo();
         if algo == Algorithm::Auto {
             // the tuner built the winner: its algorithm's requests are served that plan
             let winner = plan.algorithm;
             let sizes = self.keyed_sizes(winner, sizes).cloned();
-            memo.insert(Entry { algo: winner, sizes, ..entry.clone() });
+            memo.insert(Entry { algo: winner, sizes, ..entry.clone() }, &planning);
         }
-        memo.insert(Entry { sizes: keyed.cloned(), ..entry });
+        memo.insert(Entry { sizes: keyed.cloned(), ..entry }, &planning);
         Ok(plan)
     }
 
@@ -431,7 +424,8 @@ impl DistGraphComm {
     /// combining request pays before [`Self::collective`] memoizes it
     /// ([`Algorithm::Auto`] routes as Distance Halving; default sizes).
     pub fn alltoall_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        self.build_plan_recorded(self.combining_algorithm(algo)?, &BlockSizes::default(), &NULL)
+        let algo = self.combining_algorithm(algo)?;
+        Ok(self.build_plan_recorded(algo, &BlockSizes::default(), &NULL)?.0)
     }
 
     /// Simulated latency of `algo` at per-rank message size `m`.

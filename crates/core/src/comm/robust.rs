@@ -1,25 +1,23 @@
 //! The fault-tolerant path of [`DistGraphComm::collective`]: its two
 //! timeouts ([`RobustPolicy`]), the [`ExecReport`] a robust run returns,
-//! and the engine — distributed negotiation, mid-run link-down repair, and
-//! degradation to the naive plan — every robust collective reports and
-//! degrades through.
+//! and the engine every robust collective runs through — distributed
+//! negotiation, mid-run link-down repair, degradation to the naive plan.
 
-use super::{CommError, DistGraphComm};
+use super::{resolve::Entry, CommError, DistGraphComm};
 use crate::arena::BlockArena;
 use crate::collective::{CollectiveOutput, CollectiveRequest};
 use crate::exec::threaded::DEFAULT_TIMEOUT;
 use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome};
 use crate::fault::{FaultCounts, FaultStats};
-use crate::negotiate::{build_pattern_distributed_pooled_v, RECV_TIMEOUT};
+use crate::negotiate::RECV_TIMEOUT;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
 use crate::repair::{repair_dead_links, Completeness, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::runtime::Clock;
 use crate::sizes::{BlockSizes, LoadMetric};
-use nhood_cluster::Placement;
 use nhood_telemetry::{labels, Counts, Recorder, NULL};
 use nhood_topology::{Rank, Topology};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -151,51 +149,40 @@ impl DistGraphComm {
         }
     }
 
-    /// The planning path of the robust collective: Distance Halving runs
-    /// the *distributed* negotiation over the transport of `opts` (the
-    /// communicator's fault plan and the default retry budget, under its
-    /// negotiation timeout), so pattern construction is itself exposed to
-    /// injected faults; every other algorithm — and Distance Halving off
-    /// block placement, which re-ranks through [`crate::remap`] — takes
-    /// its plan from the epoch memo ([`Self::plan_shared`]). The negotiated
-    /// [`DhPattern`] stays alive alongside the plan — mid-execution
-    /// link-down repair needs the pattern's decisions, not just the lowered
-    /// messages; the other plans keep none, and a dead link degrades them
-    /// to naive. The negotiation tallies its faults into `opts`' sink and
-    /// reports per-rank rounds, signal retries and `negotiate` spans into
-    /// its recorder.
+    /// The robust collective's plan, from the epoch memo: Distance
+    /// Halving's with the pattern link-down repair needs. A served plan
+    /// without one (from the cache or the tuner) gets it built; with no
+    /// plan, the *distributed* negotiation runs over `opts`' transport,
+    /// exposed to its faults and tallied into it. Either installs the
+    /// epoch's live entry; a failure installs nothing.
     pub(super) fn robust_plan_with_pattern(
         &self,
         algo: Algorithm,
         opts: &ExecOptions<'_>,
-    ) -> Result<(Arc<CollectivePlan>, Option<DhPattern>), CommError> {
+    ) -> Result<(Arc<CollectivePlan>, Option<Arc<DhPattern>>), CommError> {
         let sizes = self.planning_sizes();
-        if algo != Algorithm::DistanceHalving || self.layout.placement() != Placement::Block {
+        if algo != Algorithm::DistanceHalving {
             return Ok((self.plan_shared_sized(algo, &sizes, opts.recorder)?, None));
         }
-        // The memo's Distance Halving entry, when `mutate` installed it
-        // with its pattern, IS the current plan — no negotiation.
-        let live = self
-            .memo()
-            .get(algo, self.keyed_sizes(algo, &sizes))
-            .and_then(|entry| Some((Arc::clone(&entry.plan), Arc::clone(entry.pattern.as_ref()?))));
-        if let Some((plan, pattern)) = live {
-            opts.recorder.plan_cache(0, true);
-            return Ok((plan, Some((*pattern).clone())));
+        let keyed = self.keyed_sizes(algo, &sizes).cloned();
+        let served =
+            self.memo().get(algo, keyed.as_ref()).map(|e| (Arc::clone(&e.plan), e.pattern.clone()));
+        opts.recorder.plan_cache(0, served.is_some());
+        if let Some((plan, Some(pattern))) = served {
+            return Ok((plan, Some(pattern)));
         }
+        // a plan the cache or the tuner served gets its pattern built
         let opts = opts.recv_timeout(self.policy.negotiation_timeout);
-        let (graph, layout) = (&self.graph, &self.layout);
-        let pool = &self.build_pool;
-        let pattern =
-            build_pattern_distributed_pooled_v(graph, layout, &sizes, self.metric, pool, &opts)?;
-        Ok((Arc::new(self.lower_checked(&pattern, &self.graph)?), Some(pattern)))
+        let (plan, pattern) =
+            self.dh_plan(&self.graph, &sizes, &NULL, served.is_none().then_some(&opts))?;
+        let (plan, pattern) = (Arc::new(plan), Some(Arc::new(pattern)));
+        Ok(self.memo().install_live(Entry { algo, sizes: keyed, plan, pattern, repairs: 0 }))
     }
 
     /// The one degradation decision of the robust path: a failed attempt
-    /// (`why`, `err`) either surfaces `err` — the failed plan already was
-    /// the naive one — or is recorded in `report` (and against rank 0 of
-    /// `rec`, the communicator-wide event's representative), after which
-    /// the caller runs the naive plan.
+    /// (`why`, `err`) surfaces `err` if its plan was the naive one, else is
+    /// recorded in `report` (and against `rec`'s rank 0, the
+    /// communicator-wide event's representative) for the naive rerun.
     fn degrade(
         &self,
         report: &mut ExecReport,
@@ -221,23 +208,19 @@ impl DistGraphComm {
     /// self-healing, and naive degradation, under the communicator's
     /// [`RobustPolicy`] timeouts.
     ///
-    /// Plans the request's algorithm (Distance Halving via the
-    /// distributed negotiation, so construction itself can fail under
-    /// faults; a combining op routes over the same plan) and executes on
-    /// the threaded backend with the policy's receive timeout, the default
-    /// retry budget and the attached fault plan. A failed build or a
-    /// failure during execution that repair cannot heal **degrades to the
-    /// naive plan** instead of erroring; the returned [`ExecReport`] records
-    /// what was requested, what ran, why it degraded, and the fault/retry
-    /// tally. Every attempt restarts from the send buffers and the
-    /// transport drops duplicates before anything is integrated, so a
-    /// retried reduction never applies its operator twice. Buffers are
-    /// only ever returned when some plan ran to completion — a fault
-    /// schedule that defeats both the requested plan and the naive
-    /// fallback yields a typed error, never corrupt data or a hang.
-    /// Negotiation, execution, retries and the degradation decision all
-    /// report into the request's recorder; a counting recorder's totals
-    /// are copied into [`ExecReport::counters`].
+    /// Plans the request's algorithm (Distance Halving negotiated once per
+    /// epoch, so construction itself can fail under faults; a combining
+    /// op routes over the same plan) and executes on the threaded backend
+    /// with the policy's receive timeout, the default retry budget and the
+    /// attached fault plan. A failed build, or an execution failure repair
+    /// cannot heal, **degrades to the naive plan**; the [`ExecReport`]
+    /// records what was requested, what ran, why it degraded, and the
+    /// fault/retry tally. Every attempt restarts from the send buffers and
+    /// the transport drops duplicates, so a retried reduction never applies
+    /// its operator twice; a fault schedule that defeats the naive plan too
+    /// yields a typed error, never corrupt data or a hang. Everything
+    /// reports into the request's recorder, whose counts, if it keeps
+    /// them, are copied into [`ExecReport::counters`].
     pub(super) fn robust(
         &self,
         req: &CollectiveRequest,
@@ -294,14 +277,13 @@ impl DistGraphComm {
     }
 
     /// Executes `plan` through `run`, self-healing around dead links: a
-    /// LinkDown error — which ends the run at once — marks the edge dead,
-    /// the plan is repaired to route around it, and execution restarts,
-    /// up to [`MAX_REPAIR_ROUNDS`] times. Repairs are tallied in `report`;
-    /// only an unrepairable failure returns.
+    /// LinkDown error, which ends the run at once, marks the edge dead; the
+    /// plan is repaired around it in the pattern's ranks and execution
+    /// restarts, up to [`MAX_REPAIR_ROUNDS`] times (tallied in `report`).
     fn run_self_healing(
         &self,
         mut plan: Arc<CollectivePlan>,
-        mut pattern: Option<DhPattern>,
+        mut pattern: Option<Arc<DhPattern>>,
         run: &mut Attempt<'_>,
         rec: &dyn Recorder,
         report: &mut ExecReport,
@@ -316,44 +298,39 @@ impl DistGraphComm {
                 Ok(out) => return Ok(out),
                 Err(e) => e,
             };
-            let (ExecError::LinkDown { src, dst, .. }, Some(base)) = (&err, &pattern) else {
+            let budget = report.repairs < MAX_REPAIR_ROUNDS;
+            let (ExecError::LinkDown { src, dst, .. }, Some(base), true) = (&err, &pattern, budget)
+            else {
                 return Err(err);
             };
-            if report.repairs >= MAX_REPAIR_ROUNDS {
-                return Err(err);
-            }
-            dead.insert((*src, *dst));
-            dead.insert((*dst, *src));
+            let v = |r: &Rank| self.order.as_ref().map_or(*r, |o| o.virtual_of[*r]);
+            dead.extend([(v(src), v(dst)), (v(dst), v(src))]);
             rec.span_begin(0, labels::REPAIR);
-            // Repair around the full dead set; past the damage
-            // threshold, rebuild the matchings from scratch first —
-            // fresh negotiation avoids the dead links where it can,
-            // and the reroute pass covers what it cannot.
-            let repaired = repair_dead_links(base, &plan, &self.graph, &dead)
+            // Past the damage threshold, rebuild the matchings first: they
+            // avoid the dead links where they can, the reroute the rest.
+            let (graph, old) = (self.to_virtual(&self.graph), self.to_virtual(&*plan));
+            let repaired = repair_dead_links(base, &old, &graph, &dead)
                 .ok()
                 .filter(|r| r.damage_frac <= MAX_DAMAGE_FRAC)
                 .or_else(|| {
                     let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
-                    let fresh = self.dh_pattern(&self.graph, &sizes, metric, &NULL).ok()?;
-                    repair_dead_links(&fresh, &plan, &self.graph, &dead).ok()
+                    let fresh = self.dh_pattern(&graph, &sizes, metric, &NULL).ok()?;
+                    repair_dead_links(&fresh, &old, &graph, &dead).ok()
                 });
             rec.span_end(0, labels::REPAIR);
-            let Some(rep) = repaired else { return Err(err) };
+            let Some(mut rep) = repaired else { return Err(err) };
             rec.repair(0);
             report.repairs += 1;
-            report.degraded_ranks = match &rep.completeness {
-                Completeness::Full => Vec::new(),
-                Completeness::Degraded { missing } => {
-                    let mut targets: Vec<Rank> = missing.iter().map(|&(_, t)| t).collect();
-                    targets.sort_unstable();
-                    targets.dedup();
-                    targets
-                }
-            };
+            report.degraded_ranks.clear();
+            if let Completeness::Degraded { missing } = &mut rep.completeness {
+                *missing = self.to_physical(std::mem::take(missing));
+                let targets: BTreeSet<Rank> = missing.iter().map(|&(_, t)| t).collect();
+                report.degraded_ranks.extend(targets);
+            }
             report.completeness = rep.completeness;
-            plan = Arc::new(rep.plan);
-            exec_graph = rep.exec_graph;
-            pattern = Some(rep.pattern);
+            plan = Arc::new(self.to_physical(rep.plan));
+            exec_graph = self.to_physical(rep.exec_graph);
+            pattern = Some(Arc::new(rep.pattern));
         }
     }
 }

@@ -27,6 +27,7 @@
 //! [`FaultStats`] aggregates what was actually injected during one run,
 //! using atomics so the runtime's workers can tally without locking.
 
+use crate::remap::Relabel;
 use nhood_topology::rng::{hash_mix, unit_f64};
 use nhood_topology::Rank;
 use std::collections::HashMap;
@@ -110,6 +111,8 @@ pub struct FaultPlan {
     crashed: HashMap<Rank, usize>,
     /// Directed edge -> phase index from which the link is dead.
     link_down: HashMap<(Rank, Rank), usize>,
+    /// Each rank id's physical rank once relabelled; empty: ids are physical.
+    physical: Vec<Rank>,
 }
 
 impl FaultPlan {
@@ -125,6 +128,7 @@ impl FaultPlan {
             slow: HashMap::new(),
             crashed: HashMap::new(),
             link_down: HashMap::new(),
+            physical: Vec::new(),
         }
     }
 
@@ -185,9 +189,15 @@ impl FaultPlan {
         self.seed
     }
 
+    /// The physical rank id `r` names.
+    fn phys(&self, r: Rank) -> Rank {
+        self.physical.get(r).map_or(r, |&p| p)
+    }
+
     #[inline]
     fn roll(&self, domain: u64, src: Rank, dst: Rank, tag: u64, attempt: u32) -> f64 {
-        unit_f64(hash_mix(&[self.seed, domain, src as u64, dst as u64, tag, attempt as u64]))
+        let (src, dst) = (self.phys(src) as u64, self.phys(dst) as u64);
+        unit_f64(hash_mix(&[self.seed, domain, src, dst, tag, attempt as u64]))
     }
 
     /// The verdict for transmission `attempt` of message `(src, dst,
@@ -203,7 +213,8 @@ impl FaultPlan {
         attempt: u32,
         phase: Option<usize>,
     ) -> FaultAction {
-        if phase.is_some_and(|k| self.link_down.get(&(src, dst)).is_some_and(|&at| k >= at)) {
+        let link = (self.phys(src), self.phys(dst));
+        if phase.is_some_and(|k| self.link_down.get(&link).is_some_and(|&at| k >= at)) {
             return FaultAction::LinkDown;
         }
         if self.roll(domain::DROP, src, dst, tag, attempt) < self.drop_p {
@@ -228,12 +239,12 @@ impl FaultPlan {
     /// The stall a straggler suffers at each phase entry (zero for
     /// healthy ranks).
     pub fn stall(&self, rank: Rank) -> Duration {
-        self.slow.get(&rank).copied().unwrap_or(Duration::ZERO)
+        self.slow.get(&self.phys(rank)).copied().unwrap_or(Duration::ZERO)
     }
 
     /// True if `rank` has crashed by `phase`.
     pub fn is_crashed(&self, rank: Rank, phase: usize) -> bool {
-        self.crashed.get(&rank).is_some_and(|&at| phase >= at)
+        self.crashed.get(&self.phys(rank)).is_some_and(|&at| phase >= at)
     }
 
     /// Lowers this plan onto the simulator's perturbation model:
@@ -258,6 +269,16 @@ impl FaultPlan {
             max_jitter: self.max_delay.as_secs_f64(),
             dead_links,
         }
+    }
+}
+
+/// Renames the ids a plan is asked about, not its faults: `to[r]` is
+/// answered as `r` was, every fault and draw on its physical rank.
+impl Relabel for FaultPlan {
+    fn relabelled(&self, to: &[Rank]) -> Self {
+        let mut physical = vec![0; to.len()];
+        to.iter().enumerate().for_each(|(r, &new)| physical[new] = self.phys(r));
+        Self { physical, ..self.clone() }
     }
 }
 
@@ -362,6 +383,35 @@ mod tests {
         let differs = (0..64u64)
             .any(|tag| fp.send_action(0, 1, tag, 0, None) != fp.send_action(0, 1, tag, 1, None));
         assert!(differs);
+    }
+
+    #[test]
+    fn a_relabelled_plan_keeps_every_fault_on_its_physical_rank() {
+        let fp = FaultPlan::seeded(5)
+            .with_message_drop(0.3)
+            .with_message_reorder(0.3)
+            .with_slow_rank(1, Duration::from_millis(3))
+            .with_crashed_rank(2, 1)
+            .with_link_down(0, 3, 1);
+        let to = [2, 0, 3, 1]; // rank r is called to[r]
+        let twice = fp.relabelled(&to).relabelled(&[1, 3, 0, 2]);
+        let to_twice = [0, 1, 2, 3].map(|r| [1, 3, 0, 2][to[r]]);
+        for (named, to) in [(fp.relabelled(&to), to), (twice, to_twice)] {
+            for (src, dst) in (0..4).flat_map(|s| (0..4).map(move |d| (s, d))) {
+                for (tag, phase) in (0..16).zip([None, Some(0), Some(2)].into_iter().cycle()) {
+                    let (a, b) = (to[src], to[dst]);
+                    assert_eq!(
+                        named.send_action(a, b, tag, 0, phase),
+                        fp.send_action(src, dst, tag, 0, phase)
+                    );
+                    assert_eq!(named.reorders(a, b, tag), fp.reorders(src, dst, tag));
+                }
+            }
+            for (r, &v) in to.iter().enumerate() {
+                assert_eq!(named.stall(v), fp.stall(r));
+                assert_eq!(named.is_crashed(v, 1), fp.is_crashed(r, 1));
+            }
+        }
     }
 
     #[test]

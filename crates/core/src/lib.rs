@@ -31,9 +31,9 @@
 //!   robust request (timeouts in [`comm::RobustPolicy`]) a dead link is
 //!   repaired around, and what cannot be healed degrades to the naive
 //!   plan instead of failing hard.
-//! * [`remap`] re-ranks any builder into locality order; the communicator
-//!   runs Distance Halving, the leader hierarchy and Bruck through it
-//!   whenever the layout is not block-placed (the builders read shape).
+//! * [`remap`] relabels graphs and plans into locality order and back; off
+//!   block placement the communicator plans, keeps Distance Halving's
+//!   pattern and repairs it there (the builders read only shape).
 //! * [`comm::DistGraphComm`] is the user-facing entry point, split along
 //!   its seams: `comm/mod.rs` (state, configuration, `mutate`),
 //!   `comm/resolve.rs` (algorithm → plan: normalize, fingerprint, cache,

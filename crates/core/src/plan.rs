@@ -648,6 +648,36 @@ impl CollectivePlan {
     }
 }
 
+/// Rank `r`'s program becomes rank `to[r]`'s, every peer and block id
+/// renamed: one pass that permutes the tables, the pool in place.
+impl crate::remap::Relabel for CollectivePlan {
+    fn relabelled(&self, to: &[Rank]) -> Self {
+        let mut from = vec![0; to.len()];
+        to.iter().enumerate().for_each(|(r, &new)| from[new] = r);
+        let span = |r: Rank| self.phase_off[r] as usize..self.phase_off[r + 1] as usize;
+        // the old buckets in their new order; a bucket's recvs sit `buckets` on
+        let (order, buckets) = (from.iter().flat_map(|&r| span(r)), self.copy_blocks.len());
+        let phases = from.iter().scan(0, |end, &r| {
+            *end += span(r).len() as u32;
+            Some(*end)
+        });
+        let (mut msg_off, mut msgs) = (vec![0], Vec::with_capacity(self.msgs.len()));
+        for b in order.clone().chain(order.clone().map(|b| b + buckets)) {
+            let rows = &self.msgs[self.msg_off[b] as usize..self.msg_off[b + 1] as usize];
+            msgs.extend(rows.iter().map(|m| MsgRow { peer: to[m.peer as usize] as u32, ..*m }));
+            msg_off.push(msgs.len() as u32);
+        }
+        CollectivePlan {
+            phase_off: std::iter::once(0).chain(phases).collect(),
+            copy_blocks: order.map(|b| self.copy_blocks[b]).collect(),
+            msg_off,
+            msgs,
+            pool: self.pool.iter().map(|&b| to[b]).collect(),
+            ..*self
+        }
+    }
+}
+
 /// What [`CollectivePlan::patched`] puts in: per bucket side `(dir,
 /// rank, phase)`, `(peer, blocks)` messages ascending by peer.
 pub(crate) type Edits = BTreeMap<(MsgDir, Rank, usize), Vec<(Rank, Vec<Rank>)>>;

@@ -6,14 +6,14 @@
 //! free. For any other placement — `--map-by node`, explicit rankfiles —
 //! a real library would *relabel*: sort ranks by physical location into
 //! **virtual ranks**, plan in virtual space, and translate the resulting
-//! plan back. [`reranked`] does that around any builder; the builders
-//! themselves plan in rank order and read only the layout's shape.
+//! plan back (`Relabel`, [`reranked`]); the builders plan in rank order
+//! and read only the layout's shape.
 //!
 //! Alignment is exact when every socket holds the same number of ranks;
 //! with partially filled sockets the virtual "socket" boundaries are
 //! best-effort (correctness never depends on them — only locality does).
 
-use crate::plan::{CollectivePlan, MsgDir, PlanWriter};
+use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
 use nhood_cluster::ClusterLayout;
 use nhood_topology::{Rank, Topology};
@@ -44,54 +44,48 @@ pub fn locality_order(layout: &ClusterLayout, n: usize) -> RankOrder {
     RankOrder { physical, virtual_of }
 }
 
-/// Plans `graph` in the virtual rank space of `order`: relabels every
-/// edge, and the size table (indexed by physical rank), into virtual
-/// ranks, runs `build` on them, and relabels the lock-step plan it
-/// returns back — virtual rank `v`'s program becomes physical rank
-/// `order.physical[v]`'s, and every peer and block id is a physical rank
-/// again. Under the identity order the plan equals `build(graph, sizes)`.
-/// [`DistGraphComm`](crate::comm::DistGraphComm) plans Distance Halving,
-/// the leader hierarchy and Bruck through it, in [`locality_order`], on
-/// any placement but block.
+/// Plans `graph` in the virtual rank space of `order`: relabels the
+/// graph and the size table (`Relabel`) into virtual ranks, runs
+/// `build` on them, and relabels the plan back. Under the identity order
+/// the plan equals `build(graph, sizes)`. [`DistGraphComm`](crate::comm::DistGraphComm)
+/// relabels the same way in the [`locality_order`] of its layout.
 pub fn reranked<E>(
     graph: &Topology,
     order: &RankOrder,
     sizes: &BlockSizes,
     build: impl FnOnce(&Topology, &BlockSizes) -> Result<CollectivePlan, E>,
 ) -> Result<CollectivePlan, E> {
-    let n = graph.n();
-    let vedges = graph.edges().map(|(s, d)| (order.virtual_of[s], order.virtual_of[d]));
-    let vgraph = Topology::from_edges(n, vedges);
-    let vsizes = match sizes {
-        BlockSizes::Uniform(_) => sizes.clone(),
-        BlockSizes::PerRank(_) => {
-            BlockSizes::per_rank(order.physical.iter().map(|&p| sizes.size(p)).collect())
-        }
-    };
-    let vplan = build(&vgraph, &vsizes)?;
+    let to_virtual = &order.virtual_of;
+    let vplan = build(&graph.relabelled(to_virtual), &sizes.relabelled(to_virtual))?;
+    Ok(vplan.relabelled(&order.physical))
+}
 
-    let to_physical = |v: &Rank| order.physical[*v];
-    let mut w = PlanWriter::new(vplan.algorithm, n, vplan.phase_count());
-    w.selection = vplan.selection;
-    w.reserve(vplan.message_count(), 2 * vplan.total_blocks_sent());
-    let mut blocks: Vec<Rank> = Vec::new();
-    for (v, &p) in order.physical.iter().enumerate() {
-        for (k, phase) in vplan.phases(v).enumerate() {
-            w.copy(p, k, phase.copy_blocks());
-            for dir in [MsgDir::Send, MsgDir::Recv] {
-                for msg in phase.msgs(dir) {
-                    blocks.clear();
-                    blocks.extend(msg.blocks().iter().map(to_physical));
-                    let peer = order.physical[msg.peer()];
-                    match dir {
-                        MsgDir::Send => w.send(p, k, peer, msg.tag(), &blocks),
-                        MsgDir::Recv => w.recv(p, k, peer, msg.tag(), &blocks),
-                    }
-                }
-            }
-        }
+/// A value that names ranks: [`RankOrder::virtual_of`] renames it into
+/// virtual ranks, [`RankOrder::physical`] back out.
+pub(crate) trait Relabel: Clone {
+    /// `self` with every rank `r` renamed `to[r]`.
+    fn relabelled(&self, to: &[Rank]) -> Self;
+}
+
+impl Relabel for Vec<(Rank, Rank)> {
+    fn relabelled(&self, to: &[Rank]) -> Self {
+        self.iter().map(|&(u, v)| (to[u], to[v])).collect()
     }
-    Ok(w.finish())
+}
+
+impl Relabel for Topology {
+    fn relabelled(&self, to: &[Rank]) -> Self {
+        Topology::from_edges(self.n(), self.edges().map(|(u, v)| (to[u], to[v])))
+    }
+}
+
+impl Relabel for BlockSizes {
+    fn relabelled(&self, to: &[Rank]) -> Self {
+        let BlockSizes::PerRank(_) = self else { return self.clone() };
+        let mut table = vec![0; to.len()];
+        to.iter().enumerate().for_each(|(r, &new)| table[new] = self.size(r));
+        BlockSizes::per_rank(table)
+    }
 }
 
 #[cfg(test)]

@@ -210,11 +210,9 @@ fn the_robust_report_counts_the_negotiations_faults() {
         report.faults
     };
     let negotiated = run(&comm);
-    // the same plan already live (an empty churn arms it): the same
-    // messages meet the same faults, and nothing is negotiated
-    let mut live = comm.clone();
-    live.mutate(&[], &[]).unwrap();
-    let executed = run(&live);
+    // the negotiated plan is the epoch's now: the same messages meet the
+    // same faults, and nothing is negotiated
+    let executed = run(&comm);
     assert!(negotiated.drops > executed.drops, "negotiated {negotiated}, live {executed}");
 }
 
@@ -403,8 +401,8 @@ fn combining_ops(g: &Topology, m: usize) -> Vec<(nhood_core::CollectiveOp, Vec<V
 /// exercise the data path, not the negotiation) under `fp` and `policy`.
 fn armed(g: &Topology, fp: Option<FaultPlan>, policy: RobustPolicy) -> DistGraphComm {
     let comm = DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(4, 2, 4)).unwrap();
-    let mut comm = comm.with_policy(policy);
-    comm.mutate(&[], &[]).unwrap();
+    let comm = comm.with_policy(policy);
+    comm.plan_shared(Algorithm::DistanceHalving).unwrap();
     match fp {
         Some(fp) => comm.with_fault_plan(fp),
         None => comm,
@@ -475,7 +473,7 @@ fn a_dead_link_degrades_combining_ops_to_the_naive_program() {
     use nhood_core::{collective::reference, DType, FallbackReason};
     let g = nhood_topology::random::erdos_renyi(32, 0.3, 17);
     let policy = RobustPolicy::default();
-    let plan = armed(&g, None, policy).churn_plan().unwrap();
+    let plan = armed(&g, None, policy).plan_shared(Algorithm::DistanceHalving).unwrap();
     let mut fp = FaultPlan::seeded(7);
     for r in 0..plan.n() {
         for peer in plan.phases(r).flat_map(|phase| phase.sends()).map(|m| m.peer()) {

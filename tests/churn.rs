@@ -51,7 +51,7 @@ fn churn_set(g: &Topology, k: usize, seed: u64) -> (EdgeSet, EdgeSet) {
 /// and agree with a from-scratch build over the same mutated topology.
 fn assert_plan_matches_scratch(comm: &DistGraphComm, step: usize) {
     let g = comm.graph();
-    let plan = &comm.churn_plan().expect("mutate leaves a live plan");
+    let plan = &comm.plan_shared(Algorithm::DistanceHalving).unwrap();
     let payloads = test_payloads(g.n(), 8, 0xC0 + step as u64);
     let want = reference_allgather(g, &payloads);
 
@@ -93,7 +93,7 @@ fn churn_roundtrip(n: usize, delta: f64, seed: u64, k: usize) -> usize {
     let g = nhood_topology::random::erdos_renyi(n, delta, seed);
     let layout = layout_for(n);
     let mut comm = DistGraphComm::create_adjacent(g, layout).unwrap();
-    comm.mutate(&[], &[]).unwrap(); // warm-up: cold build into the slot
+    comm.plan_shared(Algorithm::DistanceHalving).unwrap(); // the live plan, with its pattern
     let (added, removed) = churn_set(comm.graph(), k, seed ^ 0x5EED);
 
     let steps = [
