@@ -15,9 +15,9 @@
 //! *here* with [`ExecError::MissingBlock`] / [`ExecError::Undelivered`] —
 //! before any byte moves.
 //!
-//! A request then resolves cell offsets against its block lengths
-//! ([`Tables::stage`]: O(cells), no allocation once warm) and does
-//! nothing but `copy_from_slice` / [`Reduction::combine`]
+//! A request then resolves offsets and receive totals against its block
+//! lengths ([`Tables::stage`]: O(cells), no allocation once warm) and
+//! does nothing but `copy_from_slice` / [`Reduction::combine`]
 //! ([`Exec::integrate`], the one data path of both runtimes in
 //! [`crate::exec`]). Gather and routed blocks are never modified in
 //! flight, so a receiver reads each one at its origin's send buffer and
@@ -109,8 +109,8 @@ enum Src {
 enum Dst {
     /// A slot of the receiver's arena (it forwards the value later).
     Slot(Ix),
-    /// A cell of the receiver's receive buffer (last hop).
-    Recv(Ix),
+    /// The receive buffer, a reduce shape's one receive cell (last hop).
+    Recv,
 }
 
 /// One thing a receiver does with an arrived wire block.
@@ -161,11 +161,16 @@ impl Lens<'_> {
             Lens::Own(payloads) => payloads[key as usize].len(),
         }
     }
+
+    /// Every block's one length, when a uniform table gives it.
+    fn uniform(self) -> Option<usize> {
+        matches!(self, Lens::Table(sizes) if sizes.is_uniform()).then(|| self.size(0))
+    }
 }
 
-/// The cells of one address space (send buffers, arena slots or receive
-/// buffers): each belongs to a rank and is `size(key)` bytes long; a
-/// rank's cells pack back to back in creation order.
+/// The cells of a send buffer or an arena: each belongs to a rank and is
+/// `size(key)` bytes long; a rank's cells pack back to back in creation
+/// order.
 #[derive(Clone, Debug, Default)]
 struct Cells {
     rank: Vec<Ix>,
@@ -193,6 +198,41 @@ impl Cells {
             ends[r as usize] += lens.size(key);
             at
         }));
+    }
+}
+
+/// The receive cells, made rank by rank: rank `r`'s are `span(ends, r)`,
+/// packed back to back in creation order.
+#[derive(Clone, Debug, Default)]
+struct RankCells {
+    ends: Vec<Ix>,
+    key: Vec<Ix>,
+}
+
+impl RankCells {
+    fn with_capacity(ranks: usize, cells: usize) -> Self {
+        Self { ends: Vec::with_capacity(ranks), key: Vec::with_capacity(cells) }
+    }
+
+    /// Appends the next rank's cells.
+    fn push_rank(&mut self, keys: &[Rank]) {
+        self.key.extend(keys.iter().map(|&key| key as Ix));
+        self.ends.push(self.key.len() as Ix);
+    }
+
+    fn of(&self, r: Rank) -> Range<usize> {
+        span(&self.ends, r)
+    }
+
+    /// Each rank's byte total into `ends`, and no offset: its cell count
+    /// × m under a uniform table.
+    fn totals(&self, lens: Lens, ends: &mut [usize]) {
+        let uniform = lens.uniform();
+        for (r, end) in ends.iter_mut().enumerate() {
+            let keys = &self.key[self.of(r)];
+            *end = uniform
+                .map_or_else(|| keys.iter().map(|&key| lens.size(key)).sum(), |m| keys.len() * m);
+        }
     }
 }
 
@@ -232,7 +272,8 @@ pub struct Program {
     steps: Vec<Step>,
     send: Cells,
     slots: Cells,
-    recv: Cells,
+    /// Per rank: its in-neighbors (gather, route), or itself (reduce).
+    recv: RankCells,
     /// Per rank, its traffic at one byte per block ([`Exec::traffic`]).
     units: Vec<Traffic>,
 }
@@ -287,10 +328,6 @@ struct PendMsg {
 /// emitted so far. All tables are dense — per edge or per rank.
 struct Walk<'g> {
     graph: &'g Topology,
-    /// First edge id of each rank's out-list / first receive cell of
-    /// each rank's in-list (Route).
-    out_base: Vec<usize>,
-    in_base: Vec<usize>,
     /// Per edge: the rank holding its contribution, or a sentinel.
     holder: Vec<usize>,
     /// (reduce) per rank: the partials held, sorted by destination.
@@ -313,19 +350,9 @@ impl<'g> Walk<'g> {
     /// source's send buffer.
     fn new(graph: &'g Topology, shape: Shape, phases: usize) -> Self {
         let n = graph.n();
-        let base = |deg: &dyn Fn(Rank) -> usize| -> Vec<usize> {
-            let mut next = 0;
-            (0..n)
-                .map(|r| {
-                    let here = next;
-                    next += deg(r);
-                    here
-                })
-                .collect()
-        };
         let reduce = shape.reduces();
         let allreduce = shape == Shape::Allreduce;
-        let (mut send, mut recv) = (Cells::default(), Cells::default());
+        let (mut send, mut recv) = (Cells::default(), RankCells::with_capacity(n, 0));
         let mut holder = Vec::with_capacity(graph.edge_count());
         let mut held: Vec<Vec<Held>> = vec![Vec::new(); n];
         for (p, mine) in held.iter_mut().enumerate() {
@@ -343,18 +370,10 @@ impl<'g> Walk<'g> {
                     Shape::Allreduce => mine.push(Held { dst: d, at: Src::Send(own), count: 1 }),
                 }
             }
-            if reduce {
-                recv.push(p, p);
-            } else {
-                for &s in graph.in_neighbors(p) {
-                    recv.push(p, s);
-                }
-            }
+            recv.push_rank(if reduce { std::slice::from_ref(&p) } else { graph.in_neighbors(p) });
         }
         Walk {
             graph,
-            out_base: base(&|r| graph.outdegree(r)),
-            in_base: base(&|r| graph.indegree(r)),
             holder,
             held,
             // allreduce folds into x_t, already in place; reduce_scatter
@@ -386,17 +405,10 @@ impl<'g> Walk<'g> {
         }
     }
 
-    fn edge(&self, s: Rank, d: Rank) -> Option<usize> {
-        if s >= self.graph.n() {
-            return None;
-        }
-        self.graph.out_neighbors(s).binary_search(&d).ok().map(|i| self.out_base[s] + i)
-    }
-
     /// Takes edge `(s, d)`'s contribution off rank `r` for a message to
     /// `peer`; `None` when `r` does not hold it (any more).
     fn claim(&mut self, r: Rank, peer: Rank, (s, d): (Rank, Rank)) -> Option<usize> {
-        let e = self.edge(s, d).filter(|&e| self.holder[e] == r)?;
+        let e = self.graph.edge_id(s, d).filter(|&e| self.holder[e] == r)?;
         self.holder[e] = IN_FLIGHT;
         self.moved.push((e, if d == peer { DELIVERED } else { peer }));
         Some(e)
@@ -497,11 +509,9 @@ impl<'g> Walk<'g> {
         let d = pd.dst;
         if self.prog.shape == Shape::Route {
             if d == at {
-                let cell = self.graph.in_neighbors(d).binary_search(&pb.key);
-                // INVARIANT: `claim` resolved `(key, d)` to an edge of the
-                // graph, whose in- and out-lists mirror each other.
-                let cell = self.in_base[d] + cell.expect("an edge's source is an in-neighbor");
-                self.prog.origin[cell] = pd.edge as Ix;
+                // INVARIANT: `claim` resolved `(key, d)` to an edge.
+                let cell = self.graph.recv_slot(d, pb.key).expect("a source is an in-neighbor");
+                self.prog.origin[self.prog.recv.of(d).start + cell] = pd.edge as Ix;
             }
             return None;
         }
@@ -513,9 +523,9 @@ impl<'g> Walk<'g> {
         let d = pd.dst;
         if d == at {
             return if std::mem::replace(&mut self.acc_live[at], true) {
-                Step::Combine(Dst::Recv(at as Ix))
+                Step::Combine(Dst::Recv)
             } else {
-                Step::Copy(Dst::Recv(at as Ix))
+                Step::Copy(Dst::Recv)
             };
         }
         match self.held[at].binary_search_by_key(&d, |h| h.dst) {
@@ -632,7 +642,7 @@ pub(crate) fn compile(
         for r in 0..n {
             for &s in graph.in_neighbors(r) {
                 // INVARIANT: `Topology` keeps its in- and out-lists mirrored.
-                let e = walk.edge(s, r).expect("in/out consistency");
+                let e = walk.graph.edge_id(s, r).expect("in/out consistency");
                 if walk.holder[e] != DELIVERED {
                     return Err(ExecError::Undelivered { rank: r, block: s });
                 }
@@ -673,20 +683,16 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         steps: Vec::new(),
         send: Cells::with_capacity(n),
         slots: Cells::with_capacity(blocks),
-        recv: Cells::with_capacity(graph.edge_count()),
+        recv: RankCells::with_capacity(n, graph.edge_count()),
         units: Vec::new(),
     };
     // per rank: the blocks held, sorted, and where (own block first)
     let mut held: Vec<Vec<(Ix, Src)>> = Vec::with_capacity(n);
-    let mut in_base = Vec::with_capacity(n);
     for p in 0..n {
         let mut mine = Vec::with_capacity(1 + graph.indegree(p));
         mine.push((p as Ix, Src::Send(prog.send.push(p, p))));
         held.push(mine);
-        in_base.push(prog.recv.rank.len());
-        for &s in graph.in_neighbors(p) {
-            prog.recv.push(p, s);
-        }
+        prog.recv.push_rank(graph.in_neighbors(p));
     }
     // the phase in flight: (receiver, sender, message, position in send order)
     let mut pend: Vec<(Rank, Rank, MsgView<'_>, usize)> = Vec::new();
@@ -736,16 +742,16 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
                 if let Err(pos) = held[at].binary_search_by_key(&key, |h| h.0) {
                     let slot = prog.slots.push(at, key as Rank);
                     held[at].insert(pos, (key, Src::Slot(slot)));
-                    if let Ok(cell) = graph.in_neighbors(at).binary_search(&(key as Rank)) {
-                        prog.origin[in_base[at] + cell] = key;
+                    if let Some(cell) = graph.recv_slot(at, key as Rank) {
+                        prog.origin[prog.recv.of(at).start + cell] = key;
                     }
                 }
             }
         }
     }
     if let Some(cell) = prog.origin.iter().position(|&from| from == Ix::MAX) {
-        let (rank, block) = (prog.recv.rank[cell] as Rank, prog.recv.key[cell] as Rank);
-        return Err(ExecError::Undelivered { rank, block });
+        let rank = prog.recv.ends.partition_point(|&end| end as usize <= cell);
+        return Err(ExecError::Undelivered { rank, block: prog.recv.key[cell] as Rank });
     }
     check_recvs(plan, &prog)?;
     Ok(prog)
@@ -937,20 +943,20 @@ pub(crate) struct Job<'a> {
 pub(crate) struct Tables {
     send: Vec<usize>,
     slot: Vec<usize>,
-    recv: Vec<usize>,
     ends: Vec<usize>,
 }
 
 impl Tables {
-    /// Resolves `prog`'s cells against `job`'s lengths and checks the
-    /// send buffers' shapes. Sizes `rbufs` (the caller's spare set, one
-    /// per rank) for the program's receive cells, counting the buffers
-    /// that had to grow into `grew`, and returns the request's staging
-    /// arena: one buffer per rank for the slots of a reduce shape, none
-    /// otherwise. Dropped with the request: a forwarding agent's parked
-    /// partials are megabytes at 4 KiB blocks, and kept warm they would
-    /// sit under every later request's receive buffers — on *every*
-    /// tenant of a service.
+    /// Resolves `prog`'s send cells (a reduce shape's slots too) against
+    /// `job`'s lengths, checks the send buffers' shapes and sizes `rbufs`
+    /// (the caller's spare set) to each rank's receive total — no receive
+    /// offset: a gather or routed buffer is appended ([`Exec::deliver`]),
+    /// a reduce shape's is one cell — counting growths into `grew`.
+    /// Returns the request's staging arena: one buffer per rank for a
+    /// reduce shape's slots, none otherwise. Dropped with the request: a
+    /// forwarding agent's parked partials are megabytes at 4 KiB blocks,
+    /// and kept warm they would sit under every later request's receive
+    /// buffers — on *every* tenant of a service.
     pub(crate) fn stage(
         &mut self,
         prog: &Program,
@@ -972,7 +978,7 @@ impl Tables {
             prog.slots.resolve(lens, &mut self.slot, ends);
             arena.extend(ends.iter().map(|&len| vec![0u8; len]));
         }
-        prog.recv.resolve(lens, &mut self.recv, ends);
+        prog.recv.totals(lens, ends);
         for (r, rbuf) in rbufs.iter_mut().enumerate() {
             let cap = rbuf.capacity();
             match (prog.shape, red) {
@@ -1008,7 +1014,7 @@ impl Tables {
     ) -> &'b mut [u8] {
         match dst {
             Dst::Slot(s) => &mut arena[self.slot[s as usize]..][..len],
-            Dst::Recv(c) => &mut rbuf[self.recv[c as usize]..][..len],
+            Dst::Recv => &mut rbuf[..len],
         }
     }
 }
@@ -1041,40 +1047,39 @@ pub(crate) struct Staged<'a> {
     pub rbufs: Vec<Vec<u8>>,
 }
 
-impl Exec<'_> {
+impl<'a> Exec<'a> {
     /// Wire bytes of message `id`.
     pub(crate) fn wire_bytes(&self, id: usize) -> usize {
         self.prog.wire_bytes(id, self.job.lens)
     }
 
-    /// Every rank's traffic under `tally`, handed to `each` rank by rank.
-    /// A uniform request without a socket map scales the program's units
-    /// (O(ranks)); walking its messages, as any other request does, makes
-    /// counting `gather-small` about five times as dear.
-    pub(crate) fn traffic(&self, tally: Tally, mut each: impl FnMut(Rank, &Traffic)) {
+    /// Every rank's traffic under `tally`, for one `Recorder::traffic`
+    /// call. A uniform request without a socket map scales the program's
+    /// units (O(ranks)); walking its messages, as any other request does,
+    /// makes counting `gather-small` about five times as dear.
+    pub(crate) fn traffic(self, tally: Tally<'a>) -> impl Iterator<Item = (Rank, Traffic)> + 'a {
         let (prog, lens) = (self.prog, self.job.lens);
-        let uniform = matches!(lens, Lens::Table(s) if s.is_uniform()).then(|| lens.size(0) as u64);
-        for (r, unit) in prog.units.iter().enumerate() {
-            let t = match uniform {
-                Some(m) if tally.socket_of.is_none() => {
+        let scaled = lens.uniform().filter(|_| tally.socket_of.is_none()).map(|m| m as u64);
+        prog.units.iter().enumerate().map(move |(r, unit)| {
+            let t = match scaled {
+                Some(m) => {
                     let (bytes_sent, bytes_recvd) = (unit.bytes_sent * m, unit.bytes_recvd * m);
                     Traffic { bytes_sent, bytes_recvd, ..*unit }
                 }
-                _ => prog.traffic_of(r, tally, |id| prog.wire_bytes(id, lens)),
+                None => prog.traffic_of(r, tally, |id| prog.wire_bytes(id, lens)),
             };
-            each(r, &t);
-        }
+            (r, t)
+        })
     }
 
-    /// (Gather, Route) Appends rank `r`'s receive cells to `rbuf`, each
-    /// read at its origin — the one copy of every delivered byte.
-    /// `compile`'s `Undelivered` check vouches that every cell has one.
+    /// (Gather, Route) Appends rank `r`'s range of receive cells to `rbuf`,
+    /// each read at its origin (`compile`'s `Undelivered` check vouches
+    /// for one): the one copy of every delivered byte.
     pub(crate) fn deliver(&self, r: Rank, rbuf: &mut Vec<u8>) {
-        let (cells, Job { sbufs, lens, .. }) = (&self.prog.recv, self.job);
-        let first = cells.rank.partition_point(|&rank| (rank as Rank) < r);
-        let mine = cells.rank[first..].iter().take_while(|&&rank| rank as Rank == r).count();
-        for (&key, &origin) in cells.key[first..][..mine].iter().zip(&self.prog.origin[first..]) {
-            rbuf.extend_from_slice(self.off.sent(&sbufs[key as usize], origin, lens.size(key)));
+        let (prog, Job { sbufs, lens, .. }, off) = (self.prog, self.job, self.off);
+        let cells = prog.recv.of(r);
+        for (&key, &origin) in prog.recv.key[cells.clone()].iter().zip(&prog.origin[cells]) {
+            rbuf.extend_from_slice(off.sent(&sbufs[key as usize], origin, lens.size(key)));
         }
     }
 

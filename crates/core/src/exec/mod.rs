@@ -343,19 +343,6 @@ pub(crate) fn check_count(payloads: &[Vec<u8>], n: usize) -> Result<(), ExecErro
     }
 }
 
-/// Validates the payload array shape shared by both real executors.
-/// Returns the uniform block size `m` (0 for an empty communicator).
-pub(crate) fn check_payloads(payloads: &[Vec<u8>], n: usize) -> Result<usize, ExecError> {
-    check_count(payloads, n)?;
-    let m = payloads.first().map_or(0, Vec::len);
-    for (rank, p) in payloads.iter().enumerate() {
-        if p.len() != m {
-            return Err(ExecError::PayloadSizeMismatch { rank, got: p.len(), want: m });
-        }
-    }
-    Ok(m)
-}
-
 /// The one engine behind every front: runs `op` over `plan` on the
 /// sequential runtime, or as rank machines on `clock`.
 /// `sizes` is a combining op's validated size table
@@ -374,11 +361,11 @@ pub(crate) fn execute(
     clock: Option<Clock>,
     opts: &ExecOptions<'_>,
 ) -> Result<ExecOutcome, ExecError> {
-    // a uniform gather's blocks all take its one payload length
-    let uniform = match op {
-        CollectiveOp::Allgather => Some(BlockSizes::uniform(check_payloads(payloads, plan.n())?)),
-        _ => check_count(payloads, plan.n()).map(|()| None)?,
-    };
+    check_count(payloads, plan.n())?;
+    // a uniform gather's blocks all take the first payload's length, and
+    // staging checks every payload against it
+    let uniform = (op == CollectiveOp::Allgather)
+        .then(|| BlockSizes::uniform(payloads.first().map_or(0, Vec::len)));
     let prog = arena.program(plan, graph, Shape::of(op))?;
     let lens = sizes.or(uniform.as_ref()).map_or(Lens::Own(payloads), Lens::Table);
     let mut staged = arena.stage(&prog, Job { red: op.reduction(), sbufs: payloads, lens })?;

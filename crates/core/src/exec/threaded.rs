@@ -180,8 +180,8 @@ impl RankRun<'_> {
 }
 
 /// Runs a staged execution, every rank a machine on the runtime's
-/// `clock`, to its end or its first failure, then hands the recorder each
-/// rank's traffic (what it moved so far, when the run failed).
+/// `clock`, to its end or its first failure, then hands the recorder every
+/// rank's traffic in one call (what it moved so far, when the run failed).
 pub(crate) fn run(
     staged: &mut Staged,
     opts: &ExecOptions<'_>,
@@ -210,7 +210,7 @@ pub(crate) fn run(
         .collect();
     let result = runtime::run(&mut ranks, opts, stats, clock);
     if opts.recorder.tally().is_some() {
-        ranks.iter().for_each(|r| opts.recorder.traffic(r.rank, &r.traffic));
+        opts.recorder.traffic(&mut ranks.iter().map(|r| (r.rank, r.traffic)));
     }
     result
 }

@@ -37,8 +37,8 @@ impl Executor for Virtual {
     }
 }
 
-/// Runs a staged execution sequentially, then hands `rec` each rank's
-/// traffic when it tallies.
+/// Runs a staged execution sequentially, then hands `rec` every rank's
+/// traffic in one call when it tallies.
 pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
     let Staged { exec, arena: staged, rbufs } = staged;
     let prog = exec.prog;
@@ -53,7 +53,7 @@ pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
         rbufs.iter_mut().enumerate().for_each(|(r, rbuf)| exec.deliver(r, rbuf));
     }
     if let Some(tally) = rec.tally() {
-        exec.traffic(tally, |r, traffic| rec.traffic(r, traffic));
+        rec.traffic(&mut exec.traffic(tally));
     }
 }
 
@@ -256,20 +256,33 @@ mod tests {
 
     #[test]
     fn a_request_hands_the_recorder_one_traffic_record_per_rank() {
-        // Counting costs per rank, not per message: however many
-        // messages a request moves, a recorder sees at most n records.
-        struct Calls(std::sync::atomic::AtomicUsize);
+        // Counting costs one hand-over per request, not one per rank or
+        // per message: however many messages a request moves, a recorder
+        // sees one `traffic` call carrying at most n records — on every
+        // executor and clock, and in a recorded simulator replay.
+        #[derive(Default)]
+        struct Calls(Mutex<Vec<usize>>);
         impl Recorder for Calls {
             fn tally(&self) -> Option<Tally<'_>> {
                 Some(Tally::default())
             }
-            fn traffic(&self, _: Rank, _: &Traffic) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            fn traffic(&self, records: &mut dyn Iterator<Item = (Rank, Traffic)>) {
+                self.0.lock().unwrap().push(records.count());
             }
         }
+        use crate::collective::program::Program;
         use crate::collective::{derive_sizes, CollectiveOp, Reduction};
+        use crate::runtime::Clock;
+        use crate::sizes::BlockSizes;
+        use nhood_simnet::{Engine, PriceColumns, SimConfig};
         use nhood_telemetry::{Tally, Traffic};
         use nhood_topology::Rank;
+        use std::sync::Mutex;
+        let handed = |rec: Calls, n: usize, what: &str| {
+            let calls = rec.0.into_inner().unwrap();
+            assert_eq!(calls.len(), 1, "{what} at n = {n}: {calls:?}");
+            assert!(calls[0] <= n, "{what} at n = {n}: {} records", calls[0]);
+        };
         for (n, delta) in [(24, 0.3), (48, 0.6)] {
             let g = erdos_renyi(n, delta, 4);
             let layout = ClusterLayout::new(n / 8, 2, 4);
@@ -279,12 +292,19 @@ mod tests {
             let op = CollectiveOp::Allreduce(Reduction::SUM_U8);
             let sizes = derive_sizes(&g, op, &payloads, None).unwrap();
             for (op, sizes) in [(CollectiveOp::Allgather, None), (op, Some(&sizes))] {
-                let rec = Calls(Default::default());
-                let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new().recorder(&rec));
-                execute(op, sizes, &plan, &g, &payloads, arena, None, &opts).unwrap();
-                let calls = rec.0.into_inner();
-                assert!(calls <= n, "{op} at n = {n}: {calls} traffic calls");
+                for clock in [None, Some(Clock::Wall), Some(Clock::Logical(Some(3)))] {
+                    let rec = Calls::default();
+                    let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new().recorder(&rec));
+                    execute(op, sizes, &plan, &g, &payloads, arena, clock, &opts).unwrap();
+                    handed(rec, n, &format!("{op} on {clock:?}"));
+                }
             }
+            let schedule = Program::for_plan(&plan, &g).unwrap().schedule(&BlockSizes::uniform(8));
+            let engine = Engine::new(&layout, SimConfig::niagara());
+            let (rec, prices) = (Calls::default(), PriceColumns::from(&schedule));
+            let prepared = engine.prepare(&schedule).unwrap();
+            engine.run_prepared(&prepared, &prices, None, Some(&rec)).unwrap();
+            handed(rec, n, "a recorded replay");
         }
     }
 

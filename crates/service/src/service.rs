@@ -318,12 +318,8 @@ impl Service {
             .with_build_threads(self.cfg.build_threads.max(1));
         comm.plan_shared(algo)?;
         let faulty = comm.fault_plan().is_some();
-        if comm.n() > self.rec.n() {
-            // The counting recorder is per-rank; regrow for the widest
-            // tenant (registration happens before traffic, so the reset
-            // loses nothing).
-            self.rec = CountingRecorder::new(comm.n());
-        }
+        // per-rank counters, for the widest tenant, keeping earlier traffic
+        self.rec.grow(comm.n());
         self.tenants.push(Tenant {
             comm,
             algo,
@@ -819,6 +815,18 @@ mod tests {
         assert_eq!(completions.len(), 5);
         assert!(completions.iter().all(|c| c.verified == Some(true)));
         assert!(completions.iter().all(|c| c.output.is_some()));
+    }
+
+    #[test]
+    fn a_wider_tenant_registered_after_traffic_keeps_the_counters() {
+        let mut svc = Service::new(ServiceConfig::default());
+        let a = svc.add_tenant(erdos_renyi(16, 0.3, 7), layout_for(16), Algorithm::Naive).unwrap();
+        svc.submit(a, uniform_payloads(16, 8, 0)).unwrap();
+        svc.drain();
+        let served = svc.report().counters.expect("counting recorder");
+        assert!(served.msgs_sent > 0);
+        svc.add_tenant(erdos_renyi(32, 0.3, 8), layout_for(32), Algorithm::Naive).unwrap();
+        assert_eq!(svc.report().counters, Some(served));
     }
 
     #[test]

@@ -234,7 +234,7 @@ impl Engine<'_> {
     /// posting to arrival in *simulated* seconds ([`INTRA_SOCKET`](labels::INTRA_SOCKET)
     /// within a socket, [`HALVING_STEP`](labels::HALVING_STEP) farther: the
     /// paper's locality split, as the executors label their phases), and,
-    /// when it [tallies](Recorder::tally), one traffic record per rank.
+    /// when it [tallies](Recorder::tally), every rank's traffic at once.
     pub fn run_prepared(
         &self,
         prepared: &Prepared,
@@ -244,22 +244,23 @@ impl Engine<'_> {
     ) -> Result<SimReport, SimError> {
         let (report, times) = self.replay(prepared, prices, perturbation)?;
         let Some(rec) = rec else { return Ok(report) };
-        let tally = rec.tally();
-        for r in 0..prepared.place.len() {
-            let (sends, recvs) = prepared.msgs(prepared.rows(r));
-            let mut traffic = Traffic::default();
-            for sid in sends {
-                let (dst, bytes) = (prepared.sends[sid].2 as Rank, prices.send_bytes[sid]);
-                let label = match prepared.place[r].locality(prepared.place[dst]) {
-                    Locality::SameSocket => labels::INTRA_SOCKET,
-                    _ => labels::HALVING_STEP,
-                };
-                let (posted, arrival) = times[sid].unwrap_or_default();
-                rec.span_at(r, label, posted, arrival);
-                traffic.send(tally.unwrap_or_default(), r, dst, bytes);
-            }
-            recvs.for_each(|q| traffic.recv(prices.recv_bytes[q]));
-            tally.is_some().then(|| rec.traffic(r, &traffic));
+        for (&(_, src, dst), &time) in prepared.sends.iter().zip(&times) {
+            let label = match prepared.place[src as usize].locality(prepared.place[dst as usize]) {
+                Locality::SameSocket => labels::INTRA_SOCKET,
+                _ => labels::HALVING_STEP,
+            };
+            let (posted, arrival) = time.unwrap_or_default();
+            rec.span_at(src as Rank, label, posted, arrival);
+        }
+        if let Some(tally) = rec.tally() {
+            rec.traffic(&mut (0..prepared.place.len()).map(|r| {
+                let (sends, recvs) = prepared.msgs(prepared.rows(r));
+                let mut traffic = Traffic::default();
+                let dst = |sid: usize| prepared.sends[sid].2 as Rank;
+                sends.for_each(|sid| traffic.send(tally, r, dst(sid), prices.send_bytes[sid]));
+                recvs.for_each(|q| traffic.recv(prices.recv_bytes[q]));
+                (r, traffic)
+            }));
         }
         Ok(report)
     }

@@ -4,15 +4,12 @@ use crate::{Rank, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// One rank's counter cells. The event counters are atomics updated with
-/// `Relaxed` ordering — tallies, not synchronization, exactly like the
-/// fault layer's `FaultStats`. The traffic sums sit behind one lock, so
-/// a record costs one uncontended lock and unlock however many of its
-/// seven fields are non-zero (a `fetch_add` per field costs about twice
-/// as much on `gather-small`).
+/// One rank's event counters: atomics updated with `Relaxed` ordering —
+/// tallies, not synchronization, exactly like the fault layer's
+/// `FaultStats` — so rank threads retrying or negotiating at once never
+/// wait on each other.
 #[derive(Debug, Default)]
-struct Cells {
-    traffic: Mutex<Traffic>,
+struct Events {
     retries: AtomicU64,
     fallbacks: AtomicU64,
     negotiation_rounds: AtomicU64,
@@ -21,16 +18,8 @@ struct Cells {
     repairs: AtomicU64,
 }
 
-impl Cells {
-    /// The traffic sums. Nothing panics while holding them, and a sum
-    /// stays a sum even if something did: a poisoned lock is used as is.
-    fn traffic(&self) -> MutexGuard<'_, Traffic> {
-        self.traffic.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-fn bump(cell: &AtomicU64, by: u64) {
-    cell.fetch_add(by, Ordering::Relaxed);
+fn bump(cell: &AtomicU64) {
+    cell.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A plain-value snapshot of one rank's counters (or a sum over ranks).
@@ -113,7 +102,7 @@ impl std::fmt::Display for Counts {
 
 /// One rank's traffic in one request: what an executor tallies in plain
 /// integers while it runs the rank, and hands to [`Recorder::traffic`]
-/// once.
+/// with every other rank's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// Messages handed to the transport (once each, however many
@@ -163,16 +152,23 @@ pub struct Tally<'a> {
     pub socket_of: Option<&'a [usize]>,
 }
 
-/// Per-rank counters. An executor hands over a request's traffic once
-/// per rank ([`Recorder::traffic`]), so counting a request costs one
-/// uncontended lock per rank whatever its message count; every other
-/// hook is one relaxed `fetch_add`. On the repo benchmark's
-/// `gather-small` (n = 64, ~600 messages a request) that adds about
-/// 14 % to the uninstrumented replay's time, where a hook per message
-/// (two dynamic calls and four `fetch_add`s each) more than doubled it.
+/// Per-rank counters. An executor hands over a request's traffic in one
+/// call ([`Recorder::traffic`]), and every rank's traffic sums sit behind
+/// one lock, so counting a request costs one uncontended lock whatever
+/// its rank and message counts; every other hook is one relaxed
+/// `fetch_add`. The lock is held while the executor yields the records,
+/// which only another request's hand-over waits on. On the repo
+/// benchmark's `gather-small` (n = 64, ~600 messages a request) that
+/// costs about 1 µs a request, 13–18 % of the uninstrumented replay's
+/// time; a lock per rank cost 1.5–2 µs, and a hook per message (two
+/// dynamic calls and four `fetch_add`s each) more than doubled the time.
 #[derive(Debug)]
 pub struct CountingRecorder {
-    cells: Vec<Cells>,
+    /// Every rank's traffic sums. Nothing panics while holding them, and
+    /// a sum stays a sum even if something did: a poisoned lock is used
+    /// as is.
+    traffic: Mutex<Vec<Traffic>>,
+    events: Vec<Events>,
     /// `socket_of[r]` = global socket index of rank `r`; enables the
     /// off-socket / intra-socket split used by the model check.
     socket_of: Option<Vec<usize>>,
@@ -181,27 +177,50 @@ pub struct CountingRecorder {
 impl CountingRecorder {
     /// Counters for `n` ranks, without locality classification.
     pub fn new(n: usize) -> Self {
-        Self { cells: (0..n).map(|_| Cells::default()).collect(), socket_of: None }
+        let mut rec = Self { traffic: Mutex::default(), events: Vec::new(), socket_of: None };
+        rec.grow(n);
+        rec
     }
 
     /// Counters for `socket_of.len()` ranks; sends are additionally
     /// classified off-socket vs. intra-socket via the map.
     pub fn with_sockets(socket_of: Vec<usize>) -> Self {
-        Self {
-            cells: (0..socket_of.len()).map(|_| Cells::default()).collect(),
-            socket_of: Some(socket_of),
+        let mut rec = Self::new(socket_of.len());
+        rec.socket_of = Some(socket_of);
+        rec
+    }
+
+    /// Tracks at least `n` ranks, keeping every count so far: a service
+    /// registering a wider tenant after traffic loses none of it.
+    ///
+    /// # Panics
+    /// When the recorder classifies sockets and `n` exceeds its map,
+    /// which names no socket for the new ranks.
+    pub fn grow(&mut self, n: usize) {
+        let known = self.socket_of.as_ref().map_or(usize::MAX, Vec::len);
+        assert!(n <= known, "a socket map of {known} ranks cannot track {n}");
+        if n > self.events.len() {
+            self.traffic
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .resize(n, Traffic::default());
+            self.events.resize_with(n, Events::default);
         }
+    }
+
+    fn sums(&self) -> MutexGuard<'_, Vec<Traffic>> {
+        self.traffic.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of ranks tracked.
     pub fn n(&self) -> usize {
-        self.cells.len()
+        self.events.len()
     }
 
     /// Snapshot of one rank's counters.
     pub fn per_rank(&self, r: Rank) -> Counts {
-        let (c, ld) = (&self.cells[r], |a: &AtomicU64| a.load(Ordering::Relaxed));
-        let t = *c.traffic();
+        let (t, c, ld) =
+            (self.sums()[r], &self.events[r], |a: &AtomicU64| a.load(Ordering::Relaxed));
         // under a socket map every send is intra- or off-socket; without
         // one, neither is counted
         let split = |x: u64| if self.classifies_sockets() { x } else { 0 };
@@ -241,42 +260,44 @@ impl Recorder for CountingRecorder {
         Some(Tally { socket_of: self.socket_of.as_deref() })
     }
 
-    fn traffic(&self, rank: Rank, t: &Traffic) {
-        let mut sum = self.cells[rank].traffic();
-        let s = &mut *sum;
-        let fields = [
-            (&mut s.msgs_sent, t.msgs_sent),
-            (&mut s.bytes_sent, t.bytes_sent),
-            (&mut s.msgs_recvd, t.msgs_recvd),
-            (&mut s.bytes_recvd, t.bytes_recvd),
-            (&mut s.copies, t.copies),
-            (&mut s.msgs_intra_socket, t.msgs_intra_socket),
-            (&mut s.bytes_intra_socket, t.bytes_intra_socket),
-        ];
-        for (cell, by) in fields {
-            *cell = cell.wrapping_add(by);
+    fn traffic(&self, records: &mut dyn Iterator<Item = (Rank, Traffic)>) {
+        let mut sums = self.sums();
+        for (rank, t) in records {
+            let s = &mut sums[rank];
+            let fields = [
+                (&mut s.msgs_sent, t.msgs_sent),
+                (&mut s.bytes_sent, t.bytes_sent),
+                (&mut s.msgs_recvd, t.msgs_recvd),
+                (&mut s.bytes_recvd, t.bytes_recvd),
+                (&mut s.copies, t.copies),
+                (&mut s.msgs_intra_socket, t.msgs_intra_socket),
+                (&mut s.bytes_intra_socket, t.bytes_intra_socket),
+            ];
+            for (cell, by) in fields {
+                *cell = cell.wrapping_add(by);
+            }
         }
     }
 
     fn retry(&self, rank: Rank) {
-        bump(&self.cells[rank].retries, 1);
+        bump(&self.events[rank].retries);
     }
 
     fn fallback(&self, rank: Rank) {
-        bump(&self.cells[rank].fallbacks, 1);
+        bump(&self.events[rank].fallbacks);
     }
 
     fn negotiation_round(&self, rank: Rank) {
-        bump(&self.cells[rank].negotiation_rounds, 1);
+        bump(&self.events[rank].negotiation_rounds);
     }
 
     fn plan_cache(&self, rank: Rank, hit: bool) {
-        let c = &self.cells[rank];
-        bump(if hit { &c.plan_cache_hits } else { &c.plan_cache_misses }, 1);
+        let c = &self.events[rank];
+        bump(if hit { &c.plan_cache_hits } else { &c.plan_cache_misses });
     }
 
     fn repair(&self, rank: Rank) {
-        bump(&self.cells[rank].repairs, 1);
+        bump(&self.events[rank].repairs);
     }
 
     fn counts(&self) -> Option<Counts> {
@@ -295,7 +316,7 @@ mod tests {
             (rec.tally().expect("a counting recorder tallies"), Traffic::default());
         sends.iter().for_each(|&(peer, bytes)| t.send(tally, rank, peer, bytes));
         recvs.iter().for_each(|&bytes| t.recv(bytes));
-        rec.traffic(rank, &t);
+        rec.traffic(&mut std::iter::once((rank, t)));
     }
 
     #[test]
@@ -303,7 +324,7 @@ mod tests {
         let rec = CountingRecorder::new(3);
         hand_over(&rec, 0, &[(1, 100), (2, 50)], &[]);
         hand_over(&rec, 1, &[], &[100]);
-        rec.traffic(2, &Traffic { copies: 4, ..Traffic::default() });
+        rec.traffic(&mut std::iter::once((2, Traffic { copies: 4, ..Traffic::default() })));
         rec.retry(0);
         rec.negotiation_round(1);
         rec.fallback(0);
@@ -343,7 +364,10 @@ mod tests {
         let rec = CountingRecorder::new(2);
         hand_over(&rec, 0, &[(1, 10)], &[]);
         // a record split under some other map does not split here
-        rec.traffic(1, &Traffic { msgs_sent: 1, msgs_intra_socket: 1, ..Traffic::default() });
+        rec.traffic(&mut std::iter::once((
+            1,
+            Traffic { msgs_sent: 1, msgs_intra_socket: 1, ..Traffic::default() },
+        )));
         let t = rec.totals();
         assert_eq!(t.msgs_sent, 2);
         assert_eq!(t.msgs_off_socket + t.msgs_intra_socket, 0);
@@ -352,10 +376,28 @@ mod tests {
     #[test]
     fn a_record_claiming_more_intra_than_sent_counts_no_off_socket_share() {
         let rec = CountingRecorder::with_sockets(vec![0, 0]);
-        rec.traffic(0, &Traffic { msgs_sent: 1, msgs_intra_socket: 2, ..Traffic::default() });
+        rec.traffic(&mut std::iter::once((
+            0,
+            Traffic { msgs_sent: 1, msgs_intra_socket: 2, ..Traffic::default() },
+        )));
         hand_over(&rec, 0, &[(1, 10)], &[]);
         let c = rec.per_rank(0);
         assert_eq!((c.msgs_sent, c.msgs_intra_socket, c.msgs_off_socket), (2, 3, 0));
+    }
+
+    #[test]
+    fn a_grown_recorder_keeps_its_counts() {
+        let mut rec = CountingRecorder::new(2);
+        hand_over(&rec, 1, &[(0, 10)], &[]);
+        rec.retry(1);
+        rec.grow(1);
+        assert_eq!(rec.n(), 2, "growing never shrinks");
+        rec.grow(5);
+        hand_over(&rec, 4, &[(0, 6)], &[]);
+        assert_eq!(rec.n(), 5);
+        let c = rec.per_rank(1);
+        assert_eq!((c.msgs_sent, c.bytes_sent, c.retries), (1, 10, 1));
+        assert_eq!(rec.totals().bytes_sent, 16);
     }
 
     #[test]

@@ -199,8 +199,14 @@ mod tests {
     #[test]
     fn summary_table_has_rank_and_total_rows() {
         let rec = CountingRecorder::new(2);
-        rec.traffic(0, &Traffic { msgs_sent: 1, bytes_sent: 128, ..Traffic::default() });
-        rec.traffic(1, &Traffic { msgs_recvd: 1, bytes_recvd: 128, ..Traffic::default() });
+        rec.traffic(&mut std::iter::once((
+            0,
+            Traffic { msgs_sent: 1, bytes_sent: 128, ..Traffic::default() },
+        )));
+        rec.traffic(&mut std::iter::once((
+            1,
+            Traffic { msgs_recvd: 1, bytes_recvd: 128, ..Traffic::default() },
+        )));
         let table = summary_table(&rec);
         assert!(table.contains("rank"));
         assert!(table.lines().count() >= 4, "{table}");
@@ -223,7 +229,7 @@ mod tests {
             let mut t = Traffic::default();
             t.send(tally, r, (r + 2) % 4, 8);
             t.send(tally, r, r ^ 1, 8);
-            rec.traffic(r, &t);
+            rec.traffic(&mut std::iter::once((r, t)));
         }
         let pred = ModelPrediction {
             off_socket_msgs: 1.0,

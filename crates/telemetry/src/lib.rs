@@ -8,12 +8,13 @@
 //! costs one empty virtual call per phase-level event); callers that do
 //! care pick:
 //!
-//! * [`CountingRecorder`] — per-rank atomic counters (messages / bytes
+//! * [`CountingRecorder`] — per-rank counters (messages / bytes
 //!   sent and received, copies, retries, fallbacks, negotiation rounds),
 //!   optionally classified by socket locality so measurements can be
 //!   joined against the §V model's E\[n_off\] / E\[n_in\] / E\[m_in\].
 //!   Executors tally a request's traffic in plain integers and hand it
-//!   over once per rank ([`Recorder::traffic`]), never per message;
+//!   over once per request ([`Recorder::traffic`]), every rank's record
+//!   in one call, never per message;
 //! * [`SpanRecorder`] — timestamped begin/end/instant events with a rank
 //!   and a phase label, exportable as Chrome `chrome://tracing` JSON.
 //!
@@ -90,12 +91,13 @@ pub trait Recorder: Sync {
         None
     }
 
-    /// `rank`'s [`Traffic`] in one request, tallied under
-    /// [`tally`](Self::tally): the one data-path hook, called at most
-    /// once per rank per request, whatever its message count — when the
-    /// rank is done, or has failed (a failed run reports what it moved).
-    fn traffic(&self, rank: Rank, traffic: &Traffic) {
-        let _ = (rank, traffic);
+    /// One request's [`Traffic`], tallied under [`tally`](Self::tally):
+    /// the one data-path hook, called once per request whatever its rank
+    /// and message counts — when the run is done, or has failed (a failed
+    /// run reports what it moved). `records` yields at most one
+    /// `(rank, traffic)` per rank and allocates nothing.
+    fn traffic(&self, records: &mut dyn Iterator<Item = (Rank, Traffic)>) {
+        let _ = records;
     }
 
     /// `rank` retried a dropped send.
@@ -168,7 +170,8 @@ mod tests {
     fn null_recorder_accepts_everything() {
         let r: &dyn Recorder = &NULL;
         assert!(r.tally().is_none());
-        r.traffic(0, &Traffic { msgs_sent: 1, bytes_sent: 64, copies: 3, ..Traffic::default() });
+        let t = Traffic { msgs_sent: 1, bytes_sent: 64, copies: 3, ..Traffic::default() };
+        r.traffic(&mut std::iter::once((0, t)));
         r.retry(2);
         r.fallback(0);
         r.negotiation_round(1);
