@@ -2,13 +2,13 @@
 //! gather program.
 //!
 //! [`ArenaLayout`] is the program `collective::program` compiles a plan
-//! into for the allgather family: every block a rank ever holds has a
-//! fixed slot (the rank's own block, then arrivals in arrival order —
-//! `main_buf` order, Algorithm 4 line 15) and every planned message is
-//! pre-resolved against them, so a corrupt plan is a typed error before
-//! any byte moves. The arena holds no payload bytes: blocks are never
-//! modified in flight, so each delivered byte is copied exactly once,
-//! from its origin's payload into the receive buffer.
+//! into for the allgather family: the plan's messages in integration
+//! order, laid out once [`CollectivePlan::validate`] has admitted the
+//! plan, so a corrupt plan is a typed [`ExecError::InvalidPlan`] before
+//! any byte moves. The arena holds no payload bytes and the program no
+//! per-block slot: blocks are never modified in flight, so each is read
+//! at its origin and each delivered byte is copied exactly once, from
+//! its origin's payload into the receive buffer.
 //!
 //! [`BlockArena`] is what a caller keeps between executions: the
 //! compiled programs of the plan it last ran (one per op shape) and,
@@ -85,8 +85,8 @@ impl BlockArena {
     /// without reading the plan, when this is the plan allocation it was
     /// compiled from (`Arc::ptr_eq`) on an equal topology; otherwise by
     /// content — the cached one for a plan of equal messages, a fresh
-    /// compile (with its typed [`ExecError::MissingBlock`] /
-    /// [`ExecError::Undelivered`]) if not. Re-pins the arena to `plan`,
+    /// compile (which validates the plan first: [`ExecError::InvalidPlan`])
+    /// if not. Re-pins the arena to `plan`,
     /// so the next call with this `Arc` is warm; an error leaves the
     /// arena as it was.
     pub fn prepare(
@@ -215,7 +215,7 @@ pub(crate) mod tests {
     use crate::exec::{ExecOptions, Executor, Threaded, Virtual};
     use crate::lower::lower;
     use crate::naive::plan_naive;
-    use crate::plan::{Algorithm, PlanWriter};
+    use crate::plan::{Algorithm, PlanValidationError, PlanWriter};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
     use nhood_topology::Rank;
@@ -243,21 +243,93 @@ pub(crate) mod tests {
         let plan = Arc::new(plan_naive(&g));
         let al = ArenaLayout::for_plan(&plan, &g).unwrap();
         for r in 0..16 {
-            let mut held = al.slots_of(r);
-            held.sort_unstable();
-            assert_eq!(held, g.in_neighbors(r), "rank {r}");
+            assert_eq!(al.cells_of(r), g.in_neighbors(r), "rank {r}");
         }
         assert_eq!(al.contiguous_send_fraction(), 1.0, "a naive send is the rank's own block");
     }
 
     #[test]
+    fn contiguous_send_fraction_reads_main_buf_order_on_every_builder() {
+        // `main_buf` positions come from arrival order; these are the
+        // fractions the per-block arena slots of the earlier compile gave
+        let algos = [
+            Algorithm::Naive,
+            Algorithm::DistanceHalving,
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+            Algorithm::Bruck,
+            Algorithm::Pat { radix: 2 },
+        ];
+        let pinned: [(usize, f64, u64, [f64; 6]); 3] = [
+            (
+                32,
+                0.4,
+                7,
+                [
+                    1.0,
+                    0.6854460093896714,
+                    0.674074074074074,
+                    0.7032967032967034,
+                    0.7769784172661871,
+                    0.628158844765343,
+                ],
+            ),
+            (
+                48,
+                0.15,
+                3,
+                [
+                    1.0,
+                    0.7803921568627451,
+                    0.8881578947368421,
+                    0.5806451612903226,
+                    0.6197183098591549,
+                    0.6317567567567568,
+                ],
+            ),
+            (
+                64,
+                0.6,
+                11,
+                [
+                    1.0,
+                    0.51171875,
+                    0.38686779059449866,
+                    0.7808219178082192,
+                    0.8081081081081081,
+                    0.5787139689578714,
+                ],
+            ),
+        ];
+        for (n, delta, seed, want) in pinned {
+            let g = erdos_renyi(n, delta, seed);
+            let layout = ClusterLayout::new(n / 8, 2, 4);
+            let comm = crate::comm::DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+            for (algo, want) in algos.into_iter().zip(want) {
+                let plan = comm.plan(algo).unwrap();
+                let got = ArenaLayout::for_plan(&plan, &g).unwrap().contiguous_send_fraction();
+                assert_eq!(got, want, "{algo} at n = {n}, δ = {delta}");
+            }
+        }
+    }
+
+    #[test]
     fn corrupt_plan_fails_at_layout_time() {
         let g = Topology::from_edges(3, [(0, 2)]);
+        // rank 1 sends block 0, which it never received, and rank 2 posts it
         let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
-        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
+        let posted = crate::plan::PlannedMsg { peer: 1, ..forged.clone() };
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[1][0].sends.push(forged);
+            rows[2][0].recvs.push(posted);
+        });
         assert_eq!(
             ArenaLayout::for_plan(&plan, &g).unwrap_err(),
-            ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
+            ExecError::InvalidPlan(PlanValidationError::UnheldBlock {
+                rank: 1,
+                phase: 0,
+                block: 0
+            })
         );
         let g2 = Topology::from_edges(2, [(0, 1)]);
         let plan2 = plan_naive(&g2).edited(|rows| {
@@ -266,7 +338,7 @@ pub(crate) mod tests {
         });
         assert_eq!(
             ArenaLayout::for_plan(&plan2, &g2).unwrap_err(),
-            ExecError::Undelivered { rank: 1, block: 0 }
+            ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: 0, dst: 1 })
         );
     }
 
@@ -368,7 +440,7 @@ pub(crate) mod tests {
         // `more` wants a block the plan never delivers: typed, not stale
         assert_eq!(
             arena.prepare(&plan, &more).unwrap_err(),
-            ExecError::Undelivered { rank: v, block: spare }
+            ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: spare, dst: v })
         );
     }
 
@@ -449,7 +521,7 @@ pub(crate) mod tests {
     fn executors_forward_what_was_sent_not_what_the_layout_labelled() {
         // The sender lists [0, 1], the receiver expects [1, 0]. The
         // program runs what the sends say, so a posted list that
-        // disagrees is refused before a byte moves — the oracle names
+        // disagrees is refused before a byte moves — the validator names
         // the disagreement instead of delivering either side's reading
         // of it (the byte-staging arena put block 1 where the definition
         // says block 0).
@@ -458,7 +530,11 @@ pub(crate) mod tests {
         for exec in BACKENDS {
             assert_eq!(
                 exec.run_simple(&plan, &g, &payloads).unwrap_err(),
-                ExecError::Undelivered { rank: 2, block: 1 },
+                ExecError::InvalidPlan(PlanValidationError::BlockListMismatch {
+                    src: 0,
+                    dst: 2,
+                    tag: 1
+                }),
                 "{}",
                 exec.name()
             );
@@ -497,16 +573,13 @@ pub(crate) mod tests {
     fn an_empty_slot_is_a_typed_error_and_the_arena_stays_usable() {
         let payloads = test_payloads(4, 4, 5);
         let opts = ExecOptions::new().recv_timeout(std::time::Duration::from_millis(50));
-        // Rank 0 relays one block where rank 2 posted two: the slot of
-        // in-neighbor 1 is never filled.
-        let (g3, short) = relay(&[0], &[0, 1]);
+        // Rank 0 relays one block to rank 2: in-neighbor 1's block never
+        // arrives there.
+        let (g3, short) = relay(&[0], &[0]);
         // The same hole, read by a send: rank 2 forwards block 1 to 3.
         let g4 = Topology::from_edges(4, [(1, 0), (0, 2), (1, 3)]);
-        let sourced = hand_plan(
-            4,
-            3,
-            &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[0, 1]), (2, 2, 3, &[1], &[1])],
-        );
+        let sourced =
+            hand_plan(4, 3, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[0]), (2, 2, 3, &[1], &[1])]);
         let (_, good) = relay(&[0, 1], &[0, 1]);
         for exec in BACKENDS {
             let mut arena = BlockArena::new();
@@ -519,13 +592,17 @@ pub(crate) mod tests {
             assert_eq!(run(&good, &g3).unwrap(), want, "{}", exec.name());
             assert_eq!(
                 run(&short, &g3).unwrap_err(),
-                ExecError::Undelivered { rank: 2, block: 1 },
+                ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: 1, dst: 2 }),
                 "{}",
                 exec.name()
             );
             assert_eq!(
                 run(&sourced, &g4).unwrap_err(),
-                ExecError::MissingBlock { rank: 2, block: 1, phase: 2 },
+                ExecError::InvalidPlan(PlanValidationError::UnheldBlock {
+                    rank: 2,
+                    phase: 2,
+                    block: 1
+                }),
                 "{}",
                 exec.name()
             );
@@ -534,27 +611,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn duplicate_delivery_overwrites_are_idempotent() {
+    fn a_duplicate_delivery_is_a_typed_refusal_on_both_backends() {
         // block 0 reaches rank 2 twice: directly, then relayed by rank 1
-        // — the second arrival carries the same bytes and lands nowhere
+        // — exactly-once delivery is the plan's contract, so the plan is
+        // refused before a byte moves, uniform or ragged
         let g = Topology::from_edges(3, [(0, 1), (0, 2), (1, 2)]);
         let plan = hand_plan(
             3,
             2,
             &[(0, 0, 1, &[0], &[0]), (0, 0, 2, &[0], &[0]), (1, 1, 2, &[1, 0], &[1, 0])],
         );
-        let al = ArenaLayout::for_plan(&plan, &g).unwrap();
-        assert_eq!(al.slots_of(2), [0, 1], "the re-delivery takes no second slot");
+        let twice = PlanValidationError::DuplicateDelivery { src: 0, dst: 2, count: 2 };
         let ragged: Vec<Vec<u8>> = vec![vec![7; 3], vec![], vec![9; 5]];
         for (payloads, opts) in [
             (&test_payloads(3, 8, 4), ExecOptions::new()),
             (&ragged, ExecOptions::new().ragged(true)),
         ] {
-            let want = reference_allgather(&g, payloads);
             for exec in BACKENDS {
                 let mut cold = BlockArena::new();
-                let got = exec.run(&plan, &g, payloads, &mut cold, &opts).unwrap().rbufs;
-                assert_eq!(got, want, "{}", exec.name());
+                let got = exec.run(&plan, &g, payloads, &mut cold, &opts).unwrap_err();
+                assert_eq!(got, ExecError::InvalidPlan(twice.clone()), "{}", exec.name());
             }
         }
     }

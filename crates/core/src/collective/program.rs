@@ -1,18 +1,20 @@
 //! The compiled program: what every collective executes.
 //!
-//! [`compile`] walks a gather plan once per *op shape* ([`Shape`])
-//! symbolically — no bytes, no size table — fixing everything a request
-//! would otherwise rediscover: where every held block, item or partial
-//! lives (a cell of the caller's send buffer, a slot of the rank's arena,
-//! or a cell of the receive buffer), which wire blocks each message
-//! carries, and the exact `copy` / `combine` steps each arrival performs,
-//! in the `(peer, tag)` integration order that makes f32 results
-//! bit-identical across backends. A gather executes the plan's block
-//! messages as they are; the combining shapes execute the item routing
-//! the plan implies ([`crate::alltoall::route_items`]). A plan that
-//! forwards what its sender does not hold, never delivers an in-neighbor's
-//! contribution, or (gather) posts receives its sends do not mirror fails
-//! *here* with [`ExecError::MissingBlock`] / [`ExecError::Undelivered`] —
+//! [`compile`] lays a gather plan out once per *op shape* ([`Shape`])
+//! — no bytes, no size table — fixing everything a request would
+//! otherwise rediscover: where every held block, item or partial lives (a
+//! cell of the caller's send buffer, a slot of the rank's arena, or a
+//! cell of the receive buffer), which wire blocks each message carries,
+//! and the exact `copy` / `combine` steps each arrival performs, in the
+//! `(peer, tag)` integration order that makes f32 results bit-identical
+//! across backends. A gather executes the plan's block messages as they
+//! are, and what makes them a gather is [`CollectivePlan::validate`]'s to
+//! decide: a plan it rejects fails *here* with [`ExecError::InvalidPlan`].
+//! The combining shapes execute the item routing the plan implies
+//! ([`crate::alltoall::route_items`]) through one symbolic walk, and a
+//! routing that forwards what its sender does not hold or never delivers
+//! an in-neighbor's contribution fails here with
+//! [`ExecError::MissingBlock`] / [`ExecError::Undelivered`]. Either way,
 //! before any byte moves.
 //!
 //! A request then resolves offsets and receive totals against its block
@@ -95,12 +97,14 @@ impl Shape {
 /// through and what a cold compile allocates.
 type Ix = u32;
 
-/// Where a wire block's bytes live on the sender.
+/// Where a wire block's bytes live.
 #[derive(Clone, Copy, Debug)]
 enum Src {
-    /// A cell of the sender's send buffer (first hop).
+    /// A cell of a send buffer: the sender's (a partial's first hop), or
+    /// the origin's of a gather block or routed item, which nothing
+    /// modifies in flight.
     Send(Ix),
-    /// A slot of the sender's arena.
+    /// A slot of the sender's arena (a reduce shape's parked partial).
     Slot(Ix),
 }
 
@@ -255,9 +259,11 @@ pub struct Program {
     labels: Vec<&'static str>,
     /// (Gather) `copies[k * n + r]`: the plan's `copy_blocks` tally.
     copies: Vec<Ix>,
-    /// (Gather, Route) per receive cell: the send cell, on the rank its
-    /// key names, the block it receives starts in. Nothing modifies such
-    /// a block in flight, so delivery is a copy from there.
+    /// (Route) per receive cell: the send cell, on the rank its key
+    /// names, the item it receives starts in. Nothing modifies such an
+    /// item in flight, so delivery is a copy from there. Empty for a
+    /// gather: a receive cell's origin is its key, rank `key`'s one send
+    /// cell.
     origin: Vec<Ix>,
     /// Messages in integration order: phase, receiver, `(sender, tag)`.
     msgs: Vec<ProgMsg>,
@@ -271,6 +277,7 @@ pub struct Program {
     blocks: Vec<Block>,
     steps: Vec<Step>,
     send: Cells,
+    /// (reduce shapes) The partials parked at forwarding agents.
     slots: Cells,
     /// Per rank: its in-neighbors (gather, route), or itself (reduce).
     recv: RankCells,
@@ -602,13 +609,15 @@ impl<'g> Walk<'g> {
 /// without an item is not in the program.
 ///
 /// # Errors
-/// [`ExecError::MissingBlock`] when a message forwards a block (an item;
-/// for the reduce shapes, a partial over exactly the claimed sources) its
-/// sender does not hold at that phase, or names a peer that is out of
-/// range or the sender itself; [`ExecError::Undelivered`] when an
-/// in-neighbor's contribution never reaches its destination — the lowest
-/// (rank, in-neighbor) — or, for a gather, when a rank's posted receives
-/// are not the arrivals its peers' sends imply ([`check_recvs`]).
+/// [`ExecError::PayloadCountMismatch`] when the plan and `graph` count
+/// different ranks. A gather: [`ExecError::InvalidPlan`] with
+/// [`CollectivePlan::validate`]'s error. The combining shapes:
+/// [`ExecError::MissingBlock`] when a message forwards an item (for the
+/// reduce shapes, a partial over exactly the claimed sources) its sender
+/// does not hold at that phase, or names a peer that is out of range or
+/// the sender itself; [`ExecError::Undelivered`] when an in-neighbor's
+/// contribution never reaches its destination — the lowest (rank,
+/// in-neighbor).
 pub(crate) fn compile(
     plan: &CollectivePlan,
     graph: &Topology,
@@ -656,16 +665,15 @@ pub(crate) fn compile(
     Ok(prog)
 }
 
-/// The gather walk: the program is the plan's own messages, every
-/// planned `(message, block)` on the wire. Block `b` starts in rank
-/// `b`'s one send cell; its first arrival at a rank takes a slot there
-/// and, when `b` is an in-neighbor, delivers its receive cell; a block
-/// the rank already holds (its own included) carries the same bytes
-/// again and changes nothing. No step is emitted: nothing modifies a
-/// block in flight, so delivery reads it at its origin
-/// ([`Exec::deliver`]). Errors as [`compile`]'s, a `MissingBlock` being
-/// the lowest (phase, receiver, sender, tag).
+/// The gather program: the plan's own messages, every planned
+/// `(message, block)` on the wire, laid out in integration order. That
+/// every block sent is held, every in-neighbor's block arrives once and
+/// every receive is posted as its send says is [`CollectivePlan::validate`]'s
+/// to decide, once, before anything is laid out. No step is emitted:
+/// nothing modifies a block in flight, so it is read at its origin,
+/// rank `key`'s one send cell ([`Exec::deliver`]).
 fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, ExecError> {
+    plan.validate(graph).map_err(ExecError::InvalidPlan)?;
     let (n, phases) = (graph.n(), plan.phase_count());
     let (msgs, blocks) = (plan.message_count(), plan.total_blocks_sent());
     let mut prog = Program {
@@ -674,7 +682,7 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         phases,
         labels: Vec::with_capacity(phases),
         copies: Vec::with_capacity(phases * n),
-        origin: vec![Ix::MAX; graph.edge_count()],
+        origin: Vec::new(),
         msgs: Vec::with_capacity(msgs),
         recv_ends: Vec::with_capacity(phases * n),
         send_order: vec![0; msgs],
@@ -682,16 +690,12 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         blocks: Vec::with_capacity(blocks),
         steps: Vec::new(),
         send: Cells::with_capacity(n),
-        slots: Cells::with_capacity(blocks),
+        slots: Cells::default(),
         recv: RankCells::with_capacity(n, graph.edge_count()),
         units: Vec::new(),
     };
-    // per rank: the blocks held, sorted, and where (own block first)
-    let mut held: Vec<Vec<(Ix, Src)>> = Vec::with_capacity(n);
     for p in 0..n {
-        let mut mine = Vec::with_capacity(1 + graph.indegree(p));
-        mine.push((p as Ix, Src::Send(prog.send.push(p, p))));
-        held.push(mine);
+        prog.send.push(p, p);
         prog.recv.push_rank(graph.in_neighbors(p));
     }
     // the phase in flight: (receiver, sender, message, position in send order)
@@ -702,105 +706,38 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         for r in 0..n {
             let phase = plan.phase(r, k);
             for msg in phase.sends() {
-                let peer = msg.peer();
-                if peer >= n || peer == r {
-                    return Err(ExecError::MissingBlock { rank: r, block: peer, phase: k });
-                }
-                pend.push((peer, r, msg, sent_before + pend.len()));
+                pend.push((msg.peer(), r, msg, sent_before + pend.len()));
             }
             prog.send_ends.push((sent_before + pend.len()) as Ix);
             prog.copies.push(phase.copy_blocks() as Ix);
         }
-        // integration order: per receiver, ascending (sender, tag)
-        pend.sort_unstable_by_key(|&(dst, src, msg, sent)| (dst, src, msg.tag(), sent));
-        // Pass 1: every send against its sender's *pre-phase* possession
-        // (arrivals integrate only after every send is fixed).
+        // integration order: per receiver, ascending (sender, tag) — a
+        // total order, `validate` having refused duplicate keys
+        pend.sort_unstable_by_key(|&(dst, src, msg, _)| (dst, src, msg.tag()));
         let mut receiver = 0;
         for &(dst, src, msg, sent) in &pend {
             for _ in receiver..dst {
                 prog.recv_ends.push(prog.msgs.len() as Ix);
             }
             receiver = dst;
-            for &b in msg.blocks() {
-                let at = held[src].binary_search_by_key(&(b as Ix), |h| h.0).ok().filter(|_| b < n);
-                let Some(at) = at else {
-                    return Err(ExecError::MissingBlock { rank: src, block: b, phase: k });
-                };
-                prog.blocks.push(Block { key: b as Ix, src: held[src][at].1, steps_end: 0 });
-            }
+            let carried = msg.blocks().iter().map(|&b| b as Ix);
+            prog.blocks.extend(carried.map(|key| Block { key, src: Src::Send(key), steps_end: 0 }));
             prog.send_order[sent] = prog.msgs.len();
             prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.blocks.len() });
         }
         for _ in receiver..n {
             prog.recv_ends.push(prog.msgs.len() as Ix);
         }
-        // Pass 2: the arrivals, in integration order.
-        for id in sent_before..prog.msgs.len() {
-            let at = prog.msgs[id].dst;
-            for b in prog.blocks_of(id) {
-                let key = prog.blocks[b].key;
-                if let Err(pos) = held[at].binary_search_by_key(&key, |h| h.0) {
-                    let slot = prog.slots.push(at, key as Rank);
-                    held[at].insert(pos, (key, Src::Slot(slot)));
-                    if let Some(cell) = graph.recv_slot(at, key as Rank) {
-                        prog.origin[prog.recv.of(at).start + cell] = key;
-                    }
-                }
-            }
-        }
     }
-    if let Some(cell) = prog.origin.iter().position(|&from| from == Ix::MAX) {
-        let rank = prog.recv.ends.partition_point(|&end| end as usize <= cell);
-        return Err(ExecError::Undelivered { rank, block: prog.recv.key[cell] as Rank });
-    }
-    check_recvs(plan, &prog)?;
     Ok(prog)
 }
 
-/// A gather runs what the sends say, so every receive `plan` posts must
-/// be an arrival they imply: per (phase, rank), the posted receives in
-/// `(peer, tag)` order against the program's arrivals — same peers, tags
-/// and block lists. The lowest (phase, rank, position) that differs is
-/// [`ExecError::Undelivered`] at that rank, naming the first block of the
-/// posted receive (of the arrival nobody posted; its peer when it lists
-/// no block).
-fn check_recvs(plan: &CollectivePlan, prog: &Program) -> Result<(), ExecError> {
-    let mut posted: Vec<MsgView<'_>> = Vec::new();
-    for k in 0..prog.phases {
-        for r in 0..plan.n() {
-            posted.clear();
-            posted.extend(plan.phase(r, k).recvs());
-            posted.sort_by_key(|m| (m.peer(), m.tag()));
-            let arrived = prog.recvs(k, r);
-            let blocks = |id: usize| prog.blocks[prog.blocks_of(id)].iter().map(|b| b.key as Rank);
-            for i in 0..posted.len().max(arrived.len()) {
-                let (want, got) = (posted.get(i), arrived.clone().nth(i));
-                let mirrored = want.zip(got).is_some_and(|(m, id)| {
-                    let sent = prog.msgs[id];
-                    (m.peer(), m.tag()) == (sent.src, sent.tag)
-                        && blocks(id).eq(m.blocks().iter().copied())
-                });
-                if !mirrored {
-                    let block = match (want, got) {
-                        (Some(m), _) => m.blocks().first().copied().unwrap_or(m.peer()),
-                        (None, Some(id)) => blocks(id).next().unwrap_or(prog.msgs[id].src),
-                        (None, None) => unreachable!("`i` is below one of the two lengths"),
-                    };
-                    return Err(ExecError::Undelivered { rank: r, block });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 impl Program {
-    /// Compiles the gather program of `plan` on `graph`: every block a
-    /// rank ever holds gets a slot (after the rank's own block, in
-    /// arrival order) and every planned message is resolved against
-    /// them, so a corrupt plan fails here — [`ExecError::MissingBlock`]
-    /// for a send of a never-held block, [`ExecError::Undelivered`] for
-    /// an in-neighbor whose block never arrives — before any bytes move.
+    /// Compiles the gather program of `plan` on `graph`: the plan's
+    /// messages in integration order, every block read at its origin.
+    /// The plan is [validated](CollectivePlan::validate) first, so a
+    /// corrupt one fails here — [`ExecError::InvalidPlan`] with the
+    /// validator's error — before any bytes move.
     pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
         compile(plan, graph, Shape::Gather)
     }
@@ -811,39 +748,39 @@ impl Program {
     }
 
     /// Fraction of messages whose blocks sit back to back in the
-    /// sender's buffer — its own block, then its slots in arrival order.
-    /// Distance Halving halving-phase sends are 100% contiguous by
-    /// construction (arrivals append in `main_buf` order, Algorithm 4
-    /// line 15): the growing-message combine §V's bandwidth term models.
+    /// sender's `main_buf`: its own block, then every other block in the
+    /// order it first arrived. Distance Halving halving-phase sends are
+    /// 100% contiguous by construction (arrivals append in `main_buf`
+    /// order, Algorithm 4 line 15): the growing-message combine §V's
+    /// bandwidth term models.
     pub fn contiguous_send_fraction(&self) -> f64 {
-        let mut held = vec![1usize; self.n];
-        let position: Vec<usize> = (self.slots.rank.iter())
-            .map(|&r| {
-                held[r as usize] += 1;
-                held[r as usize] - 1
-            })
-            .collect();
-        let at = |b: &Block| match b.src {
-            Src::Send(_) => 0,
-            Src::Slot(slot) => position[slot as usize],
-        };
-        let one = (0..self.msgs.len())
-            .map(|id| &self.blocks[self.blocks_of(id)])
-            .filter(|bs| !bs.is_empty() && bs.windows(2).all(|w| at(&w[1]) == at(&w[0]) + 1))
-            .count();
         if self.msgs.is_empty() {
-            1.0
-        } else {
-            one as f64 / self.msgs.len() as f64
+            return 1.0;
         }
+        // rank `r` holds block `b` at `at[b]` while `stamp[b] == r + 1`
+        let (mut stamp, mut at) = (vec![0; self.n], vec![0; self.n]);
+        let mut one = 0;
+        for r in 0..self.n {
+            let arrived = (0..self.phases).flat_map(|k| self.recvs(k, r));
+            let keys = arrived.flat_map(|id| &self.blocks[self.blocks_of(id)]).map(|b| b.key);
+            let mut held = 0;
+            for b in std::iter::once(r as Ix).chain(keys) {
+                if std::mem::replace(&mut stamp[b as usize], r + 1) != r + 1 {
+                    at[b as usize] = held;
+                    held += 1;
+                }
+            }
+            let sent = (0..self.phases).flat_map(|k| self.sends(k, r));
+            let next = |w: &[Block]| at[w[1].key as usize] == at[w[0].key as usize] + 1;
+            one += sent.filter(|&&id| self.blocks[self.blocks_of(id)].windows(2).all(next)).count();
+        }
+        one as f64 / self.msgs.len() as f64
     }
 
-    /// The blocks rank `r`'s slots hold, in slot order.
+    /// The blocks rank `r`'s receive cells take, in cell order.
     #[cfg(test)]
-    pub(crate) fn slots_of(&self, r: Rank) -> Vec<Rank> {
-        let held =
-            self.slots.rank.iter().zip(&self.slots.key).filter(|(&rank, _)| rank as Rank == r);
-        held.map(|(_, &block)| block as Rank).collect()
+    pub(crate) fn cells_of(&self, r: Rank) -> Vec<Rank> {
+        self.recv.key[self.recv.of(r)].iter().map(|&key| key as Rank).collect()
     }
 
     /// The messages rank `r` integrates in phase `k`, in integration
@@ -1073,12 +1010,15 @@ impl<'a> Exec<'a> {
     }
 
     /// (Gather, Route) Appends rank `r`'s range of receive cells to `rbuf`,
-    /// each read at its origin (`compile`'s `Undelivered` check vouches
-    /// for one): the one copy of every delivered byte.
+    /// each read at its origin (`compile` vouches that each has one): the
+    /// one copy of every delivered byte.
     pub(crate) fn deliver(&self, r: Rank, rbuf: &mut Vec<u8>) {
         let (prog, Job { sbufs, lens, .. }, off) = (self.prog, self.job, self.off);
         let cells = prog.recv.of(r);
-        for (&key, &origin) in prog.recv.key[cells.clone()].iter().zip(&prog.origin[cells]) {
+        let keys = &prog.recv.key[cells.clone()];
+        // a gather cell's origin is its key's one send cell
+        let origins = if prog.shape == Shape::Gather { keys } else { &prog.origin[cells] };
+        for (&key, &origin) in keys.iter().zip(origins) {
             rbuf.extend_from_slice(off.sent(&sbufs[key as usize], origin, lens.size(key)));
         }
     }

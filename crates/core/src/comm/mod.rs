@@ -343,9 +343,10 @@ impl DistGraphComm {
     /// matching and patches only what the changed edges touch, in the
     /// pattern's virtual ranks: the result is byte-identical to a
     /// decision-preserving rebuild (a property the repair engine pins with
-    /// tests), so it skips re-validation and costs O(clone + changed).
-    /// Either plan, with its pattern, is the one entry of the fresh
-    /// epoch's memo, so every op's next request is served it.
+    /// tests), so it skips validation (its first request's compile runs
+    /// it) and costs O(clone + changed). Either plan, with its pattern, is
+    /// the one entry of the fresh epoch's memo, so every op's next request
+    /// is served it.
     ///
     /// `mutate` reads nothing from an attached [`PlanCache`] and writes at
     /// most a full rebuild, under the new topology's build key

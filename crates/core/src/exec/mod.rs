@@ -28,7 +28,7 @@ use crate::arena::BlockArena;
 use crate::collective::program::{Job, Lens, Shape};
 use crate::collective::CollectiveOp;
 use crate::fault::{FaultCounts, FaultPlan, FaultStats};
-use crate::plan::{Algorithm, CollectivePlan};
+use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::runtime::Clock;
 use crate::sizes::BlockSizes;
 use nhood_telemetry::{Recorder, NULL};
@@ -240,7 +240,7 @@ pub enum ExecError {
         /// Expected length (rank 0's).
         want: usize,
     },
-    /// A rank tried to send a block it never received.
+    /// A combining shape's routing forwards an item its sender never held.
     MissingBlock {
         /// Sending rank.
         rank: Rank,
@@ -249,13 +249,16 @@ pub enum ExecError {
         /// Phase index.
         phase: usize,
     },
-    /// After the plan ran, a rank was missing an in-neighbor's block.
+    /// A combining shape's routing never delivers an in-neighbor's item.
     Undelivered {
         /// Receiving rank.
         rank: Rank,
         /// The in-neighbor whose block never arrived.
         block: Rank,
     },
+    /// A gather's plan failed [`CollectivePlan::validate`]: it is refused
+    /// before any byte moves.
+    InvalidPlan(PlanValidationError),
     /// A threaded rank timed out waiting for a message (deadlocked or
     /// lost message).
     Timeout {
@@ -318,6 +321,7 @@ impl std::fmt::Display for ExecError {
             ExecError::Undelivered { rank, block } => {
                 write!(f, "rank {rank} never received in-neighbor {block}'s block")
             }
+            ExecError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
             ExecError::Timeout { rank, phase } => {
                 write!(f, "rank {rank} timed out in phase {phase}")
             }

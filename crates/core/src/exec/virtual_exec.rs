@@ -99,6 +99,7 @@ mod tests {
     use crate::exec::Threaded;
     use crate::lower::lower;
     use crate::naive::plan_naive;
+    use crate::plan::{MsgDir, PlanValidationError};
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
@@ -177,24 +178,36 @@ mod tests {
     #[test]
     fn corrupt_plan_caught_as_missing_block() {
         let g = Topology::from_edges(3, [(0, 2)]);
-        // rank 1 claims to send block 0 which it never received
+        // rank 1 claims to send block 0 which it never received, and
+        // rank 2 posts it
         let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
-        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
+        let posted = crate::plan::PlannedMsg { peer: 1, ..forged.clone() };
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[1][0].sends.push(forged);
+            rows[2][0].recvs.push(posted);
+        });
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
-            ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
+            ExecError::InvalidPlan(PlanValidationError::UnheldBlock {
+                rank: 1,
+                phase: 0,
+                block: 0
+            })
         );
     }
 
     #[test]
     fn dropped_message_caught_as_undelivered() {
         let g = Topology::from_edges(2, [(0, 1)]);
-        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends.clear());
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[0][0].sends.clear();
+            rows[1][0].recvs.clear();
+        });
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
-            ExecError::Undelivered { rank: 1, block: 0 }
+            ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: 0, dst: 1 })
         );
     }
 
@@ -258,12 +271,14 @@ mod tests {
     fn a_request_hands_the_recorder_one_traffic_record_per_rank() {
         // Counting costs one hand-over per request, not one per rank or
         // per message: however many messages a request moves, a recorder
-        // sees one `traffic` call carrying at most n records — on every
-        // executor and clock, and in a recorded simulator replay.
+        // is asked for its `tally` once and sees one `traffic` call
+        // carrying at most n records — on every executor and clock, and
+        // in a recorded simulator replay.
         #[derive(Default)]
-        struct Calls(Mutex<Vec<usize>>);
+        struct Calls(Mutex<Vec<usize>>, AtomicUsize);
         impl Recorder for Calls {
             fn tally(&self) -> Option<Tally<'_>> {
+                self.1.fetch_add(1, Ordering::Relaxed);
                 Some(Tally::default())
             }
             fn traffic(&self, records: &mut dyn Iterator<Item = (Rank, Traffic)>) {
@@ -277,8 +292,10 @@ mod tests {
         use nhood_simnet::{Engine, PriceColumns, SimConfig};
         use nhood_telemetry::{Tally, Traffic};
         use nhood_topology::Rank;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
         let handed = |rec: Calls, n: usize, what: &str| {
+            assert_eq!(rec.1.into_inner(), 1, "{what} at n = {n}: `tally` asked more than once");
             let calls = rec.0.into_inner().unwrap();
             assert_eq!(calls.len(), 1, "{what} at n = {n}: {calls:?}");
             assert!(calls[0] <= n, "{what} at n = {n}: {} records", calls[0]);
@@ -378,9 +395,15 @@ mod tests {
                 Arc::new(hand_plan(2, 1, &msgs).edited(|rows| rows[0][0].sends[1].peer = peer));
             let backends: [&dyn Executor; 2] = [&Virtual, &Threaded];
             for exec in backends {
+                let dir = MsgDir::Send;
                 assert_eq!(
                     exec.run_simple(&plan, &g, &payloads).unwrap_err(),
-                    ExecError::MissingBlock { rank: 0, block: peer, phase: 0 },
+                    ExecError::InvalidPlan(PlanValidationError::BadPeer {
+                        rank: 0,
+                        phase: 0,
+                        peer,
+                        dir
+                    }),
                     "{} peer {peer}",
                     exec.name()
                 );
@@ -399,7 +422,10 @@ mod tests {
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
-            ExecError::Undelivered { rank: 1, block: 0 }
+            ExecError::InvalidPlan(PlanValidationError::SendRecvCountMismatch {
+                sends: 2,
+                recvs: 1
+            })
         );
     }
 

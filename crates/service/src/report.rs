@@ -35,7 +35,9 @@ pub struct TenantStats {
     pub full_rebuilds: u64,
 }
 
-/// Aggregate counters across every tenant plus reactor-level tallies.
+/// Aggregate counters: every tenant's summed, plus the reactor's own
+/// (ticks, batches, coalesced, fallbacks) and submissions naming no
+/// tenant.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
     /// Submissions attempted.
@@ -69,6 +71,26 @@ pub struct ServiceStats {
     pub repairs: u64,
     /// Churn events that forced a full rebuild.
     pub full_rebuilds: u64,
+}
+
+impl std::ops::Add<TenantStats> for ServiceStats {
+    type Output = Self;
+
+    /// These counters plus one tenant's.
+    fn add(mut self, t: TenantStats) -> Self {
+        self.submitted += t.submitted;
+        self.admitted += t.admitted;
+        self.rejected += t.rejected;
+        self.completed += t.completed;
+        self.failed += t.failed;
+        self.degraded += t.degraded;
+        self.verified += t.verified;
+        self.corrupt += t.corrupt;
+        self.churn_events += t.churn_events;
+        self.repairs += t.repairs;
+        self.full_rebuilds += t.full_rebuilds;
+        self
+    }
 }
 
 /// The summary a service run hands back: counters, deterministic

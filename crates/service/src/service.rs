@@ -252,6 +252,8 @@ pub struct Service {
     next_id: RequestId,
     ema: ServiceTimeEma,
     rec: CountingRecorder,
+    /// The service's own counters (ticks, batches, coalesced, fallbacks,
+    /// requests for no tenant); [`Service::report`] adds every tenant's.
     stats: ServiceStats,
     latencies_us: Vec<u64>,
     completions: Vec<Completion>,
@@ -396,8 +398,8 @@ impl Service {
         arrived: Instant,
     ) -> Result<RequestId, Rejected> {
         let SubmitRequest { op, payloads, sizes } = request;
-        self.stats.submitted += 1;
         let Some(t) = self.tenants.get_mut(tenant) else {
+            self.stats.submitted += 1;
             self.stats.rejected += 1;
             return Err(Rejected {
                 reason: RejectReason::BadRequest { detail: format!("unknown tenant {tenant}") },
@@ -417,7 +419,6 @@ impl Service {
             None
         };
         if let Some((reason, retry_after)) = refused {
-            self.stats.rejected += 1;
             t.stats.rejected += 1;
             return Err(Rejected { reason, retry_after });
         }
@@ -429,7 +430,6 @@ impl Service {
         self.next_id += 1;
         t.queued += 1;
         t.stats.admitted += 1;
-        self.stats.admitted += 1;
         self.queue.push_back(Pending { id, group: 0, tenant, op, payloads, sizes, arrived });
         Ok(id)
     }
@@ -453,14 +453,8 @@ impl Service {
         let t = &mut self.tenants[tenant];
         let rep = t.comm.mutate(added, removed)?;
         t.stats.churn_events += 1;
-        self.stats.churn_events += 1;
-        if rep.full_rebuild {
-            t.stats.full_rebuilds += 1;
-            self.stats.full_rebuilds += 1;
-        } else {
-            t.stats.repairs += 1;
-            self.stats.repairs += 1;
-        }
+        t.stats.full_rebuilds += u64::from(rep.full_rebuild);
+        t.stats.repairs += u64::from(!rep.full_rebuild);
         Ok(rep)
     }
 
@@ -563,13 +557,8 @@ impl Service {
             creq.sizes = req.sizes.clone();
             // The warm per-tenant arena is part of the batching design;
             // with batching off each request lays out a cold one.
-            let mut scratch;
-            let arena = if self.cfg.batching {
-                &mut t.arena
-            } else {
-                scratch = BlockArena::new();
-                &mut scratch
-            };
+            let mut cold = BlockArena::new();
+            let arena = if self.cfg.batching { &mut t.arena } else { &mut cold };
             arena.adopt_rbufs(std::mem::take(&mut self.spare));
             let res = t.comm.collective_on(&creq, plan.as_ref(), arena);
             // a failed run may leave the set adopted; it must not outlive the tick
@@ -625,13 +614,8 @@ impl Service {
         let pert = faults.map(|f| f.to_perturbation(t.comm.n()));
         let mut creq = CollectiveRequest::new(req.op, &req.payloads).algorithm(t.algo);
         creq.sizes = req.sizes.clone();
-        let mut scratch;
-        let arena = if self.cfg.batching {
-            &mut t.arena
-        } else {
-            scratch = BlockArena::new();
-            &mut scratch
-        };
+        let mut cold = BlockArena::new();
+        let arena = if self.cfg.batching { &mut t.arena } else { &mut cold };
         match t.comm.simulate_on(&creq, plan, arena, &self.cfg.sim_cost, pert.as_ref()) {
             Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
             Err(e) => self.fail(req, e),
@@ -699,28 +683,17 @@ impl Service {
         match &outcome {
             Outcome::Completed { degraded, fallback, .. } => {
                 t.stats.completed += 1;
-                self.stats.completed += 1;
-                if *degraded {
-                    t.stats.degraded += 1;
-                    self.stats.degraded += 1;
-                }
-                if *fallback {
-                    self.stats.fallbacks += 1;
-                }
+                t.stats.degraded += u64::from(*degraded);
+                self.stats.fallbacks += u64::from(*fallback);
                 self.latencies_us.push(latency_us);
             }
             Outcome::Failed { .. } => {
                 t.stats.failed += 1;
-                self.stats.failed += 1;
             }
         }
         if let Some(ok) = verified {
             t.stats.verified += 1;
-            self.stats.verified += 1;
-            if !ok {
-                t.stats.corrupt += 1;
-                self.stats.corrupt += 1;
-            }
+            t.stats.corrupt += u64::from(!ok);
         }
         self.completions.push(Completion {
             id: req.id,
@@ -744,12 +717,13 @@ impl Service {
     /// throughput over wall time since construction).
     pub fn report(&self) -> ServiceReport {
         let wall = self.epoch.elapsed();
+        let stats = self.tenants.iter().fold(self.stats, |sum, t| sum + t.stats);
         let throughput_rps =
-            if wall.is_zero() { 0.0 } else { self.stats.completed as f64 / wall.as_secs_f64() };
+            if wall.is_zero() { 0.0 } else { stats.completed as f64 / wall.as_secs_f64() };
         ServiceReport {
             wall,
             busy: self.busy,
-            stats: self.stats,
+            stats,
             per_tenant: self.tenants.iter().map(|t| t.stats).collect(),
             latency: nhood_telemetry::LatencySummary::of(&self.latencies_us),
             throughput_rps,

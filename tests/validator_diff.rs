@@ -11,6 +11,11 @@
 //! no map, nothing shared with the implementation. A failing case is
 //! printed as `(algorithm, n, δ-seed, mutation-seed)`.
 //!
+//! The gather compile (`ArenaLayout::for_plan`) must admit exactly the
+//! mutated plans the validator admits, and refuse the others with
+//! `ExecError::InvalidPlan` of the validator's error: the executors run
+//! what `validate` defines and nothing else.
+//!
 //! The lowered schedule of every mutated plan then goes through
 //! `Schedule::validate` and `Engine::run`: the engine must answer
 //! `InvalidSchedule` with the validator's exact text iff the validator
@@ -19,7 +24,10 @@
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::plan::{MsgDir, PlanPhase, PlannedMsg};
-use nhood_core::{Algorithm, CollectivePlan, DistGraphComm, PlanValidationError as E, SimCost};
+use nhood_core::{
+    Algorithm, ArenaLayout, CollectivePlan, DistGraphComm, ExecError, PlanValidationError as E,
+    SimCost,
+};
 use nhood_simnet::{Engine, SimError, SimReport};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::{hash_mix, DetRng};
@@ -289,6 +297,9 @@ fn dense_validator_agrees_with_the_brute_force_oracle() {
 
                     let (got, want) = (plan.validate(&graph), oracle(&rows, &graph));
                     assert_eq!(got, want, "validator and oracle disagree on case {case}");
+                    let compiled = ArenaLayout::for_plan(&plan, &graph).map(drop);
+                    let refused = got.clone().map_err(ExecError::InvalidPlan);
+                    assert_eq!(compiled, refused, "compile and validator disagree on case {case}");
                     cases += 1;
                     if let Err(e) = &got {
                         rejected += 1;
