@@ -243,7 +243,11 @@ pub(crate) mod tests {
         let plan = Arc::new(plan_naive(&g));
         let al = ArenaLayout::for_plan(&plan, &g).unwrap();
         for r in 0..16 {
-            assert_eq!(al.cells_of(r), g.in_neighbors(r), "rank {r}");
+            assert_eq!(
+                crate::collective::program::tests::cells_of(&al, r),
+                g.in_neighbors(r),
+                "rank {r}"
+            );
         }
         assert_eq!(al.contiguous_send_fraction(), 1.0, "a naive send is the rank's own block");
     }

@@ -40,7 +40,8 @@
 //! The combine *tree* is fully plan-determined: within a phase, arrivals
 //! are integrated in ascending `(peer, tag)` order on every backend, a
 //! first arrival is copied (never folded into the identity), and every
-//! later one is `held ⊕ arrived` in that operand order, so f32 sums are
+//! later one is `held ⊕ arrived` in that operand order — down to a NaN's
+//! payload: NaN ⊕ NaN is the held operand's NaN — so f32 sums are
 //! **bit-identical** across the virtual and threaded backends and
 //! across repeat runs. Exact lanes (wrapping integer sums, max, bit-or)
 //! are associative and equal the naive reference exactly; f32 agrees
@@ -174,48 +175,67 @@ impl Reduction {
         }
     }
 
-    /// Lane-wise `acc = acc ⊕ rhs`. Both slices must be the same length
-    /// and a whole number of lanes.
+    /// Lane-wise `acc = acc ⊕ rhs` over whole lanes.
+    ///
+    /// # Panics
+    /// If `acc` and `rhs` differ in length.
     pub fn combine(self, acc: &mut [u8], rhs: &[u8]) {
         assert_eq!(acc.len(), rhs.len(), "combining blocks of unequal length");
-        let lanes4 = |acc: &mut [u8], rhs: &[u8], f: fn([u8; 4], [u8; 4]) -> [u8; 4]| {
-            for (a, b) in acc.chunks_exact_mut(4).zip(rhs.chunks_exact(4)) {
-                let v = f(a.try_into().unwrap(), b.try_into().unwrap());
-                a.copy_from_slice(&v);
-            }
-        };
+        self.lanes(acc, None, rhs);
+    }
+
+    /// Lane-wise `out = a ⊕ b` in one pass, `a` the held operand: bit for
+    /// bit `out.copy_from_slice(a)`, then `combine(out, b)`.
+    ///
+    /// # Panics
+    /// If `out`, `a` and `b` are not all the same length.
+    pub fn combine_into(self, out: &mut [u8], a: &[u8], b: &[u8]) {
+        assert!(out.len() == a.len() && a.len() == b.len(), "combining blocks of unequal length");
+        self.lanes(out, Some(a), b);
+    }
+
+    /// The one lane kernel, `out = (a or out) ⊕ b`. Bit-or is byte-wise on
+    /// every lane; NaN ⊕ NaN is the held NaN whatever operand order runs.
+    fn lanes(self, out: &mut [u8], a: Option<&[u8]>, b: &[u8]) {
+        use {DType::*, ReduceOp::*};
         match (self.op, self.dtype) {
-            (ReduceOp::Sum, DType::U8) => {
-                for (a, &b) in acc.iter_mut().zip(rhs) {
-                    *a = a.wrapping_add(b);
-                }
-            }
-            (ReduceOp::Sum, DType::U32) => lanes4(acc, rhs, |a, b| {
-                u32::from_le_bytes(a).wrapping_add(u32::from_le_bytes(b)).to_le_bytes()
-            }),
-            (ReduceOp::Sum, DType::F32) => lanes4(acc, rhs, |a, b| {
-                (f32::from_le_bytes(a) + f32::from_le_bytes(b)).to_le_bytes()
-            }),
-            (ReduceOp::Max, DType::U8) => {
-                for (a, &b) in acc.iter_mut().zip(rhs) {
-                    *a = (*a).max(b);
-                }
-            }
-            (ReduceOp::Max, DType::U32) => lanes4(acc, rhs, |a, b| {
-                u32::from_le_bytes(a).max(u32::from_le_bytes(b)).to_le_bytes()
-            }),
-            (ReduceOp::Max, DType::F32) => lanes4(acc, rhs, |a, b| {
-                f32::from_le_bytes(a).max(f32::from_le_bytes(b)).to_le_bytes()
-            }),
-            (ReduceOp::BitOr, DType::U8) | (ReduceOp::BitOr, DType::U32) => {
-                // bit-or is lane-width agnostic: byte-wise or is exact
-                for (a, &b) in acc.iter_mut().zip(rhs) {
-                    *a |= b;
-                }
-            }
-            (ReduceOp::BitOr, DType::F32) => unreachable!("rejected by Reduction::validate"),
+            (Sum, U8) => lanes(out, a, b, |[x], [y]| [x.wrapping_add(y)]),
+            (Sum, U32) => lanes(out, a, b, u32s(u32::wrapping_add)),
+            (Sum, F32) => lanes(out, a, b, f32s(|x, y| x + if x.is_nan() { x } else { y })),
+            (Max, U8) => lanes(out, a, b, |[x], [y]| [x.max(y)]),
+            (Max, U32) => lanes(out, a, b, u32s(u32::max)),
+            (Max, F32) => lanes(out, a, b, f32s(|x, y| x.max(if y.is_nan() { x } else { y }))),
+            (BitOr, _) => lanes(out, a, b, |[x], [y]| [x | y]),
         }
     }
+}
+
+/// `out = f(a or out, b)` over whole `W`-byte lanes; bytes past the last
+/// whole lane are left as a copy of `a` would leave them.
+fn lanes<const W: usize>(
+    out: &mut [u8],
+    a: Option<&[u8]>,
+    b: &[u8],
+    f: impl Fn([u8; W], [u8; W]) -> [u8; W],
+) {
+    let ((outs, tail), (bs, _)) = (out.as_chunks_mut::<W>(), b.as_chunks::<W>());
+    match a.map(<[u8]>::as_chunks::<W>) {
+        None => outs.iter_mut().zip(bs).for_each(|(o, &y)| *o = f(*o, y)),
+        Some((xs, a_tail)) => {
+            outs.iter_mut().zip(xs).zip(bs).for_each(|((o, &x), &y)| *o = f(x, y));
+            tail.copy_from_slice(a_tail);
+        }
+    }
+}
+
+/// `f` on little-endian `u32` lanes.
+fn u32s(f: impl Fn(u32, u32) -> u32) -> impl Fn([u8; 4], [u8; 4]) -> [u8; 4] {
+    move |x, y| f(u32::from_le_bytes(x), u32::from_le_bytes(y)).to_le_bytes()
+}
+
+/// `f` on little-endian `f32` lanes.
+fn f32s(f: impl Fn(f32, f32) -> f32) -> impl Fn([u8; 4], [u8; 4]) -> [u8; 4] {
+    move |x, y| f(f32::from_le_bytes(x), f32::from_le_bytes(y)).to_le_bytes()
 }
 
 impl std::fmt::Display for Reduction {
@@ -797,6 +817,54 @@ mod tests {
     fn bitor_f32_is_rejected() {
         assert!(Reduction::new(ReduceOp::BitOr, DType::F32).validate().is_err());
         assert!(Reduction::new(ReduceOp::BitOr, DType::U32).validate().is_ok());
+        // built without `validate`, it is byte-wise or like every bit-or
+        let mut acc = 1.0f32.to_le_bytes().to_vec();
+        Reduction::new(ReduceOp::BitOr, DType::F32).combine(&mut acc, &[1, 2, 4, 8]);
+        let want: Vec<u8> =
+            1.0f32.to_le_bytes().iter().zip([1, 2, 4, 8]).map(|(a, b)| a | b).collect();
+        assert_eq!(acc, want);
+    }
+
+    #[test]
+    fn combine_into_is_copy_then_combine_bit_for_bit() {
+        let specials = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        // f32 lanes: the specials, a quiet NaN with a payload, and finite values
+        let lane = |i: usize, seed: u32| match i % 9 {
+            k @ 0..6 => specials[k].to_bits(),
+            6 => 0x7fc0_1234 ^ seed,
+            _ => (i as f32 * 0.75 - 40.0 + seed as f32).to_bits(),
+        };
+        let block = |len: usize, seed: u32| -> Vec<u8> {
+            (0..len / 4).flat_map(|i| lane(i * 7 + seed as usize, seed).to_le_bytes()).collect()
+        };
+        let ops = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::BitOr];
+        let reds = ops.iter().flat_map(|&op| {
+            [DType::U8, DType::U32, DType::F32].map(|dtype| Reduction::new(op, dtype))
+        });
+        for red in reds.filter(|red| red.validate().is_ok()) {
+            for len in [0, 4, 12, 4 << 10] {
+                for (sa, sb) in [(0, 1), (3, 5), (1, 0)] {
+                    let (a, b) = (block(len, sa), block(len, sb));
+                    let mut want = a.clone();
+                    red.combine(&mut want, &b);
+                    let mut out = vec![0xa5; len];
+                    red.combine_into(&mut out, &a, &b);
+                    assert_eq!(out, want, "{red} at {len} B");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "combining blocks of unequal length")]
+    fn combine_panics_on_unequal_lengths() {
+        Reduction::SUM_U8.combine(&mut [0; 4], &[0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "combining blocks of unequal length")]
+    fn combine_into_panics_on_unequal_lengths() {
+        Reduction::SUM_U8.combine_into(&mut [0; 4], &[0; 4], &[0; 8]);
     }
 
     fn rs_payloads(g: &Topology, sizes: &BlockSizes, seed: u64) -> Vec<Vec<u8>> {

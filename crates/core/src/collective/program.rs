@@ -19,12 +19,13 @@
 //!
 //! A request then resolves offsets and receive totals against its block
 //! lengths ([`Tables::stage`]: O(cells), no allocation once warm) and
-//! does nothing but `copy_from_slice` / [`Reduction::combine`]
-//! ([`Exec::integrate`], the one data path of both runtimes in
-//! [`crate::exec`]). Gather and routed blocks are never modified in
-//! flight, so a receiver reads each one at its origin's send buffer and
-//! nothing is staged; only reduce partials parked at a forwarding agent
-//! occupy arena slots, and those bytes live for the one request.
+//! does nothing but `copy_from_slice` / [`Reduction::combine`] /
+//! [`Reduction::combine_into`] ([`Exec::integrate`], the one data path of
+//! both runtimes in [`crate::exec`]). Nothing is modified in flight until
+//! it folds, so a receiver reads every gather block, routed item and lone
+//! contribution at its origin's send cell; only partials that folded at a
+//! forwarding agent occupy arena slots, and those bytes live for the one
+//! request.
 //!
 //! ## Coalescing is structural
 //!
@@ -97,14 +98,13 @@ impl Shape {
 /// through and what a cold compile allocates.
 type Ix = u32;
 
-/// Where a wire block's bytes live.
+/// Where a reduce partial's bytes live.
 #[derive(Clone, Copy, Debug)]
 enum Src {
-    /// A cell of a send buffer: the sender's (a partial's first hop), or
-    /// the origin's of a gather block or routed item, which nothing
-    /// modifies in flight.
+    /// A send cell of any rank (`send.rank[cell]`): a partial that is
+    /// still one contribution, read at its origin until it folds.
     Send(Ix),
-    /// A slot of the sender's arena (a reduce shape's parked partial).
+    /// A slot of the holder's arena: a partial that has folded.
     Slot(Ix),
 }
 
@@ -120,26 +120,25 @@ enum Dst {
 /// One thing a receiver does with an arrived wire block.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// First arrival: `dst = wire` (copied, *not* folded into the
-    /// identity — `-0.0` must survive an f32 sum).
+    /// First arrival, folded or at its destination: `dst = wire` (copied,
+    /// *not* folded into the identity — `-0.0` must survive an f32 sum).
     Copy(Dst),
     /// `dst = dst ⊕ wire`.
     Combine(Dst),
-    /// The receiver's own contribution still sits in its send buffer
-    /// (cell `from`), which is read-only: `slot = send[from] ⊕ wire`.
+    /// The held partial is still one contribution at (read-only) send
+    /// cell `from`: `slot = send[from] ⊕ wire`, in one pass.
     Fold { from: Ix, slot: Ix },
 }
 
-/// A wire block: `size(key)` bytes read at `src`, then applied by
+/// (reduce shapes) A wire block is read at `src`, then applied by
 /// `steps[..steps_end]` (from the previous block's end).
 #[derive(Clone, Copy, Debug)]
-struct Block {
-    key: Ix,
+struct Read {
     src: Src,
     steps_end: Ix,
 }
 
-/// A message: `blocks[..blocks_end]` (from the previous message's end),
+/// A message: `keys[..blocks_end]` (from the previous message's end),
 /// concatenated on the wire.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ProgMsg {
@@ -274,10 +273,13 @@ pub struct Program {
     send_order: Vec<usize>,
     /// `span(send_ends, k * n + r)` into `send_order`.
     send_ends: Vec<Ix>,
-    blocks: Vec<Block>,
+    /// Every wire block's key: it is `size(key)` bytes long.
+    keys: Vec<Ix>,
+    /// (reduce shapes) Per wire block: where it is read, and its steps.
+    reads: Vec<Read>,
     steps: Vec<Step>,
     send: Cells,
-    /// (reduce shapes) The partials parked at forwarding agents.
+    /// (reduce shapes) The partials folded at forwarding agents.
     slots: Cells,
     /// Per rank: its in-neighbors (gather, route), or itself (reduce).
     recv: RankCells,
@@ -312,14 +314,13 @@ struct PendBlock {
     claim: (usize, usize),
 }
 
-/// A `(block, destination)` arrival between the two passes: `count`
-/// contributions for `dst`; `edge` is the routed item (Route only).
+/// (reduce) A `(block, destination)` arrival between the two passes:
+/// `count` contributions for `dst`.
 #[derive(Clone, Copy, Debug)]
 struct PendDst {
     block: usize,
     dst: Rank,
     count: usize,
-    edge: usize,
 }
 
 /// A message between the two passes of a phase.
@@ -354,8 +355,8 @@ struct Walk<'g> {
 
 impl<'g> Walk<'g> {
     /// Seeds the walk: every contribution starts in a cell of its
-    /// source's send buffer.
-    fn new(graph: &'g Topology, shape: Shape, phases: usize) -> Self {
+    /// source's send buffer. `blocks` bounds the wire blocks to come.
+    fn new(graph: &'g Topology, shape: Shape, phases: usize, blocks: usize) -> Self {
         let n = graph.n();
         let reduce = shape.reduces();
         let allreduce = shape == Shape::Allreduce;
@@ -397,12 +398,13 @@ impl<'g> Walk<'g> {
                 phases,
                 labels: Vec::new(),
                 copies: Vec::new(),
-                origin: if reduce { Vec::new() } else { vec![0; graph.edge_count()] },
+                origin: Vec::with_capacity(if reduce { 0 } else { graph.edge_count() }),
                 msgs: Vec::new(),
                 recv_ends: Vec::with_capacity(phases * n),
                 send_order: Vec::new(),
                 send_ends: Vec::with_capacity(phases * n),
-                blocks: Vec::new(),
+                keys: Vec::with_capacity(blocks),
+                reads: Vec::with_capacity(if reduce { blocks } else { 0 }),
                 steps: Vec::new(),
                 send,
                 slots: Cells::default(),
@@ -434,11 +436,7 @@ impl<'g> Walk<'g> {
         if self.prog.shape == Shape::Route {
             for &(s, d) in items {
                 let e = self.claim(r, peer, (s, d)).ok_or_else(|| missing(peer))?;
-                self.pdsts.push(PendDst { block: self.pblocks.len(), dst: d, count: 1, edge: e });
-                // a routed item is never modified: it is read where it
-                // started, whoever forwards it
-                let src = Src::Send(e as Ix);
-                self.pblocks.push(PendBlock { key: s, src, claim: (0, 0) });
+                self.pblocks.push(PendBlock { key: s, src: Src::Send(e as Ix), claim: (0, 0) });
             }
         } else {
             self.pack_partials(r, peer, items, &missing)?;
@@ -496,7 +494,7 @@ impl<'g> Walk<'g> {
                     self.pblocks.len() - 1
                 }
             };
-            self.pdsts.push(PendDst { block, dst: d, count: run.len(), edge: 0 });
+            self.pdsts.push(PendDst { block, dst: d, count: run.len() });
             lo = hi;
         }
         if self.pblocks.len() - b0 < self.pdsts.len() - d0 {
@@ -508,51 +506,34 @@ impl<'g> Walk<'g> {
         Ok(())
     }
 
-    /// Pass 2 for one `(block, destination)` arrival at rank `at`: the
-    /// step the receiver runs, and the bookkeeping it implies. A routed
-    /// item has none: reaching its destination fills in where the
-    /// receive cell is read ([`Exec::deliver`]).
+    /// Pass 2 for one `(block, destination)` arrival at rank `at` (reduce
+    /// shapes): the step the receiver runs, and the bookkeeping it
+    /// implies. A slot opens only where a partial folds: a first arrival
+    /// read at a send cell is one contribution, held and forwarded there.
     fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Option<Step> {
         let d = pd.dst;
-        if self.prog.shape == Shape::Route {
-            if d == at {
-                // INVARIANT: `claim` resolved `(key, d)` to an edge.
-                let cell = self.graph.recv_slot(d, pb.key).expect("a source is an in-neighbor");
-                self.prog.origin[self.prog.recv.of(d).start + cell] = pd.edge as Ix;
-            }
-            return None;
-        }
-        Some(self.arrive_partial(at, pb, pd))
-    }
-
-    /// [`Self::arrive`] for the reduce shapes.
-    fn arrive_partial(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Step {
-        let d = pd.dst;
         if d == at {
-            return if std::mem::replace(&mut self.acc_live[at], true) {
-                Step::Combine(Dst::Recv)
-            } else {
-                Step::Copy(Dst::Recv)
-            };
+            let live = std::mem::replace(&mut self.acc_live[at], true);
+            return Some(if live { Step::Combine(Dst::Recv) } else { Step::Copy(Dst::Recv) });
         }
         match self.held[at].binary_search_by_key(&d, |h| h.dst) {
             Ok(pos) => {
                 let h = &mut self.held[at][pos];
                 h.count += pd.count;
-                match h.at {
+                Some(match h.at {
                     Src::Slot(slot) => Step::Combine(Dst::Slot(slot)),
                     Src::Send(from) => {
                         let slot = self.prog.slots.push(at, pb.key);
                         h.at = Src::Slot(slot);
                         Step::Fold { from, slot }
                     }
-                }
+                })
             }
             Err(pos) => {
-                let slot = self.prog.slots.push(at, pb.key);
-                let h = Held { dst: d, at: Src::Slot(slot), count: pd.count };
+                let slot = matches!(pb.src, Src::Slot(_)).then(|| self.prog.slots.push(at, pb.key));
+                let h = Held { dst: d, at: slot.map_or(pb.src, Src::Slot), count: pd.count };
                 self.held[at].insert(pos, h);
-                Step::Copy(Dst::Slot(slot))
+                slot.map(|slot| Step::Copy(Dst::Slot(slot)))
             }
         }
     }
@@ -584,10 +565,11 @@ impl<'g> Walk<'g> {
                     let step = self.arrive(pm.dst, pb, pd);
                     self.prog.steps.extend(step);
                 }
-                let steps_end = self.prog.steps.len() as Ix;
-                self.prog.blocks.push(Block { key: pb.key as Ix, src: pb.src, steps_end });
+                self.prog.keys.push(pb.key as Ix);
+                let read = Read { src: pb.src, steps_end: self.prog.steps.len() as Ix };
+                self.prog.reads.extend(self.prog.shape.reduces().then_some(read));
             }
-            let blocks_end = self.prog.blocks.len();
+            let blocks_end = self.prog.keys.len();
             self.prog.msgs.push(ProgMsg { src: pm.src, dst: pm.dst, tag: pm.tag, blocks_end });
         }
         while receiver < self.prog.n {
@@ -633,7 +615,9 @@ pub(crate) fn compile(
         compile_gather(plan, graph)?
     } else {
         let routing = route_items(plan, graph)?;
-        let mut walk = Walk::new(graph, shape, plan.phase_count());
+        // every wire block carries at least one item
+        let items = (0..plan.message_count()).map(|id| routing.of(id).len()).sum();
+        let mut walk = Walk::new(graph, shape, plan.phase_count(), items);
         for k in 0..plan.phase_count() {
             let sent_before = walk.prog.send_order.len();
             for r in 0..n {
@@ -647,7 +631,8 @@ pub(crate) fn compile(
             }
             walk.integrate();
         }
-        // every edge's contribution must have reached its destination
+        // every contribution must have reached its destination, where a
+        // routed one is read at its edge's send cell (nothing modifies it)
         for r in 0..n {
             for &s in graph.in_neighbors(r) {
                 // INVARIANT: `Topology` keeps its in- and out-lists mirrored.
@@ -655,6 +640,7 @@ pub(crate) fn compile(
                 if walk.holder[e] != DELIVERED {
                     return Err(ExecError::Undelivered { rank: r, block: s });
                 }
+                walk.prog.origin.extend((shape == Shape::Route).then_some(e as Ix));
             }
         }
         walk.prog
@@ -687,7 +673,8 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
         recv_ends: Vec::with_capacity(phases * n),
         send_order: vec![0; msgs],
         send_ends: Vec::with_capacity(phases * n),
-        blocks: Vec::with_capacity(blocks),
+        keys: Vec::with_capacity(blocks),
+        reads: Vec::new(),
         steps: Vec::new(),
         send: Cells::with_capacity(n),
         slots: Cells::default(),
@@ -720,10 +707,9 @@ fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, Ex
                 prog.recv_ends.push(prog.msgs.len() as Ix);
             }
             receiver = dst;
-            let carried = msg.blocks().iter().map(|&b| b as Ix);
-            prog.blocks.extend(carried.map(|key| Block { key, src: Src::Send(key), steps_end: 0 }));
+            prog.keys.extend(msg.blocks().iter().map(|&b| b as Ix));
             prog.send_order[sent] = prog.msgs.len();
-            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.blocks.len() });
+            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.keys.len() });
         }
         for _ in receiver..n {
             prog.recv_ends.push(prog.msgs.len() as Ix);
@@ -762,25 +748,19 @@ impl Program {
         let mut one = 0;
         for r in 0..self.n {
             let arrived = (0..self.phases).flat_map(|k| self.recvs(k, r));
-            let keys = arrived.flat_map(|id| &self.blocks[self.blocks_of(id)]).map(|b| b.key);
+            let keys = arrived.flat_map(|id| &self.keys[self.blocks_of(id)]);
             let mut held = 0;
-            for b in std::iter::once(r as Ix).chain(keys) {
+            for &b in std::iter::once(&(r as Ix)).chain(keys) {
                 if std::mem::replace(&mut stamp[b as usize], r + 1) != r + 1 {
                     at[b as usize] = held;
                     held += 1;
                 }
             }
             let sent = (0..self.phases).flat_map(|k| self.sends(k, r));
-            let next = |w: &[Block]| at[w[1].key as usize] == at[w[0].key as usize] + 1;
-            one += sent.filter(|&&id| self.blocks[self.blocks_of(id)].windows(2).all(next)).count();
+            let next = |w: &[Ix]| at[w[1] as usize] == at[w[0] as usize] + 1;
+            one += sent.filter(|&&id| self.keys[self.blocks_of(id)].windows(2).all(next)).count();
         }
         one as f64 / self.msgs.len() as f64
-    }
-
-    /// The blocks rank `r`'s receive cells take, in cell order.
-    #[cfg(test)]
-    pub(crate) fn cells_of(&self, r: Rank) -> Vec<Rank> {
-        self.recv.key[self.recv.of(r)].iter().map(|&key| key as Rank).collect()
     }
 
     /// The messages rank `r` integrates in phase `k`, in integration
@@ -825,13 +805,13 @@ impl Program {
     }
 
     fn steps_of(&self, b: usize) -> Range<usize> {
-        let start = if b == 0 { 0 } else { self.blocks[b - 1].steps_end };
-        start as usize..self.blocks[b].steps_end as usize
+        let start = if b == 0 { 0 } else { self.reads[b - 1].steps_end };
+        start as usize..self.reads[b].steps_end as usize
     }
 
     /// Wire bytes of message `id` under `lens`.
     fn wire_bytes(&self, id: usize, lens: Lens) -> usize {
-        self.blocks[self.blocks_of(id)].iter().map(|b| lens.size(b.key)).sum()
+        self.keys[self.blocks_of(id)].iter().map(|&key| lens.size(key)).sum()
     }
 
     /// The simulator schedule of one execution under `sizes` (uniform
@@ -890,10 +870,10 @@ impl Tables {
     /// offset: a gather or routed buffer is appended ([`Exec::deliver`]),
     /// a reduce shape's is one cell — counting growths into `grew`.
     /// Returns the request's staging arena: one buffer per rank for a
-    /// reduce shape's slots, none otherwise. Dropped with the request: a
-    /// forwarding agent's parked partials are megabytes at 4 KiB blocks,
-    /// and kept warm they would sit under every later request's receive
-    /// buffers — on *every* tenant of a service.
+    /// reduce shape's folded partials, none otherwise. Dropped with the
+    /// request: they are megabytes at 4 KiB blocks (1.4 MiB at n = 64 under
+    /// Distance Halving), and kept warm they would sit under every later
+    /// request's receive buffers — on *every* tenant of a service.
     pub(crate) fn stage(
         &mut self,
         prog: &Program,
@@ -936,11 +916,6 @@ impl Tables {
         Ok(arena)
     }
 
-    /// The `len` bytes of send cell `cell` in its rank's `sbuf`.
-    fn sent<'b>(&self, sbuf: &'b [u8], cell: Ix, len: usize) -> &'b [u8] {
-        &sbuf[self.send[cell as usize]..][..len]
-    }
-
     /// The `len` bytes of the receiver that `dst` names.
     fn place<'b>(
         &self,
@@ -959,7 +934,7 @@ impl Tables {
 /// Where a receiver reads an arrived reduce message's blocks.
 #[derive(Clone, Copy)]
 pub(crate) enum Wire<'a> {
-    /// In the sender's staging arena and send buffer (sequential).
+    /// In the sender's staging arena, or at a send cell (sequential).
     Sender(&'a [u8]),
     /// In the bytes [`Exec::pack`] put on the wire (threaded).
     Packed(&'a [u8]),
@@ -1019,23 +994,30 @@ impl<'a> Exec<'a> {
         // a gather cell's origin is its key's one send cell
         let origins = if prog.shape == Shape::Gather { keys } else { &prog.origin[cells] };
         for (&key, &origin) in keys.iter().zip(origins) {
-            rbuf.extend_from_slice(off.sent(&sbufs[key as usize], origin, lens.size(key)));
+            let at = off.send[origin as usize];
+            rbuf.extend_from_slice(&sbufs[key as usize][at..][..lens.size(key)]);
         }
     }
 
-    /// Packs message `id` for the wire from its sender's send buffer and
-    /// staging `arena`. A gather or routed message travels as its id
-    /// alone: its blocks are read at their origins ([`Self::deliver`]).
+    /// Send cell `cell`'s `len` bytes, read in its owner's send buffer.
+    fn sent(&self, cell: Ix, len: usize) -> &'a [u8] {
+        let owner = self.prog.send.rank[cell as usize] as usize;
+        &self.job.sbufs[owner][self.off.send[cell as usize]..][..len]
+    }
+
+    /// Packs message `id` for the wire from the send buffers and its
+    /// sender's staging `arena`. A gather or routed message travels as its
+    /// id alone: its blocks are read at their origins ([`Self::deliver`]).
     pub(crate) fn pack(&self, id: usize, arena: &[u8]) -> Vec<u8> {
-        if !self.prog.shape.reduces() {
+        let prog = self.prog;
+        if !prog.shape.reduces() {
             return Vec::new();
         }
-        let sbuf = &self.job.sbufs[self.prog.msgs[id].src];
         let mut wire = Vec::with_capacity(self.wire_bytes(id));
-        for block in &self.prog.blocks[self.prog.blocks_of(id)] {
-            let len = self.job.lens.size(block.key);
-            wire.extend_from_slice(match block.src {
-                Src::Send(c) => self.off.sent(sbuf, c, len),
+        for b in prog.blocks_of(id) {
+            let len = self.job.lens.size(prog.keys[b]);
+            wire.extend_from_slice(match prog.reads[b].src {
+                Src::Send(c) => self.sent(c, len),
                 Src::Slot(s) => &arena[self.off.slot[s as usize]..][..len],
             });
         }
@@ -1046,17 +1028,15 @@ impl<'a> Exec<'a> {
     /// `arena` is the receiver's staging buffer, `rbuf` its receive
     /// buffer — reading the blocks from `wire`.
     pub(crate) fn integrate(&self, id: usize, wire: Wire, arena: &mut [u8], rbuf: &mut [u8]) {
-        let (prog, Job { red, sbufs, lens }, off) = (self.prog, self.job, self.off);
+        let (prog, Job { red, lens, .. }, off) = (self.prog, self.job, self.off);
         // INVARIANT: `Shape::of` gives exactly the ops with a reduction
         // the reduce shapes, the only ones the runtimes integrate.
         let red = red.expect("only the reduce shapes integrate steps");
-        let m = prog.msgs[id];
         let mut at = 0;
         for b in prog.blocks_of(id) {
-            let block = prog.blocks[b];
-            let len = lens.size(block.key);
-            let bytes = match (wire, block.src) {
-                (Wire::Sender(_), Src::Send(c)) => off.sent(&sbufs[m.src], c, len),
+            let len = lens.size(prog.keys[b]);
+            let bytes = match (wire, prog.reads[b].src) {
+                (Wire::Sender(_), Src::Send(c)) => self.sent(c, len),
                 (Wire::Sender(from), Src::Slot(s)) => &from[off.slot[s as usize]..][..len],
                 (Wire::Packed(wire), _) => &wire[at..][..len],
             };
@@ -1066,9 +1046,8 @@ impl<'a> Exec<'a> {
                     Step::Copy(dst) => off.place(dst, len, arena, rbuf).copy_from_slice(bytes),
                     Step::Combine(dst) => red.combine(off.place(dst, len, arena, rbuf), bytes),
                     Step::Fold { from, slot } => {
-                        let acc = off.place(Dst::Slot(slot), len, arena, rbuf);
-                        acc.copy_from_slice(off.sent(&sbufs[m.dst], from, len));
-                        red.combine(acc, bytes);
+                        let out = off.place(Dst::Slot(slot), len, arena, rbuf);
+                        red.combine_into(out, self.sent(from, len), bytes);
                     }
                 }
             }
@@ -1094,6 +1073,11 @@ pub(crate) mod tests {
     thread_local! {
         /// [`compile`] calls made by the current test thread.
         pub(super) static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The blocks rank `r`'s receive cells take, in cell order.
+    pub(crate) fn cells_of(prog: &Program, r: Rank) -> Vec<Rank> {
+        prog.recv.key[prog.recv.of(r)].iter().map(|&key| key as Rank).collect()
     }
 
     /// [`compile`] calls the current test thread has made so far.
@@ -1273,7 +1257,7 @@ pub(crate) mod tests {
             &[(2, 3, &[(0, 3), (1, 3), (0, 4), (1, 4)])],
             &[(3, 4, &[(0, 4), (1, 4)])],
         ];
-        let mut walk = Walk::new(&g, shape, phases.len());
+        let mut walk = Walk::new(&g, shape, phases.len(), 0);
         for (k, sends) in phases.iter().enumerate() {
             let sent_before = walk.prog.send_order.len();
             for r in 0..g.n() {
@@ -1370,5 +1354,57 @@ pub(crate) mod tests {
         assert!(matches!(run(&sbufs), Err(ExecError::PayloadSizeMismatch { rank: 5, .. })));
         sbufs.pop();
         assert!(matches!(run(&sbufs), Err(ExecError::PayloadCountMismatch { got: 15, want: 16 })));
+    }
+
+    #[test]
+    fn a_partial_is_staged_only_when_it_folds() {
+        use crate::comm::DistGraphComm;
+        // (n, δ, seed, nodes of 2 × 8), and the slots each planner's
+        // reduce programs took when every partial reaching a forwarding
+        // agent was copied into one: DH, HL (l = 2), Bruck, CN (k = 4),
+        // naive. Both reduce shapes stage the same partials.
+        let graphs = [
+            ((64, 0.2, 300, 4), [670, 429, 245, 172, 0]),
+            ((48, 0.3, 7, 3), [501, 258, 141, 178, 0]),
+        ];
+        let algos = [
+            Algorithm::DistanceHalving,
+            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+            Algorithm::Bruck,
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::Naive,
+        ];
+        for ((n, delta, seed, nodes), staged_on_arrival) in graphs {
+            let g = erdos_renyi(n, delta, seed);
+            let layout = ClusterLayout::new(nodes, 2, 8);
+            let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
+            for (algo, before) in algos.into_iter().zip(staged_on_arrival) {
+                let plan = comm.alltoall_plan(algo).unwrap();
+                for shape in &SHAPES[1..] {
+                    let prog = compile(&plan, &g, *shape).unwrap();
+                    let (mut folds, mut slot_copies) = (0, 0);
+                    for (b, read) in prog.reads.iter().enumerate() {
+                        for step in &prog.steps[prog.steps_of(b)] {
+                            match (read.src, step) {
+                                (Src::Send(_), Step::Copy(Dst::Slot(_))) => {
+                                    panic!("{algo} {shape:?}: block {b} is copied off a send cell")
+                                }
+                                (_, Step::Copy(Dst::Slot(_))) => slot_copies += 1,
+                                (_, Step::Fold { .. }) => folds += 1,
+                                _ => {}
+                            }
+                        }
+                    }
+                    // a slot is a fold, or a folded partial's first arrival
+                    let slots = prog.slots.rank.len();
+                    assert_eq!(slots, folds + slot_copies, "{algo} {shape:?}");
+                    if matches!(algo, Algorithm::CommonNeighbor { .. } | Algorithm::Naive) {
+                        assert_eq!(slots, before, "{algo} {shape:?}: n = {n}");
+                    } else {
+                        assert!(slots < before, "{algo} {shape:?}: {slots} slots at n = {n}");
+                    }
+                }
+            }
+        }
     }
 }

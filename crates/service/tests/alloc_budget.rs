@@ -22,6 +22,13 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     // Bytes this thread allocated and has not freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    // Bytes this thread asked for: every allocation's size, and a
+    // reallocation's new size (the benchmark's `alloc_kb_per_op` rule).
+    static ASKED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn asked(bytes: usize) {
+    ASKED.with(|a| a.set(a.get() + bytes as u64));
 }
 
 fn track(calls: u64, bytes: i64) {
@@ -37,18 +44,21 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         track(1, layout.size() as i64);
+        asked(layout.size());
         // SAFETY: the caller's contract for `alloc` is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         track(1, layout.size() as i64);
+        asked(layout.size());
         // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         track(1, new_size as i64 - layout.size() as i64);
+        asked(new_size);
         // SAFETY: the caller's contract for `realloc` is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -212,6 +222,50 @@ fn a_warm_combining_tick_draws_its_receive_buffers_from_the_spare_set() {
         "{first} allocator calls for {REQUESTS} warm combining requests \
          (budget {WARM_COMBINING_TICK_CALLS})"
     );
+    assert_eq!(svc.report().stats.corrupt, 0);
+}
+
+/// The bytes one warm reduce_scatter and one warm allreduce of
+/// `combine-mixed`'s Distance Halving tenant allocate at 4 KiB blocks.
+/// Most of them are the request-scoped staging arena, and a slot is a
+/// partial that folded at a forwarding agent: a lone contribution is read
+/// at its origin's send cell and staged nowhere.
+#[test]
+fn a_warm_reduce_request_stages_only_the_partials_that_fold() {
+    let g = erdos_renyi(N, 0.2, 300);
+    let config = ServiceConfig { verify: nhood_service::Verify::None, ..Default::default() };
+    let mut svc = Service::new(config);
+    svc.add_tenant(g.clone(), ClusterLayout::new(4, 2, 8), Algorithm::DistanceHalving).unwrap();
+    let m = 4 << 10;
+    let request = |allreduce: bool, round: u8| {
+        if allreduce {
+            return SubmitRequest::allreduce(vec![vec![round; m]; N], Reduction::SUM_U8);
+        }
+        let per_edge = (0..N).map(|p| vec![p as u8 ^ round; g.outdegree(p) * m]).collect();
+        SubmitRequest::reduce_scatter(per_edge, Reduction::SUM_U8)
+    };
+    let budgets = [
+        ("reduce_scatter", false, WARM_REDUCE_SCATTER_BYTES),
+        ("allreduce", true, WARM_ALLREDUCE_BYTES),
+    ];
+    for (name, allreduce, budget) in budgets {
+        let mut one = |round: u8| {
+            let req = request(allreduce, round);
+            let before = ASKED.with(Cell::get);
+            svc.submit_request(0, req).expect("admitted");
+            assert_eq!(svc.tick(), 1, "one tick drains the request");
+            let done = svc.take_completions();
+            let bytes = ASKED.with(Cell::get) - before;
+            assert!(done.iter().all(|c| c.outcome.is_completed()));
+            bytes
+        };
+        one(0);
+        one(1);
+        let (first, second) = (one(2), one(3));
+        println!("warm {name} at 4 KiB blocks: {first} B allocated");
+        assert_eq!(second, first, "an identical warm request must allocate exactly as much");
+        assert!(first <= budget, "{first} B for one warm {name} (budget {budget} B)");
+    }
     assert_eq!(svc.report().stats.corrupt, 0);
 }
 
@@ -472,6 +526,14 @@ const WARM_GATHER_TICK_CALLS: u64 = 128;
 /// before the tick grouped in place. What is left is mostly the reduce
 /// shapes' request-scoped staging arena.
 const WARM_COMBINING_TICK_CALLS: u64 = 866;
+/// Bytes one warm Distance Halving reduce_scatter allocates at n = 64 and
+/// 4 KiB blocks (`a_warm_reduce_request_stages_only_the_partials_that_fold`):
+/// its 361 slots of 4 KiB are 1,478,656 of them. 3,009,632 when every
+/// partial reaching a forwarding agent took a slot (670 of them) — a jump
+/// back there means lone contributions are staged again.
+const WARM_REDUCE_SCATTER_BYTES: u64 = 1_743_968;
+/// The same for one warm allreduce, which stages the same partials.
+const WARM_ALLREDUCE_BYTES: u64 = 1_743_968;
 
 /// 5 % above the 1,134 calls the first alltoallv of a registered n = 96
 /// Distance Halving tenant costs today (12,316 while the combining family

@@ -212,10 +212,17 @@
 # own possession walk (per-rank held-block tables, `check_recvs`) and the
 # gather's arena slots went (program.rs). The service keeps one set of
 # books: per-tenant counters live on the tenant and `report` sums them.
+#
+# Then a reduce partial is staged only when it folds: 12,755 -> 12,754.
+# `Reduction::combine_into` shares `combine`'s one lane kernel, and the
+# program keeps one key per wire block with read sites for the reduce
+# shapes only; the routed arrival branch, `Tables::sent` and the
+# `arrive_partial` wrapper went, and the test-only `Program::cells_of`
+# moved into the test module it serves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=12755   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=12754   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1558  # crates/service/src
 BENCH_BUDGET=3834    # crates/bench/src
 
