@@ -96,13 +96,13 @@ impl Args {
 /// Parses a human-friendly byte size: `64`, `4K`, `2M` (powers of 1024).
 pub fn parse_bytes(s: &str) -> Result<usize, ArgError> {
     let s = s.trim();
-    let (num, mult) = match s.chars().last() {
+    let (n, mult) = match s.chars().last() {
         Some('K') | Some('k') => (&s[..s.len() - 1], 1usize << 10),
         Some('M') | Some('m') => (&s[..s.len() - 1], 1usize << 20),
         Some('G') | Some('g') => (&s[..s.len() - 1], 1usize << 30),
         _ => (s, 1),
     };
-    num.parse::<usize>().map(|v| v * mult).map_err(|_| ArgError(format!("bad byte size '{s}'")))
+    n.parse().ok().and_then(|v| mult.checked_mul(v)).ok_or(ArgError(format!("bad byte size '{s}'")))
 }
 
 #[cfg(test)]
@@ -152,5 +152,12 @@ mod tests {
         assert_eq!(parse_bytes("1G").unwrap(), 1 << 30);
         assert!(parse_bytes("x").is_err());
         assert!(parse_bytes("4X").is_err());
+    }
+
+    #[test]
+    fn an_overflowing_byte_size_is_refused() {
+        // 2^34 · 2^30 = 2^64 bytes: one past usize::MAX, never a wrapped size
+        assert!(parse_bytes("17179869184G").is_err());
+        assert_eq!(parse_bytes("17179869183G").unwrap(), usize::MAX - (1 << 30) + 1);
     }
 }

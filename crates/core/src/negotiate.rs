@@ -48,8 +48,8 @@
 //!
 //! * `fifo` delivers a round's signals from one global FIFO queue, in
 //!   process: deterministic, every signal counted for the Fig. 8 analysis,
-//!   optionally logged in causal order ([`negotiation_events`]). The
-//!   sequential builder, `remap` and the tuner run it.
+//!   optionally logged in causal order ([`negotiation_events`]). Every
+//!   Distance Halving build runs it through the sequential builder.
 //! * [`build_pattern_distributed_pooled_v`] makes every rank a machine on
 //!   the one rank runtime, over its fault transport, under a
 //!   [`FaultPlan`]: on the logical clock, in the order the plan's seed

@@ -139,11 +139,9 @@ impl ZipfSizes {
     pub fn new(size_min: usize, size_max: usize, s: f64) -> Self {
         let min = size_min.max(1);
         let max = size_max.max(min);
-        let mut ladder = vec![min];
-        while ladder.last().unwrap().saturating_mul(2) <= max {
-            let next = ladder.last().unwrap() * 2;
-            ladder.push(next);
-        }
+        let rungs =
+            std::iter::successors(Some(min), |&rung| rung.checked_mul(2).filter(|&r| r <= max));
+        let ladder: Vec<usize> = rungs.collect();
         let weights: Vec<f64> = (1..=ladder.len()).map(|k| 1.0 / (k as f64).powf(s)).collect();
         let total: f64 = weights.iter().sum();
         let mut acc = 0.0;
@@ -492,6 +490,13 @@ mod tests {
         assert_eq!(z.ladder(), &[100]);
         let mut rng = DetRng::seed_from_u64(2);
         assert_eq!(z.sample(&mut rng), 100);
+    }
+
+    #[test]
+    fn the_ladder_to_usize_max_stops_at_the_last_power_of_two() {
+        let z = ZipfSizes::new(1, usize::MAX, 1.0);
+        assert_eq!(z.ladder().len(), 64);
+        assert_eq!(z.ladder().last(), Some(&(1 << 63)));
     }
 
     #[test]
