@@ -9,13 +9,13 @@
 //! origin's buffer. Halving stops for a segment once it fits on one
 //! socket (`≤ L` ranks).
 //!
-//! [`build_pattern_recorded_v`] drives the negotiation through its
-//! deterministic FIFO driver (scales to thousands of ranks, counts every
-//! signal for the Fig. 8 overhead analysis);
-//! [`crate::negotiate::build_pattern_distributed_pooled_v`] runs it as
-//! rank machines exchanging signals over a fault transport — the closest
+//! [`build_pattern_recorded_v`] computes each round's matching — the one
+//! every delivery order of the protocol reaches — without a signal;
+//! [`crate::negotiate::build_pattern_distributed_pooled_v`] runs the
+//! protocol as rank machines over a fault transport — the closest
 //! analogue of the paper's MPI-side code. Both score through
-//! `score_step` and fold their decisions through one `PatternAssembler`.
+//! `score_step`, fold their decisions through one `PatternAssembler` and
+//! build the same pattern.
 //!
 //! # Interpretation notes (where the paper's pseudocode is ambiguous)
 //!
@@ -31,7 +31,7 @@
 //!   arrives (Algorithm 4 lines 15–17) and therefore never appear in the
 //!   responsibility map.
 
-use crate::negotiate::{self, Matching, Round};
+use crate::negotiate::{self, Matching, Scored};
 use crate::pattern::{in_range, range_len, split_half, DhPattern, DhStep, SelectionStats};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
@@ -155,14 +155,14 @@ fn rounds_of(active: &[(Rank, Rank)]) -> impl Iterator<Item = ((Rank, Rank), (Ra
 /// Scores one halving step's rounds ([`rounds_of`]'s order) through
 /// [`negotiate::score`] on `pool`, in chunks of [`SCORE_CHUNK`]
 /// proposers. Chunks come back in job order — round-major,
-/// proposer-ascending — so any pool yields the serial build's tables.
+/// proposer-ascending — so any pool yields the serial build's rows.
 pub(crate) fn score_step(
     graph: &Topology,
     active: &[(Rank, Rank)],
     sizes: &BlockSizes,
     metric: LoadMetric,
     pool: &WorkerPool,
-) -> Vec<Round> {
+) -> Vec<Scored> {
     let rounds: Vec<_> = rounds_of(active).collect();
     let jobs: Vec<(usize, Rank)> = rounds
         .iter()
@@ -172,7 +172,7 @@ pub(crate) fn score_step(
         })
         .collect();
     let scale = metric.scale(sizes);
-    let chunks = pool.map(jobs.len(), |j| {
+    let mut chunks = pool.map(jobs.len(), |j| {
         let (ri, s) = jobs[j];
         let (props, accs) = rounds[ri];
         negotiate::score(
@@ -187,10 +187,10 @@ pub(crate) fn score_step(
     });
     rounds
         .iter()
-        .enumerate()
-        .map(|(ri, &(props, accs))| {
-            let mine = jobs.partition_point(|j| j.0 < ri)..jobs.partition_point(|j| j.0 <= ri);
-            Round::new(props.0..props.1 + 1, accs.0..accs.1 + 1, &chunks[mine])
+        .map(|&(props, accs)| Scored {
+            props: props.0..props.1 + 1,
+            accs: accs.0..accs.1 + 1,
+            chunks: chunks.drain(..range_len(props).div_ceil(SCORE_CHUNK)).collect(),
         })
         .collect()
 }
@@ -222,8 +222,8 @@ pub(crate) fn step_decisions(
 ///   toward the proposer with fewer block bytes in `sizes` — the
 ///   cheapest block for the agent to take on (candidacy and ordering
 ///   are unchanged on uniform sizes);
-/// * `pool` runs the per-half scoring and the protocol rounds. Scoring
-///   jobs are chunked proposer ranges and the FIFO drives of independent
+/// * `pool` runs the per-half scoring and the rounds' matchings. Scoring
+///   jobs are chunked proposer ranges and the matchings of independent
 ///   rounds run concurrently; results are merged in a fixed (segment,
 ///   round, rank) order, so the pattern — and any plan lowered from it —
 ///   is **byte-identical** to a serial build;
@@ -251,7 +251,8 @@ pub fn build_pattern_recorded_v(
                 let rounds = score_step(graph, &active, sizes, metric, pool);
                 rec.span_end(0, labels::BUILD_SCORE);
                 rec.span_begin(0, labels::BUILD_MATCH);
-                let matchings = pool.map(rounds.len(), |i| negotiate::fifo(&rounds[i], None));
+                let matchings =
+                    pool.map(rounds.len(), |i| negotiate::deferred_acceptance(&rounds[i]));
                 rec.span_end(0, labels::BUILD_MATCH);
                 matchings
             }

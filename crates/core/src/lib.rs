@@ -12,9 +12,9 @@
 //!
 //! * [`builder`] runs Algorithm 1 — recursive communicator halving with
 //!   joint agent/origin selection — producing a [`pattern::DhPattern`];
-//!   [`negotiate`] is that selection (Algorithms 2–3: one
-//!   REQ/ACCEPT/DROP/EXIT transition function over one scoring kernel,
-//!   driven by a counted FIFO queue or by the rank runtime).
+//!   [`negotiate`] is that selection (Algorithms 2–3: the greedy
+//!   matching they reach, and one REQ/ACCEPT/DROP/EXIT transition
+//!   function, replayed by a FIFO queue or run on the rank runtime).
 //! * [`lower`] turns the pattern into an executable
 //!   [`plan::CollectivePlan`] (the planning half of Algorithm 4);
 //!   [`naive`] and [`common_neighbor`] produce plans of the same shape.

@@ -1,23 +1,25 @@
 //! One negotiation: the joint agent/origin selection of Algorithms 2–3
-//! (REQ / ACCEPT / DROP / EXIT) as one per-rank transition function over
-//! one scoring kernel, run by two drivers.
+//! (REQ / ACCEPT / DROP / EXIT) — the matching it computes, and the
+//! per-rank transition function that computes it signal by signal.
 //!
 //! One **round** is half of one halving step: every rank of one half
 //! (the *proposers*) runs `find_agent` while every rank of the other half
 //! (the *acceptors*) runs `find_origin`.
 //!
-//! # Scoring
+//! # Scoring and the matching
 //!
 //! The *score* of a pair is the number of outgoing neighbors the two
 //! ranks share **inside the acceptor half** (the paper's matrix-A query);
 //! a pair is a candidate iff it shares one, which makes the relation
 //! symmetric. `score` gathers it per proposer through the in-neighbor
-//! lists, and `Round::new` freezes a round's pairs into one two-sided
-//! table: every rank's candidates best-first by (score desc, rank asc),
-//! each pair linked to its mirror in the peer's row. Under
-//! [`LoadMetric::Bytes`] shared-count ties break toward the proposer with
-//! fewer block bytes; the byte term is the proposer's on both sides of a
-//! pair and never makes or breaks candidacy.
+//! lists, each proposer's candidates best-first by (score desc, acceptor
+//! asc). Under [`LoadMetric::Bytes`] shared-count ties break toward the
+//! proposer with fewer block bytes; the byte term is the proposer's on
+//! both sides of a pair and never makes or breaks candidacy. Both sides
+//! thus rank pairs by one order, (score desc, proposer asc, acceptor
+//! asc): a round has one stable matching, the greedy one, and every
+//! delivery order of the protocol reaches it (docs/ALGORITHM.md §5). The
+//! sequential build computes it without a signal: `deferred_acceptance`.
 //!
 //! # The protocol
 //!
@@ -37,29 +39,18 @@
 //! next live one; once ACCEPTed it EXITs everyone it has not written to.
 //! An acceptor ACCEPTs its best live candidate as soon as that one has
 //! REQ'd and DROPs everyone it has not written to. A round ends for a rank
-//! exactly when every one of its pairs is resolved in both directions —
-//! no counter shared between ranks, no barrier, and no stray signal can
-//! leak into a later round — so every round satisfies
-//! `req + exit == accept + drop`. (The published `c_s + c_r = c_t`
-//! counting never terminates when an unmatched acceptor receives an EXIT;
-//! the acknowledgements make it watertight under crossings.)
+//! exactly when every one of its pairs is resolved in both directions, so
+//! it sends 2 × pairs signals under every order — an ACCEPT per match, a
+//! DROP per other pair; only the REQ / EXIT split moves.
 //!
-//! # Two drivers
+//! # Two signal drivers
 //!
-//! * `fifo` delivers a round's signals from one global FIFO queue, in
-//!   process: deterministic, every signal counted for the Fig. 8 analysis,
-//!   optionally logged in causal order ([`negotiation_events`]). Every
-//!   Distance Halving build runs it through the sequential builder.
-//! * [`build_pattern_distributed_pooled_v`] makes every rank a machine on
-//!   the one rank runtime, over its fault transport, under a
-//!   [`FaultPlan`]: on the logical clock, in the order the plan's seed
-//!   draws (first come, first served without one), so a fault schedule
-//!   replays exactly and a timeout costs no wall time. The robust path
-//!   runs it.
-//!
-//! Both hand `step` a rank's own slice of pair flags; the matching any
-//! delivery order reaches is a valid one (the tests drive `step` in
-//! seeded orders), and the FIFO order's is the one every golden pins.
+//! Both run `step` over a `Round`, a scored round frozen two-sided:
+//! `fifo` delivers its signals from one global FIFO queue — the causal
+//! replay behind [`negotiation_events`] (Fig. 8), with the per-signal
+//! tally, and the tests' oracle; [`build_pattern_distributed_pooled_v`]
+//! — the robust path's — makes every rank a machine on the rank runtime,
+//! over its fault transport.
 
 use crate::builder::{
     check_inputs, score_step, segments_per_step, step_decisions, BuildError, PatternAssembler,
@@ -93,11 +84,9 @@ pub(crate) enum Sig {
 
 /// One observable protocol event, in global causal order: a signal is
 /// `Sent` when its sender emits it and `Received` when its receiver
-/// processes it. The per-rank subsequences of this log are exactly the
-/// blocking send/recv programs the ranks executed, which lets the
-/// `nhood-bench` Fig. 8 harness replay a negotiation through the network
-/// simulator and *measure* the pattern-creation time instead of
-/// estimating it.
+/// processes it. Each rank's subsequence is the blocking send/recv
+/// program it ran, which the Fig. 8 harness replays through the network
+/// simulator to *measure* the pattern-creation time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// `from` emitted a signal addressed to `to`.
@@ -134,13 +123,10 @@ fn within(list: &[Rank], range: (Rank, Rank)) -> &[Rank] {
 
 /// The scoring kernel: the candidate pairs of proposers `ps` (part of
 /// the half `props`) against the acceptor half `accs`, proposer by
-/// proposer, each proposer's pairs best-first.
-///
-/// `score(p, a)` counts the targets `t ∈ out(p) ∩ out(a)` inside `accs`,
-/// so it gathers per proposer through `in(t)` — every `a ∈ in(t)` inside
-/// `accs` shares `t` with `p`. Only O(candidate-edge) cells are touched
-/// (the dense counter resets through the touched list), so peak memory
-/// follows the graph's edge count, not n².
+/// proposer, each proposer's pairs best-first. It gathers per proposer
+/// through `in(t)` for each target `t ∈ out(p)` inside `accs`, touching
+/// only O(candidate-edge) cells (the dense counter resets through the
+/// touched list): peak memory follows the edge count, not n².
 pub(crate) fn score(
     graph: &Topology,
     props: (Rank, Rank),
@@ -173,11 +159,58 @@ pub(crate) fn score(
     out
 }
 
-/// One round's frozen candidate graph, both sides in one CSR. Row `i` is
-/// a rank: rows `0..np` the proposers from `p0` up, the rest the
-/// acceptors from `a0` up. A row's pairs are `off[i]..off[i + 1]`,
-/// best-first; `peer[j]` is the other side's row of pair `j` and
-/// `mirror[j]` the same pair's index in that row.
+/// One scored round: proposers `props`, acceptors `accs`, and the
+/// kernel's output for them in `chunks` (proposer-ascending once joined).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Scored {
+    pub(crate) props: Range<Rank>,
+    pub(crate) accs: Range<Rank>,
+    pub(crate) chunks: Vec<Vec<Pair>>,
+}
+
+/// The round's matching, which every delivery order of the protocol
+/// reaches, by deferred acceptance: a free proposer walks its best-first
+/// row; an acceptor holds its best suitor by (score desc, proposer asc),
+/// and the one it drops walks on from where it stopped.
+pub(crate) fn deferred_acceptance(round: &Scored) -> Matching {
+    let (np, lo) = (round.props.len(), round.props.start.min(round.accs.start));
+    let mut rows: Vec<&[Pair]> = vec![&[]; np];
+    for row in round.chunks.iter().flat_map(|c| c.chunk_by(|x, y| x.p == y.p)) {
+        rows[row[0].p as usize] = row;
+    }
+    // per acceptor, its suitor's (score, proposer) — `None` < any suitor
+    let mut held: Vec<Option<(usize, Reverse<u32>)>> = vec![None; round.accs.len()];
+    for first in 0..np as u32 {
+        let mut free = Some(first);
+        while let Some(p) = free.take() {
+            while let Some((c, rest)) = rows[p as usize].split_first() {
+                rows[p as usize] = rest;
+                let bid = Some((c.score, Reverse(p)));
+                if bid > held[c.a as usize] {
+                    free = std::mem::replace(&mut held[c.a as usize], bid).map(|(_, q)| q.0);
+                    break;
+                }
+            }
+        }
+    }
+    let mut sel = vec![None; round.props.end.max(round.accs.end) - lo];
+    for (a, h) in held.iter().enumerate() {
+        if let Some((_, Reverse(p))) = *h {
+            let (p, a) = (round.props.start + p as usize, round.accs.start + a);
+            (sel[p - lo], sel[a - lo]) = (Some(a), Some(p));
+        }
+    }
+    let pairs = round.chunks.iter().map(Vec::len).sum();
+    let agents_found = held.iter().flatten().count();
+    let stats = SelectionStats { pairs, agent_searches: np, agents_found, ..Default::default() };
+    Matching { sel, stats }
+}
+
+/// One round's frozen candidate graph, both sides in one CSR, for the
+/// signal drivers. Row `i` is a rank: rows `0..np` the proposers from
+/// `p0` up, the rest the acceptors from `a0` up. A row's pairs are
+/// `off[i]..off[i + 1]`, best-first; `peer[j]` is the other side's row of
+/// pair `j` and `mirror[j]` the same pair's index in that row.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Round {
     p0: Rank,
@@ -189,15 +222,14 @@ pub(crate) struct Round {
 }
 
 impl Round {
-    /// Freezes a round of proposers `props` and acceptors `accs` from the
-    /// kernel's output (`chunks` concatenated: proposer-ascending, each
-    /// proposer best-first). The acceptor rows are its transpose,
+    /// Freezes a scored round. The acceptor rows are its transpose,
     /// best-first by (score desc, proposer asc) — the comparator both
     /// sides share.
-    pub(crate) fn new(props: Range<Rank>, accs: Range<Rank>, chunks: &[Vec<Pair>]) -> Self {
-        let (np, na) = (props.len(), accs.len());
-        let pairs = || chunks.iter().flatten();
-        let mut off = vec![0u32; np + na + 1];
+    pub(crate) fn new(round: &Scored) -> Self {
+        let (props, accs) = (&round.props, &round.accs);
+        let np = props.len();
+        let pairs = || round.chunks.iter().flatten();
+        let mut off = vec![0u32; np + accs.len() + 1];
         for c in pairs() {
             off[c.p as usize + 1] += 1;
             off[np + c.a as usize + 1] += 1;
@@ -205,23 +237,15 @@ impl Round {
         for i in 1..off.len() {
             off[i] += off[i - 1];
         }
-        let (half, total) = (off[np] as usize, off[np + na] as usize);
-        let (mut peer, mut mirror) = (vec![0u32; total], vec![0u32; total]);
-        // counting sort into acceptor rows, proposer-ascending, then each
-        // row best-first
-        let mut fill: Vec<u32> = off[np..np + na].to_vec();
-        let mut acc = vec![(Reverse(0usize), 0u32, 0u32); total - half];
-        for (j, c) in pairs().enumerate() {
-            peer[j] = (np + c.a as usize) as u32;
-            let q = &mut fill[c.a as usize];
-            acc[*q as usize - half] = (Reverse(c.score), c.p, j as u32);
-            *q += 1;
-        }
-        for a in np..np + na {
-            acc[off[a] as usize - half..off[a + 1] as usize - half].sort_unstable();
-        }
-        for (q, &(_, p, j)) in (half..).zip(&acc) {
-            (peer[q], mirror[q], mirror[j as usize]) = (p, j, q as u32);
+        let mut acc: Vec<_> =
+            pairs().zip(0u32..).map(|(c, j)| (c.a, Reverse(c.score), c.p, j)).collect();
+        acc.sort_unstable();
+        let mut peer: Vec<u32> = pairs().map(|c| (np + c.a as usize) as u32).collect();
+        let mut mirror = vec![0; peer.len()];
+        for (q, &(_, _, p, j)) in (peer.len() as u32..).zip(&acc) {
+            mirror[j as usize] = q;
+            peer.push(p);
+            mirror.push(j);
         }
         Self { p0: props.start, a0: accs.start, np, off, peer, mirror }
     }
@@ -285,6 +309,7 @@ pub(crate) struct RankState {
 
 /// Sets `bits` on pair `k`, closing it once it is resolved both ways.
 fn mark(flags: &mut [u8], me: &mut RankState, k: usize, bits: u8) {
+    debug_assert_eq!(flags[k] & bits, 0, "a second signal one way on a pair");
     if flags[k] & RESOLVED != RESOLVED && (flags[k] | bits) & RESOLVED == RESOLVED {
         me.open -= 1;
     }
@@ -377,16 +402,6 @@ pub(crate) fn step(
     }
 }
 
-/// Adds one sent signal to the tallies.
-fn count(stats: &mut SelectionStats, sig: Sig) {
-    match sig {
-        Sig::Req => stats.req += 1,
-        Sig::Accept => stats.accept += 1,
-        Sig::Drop => stats.drop += 1,
-        Sig::Exit => stats.exit += 1,
-    }
-}
-
 /// One round's outcome: `sel[r - lowest]` is what rank `r` selected (a
 /// proposer its agent, an acceptor its origin), `lowest` the round's
 /// lowest rank, plus the round's tallies.
@@ -398,32 +413,29 @@ pub(crate) struct Matching {
 
 /// A signal in flight: its receiver's row, the pair as an index into the
 /// round's table (in the receiver's row), and its kind.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Flight {
-    to: u32,
-    pair: u32,
-    sig: Sig,
-}
+pub(crate) type Flight = (u32, u32, Sig);
 
 /// The FIFO driver: one round, every signal delivered in the order it
 /// was sent. With `log`, every send and receive is appended to it in
 /// causal order.
-pub(crate) fn fifo(round: &Round, log: Option<&mut Vec<Event>>) -> Matching {
+pub(crate) fn fifo(round: &Round, log: Option<&mut Vec<Event>>) -> (Vec<Option<Rank>>, [usize; 4]) {
     drive(round, log, VecDeque::pop_front)
 }
 
 /// Runs a round to the end, delivering the signal `next` takes off the
 /// queue of those in flight (any one: at most one signal per direction of
-/// a pair is ever in flight, so any order keeps per-link FIFO).
+/// a pair is ever in flight, so any order keeps per-link FIFO), into the
+/// selections (as [`Matching::sel`]) and the signals sent by kind
+/// (`Sig as usize`: REQ, ACCEPT, DROP, EXIT).
 pub(crate) fn drive(
     round: &Round,
     mut log: Option<&mut Vec<Event>>,
     mut next: impl FnMut(&mut VecDeque<Flight>) -> Option<Flight>,
-) -> Matching {
+) -> (Vec<Option<Rank>>, [usize; 4]) {
     let mut flags = vec![0u8; round.peer.len()];
     let mut state = vec![RankState::default(); round.rows()];
     let mut queue = VecDeque::new();
-    let mut stats = SelectionStats { agent_searches: round.np, ..SelectionStats::default() };
+    let mut sent = [0; 4];
     let mut deliver = |i: usize,
                        input,
                        queue: &mut VecDeque<Flight>,
@@ -431,40 +443,39 @@ pub(crate) fn drive(
         let row = round.row(i);
         step(i < round.np, &mut flags[row.clone()], &mut state[i], input, &mut |k, sig| {
             let j = row.start + k;
-            count(&mut stats, sig);
+            sent[sig as usize] += 1;
             if let Some(l) = log.as_deref_mut() {
                 l.push(Event::Sent { from: round.rank(i), to: round.rank(round.peer[j] as usize) });
             }
-            queue.push_back(Flight { to: round.peer[j], pair: round.mirror[j], sig });
+            queue.push_back((round.peer[j], round.mirror[j], sig));
         });
     };
     for i in 0..round.rows() {
         deliver(i, None, &mut queue, &mut log);
     }
-    while let Some(f) = next(&mut queue) {
-        let (to, pair) = (f.to as usize, f.pair as usize);
+    while let Some((to, pair, sig)) = next(&mut queue) {
+        let (to, pair) = (to as usize, pair as usize);
         if let Some(l) = log.as_deref_mut() {
             let from = round.rank(round.peer[pair] as usize);
             l.push(Event::Received { by: round.rank(to), from });
         }
-        deliver(to, Some((pair - round.off[to] as usize, f.sig)), &mut queue, &mut log);
+        deliver(to, Some((pair - round.off[to] as usize, sig)), &mut queue, &mut log);
     }
     debug_assert!(state.iter().all(|s| s.open == 0), "a round ended with a pair unresolved");
-    stats.agents_found = state[..round.np].iter().filter(|s| s.sel.is_some()).count();
     let span = round.span();
     let mut sel = vec![None; span.len()];
     for (i, s) in state.iter().enumerate() {
         let peer = s.sel.map(|k| round.peer[round.off[i] as usize + k as usize] as usize);
         sel[round.rank(i) - span.start] = peer.map(|row| round.rank(row));
     }
-    Matching { sel, stats }
+    (sel, sent)
 }
 
-/// One halving step: its active segments and their scored rounds (two
-/// per segment, A then B).
+/// One halving step: its active segments and their rounds, frozen for
+/// the signal drivers (two per segment, A then B).
 type ScoredStep = (Vec<(Rank, Rank)>, Vec<Round>);
 
-/// Every halving step of `graph` at `l` ranks per socket, scored.
+/// Every halving step of `graph` at `l` ranks per socket, frozen.
 fn scored_steps(
     graph: &Topology,
     l: usize,
@@ -474,7 +485,7 @@ fn scored_steps(
 ) -> Vec<ScoredStep> {
     let step = |active: Vec<(Rank, Rank)>| {
         let rounds = score_step(graph, &active, sizes, metric, pool);
-        (active, rounds)
+        (active, rounds.iter().map(Round::new).collect())
     };
     segments_per_step(graph.n(), l).map(step).collect()
 }
@@ -484,13 +495,11 @@ fn scored_steps(
 /// FIFO driver, in causal order — what Fig. 8 replays through the
 /// network simulator.
 pub fn negotiation_events(graph: &Topology, layout: &ClusterLayout) -> Vec<Event> {
-    let mut log = Vec::new();
-    let (sizes, serial) = (BlockSizes::default(), WorkerPool::serial());
-    let l = layout.ranks_per_socket();
-    for (_, rounds) in scored_steps(graph, l, &sizes, LoadMetric::Neighbors, &serial) {
-        for round in &rounds {
-            fifo(round, Some(&mut log));
-        }
+    let (mut log, sizes, serial) = (Vec::new(), BlockSizes::default(), WorkerPool::serial());
+    let steps =
+        scored_steps(graph, layout.ranks_per_socket(), &sizes, LoadMetric::Neighbors, &serial);
+    for round in steps.iter().flat_map(|(_, rounds)| rounds) {
+        fifo(round, Some(&mut log));
     }
     log
 }
@@ -498,9 +507,9 @@ pub fn negotiation_events(graph: &Topology, layout: &ClusterLayout) -> Vec<Event
 /// Builds the Distance Halving pattern by running the negotiation rank
 /// by rank on the logical clock — fault-free, so first come, first
 /// served — under [`RECV_TIMEOUT`], with count-based scoring, unrecorded:
-/// the defaults of [`build_pattern_distributed_pooled_v`]. The matching
-/// is [`crate::builder::build_pattern`]'s (it does not depend on the
-/// order signals cross in); the tallies may differ.
+/// the defaults of [`build_pattern_distributed_pooled_v`]. The pattern is
+/// [`crate::builder::build_pattern`]'s, statistics included: the matching
+/// and the tallies do not depend on the order signals cross in.
 pub fn build_pattern_distributed(
     graph: &Topology,
     layout: &ClusterLayout,
@@ -518,15 +527,13 @@ pub fn build_pattern_distributed(
 /// retry budget, delays deliver late, slow ranks stall at step entry;
 /// duplication is not applied — the two-message invariant assumes
 /// exactly-once delivery, as MPI's), its sink tallies the faults, its
-/// recorder gets a `negotiate` span per rank and halving step, a
-/// negotiation-round event per proposer/acceptor role and a retry event
-/// per retransmitted signal. A rank that hears nothing for
-/// `opts.recv_timeout` returns [`BuildError::NegotiationTimeout`]
-/// instead of hanging, and the first timeout ends the negotiation (of
-/// those at one instant, the lowest rank's is reported). The ranks run on
-/// the logical clock — a timeout costs no wall time — in the
-/// order the fault plan's seed draws: one (graph, layout, fault plan)
-/// negotiates one way.
+/// recorder gets a `negotiate` span per rank and step, a round event per
+/// role and a retry event per retransmission. A rank that hears nothing
+/// for `opts.recv_timeout` returns [`BuildError::NegotiationTimeout`],
+/// and the first timeout ends the negotiation (of those at one instant,
+/// the lowest rank's). The ranks run on the logical clock — a timeout
+/// costs no wall time — in the order the fault plan's seed draws (first
+/// come, first served without one): a fault schedule replays exactly.
 pub fn build_pattern_distributed_pooled_v(
     graph: &Topology,
     layout: &ClusterLayout,
@@ -543,7 +550,6 @@ pub fn build_pattern_distributed_pooled_v(
             steps: &steps,
             opts,
             picks: Vec::with_capacity(steps.len()),
-            stats: SelectionStats::default(),
             round: None,
             flags: Vec::new(),
             me: RankState::default(),
@@ -553,10 +559,16 @@ pub fn build_pattern_distributed_pooled_v(
         .collect();
     let (local, clock) = (FaultStats::default(), Clock::Logical(opts.fault.map(FaultPlan::seed)));
     runtime::run(&mut ranks, opts, opts.fault_sink.unwrap_or(&local), clock)?;
-    let mut stats = SelectionStats::default();
-    ranks.iter().for_each(|rank| stats.merge(&rank.stats));
+    // (a match is two picks: the proposer's agent and the acceptor's origin)
+    let picks = ranks.iter().flat_map(|rank| rank.picks.iter().flatten());
+    let mut stats =
+        SelectionStats { agents_found: picks.flatten().count() / 2, ..Default::default() };
     let mut asm = PatternAssembler::new(graph, layout.ranks_per_socket());
-    for (t, (active, _)) in steps.iter().enumerate() {
+    for (t, (active, rounds)) in steps.iter().enumerate() {
+        for round in rounds {
+            stats.pairs += round.peer.len() / 2;
+            stats.agent_searches += round.np;
+        }
         asm.step(&step_decisions(active, |_, p| ranks[p].picks[t]));
     }
     Ok(asm.finish(&stats))
@@ -582,7 +594,6 @@ struct Negotiator<'a> {
     opts: &'a ExecOptions<'a>,
     /// Per step entered, its selection in round A and in round B.
     picks: Vec<[Option<Rank>; 2]>,
-    stats: SelectionStats,
     /// The round being played (0 or 1) among the step's two tables, and
     /// the rank's pair flags and state in it.
     round: Option<(u8, &'a [Round])>,
@@ -641,11 +652,9 @@ impl Machine for Negotiator<'_> {
                 return Ok(Poll::Blocked { deadline });
             }
             let (table, sel) = (&tables[r as usize], self.me.sel);
-            let i = table.row_of(p);
-            let pick =
-                sel.map(|k| table.rank(table.peer[table.row(i).start + k as usize] as usize));
-            self.stats.agents_found += usize::from(i < table.np && pick.is_some());
-            self.picks[t][r as usize] = pick;
+            let row = table.row(table.row_of(p));
+            self.picks[t][r as usize] =
+                sel.map(|k| table.rank(table.peer[row.start + k as usize] as usize));
             if r == 0 {
                 self.step(1, tables, None, port);
             } else {
@@ -677,16 +686,14 @@ impl<'a> Negotiator<'a> {
         let i = table.row_of(p);
         let (row, proposer) = (table.row(i), i < table.np);
         if input.is_none() {
-            self.stats.agent_searches += usize::from(proposer);
             self.opts.recorder.negotiation_round(p);
             self.flags.clear();
             self.flags.resize(row.len(), 0);
             (self.round, self.heard) = (Some((r, tables)), port.now);
         }
-        let (input, stats) = (input.map(|s| (s.pair as usize - row.start, s.sig)), &mut self.stats);
+        let input = input.map(|s| (s.pair as usize - row.start, s.sig));
         step(proposer, &mut self.flags, &mut self.me, input, &mut |k, sig| {
             let j = row.start + k;
-            count(stats, sig);
             let signal = Signal { step: t as u32, round: r, pair: table.mirror[j], sig };
             // one signal per direction per pair per round: (step, round)
             // identifies it on its (src, dst) link
@@ -707,13 +714,17 @@ mod tests {
     use nhood_topology::rng::{hash_mix, DetRng};
     use std::collections::HashMap;
 
-    /// Checks one driven round against the protocol's contract.
-    fn check_round(round: &Round, m: &Matching) {
-        let s = m.stats;
-        // every pair resolved both ways: exactly one signal each way
-        assert_eq!(s.total_signals(), round.peer.len(), "a pair left unresolved");
-        assert_eq!(s.req + s.exit, s.accept + s.drop);
-        let sel = |r: Rank| m.sel[r - round.span().start];
+    /// Checks one driven round against the protocol's contract, and
+    /// returns its statistics.
+    fn check_round(round: &Round, (sel, sent): &(Vec<Option<Rank>>, [usize; 4])) -> SelectionStats {
+        // every pair resolved both ways: exactly one signal each way, an
+        // ACCEPT per match and a DROP for every other pair
+        let [req, accept, drop, exit] = *sent;
+        let (pairs, agents_found) = (round.peer.len() / 2, sel.iter().flatten().count() / 2);
+        assert_eq!(sent.iter().sum::<usize>(), 2 * pairs, "a pair left unresolved");
+        assert_eq!(req + exit, accept + drop);
+        assert_eq!((accept, drop), (agents_found, pairs - agents_found));
+        let sel = |r: Rank| sel[r - round.span().start];
         let cands = |i: usize| round.row(i).map(|j| round.rank(round.peer[j] as usize));
         for i in 0..round.rows() {
             let r = round.rank(i);
@@ -725,6 +736,7 @@ mod tests {
                 assert_eq!(free, None, "proposer {r} and acceptor {free:?} both unmatched");
             }
         }
+        SelectionStats { pairs, agent_searches: round.np, agents_found, ..Default::default() }
     }
 
     /// The pattern of `steps`' scored rounds, every round driven in the
@@ -733,53 +745,51 @@ mod tests {
         let mut stats = SelectionStats::default();
         let mut asm = PatternAssembler::new(graph, l);
         for (t, (active, rounds)) in steps.iter().enumerate() {
-            let matchings: Vec<Matching> = rounds
+            let sels: Vec<Vec<Option<Rank>>> = rounds
                 .iter()
                 .enumerate()
                 .map(|(ri, round)| {
                     let mut rng = DetRng::seed_from_u64(hash_mix(&[seed, t as u64, ri as u64]));
-                    let m = match seed {
+                    let replay = match seed {
                         0 => fifo(round, None),
                         _ => drive(round, None, |q| {
                             let at = (!q.is_empty()).then(|| rng.gen_below(q.len()));
                             at.and_then(|i| q.swap_remove_back(i))
                         }),
                     };
-                    check_round(round, &m);
-                    stats.merge(&m.stats);
-                    m
+                    stats.merge(&check_round(round, &replay));
+                    replay.0
                 })
                 .collect();
             asm.step(&step_decisions(active, |si, p| {
-                let at = |m: &Matching| m.sel[p - active[si].0];
-                [at(&matchings[2 * si]), at(&matchings[2 * si + 1])]
+                let at = |sel: &Vec<Option<Rank>>| sel[p - active[si].0];
+                [at(&sels[2 * si]), at(&sels[2 * si + 1])]
             }));
         }
         asm.finish(&stats)
     }
 
-    /// Drives `graph`'s negotiation under 1,000 seeded delivery orders:
-    /// every round satisfies [`check_round`], every pattern lowers to a
-    /// valid plan with the FIFO order's matching, and seed 0 (global
-    /// FIFO) is `build_pattern_recorded_v`'s pattern field for field.
+    /// Drives `graph`'s negotiation under 1,000 seeded delivery orders
+    /// (seed 0: global FIFO): every round satisfies [`check_round`], and
+    /// every pattern lowers to a valid plan and is the one
+    /// `build_pattern_recorded_v` computes without a signal — the same
+    /// rows and the same order-free statistics.
     fn any_delivery_order(graph: &Topology, sizes: &BlockSizes, metric: LoadMetric) {
         let serial = WorkerPool::serial();
         let layout = ClusterLayout::new(graph.n().div_ceil(8), 2, 4);
         let l = layout.ranks_per_socket();
         let steps = scored_steps(graph, l, sizes, metric, &serial);
-        let fifo = drive_all(graph, l, &steps, 0);
         let strategy = PairingStrategy::LoadAware;
         let built =
             build_pattern_recorded_v(graph, &layout, strategy, sizes, metric, &serial, &NULL);
         let built = built.unwrap();
-        assert_eq!(fifo, built);
         for seed in 0..1_000 {
             let pattern = drive_all(graph, l, &steps, seed);
             lower(&pattern, graph)
                 .validate(graph)
                 .unwrap_or_else(|e| panic!("n = {} seed {seed}: {e}", graph.n()));
-            // the matching does not depend on the order: only tallies do
-            assert!(pattern.same_rows(&fifo), "n = {} seed {seed}", graph.n());
+            assert!(pattern.same_rows(&built), "n = {} seed {seed}", graph.n());
+            assert_eq!(pattern.stats, built.stats, "n = {} seed {seed}", graph.n());
         }
     }
 
@@ -818,13 +828,11 @@ mod tests {
 
     /// The robust negotiation under 1,000 fault seeds — drops past the
     /// retry budget, delays and a straggler — on the logical clock. Each
-    /// gives a pattern that lowers to a valid plan, with every candidate
-    /// pair of every round resolved by one signal each way (so `req +
-    /// exit == accept + drop` round by round), or a typed
+    /// gives a pattern that lowers to a valid plan or a typed
     /// `NegotiationTimeout`; a seed run twice gives the same pattern,
-    /// field for field, or the same error. The matching itself does not
-    /// depend on the order signals cross in — only the tallies do — so
-    /// every pattern that builds is the FIFO builder's, rank for rank.
+    /// field for field, or the same error. Neither the matching nor the
+    /// tallies depend on the order signals cross in, so every pattern
+    /// that builds is the sequential build's, field for field.
     #[test]
     fn any_fault_seed_negotiates_or_times_out_typed_and_replays() {
         use crate::fault::FaultPlan;
@@ -833,11 +841,8 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let (sizes, serial, metric) =
             (BlockSizes::default(), WorkerPool::serial(), LoadMetric::Neighbors);
-        let steps = scored_steps(&g, layout.ranks_per_socket(), &sizes, metric, &serial);
-        let signals: usize =
-            steps.iter().flat_map(|(_, rounds)| rounds).map(|r| r.peer.len()).sum();
         let mut built = 0;
-        let fifo = crate::builder::build_pattern(&g, &layout).expect("builds");
+        let sequential = crate::builder::build_pattern(&g, &layout).expect("builds");
         for seed in 0..1_000u64 {
             let fp = FaultPlan::seeded(seed)
                 .with_message_drop(0.3)
@@ -852,11 +857,8 @@ mod tests {
             match first {
                 Ok(pattern) => {
                     built += 1;
-                    let s = pattern.stats;
-                    assert_eq!(s.total_signals(), signals, "seed {seed}: a pair left unresolved");
-                    assert_eq!(s.req + s.exit, s.accept + s.drop, "seed {seed}");
                     lower(&pattern, &g).validate(&g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-                    assert!(pattern.same_rows(&fifo), "seed {seed}: not the FIFO matching");
+                    assert_eq!(pattern, sequential, "seed {seed}: not the sequential build");
                 }
                 Err(e) => {
                     assert!(matches!(e, BuildError::NegotiationTimeout { .. }), "seed {seed}: {e}")
@@ -908,6 +910,45 @@ mod tests {
         let out = fire(false, &mut flags, &mut me, Some((0, Sig::Exit)));
         assert_eq!(out, [(0, Sig::Drop), (1, Sig::Accept)]);
         assert_eq!((me.open, me.sel), (0, Some(1)));
+    }
+
+    /// Deferred acceptance against the FIFO replay on generated rounds:
+    /// ER shapes with prime n, isolated ranks (odd seeds), both metrics —
+    /// `Bytes` over a ragged table — and four or eight ranks a socket.
+    /// Every round's selections and order-free tallies agree: `pairs`,
+    /// `agents_found`, and the replay's ACCEPT and DROP counts.
+    #[test]
+    fn deferred_acceptance_is_the_fifo_matching_on_generated_rounds() {
+        let serial = WorkerPool::serial();
+        let mut rounds = 0;
+        for seed in 0..6u64 {
+            for (n, delta) in [(31, 0.05), (37, 0.3), (53, 0.6), (64, 0.15), (97, 0.1)] {
+                let mut g = erdos_renyi(n, delta, seed);
+                if seed % 2 == 1 {
+                    let alone = |r: Rank| [0, n / 2, n - 1].contains(&r);
+                    g = Topology::from_edges(n, g.edges().filter(|&(s, d)| !alone(s) && !alone(d)));
+                }
+                let ragged = (0..n).map(|r| (r * 7 + seed as usize) % 5 * 16).collect();
+                let tables = [
+                    (BlockSizes::default(), LoadMetric::Neighbors),
+                    (BlockSizes::per_rank(ragged), LoadMetric::Bytes),
+                ];
+                for ((sizes, metric), l) in tables.iter().flat_map(|t| [(t, 4), (t, 8)]) {
+                    for active in segments_per_step(n, l) {
+                        for scored in score_step(&g, &active, sizes, *metric, &serial) {
+                            let direct = deferred_acceptance(&scored);
+                            let round = Round::new(&scored);
+                            let replay = fifo(&round, None);
+                            let at = format!("n = {n} seed {seed} l = {l} {metric:?}");
+                            assert_eq!(direct.sel, replay.0, "{at}");
+                            assert_eq!(direct.stats, check_round(&round, &replay), "{at}");
+                            rounds += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rounds > 500, "{rounds} rounds");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 #[cfg(test)]
 mod tests {
     //! Algorithms 2–3 round by round through the FIFO driver, from score
-    //! tables. Every round is checked against the two-message invariant
-    //! `req + exit == accept + drop`.
+    //! tables. Every round is checked against the two-message invariant —
+    //! `req + exit == accept + drop`, one ACCEPT per match and a DROP for
+    //! every other pair — and against the matching deferred acceptance
+    //! computes without a signal.
 
-    use crate::negotiate::{fifo, Event, Matching, Pair, Round};
+    use crate::negotiate::{deferred_acceptance, fifo, Event, Matching, Pair, Round, Scored};
     use crate::pattern::SelectionStats;
     use nhood_topology::Rank;
     use std::cmp::Reverse;
@@ -36,9 +38,13 @@ mod tests {
         out
     }
 
-    fn round(props: Range<Rank>, accs: Range<Rank>, score: impl Fn(Rank, Rank) -> usize) -> Round {
-        let chunk = pairs(&props, &accs, score);
-        Round::new(props, accs, &[chunk])
+    fn scored(
+        props: Range<Rank>,
+        accs: Range<Rank>,
+        score: impl Fn(Rank, Rank) -> usize,
+    ) -> Scored {
+        let chunks = vec![pairs(&props, &accs, score)];
+        Scored { props, accs, chunks }
     }
 
     /// The proposer → acceptor matches of a drive.
@@ -47,16 +53,21 @@ mod tests {
         props.clone().filter_map(|p| m.sel[p - base].map(|a| (p, a))).collect()
     }
 
-    /// One FIFO round from a score table.
+    /// One FIFO round from a score table: its matches, statistics and
+    /// signals by kind.
     fn fifo_round(
         props: Range<Rank>,
         accs: Range<Rank>,
         score: impl Fn(Rank, Rank) -> usize,
-    ) -> (BTreeMap<Rank, Rank>, SelectionStats) {
-        let m = fifo(&round(props.clone(), accs.clone(), score), None);
-        let s = m.stats;
-        assert_eq!(s.req + s.exit, s.accept + s.drop, "one message each way per pair");
-        (matched(&props, &accs, &m), s)
+    ) -> (BTreeMap<Rank, Rank>, SelectionStats, [usize; 4]) {
+        let round = scored(props.clone(), accs.clone(), score);
+        let (sel, sent) = fifo(&Round::new(&round), None);
+        let direct = deferred_acceptance(&round);
+        assert_eq!(direct.sel, sel, "the replay reached another matching");
+        let ([req, accept, drop, exit], s) = (sent, direct.stats);
+        assert_eq!(req + exit, accept + drop, "one message each way per pair");
+        assert_eq!((accept, drop), (s.agents_found, s.pairs - s.agents_found));
+        (matched(&props, &accs, &direct), s, sent)
     }
 
     /// score lookup from an explicit table
@@ -66,7 +77,7 @@ mod tests {
 
     #[test]
     fn empty_round() {
-        let (m, s) = fifo_round(0..0, 0..0, |_, _| 0);
+        let (m, s, _) = fifo_round(0..0, 0..0, |_, _| 0);
         assert!(m.is_empty());
         assert_eq!(s.total_signals(), 0);
         assert_eq!(s.agent_searches, 0);
@@ -74,7 +85,7 @@ mod tests {
 
     #[test]
     fn no_candidates_means_no_signals() {
-        let (m, s) = fifo_round(0..2, 2..4, |_, _| 0);
+        let (m, s, _) = fifo_round(0..2, 2..4, |_, _| 0);
         assert!(m.is_empty());
         assert_eq!(s.total_signals(), 0);
         assert_eq!(s.agent_searches, 2);
@@ -85,9 +96,9 @@ mod tests {
     #[test]
     fn single_pair_matches_with_minimal_chatter() {
         let t = [(0, 1, 3)];
-        let (m, s) = fifo_round(0..1, 1..2, table_score(&t));
+        let (m, s, sent) = fifo_round(0..1, 1..2, table_score(&t));
         assert_eq!(m[&0], 1);
-        assert_eq!((s.req, s.accept, s.drop, s.exit), (1, 1, 0, 0));
+        assert_eq!(sent, [1, 1, 0, 0], "REQ, ACCEPT, DROP, EXIT");
         assert_eq!(s.agents_found, 1);
     }
 
@@ -95,12 +106,12 @@ mod tests {
     fn acceptor_takes_best_proposer() {
         // both proposers want acceptor 9; proposer 1 scores higher
         let t = [(0, 9, 1), (1, 9, 5)];
-        let (m, s) = fifo_round(0..2, 9..10, table_score(&t));
+        let (m, s, [_, _, drop, _]) = fifo_round(0..2, 9..10, table_score(&t));
         assert_eq!(m.get(&1), Some(&9));
         assert_eq!(m.get(&0), None);
         // 0's REQ waits, then is dropped: exactly one match
         assert_eq!(s.agents_found, 1);
-        assert_eq!(s.drop, 1);
+        assert_eq!(drop, 1);
     }
 
     #[test]
@@ -108,10 +119,10 @@ mod tests {
         // 0 prefers 9 (score 5) over 8 (score 1); 1 only knows 9 with
         // score 7 and wins it; 0 then settles for 8.
         let t = [(0, 9, 5), (0, 8, 1), (1, 9, 7)];
-        let (m, s) = fifo_round(0..2, 8..10, table_score(&t));
+        let (m, _, [req, ..]) = fifo_round(0..2, 8..10, table_score(&t));
         assert_eq!(m[&1], 9);
         assert_eq!(m[&0], 8);
-        assert!(s.req >= 3, "0 must re-REQ after the drop");
+        assert!(req >= 3, "0 must re-REQ after the drop");
     }
 
     #[test]
@@ -121,7 +132,7 @@ mod tests {
         // being accepted by 8), then takes 0.
         let t = [(0, 9, 2), (1, 9, 9), (1, 8, 9)];
         // tie on 1's side between 8 and 9 (both score 9) → lower rank 8 wins
-        let (m, _) = fifo_round(0..2, 8..10, table_score(&t));
+        let (m, ..) = fifo_round(0..2, 8..10, table_score(&t));
         assert_eq!(m[&1], 8);
         assert_eq!(m[&0], 9);
     }
@@ -129,7 +140,7 @@ mod tests {
     #[test]
     fn ties_break_toward_lower_rank() {
         let t = [(0, 5, 3), (0, 7, 3)];
-        let (m, _) = fifo_round(0..1, 5..8, table_score(&t));
+        let (m, ..) = fifo_round(0..1, 5..8, table_score(&t));
         assert_eq!(m[&0], 5);
     }
 
@@ -140,10 +151,10 @@ mod tests {
         // rank values — the proposer's (5 over 7) and the acceptor's
         // (8 over 9, whichever REQ lands first).
         let t = [(8, 5, 3), (8, 7, 3)];
-        let (m, _) = fifo_round(8..9, 5..8, table_score(&t));
+        let (m, ..) = fifo_round(8..9, 5..8, table_score(&t));
         assert_eq!(m[&8], 5);
         let t = [(9, 5, 2), (8, 5, 2)];
-        let (m, _) = fifo_round(8..10, 5..6, table_score(&t));
+        let (m, ..) = fifo_round(8..10, 5..6, table_score(&t));
         assert_eq!(m, BTreeMap::from([(8, 5)]));
     }
 
@@ -151,7 +162,7 @@ mod tests {
     fn one_acceptor_many_proposers() {
         // only one acceptor: exactly one proposer can win
         let t = [(0, 9, 1), (1, 9, 2), (2, 9, 3), (3, 9, 4)];
-        let (m, s) = fifo_round(0..4, 9..10, table_score(&t));
+        let (m, s, _) = fifo_round(0..4, 9..10, table_score(&t));
         assert_eq!(m.len(), 1);
         assert_eq!(s.agents_found, 1);
         assert_eq!(s.agent_searches, 4);
@@ -162,7 +173,7 @@ mod tests {
     #[test]
     fn perfect_matching_when_preferences_align() {
         // proposer i strongly prefers acceptor 10+i
-        let (m, _) = fifo_round(0..4, 10..14, |p, a| if a == 10 + p { 10 } else { 1 });
+        let (m, ..) = fifo_round(0..4, 10..14, |p, a| if a == 10 + p { 10 } else { 1 });
         assert_eq!(m.len(), 4);
         for i in 0..4usize {
             assert_eq!(m[&i], 10 + i);
@@ -174,7 +185,7 @@ mod tests {
         // uniform scores: greedy order decides, but matching must be
         // maximal — every proposer matched (4 proposers, 4 acceptors,
         // complete candidate graph)
-        let (m, _) = fifo_round(0..4, 4..8, |_, _| 1);
+        let (m, ..) = fifo_round(0..4, 4..8, |_, _| 1);
         assert_eq!(m.len(), 4);
         let mut acc: Vec<Rank> = m.values().copied().collect();
         acc.sort_unstable();
@@ -186,7 +197,7 @@ mod tests {
     fn matching_is_one_to_one() {
         // random-ish asymmetric scores
         let score = |p: Rank, a: Rank| (p * 7 + a * 13) % 5;
-        let (m, _) = fifo_round(0..20, 20..40, score);
+        let (m, ..) = fifo_round(0..20, 20..40, score);
         let mut acc: Vec<Rank> = m.values().copied().collect();
         acc.sort_unstable();
         let len = acc.len();
@@ -203,7 +214,7 @@ mod tests {
         // After the round, no unmatched proposer shares a candidate edge
         // with an unmatched acceptor (greedy maximality).
         let score = |p: Rank, a: Rank| usize::from((p + a).is_multiple_of(3));
-        let (m, _) = fifo_round(0..15, 15..30, score);
+        let (m, ..) = fifo_round(0..15, 15..30, score);
         let taken: std::collections::HashSet<Rank> = m.values().copied().collect();
         for p in (0..15).filter(|p| !m.contains_key(p)) {
             for a in 15..30 {
@@ -225,11 +236,12 @@ mod tests {
         // every REQ is answered by exactly one ACCEPT or DROP, every
         // broadcast DROP and every dismissal by one acknowledgement
         let score = |p: Rank, a: Rank| usize::from(p % 3 != a % 3);
-        let (m, s) = fifo_round(0..12, 12..24, score);
-        assert!(s.accept <= s.req);
-        assert_eq!(s.accept, s.agents_found);
-        assert_eq!(s.accept, m.len());
-        assert_eq!(s.req + s.exit, s.accept + s.drop);
+        let (m, s, [req, accept, drop, exit]) = fifo_round(0..12, 12..24, score);
+        assert!(accept <= req);
+        assert_eq!(accept, s.agents_found);
+        assert_eq!(accept, m.len());
+        assert_eq!(req + exit, accept + drop);
+        assert_eq!(req + accept + drop + exit, s.total_signals());
     }
 
     #[test]
@@ -238,17 +250,19 @@ mod tests {
         // and frozen together must produce the identical round.
         let score = |p: Rank, a: Rank| (p * 31 + a * 17) % 7;
         let (props, accs) = (0..24, 24..48);
-        let whole = round(props.clone(), accs.clone(), score);
+        let whole = scored(props.clone(), accs.clone(), score);
         let all = pairs(&props, &accs, score);
         let cut = all.iter().position(|c| c.p == 10).unwrap();
-        let split = Round::new(props, accs, &[all[..cut].to_vec(), vec![], all[cut..].to_vec()]);
-        assert_eq!(fifo(&whole, None), fifo(&split, None));
+        let chunks = vec![all[..cut].to_vec(), vec![], all[cut..].to_vec()];
+        let split = Scored { props, accs, chunks };
+        assert_eq!(fifo(&Round::new(&whole), None), fifo(&Round::new(&split), None));
+        assert_eq!(deferred_acceptance(&whole), deferred_acceptance(&split));
     }
 
     #[test]
     fn logged_matching_equals_unlogged() {
         let score = |p: Rank, a: Rank| (p * 5 + a * 3) % 4;
-        let rc = round(0..10, 10..20, score);
+        let rc = Round::new(&scored(0..10, 10..20, score));
         let mut log = Vec::new();
         let r1 = fifo(&rc, Some(&mut log));
         let r2 = fifo(&rc, None);
@@ -257,6 +271,6 @@ mod tests {
         let sent = log.iter().filter(|e| matches!(e, Event::Sent { .. })).count();
         let recvd = log.iter().filter(|e| matches!(e, Event::Received { .. })).count();
         assert_eq!(sent, recvd);
-        assert_eq!(sent, r1.stats.total_signals());
+        assert_eq!(sent, r1.1.iter().sum::<usize>());
     }
 }

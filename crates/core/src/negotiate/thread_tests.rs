@@ -6,7 +6,7 @@ mod tests {
     use crate::builder::{build_pattern, BuildError};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{ExecOptions, Executor, Virtual};
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, FaultStats};
     use crate::lower::lower;
     use crate::negotiate::{
         build_pattern_distributed, build_pattern_distributed_pooled_v, RECV_TIMEOUT,
@@ -46,10 +46,10 @@ mod tests {
         for (n, delta) in [(16usize, 0.3), (24, 0.5), (32, 0.1), (17, 0.6)] {
             let g = erdos_renyi(n, delta, 42);
             let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-            // the matching does not depend on the order signals cross in
-            // (the tallies do): the FIFO builder's, rank for rank
+            // neither the matching nor the tallies depend on the order
+            // signals cross in: the sequential build, field for field
             let seq = build_pattern(&g, &layout).expect("builds");
-            assert!(check(&g, &layout).same_rows(&seq), "n = {n}");
+            assert_eq!(check(&g, &layout), seq, "n = {n}");
         }
     }
 
@@ -98,17 +98,28 @@ mod tests {
 
     #[test]
     fn signal_counts_respect_two_message_invariant() {
+        // Every signal the ranks send is delayed once, so the fault sink
+        // counts the sends: one each way per candidate pair. (Every pair
+        // is resolved both ways, or no rank would have finished its round.)
         let g = erdos_renyi(24, 0.5, 4);
         let layout = ClusterLayout::new(3, 2, 4);
-        let pat = build_pattern_distributed(&g, &layout).expect("builds");
-        let s = &pat.stats;
-        // every pairwise exchange is exactly two messages, so the total
-        // signal count is even and splits evenly between directions
-        assert_eq!(s.total_signals() % 2, 0);
-        assert_eq!(s.accept, s.agents_found);
-        // proposer-side sends (REQ + EXIT) equal acceptor-side sends
-        // (ACCEPT + DROP): one message each way per pair
-        assert_eq!(s.req + s.exit, s.accept + s.drop);
+        let fp = FaultPlan::seeded(3).with_message_delay(1.0, Duration::from_micros(50));
+        let sink = FaultStats::default();
+        let (sizes, pool) = (BlockSizes::default(), WorkerPool::serial());
+        let opts = ExecOptions::new().recv_timeout(RECV_TIMEOUT).fault(&fp).fault_sink(&sink);
+        let pat = build_pattern_distributed_pooled_v(
+            &g,
+            &layout,
+            &sizes,
+            LoadMetric::Neighbors,
+            &pool,
+            &opts,
+        )
+        .expect("builds");
+        let s = pat.stats;
+        assert!(s.pairs > s.agents_found && s.agents_found > 0);
+        assert_eq!(sink.snapshot().delays as usize, s.total_signals());
+        assert_eq!(s.total_signals(), 2 * s.pairs);
     }
 
     #[test]
@@ -135,8 +146,7 @@ mod tests {
         let fp = FaultPlan::seeded(5).with_slow_rank(7, Duration::from_millis(20));
         let pat =
             build_faulty(&g, &layout, &fp, Duration::from_secs(10)).expect("a stall is survivable");
-        let s = pat.stats;
-        assert_eq!(s.req + s.exit, s.accept + s.drop);
+        assert_eq!(pat, build_pattern(&g, &layout).unwrap(), "the sequential build");
         lower(&pat, &g).validate(&g).expect("exactly-once delivery");
     }
 

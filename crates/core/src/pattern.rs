@@ -124,16 +124,12 @@ impl std::fmt::Debug for DhStep {
 
 /// Aggregate statistics of a built pattern — the numbers behind the
 /// paper's Fig. 8 discussion and the "80% agent-success at δ=0.05" claim.
+/// None depends on the order the protocol's signals cross in.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SelectionStats {
-    /// REQ signals exchanged during agent/origin selection.
-    pub req: usize,
-    /// ACCEPT signals.
-    pub accept: usize,
-    /// DROP signals.
-    pub drop: usize,
-    /// EXIT signals.
-    pub exit: usize,
+    /// Candidate pairs negotiated (pairs sharing an outgoing neighbor in
+    /// the acceptor half), summed over rounds.
+    pub pairs: usize,
     /// Notification messages (agent announcements to out-neighbors,
     /// Algorithm 1 line 30).
     pub notifications: usize,
@@ -141,14 +137,15 @@ pub struct SelectionStats {
     pub descriptors: usize,
     /// Number of (rank, step) pairs in which an agent search ran.
     pub agent_searches: usize,
-    /// Number of those searches that found an agent.
+    /// Number of those searches that found an agent — the ACCEPT count.
     pub agents_found: usize,
 }
 
 impl SelectionStats {
-    /// All protocol signals (excluding notifications/descriptors).
+    /// All protocol signals (REQ / ACCEPT / DROP / EXIT; excluding
+    /// notifications and descriptors): one each way per candidate pair.
     pub fn total_signals(&self) -> usize {
-        self.req + self.accept + self.drop + self.exit
+        2 * self.pairs
     }
 
     /// Fraction of agent searches that succeeded (the paper reports ~0.8
@@ -162,10 +159,7 @@ impl SelectionStats {
 
     /// Merges tallies from another round.
     pub fn merge(&mut self, other: &SelectionStats) {
-        self.req += other.req;
-        self.accept += other.accept;
-        self.drop += other.drop;
-        self.exit += other.exit;
+        self.pairs += other.pairs;
         self.notifications += other.notifications;
         self.descriptors += other.descriptors;
         self.agent_searches += other.agent_searches;
@@ -374,20 +368,17 @@ mod tests {
     #[test]
     fn selection_stats_accounting() {
         let mut a = SelectionStats {
-            req: 5,
-            accept: 2,
-            drop: 3,
-            exit: 1,
+            pairs: 5,
             notifications: 4,
             descriptors: 2,
             agent_searches: 4,
             agents_found: 2,
         };
-        assert_eq!(a.total_signals(), 11);
+        assert_eq!(a.total_signals(), 10);
         assert!((a.success_rate() - 0.5).abs() < 1e-12);
         let b = a;
         a.merge(&b);
-        assert_eq!(a.req, 10);
+        assert_eq!(a.pairs, 10);
         assert_eq!(a.agent_searches, 8);
         assert!((a.success_rate() - 0.5).abs() < 1e-12);
         assert_eq!(SelectionStats::default().success_rate(), 0.0);

@@ -10,8 +10,8 @@
 //! check refuses is tabulated in `docs/PLAN_CACHE.md`:
 //!
 //! ```text
-//! header  128 B  "NHPLAN2\0", then 15 × u64: algorithm id, parameter,
-//!                selection flag, 8 statistics, and the counts — n ranks,
+//! header  104 B  "NHPLAN3\0", then 12 × u64: algorithm id, parameter,
+//!                selection flag, 5 statistics, and the counts — n ranks,
 //!                B phase buckets, M message rows, K pooled blocks
 //! columns        phase_off (n + 1) × u32 | copy_blocks B × u64
 //!                | msg_off (2B + 1) × u32 | tag M × u64 | peer M × u32
@@ -26,8 +26,8 @@
 //! [`encode_plan`] is the one writer and [`PlanFile::parse`] the one
 //! reader; what it verified either *borrows* ([`PlanFile::rank`]) or
 //! *owns* ([`PlanFile::to_plan`]). A file of an older generation
-//! (`NHPLAN1`) is [`PlanIoError::BadMagic`]: this is a cache format, not
-//! an archive.
+//! (`NHPLAN1`, `NHPLAN2`) is [`PlanIoError::BadMagic`]: this is a cache
+//! format, not an archive.
 
 use crate::pattern::SelectionStats;
 use crate::plan::{Algorithm, CollectivePlan, MsgRow, PlanPhase, PlannedMsg};
@@ -37,10 +37,10 @@ use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"NHPLAN2\0";
+const MAGIC: &[u8; 8] = b"NHPLAN3\0";
 const END_MAGIC: &[u8; 8] = b"NHEND\0\0\x02";
-/// Magic + 15 `u64` fields.
-const HEADER_LEN: usize = 128;
+/// Magic + 12 `u64` fields: the counts are the last four.
+const HEADER_LEN: usize = 104;
 /// Topology digest (16) + checksum (16) + end magic (8).
 const FOOTER_LEN: usize = 40;
 
@@ -106,12 +106,9 @@ fn algorithm_from(id: u64, param: u64) -> Result<Algorithm, PlanIoError> {
 }
 
 /// The selection statistics in their file order.
-fn stats_fields(s: &mut SelectionStats) -> [&mut usize; 8] {
+fn stats_fields(s: &mut SelectionStats) -> [&mut usize; 5] {
     [
-        &mut s.req,
-        &mut s.accept,
-        &mut s.drop,
-        &mut s.exit,
+        &mut s.pairs,
         &mut s.notifications,
         &mut s.descriptors,
         &mut s.agent_searches,
@@ -261,7 +258,7 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
         // Extents: each count fits the tables' `u32` offsets, and together
         // they describe exactly the bytes present.
         let head = |i: usize| u64::from_le_bytes(le(buf, MAGIC.len() + 8 * i));
-        let counts = [11, 12, 13, 14].map(head);
+        let counts = [8, 9, 10, 11].map(head);
         if let Some(c) = counts.iter().find(|&&c| c > u64::from(u32::MAX)) {
             return corrupt(format!("header count {c} does not fit the tables' u32 offsets"));
         }
@@ -535,7 +532,7 @@ mod tests {
         // size — before the checksum pass, before anything is allocated —
         // and so is one the file has bytes to spare for.
         let buf = encode_plan(&crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3)), None);
-        for field in 11..15 {
+        for field in 8..12 {
             let at = MAGIC.len() + 8 * field;
             let honest = u64::from_le_bytes(le(&buf, at));
             for claimed in [1 << 20, 1 << 31, honest + 1, honest.saturating_sub(1)] {
@@ -553,7 +550,7 @@ mod tests {
         // The tables keep `u32` offsets: a count past them is refused by
         // name, never wrapped (and never multiplied into an extent).
         let buf = encode_plan(&crate::naive::plan_naive(&erdos_renyi(8, 0.5, 3)), None);
-        for field in 11..15 {
+        for field in 8..12 {
             for count in [u64::from(u32::MAX) + 1, 1 << 40, u64::MAX] {
                 let mut hacked = buf.clone();
                 let at = MAGIC.len() + 8 * field;
@@ -595,26 +592,34 @@ mod tests {
 
     #[test]
     fn an_old_generation_file_is_bad_magic_deleted_by_the_cache_and_rebuilt() {
-        // A complete bare `NHPLAN1` file (naive, no selection, 0 ranks),
-        // as the previous generation wrote it. It is not read: not by the
-        // decoder, not from a path, and the cache deletes and rebuilds.
-        let old = [&b"NHPLAN1\0"[..], &[0u8; 32]].concat();
-        assert!(matches!(decode_plan(&old), Err(PlanIoError::BadMagic)));
-        let dir = std::env::temp_dir().join(format!("nhood_oldgen_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = PlanCache::new(2).with_disk_dir(&dir).unwrap();
-        let g = erdos_renyi(8, 0.5, 3);
-        let fp = PlanFingerprint::of_build(&g, &ClusterLayout::new(1, 2, 4), Algorithm::Naive);
-        let path = dir.join(format!("{fp}.nhplan"));
-        std::fs::write(&path, &old).unwrap();
-        assert!(matches!(PlanFile::open(&path), Err(PlanIoError::BadMagic)));
-        assert!(cache.lookup(fp, &g).is_none() && !path.exists(), "deleted, a miss");
-        let build = || -> Result<_, std::convert::Infallible> { Ok(crate::naive::plan_naive(&g)) };
-        let (built, hit) = cache.get_or_build(fp, &g, build).unwrap();
-        assert!(!hit);
-        let file = PlanFile::open(&path).expect("rebuilt in this generation");
-        assert!(file.graph_digest().is_some() && file.to_plan() == *built);
-        let _ = std::fs::remove_dir_all(&dir);
+        // Complete bare files of the two earlier generations (naive, no
+        // selection, 0 ranks), as each wrote them: `NHPLAN1`, and
+        // `NHPLAN2`, whose header held four per-signal tallies where this
+        // one holds the pair count. Neither is read: not by the decoder,
+        // not from a path, and the cache deletes and rebuilds.
+        let old_generations = [
+            [&b"NHPLAN1\0"[..], &[0u8; 32]].concat(),
+            [&b"NHPLAN2\0"[..], &[0u8; 120 + 12 + 32], END_MAGIC].concat(),
+        ];
+        for old in old_generations {
+            assert!(matches!(decode_plan(&old), Err(PlanIoError::BadMagic)));
+            let dir = std::env::temp_dir().join(format!("nhood_oldgen_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = PlanCache::new(2).with_disk_dir(&dir).unwrap();
+            let g = erdos_renyi(8, 0.5, 3);
+            let fp = PlanFingerprint::of_build(&g, &ClusterLayout::new(1, 2, 4), Algorithm::Naive);
+            let path = dir.join(format!("{fp}.nhplan"));
+            std::fs::write(&path, &old).unwrap();
+            assert!(matches!(PlanFile::open(&path), Err(PlanIoError::BadMagic)));
+            assert!(cache.lookup(fp, &g).is_none() && !path.exists(), "deleted, a miss");
+            let build =
+                || -> Result<_, std::convert::Infallible> { Ok(crate::naive::plan_naive(&g)) };
+            let (built, hit) = cache.get_or_build(fp, &g, build).unwrap();
+            assert!(!hit);
+            let file = PlanFile::open(&path).expect("rebuilt in this generation");
+            assert!(file.graph_digest().is_some() && file.to_plan() == *built);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -488,8 +488,8 @@ mod tests {
         }
         // the negotiation's tallies stay; the revoked descriptors do not
         assert_eq!(
-            (rep.stats.req, rep.stats.agents_found),
-            (pat.stats.req, pat.stats.agents_found)
+            (rep.stats.pairs, rep.stats.agents_found),
+            (pat.stats.pairs, pat.stats.agents_found)
         );
         assert!(rep.stats.descriptors < pat.stats.descriptors);
         // and the direct-send fallback still delivers every edge once

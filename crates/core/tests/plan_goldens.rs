@@ -6,6 +6,7 @@
 //! makespan bit. A mismatch prints the full actual table.
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::builder::build_pattern;
 use nhood_core::exec::sim_exec::{simulate_v, SimCost};
 use nhood_core::exec::virtual_exec::reference_allgather;
 use nhood_core::lower::lower;
@@ -240,16 +241,16 @@ fn relay_builders_keep_every_plan_byte() {
     }
 }
 
-/// The threaded negotiation's matching depends on thread scheduling, so
-/// its default rung is pinned structurally: every pair exchanged one
-/// signal each way, and the pattern lowers to a plan that validates and
-/// delivers reference-equal bytes.
+/// The rank runtime's negotiation, at its default rung, builds the
+/// sequential build's pattern field for field (neither the matching nor
+/// the tallies depend on the order signals cross in), and the pattern
+/// lowers to a plan that validates and delivers reference-equal bytes.
 #[test]
 fn distributed_default_rung_builds_valid_reference_equal_plans() {
     for (case, comm, lens) in cases() {
         let pattern = build_pattern_distributed(comm.graph(), comm.layout()).unwrap();
-        let s = pattern.stats;
-        assert_eq!(s.req + s.exit, s.accept + s.drop, "{case}: two-message invariant");
+        let sequential = build_pattern(comm.graph(), comm.layout()).unwrap();
+        assert_eq!(pattern, sequential, "{case}: not the sequential build");
         let plan = Arc::new(lower(&pattern, comm.graph()));
         plan.validate(comm.graph()).unwrap_or_else(|e| panic!("{case}: {e}"));
         let payloads: Vec<Vec<u8>> = (0..comm.n()).map(|r| vec![r as u8; lens[0].max(8)]).collect();

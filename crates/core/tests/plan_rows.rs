@@ -22,6 +22,15 @@
 //! communicator began re-ranking the leader hierarchy and Bruck off block
 //! placement, as Distance Halving already was; the 98 pins before them
 //! held unedited through that change, the 14 `dh-remap` ones included.
+//!
+//! All 126 pins moved once more when the header began carrying only
+//! order-free statistics (`NHPLAN3`: the candidate-pair count where four
+//! per-signal tallies were), and were re-pinned once, by proof: a
+//! cross-tree dump of all 126 plans showed every column, every
+//! `PlanFingerprint`, the footer's topology digest and the statistics
+//! (total signals, ACCEPT and DROP counts, notifications, descriptors,
+//! searches, agents found) identical; only the magic, the header's
+//! statistics words and the checksum differ (CHANGES.md).
 
 use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::plan::{MsgDir, PlanPhase, PlanWriter, PlannedMsg};
@@ -83,132 +92,132 @@ fn file_fnv(plan: &CollectivePlan) -> u64 {
 
 /// `(shape/seed/builder, FNV-1a of the plan file)`.
 const GOLDENS: [(&str, u64); 126] = [
-    ("n0/s1/naive", 0xe0f9bc063caa9e29),
-    ("n0/s1/cn4", 0xdd4376dd10ad2f74),
-    ("n0/s1/dh", 0xddf9df03f5f8a83f),
-    ("n0/s1/pat2", 0x5263f531dd469125),
-    ("n0/s1/bruck", 0xebf225ebb61c3aaf),
-    ("n0/s1/hl2", 0x4246ba847f13cdfd),
-    ("n0/s1/dh-remap", 0xddf9df03f5f8a83f),
-    ("n0/s1/hl-remap", 0x4246ba847f13cdfd),
-    ("n0/s1/bruck-remap", 0xebf225ebb61c3aaf),
-    ("n0/s2/naive", 0xe0f9bc063caa9e29),
-    ("n0/s2/cn4", 0xdd4376dd10ad2f74),
-    ("n0/s2/dh", 0xddf9df03f5f8a83f),
-    ("n0/s2/pat2", 0x5263f531dd469125),
-    ("n0/s2/bruck", 0xebf225ebb61c3aaf),
-    ("n0/s2/hl2", 0x4246ba847f13cdfd),
-    ("n0/s2/dh-remap", 0xddf9df03f5f8a83f),
-    ("n0/s2/hl-remap", 0x4246ba847f13cdfd),
-    ("n0/s2/bruck-remap", 0xebf225ebb61c3aaf),
-    ("n1/s1/naive", 0xf22af5c458bb3eb5),
-    ("n1/s1/cn4", 0x4971194a15a116b0),
-    ("n1/s1/dh", 0xd1f809cdaef6894a),
-    ("n1/s1/pat2", 0x83daea98aa12e7a9),
-    ("n1/s1/bruck", 0x73abd12888b0288c),
-    ("n1/s1/hl2", 0x1df9f5fd8d9eef55),
-    ("n1/s1/dh-remap", 0xd1f809cdaef6894a),
-    ("n1/s1/hl-remap", 0x1df9f5fd8d9eef55),
-    ("n1/s1/bruck-remap", 0x73abd12888b0288c),
-    ("n1/s2/naive", 0xf22af5c458bb3eb5),
-    ("n1/s2/cn4", 0x4971194a15a116b0),
-    ("n1/s2/dh", 0xd1f809cdaef6894a),
-    ("n1/s2/pat2", 0x83daea98aa12e7a9),
-    ("n1/s2/bruck", 0x73abd12888b0288c),
-    ("n1/s2/hl2", 0x1df9f5fd8d9eef55),
-    ("n1/s2/dh-remap", 0xd1f809cdaef6894a),
-    ("n1/s2/hl-remap", 0x1df9f5fd8d9eef55),
-    ("n1/s2/bruck-remap", 0x73abd12888b0288c),
-    ("n2/s1/naive", 0xd77b55aa36549045),
-    ("n2/s1/cn4", 0x7a87ce47fe34875c),
-    ("n2/s1/dh", 0x13e47b166fa1d8eb),
-    ("n2/s1/pat2", 0xc8cd6bde60c83ff0),
-    ("n2/s1/bruck", 0x9853d0fdca4a8335),
-    ("n2/s1/hl2", 0x6eaf9bb2596c9d05),
-    ("n2/s1/dh-remap", 0x13e47b166fa1d8eb),
-    ("n2/s1/hl-remap", 0x6eaf9bb2596c9d05),
-    ("n2/s1/bruck-remap", 0x9853d0fdca4a8335),
-    ("n2/s2/naive", 0xc8cac856f247b518),
-    ("n2/s2/cn4", 0xffec6cf8dfad8512),
-    ("n2/s2/dh", 0xc61305c3a37b9b0e),
-    ("n2/s2/pat2", 0x7283be1b4179eff5),
-    ("n2/s2/bruck", 0x5ec7998d077038c3),
-    ("n2/s2/hl2", 0x1b62608025271376),
-    ("n2/s2/dh-remap", 0xc61305c3a37b9b0e),
-    ("n2/s2/hl-remap", 0x1b62608025271376),
-    ("n2/s2/bruck-remap", 0x5ec7998d077038c3),
-    ("n17/s1/naive", 0xaa15621c27356fb8),
-    ("n17/s1/cn4", 0x9f144ea46b85f020),
-    ("n17/s1/dh", 0x9ad59dc19c1e8eb2),
-    ("n17/s1/pat2", 0x36dd21135d73cbfb),
-    ("n17/s1/bruck", 0xdd1b44265c40653b),
-    ("n17/s1/hl2", 0x44b3f51ecb1c3d67),
-    ("n17/s1/dh-remap", 0x9ab832c5318c37d2),
-    ("n17/s1/hl-remap", 0x15996faef86e9be0),
-    ("n17/s1/bruck-remap", 0xa7f05eb2f2881fd6),
-    ("n17/s2/naive", 0x41e6678a98fa920c),
-    ("n17/s2/cn4", 0xe4a7c3fcd9a04a9e),
-    ("n17/s2/dh", 0xed5eec4745abbecd),
-    ("n17/s2/pat2", 0x70b846e577dfe906),
-    ("n17/s2/bruck", 0x7069eddf00471f37),
-    ("n17/s2/hl2", 0x7a2301d5d7acc134),
-    ("n17/s2/dh-remap", 0xad9929e954763abc),
-    ("n17/s2/hl-remap", 0xf3816861a4cd4f3c),
-    ("n17/s2/bruck-remap", 0x9522c4020810a376),
-    ("n61/s1/naive", 0xb94c3cf94974750b),
-    ("n61/s1/cn4", 0xb05dedecaa045519),
-    ("n61/s1/dh", 0xb85d63c82987665c),
-    ("n61/s1/pat2", 0x9c5030d799697cb7),
-    ("n61/s1/bruck", 0x9b4f26860b325932),
-    ("n61/s1/hl2", 0xb59c19f74884be21),
-    ("n61/s1/dh-remap", 0x9bee25c225f08c0b),
-    ("n61/s1/hl-remap", 0x69b634a6c5ba25db),
-    ("n61/s1/bruck-remap", 0xf82f28efb0983fb0),
-    ("n61/s2/naive", 0xf1d17e0ddc9946fb),
-    ("n61/s2/cn4", 0x3bea2032b654297a),
-    ("n61/s2/dh", 0x8cb804c5f10f7c64),
-    ("n61/s2/pat2", 0x5d287cfebd01336e),
-    ("n61/s2/bruck", 0xf50c3f236b441f5a),
-    ("n61/s2/hl2", 0x6138b854e4ffbca6),
-    ("n61/s2/dh-remap", 0xf0a288f316a8fd03),
-    ("n61/s2/hl-remap", 0x4e39340446b18f03),
-    ("n61/s2/bruck-remap", 0xf1c497cf7de51145),
-    ("n96/s1/naive", 0xcb15803c185ad85d),
-    ("n96/s1/cn4", 0xa78ac6af031e1794),
-    ("n96/s1/dh", 0x1ea38b82dbc4c63d),
-    ("n96/s1/pat2", 0x3632ce0b810550cb),
-    ("n96/s1/bruck", 0x038b451f229e8fb5),
-    ("n96/s1/hl2", 0x872042b929d69801),
-    ("n96/s1/dh-remap", 0x42d2a2d13bec0ae7),
-    ("n96/s1/hl-remap", 0x7a91b318dbcaeb19),
-    ("n96/s1/bruck-remap", 0xbd0c29bba249b223),
-    ("n96/s2/naive", 0x334cb1713440baed),
-    ("n96/s2/cn4", 0x7c4c601f91a06034),
-    ("n96/s2/dh", 0x6bb132e876697d65),
-    ("n96/s2/pat2", 0xc9df3fe9831233f9),
-    ("n96/s2/bruck", 0xc403d593634f499c),
-    ("n96/s2/hl2", 0x9e45553b25dd3b87),
-    ("n96/s2/dh-remap", 0x690fc9ae64dbc6ed),
-    ("n96/s2/hl-remap", 0x3efeac082aebe14d),
-    ("n96/s2/bruck-remap", 0x55f81839b387f87a),
-    ("n40-isolated/s1/naive", 0x2a0870f3f3460499),
-    ("n40-isolated/s1/cn4", 0xfac983d475fe46b5),
-    ("n40-isolated/s1/dh", 0x736626a468dfc4ae),
-    ("n40-isolated/s1/pat2", 0x138c67e9a92d4bcb),
-    ("n40-isolated/s1/bruck", 0x1a791dda07aaa31a),
-    ("n40-isolated/s1/hl2", 0x07434970a92a240b),
-    ("n40-isolated/s1/dh-remap", 0xe6abf3bea0bdcfe8),
-    ("n40-isolated/s1/hl-remap", 0x2cc3f01bbda3aa1f),
-    ("n40-isolated/s1/bruck-remap", 0x0f86dee8e8435baf),
-    ("n40-isolated/s2/naive", 0x085fd318595fb945),
-    ("n40-isolated/s2/cn4", 0xb639a3622f4ac464),
-    ("n40-isolated/s2/dh", 0x33126ac8ce0caab9),
-    ("n40-isolated/s2/pat2", 0x44c3b0b26db52a4b),
-    ("n40-isolated/s2/bruck", 0xfa0ffc20c879ea42),
-    ("n40-isolated/s2/hl2", 0x38ebf53c67e34d2f),
-    ("n40-isolated/s2/dh-remap", 0xc706ee0c77ea15e1),
-    ("n40-isolated/s2/hl-remap", 0x59634510b9bcc085),
-    ("n40-isolated/s2/bruck-remap", 0x29c1b6170e47bd90),
+    ("n0/s1/naive", 0xd6e83fc46d121269),
+    ("n0/s1/cn4", 0x1c54e52186859b3a),
+    ("n0/s1/dh", 0x23bd408f2eb62fa9),
+    ("n0/s1/pat2", 0x52db6ba04ad0dff4),
+    ("n0/s1/bruck", 0x6b6fce34063beaf4),
+    ("n0/s1/hl2", 0xc38bbf6a48d50889),
+    ("n0/s1/dh-remap", 0x23bd408f2eb62fa9),
+    ("n0/s1/hl-remap", 0xc38bbf6a48d50889),
+    ("n0/s1/bruck-remap", 0x6b6fce34063beaf4),
+    ("n0/s2/naive", 0xd6e83fc46d121269),
+    ("n0/s2/cn4", 0x1c54e52186859b3a),
+    ("n0/s2/dh", 0x23bd408f2eb62fa9),
+    ("n0/s2/pat2", 0x52db6ba04ad0dff4),
+    ("n0/s2/bruck", 0x6b6fce34063beaf4),
+    ("n0/s2/hl2", 0xc38bbf6a48d50889),
+    ("n0/s2/dh-remap", 0x23bd408f2eb62fa9),
+    ("n0/s2/hl-remap", 0xc38bbf6a48d50889),
+    ("n0/s2/bruck-remap", 0x6b6fce34063beaf4),
+    ("n1/s1/naive", 0x38c7c83250cd300c),
+    ("n1/s1/cn4", 0xc9b30cae15b36174),
+    ("n1/s1/dh", 0xcab44f3dcfb1779b),
+    ("n1/s1/pat2", 0xf0838998d010f7df),
+    ("n1/s1/bruck", 0x25018e650968fa5d),
+    ("n1/s1/hl2", 0x357936fec09a8304),
+    ("n1/s1/dh-remap", 0xcab44f3dcfb1779b),
+    ("n1/s1/hl-remap", 0x357936fec09a8304),
+    ("n1/s1/bruck-remap", 0x25018e650968fa5d),
+    ("n1/s2/naive", 0x38c7c83250cd300c),
+    ("n1/s2/cn4", 0xc9b30cae15b36174),
+    ("n1/s2/dh", 0xcab44f3dcfb1779b),
+    ("n1/s2/pat2", 0xf0838998d010f7df),
+    ("n1/s2/bruck", 0x25018e650968fa5d),
+    ("n1/s2/hl2", 0x357936fec09a8304),
+    ("n1/s2/dh-remap", 0xcab44f3dcfb1779b),
+    ("n1/s2/hl-remap", 0x357936fec09a8304),
+    ("n1/s2/bruck-remap", 0x25018e650968fa5d),
+    ("n2/s1/naive", 0x04b7596c7e725cb0),
+    ("n2/s1/cn4", 0x407ed7a76cb4a0e3),
+    ("n2/s1/dh", 0x368260889cd4ebd7),
+    ("n2/s1/pat2", 0xa0b100b728e74e81),
+    ("n2/s1/bruck", 0x996f4f92f576fa4e),
+    ("n2/s1/hl2", 0x882ee688c1d70fde),
+    ("n2/s1/dh-remap", 0x368260889cd4ebd7),
+    ("n2/s1/hl-remap", 0x882ee688c1d70fde),
+    ("n2/s1/bruck-remap", 0x996f4f92f576fa4e),
+    ("n2/s2/naive", 0x5c84f076e51bf7ba),
+    ("n2/s2/cn4", 0xd0ba0645140ebbd4),
+    ("n2/s2/dh", 0x19a088d8c7abd89a),
+    ("n2/s2/pat2", 0xbb1f23a7717a9e0d),
+    ("n2/s2/bruck", 0x113ae7ef37447cf5),
+    ("n2/s2/hl2", 0xfc9da867053da1b3),
+    ("n2/s2/dh-remap", 0x19a088d8c7abd89a),
+    ("n2/s2/hl-remap", 0xfc9da867053da1b3),
+    ("n2/s2/bruck-remap", 0x113ae7ef37447cf5),
+    ("n17/s1/naive", 0x36f46bd0e0e525c2),
+    ("n17/s1/cn4", 0xc8d369805306903c),
+    ("n17/s1/dh", 0xd59d6e2820d2d2c7),
+    ("n17/s1/pat2", 0x5c32afaed9e5e3cf),
+    ("n17/s1/bruck", 0x866d1b2595393fa0),
+    ("n17/s1/hl2", 0xedc8dca22f10988d),
+    ("n17/s1/dh-remap", 0xc4e05a51eb29df7d),
+    ("n17/s1/hl-remap", 0xfea466dc322aa68b),
+    ("n17/s1/bruck-remap", 0xabe4bdc7ce628512),
+    ("n17/s2/naive", 0x8b59da2b4b3625a2),
+    ("n17/s2/cn4", 0x2f6fea42ed76fa76),
+    ("n17/s2/dh", 0xe490ac239f3c7725),
+    ("n17/s2/pat2", 0x4870fbd1efe9a337),
+    ("n17/s2/bruck", 0xd8ee85184bf93865),
+    ("n17/s2/hl2", 0xe6fb44f2bf2a78c8),
+    ("n17/s2/dh-remap", 0xcb0fbdb36336444a),
+    ("n17/s2/hl-remap", 0x8e4b18234de229e6),
+    ("n17/s2/bruck-remap", 0x6c57ed8c1fe03b83),
+    ("n61/s1/naive", 0x97a2e26cd7e6b9b8),
+    ("n61/s1/cn4", 0xaec6f57b900e84da),
+    ("n61/s1/dh", 0xf538dc4239c965cd),
+    ("n61/s1/pat2", 0x7d64515271ad78ca),
+    ("n61/s1/bruck", 0x078a213357b26f98),
+    ("n61/s1/hl2", 0xded3ea5549cd357c),
+    ("n61/s1/dh-remap", 0x3f079d0775f9e717),
+    ("n61/s1/hl-remap", 0x6d975e9613eec4ed),
+    ("n61/s1/bruck-remap", 0x0dfcef797af82fd8),
+    ("n61/s2/naive", 0xb557db03f14aeb04),
+    ("n61/s2/cn4", 0x89b8c44d8591f7b6),
+    ("n61/s2/dh", 0xdd7ee89104e5103a),
+    ("n61/s2/pat2", 0x09379aefcd90ba46),
+    ("n61/s2/bruck", 0xc88c48746c54a25d),
+    ("n61/s2/hl2", 0x1bdf668a37214cc4),
+    ("n61/s2/dh-remap", 0xa0f8c39a158e3d75),
+    ("n61/s2/hl-remap", 0x658ef7ad2ca66c89),
+    ("n61/s2/bruck-remap", 0x4d41d8467a167f82),
+    ("n96/s1/naive", 0xfc1b3a9fc8523fbb),
+    ("n96/s1/cn4", 0xe950fa5133627a25),
+    ("n96/s1/dh", 0x706c7ae692b5563b),
+    ("n96/s1/pat2", 0x5569076a9943bad6),
+    ("n96/s1/bruck", 0x19f944adc19867fb),
+    ("n96/s1/hl2", 0xa19bd0995f78c555),
+    ("n96/s1/dh-remap", 0xd3f30aaa7c008aa9),
+    ("n96/s1/hl-remap", 0x18b21c47560e3b8f),
+    ("n96/s1/bruck-remap", 0x5ec61bc7ffd60a70),
+    ("n96/s2/naive", 0x199370b1e0ecfb95),
+    ("n96/s2/cn4", 0xf4c4050530f911d0),
+    ("n96/s2/dh", 0xf2aef9efb9b7ef6e),
+    ("n96/s2/pat2", 0xb04b4b5f6e16d069),
+    ("n96/s2/bruck", 0x3f3a1d9fb63b82b7),
+    ("n96/s2/hl2", 0xb10cd39b18ce5068),
+    ("n96/s2/dh-remap", 0x02c7f07a0e84ab73),
+    ("n96/s2/hl-remap", 0x03541706bffbfb4e),
+    ("n96/s2/bruck-remap", 0x568e8c49b3515c26),
+    ("n40-isolated/s1/naive", 0xfd8d4253fd9a2d7f),
+    ("n40-isolated/s1/cn4", 0x5eddcd7234c1e9ff),
+    ("n40-isolated/s1/dh", 0xb569b168ea292e4a),
+    ("n40-isolated/s1/pat2", 0x14619df076c8c337),
+    ("n40-isolated/s1/bruck", 0xc64c890cd7bf64d1),
+    ("n40-isolated/s1/hl2", 0x4112b264322825ec),
+    ("n40-isolated/s1/dh-remap", 0xe7f6972e7778aad4),
+    ("n40-isolated/s1/hl-remap", 0x940ef16b50c5fd8f),
+    ("n40-isolated/s1/bruck-remap", 0x9d181c2b6cfbea69),
+    ("n40-isolated/s2/naive", 0x6170a9bbf9b9333c),
+    ("n40-isolated/s2/cn4", 0xe4dbbe97d8cd9cda),
+    ("n40-isolated/s2/dh", 0x3380ef1d1e6e13aa),
+    ("n40-isolated/s2/pat2", 0x62c7cff517acacad),
+    ("n40-isolated/s2/bruck", 0x20f8c83a7f0ba890),
+    ("n40-isolated/s2/hl2", 0x5694b2557657e74b),
+    ("n40-isolated/s2/dh-remap", 0x4294c0dd5f4e4fd4),
+    ("n40-isolated/s2/hl-remap", 0x3fdba2b61cba3362),
+    ("n40-isolated/s2/bruck-remap", 0x4333c521b59c9f7b),
 ];
 
 #[test]

@@ -563,7 +563,7 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
 /// tables, the per-send flags and the heap's growth). 26 since the
 /// prepare matches in one serial pass: no per-chunk result vectors.
 const ENGINE_RUN_CALLS: u64 = 26;
-/// 5 % above the 1,011 calls registering the Auto tenant costs today
+/// 5 % above the 802 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
@@ -572,9 +572,11 @@ const ENGINE_RUN_CALLS: u64 = 26;
 /// the tuner built PAT at radix 2 and 4 and the leader hierarchy and
 /// Bruck grouped through B-trees: 1,304 and 565 calls a build, 21 and 25
 /// now, most of them their row table's growth; 1,027 while the prepare
-/// was sharded). What is left: the Distance Halving build (≈ 600, scoring
-/// and matching) and the eight replays (26 each).
-const AUTO_REGISTER_CALLS: u64 = 1_062;
+/// was sharded; 1,011 while the Distance Halving build froze every round
+/// into a two-sided table and replayed its signals through a queue).
+/// What is left: the Distance Halving build (≈ 390, scoring and deferred
+/// acceptance) and the eight replays (26 each).
+const AUTO_REGISTER_CALLS: u64 = 843;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 3 price columns, the replay's vectors
 /// (its sort scratch grows with the widest phase: 20 calls counted under
@@ -584,15 +586,19 @@ const AUTO_REGISTER_CALLS: u64 = 1_062;
 /// and re-validated and re-matched it; ≈ 400–1,600 while every phase
 /// owned two vectors.
 const SIM_GATHER_CALLS: u64 = 23;
-/// 5 % above the 600 calls of one Distance Halving `build_pattern` at
+/// 5 % above the 390 calls of one Distance Halving `build_pattern` at
 /// `plan-churn`'s shape (n = 96, δ = 0.15, 6 × 2 × 8) today: 5,599 while
 /// every proposer's score row, every acceptor's candidate list and a hash
 /// table per round were vectors of their own, 4,057 while the pattern
 /// assembly staged a step list, a buffer and a responsibility map per
-/// rank (≈ 3,460 of them). The assembly now writes the pattern's columns
-/// in place (a handful of calls); what is left is the scoring's and the
-/// matching's tables, per round.
-const DH_BUILD_CALLS: u64 = 630;
+/// rank (≈ 3,460 of them), 600 while every round was frozen into a
+/// two-sided table (offsets, peers, mirrors, a sort scratch) and its
+/// signals replayed through a queue with a flag per pair. The assembly
+/// writes the pattern's columns in place (a handful of calls); what is
+/// left is the scoring's rows and deferred acceptance's three tables (a
+/// row per proposer, a held suitor per acceptor, the selections), per
+/// round.
+const DH_BUILD_CALLS: u64 = 410;
 /// The columns of a `DhPattern` — step offsets and table, held offsets
 /// and pool, responsibility offsets and table: its clone's budget.
 const PATTERN_COLUMNS: u64 = 6;

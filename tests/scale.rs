@@ -163,17 +163,11 @@ fn distributed_builder_matches_at_scale() {
         Virtual.run_simple(&plan, &g, &payloads).unwrap(),
         reference_allgather(&g, &payloads)
     );
-    // the matching is the sequential emulation's; only the tallies of
-    // crossing signals may differ
+    // neither the matching nor the tallies depend on the delivery order:
+    // the sequential build's pattern, statistics included
     let seq = nhood_core::builder::build_pattern(&g, &layout).unwrap();
-    assert_eq!(pattern.max_steps(), seq.max_steps());
     assert!(pattern.same_rows(&seq), "the matching depends on the delivery order");
-    let rate = pattern.stats.success_rate();
-    let seq_rate = seq.stats.success_rate();
-    assert!(
-        (rate - seq_rate).abs() < 0.1,
-        "success rates diverge: threads {rate:.2} vs emulation {seq_rate:.2}"
-    );
+    assert_eq!(pattern.stats, seq.stats, "the tallies depend on the delivery order");
 }
 
 #[test]
