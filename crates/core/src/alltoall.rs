@@ -19,14 +19,14 @@
 //! (a halving step ships the whole buffer; the agent answers for part of
 //! it) is dropped, and so is a message left with none: Distance Halving
 //! moves each item at most once per level, always toward its destination.
-//! The derivation reads `sends` only and trusts nothing — `compile`
-//! decides (`MissingBlock` / `Undelivered`) whether every item is held
-//! where a message claims it and reaches its destination.
+//! The derivation reads `sends` only, of a plan `compile` has already
+//! [validated](CollectivePlan::validate): every block a rank sends it
+//! holds, and every in-neighbor's block reaches its destination exactly
+//! once, so every item does too.
 
 use crate::collective::program::{compile, Shape};
 use crate::comm::CommError;
 use crate::exec::sim_exec::SimCost;
-use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
 use nhood_cluster::ClusterLayout;
@@ -46,20 +46,20 @@ impl ItemRouting {
     pub(crate) fn of(&self, id: usize) -> &[(Rank, Rank)] {
         &self.items[self.spans[id].0..self.spans[id].1]
     }
+
+    /// Items over all sends: one per hop an item takes.
+    pub(crate) fn hops(&self) -> usize {
+        self.items.len()
+    }
 }
 
-/// Derives the item routing `plan` implies on `graph` (module docs). A
-/// send that names an out-of-range or self peer, or a block no rank
-/// owns, is [`ExecError::MissingBlock`].
-pub(crate) fn route_items(
-    plan: &CollectivePlan,
-    graph: &Topology,
-) -> Result<ItemRouting, ExecError> {
+/// Derives the item routing a [validated](CollectivePlan::validate)
+/// `plan` implies on `graph` (module docs).
+pub(crate) fn route_items(plan: &CollectivePlan, graph: &Topology) -> ItemRouting {
     const NONE: usize = usize::MAX;
     let n = graph.n();
     // Each (message, block) pair is a *slot*. `parent[s]` is the slot
-    // that handed slot `s`'s sender its block — `NONE` for the owner, and
-    // for a rank forwarding what it never held (`compile` refuses that).
+    // that handed slot `s`'s sender its block — `NONE` for the owner.
     // Slots are numbered phase-major, in the order the walk meets them.
     let mut parent = Vec::new();
     // Send id -> its slots, a range.
@@ -73,10 +73,6 @@ pub(crate) fn route_items(
         for (r, handed) in handed.iter().enumerate() {
             for msg in plan.phase(r, k).sends() {
                 let (peer, blocks) = (msg.peer(), msg.blocks());
-                let bad_peer = (peer >= n || peer == r).then_some(peer);
-                if let Some(block) = bad_peer.or(blocks.iter().copied().find(|&b| b >= n)) {
-                    return Err(ExecError::MissingBlock { rank: r, block, phase: k });
-                }
                 let first = parent.len();
                 for &b in blocks {
                     let at = handed.binary_search_by_key(&b, |h| h.0);
@@ -116,7 +112,7 @@ pub(crate) fn route_items(
     for span in &mut spans {
         *span = (ends[span.0], ends[span.1]);
     }
-    Ok(ItemRouting { items, spans })
+    ItemRouting { items, spans }
 }
 
 /// Simulates `plan` as an alltoall at uniform item payload `m`: the
@@ -138,10 +134,10 @@ mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::collective::{reference_alltoallv, CollectiveOp};
-    use crate::exec::{execute, ExecOptions};
+    use crate::exec::{execute, ExecError, ExecOptions};
     use crate::lower::lower;
     use crate::naive::plan_naive;
-    use crate::plan::{Algorithm, PlanValidationError, PlannedMsg};
+    use crate::plan::{Algorithm, PlanValidationError as E, PlannedMsg};
     use nhood_topology::random::erdos_renyi;
     use std::sync::Arc;
 
@@ -219,11 +215,14 @@ mod tests {
         // no buffer doubling: total item-hops ≤ items × (steps + 1)
         let g = erdos_renyi(32, 0.4, 7);
         let (plan, steps) = plan_dh(&g, &ClusterLayout::new(4, 2, 4));
-        let hops = route_items(&plan, &g).unwrap().items.len();
+        let hops = route_items(&plan, &g).hops();
         let bound = g.edge_count() * (steps + 1);
         assert!(hops <= bound, "{hops} item-hops > bound {bound}");
         // and strictly more than one hop per item on multi-node halving
         assert!(hops > g.edge_count());
+        // routed items never merge: one wire block per item-hop
+        let wire = compile(&plan, &g, Shape::Route).unwrap().schedule(&BlockSizes::uniform(1));
+        assert_eq!(wire.total_bytes(), hops);
     }
 
     #[test]
@@ -281,27 +280,22 @@ mod tests {
     #[test]
     fn the_reported_mirror_defect_is_a_function_of_the_plan() {
         // Eight ranks lose their sends (the recvs that mirrored them stay
-        // behind): the gather validator names the lowest orphaned recv's
-        // key and `compile` the lowest undelivered (dst, src), on every
-        // call — dense tables, no hasher's iteration order to pick.
+        // behind): the validator reports the same defect, and `compile`
+        // refuses with it, on every call — dense tables, no hasher's
+        // iteration order to pick.
         let g = erdos_renyi(32, 0.3, 5);
         let plan = plan_naive(&g).edited(|rows| {
             for prog in &mut rows[..8] {
                 prog[0].sends.clear();
             }
         });
-        let (dst, src) = (0..32)
-            .flat_map(|r| g.in_neighbors(r).iter().map(move |&s| (r, s)))
-            .find(|&(_, s)| s < 8)
-            .expect("a low rank has an out-neighbor");
+        let first = plan.validate(&g).unwrap_err();
+        assert!(matches!(first, E::SendRecvCountMismatch { .. }), "{first:?}");
         for _ in 0..64 {
-            assert!(matches!(
-                plan.validate(&g).unwrap_err(),
-                PlanValidationError::SendRecvCountMismatch { .. }
-            ));
+            assert_eq!(plan.validate(&g).unwrap_err(), first);
             assert_eq!(
                 compile(&plan, &g, Shape::Route).unwrap_err(),
-                ExecError::Undelivered { rank: dst, block: src }
+                ExecError::InvalidPlan(first.clone())
             );
         }
     }
@@ -315,38 +309,27 @@ mod tests {
             rows[0][0].sends.clear();
             rows[2][0].recvs.retain(|m| m.peer != 0);
         });
-        assert_eq!(
-            plan.validate(&g).unwrap_err(),
-            PlanValidationError::NeverDelivered { src: 0, dst: 2 }
-        );
-        assert_eq!(
-            run(&plan, &g, &sbufs, 4).unwrap_err(),
-            ExecError::Undelivered { rank: 2, block: 0 }
-        );
-        // a duplicated delivery is the gather validator's to refuse; the
-        // item routing hands an item on from its first arrival only, so
-        // the copy carries nothing and is not sent
+        let refused = |e| Err(ExecError::InvalidPlan(e));
+        assert_eq!(run(&plan, &g, &sbufs, 4), refused(E::NeverDelivered { src: 0, dst: 2 }));
+        // a duplicated delivery, although the item routing would hand
+        // the item on from its first arrival only
         let plan = plan_naive(&g).edited(|rows| {
             rows[1][0].sends.push(PlannedMsg { peer: 2, blocks: vec![1], tag: 9 });
             rows[2][0].recvs.push(PlannedMsg { peer: 1, blocks: vec![1], tag: 9 });
         });
+        let twice = E::DuplicateDelivery { src: 1, dst: 2, count: 2 };
+        assert_eq!(run(&plan, &g, &sbufs, 4), refused(twice));
+        // a rank forwarding a block it was never handed, on both sides
+        let plan = plan_naive(&g).edited(|rows| {
+            rows[0][0].sends[0].blocks = vec![1];
+            rows[2][0].recvs.iter_mut().filter(|m| m.peer == 0).for_each(|m| m.blocks = vec![1]);
+        });
         assert_eq!(
-            plan.validate(&g).unwrap_err(),
-            PlanValidationError::DuplicateDelivery { src: 1, dst: 2, count: 2 }
+            run(&plan, &g, &sbufs, 4),
+            refused(E::UnheldBlock { rank: 0, phase: 0, block: 1 })
         );
-        assert_eq!(routed_messages(&plan, &g), 2);
-        assert_eq!(
-            run(&plan, &g, &sbufs, 4).unwrap(),
-            reference_alltoallv(&g, &sbufs, &BlockSizes::uniform(4))
-        );
-        // a rank forwarding a block it was never handed: the item it
-        // claims to carry is still at its source
-        let forged = PlannedMsg { peer: 2, blocks: vec![1], tag: 0 };
-        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends[0] = forged);
-        assert_eq!(
-            run(&plan, &g, &sbufs, 4).unwrap_err(),
-            ExecError::MissingBlock { rank: 0, block: 2, phase: 0 }
-        );
+        let want = reference_alltoallv(&g, &sbufs, &BlockSizes::uniform(4));
+        assert_eq!(run(&plan_naive(&g), &g, &sbufs, 4), Ok(want));
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! cell of the receive buffer), which wire blocks each message carries,
 //! and the exact `copy` / `combine` steps each arrival performs, in the
 //! `(peer, tag)` integration order that makes f32 results bit-identical
-//! across backends. A gather executes the plan's block messages as they
-//! are, and what makes them a gather is [`CollectivePlan::validate`]'s to
-//! decide: a plan it rejects fails *here* with [`ExecError::InvalidPlan`].
-//! The combining shapes execute the item routing the plan implies
-//! ([`crate::alltoall::route_items`]) through one symbolic walk, and a
-//! routing that forwards what its sender does not hold or never delivers
-//! an in-neighbor's contribution fails here with
-//! [`ExecError::MissingBlock`] / [`ExecError::Undelivered`]. Either way,
-//! before any byte moves.
+//! across backends. Every shape compiles what [`CollectivePlan::validate`]
+//! admits — that every block sent is held and every in-neighbor's block
+//! arrives exactly once is the validator's to decide, once — and a plan it
+//! rejects fails *here* with [`ExecError::InvalidPlan`], before any byte
+//! moves. A gather executes the plan's block messages as they are, and
+//! alltoallv the item routing the plan implies
+//! ([`crate::alltoall::route_items`]) laid out the same way: neither
+//! modifies a block in flight. The reduce shapes fold that routing through
+//! one symbolic walk, which refuses ([`ExecError::MissingBlock`]) a routing
+//! that breaks the co-routing invariant below.
 //!
 //! A request then resolves offsets and receive totals against its block
 //! lengths ([`Tables::stage`]: O(cells), no allocation once warm) and
@@ -38,7 +39,7 @@
 //! arrived in, and the order it integrated them, depend only on its
 //! source set; and each arrival was its sender's whole partial over that
 //! message's share of the set, or `compile` would have failed on the
-//! co-routing invariant ([`Walk::pack_partials`]). By induction on the
+//! co-routing invariant ([`Walk::pack`]). By induction on the
 //! phase — a partial starts as its rank's own leaf or its first arrival —
 //! its fold tree, and with it every f32 bit, depends only on its rank and
 //! source set. reduce_scatter contributions are distinct per destination
@@ -47,7 +48,7 @@
 //! never of payload contents.
 
 use super::{CollectiveOp, Reduction};
-use crate::alltoall::route_items;
+use crate::alltoall::{route_items, ItemRouting};
 use crate::exec::{phase_label, ExecError};
 use crate::plan::{CollectivePlan, MsgView};
 use crate::sizes::BlockSizes;
@@ -288,16 +289,149 @@ pub struct Program {
 }
 
 // ---------------------------------------------------------------------
-// Compile: one symbolic walk of the plan
+// Compile: the plan's messages laid out, or one symbolic walk of them
 // ---------------------------------------------------------------------
 
-/// `holder` value of a contribution that left its rank this phase.
-const IN_FLIGHT: usize = usize::MAX;
-/// `holder` value of a contribution folded into its destination.
-const DELIVERED: usize = usize::MAX - 1;
+/// Compiles `plan` for `shape`, once [`CollectivePlan::validate`] has
+/// admitted it: the plan's own block messages for a gather, the item
+/// routing it implies ([`route_items`]) otherwise — there a message the
+/// routing leaves without an item is not in the program.
+///
+/// # Errors
+/// [`ExecError::PayloadCountMismatch`] when the plan and `graph` count
+/// different ranks; [`ExecError::InvalidPlan`] with the validator's
+/// error for a plan it rejects, whatever the shape. The reduce shapes:
+/// [`ExecError::MissingBlock`] when a message forwards some but not all
+/// of the contributions its sender holds for a destination (the
+/// co-routing invariant, [`Walk::pack`]).
+pub(crate) fn compile(
+    plan: &CollectivePlan,
+    graph: &Topology,
+    shape: Shape,
+) -> Result<Program, ExecError> {
+    #[cfg(test)]
+    tests::COMPILES.with(|c| c.set(c.get() + 1));
+    let n = graph.n();
+    if plan.n() != n {
+        return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: n });
+    }
+    plan.validate(graph).map_err(ExecError::InvalidPlan)?;
+    let mut prog = match shape {
+        Shape::Gather => lay_out(plan, graph, None),
+        Shape::Route => lay_out(plan, graph, Some(&route_items(plan, graph))),
+        Shape::ReduceScatter | Shape::Allreduce => {
+            let routing = route_items(plan, graph);
+            let mut walk = Walk::new(graph, shape, plan.phase_count(), routing.hops());
+            for k in 0..plan.phase_count() {
+                let sent_before = walk.prog.send_order.len();
+                for r in 0..n {
+                    for msg in plan.phase(r, k).sends() {
+                        let items = routing.of(msg.id());
+                        if !items.is_empty() {
+                            walk.pack((r, k), (msg.peer(), msg.tag(), items))?;
+                        }
+                    }
+                    walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
+                }
+                walk.integrate();
+            }
+            walk.prog
+        }
+    };
+    prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
+    let blocks = |id| prog.blocks_of(id).len();
+    prog.units = (0..n).map(|r| prog.traffic_of(r, Tally::default(), blocks)).collect();
+    Ok(prog)
+}
 
-/// A partial held at a rank (reduce shapes): the contributions of
-/// `count` sources to `dst`.
+/// The program of a shape whose blocks reach their destination
+/// unmodified, laid out in integration order: a gather's, whose wire
+/// blocks are the plan's own, or — given `routing` — alltoallv's, whose
+/// are the items each send carries. No step is emitted: a receiver reads
+/// every block at its origin ([`Exec::deliver`]), rank `key`'s one send
+/// cell in a gather and its edge's in a route.
+fn lay_out(plan: &CollectivePlan, graph: &Topology, routing: Option<&ItemRouting>) -> Program {
+    let (n, phases, edges) = (graph.n(), plan.phase_count(), graph.edge_count());
+    let (msgs, blocks) =
+        (plan.message_count(), routing.map_or(plan.total_blocks_sent(), |ro| ro.hops()));
+    let route = routing.is_some();
+    let mut prog = Program {
+        shape: if route { Shape::Route } else { Shape::Gather },
+        n,
+        phases,
+        labels: Vec::with_capacity(phases),
+        copies: Vec::with_capacity(if route { 0 } else { phases * n }),
+        origin: Vec::new(),
+        msgs: Vec::with_capacity(msgs),
+        recv_ends: Vec::with_capacity(phases * n),
+        send_order: Vec::with_capacity(msgs),
+        send_ends: Vec::with_capacity(phases * n),
+        keys: Vec::with_capacity(blocks),
+        reads: Vec::new(),
+        steps: Vec::new(),
+        send: Cells::with_capacity(if route { edges } else { n }),
+        slots: Cells::default(),
+        recv: RankCells::with_capacity(n, edges),
+        units: Vec::new(),
+    };
+    for p in 0..n {
+        // a gather's send buffer is one cell, a route's one per out-edge
+        for _ in 0..if route { graph.outdegree(p) } else { 1 } {
+            prog.send.push(p, p);
+        }
+        prog.recv.push_rank(graph.in_neighbors(p));
+    }
+    if route {
+        // receive cell (s, r) reads edge (s, r)'s send cell, the edge's
+        // CSR id; in-lists are sorted, so the edges in CSR order fill
+        // each rank's cells in order
+        let mut next: Vec<usize> = (0..n).map(|r| prog.recv.of(r).start).collect();
+        prog.origin = vec![0; edges];
+        for (e, (_, d)) in graph.edges().enumerate() {
+            prog.origin[next[d]] = e as Ix;
+            next[d] += 1;
+        }
+    }
+    // the phase in flight: (receiver, sender, message, position in send order)
+    let mut pend: Vec<(Rank, Rank, MsgView<'_>, usize)> = Vec::new();
+    for k in 0..phases {
+        let sent_before = prog.send_order.len();
+        pend.clear();
+        for r in 0..n {
+            let phase = plan.phase(r, k);
+            let carries = |msg: &MsgView| routing.is_none_or(|ro| !ro.of(msg.id()).is_empty());
+            for msg in phase.sends().filter(carries) {
+                pend.push((msg.peer(), r, msg, sent_before + pend.len()));
+            }
+            prog.send_ends.push((sent_before + pend.len()) as Ix);
+            prog.copies.extend((!route).then(|| phase.copy_blocks() as Ix));
+        }
+        prog.send_order.resize(sent_before + pend.len(), 0);
+        // integration order: per receiver, ascending (sender, tag) — a
+        // total order, `validate` having refused duplicate keys
+        pend.sort_unstable_by_key(|&(dst, src, msg, _)| (dst, src, msg.tag()));
+        let mut receiver = 0;
+        for &(dst, src, msg, sent) in &pend {
+            for _ in receiver..dst {
+                prog.recv_ends.push(prog.msgs.len() as Ix);
+            }
+            receiver = dst;
+            match routing {
+                None => prog.keys.extend(msg.blocks().iter().map(|&b| b as Ix)),
+                Some(ro) => prog.keys.extend(ro.of(msg.id()).iter().map(|&(s, _)| s as Ix)),
+            }
+            prog.send_order[sent] = prog.msgs.len();
+            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.keys.len() });
+        }
+        for _ in receiver..n {
+            prog.recv_ends.push(prog.msgs.len() as Ix);
+        }
+    }
+    prog
+}
+
+/// A partial held at a rank: the contributions of `count` sources to
+/// `dst`.
 #[derive(Clone, Copy, Debug)]
 struct Held {
     dst: Rank,
@@ -310,12 +444,12 @@ struct Held {
 struct PendBlock {
     key: Rank,
     src: Src,
-    /// (reduce) `claimed[lo..hi]` of its message: the sources it folds.
-    claim: (usize, usize),
+    /// `sources[lo..hi]` of its message: the sources it folds.
+    sources: (usize, usize),
 }
 
-/// (reduce) A `(block, destination)` arrival between the two passes:
-/// `count` contributions for `dst`.
+/// A `(block, destination)` arrival between the two passes: `count`
+/// contributions for `dst`.
 #[derive(Clone, Copy, Debug)]
 struct PendDst {
     block: usize,
@@ -332,57 +466,40 @@ struct PendMsg {
     dsts: Range<usize>,
 }
 
-/// The symbolic walk: who holds what, phase by phase, and the program
-/// emitted so far. All tables are dense — per edge or per rank.
-struct Walk<'g> {
-    graph: &'g Topology,
-    /// Per edge: the rank holding its contribution, or a sentinel.
-    holder: Vec<usize>,
-    /// (reduce) per rank: the partials held, sorted by destination.
+/// The symbolic walk of the reduce shapes: the partials each rank holds,
+/// phase by phase, and the program emitted so far.
+struct Walk {
+    /// Per rank: the partials held, sorted by destination.
     held: Vec<Vec<Held>>,
-    /// (reduce) per rank: has the receive buffer taken its first value?
+    /// Per rank: has the receive buffer taken its first value?
     acc_live: Vec<bool>,
     // the phase in flight, between its passes
     pend: Vec<PendMsg>,
     pblocks: Vec<PendBlock>,
     pdsts: Vec<PendDst>,
-    /// `(edge, holder after the phase)` of everything claimed in pass 1.
-    moved: Vec<(usize, usize)>,
     /// One message's items as `(dst, src)`, sorted.
-    claimed: Vec<(Rank, Rank)>,
+    sources: Vec<(Rank, Rank)>,
     prog: Program,
 }
 
-impl<'g> Walk<'g> {
+impl Walk {
     /// Seeds the walk: every contribution starts in a cell of its
     /// source's send buffer. `blocks` bounds the wire blocks to come.
-    fn new(graph: &'g Topology, shape: Shape, phases: usize, blocks: usize) -> Self {
+    fn new(graph: &Topology, shape: Shape, phases: usize, blocks: usize) -> Self {
         let n = graph.n();
-        let reduce = shape.reduces();
         let allreduce = shape == Shape::Allreduce;
-        let (mut send, mut recv) = (Cells::default(), RankCells::with_capacity(n, 0));
-        let mut holder = Vec::with_capacity(graph.edge_count());
+        let (mut send, mut recv) = (Cells::default(), RankCells::with_capacity(n, n));
         let mut held: Vec<Vec<Held>> = vec![Vec::new(); n];
         for (p, mine) in held.iter_mut().enumerate() {
             // allreduce: one cell, x_p, feeds every destination
-            let own = if allreduce { send.push(p, p) } else { 0 };
+            let own = allreduce.then(|| send.push(p, p));
             for &d in graph.out_neighbors(p) {
-                holder.push(p);
-                match shape {
-                    Shape::Gather => unreachable!("`compile` hands gathers to `compile_gather`"),
-                    Shape::Route => drop(send.push(p, p)),
-                    Shape::ReduceScatter => {
-                        let at = Src::Send(send.push(p, d));
-                        mine.push(Held { dst: d, at, count: 1 });
-                    }
-                    Shape::Allreduce => mine.push(Held { dst: d, at: Src::Send(own), count: 1 }),
-                }
+                let at = Src::Send(own.unwrap_or_else(|| send.push(p, d)));
+                mine.push(Held { dst: d, at, count: 1 });
             }
-            recv.push_rank(if reduce { std::slice::from_ref(&p) } else { graph.in_neighbors(p) });
+            recv.push_rank(std::slice::from_ref(&p));
         }
         Walk {
-            graph,
-            holder,
             held,
             // allreduce folds into x_t, already in place; reduce_scatter
             // copies its first arrival
@@ -390,21 +507,20 @@ impl<'g> Walk<'g> {
             pend: Vec::new(),
             pblocks: Vec::new(),
             pdsts: Vec::new(),
-            moved: Vec::new(),
-            claimed: Vec::new(),
+            sources: Vec::new(),
             prog: Program {
                 shape,
                 n,
                 phases,
                 labels: Vec::new(),
                 copies: Vec::new(),
-                origin: Vec::with_capacity(if reduce { 0 } else { graph.edge_count() }),
+                origin: Vec::new(),
                 msgs: Vec::new(),
                 recv_ends: Vec::with_capacity(phases * n),
                 send_order: Vec::new(),
                 send_ends: Vec::with_capacity(phases * n),
                 keys: Vec::with_capacity(blocks),
-                reads: Vec::with_capacity(if reduce { blocks } else { 0 }),
+                reads: Vec::with_capacity(blocks),
                 steps: Vec::new(),
                 send,
                 slots: Cells::default(),
@@ -414,83 +530,44 @@ impl<'g> Walk<'g> {
         }
     }
 
-    /// Takes edge `(s, d)`'s contribution off rank `r` for a message to
-    /// `peer`; `None` when `r` does not hold it (any more).
-    fn claim(&mut self, r: Rank, peer: Rank, (s, d): (Rank, Rank)) -> Option<usize> {
-        let e = self.graph.edge_id(s, d).filter(|&e| self.holder[e] == r)?;
-        self.holder[e] = IN_FLIGHT;
-        self.moved.push((e, if d == peer { DELIVERED } else { peer }));
-        Some(e)
-    }
-
-    /// Pass 1 for one message, `items` from `r` to `peer` ([`route_items`]
-    /// checked the peer): packs it against `r`'s *pre-phase* possession
-    /// (arrivals integrate only after every send is fixed).
+    /// Pass 1 for one message, `items` from `r` to `peer`: packs it
+    /// against `r`'s *pre-phase* partials (arrivals integrate only after
+    /// every send is fixed). The routing must forward all of a rank's
+    /// same-destination items together (the co-routing invariant), so the
+    /// held partial must cover exactly the items' sources; that `r` holds
+    /// each item is the validator's to have decided.
     fn pack(
         &mut self,
         (r, k): (Rank, usize),
         (peer, tag, items): (Rank, u64, &[(Rank, Rank)]),
     ) -> Result<(), ExecError> {
-        let missing = |block: Rank| ExecError::MissingBlock { rank: r, block, phase: k };
-        let (b0, d0) = (self.pblocks.len(), self.pdsts.len());
-        if self.prog.shape == Shape::Route {
-            for &(s, d) in items {
-                let e = self.claim(r, peer, (s, d)).ok_or_else(|| missing(peer))?;
-                self.pblocks.push(PendBlock { key: s, src: Src::Send(e as Ix), claim: (0, 0) });
-            }
-        } else {
-            self.pack_partials(r, peer, items, &missing)?;
-        }
-        self.pend.push(PendMsg {
-            src: r,
-            dst: peer,
-            tag,
-            blocks: b0..self.pblocks.len(),
-            dsts: d0..self.pdsts.len(),
-        });
-        Ok(())
-    }
-
-    /// The reduce half of [`Self::pack`]. The routing must forward all of
-    /// a rank's same-destination items together (the co-routing
-    /// invariant), so the held partial must cover exactly the claimed
-    /// sources.
-    fn pack_partials(
-        &mut self,
-        r: Rank,
-        peer: Rank,
-        items: &[(Rank, Rank)],
-        missing: &dyn Fn(Rank) -> ExecError,
-    ) -> Result<(), ExecError> {
+        let split = |d: Rank| ExecError::MissingBlock { rank: r, block: d, phase: k };
         let shape = self.prog.shape;
         let (b0, d0) = (self.pblocks.len(), self.pdsts.len());
-        let mut claimed = std::mem::take(&mut self.claimed);
-        claimed.clear();
-        claimed.extend(items.iter().map(|&(s, d)| (d, s)));
-        claimed.sort_unstable();
+        let mut sources = std::mem::take(&mut self.sources);
+        sources.clear();
+        sources.extend(items.iter().map(|&(s, d)| (d, s)));
+        sources.sort_unstable();
         let mut lo = 0;
-        for run in claimed.chunk_by(|a, b| a.0 == b.0) {
+        for run in sources.chunk_by(|a, b| a.0 == b.0) {
             let (d, hi) = (run[0].0, lo + run.len());
-            let pos = self.held[r].binary_search_by_key(&d, |h| h.dst).map_err(|_| missing(d))?;
-            for &(_, s) in run {
-                self.claim(r, peer, (s, d)).ok_or_else(|| missing(d))?;
-            }
+            let pos = self.held[r].binary_search_by_key(&d, |h| h.dst).map_err(|_| split(d))?;
             let h = self.held[r].remove(pos);
             if h.count != run.len() {
-                return Err(missing(d));
+                return Err(split(d));
             }
             // Share one wire block across destinations whose value is
             // the same by construction (module docs) — the allreduce first
             // hop carries x_src once, not once per destination.
-            let sources = |(lo, hi): (usize, usize)| claimed[lo..hi].iter().map(|c| c.1);
+            let of = |(lo, hi): (usize, usize)| sources[lo..hi].iter().map(|c| c.1);
             let twin = self.pblocks[b0..]
                 .iter()
-                .position(|b| shape == Shape::Allreduce && sources(b.claim).eq(sources((lo, hi))));
+                .position(|b| shape == Shape::Allreduce && of(b.sources).eq(of((lo, hi))));
             let block = match twin {
                 Some(i) => b0 + i,
                 None => {
                     let key = if shape == Shape::ReduceScatter { d } else { 0 };
-                    self.pblocks.push(PendBlock { key, src: h.at, claim: (lo, hi) });
+                    self.pblocks.push(PendBlock { key, src: h.at, sources: (lo, hi) });
                     self.pblocks.len() - 1
                 }
             };
@@ -502,13 +579,19 @@ impl<'g> Walk<'g> {
             // each block keeps its destinations ascending
             self.pdsts[d0..].sort_by_key(|pd| pd.block);
         }
-        self.claimed = claimed;
+        self.sources = sources;
+        self.pend.push(PendMsg {
+            src: r,
+            dst: peer,
+            tag,
+            blocks: b0..self.pblocks.len(),
+            dsts: d0..self.pdsts.len(),
+        });
         Ok(())
     }
 
-    /// Pass 2 for one `(block, destination)` arrival at rank `at` (reduce
-    /// shapes): the step the receiver runs, and the bookkeeping it
-    /// implies. A slot opens only where a partial folds: a first arrival
+    /// Pass 2 for one `(block, destination)` arrival at rank `at`: the
+    /// step the receiver runs, and the bookkeeping it implies. A slot opens only where a partial folds: a first arrival
     /// read at a send cell is one contribution, held and forwarded there.
     fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Option<Step> {
         let d = pd.dst;
@@ -542,9 +625,6 @@ impl<'g> Walk<'g> {
     /// receiver, ascending `(sender, tag)`. That order *is* the f32 fold
     /// tree. Leaves the between-pass tables empty for the next phase.
     fn integrate(&mut self) {
-        for &(e, to) in &self.moved {
-            self.holder[e] = to;
-        }
         let pend = std::mem::take(&mut self.pend);
         let mut order: Vec<usize> = (0..pend.len()).collect();
         order.sort_unstable_by_key(|&i| (pend[i].dst, pend[i].src, pend[i].tag, i));
@@ -566,8 +646,7 @@ impl<'g> Walk<'g> {
                     self.prog.steps.extend(step);
                 }
                 self.prog.keys.push(pb.key as Ix);
-                let read = Read { src: pb.src, steps_end: self.prog.steps.len() as Ix };
-                self.prog.reads.extend(self.prog.shape.reduces().then_some(read));
+                self.prog.reads.push(Read { src: pb.src, steps_end: self.prog.steps.len() as Ix });
             }
             let blocks_end = self.prog.keys.len();
             self.prog.msgs.push(ProgMsg { src: pm.src, dst: pm.dst, tag: pm.tag, blocks_end });
@@ -581,141 +660,7 @@ impl<'g> Walk<'g> {
         self.pend.clear();
         self.pblocks.clear();
         self.pdsts.clear();
-        self.moved.clear();
     }
-}
-
-/// Compiles `plan` for `shape`: the plan's own block messages for a
-/// gather ([`compile_gather`]), the item routing it implies
-/// ([`route_items`]) otherwise — there a message the routing leaves
-/// without an item is not in the program.
-///
-/// # Errors
-/// [`ExecError::PayloadCountMismatch`] when the plan and `graph` count
-/// different ranks. A gather: [`ExecError::InvalidPlan`] with
-/// [`CollectivePlan::validate`]'s error. The combining shapes:
-/// [`ExecError::MissingBlock`] when a message forwards an item (for the
-/// reduce shapes, a partial over exactly the claimed sources) its sender
-/// does not hold at that phase, or names a peer that is out of range or
-/// the sender itself; [`ExecError::Undelivered`] when an in-neighbor's
-/// contribution never reaches its destination — the lowest (rank,
-/// in-neighbor).
-pub(crate) fn compile(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    shape: Shape,
-) -> Result<Program, ExecError> {
-    #[cfg(test)]
-    tests::COMPILES.with(|c| c.set(c.get() + 1));
-    let n = graph.n();
-    if plan.n() != n {
-        return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: n });
-    }
-    let mut prog = if shape == Shape::Gather {
-        compile_gather(plan, graph)?
-    } else {
-        let routing = route_items(plan, graph)?;
-        // every wire block carries at least one item
-        let items = (0..plan.message_count()).map(|id| routing.of(id).len()).sum();
-        let mut walk = Walk::new(graph, shape, plan.phase_count(), items);
-        for k in 0..plan.phase_count() {
-            let sent_before = walk.prog.send_order.len();
-            for r in 0..n {
-                for msg in plan.phase(r, k).sends() {
-                    let items = routing.of(msg.id());
-                    if !items.is_empty() {
-                        walk.pack((r, k), (msg.peer(), msg.tag(), items))?;
-                    }
-                }
-                walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
-            }
-            walk.integrate();
-        }
-        // every contribution must have reached its destination, where a
-        // routed one is read at its edge's send cell (nothing modifies it)
-        for r in 0..n {
-            for &s in graph.in_neighbors(r) {
-                // INVARIANT: `Topology` keeps its in- and out-lists mirrored.
-                let e = walk.graph.edge_id(s, r).expect("in/out consistency");
-                if walk.holder[e] != DELIVERED {
-                    return Err(ExecError::Undelivered { rank: r, block: s });
-                }
-                walk.prog.origin.extend((shape == Shape::Route).then_some(e as Ix));
-            }
-        }
-        walk.prog
-    };
-    prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
-    let blocks = |id| prog.blocks_of(id).len();
-    prog.units = (0..n).map(|r| prog.traffic_of(r, Tally::default(), blocks)).collect();
-    Ok(prog)
-}
-
-/// The gather program: the plan's own messages, every planned
-/// `(message, block)` on the wire, laid out in integration order. That
-/// every block sent is held, every in-neighbor's block arrives once and
-/// every receive is posted as its send says is [`CollectivePlan::validate`]'s
-/// to decide, once, before anything is laid out. No step is emitted:
-/// nothing modifies a block in flight, so it is read at its origin,
-/// rank `key`'s one send cell ([`Exec::deliver`]).
-fn compile_gather(plan: &CollectivePlan, graph: &Topology) -> Result<Program, ExecError> {
-    plan.validate(graph).map_err(ExecError::InvalidPlan)?;
-    let (n, phases) = (graph.n(), plan.phase_count());
-    let (msgs, blocks) = (plan.message_count(), plan.total_blocks_sent());
-    let mut prog = Program {
-        shape: Shape::Gather,
-        n,
-        phases,
-        labels: Vec::with_capacity(phases),
-        copies: Vec::with_capacity(phases * n),
-        origin: Vec::new(),
-        msgs: Vec::with_capacity(msgs),
-        recv_ends: Vec::with_capacity(phases * n),
-        send_order: vec![0; msgs],
-        send_ends: Vec::with_capacity(phases * n),
-        keys: Vec::with_capacity(blocks),
-        reads: Vec::new(),
-        steps: Vec::new(),
-        send: Cells::with_capacity(n),
-        slots: Cells::default(),
-        recv: RankCells::with_capacity(n, graph.edge_count()),
-        units: Vec::new(),
-    };
-    for p in 0..n {
-        prog.send.push(p, p);
-        prog.recv.push_rank(graph.in_neighbors(p));
-    }
-    // the phase in flight: (receiver, sender, message, position in send order)
-    let mut pend: Vec<(Rank, Rank, MsgView<'_>, usize)> = Vec::new();
-    for k in 0..phases {
-        let sent_before = prog.msgs.len();
-        pend.clear();
-        for r in 0..n {
-            let phase = plan.phase(r, k);
-            for msg in phase.sends() {
-                pend.push((msg.peer(), r, msg, sent_before + pend.len()));
-            }
-            prog.send_ends.push((sent_before + pend.len()) as Ix);
-            prog.copies.push(phase.copy_blocks() as Ix);
-        }
-        // integration order: per receiver, ascending (sender, tag) — a
-        // total order, `validate` having refused duplicate keys
-        pend.sort_unstable_by_key(|&(dst, src, msg, _)| (dst, src, msg.tag()));
-        let mut receiver = 0;
-        for &(dst, src, msg, sent) in &pend {
-            for _ in receiver..dst {
-                prog.recv_ends.push(prog.msgs.len() as Ix);
-            }
-            receiver = dst;
-            prog.keys.extend(msg.blocks().iter().map(|&b| b as Ix));
-            prog.send_order[sent] = prog.msgs.len();
-            prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.keys.len() });
-        }
-        for _ in receiver..n {
-            prog.recv_ends.push(prog.msgs.len() as Ix);
-        }
-    }
-    Ok(prog)
 }
 
 impl Program {
@@ -1063,7 +1008,7 @@ pub(crate) mod tests {
     use crate::collective::{DType, ReduceOp};
     use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
-    use crate::plan::Algorithm;
+    use crate::plan::{Algorithm, MsgDir, PlanValidationError};
     use crate::runtime::Clock;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
@@ -1095,24 +1040,32 @@ pub(crate) mod tests {
         (g, plan)
     }
 
-    /// `plan` without the first block (phase-major) that stands for an
-    /// item `pick(item, peer, items the block stands for)` accepts: the
+    /// `plan` without the first block (phase-major), on both sides of its
+    /// message, that stands for an item `pick(item, peer, items the block
+    /// stands for)` accepts, in a message that keeps another block: the
     /// edited plan, the phase of the edit and the picked item.
     fn drop_block(
         plan: &CollectivePlan,
         g: &Topology,
         pick: impl Fn((Rank, Rank), Rank, usize) -> bool,
     ) -> (CollectivePlan, usize, (Rank, Rank)) {
-        let routing = route_items(plan, g).unwrap();
+        let routing = route_items(plan, g);
         for k in 0..plan.phase_count() {
             for r in 0..plan.n() {
                 for (mi, msg) in plan.phase(r, k).sends().enumerate() {
                     let items = routing.of(msg.id());
                     let of_block = |b| items.iter().filter(|it| it.0 == b).count();
                     let picked = |it: &&(Rank, Rank)| pick(**it, msg.peer(), of_block(it.0));
-                    if let Some(&it) = items.iter().find(picked) {
+                    let found = items.iter().find(picked).filter(|_| msg.blocks().len() > 1);
+                    if let Some(&it) = found {
+                        let (peer, tag) = (msg.peer(), msg.tag());
                         let cut = |rows: &mut [Vec<crate::plan::PlanPhase>]| {
-                            rows[r][k].sends[mi].blocks.retain(|&b| b != it.0)
+                            rows[r][k].sends[mi].blocks.retain(|&b| b != it.0);
+                            for recv in &mut rows[peer][k].recvs {
+                                if (recv.peer, recv.tag) == (r, tag) {
+                                    recv.blocks.retain(|&b| b != it.0);
+                                }
+                            }
                         };
                         return (plan.edited(cut), k, it);
                     }
@@ -1122,26 +1075,42 @@ pub(crate) mod tests {
         panic!("no such item in the plan");
     }
 
+    /// `compile` refuses `plan` for every shape with the validator's own
+    /// error, and returns it.
+    fn refused_for_every_shape(plan: &CollectivePlan, g: &Topology) -> PlanValidationError {
+        let e = plan.validate(g).unwrap_err();
+        for shape in [Shape::Gather, Shape::Route, Shape::ReduceScatter, Shape::Allreduce] {
+            let got = compile(plan, g, shape).map(drop);
+            assert_eq!(got, Err(ExecError::InvalidPlan(e.clone())), "{shape:?}");
+        }
+        e
+    }
+
     #[test]
     fn a_dropped_item_fails_at_compile_time() {
         let (g, plan) = dh_plan(32, 0.4, 6);
         // A block a forwarding agent was to relay never reaches it: the
-        // agent's own send is the first to miss its items.
+        // agent's own later send of it is the first to send what it does
+        // not hold.
         let (relayed, k, (s, d)) = drop_block(&plan, &g, |(_, d), peer, _| d != peer);
-        // A block is dropped on a hop that only delivers it: nobody
-        // misses it until the destination counts its in-neighbors.
-        let (last_hop, _, (s2, d2)) =
-            drop_block(&plan, &g, |(_, d), peer, stands_for| d == peer && stands_for == 1);
-        for shape in SHAPES {
-            match compile(&relayed, &g, shape) {
-                Err(ExecError::MissingBlock { phase, .. }) => assert!(phase > k, "{shape:?}"),
-                other => panic!("{shape:?}: item ({s} -> {d}) dropped, got {other:?}"),
+        match refused_for_every_shape(&relayed, &g) {
+            PlanValidationError::UnheldBlock { phase, block, .. } => {
+                assert!(phase > k && block == s, "item ({s} -> {d}) dropped at phase {k}")
             }
-            assert_eq!(
-                compile(&last_hop, &g, shape).unwrap_err(),
-                ExecError::Undelivered { rank: d2, block: s2 },
-                "{shape:?}"
-            );
+            other => panic!("item ({s} -> {d}) dropped, got {other:?}"),
+        }
+        // A block is dropped on a hop that only delivers it: its
+        // destination, which forwards its whole buffer later on under the
+        // gather plan, is the first to send what it does not hold.
+        let (last_hop, k, (s, d)) =
+            drop_block(&plan, &g, |(_, d), peer, stands_for| d == peer && stands_for == 1);
+        match refused_for_every_shape(&last_hop, &g) {
+            PlanValidationError::UnheldBlock { rank, phase, block } => {
+                assert!((rank, block) == (d, s) && phase > k, "item ({s} -> {d}) dropped at {k}")
+            }
+            other => panic!("item ({s} -> {d}) dropped, got {other:?}"),
+        }
+        for shape in SHAPES {
             compile(&plan, &g, shape).unwrap();
         }
     }
@@ -1152,14 +1121,18 @@ pub(crate) mod tests {
         for peer in [0, 7] {
             let plan = crate::naive::plan_naive(&g).edited(|rows| rows[0][0].sends[0].peer = peer);
             assert_eq!(
-                compile(&plan, &g, Shape::Route).unwrap_err(),
-                ExecError::MissingBlock { rank: 0, block: peer, phase: 0 }
+                refused_for_every_shape(&plan, &g),
+                PlanValidationError::BadPeer { rank: 0, phase: 0, peer, dir: MsgDir::Send }
             );
         }
-        let plan = crate::naive::plan_naive(&g).edited(|rows| rows[1][0].sends[0].blocks.push(3));
+        // a block no rank owns, on both sides of its message
+        let plan = crate::naive::plan_naive(&g).edited(|rows| {
+            rows[1][0].sends[0].blocks.push(3);
+            rows[2][0].recvs.iter_mut().for_each(|m| m.blocks.extend((m.peer == 1).then_some(3)));
+        });
         assert_eq!(
-            compile(&plan, &g, Shape::Route).unwrap_err(),
-            ExecError::MissingBlock { rank: 1, block: 3, phase: 0 }
+            refused_for_every_shape(&plan, &g),
+            PlanValidationError::UnheldBlock { rank: 1, phase: 0, block: 3 }
         );
     }
 
@@ -1227,7 +1200,7 @@ pub(crate) mod tests {
             Algorithm::Bruck,
         ] {
             let plan = comm.alltoall_plan(algo).unwrap();
-            let routing = route_items(&plan, &g).unwrap();
+            let routing = route_items(&plan, &g);
             let mut slot = std::collections::BTreeMap::new();
             for k in 0..plan.phase_count() {
                 for r in 0..plan.n() {
@@ -1269,9 +1242,7 @@ pub(crate) mod tests {
             walk.integrate();
             walk.prog.labels.push(nhood_telemetry::labels::PHASE);
         }
-        assert!(walk.holder.iter().all(|&h| h == DELIVERED));
-        let prog = walk.prog;
-        (g, prog)
+        (g, walk.prog)
     }
 
     #[test]
@@ -1286,7 +1257,6 @@ pub(crate) mod tests {
         };
         assert_eq!(agent_ships(Shape::Allreduce), m, "same sources: one block");
         assert_eq!(agent_ships(Shape::ReduceScatter), 2 * m, "per-destination values");
-        assert_eq!(agent_ships(Shape::Route), 4 * m, "routed items never merge");
 
         // an f32 and an integer allreduce run one program
         let (g, prog) = crossed_folds(Shape::Allreduce);

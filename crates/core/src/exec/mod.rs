@@ -240,24 +240,19 @@ pub enum ExecError {
         /// Expected length (rank 0's).
         want: usize,
     },
-    /// A combining shape's routing forwards an item its sender never held.
+    /// A reduce shape's routing breaks the co-routing invariant: a
+    /// message forwards some but not all of the contributions its sender
+    /// holds for a destination.
     MissingBlock {
         /// Sending rank.
         rank: Rank,
-        /// Missing block.
+        /// The destination whose partial the message does not cover.
         block: Rank,
         /// Phase index.
         phase: usize,
     },
-    /// A combining shape's routing never delivers an in-neighbor's item.
-    Undelivered {
-        /// Receiving rank.
-        rank: Rank,
-        /// The in-neighbor whose block never arrived.
-        block: Rank,
-    },
-    /// A gather's plan failed [`CollectivePlan::validate`]: it is refused
-    /// before any byte moves.
+    /// The plan failed [`CollectivePlan::validate`]: it is refused, for
+    /// every op, before any byte moves.
     InvalidPlan(PlanValidationError),
     /// A threaded rank timed out waiting for a message (deadlocked or
     /// lost message).
@@ -316,10 +311,7 @@ impl std::fmt::Display for ExecError {
                 write!(f, "rank {rank} payload is {got} bytes, expected {want}")
             }
             ExecError::MissingBlock { rank, block, phase } => {
-                write!(f, "rank {rank} does not hold block {block} at phase {phase}")
-            }
-            ExecError::Undelivered { rank, block } => {
-                write!(f, "rank {rank} never received in-neighbor {block}'s block")
+                write!(f, "rank {rank} forwards part of its partial for {block} at phase {phase}")
             }
             ExecError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
             ExecError::Timeout { rank, phase } => {

@@ -15,8 +15,8 @@
 //! request.
 //!
 //! Topology churn integrates live: [`Service::churn`] repairs the
-//! affected tenant's plan in place (PR 6 machinery) without draining
-//! the queue, and fault-armed tenants execute on the robust threaded
+//! affected tenant's plan in place (`DistGraphComm::mutate`) without
+//! draining the queue, and fault-armed tenants execute on the robust threaded
 //! path so degraded completions are *reported*, never silently wrong.
 //!
 //! The [`traffic`] module drives a service under a seeded open-loop

@@ -21,9 +21,9 @@
 //!    ops (alltoallv, reduce_scatter, allreduce) run the same engine as
 //!    gathers but never share a batch with them — under `Auto` or a
 //!    pinned size table the two families resolve different plans.
-//! 4. [`Service::churn`] applies PR 6 topology mutations to a live
-//!    tenant **without draining the queue**: the communicator repairs
-//!    (or rebuilds) its plan in place, so queued requests simply execute
+//! 4. [`Service::churn`] applies a topology mutation
+//!    (`DistGraphComm::mutate`) to a live tenant **without draining the
+//!    queue**: the communicator repairs (or rebuilds) its plan in place, so queued requests simply execute
 //!    against the repaired plan when their tick comes.
 
 use std::collections::VecDeque;

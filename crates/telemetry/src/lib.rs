@@ -1,8 +1,8 @@
 //! Unified tracing & metrics for the `nhood` workspace.
 //!
-//! Every instrumented component — the three collective executors, the
-//! distributed agent negotiation, the fault layer and the discrete-event
-//! simulator — reports through one narrow [`Recorder`] trait. Callers
+//! Every instrumented component — the two collective executors
+//! (sequential and threaded) and the simulator's replay, the distributed
+//! agent negotiation and the fault layer — reports through one narrow [`Recorder`] trait. Callers
 //! that do not care pass [`NullRecorder`] (every hook is an empty default
 //! method, and it asks for no traffic tally, so the uninstrumented path
 //! costs one empty virtual call per phase-level event); callers that do
@@ -61,8 +61,8 @@ pub mod labels {
     /// The candidate-scoring stage of one halving step (matrix-A
     /// queries), parallelizable.
     pub const BUILD_SCORE: &str = "build_score";
-    /// The protocol-drive stage of one halving step (REQ/ACCEPT/DROP/
-    /// EXIT emulation), one drive per round.
+    /// The matching stage of one halving step: deferred acceptance over
+    /// each round's scored rows, the rounds on the build pool.
     pub const BUILD_MATCH: &str = "build_match";
     /// Lowering a built pattern to an executable plan.
     pub const PLAN_LOWER: &str = "plan_lower";

@@ -199,8 +199,8 @@ fn alltoall_correct_on_arbitrary_graphs() {
         let comm = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
         for algo in [Algorithm::Naive, Algorithm::DistanceHalving] {
             comm.alltoall_plan(algo).unwrap().validate(&g).unwrap();
-            // the routing checks out for every shape it compiles to: no
-            // request runs before `MissingBlock` / `Undelivered` are ruled out
+            // every shape compiles what `validate` admits, so a request
+            // over a valid plan runs and matches the reference
             for (op, bufs) in [
                 (CollectiveOp::Alltoallv, &sbufs),
                 (CollectiveOp::ReduceScatter(Reduction::SUM_U8), &sbufs),

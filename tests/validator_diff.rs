@@ -11,10 +11,15 @@
 //! no map, nothing shared with the implementation. A failing case is
 //! printed as `(algorithm, n, δ-seed, mutation-seed)`.
 //!
-//! The gather compile (`ArenaLayout::for_plan`) must admit exactly the
-//! mutated plans the validator admits, and refuse the others with
-//! `ExecError::InvalidPlan` of the validator's error: the executors run
-//! what `validate` defines and nothing else.
+//! Every op's compile must admit exactly the mutated plans the validator
+//! admits, and refuse the others with `ExecError::InvalidPlan` of the
+//! validator's error: the executors run what `validate` defines and
+//! nothing else. The gather compile is read directly
+//! (`ArenaLayout::for_plan`); the combining ops run their request over
+//! the mutated plan (`DistGraphComm::collective_on`) — alltoallv under
+//! every algorithm, reduce_scatter and allreduce wherever the support
+//! matrix admits the algorithm — and an admitted plan must return the
+//! naive reference's bytes.
 //!
 //! The lowered schedule of every mutated plan then goes through
 //! `Schedule::validate` and `Engine::run`: the engine must answer
@@ -22,16 +27,18 @@
 //! rejects.
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::collective::reference;
 use nhood_core::exec::sim_exec::to_schedule_v;
 use nhood_core::plan::{MsgDir, PlanPhase, PlannedMsg};
 use nhood_core::{
-    Algorithm, ArenaLayout, CollectivePlan, DistGraphComm, ExecError, PlanValidationError as E,
-    SimCost,
+    Algorithm, ArenaLayout, BlockArena, CollectiveOp, CollectivePlan, CollectiveRequest, CommError,
+    DistGraphComm, ExecError, PlanValidationError as E, Reduction, SimCost,
 };
 use nhood_simnet::{Engine, SimError, SimReport};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::{hash_mix, DetRng};
 use nhood_topology::{Rank, Topology};
+use std::sync::Arc;
 
 const ALGORITHMS: [Algorithm; 6] = [
     Algorithm::Naive,
@@ -267,6 +274,23 @@ fn mutate(plan: &mut Rows, graph: &Topology, kind: u64, rng: &mut DetRng) {
     }
 }
 
+/// The combining ops and their payloads on `graph`: 4-byte items for
+/// alltoallv and reduce_scatter, a 4-byte vector per rank for allreduce.
+fn combining_requests(graph: &Topology) -> [(CollectiveOp, Vec<Vec<u8>>); 3] {
+    let items: Vec<Vec<u8>> = (0..graph.n())
+        .map(|p| {
+            let out = graph.out_neighbors(p).iter();
+            out.flat_map(|&d| (0..4).map(move |i| (p * 31 + d * 7 + i) as u8)).collect()
+        })
+        .collect();
+    let own = (0..graph.n()).map(|p| vec![(p * 29 + 3) as u8; 4]).collect();
+    [
+        (CollectiveOp::Alltoallv, items.clone()),
+        (CollectiveOp::ReduceScatter(Reduction::SUM_U8), items),
+        (CollectiveOp::Allreduce(Reduction::SUM_U8), own),
+    ]
+}
+
 #[test]
 fn dense_validator_agrees_with_the_brute_force_oracle() {
     let cost = SimCost::niagara();
@@ -287,6 +311,26 @@ fn dense_validator_agrees_with_the_brute_force_oracle() {
                     Ok(()),
                     "{algorithm} n={n} δ-seed {delta_seed}"
                 );
+                // the combining ops the support matrix admits under
+                // `algorithm` here, each returning the reference's bytes
+                let mut combining = combining_requests(&graph).to_vec();
+                combining.retain(|(op, payloads)| {
+                    let req = CollectiveRequest::new(*op, payloads).algorithm(algorithm);
+                    match comm.collective(&req) {
+                        Ok(out) => {
+                            let want = reference(&graph, *op, payloads, None).unwrap();
+                            assert!(out.rbufs == want, "{op} {algorithm} n={n}: not the reference");
+                            true
+                        }
+                        Err(CommError::UnsupportedCollective { .. })
+                            if op.reduction().is_some() =>
+                        {
+                            false
+                        }
+                        Err(e) => panic!("{op} {algorithm} n={n}: {e}"),
+                    }
+                });
+                let arena = &mut BlockArena::new();
                 for kind in 0..MUTATIONS {
                     let mutation_seed = hash_mix(&[delta_seed, kind, n as u64, a as u64]);
                     let case = format!("({algorithm}, {n}, {delta_seed}, {mutation_seed:#x})");
@@ -300,6 +344,26 @@ fn dense_validator_agrees_with_the_brute_force_oracle() {
                     let compiled = ArenaLayout::for_plan(&plan, &graph).map(drop);
                     let refused = got.clone().map_err(ExecError::InvalidPlan);
                     assert_eq!(compiled, refused, "compile and validator disagree on case {case}");
+                    let plan = Arc::new(plan);
+                    for (op, payloads) in &combining {
+                        let req = CollectiveRequest::new(*op, payloads).algorithm(algorithm);
+                        let ran = comm.collective_on(&req, Some(&plan), arena).map(|o| o.rbufs);
+                        match (&got, ran) {
+                            (Err(e), Err(CommError::Exec(ExecError::InvalidPlan(ran)))) => {
+                                assert_eq!(&ran, e, "{op} on case {case}")
+                            }
+                            (Ok(()), Ok(rbufs)) => {
+                                let want = reference(&graph, *op, payloads, None).unwrap();
+                                assert!(rbufs == want, "{op} on case {case}: not the reference")
+                            }
+                            (want, ran) => {
+                                panic!(
+                                    "{op} on case {case}: {:?}, validator {want:?}",
+                                    ran.map(drop)
+                                )
+                            }
+                        }
+                    }
                     cases += 1;
                     if let Err(e) = &got {
                         rejected += 1;
