@@ -546,6 +546,23 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_cost_model_is_a_typed_error() {
+        let path = tmp("nhood_cli_bad_cost.el");
+        let mut out = Vec::new();
+        cmd_gen(&args(&["gen", "er", &path, "--n", "32", "--delta", "0.3"]), &mut out).unwrap();
+        for (cost, field) in [
+            ("flat:NaN:1e9", "alpha = NaN"),
+            ("flat:1e-6:0", "bytes_per_sec = 0"),
+            ("flat:-1:1e9", "alpha = -1"),
+        ] {
+            let argv = ["simulate", &path, "--algo", "dh", "--nodes", "2", "--sockets", "2"];
+            let argv = [&argv[..], &["--cores", "8", "--sizes", "64,0", "--cost", cost]].concat();
+            let e = cmd_simulate(&args(&argv), &mut Vec::new()).unwrap_err().to_string();
+            assert!(e.contains("invalid cost model") && e.contains(field), "{cost}: {e}");
+        }
+    }
+
+    #[test]
     fn topology_flag_generates_torus_inline() {
         // simulate: --topology torus:2:4 = 16 ranks, no edge-list file
         let mut out = Vec::new();

@@ -5,18 +5,17 @@
 //! otherwise rediscover: where every held block, item or partial lives (a
 //! cell of the caller's send buffer, a slot of the rank's arena, or a
 //! cell of the receive buffer), which wire blocks each message carries,
-//! and the exact `copy` / `combine` steps each arrival performs, in the
-//! `(peer, tag)` integration order that makes f32 results bit-identical
-//! across backends. Every shape compiles what [`CollectivePlan::validate`]
-//! admits — that every block sent is held and every in-neighbor's block
-//! arrives exactly once is the validator's to decide, once — and a plan it
+//! and the exact `copy` / `combine` steps each arrival performs. Every
+//! shape compiles what [`CollectivePlan::validate`] admits — a plan it
 //! rejects fails *here* with [`ExecError::InvalidPlan`], before any byte
-//! moves. A gather executes the plan's block messages as they are, and
-//! alltoallv the item routing the plan implies
-//! ([`crate::alltoall::route_items`]) laid out the same way: neither
-//! modifies a block in flight. The reduce shapes fold that routing through
-//! one symbolic walk, which refuses ([`ExecError::MissingBlock`]) a routing
-//! that breaks the co-routing invariant below.
+//! moves — through one layout: per phase, the sends in the plan's order,
+//! then the same messages in the `(peer, tag)` integration order that
+//! makes f32 results bit-identical across backends. A shape adds only its
+//! wire blocks: a gather the plan's own, alltoallv the items of the
+//! routing the plan implies ([`crate::alltoall::route_items`]) — neither
+//! modified in flight — and the reduce shapes the partials one symbolic
+//! walk packs of those items, refusing ([`ExecError::MissingBlock`]) a
+//! routing that breaks the co-routing invariant below.
 //!
 //! A request then resolves offsets and receive totals against its block
 //! lengths ([`Tables::stage`]: O(cells), no allocation once warm) and
@@ -182,10 +181,6 @@ struct Cells {
 }
 
 impl Cells {
-    fn with_capacity(cells: usize) -> Self {
-        Self { rank: Vec::with_capacity(cells), key: Vec::with_capacity(cells) }
-    }
-
     fn push(&mut self, rank: Rank, key: Rank) -> Ix {
         self.rank.push(rank as Ix);
         self.key.push(key as Ix);
@@ -214,10 +209,6 @@ struct RankCells {
 }
 
 impl RankCells {
-    fn with_capacity(ranks: usize, cells: usize) -> Self {
-        Self { ends: Vec::with_capacity(ranks), key: Vec::with_capacity(cells) }
-    }
-
     /// Appends the next rank's cells.
     fn push_rank(&mut self, keys: &[Rank]) {
         self.key.extend(keys.iter().map(|&key| key as Ix));
@@ -259,11 +250,8 @@ pub struct Program {
     labels: Vec<&'static str>,
     /// (Gather) `copies[k * n + r]`: the plan's `copy_blocks` tally.
     copies: Vec<Ix>,
-    /// (Route) per receive cell: the send cell, on the rank its key
-    /// names, the item it receives starts in. Nothing modifies such an
-    /// item in flight, so delivery is a copy from there. Empty for a
-    /// gather: a receive cell's origin is its key, rank `key`'s one send
-    /// cell.
+    /// (Route) per receive cell: the send cell its item starts in, and is
+    /// delivered from. Empty for a gather: cell `key` reads rank `key`'s.
     origin: Vec<Ix>,
     /// Messages in integration order: phase, receiver, `(sender, tag)`.
     msgs: Vec<ProgMsg>,
@@ -289,13 +277,11 @@ pub struct Program {
 }
 
 // ---------------------------------------------------------------------
-// Compile: the plan's messages laid out, or one symbolic walk of them
+// Compile: one layout pass per phase, whatever the shape
 // ---------------------------------------------------------------------
 
-/// Compiles `plan` for `shape`, once [`CollectivePlan::validate`] has
-/// admitted it: the plan's own block messages for a gather, the item
-/// routing it implies ([`route_items`]) otherwise — there a message the
-/// routing leaves without an item is not in the program.
+/// Compiles `plan` for `shape` ([`lay_out`]) once
+/// [`CollectivePlan::validate`] has admitted it.
 ///
 /// # Errors
 /// [`ExecError::PayloadCountMismatch`] when the plan and `graph` count
@@ -316,118 +302,72 @@ pub(crate) fn compile(
         return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: n });
     }
     plan.validate(graph).map_err(ExecError::InvalidPlan)?;
-    let mut prog = match shape {
-        Shape::Gather => lay_out(plan, graph, None),
-        Shape::Route => lay_out(plan, graph, Some(&route_items(plan, graph))),
-        Shape::ReduceScatter | Shape::Allreduce => {
-            let routing = route_items(plan, graph);
-            let mut walk = Walk::new(graph, shape, plan.phase_count(), routing.hops());
-            for k in 0..plan.phase_count() {
-                let sent_before = walk.prog.send_order.len();
-                for r in 0..n {
-                    for msg in plan.phase(r, k).sends() {
-                        let items = routing.of(msg.id());
-                        if !items.is_empty() {
-                            walk.pack((r, k), (msg.peer(), msg.tag(), items))?;
-                        }
-                    }
-                    walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
-                }
-                walk.integrate();
-            }
-            walk.prog
-        }
-    };
-    prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
-    let blocks = |id| prog.blocks_of(id).len();
-    prog.units = (0..n).map(|r| prog.traffic_of(r, Tally::default(), blocks)).collect();
-    Ok(prog)
+    let routing = (shape != Shape::Gather).then(|| route_items(plan, graph));
+    let blocks = routing.as_ref().map_or(plan.total_blocks_sent(), ItemRouting::hops);
+    lay_out(plan, graph, shape, blocks, |id| routing.as_ref().map_or(&[], |ro| ro.of(id)))
 }
 
-/// The program of a shape whose blocks reach their destination
-/// unmodified, laid out in integration order: a gather's, whose wire
-/// blocks are the plan's own, or — given `routing` — alltoallv's, whose
-/// are the items each send carries. No step is emitted: a receiver reads
-/// every block at its origin ([`Exec::deliver`]), rank `key`'s one send
-/// cell in a gather and its edge's in a route.
-fn lay_out(plan: &CollectivePlan, graph: &Topology, routing: Option<&ItemRouting>) -> Program {
-    let (n, phases, edges) = (graph.n(), plan.phase_count(), graph.edge_count());
-    let (msgs, blocks) =
-        (plan.message_count(), routing.map_or(plan.total_blocks_sent(), |ro| ro.hops()));
-    let route = routing.is_some();
-    let mut prog = Program {
-        shape: if route { Shape::Route } else { Shape::Gather },
-        n,
-        phases,
-        labels: Vec::with_capacity(phases),
-        copies: Vec::with_capacity(if route { 0 } else { phases * n }),
-        origin: Vec::new(),
-        msgs: Vec::with_capacity(msgs),
-        recv_ends: Vec::with_capacity(phases * n),
-        send_order: Vec::with_capacity(msgs),
-        send_ends: Vec::with_capacity(phases * n),
-        keys: Vec::with_capacity(blocks),
-        reads: Vec::new(),
-        steps: Vec::new(),
-        send: Cells::with_capacity(if route { edges } else { n }),
-        slots: Cells::default(),
-        recv: RankCells::with_capacity(n, edges),
-        units: Vec::new(),
-    };
-    for p in 0..n {
-        // a gather's send buffer is one cell, a route's one per out-edge
-        for _ in 0..if route { graph.outdegree(p) } else { 1 } {
-            prog.send.push(p, p);
-        }
-        prog.recv.push_rank(graph.in_neighbors(p));
-    }
-    if route {
-        // receive cell (s, r) reads edge (s, r)'s send cell, the edge's
-        // CSR id; in-lists are sorted, so the edges in CSR order fill
-        // each rank's cells in order
-        let mut next: Vec<usize> = (0..n).map(|r| prog.recv.of(r).start).collect();
-        prog.origin = vec![0; edges];
-        for (e, (_, d)) in graph.edges().enumerate() {
-            prog.origin[next[d]] = e as Ix;
-            next[d] += 1;
-        }
-    }
+/// Lays `plan` out as `shape`'s program of at most `blocks` wire blocks,
+/// one pass per phase. Pass 1 collects the phase's sends in the plan's
+/// order with what each carries: a gather the plan's blocks, a route the
+/// items `items(id)` hands send `id`, a reduce shape the partials the
+/// [`Walk`] packs of them; a route or reduce send without an item is left
+/// out. Pass 2 sorts the sends into integration order and emits each
+/// message with its wire blocks (only a reduce shape's carry steps).
+fn lay_out<'r>(
+    plan: &CollectivePlan,
+    graph: &Topology,
+    shape: Shape,
+    blocks: usize,
+    items: impl Fn(usize) -> &'r [(Rank, Rank)],
+) -> Result<Program, ExecError> {
+    let n = graph.n();
+    let mut prog = Program::new(plan, graph, shape, blocks);
+    let mut walk = shape.reduces().then(|| Walk::new(graph, shape));
     // the phase in flight: (receiver, sender, message, position in send order)
     let mut pend: Vec<(Rank, Rank, MsgView<'_>, usize)> = Vec::new();
-    for k in 0..phases {
+    for k in 0..prog.phases {
         let sent_before = prog.send_order.len();
         pend.clear();
+        walk.iter_mut().for_each(Walk::next_phase);
         for r in 0..n {
             let phase = plan.phase(r, k);
-            let carries = |msg: &MsgView| routing.is_none_or(|ro| !ro.of(msg.id()).is_empty());
-            for msg in phase.sends().filter(carries) {
+            for msg in phase.sends() {
+                let carried = items(msg.id());
+                if shape != Shape::Gather && carried.is_empty() {
+                    continue;
+                }
+                if let Some(walk) = &mut walk {
+                    walk.pack((r, k), carried)?;
+                }
                 pend.push((msg.peer(), r, msg, sent_before + pend.len()));
             }
             prog.send_ends.push((sent_before + pend.len()) as Ix);
-            prog.copies.extend((!route).then(|| phase.copy_blocks() as Ix));
+            prog.copies.extend((shape == Shape::Gather).then(|| phase.copy_blocks() as Ix));
         }
         prog.send_order.resize(sent_before + pend.len(), 0);
         // integration order: per receiver, ascending (sender, tag) — a
-        // total order, `validate` having refused duplicate keys
+        // total order, `validate` having refused duplicate keys, and the
+        // reduce shapes' f32 fold tree
         pend.sort_unstable_by_key(|&(dst, src, msg, _)| (dst, src, msg.tag()));
-        let mut receiver = 0;
         for &(dst, src, msg, sent) in &pend {
-            for _ in receiver..dst {
-                prog.recv_ends.push(prog.msgs.len() as Ix);
-            }
-            receiver = dst;
-            match routing {
-                None => prog.keys.extend(msg.blocks().iter().map(|&b| b as Ix)),
-                Some(ro) => prog.keys.extend(ro.of(msg.id()).iter().map(|&(s, _)| s as Ix)),
+            prog.recv_ends.resize(k * n + dst, prog.msgs.len() as Ix);
+            match &mut walk {
+                Some(walk) => walk.unpack(sent - sent_before, dst, &mut prog),
+                None if shape == Shape::Gather => {
+                    prog.keys.extend(msg.blocks().iter().map(|&b| b as Ix));
+                }
+                None => prog.keys.extend(items(msg.id()).iter().map(|&(s, _)| s as Ix)),
             }
             prog.send_order[sent] = prog.msgs.len();
             prog.msgs.push(ProgMsg { src, dst, tag: msg.tag(), blocks_end: prog.keys.len() });
         }
-        for _ in receiver..n {
-            prog.recv_ends.push(prog.msgs.len() as Ix);
-        }
+        prog.recv_ends.resize((k + 1) * n, prog.msgs.len() as Ix);
     }
-    prog
+    prog.labels.extend((0..prog.phases).map(|k| phase_label(plan, k)));
+    let blocks = |id| prog.blocks_of(id).len();
+    prog.units = (0..n).map(|r| prog.traffic_of(r, Tally::default(), blocks)).collect();
+    Ok(prog)
 }
 
 /// A partial held at a rank: the contributions of `count` sources to
@@ -457,92 +397,49 @@ struct PendDst {
     count: usize,
 }
 
-/// A message between the two passes of a phase.
-struct PendMsg {
-    src: Rank,
-    dst: Rank,
-    tag: u64,
-    blocks: Range<usize>,
-    dsts: Range<usize>,
-}
-
 /// The symbolic walk of the reduce shapes: the partials each rank holds,
-/// phase by phase, and the program emitted so far.
+/// phase by phase, and the wire blocks the phase in flight packs.
+#[derive(Default)]
 struct Walk {
+    allreduce: bool,
     /// Per rank: the partials held, sorted by destination.
     held: Vec<Vec<Held>>,
     /// Per rank: has the receive buffer taken its first value?
     acc_live: Vec<bool>,
     // the phase in flight, between its passes
-    pend: Vec<PendMsg>,
     pblocks: Vec<PendBlock>,
     pdsts: Vec<PendDst>,
+    /// Per send, in send order: the ends of its `pblocks` and `pdsts`.
+    packed: Vec<(usize, usize)>,
     /// One message's items as `(dst, src)`, sorted.
     sources: Vec<(Rank, Rank)>,
-    prog: Program,
 }
 
 impl Walk {
-    /// Seeds the walk: every contribution starts in a cell of its
-    /// source's send buffer. `blocks` bounds the wire blocks to come.
-    fn new(graph: &Topology, shape: Shape, phases: usize, blocks: usize) -> Self {
+    /// Seeds the walk: every contribution starts in its source's send
+    /// cell ([`Program::new`]'s), allreduce's one per rank or
+    /// reduce_scatter's one per out-edge, in edge order.
+    fn new(graph: &Topology, shape: Shape) -> Self {
         let n = graph.n();
         let allreduce = shape == Shape::Allreduce;
-        let (mut send, mut recv) = (Cells::default(), RankCells::with_capacity(n, n));
         let mut held: Vec<Vec<Held>> = vec![Vec::new(); n];
-        for (p, mine) in held.iter_mut().enumerate() {
-            // allreduce: one cell, x_p, feeds every destination
-            let own = allreduce.then(|| send.push(p, p));
-            for &d in graph.out_neighbors(p) {
-                let at = Src::Send(own.unwrap_or_else(|| send.push(p, d)));
-                mine.push(Held { dst: d, at, count: 1 });
-            }
-            recv.push_rank(std::slice::from_ref(&p));
+        for (e, (p, d)) in graph.edges().enumerate() {
+            let cell = if allreduce { p } else { e };
+            held[p].push(Held { dst: d, at: Src::Send(cell as Ix), count: 1 });
         }
-        Walk {
-            held,
-            // allreduce folds into x_t, already in place; reduce_scatter
-            // copies its first arrival
-            acc_live: vec![allreduce; n],
-            pend: Vec::new(),
-            pblocks: Vec::new(),
-            pdsts: Vec::new(),
-            sources: Vec::new(),
-            prog: Program {
-                shape,
-                n,
-                phases,
-                labels: Vec::new(),
-                copies: Vec::new(),
-                origin: Vec::new(),
-                msgs: Vec::new(),
-                recv_ends: Vec::with_capacity(phases * n),
-                send_order: Vec::new(),
-                send_ends: Vec::with_capacity(phases * n),
-                keys: Vec::with_capacity(blocks),
-                reads: Vec::with_capacity(blocks),
-                steps: Vec::new(),
-                send,
-                slots: Cells::default(),
-                recv,
-                units: Vec::new(),
-            },
-        }
+        // allreduce folds into x_t, already in place; reduce_scatter
+        // copies its first arrival
+        Walk { allreduce, held, acc_live: vec![allreduce; n], ..Walk::default() }
     }
 
-    /// Pass 1 for one message, `items` from `r` to `peer`: packs it
-    /// against `r`'s *pre-phase* partials (arrivals integrate only after
-    /// every send is fixed). The routing must forward all of a rank's
+    /// Pass 1 for the next send, `items` from `r`: packs it against
+    /// `r`'s *pre-phase* partials (arrivals integrate only after every
+    /// send is fixed). The routing must forward all of a rank's
     /// same-destination items together (the co-routing invariant), so the
     /// held partial must cover exactly the items' sources; that `r` holds
     /// each item is the validator's to have decided.
-    fn pack(
-        &mut self,
-        (r, k): (Rank, usize),
-        (peer, tag, items): (Rank, u64, &[(Rank, Rank)]),
-    ) -> Result<(), ExecError> {
+    fn pack(&mut self, (r, k): (Rank, usize), items: &[(Rank, Rank)]) -> Result<(), ExecError> {
         let split = |d: Rank| ExecError::MissingBlock { rank: r, block: d, phase: k };
-        let shape = self.prog.shape;
         let (b0, d0) = (self.pblocks.len(), self.pdsts.len());
         let mut sources = std::mem::take(&mut self.sources);
         sources.clear();
@@ -560,13 +457,11 @@ impl Walk {
             // the same by construction (module docs) — the allreduce first
             // hop carries x_src once, not once per destination.
             let of = |(lo, hi): (usize, usize)| sources[lo..hi].iter().map(|c| c.1);
-            let twin = self.pblocks[b0..]
-                .iter()
-                .position(|b| shape == Shape::Allreduce && of(b.sources).eq(of((lo, hi))));
-            let block = match twin {
+            let twin = |b: &PendBlock| self.allreduce && of(b.sources).eq(of((lo, hi)));
+            let block = match self.pblocks[b0..].iter().position(twin) {
                 Some(i) => b0 + i,
                 None => {
-                    let key = if shape == Shape::ReduceScatter { d } else { 0 };
+                    let key = if self.allreduce { 0 } else { d };
                     self.pblocks.push(PendBlock { key, src: h.at, sources: (lo, hi) });
                     self.pblocks.len() - 1
                 }
@@ -580,20 +475,32 @@ impl Walk {
             self.pdsts[d0..].sort_by_key(|pd| pd.block);
         }
         self.sources = sources;
-        self.pend.push(PendMsg {
-            src: r,
-            dst: peer,
-            tag,
-            blocks: b0..self.pblocks.len(),
-            dsts: d0..self.pdsts.len(),
-        });
+        self.packed.push((self.pblocks.len(), self.pdsts.len()));
         Ok(())
     }
 
-    /// Pass 2 for one `(block, destination)` arrival at rank `at`: the
-    /// step the receiver runs, and the bookkeeping it implies. A slot opens only where a partial folds: a first arrival
-    /// read at a send cell is one contribution, held and forwarded there.
-    fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst) -> Option<Step> {
+    /// Pass 2 for the phase's `i`-th send, arriving at `at`: its wire
+    /// blocks into `prog`, each with the steps its arrivals run.
+    fn unpack(&mut self, i: usize, at: Rank, prog: &mut Program) {
+        let (b0, d0) = if i == 0 { (0, 0) } else { self.packed[i - 1] };
+        let (b1, d1) = self.packed[i];
+        let mut arrivals = (d0..d1).peekable();
+        for b in b0..b1 {
+            let pb = self.pblocks[b];
+            while let Some(j) = arrivals.next_if(|&j| self.pdsts[j].block == b) {
+                let step = self.arrive(at, pb, self.pdsts[j], &mut prog.slots);
+                prog.steps.extend(step);
+            }
+            prog.keys.push(pb.key as Ix);
+            prog.reads.push(Read { src: pb.src, steps_end: prog.steps.len() as Ix });
+        }
+    }
+
+    /// One `(block, destination)` arrival at rank `at`: the step the
+    /// receiver runs, and the bookkeeping it implies. A slot opens only
+    /// where a partial folds: a first arrival read at a send cell is one
+    /// contribution, held and forwarded there.
+    fn arrive(&mut self, at: Rank, pb: PendBlock, pd: PendDst, slots: &mut Cells) -> Option<Step> {
         let d = pd.dst;
         if d == at {
             let live = std::mem::replace(&mut self.acc_live[at], true);
@@ -606,14 +513,14 @@ impl Walk {
                 Some(match h.at {
                     Src::Slot(slot) => Step::Combine(Dst::Slot(slot)),
                     Src::Send(from) => {
-                        let slot = self.prog.slots.push(at, pb.key);
+                        let slot = slots.push(at, pb.key);
                         h.at = Src::Slot(slot);
                         Step::Fold { from, slot }
                     }
                 })
             }
             Err(pos) => {
-                let slot = matches!(pb.src, Src::Slot(_)).then(|| self.prog.slots.push(at, pb.key));
+                let slot = matches!(pb.src, Src::Slot(_)).then(|| slots.push(at, pb.key));
                 let h = Held { dst: d, at: slot.map_or(pb.src, Src::Slot), count: pd.count };
                 self.held[at].insert(pos, h);
                 slot.map(|slot| Step::Copy(Dst::Slot(slot)))
@@ -621,49 +528,71 @@ impl Walk {
         }
     }
 
-    /// Pass 2 for the phase: arrivals in integration order — per
-    /// receiver, ascending `(sender, tag)`. That order *is* the f32 fold
-    /// tree. Leaves the between-pass tables empty for the next phase.
-    fn integrate(&mut self) {
-        let pend = std::mem::take(&mut self.pend);
-        let mut order: Vec<usize> = (0..pend.len()).collect();
-        order.sort_unstable_by_key(|&i| (pend[i].dst, pend[i].src, pend[i].tag, i));
-        let mut final_id = vec![0; pend.len()];
-        let mut receiver = 0;
-        for &pi in &order {
-            let pm = &pend[pi];
-            while receiver < pm.dst {
-                self.prog.recv_ends.push(self.prog.msgs.len() as Ix);
-                receiver += 1;
-            }
-            final_id[pi] = self.prog.msgs.len();
-            let mut arrivals = pm.dsts.clone().peekable();
-            for b in pm.blocks.clone() {
-                let pb = self.pblocks[b];
-                while let Some(i) = arrivals.next_if(|&i| self.pdsts[i].block == b) {
-                    let pd = self.pdsts[i];
-                    let step = self.arrive(pm.dst, pb, pd);
-                    self.prog.steps.extend(step);
-                }
-                self.prog.keys.push(pb.key as Ix);
-                self.prog.reads.push(Read { src: pb.src, steps_end: self.prog.steps.len() as Ix });
-            }
-            let blocks_end = self.prog.keys.len();
-            self.prog.msgs.push(ProgMsg { src: pm.src, dst: pm.dst, tag: pm.tag, blocks_end });
-        }
-        while receiver < self.prog.n {
-            self.prog.recv_ends.push(self.prog.msgs.len() as Ix);
-            receiver += 1;
-        }
-        self.prog.send_order.extend(final_id);
-        self.pend = pend;
-        self.pend.clear();
+    /// Empties the between-pass tables for the next phase.
+    fn next_phase(&mut self) {
         self.pblocks.clear();
         self.pdsts.clear();
+        self.packed.clear();
     }
 }
 
 impl Program {
+    /// An empty program of `shape`, sized for `blocks` wire blocks, with
+    /// its cells made. Send cells: one per rank for a gather and an
+    /// allreduce (x_p feeds every destination), one per out-edge, in edge
+    /// order, for a route (sized by its source) and a reduce_scatter (by
+    /// its destination). Receive cells: the in-neighbors for a gather and
+    /// a route, the rank itself for the reduce shapes.
+    fn new(plan: &CollectivePlan, graph: &Topology, shape: Shape, blocks: usize) -> Self {
+        let (n, phases, edges) = (graph.n(), plan.phase_count(), graph.edge_count());
+        let msgs = plan.message_count();
+        let per_edge = matches!(shape, Shape::Route | Shape::ReduceScatter);
+        let (sends, recvs) =
+            (if per_edge { edges } else { n }, if shape.reduces() { n } else { edges });
+        let mut prog = Program {
+            shape,
+            n,
+            phases,
+            labels: Vec::with_capacity(phases),
+            copies: Vec::with_capacity(if shape == Shape::Gather { phases * n } else { 0 }),
+            origin: Vec::new(),
+            msgs: Vec::with_capacity(msgs),
+            recv_ends: Vec::with_capacity(phases * n),
+            send_order: Vec::with_capacity(msgs),
+            send_ends: Vec::with_capacity(phases * n),
+            keys: Vec::with_capacity(blocks),
+            reads: Vec::with_capacity(if shape.reduces() { blocks } else { 0 }),
+            steps: Vec::new(),
+            send: Cells { rank: Vec::with_capacity(sends), key: Vec::with_capacity(sends) },
+            slots: Cells::default(),
+            recv: RankCells { ends: Vec::with_capacity(n), key: Vec::with_capacity(recvs) },
+            units: Vec::new(),
+        };
+        for p in 0..n {
+            if per_edge {
+                for &d in graph.out_neighbors(p) {
+                    prog.send.push(p, if shape == Shape::Route { p } else { d });
+                }
+            } else {
+                prog.send.push(p, p);
+            }
+            let own = std::slice::from_ref(&p);
+            prog.recv.push_rank(if shape.reduces() { own } else { graph.in_neighbors(p) });
+        }
+        if shape == Shape::Route {
+            // receive cell (s, r) reads edge (s, r)'s send cell, the edge's
+            // CSR id; in-lists are sorted, so the edges in CSR order fill
+            // each rank's cells in order
+            let mut next: Vec<usize> = (0..n).map(|r| prog.recv.of(r).start).collect();
+            prog.origin = vec![0; edges];
+            for (e, (_, d)) in graph.edges().enumerate() {
+                prog.origin[next[d]] = e as Ix;
+                next[d] += 1;
+            }
+        }
+        prog
+    }
+
     /// Compiles the gather program of `plan` on `graph`: the plan's
     /// messages in integration order, every block read at its origin.
     /// The plan is [validated](CollectivePlan::validate) first, so a
@@ -969,14 +898,18 @@ impl<'a> Exec<'a> {
         wire
     }
 
-    /// (reduce shapes) Applies message `id`'s steps at its receiver —
-    /// `arena` is the receiver's staging buffer, `rbuf` its receive
-    /// buffer — reading the blocks from `wire`.
-    pub(crate) fn integrate(&self, id: usize, wire: Wire, arena: &mut [u8], rbuf: &mut [u8]) {
-        let (prog, Job { red, lens, .. }, off) = (self.prog, self.job, self.off);
-        // INVARIANT: `Shape::of` gives exactly the ops with a reduction
-        // the reduce shapes, the only ones the runtimes integrate.
-        let red = red.expect("only the reduce shapes integrate steps");
+    /// (reduce shapes) Applies message `id`'s steps at its receiver under
+    /// `red`, the job's operator — `arena` is the receiver's staging
+    /// buffer, `rbuf` its receive buffer — reading the blocks from `wire`.
+    pub(crate) fn integrate(
+        &self,
+        id: usize,
+        red: Reduction,
+        wire: Wire,
+        arena: &mut [u8],
+        rbuf: &mut [u8],
+    ) {
+        let (prog, lens, off) = (self.prog, self.job.lens, self.off);
         let mut at = 0;
         for b in prog.blocks_of(id) {
             let len = lens.size(prog.keys[b]);
@@ -1008,7 +941,7 @@ pub(crate) mod tests {
     use crate::collective::{DType, ReduceOp};
     use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
-    use crate::plan::{Algorithm, MsgDir, PlanValidationError};
+    use crate::plan::{Algorithm, MsgDir, PlanPhase, PlanValidationError, PlannedMsg};
     use crate::runtime::Clock;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
@@ -1230,19 +1163,22 @@ pub(crate) mod tests {
             &[(2, 3, &[(0, 3), (1, 3), (0, 4), (1, 4)])],
             &[(3, 4, &[(0, 4), (1, 4)])],
         ];
-        let mut walk = Walk::new(&g, shape, phases.len(), 0);
-        for (k, sends) in phases.iter().enumerate() {
-            let sent_before = walk.prog.send_order.len();
-            for r in 0..g.n() {
-                for &(_, to, items) in sends.iter().filter(|s| s.0 == r) {
-                    walk.pack((r, k), (to, k as u64, items)).unwrap();
+        // the plan of these sends; their blocks go unread, as a reduce
+        // shape carries `items`, each send's in id order: rank, phase, send
+        let (mut rows, mut items) = (vec![Vec::new(); g.n()], Vec::new());
+        for (r, row) in rows.iter_mut().enumerate() {
+            for (k, sends) in phases.iter().enumerate() {
+                let mut phase = PlanPhase::default();
+                for &(_, peer, carried) in sends.iter().filter(|s| s.0 == r) {
+                    phase.sends.push(PlannedMsg { peer, blocks: Vec::new(), tag: k as u64 });
+                    items.push(carried);
                 }
-                walk.prog.send_ends.push((sent_before + walk.pend.len()) as Ix);
+                row.push(phase);
             }
-            walk.integrate();
-            walk.prog.labels.push(nhood_telemetry::labels::PHASE);
         }
-        (g, walk.prog)
+        let plan = CollectivePlan::from_rows(Algorithm::Naive, None, &rows);
+        let prog = lay_out(&plan, &g, shape, 0, |id| items[id]).unwrap();
+        (g, prog)
     }
 
     #[test]
@@ -1324,6 +1260,75 @@ pub(crate) mod tests {
         assert!(matches!(run(&sbufs), Err(ExecError::PayloadSizeMismatch { rank: 5, .. })));
         sbufs.pop();
         assert!(matches!(run(&sbufs), Err(ExecError::PayloadCountMismatch { got: 15, want: 16 })));
+    }
+
+    #[test]
+    fn every_compiled_table_keeps_its_bits() {
+        use crate::comm::DistGraphComm;
+        // Per (n, δ, seed, nodes of 2 × 8) and planner — naive, DH,
+        // CN (k = 4), HL (l = 2), Bruck, PAT (r = 2) — the FNV-1a of the
+        // `Debug` rendering of each shape's program (gather, route,
+        // reduce_scatter, allreduce): every table it holds, or the error
+        // the compile refuses with (PAT's trees under the reduce shapes).
+        type Graph = (usize, f64, u64, usize);
+        #[rustfmt::skip]
+        const GOLDEN: [(Graph, [[u64; 4]; 6]); 3] = [
+            ((64, 0.2, 300, 4), [
+                [0x131ae2cd233c8bc9, 0x928de5c0962a5299, 0xc93a4ee128a32f73, 0x1eebeacb56f8fce2],
+                [0x8153ce77288f46b6, 0xbf9d063bf25719b1, 0x502ec6c9fffd2833, 0x59fdd56dff6930cc],
+                [0x18e2b80035cd80d3, 0x9c6d7a956f36c16c, 0x3d22822761ed9600, 0x6717de64e431310b],
+                [0xcbb5867e5ad9cc26, 0x5da912a319482618, 0xc2f5acc599a13885, 0x514820e6003577e6],
+                [0xb07029244b6e05b5, 0xd479776b02ad25a6, 0x2f02005b83f9698b, 0x5fc36f3aa23624ab],
+                [0x1b588bb94fe54e51, 0x2e95593cfc3cd0b9, 0xc6fd6574e5ee1664, 0xc6fd6574e5ee1664],
+            ]),
+            ((48, 0.3, 7, 3), [
+                [0x2219dcab0b809f21, 0xab864dd83ec1fe78, 0x0e4940f31ebb6ece, 0x72d4cf59d8ffbbbc],
+                [0xe749f4a50d6f20dd, 0x8aec73415a1b66d5, 0x23930384b1b01ee2, 0x2c7f95dbae9d4b68],
+                [0x874d1fae8d234794, 0x35ad09c11a20cb53, 0x11ccee04ea09356e, 0xaef69f7aee5d46df],
+                [0x0edf53b7074d9d3d, 0xb694d8539344d4ff, 0xf908c9cb500d2220, 0xe4502e2181aeb0a6],
+                [0xd12f36d94a4b4eae, 0xecbbc3bc4df835d4, 0xdb75ac3834bd0b45, 0x0e8ea2645d80defb],
+                [0x26596cdcebd785b3, 0xe953a6fb4b74ecf8, 0x03a045ca30d0e070, 0x03a045ca30d0e070],
+            ]),
+            ((17, 0.5, 5, 2), [
+                [0x0ad9ed006d6e166b, 0xafdaff743ca0a83e, 0xc446fa72dfe9cb59, 0x1a11255f9fd79077],
+                [0x452fa9ae94ff7d85, 0xdb7af1f99ba160b3, 0xd59568fbb273f254, 0x13ab265af9e39475],
+                [0x36028a5080a7891f, 0x032f3061fe7e2c1e, 0x23ba347c78568e1e, 0x093049afe1f6164c],
+                [0x09a4a178e5c259fb, 0x5ee5644fb42d91f5, 0xc40cf9c5640e054d, 0xc5ed0258665239cc],
+                [0x3f5881e92321cc57, 0xff17b1d708482617, 0x6ff6ff3d19dbe761, 0xa1565694b2664dfc],
+                [0x89c88808a007233b, 0x947283225d72f7a6, 0x77311bb97898d9f2, 0x77311bb97898d9f2],
+            ]),
+        ];
+        let algos = [
+            Algorithm::Naive,
+            Algorithm::DistanceHalving,
+            Algorithm::CommonNeighbor { k: 4 },
+            Algorithm::HierarchicalLeader { leaders_per_node: 2 },
+            Algorithm::Bruck,
+            Algorithm::Pat { radix: 2 },
+        ];
+        let shapes = [Shape::Gather, Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
+        let fnv = |s: String| {
+            let fold = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            s.bytes().fold(0xcbf2_9ce4_8422_2325, fold)
+        };
+        let mut refusals = 0;
+        for ((n, delta, seed, nodes), want) in GOLDEN {
+            let g = erdos_renyi(n, delta, seed);
+            let comm = DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(nodes, 2, 8));
+            let comm = comm.unwrap();
+            let got = algos.map(|algo| {
+                let plan = comm.alltoall_plan(algo).unwrap();
+                shapes.map(|shape| match compile(&plan, &g, shape) {
+                    Ok(prog) => fnv(format!("{prog:?}")),
+                    Err(e) => {
+                        refusals += 1;
+                        fnv(format!("{e:?}"))
+                    }
+                })
+            });
+            assert_eq!(got, want, "n = {n}: {got:#018x?}");
+        }
+        assert_eq!(refusals, 6, "PAT x reduce on each graph");
     }
 
     #[test]

@@ -183,6 +183,31 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_cost_model_fails_typed_on_every_entry() {
+        use crate::collective::{CollectiveRequest, Reduction};
+        use crate::comm::{CommError, DistGraphComm};
+        use crate::plan::Algorithm;
+        let g = erdos_renyi(32, 0.3, 1);
+        let layout = ClusterLayout::new(2, 2, 8);
+        let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
+        let plan = std::sync::Arc::new(comm.plan(Algorithm::DistanceHalving).unwrap());
+        let payloads: Vec<Vec<u8>> = (0..32).map(|_| vec![1; 8]).collect();
+        let req = CollectiveRequest::allreduce(&payloads, Reduction::SUM_U8);
+        let mut arena = crate::arena::BlockArena::new();
+        // a NaN α, a zero bandwidth at size 0 (0 / 0), a negative α
+        for (cost, m) in
+            [(flat_cost(f64::NAN, 1e9), 64), (flat_cost(1e-6, 0.0), 0), (flat_cost(-1.0, 1e9), 64)]
+        {
+            let typed = |e: SimError| matches!(e, SimError::InvalidConfig(_));
+            let via_comm = |e: CommError| matches!(e, CommError::Sim(SimError::InvalidConfig(_)));
+            assert!(via_comm(comm.latency(Algorithm::DistanceHalving, m, &cost).unwrap_err()));
+            assert!(typed(simulate_v(&plan, &layout, &vec![m; 32], &cost).unwrap_err()));
+            let on = comm.simulate_on(&req, Some(&plan), &mut arena, &cost, None);
+            assert!(via_comm(on.unwrap_err()));
+        }
+    }
+
+    #[test]
     fn schedule_mirrors_plan() {
         let g = erdos_renyi(16, 0.4, 3);
         let layout = ClusterLayout::new(2, 2, 4);

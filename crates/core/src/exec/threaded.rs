@@ -101,7 +101,7 @@ impl Machine for RankRun<'_> {
             self.early.append(inbox);
         }
         if k == prog.phases {
-            if !prog.shape.reduces() {
+            if self.exec.job.red.is_none() {
                 self.exec.deliver(rank, self.rbuf);
             }
             return Ok(Poll::Done);
@@ -172,8 +172,8 @@ impl RankRun<'_> {
         }
         while let Some(wire) = self.got.get_mut(self.next - due.start).and_then(Option::take) {
             let id = self.next;
-            if prog.shape.reduces() {
-                self.exec.integrate(id, Wire::Packed(&wire), self.arena, self.rbuf);
+            if let Some(red) = self.exec.job.red {
+                self.exec.integrate(id, red, Wire::Packed(&wire), self.arena, self.rbuf);
             }
             self.traffic.recv(self.exec.wire_bytes(id));
             self.next += 1;

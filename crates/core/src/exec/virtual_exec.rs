@@ -42,12 +42,12 @@ impl Executor for Virtual {
 pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
     let Staged { exec, arena: staged, rbufs } = staged;
     let prog = exec.prog;
-    if prog.shape.reduces() {
+    if let Some(red) = exec.job.red {
         // phase by phase, receiver by receiver: the program's message order
         for id in (0..prog.phases).flat_map(|k| (0..prog.n).flat_map(move |r| prog.recvs(k, r))) {
             let m = prog.msg(id);
             let (from, to) = two_bufs(staged, m.src, m.dst);
-            exec.integrate(id, Wire::Sender(from), to, &mut rbufs[m.dst]);
+            exec.integrate(id, red, Wire::Sender(from), to, &mut rbufs[m.dst]);
         }
     } else {
         rbufs.iter_mut().enumerate().for_each(|(r, rbuf)| exec.deliver(r, rbuf));

@@ -21,17 +21,16 @@
 //!   of all outgoing final messages (lines 21–28);
 //! * epilogue: one copy per received final-phase block (line 33).
 //!
-//! Ordering contract with the gather compile (`collective::program`):
-//! the gather program gives every rank's blocks their slots by walking
-//! the phases — and, within a (rank, phase) bucket, the arrivals in
-//! (sender, tag) order — assigning fresh blocks consecutive tail slots on
-//! first arrival. Because a halving-step receive delivers the peer's
-//! whole pre-step buffer (itself laid out by the same walk) and a
-//! final-phase bucket's messages are emitted ascending by peer, every
-//! delivered message lands as one contiguous slot run. The writer keeps
-//! emission order within a bucket and nothing else, so reordering the
-//! emission here is safe for correctness (the layout just follows), but
-//! can fragment those runs and cost the engine its single-slice sends.
+//! Ordering contract: no program layout depends on the order this
+//! writer emits a bucket's messages or a message's blocks — a gather
+//! program reads every block at its origin (`collective::program` has no
+//! per-block slot), so reordering the emission here is safe for
+//! correctness. The order still reaches three readers: a bucket's message
+//! order is the order its rank posts the sends (which the simulator's
+//! single port serializes); a message's block order is what
+//! `ArenaLayout::contiguous_send_fraction` scores (a halving-step message
+//! lists the peer's pre-step buffer as it arrived, so it reads 100%
+//! contiguous); and both are the plan file's bytes.
 
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};

@@ -17,8 +17,8 @@
 //! their algorithm meets them; `finish` is one stable counting sort into
 //! (direction, rank, phase) *buckets*. **Within a bucket the rows keep
 //! their emission order** — the one ordering a builder owes its readers
-//! (validation's "first in program order", the gather compile's slot
-//! walk, the plan file's bytes) — and a send's row index is its dense id
+//! (validation's "first in program order", the order a rank posts its
+//! sends, the plan file's bytes) — and a send's row index is its dense id
 //! in program order, which is how the validator, the item routing and the
 //! compiler name messages. Everything reads through
 //! [`CollectivePlan::phase`]. [`PlannedMsg`] / [`PlanPhase`] are the

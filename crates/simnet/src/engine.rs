@@ -112,6 +112,36 @@ impl SimConfig {
     pub fn classic(hockney: HockneyParams, nic_mode: NicMode) -> Self {
         Self { hockney, nic_mode, cpu_overhead: None, nic_gap: None, global_links: None }
     }
+
+    /// Rejects values that would put a NaN or a negative duration into
+    /// the engine's event times (the fields are public, so any caller
+    /// can construct them) with [`SimError::InvalidConfig`], naming the
+    /// first offending field: a latency, overhead or gap that is NaN,
+    /// negative or infinite, or a bandwidth that is NaN or not positive
+    /// (an infinite one makes transfers free, and is legal).
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        let (h, links) = (&self.hockney, self.global_links);
+        let durations = [
+            ("hockney.same_socket.alpha", Some(h.same_socket.alpha)),
+            ("hockney.same_node.alpha", Some(h.same_node.alpha)),
+            ("hockney.same_group.alpha", Some(h.same_group.alpha)),
+            ("hockney.remote_group.alpha", Some(h.remote_group.alpha)),
+            ("cpu_overhead", self.cpu_overhead),
+            ("nic_gap", self.nic_gap),
+            ("global_links.gap", links.map(|g| g.gap)),
+        ];
+        let bandwidths = [
+            ("hockney.same_socket.bytes_per_sec", Some(h.same_socket.bytes_per_sec)),
+            ("hockney.same_node.bytes_per_sec", Some(h.same_node.bytes_per_sec)),
+            ("hockney.same_group.bytes_per_sec", Some(h.same_group.bytes_per_sec)),
+            ("hockney.remote_group.bytes_per_sec", Some(h.remote_group.bytes_per_sec)),
+            ("global_links.bytes_per_sec", links.map(|g| g.bytes_per_sec)),
+        ];
+        let bad = (durations.iter().find(|f| f.1.is_some_and(|s| !(s.is_finite() && s >= 0.0))))
+            .or_else(|| bandwidths.iter().find(|f| f.1.is_some_and(|b| b.is_nan() || b <= 0.0)));
+        let Some(&(field, Some(value))) = bad else { return Ok(()) };
+        Err(SimError::InvalidConfig(format!("{field} = {value}")))
+    }
 }
 
 /// Simulation failure.
@@ -139,6 +169,10 @@ pub enum SimError {
     /// bound, or a jitter probability outside `[0, 1]`; the payload
     /// names the offending field.
     InvalidPerturbation(String),
+    /// The cost model carries a NaN, negative or infinite latency,
+    /// overhead or gap, or a NaN or non-positive bandwidth; the payload
+    /// names the offending field ([`SimConfig`]'s, dotted).
+    InvalidConfig(String),
     /// The schedule sends over a link the perturbation declares dead; a
     /// lossless event model cannot deliver it, so the run fails typed
     /// and the caller must repair the plan around the edge.
@@ -164,6 +198,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "schedule has {messages} messages, beyond the engine's id space")
             }
             SimError::InvalidPerturbation(m) => write!(f, "invalid perturbation: {m}"),
+            SimError::InvalidConfig(m) => write!(f, "invalid cost model: {m}"),
             SimError::LinkDown { src, dst } => {
                 write!(f, "schedule sends over dead link {src} -> {dst}")
             }
@@ -806,6 +841,53 @@ mod tests {
                 SimError::InvalidPerturbation(m) => assert!(m.contains("max_jitter"), "{m}"),
                 other => panic!("max_jitter {max_jitter}: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn bad_cost_model_is_rejected_typed_per_field() {
+        let layout = ClusterLayout::new(2, 1, 1);
+        let mut s = Schedule::new(2);
+        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
+        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        let run = |cfg| Engine::new(&layout, cfg).run(&s);
+        let base =
+            SimConfig { global_links: Some(GlobalLinkConfig::niagara()), ..SimConfig::niagara() };
+        type Set = fn(&mut SimConfig, f64);
+        let durations: [(&str, Set); 7] = [
+            ("hockney.same_socket.alpha", |c, v| c.hockney.same_socket.alpha = v),
+            ("hockney.same_node.alpha", |c, v| c.hockney.same_node.alpha = v),
+            ("hockney.same_group.alpha", |c, v| c.hockney.same_group.alpha = v),
+            ("hockney.remote_group.alpha", |c, v| c.hockney.remote_group.alpha = v),
+            ("cpu_overhead", |c, v| c.cpu_overhead = Some(v)),
+            ("nic_gap", |c, v| c.nic_gap = Some(v)),
+            ("global_links.gap", |c, v| c.global_links.as_mut().unwrap().gap = v),
+        ];
+        let bandwidths: [(&str, Set); 5] = [
+            ("hockney.same_socket.bytes_per_sec", |c, v| c.hockney.same_socket.bytes_per_sec = v),
+            ("hockney.same_node.bytes_per_sec", |c, v| c.hockney.same_node.bytes_per_sec = v),
+            ("hockney.same_group.bytes_per_sec", |c, v| c.hockney.same_group.bytes_per_sec = v),
+            ("hockney.remote_group.bytes_per_sec", |c, v| c.hockney.remote_group.bytes_per_sec = v),
+            ("global_links.bytes_per_sec", |c, v| {
+                c.global_links.as_mut().unwrap().bytes_per_sec = v
+            }),
+        ];
+        let cases = durations.iter().map(|f| (f, [f64::NAN, -1e-6, f64::INFINITY], 0.0));
+        let cases =
+            cases.chain(bandwidths.iter().map(|f| (f, [f64::NAN, 0.0, -1e9], f64::INFINITY)));
+        for (&(field, set), bad, good) in cases {
+            for v in bad {
+                let mut cfg = base;
+                set(&mut cfg, v);
+                match run(cfg) {
+                    Err(SimError::InvalidConfig(m)) => assert!(m.starts_with(field), "{m}"),
+                    other => panic!("{field} = {v}: {other:?}"),
+                }
+            }
+            // a free latency or an infinitely fast link is a legal model
+            let mut cfg = base;
+            set(&mut cfg, good);
+            assert!(run(cfg).is_ok(), "{field} = {good}");
         }
     }
 

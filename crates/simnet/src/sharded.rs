@@ -272,6 +272,7 @@ impl Engine<'_> {
         prices: &PriceColumns,
         perturbation: Option<&Perturbation>,
     ) -> Result<Timeline, SimError> {
+        self.config.check()?;
         if let Some(p) = perturbation {
             p.check()?;
         }
