@@ -121,7 +121,7 @@ pub fn parse_layout(args: &Args, n: usize) -> Result<ClusterLayout, ArgError> {
     Ok(ClusterLayout::new(nodes, sockets, cores))
 }
 
-/// Parses the `--cost` flag shared by `simulate` and `trace`:
+/// Parses the `--cost` flag shared by `simulate`, `compare` and `trace`:
 /// `niagara` (default, LogGP-flavoured hierarchical costs), `classic`
 /// (pure-Hockney occupancy on the Niagara parameter set), or
 /// `flat:ALPHA:BETA` (uniform α seconds / β bytes-per-second at every
@@ -560,6 +560,36 @@ mod tests {
             let e = cmd_simulate(&args(&argv), &mut Vec::new()).unwrap_err().to_string();
             assert!(e.contains("invalid cost model") && e.contains(field), "{cost}: {e}");
         }
+    }
+
+    #[test]
+    fn compare_honours_the_cost_flag_and_recommend_refuses_it() {
+        let path = tmp("nhood_cli_compare_cost.el");
+        cmd_gen(&args(&["gen", "er", &path, "--n", "32", "--delta", "0.3"]), &mut Vec::new())
+            .unwrap();
+        let compare = |cost: Option<&str>| {
+            let argv = ["compare", &path, "--sizes", "64"];
+            let argv = [&argv[..], &cost.map_or(vec![], |c| vec!["--cost", c])].concat();
+            let mut out = Vec::new();
+            cmd_compare(&args(&argv), &mut out).map(|()| String::from_utf8(out).unwrap())
+        };
+        // the default is Niagara's numbers; a flat model prints its own
+        let niagara = compare(None).unwrap();
+        assert_eq!(compare(Some("niagara")).unwrap(), niagara);
+        let flat = compare(Some("flat:1e-6:1e9")).unwrap();
+        assert_ne!(flat, niagara);
+        // a flat model at α = 1 µs costs every message at least that
+        let row = flat.lines().nth(1).unwrap().to_string();
+        let latency = |col: usize| row.split_whitespace().nth(col).unwrap().trim_end_matches("us");
+        assert!((1..4).all(|c| latency(c).parse::<f64>().unwrap() >= 1.0), "{flat}");
+        // ... and a bad model is the typed error `simulate` gives
+        let e = compare(Some("flat:1e-6:0")).unwrap_err().to_string();
+        assert!(e.contains("invalid cost model") && e.contains("bytes_per_sec = 0"), "{e}");
+        // the tuner prices under Niagara only: recommend refuses, saying why
+        let argv = ["recommend", &path, "--size", "64", "--cost", "flat:1e-6:1e9"];
+        let e = cmd_recommend(&args(&argv), &mut Vec::new()).unwrap_err().to_string();
+        assert!(e.contains("--cost") && e.contains("Niagara cost model only"), "{e}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::args::{parse_bytes, ArgError, Args};
 use nhood_core::exec::sim_exec::simulate;
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::exec::{Executor, Virtual};
-use nhood_core::{Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, LoadMetric, SimCost};
+use nhood_core::{Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, LoadMetric};
 use nhood_topology::io::write_edge_list;
 use std::io::Write;
 
@@ -172,14 +172,14 @@ pub fn cmd_simulate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `nhood compare <edge-list> [--sizes ..] [layout flags]` — all three
-/// algorithms side by side.
+/// `nhood compare <edge-list> [--sizes ..] [--cost ..] [layout flags]` —
+/// all three algorithms side by side, simulated under one cost model.
 pub fn cmd_compare(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let (graph, layout) = edge_list_and_layout(args, "compare")?;
     let sizes = parse_sizes(args)?;
     let k = args.get_parsed("k", 8usize)?;
+    let cost = parse_cost(args)?;
     let comm = DistGraphComm::create_adjacent(graph, layout.clone())?;
-    let cost = SimCost::niagara();
     let plans = [
         ("naive", comm.plan(Algorithm::Naive)?),
         ("cn", comm.plan(Algorithm::CommonNeighbor { k })?),
@@ -243,8 +243,15 @@ pub fn cmd_validate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 
 /// `nhood recommend <edge-list> [--size 4K] [layout flags]` — suggest an
 /// algorithm for this topology/size and show the candidates' simulated
-/// latencies.
+/// latencies. The tuner prices under the Niagara cost model alone, so a
+/// `--cost` is refused rather than ignored.
 pub fn cmd_recommend(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
+    if let Some(cost) = args.get("cost") {
+        return Err(fail(format!(
+            "recommend does not take --cost '{cost}': the tuner scores candidates under the \
+             Niagara cost model only"
+        )));
+    }
     let (graph, layout) = edge_list_and_layout(args, "recommend")?;
     let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
     // The tuner's own pass at these sizes: the listing is exactly the

@@ -81,7 +81,8 @@ commands:
   simulate <edge-list | --topology torus:D:K> [--algo ..] [--load plan.bin]
            [--sizes 64,4K,1M] [--cost niagara|classic|flat:ALPHA:BETA]
            [layout flags]
-  compare <edge-list> [--sizes ..] [--k K] [layout flags]
+  compare <edge-list> [--sizes ..] [--k K]
+          [--cost niagara|classic|flat:ALPHA:BETA] [layout flags]
   validate <edge-list> [--algo ..] [--load-metric neighbors|bytes] [--ragged]
            [layout flags]
   run <edge-list> [--op allgather|allgatherv|alltoallv|reduce_scatter|allreduce]
@@ -91,7 +92,7 @@ commands:
         [--backend virtual|threaded|sim]
         [--format csv|chrome|summary|model-check] [--out FILE]
         [--cost niagara|classic|flat:ALPHA:BETA] [layout flags]
-  recommend <edge-list> [--size 4K] [layout flags]
+  recommend <edge-list> [--size 4K] [layout flags]   (Niagara costs; no --cost)
   chaos <edge-list> [--algo ..] [--drops 0.01,0.05,0.1] [--runs 5] [--seed 42]
         [--size 32] [--timeout 5000] [--min-complete 0.9] [layout flags]
   churn <edge-list> [--events 5] [--seed 42] [--size 32] [--timeout 5000]

@@ -320,13 +320,9 @@ pub(crate) mod tests {
     #[test]
     fn corrupt_plan_fails_at_layout_time() {
         let g = Topology::from_edges(3, [(0, 2)]);
-        // rank 1 sends block 0, which it never received, and rank 2 posts it
+        // rank 1 sends block 0, which it never received, to rank 2
         let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
-        let posted = crate::plan::PlannedMsg { peer: 1, ..forged.clone() };
-        let plan = plan_naive(&g).edited(|rows| {
-            rows[1][0].sends.push(forged);
-            rows[2][0].recvs.push(posted);
-        });
+        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
         assert_eq!(
             ArenaLayout::for_plan(&plan, &g).unwrap_err(),
             ExecError::InvalidPlan(PlanValidationError::UnheldBlock {
@@ -336,10 +332,7 @@ pub(crate) mod tests {
             })
         );
         let g2 = Topology::from_edges(2, [(0, 1)]);
-        let plan2 = plan_naive(&g2).edited(|rows| {
-            rows[0][0].sends.clear();
-            rows[1][0].recvs.clear();
-        });
+        let plan2 = plan_naive(&g2).edited(|rows| rows[0][0].sends.clear());
         assert_eq!(
             ArenaLayout::for_plan(&plan2, &g2).unwrap_err(),
             ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: 0, dst: 1 })
@@ -496,52 +489,40 @@ pub(crate) mod tests {
         assert_layout_eq(&l, &ArenaLayout::for_plan(&plan, &g).unwrap());
     }
 
-    /// One message of a [`hand_plan`]: `(phase, src, dst, sent, posted)` —
-    /// the sender lists `sent`, the receiver posts `posted`, two lists a
-    /// correct plan keeps equal and these tests pull apart.
-    pub(crate) type HandMsg<'a> = (usize, Rank, Rank, &'a [Rank], &'a [Rank]);
+    /// One message of a [`hand_plan`]: `(phase, src, dst, blocks)`.
+    pub(crate) type HandMsg<'a> = (usize, Rank, Rank, &'a [Rank]);
 
     /// A hand-built plan over `n` ranks and `phases` phases; message `i`
     /// travels under tag `i`.
     pub(crate) fn hand_plan(n: usize, phases: usize, msgs: &[HandMsg]) -> Arc<CollectivePlan> {
         let mut w = PlanWriter::new(Algorithm::Naive, n, phases);
-        for (tag, &(k, src, dst, sent, posted)) in msgs.iter().enumerate() {
-            w.send(src, k, dst, tag as u64, sent);
-            w.recv(dst, k, src, tag as u64, posted);
+        for (tag, &(k, src, dst, blocks)) in msgs.iter().enumerate() {
+            w.message(k, src, dst, tag as u64, blocks);
         }
         Arc::new(w.finish())
     }
 
-    /// The relay every disagreement test runs on: 1 → 0 in phase 0, then
-    /// 0 → 2 carries `sent` where rank 2 posted `posted`.
-    fn relay(sent: &[Rank], posted: &[Rank]) -> (Topology, Arc<CollectivePlan>) {
+    /// A relay: 1 → 0 in phase 0, then 0 → 2 carries `sent`.
+    fn relay(sent: &[Rank]) -> (Topology, Arc<CollectivePlan>) {
         let g = Topology::from_edges(3, [(1, 0), (0, 2), (1, 2)]);
-        (g, hand_plan(3, 2, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, sent, posted)]))
+        (g, hand_plan(3, 2, &[(0, 1, 0, &[1]), (1, 0, 2, sent)]))
     }
 
     const BACKENDS: [&dyn Executor; 2] = [&Virtual, &Threaded];
 
     #[test]
     fn executors_forward_what_was_sent_not_what_the_layout_labelled() {
-        // The sender lists [0, 1], the receiver expects [1, 0]. The
-        // program runs what the sends say, so a posted list that
-        // disagrees is refused before a byte moves — the validator names
-        // the disagreement instead of delivering either side's reading
-        // of it (the byte-staging arena put block 1 where the definition
-        // says block 0).
-        let (g, plan) = relay(&[0, 1], &[1, 0]);
+        // A message has one block list, its sender's: in whichever order
+        // it names the relayed and the own block, rank 2 receives each at
+        // its origin (the byte-staging arena once put block 1 where the
+        // definition said block 0).
         let payloads = test_payloads(3, 4, 11);
-        for exec in BACKENDS {
-            assert_eq!(
-                exec.run_simple(&plan, &g, &payloads).unwrap_err(),
-                ExecError::InvalidPlan(PlanValidationError::BlockListMismatch {
-                    src: 0,
-                    dst: 2,
-                    tag: 1
-                }),
-                "{}",
-                exec.name()
-            );
+        for sent in [[0, 1], [1, 0]] {
+            let (g, plan) = relay(&sent);
+            for exec in BACKENDS {
+                let got = exec.run_simple(&plan, &g, &payloads).unwrap();
+                assert_eq!(got, reference_allgather(&g, &payloads), "{} {sent:?}", exec.name());
+            }
         }
     }
 
@@ -579,12 +560,11 @@ pub(crate) mod tests {
         let opts = ExecOptions::new().recv_timeout(std::time::Duration::from_millis(50));
         // Rank 0 relays one block to rank 2: in-neighbor 1's block never
         // arrives there.
-        let (g3, short) = relay(&[0], &[0]);
+        let (g3, short) = relay(&[0]);
         // The same hole, read by a send: rank 2 forwards block 1 to 3.
         let g4 = Topology::from_edges(4, [(1, 0), (0, 2), (1, 3)]);
-        let sourced =
-            hand_plan(4, 3, &[(0, 1, 0, &[1], &[1]), (1, 0, 2, &[0], &[0]), (2, 2, 3, &[1], &[1])]);
-        let (_, good) = relay(&[0, 1], &[0, 1]);
+        let sourced = hand_plan(4, 3, &[(0, 1, 0, &[1]), (1, 0, 2, &[0]), (2, 2, 3, &[1])]);
+        let (_, good) = relay(&[0, 1]);
         for exec in BACKENDS {
             let mut arena = BlockArena::new();
             let mut run = |plan, g: &Topology| {
@@ -620,11 +600,7 @@ pub(crate) mod tests {
         // — exactly-once delivery is the plan's contract, so the plan is
         // refused before a byte moves, uniform or ragged
         let g = Topology::from_edges(3, [(0, 1), (0, 2), (1, 2)]);
-        let plan = hand_plan(
-            3,
-            2,
-            &[(0, 0, 1, &[0], &[0]), (0, 0, 2, &[0], &[0]), (1, 1, 2, &[1, 0], &[1, 0])],
-        );
+        let plan = hand_plan(3, 2, &[(0, 0, 1, &[0]), (0, 0, 2, &[0]), (1, 1, 2, &[1, 0])]);
         let twice = PlanValidationError::DuplicateDelivery { src: 0, dst: 2, count: 2 };
         let ragged: Vec<Vec<u8>> = vec![vec![7; 3], vec![], vec![9; 5]];
         for (payloads, opts) in [

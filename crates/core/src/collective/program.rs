@@ -941,7 +941,7 @@ pub(crate) mod tests {
     use crate::collective::{DType, ReduceOp};
     use crate::exec::{execute, threaded, virtual_exec, ExecOptions};
     use crate::lower::lower;
-    use crate::plan::{Algorithm, MsgDir, PlanPhase, PlanValidationError, PlannedMsg};
+    use crate::plan::{Algorithm, PlanPhase, PlanValidationError, PlannedMsg};
     use crate::runtime::Clock;
     use nhood_cluster::ClusterLayout;
     use nhood_telemetry::{CountingRecorder, NULL};
@@ -973,10 +973,10 @@ pub(crate) mod tests {
         (g, plan)
     }
 
-    /// `plan` without the first block (phase-major), on both sides of its
-    /// message, that stands for an item `pick(item, peer, items the block
-    /// stands for)` accepts, in a message that keeps another block: the
-    /// edited plan, the phase of the edit and the picked item.
+    /// `plan` without the first block (phase-major) of a message that
+    /// stands for an item `pick(item, peer, items the block stands for)`
+    /// accepts, in a message that keeps another block: the edited plan,
+    /// the phase of the edit and the picked item.
     fn drop_block(
         plan: &CollectivePlan,
         g: &Topology,
@@ -991,14 +991,8 @@ pub(crate) mod tests {
                     let picked = |it: &&(Rank, Rank)| pick(**it, msg.peer(), of_block(it.0));
                     let found = items.iter().find(picked).filter(|_| msg.blocks().len() > 1);
                     if let Some(&it) = found {
-                        let (peer, tag) = (msg.peer(), msg.tag());
-                        let cut = |rows: &mut [Vec<crate::plan::PlanPhase>]| {
+                        let cut = |rows: &mut [Vec<PlanPhase>]| {
                             rows[r][k].sends[mi].blocks.retain(|&b| b != it.0);
-                            for recv in &mut rows[peer][k].recvs {
-                                if (recv.peer, recv.tag) == (r, tag) {
-                                    recv.blocks.retain(|&b| b != it.0);
-                                }
-                            }
                         };
                         return (plan.edited(cut), k, it);
                     }
@@ -1055,14 +1049,11 @@ pub(crate) mod tests {
             let plan = crate::naive::plan_naive(&g).edited(|rows| rows[0][0].sends[0].peer = peer);
             assert_eq!(
                 refused_for_every_shape(&plan, &g),
-                PlanValidationError::BadPeer { rank: 0, phase: 0, peer, dir: MsgDir::Send }
+                PlanValidationError::BadPeer { rank: 0, phase: 0, peer }
             );
         }
-        // a block no rank owns, on both sides of its message
-        let plan = crate::naive::plan_naive(&g).edited(|rows| {
-            rows[1][0].sends[0].blocks.push(3);
-            rows[2][0].recvs.iter_mut().for_each(|m| m.blocks.extend((m.peer == 1).then_some(3)));
-        });
+        // a block no rank owns
+        let plan = crate::naive::plan_naive(&g).edited(|rows| rows[1][0].sends[0].blocks.push(3));
         assert_eq!(
             refused_for_every_shape(&plan, &g),
             PlanValidationError::UnheldBlock { rank: 1, phase: 0, block: 3 }

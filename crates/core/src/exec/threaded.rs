@@ -379,8 +379,7 @@ mod tests {
         // 0 — has sent its phase-1 message long before: it reaches rank
         // 2 a phase early and must be parked, not dropped or integrated.
         let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
-        let plan =
-            crate::arena::tests::hand_plan(3, 2, &[(0, 0, 2, &[0], &[0]), (1, 1, 2, &[1], &[1])]);
+        let plan = crate::arena::tests::hand_plan(3, 2, &[(0, 0, 2, &[0]), (1, 1, 2, &[1])]);
         let payloads = test_payloads(3, 4, 3);
         let fp = FaultPlan::seeded(0).with_slow_rank(0, Duration::from_millis(5));
         let opts = ExecOptions::new().fault(&fp);
@@ -496,12 +495,7 @@ mod tests {
         let plan = crate::arena::tests::hand_plan(
             4,
             2,
-            &[
-                (0, 0, 1, &[0], &[0]),
-                (0, 2, 1, &[2], &[2]),
-                (0, 0, 3, &[0], &[0]),
-                (1, 1, 3, &[2, 1], &[2, 1]),
-            ],
+            &[(0, 0, 1, &[0]), (0, 2, 1, &[2]), (0, 0, 3, &[0]), (1, 1, 3, &[2, 1])],
         );
         let payloads = vec![vec![1u8; 6], vec![2u8; 3], vec![], vec![4u8; 2]];
         let fp = FaultPlan::seeded(9)

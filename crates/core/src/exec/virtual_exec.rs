@@ -99,7 +99,7 @@ mod tests {
     use crate::exec::Threaded;
     use crate::lower::lower;
     use crate::naive::plan_naive;
-    use crate::plan::{MsgDir, PlanValidationError};
+    use crate::plan::PlanValidationError;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
@@ -178,14 +178,9 @@ mod tests {
     #[test]
     fn corrupt_plan_caught_as_missing_block() {
         let g = Topology::from_edges(3, [(0, 2)]);
-        // rank 1 claims to send block 0 which it never received, and
-        // rank 2 posts it
+        // rank 1 claims to send block 0, which it never received
         let forged = crate::plan::PlannedMsg { peer: 2, blocks: vec![0], tag: 5 };
-        let posted = crate::plan::PlannedMsg { peer: 1, ..forged.clone() };
-        let plan = plan_naive(&g).edited(|rows| {
-            rows[1][0].sends.push(forged);
-            rows[2][0].recvs.push(posted);
-        });
+        let plan = plan_naive(&g).edited(|rows| rows[1][0].sends.push(forged));
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
@@ -200,10 +195,7 @@ mod tests {
     #[test]
     fn dropped_message_caught_as_undelivered() {
         let g = Topology::from_edges(2, [(0, 1)]);
-        let plan = plan_naive(&g).edited(|rows| {
-            rows[0][0].sends.clear();
-            rows[1][0].recvs.clear();
-        });
+        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends.clear());
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
             run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
@@ -390,19 +382,17 @@ mod tests {
         let g = Topology::from_edges(2, [(0, 1)]);
         let payloads = test_payloads(2, 4, 0);
         for peer in [0, 7] {
-            let msgs = [(0, 0, 1, &[0][..], &[0][..]), (0, 0, 0, &[0], &[0])];
+            let msgs = [(0, 0, 1, &[0][..]), (0, 0, 0, &[0])];
             let plan =
                 Arc::new(hand_plan(2, 1, &msgs).edited(|rows| rows[0][0].sends[1].peer = peer));
             let backends: [&dyn Executor; 2] = [&Virtual, &Threaded];
             for exec in backends {
-                let dir = MsgDir::Send;
                 assert_eq!(
                     exec.run_simple(&plan, &g, &payloads).unwrap_err(),
                     ExecError::InvalidPlan(PlanValidationError::BadPeer {
                         rank: 0,
                         phase: 0,
-                        peer,
-                        dir
+                        peer
                     }),
                     "{} peer {peer}",
                     exec.name()
@@ -412,21 +402,19 @@ mod tests {
     }
 
     #[test]
-    fn a_send_nobody_receives_goes_nowhere() {
-        // regression: indexed a hash map with the missing (src, tag) key
-        // and panicked; the threaded backend parked such a message
-        // forever. It goes nowhere — and `compile` now says so, typed
+    fn a_stray_send_is_received_as_transit() {
+        // regression: a send no recv row mirrored indexed a hash map with
+        // the missing (src, tag) key and panicked; the threaded backend
+        // parked it forever. A send is its receive now: rank 1 holds the
+        // stray block in transit, and every edge is still delivered once
         let g = Topology::from_edges(3, [(0, 2)]);
         let stray = crate::plan::PlannedMsg { peer: 1, blocks: vec![0], tag: 9 };
-        let plan = plan_naive(&g).edited(|rows| rows[0][0].sends.push(stray));
+        let plan = Arc::new(plan_naive(&g).edited(|rows| rows[0][0].sends.push(stray)));
         let payloads = test_payloads(3, 4, 0);
-        assert_eq!(
-            run_checked(&Arc::new(plan), &g, &payloads).unwrap_err(),
-            ExecError::InvalidPlan(PlanValidationError::SendRecvCountMismatch {
-                sends: 2,
-                recvs: 1
-            })
-        );
+        assert_eq!(plan.phase(1, 0).recvs().map(|m| m.peer()).collect::<Vec<_>>(), [0]);
+        let want = reference_allgather(&g, &payloads);
+        assert_eq!(run_checked(&plan, &g, &payloads).unwrap(), want);
+        assert_eq!(Threaded.run_simple(&plan, &g, &payloads).unwrap(), want);
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //!   of all outgoing final messages (lines 21–28);
 //! * epilogue: one copy per received final-phase block (line 33).
 //!
+//! Every transfer is one [`PlanWriter::message`]: its sender's row, which
+//! its destination receives in the same phase (a halving step's arrival
+//! is its origin's send; the pattern's `arriving` list only prices the
+//! receive-buffer copies).
+//!
 //! Ordering contract: no program layout depends on the order this
 //! writer emits a bucket's messages or a message's blocks — a gather
 //! program reads every block at its origin (`collective::program` has no
@@ -30,7 +35,9 @@
 //! single port serializes); a message's block order is what
 //! `ArenaLayout::contiguous_send_fraction` scores (a halving-step message
 //! lists the peer's pre-step buffer as it arrived, so it reads 100%
-//! contiguous); and both are the plan file's bytes.
+//! contiguous); and both are the plan file's bytes. A rank's receives
+//! need no order from here: the plan lists them by send id, so the
+//! final phase's arrive ascending by sender.
 
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan, PlanWriter};
@@ -100,15 +107,7 @@ pub fn lower_pooled(pattern: &DhPattern, graph: &Topology, pool: &WorkerPool) ->
         &tables[p / run][off[p] - base..off[p + 1] - base]
     };
 
-    // Phases: `steps` halving + 1 final + 1 epilogue. A halving transfer
-    // whose two ends agree is one message over one block range; ends that
-    // disagree (a pattern no builder produces) are written as they stand,
-    // for validation to name.
-    let mirrored = |src: Rank, dst: Rank, t: usize| {
-        let sent = pattern.steps(src).get(t).filter(|s| s.agent() == Some(dst));
-        let got = pattern.steps(dst).get(t).filter(|s| s.origin() == Some(src));
-        sent.zip(got).is_some_and(|(s, g)| s.held_len() == g.arr_len())
-    };
+    // Phases: `steps` halving + 1 final + 1 epilogue.
     let mut w = PlanWriter::new(Algorithm::DistanceHalving, n, steps + 2);
     w.selection = Some(pattern.stats);
     let halving = || pattern.step_table.iter().filter(|s| s.agent().is_some());
@@ -121,17 +120,8 @@ pub fn lower_pooled(pattern: &DhPattern, graph: &Topology, pool: &WorkerPool) ->
     for p in 0..n {
         for t in 0..steps {
             w.copy(p, t, halving_copies(pattern, graph, p, t));
-            let Some(step) = pattern.steps(p).get(t) else { continue };
-            let tag = t as u64;
-            match step.agent() {
-                Some(agent) if mirrored(p, agent, t) => {
-                    w.message(t, p, agent, tag, pattern.held_before(p, t));
-                }
-                Some(agent) => w.send(p, t, agent, tag, pattern.held_before(p, t)),
-                None => {}
-            }
-            if let Some(origin) = step.origin().filter(|&o| !mirrored(o, p, t)) {
-                w.recv(p, t, origin, tag, pattern.arriving(p, t));
+            if let Some(agent) = pattern.steps(p).get(t).and_then(|step| step.agent()) {
+                w.message(t, p, agent, t as u64, pattern.held_before(p, t));
             }
         }
         // Final phase: the last step's arrival copies (with no halving at

@@ -151,7 +151,7 @@ mod tests {
         let plan = plan_pat(&g, 2);
         plan.validate(&g).unwrap();
         assert_eq!(plan.message_count(), 0);
-        assert!(plan.to_rows().iter().flatten().all(|ph| ph.recvs.is_empty()));
+        assert!(plan.to_rows().iter().flatten().all(|ph| ph.sends.is_empty()));
     }
 
     #[test]

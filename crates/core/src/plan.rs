@@ -12,17 +12,28 @@
 //! # One flat table
 //!
 //! A plan is four vectors, not a tree: per-rank phase offsets, one
-//! message table `(peer, tag, block range)`, one block pool and a copy
-//! column. Builders append rows to a [`PlanWriter`] in whatever order
-//! their algorithm meets them; `finish` is one stable counting sort into
-//! (direction, rank, phase) *buckets*. **Within a bucket the rows keep
-//! their emission order** — the one ordering a builder owes its readers
+//! message table `(peer, tag, block range)` holding each message once —
+//! as its send, `peer` the destination — one block pool and a copy
+//! column. Builders append messages to a [`PlanWriter`] in whatever
+//! order their algorithm meets them; `finish` is one stable counting sort
+//! into (rank, phase) *buckets*. **Within a bucket the rows keep their
+//! emission order** — the one ordering a builder owes its readers
 //! (validation's "first in program order", the order a rank posts its
 //! sends, the plan file's bytes) — and a send's row index is its dense id
 //! in program order, which is how the validator, the item routing and the
 //! compiler name messages. Everything reads through
 //! [`CollectivePlan::phase`]. [`PlannedMsg`] / [`PlanPhase`] are the
 //! *owned row form*: hand-written plans, test mutators, one decoded rank.
+//!
+//! # Receives are an index over the sends
+//!
+//! Algorithm 4 posts, at every rank, the receives that mirror its peers'
+//! sends; a plan does not store them twice. Every constructor ends in
+//! one derivation (`CollectivePlan::checked`): a counting sort of the
+//! send ids by the receiving (rank, phase), ascending by id within a
+//! bucket. [`PhaseView::recvs`] reads it — the receive's `peer()` is the
+//! sender and its `id()` the send's — so a receive cannot disagree with
+//! its send on phase, tag or blocks.
 //!
 //! # The exactly-once property
 //!
@@ -42,24 +53,6 @@ use crate::pattern::SelectionStats;
 use nhood_simnet::SendIndex;
 use nhood_topology::{Rank, Topology};
 use std::collections::BTreeMap;
-
-/// Which direction of a [`PlannedMsg`] a validation error refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MsgDir {
-    /// The message appears in a phase's `sends`.
-    Send,
-    /// The message appears in a phase's `recvs`.
-    Recv,
-}
-
-impl std::fmt::Display for MsgDir {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MsgDir::Send => write!(f, "send"),
-            MsgDir::Recv => write!(f, "recv"),
-        }
-    }
-}
 
 /// Why [`CollectivePlan::validate`] rejected a plan.
 ///
@@ -84,16 +77,14 @@ pub enum PlanValidationError {
         /// The expected (rank 0's) phase count.
         want: usize,
     },
-    /// A message names an out-of-range or self peer.
+    /// A send names an out-of-range or self destination.
     BadPeer {
-        /// The rank whose program holds the message.
+        /// The sending rank.
         rank: Rank,
         /// Phase index.
         phase: usize,
-        /// The bad peer.
+        /// The bad destination.
         peer: Rank,
-        /// Whether the message is a send or a recv.
-        dir: MsgDir,
     },
     /// A send carries no blocks.
     EmptySend {
@@ -104,53 +95,13 @@ pub enum PlanValidationError {
         /// Destination.
         peer: Rank,
     },
-    /// Two messages share a `(src, dst, tag)` key.
+    /// Two sends share a `(src, dst, tag)` key.
     DuplicateKey {
         /// Source rank.
         src: Rank,
         /// Destination rank.
         dst: Rank,
         /// The shared tag.
-        tag: u64,
-        /// Whether the duplicates are sends or recvs.
-        dir: MsgDir,
-    },
-    /// The total number of sends and recvs differ.
-    SendRecvCountMismatch {
-        /// Total sends.
-        sends: usize,
-        /// Total recvs.
-        recvs: usize,
-    },
-    /// A send has no mirroring recv.
-    UnmatchedSend {
-        /// Source rank.
-        src: Rank,
-        /// Destination rank.
-        dst: Rank,
-        /// Tag.
-        tag: u64,
-    },
-    /// A send and its mirroring recv sit in different phases.
-    PhaseSkew {
-        /// Source rank.
-        src: Rank,
-        /// Destination rank.
-        dst: Rank,
-        /// Tag.
-        tag: u64,
-        /// Phase the send is posted in.
-        send_phase: usize,
-        /// Phase the recv is posted in.
-        recv_phase: usize,
-    },
-    /// A send and its mirroring recv disagree on the block list.
-    BlockListMismatch {
-        /// Source rank.
-        src: Rank,
-        /// Destination rank.
-        dst: Rank,
-        /// Tag.
         tag: u64,
     },
     /// A rank sends a block it does not hold at that phase.
@@ -190,25 +141,13 @@ impl std::fmt::Display for PlanValidationError {
             NotLockStep { rank, got, want } => {
                 write!(f, "rank {rank} has {got} phases, expected lock-step {want}")
             }
-            BadPeer { rank, phase, peer, dir } => {
-                write!(f, "rank {rank} phase {phase}: bad {dir} peer {peer}")
+            BadPeer { rank, phase, peer } => {
+                write!(f, "rank {rank} phase {phase}: bad send peer {peer}")
             }
             EmptySend { rank, phase, peer } => {
                 write!(f, "rank {rank} phase {phase}: empty send to {peer}")
             }
-            DuplicateKey { src, dst, tag, dir } => {
-                write!(f, "duplicate {dir} key ({src},{dst},{tag})")
-            }
-            SendRecvCountMismatch { sends, recvs } => write!(f, "{sends} sends vs {recvs} recvs"),
-            UnmatchedSend { src, dst, tag } => {
-                write!(f, "send ({src},{dst},{tag}) has no matching recv")
-            }
-            PhaseSkew { src, dst, tag, send_phase, recv_phase } => {
-                write!(f, "send ({src},{dst},{tag}) in phase {send_phase} but recv in {recv_phase}")
-            }
-            BlockListMismatch { src, dst, tag } => {
-                write!(f, "send ({src},{dst},{tag}) blocks differ from recv")
-            }
+            DuplicateKey { src, dst, tag } => write!(f, "duplicate send key ({src},{dst},{tag})"),
             UnheldBlock { rank, phase, block } => {
                 write!(f, "rank {rank} phase {phase} sends block {block} it does not hold")
             }
@@ -277,12 +216,12 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// One planned message in the **owned row form** (module docs): `blocks`
-/// (payload contributions of those ranks, concatenated in order) moving
-/// between this rank and `peer`. See [`CollectivePlan::from_rows`] /
-/// [`CollectivePlan::to_rows`] and [`crate::plan_io::PlanFile::rank`].
+/// (payload contributions of those ranks, concatenated in order) sent to
+/// `peer`. See [`CollectivePlan::from_rows`] / [`CollectivePlan::to_rows`]
+/// and [`crate::plan_io::PlanFile::rank`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedMsg {
-    /// The other endpoint.
+    /// The destination.
     pub peer: Rank,
     /// Whose payload blocks the message carries, in payload order.
     pub blocks: Vec<Rank>,
@@ -291,7 +230,8 @@ pub struct PlannedMsg {
 }
 
 /// One post-recvs/post-sends/wait-all block of a rank's program, in the
-/// owned row form (see [`PlannedMsg`]).
+/// owned row form (see [`PlannedMsg`]). Its receives are its peers'
+/// sends: [`PhaseView::recvs`] reads them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanPhase {
     /// Number of block-sized memcpys this rank performs at phase entry
@@ -300,12 +240,10 @@ pub struct PlanPhase {
     pub copy_blocks: usize,
     /// Messages sent in this phase.
     pub sends: Vec<PlannedMsg>,
-    /// Messages received in this phase.
-    pub recvs: Vec<PlannedMsg>,
 }
 
-/// One row of the message table; its blocks are
-/// `pool[block_off..block_off + block_len]`.
+/// One row of the message table — one send, `peer` its destination; its
+/// blocks are `pool[block_off..block_off + block_len]`.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct MsgRow {
     pub(crate) tag: u64,
@@ -333,6 +271,12 @@ fn fits_u32(what: &str, count: usize) -> Result<u32, String> {
     u32::try_from(count).map_err(|_| format!("{count} {what} do not fit the tables' u32 offsets"))
 }
 
+/// The length of a plan's `index` over `buckets` buckets and `msgs`
+/// sends, every send received.
+pub(crate) fn index_len(buckets: usize, msgs: usize) -> usize {
+    2 * (buckets + 1) + 2 * msgs
+}
+
 /// A complete, executable plan for one neighborhood allgather (module
 /// docs). The programs of a valid plan all have the same length; a ragged
 /// one is representable, and is what `NotLockStep` reports.
@@ -349,15 +293,17 @@ pub struct CollectivePlan {
     pub(crate) phase_off: Vec<u32>,
     /// Per bucket: block-sized memcpys at phase entry.
     pub(crate) copy_blocks: Vec<usize>,
-    /// With `B` buckets, bucket `b`'s sends are rows
-    /// `msg_off[b]..msg_off[b + 1]` and its recvs rows
-    /// `msg_off[B + b]..msg_off[B + b + 1]`: every send sits before every
-    /// recv, each side in (rank, phase) order, so a send's row index *is*
-    /// its dense id in program order.
-    pub(crate) msg_off: Vec<u32>,
+    /// With `B` buckets: `index[..=B]` are the send offsets — bucket
+    /// `b`'s sends are rows `index[b]..index[b + 1]`, in (rank, phase)
+    /// order, so a send's row *is* its dense id in program order. The
+    /// rest is the receive index that [`Self::checked`] derives from them
+    /// (module docs): offsets `o = index[B + 1..][..=B]` into a table of
+    /// `R` send ids followed by their `R` senders, bucket `b`'s receives
+    /// being entries `o[b]..o[b + 1]` of each.
+    pub(crate) index: Vec<u32>,
+    /// The send table.
     pub(crate) msgs: Vec<MsgRow>,
-    /// The block lists; a message written by [`PlanWriter::message`]
-    /// shares one range between its two sides.
+    /// The block lists.
     pub(crate) pool: Vec<Rank>,
     /// Sum of the send rows' block counts ([`Self::checked`] derives it).
     pub(crate) blocks_sent: usize,
@@ -387,59 +333,58 @@ impl<'a> PhaseView<'a> {
         self.bucket.map_or(0, |b| self.plan.copy_blocks[b])
     }
 
-    /// The messages of one direction, in emission order.
-    pub fn msgs(
+    /// Messages sent in this phase, in emission order.
+    pub fn sends(
         &self,
-        dir: MsgDir,
+    ) -> impl DoubleEndedIterator<Item = MsgView<'a>> + ExactSizeIterator + Clone + 'a {
+        let (plan, sends) = (self.plan, self.plan.send_off());
+        let rows = self.bucket.map_or(0..0, |b| sends[b] as usize..sends[b + 1] as usize);
+        rows.map(move |id| MsgView { plan, id, peer: plan.msgs[id].peer as Rank })
+    }
+
+    /// Messages received in this phase — the sends addressed to this rank
+    /// in this phase, ascending by send id.
+    pub fn recvs(
+        &self,
     ) -> impl DoubleEndedIterator<Item = MsgView<'a>> + ExactSizeIterator + Clone + 'a {
         let plan = self.plan;
-        let first = if dir == MsgDir::Send { 0 } else { plan.copy_blocks.len() };
-        let off = |b: usize| plan.msg_off[first + b] as usize;
-        let rows = self.bucket.map_or(0..0, |b| off(b)..off(b + 1));
-        let id = rows.start;
-        plan.msgs[rows].iter().enumerate().map(move |(i, row)| MsgView { plan, id: id + i, row })
-    }
-
-    /// Messages sent in this phase, in emission order.
-    pub fn sends(&self) -> impl DoubleEndedIterator<Item = MsgView<'a>> + ExactSizeIterator + 'a {
-        self.msgs(MsgDir::Send)
-    }
-
-    /// Messages received in this phase, in emission order.
-    pub fn recvs(&self) -> impl DoubleEndedIterator<Item = MsgView<'a>> + ExactSizeIterator + 'a {
-        self.msgs(MsgDir::Recv)
+        let (ids, senders) = self.bucket.map_or((&[][..], &[][..]), |b| plan.receives(b));
+        let view =
+            move |(&id, &peer): (&u32, &u32)| MsgView { plan, id: id as usize, peer: peer as Rank };
+        ids.iter().zip(senders).map(view)
     }
 }
 
-/// One planned message, borrowed from the plan's tables.
+/// One planned message — a send, or the receive of one — borrowed from
+/// the plan's tables.
 #[derive(Clone, Copy, Debug)]
 pub struct MsgView<'a> {
     plan: &'a CollectivePlan,
     id: usize,
-    row: &'a MsgRow,
+    peer: Rank,
 }
 
 impl<'a> MsgView<'a> {
-    /// The message's row in the table. Sends come first, in program
-    /// order (rank, phase, emission order), so a send's id is dense in
-    /// `0..message_count()`.
+    /// The send's row in the table, dense in `0..message_count()` in
+    /// program order (rank, phase, emission order); a receive has the id
+    /// of the send it receives.
     pub fn id(&self) -> usize {
         self.id
     }
 
-    /// The other endpoint.
+    /// The other endpoint: a send's destination, a receive's sender.
     pub fn peer(&self) -> Rank {
-        self.row.peer as Rank
+        self.peer
     }
 
     /// Matching tag; unique per (src, dst) pair within the plan.
     pub fn tag(&self) -> u64 {
-        self.row.tag
+        self.plan.msgs[self.id].tag
     }
 
     /// Whose payload blocks the message carries, in payload order.
     pub fn blocks(&self) -> &'a [Rank] {
-        self.plan.blocks_of(*self.row)
+        self.plan.blocks_of(self.plan.msgs[self.id])
     }
 
     /// The owned row form.
@@ -485,9 +430,23 @@ impl CollectivePlan {
         &self.pool[at..at + row.block_len as usize]
     }
 
-    /// Total messages, counted on the send side.
+    /// The send offsets: `index[..=B]`.
+    pub(crate) fn send_off(&self) -> &[u32] {
+        &self.index[..=self.copy_blocks.len()]
+    }
+
+    /// Bucket `b`'s receives: their send ids and their senders.
+    fn receives(&self, b: usize) -> (&[u32], &[u32]) {
+        let buckets = self.copy_blocks.len();
+        let (off, table) = self.index[buckets + 1..].split_at(buckets + 1);
+        let (ids, senders) = table.split_at(off[buckets] as usize);
+        let at = off[b] as usize..off[b + 1] as usize;
+        (&ids[at.clone()], &senders[at])
+    }
+
+    /// Total messages.
     pub fn message_count(&self) -> usize {
-        self.msg_off[self.copy_blocks.len()] as usize
+        self.msgs.len()
     }
 
     /// Total payload volume in block units (multiply by the per-rank
@@ -501,19 +460,17 @@ impl CollectivePlan {
     /// many messages a phase deadline must leave room to retry, so the
     /// chaos tooling uses it to budget per-phase timeouts.
     pub fn max_sends_in_phase(&self) -> usize {
-        let sends = &self.msg_off[..=self.copy_blocks.len()];
-        sends.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
+        self.send_off().windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
     }
 
     /// Largest single message, in blocks.
     pub fn max_message_blocks(&self) -> usize {
-        let sends = &self.msgs[..self.message_count()];
-        sends.iter().map(|m| m.block_len as usize).max().unwrap_or(0)
+        self.msgs.iter().map(|m| m.block_len as usize).max().unwrap_or(0)
     }
 
     /// Per-rank total messages sent — the load-balance view.
     pub fn sends_per_rank(&self) -> Vec<usize> {
-        let at = |bucket: u32| self.msg_off[bucket as usize] as usize;
+        let at = |bucket: u32| self.index[bucket as usize] as usize;
         self.phase_off.windows(2).map(|w| at(w[1]) - at(w[0])).collect()
     }
 
@@ -526,7 +483,7 @@ impl CollectivePlan {
         };
         self.phase_off == other.phase_off
             && self.copy_blocks == other.copy_blocks
-            && self.msg_off == other.msg_off
+            && self.index == other.index
             && self.msgs.iter().zip(&other.msgs).all(same)
     }
 
@@ -543,8 +500,7 @@ impl CollectivePlan {
             let r = w.add_rank(prog.len());
             for (p, ph) in prog.iter().enumerate() {
                 w.copy(r, p, ph.copy_blocks);
-                ph.sends.iter().for_each(|m| w.send(r, p, m.peer, m.tag, &m.blocks));
-                ph.recvs.iter().for_each(|m| w.recv(r, p, m.peer, m.tag, &m.blocks));
+                ph.sends.iter().for_each(|m| w.message(p, r, m.peer, m.tag, &m.blocks));
             }
         }
         w.finish()
@@ -556,7 +512,6 @@ impl CollectivePlan {
             .map(|ph| PlanPhase {
                 copy_blocks: ph.copy_blocks(),
                 sends: ph.sends().map(|m| m.to_row()).collect(),
-                recvs: ph.recvs().map(|m| m.to_row()).collect(),
             })
             .collect()
     }
@@ -567,64 +522,49 @@ impl CollectivePlan {
         (0..self.n()).map(|r| self.rank_rows(r)).collect()
     }
 
-    /// A copy of the plan with the `(peer, blocks)` messages in `edits` —
-    /// per bucket side `(dir, rank, phase)`, ascending by peer like the
-    /// bucket they patch — put in place of the old message with that peer
-    /// (keeping its tag), or at its sorted position under `tag` when
-    /// there was none; one with no block is dropped. Every other row is
-    /// carried over by range, a shared block range staying shared, and
-    /// the new pool holds live blocks only.
+    /// A copy of the plan with the `(peer, blocks)` sends in `edits` —
+    /// per sending `(rank, phase)`, ascending by peer like the bucket
+    /// they patch — put in place of the old send to that peer (keeping
+    /// its tag), or at its sorted position under `tag` when there was
+    /// none; one with no block is dropped. Every other row is carried
+    /// over, and the new pool holds live blocks only.
     pub(crate) fn patched(&self, edits: &Edits, tag: u64) -> Self {
-        let fresh: usize = edits.values().flatten().map(|m| m.1.len()).sum();
+        let fresh = edits.values().flatten();
+        let (rows, blocks) = (self.msgs.len() + fresh.clone().count(), fresh.map(|m| m.1.len()));
         let mut out = Self {
             algorithm: self.algorithm,
             selection: self.selection,
             phase_off: self.phase_off.clone(),
             copy_blocks: self.copy_blocks.clone(),
-            msg_off: Vec::with_capacity(self.msg_off.len()),
-            msgs: Vec::with_capacity(self.msgs.len() + edits.len()),
-            pool: Vec::with_capacity(self.pool.len() + fresh),
+            index: Vec::with_capacity(index_len(self.copy_blocks.len(), rows)),
+            msgs: Vec::with_capacity(rows),
+            pool: Vec::with_capacity(self.pool.len() + blocks.sum::<usize>()),
             blocks_sent: 0,
         };
-        // Where an old block range went, by its start: the writer never
-        // starts two non-empty ranges at one offset.
-        const UNMOVED: u32 = u32::MAX;
-        let mut moved = vec![UNMOVED; self.pool.len()];
-        for dir in [MsgDir::Send, MsgDir::Recv] {
-            let buckets = |r| self.phases(r).enumerate().map(move |(p, phase)| (r, p, phase));
-            for (r, p, phase) in (0..self.n()).flat_map(buckets) {
-                out.msg_off.push(out.msgs.len() as u32);
-                let mut fresh = edits.get(&(dir, r, p)).into_iter().flatten().peekable();
-                let put = |out: &mut Self, (peer, blocks): &(Rank, Vec<Rank>), tag: u64| {
-                    if !blocks.is_empty() {
-                        out.msgs.push(MsgRow::pooled(&mut out.pool, *peer, tag, blocks));
-                    }
-                };
-                for old in phase.msgs(dir) {
-                    while let Some(m) = fresh.next_if(|m| m.0 < old.peer()) {
-                        put(&mut out, m, tag);
-                    }
-                    if let Some(m) = fresh.next_if(|m| m.0 == old.peer()) {
-                        put(&mut out, m, old.tag());
-                        continue;
-                    }
-                    let mut row = *old.row;
-                    if row.block_len == 0 {
-                        row.block_off = 0;
-                    } else {
-                        let to = &mut moved[row.block_off as usize];
-                        if *to == UNMOVED {
-                            *to = out.pool.len() as u32;
-                            out.pool.extend_from_slice(old.blocks());
-                        }
-                        row.block_off = *to;
-                    }
-                    out.msgs.push(row);
-                }
-                fresh.for_each(|m| put(&mut out, m, tag));
+        let keep = |out: &mut Self, peer: Rank, tag: u64, blocks: &[Rank]| {
+            out.msgs.push(MsgRow::pooled(&mut out.pool, peer, tag, blocks));
+        };
+        let put = |out: &mut Self, (peer, blocks): &(Rank, Vec<Rank>), tag: u64| {
+            if !blocks.is_empty() {
+                keep(out, *peer, tag, blocks);
             }
+        };
+        let buckets = |r| self.phases(r).enumerate().map(move |(p, phase)| (r, p, phase));
+        for (r, p, phase) in (0..self.n()).flat_map(buckets) {
+            out.index.push(out.msgs.len() as u32);
+            let mut fresh = edits.get(&(r, p)).into_iter().flatten().peekable();
+            for old in phase.sends() {
+                while let Some(m) = fresh.next_if(|m| m.0 < old.peer()) {
+                    put(&mut out, m, tag);
+                }
+                match fresh.next_if(|m| m.0 == old.peer()) {
+                    Some(m) => put(&mut out, m, old.tag()),
+                    None => keep(&mut out, old.peer(), old.tag(), old.blocks()),
+                }
+            }
+            fresh.for_each(|m| put(&mut out, m, tag));
         }
-        out.msg_off.push(out.msgs.len() as u32);
+        out.index.push(out.msgs.len() as u32);
         // INVARIANT: table offsets are `u32`; a plan that outgrows them
         // stops here instead of wrapping.
         out.checked().unwrap_or_else(|e| panic!("patched plan: {e}"))
@@ -637,14 +577,72 @@ impl CollectivePlan {
     }
 
     /// The tables as a plan, once their message, block and phase counts
-    /// are known to fit the `u32` offsets they were written under.
+    /// are known to fit the `u32` offsets they were written under: the
+    /// end of every constructor, and where the receive index is derived.
     pub(crate) fn checked(mut self) -> Result<Self, String> {
         fits_u32("messages", self.msgs.len())?;
         fits_u32("blocks", self.pool.len())?;
         fits_u32("phases", self.copy_blocks.len())?;
-        let sends = &self.msgs[..self.message_count()];
-        self.blocks_sent = sends.iter().map(|m| m.block_len as usize).sum();
+        self.blocks_sent = self.msgs.iter().map(|m| m.block_len as usize).sum();
+        self.index_receives();
         Ok(self)
+    }
+
+    /// Derives the receive index from the send table (the one place it
+    /// is written; `index`'s docs have its layout): a stable counting
+    /// sort of the send ids by their receiving bucket — the destination's
+    /// bucket of the send's phase — so a bucket lists its receives
+    /// ascending by send id. A send whose destination is no rank, or
+    /// whose program has no such phase, is received nowhere: the plan is
+    /// one `validate` refuses (`BadPeer`, `NotLockStep`), and nothing
+    /// here indexes by the unchecked peer.
+    fn index_receives(&mut self) {
+        let buckets = self.copy_blocks.len();
+        self.index.truncate(buckets + 1);
+        self.index.resize(2 * (buckets + 1), 0);
+        let (sends, off) = self.index.split_at_mut(buckets + 1);
+        each_receive(&self.phase_off, sends, &self.msgs, |_, _, at| off[at + 1] += 1);
+        for b in 0..buckets {
+            off[b + 1] += off[b];
+        }
+        let total = off[buckets] as usize;
+        self.index.resize(2 * (buckets + 1 + total), 0);
+        let (sends, rest) = self.index.split_at_mut(buckets + 1);
+        let (off, table) = rest.split_at_mut(buckets + 1);
+        let (ids, senders) = table.split_at_mut(total);
+        // fill with the offsets as cursors — which leaves each at its
+        // bucket's end, the next one's start — and shift back by one
+        each_receive(&self.phase_off, sends, &self.msgs, |id, src, at| {
+            let slot = off[at] as usize;
+            (ids[slot], senders[slot]) = (id, src);
+            off[at] += 1;
+        });
+        off.rotate_right(1);
+        off[0] = 0;
+    }
+}
+
+/// Calls `visit(id, sender, receiving bucket)` for every send in id
+/// order, skipping one whose destination is no rank or has no phase of
+/// the send's index.
+fn each_receive(
+    phase_off: &[u32],
+    send_off: &[u32],
+    msgs: &[MsgRow],
+    mut visit: impl FnMut(u32, u32, usize),
+) {
+    for (src, span) in (0u32..).zip(phase_off.windows(2)) {
+        for b in span[0]..span[1] {
+            let phase = b - span[0];
+            for id in send_off[b as usize]..send_off[b as usize + 1] {
+                let dst = msgs[id as usize].peer as usize;
+                if let (Some(&first), Some(&end)) = (phase_off.get(dst), phase_off.get(dst + 1)) {
+                    if phase < end - first {
+                        visit(id, src, (first + phase) as usize);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -655,45 +653,49 @@ impl crate::remap::Relabel for CollectivePlan {
         let mut from = vec![0; to.len()];
         to.iter().enumerate().for_each(|(r, &new)| from[new] = r);
         let span = |r: Rank| self.phase_off[r] as usize..self.phase_off[r + 1] as usize;
-        // the old buckets in their new order; a bucket's recvs sit `buckets` on
-        let (order, buckets) = (from.iter().flat_map(|&r| span(r)), self.copy_blocks.len());
+        // the old buckets in their new order
+        let order = from.iter().flat_map(|&r| span(r));
         let phases = from.iter().scan(0, |end, &r| {
             *end += span(r).len() as u32;
             Some(*end)
         });
-        let (mut msg_off, mut msgs) = (vec![0], Vec::with_capacity(self.msgs.len()));
-        for b in order.clone().chain(order.clone().map(|b| b + buckets)) {
-            let rows = &self.msgs[self.msg_off[b] as usize..self.msg_off[b + 1] as usize];
+        let mut index = Vec::with_capacity(index_len(self.copy_blocks.len(), self.msgs.len()));
+        let (sends, mut msgs) = (self.send_off(), Vec::with_capacity(self.msgs.len()));
+        index.push(0);
+        for b in order.clone() {
+            let rows = &self.msgs[sends[b] as usize..sends[b + 1] as usize];
             msgs.extend(rows.iter().map(|m| MsgRow { peer: to[m.peer as usize] as u32, ..*m }));
-            msg_off.push(msgs.len() as u32);
+            index.push(msgs.len() as u32);
         }
         CollectivePlan {
             phase_off: std::iter::once(0).chain(phases).collect(),
             copy_blocks: order.map(|b| self.copy_blocks[b]).collect(),
-            msg_off,
+            index,
             msgs,
             pool: self.pool.iter().map(|&b| to[b]).collect(),
             ..*self
         }
+        .checked()
+        // INVARIANT: a permutation keeps every count.
+        .expect("a relabelled plan's counts are its source's")
     }
 }
 
-/// What [`CollectivePlan::patched`] puts in: per bucket side `(dir,
-/// rank, phase)`, `(peer, blocks)` messages ascending by peer.
-pub(crate) type Edits = BTreeMap<(MsgDir, Rank, usize), Vec<(Rank, Vec<Rank>)>>;
+/// What [`CollectivePlan::patched`] puts in: per sending `(rank, phase)`,
+/// `(peer, blocks)` sends ascending by peer.
+pub(crate) type Edits = BTreeMap<(Rank, usize), Vec<(Rank, Vec<Rank>)>>;
 
-/// A staged row: the bucket side it belongs to, and the row.
+/// A staged send: its (rank, phase) bucket, and the row.
 #[derive(Clone, Copy, Debug)]
 struct Staged {
     bucket: u32,
-    dir: MsgDir,
     row: MsgRow,
 }
 
-/// The append-only builder of a [`CollectivePlan`]: rows are emitted in
-/// any order across (rank, phase, direction) buckets and
-/// [`finish`](Self::finish) sorts them into the plan's tables with one
-/// stable counting sort — within a bucket, emission order is kept.
+/// The append-only builder of a [`CollectivePlan`]: sends are emitted in
+/// any order across (rank, phase) buckets and [`finish`](Self::finish)
+/// sorts them into the plan's tables with one stable counting sort —
+/// within a bucket, emission order is kept.
 #[derive(Debug)]
 pub struct PlanWriter {
     algorithm: Algorithm,
@@ -727,10 +729,10 @@ impl PlanWriter {
         self.phase_off.len() - 2
     }
 
-    /// Makes room for `messages` more messages (both sides) carrying
-    /// `blocks` blocks in all.
+    /// Makes room for `messages` more messages carrying `blocks` blocks
+    /// in all.
     pub fn reserve(&mut self, messages: usize, blocks: usize) {
-        self.rows.reserve_exact(2 * messages);
+        self.rows.reserve_exact(messages);
         self.pool.reserve_exact(blocks);
     }
 
@@ -741,37 +743,18 @@ impl PlanWriter {
         self.copy_blocks[bucket as usize] += blocks;
     }
 
-    /// Posts a send of `blocks` from `rank` to `peer` in `phase`.
-    pub fn send(&mut self, rank: Rank, phase: usize, peer: Rank, tag: u64, blocks: &[Rank]) {
-        let row = MsgRow::pooled(&mut self.pool, peer, tag, blocks);
-        self.stage(rank, phase, MsgDir::Send, row);
-    }
-
-    /// Posts a receive of `blocks` at `rank` from `peer` in `phase`.
-    pub fn recv(&mut self, rank: Rank, phase: usize, peer: Rank, tag: u64, blocks: &[Rank]) {
-        let row = MsgRow::pooled(&mut self.pool, peer, tag, blocks);
-        self.stage(rank, phase, MsgDir::Recv, row);
-    }
-
-    /// Posts both sides of one message — the send at `src`, the receive
-    /// at `dst` — over one pooled block range.
+    /// Posts one message: `blocks` sent from `src` to `dst` in `phase`,
+    /// which `dst` receives in its own `phase`.
     pub fn message(&mut self, phase: usize, src: Rank, dst: Rank, tag: u64, blocks: &[Rank]) {
+        let bucket = self.bucket(src, phase);
         let row = MsgRow::pooled(&mut self.pool, dst, tag, blocks);
-        self.stage(src, phase, MsgDir::Send, row);
-        // INVARIANT: as `MsgRow::pooled`'s — ranks fit the `u32` column.
-        let peer = u32::try_from(src).expect("a rank fits the table's u32 peer column");
-        self.stage(dst, phase, MsgDir::Recv, MsgRow { peer, ..row });
+        self.rows.push(Staged { bucket, row });
     }
 
     fn bucket(&self, rank: Rank, phase: usize) -> u32 {
         let (lo, hi) = (self.phase_off[rank], self.phase_off[rank + 1]);
         assert!(phase < (hi - lo) as usize, "rank {rank} has {} phases, not {phase}", hi - lo);
         lo + phase as u32
-    }
-
-    fn stage(&mut self, rank: Rank, phase: usize, dir: MsgDir, row: MsgRow) {
-        let bucket = self.bucket(rank, phase);
-        self.rows.push(Staged { bucket, dir, row });
     }
 
     /// The finished plan.
@@ -785,30 +768,30 @@ impl PlanWriter {
         if let Err(e) = fits_u32("messages", self.rows.len()) {
             panic!("plan writer: {e}");
         }
-        // One stable counting sort by (direction, bucket): count, prefix,
-        // fill with the offsets as cursors — which leaves each at its
-        // bucket's end, the next one's start — and shift back by one.
-        let side = |s: &Staged| s.bucket as usize + if s.dir == MsgDir::Send { 0 } else { buckets };
-        let mut msg_off = vec![0u32; 2 * buckets + 1];
+        // One stable counting sort by bucket: count, prefix, fill with
+        // the offsets as cursors — which leaves each at its bucket's end,
+        // the next one's start — and shift back by one.
+        let mut index = Vec::with_capacity(index_len(buckets, self.rows.len()));
+        index.resize(buckets + 1, 0u32);
         for s in &self.rows {
-            msg_off[side(s) + 1] += 1;
+            index[s.bucket as usize + 1] += 1;
         }
-        for b in 0..2 * buckets {
-            msg_off[b + 1] += msg_off[b];
+        for b in 0..buckets {
+            index[b + 1] += index[b];
         }
         let mut msgs = vec![MsgRow::default(); self.rows.len()];
         for s in &self.rows {
-            msgs[msg_off[side(s)] as usize] = s.row;
-            msg_off[side(s)] += 1;
+            msgs[index[s.bucket as usize] as usize] = s.row;
+            index[s.bucket as usize] += 1;
         }
-        msg_off.rotate_right(1);
-        msg_off[0] = 0;
+        index.rotate_right(1);
+        index[0] = 0;
         CollectivePlan {
             algorithm: self.algorithm,
             selection: self.selection,
             phase_off: self.phase_off,
             copy_blocks: self.copy_blocks,
-            msg_off,
+            index,
             msgs,
             pool: self.pool,
             blocks_sent: 0,
@@ -823,7 +806,8 @@ impl CollectivePlan {
     /// against the virtual topology that produced the plan:
     ///
     /// 1. programs are lock-step (equal length);
-    /// 2. sends and recvs mirror each other exactly (peer, blocks, tag);
+    /// 2. every send names another rank, carries a block, and has a
+    ///    `(src, dst, tag)` key of its own;
     /// 3. a rank only sends blocks it holds (its own, or ones received in
     ///    *earlier* phases);
     /// 4. every topology edge `(b → t)` is delivered to `t` exactly once;
@@ -831,22 +815,21 @@ impl CollectivePlan {
     ///    except transit data (blocks a rank relays but does not consume),
     ///    which is allowed and is exactly what distinguishes DH traffic.
     ///
+    /// A receive is its send, read at the destination in the send's
+    /// phase, so there is no second copy of a message to disagree with.
+    ///
     /// # Which defect is reported
     ///
     /// A function of the plan, never of a hasher: rules in the order
     /// above. Rule 1: the lowest rank. Rule 2: `BadPeer` / `EmptySend`,
-    /// first in program order (rank, phase, sends before recvs, index);
-    /// then a send-side `DuplicateKey`, lowest `(dst, src, tag)`; then a
-    /// recv-side one, the first recv in program order to claim a send an
-    /// earlier recv claimed; then `SendRecvCountMismatch`; then
-    /// `UnmatchedSend`, lowest `(dst, src, tag)`; then the first recv in
-    /// program order that disagrees with its send, `PhaseSkew` before
-    /// `BlockListMismatch`. Rule 3: the lowest (phase, rank, send index,
-    /// block index). Rule 4: the lowest edge `(src, dst)`.
+    /// first in program order (rank, phase, send index); then
+    /// `DuplicateKey`, lowest `(dst, src, tag)`. Rule 3: the lowest
+    /// (phase, rank, send index, block index). Rule 4: the lowest edge
+    /// `(src, dst)`.
     pub fn validate(&self, graph: &Topology) -> Result<(), PlanValidationError> {
         use PlanValidationError as E;
         let n = self.n();
-        self.check_mirror(graph.n())?;
+        self.check_sends(graph.n())?;
 
         // 3 + 4, one rank at a time: what a rank holds depends only on
         // its own earlier receives, and what an edge's destination was
@@ -889,10 +872,9 @@ impl CollectivePlan {
         }
     }
 
-    /// Rules 1 and 2 of [`Self::validate`]: a send's id is its row, and
-    /// every recv is resolved to the send it mirrors through the matching
-    /// kernel.
-    fn check_mirror(&self, topology_ranks: usize) -> Result<(), PlanValidationError> {
+    /// Rules 1 and 2 of [`Self::validate`]; past them every send is
+    /// received, in its own phase.
+    fn check_sends(&self, topology_ranks: usize) -> Result<(), PlanValidationError> {
         use PlanValidationError as E;
         let n = self.n();
         if topology_ranks != n {
@@ -903,67 +885,22 @@ impl CollectivePlan {
             return Err(E::NotLockStep { rank, got: self.phases(rank).len(), want: phases });
         }
         for rank in 0..n {
-            for phase in 0..phases {
-                let ph = self.phase(rank, phase);
-                let bad = |peer| peer >= n || peer == rank;
+            for (phase, ph) in self.phases(rank).enumerate() {
                 for m in ph.sends() {
-                    if bad(m.peer()) {
-                        return Err(E::BadPeer { rank, phase, peer: m.peer(), dir: MsgDir::Send });
+                    if m.peer() >= n || m.peer() == rank {
+                        return Err(E::BadPeer { rank, phase, peer: m.peer() });
                     } else if m.blocks().is_empty() {
                         return Err(E::EmptySend { rank, phase, peer: m.peer() });
                     }
                 }
-                if let Some(m) = ph.recvs().find(|m| bad(m.peer())) {
-                    return Err(E::BadPeer { rank, phase, peer: m.peer(), dir: MsgDir::Recv });
-                }
             }
         }
-        // the send rows of rank `src`, which are consecutive
-        let sent_by = |src: Rank| {
-            let at = |bucket: u32| self.msg_off[bucket as usize] as usize;
-            at(self.phase_off[src])..at(self.phase_off[src + 1])
-        };
-        let keys = (0..n).flat_map(|src| {
-            self.msgs[sent_by(src)].iter().map(move |m| (src, m.peer as Rank, m.tag))
-        });
-        let index = SendIndex::build(n, keys).map_err(|(src, dst, tag)| E::DuplicateKey {
-            src,
-            dst,
-            tag,
-            dir: MsgDir::Send,
-        })?;
-        let sends = self.message_count();
-        let mut matched = vec![false; sends];
-        let mut differs = None;
-        for dst in 0..n {
-            for recv_phase in 0..phases {
-                for m in self.phase(dst, recv_phase).recvs() {
-                    let (src, tag) = (m.peer(), m.tag());
-                    let Some(id) = index.find(src, dst, tag) else { continue };
-                    if std::mem::replace(&mut matched[id as usize], true) {
-                        return Err(E::DuplicateKey { src, dst, tag, dir: MsgDir::Recv });
-                    }
-                    // the phase of send `id`: how many of its sender's
-                    // buckets end at or before it
-                    let ends = &self.msg_off[self.phase_off[src] as usize + 1..];
-                    let send_phase = ends[..phases].partition_point(|&end| end <= id);
-                    let skew = || E::PhaseSkew { src, dst, tag, send_phase, recv_phase };
-                    let list = || E::BlockListMismatch { src, dst, tag };
-                    let sent = self.blocks_of(self.msgs[id as usize]);
-                    differs = differs
-                        .or_else(|| (send_phase != recv_phase).then(skew))
-                        .or_else(|| (sent != m.blocks()).then(list));
-                }
-            }
+        let sent_by = |src| self.phases(src).flat_map(|ph| ph.sends());
+        let keys = (0..n).flat_map(|src| sent_by(src).map(move |m| (src, m.peer(), m.tag())));
+        match SendIndex::build(n, keys) {
+            Ok(_) => Ok(()),
+            Err((src, dst, tag)) => Err(E::DuplicateKey { src, dst, tag }),
         }
-        let recvs = self.msgs.len() - sends;
-        if sends != recvs {
-            return Err(E::SendRecvCountMismatch { sends, recvs });
-        }
-        if let Some((src, dst, tag)) = index.first_unmatched(&matched) {
-            return Err(E::UnmatchedSend { src, dst, tag });
-        }
-        differs.map_or(Ok(()), Err)
     }
 }
 
@@ -981,27 +918,60 @@ impl CollectivePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remap::Relabel;
 
     fn msg(peer: Rank, blocks: Vec<Rank>, tag: u64) -> PlannedMsg {
         PlannedMsg { peer, blocks, tag }
+    }
+
+    fn sending(copy_blocks: usize, sends: Vec<PlannedMsg>) -> PlanPhase {
+        PlanPhase { copy_blocks, sends }
     }
 
     /// hand-built two-rank exchange plan
     fn pair_plan() -> (Topology, CollectivePlan) {
         let g = Topology::from_edges(2, [(0, 1), (1, 0)]);
         let rows = [
-            vec![PlanPhase {
-                copy_blocks: 0,
-                sends: vec![msg(1, vec![0], 0)],
-                recvs: vec![msg(1, vec![1], 0)],
-            }],
-            vec![PlanPhase {
-                copy_blocks: 0,
-                sends: vec![msg(0, vec![1], 0)],
-                recvs: vec![msg(0, vec![0], 0)],
-            }],
+            vec![sending(0, vec![msg(1, vec![0], 0)])],
+            vec![sending(0, vec![msg(0, vec![1], 0)])],
         ];
         (g, CollectivePlan::from_rows(Algorithm::Naive, None, &rows))
+    }
+
+    /// Every (rank, phase)'s receives by brute force: the sends addressed
+    /// to it in that phase, as `(sender, send id)` in id order.
+    fn brute_recvs(plan: &CollectivePlan) -> Vec<Vec<Vec<(Rank, usize)>>> {
+        let mut out: Vec<Vec<Vec<(Rank, usize)>>> =
+            (0..plan.n()).map(|r| vec![Vec::new(); plan.phases(r).len()]).collect();
+        for src in 0..plan.n() {
+            for (p, ph) in plan.phases(src).enumerate() {
+                for m in ph.sends() {
+                    if let Some(bucket) = out.get_mut(m.peer()).and_then(|prog| prog.get_mut(p)) {
+                        bucket.push((src, m.id()));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The plan's receive views, as [`brute_recvs`] lists them, each one
+    /// checked to read its send's tag and blocks.
+    fn derived_recvs(plan: &CollectivePlan) -> Vec<Vec<Vec<(Rank, usize)>>> {
+        let send = |id: usize| {
+            (0..plan.n())
+                .flat_map(|r| plan.phases(r).flat_map(|ph| ph.sends()))
+                .find(|m| m.id() == id)
+                .expect("a receive's id is a send's")
+        };
+        let view = |m: MsgView| {
+            let s = send(m.id());
+            assert_eq!((m.tag(), m.blocks()), (s.tag(), s.blocks()), "receive {}", m.id());
+            (m.peer(), m.id())
+        };
+        (0..plan.n())
+            .map(|r| plan.phases(r).map(|ph| ph.recvs().map(view).collect()).collect())
+            .collect()
     }
 
     #[test]
@@ -1014,15 +984,16 @@ mod tests {
         assert_eq!(plan.max_sends_in_phase(), 1);
         assert_eq!(plan.sends_per_rank(), vec![1, 1]);
         assert_eq!(plan.phase_count(), 1);
+        // rank 1 receives rank 0's send — send id 0 — and the reverse
+        let recv = plan.phase(1, 0).recvs().next().unwrap();
+        assert_eq!((recv.peer(), recv.id(), recv.tag(), recv.blocks()), (0, 0, 0, &[0][..]));
+        assert_eq!(derived_recvs(&plan), vec![vec![vec![(1, 1)]], vec![vec![(0, 0)]]]);
     }
 
     #[test]
     fn detects_missing_delivery() {
         let (g, plan) = pair_plan();
-        let plan = plan.edited(|rows| {
-            rows[0][0].sends.clear();
-            rows[1][0].recvs.clear();
-        });
+        let plan = plan.edited(|rows| rows[0][0].sends.clear());
         let e = plan.validate(&g).unwrap_err();
         assert_eq!(e, PlanValidationError::NeverDelivered { src: 0, dst: 1 });
     }
@@ -1030,10 +1001,7 @@ mod tests {
     #[test]
     fn detects_double_delivery() {
         let (g, plan) = pair_plan();
-        let plan = plan.edited(|rows| {
-            rows[0][0].sends.push(msg(1, vec![0], 9));
-            rows[1][0].recvs.push(msg(0, vec![0], 9));
-        });
+        let plan = plan.edited(|rows| rows[0][0].sends.push(msg(1, vec![0], 9)));
         let e = plan.validate(&g).unwrap_err();
         assert_eq!(e, PlanValidationError::DuplicateDelivery { src: 0, dst: 1, count: 2 });
     }
@@ -1041,21 +1009,10 @@ mod tests {
     #[test]
     fn detects_unheld_block() {
         let (g, plan) = pair_plan();
-        let plan = plan.edited(|rows| {
-            rows[0][0].sends[0].blocks = vec![0, 1]; // rank 0 never holds 1 pre-phase
-            rows[1][0].recvs[0].blocks = vec![0, 1];
-        });
+        // rank 0 never holds 1 pre-phase
+        let plan = plan.edited(|rows| rows[0][0].sends[0].blocks = vec![0, 1]);
         let e = plan.validate(&g).unwrap_err();
         assert_eq!(e, PlanValidationError::UnheldBlock { rank: 0, phase: 0, block: 1 });
-    }
-
-    #[test]
-    fn detects_mirror_mismatch() {
-        let (g, plan) = pair_plan();
-        assert!(plan.edited(|rows| rows[1][0].recvs[0].tag = 7).validate(&g).is_err());
-        let plan = plan.edited(|rows| rows[1][0].recvs[0].blocks = vec![1]);
-        let e = plan.validate(&g).unwrap_err();
-        assert_eq!(e, PlanValidationError::BlockListMismatch { src: 0, dst: 1, tag: 0 });
     }
 
     #[test]
@@ -1069,54 +1026,49 @@ mod tests {
 
     #[test]
     fn the_reported_defect_is_a_function_of_the_plan() {
-        // Eight unmatched sends (and eight orphaned recvs): under a
-        // randomly seeded hasher the validator used to name a different
-        // one from call to call.
+        // Eight repeated send keys: under a randomly seeded hasher the
+        // validator used to name a different one from call to call.
         let g = nhood_topology::random::erdos_renyi(32, 0.3, 5);
         let plan = crate::naive::plan_naive(&g).edited(|rows| {
             for prog in &mut rows[..8] {
-                prog[0].recvs[0].tag = 99;
+                let again = prog[0].sends[0].clone();
+                prog[0].sends.push(again);
             }
         });
-        // the contract: the lowest (dst, src, tag), so rank 0's first recv
-        let src = plan.phase(0, 0).recvs().next().unwrap().peer();
+        // the contract: the lowest (dst, src, tag)
+        let first = |r: Rank| plan.phase(r, 0).sends().next().unwrap();
+        let (dst, src, tag) = (0..8).map(|r| (first(r).peer(), r, first(r).tag())).min().unwrap();
         for _ in 0..64 {
             let e = plan.validate(&g).unwrap_err();
-            assert_eq!(e, PlanValidationError::UnmatchedSend { src, dst: 0, tag: 0 });
+            assert_eq!(e, PlanValidationError::DuplicateKey { src, dst, tag });
         }
-        // a skewed and a permuted message: the first recv in program
-        // order wins, whatever its defect
+        // two unheld blocks and an undelivered edge: rule 3 before rule
+        // 4, and the lowest (phase, rank) of the two
         let g = Topology::from_edges(3, [(0, 1), (0, 2)]);
         let plan = crate::naive::plan_naive(&g).edited(|rows| {
-            rows[2][0].recvs[0].blocks = vec![2];
-            for prog in rows.iter_mut() {
-                prog.insert(0, PlanPhase::default());
-            }
-            let moved = rows[1][1].recvs.pop().unwrap();
-            rows[1][0].recvs.push(moved);
+            rows[0][0].sends.clear();
+            rows[2][0].sends.push(msg(0, vec![1], 7));
+            rows[1][0].sends.push(msg(0, vec![2], 7));
         });
         for _ in 0..64 {
             let e = plan.validate(&g).unwrap_err();
-            assert!(matches!(e, PlanValidationError::PhaseSkew { src: 0, dst: 1, .. }), "{e}");
+            assert_eq!(e, PlanValidationError::UnheldBlock { rank: 1, phase: 0, block: 2 });
         }
     }
 
     #[test]
-    fn detects_cross_phase_match() {
+    fn a_receive_sits_in_its_sends_phase() {
+        // a send in phase 0 is received in phase 0 of its destination's
+        // program, whatever else that program holds
         let g = Topology::from_edges(2, [(0, 1)]);
         let rows = [
-            vec![
-                PlanPhase { copy_blocks: 0, sends: vec![msg(1, vec![0], 0)], recvs: vec![] },
-                PlanPhase::default(),
-            ],
-            vec![
-                PlanPhase::default(),
-                PlanPhase { copy_blocks: 0, sends: vec![], recvs: vec![msg(0, vec![0], 0)] },
-            ],
+            vec![sending(0, vec![msg(1, vec![0], 0)]), PlanPhase::default()],
+            vec![PlanPhase::default(), sending(3, vec![])],
         ];
         let plan = CollectivePlan::from_rows(Algorithm::Naive, None, &rows);
-        let e = plan.validate(&g).unwrap_err();
-        assert!(matches!(e, PlanValidationError::PhaseSkew { src: 0, dst: 1, tag: 0, .. }), "{e}");
+        plan.validate(&g).unwrap();
+        assert_eq!(derived_recvs(&plan), vec![vec![vec![], vec![]], vec![vec![(0, 0)], vec![]]]);
+        assert_eq!(plan.phase(1, 1).recvs().len(), 0);
     }
 
     #[test]
@@ -1125,21 +1077,71 @@ mod tests {
         // rank 1 holds block 0 in transit without consuming it
         let g = Topology::from_edges(3, [(0, 2)]);
         let rows = [
-            vec![
-                PlanPhase { copy_blocks: 1, sends: vec![msg(1, vec![0], 0)], recvs: vec![] },
-                PlanPhase::default(),
-            ],
-            vec![
-                PlanPhase { copy_blocks: 0, sends: vec![], recvs: vec![msg(0, vec![0], 0)] },
-                PlanPhase { copy_blocks: 0, sends: vec![msg(2, vec![0], 1)], recvs: vec![] },
-            ],
-            vec![
-                PlanPhase::default(),
-                PlanPhase { copy_blocks: 0, sends: vec![], recvs: vec![msg(1, vec![0], 1)] },
-            ],
+            vec![sending(1, vec![msg(1, vec![0], 0)]), PlanPhase::default()],
+            vec![PlanPhase::default(), sending(0, vec![msg(2, vec![0], 1)])],
+            vec![PlanPhase::default(), PlanPhase::default()],
         ];
         let plan = CollectivePlan::from_rows(Algorithm::DistanceHalving, None, &rows);
         plan.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn outside_rows_reach_the_validator_typed() {
+        // A destination past the ranks, a send to oneself and a send into
+        // a phase its destination's program lacks: the receive index
+        // skips what it cannot place, and the validator — then the
+        // compile — names the defect; nothing panics or indexes out of
+        // bounds.
+        let g = Topology::from_edges(3, [(0, 1), (0, 2)]);
+        let naive = crate::naive::plan_naive(&g);
+        let far = naive.edited(|rows| rows[0][0].sends[1].peer = 3);
+        let own = naive.edited(|rows| rows[0][0].sends[0].peer = 0);
+        let ragged = naive.edited(|rows| {
+            rows[0].push(sending(0, vec![msg(1, vec![0], 5)]));
+            rows[2].push(PlanPhase::default());
+        });
+        let cases = [
+            (far, PlanValidationError::BadPeer { rank: 0, phase: 0, peer: 3 }),
+            (own, PlanValidationError::BadPeer { rank: 0, phase: 0, peer: 0 }),
+            (ragged, PlanValidationError::NotLockStep { rank: 1, got: 1, want: 2 }),
+        ];
+        for (plan, want) in cases {
+            assert_eq!(derived_recvs(&plan), brute_recvs(&plan), "{want}");
+            assert_eq!(plan.validate(&g), Err(want.clone()));
+            let compiled = crate::arena::ArenaLayout::for_plan(&plan, &g).map(drop);
+            assert_eq!(compiled, Err(crate::exec::ExecError::InvalidPlan(want)));
+        }
+    }
+
+    #[test]
+    fn every_constructor_holds_one_row_per_message_and_derives_the_same_receives() {
+        let g = nhood_topology::random::erdos_renyi(40, 0.3, 3);
+        let layout = nhood_cluster::ClusterLayout::new(5, 2, 4);
+        let pattern = crate::builder::build_pattern(&g, &layout).unwrap();
+        let built = crate::lower::lower(&pattern, &g);
+        let rotate: Vec<Rank> = (0..40).map(|r| (r + 7) % 40).collect();
+        let file = crate::plan_io::encode_plan(&built, None);
+        let plans = [
+            ("finish", built.clone()),
+            (
+                "from_rows",
+                CollectivePlan::from_rows(built.algorithm, built.selection, &built.to_rows()),
+            ),
+            ("patched", built.patched(&Edits::new(), 0)),
+            ("relabelled", built.relabelled(&rotate)),
+            ("to_plan", crate::plan_io::decode_plan(&file).unwrap()),
+        ];
+        for (how, plan) in &plans {
+            let sends: usize =
+                (0..plan.n()).map(|r| plan.phases(r).map(|p| p.sends().len()).sum::<usize>()).sum();
+            let recvs: usize =
+                (0..plan.n()).map(|r| plan.phases(r).map(|p| p.recvs().len()).sum::<usize>()).sum();
+            assert_eq!(plan.msgs.len(), plan.message_count(), "{how}");
+            assert_eq!((sends, recvs), (plan.message_count(), plan.message_count()), "{how}");
+            assert_eq!(derived_recvs(plan), brute_recvs(plan), "{how}");
+        }
+        assert!(plans[..3].iter().chain(&plans[4..]).all(|(_, p)| *p == built));
+        plans[3].1.validate(&g.relabelled(&rotate)).unwrap();
     }
 
     #[test]
@@ -1160,7 +1162,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank 0 has 1 phases")]
     fn a_row_past_a_ranks_program_is_a_builder_bug() {
-        PlanWriter::new(Algorithm::Naive, 2, 1).send(0, 1, 1, 0, &[0]);
+        PlanWriter::new(Algorithm::Naive, 2, 1).message(1, 0, 1, 0, &[0]);
     }
 
     #[test]

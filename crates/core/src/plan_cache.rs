@@ -23,7 +23,7 @@
 //! entries, which then simply miss and get rebuilt. See
 //! `docs/PLAN_CACHE.md`.
 
-use crate::plan::{Algorithm, CollectivePlan, MsgDir};
+use crate::plan::{Algorithm, CollectivePlan};
 use crate::plan_io;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
@@ -155,10 +155,10 @@ impl PlanFingerprint {
     }
 
     /// Fingerprint of a *finished plan* on a topology: every phase's
-    /// copy count and messages, and the in-neighbor lists delivery
-    /// depends on. The plan goldens pin builders' output by it; nothing
-    /// is cached under it (the arena recognizes a plan by its `Arc` and
-    /// `same_rows`).
+    /// copy count and sends (a receive is a send), and the in-neighbor
+    /// lists delivery depends on. The plan goldens pin builders' output
+    /// by it; nothing is cached under it (the arena recognizes a plan by
+    /// its `Arc` and `same_rows`).
     pub fn of_plan(plan: &CollectivePlan, graph: &Topology) -> Self {
         Self::digest(|h| {
             plan.n().hash(h);
@@ -166,11 +166,9 @@ impl PlanFingerprint {
                 plan.phases(r).len().hash(h);
                 for ph in plan.phases(r) {
                     ph.copy_blocks().hash(h);
-                    for (side, dir) in [(0u8, MsgDir::Send), (1u8, MsgDir::Recv)] {
-                        for m in ph.msgs(dir) {
-                            (side, m.peer(), m.tag()).hash(h);
-                            m.blocks().hash(h);
-                        }
+                    for m in ph.sends() {
+                        (m.peer(), m.tag()).hash(h);
+                        m.blocks().hash(h);
                     }
                 }
             }

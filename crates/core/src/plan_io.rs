@@ -10,34 +10,36 @@
 //! check refuses is tabulated in `docs/PLAN_CACHE.md`:
 //!
 //! ```text
-//! header  104 B  "NHPLAN3\0", then 12 × u64: algorithm id, parameter,
+//! header  104 B  "NHPLAN4\0", then 12 × u64: algorithm id, parameter,
 //!                selection flag, 5 statistics, and the counts — n ranks,
-//!                B phase buckets, M message rows, K pooled blocks
+//!                B phase buckets, M messages, K pooled blocks
 //! columns        phase_off (n + 1) × u32 | copy_blocks B × u64
-//!                | msg_off (2B + 1) × u32 | tag M × u64 | peer M × u32
+//!                | msg_off (B + 1) × u32 | tag M × u64 | peer M × u32
 //!                | block_off (M + 1) × u32 | pool K × u32
 //! footer   40 B  topology digest u128 (0: none recorded) | checksum u128
 //!                of every byte before it | "NHEND\0\0\x02"
 //! ```
 //!
-//! Row `i`'s blocks are `pool[block_off[i]..block_off[i + 1]]`: the file's
-//! pool is dense and in row order, so equal plans write equal bytes
-//! wherever their in-memory pools keep (or share) a block list.
+//! Row `i` is send `i` (`peer` its destination) and its blocks are
+//! `pool[block_off[i]..block_off[i + 1]]`: the file's pool is dense and
+//! in row order, so equal plans write equal bytes wherever their
+//! in-memory pools keep a block list. The receives are not written: the
+//! owned exit derives them as every plan constructor does.
 //! [`encode_plan`] is the one writer and [`PlanFile::parse`] the one
 //! reader; what it verified either *borrows* ([`PlanFile::rank`]) or
 //! *owns* ([`PlanFile::to_plan`]). A file of an older generation
-//! (`NHPLAN1`, `NHPLAN2`) is [`PlanIoError::BadMagic`]: this is a cache
+//! (`NHPLAN1` … `NHPLAN3`) is [`PlanIoError::BadMagic`]: this is a cache
 //! format, not an archive.
 
 use crate::pattern::SelectionStats;
-use crate::plan::{Algorithm, CollectivePlan, MsgRow, PlanPhase, PlannedMsg};
+use crate::plan::{index_len, Algorithm, CollectivePlan, MsgRow, PlanPhase, PlannedMsg};
 use crate::plan_cache::PlanFingerprint;
 use nhood_topology::Rank;
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"NHPLAN3\0";
+const MAGIC: &[u8; 8] = b"NHPLAN4\0";
 const END_MAGIC: &[u8; 8] = b"NHEND\0\0\x02";
 /// Magic + 12 `u64` fields: the counts are the last four.
 const HEADER_LEN: usize = 104;
@@ -125,10 +127,10 @@ fn put<const N: usize>(w: &mut Vec<u8>, col: impl Iterator<Item = [u8; N]>) {
 /// — the topology the plan is known valid for, if any — in its footer.
 pub fn encode_plan(plan: &CollectivePlan, graph_digest: Option<u128>) -> Vec<u8> {
     let (buckets, rows) = (plan.copy_blocks.len(), plan.msgs.len());
-    let blocks: usize = plan.msgs.iter().map(|m| m.block_len as usize).sum();
+    let blocks = plan.total_blocks_sent();
     // INVARIANT: the file's dense pool is indexed by `u32`, like the tables.
     assert!(u32::try_from(blocks).is_ok(), "{blocks} blocks do not fit the file's u32 offsets");
-    let words = plan.n() + 2 * (buckets + rows) + blocks + 3;
+    let words = plan.n() + buckets + 2 * rows + blocks + 3;
     let len = HEADER_LEN + 4 * words + 8 * (buckets + rows);
     let mut w = Vec::with_capacity(len + FOOTER_LEN);
     w.extend_from_slice(MAGIC);
@@ -140,7 +142,7 @@ pub fn encode_plan(plan: &CollectivePlan, graph_digest: Option<u128>) -> Vec<u8>
     put(&mut w, head.chain(tallies.map(|v| v as u64)).map(u64::to_le_bytes));
     put(&mut w, plan.phase_off.iter().map(|o| o.to_le_bytes()));
     put(&mut w, plan.copy_blocks.iter().map(|&c| (c as u64).to_le_bytes()));
-    put(&mut w, plan.msg_off.iter().map(|o| o.to_le_bytes()));
+    put(&mut w, plan.send_off().iter().map(|o| o.to_le_bytes()));
     put(&mut w, plan.msgs.iter().map(|m| m.tag.to_le_bytes()));
     put(&mut w, plan.msgs.iter().map(|m| m.peer.to_le_bytes()));
     // the dense pool's offsets: a running sum of the rows' block counts
@@ -263,7 +265,7 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
             return corrupt(format!("header count {c} does not fit the tables' u32 offsets"));
         }
         let [n, buckets, rows, blocks] = counts;
-        let widths = [4 * (n + 1), 8 * buckets, 4 * (2 * buckets + 1), 8 * rows, 4 * rows];
+        let widths = [4 * (n + 1), 8 * buckets, 4 * (buckets + 1), 8 * rows, 4 * rows];
         let widths = widths.into_iter().chain([4 * (rows + 1), 4 * blocks]);
         let mut cols = [HEADER_LEN; 8];
         let mut end = HEADER_LEN as u64;
@@ -299,7 +301,7 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
         // and block is a rank.
         let offsets = [
             ("phase", PHASE_OFF, n + 1, buckets),
-            ("message", MSG_OFF, 2 * buckets + 1, rows),
+            ("message", MSG_OFF, buckets + 1, rows),
             ("block", BLOCK_OFF, rows + 1, blocks),
         ];
         for (what, col, len, end) in offsets {
@@ -328,7 +330,7 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
     }
 
     /// Rank `r`'s program in the owned row form, read out of the file's
-    /// bytes — the only ones touched are `r`'s own.
+    /// bytes — the only ones touched are `r`'s own sends.
     ///
     /// # Panics
     /// Panics if `r >= n`.
@@ -338,8 +340,8 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
         let at =
             |col: usize, i: usize| u32::from_le_bytes(le(buf, self.cols[col] + 4 * i)) as usize;
         let pool_at = |row: usize| self.cols[POOL] + 4 * at(BLOCK_OFF, row);
-        let msgs = |side: usize| -> Vec<PlannedMsg> {
-            (at(MSG_OFF, side)..at(MSG_OFF, side + 1))
+        let msgs = |b: usize| -> Vec<PlannedMsg> {
+            (at(MSG_OFF, b)..at(MSG_OFF, b + 1))
                 .map(|i| PlannedMsg {
                     peer: at(PEER, i),
                     tag: u64::from_le_bytes(le(buf, self.cols[TAG] + 8 * i)),
@@ -353,12 +355,12 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
             .map(|b| PlanPhase {
                 copy_blocks: u64::from_le_bytes(le(buf, self.cols[COPY] + 8 * b)) as usize,
                 sends: msgs(b),
-                recvs: msgs(self.counts[1] + b),
             })
             .collect()
     }
 
-    /// The whole plan, owned: one bulk copy per column.
+    /// The whole plan, owned: one bulk copy per column, and the receive
+    /// index derived.
     pub fn to_plan(&self) -> CollectivePlan {
         let buf = self.bytes.as_ref();
         let [n, buckets, rows, blocks] = self.counts;
@@ -370,7 +372,11 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
             selection: self.selection,
             phase_off: col(PHASE_OFF, n + 1).collect(),
             copy_blocks: u64s(buf, self.cols[COPY], buckets).map(|c| c as usize).collect(),
-            msg_off: col(MSG_OFF, 2 * buckets + 1).collect(),
+            index: {
+                let mut index = Vec::with_capacity(index_len(buckets, rows));
+                index.extend(col(MSG_OFF, buckets + 1));
+                index
+            },
             msgs: msgs
                 .map(|((tag, peer), (lo, hi))| MsgRow {
                     tag,
@@ -591,15 +597,62 @@ mod tests {
     }
 
     #[test]
+    fn outside_files_reach_a_typed_refusal() {
+        // A plan file is outside input. A destination past the ranks is
+        // the parser's to refuse (a disk hit whose topology digest
+        // matches is served without `validate`); a send to oneself and a
+        // send into a phase its destination's program lacks reach
+        // `validate` through the receive index `to_plan` derives, as
+        // `BadPeer` and `NotLockStep` — never a panic.
+        let (g, plan) = dh_plan(12);
+        let buf = encode_plan(&plan, None);
+        let cols = PlanFile::parse(&buf[..]).unwrap().cols;
+        let path = tmp("outside");
+        let through = |bytes: &[u8]| -> Result<(), String> {
+            std::fs::write(&path, bytes).unwrap();
+            let file = PlanFile::open(&path).map_err(|e| e.to_string())?;
+            file.to_plan().validate(&g).map_err(|e| e.to_string())
+        };
+        let peer = |row: usize, v: u32| {
+            resealed(&buf, |b| b[cols[PEER] + 4 * row..][..4].copy_from_slice(&v.to_le_bytes()))
+        };
+        assert_eq!(through(&buf), Ok(()));
+        assert_eq!(through(&peer(3, 12)), Err("corrupt plan file: peer 12 out of 12 ranks".into()));
+        let sends = |r: Rank| {
+            plan.phases(r)
+                .enumerate()
+                .flat_map(move |(p, ph)| ph.sends().map(move |m| (r, p, m.id())))
+        };
+        let (rank, phase, _) = (0..12).flat_map(sends).find(|s| s.2 == 3).unwrap();
+        let own = crate::plan::PlanValidationError::BadPeer { rank, phase, peer: rank };
+        assert_eq!(through(&peer(3, rank as u32)), Err(own.to_string()));
+        let ragged = plan.edited(|rows| {
+            let send = PlannedMsg { peer: 1, blocks: vec![0], tag: 99 };
+            rows[0].push(PlanPhase { copy_blocks: 0, sends: vec![send] });
+        });
+        let phases = plan.phase_count();
+        let short = crate::plan::PlanValidationError::NotLockStep {
+            rank: 1,
+            got: phases,
+            want: phases + 1,
+        };
+        assert_eq!(through(&encode_plan(&ragged, None)), Err(short.to_string()));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn an_old_generation_file_is_bad_magic_deleted_by_the_cache_and_rebuilt() {
-        // Complete bare files of the two earlier generations (naive, no
-        // selection, 0 ranks), as each wrote them: `NHPLAN1`, and
+        // Complete bare files of the three earlier generations (naive,
+        // no selection, 0 ranks), as each wrote them: `NHPLAN1`;
         // `NHPLAN2`, whose header held four per-signal tallies where this
-        // one holds the pair count. Neither is read: not by the decoder,
-        // not from a path, and the cache deletes and rebuilds.
+        // one holds the pair count; and `NHPLAN3`, which wrote every
+        // message twice, a send row and a recv row. None is read: not by
+        // the decoder, not from a path, and the cache deletes and
+        // rebuilds.
         let old_generations = [
             [&b"NHPLAN1\0"[..], &[0u8; 32]].concat(),
             [&b"NHPLAN2\0"[..], &[0u8; 120 + 12 + 32], END_MAGIC].concat(),
+            [&b"NHPLAN3\0"[..], &[0u8; 96 + 12 + 32], END_MAGIC].concat(),
         ];
         for old in old_generations {
             assert!(matches!(decode_plan(&old), Err(PlanIoError::BadMagic)));

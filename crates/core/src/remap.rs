@@ -73,9 +73,14 @@ impl Relabel for Vec<(Rank, Rank)> {
     }
 }
 
+/// The edges are fed in ascending new destination, so every new row
+/// arrives sorted and `from_edges`' per-row sort has nothing to move.
 impl Relabel for Topology {
     fn relabelled(&self, to: &[Rank]) -> Self {
-        Topology::from_edges(self.n(), self.edges().map(|(u, v)| (to[u], to[v])))
+        let mut from = vec![0; to.len()];
+        to.iter().enumerate().for_each(|(r, &new)| from[new] = r);
+        let into = |(t, &v): (Rank, &Rank)| self.in_neighbors(v).iter().map(move |&u| (to[u], t));
+        Topology::from_edges(self.n(), from.iter().enumerate().flat_map(into))
     }
 }
 

@@ -30,7 +30,7 @@
 use crate::builder::PatternAssembler;
 use crate::lower::{halving_copies, last_arrival_copies, lower, FINAL_TAG};
 use crate::pattern::{in_range, DhPattern};
-use crate::plan::{CollectivePlan, Edits, MsgDir, PlanValidationError};
+use crate::plan::{CollectivePlan, Edits, PhaseView, PlanValidationError};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 
@@ -211,16 +211,17 @@ fn recompute_copies(
     for t in 0..steps {
         plan.set_copy_blocks(r, t, halving_copies(pattern, graph, r, t));
     }
-    let moved = |dir| plan.phase(r, steps).msgs(dir).map(|m| m.blocks().len()).sum::<usize>();
-    let (packed, scattered) = (moved(MsgDir::Send), moved(MsgDir::Recv));
+    let final_phase = plan.phase(r, steps);
+    let packed: usize = final_phase.sends().map(|m| m.blocks().len()).sum();
+    let scattered: usize = final_phase.recvs().map(|m| m.blocks().len()).sum();
     let last = if steps > 0 { last_arrival_copies(pattern, graph, r) } else { 0 };
     plan.set_copy_blocks(r, steps, last + packed);
     plan.set_copy_blocks(r, steps + 1, scattered);
 }
 
-/// The final-phase messages a churn repair rewrites, as `(peer, blocks)`:
-/// per bucket side, ascending by peer like the bucket itself (the
-/// lowering's ordering contract), each taken out of `plan` on first
+/// The final-phase sends a churn repair rewrites, as `(peer, blocks)`:
+/// per sending (rank, phase), ascending by peer like the bucket itself
+/// (the lowering's ordering contract), each taken out of `plan` on first
 /// touch. [`CollectivePlan::patched`] puts them back, dropping a message
 /// left with no block.
 struct FinalEdits<'a> {
@@ -229,30 +230,30 @@ struct FinalEdits<'a> {
 }
 
 impl FinalEdits<'_> {
-    /// The block list — ascending — of the final-phase message between
-    /// `r` and `peer`; empty if `plan` has no such message.
-    fn blocks(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank) -> &mut Vec<Rank> {
-        let msgs = self.rows.entry((dir, r, phase)).or_default();
+    /// The block list — ascending — of the final-phase send from `r` to
+    /// `peer`; empty if `plan` has no such send.
+    fn blocks(&mut self, r: Rank, phase: usize, peer: Rank) -> &mut Vec<Rank> {
+        let msgs = self.rows.entry((r, phase)).or_default();
         let at = msgs.binary_search_by_key(&peer, |m| m.0).unwrap_or_else(|at| {
-            let old = self.plan.phase(r, phase).msgs(dir).find(|m| m.peer() == peer);
+            let old = self.plan.phase(r, phase).sends().find(|m| m.peer() == peer);
             msgs.insert(at, (peer, old.map_or_else(Vec::new, |m| m.blocks().to_vec())));
             at
         });
         &mut msgs[at].1
     }
 
-    /// Adds `block` to that message.
-    fn add(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank, block: Rank) {
-        let blocks = self.blocks(dir, r, phase, peer);
+    /// Adds `block` to that send.
+    fn add(&mut self, r: Rank, phase: usize, peer: Rank, block: Rank) {
+        let blocks = self.blocks(r, phase, peer);
         if let Err(at) = blocks.binary_search(&block) {
             blocks.insert(at, block);
         }
     }
 
-    /// Removes `block` from that message; `false` when it was not there
+    /// Removes `block` from that send; `false` when it was not there
     /// (inconsistent state).
-    fn remove(&mut self, dir: MsgDir, r: Rank, phase: usize, peer: Rank, block: Rank) -> bool {
-        let blocks = self.blocks(dir, r, phase, peer);
+    fn remove(&mut self, r: Rank, phase: usize, peer: Rank, block: Rank) -> bool {
+        let blocks = self.blocks(r, phase, peer);
         blocks.binary_search(&block).map(|at| blocks.remove(at)).is_ok()
     }
 }
@@ -278,8 +279,8 @@ pub fn repair_for_churn(
     let mut new_pattern = pattern.with_room(added.len());
     let final_idx = steps; // phases: 0..steps halving, steps final, steps+1 epilogue
     let mut changed: Vec<Rank> = Vec::new();
-    // The final-phase bucket sides the churn rewrites, in the owned row
-    // form; every other row of the plan is carried over by range.
+    // The final-phase sends the churn rewrites, in the owned row form;
+    // every other row of the plan is carried over.
     let mut edits = FinalEdits { plan, rows: Edits::new() };
 
     for (&edge, add) in added.iter().map(|e| (e, true)).chain(removed.iter().map(|e| (e, false))) {
@@ -295,8 +296,7 @@ pub fn repair_for_churn(
                     let detail = "added edge already has a responsibility row";
                     return Err(RepairError::InconsistentState { edge, detail });
                 }
-                edits.add(MsgDir::Send, w, final_idx, v, u);
-                edits.add(MsgDir::Recv, v, final_idx, w, u);
+                edits.add(w, final_idx, v, u);
                 changed.extend([w, v]);
             }
             Some(w) => {
@@ -308,9 +308,7 @@ pub fn repair_for_churn(
                     };
                     return Err(RepairError::InconsistentState { edge, detail });
                 }
-                let ok = edits.remove(MsgDir::Send, w, final_idx, v, u)
-                    && edits.remove(MsgDir::Recv, v, final_idx, w, u);
-                if !ok {
+                if !edits.remove(w, final_idx, v, u) {
                     let detail = "plan's final phase lacks the removed delivery";
                     return Err(RepairError::InconsistentState { edge, detail });
                 }
@@ -408,9 +406,18 @@ pub fn repair_dead_links(
         "repaired plan still schedules a send over a dead link"
     );
 
-    let rows = |plan: &CollectivePlan, r: Rank| (r < plan.n()).then(|| plan.rank_rows(r));
-    let changed_ranks: Vec<Rank> =
-        (0..n).filter(|&r| rows(old_plan, r) != rows(&plan, r)).collect();
+    // a rank's program changed when its copies, sends or receives did
+    let same_recvs = |(a, b): (PhaseView, PhaseView)| {
+        a.recvs()
+            .map(|m| (m.peer(), m.tag(), m.blocks()))
+            .eq(b.recvs().map(|m| (m.peer(), m.tag(), m.blocks())))
+    };
+    let same = |r: Rank| {
+        r < old_plan.n()
+            && old_plan.rank_rows(r) == plan.rank_rows(r)
+            && old_plan.phases(r).zip(plan.phases(r)).all(same_recvs)
+    };
+    let changed_ranks: Vec<Rank> = (0..n).filter(|&r| !same(r)).collect();
     let damage_frac = changed_ranks.len() as f64 / n.max(1) as f64;
     let completeness =
         if missing.is_empty() { Completeness::Full } else { Completeness::Degraded { missing } };

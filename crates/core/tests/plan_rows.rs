@@ -31,9 +31,17 @@
 //! (total signals, ACCEPT and DROP counts, notifications, descriptors,
 //! searches, agents found) identical; only the magic, the header's
 //! statistics words and the checksum differ (CHANGES.md).
+//!
+//! All 126 pins moved once more when a plan began stating each message
+//! once (`NHPLAN4`: the send rows alone, a rank's receives derived), and
+//! were re-pinned once, by proof: a cross-tree dump of all 126 plans
+//! showed every send (id, peer, tag, blocks), copy count, program length
+//! and the selection statistics identical, and every (rank, phase)'s
+//! derived receives equal, as a multiset, to the recv rows they replace
+//! (CHANGES.md).
 
 use nhood_cluster::{ClusterLayout, Placement};
-use nhood_core::plan::{MsgDir, PlanPhase, PlanWriter, PlannedMsg};
+use nhood_core::plan::{PlanPhase, PlanWriter, PlannedMsg};
 use nhood_core::plan_io::{decode_plan, write_plan};
 use nhood_core::{Algorithm, CollectivePlan, DistGraphComm};
 use nhood_topology::random::erdos_renyi;
@@ -92,132 +100,132 @@ fn file_fnv(plan: &CollectivePlan) -> u64 {
 
 /// `(shape/seed/builder, FNV-1a of the plan file)`.
 const GOLDENS: [(&str, u64); 126] = [
-    ("n0/s1/naive", 0xd6e83fc46d121269),
-    ("n0/s1/cn4", 0x1c54e52186859b3a),
-    ("n0/s1/dh", 0x23bd408f2eb62fa9),
-    ("n0/s1/pat2", 0x52db6ba04ad0dff4),
-    ("n0/s1/bruck", 0x6b6fce34063beaf4),
-    ("n0/s1/hl2", 0xc38bbf6a48d50889),
-    ("n0/s1/dh-remap", 0x23bd408f2eb62fa9),
-    ("n0/s1/hl-remap", 0xc38bbf6a48d50889),
-    ("n0/s1/bruck-remap", 0x6b6fce34063beaf4),
-    ("n0/s2/naive", 0xd6e83fc46d121269),
-    ("n0/s2/cn4", 0x1c54e52186859b3a),
-    ("n0/s2/dh", 0x23bd408f2eb62fa9),
-    ("n0/s2/pat2", 0x52db6ba04ad0dff4),
-    ("n0/s2/bruck", 0x6b6fce34063beaf4),
-    ("n0/s2/hl2", 0xc38bbf6a48d50889),
-    ("n0/s2/dh-remap", 0x23bd408f2eb62fa9),
-    ("n0/s2/hl-remap", 0xc38bbf6a48d50889),
-    ("n0/s2/bruck-remap", 0x6b6fce34063beaf4),
-    ("n1/s1/naive", 0x38c7c83250cd300c),
-    ("n1/s1/cn4", 0xc9b30cae15b36174),
-    ("n1/s1/dh", 0xcab44f3dcfb1779b),
-    ("n1/s1/pat2", 0xf0838998d010f7df),
-    ("n1/s1/bruck", 0x25018e650968fa5d),
-    ("n1/s1/hl2", 0x357936fec09a8304),
-    ("n1/s1/dh-remap", 0xcab44f3dcfb1779b),
-    ("n1/s1/hl-remap", 0x357936fec09a8304),
-    ("n1/s1/bruck-remap", 0x25018e650968fa5d),
-    ("n1/s2/naive", 0x38c7c83250cd300c),
-    ("n1/s2/cn4", 0xc9b30cae15b36174),
-    ("n1/s2/dh", 0xcab44f3dcfb1779b),
-    ("n1/s2/pat2", 0xf0838998d010f7df),
-    ("n1/s2/bruck", 0x25018e650968fa5d),
-    ("n1/s2/hl2", 0x357936fec09a8304),
-    ("n1/s2/dh-remap", 0xcab44f3dcfb1779b),
-    ("n1/s2/hl-remap", 0x357936fec09a8304),
-    ("n1/s2/bruck-remap", 0x25018e650968fa5d),
-    ("n2/s1/naive", 0x04b7596c7e725cb0),
-    ("n2/s1/cn4", 0x407ed7a76cb4a0e3),
-    ("n2/s1/dh", 0x368260889cd4ebd7),
-    ("n2/s1/pat2", 0xa0b100b728e74e81),
-    ("n2/s1/bruck", 0x996f4f92f576fa4e),
-    ("n2/s1/hl2", 0x882ee688c1d70fde),
-    ("n2/s1/dh-remap", 0x368260889cd4ebd7),
-    ("n2/s1/hl-remap", 0x882ee688c1d70fde),
-    ("n2/s1/bruck-remap", 0x996f4f92f576fa4e),
-    ("n2/s2/naive", 0x5c84f076e51bf7ba),
-    ("n2/s2/cn4", 0xd0ba0645140ebbd4),
-    ("n2/s2/dh", 0x19a088d8c7abd89a),
-    ("n2/s2/pat2", 0xbb1f23a7717a9e0d),
-    ("n2/s2/bruck", 0x113ae7ef37447cf5),
-    ("n2/s2/hl2", 0xfc9da867053da1b3),
-    ("n2/s2/dh-remap", 0x19a088d8c7abd89a),
-    ("n2/s2/hl-remap", 0xfc9da867053da1b3),
-    ("n2/s2/bruck-remap", 0x113ae7ef37447cf5),
-    ("n17/s1/naive", 0x36f46bd0e0e525c2),
-    ("n17/s1/cn4", 0xc8d369805306903c),
-    ("n17/s1/dh", 0xd59d6e2820d2d2c7),
-    ("n17/s1/pat2", 0x5c32afaed9e5e3cf),
-    ("n17/s1/bruck", 0x866d1b2595393fa0),
-    ("n17/s1/hl2", 0xedc8dca22f10988d),
-    ("n17/s1/dh-remap", 0xc4e05a51eb29df7d),
-    ("n17/s1/hl-remap", 0xfea466dc322aa68b),
-    ("n17/s1/bruck-remap", 0xabe4bdc7ce628512),
-    ("n17/s2/naive", 0x8b59da2b4b3625a2),
-    ("n17/s2/cn4", 0x2f6fea42ed76fa76),
-    ("n17/s2/dh", 0xe490ac239f3c7725),
-    ("n17/s2/pat2", 0x4870fbd1efe9a337),
-    ("n17/s2/bruck", 0xd8ee85184bf93865),
-    ("n17/s2/hl2", 0xe6fb44f2bf2a78c8),
-    ("n17/s2/dh-remap", 0xcb0fbdb36336444a),
-    ("n17/s2/hl-remap", 0x8e4b18234de229e6),
-    ("n17/s2/bruck-remap", 0x6c57ed8c1fe03b83),
-    ("n61/s1/naive", 0x97a2e26cd7e6b9b8),
-    ("n61/s1/cn4", 0xaec6f57b900e84da),
-    ("n61/s1/dh", 0xf538dc4239c965cd),
-    ("n61/s1/pat2", 0x7d64515271ad78ca),
-    ("n61/s1/bruck", 0x078a213357b26f98),
-    ("n61/s1/hl2", 0xded3ea5549cd357c),
-    ("n61/s1/dh-remap", 0x3f079d0775f9e717),
-    ("n61/s1/hl-remap", 0x6d975e9613eec4ed),
-    ("n61/s1/bruck-remap", 0x0dfcef797af82fd8),
-    ("n61/s2/naive", 0xb557db03f14aeb04),
-    ("n61/s2/cn4", 0x89b8c44d8591f7b6),
-    ("n61/s2/dh", 0xdd7ee89104e5103a),
-    ("n61/s2/pat2", 0x09379aefcd90ba46),
-    ("n61/s2/bruck", 0xc88c48746c54a25d),
-    ("n61/s2/hl2", 0x1bdf668a37214cc4),
-    ("n61/s2/dh-remap", 0xa0f8c39a158e3d75),
-    ("n61/s2/hl-remap", 0x658ef7ad2ca66c89),
-    ("n61/s2/bruck-remap", 0x4d41d8467a167f82),
-    ("n96/s1/naive", 0xfc1b3a9fc8523fbb),
-    ("n96/s1/cn4", 0xe950fa5133627a25),
-    ("n96/s1/dh", 0x706c7ae692b5563b),
-    ("n96/s1/pat2", 0x5569076a9943bad6),
-    ("n96/s1/bruck", 0x19f944adc19867fb),
-    ("n96/s1/hl2", 0xa19bd0995f78c555),
-    ("n96/s1/dh-remap", 0xd3f30aaa7c008aa9),
-    ("n96/s1/hl-remap", 0x18b21c47560e3b8f),
-    ("n96/s1/bruck-remap", 0x5ec61bc7ffd60a70),
-    ("n96/s2/naive", 0x199370b1e0ecfb95),
-    ("n96/s2/cn4", 0xf4c4050530f911d0),
-    ("n96/s2/dh", 0xf2aef9efb9b7ef6e),
-    ("n96/s2/pat2", 0xb04b4b5f6e16d069),
-    ("n96/s2/bruck", 0x3f3a1d9fb63b82b7),
-    ("n96/s2/hl2", 0xb10cd39b18ce5068),
-    ("n96/s2/dh-remap", 0x02c7f07a0e84ab73),
-    ("n96/s2/hl-remap", 0x03541706bffbfb4e),
-    ("n96/s2/bruck-remap", 0x568e8c49b3515c26),
-    ("n40-isolated/s1/naive", 0xfd8d4253fd9a2d7f),
-    ("n40-isolated/s1/cn4", 0x5eddcd7234c1e9ff),
-    ("n40-isolated/s1/dh", 0xb569b168ea292e4a),
-    ("n40-isolated/s1/pat2", 0x14619df076c8c337),
-    ("n40-isolated/s1/bruck", 0xc64c890cd7bf64d1),
-    ("n40-isolated/s1/hl2", 0x4112b264322825ec),
-    ("n40-isolated/s1/dh-remap", 0xe7f6972e7778aad4),
-    ("n40-isolated/s1/hl-remap", 0x940ef16b50c5fd8f),
-    ("n40-isolated/s1/bruck-remap", 0x9d181c2b6cfbea69),
-    ("n40-isolated/s2/naive", 0x6170a9bbf9b9333c),
-    ("n40-isolated/s2/cn4", 0xe4dbbe97d8cd9cda),
-    ("n40-isolated/s2/dh", 0x3380ef1d1e6e13aa),
-    ("n40-isolated/s2/pat2", 0x62c7cff517acacad),
-    ("n40-isolated/s2/bruck", 0x20f8c83a7f0ba890),
-    ("n40-isolated/s2/hl2", 0x5694b2557657e74b),
-    ("n40-isolated/s2/dh-remap", 0x4294c0dd5f4e4fd4),
-    ("n40-isolated/s2/hl-remap", 0x3fdba2b61cba3362),
-    ("n40-isolated/s2/bruck-remap", 0x4333c521b59c9f7b),
+    ("n0/s1/naive", 0xb898fd07899ceb64),
+    ("n0/s1/cn4", 0xa19a4ab8eeaf7590),
+    ("n0/s1/dh", 0xd79d77cbc2f1074b),
+    ("n0/s1/pat2", 0x49909739d128bbca),
+    ("n0/s1/bruck", 0x689f82111e1a00b3),
+    ("n0/s1/hl2", 0xeadbfb97e4af1136),
+    ("n0/s1/dh-remap", 0xd79d77cbc2f1074b),
+    ("n0/s1/hl-remap", 0xeadbfb97e4af1136),
+    ("n0/s1/bruck-remap", 0x689f82111e1a00b3),
+    ("n0/s2/naive", 0xb898fd07899ceb64),
+    ("n0/s2/cn4", 0xa19a4ab8eeaf7590),
+    ("n0/s2/dh", 0xd79d77cbc2f1074b),
+    ("n0/s2/pat2", 0x49909739d128bbca),
+    ("n0/s2/bruck", 0x689f82111e1a00b3),
+    ("n0/s2/hl2", 0xeadbfb97e4af1136),
+    ("n0/s2/dh-remap", 0xd79d77cbc2f1074b),
+    ("n0/s2/hl-remap", 0xeadbfb97e4af1136),
+    ("n0/s2/bruck-remap", 0x689f82111e1a00b3),
+    ("n1/s1/naive", 0x5cfbc2338a33f99b),
+    ("n1/s1/cn4", 0xf2b9c0bf3b4a0238),
+    ("n1/s1/dh", 0x2735cc6119b32644),
+    ("n1/s1/pat2", 0xe289a9cf0986e67d),
+    ("n1/s1/bruck", 0x203c41c174e25d56),
+    ("n1/s1/hl2", 0xac4e12375f40f9e6),
+    ("n1/s1/dh-remap", 0x2735cc6119b32644),
+    ("n1/s1/hl-remap", 0xac4e12375f40f9e6),
+    ("n1/s1/bruck-remap", 0x203c41c174e25d56),
+    ("n1/s2/naive", 0x5cfbc2338a33f99b),
+    ("n1/s2/cn4", 0xf2b9c0bf3b4a0238),
+    ("n1/s2/dh", 0x2735cc6119b32644),
+    ("n1/s2/pat2", 0xe289a9cf0986e67d),
+    ("n1/s2/bruck", 0x203c41c174e25d56),
+    ("n1/s2/hl2", 0xac4e12375f40f9e6),
+    ("n1/s2/dh-remap", 0x2735cc6119b32644),
+    ("n1/s2/hl-remap", 0xac4e12375f40f9e6),
+    ("n1/s2/bruck-remap", 0x203c41c174e25d56),
+    ("n2/s1/naive", 0x60eda5584e72d92d),
+    ("n2/s1/cn4", 0x324a289c41eaa7e3),
+    ("n2/s1/dh", 0x001845f95dd7fe4f),
+    ("n2/s1/pat2", 0xe242374395c58439),
+    ("n2/s1/bruck", 0x9720b06bbd1925b4),
+    ("n2/s1/hl2", 0xdc04d492195f68d3),
+    ("n2/s1/dh-remap", 0x001845f95dd7fe4f),
+    ("n2/s1/hl-remap", 0xdc04d492195f68d3),
+    ("n2/s1/bruck-remap", 0x9720b06bbd1925b4),
+    ("n2/s2/naive", 0x9ec46413bf7bda85),
+    ("n2/s2/cn4", 0xd5882df3e30efe56),
+    ("n2/s2/dh", 0x8a069867759cdd31),
+    ("n2/s2/pat2", 0xeb0dc35ba38b623d),
+    ("n2/s2/bruck", 0xa11ea06a97bb6dfc),
+    ("n2/s2/hl2", 0xa392abc76c3a8d16),
+    ("n2/s2/dh-remap", 0x8a069867759cdd31),
+    ("n2/s2/hl-remap", 0xa392abc76c3a8d16),
+    ("n2/s2/bruck-remap", 0xa11ea06a97bb6dfc),
+    ("n17/s1/naive", 0x6037ae239ffae4bd),
+    ("n17/s1/cn4", 0xe62b294ddff0791f),
+    ("n17/s1/dh", 0xe5aa973207b6cf74),
+    ("n17/s1/pat2", 0xa9e4ceaaeecb59c4),
+    ("n17/s1/bruck", 0x94b2d67c1134213b),
+    ("n17/s1/hl2", 0x7a59737e5146afac),
+    ("n17/s1/dh-remap", 0x5dcdd9ddaaeef9a1),
+    ("n17/s1/hl-remap", 0x1baef1b4df953deb),
+    ("n17/s1/bruck-remap", 0xd21486234ecbd53f),
+    ("n17/s2/naive", 0xac18ccbb2e97077b),
+    ("n17/s2/cn4", 0x8f315d1d41a42918),
+    ("n17/s2/dh", 0xc5b3c8f99cc6a3be),
+    ("n17/s2/pat2", 0x1889d8361f385e4c),
+    ("n17/s2/bruck", 0x0bc7efa2bde988b2),
+    ("n17/s2/hl2", 0xf395125d58d23823),
+    ("n17/s2/dh-remap", 0x9dbb72129b9646ed),
+    ("n17/s2/hl-remap", 0xee178686b6e49173),
+    ("n17/s2/bruck-remap", 0x8f24cd197e8d78d2),
+    ("n61/s1/naive", 0xf1e79c1ab87c4840),
+    ("n61/s1/cn4", 0x9a936f711038667d),
+    ("n61/s1/dh", 0xdf96ce2eef7dc89b),
+    ("n61/s1/pat2", 0xcfa726ea4a8c3adb),
+    ("n61/s1/bruck", 0x278f1dcf10836ad0),
+    ("n61/s1/hl2", 0x7d705d60783a7a4c),
+    ("n61/s1/dh-remap", 0x1e3faedaba771a5a),
+    ("n61/s1/hl-remap", 0x5779319f608f94b7),
+    ("n61/s1/bruck-remap", 0x696b5a1358abcd68),
+    ("n61/s2/naive", 0x31aa64e97c089baa),
+    ("n61/s2/cn4", 0x22092d20b6251f62),
+    ("n61/s2/dh", 0x1d666466293622cb),
+    ("n61/s2/pat2", 0xa6e5f2a56342d56f),
+    ("n61/s2/bruck", 0xe0ea67c788f20054),
+    ("n61/s2/hl2", 0x9526f503fd109a40),
+    ("n61/s2/dh-remap", 0xef9f2e9fc497647c),
+    ("n61/s2/hl-remap", 0xa9c9296314fa56e2),
+    ("n61/s2/bruck-remap", 0x9c66d9e2d9ad131b),
+    ("n96/s1/naive", 0x9b199595a6710f38),
+    ("n96/s1/cn4", 0x4ff20a225eb76cea),
+    ("n96/s1/dh", 0x1d115dcb984d046b),
+    ("n96/s1/pat2", 0x0094fa666fb10bcd),
+    ("n96/s1/bruck", 0x71c3395a002f6464),
+    ("n96/s1/hl2", 0x98bd4b81e3d1298d),
+    ("n96/s1/dh-remap", 0xb9ed3bbbc2ef7947),
+    ("n96/s1/hl-remap", 0xdef0de1f3b39a418),
+    ("n96/s1/bruck-remap", 0x655d060080ca6fe3),
+    ("n96/s2/naive", 0x06499eca61d94fd7),
+    ("n96/s2/cn4", 0x49bcda4f28d1daa2),
+    ("n96/s2/dh", 0x6480a2bb7dfc166d),
+    ("n96/s2/pat2", 0x45c175665991dc84),
+    ("n96/s2/bruck", 0x4b8aed4caa49d89e),
+    ("n96/s2/hl2", 0x1b4764bc2ae75622),
+    ("n96/s2/dh-remap", 0xf7cdba824b8ad9de),
+    ("n96/s2/hl-remap", 0x89c1ca87dc9dd36b),
+    ("n96/s2/bruck-remap", 0xefab7f60f843424d),
+    ("n40-isolated/s1/naive", 0x7ada398dd3c5cc33),
+    ("n40-isolated/s1/cn4", 0x8ea67229bee4268d),
+    ("n40-isolated/s1/dh", 0x5fea4faa7b18da01),
+    ("n40-isolated/s1/pat2", 0x5f0a0eeab55fd146),
+    ("n40-isolated/s1/bruck", 0xc9834025efe48ef7),
+    ("n40-isolated/s1/hl2", 0x43c13a401b1a77e4),
+    ("n40-isolated/s1/dh-remap", 0x4d12d5fad922537c),
+    ("n40-isolated/s1/hl-remap", 0x6147eb72a4fd6559),
+    ("n40-isolated/s1/bruck-remap", 0xeab568978a6c8281),
+    ("n40-isolated/s2/naive", 0x420e59d284038ef3),
+    ("n40-isolated/s2/cn4", 0x8d5af438d9b6614a),
+    ("n40-isolated/s2/dh", 0x39d3516ae40a39f7),
+    ("n40-isolated/s2/pat2", 0xc1439160d3f74856),
+    ("n40-isolated/s2/bruck", 0xdf6c939bf6804561),
+    ("n40-isolated/s2/hl2", 0x5fa2896ac5d88414),
+    ("n40-isolated/s2/dh-remap", 0x7fbd48b58891b51b),
+    ("n40-isolated/s2/hl-remap", 0x184fc4e326a68319),
+    ("n40-isolated/s2/bruck-remap", 0x176c2647867839ac),
 ];
 
 #[test]
@@ -246,14 +254,10 @@ fn empty_phases_zero_block_receives_and_ragged_programs_survive_the_row_form() {
     let rows = vec![
         vec![
             PlanPhase::default(),
-            PlanPhase { copy_blocks: 3, sends: vec![msg(1, &[0], 4)], recvs: vec![msg(2, &[], 9)] },
-            PlanPhase {
-                copy_blocks: 0,
-                sends: vec![],
-                recvs: vec![msg(1, &[], 0), msg(1, &[1, 0], 1)],
-            },
+            PlanPhase { copy_blocks: 3, sends: vec![msg(1, &[0], 4)] },
+            PlanPhase { copy_blocks: 0, sends: vec![msg(2, &[], 9)] },
         ],
-        vec![PlanPhase { copy_blocks: 1, sends: vec![msg(0, &[1, 0], 1)], recvs: vec![] }],
+        vec![PlanPhase { copy_blocks: 1, sends: vec![msg(0, &[1, 0], 1), msg(0, &[], 0)] }],
         vec![],
     ];
     let plan = CollectivePlan::from_rows(Algorithm::Naive, None, &rows);
@@ -264,22 +268,29 @@ fn empty_phases_zero_block_receives_and_ragged_programs_survive_the_row_form() {
     );
     let past = plan.phase(1, 2); // a phase past a ragged program's end is empty
     assert_eq!((past.copy_blocks(), past.sends().len(), past.recvs().len()), (0, 0, 0));
-    assert_eq!((plan.message_count(), plan.total_blocks_sent()), (2, 3));
-    assert_eq!((plan.max_sends_in_phase(), plan.sends_per_rank()), (1, vec![1, 1, 0]));
+    assert_eq!((plan.message_count(), plan.total_blocks_sent()), (4, 3));
+    assert_eq!((plan.max_sends_in_phase(), plan.sends_per_rank()), (2, vec![2, 2, 0]));
+    // rank 1's sends arrive in rank 0's phase 0, the zero-block one too,
+    // by send id; a send into a phase its destination lacks (rank 0's to
+    // ranks 1 and 2) arrives nowhere
+    let arrived = |r, p| plan.phase(r, p).recvs().map(|m| (m.id(), m.to_row())).collect::<Vec<_>>();
+    assert_eq!(arrived(0, 0), [(2, msg(1, &[1, 0], 1)), (3, msg(1, &[], 0))]);
+    assert!((1..3).all(|p| arrived(0, p).is_empty()) && arrived(1, 0).is_empty());
     let mut bytes = Vec::new();
     write_plan(&plan, &mut bytes).unwrap();
-    assert_eq!(decode_plan(&bytes).unwrap().to_rows(), rows);
+    let back = decode_plan(&bytes).unwrap();
+    assert_eq!(back.to_rows(), rows);
+    assert!(back == plan);
 }
 
-/// One emission: `(rank, phase, dir, message)`.
-type Emission = (usize, usize, MsgDir, PlannedMsg);
+/// One emission: `(rank, phase, message)`.
+type Emission = (usize, usize, PlannedMsg);
 
 fn emissions(plan: &CollectivePlan) -> Vec<Emission> {
     let mut out = Vec::new();
     for (r, prog) in plan.to_rows().into_iter().enumerate() {
         for (p, phase) in prog.into_iter().enumerate() {
-            out.extend(phase.sends.into_iter().map(|m| (r, p, MsgDir::Send, m)));
-            out.extend(phase.recvs.into_iter().map(|m| (r, p, MsgDir::Recv, m)));
+            out.extend(phase.sends.into_iter().map(|m| (r, p, m)));
         }
     }
     out
@@ -291,11 +302,8 @@ fn written(plan: &CollectivePlan, emissions: &[Emission]) -> CollectivePlan {
     for r in 0..plan.n() {
         (0..plan.phase_count()).for_each(|p| w.copy(r, p, plan.phase(r, p).copy_blocks()));
     }
-    for (r, p, dir, m) in emissions {
-        match dir {
-            MsgDir::Send => w.send(*r, *p, m.peer, m.tag, &m.blocks),
-            MsgDir::Recv => w.recv(*r, *p, m.peer, m.tag, &m.blocks),
-        }
+    for (r, p, m) in emissions {
+        w.message(*p, *r, m.peer, m.tag, &m.blocks);
     }
     w.finish()
 }
@@ -308,30 +316,39 @@ fn the_writer_sorts_across_buckets_and_keeps_emission_order_within_one() {
         // stable re-orderings move rows across buckets, never within one
         let mut phase_major = rank_major.clone();
         phase_major.sort_by_key(|e| e.1);
-        let mut recvs_first = rank_major.clone();
-        recvs_first.sort_by_key(|e| (e.2 == MsgDir::Send, std::cmp::Reverse(e.0)));
+        let mut phases_reversed = rank_major.clone();
+        phases_reversed.sort_by_key(|e| std::cmp::Reverse(e.1));
         let mut ranks_reversed = rank_major.clone();
         ranks_reversed.sort_by_key(|e| std::cmp::Reverse(e.0));
         for (order, emitted) in [
             ("phase-major", phase_major),
-            ("recvs first", recvs_first),
+            ("phases reversed", phases_reversed),
             ("reversed", ranks_reversed),
         ] {
-            assert!(written(plan, &emitted) == *plan, "{name}: {order}");
+            let got = written(plan, &emitted);
+            assert!(got == *plan, "{name}: {order}");
+            // ... and the receives derived from the sends with them
+            for r in 0..plan.n() {
+                for (want, got) in plan.phases(r).zip(got.phases(r)) {
+                    let recvs = |ph: nhood_core::plan::PhaseView| {
+                        ph.recvs().map(|m| (m.id(), m.to_row())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(recvs(got), recvs(want), "{name}: {order}, rank {r}");
+                }
+            }
         }
         // ... and within a bucket the order is the emission order
         let mut swapped = rank_major.clone();
-        let same_bucket = |w: &[Emission]| (w[0].0, w[0].1, w[0].2) == (w[1].0, w[1].1, w[1].2);
+        let same_bucket = |w: &[Emission]| (w[0].0, w[0].1) == (w[1].0, w[1].1);
         if let Some(at) = swapped.windows(2).position(same_bucket) {
             swapped.swap(at, at + 1);
-            let (r, p, dir, _) = swapped[at].clone();
+            let (r, p, _) = swapped[at].clone();
             let got = written(plan, &swapped);
             assert!(got != *plan, "{name}: a swap inside a bucket must show");
             let bucket = |plan: &CollectivePlan| -> Vec<PlannedMsg> {
-                plan.phase(r, p).msgs(dir).map(|m| m.to_row()).collect()
+                plan.phase(r, p).sends().map(|m| m.to_row()).collect()
             };
-            let key = |e: &Emission| (e.0, e.1, e.2);
-            let k = rank_major[..at].iter().filter(|e| key(e) == (r, p, dir)).count();
+            let k = rank_major[..at].iter().filter(|e| (e.0, e.1) == (r, p)).count();
             let (mut want, got) = (bucket(plan), bucket(&got));
             want.swap(k, k + 1);
             assert_eq!(got, want, "{name}: the swapped pair, in emission order");
