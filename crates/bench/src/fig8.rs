@@ -95,37 +95,37 @@ pub fn simulate_negotiation(
 ) -> f64 {
     use nhood_core::negotiate::{negotiation_events, Event};
     use nhood_simnet::{Engine, Msg, Schedule};
+    use std::collections::{HashMap, VecDeque};
 
-    let n = graph.n();
-    let mut log = negotiation_events(graph, layout);
-
-    // Lower the event log onto the simulator: one single-op phase per
-    // event, matched by a per-(src,dst) FIFO tag counter.
+    // One single-op phase per event, rank by rank (a stable sort keeps each
+    // rank's own order): the k-th signal `from` sends `to` is received in
+    // the phase of `to`'s k-th `Received { from }` event, tagged by it.
     const SIGNAL_BYTES: usize = 16;
-    let mut schedule = Schedule::new(n);
-    let mut send_seq: std::collections::HashMap<(usize, usize), u64> = Default::default();
-    let mut recv_seq: std::collections::HashMap<(usize, usize), u64> = Default::default();
-    // Rank by rank (a stable sort keeps each rank's own order, and with
-    // it every FIFO tag): the schedule's rows then never move.
-    log.sort_by_key(|ev| match *ev {
+    let rank_of = |ev: &Event| match *ev {
         Event::Sent { from, .. } => from,
         Event::Received { by, .. } => by,
-    });
-    for ev in log {
-        match ev {
-            Event::Sent { from, to } => {
-                let tag = send_seq.entry((from, to)).or_insert(0);
-                let send = Msg { src: from, dst: to, bytes: SIGNAL_BYTES, tag: *tag };
-                schedule.push(from, Some(send), None);
-                *tag += 1;
-            }
-            Event::Received { by, from } => {
-                let tag = recv_seq.entry((from, by)).or_insert(0);
-                let recv = Msg { src: from, dst: by, bytes: SIGNAL_BYTES, tag: *tag };
-                schedule.push(by, None, Some(recv));
-                *tag += 1;
-            }
+    };
+    let mut log = negotiation_events(graph, layout);
+    log.sort_by_key(rank_of);
+    let (mut phases, mut received_in) = (vec![0; graph.n()], HashMap::new());
+    for ev in &log {
+        if let Event::Received { by, from } = *ev {
+            received_in.entry((from, by)).or_insert_with(VecDeque::new).push_back(phases[by]);
         }
+        phases[rank_of(ev)] += 1;
+    }
+    let mut schedule = Schedule::new(graph.n());
+    for ev in &log {
+        let signal = match *ev {
+            Event::Sent { from, to } => {
+                let at = received_in.get_mut(&(from, to)).and_then(VecDeque::pop_front);
+                let recv_phase = at.expect("every signal sent is received");
+                let (bytes, tag) = (SIGNAL_BYTES, recv_phase as u64);
+                Some(Msg { src: from, dst: to, bytes, tag, recv_phase })
+            }
+            Event::Received { .. } => None,
+        };
+        schedule.push(rank_of(ev), signal);
     }
     Engine::new(layout, cost.net).run(&schedule).expect("negotiation schedule is causal").makespan
 }

@@ -692,8 +692,7 @@ impl Program {
     /// for an allreduce, whose blocks all take the table's one size): the
     /// plan's phases with every message at its *combined* wire size.
     pub(crate) fn schedule(&self, sizes: &BlockSizes) -> Schedule {
-        let msgs = self.msgs.len();
-        let mut sched = Schedule::with_rows(self.n, self.phases * self.n, msgs, msgs);
+        let mut sched = Schedule::with_rows(self.n, self.phases * self.n, self.msgs.len());
         self.lower(sizes, &mut sched);
         sched
     }
@@ -701,15 +700,13 @@ impl Program {
     /// [`schedule`](Self::schedule)'s lowering into any [`PhaseWriter`]:
     /// a whole schedule, or the price columns of one already prepared.
     pub(crate) fn lower(&self, sizes: &BlockSizes, out: &mut impl PhaseWriter) {
-        let msg = |id: usize| {
-            let m = &self.msgs[id];
-            let bytes = self.wire_bytes(id, Lens::Table(sizes));
-            Msg { src: m.src, dst: m.dst, bytes, tag: m.tag }
-        };
         for r in 0..self.n {
             for k in 0..self.phases {
-                let sends = self.sends(k, r).iter().map(|&id| msg(id));
-                out.push_phase(r, 0.0, sends, self.recvs(k, r).map(msg));
+                let sends = self.sends(k, r).iter().map(|&id| {
+                    let (m, bytes) = (&self.msgs[id], self.wire_bytes(id, Lens::Table(sizes)));
+                    Msg { src: m.src, dst: m.dst, bytes, tag: m.tag, recv_phase: k }
+                });
+                out.push_phase(r, 0.0, sends);
             }
         }
     }

@@ -62,9 +62,9 @@ pub fn simulate(
 /// [`simulate_v`] returns that as a typed [`SimError::InvalidSchedule`].
 pub fn to_schedule_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost) -> Schedule {
     let n = plan.n();
-    // one allocation per table: a valid plan receives what it sends
+    // one allocation per table
     let (phases, msgs) = ((0..n).map(|r| plan.phases(r).len()).sum(), plan.message_count());
-    let mut s = Schedule::with_rows(n, phases, msgs, msgs);
+    let mut s = Schedule::with_rows(n, phases, msgs);
     lower_v(plan, sizes, cost, &mut s);
     s
 }
@@ -86,12 +86,12 @@ fn lower_v(plan: &CollectivePlan, sizes: &[usize], cost: &SimCost, out: &mut imp
         }
     };
     for r in 0..n {
-        for phase in plan.phases(r) {
-            let msg = |src, dst, bytes, tag| Msg { src, dst, bytes, tag };
+        // lock-step: a message is received in the phase it is sent in
+        for (k, phase) in plan.phases(r).enumerate() {
             let local_seconds = phase.copy_blocks() as f64 * mean / cost.memcpy_bytes_per_sec;
-            let sends = phase.sends().map(|m| msg(r, m.peer(), bytes_of(m.blocks()), m.tag()));
-            let recvs = phase.recvs().map(|m| msg(m.peer(), r, bytes_of(m.blocks()), m.tag()));
-            out.push_phase(r, local_seconds, sends, recvs);
+            let msg = |dst, bytes, tag| Msg { src: r, dst, bytes, tag, recv_phase: k };
+            let sends = phase.sends().map(|m| msg(m.peer(), bytes_of(m.blocks()), m.tag()));
+            out.push_phase(r, local_seconds, sends);
         }
     }
 }

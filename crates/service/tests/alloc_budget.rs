@@ -333,8 +333,8 @@ fn the_cold_plan_path_allocates_by_the_count() {
     assert_eq!(dense_calls, sparse_calls, "validation allocates per plan, not per message");
 
     // (b) simulating the lowered plan cold — prepare, then run: the
-    // matching kernel's index replaces the hash tables allocation for
-    // allocation, and the replay prices messages in place.
+    // prepare's send-key check and receive index replace the hash tables,
+    // and the replay prices messages in place.
     let schedule = to_schedule_v(&sparse, &[64; 96], &cost);
     let (run_calls, report) = calls_of(|| Engine::new(&layout, cost.net).run(&schedule));
     report.expect("a valid schedule simulates");
@@ -410,7 +410,7 @@ fn the_cold_plan_path_allocates_by_the_count() {
 }
 
 /// `sim-sweep`'s shape: a warm simulated gather writes only its prices —
-/// three columns, the structure is the tenant arena's — and replays; the
+/// two columns, the structure is the tenant arena's — and replays; the
 /// cold lowering writes one flat schedule, a table per column, not a
 /// vector per (rank, phase).
 #[test]
@@ -463,7 +463,7 @@ fn a_sim_gather_request_allocates_by_the_column() {
     let ((sparse, few), (dense, many)) = (lowering(0.15), lowering(0.5));
     println!("to_schedule_v: {sparse} allocator calls at δ = 0.15, {dense} at δ = 0.5");
     assert!(many > few);
-    assert!(sparse <= 8, "{sparse} allocator calls to lower a plan (budget 8)");
+    assert!(sparse <= 3, "{sparse} allocator calls to lower a plan (budget 3)");
     assert_eq!(dense, sparse, "lowering allocates per schedule, not per phase");
 }
 
@@ -560,10 +560,12 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
 /// tables and kept three cursors per rank. 28 since it reads the
 /// schedule's offsets; the split kept it there (the structure's columns
 /// and the three price columns replace the per-send and per-recv cost
-/// tables, the per-send flags and the heap's growth). 26 since the
-/// prepare matches in one serial pass: no per-chunk result vectors.
-const ENGINE_RUN_CALLS: u64 = 26;
-/// 5 % above the 802 calls registering the Auto tenant costs today
+/// tables, the per-send flags and the heap's growth). 26 while the
+/// prepare matched a recv table to the sends in one serial pass; 24 since
+/// a schedule is sends only: two price columns, and one receive index in
+/// place of the matched ids and the claimed flags.
+const ENGINE_RUN_CALLS: u64 = 24;
+/// 5 % above the 770 calls registering the Auto tenant costs today
 /// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
@@ -573,19 +575,21 @@ const ENGINE_RUN_CALLS: u64 = 26;
 /// Bruck grouped through B-trees: 1,304 and 565 calls a build, 21 and 25
 /// now, most of them their row table's growth; 1,027 while the prepare
 /// was sharded; 1,011 while the Distance Halving build froze every round
-/// into a two-sided table and replayed its signals through a queue).
+/// into a two-sided table and replayed its signals through a queue; 794
+/// while a schedule held a recv table, matched at every prepare).
 /// What is left: the Distance Halving build (≈ 390, scoring and deferred
-/// acceptance) and the eight replays (26 each).
-const AUTO_REGISTER_CALLS: u64 = 843;
+/// acceptance) and the eight replays (24 each).
+const AUTO_REGISTER_CALLS: u64 = 808;
 /// 5 % above one warm simulated gather at n = 128, submit to
-/// completion: the size table, the 3 price columns, the replay's vectors
-/// (its sort scratch grows with the widest phase: 20 calls counted under
-/// Distance Halving, CN and PAT, 22 under naive), the queue and the
-/// completion. 24–26 while every tick grouped through a hash map and a
+/// completion: the size table, the 2 price columns, the replay's vectors
+/// (its sort scratch grows with the widest phase: 19 calls counted under
+/// Distance Halving, CN and PAT, 21 under naive), the queue and the
+/// completion. 20–22 while a request wrote a third column, bytes per
+/// recv; 24–26 while every tick grouped through a hash map and a
 /// vector per batch; 38–39 while every request lowered a whole schedule
 /// and re-validated and re-matched it; ≈ 400–1,600 while every phase
 /// owned two vectors.
-const SIM_GATHER_CALLS: u64 = 23;
+const SIM_GATHER_CALLS: u64 = 22;
 /// 5 % above the 390 calls of one Distance Halving `build_pattern` at
 /// `plan-churn`'s shape (n = 96, δ = 0.15, 6 × 2 × 8) today: 5,599 while
 /// every proposer's score row, every acceptor's candidate list and a hash

@@ -366,8 +366,8 @@ mod tests {
     use super::*;
     use crate::schedule::{Msg, PhaseWriter};
 
-    fn msg(src: Rank, dst: Rank, bytes: usize, tag: u64) -> Msg {
-        Msg { src, dst, bytes, tag }
+    fn msg(src: Rank, dst: Rank, bytes: usize, tag: u64, recv_phase: usize) -> Msg {
+        Msg { src, dst, bytes, tag, recv_phase }
     }
 
     fn flat_engine_run(
@@ -385,8 +385,8 @@ mod tests {
     fn single_message_costs_one_hockney_term() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push(0, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         // cut-through: receiver finishes when sender's port releases
         assert!((r.makespan - 2e-6).abs() < 1e-12, "{}", r.makespan);
@@ -398,10 +398,10 @@ mod tests {
     fn sends_serialize_on_the_port() {
         let layout = ClusterLayout::new(4, 1, 1);
         let mut s = Schedule::new(4);
-        s.push(0, vec![msg(0, 1, 0, 0), msg(0, 2, 0, 1), msg(0, 3, 0, 2)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 0, 0)]);
-        s.push(2, vec![], vec![msg(0, 2, 0, 1)]);
-        s.push(3, vec![], vec![msg(0, 3, 0, 2)]);
+        s.push(0, vec![msg(0, 1, 0, 0, 0), msg(0, 2, 0, 1, 0), msg(0, 3, 0, 2, 0)]);
+        s.push(1, vec![]);
+        s.push(2, vec![]);
+        s.push(3, vec![]);
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         assert!((r.per_rank_finish[0] - 3e-6).abs() < 1e-12);
         // third target waits for the serialized third send
@@ -414,9 +414,9 @@ mod tests {
         let layout = ClusterLayout::new(4, 1, 1);
         let mut s = Schedule::new(4);
         for src in 1..4usize {
-            s.push(src, vec![msg(src, 0, 1000, src as u64)], vec![]);
+            s.push(src, vec![msg(src, 0, 1000, src as u64, 0)]);
         }
-        s.push_phase(0, 0.0, None, (1..4).map(|src| msg(src, 0, 1000, src as u64)));
+        s.push(0, vec![]);
         let r = flat_engine_run(&layout, 0.0, 1e9, NicMode::Off, &s);
         // three concurrent 1µs sends arrive at 1µs, but rank 0's port must
         // drain them one at a time: last finishes at 3µs.
@@ -428,10 +428,10 @@ mod tests {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
         // rank 0: phase0 recv, phase1 send; rank1: phase0 send (late), phase1 recv
-        s.push(0, vec![], vec![msg(1, 0, 1000, 0)]);
-        s.push(0, vec![msg(0, 1, 1000, 1)], vec![]);
-        s.push(1, vec![msg(1, 0, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 1)]);
+        s.push(0, vec![]);
+        s.push(0, vec![msg(0, 1, 1000, 1, 1)]);
+        s.push(1, vec![msg(1, 0, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         // hop 1 completes at 2µs (recv end), hop 2 adds 2µs
         assert!((r.makespan - 4e-6).abs() < 1e-12, "{}", r.makespan);
@@ -441,8 +441,8 @@ mod tests {
     fn local_seconds_delay_the_phase() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push_phase(0, 5e-6, vec![msg(0, 1, 0, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 0, 0)]);
+        s.push_phase(0, 5e-6, vec![msg(0, 1, 0, 0, 0)]);
+        s.push(1, vec![]);
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         assert!((r.per_rank_finish[1] - 6e-6).abs() < 1e-12);
     }
@@ -453,10 +453,10 @@ mod tests {
         let layout = ClusterLayout::new(3, 1, 2); // 6 ranks, node = r / 2
         let mk = |nic| {
             let mut s = Schedule::new(6);
-            s.push(0, vec![msg(0, 2, 1000, 0)], vec![]);
-            s.push(1, vec![msg(1, 4, 1000, 1)], vec![]);
-            s.push(2, vec![], vec![msg(0, 2, 1000, 0)]);
-            s.push(4, vec![], vec![msg(1, 4, 1000, 1)]);
+            s.push(0, vec![msg(0, 2, 1000, 0, 0)]);
+            s.push(1, vec![msg(1, 4, 1000, 1, 0)]);
+            s.push(2, vec![]);
+            s.push(4, vec![]);
             flat_engine_run(&layout, 0.0, 1e9, nic, &s)
         };
         let off = mk(NicMode::Off);
@@ -473,10 +473,10 @@ mod tests {
         let layout = ClusterLayout::new(3, 1, 2);
         let mk = |nic| {
             let mut s = Schedule::new(6);
-            s.push(2, vec![msg(2, 0, 1000, 0)], vec![]);
-            s.push(4, vec![msg(4, 1, 1000, 1)], vec![]);
-            s.push(0, vec![], vec![msg(2, 0, 1000, 0)]);
-            s.push(1, vec![], vec![msg(4, 1, 1000, 1)]);
+            s.push(2, vec![msg(2, 0, 1000, 0, 0)]);
+            s.push(4, vec![msg(4, 1, 1000, 1, 0)]);
+            s.push(0, vec![]);
+            s.push(1, vec![]);
             flat_engine_run(&layout, 0.0, 1e9, nic, &s)
         };
         let tx = mk(NicMode::TxOnly);
@@ -493,11 +493,11 @@ mod tests {
         let cfg = SimConfig::classic(HockneyParams::niagara(), NicMode::Off);
         let engine = Engine::new(&layout, cfg);
         let mut local = Schedule::new(8);
-        local.push(0, vec![msg(0, 1, 4096, 0)], vec![]);
-        local.push(1, vec![], vec![msg(0, 1, 4096, 0)]);
+        local.push(0, vec![msg(0, 1, 4096, 0, 0)]);
+        local.push(1, vec![]);
         let mut remote = Schedule::new(8);
-        remote.push(0, vec![msg(0, 4, 4096, 0)], vec![]);
-        remote.push(4, vec![], vec![msg(0, 4, 4096, 0)]);
+        remote.push(0, vec![msg(0, 4, 4096, 0, 0)]);
+        remote.push(4, vec![]);
         let tl = engine.run(&local).unwrap().makespan;
         let tr = engine.run(&remote).unwrap().makespan;
         assert!(tl < tr, "local {tl} remote {tr}");
@@ -509,13 +509,16 @@ mod tests {
         let mut s = Schedule::new(16);
         s.push(
             0,
-            vec![msg(0, 1, 10, 0), msg(0, 2, 20, 1), msg(0, 4, 30, 2), msg(0, 8, 40, 3)],
-            vec![],
+            vec![
+                msg(0, 1, 10, 0, 0),
+                msg(0, 2, 20, 1, 0),
+                msg(0, 4, 30, 2, 0),
+                msg(0, 8, 40, 3, 0),
+            ],
         );
-        s.push(1, vec![], vec![msg(0, 1, 10, 0)]);
-        s.push(2, vec![], vec![msg(0, 2, 20, 1)]);
-        s.push(4, vec![], vec![msg(0, 4, 30, 2)]);
-        s.push(8, vec![], vec![msg(0, 8, 40, 3)]);
+        for dst in [1, 2, 4, 8] {
+            s.push(dst, vec![]);
+        }
         let r = flat_engine_run(&layout, 1e-6, 1e9, NicMode::TxRx, &s);
         assert_eq!(r.stats.msgs, [1, 1, 1, 1]);
         assert_eq!(r.stats.bytes, [10, 20, 30, 40]);
@@ -531,10 +534,10 @@ mod tests {
         // enabled the two transfers share group 0's egress queue.
         let layout = ClusterLayout::with_groups(4, 1, 1, 2);
         let mut s = Schedule::new(4);
-        s.push(0, vec![msg(0, 2, 1_000_000, 0)], vec![]);
-        s.push(1, vec![msg(1, 3, 1_000_000, 1)], vec![]);
-        s.push(2, vec![], vec![msg(0, 2, 1_000_000, 0)]);
-        s.push(3, vec![], vec![msg(1, 3, 1_000_000, 1)]);
+        s.push(0, vec![msg(0, 2, 1_000_000, 0, 0)]);
+        s.push(1, vec![msg(1, 3, 1_000_000, 1, 0)]);
+        s.push(2, vec![]);
+        s.push(3, vec![]);
         let mut without = SimConfig::niagara();
         without.global_links = None;
         let mut with = SimConfig::niagara();
@@ -544,8 +547,8 @@ mod tests {
         assert!(t1 > t0 * 1.5, "global links must throttle: {t0} vs {t1}");
         // intra-group traffic is unaffected by global links
         let mut intra = Schedule::new(4);
-        intra.push(0, vec![msg(0, 1, 1_000_000, 0)], vec![]);
-        intra.push(1, vec![], vec![msg(0, 1, 1_000_000, 0)]);
+        intra.push(0, vec![msg(0, 1, 1_000_000, 0, 0)]);
+        intra.push(1, vec![]);
         let a = Engine::new(&layout, without).run(&intra).unwrap().makespan;
         let b = Engine::new(&layout, with).run(&intra).unwrap().makespan;
         assert!((a - b).abs() < 1e-12);
@@ -555,8 +558,8 @@ mod tests {
     fn port_busy_accounts_for_all_occupancy() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push_phase(0, 3e-6, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push_phase(0, 3e-6, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let cfg = SimConfig {
             hockney: HockneyParams::flat(1e-6, 1e9),
             nic_mode: NicMode::Off,
@@ -579,10 +582,10 @@ mod tests {
         let o = 0.2e-6;
         let alpha = 2.0e-6;
         let mut s = Schedule::new(8);
-        let sends: Vec<Msg> = (1..=k).map(|d| msg(0, d, 0, d as u64)).collect();
-        s.push(0, sends, vec![]);
+        let sends: Vec<Msg> = (1..=k).map(|d| msg(0, d, 0, d as u64, 0)).collect();
+        s.push(0, sends);
         for d in 1..=k {
-            s.push(d, vec![], vec![msg(0, d, 0, d as u64)]);
+            s.push(d, vec![]);
         }
         let cfg = SimConfig {
             hockney: HockneyParams::flat(alpha, 1e9),
@@ -612,12 +615,12 @@ mod tests {
         let layout = ClusterLayout::new(4, 1, 1);
         let m_bytes = 1000;
         let mut s = Schedule::new(4);
-        s.push(0, vec![msg(0, 1, m_bytes, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, m_bytes, 0)]);
-        s.push(1, vec![msg(1, 2, m_bytes, 1)], vec![]);
-        s.push(2, vec![], vec![msg(1, 2, m_bytes, 1)]);
-        s.push(2, vec![msg(2, 3, m_bytes, 2)], vec![]);
-        s.push(3, vec![], vec![msg(2, 3, m_bytes, 2)]);
+        s.push(0, vec![msg(0, 1, m_bytes, 0, 0)]);
+        s.push(1, vec![]);
+        s.push(1, vec![msg(1, 2, m_bytes, 1, 0)]);
+        s.push(2, vec![]);
+        s.push(2, vec![msg(2, 3, m_bytes, 2, 0)]);
+        s.push(3, vec![]);
         let alpha = 1e-6;
         let cfg = SimConfig {
             hockney: HockneyParams::flat(alpha, 1e9),
@@ -640,10 +643,10 @@ mod tests {
     fn traces_cover_every_message_in_causal_order() {
         let layout = ClusterLayout::new(2, 1, 2);
         let mut s = Schedule::new(4);
-        s.push(0, vec![msg(0, 1, 100, 0), msg(0, 2, 100, 1)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 100, 0)]);
-        s.push(2, vec![msg(2, 3, 100, 2)], vec![msg(0, 2, 100, 1)]);
-        s.push(3, vec![], vec![msg(2, 3, 100, 2)]);
+        s.push(0, vec![msg(0, 1, 100, 0, 0), msg(0, 2, 100, 1, 0)]);
+        s.push(1, vec![]);
+        s.push(2, vec![msg(2, 3, 100, 2, 0)]);
+        s.push(3, vec![]);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let (report, traces) = engine.run_traced(&s).unwrap();
         assert_eq!(traces.len(), 3);
@@ -667,10 +670,10 @@ mod tests {
     fn run_recorded_replays_every_message() {
         let layout = ClusterLayout::new(2, 1, 2); // 4 ranks, sockets of 2
         let mut s = Schedule::new(4);
-        s.push(0, vec![msg(0, 1, 100, 0), msg(0, 2, 100, 1)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 100, 0)]);
-        s.push(2, vec![msg(2, 3, 100, 2)], vec![msg(0, 2, 100, 1)]);
-        s.push(3, vec![], vec![msg(2, 3, 100, 2)]);
+        s.push(0, vec![msg(0, 1, 100, 0, 0), msg(0, 2, 100, 1, 0)]);
+        s.push(1, vec![]);
+        s.push(2, vec![msg(2, 3, 100, 2, 0)]);
+        s.push(3, vec![]);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let rec = nhood_telemetry::CountingRecorder::new(4);
         let prepared = engine.prepare(&s).unwrap();
@@ -706,10 +709,10 @@ mod tests {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
         // each waits for the other's phase-1 send in phase 0: cycle
-        s.push(0, vec![], vec![msg(1, 0, 8, 0)]);
-        s.push(0, vec![msg(0, 1, 8, 1)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 8, 1)]);
-        s.push(1, vec![msg(1, 0, 8, 0)], vec![]);
+        s.push(0, vec![]);
+        s.push(0, vec![msg(0, 1, 8, 1, 0)]);
+        s.push(1, vec![]);
+        s.push(1, vec![msg(1, 0, 8, 0, 0)]);
         let cfg = SimConfig::classic(HockneyParams::flat(1e-6, 1e9), NicMode::Off);
         match Engine::new(&layout, cfg).run(&s) {
             Err(SimError::Deadlock(blocked)) => {
@@ -723,7 +726,7 @@ mod tests {
     fn invalid_schedule_is_rejected() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 8, 0)], vec![]);
+        s.push(0, vec![msg(0, 1, 8, 0, 0)]);
         let cfg = SimConfig::niagara();
         assert!(matches!(Engine::new(&layout, cfg).run(&s), Err(SimError::InvalidSchedule(_))));
     }
@@ -751,8 +754,8 @@ mod tests {
     fn perturbation_slows_stragglers_and_jittered_messages() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push(0, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let cfg = SimConfig::classic(HockneyParams::flat(1e-6, 1e9), NicMode::Off);
         let engine = Engine::new(&layout, cfg);
         let base = engine.run(&s).unwrap().makespan;
@@ -782,8 +785,8 @@ mod tests {
     fn dead_link_fails_the_run_typed() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push(0, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let cfg = SimConfig::classic(HockneyParams::flat(1e-6, 1e9), NicMode::Off);
         let engine = Engine::new(&layout, cfg);
         let dead =
@@ -803,8 +806,8 @@ mod tests {
     fn perturbed_err(p: crate::Perturbation) -> SimError {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push(0, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         Engine::new(&layout, SimConfig::niagara()).run_perturbed(&s, &p).unwrap_err()
     }
 
@@ -848,8 +851,8 @@ mod tests {
     fn bad_cost_model_is_rejected_typed_per_field() {
         let layout = ClusterLayout::new(2, 1, 1);
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 1000, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 1000, 0)]);
+        s.push(0, vec![msg(0, 1, 1000, 0, 0)]);
+        s.push(1, vec![]);
         let run = |cfg| Engine::new(&layout, cfg).run(&s);
         let base =
             SimConfig { global_links: Some(GlobalLinkConfig::niagara()), ..SimConfig::niagara() };
@@ -897,16 +900,16 @@ mod tests {
         let cfg = SimConfig::niagara();
         // invalid schedule over the dead link: validation speaks first
         let layout = ClusterLayout::new(2, 1, 1);
-        let mut unmatched = Schedule::new(2);
-        unmatched.push(0, vec![msg(0, 1, 8, 0)], vec![]);
+        let mut phaseless = Schedule::new(2);
+        phaseless.push(0, vec![msg(0, 1, 8, 0, 0)]);
         assert!(matches!(
-            Engine::new(&layout, cfg).run_perturbed(&unmatched, &dead),
+            Engine::new(&layout, cfg).run_perturbed(&phaseless, &dead),
             Err(SimError::InvalidSchedule(_))
         ));
         // valid schedule over the dead link on too small a layout: capacity next
         let mut s = Schedule::new(2);
-        s.push(0, vec![msg(0, 1, 8, 0)], vec![]);
-        s.push(1, vec![], vec![msg(0, 1, 8, 0)]);
+        s.push(0, vec![msg(0, 1, 8, 0, 0)]);
+        s.push(1, vec![]);
         let tiny = ClusterLayout::new(1, 1, 1);
         assert!(matches!(
             Engine::new(&tiny, cfg).run_perturbed(&s, &dead),
@@ -923,9 +926,8 @@ mod tests {
         let layout = ClusterLayout::new(1, 1, k);
         let mut s = Schedule::new(k);
         for r in 0..k {
-            let sends = (0..k).filter(|&d| d != r).map(|d| msg(r, d, 1000, (r * k + d) as u64));
-            let recvs = (0..k).filter(|&q| q != r).map(|q| msg(q, r, 1000, (q * k + r) as u64));
-            s.push_phase(r, 0.0, sends, recvs);
+            let sends = (0..k).filter(|&d| d != r).map(|d| msg(r, d, 1000, (r * k + d) as u64, 0));
+            s.push(r, sends);
         }
         let rep = flat_engine_run(&layout, 1e-6, 1e9, NicMode::Off, &s);
         let t = 1e-6 + 1000.0 / 1e9;

@@ -6,7 +6,8 @@
 //!
 //! A collective algorithm is lowered to a [`Schedule`] — per rank, an
 //! ordered list of *phases*, each a post-sends/post-recvs/wait-all block
-//! exactly like the paper's Algorithm 4. The [`Engine`] then charges the
+//! exactly like the paper's Algorithm 4. A message is written once, as
+//! its send, naming the receiver's phase that waits for it. The [`Engine`] then charges the
 //! schedule against a [`nhood_cluster::ClusterLayout`] and hierarchical
 //! Hockney parameters under the paper's §V single-port assumption, plus
 //! optional per-node NIC serialization (eq. (5)'s `S·L` factor).
@@ -17,8 +18,8 @@
 //!
 //! let layout = ClusterLayout::new(2, 1, 1);
 //! let mut s = Schedule::new(2);
-//! s.push(0, vec![Msg { src: 0, dst: 1, bytes: 1024, tag: 0 }], vec![]);
-//! s.push(1, vec![], vec![Msg { src: 0, dst: 1, bytes: 1024, tag: 0 }]);
+//! s.push(0, vec![Msg { src: 0, dst: 1, bytes: 1024, tag: 0, recv_phase: 0 }]);
+//! s.push(1, vec![]); // rank 1's phase 0: it waits for that message
 //! let report = Engine::new(&layout, SimConfig::niagara()).run(&s).unwrap();
 //! assert!(report.makespan > 0.0);
 //! ```

@@ -1,22 +1,22 @@
 //! The replay engine: a structure prepared once, a run per request.
 //!
 //! [`Engine::prepare`] does what no message size changes — it validates
-//! the schedule, matches each recv to its send and places each rank — and
-//! keeps it as a compact [`Prepared`] structure (`u32` offsets, each
-//! send's endpoints and tag, each recv's send id, one place per rank).
-//! [`Engine::run_prepared`] checks one request's [`PriceColumns`] and
-//! replays a lean event loop over flat arrays: ready heap keyed by port
-//! time, arrivals drained in arrival order, each message priced by the
-//! Hockney model as it is issued and drained. Every `Engine::run*` entry
-//! point is the two at the schedule's own prices; a caller that keeps the
-//! structure (the core's `BlockArena`, per plan) pays only the run.
+//! the schedule, derives each phase's receives from the sends and places
+//! each rank — and keeps it as a compact [`Prepared`] structure (`u32`
+//! offsets, each send's endpoints and tag, each row's receives as send
+//! ids, one place per rank). [`Engine::run_prepared`] checks one request's
+//! [`PriceColumns`] and replays a lean event loop over flat arrays: ready
+//! heap keyed by port time, arrivals drained in arrival order, each
+//! message priced by the Hockney model as it is issued and drained. Every
+//! `Engine::run*` entry point is the two at the schedule's own prices; a
+//! caller that keeps the structure (the core's `BlockArena`, per plan)
+//! pays only the run.
 //!
 //! Preparing is one pass in program order: it checks every send's
-//! owner and range, indexes the whole send table under dense send ids
-//! ([`crate::SendIndex`]: a counting sort by destination), then resolves
-//! each recv in that index, catching a recv without a send or claiming
-//! one twice as it goes, and last a send no recv claimed. No hash map is
-//! touched anywhere on this path.
+//! owner, range and receiving phase, refuses a repeated `(src, dst, tag)`
+//! key ([`crate::SendIndex`]: a counting sort by destination), then
+//! indexes the receives — a counting sort of send ids by receiving row,
+//! ascending within a row. No hash map is touched anywhere on this path.
 //!
 //! ## Determinism contract
 //!
@@ -35,14 +35,14 @@
 
 use crate::engine::{Engine, Key, LevelStats, NicMode, SimError, SimReport};
 use crate::perturb::Perturbation;
-use crate::schedule::{PriceColumns, Schedule, SendIndex};
+use crate::schedule::{Msg, PriceColumns, Schedule, SendIndex};
 use nhood_cluster::{Locality, Rank};
 use nhood_telemetry::{labels, Recorder, Traffic};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-/// Sentinel: no rank waits on this send; no send matches this recv.
+/// Sentinel: no rank waits on this send.
 const NONE: u32 = u32::MAX;
 
 /// Where a rank sits: one table entry per rank, built once per
@@ -66,18 +66,18 @@ impl Place {
     }
 }
 
-/// A schedule's structure: validated, matched and placed; see the
+/// A schedule's structure: validated, indexed and placed; see the
 /// [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// Rank `r`'s phase rows are `rank_rows[r]..rank_rows[r + 1]`.
     rank_rows: Vec<u32>,
-    /// Where each row's send ids and recvs end.
+    /// Where each row's send ids and receives end.
     row_ends: Vec<(u32, u32)>,
     /// Per send: `(tag, src, dst)`.
     sends: Vec<(u64, u32, u32)>,
-    /// The id of the send each recv matches.
-    matched: Vec<u32>,
+    /// The receives, row by row: send ids, ascending within a row.
+    received: Vec<u32>,
     place: Vec<Place>,
     nodes: usize,
     groups: usize,
@@ -89,7 +89,6 @@ impl Prepared {
     pub fn price_columns(&self) -> PriceColumns {
         PriceColumns {
             send_bytes: Vec::with_capacity(self.sends.len()),
-            recv_bytes: Vec::with_capacity(self.matched.len()),
             local_seconds: Vec::with_capacity(self.row_ends.len()),
         }
     }
@@ -98,25 +97,32 @@ impl Prepared {
         self.rank_rows[r] as usize..self.rank_rows[r + 1] as usize
     }
 
-    /// The send ids and the recvs of the phase rows `rows`.
+    /// The send ids of the phase rows `rows`, and where their receives
+    /// sit in `received`.
     fn msgs(&self, rows: Range<usize>) -> (Range<usize>, Range<usize>) {
         let end = |p: usize| p.checked_sub(1).map_or((0, 0), |q| self.row_ends[q]);
         let ((send_lo, recv_lo), (send_hi, recv_hi)) = (end(rows.start), end(rows.end));
         (send_lo as usize..send_hi as usize, recv_lo as usize..recv_hi as usize)
     }
 
+    /// The send ids phase row `p` receives, ascending.
+    fn receives(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.received[self.msgs(p..p + 1).1].iter().map(|&sid| sid as usize)
+    }
+
     /// The structural half of [`Schedule::validate`], its text included:
-    /// every recv matched to its send, nobody placed yet. One pass in
-    /// program order: the sends' owners and ranges, one index over the
-    /// whole send table, then each recv looked up in it.
-    pub(crate) fn matched(schedule: &Schedule) -> Result<Self, SimError> {
-        let (n, sends, recvs) = (schedule.n(), &schedule.send_table, &schedule.recv_table);
+    /// every row's receives indexed, nobody placed yet. One pass in
+    /// program order over the sends' owners, ranges and receiving phases,
+    /// the duplicate-key check, then a counting sort of send ids by
+    /// receiving row.
+    pub(crate) fn indexed(schedule: &Schedule) -> Result<Self, SimError> {
+        let (n, sends) = (schedule.n(), &schedule.send_table);
         let id_space = NONE as usize;
-        if sends.len().max(recvs.len()).max(schedule.rows.len()) > id_space || n >= id_space {
-            return Err(SimError::ScheduleTooLarge { messages: sends.len().max(recvs.len()) });
+        if sends.len().max(schedule.rows.len()) > id_space || n >= id_space {
+            return Err(SimError::ScheduleTooLarge { messages: sends.len() });
         }
         let invalid = SimError::InvalidSchedule;
-        let key = |(s, d, t): (Rank, Rank, u64)| format!("(src {s}, dst {d}, tag {t})");
+        let rank_rows: Vec<u32> = (0..=n).map(|r| schedule.rows(r..r).start as u32).collect();
         for r in 0..n {
             for (k, phase) in schedule.phases(r).enumerate() {
                 let bad = |why: String| Err(invalid(format!("rank {r} phase {k}: {why}")));
@@ -128,67 +134,57 @@ impl Prepared {
                     } else if m.dst == r {
                         return bad("send to self".into());
                     }
-                }
-            }
-        }
-        // a send's id is its row in the send table (which fits `u32`)
-        let index = SendIndex::build(n, sends.iter().map(|m| (m.src, m.dst, m.tag)))
-            .map_err(|send| invalid(format!("duplicate send key {}", key(send))))?;
-        // In program order: a recv without a send, or claiming one an
-        // earlier recv claimed; then a send no recv claimed.
-        let mut claimed = vec![false; sends.len()];
-        let mut matched = Vec::with_capacity(recvs.len());
-        for r in 0..n {
-            for (k, phase) in schedule.phases(r).enumerate() {
-                for m in phase.recvs {
-                    schedule.check_recv(r, k, m).map_err(invalid)?;
-                    let at = || key((m.src, m.dst, m.tag));
-                    let Some(id) = index.find(m.src, r, m.tag) else {
-                        return Err(invalid(format!("recv {} has no matching send", at())));
-                    };
-                    if std::mem::replace(&mut claimed[id as usize], true) {
-                        return Err(invalid(format!("duplicate recv key {}", at())));
+                    let count = rank_rows[m.dst + 1] - rank_rows[m.dst];
+                    if m.recv_phase >= count as usize {
+                        let (d, p) = (m.dst, m.recv_phase);
+                        return bad(format!("send to rank {d} phase {p}, beyond its {count}"));
                     }
-                    matched.push(id);
                 }
             }
         }
-        if let Some(send) = index.first_unmatched(&claimed) {
-            return Err(invalid(format!("send {} has no matching recv", key(send))));
+        SendIndex::build(n, sends.iter().map(|m| (m.src, m.dst, m.tag))).map_err(|(s, d, t)| {
+            invalid(format!("duplicate send key (src {s}, dst {d}, tag {t})"))
+        })?;
+        // Each row's receives: counted into `row_ends`' second half, made
+        // starts by a prefix sum, then filled in send-id order, which
+        // leaves every row's cursor at its end.
+        let mut row_ends: Vec<(u32, u32)> =
+            schedule.rows.iter().map(|p| (p.send_end as u32, 0)).collect();
+        let row_of = |m: &Msg| rank_rows[m.dst] as usize + m.recv_phase;
+        sends.iter().for_each(|m| row_ends[row_of(m)].1 += 1);
+        let mut start = 0;
+        for (_, end) in &mut row_ends {
+            (start, *end) = (start + *end, start);
+        }
+        let mut received = vec![0; sends.len()];
+        for (sid, m) in (0u32..).zip(sends) {
+            let at = &mut row_ends[row_of(m)].1;
+            received[*at as usize] = sid;
+            *at += 1;
         }
         Ok(Self {
-            rank_rows: (0..=n).map(|r| schedule.rows(r..r).start as u32).collect(),
-            row_ends: schedule
-                .rows
-                .iter()
-                .map(|p| (p.send_end as u32, p.recv_end as u32))
-                .collect(),
+            rank_rows,
+            row_ends,
             sends: sends.iter().map(|m| (m.tag, m.src as u32, m.dst as u32)).collect(),
-            matched,
+            received,
             place: Vec::new(),
             nodes: 0,
             groups: 0,
         })
     }
 
-    /// The price half of [`Schedule::validate`]: one price per send,
-    /// recv and row; every row's local work finite and non-negative (the
-    /// first bad one in program order); every recv as long as its send.
+    /// The price half of [`Schedule::validate`]: one price per send and
+    /// row; every row's local work finite and non-negative (the first bad
+    /// one in program order).
     pub(crate) fn check_prices(&self, p: &PriceColumns) -> Result<(), String> {
-        let got = (p.send_bytes.len(), p.recv_bytes.len(), p.local_seconds.len());
-        if got != (self.sends.len(), self.matched.len(), self.row_ends.len()) {
-            return Err(format!("{got:?} sends, recvs and phases priced, not this schedule's"));
+        let got = (p.send_bytes.len(), p.local_seconds.len());
+        if got != (self.sends.len(), self.row_ends.len()) {
+            return Err(format!("{got:?} sends and phases priced, not this schedule's"));
         }
         let bad = p.local_seconds.iter().position(|&s| s < 0.0 || !s.is_finite());
         if let Some(row) = bad {
             let r = self.rank_rows.partition_point(|&first| first as usize <= row) - 1;
             return Err(format!("rank {r} phase {}: bad local_seconds", row - self.rows(r).start));
-        }
-        let ids = self.matched.iter().map(|&id| id as usize);
-        if let Some((id, recv)) = ids.zip(&p.recv_bytes).find(|&(id, &b)| p.send_bytes[id] != b) {
-            let ((tag, src, dst), send) = (self.sends[id], p.send_bytes[id]);
-            let at = format!("(src {src}, dst {dst}, tag {tag})");
-            return Err(format!("size mismatch on {at}: send {send} vs recv {recv}"));
         }
         Ok(())
     }
@@ -199,7 +195,7 @@ impl Prepared {
 pub(crate) type Timeline = (SimReport, Vec<Option<(f64, f64)>>);
 
 impl Engine<'_> {
-    /// Validates and matches `schedule` and places its ranks on this
+    /// Validates and indexes `schedule` and places its ranks on this
     /// engine's layout, for [`run_prepared`](Self::run_prepared) to
     /// replay at any prices. Fails as [`run`](Self::run) does:
     /// [`SimError::ScheduleTooLarge`], then [`SimError::InvalidSchedule`],
@@ -207,7 +203,7 @@ impl Engine<'_> {
     /// if the schedule's own prices are bad, else
     /// [`SimError::LayoutTooSmall`].
     pub fn prepare(&self, schedule: &Schedule) -> Result<Prepared, SimError> {
-        let mut s = Prepared::matched(schedule)?;
+        let mut s = Prepared::indexed(schedule)?;
         let (n, capacity) = (schedule.n(), self.layout.capacity());
         if n > capacity {
             s.check_prices(&PriceColumns::from(schedule)).map_err(SimError::InvalidSchedule)?;
@@ -256,9 +252,10 @@ impl Engine<'_> {
             rec.traffic(&mut (0..prepared.place.len()).map(|r| {
                 let (sends, recvs) = prepared.msgs(prepared.rows(r));
                 let mut traffic = Traffic::default();
+                let bytes = |sid: usize| prices.send_bytes[sid];
                 let dst = |sid: usize| prepared.sends[sid].2 as Rank;
-                sends.for_each(|sid| traffic.send(tally, r, dst(sid), prices.send_bytes[sid]));
-                recvs.for_each(|q| traffic.recv(prices.recv_bytes[q]));
+                sends.for_each(|sid| traffic.send(tally, r, dst(sid), bytes(sid)));
+                recvs.for_each(|q| traffic.recv(bytes(prepared.received[q] as usize)));
                 (r, traffic)
             }));
         }
@@ -306,8 +303,8 @@ impl Engine<'_> {
             stats: LevelStats::default(),
         };
 
-        // Ready heap of ranks whose current phase's recvs are all
-        // matched. Keyed by current port time so resource serialization
+        // Ready heap of ranks whose current phase's receives are all
+        // issued. Keyed by current port time so resource serialization
         // approximates event order; ranks are heap-unique, so at most n.
         let mut heap: BinaryHeap<Reverse<(Key, Rank)>> = BinaryHeap::with_capacity(n);
 
@@ -374,7 +371,8 @@ struct Replay<'p> {
     times: Vec<Option<(f64, f64)>>,
     /// The rank blocked on each send right now, or [`NONE`].
     waiter_of: Vec<u32>,
-    /// For each rank currently blocked on recvs: how many are unmatched.
+    /// For each rank currently blocked on receives: how many are not yet
+    /// issued.
     missing: Vec<usize>,
     finish: Vec<f64>,
     busy: Vec<f64>,
@@ -397,8 +395,7 @@ impl Replay<'_> {
         let mut t = self.port_free[r] + local;
         let me = self.s.place[r];
 
-        let (sends, recvs) = self.s.msgs(at..at + 1);
-        for sid in sends {
+        for sid in self.s.msgs(at..at + 1).0 {
             let ((tag, _, dst), bytes) = (self.s.sends[sid], self.prices.send_bytes[sid]);
             let peer = self.s.place[dst as usize];
             let level = me.locality(peer);
@@ -461,16 +458,15 @@ impl Replay<'_> {
         }
         self.port_free[r] = t;
 
-        let mut unmatched = 0usize;
-        for q in recvs {
-            let sid = self.s.matched[q] as usize;
+        let mut pending = 0usize;
+        for sid in self.s.receives(at) {
             if self.times[sid].is_none() {
                 self.waiter_of[sid] = r as u32;
-                unmatched += 1;
+                pending += 1;
             }
         }
-        self.missing[r] = unmatched;
-        unmatched == 0
+        self.missing[r] = pending;
+        pending == 0
     }
 
     /// Send `sid` has been issued: releases the rank waiting on it, if
@@ -491,10 +487,9 @@ impl Replay<'_> {
     fn drain(&mut self, r: Rank) {
         let (cfg, me) = (&self.engine.config, self.s.place[r]);
         self.arrivals.clear();
-        for q in self.s.msgs(self.row[r]..self.row[r] + 1).1 {
-            let sid = self.s.matched[q] as usize;
+        for sid in self.s.receives(self.row[r]) {
             let (bytes, (posted, arrival)) =
-                (self.prices.recv_bytes[q], self.times[sid].unwrap_or_default());
+                (self.prices.send_bytes[sid], self.times[sid].unwrap_or_default());
             let h = cfg.hockney.level(self.s.place[self.s.sends[sid].1 as usize].locality(me));
             let occupancy =
                 cfg.cpu_overhead.map_or(h.time(bytes), |o| o + bytes as f64 / h.bytes_per_sec);
@@ -566,8 +561,7 @@ mod tests {
         let mut out = Schedule::new(s.n());
         for r in 0..s.n() {
             for ph in s.phases(r) {
-                let (sends, recvs) = (ph.sends.iter().map(bigger), ph.recvs.iter().map(bigger));
-                out.push_phase(r, 2.0 * ph.local_seconds + 1e-7, sends, recvs);
+                out.push_phase(r, 2.0 * ph.local_seconds + 1e-7, ph.sends.iter().map(bigger));
             }
         }
         out
@@ -586,8 +580,12 @@ mod tests {
         let mut columns = kept.price_columns();
         for r in 0..other.n() {
             for ph in other.phases(r) {
-                let (sends, recvs) = (ph.sends.iter().copied(), ph.recvs.iter().copied());
-                PhaseWriter::push_phase(&mut columns, r, ph.local_seconds, sends, recvs);
+                PhaseWriter::push_phase(
+                    &mut columns,
+                    r,
+                    ph.local_seconds,
+                    ph.sends.iter().copied(),
+                );
             }
         }
         assert_eq!(columns, PriceColumns::from(&other));
@@ -605,32 +603,26 @@ mod tests {
     }
 
     /// Random rounds of permutation traffic: every phase pairs each rank
-    /// with a pseudo-random partner, so sends and recvs match within the
-    /// phase and the schedule is deadlock-free by construction.
+    /// with a pseudo-random partner, so every message is received in the
+    /// phase it is sent in and the schedule is deadlock-free by
+    /// construction.
     fn perm_rounds(n: usize, rounds: usize, seed: u64) -> Schedule {
         let mut rng = DetRng::seed_from_u64(seed);
-        let mut phases: Vec<Vec<(Vec<Msg>, Vec<Msg>)>> = vec![Vec::new(); n];
+        let mut phases: Vec<Vec<Vec<Msg>>> = vec![Vec::new(); n];
         for t in 0..rounds {
             let mut perm: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut perm);
-            let mut round: Vec<(Vec<Msg>, Vec<Msg>)> = vec![(Vec::new(), Vec::new()); n];
             for (src, &dst) in perm.iter().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                let bytes = 1 + rng.gen_below(64 * 1024);
-                let m = Msg { src, dst, bytes, tag: t as u64 };
-                round[src].0.push(m);
-                round[dst].1.push(m);
-            }
-            for (r, (sends, recvs)) in round.into_iter().enumerate() {
-                phases[r].push((sends, recvs));
+                let bytes = (src != dst).then(|| 1 + rng.gen_below(64 * 1024));
+                let sends =
+                    bytes.map(|bytes| Msg { src, dst, bytes, tag: t as u64, recv_phase: t });
+                phases[src].push(sends.into_iter().collect());
             }
         }
         let mut s = Schedule::new(n);
         for (r, ph) in phases.into_iter().enumerate() {
-            for (sends, recvs) in ph {
-                s.push(r, sends, recvs);
+            for sends in ph {
+                s.push(r, sends);
             }
         }
         s
@@ -643,12 +635,12 @@ mod tests {
         let mut s = Schedule::new(n);
         for r in 0..n {
             if r > 0 {
-                let m = Msg { src: r - 1, dst: r, bytes, tag: r as u64 };
-                s.push(r, vec![], vec![m]);
+                s.push(r, vec![]);
             }
             if r + 1 < n {
-                let m = Msg { src: r, dst: r + 1, bytes, tag: (r + 1) as u64 };
-                s.push(r, vec![m], vec![]);
+                // the next rank receives in its first phase
+                let m = Msg { src: r, dst: r + 1, bytes, tag: (r + 1) as u64, recv_phase: 0 };
+                s.push(r, vec![m]);
             }
         }
         s
@@ -701,10 +693,10 @@ mod tests {
         let layout = ClusterLayout::new(4, 1, 2);
         // Some ranks have no phases at all; some phases are empty.
         let mut s = Schedule::new(8);
-        let m = Msg { src: 0, dst: 5, bytes: 256, tag: 7 };
-        s.push(0, vec![m], vec![]);
-        s.push(5, vec![], vec![m]);
-        s.push(5, vec![], vec![]); // trailing empty phase
+        let m = Msg { src: 0, dst: 5, bytes: 256, tag: 7, recv_phase: 0 };
+        s.push(0, vec![m]);
+        s.push(5, vec![]);
+        s.push(5, vec![]); // trailing empty phase
         assert_bit_identical(&layout, SimConfig::niagara(), &s);
 
         let empty = Schedule::new(4);
@@ -717,8 +709,7 @@ mod tests {
         let layout = ClusterLayout::with_groups(16, 2, 2, 4);
         let rounds = perm_rounds(n, 6, 0xC0FFEE);
         // the reference: rank by rank, every table allocated once
-        let mut base =
-            Schedule::with_rows(n, 6 * n, rounds.message_count(), rounds.message_count());
+        let mut base = Schedule::with_rows(n, 6 * n, rounds.message_count());
         // the same phases, the ranks taking turns in a seeded order (each
         // rank's own phases in theirs)
         let mut turns: Vec<usize> = (0..6 * n).map(|i| i % n).collect();
@@ -727,13 +718,13 @@ mod tests {
         let local = |r: usize, k: usize| (r % 3 + k) as f64 * 1e-7;
         for r in 0..n {
             for (k, ph) in rounds.phases(r).enumerate() {
-                base.push_phase(r, local(r, k), ph.sends.iter().copied(), ph.recvs.iter().copied());
+                base.push_phase(r, local(r, k), ph.sends.iter().copied());
             }
         }
         let mut next = vec![0; n];
         for r in turns {
             let (k, ph) = (next[r], rounds.phases(r).nth(next[r]).unwrap());
-            shuffled.push_phase(r, local(r, k), ph.sends.iter().copied(), ph.recvs.iter().copied());
+            shuffled.push_phase(r, local(r, k), ph.sends.iter().copied());
             next[r] += 1;
         }
         assert_eq!(shuffled, base);
@@ -751,7 +742,7 @@ mod tests {
     fn oversized_and_invalid_schedules_fail_typed_and_in_order() {
         let layout = ClusterLayout::new(2, 1, 1);
         let engine = Engine::new(&layout, SimConfig::niagara());
-        let m = Msg { src: 0, dst: 1, bytes: 8, tag: 0 };
+        let m = Msg { src: 0, dst: 1, bytes: 8, tag: 0, recv_phase: 0 };
         // more ranks than the `u32` id space: refused before anything is
         // sized by the rank count ...
         let huge = Schedule::new(u32::MAX as usize);
@@ -764,10 +755,10 @@ mod tests {
         // more ranks than cores: an invalid schedule is reported as that,
         // a valid one as too large for the layout
         let mut s = Schedule::new(8);
-        s.push(0, vec![m], vec![]);
+        s.push(0, vec![m]);
         let invalid = SimError::InvalidSchedule(s.validate().unwrap_err());
         assert_eq!(engine.run(&s).unwrap_err(), invalid);
-        s.push(1, vec![], vec![m]);
+        s.push(1, vec![]);
         let too_small = SimError::LayoutTooSmall { ranks: 8, capacity: 2 };
         assert_eq!(engine.run(&s).unwrap_err(), too_small);
         assert_eq!(engine.prepare(&s).unwrap_err(), too_small);
@@ -778,14 +769,18 @@ mod tests {
         let layout = ClusterLayout::new(2, 1, 1);
         let engine = Engine::new(&layout, SimConfig::niagara());
         let canonical = |s: &Schedule| SimError::InvalidSchedule(s.validate().unwrap_err());
-        // Send with no matching recv.
-        let mut unmatched = Schedule::new(2);
-        unmatched.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
-        // Size mismatch.
-        let mut mismatch = Schedule::new(2);
-        mismatch.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0 }], vec![]);
-        mismatch.push(1, vec![], vec![Msg { src: 0, dst: 1, bytes: 16, tag: 0 }]);
-        for s in [&unmatched, &mismatch] {
+        // A receiving phase the receiver does not have: rank 1 has none,
+        // then one.
+        let mut phaseless = Schedule::new(2);
+        phaseless.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0, recv_phase: 0 }]);
+        let mut beyond = Schedule::new(2);
+        beyond.push(0, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0, recv_phase: 1 }]);
+        beyond.push(1, vec![]);
+        // A bad local_seconds.
+        let mut slow = Schedule::new(2);
+        slow.push_phase(0, f64::NAN, vec![Msg { src: 0, dst: 1, bytes: 8, tag: 0, recv_phase: 0 }]);
+        slow.push(1, vec![]);
+        for s in [&phaseless, &beyond, &slow] {
             assert_eq!(engine.run(s).unwrap_err(), canonical(s));
         }
     }
@@ -797,12 +792,12 @@ mod tests {
         // Mutual cross-phase waits: 0 waits for 1's phase-1 send and vice
         // versa — valid per the matcher, but cyclic.
         let mut s = Schedule::new(2);
-        let a = Msg { src: 0, dst: 1, bytes: 8, tag: 0 };
-        let b = Msg { src: 1, dst: 0, bytes: 8, tag: 1 };
-        s.push(0, vec![], vec![b]);
-        s.push(0, vec![a], vec![]);
-        s.push(1, vec![], vec![a]);
-        s.push(1, vec![b], vec![]);
+        let a = Msg { src: 0, dst: 1, bytes: 8, tag: 0, recv_phase: 0 };
+        let b = Msg { src: 1, dst: 0, bytes: 8, tag: 1, recv_phase: 0 };
+        s.push(0, vec![]);
+        s.push(0, vec![a]);
+        s.push(1, vec![]);
+        s.push(1, vec![b]);
         let err = engine.run(&s).unwrap_err();
         assert_eq!(err, SimError::Deadlock(vec![(0, 0), (1, 0)]));
         // a kept structure deadlocks the same way at other prices

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=12605   # crates/{core,simnet,cli}/src
+SWEEP_BUDGET=12525   # crates/{core,simnet,cli}/src
 SERVICE_BUDGET=1558  # crates/service/src
 BENCH_BUDGET=3834    # crates/bench/src
 
