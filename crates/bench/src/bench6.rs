@@ -33,9 +33,10 @@ pub const GATE_N: usize = 512;
 /// Required cold-build / repair ratio at and above [`GATE_N`].
 pub const GATE_SPEEDUP: f64 = 10.0;
 
-/// Cold builds (each on a fresh communicator) behind a cell's
-/// `cold_build_s`, the median of them.
-const COLD_SAMPLES: usize = 3;
+/// Cold builds behind a gated cell's median (`n >= GATE_N`; 3 elsewhere):
+/// one, then one after each repair, as many as stay surgical. At 3, built
+/// before the repairs, the gate read 9.3–12.5 over 12 runs of one tree.
+const COLD_SAMPLES: usize = nhood_core::repair::MAX_REPAIR_ROUNDS as usize + 1;
 
 /// One churn cell: a graph size/density with its cold-build and
 /// single-edge repair costs.
@@ -65,28 +66,26 @@ impl Row {
     }
 }
 
-fn cell(n: usize, delta: f64, samples: usize, placement: Placement, rows: &mut Vec<Row>) {
+fn cell(n: usize, delta: f64, placement: Placement, rows: &mut Vec<Row>) {
     let (g, dh) = (erdos_renyi(n, delta, 42), Algorithm::DistanceHalving);
     let layout = ClusterLayout::new(n.div_ceil(8), 2, 4).with_placement(placement);
-    // The cold arm, like the repair arm, is a median: one un-repeated
-    // build moved the ratio by 40 % from run to run. Every sample builds
-    // on a fresh communicator; the last one is the plan the repairs patch.
-    let cold_build = |_| {
+    // Both arms are medians, sampled in turn so host noise hits both; each
+    // build is on a fresh communicator, and the repairs patch the first.
+    let (builds, pairs) = if n >= GATE_N { (COLD_SAMPLES, COLD_SAMPLES / 2) } else { (3, 3) };
+    let cold_build = || {
         let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).expect("layout fits");
         let t0 = Instant::now();
         comm.plan_shared(dh).expect("cold build");
         (t0.elapsed().as_secs_f64(), comm)
     };
-    let mut builds: Vec<_> = (0..COLD_SAMPLES).map(cold_build).collect();
-    let cold = median(builds.iter().map(|build| build.0).collect());
-    let mut comm = builds.pop().expect("COLD_SAMPLES > 0").1;
+    let (first, mut comm) = cold_build();
+    let mut colds = vec![first];
 
     // Add-then-remove pairs over seeded non-edges: the plan sees 2
     // mutations per sample and the topology ends where it started.
     let mut rng = DetRng::seed_from_u64(0xC4 + n as u64);
-    let mut times = Vec::with_capacity(samples * 2);
-    let mut all_surgical = true;
-    for _ in 0..samples {
+    let (mut times, mut all_surgical) = (Vec::with_capacity(pairs * 2), true);
+    for _ in 0..pairs {
         let (u, v) = loop {
             let u = rng.gen_below(n);
             let v = rng.gen_below(n);
@@ -99,6 +98,7 @@ fn cell(n: usize, delta: f64, samples: usize, placement: Placement, rows: &mut V
             let rep = comm.mutate(&add, &rm).expect("mutate");
             times.push(t0.elapsed().as_secs_f64());
             all_surgical &= !rep.full_rebuild;
+            colds.extend((colds.len() < builds).then(|| cold_build().0));
         }
     }
 
@@ -120,7 +120,7 @@ fn cell(n: usize, delta: f64, samples: usize, placement: Placement, rows: &mut V
         case: format!("n={n} d={delta} {placement:?}"),
         n,
         delta,
-        cold_build_s: cold,
+        cold_build_s: median(colds),
         repair_s: median(times),
         all_surgical,
         exact,
@@ -135,11 +135,11 @@ pub fn run(quick: bool) -> Vec<Row> {
     let ns: &[usize] = if quick { &[64, 128] } else { &[128, 256, 512] };
     for placement in [Placement::Block, Placement::RoundRobinNodes] {
         for &n in ns {
-            cell(n, 0.3, 3, placement, &mut rows);
+            cell(n, 0.3, placement, &mut rows);
         }
         if !quick {
             // density sweep at the gate size: sparse and dense repairs
-            cell(GATE_N, 0.1, 3, placement, &mut rows);
+            cell(GATE_N, 0.1, placement, &mut rows);
         }
     }
     rows

@@ -19,12 +19,9 @@
 //! (a halving step ships the whole buffer; the agent answers for part of
 //! it) is dropped, and so is a message left with none: Distance Halving
 //! moves each item at most once per level, always toward its destination.
-//! The derivation reads `sends` only, of a plan `compile` has already
-//! [validated](CollectivePlan::validate): every block a rank sends it
-//! holds, and every in-neighbor's block reaches its destination exactly
-//! once, so every item does too.
+//! It reads the `sends` of a checked plan, once per checked plan.
 
-use crate::collective::program::{compile, Shape};
+use crate::collective::program::{compile, Checked, Shape};
 use crate::comm::CommError;
 use crate::exec::sim_exec::SimCost;
 use crate::plan::CollectivePlan;
@@ -35,6 +32,7 @@ use nhood_topology::{Rank, Topology};
 
 /// The items every send of a gather plan carries, a send being named by
 /// its row in the plan's message table ([`crate::plan::MsgView::id`]).
+#[derive(Debug)]
 pub(crate) struct ItemRouting {
     items: Vec<(Rank, Rank)>,
     /// Send `id` carries `items[spans[id].0..spans[id].1]`.
@@ -53,9 +51,13 @@ impl ItemRouting {
     }
 }
 
-/// Derives the item routing a [validated](CollectivePlan::validate)
-/// `plan` implies on `graph` (module docs).
-pub(crate) fn route_items(plan: &CollectivePlan, graph: &Topology) -> ItemRouting {
+/// The item routing `plan` implies on `graph`, where it was checked.
+pub(crate) fn route_items<P: std::ops::Deref<Target = CollectivePlan>>(
+    plan: &Checked<P>,
+    graph: &Topology,
+) -> ItemRouting {
+    #[cfg(test)]
+    crate::collective::program::tests::ROUTES.with(|c| c.set(c.get() + 1));
     const NONE: usize = usize::MAX;
     let n = graph.n();
     // Each (message, block) pair is a *slot*. `parent[s]` is the slot
@@ -115,9 +117,9 @@ pub(crate) fn route_items(plan: &CollectivePlan, graph: &Topology) -> ItemRoutin
     ItemRouting { items, spans }
 }
 
-/// Simulates `plan` as an alltoall at uniform item payload `m`: the
-/// `Route` program compiled from its routing, lowered to a schedule
-/// as [`crate::collective::ExecBackend::Sim`] does — no bytes move.
+/// Simulates `plan` as an alltoall at uniform item payload `m`: the plan
+/// checked, its `Route` program lowered to a schedule as
+/// [`crate::collective::ExecBackend::Sim`] does — no bytes move.
 pub fn simulate_alltoall(
     plan: &CollectivePlan,
     graph: &Topology,
@@ -125,14 +127,15 @@ pub fn simulate_alltoall(
     m: usize,
     cost: &SimCost,
 ) -> Result<SimReport, CommError> {
-    let schedule = compile(plan, graph, Shape::Route)?.schedule(&BlockSizes::uniform(m));
-    Ok(Engine::new(layout, cost.net).run(&schedule)?)
+    let prog = compile(&Checked::new(plan, graph)?, graph, Shape::Route)?;
+    Ok(Engine::new(layout, cost.net).run(&prog.schedule(&BlockSizes::uniform(m)))?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
+    use crate::collective::program::tests::{compiled, routed};
     use crate::collective::{reference_alltoallv, CollectiveOp};
     use crate::exec::{execute, ExecError, ExecOptions};
     use crate::lower::lower;
@@ -165,7 +168,7 @@ mod tests {
 
     /// Messages the routed schedule of `plan` actually sends.
     fn routed_messages(plan: &CollectivePlan, graph: &Topology) -> usize {
-        compile(plan, graph, Shape::Route)
+        compiled(plan, graph, Shape::Route)
             .unwrap()
             .schedule(&BlockSizes::uniform(1))
             .message_count()
@@ -215,13 +218,13 @@ mod tests {
         // no buffer doubling: total item-hops ≤ items × (steps + 1)
         let g = erdos_renyi(32, 0.4, 7);
         let (plan, steps) = plan_dh(&g, &ClusterLayout::new(4, 2, 4));
-        let hops = route_items(&plan, &g).hops();
+        let hops = routed(&plan, &g).hops();
         let bound = g.edge_count() * (steps + 1);
         assert!(hops <= bound, "{hops} item-hops > bound {bound}");
         // and strictly more than one hop per item on multi-node halving
         assert!(hops > g.edge_count());
         // routed items never merge: one wire block per item-hop
-        let wire = compile(&plan, &g, Shape::Route).unwrap().schedule(&BlockSizes::uniform(1));
+        let wire = compiled(&plan, &g, Shape::Route).unwrap().schedule(&BlockSizes::uniform(1));
         assert_eq!(wire.total_bytes(), hops);
     }
 
@@ -295,7 +298,7 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(plan.validate(&g).unwrap_err(), first);
             assert_eq!(
-                compile(&plan, &g, Shape::Route).unwrap_err(),
+                compiled(&plan, &g, Shape::Route).unwrap_err(),
                 ExecError::InvalidPlan(first.clone())
             );
         }

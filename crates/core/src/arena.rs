@@ -1,24 +1,18 @@
 //! The engine's reusable workspace, and the public view of the compiled
 //! gather program.
 //!
-//! [`ArenaLayout`] is the program `collective::program` compiles a plan
-//! into for the allgather family: the plan's messages in integration
-//! order, laid out once [`CollectivePlan::validate`] has admitted the
-//! plan, so a corrupt plan is a typed [`ExecError::InvalidPlan`] before
-//! any byte moves. The arena holds no payload bytes and the program no
-//! per-block slot: blocks are never modified in flight, so each is read
-//! at its origin and each delivered byte is copied exactly once, from
-//! its origin's payload into the receive buffer.
+//! [`ArenaLayout`] is the program a checked plan compiles to for the
+//! allgather family: its messages in integration order. Blocks are never
+//! modified in flight, so each delivered byte is copied once, from its
+//! origin's payload into the receive buffer.
 //!
-//! [`BlockArena`] is what a caller keeps between executions: the
-//! compiled programs of the plan it last ran (one per op shape) and,
-//! beside them, the simulator's prepared structure of each, the grow-only
-//! offset tables, and the receive buffers handed back through
-//! [`BlockArena::adopt_rbufs`]. The warm-path contract — which request
-//! reads nothing of the plan and allocates nothing — is spelled out in
-//! `docs/EXECUTION_API.md`.
+//! [`BlockArena`] is what a caller keeps between executions — no payload
+//! bytes: per plan allocation it serves, the plan checked once on its
+//! topology and shared by every op shape, with each shape's program and
+//! simulated structure; the offset tables; the adopted receive buffers.
+//! `docs/EXECUTION_API.md` spells out the warm-path contract.
 
-use crate::collective::program::{compile, Exec, Job, Program, Shape, Staged, Tables};
+use crate::collective::program::{compile, Checked, Exec, Job, Program, Shape, Staged, Tables};
 use crate::exec::ExecError;
 use crate::plan::CollectivePlan;
 use nhood_cluster::ClusterLayout;
@@ -28,43 +22,41 @@ use std::sync::Arc;
 
 pub use crate::collective::program::Program as ArenaLayout;
 
-/// Reusable execution workspace: the compiled programs of the plan last
-/// run and their simulated structures, the offset tables, and the
-/// receive buffers the caller hands back.
-///
-/// Pass the same arena to repeated [`crate::exec::Executor::run`] calls
-/// to amortize compilation, the tables and — through
-/// [`adopt_rbufs`](Self::adopt_rbufs) — the receive buffers;
-/// [`reallocations`](Self::reallocations) counts how many times a
-/// receive buffer actually had to grow, so tests (and the Fig. 8-style
-/// persistent-collective argument) can assert steady-state runs are
-/// allocation-free.
+/// Reusable execution workspace (module docs): repeated
+/// [`crate::exec::Executor::run`] calls on one arena share its checks,
+/// programs, tables and — through [`adopt_rbufs`](Self::adopt_rbufs) —
+/// receive buffers; [`reallocations`](Self::reallocations) counts the
+/// buffer growths, so tests (and the Fig. 8-style persistent-collective
+/// argument) can assert steady-state runs are allocation-free.
 #[derive(Debug, Default)]
 pub struct BlockArena {
-    /// The topology every slot of `warm` was filled on.
+    /// The topology every record was filled on.
     graph: Option<Topology>,
-    /// At most one slot per op shape.
-    warm: Vec<Warm>,
+    /// One record per plan allocation served; each shape's program and
+    /// structure are in at most one, and a record with neither goes.
+    plans: Vec<Record>,
     tables: Tables,
     spare_rbufs: Vec<Vec<u8>>,
     reallocations: u64,
 }
 
-/// What a [`BlockArena`] serves for one op shape of one plan.
+/// What a [`BlockArena`] keeps for one plan allocation.
 #[derive(Debug)]
-struct Warm {
+struct Record {
     /// Held, not merely compared against: while this clone lives the
     /// allocation cannot be freed and its address reused by another
     /// plan, nor the plan `Arc::get_mut`-ed, so pointer identity *is*
     /// content identity.
     plan: Arc<CollectivePlan>,
-    shape: Shape,
-    /// Compiled when a request needs it (a simulated gather needs none).
-    prog: Option<Arc<Program>>,
-    /// The simulator's structure of the lowered schedule, and the layout
-    /// it is placed on.
-    sim: Option<(ClusterLayout, Prepared)>,
+    /// The plan as the first compile of any shape checked it; a twin
+    /// re-pinned since shares it.
+    checked: Option<Checked>,
+    /// Per [`Shape`], in declaration order.
+    slots: [Slot; 4],
 }
+
+/// A shape's program, and the simulator's structure with its layout.
+type Slot = (Option<Arc<Program>>, Option<Box<(ClusterLayout, Prepared)>>);
 
 impl BlockArena {
     /// An empty arena; programs and storage are built on first use.
@@ -81,14 +73,11 @@ impl BlockArena {
         self.reallocations
     }
 
-    /// Returns the gather program of `plan` on `graph`: the cached one,
-    /// without reading the plan, when this is the plan allocation it was
-    /// compiled from (`Arc::ptr_eq`) on an equal topology; otherwise by
-    /// content — the cached one for a plan of equal messages, a fresh
-    /// compile (which validates the plan first: [`ExecError::InvalidPlan`])
-    /// if not. Re-pins the arena to `plan`,
-    /// so the next call with this `Arc` is warm; an error leaves the
-    /// arena as it was.
+    /// The gather program of `plan` on `graph`: cached without reading the
+    /// plan for this allocation (`Arc::ptr_eq`) on an equal topology, by
+    /// content for a plan of the same rows (re-pinned: the next call is
+    /// warm), compiled if not, off the plan checked once per allocation
+    /// ([`ExecError::InvalidPlan`]). An error leaves the arena as it was.
     pub fn prepare(
         &mut self,
         plan: &Arc<CollectivePlan>,
@@ -104,67 +93,70 @@ impl BlockArena {
         graph: &Topology,
         shape: Shape,
     ) -> Result<Arc<Program>, ExecError> {
-        if let Some(prog) = self.served(plan, graph, shape).and_then(|w| w.prog.clone()) {
+        let rec = self.find(plan, graph).map(|at| &self.plans[at]);
+        if let Some(prog) = rec.and_then(|rec| rec.slots[shape as usize].0.clone()) {
             return Ok(prog);
         }
-        let prog = Arc::new(compile(plan, graph, shape)?);
-        self.slot(plan, graph, shape).prog = Some(Arc::clone(&prog));
+        let (prog, fresh) = match rec.and_then(|rec| rec.checked.as_ref()) {
+            Some(checked) => (compile(checked, graph, shape)?, None),
+            None => {
+                let checked = Checked::new(Arc::clone(plan), graph)?;
+                (compile(&checked, graph, shape)?, Some(checked))
+            }
+        };
+        let (prog, rec) = (Arc::new(prog), self.pin(plan, graph, shape));
+        rec.checked = fresh.or(rec.checked.take());
+        rec.slots[shape as usize].0 = Some(Arc::clone(&prog));
         Ok(prog)
     }
 
-    /// The simulator's structure of `plan`'s `shape` on `graph`, placed
-    /// on `layout`: kept in the slot that serves the shape's program, and
-    /// `None` until a request fills it (a miss empties the slot).
+    /// The simulator's structure of `plan`'s `shape` on `graph` placed on
+    /// `layout`, beside the shape's program: `None` until a request fills it.
     pub(crate) fn simulation(
         &mut self,
         plan: &Arc<CollectivePlan>,
         graph: &Topology,
         shape: Shape,
         layout: &ClusterLayout,
-    ) -> &mut Option<(ClusterLayout, Prepared)> {
-        let sim = &mut self.slot(plan, graph, shape).sim;
-        if sim.as_ref().is_some_and(|(placed_on, _)| placed_on != layout) {
+    ) -> &mut Option<Box<(ClusterLayout, Prepared)>> {
+        let sim = &mut self.pin(plan, graph, shape).slots[shape as usize].1;
+        if sim.as_ref().is_some_and(|kept| kept.0 != *layout) {
             *sim = None;
         }
         sim
     }
 
-    /// The slot that serves `plan`'s `shape` on `graph`: the one filled
-    /// for this plan allocation, or — re-pinned to `plan`, so the next
-    /// call is warm — for a plan of equal messages (a program and a
-    /// structure are functions of the messages and, for the program's
-    /// phase labels, the algorithm).
-    fn served(
-        &mut self,
-        plan: &Arc<CollectivePlan>,
-        graph: &Topology,
-        shape: Shape,
-    ) -> Option<&mut Warm> {
-        let same_graph = self.graph.as_ref() == Some(graph);
-        let w = self.warm.iter_mut().find(|w| w.shape == shape).filter(|_| same_graph)?;
-        if !Arc::ptr_eq(&w.plan, plan) {
-            if w.plan.algorithm != plan.algorithm || !w.plan.same_rows(plan) {
-                return None;
-            }
-            w.plan = Arc::clone(plan);
-        }
-        Some(w)
+    /// The record of this plan allocation on `graph`, or of a plan of the
+    /// [same rows](CollectivePlan::same_rows), re-pinned to `plan`.
+    fn find(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology) -> Option<usize> {
+        let ours = self.graph.as_ref() == Some(graph);
+        let own = self.plans.iter().position(|rec| ours && Arc::ptr_eq(&rec.plan, plan));
+        own.or_else(|| {
+            let at = self.plans.iter().position(|rec| ours && rec.plan.same_rows(plan))?;
+            self.plans[at].plan = Arc::clone(plan);
+            Some(at)
+        })
     }
 
-    /// The [served](Self::served) slot, or an empty one pinned to `plan`
-    /// in place of whatever `shape` held (another topology retires every
-    /// slot).
-    fn slot(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology, shape: Shape) -> &mut Warm {
-        if self.served(plan, graph, shape).is_none() {
-            if self.graph.as_ref() != Some(graph) {
-                self.warm.clear();
-                self.graph = Some(graph.clone());
+    /// The record serving `plan` on `graph` (new on another topology, which
+    /// retires the rest), now the only one to fill `shape`: an empty goes.
+    fn pin(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology, shape: Shape) -> &mut Record {
+        let rec = match self.find(plan, graph) {
+            Some(at) => self.plans.swap_remove(at),
+            None => {
+                if self.graph.as_ref() != Some(graph) {
+                    self.plans.clear();
+                    self.graph = Some(graph.clone());
+                }
+                Record { plan: Arc::clone(plan), checked: None, slots: Default::default() }
             }
-            self.warm.retain(|w| w.shape != shape);
-            self.warm.push(Warm { plan: Arc::clone(plan), shape, prog: None, sim: None });
+        };
+        for other in &mut self.plans {
+            other.slots[shape as usize] = (None, None);
         }
-        let at = self.warm.iter().position(|w| w.shape == shape).unwrap_or_default();
-        &mut self.warm[at]
+        self.plans.retain(|rec| rec.slots.iter().any(|s| s.0.is_some() || s.1.is_some()));
+        self.plans.insert(0, rec);
+        &mut self.plans[0]
     }
 
     /// Stages one execution of `prog`: resolves the offset tables for
@@ -189,27 +181,11 @@ impl BlockArena {
     }
 }
 
-/// Borrows two distinct per-rank entries mutably.
-///
-/// # Panics
-/// Panics if `a == b` — unreachable from a compiled program: `compile`
-/// refuses a message whose peer is its sender.
-pub(crate) fn two_bufs<T>(bufs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b, "a rank cannot message itself");
-    if a < b {
-        let (lo, hi) = bufs.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = bufs.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::builder::build_pattern;
-    use crate::collective::program::tests::compiles;
+    use crate::collective::program::tests::{checks, compiles};
     use crate::exec::sim_exec::{simulate, simulate_kept, Priced, SimCost};
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::{ExecOptions, Executor, Threaded, Virtual};
@@ -358,6 +334,76 @@ pub(crate) mod tests {
         let l4 = arena.prepare(&Arc::new(plan_naive(&g2)), &g2).unwrap();
         assert!(!Arc::ptr_eq(&l1, &l4));
         assert_eq!(compiles(), built + 1);
+    }
+
+    const SHAPES: [Shape; 4] =
+        [Shape::Gather, Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
+
+    #[test]
+    fn a_plan_allocation_is_checked_and_routed_once_for_every_shape() {
+        let g = erdos_renyi(32, 0.3, 5);
+        let plan = Arc::new(lower(&build_pattern(&g, &ClusterLayout::new(4, 2, 4)).unwrap(), &g));
+        let twin = Arc::new(CollectivePlan::clone(&plan));
+        let mut arena = BlockArena::new();
+        let (validates, routes) = checks();
+        let progs = SHAPES.map(|shape| arena.program(&plan, &g, shape).unwrap());
+        assert_eq!(checks(), (validates + 1, routes + 1), "one check and one routing");
+        // a twin of equal rows is served by the same record: re-pinned,
+        // not checked, routed or compiled again
+        let (checked, built) = (checks(), compiles());
+        for (shape, prog) in SHAPES.into_iter().zip(&progs) {
+            assert!(Arc::ptr_eq(&arena.program(&twin, &g, shape).unwrap(), prog), "{shape:?}");
+        }
+        assert_eq!((checks(), compiles()), (checked, built), "the twin is the checked plan");
+        assert_eq!(arena.plans.len(), 1);
+        // a twin that arrives before the combining shapes compile shares
+        // the gather's check, and its one routing serves all three
+        let mut arena = BlockArena::new();
+        arena.program(&plan, &g, Shape::Gather).unwrap();
+        SHAPES[1..].iter().for_each(|&shape| drop(arena.program(&twin, &g, shape).unwrap()));
+        assert_eq!(checks(), (checked.0 + 1, checked.1 + 1));
+    }
+
+    #[test]
+    fn a_rejected_plan_leaves_no_record_and_warm_plans_are_not_checked_again() {
+        // one tenant's Auto gather plan and Distance Halving routing plan
+        let g = erdos_renyi(48, 0.3, 7);
+        let comm =
+            crate::comm::DistGraphComm::create_adjacent(g.clone(), ClusterLayout::new(6, 2, 4));
+        let comm = comm.unwrap();
+        let gather = comm.plan_shared(Algorithm::Auto).unwrap();
+        let routing = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
+        assert!(!Arc::ptr_eq(&gather, &routing) && !gather.same_rows(&routing));
+        let mut arena = BlockArena::new();
+        let warm = |arena: &mut BlockArena| {
+            let gathered = arena.program(&gather, &g, Shape::Gather).unwrap();
+            let routed = [Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
+            (gathered, routed.map(|shape| arena.program(&routing, &g, shape).unwrap()))
+        };
+        let first = warm(&mut arena);
+        let (checked, built) = (checks(), compiles());
+        for _ in 0..3 {
+            let again = warm(&mut arena);
+            assert!(Arc::ptr_eq(&again.0, &first.0));
+            assert!(again.1.iter().zip(&first.1).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        assert_eq!((checks(), compiles()), (checked, built), "warm requests check nothing");
+        assert_eq!(arena.plans.len(), 2);
+        // a plan the validator rejects: the same error for every shape,
+        // and the arena as it was
+        let bad = Arc::new(gather.edited(|rows| rows[3][0].sends.clear()));
+        let e = bad.validate(&g).unwrap_err();
+        for shape in SHAPES {
+            assert_eq!(
+                arena.program(&bad, &g, shape).unwrap_err(),
+                ExecError::InvalidPlan(e.clone())
+            );
+            assert_eq!(arena.plans.len(), 2, "{shape:?}");
+            assert!(!arena.plans.iter().any(|rec| Arc::ptr_eq(&rec.plan, &bad)));
+        }
+        let again = warm(&mut arena);
+        assert!(Arc::ptr_eq(&again.0, &first.0));
+        assert_eq!(compiles(), built, "the rejections retired no program");
     }
 
     #[test]
@@ -613,14 +659,5 @@ pub(crate) mod tests {
                 assert_eq!(got, ExecError::InvalidPlan(twice.clone()), "{}", exec.name());
             }
         }
-    }
-
-    #[test]
-    fn two_bufs_borrows_disjoint() {
-        let mut v = vec![vec![1u8], vec![2u8], vec![3u8]];
-        let (a, b) = two_bufs(&mut v, 2, 0);
-        a[0] = 9;
-        b[0] = 8;
-        assert_eq!(v, vec![vec![8], vec![2], vec![9]]);
     }
 }

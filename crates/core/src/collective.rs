@@ -743,8 +743,8 @@ mod goldens;
 
 #[cfg(test)]
 mod tests {
-    use super::program::tests::compiles;
-    use super::program::{compile, Shape};
+    use super::program::tests::{compiled, compiles};
+    use super::program::Shape;
     use super::*;
     use crate::builder::build_pattern;
     use crate::exec::{execute, ExecOptions};
@@ -895,7 +895,7 @@ mod tests {
         let sizes = BlockSizes::uniform(m);
         run_virtual(&plan, &g, CollectiveOp::Allreduce(Reduction::SUM_U8), &payloads, &sizes, &rec);
         let combined = rec.totals().bytes_sent as usize;
-        let uncombined = compile(&plan, &g, Shape::Route).unwrap().schedule(&sizes).total_bytes();
+        let uncombined = compiled(&plan, &g, Shape::Route).unwrap().schedule(&sizes).total_bytes();
         assert!(
             combined < uncombined,
             "coalescing must beat per-item shipping: {combined} vs {uncombined}"

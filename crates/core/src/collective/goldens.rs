@@ -5,7 +5,8 @@
 //! A second table pins the f32 allreduce of the relay planners as it was
 //! while partials coalesced by fold tree (see `program`'s module docs).
 
-use super::program::{compile, Shape};
+use super::program::tests::compiled;
+use super::program::Shape;
 use super::*;
 use crate::comm::DistGraphComm;
 use nhood_cluster::ClusterLayout;
@@ -158,7 +159,7 @@ fn cell_row(
     let virt = comm.collective(&req().recorder(&rec)).unwrap().rbufs;
 
     let shape = Shape::of(op);
-    let sched = compile(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
+    let sched = compiled(&comm.alltoall_plan(algo).unwrap(), g, shape).unwrap().schedule(sizes);
     let sent = (rec.totals().msgs_sent as usize, rec.totals().bytes_sent as usize);
     assert_eq!(sent, (sched.message_count(), sched.total_bytes()), "{label}: counters");
 

@@ -6,16 +6,16 @@
 //! cell of the caller's send buffer, a slot of the rank's arena, or a
 //! cell of the receive buffer), which wire blocks each message carries,
 //! and the exact `copy` / `combine` steps each arrival performs. Every
-//! shape compiles what [`CollectivePlan::validate`] admits — a plan it
-//! rejects fails *here* with [`ExecError::InvalidPlan`], before any byte
-//! moves — through one layout: per phase, the sends in the plan's order,
-//! then the same messages in the `(peer, tag)` integration order that
-//! makes f32 results bit-identical across backends. A shape adds only its
-//! wire blocks: a gather the plan's own, alltoallv the items of the
-//! routing the plan implies ([`crate::alltoall::route_items`]) — neither
-//! modified in flight — and the reduce shapes the partials one symbolic
-//! walk packs of those items, refusing ([`ExecError::MissingBlock`]) a
-//! routing that breaks the co-routing invariant below.
+//! shape compiles a [`Checked`] plan — checked once for all of them, so a
+//! plan [`CollectivePlan::validate`] rejects is [`ExecError::InvalidPlan`]
+//! before any byte moves — through one layout: per phase, the sends in the
+//! plan's order, then the same messages in the `(peer, tag)` integration
+//! order that makes f32 results bit-identical across backends. A shape
+//! adds only its wire blocks: a gather the plan's own, alltoallv the
+//! items of the routing the plan implies ([`crate::alltoall::route_items`])
+//! — neither modified in flight — and the reduce shapes the partials one
+//! symbolic walk packs of those items, refusing ([`ExecError::MissingBlock`])
+//! a routing that breaks the co-routing invariant below.
 //!
 //! A request then resolves offsets and receive totals against its block
 //! lengths ([`Tables::stage`]: O(cells), no allocation once warm) and
@@ -54,7 +54,8 @@ use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, PhaseWriter, Schedule};
 use nhood_telemetry::{Tally, Traffic};
 use nhood_topology::{Rank, Topology};
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 /// What a program is compiled for: one shape per way data moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -280,31 +281,52 @@ pub struct Program {
 // Compile: one layout pass per phase, whatever the shape
 // ---------------------------------------------------------------------
 
-/// Compiles `plan` for `shape` ([`lay_out`]) once
-/// [`CollectivePlan::validate`] has admitted it.
-///
-/// # Errors
-/// [`ExecError::PayloadCountMismatch`] when the plan and `graph` count
-/// different ranks; [`ExecError::InvalidPlan`] with the validator's
-/// error for a plan it rejects, whatever the shape. The reduce shapes:
-/// [`ExecError::MissingBlock`] when a message forwards some but not all
-/// of the contributions its sender holds for a destination (the
-/// co-routing invariant, [`Walk::pack`]).
-pub(crate) fn compile(
-    plan: &CollectivePlan,
+/// A plan [`CollectivePlan::validate`] admitted on a topology of its rank
+/// count, and its item routing there once a combining shape needed it:
+/// [`compile`] and [`route_items`] take no other plan.
+#[derive(Debug)]
+pub(crate) struct Checked<P = Arc<CollectivePlan>> {
+    plan: P,
+    routing: OnceLock<ItemRouting>,
+}
+
+impl<P: Deref<Target = CollectivePlan>> Checked<P> {
+    /// Checks `plan` on `graph`: [`ExecError::PayloadCountMismatch`] or
+    /// the validator's error as [`ExecError::InvalidPlan`].
+    pub(crate) fn new(plan: P, graph: &Topology) -> Result<Self, ExecError> {
+        if plan.n() != graph.n() {
+            return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: graph.n() });
+        }
+        #[cfg(test)]
+        tests::VALIDATES.with(|c| c.set(c.get() + 1));
+        plan.validate(graph).map_err(ExecError::InvalidPlan)?;
+        Ok(Checked { plan, routing: OnceLock::new() })
+    }
+}
+
+impl<P: Deref<Target = CollectivePlan>> Deref for Checked<P> {
+    type Target = CollectivePlan;
+
+    fn deref(&self) -> &CollectivePlan {
+        &self.plan
+    }
+}
+
+/// Lays `plan` out for `shape` ([`lay_out`]) on the topology it was
+/// checked on — a gather its blocks, any other shape its item routing —
+/// or refuses a reduce shape's broken co-routing with
+/// [`ExecError::MissingBlock`] ([`Walk::pack`]).
+pub(crate) fn compile<P: Deref<Target = CollectivePlan>>(
+    plan: &Checked<P>,
     graph: &Topology,
     shape: Shape,
 ) -> Result<Program, ExecError> {
     #[cfg(test)]
     tests::COMPILES.with(|c| c.set(c.get() + 1));
-    let n = graph.n();
-    if plan.n() != n {
-        return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: n });
-    }
-    plan.validate(graph).map_err(ExecError::InvalidPlan)?;
-    let routing = (shape != Shape::Gather).then(|| route_items(plan, graph));
-    let blocks = routing.as_ref().map_or(plan.total_blocks_sent(), ItemRouting::hops);
-    lay_out(plan, graph, shape, blocks, |id| routing.as_ref().map_or(&[], |ro| ro.of(id)))
+    let routing =
+        (shape != Shape::Gather).then(|| plan.routing.get_or_init(|| route_items(plan, graph)));
+    let blocks = routing.map_or(plan.total_blocks_sent(), ItemRouting::hops);
+    lay_out(plan, graph, shape, blocks, |id| routing.map_or(&[], |ro| ro.of(id)))
 }
 
 /// Lays `plan` out as `shape`'s program of at most `blocks` wire blocks,
@@ -593,13 +615,11 @@ impl Program {
         prog
     }
 
-    /// Compiles the gather program of `plan` on `graph`: the plan's
-    /// messages in integration order, every block read at its origin.
-    /// The plan is [validated](CollectivePlan::validate) first, so a
-    /// corrupt one fails here — [`ExecError::InvalidPlan`] with the
-    /// validator's error — before any bytes move.
+    /// Checks `plan` on `graph` and compiles its gather program — the
+    /// plan's messages in integration order — or refuses a corrupt plan
+    /// with the validator's error ([`ExecError::InvalidPlan`]).
     pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
-        compile(plan, graph, Shape::Gather)
+        compile(&Checked::new(plan, graph)?, graph, Shape::Gather)
     }
 
     /// Number of ranks.
@@ -960,6 +980,34 @@ pub(crate) mod tests {
         COMPILES.with(std::cell::Cell::get)
     }
 
+    thread_local! {
+        /// [`CollectivePlan::validate`] calls [`Checked::new`] made on the
+        /// current test thread.
+        pub(crate) static VALIDATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// [`route_items`] calls made by the current test thread.
+        pub(crate) static ROUTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `(validate, route_items)` calls the current test thread has made
+    /// on the compile path so far.
+    pub(crate) fn checks() -> (u64, u64) {
+        (VALIDATES.with(std::cell::Cell::get), ROUTES.with(std::cell::Cell::get))
+    }
+
+    /// `plan` checked on `g`, then compiled for `shape`.
+    pub(crate) fn compiled(
+        plan: &CollectivePlan,
+        g: &Topology,
+        shape: Shape,
+    ) -> Result<Program, ExecError> {
+        compile(&Checked::new(plan, g)?, g, shape)
+    }
+
+    /// The item routing of `plan`, which must check on `g`.
+    pub(crate) fn routed(plan: &CollectivePlan, g: &Topology) -> ItemRouting {
+        route_items(&Checked::new(plan, g).unwrap(), g)
+    }
+
     const SHAPES: [Shape; 3] = [Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
 
     fn dh_plan(n: usize, delta: f64, seed: u64) -> (Topology, CollectivePlan) {
@@ -979,7 +1027,7 @@ pub(crate) mod tests {
         g: &Topology,
         pick: impl Fn((Rank, Rank), Rank, usize) -> bool,
     ) -> (CollectivePlan, usize, (Rank, Rank)) {
-        let routing = route_items(plan, g);
+        let routing = routed(plan, g);
         for k in 0..plan.phase_count() {
             for r in 0..plan.n() {
                 for (mi, msg) in plan.phase(r, k).sends().enumerate() {
@@ -1004,7 +1052,7 @@ pub(crate) mod tests {
     fn refused_for_every_shape(plan: &CollectivePlan, g: &Topology) -> PlanValidationError {
         let e = plan.validate(g).unwrap_err();
         for shape in [Shape::Gather, Shape::Route, Shape::ReduceScatter, Shape::Allreduce] {
-            let got = compile(plan, g, shape).map(drop);
+            let got = compiled(plan, g, shape).map(drop);
             assert_eq!(got, Err(ExecError::InvalidPlan(e.clone())), "{shape:?}");
         }
         e
@@ -1035,7 +1083,7 @@ pub(crate) mod tests {
             other => panic!("item ({s} -> {d}) dropped, got {other:?}"),
         }
         for shape in SHAPES {
-            compile(&plan, &g, shape).unwrap();
+            compiled(&plan, &g, shape).unwrap();
         }
     }
 
@@ -1067,9 +1115,9 @@ pub(crate) mod tests {
         let g = erdos_renyi(32, 0.3, 11);
         let plan = crate::pat::plan_pat(&g, 2);
         plan.validate(&g).unwrap();
-        compile(&plan, &g, Shape::Route).unwrap();
+        compiled(&plan, &g, Shape::Route).unwrap();
         for shape in &SHAPES[1..] {
-            let got = compile(&plan, &g, *shape);
+            let got = compiled(&plan, &g, *shape);
             assert!(matches!(got, Err(ExecError::MissingBlock { .. })), "{shape:?}: {got:?}");
         }
     }
@@ -1089,11 +1137,11 @@ pub(crate) mod tests {
         for l in [1, 2, 4, 5, 8] {
             let plan = crate::leader::plan_hierarchical_leader(&g, &layout, l);
             plan.validate(&g).unwrap();
-            compile(&plan, &g, Shape::Route).unwrap();
+            compiled(&plan, &g, Shape::Route).unwrap();
             let shared = crate::leader::shares_leader_slots(n, &layout, l);
             assert_eq!(shared, l > 4, "l = {l}");
             for shape in &SHAPES[1..] {
-                match compile(&plan, &g, *shape) {
+                match compiled(&plan, &g, *shape) {
                     Err(ExecError::MissingBlock { .. }) if shared => {}
                     Ok(_) if !shared => {}
                     got => panic!("l = {l}, {shape:?}: {got:?}"),
@@ -1121,7 +1169,7 @@ pub(crate) mod tests {
             Algorithm::Bruck,
         ] {
             let plan = comm.alltoall_plan(algo).unwrap();
-            let routing = route_items(&plan, &g);
+            let routing = routed(&plan, &g);
             let mut slot = std::collections::BTreeMap::new();
             for k in 0..plan.phase_count() {
                 for r in 0..plan.n() {
@@ -1133,7 +1181,7 @@ pub(crate) mod tests {
                     }
                 }
             }
-            compile(&plan, &g, Shape::Allreduce).unwrap();
+            compiled(&plan, &g, Shape::Allreduce).unwrap();
         }
     }
 
@@ -1216,7 +1264,7 @@ pub(crate) mod tests {
         let red = Reduction::SUM_U8;
         let op = CollectiveOp::ReduceScatter(red);
         let plan = Arc::new(plan);
-        let prog = compile(&plan, &g, Shape::ReduceScatter).unwrap();
+        let prog = compiled(&plan, &g, Shape::ReduceScatter).unwrap();
         let want = prog.schedule(&sizes).total_bytes() as u64;
         for fill in [|_: usize| 7u8, |i: usize| (i * 37 + 11) as u8] {
             let sbufs: Vec<Vec<u8>> = (0..24)
@@ -1306,7 +1354,7 @@ pub(crate) mod tests {
             let comm = comm.unwrap();
             let got = algos.map(|algo| {
                 let plan = comm.alltoall_plan(algo).unwrap();
-                shapes.map(|shape| match compile(&plan, &g, shape) {
+                shapes.map(|shape| match compiled(&plan, &g, shape) {
                     Ok(prog) => fnv(format!("{prog:?}")),
                     Err(e) => {
                         refusals += 1;
@@ -1344,7 +1392,7 @@ pub(crate) mod tests {
             for (algo, before) in algos.into_iter().zip(staged_on_arrival) {
                 let plan = comm.alltoall_plan(algo).unwrap();
                 for shape in &SHAPES[1..] {
-                    let prog = compile(&plan, &g, *shape).unwrap();
+                    let prog = compiled(&plan, &g, *shape).unwrap();
                     let (mut folds, mut slot_copies) = (0, 0);
                     for (b, read) in prog.reads.iter().enumerate() {
                         for step in &prog.steps[prog.steps_of(b)] {

@@ -343,8 +343,8 @@ impl DistGraphComm {
     /// matching and patches only what the changed edges touch, in the
     /// pattern's virtual ranks: the result is byte-identical to a
     /// decision-preserving rebuild (a property the repair engine pins with
-    /// tests), so it skips validation (the compile of its first request,
-    /// whatever the op, runs it) and costs O(clone + changed). Either plan, with its pattern, is
+    /// tests), so it skips validation (its first request's arena checks it
+    /// once, for every op) and costs O(clone + changed). Either plan, with its pattern, is
     /// the one entry of the fresh epoch's memo, so every op's next request
     /// is served it.
     ///

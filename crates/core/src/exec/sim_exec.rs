@@ -144,13 +144,13 @@ pub(crate) fn simulate_kept(
     let engine = Engine::new(layout, cost.net);
     let kept = arena.simulation(plan, graph, shape, layout);
     let (prepared, prices) = match kept {
-        Some((_, prepared)) => {
-            let mut prices = prepared.price_columns();
+        Some(kept) => {
+            let mut prices = kept.1.price_columns();
             match priced {
                 Priced::Gather(sizes) => lower_v(plan, sizes, cost, &mut prices),
                 Priced::Program(prog, sizes) => prog.lower(sizes, &mut prices),
             }
-            (&*prepared, prices)
+            (&kept.1, prices)
         }
         None => {
             let schedule = match priced {
@@ -158,7 +158,7 @@ pub(crate) fn simulate_kept(
                 Priced::Program(prog, sizes) => prog.schedule(sizes),
             };
             let prepared = engine.prepare(&schedule)?;
-            (&kept.insert((layout.clone(), prepared)).1, PriceColumns::from(&schedule))
+            (&kept.insert(Box::new((layout.clone(), prepared))).1, PriceColumns::from(&schedule))
         }
     };
     engine.run_prepared(prepared, &prices, perturbation, None)

@@ -8,7 +8,7 @@
 //! buffer, when the phases are over; a reduce partial is read where its
 //! sender holds it.
 
-use crate::arena::{two_bufs, BlockArena};
+use crate::arena::BlockArena;
 use crate::collective::program::{Staged, Wire};
 use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
@@ -46,7 +46,8 @@ pub(crate) fn run(staged: &mut Staged, rec: &dyn Recorder) {
         // phase by phase, receiver by receiver: the program's message order
         for id in (0..prog.phases).flat_map(|k| (0..prog.n).flat_map(move |r| prog.recvs(k, r))) {
             let m = prog.msg(id);
-            let (from, to) = two_bufs(staged, m.src, m.dst);
+            let [from, to] =
+                staged.get_disjoint_mut([m.src, m.dst]).expect("checked: no self-peer");
             exec.integrate(id, red, Wire::Sender(from), to, &mut rbufs[m.dst]);
         }
     } else {

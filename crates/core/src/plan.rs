@@ -313,9 +313,7 @@ pub struct CollectivePlan {
 /// where a block list sits in the pool is not part of a plan's value.
 impl PartialEq for CollectivePlan {
     fn eq(&self, other: &Self) -> bool {
-        self.algorithm == other.algorithm
-            && self.selection == other.selection
-            && self.same_rows(other)
+        self.selection == other.selection && self.same_rows(other)
     }
 }
 
@@ -475,13 +473,15 @@ impl CollectivePlan {
     }
 
     /// `true` when both plans hold the same rows — programs, copy counts
-    /// and every message's peer, tag and block list — whatever their
-    /// algorithm or selection statistics.
+    /// and every message's peer, tag and block list — under the same
+    /// algorithm, whatever their selection statistics: a check's verdict,
+    /// the item routing and every compiled program are functions of those.
     pub(crate) fn same_rows(&self, other: &Self) -> bool {
         let same = |(a, b): (&MsgRow, &MsgRow)| {
             (a.peer, a.tag) == (b.peer, b.tag) && self.blocks_of(*a) == other.blocks_of(*b)
         };
-        self.phase_off == other.phase_off
+        self.algorithm == other.algorithm
+            && self.phase_off == other.phase_off
             && self.copy_blocks == other.copy_blocks
             && self.index == other.index
             && self.msgs.iter().zip(&other.msgs).all(same)

@@ -492,6 +492,14 @@ fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
     println!("first alltoallv on a registered DH tenant: {cold} allocator calls");
     assert!(cold <= FIRST_ALLTOALLV_CALLS, "{cold} calls (budget {FIRST_ALLTOALLV_CALLS})");
 
+    // (a') the first reduce_scatter after it compiles its program off the
+    // plan the alltoallv checked and routed: it neither validates nor
+    // routes the plan again
+    let rs = (0..96).map(|p| vec![p as u8; g.outdegree(p) * 64]).collect();
+    let second = first_request(&mut svc, SubmitRequest::reduce_scatter(rs, Reduction::SUM_U8));
+    println!("first reduce_scatter after an alltoallv: {second} allocator calls");
+    assert!(second <= SECOND_SHAPE_CALLS, "{second} calls (budget {SECOND_SHAPE_CALLS})");
+
     // (b) after a single-edge churn the first allreduce compiles the
     // *repaired* plan's routing — what gathers are served — instead of
     // renegotiating from scratch
@@ -535,24 +543,31 @@ const WARM_REDUCE_SCATTER_BYTES: u64 = 1_743_968;
 /// The same for one warm allreduce, which stages the same partials.
 const WARM_ALLREDUCE_BYTES: u64 = 1_743_968;
 
-/// 5 % above the 1,134 calls the first alltoallv of a registered n = 96
-/// Distance Halving tenant costs today (12,316 while the combining family
-/// negotiated a second pattern of its own; 1,144 before the plan went
-/// flat).
-const FIRST_ALLTOALLV_CALLS: u64 = 1_190;
-/// 5 % above the 1,051 calls of the first allreduce after one single-edge
-/// `churn` today (12,192 while every churn made the combining memo
-/// renegotiate from scratch; 1,061 before the plan went flat).
-const CHURNED_ALLREDUCE_CALLS: u64 = 1_103;
+/// 5 % above the 1,036 calls the first alltoallv of a registered n = 96
+/// Distance Halving tenant costs today: the plan checked once
+/// (`validate`, 4 of them), routed once and compiled (12,316 while the
+/// combining family negotiated a second pattern of its own; 1,144 before
+/// the plan went flat).
+const FIRST_ALLTOALLV_CALLS: u64 = 1_088;
+/// 5 % above the 593 calls of the first reduce_scatter on that tenant
+/// after its alltoallv today: the compile of the reduce program alone, off
+/// the plan the alltoallv checked and routed (992 while every shape's
+/// compile validated the plan and derived its item routing again).
+const SECOND_SHAPE_CALLS: u64 = 623;
+/// 5 % above the 995 calls of the first allreduce after one single-edge
+/// `churn` today: the repaired plan checked, routed and compiled once
+/// (12,192 while every churn made the combining memo renegotiate from
+/// scratch; 1,061 before the plan went flat).
+const CHURNED_ALLREDUCE_CALLS: u64 = 1_045;
 
-/// 5 % above the 37 calls of one single-edge `churn` of the registered
+/// 5 % above the 26 calls of one single-edge `churn` of the registered
 /// n = 96 Distance Halving tenant today: 3,754 while `repair_for_churn`
 /// deep-cloned the plan, 1,142 while the new topology was rebuilt through
 /// a vector per rank both ways (624) and the pattern clone copied five
 /// vectors per rank (479). The topology is now `Topology::churned` (the
-/// touched rows merged, the rest copied whole) and the clone one copy
-/// per column.
-const SINGLE_EDGE_CHURN_CALLS: u64 = 39;
+/// touched rows merged, the rest copied whole) and the clone one copy per
+/// column.
+const SINGLE_EDGE_CHURN_CALLS: u64 = 27;
 
 /// `Engine::run` on the lowered n = 96, δ = 0.15 PAT plan — the cold
 /// path: prepare, then run on the schedule's own price columns — as
