@@ -10,10 +10,10 @@
 //!   the pre-fast-path baseline;
 //! * `parallel_build` — the same build on [`nhood_cluster::WorkerPool::auto`]
 //!   (per-half matchmaking scoring and per-rank lowering fan out);
-//! * `cold_cached` — `plan_shared` against a fresh [`PlanCache`]: one
-//!   fingerprint, one full build, one insert;
-//! * `cache_hit` — `plan_shared` against a warm cache: fingerprint plus
-//!   an LRU lookup, no build at all.
+//! * `cold_cached` — `plan_shared` with a cold memo against a fresh
+//!   [`PlanCache`]: one fingerprint, one full build, one insert;
+//! * `cache_hit` — `plan_shared` with a cold memo against a warm cache:
+//!   fingerprint plus an LRU lookup, no build at all.
 //!
 //! One gate rides on the numbers (see [`report`]): cache hits ≥ 20× a
 //! cold build in geometric mean (`cache_gmean`). Each cell's
@@ -22,7 +22,7 @@
 //! host, below 1× on some cells).
 
 use nhood_cluster::ClusterLayout;
-use nhood_core::{Algorithm, DistGraphComm, PlanCache};
+use nhood_core::{Algorithm, DistGraphComm, LoadMetric, PlanCache};
 use nhood_topology::moore::{moore, MooreSpec};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
@@ -123,23 +123,17 @@ fn bench_workload(
             parallel.plan(Algorithm::DistanceHalving).unwrap();
         }),
     );
-    // cold: a fresh cache every iteration — fingerprint + build + insert
-    push(
-        "cold_cached",
-        time_ns(iters, || {
-            let comm = parallel.clone().with_plan_cache(Arc::new(PlanCache::new(2)));
-            comm.plan_shared(Algorithm::DistanceHalving).unwrap();
-        }),
-    );
-    // hit: one warm cache shared across iterations
-    let cached = parallel.clone().with_plan_cache(Arc::new(PlanCache::new(2)));
-    cached.plan_shared(Algorithm::DistanceHalving).unwrap(); // warm
-    push(
-        "cache_hit",
-        time_ns(iters, || {
-            cached.plan_shared(Algorithm::DistanceHalving).unwrap();
-        }),
-    );
+    // both cache phases plan on a clone with a memo of its own (re-setting
+    // the metric starts one), or a clone would be served its memo's plan:
+    // cold a fresh cache every iteration, hit one warm cache shared by all
+    let cold_memo = |cache: &Arc<PlanCache>| {
+        let comm = parallel.clone().with_load_metric(LoadMetric::Neighbors);
+        comm.with_plan_cache(Arc::clone(cache)).plan_shared(Algorithm::DistanceHalving).unwrap();
+    };
+    push("cold_cached", time_ns(iters, || cold_memo(&Arc::new(PlanCache::new(2)))));
+    let cache = Arc::new(PlanCache::new(2));
+    cold_memo(&cache); // warm
+    push("cache_hit", time_ns(iters, || cold_memo(&cache)));
 }
 
 /// Runs the full grid. `quick` shrinks densities, rank counts, and

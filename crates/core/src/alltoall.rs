@@ -127,7 +127,7 @@ pub fn simulate_alltoall(
     m: usize,
     cost: &SimCost,
 ) -> Result<SimReport, CommError> {
-    let prog = compile(&Checked::new(plan, graph)?, graph, Shape::Route)?;
+    let prog = compile(&Checked::new(plan), graph, Shape::Route)?;
     Ok(Engine::new(layout, cost.net).run(&prog.schedule(&BlockSizes::uniform(m)))?)
 }
 
@@ -135,14 +135,13 @@ pub fn simulate_alltoall(
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
-    use crate::collective::program::tests::{compiled, routed};
+    use crate::collective::program::tests::{checked, compiled, routed};
     use crate::collective::{reference_alltoallv, CollectiveOp};
     use crate::exec::{execute, ExecError, ExecOptions};
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use crate::plan::{Algorithm, PlanValidationError as E, PlannedMsg};
     use nhood_topology::random::erdos_renyi;
-    use std::sync::Arc;
 
     /// The validated Distance Halving gather plan of `g` on `layout`.
     fn plan_dh(g: &Topology, layout: &ClusterLayout) -> (CollectivePlan, usize) {
@@ -160,7 +159,7 @@ mod tests {
         sbufs: &[Vec<u8>],
         m: usize,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let (plan, sizes) = (Arc::new(plan.clone()), BlockSizes::uniform(m));
+        let (plan, sizes) = (checked(plan.clone()), BlockSizes::uniform(m));
         let (arena, opts) = (&mut Default::default(), ExecOptions::new());
         execute(CollectiveOp::Alltoallv, Some(&sizes), &plan, graph, sbufs, arena, None, &opts)
             .map(|out| out.rbufs)

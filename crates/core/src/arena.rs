@@ -7,8 +7,8 @@
 //! origin's payload into the receive buffer.
 //!
 //! [`BlockArena`] is what a caller keeps between executions — no payload
-//! bytes: per plan allocation it serves, the plan checked once on its
-//! topology and shared by every op shape, with each shape's program and
+//! bytes: per plan allocation it serves, the allocation's cell (its one
+//! check, shared by every op shape) with each shape's program and
 //! simulated structure; the offset tables; the adopted receive buffers.
 //! `docs/EXECUTION_API.md` spells out the warm-path contract.
 
@@ -43,14 +43,11 @@ pub struct BlockArena {
 /// What a [`BlockArena`] keeps for one plan allocation.
 #[derive(Debug)]
 struct Record {
-    /// Held, not merely compared against: while this clone lives the
-    /// allocation cannot be freed and its address reused by another
-    /// plan, nor the plan `Arc::get_mut`-ed, so pointer identity *is*
-    /// content identity.
-    plan: Arc<CollectivePlan>,
-    /// The plan as the first compile of any shape checked it; a twin
-    /// re-pinned since shares it.
-    checked: Option<Checked>,
+    /// The allocation's cell, held, not merely compared against: while
+    /// it lives the allocation cannot be freed and its address reused by
+    /// another plan, nor the plan `Arc::get_mut`-ed, so pointer identity
+    /// *is* content identity.
+    cell: Arc<Checked>,
     /// Per [`Shape`], in declaration order.
     slots: [Slot; 4],
 }
@@ -83,43 +80,44 @@ impl BlockArena {
         plan: &Arc<CollectivePlan>,
         graph: &Topology,
     ) -> Result<Arc<ArenaLayout>, ExecError> {
-        self.program(plan, graph, Shape::Gather)
+        self.program(&self.cell(plan, graph), graph, Shape::Gather)
     }
 
-    /// [`prepare`](Self::prepare) for any op shape.
+    /// The cell of `plan` on `graph`: this arena's, else one made on first
+    /// sight of the allocation.
+    pub(crate) fn cell(&self, plan: &Arc<CollectivePlan>, graph: &Topology) -> Arc<Checked> {
+        let ours = self.graph.as_ref() == Some(graph);
+        let kept = self.plans.iter().find(|rec| ours && Arc::ptr_eq(&rec.cell.plan, plan));
+        kept.map_or_else(|| Arc::new(Checked::new(Arc::clone(plan))), |rec| Arc::clone(&rec.cell))
+    }
+
+    /// [`prepare`](Self::prepare) for any op shape, off the plan's cell.
     pub(crate) fn program(
         &mut self,
-        plan: &Arc<CollectivePlan>,
+        cell: &Arc<Checked>,
         graph: &Topology,
         shape: Shape,
     ) -> Result<Arc<Program>, ExecError> {
-        let rec = self.find(plan, graph).map(|at| &self.plans[at]);
+        let rec = self.find(cell, graph).map(|at| &self.plans[at]);
         if let Some(prog) = rec.and_then(|rec| rec.slots[shape as usize].0.clone()) {
             return Ok(prog);
         }
-        let (prog, fresh) = match rec.and_then(|rec| rec.checked.as_ref()) {
-            Some(checked) => (compile(checked, graph, shape)?, None),
-            None => {
-                let checked = Checked::new(Arc::clone(plan), graph)?;
-                (compile(&checked, graph, shape)?, Some(checked))
-            }
-        };
-        let (prog, rec) = (Arc::new(prog), self.pin(plan, graph, shape));
-        rec.checked = fresh.or(rec.checked.take());
-        rec.slots[shape as usize].0 = Some(Arc::clone(&prog));
+        let cell = Arc::clone(rec.map_or(cell, |rec| &rec.cell));
+        let prog = Arc::new(compile(&cell, graph, shape)?);
+        self.pin(&cell, graph, shape).slots[shape as usize].0 = Some(Arc::clone(&prog));
         Ok(prog)
     }
 
-    /// The simulator's structure of `plan`'s `shape` on `graph` placed on
+    /// The simulator's structure of the plan's `shape` on `graph` placed on
     /// `layout`, beside the shape's program: `None` until a request fills it.
     pub(crate) fn simulation(
         &mut self,
-        plan: &Arc<CollectivePlan>,
+        cell: &Arc<Checked>,
         graph: &Topology,
         shape: Shape,
         layout: &ClusterLayout,
     ) -> &mut Option<Box<(ClusterLayout, Prepared)>> {
-        let sim = &mut self.pin(plan, graph, shape).slots[shape as usize].1;
+        let sim = &mut self.pin(cell, graph, shape).slots[shape as usize].1;
         if sim.as_ref().is_some_and(|kept| kept.0 != *layout) {
             *sim = None;
         }
@@ -127,28 +125,30 @@ impl BlockArena {
     }
 
     /// The record of this plan allocation on `graph`, or of a plan of the
-    /// [same rows](CollectivePlan::same_rows), re-pinned to `plan`.
-    fn find(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology) -> Option<usize> {
+    /// [same rows](CollectivePlan::same_rows), re-pinned to `cell` (which
+    /// adopts the record's verdict).
+    fn find(&mut self, cell: &Arc<Checked>, graph: &Topology) -> Option<usize> {
         let ours = self.graph.as_ref() == Some(graph);
-        let own = self.plans.iter().position(|rec| ours && Arc::ptr_eq(&rec.plan, plan));
+        let own = self.plans.iter().position(|rec| ours && Arc::ptr_eq(&rec.cell.plan, &cell.plan));
         own.or_else(|| {
-            let at = self.plans.iter().position(|rec| ours && rec.plan.same_rows(plan))?;
-            self.plans[at].plan = Arc::clone(plan);
+            let at = self.plans.iter().position(|rec| ours && rec.cell.same_rows(&cell.plan))?;
+            cell.adopt(&self.plans[at].cell);
+            self.plans[at].cell = Arc::clone(cell);
             Some(at)
         })
     }
 
-    /// The record serving `plan` on `graph` (new on another topology, which
+    /// The record serving `cell` on `graph` (new on another topology, which
     /// retires the rest), now the only one to fill `shape`: an empty goes.
-    fn pin(&mut self, plan: &Arc<CollectivePlan>, graph: &Topology, shape: Shape) -> &mut Record {
-        let rec = match self.find(plan, graph) {
+    fn pin(&mut self, cell: &Arc<Checked>, graph: &Topology, shape: Shape) -> &mut Record {
+        let rec = match self.find(cell, graph) {
             Some(at) => self.plans.swap_remove(at),
             None => {
                 if self.graph.as_ref() != Some(graph) {
                     self.plans.clear();
                     self.graph = Some(graph.clone());
                 }
-                Record { plan: Arc::clone(plan), checked: None, slots: Default::default() }
+                Record { cell: Arc::clone(cell), slots: Default::default() }
             }
         };
         for other in &mut self.plans {
@@ -336,6 +336,11 @@ pub(crate) mod tests {
         assert_eq!(compiles(), built + 1);
     }
 
+    /// A cell for the allocation `plan`, as a bare front makes it.
+    fn cell(plan: &Arc<CollectivePlan>) -> Arc<Checked> {
+        Arc::new(Checked::new(Arc::clone(plan)))
+    }
+
     const SHAPES: [Shape; 4] =
         [Shape::Gather, Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
 
@@ -346,21 +351,24 @@ pub(crate) mod tests {
         let twin = Arc::new(CollectivePlan::clone(&plan));
         let mut arena = BlockArena::new();
         let (validates, routes) = checks();
-        let progs = SHAPES.map(|shape| arena.program(&plan, &g, shape).unwrap());
+        let progs = SHAPES.map(|shape| arena.program(&cell(&plan), &g, shape).unwrap());
         assert_eq!(checks(), (validates + 1, routes + 1), "one check and one routing");
         // a twin of equal rows is served by the same record: re-pinned,
         // not checked, routed or compiled again
         let (checked, built) = (checks(), compiles());
         for (shape, prog) in SHAPES.into_iter().zip(&progs) {
-            assert!(Arc::ptr_eq(&arena.program(&twin, &g, shape).unwrap(), prog), "{shape:?}");
+            assert!(
+                Arc::ptr_eq(&arena.program(&cell(&twin), &g, shape).unwrap(), prog),
+                "{shape:?}"
+            );
         }
         assert_eq!((checks(), compiles()), (checked, built), "the twin is the checked plan");
         assert_eq!(arena.plans.len(), 1);
         // a twin that arrives before the combining shapes compile shares
         // the gather's check, and its one routing serves all three
         let mut arena = BlockArena::new();
-        arena.program(&plan, &g, Shape::Gather).unwrap();
-        SHAPES[1..].iter().for_each(|&shape| drop(arena.program(&twin, &g, shape).unwrap()));
+        arena.program(&cell(&plan), &g, Shape::Gather).unwrap();
+        SHAPES[1..].iter().for_each(|&shape| drop(arena.program(&cell(&twin), &g, shape).unwrap()));
         assert_eq!(checks(), (checked.0 + 1, checked.1 + 1));
     }
 
@@ -376,9 +384,9 @@ pub(crate) mod tests {
         assert!(!Arc::ptr_eq(&gather, &routing) && !gather.same_rows(&routing));
         let mut arena = BlockArena::new();
         let warm = |arena: &mut BlockArena| {
-            let gathered = arena.program(&gather, &g, Shape::Gather).unwrap();
+            let gathered = arena.program(&cell(&gather), &g, Shape::Gather).unwrap();
             let routed = [Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
-            (gathered, routed.map(|shape| arena.program(&routing, &g, shape).unwrap()))
+            (gathered, routed.map(|shape| arena.program(&cell(&routing), &g, shape).unwrap()))
         };
         let first = warm(&mut arena);
         let (checked, built) = (checks(), compiles());
@@ -395,11 +403,11 @@ pub(crate) mod tests {
         let e = bad.validate(&g).unwrap_err();
         for shape in SHAPES {
             assert_eq!(
-                arena.program(&bad, &g, shape).unwrap_err(),
+                arena.program(&cell(&bad), &g, shape).unwrap_err(),
                 ExecError::InvalidPlan(e.clone())
             );
             assert_eq!(arena.plans.len(), 2, "{shape:?}");
-            assert!(!arena.plans.iter().any(|rec| Arc::ptr_eq(&rec.plan, &bad)));
+            assert!(!arena.plans.iter().any(|rec| Arc::ptr_eq(&rec.cell.plan, &bad)));
         }
         let again = warm(&mut arena);
         assert!(Arc::ptr_eq(&again.0, &first.0));
@@ -420,7 +428,7 @@ pub(crate) mod tests {
         let (layout, cost) = (ClusterLayout::new(3, 2, 2), SimCost::niagara());
         let simulated = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>| {
             let sizes = Priced::Gather(&[64; 12]);
-            let got = simulate_kept(arena, plan, &g, &layout, &cost, sizes, None).unwrap();
+            let got = simulate_kept(arena, &cell(plan), &g, &layout, &cost, sizes, None).unwrap();
             got.makespan.to_bits()
         };
         let cold = |plan: &CollectivePlan| simulate(plan, &layout, 64, &cost).unwrap();
@@ -455,10 +463,11 @@ pub(crate) mod tests {
         let steps = [(&plan, &g, &a), (&plan, &g, &a), (&plan, &g, &b), (&plan, &g, &a)];
         let churn = [(&churned, &g2, &a), (&churned, &g2, &a), (&plan, &g, &a)];
         for (i, &(plan, graph, layout)) in steps.iter().chain(&churn).enumerate() {
-            let warm = arena.simulation(plan, graph, Shape::Gather, layout).is_some();
+            let warm = arena.simulation(&cell(plan), graph, Shape::Gather, layout).is_some();
             assert_eq!(warm, [1, 5].contains(&i), "step {i}: a structure kept for it");
             let (cost, sizes) = (SimCost::niagara(), Priced::Gather(&[256; 32]));
-            let got = simulate_kept(&mut arena, plan, graph, layout, &cost, sizes, None).unwrap();
+            let got =
+                simulate_kept(&mut arena, &cell(plan), graph, layout, &cost, sizes, None).unwrap();
             let want = simulate(plan, layout, 256, &cost).unwrap().makespan;
             assert_eq!(got.makespan.to_bits(), want.to_bits(), "step {i}");
         }
@@ -484,6 +493,15 @@ pub(crate) mod tests {
         assert_eq!(
             arena.prepare(&plan, &more).unwrap_err(),
             ExecError::InvalidPlan(PlanValidationError::NeverDelivered { src: spare, dst: v })
+        );
+        // a topology of another rank count is the validator's refusal too
+        let wider = Topology::from_edges(13, g.edges());
+        assert_eq!(
+            arena.prepare(&plan, &wider).unwrap_err(),
+            ExecError::InvalidPlan(PlanValidationError::RankCountMismatch {
+                plan: 12,
+                topology: 13
+            })
         );
     }
 

@@ -743,7 +743,7 @@ mod goldens;
 
 #[cfg(test)]
 mod tests {
-    use super::program::tests::{compiled, compiles};
+    use super::program::tests::{checked, compiled, compiles};
     use super::program::Shape;
     use super::*;
     use crate::builder::build_pattern;
@@ -764,7 +764,7 @@ mod tests {
         threaded: bool,
         rec: &dyn Recorder,
     ) -> Vec<Vec<u8>> {
-        let (plan, opts) = (Arc::new(plan.clone()), ExecOptions::new().recorder(rec));
+        let (plan, opts) = (checked(plan.clone()), ExecOptions::new().recorder(rec));
         let arena = &mut Default::default();
         let clock = threaded.then_some(crate::runtime::Clock::Wall);
         execute(op, Some(sizes), &plan, g, sbufs, arena, clock, &opts).unwrap().rbufs

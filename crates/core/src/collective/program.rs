@@ -49,7 +49,7 @@
 use super::{CollectiveOp, Reduction};
 use crate::alltoall::{route_items, ItemRouting};
 use crate::exec::{phase_label, ExecError};
-use crate::plan::{CollectivePlan, MsgView};
+use crate::plan::{CollectivePlan, MsgView, PlanValidationError};
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, PhaseWriter, Schedule};
 use nhood_telemetry::{Tally, Traffic};
@@ -281,26 +281,35 @@ pub struct Program {
 // Compile: one layout pass per phase, whatever the shape
 // ---------------------------------------------------------------------
 
-/// A plan [`CollectivePlan::validate`] admitted on a topology of its rank
-/// count, and its item routing there once a combining shape needed it:
-/// [`compile`] and [`route_items`] take no other plan.
+/// A plan allocation's cell: its one verdict, [`CollectivePlan::validate`]
+/// on the topology the cell was made for, run when first asked, and its
+/// item routing there once a combining shape needs it. The allocation's
+/// maker makes it; [`compile`] and [`route_items`] take no other plan.
 #[derive(Debug)]
 pub(crate) struct Checked<P = Arc<CollectivePlan>> {
-    plan: P,
+    pub(crate) plan: P,
+    verdict: OnceLock<Result<(), PlanValidationError>>,
     routing: OnceLock<ItemRouting>,
 }
 
 impl<P: Deref<Target = CollectivePlan>> Checked<P> {
-    /// Checks `plan` on `graph`: [`ExecError::PayloadCountMismatch`] or
-    /// the validator's error as [`ExecError::InvalidPlan`].
-    pub(crate) fn new(plan: P, graph: &Topology) -> Result<Self, ExecError> {
-        if plan.n() != graph.n() {
-            return Err(ExecError::PayloadCountMismatch { got: plan.n(), want: graph.n() });
-        }
-        #[cfg(test)]
-        tests::VALIDATES.with(|c| c.set(c.get() + 1));
-        plan.validate(graph).map_err(ExecError::InvalidPlan)?;
-        Ok(Checked { plan, routing: OnceLock::new() })
+    pub(crate) fn new(plan: P) -> Self {
+        Checked { plan, verdict: OnceLock::new(), routing: OnceLock::new() }
+    }
+
+    /// The verdict on `graph`, the topology this cell was made for.
+    pub(crate) fn check(&self, graph: &Topology) -> Result<(), PlanValidationError> {
+        let verdict = self.verdict.get_or_init(|| {
+            #[cfg(test)]
+            tests::VALIDATES.with(|c| c.set(c.get() + 1));
+            self.plan.validate(graph)
+        });
+        verdict.clone()
+    }
+
+    /// Takes `twin`'s verdict if it has none: equal rows, equal verdicts.
+    pub(crate) fn adopt(&self, twin: &Self) {
+        let _ = twin.verdict.get().map(|verdict| self.verdict.set(verdict.clone()));
     }
 }
 
@@ -312,15 +321,16 @@ impl<P: Deref<Target = CollectivePlan>> Deref for Checked<P> {
     }
 }
 
-/// Lays `plan` out for `shape` ([`lay_out`]) on the topology it was
-/// checked on — a gather its blocks, any other shape its item routing —
-/// or refuses a reduce shape's broken co-routing with
-/// [`ExecError::MissingBlock`] ([`Walk::pack`]).
+/// Lays `plan` out for `shape` ([`lay_out`]) on the topology its cell
+/// was made for — a gather its blocks, any other shape its item routing —
+/// or refuses it ([`ExecError::InvalidPlan`]) or a reduce shape's broken
+/// co-routing ([`ExecError::MissingBlock`], [`Walk::pack`]).
 pub(crate) fn compile<P: Deref<Target = CollectivePlan>>(
     plan: &Checked<P>,
     graph: &Topology,
     shape: Shape,
 ) -> Result<Program, ExecError> {
+    plan.check(graph).map_err(ExecError::InvalidPlan)?;
     #[cfg(test)]
     tests::COMPILES.with(|c| c.set(c.get() + 1));
     let routing =
@@ -619,7 +629,7 @@ impl Program {
     /// plan's messages in integration order — or refuses a corrupt plan
     /// with the validator's error ([`ExecError::InvalidPlan`]).
     pub fn for_plan(plan: &CollectivePlan, graph: &Topology) -> Result<Self, ExecError> {
-        compile(&Checked::new(plan, graph)?, graph, Shape::Gather)
+        compile(&Checked::new(plan), graph, Shape::Gather)
     }
 
     /// Number of ranks.
@@ -981,8 +991,8 @@ pub(crate) mod tests {
     }
 
     thread_local! {
-        /// [`CollectivePlan::validate`] calls [`Checked::new`] made on the
-        /// current test thread.
+        /// [`CollectivePlan::validate`] calls [`Checked::check`] made on
+        /// the current test thread.
         pub(crate) static VALIDATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         /// [`route_items`] calls made by the current test thread.
         pub(crate) static ROUTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -1000,12 +1010,19 @@ pub(crate) mod tests {
         g: &Topology,
         shape: Shape,
     ) -> Result<Program, ExecError> {
-        compile(&Checked::new(plan, g)?, g, shape)
+        compile(&Checked::new(plan), g, shape)
+    }
+
+    /// A cell for `plan`, as the allocation's maker makes it.
+    pub(crate) fn checked(plan: CollectivePlan) -> Arc<Checked> {
+        Arc::new(Checked::new(Arc::new(plan)))
     }
 
     /// The item routing of `plan`, which must check on `g`.
     pub(crate) fn routed(plan: &CollectivePlan, g: &Topology) -> ItemRouting {
-        route_items(&Checked::new(plan, g).unwrap(), g)
+        let plan = Checked::new(plan);
+        plan.check(g).unwrap();
+        route_items(&plan, g)
     }
 
     const SHAPES: [Shape; 3] = [Shape::Route, Shape::ReduceScatter, Shape::Allreduce];
@@ -1263,7 +1280,7 @@ pub(crate) mod tests {
         let sizes = BlockSizes::per_rank((0..24).map(|t| 4 * (t % 5)).collect());
         let red = Reduction::SUM_U8;
         let op = CollectiveOp::ReduceScatter(red);
-        let plan = Arc::new(plan);
+        let plan = checked(plan);
         let prog = compiled(&plan, &g, Shape::ReduceScatter).unwrap();
         let want = prog.schedule(&sizes).total_bytes() as u64;
         for fill in [|_: usize| 7u8, |i: usize| (i * 37 + 11) as u8] {
@@ -1285,7 +1302,7 @@ pub(crate) mod tests {
     #[test]
     fn payload_shapes_are_checked_against_the_program() {
         let (g, plan) = dh_plan(16, 0.4, 2);
-        let (plan, sizes) = (Arc::new(plan), BlockSizes::uniform(4));
+        let (plan, sizes) = (checked(plan), BlockSizes::uniform(4));
         let mut sbufs: Vec<Vec<u8>> = (0..16).map(|p| vec![1; g.outdegree(p) * 4]).collect();
         let (arena, opts) = (&mut BlockArena::new(), ExecOptions::new());
         let mut run = |sbufs: &[Vec<u8>]| {

@@ -37,11 +37,12 @@ use resolve::{Entry, Memo};
 
 use crate::arena::BlockArena;
 use crate::builder::BuildError;
+use crate::collective::program::Checked;
 use crate::collective::{CollectiveOp, Reduction};
 use crate::exec::ExecError;
 use crate::fault::FaultPlan;
 use crate::plan::{Algorithm, PlanValidationError};
-use crate::plan_cache::PlanCache;
+use crate::plan_cache::{PlanCache, PlanFingerprint};
 use crate::remap::{locality_order, RankOrder};
 use crate::repair::{repair_for_churn, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::sizes::{BlockSizes, LoadMetric};
@@ -290,8 +291,8 @@ impl DistGraphComm {
 
     /// Attaches a shared plan cache: [`Self::plan_shared`] (and every
     /// collective that plans through it) first consults the cache, keyed
-    /// by a [`PlanFingerprint`](crate::plan_cache::PlanFingerprint) of
-    /// this communicator's topology, layout and the requested algorithm.
+    /// by a [`PlanFingerprint`] of this communicator's topology, layout
+    /// and the requested algorithm.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -343,16 +344,14 @@ impl DistGraphComm {
     /// matching and patches only what the changed edges touch, in the
     /// pattern's virtual ranks: the result is byte-identical to a
     /// decision-preserving rebuild (a property the repair engine pins with
-    /// tests), so it skips validation (its first request's arena checks it
-    /// once, for every op) and costs O(clone + changed). Either plan, with its pattern, is
-    /// the one entry of the fresh epoch's memo, so every op's next request
-    /// is served it.
+    /// tests) and costs O(clone + changed). Either plan, with its pattern,
+    /// is the one entry of the fresh epoch's memo: every op's next request
+    /// is served it, and the first checks it, once.
     ///
     /// `mutate` reads nothing from an attached [`PlanCache`] and writes at
-    /// most a full rebuild, under the new topology's build key
-    /// ([`PlanCache::insert_validated`]); a repaired plan lives in the
-    /// memo alone. What the cache holds for the old topology stays there
-    /// for communicators still on it.
+    /// most a full rebuild, checked, under the new topology's build key; a
+    /// repaired plan lives in the memo alone. What the cache holds for the
+    /// old topology stays there for communicators still on it.
     ///
     /// Edits that change nothing — edges the graph has (adds) or lacks
     /// (removes), self-loops, endpoints `>= n` — are ignored
@@ -376,7 +375,7 @@ impl DistGraphComm {
         let surgical = live.as_ref().filter(|e| e.sizes == keyed && e.repairs < MAX_REPAIR_ROUNDS);
         let surgical = surgical.and_then(|e| {
             let pattern = e.pattern.as_ref()?;
-            let (plan, graph) = (self.to_virtual(&*e.plan), self.to_virtual(&new_graph));
+            let (plan, graph) = (self.to_virtual(&**e.plan), self.to_virtual(&new_graph));
             let (add, rm) = (self.to_virtual(&added), self.to_virtual(&removed));
             repair_for_churn(pattern, &plan, &graph, &add, &rm)
                 .ok()
@@ -393,7 +392,12 @@ impl DistGraphComm {
                 (plan, pattern, 0, new_graph.n(), 1.0)
             }
         };
-        let (plan, pattern) = (Arc::new(plan), Some(Arc::new(pattern)));
+        let (plan, pattern) = (Arc::new(Checked::new(Arc::new(plan))), Some(Arc::new(pattern)));
+        if let (Some(cache), 0) = (&self.cache, repairs) {
+            let key =
+                PlanFingerprint::of_build_v(&new_graph, &self.layout, dh, &sizes, self.metric);
+            cache.insert_cell(key, &plan, Some(&new_graph)).map_err(CommError::InvalidPlan)?;
+        }
         let report = MutationReport {
             edges_added: added.len(),
             edges_removed: removed.len(),
@@ -403,11 +407,6 @@ impl DistGraphComm {
             repairs,
         };
         self.graph = new_graph;
-        if let (Some(cache), 0) = (&self.cache, repairs) {
-            // a full rebuild is a build of the new topology: `dh_plan`
-            // validated it there
-            cache.insert_validated(self.cache_key(dh, &sizes), Arc::clone(&plan), &self.graph);
-        }
         self.memo = Arc::default();
         self.memo().install_live(Entry { algo: dh, sizes: keyed, plan, pattern, repairs });
         Ok(report)
@@ -422,7 +421,6 @@ mod tests {
     use crate::exec::virtual_exec::{reference_allgather, test_payloads};
     use crate::exec::ExecOptions;
     use crate::plan::CollectivePlan;
-    use crate::plan_cache::PlanFingerprint;
     use nhood_topology::random::erdos_renyi;
     use std::time::Duration;
 
@@ -763,7 +761,7 @@ mod tests {
         let (robust, pattern) =
             c.robust_plan_with_pattern(Algorithm::DistanceHalving, &ExecOptions::new()).unwrap();
         let live = c.plan_shared(Algorithm::DistanceHalving).unwrap();
-        assert!(Arc::ptr_eq(&robust, &live) && pattern.is_some());
+        assert!(Arc::ptr_eq(&robust.plan, &live) && pattern.is_some());
     }
 
     #[test]
@@ -1295,6 +1293,123 @@ mod tests {
         assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
     }
 
+    /// `CollectivePlan::validate` calls on this thread so far.
+    fn validates() -> u64 {
+        crate::collective::program::tests::checks().0
+    }
+
+    /// The first request of every op shape — gather, route, both reduce
+    /// shapes — under `algo`, then a simulated gather, each through `run`;
+    /// the distinct plan allocations they ran.
+    fn every_shape(
+        c: &DistGraphComm,
+        algo: Algorithm,
+        mut run: impl FnMut(&CollectiveRequest) -> Arc<CollectivePlan>,
+    ) -> usize {
+        let n = c.n();
+        let own = test_payloads(n, 8, 3);
+        let per_edge: Vec<Vec<u8>> =
+            (0..n).map(|p| vec![p as u8; c.graph().outdegree(p) * 8]).collect();
+        let mut served: Vec<Arc<CollectivePlan>> = Vec::new();
+        for (op, sbufs) in [
+            (CollectiveOp::Allgather, &own),
+            (CollectiveOp::Alltoallv, &per_edge),
+            (CollectiveOp::ReduceScatter(Reduction::SUM_U8), &per_edge),
+            (CollectiveOp::Allreduce(Reduction::SUM_U8), &own),
+        ] {
+            served.push(run(&CollectiveRequest::new(op, sbufs).algorithm(algo)));
+        }
+        let sim = CollectiveRequest::allgather(&own).algorithm(algo).backend(ExecBackend::Sim);
+        served.push(run(&sim));
+        served.sort_by_key(Arc::as_ptr);
+        served.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        served.len()
+    }
+
+    /// [`every_shape`] through `collective`, each request's plan being the
+    /// one lookup's.
+    fn every_op(c: &DistGraphComm, algo: Algorithm) -> usize {
+        every_shape(c, algo, |req| {
+            c.collective(req).unwrap();
+            let family =
+                if req.op.is_gather() { algo } else { c.combining_algorithm(algo).unwrap() };
+            c.plan_shared(family).unwrap()
+        })
+    }
+
+    #[test]
+    fn a_plan_allocation_is_checked_once_from_its_build_to_every_op() {
+        let dh = Algorithm::DistanceHalving;
+        // each communicator on a cache of its own, or none
+        let with = |c: DistGraphComm, cached: bool| match cached {
+            true => c.with_plan_cache(Arc::new(PlanCache::new(16))),
+            false => c,
+        };
+        for cache in [false, true] {
+            // an explicit algorithm: built, then every op and a simulation
+            for algo in [dh, Algorithm::CommonNeighbor { k: 4 }] {
+                let (c, before) = (with(comm(32, 0.3), cache), validates());
+                c.plan_shared(algo).unwrap();
+                assert_eq!(every_op(&c, algo), 1, "{algo}: one plan serves every op");
+                assert_eq!(validates() - before, 1, "{algo}, cache {}", cache);
+            }
+            // `Auto`: one check per tuning pass, its winner's, and one per
+            // plan it builds besides (the combining ops route as Distance
+            // Halving)
+            let (c, before) = (with(comm(32, 0.3), cache), validates());
+            c.plan_shared(Algorithm::Auto).unwrap();
+            assert!(c.tuner_sims() > 0);
+            assert_eq!(validates() - before, 1, "the tuning pass checks its winner alone");
+            let served = every_op(&c, Algorithm::Auto);
+            assert_eq!(validates() - before, served as u64, "Auto, cache {}", cache);
+            // a surgical churn, then a full rebuild: each new plan is checked
+            // once, whatever the op that asks first
+            let mut c = with(comm(32, 0.3), cache);
+            c.plan_shared(dh).unwrap();
+            let (added, removed) = churn_sets(c.graph(), 1, 5);
+            let before = validates();
+            assert!(!c.mutate(&[], &removed).unwrap().full_rebuild);
+            assert_eq!((every_op(&c, dh), validates() - before), (1, 1), "a surgical churn");
+            let mut fresh = with(comm(32, 0.3), cache); // no live plan: a rebuild
+            let before = validates();
+            assert!(fresh.mutate(&added, &[]).unwrap().full_rebuild);
+            assert_eq!((every_op(&fresh, dh), validates() - before), (1, 1), "a full rebuild");
+            // the service path: a plan handed in brings the memo's cell
+            let (c, before) = (with(comm(32, 0.3), cache), validates());
+            let plan = c.plan_shared(dh).unwrap();
+            let mut arena = BlockArena::new();
+            let served = every_shape(&c, dh, |req| {
+                match req.backend {
+                    ExecBackend::Sim => drop(
+                        c.simulate_on(req, Some(&plan), &mut arena, &SimCost::niagara(), None)
+                            .unwrap(),
+                    ),
+                    _ => drop(c.collective_on(req, Some(&plan), &mut arena).unwrap()),
+                }
+                Arc::clone(&plan)
+            });
+            assert_eq!((served, validates() - before), (1, 1), "collective_on(Some(plan))");
+        }
+        // a memory-tier cache hit on a second communicator: checked already
+        let cache = Arc::new(PlanCache::new(16));
+        let first = comm(32, 0.3).with_plan_cache(Arc::clone(&cache));
+        let plan = first.plan_shared(dh).unwrap();
+        every_op(&first, dh);
+        let (second, before) = (comm(32, 0.3).with_plan_cache(cache), validates());
+        assert!(Arc::ptr_eq(&second.plan_shared(dh).unwrap(), &plan), "a memory-tier hit");
+        assert_eq!((every_op(&second, dh), validates() - before), (1, 0), "a cache hit");
+        // a robust run that repairs a dead link: the served plan, then the
+        // repaired one, each checked once
+        let c = comm(64, 0.4);
+        let before = validates();
+        let (plan, _) = c.robust_plan_with_pattern(dh, &ExecOptions::new()).unwrap();
+        let (src, dst, phase) = dh_only_link(&plan, c.graph()).expect("a relay link");
+        let c = c.with_fault_plan(FaultPlan::seeded(13).with_link_down(src, dst, phase));
+        let (_, report) = robust(&c, dh, &test_payloads(64, 8, 9)).unwrap();
+        assert!(report.repairs >= 1 && report.fallback.is_none(), "{report}");
+        assert_eq!(validates() - before, 1 + u64::from(report.repairs), "{report}");
+    }
+
     #[test]
     fn robust_distance_halving_plans_through_remap_off_block_placement() {
         // as `plan` does: the robust path re-ranks instead of refusing
@@ -1388,7 +1503,8 @@ mod tests {
         assert_eq!(bufs, reference_allgather(c.graph(), &payloads));
         assert_eq!((report.used, &report.fallback), (dh, &None), "{report}");
         let (plan, pattern) = c.robust_plan_with_pattern(dh, &ExecOptions::new()).unwrap();
-        assert!(Arc::ptr_eq(&plan, &built) && pattern.is_some(), "the served plan, with a pattern");
+        let served = Arc::ptr_eq(&plan.plan, &built);
+        assert!(served && pattern.is_some(), "the served plan, with a pattern");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! is the `Virtual` byte path plus one simulated request, which
 //! [`DistGraphComm::simulate_on`] serves alone.
 
-use super::{CommError, DistGraphComm};
+use super::{CommError, DistGraphComm, Entry};
 use crate::arena::BlockArena;
-use crate::collective::program::Shape;
+use crate::collective::program::{Checked, Shape};
 use crate::collective::{
     check_support, derive_sizes, CollectiveOp, CollectiveOutput, CollectiveRequest, ExecBackend,
 };
@@ -48,9 +48,9 @@ impl DistGraphComm {
     /// compiled programs, offset tables and
     /// [adopted](BlockArena::adopt_rbufs) receive buffers carry over from
     /// request to request — and, with `plan`, over a plan the caller has
-    /// already resolved (one fetch for a whole batch; `None` resolves it
-    /// per request, as `collective` does). A robust request negotiates
-    /// its own plan and ignores `plan`.
+    /// already resolved (one fetch for a whole batch, checked once; `None`
+    /// resolves it per request, as `collective` does). A robust request
+    /// negotiates its own plan and ignores `plan`.
     pub fn collective_on(
         &self,
         req: &CollectiveRequest,
@@ -63,10 +63,7 @@ impl DistGraphComm {
             // check_support pinned the backend to Threaded already.
             return self.robust(req, sizes.as_ref(), arena);
         }
-        let plan = match plan {
-            Some(plan) => Arc::clone(plan),
-            None => self.resolve_plan(req)?,
-        };
+        let plan = self.resolve_plan(req, plan, arena)?;
         let threaded = req.backend == ExecBackend::Threaded;
         let base = ExecOptions::new().recorder(req.recorder);
         let opts = if threaded { self.threaded_opts(base) } else { base };
@@ -75,7 +72,7 @@ impl DistGraphComm {
         let out = execute(req.op, sizes.as_ref(), &plan, graph, sbufs, arena, clock, &opts)?;
         let sim = match req.backend {
             ExecBackend::Sim => {
-                Some(self.simulate_on(req, Some(&plan), arena, &SimCost::niagara(), None)?)
+                Some(self.simulate_on(req, Some(&plan.plan), arena, &SimCost::niagara(), None)?)
             }
             _ => None,
         };
@@ -101,10 +98,7 @@ impl DistGraphComm {
     ) -> Result<SimReport, CommError> {
         check_support(req.op, req.algorithm, false, ExecBackend::Sim, self)?;
         let sizes = self.request_sizes(req)?;
-        let plan = match plan {
-            Some(plan) => Arc::clone(plan),
-            None => self.resolve_plan(req)?,
-        };
+        let plan = self.resolve_plan(req, plan, arena)?;
         let graph = &self.graph;
         let sizes = match &sizes {
             None => Priced::Gather(&req.payloads.iter().map(Vec::len).collect::<Vec<_>>()),
@@ -122,19 +116,30 @@ impl DistGraphComm {
         (!req.op.is_gather()).then(sizes).transpose()
     }
 
-    /// The plan a non-robust request executes, through the one lookup
-    /// ([`Self::plan_shared`]'s). The allgather family's is sized by the
-    /// request (an explicit table, the pinned one, or — for allgatherv —
-    /// the payloads' own lengths). The combining family executes the item
-    /// routing of a gather plan (alltoallv, reduce_scatter and allreduce
-    /// all route identically) negotiated at default sizes whatever table
-    /// is pinned: a pinned table sizes gather blocks, the combining ops
-    /// size theirs per request. On uniform sizes both load metrics order
-    /// candidates alike, so the routes are [`LoadMetric::Neighbors`]'s,
-    /// and under that metric they share the gathers' memo entry.
+    /// The cell of `plan` (the memo's, the arena's or a new one), or of the
+    /// one lookup's ([`Self::plan_shared`]'s) plan for a non-robust request.
+    /// The allgather family's is sized by the request (an explicit table,
+    /// the pinned one, or — for allgatherv — the payloads' own lengths).
+    /// The combining family executes the item routing of a gather plan
+    /// (alltoallv, reduce_scatter and allreduce all route identically)
+    /// negotiated at default sizes whatever table is pinned: a pinned table
+    /// sizes gather blocks, the combining ops size theirs per request. On
+    /// uniform sizes both load metrics order candidates alike, so the
+    /// routes are [`LoadMetric::Neighbors`]'s, and under that metric they
+    /// share the gathers' memo entry.
     ///
     /// [`LoadMetric::Neighbors`]: crate::sizes::LoadMetric::Neighbors
-    fn resolve_plan(&self, req: &CollectiveRequest) -> Result<Arc<CollectivePlan>, CommError> {
+    fn resolve_plan(
+        &self,
+        req: &CollectiveRequest,
+        plan: Option<&Arc<CollectivePlan>>,
+        arena: &BlockArena,
+    ) -> Result<Arc<Checked>, CommError> {
+        if let Some(plan) = plan {
+            let entry = |e: &&Entry| Arc::ptr_eq(&e.plan.plan, plan);
+            let memo = self.memo().plans.iter().find(entry).map(|e| Arc::clone(&e.plan));
+            return Ok(memo.unwrap_or_else(|| arena.cell(plan, &self.graph)));
+        }
         if !req.op.is_gather() {
             let algo = self.combining_algorithm(req.algorithm)?;
             return self.plan_shared_sized(algo, &BlockSizes::default(), req.recorder);

@@ -7,6 +7,7 @@ use super::{CommError, DistGraphComm};
 use crate::autotune::{candidates, TuneOutcome};
 use crate::bruck::plan_bruck;
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
+use crate::collective::program::Checked;
 use crate::common_neighbor::plan_common_neighbor;
 use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
 use crate::exec::ExecOptions;
@@ -16,7 +17,7 @@ use crate::naive::plan_naive;
 use crate::negotiate::build_pattern_distributed_pooled_v;
 use crate::pattern::DhPattern;
 use crate::plan::{Algorithm, CollectivePlan};
-use crate::plan_cache::{PlanCache, PlanFingerprint};
+use crate::plan_cache::PlanFingerprint;
 use crate::remap::Relabel;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_simnet::SimReport;
@@ -42,7 +43,9 @@ pub(super) struct Memo {
 pub(super) struct Entry {
     pub(super) algo: Algorithm,
     pub(super) sizes: Option<BlockSizes>,
-    pub(super) plan: Arc<CollectivePlan>,
+    /// The plan allocation in its cell, made where the allocation was:
+    /// its one verdict on this epoch's topology, whoever asks first.
+    pub(super) plan: Arc<Checked>,
     /// Distance Halving's churn state: the pattern the plan is lowered
     /// from, in virtual ranks (`None` for a plan the cache or the tuner
     /// served), and the surgical repairs since its last build.
@@ -76,9 +79,9 @@ impl Memo {
     pub(super) fn install_live(
         &mut self,
         mut entry: Entry,
-    ) -> (Arc<CollectivePlan>, Option<Arc<DhPattern>>) {
-        if let Some(e) = self.get(entry.algo, entry.sizes.as_ref()).filter(|e| e.plan == entry.plan)
-        {
+    ) -> (Arc<Checked>, Option<Arc<DhPattern>>) {
+        let same = |e: &&Entry| **e.plan == **entry.plan;
+        if let Some(e) = self.get(entry.algo, entry.sizes.as_ref()).filter(same) {
             entry.plan = Arc::clone(&e.plan);
         }
         self.plans.retain(|e| e.algo != entry.algo);
@@ -89,12 +92,20 @@ impl Memo {
 }
 
 impl DistGraphComm {
-    /// Builds (and validates) the data-movement plan for an algorithm.
-    /// Construction runs on the communicator's build pool
-    /// ([`Self::with_build_threads`]); the plan cache is **not**
-    /// consulted — use [`Self::plan_shared`] for the cached path.
+    /// Builds and checks the data-movement plan for an algorithm
+    /// ([`CommError::InvalidPlan`]). Construction runs on the
+    /// communicator's build pool ([`Self::with_build_threads`]); the plan
+    /// cache is **not** consulted — use [`Self::plan_shared`] for the
+    /// cached path.
     pub fn plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        Ok(self.build_plan_recorded(algo, &self.planning_sizes(), &NULL)?.0)
+        self.checked(algo, &self.planning_sizes())
+    }
+
+    /// An uncached build of `algo` at `sizes`, checked through its cell.
+    fn checked(&self, algo: Algorithm, sizes: &BlockSizes) -> Result<CollectivePlan, CommError> {
+        let (plan, _) = self.build_plan_recorded(algo, sizes, &NULL)?;
+        Checked::new(&plan).check(&self.graph).map_err(CommError::InvalidPlan)?;
+        Ok(plan)
     }
 
     /// One Distance Halving pattern build on this communicator's layout and
@@ -124,8 +135,8 @@ impl DistGraphComm {
         }
     }
 
-    /// Distance Halving on `graph`, validated, beside its pattern in virtual
-    /// ranks: built, or negotiated over `negotiate` (its faults relabelled).
+    /// Distance Halving on `graph` beside its pattern in virtual ranks:
+    /// built, or negotiated over `negotiate` (its faults relabelled).
     pub(super) fn dh_plan(
         &self,
         graph: &Topology,
@@ -146,12 +157,12 @@ impl DistGraphComm {
         rec.span_begin(0, labels::PLAN_LOWER);
         let plan = self.to_physical(lower_pooled(&pattern, &vgraph, &self.build_pool));
         rec.span_end(0, labels::PLAN_LOWER);
-        plan.validate(graph).map_err(CommError::InvalidPlan)?;
         Ok((plan, pattern))
     }
 
-    /// The uncached build path shared by [`Self::plan`] and cache
-    /// misses: the plan, and Distance Halving's pattern beside it.
+    /// The uncached build path shared by [`Self::plan`], the tuner's arms
+    /// and cache misses: the plan, unchecked, and Distance Halving's
+    /// pattern beside it.
     fn build_plan_recorded(
         &self,
         algo: Algorithm,
@@ -171,11 +182,11 @@ impl DistGraphComm {
             Algorithm::Bruck => self.to_physical(plan_bruck(&self.to_virtual(graph), layout)),
             Algorithm::Pat { radix } => crate::pat::plan_pat(graph, radix),
             Algorithm::Auto => {
-                // The tuner validates (and memoizes) the winner.
-                return Ok(((*self.plan_shared_sized(algo, sizes, rec)?).clone(), None));
+                // the tuner's winner (memoized)
+                let winner = self.plan_shared_sized(algo, sizes, rec)?;
+                return Ok((CollectivePlan::clone(&winner), None));
             }
         };
-        plan.validate(graph).map_err(CommError::InvalidPlan)?;
         Ok((plan, None))
     }
 
@@ -273,7 +284,8 @@ impl DistGraphComm {
     }
 
     /// [`Self::tune`] over an explicit candidate list. Candidates whose
-    /// build fails are skipped; at least one candidate must build.
+    /// build fails are skipped; at least one candidate must build. No arm
+    /// is checked; an [`Algorithm::Auto`] resolution checks the winner.
     ///
     /// # Errors
     /// [`CommError::BadAlgorithmParam`] for an empty `cands`; the last
@@ -317,13 +329,15 @@ impl DistGraphComm {
     }
 
     /// [`Self::plan`] through this epoch's memo and the attached
-    /// [`PlanCache`]: a plan resolved before in this topology epoch costs
-    /// no fingerprint, lookup, build or validation, so a communicator
-    /// builds each plan once per epoch, with or without a cache. A first
-    /// request takes it from the cache (which validates what it serves,
-    /// disk loads included) or builds it.
+    /// [`PlanCache`](crate::plan_cache::PlanCache): a plan resolved before
+    /// in this topology epoch costs no fingerprint, lookup, build or check,
+    /// so a communicator builds each plan once per epoch, with or without a
+    /// cache. A first request takes it from the cache or builds it. Its
+    /// cell is asked once: by the tuning pass or a cache insert
+    /// ([`CommError::InvalidPlan`]), else by its first request.
     pub fn plan_shared(&self, algo: Algorithm) -> Result<Arc<CollectivePlan>, CommError> {
-        self.plan_shared_sized(algo, &self.planning_sizes(), &NULL)
+        let cell = self.plan_shared_sized(algo, &self.planning_sizes(), &NULL)?;
+        Ok(Arc::clone(&cell.plan))
     }
 
     /// The one plan lookup every request takes — a gather's plan, the
@@ -335,13 +349,13 @@ impl DistGraphComm {
     /// A miss installs its plan in the memo, an `Auto` plan under the
     /// winner's algorithm too. `rec` sees the lookup's `plan_cache` hit or
     /// miss (against rank 0, the communicator-wide event's representative)
-    /// and a build's spans.
+    /// and a build's spans. The plan comes in the cell made with it.
     pub(super) fn plan_shared_sized(
         &self,
         algo: Algorithm,
         sizes: &BlockSizes,
         rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
+    ) -> Result<Arc<Checked>, CommError> {
         // Normalize first: the clamp must land before the lookup so
         // equivalent requests (k = n vs k = 10·n) share an entry.
         let algo = self.normalize_algorithm(algo)?;
@@ -352,23 +366,32 @@ impl DistGraphComm {
         }
         let cached = self.cache.as_ref().map(|cache| (cache, self.cache_key(algo, sizes)));
         let mut pattern = None; // a build's; a cached plan keeps none
-        let mut build = || {
-            let (plan, built) = self.build_plan_recorded(algo, sizes, rec)?;
-            pattern = built.map(Arc::new);
-            Ok::<_, CommError>(plan)
-        };
-        let plan = match cached {
-            _ if algo == Algorithm::Auto => self.tuned(cached, sizes, rec)?,
-            Some((cache, key)) => {
-                let (plan, hit) = cache.get_or_build(key, &self.graph, build)?;
-                rec.plan_cache(0, hit);
-                plan
+        let hit = cached.and_then(|(cache, key)| cache.cell(key, &self.graph));
+        let stored = hit.is_none();
+        rec.plan_cache(0, !stored);
+        let plan = match hit {
+            Some(cell) => cell,
+            None if algo == Algorithm::Auto => {
+                // the one arm that runs is the one checked
+                let cands = candidates(&self.graph, &self.layout, sizes);
+                let cell = Arc::new(Checked::new(self.tune_candidates(&cands, sizes, rec)?.plan));
+                cell.check(&self.graph).map_err(CommError::InvalidPlan)?;
+                cell
             }
             None => {
-                rec.plan_cache(0, false);
-                Arc::new(build()?)
+                let (plan, built) = self.build_plan_recorded(algo, sizes, rec)?;
+                pattern = built.map(Arc::new);
+                Arc::new(Checked::new(Arc::new(plan)))
             }
         };
+        if let Some((cache, key)) = cached.filter(|_| stored) {
+            // the tuner's winner under its own build key too: a later
+            // explicit request for it (same sizes and metric) hits
+            let own = (algo == Algorithm::Auto).then(|| self.cache_key(plan.algorithm, sizes));
+            for key in std::iter::once(key).chain(own) {
+                cache.insert_cell(key, &plan, Some(&self.graph)).map_err(CommError::InvalidPlan)?;
+            }
+        }
         let entry = Entry { algo, sizes: None, plan: Arc::clone(&plan), pattern, repairs: 0 };
         let planning = self.planning_sizes();
         let mut memo = self.memo();
@@ -382,32 +405,6 @@ impl DistGraphComm {
         Ok(plan)
     }
 
-    /// The tuner's winner at `sizes`: from the attached cache under the
-    /// tuner key, or a full tuning pass.
-    fn tuned(
-        &self,
-        cached: Option<(&Arc<PlanCache>, PlanFingerprint)>,
-        sizes: &BlockSizes,
-        rec: &dyn Recorder,
-    ) -> Result<Arc<CollectivePlan>, CommError> {
-        if let Some(plan) = cached.and_then(|(cache, key)| cache.lookup(key, &self.graph)) {
-            rec.plan_cache(0, true);
-            return Ok(plan);
-        }
-        rec.plan_cache(0, false);
-        let outcome =
-            self.tune_candidates(&candidates(&self.graph, &self.layout, sizes), sizes, rec)?;
-        if let Some((cache, key)) = cached {
-            cache.insert_validated(key, Arc::clone(&outcome.plan), &self.graph);
-            // Also park the winner under its own build key: a later
-            // explicit request for the winning algorithm (same sizes
-            // and metric) hits instead of rebuilding.
-            let canonical = self.cache_key(outcome.winner, sizes);
-            cache.insert_validated(canonical, Arc::clone(&outcome.plan), &self.graph);
-        }
-        Ok(outcome.plan)
-    }
-
     /// The concrete algorithm a combining-family request routes under:
     /// [`Algorithm::Auto`] maps to Distance Halving — the tuner scores
     /// gather schedules, not item routings — and the result shares the
@@ -419,13 +416,12 @@ impl DistGraphComm {
         }
     }
 
-    /// The **uncached**, validated build of the plan whose item routing
+    /// The **uncached**, checked build of the plan whose item routing
     /// the combining family executes under `algo` — what a cold
     /// combining request pays before [`Self::collective`] memoizes it
     /// ([`Algorithm::Auto`] routes as Distance Halving; default sizes).
     pub fn alltoall_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
-        let algo = self.combining_algorithm(algo)?;
-        Ok(self.build_plan_recorded(algo, &BlockSizes::default(), &NULL)?.0)
+        self.checked(self.combining_algorithm(algo)?, &BlockSizes::default())
     }
 
     /// Simulated latency of `algo` at per-rank message size `m`.

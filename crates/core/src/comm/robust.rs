@@ -5,13 +5,14 @@
 
 use super::{resolve::Entry, CommError, DistGraphComm};
 use crate::arena::BlockArena;
+use crate::collective::program::Checked;
 use crate::collective::{CollectiveOutput, CollectiveRequest};
 use crate::exec::threaded::DEFAULT_TIMEOUT;
 use crate::exec::{execute, ExecError, ExecOptions, ExecOutcome};
 use crate::fault::{FaultCounts, FaultStats};
 use crate::negotiate::RECV_TIMEOUT;
 use crate::pattern::DhPattern;
-use crate::plan::{Algorithm, CollectivePlan};
+use crate::plan::Algorithm;
 use crate::repair::{repair_dead_links, Completeness, MAX_DAMAGE_FRAC, MAX_REPAIR_ROUNDS};
 use crate::runtime::Clock;
 use crate::sizes::{BlockSizes, LoadMetric};
@@ -133,10 +134,9 @@ impl std::fmt::Display for ExecReport {
     }
 }
 
-/// One attempt of a robust run: executes a plan on a (possibly degraded)
-/// topology.
-type Attempt<'a> =
-    dyn FnMut(&Arc<CollectivePlan>, &Topology) -> Result<ExecOutcome, ExecError> + 'a;
+/// One attempt of a robust run: executes a plan on the (possibly
+/// degraded) topology its cell was made for.
+type Attempt<'a> = dyn FnMut(&Arc<Checked>, &Topology) -> Result<ExecOutcome, ExecError> + 'a;
 
 impl DistGraphComm {
     /// The threaded transport's options under this communicator's
@@ -159,7 +159,7 @@ impl DistGraphComm {
         &self,
         algo: Algorithm,
         opts: &ExecOptions<'_>,
-    ) -> Result<(Arc<CollectivePlan>, Option<Arc<DhPattern>>), CommError> {
+    ) -> Result<(Arc<Checked>, Option<Arc<DhPattern>>), CommError> {
         let sizes = self.planning_sizes();
         if algo != Algorithm::DistanceHalving {
             return Ok((self.plan_shared_sized(algo, &sizes, opts.recorder)?, None));
@@ -175,7 +175,7 @@ impl DistGraphComm {
         let opts = opts.recv_timeout(self.policy.negotiation_timeout);
         let (plan, pattern) =
             self.dh_plan(&self.graph, &sizes, &NULL, served.is_none().then_some(&opts))?;
-        let (plan, pattern) = (Arc::new(plan), Some(Arc::new(pattern)));
+        let (plan, pattern) = (Arc::new(Checked::new(Arc::new(plan))), Some(Arc::new(pattern)));
         Ok(self.memo().install_live(Entry { algo, sizes: keyed, plan, pattern, repairs: 0 }))
     }
 
@@ -239,7 +239,7 @@ impl DistGraphComm {
         // report never under-counts the faults a failed run absorbed.
         let sink = FaultStats::default();
         let opts = self.threaded_opts(ExecOptions::new().recorder(rec).fault_sink(&sink));
-        let mut run = |plan: &Arc<CollectivePlan>, graph: &Topology| {
+        let mut run = |plan: &Arc<Checked>, graph: &Topology| {
             execute(req.op, sizes, plan, graph, req.payloads, arena, Some(Clock::Wall), &opts)
         };
         let primary = self
@@ -278,11 +278,11 @@ impl DistGraphComm {
 
     /// Executes `plan` through `run`, self-healing around dead links: a
     /// LinkDown error, which ends the run at once, marks the edge dead; the
-    /// plan is repaired around it in the pattern's ranks and execution
-    /// restarts, up to [`MAX_REPAIR_ROUNDS`] times (tallied in `report`).
+    /// plan is repaired around it in the pattern's ranks and checked, and
+    /// execution restarts, up to [`MAX_REPAIR_ROUNDS`] times (in `report`).
     fn run_self_healing(
         &self,
-        mut plan: Arc<CollectivePlan>,
+        mut plan: Arc<Checked>,
         mut pattern: Option<Arc<DhPattern>>,
         run: &mut Attempt<'_>,
         rec: &dyn Recorder,
@@ -306,31 +306,33 @@ impl DistGraphComm {
             let v = |r: &Rank| self.order.as_ref().map_or(*r, |o| o.virtual_of[*r]);
             dead.extend([(v(src), v(dst)), (v(dst), v(src))]);
             rec.span_begin(0, labels::REPAIR);
-            // Past the damage threshold, rebuild the matchings first: they
-            // avoid the dead links where they can, the reroute the rest.
-            let (graph, old) = (self.to_virtual(&self.graph), self.to_virtual(&*plan));
-            let repaired = repair_dead_links(base, &old, &graph, &dead)
-                .ok()
-                .filter(|r| r.damage_frac <= MAX_DAMAGE_FRAC)
-                .or_else(|| {
-                    let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
-                    let fresh = self.dh_pattern(&graph, &sizes, metric, &NULL).ok()?;
-                    repair_dead_links(&fresh, &old, &graph, &dead).ok()
-                });
+            // Past the damage threshold, or failing its check, rebuild the
+            // matchings first: they avoid the dead links where they can.
+            let (graph, old) = (self.to_virtual(&self.graph), self.to_virtual(&**plan));
+            let repair = |pattern: &DhPattern, max_damage: f64| {
+                let rep = repair_dead_links(pattern, &old, &graph, &dead).ok();
+                let rep = rep.filter(|rep| rep.damage_frac <= max_damage)?;
+                let exec_graph = self.to_physical(rep.exec_graph);
+                let cell = Arc::new(Checked::new(Arc::new(self.to_physical(rep.plan))));
+                cell.check(&exec_graph).ok()?;
+                Some((cell, exec_graph, rep.pattern, rep.completeness))
+            };
+            let repaired = repair(base, MAX_DAMAGE_FRAC).or_else(|| {
+                let (sizes, metric) = (BlockSizes::default(), LoadMetric::Neighbors);
+                repair(&self.dh_pattern(&graph, &sizes, metric, &NULL).ok()?, 1.0)
+            });
             rec.span_end(0, labels::REPAIR);
-            let Some(mut rep) = repaired else { return Err(err) };
+            let Some((cell, graph, repaired, mut completeness)) = repaired else { return Err(err) };
             rec.repair(0);
             report.repairs += 1;
             report.degraded_ranks.clear();
-            if let Completeness::Degraded { missing } = &mut rep.completeness {
+            if let Completeness::Degraded { missing } = &mut completeness {
                 *missing = self.to_physical(std::mem::take(missing));
                 let targets: BTreeSet<Rank> = missing.iter().map(|&(_, t)| t).collect();
                 report.degraded_ranks.extend(targets);
             }
-            report.completeness = rep.completeness;
-            plan = Arc::new(self.to_physical(rep.plan));
-            exec_graph = self.to_physical(rep.exec_graph);
-            pattern = Some(Arc::new(rep.pattern));
+            report.completeness = completeness;
+            (plan, exec_graph, pattern) = (cell, graph, Some(Arc::new(repaired)));
         }
     }
 }

@@ -25,7 +25,7 @@ pub mod threaded;
 pub mod virtual_exec;
 
 use crate::arena::BlockArena;
-use crate::collective::program::{Job, Lens, Shape};
+use crate::collective::program::{Checked, Job, Lens, Shape};
 use crate::collective::CollectiveOp;
 use crate::fault::{FaultCounts, FaultPlan, FaultStats};
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
@@ -344,13 +344,13 @@ pub(crate) fn check_count(payloads: &[Vec<u8>], n: usize) -> Result<(), ExecErro
 /// `sizes` is a combining op's validated size table
 /// ([`crate::collective::derive_sizes`]); a gather reads its block
 /// lengths off `payloads`. The warm path — `arena` already holds the
-/// program of this plan `Arc` — reads nothing of the plan and allocates
-/// nothing the receive buffers do not need.
+/// program of this plan allocation — reads nothing of the plan and
+/// allocates nothing the receive buffers do not need.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     op: CollectiveOp,
     sizes: Option<&BlockSizes>,
-    plan: &Arc<CollectivePlan>,
+    plan: &Arc<Checked>,
     graph: &Topology,
     payloads: &[Vec<u8>],
     arena: &mut BlockArena,

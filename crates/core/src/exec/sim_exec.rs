@@ -12,7 +12,7 @@
 //! requests lower only their [`PriceColumns`] and replay.
 
 use crate::arena::BlockArena;
-use crate::collective::program::{Program, Shape};
+use crate::collective::program::{Checked, Program, Shape};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
 use nhood_cluster::ClusterLayout;
@@ -129,7 +129,7 @@ pub(crate) enum Priced<'a> {
 /// schedule.
 pub(crate) fn simulate_kept(
     arena: &mut BlockArena,
-    plan: &Arc<CollectivePlan>,
+    plan: &Arc<Checked>,
     graph: &Topology,
     layout: &ClusterLayout,
     cost: &SimCost,
@@ -168,6 +168,7 @@ pub(crate) fn simulate_kept(
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
+    use crate::collective::program::tests::checked;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::lower::lower;
     use crate::naive::plan_naive;
@@ -420,10 +421,10 @@ mod tests {
         let (n, layout) = (48, ClusterLayout::with_groups(6, 2, 4, 2));
         let g = erdos_renyi(n, 0.3, 21);
         let plans = [
-            Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g)),
-            Arc::new(plan_common_neighbor(&g, 4)),
-            Arc::new(plan_naive(&g)),
-            Arc::new(crate::pat::plan_pat(&g, 2)),
+            checked(lower(&build_pattern(&g, &layout).unwrap(), &g)),
+            checked(plan_common_neighbor(&g, 4)),
+            checked(plan_naive(&g)),
+            checked(crate::pat::plan_pat(&g, 2)),
         ];
         // uniform, ragged with zero-length blocks, and the same ragged
         // multiset permuted
@@ -469,17 +470,17 @@ mod tests {
         use nhood_simnet::Perturbation;
         let (n, layout) = (24, ClusterLayout::new(3, 2, 4));
         let g = erdos_renyi(n, 0.4, 8);
-        let dh = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let dh = checked(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let niagara = SimCost::niagara();
         let request = |arena: &mut BlockArena,
-                       plan: &Arc<CollectivePlan>,
+                       plan: &Arc<Checked>,
                        g: &Topology,
                        sizes: &[usize],
                        cost,
                        perturbation: Option<&Perturbation>| {
             simulate_kept(arena, plan, g, &layout, &cost, Priced::Gather(sizes), perturbation)
         };
-        let good = |arena: &mut BlockArena, plan: &Arc<CollectivePlan>, g: &Topology| {
+        let good = |arena: &mut BlockArena, plan: &Arc<Checked>, g: &Topology| {
             let sizes = vec![256; plan.n()];
             let got = request(arena, plan, g, &sizes, niagara, None);
             let want = simulate_v(plan, &layout, &sizes, &niagara).unwrap();

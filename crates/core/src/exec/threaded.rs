@@ -56,7 +56,8 @@ impl Executor for Threaded {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        execute(opts.gather_op(), None, plan, graph, payloads, arena, Some(Clock::Wall), opts)
+        let plan = arena.cell(plan, graph);
+        execute(opts.gather_op(), None, &plan, graph, payloads, arena, Some(Clock::Wall), opts)
     }
 }
 
@@ -222,6 +223,7 @@ pub(crate) fn run(
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
+    use crate::collective::program::tests::checked;
     use crate::collective::CollectiveOp;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads, Virtual};
@@ -321,7 +323,7 @@ mod tests {
         const PARTIAL: (u64, u64, u64) = (113, 1928, 0xa6082787a3b60b24);
         let g = erdos_renyi(24, 0.4, 8);
         let layout = ClusterLayout::new(3, 2, 4);
-        let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+        let plan = checked(lower(&build_pattern(&g, &layout).unwrap(), &g));
         let (src, dst) = (0..24)
             .find_map(|r| Some((r, plan.phase(r, 1).sends().next()?.peer())))
             .expect("a second-phase send");
@@ -569,7 +571,7 @@ mod tests {
             }
         }
         let g = erdos_renyi(8, 0.5, 4);
-        let plan = Arc::new(plan_naive(&g));
+        let plan = checked(plan_naive(&g));
         let payloads = test_payloads(8, 4, 1);
         // the panic ends the run before its peers time out waiting for it
         let opts = ExecOptions::new().recorder(&Breaks).recv_timeout(Duration::from_millis(100));
@@ -595,7 +597,7 @@ mod tests {
         // to 50 ms: all of them make a 60 ms receive timeout. A sender
         // stalled by every delay in turn (≈ 0.5 s in all) would not.
         let g = Topology::from_edges(21, (1..21).map(|d| (0, d)));
-        let plan = Arc::new(plan_naive(&g));
+        let plan = checked(plan_naive(&g));
         let payloads = test_payloads(21, 4, 2);
         let fp = FaultPlan::seeded(4).with_message_delay(1.0, Duration::from_millis(50));
         let opts = ExecOptions::new().recv_timeout(Duration::from_millis(60)).fault(&fp);
@@ -646,7 +648,7 @@ mod tests {
                     let n = g.n();
                     let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
                     let plan = DistGraphComm::create_adjacent(g.clone(), layout).unwrap();
-                    let plan = plan.plan_shared(algo).unwrap();
+                    let plan = checked(CollectivePlan::clone(&plan.plan_shared(algo).unwrap()));
                     let ragged: Vec<usize> = (0..n).map(|r| [0, 3, 8, 0, 5][r % 5]).collect();
                     let out = |p: Rank| g.out_neighbors(p).iter();
                     let sbufs: Vec<Vec<u8>> = (0..n)

@@ -33,7 +33,8 @@ impl Executor for Virtual {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        execute(opts.gather_op(), None, plan, graph, payloads, arena, None, opts)
+        let plan = arena.cell(plan, graph);
+        execute(opts.gather_op(), None, &plan, graph, payloads, arena, None, opts)
     }
 }
 
@@ -96,6 +97,7 @@ mod tests {
     use super::*;
     use crate::arena::tests::hand_plan;
     use crate::builder::build_pattern;
+    use crate::collective::program::tests::checked;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::exec::Threaded;
     use crate::lower::lower;
@@ -296,7 +298,7 @@ mod tests {
         for (n, delta) in [(24, 0.3), (48, 0.6)] {
             let g = erdos_renyi(n, delta, 4);
             let layout = ClusterLayout::new(n / 8, 2, 4);
-            let plan = Arc::new(lower(&build_pattern(&g, &layout).unwrap(), &g));
+            let plan = checked(lower(&build_pattern(&g, &layout).unwrap(), &g));
             assert!(plan.message_count() > 2 * n, "a request of more messages than ranks");
             let payloads = test_payloads(n, 8, 2);
             let op = CollectiveOp::Allreduce(Reduction::SUM_U8);

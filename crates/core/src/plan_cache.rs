@@ -4,7 +4,7 @@
 //!
 //! Two tiers:
 //!
-//! * an in-memory LRU of `Arc<CollectivePlan>` (always on), and
+//! * an in-memory LRU of plans in their cells (always on), and
 //! * an optional disk tier ([`PlanCache::with_disk_dir`]) that persists
 //!   every inserted plan via [`crate::plan_io`] and reloads it in a
 //!   later process — the "persistent collective" workflow of Fig. 8.
@@ -23,7 +23,8 @@
 //! entries, which then simply miss and get rebuilt. See
 //! `docs/PLAN_CACHE.md`.
 
-use crate::plan::{Algorithm, CollectivePlan};
+use crate::collective::program::Checked;
+use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
 use crate::plan_io;
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
@@ -212,7 +213,7 @@ pub struct PlanCacheStats {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<PlanFingerprint, Arc<CollectivePlan>>,
+    map: HashMap<PlanFingerprint, Arc<Checked>>,
     /// Recency order: front = least recently used.
     order: VecDeque<PlanFingerprint>,
     stats: PlanCacheStats,
@@ -349,25 +350,31 @@ impl PlanCache {
     /// lock is held to read the memory tier and again to promote and
     /// count — never across the probe.
     pub fn lookup(&self, fp: PlanFingerprint, graph: &Topology) -> Option<Arc<CollectivePlan>> {
+        self.cell(fp, graph).map(|cell| Arc::clone(&cell.plan))
+    }
+
+    /// [`lookup`](Self::lookup) of the plan's cell, its verdict included.
+    pub(crate) fn cell(&self, fp: PlanFingerprint, graph: &Topology) -> Option<Arc<Checked>> {
         {
             let mut inner = self.lock();
-            if let Some(plan) = inner.map.get(&fp).cloned() {
+            if let Some(cell) = inner.map.get(&fp).cloned() {
                 inner.touch(fp);
                 inner.stats.hits += 1;
-                return Some(plan);
+                return Some(cell);
             }
         }
-        let found = self.probe(fp, graph).map(|(file, fast)| (Arc::new(file.to_plan()), fast));
+        let found = self.probe(fp, graph).map(|(file, fast)| (file.to_plan(), fast));
         let mut inner = self.lock();
         let Some((plan, fast)) = found else {
             inner.stats.misses += 1;
             return None;
         };
-        Self::insert_locked(&mut inner, self.capacity, fp, Arc::clone(&plan));
+        let cell = Arc::new(Checked::new(Arc::new(plan)));
+        Self::insert_locked(&mut inner, self.capacity, fp, Arc::clone(&cell));
         // the disk promotion is a reuse, not a fresh build
         inner.stats.insertions -= 1;
         inner.count_disk_hit(fast);
-        Some(plan)
+        Some(cell)
     }
 
     /// The disk tier's file for `fp`, verified ([`plan_io::PlanFile`]):
@@ -392,13 +399,8 @@ impl PlanCache {
         found.map(|(file, _)| file)
     }
 
-    fn insert_locked(
-        inner: &mut Inner,
-        capacity: usize,
-        fp: PlanFingerprint,
-        plan: Arc<CollectivePlan>,
-    ) {
-        if inner.map.insert(fp, plan).is_none() && inner.map.len() > capacity {
+    fn insert_locked(inner: &mut Inner, capacity: usize, fp: PlanFingerprint, cell: Arc<Checked>) {
+        if inner.map.insert(fp, cell).is_none() && inner.map.len() > capacity {
             if let Some(oldest) = inner.order.pop_front() {
                 inner.map.remove(&oldest);
                 inner.stats.evictions += 1;
@@ -409,56 +411,44 @@ impl PlanCache {
     }
 
     /// [`insert_validated`](Self::insert_validated) without a topology:
-    /// the disk copy records no digest, so a later disk hit takes the
-    /// full re-validation path. The library stores every plan it builds
-    /// through `insert_validated`; this stays for callers timing the
-    /// bare store (`benchmark/`'s `plan_cache.insert_us`).
+    /// unchecked, and the disk copy records no digest, so a later disk hit
+    /// takes the full re-validation path. The library stores every plan
+    /// it builds checked; this stays for callers timing the bare store
+    /// (`benchmark/`'s `plan_cache.insert_us`).
     pub fn insert(&self, fp: PlanFingerprint, plan: Arc<CollectivePlan>) {
-        self.store(fp, plan, None);
+        let _ = self.insert_cell(fp, &Arc::new(Checked::new(plan)), None);
     }
 
-    /// Inserts (or replaces) the plan for `fp`, a plan the caller has
-    /// validated (or built) against `graph`, evicting the least recently
-    /// used entry when the memory tier is full. With a disk tier, the
-    /// plan is also written to `<fingerprint>.nhplan` (atomically —
+    /// Inserts (or replaces) the plan for `fp` once it checks on `graph`,
+    /// evicting the least recently used entry when the memory tier is
+    /// full; a plan the validator rejects is not stored. With a disk tier,
+    /// the plan is also written to `<fingerprint>.nhplan` (atomically —
     /// [`plan_io::save_plan`]; best-effort: an I/O failure leaves only the
     /// memory entry) with the topology digest, which enables the
-    /// validation-free fast path on later lookups. The caller vouches
-    /// that `plan.validate(graph)` holds — an unvalidated plan inserted
-    /// here would be served without its runtime checks.
+    /// validation-free fast path on later lookups.
     pub fn insert_validated(
         &self,
         fp: PlanFingerprint,
         plan: Arc<CollectivePlan>,
         graph: &Topology,
     ) {
-        self.store(fp, plan, Some(graph));
+        let _ = self.insert_cell(fp, &Arc::new(Checked::new(plan)), Some(graph));
     }
 
-    fn store(&self, fp: PlanFingerprint, plan: Arc<CollectivePlan>, valid_for: Option<&Topology>) {
-        if let Some(path) = self.disk_path(fp) {
-            let _ = plan_io::save_plan(&plan, &path, valid_for.map(Self::graph_digest));
-        }
-        Self::insert_locked(&mut self.lock(), self.capacity, fp, plan);
-    }
-
-    /// Looks `fp` up and, on a miss, runs `build`, caches its result and
-    /// returns it. The boolean is `true` on a hit (memory or disk). Build
-    /// errors are returned as-is and cache nothing.
-    pub fn get_or_build<E>(
+    /// Stores a plan's cell, once its verdict on `valid_for` — the
+    /// topology it was made for — admits it.
+    pub(crate) fn insert_cell(
         &self,
         fp: PlanFingerprint,
-        graph: &Topology,
-        build: impl FnOnce() -> Result<CollectivePlan, E>,
-    ) -> Result<(Arc<CollectivePlan>, bool), E> {
-        if let Some(plan) = self.lookup(fp, graph) {
-            return Ok((plan, true));
+        cell: &Arc<Checked>,
+        valid_for: Option<&Topology>,
+    ) -> Result<(), PlanValidationError> {
+        valid_for.map_or(Ok(()), |graph| cell.check(graph))?;
+        if let Some(path) = self.disk_path(fp) {
+            let _ = plan_io::save_plan(&cell.plan, &path, valid_for.map(Self::graph_digest));
         }
-        let plan = Arc::new(build()?);
-        // freshly built plans are valid for their topology by
-        // construction, so the disk copy gets the fast-path digest
-        self.insert_validated(fp, Arc::clone(&plan), graph);
-        Ok((plan, false))
+        Self::insert_locked(&mut self.lock(), self.capacity, fp, Arc::clone(cell));
+        Ok(())
     }
 }
 
@@ -471,6 +461,21 @@ mod tests {
 
     fn layout(n: usize) -> ClusterLayout {
         ClusterLayout::new(n.div_ceil(8), 2, 4)
+    }
+
+    /// `g`'s plan under `fp`: looked up, else a naive build stored through
+    /// `insert_validated`; `true` beside it on a hit.
+    fn naive_through(
+        cache: &PlanCache,
+        fp: PlanFingerprint,
+        g: &Topology,
+    ) -> (Arc<CollectivePlan>, bool) {
+        if let Some(plan) = cache.lookup(fp, g) {
+            return (plan, true);
+        }
+        let plan = Arc::new(plan_naive(g));
+        cache.insert_validated(fp, Arc::clone(&plan), g);
+        (plan, false)
     }
 
     #[test]
@@ -614,39 +619,32 @@ mod tests {
     }
 
     #[test]
-    fn get_or_build_builds_once_then_hits() {
+    fn a_stored_plan_is_served_by_allocation() {
         let cache = PlanCache::new(4);
         let g = erdos_renyi(16, 0.3, 9);
         let l = layout(16);
         let fp = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
-        let mut builds = 0;
-        let (first, hit) = cache
-            .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> {
-                builds += 1;
-                Ok(plan_naive(&g))
-            })
-            .unwrap();
+        let (first, hit) = naive_through(&cache, fp, &g);
         assert!(!hit);
-        let (second, hit) = cache
-            .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> {
-                builds += 1;
-                Ok(plan_naive(&g))
-            })
-            .unwrap();
+        let (second, hit) = naive_through(&cache, fp, &g);
         assert!(hit);
-        assert_eq!(builds, 1);
         assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((cache.stats().insertions, cache.stats().hits), (1, 1));
     }
 
     #[test]
-    fn build_errors_pass_through_uncached() {
+    fn a_plan_that_fails_its_check_is_not_stored() {
         let cache = PlanCache::new(4);
         let g = erdos_renyi(8, 0.5, 2);
         let fp = PlanFingerprint::of_build(&g, &layout(8), Algorithm::Naive);
-        let r: Result<_, &str> = cache.get_or_build(fp, &g, || Err("boom"));
-        assert_eq!(r.unwrap_err(), "boom");
+        let broken = plan_naive(&g).edited(|rows| rows[3][0].sends.clear());
+        cache.insert_validated(fp, Arc::new(broken), &g);
         assert!(cache.is_empty());
         assert!(cache.lookup(fp, &g).is_none());
+        // the one verdict a communicator's cell gives the cache is the same
+        let cell = Arc::new(Checked::new(Arc::new(plan_naive(&erdos_renyi(8, 0.5, 3)))));
+        assert!(cache.insert_cell(fp, &cell, Some(&g)).is_err());
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -694,7 +692,7 @@ mod tests {
     fn contention_smoke_shared_cache_across_threads() {
         // The multi-tenant service shares ONE cache across every tenant
         // and worker thread. Hammer a small cache from several threads —
-        // concurrent get_or_build / lookup / insert over more keys than
+        // concurrent lookup-or-build / lookup / insert over more keys than
         // the capacity holds — and require: no deadlock, no panic, every
         // served plan validates for its topology, capacity respected,
         // and the counter deltas add up.
@@ -715,11 +713,7 @@ mod tests {
                     for i in 0..iters {
                         let k = (t * 31 + i * 7) % graphs.len();
                         let (g, fp) = (&graphs[k], fps[k]);
-                        let (plan, _hit) = cache
-                            .get_or_build(fp, g, || -> Result<_, std::convert::Infallible> {
-                                Ok(plan_naive(g))
-                            })
-                            .unwrap();
+                        let (plan, _hit) = naive_through(cache, fp, g);
                         plan.validate(g).expect("served plan must fit its topology");
                         // interleave reads and occasional re-inserts
                         if let Some(p) = cache.lookup(fp, g) {
@@ -736,15 +730,11 @@ mod tests {
         assert!(cache.len() <= cache.capacity(), "LRU bound violated under contention");
         let s = cache.stats();
         let ops = (threads * iters) as u64;
-        // every get_or_build is a hit or a miss, and every miss inserted
-        assert!(s.hits + s.misses >= ops, "{s:?} vs {ops} get_or_build calls");
+        // every lookup-or-build is a hit or a miss, and every miss inserted
+        assert!(s.hits + s.misses >= ops, "{s:?} vs {ops} lookup-or-build calls");
         assert!(s.insertions >= s.misses.min(1), "misses must insert: {s:?}");
         // the cache still works single-threaded afterwards
-        let (plan, _) = cache
-            .get_or_build(fps[0], &graphs[0], || -> Result<_, std::convert::Infallible> {
-                Ok(plan_naive(&graphs[0]))
-            })
-            .unwrap();
+        let (plan, _) = naive_through(&cache, fps[0], &graphs[0]);
         plan.validate(&graphs[0]).unwrap();
 
         // ... and a memory hit never queues behind another key's disk
@@ -793,12 +783,10 @@ mod tests {
         let l = layout(32);
         let fp = PlanFingerprint::of_build(&g, &l, Algorithm::Naive);
 
-        // cold process: build and insert through get_or_build (which
+        // cold process: build and insert through insert_validated (which
         // records the topology digest in the disk copy)
         let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
-        let (built, hit) = cache
-            .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> { Ok(plan_naive(&g)) })
-            .unwrap();
+        let (built, hit) = naive_through(&cache, fp, &g);
         assert!(!hit);
         drop(cache);
 
@@ -940,11 +928,7 @@ mod tests {
             assert!(fresh.lookup(fp, &g).is_none(), "iteration {i}: served a corrupt file");
             assert!(!path.exists(), "iteration {i}: corrupt file must be deleted");
             // cold-build fallback repopulates the tier
-            let (p, hit) = fresh
-                .get_or_build(fp, &g, || -> Result<_, std::convert::Infallible> {
-                    Ok(plan_naive(&g))
-                })
-                .unwrap();
+            let (p, hit) = naive_through(&fresh, fp, &g);
             assert!(!hit);
             p.validate(&g).unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), pristine, "iteration {i}: rebuilt whole");

@@ -30,7 +30,7 @@
 use crate::builder::PatternAssembler;
 use crate::lower::{halving_copies, last_arrival_copies, lower, FINAL_TAG};
 use crate::pattern::{in_range, DhPattern};
-use crate::plan::{CollectivePlan, Edits, PhaseView, PlanValidationError};
+use crate::plan::{CollectivePlan, Edits, PhaseView};
 use nhood_topology::{Rank, Topology};
 use std::collections::HashSet;
 
@@ -77,9 +77,6 @@ pub enum RepairError {
         /// What was inconsistent.
         detail: &'static str,
     },
-    /// The repaired plan failed validation — an internal bug surfaced
-    /// loudly instead of returning a corrupt plan.
-    Invalid(PlanValidationError),
 }
 
 impl std::fmt::Display for RepairError {
@@ -88,7 +85,6 @@ impl std::fmt::Display for RepairError {
             RepairError::InconsistentState { edge: (u, v), detail } => {
                 write!(f, "repair state inconsistent at edge ({u} -> {v}): {detail}")
             }
-            RepairError::Invalid(e) => write!(f, "repaired plan invalid: {e}"),
         }
     }
 }
@@ -343,8 +339,8 @@ pub fn repair_for_churn(
 /// and re-lowers. `dead` holds *directed* pairs (insert both directions
 /// for a severed cable). Deliveries with no live route are dropped and
 /// reported via [`LinkDownRepair::completeness`]; the returned
-/// `exec_graph` excludes them so the plan validates and executes
-/// cleanly.
+/// `exec_graph` excludes them, and is the topology the caller checks the
+/// plan on before executing it there.
 pub fn repair_dead_links(
     pattern: &DhPattern,
     old_plan: &CollectivePlan,
@@ -397,7 +393,6 @@ pub fn repair_dead_links(
     // 3. Re-lower against the graph minus dropped deliveries.
     let exec_graph = graph.churned(&[], &missing);
     let plan = lower(&repaired, &exec_graph);
-    plan.validate(&exec_graph).map_err(RepairError::Invalid)?;
     let crosses_dead = |r: Rank, prog: &[crate::plan::PlanPhase]| {
         prog.iter().flat_map(|ph| &ph.sends).any(|m| dead.contains(&(r, m.peer)))
     };

@@ -396,8 +396,8 @@ fn the_cold_plan_path_allocates_by_the_count() {
     );
     assert_eq!(rebuilt, sparse_graph);
 
-    // (e) registering the Auto tenant — eight arms built, validated,
-    // lowered, simulated and seven dropped, then the winner laid out.
+    // (e) registering the Auto tenant — eight arms built, lowered,
+    // simulated and seven dropped, the winner alone checked.
     let mut svc = Service::new(ServiceConfig::default());
     let (register_calls, tenant) =
         calls_of(|| svc.add_tenant(sparse_graph.clone(), layout.clone(), Algorithm::Auto));
@@ -487,14 +487,15 @@ fn a_combining_request_negotiates_nothing_the_tenant_already_holds() {
 
     // (a) the first alltoallv compiles the live plan's item routing: it
     // neither negotiates a pattern of its own nor lowers or validates one
+    // (registration's cache insert asked the plan's cell)
     let a2a = (0..96).map(|p| vec![p as u8; g.outdegree(p) * 64]).collect();
     let cold = first_request(&mut svc, SubmitRequest::alltoallv(a2a));
     println!("first alltoallv on a registered DH tenant: {cold} allocator calls");
     assert!(cold <= FIRST_ALLTOALLV_CALLS, "{cold} calls (budget {FIRST_ALLTOALLV_CALLS})");
 
     // (a') the first reduce_scatter after it compiles its program off the
-    // plan the alltoallv checked and routed: it neither validates nor
-    // routes the plan again
+    // plan registration checked and the alltoallv routed: it neither
+    // validates nor routes the plan again
     let rs = (0..96).map(|p| vec![p as u8; g.outdegree(p) * 64]).collect();
     let second = first_request(&mut svc, SubmitRequest::reduce_scatter(rs, Reduction::SUM_U8));
     println!("first reduce_scatter after an alltoallv: {second} allocator calls");
@@ -543,15 +544,16 @@ const WARM_REDUCE_SCATTER_BYTES: u64 = 1_743_968;
 /// The same for one warm allreduce, which stages the same partials.
 const WARM_ALLREDUCE_BYTES: u64 = 1_743_968;
 
-/// 5 % above the 1,036 calls the first alltoallv of a registered n = 96
-/// Distance Halving tenant costs today: the plan checked once
-/// (`validate`, 4 of them), routed once and compiled (12,316 while the
+/// 5 % above the 1,032 calls the first alltoallv of a registered n = 96
+/// Distance Halving tenant costs today: the plan routed once and compiled,
+/// not checked — registration's cache insert asked its cell (1,036 while
+/// the first compile validated it again, 4 calls; 12,316 while the
 /// combining family negotiated a second pattern of its own; 1,144 before
 /// the plan went flat).
-const FIRST_ALLTOALLV_CALLS: u64 = 1_088;
+const FIRST_ALLTOALLV_CALLS: u64 = 1_084;
 /// 5 % above the 593 calls of the first reduce_scatter on that tenant
 /// after its alltoallv today: the compile of the reduce program alone, off
-/// the plan the alltoallv checked and routed (992 while every shape's
+/// the plan registration checked and the alltoallv routed (992 while every shape's
 /// compile validated the plan and derived its item routing again).
 const SECOND_SHAPE_CALLS: u64 = 623;
 /// 5 % above the 995 calls of the first allreduce after one single-edge
@@ -560,11 +562,12 @@ const SECOND_SHAPE_CALLS: u64 = 623;
 /// scratch; 1,061 before the plan went flat).
 const CHURNED_ALLREDUCE_CALLS: u64 = 1_045;
 
-/// 5 % above the 26 calls of one single-edge `churn` of the registered
-/// n = 96 Distance Halving tenant today: 3,754 while `repair_for_churn`
-/// deep-cloned the plan, 1,142 while the new topology was rebuilt through
-/// a vector per rank both ways (624) and the pattern clone copied five
-/// vectors per rank (479). The topology is now `Topology::churned` (the
+/// One single-edge `churn` of the registered n = 96 Distance Halving
+/// tenant: 27 calls counted today, the repaired plan's cell one of them
+/// (the budget is 5 % above the 26 before plans had cells): 3,754 while
+/// `repair_for_churn` deep-cloned the plan, 1,142 while the new topology
+/// was rebuilt through a vector per rank both ways (624) and the pattern
+/// clone copied five vectors per rank (479). The topology is now `Topology::churned` (the
 /// touched rows merged, the rest copied whole) and the clone one copy per
 /// column.
 const SINGLE_EDGE_CHURN_CALLS: u64 = 27;
@@ -580,8 +583,9 @@ const SINGLE_EDGE_CHURN_CALLS: u64 = 27;
 /// a schedule is sends only: two price columns, and one receive index in
 /// place of the matched ids and the claimed flags.
 const ENGINE_RUN_CALLS: u64 = 24;
-/// 5 % above the 770 calls registering the Auto tenant costs today
-/// (67,985 before the cold path ran on dense ids, 44,191 while a plan was
+/// 5 % above the 743 calls registering the Auto tenant costs today
+/// (770 while the tuner validated all eight arms, not its winner alone;
+/// 67,985 before the cold path ran on dense ids, 44,191 while a plan was
 /// a vector of vectors of messages of block vectors, 14,007 while a
 /// `Schedule` was one — two vectors per (rank, phase), ≈ 5.8 k over the
 /// tuner's ten lowerings — 8,167 while the negotiation kept a vector per
@@ -594,7 +598,7 @@ const ENGINE_RUN_CALLS: u64 = 24;
 /// while a schedule held a recv table, matched at every prepare).
 /// What is left: the Distance Halving build (≈ 390, scoring and deferred
 /// acceptance) and the eight replays (24 each).
-const AUTO_REGISTER_CALLS: u64 = 808;
+const AUTO_REGISTER_CALLS: u64 = 780;
 /// 5 % above one warm simulated gather at n = 128, submit to
 /// completion: the size table, the 2 price columns, the replay's vectors
 /// (its sort scratch grows with the widest phase: 19 calls counted under
