@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use nhood_cluster::ClusterLayout;
 use nhood_core::{Algorithm, DistGraphComm, FaultPlan};
 use nhood_service::traffic::{
-    drive_stream, generate_requests, run_open_loop, GenRequest, TrafficSpec,
+    drive_stream, generate_mixed_requests, run_open_loop, GenRequest, TrafficSpec,
 };
 use nhood_service::{AdmissionConfig, OpMix, Service, ServiceConfig, ServiceReport, Verify};
 use nhood_topology::random::erdos_renyi;
@@ -161,7 +161,7 @@ pub fn batching_cell(
     // arena a batch runs on (each tenant still batches alone).
     let graph = erdos_renyi(n, 0.3, seed);
     let layout = ClusterLayout::new(n.div_ceil(8), 2, 4);
-    let stream = generate_requests(&spec, &vec![n; tenants], requests);
+    let stream = generate_mixed_requests(&spec, &vec![&graph; tenants], requests);
 
     let run_arm = |batching: bool, stream: &[GenRequest]| -> f64 {
         let cfg = ServiceConfig {

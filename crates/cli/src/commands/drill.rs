@@ -3,11 +3,10 @@
 //! `serve` hosts tenants on the multi-tenant collective service.
 
 use super::run::{parse_op, shaped_payloads, whole_lanes};
-use super::{edge_list_and_layout, fail, load_topology, parse_algo, parse_backend, parse_layout};
+use super::{fail, load_topology, parse_algo, parse_backend, parse_layout, topology_and_layout};
 use crate::args::{parse_bytes, ArgError, Args};
 use nhood_core::collective::matches_reference;
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
-use nhood_core::exec::{Executor, Virtual};
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, ExecBackend};
 use std::io::Write;
 
@@ -25,7 +24,7 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     use nhood_core::RobustPolicy;
     use std::time::Duration;
 
-    let (graph, layout) = edge_list_and_layout(args, "chaos")?;
+    let (graph, layout) = topology_and_layout(args, "chaos")?;
     let algo = parse_algo(args)?;
     let op = parse_op(args)?;
     if op.reduction().is_some_and(|red| red.dtype == nhood_core::DType::F32) {
@@ -139,7 +138,7 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     use nhood_topology::rng::hash_mix;
     use std::time::{Duration, Instant};
 
-    let (graph, layout) = edge_list_and_layout(args, "churn")?;
+    let (graph, layout) = topology_and_layout(args, "churn")?;
     let events = args.get_parsed("events", 5usize)?;
     let seed = args.get_parsed("seed", 42u64)?;
     let m = parse_bytes(args.get("size").unwrap_or("32"))?;
@@ -183,10 +182,8 @@ pub fn cmd_churn(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         let rep = comm.mutate(&added, &removed)?;
         let dt = t0.elapsed();
         let payloads = test_payloads(comm.n(), m, seed ^ e as u64);
-        let want = reference_allgather(comm.graph(), &payloads);
-        let live = &comm.plan_shared(dh)?;
-        let got = Virtual.run_simple(live, comm.graph(), &payloads)?;
-        if got != want {
+        let got = comm.collective(&CollectiveRequest::allgather(&payloads).algorithm(dh))?.rbufs;
+        if got != reference_allgather(comm.graph(), &payloads) {
             corrupt += 1;
         }
         writeln!(

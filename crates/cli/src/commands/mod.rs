@@ -1,8 +1,8 @@
 //! The `nhood` subcommands, written against `impl Write` so tests can
 //! capture their output. This module holds the flag parsers every
 //! command shares; the commands live in one file per family — `plan`
-//! (generate, plan, simulate, compare, validate, recommend), `run`
-//! (one collective end to end: run, trace) and `drill` (the robustness
+//! (generate, plan, simulate: the priced listing), `run` (one checked
+//! collective end to end: run, trace) and `drill` (the robustness
 //! drills and the service: chaos, churn, serve).
 
 mod drill;
@@ -10,7 +10,7 @@ mod plan;
 mod run;
 
 pub use drill::{cmd_chaos, cmd_churn, cmd_serve};
-pub use plan::{cmd_compare, cmd_gen, cmd_plan, cmd_recommend, cmd_simulate, cmd_validate};
+pub use plan::{cmd_gen, cmd_plan, cmd_simulate};
 pub use run::{cmd_run, cmd_trace};
 
 use crate::args::{parse_bytes, ArgError, Args};
@@ -44,41 +44,45 @@ macro_rules! render_as_arg_error {
 }
 render_as_arg_error!(nhood_core::CommError, nhood_core::ExecError, nhood_simnet::SimError);
 
-/// Parses the `--algo` flag. Parameterized algorithms take their knob
-/// either inline (`cn:4`, `pat:8`, `leader:2`) or through the matching
-/// flag (`--k`, `--radix`, `--leaders`); the inline form wins.
-pub fn parse_algo(args: &Args) -> Result<Algorithm, ArgError> {
-    let spec = args.get("algo").unwrap_or("dh");
-    let (name, inline) = match spec.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
+/// Parses one arm: `naive`, `dh`, `cn[:K]`, `leader[:L]`, `bruck`,
+/// `pat[:R]` or `auto`. A parameterized arm's knob is inline; bare `cn`,
+/// `leader` and `pat` take K = 8, L = 2 and R = 4.
+pub fn parse_arm(spec: &str) -> Result<Algorithm, ArgError> {
+    let (name, param) = match spec.split_once(':') {
+        Some((name, p)) => (name, Some(p)),
         None => (spec, None),
     };
-    let param = |flag: &str, default: usize| -> Result<usize, ArgError> {
-        match inline {
-            Some(p) => p
-                .parse::<usize>()
-                .map_err(|_| fail(format!("--algo {name}:{p}: '{p}' is not a count"))),
-            None => args.get_parsed(flag, default),
-        }
+    let knob = |default: usize| -> Result<usize, ArgError> {
+        param.map_or(Ok(default), |p| {
+            p.parse().map_err(|_| fail(format!("--algo {name}:{p}: '{p}' is not a count")))
+        })
     };
-    let bare = |algo: Algorithm| match inline {
+    let bare = |algo: Algorithm| match param {
         Some(p) => Err(fail(format!("--algo {name} takes no ':{p}' parameter"))),
         None => Ok(algo),
     };
     match name {
         "naive" => bare(Algorithm::Naive),
-        "dh" | "distance-halving" => bare(Algorithm::DistanceHalving),
+        "dh" => bare(Algorithm::DistanceHalving),
         "auto" => bare(Algorithm::Auto),
         "bruck" => bare(Algorithm::Bruck),
-        "cn" | "common-neighbor" => Ok(Algorithm::CommonNeighbor { k: param("k", 8)? }),
-        "pat" => Ok(Algorithm::Pat { radix: param("radix", 4)? }),
-        "leader" | "hierarchical-leader" => {
-            Ok(Algorithm::HierarchicalLeader { leaders_per_node: param("leaders", 2)? })
-        }
+        "cn" => Ok(Algorithm::CommonNeighbor { k: knob(8)? }),
+        "pat" => Ok(Algorithm::Pat { radix: knob(4)? }),
+        "leader" => Ok(Algorithm::HierarchicalLeader { leaders_per_node: knob(2)? }),
         other => Err(fail(format!(
             "unknown --algo '{other}' (naive | dh | cn[:K] | leader[:L] | bruck | pat[:R] | auto)"
         ))),
     }
+}
+
+/// Parses the `--algo` flag of a command that runs one arm (default `dh`).
+pub fn parse_algo(args: &Args) -> Result<Algorithm, ArgError> {
+    parse_arm(args.get("algo").unwrap_or("dh"))
+}
+
+/// Parses `simulate`'s `--algo`, a comma-separated list of arms.
+pub fn parse_arms(args: &Args) -> Result<Vec<Algorithm>, ArgError> {
+    args.get("algo").unwrap_or("dh").split(',').map(parse_arm).collect()
 }
 
 /// Parses the `--load-metric` flag: `neighbors` (default, the paper's
@@ -105,23 +109,25 @@ pub fn parse_block_sizes(args: &Args, n: usize) -> Result<Option<BlockSizes>, Ar
 }
 
 /// Parses the layout flags `--nodes`, `--sockets`, `--cores` (defaults
-/// sized to fit `n` ranks at 2×8 per node).
+/// sized to fit `n` ranks at 2×8 per node); a zero count, or a rank count
+/// that overflows, is refused.
 pub fn parse_layout(args: &Args, n: usize) -> Result<ClusterLayout, ArgError> {
     let sockets = args.get_parsed("sockets", 2usize)?;
     let cores = args.get_parsed("cores", 8usize)?;
-    let per_node = sockets * cores;
-    let default_nodes = n.div_ceil(per_node).max(1);
-    let nodes = args.get_parsed("nodes", default_nodes)?;
-    if nodes * per_node < n {
-        return Err(fail(format!(
-            "layout {nodes}x{sockets}x{cores} holds {} ranks, need {n}",
-            nodes * per_node
-        )));
+    let per_node = sockets.checked_mul(cores).filter(|&p| p > 0);
+    let nodes = args.get_parsed("nodes", per_node.map_or(1, |p| n.div_ceil(p).max(1)))?;
+    let shape = format!("layout {nodes}x{sockets}x{cores}");
+    match per_node.and_then(|p| p.checked_mul(nodes)) {
+        _ if nodes == 0 || sockets == 0 || cores == 0 => {
+            Err(fail(format!("{shape}: --nodes, --sockets and --cores must be at least 1")))
+        }
+        None => Err(fail(format!("{shape}: the rank count overflows"))),
+        Some(ranks) if ranks < n => Err(fail(format!("{shape} holds {ranks} ranks, need {n}"))),
+        Some(_) => Ok(ClusterLayout::new(nodes, sockets, cores)),
     }
-    Ok(ClusterLayout::new(nodes, sockets, cores))
 }
 
-/// Parses the `--cost` flag shared by `simulate`, `compare` and `trace`:
+/// Parses the `--cost` flag shared by `simulate` and `trace`:
 /// `niagara` (default, LogGP-flavoured hierarchical costs), `classic`
 /// (pure-Hockney occupancy on the Niagara parameter set), or
 /// `flat:ALPHA:BETA` (uniform α seconds / β bytes-per-second at every
@@ -175,15 +181,6 @@ pub fn load_topology(path: &str) -> Result<Topology, ArgError> {
     read_edge_list(std::io::BufReader::new(f)).map_err(|e| fail(format!("{path}: {e}")))
 }
 
-/// The edge-list positional of `cmd` and the layout its rank count
-/// implies under the layout flags.
-pub fn edge_list_and_layout(args: &Args, cmd: &str) -> Result<(Topology, ClusterLayout), ArgError> {
-    let path = args.pos(1).ok_or_else(|| fail(format!("{cmd}: missing edge-list file")))?;
-    let graph = load_topology(path)?;
-    let layout = parse_layout(args, graph.n())?;
-    Ok((graph, layout))
-}
-
 /// Parses a `--topology` spec: `torus:D:K` generates the D-dimensional
 /// torus of side K (`n = K^D` ranks, degree `2D`) without an edge-list
 /// file — the fixed-degree workload the scale benchmarks use.
@@ -207,82 +204,28 @@ pub fn parse_topology_spec(spec: &str) -> Result<Topology, ArgError> {
         .map_err(|e| fail(e.to_string()))
 }
 
-/// Resolves the topology for commands that take `--topology` alongside
-/// the shared `--cost` model flag (`simulate`, `trace`): the flag
-/// generates the graph inline and makes the edge-list positional
-/// redundant; without it the edge-list file is read as usual.
-pub fn topology_arg(args: &Args, cmd: &str) -> Result<Topology, ArgError> {
-    match args.get("topology") {
-        Some(spec) => {
-            if args.pos(1).is_some() {
-                return Err(fail(format!("{cmd}: pass an edge-list file or --topology, not both")));
-            }
-            parse_topology_spec(spec)
+/// The topology `cmd` runs on — the edge-list positional, or a graph
+/// generated inline by `--topology torus:D:K` — and the layout its rank
+/// count implies under the layout flags.
+pub fn topology_and_layout(args: &Args, cmd: &str) -> Result<(Topology, ClusterLayout), ArgError> {
+    let graph = match (args.get("topology"), args.pos(1)) {
+        (Some(_), Some(_)) => {
+            return Err(fail(format!("{cmd}: pass an edge-list file or --topology, not both")))
         }
-        None => {
-            let path = args.pos(1).ok_or_else(|| {
-                fail(format!("{cmd}: missing edge-list file (or --topology torus:D:K)"))
-            })?;
-            load_topology(path)
+        (Some(spec), None) => parse_topology_spec(spec)?,
+        (None, Some(path)) => load_topology(path)?,
+        (None, None) => {
+            return Err(fail(format!("{cmd}: missing edge-list file (or --topology torus:D:K)")))
         }
-    }
+    };
+    let layout = parse_layout(args, graph.n())?;
+    Ok((graph, layout))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Spec;
-
-    const SPEC: Spec = Spec {
-        valued: &[
-            "n",
-            "delta",
-            "seed",
-            "r",
-            "d",
-            "algo",
-            "k",
-            "leaders",
-            "radix",
-            "nodes",
-            "sockets",
-            "cores",
-            "sizes",
-            "size",
-            "out",
-            "save",
-            "load",
-            "drops",
-            "runs",
-            "events",
-            "timeout",
-            "backend",
-            "format",
-            "cost",
-            "topology",
-            "build-threads",
-            "cache-dir",
-            "load-metric",
-            "block-sizes",
-            "min-complete",
-            "tenants",
-            "duration-ms",
-            "interarrival-us",
-            "zipf",
-            "faulty",
-            "fault-drop",
-            "churn-ms",
-            "queue",
-            "quota",
-            "batch",
-            "size-min",
-            "size-max",
-            "op",
-            "reduce",
-            "dtype",
-        ],
-        switches: &["ragged", "no-batch", "drill", "mixed"],
-    };
+    use crate::SPEC;
 
     fn args(toks: &[&str]) -> Args {
         Args::parse(toks.iter().map(|s| s.to_string()), &SPEC).unwrap()
@@ -290,6 +233,15 @@ mod tests {
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir().join(name).to_string_lossy().into_owned()
+    }
+
+    /// The output of `cmd` on `argv`.
+    fn output(
+        cmd: fn(&Args, &mut Vec<u8>) -> Result<(), ArgError>,
+        argv: &[&str],
+    ) -> Result<String, ArgError> {
+        let mut out = Vec::new();
+        cmd(&args(argv), &mut out).map(|()| String::from_utf8(out).unwrap())
     }
 
     #[test]
@@ -301,65 +253,112 @@ mod tests {
             ("bruck", Algorithm::Bruck),
             ("pat", Algorithm::Pat { radix: 4 }),
             ("pat:8", Algorithm::Pat { radix: 8 }),
+            ("cn", Algorithm::CommonNeighbor { k: 8 }),
             ("cn:3", Algorithm::CommonNeighbor { k: 3 }),
+            ("leader", Algorithm::HierarchicalLeader { leaders_per_node: 2 }),
             ("leader:4", Algorithm::HierarchicalLeader { leaders_per_node: 4 }),
         ];
         for (spec, want) in cases {
             let got = parse_algo(&args(&["plan", "x.el", "--algo", spec])).unwrap();
             assert_eq!(got, want, "--algo {spec}");
         }
-        // the flag forms still feed the parameterized algorithms
-        let got = parse_algo(&args(&["plan", "x.el", "--algo", "pat", "--radix", "2"])).unwrap();
-        assert_eq!(got, Algorithm::Pat { radix: 2 });
-        // the inline form wins over the flag
-        let got = parse_algo(&args(&["plan", "x.el", "--algo", "cn:5", "--k", "9"])).unwrap();
-        assert_eq!(got, Algorithm::CommonNeighbor { k: 5 });
-        for bad in ["dh:2", "auto:1", "pat:x", "frobnicate"] {
+        // each arm has one spelling: the knob is inline, never a flag,
+        // and the long names are Display's, not the parser's
+        for flag in ["--k", "--leaders", "--radix", "--ragged"] {
+            let argv = ["plan", "x.el", "--algo", "cn", flag, "4"];
+            let e = Args::parse(argv.map(String::from), &SPEC).unwrap_err();
+            assert_eq!(e.0, format!("unknown flag {flag}"));
+        }
+        for bad in [
+            "dh:2",
+            "auto:1",
+            "pat:x",
+            "frobnicate",
+            "distance-halving",
+            "common-neighbor",
+            "hierarchical-leader",
+            "",
+        ] {
             assert!(parse_algo(&args(&["plan", "x.el", "--algo", bad])).is_err(), "{bad}");
         }
+        // simulate's list of arms, in the order given
+        let arms = parse_arms(&args(&["simulate", "x.el", "--algo", "naive,cn:8,dh"])).unwrap();
+        let want =
+            [Algorithm::Naive, Algorithm::CommonNeighbor { k: 8 }, Algorithm::DistanceHalving];
+        assert_eq!(arms, want);
+        assert!(parse_arms(&args(&["simulate", "x.el", "--algo", "naive,,dh"])).is_err());
     }
 
     #[test]
     fn plan_and_run_accept_the_new_algorithms() {
         let path = tmp("nhood_cli_pr10.el");
-        let mut out = Vec::new();
-        cmd_gen(&args(&["gen", "er", &path, "--n", "32", "--delta", "0.3"]), &mut out).unwrap();
+        output(cmd_gen, &["gen", "er", &path, "--n", "32", "--delta", "0.3"]).unwrap();
         // PAT left the tuner's portfolio but stays callable by name
         for algo in ["bruck", "pat", "pat:2", "auto"] {
-            let mut out = Vec::new();
-            cmd_plan(&args(&["plan", &path, "--algo", algo]), &mut out).unwrap();
-            let text = String::from_utf8_lossy(&out).to_string();
+            let text = output(cmd_plan, &["plan", &path, "--algo", algo]).unwrap();
             assert!(text.contains("phases"), "--algo {algo}: {text}");
-            let mut out = Vec::new();
-            cmd_validate(&args(&["validate", &path, "--algo", algo]), &mut out).unwrap();
-            let text = String::from_utf8_lossy(&out).to_string();
-            assert!(text.contains("execution check: ok"), "--algo {algo}: {text}");
+            for op in ["allgather", "allgatherv"] {
+                let argv = ["run", &path, "--op", op, "--algo", algo, "--size", "64"];
+                let text = output(cmd_run, &argv).unwrap();
+                assert!(text.contains("verify: ok"), "--op {op} --algo {algo}: {text}");
+            }
         }
-        let mut out = Vec::new();
-        cmd_run(&args(&["run", &path, "--algo", "pat", "--size", "64"]), &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out).to_string();
-        assert!(text.contains("verify: ok"), "--algo pat: {text}");
+    }
 
-        // the listing is the tuner's portfolio, in its order
-        let recommend = args(&["recommend", &path, "--size", "4K"]);
-        let mut out = Vec::new();
-        cmd_recommend(&recommend, &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out).to_string();
-        assert!(text.contains("recommended:"), "{text}");
-        assert_eq!(text.matches("<-- recommended").count(), 1, "{text}");
-        let (graph, layout) = edge_list_and_layout(&recommend, "recommend").unwrap();
-        let sizes = BlockSizes::uniform(4 << 10);
-        let portfolio: Vec<String> = nhood_core::autotune::candidates(&graph, &layout, &sizes)
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let listed: Vec<&str> = text.lines().skip(1).filter_map(|l| l.split(':').next()).collect();
-        assert_eq!(listed.iter().map(|l| l.trim()).collect::<Vec<_>>(), portfolio, "{text}");
-        assert!(portfolio.iter().any(|a| a == "bruck"), "a multi-node layout offers bruck");
+    /// `simulate --algo auto` is the tuner's pass at each size: the listed
+    /// arms are [`nhood_core::autotune::candidates`] in order, each latency
+    /// is `tune()`'s score to the bit, and the marked arm is its winner —
+    /// on a sparse multi-node graph, in PAT's dense regime and on one node.
+    #[test]
+    fn the_auto_listing_is_the_tuners_pass() {
+        let graphs: [(&str, &str, &[&str]); 3] = [
+            ("nhood_cli_auto_sparse.el", "0.3", &[]),
+            ("nhood_cli_auto_dense.el", "0.9", &[]),
+            ("nhood_cli_auto_node.el", "0.3", &["--nodes", "1", "--sockets", "2", "--cores", "16"]),
+        ];
+        let mut pat_listed = false;
+        for (name, delta, layout_flags) in graphs {
+            let path = tmp(name);
+            let gen = ["gen", "er", &path, "--n", "32", "--delta", delta, "--seed", "7"];
+            output(cmd_gen, &gen).unwrap();
+            let argv =
+                [&["simulate", &path, "--algo", "auto", "--sizes", "1,8,32,4K"], layout_flags]
+                    .concat();
+            let rows = plan::listing(&args(&argv)).unwrap();
+            let text = output(cmd_simulate, &argv).unwrap();
+            assert_eq!(text.matches("<-- best").count(), 4, "{text}");
+            let (graph, layout) = topology_and_layout(&args(&argv), "simulate").unwrap();
+            for m in [1, 8, 32, 4 << 10] {
+                let sizes = BlockSizes::uniform(m);
+                let portfolio = nhood_core::autotune::candidates(&graph, &layout, &sizes);
+                let comm =
+                    nhood_core::DistGraphComm::create_adjacent(graph.clone(), layout.clone())
+                        .unwrap()
+                        .with_block_sizes(sizes);
+                let tuned = comm.tune().unwrap();
+                let at: Vec<_> = rows.iter().filter(|row| row.m == m).collect();
+                let listed: Vec<Algorithm> = at.iter().map(|row| row.arm).collect();
+                assert_eq!(listed, portfolio, "{name} m={m}");
+                let scores: Vec<(Algorithm, u64)> =
+                    at.iter().map(|row| (row.arm, row.report.makespan.to_bits())).collect();
+                let tuner: Vec<(Algorithm, u64)> =
+                    tuned.scores.iter().map(|&(arm, t)| (arm, t.to_bits())).collect();
+                assert_eq!(scores, tuner, "{name} m={m}");
+                let marked: Vec<Algorithm> =
+                    at.iter().filter(|row| row.best).map(|row| row.arm).collect();
+                assert_eq!(marked, [tuned.winner], "{name} m={m}");
+                pat_listed |= listed.iter().any(|arm| matches!(arm, Algorithm::Pat { .. }));
+            }
+            if !layout_flags.is_empty() {
+                assert_eq!(layout.nodes(), 1);
+                assert!(!rows.iter().any(|row| row.arm == Algorithm::Bruck), "one node: {text}");
+            }
+        }
+        assert!(pat_listed, "the dense graph at m <= 8 lists PAT");
     }
 
     #[test]
-    fn gen_plan_simulate_validate_pipeline() {
+    fn gen_plan_simulate_run_pipeline() {
         let path = tmp("nhood_cli_test.el");
         let mut out = Vec::new();
         cmd_gen(&args(&["gen", "er", &path, "--n", "48", "--delta", "0.3"]), &mut out).unwrap();
@@ -371,18 +370,23 @@ mod tests {
         assert!(text.contains("distance-halving"), "{text}");
         assert!(text.contains("selection:"), "{text}");
 
-        let mut out = Vec::new();
-        cmd_simulate(&args(&["simulate", &path, "--algo", "naive", "--sizes", "64,4K"]), &mut out)
-            .unwrap();
-        assert_eq!(String::from_utf8_lossy(&out).lines().count(), 3);
+        // one arm at two sizes: a header and a marked row per size
+        let text =
+            output(cmd_simulate, &["simulate", &path, "--algo", "naive", "--sizes", "64,4K"])
+                .unwrap();
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert_eq!(text.matches("<-- best").count(), 2, "{text}");
 
-        let mut out = Vec::new();
-        cmd_compare(&args(&["compare", &path, "--sizes", "64"]), &mut out).unwrap();
-        assert!(String::from_utf8_lossy(&out).contains("dh gain"));
+        // three arms at one size: a row each, in the order given, one marked
+        let argv = ["simulate", &path, "--algo", "naive,cn:8,dh", "--sizes", "64"];
+        let text = output(cmd_simulate, &argv).unwrap();
+        let arms: Vec<&str> =
+            text.lines().skip(1).map(|l| l.split_whitespace().nth(1).unwrap()).collect();
+        assert_eq!(arms, ["naive", "common-neighbor(k=8)", "distance-halving"], "{text}");
+        assert_eq!(text.matches("<-- best").count(), 1, "{text}");
 
-        let mut out = Vec::new();
-        cmd_validate(&args(&["validate", &path, "--algo", "cn", "--k", "4"]), &mut out).unwrap();
-        assert!(String::from_utf8_lossy(&out).contains("execution check: ok"));
+        let text = output(cmd_run, &["run", &path, "--algo", "cn:4"]).unwrap();
+        assert!(text.contains("verify: ok"), "{text}");
 
         // cached planning: first call misses and stores, second hits disk
         let cache_dir = tmp("nhood_cli_cache");
@@ -418,21 +422,17 @@ mod tests {
         let mut out = Vec::new();
         cmd_plan(&args(&["plan", &path, "--algo", "dh", "--save", &plan_path]), &mut out).unwrap();
         assert!(String::from_utf8_lossy(&out).contains("plan saved"));
-        let mut out = Vec::new();
-        cmd_simulate(&args(&["simulate", &path, "--load", &plan_path, "--sizes", "64"]), &mut out)
-            .unwrap();
-        assert_eq!(String::from_utf8_lossy(&out).lines().count(), 2);
+        // a loaded plan is priced alone, whatever --algo says
+        let loaded =
+            ["simulate", &path, "--load", &plan_path, "--algo", "naive,cn", "--sizes", "64"];
+        let text = output(cmd_simulate, &loaded).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.contains("distance-halving") && text.contains("<-- best"), "{text}");
         // a file of an older format generation is a typed error, not a plan
         std::fs::write(&plan_path, [&b"NHPLAN1\0"[..], &[0; 32]].concat()).unwrap();
         let loaded = ["simulate", &path, "--load", &plan_path, "--sizes", "64"];
         let err = cmd_simulate(&args(&loaded), &mut Vec::new()).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
-
-        let mut out = Vec::new();
-        cmd_recommend(&args(&["recommend", &path, "--size", "64"]), &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out).to_string();
-        assert!(text.contains("recommended:"), "{text}");
-        assert!(text.contains("<-- recommended"), "{text}");
 
         let trace_path = tmp("nhood_cli_trace.csv");
         let mut out = Vec::new();
@@ -563,32 +563,32 @@ mod tests {
     }
 
     #[test]
-    fn compare_honours_the_cost_flag_and_recommend_refuses_it() {
-        let path = tmp("nhood_cli_compare_cost.el");
-        cmd_gen(&args(&["gen", "er", &path, "--n", "32", "--delta", "0.3"]), &mut Vec::new())
-            .unwrap();
-        let compare = |cost: Option<&str>| {
-            let argv = ["compare", &path, "--sizes", "64"];
+    fn the_listing_honours_the_cost_flag() {
+        let path = tmp("nhood_cli_listing_cost.el");
+        output(cmd_gen, &["gen", "er", &path, "--n", "32", "--delta", "0.3"]).unwrap();
+        let listing = |algo: &str, cost: Option<&str>| {
+            let argv = ["simulate", &path, "--algo", algo, "--sizes", "64"];
             let argv = [&argv[..], &cost.map_or(vec![], |c| vec!["--cost", c])].concat();
-            let mut out = Vec::new();
-            cmd_compare(&args(&argv), &mut out).map(|()| String::from_utf8(out).unwrap())
+            output(cmd_simulate, &argv)
         };
-        // the default is Niagara's numbers; a flat model prints its own
-        let niagara = compare(None).unwrap();
-        assert_eq!(compare(Some("niagara")).unwrap(), niagara);
-        let flat = compare(Some("flat:1e-6:1e9")).unwrap();
+        // the default is Niagara's numbers; another model prints its own
+        let niagara = listing("naive,cn,dh", None).unwrap();
+        assert_eq!(listing("naive,cn,dh", Some("niagara")).unwrap(), niagara);
+        let flat = listing("naive,cn,dh", Some("flat:1e-6:1e9")).unwrap();
         assert_ne!(flat, niagara);
         // a flat model at α = 1 µs costs every message at least that
-        let row = flat.lines().nth(1).unwrap().to_string();
-        let latency = |col: usize| row.split_whitespace().nth(col).unwrap().trim_end_matches("us");
-        assert!((1..4).all(|c| latency(c).parse::<f64>().unwrap() >= 1.0), "{flat}");
-        // ... and a bad model is the typed error `simulate` gives
-        let e = compare(Some("flat:1e-6:0")).unwrap_err().to_string();
+        let latency = |row: &str| -> f64 {
+            row.split_whitespace().nth(2).unwrap().trim_end_matches("us").parse().unwrap()
+        };
+        assert!(flat.lines().skip(1).all(|row| latency(row) >= 1.0), "{flat}");
+        // the tuner's portfolio prices under any model, one arm marked
+        for cost in ["classic", "flat:1e-6:1e9"] {
+            let text = listing("auto", Some(cost)).unwrap();
+            assert_eq!(text.matches("<-- best").count(), 1, "{cost}: {text}");
+        }
+        // ... and a bad model is a typed error
+        let e = listing("auto", Some("flat:1e-6:0")).unwrap_err().to_string();
         assert!(e.contains("invalid cost model") && e.contains("bytes_per_sec = 0"), "{e}");
-        // the tuner prices under Niagara only: recommend refuses, saying why
-        let argv = ["recommend", &path, "--size", "64", "--cost", "flat:1e-6:1e9"];
-        let e = cmd_recommend(&args(&argv), &mut Vec::new()).unwrap_err().to_string();
-        assert!(e.contains("--cost") && e.contains("Niagara cost model only"), "{e}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -870,17 +870,16 @@ mod tests {
         cmd_plan(&args(&["plan", &path, "--algo", "dh"]), &mut out).unwrap();
         assert!(!String::from_utf8_lossy(&out).contains("load metric"));
 
-        // ragged validation runs allgatherv against the reference
+        // a ragged allgatherv (zero-length blocks included) and a uniform
+        // allgather run against the reference under either metric
         for metric in ["neighbors", "bytes"] {
-            let mut out = Vec::new();
-            cmd_validate(
-                &args(&["validate", &path, "--algo", "dh", "--load-metric", metric, "--ragged"]),
-                &mut out,
-            )
-            .unwrap();
-            let text = String::from_utf8_lossy(&out).to_string();
-            assert!(text.contains("ragged check:    ok"), "{metric}: {text}");
+            for op in ["allgather", "allgatherv"] {
+                let argv = ["run", &path, "--op", op, "--algo", "dh", "--load-metric", metric];
+                let text = output(cmd_run, &argv).unwrap();
+                assert!(text.contains("verify: ok"), "{metric} {op}: {text}");
+            }
         }
+        assert!(output(cmd_run, &["run", &path, "--load-metric", "bogus"]).is_err());
 
         // bad flag values fail typed
         let mut out = Vec::new();
@@ -925,5 +924,28 @@ mod tests {
         assert!(
             cmd_plan(&args(&["plan", &path, "--nodes", "1", "--cores", "2"]), &mut out).is_err()
         );
+    }
+
+    #[test]
+    fn a_zero_or_overflowing_layout_is_a_typed_error() {
+        let path = tmp("nhood_cli_layout.el");
+        output(cmd_gen, &["gen", "er", &path, "--n", "16", "--delta", "0.3"]).unwrap();
+        let huge = "4294967296";
+        for (flags, why) in [
+            (&["--sockets", "0"][..], "must be at least 1"),
+            (&["--cores", "0"], "must be at least 1"),
+            (&["--nodes", "0"], "must be at least 1"),
+            (&["--sockets", huge, "--cores", huge], "overflows"),
+            (&["--nodes", huge, "--sockets", huge, "--cores", "2"], "overflows"),
+        ] {
+            let argv = [&["plan", &path][..], flags].concat();
+            let e = output(cmd_plan, &argv).unwrap_err().0;
+            assert!(e.starts_with("layout ") && e.contains(why), "{flags:?}: {e}");
+            let argv = [&["simulate", &path, "--sizes", "64"][..], flags].concat();
+            assert!(output(cmd_simulate, &argv).is_err(), "{flags:?}");
+        }
+        // the smallest layout that holds every rank still plans
+        let one = ["plan", &path, "--nodes", "16", "--sockets", "1", "--cores", "1"];
+        assert!(output(cmd_plan, &one).unwrap().contains("ranks:            16"));
     }
 }

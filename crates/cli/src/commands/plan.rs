@@ -1,17 +1,19 @@
 //! The planning family: generate a topology, build and inspect a plan,
-//! price it on the simulator, and check it against the reference.
+//! and price arms side by side on the simulator.
 
 use super::{
-    edge_list_and_layout, fail, parse_algo, parse_block_sizes, parse_cost, parse_layout,
-    parse_load_metric, topology_arg,
+    fail, parse_algo, parse_arms, parse_block_sizes, parse_cost, parse_load_metric,
+    topology_and_layout,
 };
 use crate::args::{parse_bytes, ArgError, Args};
+use nhood_core::autotune::candidates;
 use nhood_core::exec::sim_exec::simulate;
-use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
-use nhood_core::exec::{Executor, Virtual};
-use nhood_core::{Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, LoadMetric};
+use nhood_core::plan_io::PlanFile;
+use nhood_core::{Algorithm, BlockSizes, DistGraphComm, LoadMetric};
+use nhood_simnet::SimReport;
 use nhood_topology::io::write_edge_list;
 use std::io::Write;
+use std::sync::Arc;
 
 /// `nhood gen <er|moore|vonneumann> [flags] <out-file>`
 pub fn cmd_gen(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
@@ -61,7 +63,7 @@ pub fn cmd_gen(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 
 /// `nhood plan <edge-list> [--algo ..] [--save plan.bin] [layout flags]`
 pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let (graph, layout) = edge_list_and_layout(args, "plan")?;
+    let (graph, layout) = topology_and_layout(args, "plan")?;
     let algo = parse_algo(args)?;
     let metric = parse_load_metric(args)?;
     let sizes = parse_block_sizes(args, graph.n())?;
@@ -69,10 +71,8 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     if let Some(sizes) = sizes {
         comm = comm.with_block_sizes(sizes);
     }
-    if let Some(bt) = args.get("build-threads") {
-        let threads: usize =
-            bt.parse().map_err(|_| fail(format!("plan: bad --build-threads '{bt}'")))?;
-        comm = comm.with_build_threads(threads);
+    if args.get("build-threads").is_some() {
+        comm = comm.with_build_threads(args.require("build-threads")?);
     }
     let plan = if let Some(dir) = args.get("cache-dir") {
         let cache = std::sync::Arc::new(
@@ -133,135 +133,89 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The `--sizes` list `simulate` and `compare` sweep (default
-/// `64,4K,256K`).
+/// The `--sizes` list `simulate` sweeps (default `64,4K,256K`).
 fn parse_sizes(args: &Args) -> Result<Vec<usize>, ArgError> {
     args.get("sizes").unwrap_or("64,4K,256K").split(',').map(parse_bytes).collect()
 }
 
-/// `nhood simulate <edge-list> [--algo ..] [--sizes 64,4K,1M] [layout flags]`
-pub fn cmd_simulate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let graph = topology_arg(args, "simulate")?;
-    let layout = parse_layout(args, graph.n())?;
-    let algo = parse_algo(args)?;
-    let sizes = parse_sizes(args)?;
-    let plan = if let Some(loaded) = args.get("load") {
-        let p = nhood_core::plan_io::PlanFile::open(std::path::Path::new(loaded))
-            .map_err(|e| fail(e.to_string()))?
-            .to_plan();
-        p.validate(&graph)
-            .map_err(|e| fail(format!("loaded plan invalid for this topology: {e}")))?;
-        p
-    } else {
-        let comm = DistGraphComm::create_adjacent(graph, layout.clone())?;
-        comm.plan(algo)?
-    };
-    let cost = parse_cost(args)?;
-    writeln!(w, "{:>12} {:>14} {:>12} {:>12}", "msg size", "latency", "internode", "intrasocket")?;
-    for m in sizes {
-        let rep = simulate(&plan, &layout, m, &cost)?;
-        writeln!(
-            w,
-            "{:>12} {:>12.2}us {:>12} {:>12}",
-            m,
-            rep.makespan * 1e6,
-            rep.stats.internode_msgs(),
-            rep.stats.msgs[0]
-        )?;
-    }
-    Ok(())
+/// One `simulate` row: `arm` priced at `m`-byte blocks, `best` if the
+/// cheapest at that size.
+pub(super) struct Priced {
+    pub m: usize,
+    pub arm: Algorithm,
+    pub report: SimReport,
+    pub best: bool,
 }
 
-/// `nhood compare <edge-list> [--sizes ..] [--cost ..] [layout flags]` —
-/// all three algorithms side by side, simulated under one cost model.
-pub fn cmd_compare(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let (graph, layout) = edge_list_and_layout(args, "compare")?;
-    let sizes = parse_sizes(args)?;
-    let k = args.get_parsed("k", 8usize)?;
-    let cost = parse_cost(args)?;
-    let comm = DistGraphComm::create_adjacent(graph, layout.clone())?;
-    let plans = [
-        ("naive", comm.plan(Algorithm::Naive)?),
-        ("cn", comm.plan(Algorithm::CommonNeighbor { k })?),
-        ("dh", comm.plan(Algorithm::DistanceHalving)?),
-    ];
-    writeln!(w, "{:>12} {:>14} {:>14} {:>14} {:>10}", "msg size", "naive", "cn", "dh", "dh gain")?;
-    for m in sizes {
-        let mut t = [0.0f64; 3];
-        for (i, (_, plan)) in plans.iter().enumerate() {
-            t[i] = simulate(plan, &layout, m, &cost)?.makespan;
-        }
-        writeln!(
-            w,
-            "{:>12} {:>12.2}us {:>12.2}us {:>12.2}us {:>9.2}x",
-            m,
-            t[0] * 1e6,
-            t[1] * 1e6,
-            t[2] * 1e6,
-            t[0] / t[2]
-        )?;
-    }
-    Ok(())
-}
-
-/// `nhood validate <edge-list> [--algo ..] [--load-metric neighbors|bytes]
-/// [--ragged] [layout flags]` — plan validation plus a real execution
-/// against the reference. `--ragged` additionally runs a
-/// `neighbor_allgatherv` round with deterministic per-rank payload
-/// lengths (zero-length blocks included) against the same reference.
-pub fn cmd_validate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let (graph, layout) = edge_list_and_layout(args, "validate")?;
-    let algo = parse_algo(args)?;
-    let metric = parse_load_metric(args)?;
-    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?.with_load_metric(metric);
-    let plan = comm.plan_shared(algo)?;
-    plan.validate(&graph).map_err(|e| fail(format!("plan validation failed: {e}")))?;
-    writeln!(w, "plan validation: ok (exactly-once delivery holds)")?;
-    let payloads = test_payloads(graph.n(), 32, 0xC0FFEE);
-    let got = Virtual.run_simple(&plan, &graph, &payloads)?;
-    if got != reference_allgather(&graph, &payloads) {
-        return Err(fail("execution mismatch against the MPI-semantics reference"));
-    }
-    writeln!(w, "execution check: ok ({} ranks, 32-byte payloads)", graph.n())?;
-    if args.has("ragged") {
-        let mut rng = nhood_topology::rng::DetRng::seed_from_u64(0xC0FFEE);
-        let payloads: Vec<Vec<u8>> = (0..graph.n())
-            .map(|r| {
-                let len = if r % 5 == 0 { 0 } else { 1 + rng.gen_below(63) };
-                (0..len).map(|_| rng.next_u64() as u8).collect()
-            })
-            .collect();
-        let req = CollectiveRequest::allgatherv(&payloads).algorithm(algo);
-        let got = comm.collective(&req)?.rbufs;
-        if got != reference_allgather(&graph, &payloads) {
-            return Err(fail("ragged execution mismatch against the MPI-semantics reference"));
-        }
-        writeln!(w, "ragged check:    ok (allgatherv, per-rank sizes 0..=64)")?;
-    }
-    Ok(())
-}
-
-/// `nhood recommend <edge-list> [--size 4K] [layout flags]` — suggest an
-/// algorithm for this topology/size and show the candidates' simulated
-/// latencies. The tuner prices under the Niagara cost model alone, so a
-/// `--cost` is refused rather than ignored.
-pub fn cmd_recommend(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    if let Some(cost) = args.get("cost") {
-        return Err(fail(format!(
-            "recommend does not take --cost '{cost}': the tuner scores candidates under the \
-             Niagara cost model only"
-        )));
-    }
-    let (graph, layout) = edge_list_and_layout(args, "recommend")?;
-    let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
-    // The tuner's own pass at these sizes: the listing is exactly the
-    // portfolio the recommendation scored.
+/// The `simulate` listing: every arm of `--algo` priced at every
+/// `--sizes` value under `--cost`. `auto` stands for the tuner's
+/// portfolio at that uniform size ([`candidates`]), so under the default
+/// cost the marked arm is the tuner's winner and each latency its score;
+/// ties go to the earlier arm, as in the tuner. Each arm's plan is built
+/// once, in the communicator's memo; `--load` prices a loaded plan alone.
+pub(super) fn listing(args: &Args) -> Result<Vec<Priced>, ArgError> {
+    let (graph, layout) = topology_and_layout(args, "simulate")?;
+    let (arms, sizes, cost) = (parse_arms(args)?, parse_sizes(args)?, parse_cost(args)?);
     let comm = DistGraphComm::create_adjacent(graph, layout)?;
-    let tuned = comm.with_block_sizes(BlockSizes::uniform(m)).tune()?;
-    writeln!(w, "recommended: {} (for {m}-byte payloads)", tuned.winner)?;
-    for (algo, t) in &tuned.scores {
-        let marker = if *algo == tuned.winner { "  <-- recommended" } else { "" };
-        writeln!(w, "{:>28}: {:>10.2} us{}", algo.to_string(), t * 1e6, marker)?;
+    let loaded = match args.get("load") {
+        Some(path) => {
+            let file =
+                PlanFile::open(std::path::Path::new(path)).map_err(|e| fail(e.to_string()))?;
+            let plan = file.to_plan();
+            plan.validate(comm.graph())
+                .map_err(|e| fail(format!("loaded plan invalid for this topology: {e}")))?;
+            Some(Arc::new(plan))
+        }
+        None => None,
+    };
+    let mut rows: Vec<Priced> = Vec::new();
+    for m in sizes {
+        let portfolio = || candidates(comm.graph(), comm.layout(), &BlockSizes::uniform(m));
+        let listed = arms.iter().flat_map(|&arm| match arm {
+            Algorithm::Auto => portfolio(),
+            concrete => vec![concrete],
+        });
+        let plans: Vec<_> = match &loaded {
+            Some(plan) => vec![Arc::clone(plan)],
+            None => listed.map(|arm| comm.plan_shared(arm)).collect::<Result<_, _>>()?,
+        };
+        let first = rows.len();
+        for plan in plans {
+            let report = simulate(&plan, comm.layout(), m, &cost)?;
+            rows.push(Priced { m, arm: plan.algorithm, report, best: false });
+        }
+        // `min_by` keeps the first of equal minima: ties go to the earlier arm
+        let by_latency =
+            |a: &&mut Priced, b: &&mut Priced| a.report.makespan.total_cmp(&b.report.makespan);
+        if let Some(row) = rows[first..].iter_mut().min_by(by_latency) {
+            row.best = true;
+        }
+    }
+    Ok(rows)
+}
+
+/// `nhood simulate <edge-list | --topology torus:D:K> [--algo ARM,..]
+/// [--load plan.bin] [--sizes 64,4K,1M] [--cost ..] [layout flags]` —
+/// the [`listing`], a row per size and arm: simulated latency, internode
+/// and intra-socket messages, the cheapest arm marked `<-- best`.
+pub fn cmd_simulate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
+    let rows = listing(args)?;
+    writeln!(
+        w,
+        "{:>12}  {:<24} {:>14} {:>12} {:>12}",
+        "msg size", "arm", "latency", "internode", "intrasocket"
+    )?;
+    for Priced { m, arm, report, best } in rows {
+        writeln!(
+            w,
+            "{:>12}  {:<24} {:>12.2}us {:>12} {:>12}{}",
+            m,
+            arm.to_string(),
+            report.makespan * 1e6,
+            report.stats.internode_msgs(),
+            report.stats.msgs[0],
+            if best { "  <-- best" } else { "" }
+        )?;
     }
     Ok(())
 }

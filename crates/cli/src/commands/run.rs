@@ -2,9 +2,7 @@
 //! request API and checks it against the op's naive reference; `trace`
 //! runs an allgather under a telemetry recorder and exports what it saw.
 
-use super::{
-    edge_list_and_layout, fail, parse_algo, parse_backend, parse_cost, parse_layout, topology_arg,
-};
+use super::{fail, parse_algo, parse_backend, parse_cost, parse_load_metric, topology_and_layout};
 use crate::args::{parse_bytes, ArgError, Args};
 use nhood_core::collective::matches_reference;
 use nhood_core::exec::sim_exec::to_schedule_v;
@@ -83,22 +81,24 @@ pub fn shaped_payloads(graph: &Topology, op: CollectiveOp, m: usize, seed: u64) 
 
 /// `nhood run <edge-list> [--op allgather|allgatherv|alltoallv|reduce_scatter|allreduce]
 /// [--reduce sum|max|bitor] [--dtype u8|u32|f32] [--algo ..] [--size B]
-/// [--backend virtual|threaded|sim] [--cost ..] [layout flags]` — run
-/// one collective end-to-end through the op-agnostic request API
-/// ([`DistGraphComm::collective`]), byte-check it against the op's
-/// naive reference, and report message/byte counters (or the simulated
-/// makespan under `--backend sim`). f32 reductions skip the byte check
-/// — fold order differs between engine and reference — and report
-/// completion only.
+/// [--backend virtual|threaded|sim] [--load-metric neighbors|bytes]
+/// [layout flags]` — run one collective end-to-end through the
+/// op-agnostic request API ([`DistGraphComm::collective`]; a plan that
+/// fails its check is a typed `InvalidPlan`), byte-check it against the
+/// op's naive reference (allgatherv's blocks are ragged, empty ones
+/// included) and report message/byte counters (or the simulated
+/// makespan under `--backend sim`). f32 reductions skip the byte check:
+/// fold order differs between engine and reference.
 pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let (graph, layout) = edge_list_and_layout(args, "run")?;
+    let (graph, layout) = topology_and_layout(args, "run")?;
     let algo = parse_algo(args)?;
     let op = parse_op(args)?;
     let m = whole_lanes(op, parse_bytes(args.get("size").unwrap_or("1K"))?);
     let backend = parse_backend(args, ExecBackend::Virtual)?;
     let seed = args.get_parsed("seed", 42u64)?;
+    let metric = parse_load_metric(args)?;
     let payloads = shaped_payloads(&graph, op, m, seed);
-    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?;
+    let comm = DistGraphComm::create_adjacent(graph.clone(), layout)?.with_load_metric(metric);
     let rec = CountingRecorder::new(graph.n());
     let req = CollectiveRequest::new(op, &payloads).algorithm(algo).backend(backend).recorder(&rec);
     let out = comm.collective(&req)?;
@@ -136,8 +136,7 @@ pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
 /// * `model-check`: measured per-rank means against the paper's §V
 ///   predictions (E\[n_off\], E\[n_in\], E\[m_in\]) with relative errors.
 pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
-    let graph = topology_arg(args, "trace")?;
-    let layout = parse_layout(args, graph.n())?;
+    let (graph, layout) = topology_and_layout(args, "trace")?;
     let algo = parse_algo(args)?;
     let m = parse_bytes(args.get("size").unwrap_or("4K"))?;
     let cost = parse_cost(args)?;

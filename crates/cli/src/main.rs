@@ -1,14 +1,15 @@
-//! `nhood` — generate topologies, plan neighborhood allgathers, simulate
-//! cluster latencies, and validate plans from the command line.
+//! `nhood` — generate topologies, plan neighborhood collectives, price
+//! arms on the cluster simulator, and run checked collectives from the
+//! command line.
 //!
 //! ```text
 //! nhood gen er out.el --n 2160 --delta 0.3 [--seed 42]
 //! nhood gen moore out.el --n 2048 --r 2 --d 2
 //! nhood gen vonneumann out.el --n 1024 --r 1 --d 2
 //! nhood plan out.el --algo dh [--nodes 60 --sockets 2 --cores 18]
-//! nhood simulate out.el --algo cn --k 8 --sizes 64,4K,1M
-//! nhood compare out.el --sizes 64,4K
-//! nhood validate out.el --algo dh
+//! nhood simulate out.el --algo naive,cn:8,dh --sizes 64,4K,1M
+//! nhood simulate out.el --algo auto --sizes 32,4K --cost classic
+//! nhood run out.el --op allgatherv --algo dh --load-metric bytes
 //! nhood chaos out.el --algo dh --drops 0.01,0.05,0.1 --runs 5
 //! nhood churn out.el --events 5 --seed 42
 //! ```
@@ -26,9 +27,6 @@ const SPEC: Spec = Spec {
         "r",
         "d",
         "algo",
-        "k",
-        "leaders",
-        "radix",
         "nodes",
         "sockets",
         "cores",
@@ -66,7 +64,7 @@ const SPEC: Spec = Spec {
         "reduce",
         "dtype",
     ],
-    switches: &["help", "ragged", "no-batch", "drill", "mixed"],
+    switches: &["help", "no-batch", "drill", "mixed"],
 };
 
 const USAGE: &str = "\
@@ -75,24 +73,17 @@ nhood <command> [args]
 commands:
   gen <er|moore|vonneumann> <out-file> --n N [--delta D | --r R --d DIM] [--seed S]
   plan <edge-list> [--algo naive|dh|cn[:K]|leader[:L]|bruck|pat[:R]|auto]
-       [--k K] [--leaders L] [--radix R] [--save plan.bin]
-       [--build-threads N] [--cache-dir DIR] [layout flags]
+       [--save plan.bin] [--build-threads N] [--cache-dir DIR] [layout flags]
        [--load-metric neighbors|bytes] [--block-sizes 1K,64,0,...]
-  simulate <edge-list | --topology torus:D:K> [--algo ..] [--load plan.bin]
-           [--sizes 64,4K,1M] [--cost niagara|classic|flat:ALPHA:BETA]
-           [layout flags]
-  compare <edge-list> [--sizes ..] [--k K]
-          [--cost niagara|classic|flat:ALPHA:BETA] [layout flags]
-  validate <edge-list> [--algo ..] [--load-metric neighbors|bytes] [--ragged]
-           [layout flags]
+  simulate <edge-list> [--algo ARM,ARM,..|auto] [--load plan.bin] [--sizes 64,4K,1M]
+           [--cost niagara|classic|flat:ALPHA:BETA] [layout flags]
   run <edge-list> [--op allgather|allgatherv|alltoallv|reduce_scatter|allreduce]
       [--reduce sum|max|bitor] [--dtype u8|u32|f32] [--algo ..] [--size 1K]
-      [--backend virtual|threaded|sim] [--seed 42] [layout flags]
-  trace <edge-list | --topology torus:D:K> [--algo ..] [--size 4K]
-        [--backend virtual|threaded|sim]
+      [--backend virtual|threaded|sim] [--seed 42]
+      [--load-metric neighbors|bytes] [layout flags]
+  trace <edge-list> [--algo ..] [--size 4K] [--backend virtual|threaded|sim]
         [--format csv|chrome|summary|model-check] [--out FILE]
         [--cost niagara|classic|flat:ALPHA:BETA] [layout flags]
-  recommend <edge-list> [--size 4K] [layout flags]   (Niagara costs; no --cost)
   chaos <edge-list> [--algo ..] [--drops 0.01,0.05,0.1] [--runs 5] [--seed 42]
         [--size 32] [--timeout 5000] [--min-complete 0.9] [layout flags]
   churn <edge-list> [--events 5] [--seed 42] [--size 32] [--timeout 5000]
@@ -103,6 +94,9 @@ commands:
         [--churn-ms 0] [--queue 256] [--quota 64] [--batch 64] [--no-batch]
         [--backend virtual|threaded|sim] [--seed 42] [--drill] [--mixed]
         [layout flags]
+
+layout flags: [--nodes N] [--sockets 2] [--cores 8], each at least 1
+every required <edge-list> may be --topology torus:D:K (a generated torus) instead
 ";
 
 fn main() {
@@ -123,11 +117,8 @@ fn main() {
         "gen" => commands::cmd_gen(&parsed, &mut out),
         "plan" => commands::cmd_plan(&parsed, &mut out),
         "simulate" => commands::cmd_simulate(&parsed, &mut out),
-        "compare" => commands::cmd_compare(&parsed, &mut out),
-        "validate" => commands::cmd_validate(&parsed, &mut out),
         "run" => commands::cmd_run(&parsed, &mut out),
         "trace" => commands::cmd_trace(&parsed, &mut out),
-        "recommend" => commands::cmd_recommend(&parsed, &mut out),
         "chaos" => commands::cmd_chaos(&parsed, &mut out),
         "churn" => commands::cmd_churn(&parsed, &mut out),
         "serve" => commands::cmd_serve(&parsed, &mut out),

@@ -25,7 +25,7 @@
 
 use crate::collective::program::Checked;
 use crate::plan::{Algorithm, CollectivePlan, PlanValidationError};
-use crate::plan_io;
+use crate::plan_io::{self, PlanFile};
 use crate::sizes::{BlockSizes, LoadMetric};
 use nhood_cluster::ClusterLayout;
 use nhood_topology::Topology;
@@ -326,18 +326,19 @@ impl PlanCache {
 
     /// The one disk probe: the tier's file for `fp`, judged against
     /// `graph` with **no lock held** — file I/O, the checksum pass and an
-    /// O(plan) `validate` must not queue every other tenant's memory hit
+    /// O(plan) check must not queue every other tenant's memory hit
     /// behind one cold file. A file whose recorded topology digest
-    /// matches `graph` is served as it stands (`true` beside it: the
-    /// warm-start fast path); one with no digest, or another topology's,
-    /// only once the plan it holds validates. A file that fails to open,
-    /// parse, checksum or validate is deleted and is a miss (the caller
-    /// rebuilds and the insert replaces it).
-    fn probe(&self, fp: PlanFingerprint, graph: &Topology) -> Option<(plan_io::PlanFile, bool)> {
+    /// matches `graph` is served undecoded (the warm-start fast path);
+    /// one with no digest, or another topology's, is decoded once into
+    /// the cell beside it, and served only once that cell's verdict is
+    /// good. A file that fails to open, parse, checksum or check is
+    /// deleted and is a miss (the caller rebuilds and the insert replaces it).
+    fn probe(&self, fp: PlanFingerprint, graph: &Topology) -> Option<(PlanFile, Option<Checked>)> {
         let path = self.disk_path(fp)?;
-        let judged = plan_io::PlanFile::open(&path).ok().and_then(|file| {
+        let judged = PlanFile::open(&path).ok().and_then(|file| {
             let fast = file.graph_digest() == Some(Self::graph_digest(graph));
-            (fast || file.to_plan().validate(graph).is_ok()).then_some((file, fast))
+            let cell = (!fast).then(|| Checked::new(Arc::new(file.to_plan())));
+            cell.as_ref().is_none_or(|cell| cell.check(graph).is_ok()).then_some((file, cell))
         });
         if judged.is_none() {
             let _ = std::fs::remove_file(&path);
@@ -353,7 +354,8 @@ impl PlanCache {
         self.cell(fp, graph).map(|cell| Arc::clone(&cell.plan))
     }
 
-    /// [`lookup`](Self::lookup) of the plan's cell, its verdict included.
+    /// [`lookup`](Self::lookup) of the plan's cell, its verdict included
+    /// (a slow-path promotion keeps the probe's cell).
     pub(crate) fn cell(&self, fp: PlanFingerprint, graph: &Topology) -> Option<Arc<Checked>> {
         {
             let mut inner = self.lock();
@@ -363,13 +365,15 @@ impl PlanCache {
                 return Some(cell);
             }
         }
-        let found = self.probe(fp, graph).map(|(file, fast)| (file.to_plan(), fast));
+        let found = self.probe(fp, graph).map(|(file, judged)| {
+            (judged.is_none(), judged.unwrap_or_else(|| Checked::new(Arc::new(file.to_plan()))))
+        });
         let mut inner = self.lock();
-        let Some((plan, fast)) = found else {
+        let Some((fast, cell)) = found else {
             inner.stats.misses += 1;
             return None;
         };
-        let cell = Arc::new(Checked::new(Arc::new(plan)));
+        let cell = Arc::new(cell);
         Self::insert_locked(&mut inner, self.capacity, fp, Arc::clone(&cell));
         // the disk promotion is a reuse, not a fresh build
         inner.stats.insertions -= 1;
@@ -385,15 +389,11 @@ impl PlanCache {
     /// served; the memory tier is neither consulted nor populated — it
     /// holds owned plans. (The name is older than the one file format:
     /// nothing is memory-mapped.)
-    pub fn lookup_mapped(
-        &self,
-        fp: PlanFingerprint,
-        graph: &Topology,
-    ) -> Option<plan_io::PlanFile> {
+    pub fn lookup_mapped(&self, fp: PlanFingerprint, graph: &Topology) -> Option<PlanFile> {
         let found = self.probe(fp, graph);
         let mut inner = self.lock();
-        match found {
-            Some((_, fast)) => inner.count_disk_hit(fast),
+        match &found {
+            Some((_, judged)) => inner.count_disk_hit(judged.is_none()),
             None => inner.stats.misses += 1,
         }
         found.map(|(file, _)| file)
@@ -685,6 +685,36 @@ mod tests {
         let plan = fresh.lookup(mutated, &g2).expect("valid churned plan promotes");
         plan.validate(&g2).unwrap();
         assert_eq!(fresh.stats().disk_fast_hits, 1, "{:?}", fresh.stats());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_disk_promotion_decodes_and_checks_its_file_once() {
+        use crate::collective::program::{compile, tests::checks, Shape};
+        let dir = std::env::temp_dir().join(format!("nhood_promote_once_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = erdos_renyi(24, 0.3, 13);
+        let fp = PlanFingerprint::of_build(&g, &layout(24), Algorithm::Naive);
+        let path = dir.join(format!("{fp}.nhplan"));
+        let decodes = || crate::plan_io::tests::DECODES.with(std::cell::Cell::get);
+        // (file decodes, plan checks) of a promotion and its first compile
+        let promote = |digest: Option<u128>, fast: bool| {
+            let cache = PlanCache::new(4).with_disk_dir(&dir).unwrap();
+            crate::plan_io::save_plan(&plan_naive(&g), &path, digest).unwrap();
+            let (decoded, (checked, _)) = (decodes(), checks());
+            let cell = cache.cell(fp, &g).expect("the file promotes");
+            compile(&cell, &g, Shape::Gather).unwrap();
+            assert_eq!(cache.stats().disk_fast_hits, u64::from(fast));
+            (decodes() - decoded, checks().0 - checked)
+        };
+        // slow path, no digest: the probe's one decode is the promoted
+        // cell, and its one check the cell's verdict
+        assert_eq!(promote(None, false), (1, 1));
+        // another topology's digest takes the same path
+        let other = PlanCache::graph_digest(&erdos_renyi(24, 0.3, 14));
+        assert_eq!(promote(Some(other), false), (1, 1));
+        // fast path: no check on the probe; the first compile checks
+        assert_eq!(promote(Some(PlanCache::graph_digest(&g)), true), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

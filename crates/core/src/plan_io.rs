@@ -362,6 +362,8 @@ impl<B: AsRef<[u8]>> PlanFile<B> {
     /// The whole plan, owned: one bulk copy per column, and the receive
     /// index derived.
     pub fn to_plan(&self) -> CollectivePlan {
+        #[cfg(test)]
+        tests::DECODES.with(|c| c.set(c.get() + 1));
         let buf = self.bytes.as_ref();
         let [n, buckets, rows, blocks] = self.counts;
         let col = |col: usize, len: usize| u32s(buf, self.cols[col], len);
@@ -402,7 +404,7 @@ impl PlanFile {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::lower::lower;
@@ -411,6 +413,11 @@ mod tests {
     use nhood_topology::random::erdos_renyi;
     use nhood_topology::Topology;
     use std::sync::Arc;
+
+    thread_local! {
+        /// [`PlanFile::to_plan`] calls made by the current test thread.
+        pub(crate) static DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn dh_plan(n: usize) -> (Topology, CollectivePlan) {
         let g = erdos_renyi(n, 0.4, 7);

@@ -12,11 +12,8 @@
 use std::time::{Duration, Instant};
 
 use nhood_core::{CollectiveOp, Reduction};
-use nhood_spmm::stripe::exact_bytes;
-use nhood_topology::matrix::generators::{synth_symmetric, StructureClass};
 use nhood_topology::rng::DetRng;
-use nhood_topology::spmm_graph::spmm_topology_with;
-use nhood_topology::{BlockPartition, Rank, Topology};
+use nhood_topology::{Rank, Topology};
 
 use crate::report::ServiceReport;
 use crate::service::{Service, SubmitRequest, TenantId};
@@ -230,12 +227,6 @@ pub fn gen_op_payloads(
     }
 }
 
-/// Per-rank payloads at explicit sizes (e.g. the exact SpMM stripe
-/// bytes from [`spmm_tenant`]).
-pub fn payloads_with_sizes(sizes: &[usize], rng: &mut DetRng) -> Vec<Vec<u8>> {
-    sizes.iter().map(|&m| fill_block(m, rng)).collect()
-}
-
 /// A pre-generated request for closed ("drain") drives, where two
 /// service configurations must see byte-identical streams.
 #[derive(Clone, Debug)]
@@ -246,27 +237,6 @@ pub struct GenRequest {
     pub op: CollectiveOp,
     /// Per-rank payloads, shaped per the op's contract.
     pub payloads: Vec<Vec<u8>>,
-}
-
-/// Pre-generates `count` **gather-family** requests over tenants with
-/// the given rank counts (`tenant_ns[t]` = tenant `t`'s rank count).
-/// Deterministic in `spec.seed`. [`TrafficSpec::op_mix`] is ignored
-/// here — shaping alltoallv/reduce_scatter buffers needs each tenant's
-/// out-degrees, which this signature deliberately doesn't take; use
-/// [`generate_mixed_requests`] for the full mix.
-pub fn generate_requests(spec: &TrafficSpec, tenant_ns: &[usize], count: usize) -> Vec<GenRequest> {
-    assert!(!tenant_ns.is_empty(), "need at least one tenant");
-    let mut rng = DetRng::seed_from_u64(spec.seed);
-    let sizes = ZipfSizes::new(spec.size_min, spec.size_max, spec.zipf_s);
-    (0..count)
-        .map(|_| {
-            let tenant = rng.gen_below(tenant_ns.len());
-            let ragged = rng.gen_bool(spec.ragged_frac);
-            let op = if ragged { CollectiveOp::Allgatherv } else { CollectiveOp::Allgather };
-            let payloads = gen_payloads(tenant_ns[tenant], &sizes, ragged, &mut rng);
-            GenRequest { tenant, op, payloads }
-        })
-        .collect()
 }
 
 /// Pre-generates `count` op-mixed requests over live tenant topologies
@@ -437,26 +407,6 @@ fn apply_random_churn(service: &mut Service, rng: &mut DetRng, edges: usize) {
     let _ = service.churn(tenant, &added, &removed);
 }
 
-/// An SpMM-shaped tenant: the block-row dependency topology of a
-/// synthetic symmetric matrix (see
-/// [`spmm_topology_with`]) plus the **exact** per-stripe payload sizes
-/// the kernel's allgatherv moves — submit them via
-/// [`payloads_with_sizes`].
-pub fn spmm_tenant(
-    rows: usize,
-    target_nnz: usize,
-    parts: usize,
-    seed: u64,
-) -> (Topology, Vec<usize>) {
-    let half_bandwidth = (rows / 8).max(1);
-    let x = synth_symmetric(rows, target_nnz, StructureClass::Banded { half_bandwidth }, seed);
-    let part = BlockPartition::new(rows, parts);
-    let graph = spmm_topology_with(&x, &part);
-    let stripe_bytes =
-        (0..parts).map(|p| exact_bytes(part.range(p).map(|r| x.row_cols(r).len()).sum())).collect();
-    (graph, stripe_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,15 +451,16 @@ mod tests {
 
     #[test]
     fn generated_streams_are_deterministic() {
-        let spec = TrafficSpec::default();
-        let a = generate_requests(&spec, &[8, 12], 50);
-        let b = generate_requests(&spec, &[8, 12], 50);
+        let spec = TrafficSpec { op_mix: OpMix::uniform(), ..TrafficSpec::default() };
+        let (g8, g12) = (erdos_renyi(8, 0.3, 1), erdos_renyi(12, 0.3, 2));
+        let a = generate_mixed_requests(&spec, &[&g8, &g12], 50);
+        let b = generate_mixed_requests(&spec, &[&g8, &g12], 50);
         assert_eq!(a.len(), 50);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.tenant, y.tenant);
+            assert_eq!((x.tenant, x.op), (y.tenant, y.op));
             assert_eq!(x.payloads, y.payloads);
         }
-        let c = generate_requests(&TrafficSpec { seed: 43, ..spec }, &[8, 12], 50);
+        let c = generate_mixed_requests(&TrafficSpec { seed: 43, ..spec }, &[&g8, &g12], 50);
         assert!(
             a.iter().zip(&c).any(|(x, y)| x.payloads != y.payloads),
             "different seeds should differ"
@@ -542,7 +493,7 @@ mod tests {
         let g = erdos_renyi(10, 0.35, 4);
         svc.add_tenant(g, ClusterLayout::new(2, 2, 3), Algorithm::Naive).unwrap();
         let spec = TrafficSpec { size_max: 256, ..Default::default() };
-        let reqs = generate_requests(&spec, &[10], 40);
+        let reqs = generate_mixed_requests(&spec, &[svc.tenant_graph(0)], 40);
         let finished = drive_stream(&mut svc, &reqs);
         assert_eq!(finished, 40);
         assert_eq!(svc.report().stats.completed, 40);
@@ -591,22 +542,5 @@ mod tests {
         assert!(report.stats.admitted > 0);
         assert_eq!(report.stats.completed + report.stats.failed, report.stats.admitted);
         assert_eq!(report.stats.corrupt, 0, "mixed-op traffic must verify under churn");
-    }
-
-    #[test]
-    fn spmm_tenant_sizes_match_its_topology() {
-        let (g, sizes) = spmm_tenant(64, 600, 8, 5);
-        assert_eq!(g.n(), 8);
-        assert_eq!(sizes.len(), 8);
-        assert!(sizes.iter().all(|&s| s > 8), "stripes carry headers + entries");
-        // And it actually serves as a tenant.
-        let mut svc = Service::new(ServiceConfig { verify: Verify::All, ..Default::default() });
-        let t = svc.add_tenant(g, ClusterLayout::new(2, 2, 2), Algorithm::Naive).unwrap();
-        let mut rng = DetRng::seed_from_u64(9);
-        svc.submit(t, payloads_with_sizes(&sizes, &mut rng)).unwrap();
-        svc.drain();
-        let r = svc.report();
-        assert_eq!(r.stats.completed, 1);
-        assert_eq!(r.stats.corrupt, 0);
     }
 }

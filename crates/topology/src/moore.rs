@@ -104,52 +104,46 @@ pub fn moore(n: usize, spec: MooreSpec) -> Topology {
 /// # Panics
 /// Panics if any side is `<= 2r` (wrapped neighbors would collide).
 pub fn moore_on_grid(dims: &[usize], r: usize) -> Topology {
+    periodic_grid(dims, r, |_| true)
+}
+
+/// The one periodic-grid walk behind the Moore, von Neumann and torus
+/// generators: every rank of the grid `dims` (row-major, last dimension
+/// fastest) links to the ranks at each offset of `[-r, r]^d` other than
+/// the origin that `keep` accepts, wrapping in every dimension.
+///
+/// # Panics
+/// Panics if `dims` is empty or any side is `<= 2r` (wrapped neighbors
+/// would collide).
+pub(crate) fn periodic_grid(dims: &[usize], r: usize, keep: impl Fn(&[isize]) -> bool) -> Topology {
     assert!(!dims.is_empty(), "need at least one dimension");
     for &s in dims {
         assert!(s > 2 * r, "grid side {s} must exceed 2r = {}", 2 * r);
     }
     let n: usize = dims.iter().product();
     let d = dims.len();
-
-    // Enumerate all Chebyshev-ball offsets except the origin.
+    let r = r as isize;
     let mut offsets: Vec<Vec<isize>> = vec![vec![]];
     for _ in 0..d {
-        let mut next = Vec::with_capacity(offsets.len() * (2 * r + 1));
-        for o in &offsets {
-            for delta in -(r as isize)..=(r as isize) {
-                let mut v = o.clone();
-                v.push(delta);
-                next.push(v);
-            }
-        }
-        offsets = next;
+        let longer = |o: &Vec<isize>| (-r..=r).map(|x| [&o[..], &[x]].concat()).collect::<Vec<_>>();
+        offsets = offsets.iter().flat_map(longer).collect();
     }
-    offsets.retain(|o| o.iter().any(|&x| x != 0));
+    offsets.retain(|o| o.iter().any(|&x| x != 0) && keep(o));
 
     let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(offsets.len() * n);
     let mut coord = vec![0usize; d];
     for p in 0..n {
-        rank_to_coord(p, dims, &mut coord);
+        let mut rem = p;
+        for k in (0..d).rev() {
+            coord[k] = rem % dims[k];
+            rem /= dims[k];
+        }
         for o in &offsets {
-            let mut q = 0usize;
-            for k in 0..d {
-                let side = dims[k] as isize;
-                let c = (coord[k] as isize + o[k]).rem_euclid(side) as usize;
-                q = q * dims[k] + c;
-            }
-            edges.push((p, q));
+            let wrapped = |k: usize| (coord[k] as isize + o[k]).rem_euclid(dims[k] as isize);
+            edges.push((p, (0..d).fold(0, |q, k| q * dims[k] + wrapped(k) as usize)));
         }
     }
     Topology::from_edges(n, edges)
-}
-
-/// Decodes rank `p` into grid coordinates (row-major, last dim fastest).
-fn rank_to_coord(p: Rank, dims: &[usize], coord: &mut [usize]) {
-    let mut rem = p;
-    for k in (0..dims.len()).rev() {
-        coord[k] = rem % dims[k];
-        rem /= dims[k];
-    }
 }
 
 #[cfg(test)]

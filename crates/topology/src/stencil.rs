@@ -4,7 +4,8 @@
 //! `r`, giving sparser neighborhoods than the Moore (Chebyshev) ball at
 //! the same radius: `2dr` neighbors at `r = 1`.
 
-use crate::graph::{Rank, Topology};
+use crate::graph::Topology;
+use crate::moore::periodic_grid;
 
 /// Number of lattice points at Manhattan distance `1..=r` from the
 /// origin in `d` dimensions (the von Neumann neighborhood size).
@@ -28,49 +29,7 @@ pub fn von_neumann_count(r: usize, d: usize) -> usize {
 /// # Panics
 /// Panics if any side is `<= 2r` (wrapped neighbors would collide).
 pub fn von_neumann_on_grid(dims: &[usize], r: usize) -> Topology {
-    assert!(!dims.is_empty(), "need at least one dimension");
-    for &s in dims {
-        assert!(s > 2 * r, "grid side {s} must exceed 2r = {}", 2 * r);
-    }
-    let n: usize = dims.iter().product();
-    let d = dims.len();
-
-    // Enumerate offsets with Manhattan norm in 1..=r.
-    let mut offsets: Vec<Vec<isize>> = vec![vec![]];
-    for _ in 0..d {
-        let mut next = Vec::new();
-        for o in &offsets {
-            let used: isize = o.iter().map(|x| x.abs()).sum();
-            let budget = r as isize - used;
-            for delta in -budget..=budget {
-                let mut v = o.clone();
-                v.push(delta);
-                next.push(v);
-            }
-        }
-        offsets = next;
-    }
-    offsets.retain(|o| o.iter().any(|&x| x != 0));
-
-    let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(offsets.len() * n);
-    let mut coord = vec![0usize; d];
-    for p in 0..n {
-        let mut rem = p;
-        for k in (0..d).rev() {
-            coord[k] = rem % dims[k];
-            rem /= dims[k];
-        }
-        for o in &offsets {
-            let mut q = 0usize;
-            for k in 0..d {
-                let side = dims[k] as isize;
-                let c = (coord[k] as isize + o[k]).rem_euclid(side) as usize;
-                q = q * dims[k] + c;
-            }
-            edges.push((p, q));
-        }
-    }
-    Topology::from_edges(n, edges)
+    periodic_grid(dims, r, |o| o.iter().map(|x| x.unsigned_abs()).sum::<usize>() <= r)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! (last-dimension-fastest) MPI Cartesian convention shared with
 //! [`crate::moore::moore_on_grid`].
 
-use crate::graph::{Rank, Topology};
+use crate::graph::Topology;
 
 /// A torus specification: `d` dimensions of side `k` (`n = k^d` ranks,
 /// degree `2d`).
@@ -73,7 +73,8 @@ pub fn torus(spec: TorusSpec) -> Topology {
 }
 
 /// Builds a torus on an explicit (possibly non-cubic) grid: ±1 neighbors
-/// along every axis, periodic in every dimension.
+/// along every axis, periodic in every dimension — the von Neumann
+/// stencil of radius 1 ([`crate::stencil::von_neumann_on_grid`]).
 ///
 /// # Panics
 /// Panics if `dims` is empty or any side is `< 3`.
@@ -82,30 +83,7 @@ pub fn torus_on_grid(dims: &[usize]) -> Topology {
     for &s in dims {
         assert!(s >= 3, "torus side {s} must be >= 3 for distinct +/-1 neighbors");
     }
-    let n: usize = dims.iter().product();
-    let d = dims.len();
-    let mut edges: Vec<(Rank, Rank)> = Vec::with_capacity(2 * d * n);
-    // strides[k] = product of sides after k (row-major, last dim fastest)
-    let mut strides = vec![1usize; d];
-    for k in (0..d.saturating_sub(1)).rev() {
-        strides[k] = strides[k + 1] * dims[k + 1];
-    }
-    let mut coord = vec![0usize; d];
-    for p in 0..n {
-        let mut rem = p;
-        for k in (0..d).rev() {
-            coord[k] = rem % dims[k];
-            rem /= dims[k];
-        }
-        for k in 0..d {
-            let up = (coord[k] + 1) % dims[k];
-            let down = (coord[k] + dims[k] - 1) % dims[k];
-            let base = p - coord[k] * strides[k];
-            edges.push((p, base + up * strides[k]));
-            edges.push((p, base + down * strides[k]));
-        }
-    }
-    Topology::from_edges(n, edges)
+    crate::stencil::von_neumann_on_grid(dims, 1)
 }
 
 #[cfg(test)]
@@ -155,6 +133,31 @@ mod tests {
         let m = crate::moore::moore_on_grid(&[9], 1);
         for p in 0..9 {
             assert_eq!(g.out_neighbors(p), m.out_neighbors(p), "rank {p}");
+        }
+    }
+
+    #[test]
+    fn the_torus_is_the_radius_one_von_neumann_stencil() {
+        // the explicit walk: ±1 along each axis, wrapped, by row-major strides
+        let walk = |dims: &[usize]| {
+            let n: usize = dims.iter().product();
+            let stride = |k: usize| dims[k + 1..].iter().product::<usize>();
+            let edges = (0..n).flat_map(|p| {
+                (0..dims.len()).flat_map(move |k| {
+                    let (side, c) = (dims[k], p / stride(k) % dims[k]);
+                    let base = p - c * stride(k);
+                    [(c + 1) % side, (c + side - 1) % side].map(|x| (p, base + x * stride(k)))
+                })
+            });
+            Topology::from_edges(n, edges)
+        };
+        let grids: [&[usize]; 7] =
+            [&[3], &[9], &[4, 4], &[6, 7], &[3, 5, 4], &[4, 4, 4], &[316, 316]];
+        for dims in grids {
+            let vn = crate::stencil::von_neumann_on_grid(dims, 1);
+            assert!(vn.edges().eq(walk(dims).edges()), "{dims:?}");
+            assert!(torus_on_grid(dims).edges().eq(vn.edges()), "{dims:?}");
+            assert_eq!(vn.edge_count(), 2 * dims.len() * vn.n(), "{dims:?}");
         }
     }
 

@@ -14,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SWEEP_BUDGET=12523   # crates/{core,simnet,cli}/src
-SERVICE_BUDGET=1558  # crates/service/src
+SWEEP_BUDGET=12460   # crates/{core,simnet,cli}/src
+SERVICE_BUDGET=1506  # crates/service/src
 BENCH_BUDGET=3828    # crates/bench/src
 
 count() {
