@@ -34,12 +34,14 @@
 
 use nhood_cluster::{ClusterLayout, Placement, WorkerPool};
 use nhood_core::autotune::candidates;
+use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, BlockSizes, DistGraphComm, SimCost, TuneOutcome};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
 use nhood_topology::{moore::moore_on_grid, stencil::von_neumann_on_grid, torus::torus_on_grid};
 
-use crate::suite::{gmean, row, Gate, Measured, Row, Val};
+use crate::common::gmean;
+use crate::suite::{row, Gate, Measured, Row, Val};
 
 /// Gate: gmean(best fixed / Auto) must be at least this.
 pub const GATE_VS_BEST: f64 = 1.0;
@@ -97,11 +99,12 @@ pub fn tune_cell(n: usize, delta: f64, m: usize, seed: u64) -> TuneRow {
         .with_block_sizes(BlockSizes::uniform(m));
     let cost = SimCost::niagara();
     let winner = comm.resolve_algorithm(Algorithm::Auto).expect("auto resolves");
-    let auto_s = comm.latency(winner, m, &cost).expect("winner prices").makespan;
-    let fixed_s = FIXED
-        .iter()
-        .map(|&a| (a, comm.latency(a, m, &cost).expect("fixed arm prices").makespan))
-        .collect();
+    let latency = |algo| {
+        let plan = comm.plan_shared(algo).expect("the arm builds");
+        simulate(&plan, comm.layout(), m, &cost).expect("the arm prices").makespan
+    };
+    let auto_s = latency(winner);
+    let fixed_s = FIXED.iter().map(|&a| (a, latency(a))).collect();
     TuneRow { case: format!("n={n} δ={delta} m={m}"), n, delta, m, winner, auto_s, fixed_s }
 }
 

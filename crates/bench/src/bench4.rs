@@ -27,9 +27,9 @@ use nhood_topology::moore::{moore, MooreSpec};
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::suite::{gmean, row, Gate, Measured, Val};
+use crate::common::{gmean, sample};
+use crate::suite::{row, Gate, Measured, Val};
 
 /// Required gmean cache-hit / cold-build ratio.
 pub const GATE_CACHE_SPEEDUP: f64 = 20.0;
@@ -72,20 +72,6 @@ pub struct Speedup {
     pub hit_over_cold: f64,
 }
 
-fn time_ns(iters: usize, mut f: impl FnMut()) -> (u128, u128, u128) {
-    f(); // single warmup — full plan builds are expensive at n=1024
-    let mut samples: Vec<u128> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    let median = samples[samples.len() / 2];
-    let mean = samples.iter().sum::<u128>() / samples.len() as u128;
-    (median, mean, samples[0])
-}
-
 fn bench_workload(
     workload: &str,
     delta: Option<f64>,
@@ -98,31 +84,27 @@ fn bench_workload(
     let serial = DistGraphComm::create_adjacent(graph.clone(), layout).unwrap();
     let parallel = serial.clone().with_build_threads(0); // 0 = WorkerPool::auto()
 
-    let mut push = |phase: &str, (median, mean, min): (u128, u128, u128)| {
+    // one warmup per phase: full plan builds are expensive at n = 1024
+    let mut push = |phase: &str, f: &mut dyn FnMut()| {
+        let (t, ()) = sample(1, iters, f);
         rows.push(Row {
             workload: workload.to_string(),
             n,
             delta,
             phase: phase.to_string(),
-            median_ns: median,
-            mean_ns: mean,
-            min_ns: min,
+            median_ns: t.median().as_nanos(),
+            mean_ns: t.mean().as_nanos(),
+            min_ns: t.min().as_nanos(),
             iters,
         });
     };
 
-    push(
-        "serial_build",
-        time_ns(iters, || {
-            serial.plan(Algorithm::DistanceHalving).unwrap();
-        }),
-    );
-    push(
-        "parallel_build",
-        time_ns(iters, || {
-            parallel.plan(Algorithm::DistanceHalving).unwrap();
-        }),
-    );
+    push("serial_build", &mut || {
+        serial.plan(Algorithm::DistanceHalving).unwrap();
+    });
+    push("parallel_build", &mut || {
+        parallel.plan(Algorithm::DistanceHalving).unwrap();
+    });
     // both cache phases plan on a clone with a memo of its own (re-setting
     // the metric starts one), or a clone would be served its memo's plan:
     // cold a fresh cache every iteration, hit one warm cache shared by all
@@ -130,10 +112,10 @@ fn bench_workload(
         let comm = parallel.clone().with_load_metric(LoadMetric::Neighbors);
         comm.with_plan_cache(Arc::clone(cache)).plan_shared(Algorithm::DistanceHalving).unwrap();
     };
-    push("cold_cached", time_ns(iters, || cold_memo(&Arc::new(PlanCache::new(2)))));
+    push("cold_cached", &mut || cold_memo(&Arc::new(PlanCache::new(2))));
     let cache = Arc::new(PlanCache::new(2));
     cold_memo(&cache); // warm
-    push("cache_hit", time_ns(iters, || cold_memo(&cache)));
+    push("cache_hit", &mut || cold_memo(&cache));
 }
 
 /// Runs the full grid. `quick` shrinks densities, rank counts, and

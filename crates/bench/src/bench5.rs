@@ -33,7 +33,8 @@ use nhood_topology::rng::DetRng;
 use nhood_topology::spmm_graph::spmm_topology;
 use nhood_topology::{BlockPartition, Topology};
 
-use crate::suite::{gmean, row, Gate, Measured, Val};
+use crate::common::gmean;
+use crate::suite::{row, Gate, Measured, Val};
 
 /// One simulated (workload, case) cell.
 #[derive(Debug, Clone)]

@@ -25,7 +25,8 @@ use nhood_topology::random::erdos_renyi;
 use nhood_topology::rng::DetRng;
 use std::time::Instant;
 
-use crate::suite::{median, row, Gate, Measured, Val};
+use crate::common::median;
+use crate::suite::{row, Gate, Measured, Val};
 
 /// The `n` from which the ≥10× speedup gate applies.
 pub const GATE_N: usize = 512;

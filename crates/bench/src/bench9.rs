@@ -28,7 +28,8 @@ use nhood_core::{Algorithm, CollectivePlan, PlanCache, PlanFingerprint};
 use nhood_topology::torus::{torus, TorusSpec};
 use nhood_topology::Topology;
 
-use crate::suite::{best_of, row, Gate, Measured, Val};
+use crate::common::{sample, Samples};
+use crate::suite::{row, Gate, Measured, Val};
 
 /// Peak-RSS ceiling for the ~100k build relative to the ~10k build.
 pub const GATE_RSS_RATIO: f64 = 10.0;
@@ -135,7 +136,8 @@ pub fn mmap_cell(graph: &Topology, plan: &CollectivePlan, reps: usize) -> MmapRo
     // Slow arm: what the cache does with a file that records no (or
     // another) topology digest — the same reader, then the owned plan
     // and a full structural validation against the topology.
-    let (decode_validate_secs, _) = best_of(reps, || {
+    let fastest = |t: Samples| t.min().as_secs_f64();
+    let (decode_validate, _) = sample(0, reps, || {
         let p = PlanFile::open(&path).expect("verified file").to_plan();
         p.validate(graph).expect("valid");
         p
@@ -147,7 +149,7 @@ pub fn mmap_cell(graph: &Topology, plan: &CollectivePlan, reps: usize) -> MmapRo
     // one rank's program out of its bytes. A fresh cache per rep keeps
     // it cold.
     let mut fast_path_hit = true;
-    let (mmap_fast_secs, _) = best_of(reps, || {
+    let (mmap_fast, _) = sample(0, reps, || {
         let cache = PlanCache::new(2).with_disk_dir(&dir).expect("disk tier");
         let file = cache.lookup_mapped(fp, graph).expect("disk hit");
         fast_path_hit &= cache.stats().disk_fast_hits == 1;
@@ -158,11 +160,18 @@ pub fn mmap_cell(graph: &Topology, plan: &CollectivePlan, reps: usize) -> MmapRo
     // (the lookup itself is excluded — it is the fast arm above).
     let cache = PlanCache::new(2).with_disk_dir(&dir).expect("disk tier");
     let file = cache.lookup_mapped(fp, graph).expect("disk hit");
-    let (mmap_full_secs, materialized) = best_of(reps, || file.to_plan());
+    let (mmap_full, materialized) = sample(0, reps, || file.to_plan());
     let identical = materialized == *plan;
     drop(file);
     let _ = std::fs::remove_dir_all(&dir);
-    MmapRow { n, decode_validate_secs, mmap_fast_secs, mmap_full_secs, fast_path_hit, identical }
+    MmapRow {
+        n,
+        decode_validate_secs: fastest(decode_validate),
+        mmap_fast_secs: fastest(mmap_fast),
+        mmap_full_secs: fastest(mmap_full),
+        fast_path_hit,
+        identical,
+    }
 }
 
 /// Runs both sections. Quick runs shrink the tori for CI smoke

@@ -1,127 +1,8 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! repro [--quick] [--out DIR] <experiment>...
-//!
-//! experiments:
-//!   fig2             §V model predictions (DH vs naive)
-//!   fig4             RSG latency, DH vs naive, largest scale
-//!   fig5             RSG speedups, all scales and densities
-//!   fig6             Moore-neighborhood speedups
-//!   table2           Table II matrix inventory
-//!   fig7             SpMM kernel speedups
-//!   fig8             pattern-creation overhead
-//!   model-example    §V worked example (23 vs 600 messages)
-//!   agent-success    §VII-A agent-success rates
-//!   ablation-network network-model feature ablation
-//!   ablation-selection load-aware vs mirror agent ablation
-//!   ext-alltoall     future-work alltoall variant (DH vs naive)
-//!   ext-packing      allgather vs allgatherv SpMM stripe packing
-//!   variance         latency variance across node placements (§VII-B)
-//!   plots            render SVG figures from the CSVs already in --out
-//!   all              everything above
-//! ```
-//!
-//! Results are printed as tables and written as CSV files (default
-//! `results/`). `--quick` shrinks every experiment for smoke runs.
-
-use nhood_bench::common::Scale;
-use nhood_bench::{extras, fig2, fig45, fig6, fig7, fig8};
-use std::path::PathBuf;
-use std::time::Instant;
-
-const EXPERIMENTS: [&str; 15] = [
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table2",
-    "fig7",
-    "fig8",
-    "model-example",
-    "agent-success",
-    "ablation-network",
-    "ablation-selection",
-    "ext-alltoall",
-    "ext-packing",
-    "ext-leader",
-    "variance",
-];
+//! `repro [--quick] [--out DIR] <experiment>...` — regenerate the paper's
+//! tables and figures through [`nhood_bench::repro`] (`repro --help`
+//! lists the experiments). Exits 1 when a CSV cannot be written, 2 on bad
+//! arguments.
 
 fn main() {
-    let mut scale = Scale::Full;
-    let mut out = PathBuf::from("results");
-    let mut picks: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--out" => {
-                out = PathBuf::from(args.next().unwrap_or_else(|| usage("missing --out value")));
-            }
-            "--help" | "-h" => usage(""),
-            "all" => picks.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            "plots" => picks.push("plots".to_string()),
-            other if EXPERIMENTS.contains(&other) => picks.push(other.to_string()),
-            other => usage(&format!("unknown experiment: {other}")),
-        }
-    }
-    if picks.is_empty() {
-        usage("no experiment given");
-    }
-    picks.dedup();
-    let want_plots = picks.iter().any(|p| p == "plots") || picks.len() > 3;
-    picks.retain(|p| p != "plots");
-
-    for pick in &picks {
-        let t0 = Instant::now();
-        eprintln!(">> running {pick} ({scale:?} scale)...");
-        let report = match pick.as_str() {
-            "fig2" => fig2::run(scale, &out),
-            "fig4" => fig45::run_fig4(scale, &out),
-            "fig5" => fig45::run_fig5(scale, &out),
-            "fig6" => fig6::run(scale, &out),
-            "table2" => fig7::run_table2(&out),
-            "fig7" => fig7::run(scale, &out),
-            "fig8" => fig8::run(scale, &out),
-            "model-example" => extras::run_model_example(&out),
-            "agent-success" => extras::run_agent_success(scale, &out),
-            "ablation-network" => extras::run_ablation_network(scale, &out),
-            "ablation-selection" => extras::run_ablation_selection(scale, &out),
-            "ext-alltoall" => extras::run_alltoall(scale, &out),
-            "ext-packing" => extras::run_packing(scale, &out),
-            "ext-leader" => extras::run_leader(scale, &out),
-            "variance" => extras::run_variance(scale, &out),
-            _ => unreachable!("validated above"),
-        };
-        match report {
-            Ok(r) => {
-                r.print();
-                eprintln!(">> {pick} done in {:.1?}; CSV under {}", t0.elapsed(), out.display());
-            }
-            Err(e) => {
-                eprintln!("!! {pick} failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if want_plots {
-        match nhood_bench::figures::render_all(&out) {
-            Ok(written) => {
-                eprintln!(">> rendered {} SVG figures under {}", written.len(), out.display())
-            }
-            Err(e) => eprintln!("!! plot rendering failed: {e}"),
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: repro [--quick] [--out DIR] <experiment>...\nexperiments: {} all",
-        EXPERIMENTS.join(" ")
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+    std::process::exit(nhood_bench::repro::drive(std::env::args().skip(1)));
 }

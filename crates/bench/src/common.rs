@@ -1,8 +1,8 @@
-//! Shared harness utilities: experiment scales, CSV output, table
-//! printing, and the sweep constants the paper's figures use.
+//! Shared harness utilities: experiment scales, the sweep constants the
+//! paper's figures use, cell formatting, and the statistics every suite
+//! and figure takes — one geometric mean, one median, one timing sampler.
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The paper's Random Sparse Graph densities (Figs. 4, 5, 8).
 pub const DENSITIES: [f64; 5] = [0.05, 0.1, 0.3, 0.5, 0.7];
@@ -74,79 +74,6 @@ impl Scale {
     }
 }
 
-/// A simple CSV + pretty-table writer for experiment results.
-pub struct Report {
-    name: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Report {
-    /// Starts a report with column names.
-    pub fn new(name: &str, header: &[&str]) -> Self {
-        Self {
-            name: name.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a data row.
-    ///
-    /// # Panics
-    /// Panics if the row width differs from the header.
-    pub fn push(&mut self, row: Vec<String>) {
-        assert_eq!(row.len(), self.header.len(), "row width mismatch in {}", self.name);
-        self.rows.push(row);
-    }
-
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if no rows have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Writes `<out>/<name>.csv`.
-    pub fn write_csv(&self, out: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(out)?;
-        let path = out.join(format!("{}.csv", self.name));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(path)
-    }
-
-    /// Prints an aligned ASCII table to stdout.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        println!("== {} ==", self.name);
-        println!("{}", line(&self.header));
-        for row in &self.rows {
-            println!("{}", line(row));
-        }
-        println!();
-    }
-}
-
 /// Formats seconds with µs precision.
 pub fn fmt_secs(t: f64) -> String {
     format!("{t:.9}")
@@ -168,35 +95,63 @@ pub fn fmt_bytes(b: usize) -> String {
     }
 }
 
-/// Geometric mean of positive values (the right average for speedups).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
+/// Geometric mean of positive values (the right average for speedups);
+/// `None` for no values.
+pub fn gmean(vals: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let lns: Vec<f64> = vals.into_iter().map(f64::ln).collect();
+    (!lns.is_empty()).then(|| (lns.iter().sum::<f64>() / lns.len() as f64).exp())
+}
+
+/// The median of a non-empty sample (the upper one of an even count).
+pub fn median<T: Copy + PartialOrd>(mut xs: Vec<T>) -> T {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+    xs[xs.len() / 2]
+}
+
+/// Wall times of timed calls, fastest first.
+#[derive(Clone, Debug)]
+pub struct Samples(Vec<Duration>);
+
+impl Samples {
+    /// The fastest call: the least-noise estimator for a deterministic
+    /// workload.
+    pub fn min(&self) -> Duration {
+        self.0[0]
     }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
+
+    /// The median call.
+    pub fn median(&self) -> Duration {
+        median(self.0.clone())
+    }
+
+    /// The mean call.
+    pub fn mean(&self) -> Duration {
+        self.0.iter().sum::<Duration>() / self.0.len() as u32
+    }
+}
+
+/// The one timing sampler: `warmup` untimed calls of `f`, then `reps`
+/// timed ones (at least one). Returns their wall times and the last
+/// result.
+pub fn sample<T>(warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> (Samples, T) {
+    for _ in 0..warmup {
+        std::hint::black_box(f());
+    }
+    let mut times = Vec::with_capacity(reps.max(1));
+    let mut last = None;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let v = std::hint::black_box(f());
+        times.push(t0.elapsed());
+        last = Some(v);
+    }
+    times.sort_unstable();
+    (Samples(times), last.expect("at least one rep"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_round_trip() {
-        let mut r = Report::new("t", &["a", "b"]);
-        r.push(vec!["1".into(), "2".into()]);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
-        let dir = std::env::temp_dir().join("nhood_report_test");
-        let p = r.write_csv(&dir).unwrap();
-        let s = std::fs::read_to_string(p).unwrap();
-        assert_eq!(s, "a,b\n1,2\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn report_rejects_ragged_rows() {
-        Report::new("t", &["a"]).push(vec!["1".into(), "2".into()]);
-    }
 
     #[test]
     fn formatting() {
@@ -209,9 +164,24 @@ mod tests {
 
     #[test]
     fn geomean_properties() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
+        assert!((gmean([2.0, 8.0]).unwrap() - 4.0).abs() < 1e-12);
+        assert!((gmean([3.0]).unwrap() - 3.0).abs() < 1e-12);
+        assert_eq!(gmean([]), None);
+    }
+
+    #[test]
+    fn the_sampler_times_every_rep_and_keeps_the_last_result() {
+        let mut calls = 0u32;
+        let (times, last) = sample(2, 5, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (7, 7));
+        assert_eq!(times.0.len(), 5);
+        assert!(times.min() <= times.median() && times.0.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(sample(0, 0, || ()).0 .0.len(), 1, "at least one rep");
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4u32, 1, 3, 2]), 3);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * ablation: load-aware agent choice vs fixed mirror-rank choice;
 //! * ablation: network-model features (NIC serialization, hierarchy).
 
-use crate::common::{fmt_secs, fmt_x, Report, Scale};
+use crate::common::{fmt_bytes, fmt_secs, fmt_x, Scale};
+use crate::suite::{row, Measured, Row};
 use nhood_cluster::{ClusterLayout, HockneyParams};
 use nhood_core::builder::build_pattern;
 use nhood_core::exec::sim_exec::simulate;
@@ -15,13 +16,11 @@ use nhood_core::remap::{locality_order, reranked};
 use nhood_core::{Algorithm, BlockSizes, DistGraphComm, SimCost};
 use nhood_simnet::{NicMode, SimConfig};
 use nhood_topology::random::erdos_renyi;
-use std::path::Path;
 
 /// The §V worked example: expected message counts at n = 2000, 50 nodes
-/// × 2 × 20, δ = 0.3 — model vs the counts our builder actually produces.
-pub fn run_model_example(out: &Path) -> std::io::Result<Report> {
-    let mut report =
-        Report::new("model_worked_example", &["quantity", "paper", "model_formula", "measured"]);
+/// × 2 × 20, δ = 0.3 — model vs the counts our builder actually produces:
+/// section `model_worked_example`.
+pub fn run_model_example() -> Measured {
     let params = ModelParams { n: 2000, s: 2, l: 20, delta: 0.3, alpha: 1.3e-6, beta: 10.5e9 };
     // measured counts from a real build at the same configuration
     let graph = erdos_renyi(2000, 0.3, 42);
@@ -40,56 +39,58 @@ pub fn run_model_example(out: &Path) -> std::io::Result<Report> {
             }
         }
     }
-    report.push(vec![
-        "off-socket msgs/rank".into(),
-        "7".into(),
-        format!("{:.1}", params.expected_off_socket_msgs()),
-        format!("{:.1}", off as f64 / n),
-    ]);
-    report.push(vec![
-        "intra-socket msgs/rank".into(),
-        "16".into(),
-        format!("{:.1}", params.expected_intra_socket_msgs()),
-        format!("{:.1}", intra as f64 / n),
-    ]);
-    report.push(vec![
-        "naive msgs/rank".into(),
-        "600".into(),
-        format!("{:.0}", params.delta * params.n as f64),
-        format!("{:.0}", graph.edge_count() as f64 / n),
-    ]);
-    report.write_csv(out)?;
-    Ok(report)
+    let quantity = |name: &str, paper: &str, model: String, measured: String| {
+        row! {
+            "quantity" => name, "paper" => paper, "model_formula" => model, "measured" => measured,
+        }
+    };
+    let rows = vec![
+        quantity(
+            "off-socket msgs/rank",
+            "7",
+            format!("{:.1}", params.expected_off_socket_msgs()),
+            format!("{:.1}", off as f64 / n),
+        ),
+        quantity(
+            "intra-socket msgs/rank",
+            "16",
+            format!("{:.1}", params.expected_intra_socket_msgs()),
+            format!("{:.1}", intra as f64 / n),
+        ),
+        quantity(
+            "naive msgs/rank",
+            "600",
+            format!("{:.0}", params.delta * params.n as f64),
+            format!("{:.0}", graph.edge_count() as f64 / n),
+        ),
+    ];
+    Measured { sections: vec![("model_worked_example", rows)], gates: vec![] }
 }
 
 /// Agent-success rates per density (the paper reports ~80% at δ = 0.05
-/// for 2160 ranks).
-pub fn run_agent_success(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// for 2160 ranks): section `agent_success_rate`.
+pub fn run_agent_success(scale: Scale) -> Measured {
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
-    let mut report = Report::new(
-        "agent_success_rate",
-        &["delta", "success_rate", "mean_final_blocks", "signals"],
-    );
+    let mut rows = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let pattern = build_pattern(&graph, &layout).expect("builds");
-        report.push(vec![
-            delta.to_string(),
-            format!("{:.3}", pattern.stats.success_rate()),
-            format!("{:.1}", pattern.mean_final_blocks()),
-            pattern.stats.total_signals().to_string(),
-        ]);
+        rows.push(row! {
+            "delta" => delta.to_string(),
+            "success_rate" => format!("{:.3}", pattern.stats.success_rate()),
+            "mean_final_blocks" => format!("{:.1}", pattern.mean_final_blocks()),
+            "signals" => pattern.stats.total_signals().to_string(),
+        });
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("agent_success_rate", rows)], gates: vec![] }
 }
 
 /// Ablation: the network-model features. Simulates naïve vs Distance
 /// Halving under (a) the full default model, (b) no NIC serialization,
 /// (c) a flat (level-independent) network — showing which modelled
-/// effect the speedup comes from.
-pub fn run_ablation_network(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// effect the speedup comes from. Section `ablation_network`.
+pub fn run_ablation_network(scale: Scale) -> Measured {
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let graph = erdos_renyi(ranks, 0.3, 42);
@@ -115,37 +116,29 @@ pub fn run_ablation_network(scale: Scale, out: &Path) -> std::io::Result<Report>
     dragonfly.net.global_links = Some(nhood_simnet::GlobalLinkConfig::niagara());
     variants.push(("dragonfly-global", dragonfly));
 
-    let mut report =
-        Report::new("ablation_network", &["variant", "msg_size", "naive_s", "dh_s", "dh_speedup"]);
+    let mut rows = Vec::new();
     for (name, cost) in &variants {
         for &m in &[64usize, 65536] {
             let tn = simulate(&naive, &layout, m, cost).expect("sim").makespan;
             let td = simulate(&dh, &layout, m, cost).expect("sim").makespan;
-            report.push(vec![
-                name.to_string(),
-                crate::common::fmt_bytes(m),
-                fmt_secs(tn),
-                fmt_secs(td),
-                fmt_x(tn / td),
-            ]);
+            rows.push(row! {
+                "variant" => *name, "msg_size" => fmt_bytes(m), "naive_s" => fmt_secs(tn),
+                "dh_s" => fmt_secs(td), "dh_speedup" => fmt_x(tn / td),
+            });
         }
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("ablation_network", rows)], gates: vec![] }
 }
 
 /// Ablation: load-aware agent selection vs a fixed "mirror rank" agent
 /// (Sack–Gropp-style distance halving without topology awareness: rank
 /// `p` always pairs with its reflection in the opposite half). Compares
-/// simulated latency and total transit load.
-pub fn run_ablation_selection(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// simulated latency. Section `ablation_selection`.
+pub fn run_ablation_selection(scale: Scale) -> Measured {
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let cost = SimCost::niagara();
-    let mut report = Report::new(
-        "ablation_selection",
-        &["delta", "msg_size", "load_aware_s", "mirror_s", "load_aware_gain"],
-    );
+    let mut rows = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let comm = DistGraphComm::create_adjacent(graph.clone(), layout.clone()).expect("fits");
@@ -155,31 +148,26 @@ pub fn run_ablation_selection(scale: Scale, out: &Path) -> std::io::Result<Repor
         for &m in &[64usize, 16384] {
             let ta = simulate(&dh, &layout, m, &cost).expect("sim").makespan;
             let tm = simulate(&mirror, &layout, m, &cost).expect("sim").makespan;
-            report.push(vec![
-                delta.to_string(),
-                crate::common::fmt_bytes(m),
-                fmt_secs(ta),
-                fmt_secs(tm),
-                fmt_x(tm / ta),
-            ]);
+            rows.push(row! {
+                "delta" => delta.to_string(), "msg_size" => fmt_bytes(m),
+                "load_aware_s" => fmt_secs(ta), "mirror_s" => fmt_secs(tm),
+                "load_aware_gain" => fmt_x(tm / ta),
+            });
         }
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("ablation_selection", rows)], gates: vec![] }
 }
 
 /// Extension experiment: the future-work **alltoall** variant — Distance
 /// Halving routing vs the naïve alltoall, across densities and sizes.
-/// (No paper counterpart; this previews §VIII.)
-pub fn run_alltoall(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// (No paper counterpart; this previews §VIII.) Section
+/// `ext_alltoall_speedup`.
+pub fn run_alltoall(scale: Scale) -> Measured {
     use nhood_core::alltoall::simulate_alltoall;
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let cost = SimCost::niagara();
-    let mut report = Report::new(
-        "ext_alltoall_speedup",
-        &["delta", "msg_size", "naive_s", "dh_s", "dh_speedup", "naive_msgs", "dh_msgs"],
-    );
+    let mut rows = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let pattern = build_pattern(&graph, &layout).expect("builds");
@@ -189,34 +177,28 @@ pub fn run_alltoall(scale: Scale, out: &Path) -> std::io::Result<Report> {
         for &m in &[64usize, 4096, 262_144] {
             let rn = simulate_alltoall(&naive, &graph, &layout, m, &cost).expect("sim");
             let rd = simulate_alltoall(&dh, &graph, &layout, m, &cost).expect("sim");
-            report.push(vec![
-                delta.to_string(),
-                crate::common::fmt_bytes(m),
-                fmt_secs(rn.makespan),
-                fmt_secs(rd.makespan),
-                fmt_x(rn.makespan / rd.makespan),
-                rn.stats.total_msgs().to_string(),
-                rd.stats.total_msgs().to_string(),
-            ]);
+            rows.push(row! {
+                "delta" => delta.to_string(), "msg_size" => fmt_bytes(m),
+                "naive_s" => fmt_secs(rn.makespan), "dh_s" => fmt_secs(rd.makespan),
+                "dh_speedup" => fmt_x(rn.makespan / rd.makespan),
+                "naive_msgs" => rn.stats.total_msgs().to_string(),
+                "dh_msgs" => rd.stats.total_msgs().to_string(),
+            });
         }
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("ext_alltoall_speedup", rows)], gates: vec![] }
 }
 
 /// Extension experiment: allgather (padded) vs allgatherv (exact) SpMM
 /// stripe packing — how much the padding of the non-`v` collective costs
-/// for each Table II matrix.
-pub fn run_packing(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// for each Table II matrix. Section `ext_packing`.
+pub fn run_packing(scale: Scale) -> Measured {
     use nhood_topology::matrix::generators::{synth_symmetric, TABLE2};
     use nhood_topology::spmm_graph::spmm_topology;
     let (parts, nodes) = scale.spmm_scale();
     let layout = ClusterLayout::niagara(nodes, parts / nodes);
     let cost = SimCost::niagara();
-    let mut report = Report::new(
-        "ext_packing",
-        &["matrix", "padded_bytes", "mean_exact_bytes", "padded_s", "exact_s", "exact_gain"],
-    );
+    let mut rows = Vec::new();
     let matrices: &[_] = match scale {
         Scale::Full => &TABLE2,
         Scale::Quick => &TABLE2[..2],
@@ -241,17 +223,13 @@ pub fn run_packing(scale: Scale, out: &Path) -> std::io::Result<Report> {
         let te = nhood_core::exec::sim_exec::simulate_v(&plan, &layout, &sizes, &cost)
             .expect("sim")
             .makespan;
-        report.push(vec![
-            e.name.to_string(),
-            padded.to_string(),
-            mean.to_string(),
-            fmt_secs(tp),
-            fmt_secs(te),
-            fmt_x(tp / te),
-        ]);
+        rows.push(row! {
+            "matrix" => e.name, "padded_bytes" => padded.to_string(),
+            "mean_exact_bytes" => mean.to_string(), "padded_s" => fmt_secs(tp),
+            "exact_s" => fmt_secs(te), "exact_gain" => fmt_x(tp / te),
+        });
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("ext_packing", rows)], gates: vec![] }
 }
 
 /// The §VII-B variance claim: the default algorithm's latency varies
@@ -259,8 +237,8 @@ pub fn run_packing(scale: Scale, out: &Path) -> std::io::Result<Report> {
 /// Halving is "considerably more stable". Reruns a Moore exchange under
 /// several random node-placement permutations (global links enabled to
 /// expose group boundaries) and reports mean, standard deviation and
-/// coefficient of variation per algorithm.
-pub fn run_variance(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// coefficient of variation per algorithm. Section `variance_placement`.
+pub fn run_variance(scale: Scale) -> Measured {
     use nhood_topology::moore::{moore, MooreSpec};
     let (ranks, nodes, rpn) = scale.moore_scale();
     let graph = moore(ranks, MooreSpec { r: 2, d: 2 });
@@ -298,35 +276,30 @@ pub fn run_variance(scale: Scale, out: &Path) -> std::io::Result<Report> {
         samples.entry("dh-reordered").or_default().push(t);
     }
 
-    let mut report =
-        Report::new("variance_placement", &["algorithm", "trials", "mean_s", "std_s", "cov_pct"]);
-    for (name, xs) in samples {
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        let std = var.sqrt();
-        report.push(vec![
-            name.to_string(),
-            xs.len().to_string(),
-            fmt_secs(mean),
-            fmt_secs(std),
-            format!("{:.2}", 100.0 * std / mean),
-        ]);
-    }
-    report.write_csv(out)?;
-    Ok(report)
+    let rows: Vec<Row> = samples
+        .into_iter()
+        .map(|(name, xs)| {
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+            let std = var.sqrt();
+            row! {
+                "algorithm" => name, "trials" => xs.len().to_string(), "mean_s" => fmt_secs(mean),
+                "std_s" => fmt_secs(std), "cov_pct" => format!("{:.2}", 100.0 * std / mean),
+            }
+        })
+        .collect();
+    Measured { sections: vec![("variance_placement", rows)], gates: vec![] }
 }
 
 /// Extension experiment: the hierarchical leader baseline (SC'20, the
 /// paper's \[9\]) against naïve, Common Neighbor and Distance Halving in
-/// the large-message regime where DH's buffer doubling hurts.
-pub fn run_leader(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// the large-message regime where DH's buffer doubling hurts. Section
+/// `ext_leader_large_messages`.
+pub fn run_leader(scale: Scale) -> Measured {
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let cost = SimCost::niagara();
-    let mut report = Report::new(
-        "ext_leader_large_messages",
-        &["delta", "msg_size", "naive_s", "dh_x", "cn_x", "leader_x", "leaders"],
-    );
+    let mut rows = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let comm = DistGraphComm::create_adjacent(graph, layout.clone()).expect("fits");
@@ -349,66 +322,55 @@ pub fn run_leader(scale: Scale, out: &Path) -> std::io::Result<Report> {
                 .map(|(l, p)| (*l, simulate(p, &layout, m, &cost).expect("sim").makespan))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                 .expect("non-empty");
-            report.push(vec![
-                delta.to_string(),
-                crate::common::fmt_bytes(m),
-                fmt_secs(tn),
-                fmt_x(tn / td),
-                fmt_x(tn / tc),
-                fmt_x(tn / tl),
-                l.to_string(),
-            ]);
+            rows.push(row! {
+                "delta" => delta.to_string(), "msg_size" => fmt_bytes(m), "naive_s" => fmt_secs(tn),
+                "dh_x" => fmt_x(tn / td), "cn_x" => fmt_x(tn / tc), "leader_x" => fmt_x(tn / tl),
+                "leaders" => l.to_string(),
+            });
         }
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("ext_leader_large_messages", rows)], gates: vec![] }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The row count of `m`'s one section.
+    fn rows(m: Measured) -> usize {
+        assert_eq!(m.sections.len(), 1);
+        m.sections[0].1.len()
+    }
+
     #[test]
     fn leader_quick() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        let r = run_leader(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2 * 3);
+        assert_eq!(rows(run_leader(Scale::Quick)), 2 * 3);
     }
 
     #[test]
     fn variance_quick() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        let r = run_variance(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 4);
+        assert_eq!(rows(run_variance(Scale::Quick)), 4);
     }
 
     #[test]
     fn alltoall_and_packing_quick() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        let r = run_alltoall(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2 * 3);
-        let r = run_packing(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2);
+        assert_eq!(rows(run_alltoall(Scale::Quick)), 2 * 3);
+        assert_eq!(rows(run_packing(Scale::Quick)), 2);
     }
 
     #[test]
     fn worked_example_report() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        let r = run_model_example(&dir).unwrap();
-        assert_eq!(r.len(), 3);
+        assert_eq!(rows(run_model_example()), 3);
     }
 
     #[test]
     fn agent_success_quick() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        let r = run_agent_success(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2);
+        assert_eq!(rows(run_agent_success(Scale::Quick)), 2);
     }
 
     #[test]
     fn ablations_quick() {
-        let dir = std::env::temp_dir().join("nhood_extras_test");
-        assert_eq!(run_ablation_network(Scale::Quick, &dir).unwrap().len(), 12);
-        assert_eq!(run_ablation_selection(Scale::Quick, &dir).unwrap().len(), 4);
+        assert_eq!(rows(run_ablation_network(Scale::Quick)), 12);
+        assert_eq!(rows(run_ablation_selection(Scale::Quick)), 4);
     }
 }

@@ -1,30 +1,24 @@
 //! Fig. 2 — the §V performance model: predicted time of the Distance
 //! Halving vs naïve algorithms across message sizes and densities.
 
-use crate::common::{fmt_bytes, fmt_secs, fmt_x, Report, Scale};
+use crate::common::{fmt_bytes, fmt_secs, fmt_x, Scale};
+use crate::suite::{row, Measured};
 use nhood_core::model::fig2_sweep;
-use std::path::Path;
 
-/// Runs the model sweep and writes `fig2_model.csv`.
-pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// Runs the model sweep: section `fig2_model`.
+pub fn run(scale: Scale) -> Measured {
     let n = scale.rsg_largest().0;
-    let deltas = scale.densities();
-    let sizes = scale.msg_sizes();
-    let mut report = Report::new(
-        "fig2_model",
-        &["delta", "msg_size", "model_naive_s", "model_dh_s", "model_speedup"],
-    );
-    for pt in fig2_sweep(n, &deltas, &sizes) {
-        report.push(vec![
-            format!("{}", pt.delta),
-            fmt_bytes(pt.m),
-            fmt_secs(pt.naive),
-            fmt_secs(pt.dh),
-            fmt_x(pt.naive / pt.dh),
-        ]);
-    }
-    report.write_csv(out)?;
-    Ok(report)
+    let rows = fig2_sweep(n, &scale.densities(), &scale.msg_sizes())
+        .into_iter()
+        .map(|pt| {
+            row! {
+                "delta" => pt.delta.to_string(), "msg_size" => fmt_bytes(pt.m),
+                "model_naive_s" => fmt_secs(pt.naive), "model_dh_s" => fmt_secs(pt.dh),
+                "model_speedup" => fmt_x(pt.naive / pt.dh),
+            }
+        })
+        .collect();
+    Measured { sections: vec![("fig2_model", rows)], gates: vec![] }
 }
 
 #[cfg(test)]
@@ -33,8 +27,6 @@ mod tests {
 
     #[test]
     fn produces_full_grid() {
-        let dir = std::env::temp_dir().join("nhood_fig2_test");
-        let r = run(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2 * 3); // densities × sizes
+        assert_eq!(run(Scale::Quick).section("fig2_model").len(), 2 * 3); // densities × sizes
     }
 }

@@ -1,4 +1,5 @@
-//! Figs. 4 and 5 — the Random Sparse Graph micro-benchmark.
+//! Figs. 4 and 5 — the Random Sparse Graph micro-benchmark, two views of
+//! one sweep.
 //!
 //! Fig. 4: absolute latency of Distance Halving vs the naïve (default
 //! Open MPI) algorithm at the largest scale, across densities and message
@@ -7,13 +8,13 @@
 //! Fig. 5: speedup of Distance Halving and of the best-K Common Neighbor
 //! algorithm over naïve, for 540/1080/2160 ranks (Full scale).
 
-use crate::common::{fmt_bytes, fmt_secs, fmt_x, geomean, Report, Scale, CN_KS};
+use crate::common::{fmt_bytes, fmt_secs, fmt_x, gmean, Scale, CN_KS};
+use crate::suite::{row, Measured};
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::simulate;
 use nhood_core::model::ModelParams;
 use nhood_core::{Algorithm, DistGraphComm, SimCost};
 use nhood_topology::random::erdos_renyi;
-use std::path::Path;
 
 /// One measured sweep point.
 #[derive(Clone, Debug)]
@@ -69,73 +70,49 @@ pub fn sweep_one(
         .collect()
 }
 
-/// Fig. 4: latency table at the largest scale, with model columns.
-pub fn run_fig4(scale: Scale, out: &Path) -> std::io::Result<Report> {
-    let (ranks, nodes) = scale.rsg_largest();
+/// Sweeps every scale × density × size once: sections
+/// `fig4_rsg_latency` (the largest scale, with the model's columns),
+/// `fig5_rsg_speedup` and `fig5_rsg_speedup_avg` (geometric means over
+/// the sizes).
+pub fn run(scale: Scale) -> Measured {
     let sizes = scale.msg_sizes();
-    let mut report = Report::new(
-        "fig4_rsg_latency",
-        &["ranks", "delta", "msg_size", "naive_s", "dh_s", "model_naive_s", "model_dh_s"],
-    );
-    for &delta in &scale.densities() {
-        let pts = sweep_one(ranks, nodes, delta, &sizes, 42);
-        let mp = ModelParams::niagara(ranks, delta);
-        for p in pts {
-            report.push(vec![
-                ranks.to_string(),
-                delta.to_string(),
-                fmt_bytes(p.m),
-                fmt_secs(p.naive),
-                fmt_secs(p.dh),
-                fmt_secs(mp.naive_time(p.m)),
-                fmt_secs(mp.dh_time(p.m)),
-            ]);
-        }
-    }
-    report.write_csv(out)?;
-    Ok(report)
-}
-
-/// Fig. 5: speedups over naïve for every scale × density × size.
-pub fn run_fig5(scale: Scale, out: &Path) -> std::io::Result<Report> {
-    let sizes = scale.msg_sizes();
-    let mut report = Report::new(
-        "fig5_rsg_speedup",
-        &["ranks", "delta", "msg_size", "dh_speedup", "cn_speedup", "cn_best_k"],
-    );
-    let mut summary = Report::new(
-        "fig5_rsg_speedup_avg",
-        &["ranks", "delta", "dh_avg_speedup", "cn_avg_speedup"],
-    );
+    let largest = scale.rsg_largest();
+    let (mut latency, mut speedup, mut avg) = (Vec::new(), Vec::new(), Vec::new());
     for (ranks, nodes) in scale.rsg_scales() {
         for &delta in &scale.densities() {
             let pts = sweep_one(ranks, nodes, delta, &sizes, 42);
-            let mut dh_sp = Vec::new();
-            let mut cn_sp = Vec::new();
+            let model = ModelParams::niagara(ranks, delta);
             for p in &pts {
-                dh_sp.push(p.naive / p.dh);
-                cn_sp.push(p.naive / p.cn);
-                report.push(vec![
-                    ranks.to_string(),
-                    delta.to_string(),
-                    fmt_bytes(p.m),
-                    fmt_x(p.naive / p.dh),
-                    fmt_x(p.naive / p.cn),
-                    p.cn_k.to_string(),
-                ]);
+                if (ranks, nodes) == largest {
+                    latency.push(row! {
+                        "ranks" => ranks.to_string(), "delta" => delta.to_string(),
+                        "msg_size" => fmt_bytes(p.m), "naive_s" => fmt_secs(p.naive),
+                        "dh_s" => fmt_secs(p.dh),
+                        "model_naive_s" => fmt_secs(model.naive_time(p.m)),
+                        "model_dh_s" => fmt_secs(model.dh_time(p.m)),
+                    });
+                }
+                speedup.push(row! {
+                    "ranks" => ranks.to_string(), "delta" => delta.to_string(),
+                    "msg_size" => fmt_bytes(p.m), "dh_speedup" => fmt_x(p.naive / p.dh),
+                    "cn_speedup" => fmt_x(p.naive / p.cn), "cn_best_k" => p.cn_k.to_string(),
+                });
             }
-            summary.push(vec![
-                ranks.to_string(),
-                delta.to_string(),
-                fmt_x(geomean(&dh_sp)),
-                fmt_x(geomean(&cn_sp)),
-            ]);
+            let mean = |over: fn(&RsgPoint) -> f64| {
+                fmt_x(gmean(pts.iter().map(|p| p.naive / over(p))).expect("a size per cell"))
+            };
+            avg.push(row! {
+                "ranks" => ranks.to_string(), "delta" => delta.to_string(),
+                "dh_avg_speedup" => mean(|p| p.dh), "cn_avg_speedup" => mean(|p| p.cn),
+            });
         }
     }
-    report.write_csv(out)?;
-    summary.write_csv(out)?;
-    summary.print();
-    Ok(report)
+    let sections = vec![
+        ("fig4_rsg_latency", latency),
+        ("fig5_rsg_speedup", speedup),
+        ("fig5_rsg_speedup_avg", avg),
+    ];
+    Measured { sections, gates: vec![] }
 }
 
 #[cfg(test)]
@@ -156,10 +133,9 @@ mod tests {
 
     #[test]
     fn quick_reports_have_expected_shape() {
-        let dir = std::env::temp_dir().join("nhood_fig45_test");
-        let f4 = run_fig4(Scale::Quick, &dir).unwrap();
-        assert_eq!(f4.len(), 2 * 3); // densities × sizes
-        let f5 = run_fig5(Scale::Quick, &dir).unwrap();
-        assert_eq!(f5.len(), 2 * 3); // scales(1) × densities × sizes
+        let m = run(Scale::Quick);
+        assert_eq!(m.section("fig4_rsg_latency").len(), 2 * 3); // densities × sizes
+        assert_eq!(m.section("fig5_rsg_speedup").len(), 2 * 3); // scales(1) × densities × sizes
+        assert_eq!(m.section("fig5_rsg_speedup_avg").len(), 2); // scales(1) × densities
     }
 }

@@ -5,12 +5,12 @@
 //! medium (256 KB) and large (4 MB) messages; speedup of Distance Halving
 //! and best-K Common Neighbor over the naïve algorithm.
 
-use crate::common::{fmt_bytes, fmt_x, Report, Scale, CN_KS};
+use crate::common::{fmt_bytes, fmt_secs, fmt_x, Scale, CN_KS};
+use crate::suite::{row, Measured};
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, DistGraphComm, SimCost};
 use nhood_topology::moore::{grid_dims, moore, MooreSpec};
-use std::path::Path;
 
 /// Message sizes of Fig. 6: small, medium, large.
 pub const MOORE_SIZES: [usize; 3] = [4096, 262_144, 4_194_304];
@@ -27,8 +27,8 @@ pub const MOORE_SPECS: [MooreSpec; 6] = [
     MooreSpec { r: 2, d: 3 },
 ];
 
-/// Runs the Moore sweep and writes `fig6_moore_speedup.csv`.
-pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// Runs the Moore sweep: section `fig6_moore_speedup`.
+pub fn run(scale: Scale) -> Measured {
     let (ranks, nodes, rpn) = scale.moore_scale();
     let layout = ClusterLayout::niagara(nodes, rpn);
     let cost = SimCost::niagara();
@@ -36,10 +36,7 @@ pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
         Scale::Full => MOORE_SIZES.to_vec(),
         Scale::Quick => vec![4096, 262_144],
     };
-    let mut report = Report::new(
-        "fig6_moore_speedup",
-        &["moore", "neighbors", "msg_size", "naive_s", "dh_speedup", "cn_speedup", "cn_best_k"],
-    );
+    let mut rows = Vec::new();
     for spec in MOORE_SPECS {
         if grid_dims(ranks, spec).is_none() {
             continue;
@@ -60,19 +57,15 @@ pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
                 .map(|(k, p)| (*k, simulate(p, &layout, m, &cost).expect("sim").makespan))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                 .expect("non-empty");
-            report.push(vec![
-                format!("r{}d{}", spec.r, spec.d),
-                spec.neighbor_count().to_string(),
-                fmt_bytes(m),
-                crate::common::fmt_secs(tn),
-                fmt_x(tn / td),
-                fmt_x(tn / tc),
-                k.to_string(),
-            ]);
+            rows.push(row! {
+                "moore" => format!("r{}d{}", spec.r, spec.d),
+                "neighbors" => spec.neighbor_count().to_string(), "msg_size" => fmt_bytes(m),
+                "naive_s" => fmt_secs(tn), "dh_speedup" => fmt_x(tn / td),
+                "cn_speedup" => fmt_x(tn / tc), "cn_best_k" => k.to_string(),
+            });
         }
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("fig6_moore_speedup", rows)], gates: vec![] }
 }
 
 #[cfg(test)]
@@ -81,10 +74,9 @@ mod tests {
 
     #[test]
     fn quick_moore_sweep_runs() {
-        let dir = std::env::temp_dir().join("nhood_fig6_test");
-        let r = run(Scale::Quick, &dir).unwrap();
+        let rows = run(Scale::Quick).section("fig6_moore_speedup").len();
         // 256 ranks: all six specs factor (16x16 / 4x8x8 grids)
-        assert!(r.len() >= 2 * 4, "got {} rows", r.len());
+        assert!(rows >= 2 * 4, "got {rows} rows");
     }
 
     #[test]

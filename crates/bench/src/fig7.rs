@@ -9,52 +9,37 @@
 //! the quantity of interest (the paper's kernel speedups are bounded by
 //! it).
 
-use crate::common::{fmt_secs, fmt_x, Report, Scale, CN_KS};
+use crate::common::{fmt_secs, fmt_x, Scale, CN_KS};
+use crate::suite::{row, Measured};
 use nhood_cluster::ClusterLayout;
 use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, DistGraphComm, SimCost};
 use nhood_topology::matrix::generators::{synth_symmetric, TABLE2};
 use nhood_topology::spmm_graph::spmm_topology;
-use std::path::Path;
 
-/// Writes the Table II inventory (paper targets vs synthetic replicas).
-pub fn run_table2(out: &Path) -> std::io::Result<Report> {
-    let mut report = Report::new(
-        "table2_matrices",
-        &["matrix", "size", "paper_nnz", "replica_nnz", "structure"],
-    );
-    for e in &TABLE2 {
-        let m = synth_symmetric(e.n, e.nnz, e.class, 42);
-        report.push(vec![
-            e.name.to_string(),
-            format!("{}x{}", e.n, e.n),
-            e.nnz.to_string(),
-            m.nnz().to_string(),
-            format!("{:?}", e.class),
-        ]);
-    }
-    report.write_csv(out)?;
-    Ok(report)
+/// The Table II inventory (paper targets vs synthetic replicas): section
+/// `table2_matrices`.
+pub fn run_table2() -> Measured {
+    let rows = TABLE2
+        .iter()
+        .map(|e| {
+            let m = synth_symmetric(e.n, e.nnz, e.class, 42);
+            row! {
+                "matrix" => e.name, "size" => format!("{}x{}", e.n, e.n),
+                "paper_nnz" => e.nnz.to_string(), "replica_nnz" => m.nnz().to_string(),
+                "structure" => format!("{:?}", e.class),
+            }
+        })
+        .collect();
+    Measured { sections: vec![("table2_matrices", rows)], gates: vec![] }
 }
 
-/// Runs the Fig. 7 SpMM sweep and writes `fig7_spmm_speedup.csv`.
-pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// Runs the Fig. 7 SpMM sweep: section `fig7_spmm_speedup`.
+pub fn run(scale: Scale) -> Measured {
     let (parts, nodes) = scale.spmm_scale();
     let layout = ClusterLayout::niagara(nodes, parts / nodes);
     let cost = SimCost::niagara();
-    let mut report = Report::new(
-        "fig7_spmm_speedup",
-        &[
-            "matrix",
-            "payload_bytes",
-            "edges",
-            "naive_s",
-            "dh_speedup",
-            "cn_speedup",
-            "cn_best_k",
-            "verified",
-        ],
-    );
+    let mut rows = Vec::new();
     let matrices: &[_] = match scale {
         Scale::Full => &TABLE2,
         Scale::Quick => &TABLE2[..2],
@@ -100,19 +85,14 @@ pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .expect("non-empty");
-        report.push(vec![
-            e.name.to_string(),
-            payload.to_string(),
-            edges.to_string(),
-            fmt_secs(tn),
-            fmt_x(tn / td),
-            fmt_x(tn / tc),
-            k.to_string(),
-            verified.to_string(),
-        ]);
+        rows.push(row! {
+            "matrix" => e.name, "payload_bytes" => payload.to_string(),
+            "edges" => edges.to_string(), "naive_s" => fmt_secs(tn), "dh_speedup" => fmt_x(tn / td),
+            "cn_speedup" => fmt_x(tn / tc), "cn_best_k" => k.to_string(),
+            "verified" => verified.to_string(),
+        });
     }
-    report.write_csv(out)?;
-    Ok(report)
+    Measured { sections: vec![("fig7_spmm_speedup", rows)], gates: vec![] }
 }
 
 #[cfg(test)]
@@ -121,15 +101,13 @@ mod tests {
 
     #[test]
     fn table2_report_lists_all_seven() {
-        let dir = std::env::temp_dir().join("nhood_table2_test");
-        let r = run_table2(&dir).unwrap();
-        assert_eq!(r.len(), 7);
+        assert_eq!(run_table2().section("table2_matrices").len(), 7);
     }
 
     #[test]
     fn quick_spmm_sweep_verifies() {
-        let dir = std::env::temp_dir().join("nhood_fig7_test");
-        let r = run(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2);
+        let rows = run(Scale::Quick).sections.remove(0).1;
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.last() == Some(&("verified".into(), "true".into()))));
     }
 }

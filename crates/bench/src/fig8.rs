@@ -12,13 +12,13 @@
 //! wall-clock column measured from our own (sequential, emulated)
 //! builders.
 
-use crate::common::{fmt_secs, fmt_x, Report, Scale};
+use crate::common::{fmt_secs, fmt_x, Scale};
+use crate::suite::{row, Measured};
 use nhood_cluster::ClusterLayout;
 use nhood_core::builder::build_pattern;
 use nhood_core::common_neighbor::plan_common_neighbor;
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
-use std::path::Path;
 use std::time::Instant;
 
 /// Cost knobs of the setup-time estimate.
@@ -130,15 +130,16 @@ pub fn simulate_negotiation(
     Engine::new(layout, cost.net).run(&schedule).expect("negotiation schedule is causal").makespan
 }
 
-/// Runs the Fig. 8 sweep and writes `fig8_setup_overhead.csv`.
-pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
+/// Runs the Fig. 8 sweep: sections `fig8_setup_overhead` (the estimate
+/// at the largest scale, next to our builders' wall clock) and
+/// `fig8_negotiation_sim` (the negotiation replayed through the network
+/// simulator — the honest measurement of the O(n²) part — at the
+/// smallest scale, to keep the replay schedule in memory).
+pub fn run(scale: Scale) -> Measured {
     let (ranks, nodes) = scale.rsg_largest();
     let layout = ClusterLayout::niagara(nodes, ranks / nodes);
     let cost = SetupCost::default();
-    let mut report = Report::new(
-        "fig8_setup_overhead",
-        &["delta", "dh_setup_s", "cn_setup_s", "dh_over_cn", "signals", "build_wallclock_s"],
-    );
+    let mut overhead = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
         let t0 = Instant::now();
@@ -146,42 +147,30 @@ pub fn run(scale: Scale, out: &Path) -> std::io::Result<Report> {
         let _ = plan_common_neighbor(&graph, 8);
         let wall = t0.elapsed().as_secs_f64();
         let est = estimate_setup(&graph, &layout, 8, &cost);
-        report.push(vec![
-            delta.to_string(),
-            fmt_secs(est.dh),
-            fmt_secs(est.cn),
-            fmt_x(est.dh / est.cn),
-            pattern.stats.total_signals().to_string(),
-            fmt_secs(wall),
-        ]);
+        overhead.push(row! {
+            "delta" => delta.to_string(), "dh_setup_s" => fmt_secs(est.dh),
+            "cn_setup_s" => fmt_secs(est.cn), "dh_over_cn" => fmt_x(est.dh / est.cn),
+            "signals" => pattern.stats.total_signals().to_string(),
+            "build_wallclock_s" => fmt_secs(wall),
+        });
     }
-    report.write_csv(out)?;
 
-    // Second table: the negotiation protocol replayed through the
-    // network simulator (the honest measurement of the O(n²) part), at
-    // the smallest paper scale to keep the replay schedule in memory.
     let (sim_ranks, sim_nodes) = *scale.rsg_scales().first().expect("non-empty");
     let sim_layout = ClusterLayout::niagara(sim_nodes, sim_ranks / sim_nodes);
     let sim_cost = nhood_core::SimCost::niagara();
-    let mut sim_report = Report::new(
-        "fig8_negotiation_sim",
-        &["ranks", "delta", "negotiation_sim_s", "cn_estimate_s", "dh_over_cn"],
-    );
+    let mut negotiation = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(sim_ranks, delta, 42);
         let t = simulate_negotiation(&graph, &sim_layout, &sim_cost);
         let est = estimate_setup(&graph, &sim_layout, 8, &cost);
-        sim_report.push(vec![
-            sim_ranks.to_string(),
-            delta.to_string(),
-            fmt_secs(est.matrix_a + t),
-            fmt_secs(est.cn),
-            fmt_x((est.matrix_a + t) / est.cn),
-        ]);
+        negotiation.push(row! {
+            "ranks" => sim_ranks.to_string(), "delta" => delta.to_string(),
+            "negotiation_sim_s" => fmt_secs(est.matrix_a + t), "cn_estimate_s" => fmt_secs(est.cn),
+            "dh_over_cn" => fmt_x((est.matrix_a + t) / est.cn),
+        });
     }
-    sim_report.write_csv(out)?;
-    sim_report.print();
-    Ok(report)
+    let sections = vec![("fig8_setup_overhead", overhead), ("fig8_negotiation_sim", negotiation)];
+    Measured { sections, gates: vec![] }
 }
 
 #[cfg(test)]
@@ -199,8 +188,8 @@ mod tests {
 
     #[test]
     fn quick_overhead_report() {
-        let dir = std::env::temp_dir().join("nhood_fig8_test");
-        let r = run(Scale::Quick, &dir).unwrap();
-        assert_eq!(r.len(), 2);
+        let m = run(Scale::Quick);
+        assert_eq!(m.section("fig8_setup_overhead").len(), 2);
+        assert_eq!(m.section("fig8_negotiation_sim").len(), 2);
     }
 }

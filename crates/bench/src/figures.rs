@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Parses a CSV written by [`crate::common::Report`] into (header, rows).
+/// Parses a CSV written by [`crate::suite::Measured::write_csvs`] into
+/// (header, rows).
 pub fn read_csv(path: &Path) -> io::Result<(Vec<String>, Vec<Vec<String>>)> {
     let text = std::fs::read_to_string(path)?;
     let mut lines = text.lines();

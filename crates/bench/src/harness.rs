@@ -6,7 +6,7 @@
 //! throughput. Output is one aligned line per case, suitable for eyeball
 //! comparison and for diffing across commits.
 
-use std::time::{Duration, Instant};
+use crate::common::sample;
 
 /// One benchmark group; prints a header on creation.
 pub struct Bench {
@@ -22,28 +22,17 @@ impl Bench {
 
     /// Times `f` and prints one result line. `bytes` (if nonzero) adds a
     /// throughput column.
-    pub fn case<R>(&self, name: &str, iters: usize, bytes: u64, mut f: impl FnMut() -> R) {
+    pub fn case<R>(&self, name: &str, iters: usize, bytes: u64, f: impl FnMut() -> R) {
         assert!(iters > 0);
         // warmup: a few untimed runs to populate caches and branch state
-        for _ in 0..iters.clamp(1, 3) {
-            std::hint::black_box(f());
-        }
-        let mut samples: Vec<Duration> = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            samples.push(t0.elapsed());
-        }
-        samples.sort_unstable();
-        let median = samples[samples.len() / 2];
-        let min = samples[0];
-        let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
+        let (t, _) = sample(iters.clamp(1, 3), iters, f);
+        let median = t.median();
         let mut line = format!(
             "{:<40} median {:>12?}  mean {:>12?}  min {:>12?}  ({} iters)",
             format!("{}/{}", self.group, name),
             median,
-            mean,
-            min,
+            t.mean(),
+            t.min(),
             iters
         );
         if bytes > 0 {

@@ -1,9 +1,12 @@
-//! The one gate harness behind `bench N [--quick] [--out FILE]`.
+//! The one result type of the crate and the gate harness behind
+//! `bench N [--quick] [--out FILE]`.
 //!
-//! Every BENCH suite (`bench4` … `bench10`) measures and returns a
-//! [`Measured`]: named sections of [`Row`]s and a list of [`Gate`]s.
-//! This module owns everything after that — one document schema, one
-//! JSON writer, one printer and one exit code:
+//! Every BENCH suite (`bench4` … `bench10`) and every `repro` figure
+//! ([`crate::repro`]) measures and returns a [`Measured`]: named sections
+//! of [`Row`]s and a list of [`Gate`]s. This module owns everything after
+//! that — one CSV writer (a section per file, the figures' output), one
+//! document schema and its JSON writer (a suite per file), one printer
+//! and one exit code:
 //!
 //! ```text
 //! { "bench", "description", "scale", "host_threads",     the header
@@ -18,12 +21,11 @@
 //! arms or disarms a gate. An unarmed gate cannot fail, so the driver
 //! flags every one of them loudly: it is not evidence either way.
 
-use std::path::PathBuf;
-use std::time::Instant;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use nhood_cluster::WorkerPool;
 
-use crate::common::{geomean, Report};
 use crate::{bench10, bench4, bench5, bench6, bench7, bench8, bench9};
 
 /// One suite: what `bench N` runs and writes to `BENCH_N.json`.
@@ -96,6 +98,15 @@ impl Measured {
     /// No armed gate failed.
     pub fn all_ok(&self) -> bool {
         self.gates.iter().all(|g| g.ok)
+    }
+
+    /// Writes every section to `<dir>/<section>.csv`.
+    pub fn write_csvs(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        for (name, rows) in &self.sections {
+            std::fs::write(dir.join(format!("{name}.csv")), csv(name, rows)?)?;
+        }
+        Ok(())
     }
 }
 
@@ -228,31 +239,6 @@ impl Gate {
     }
 }
 
-/// Geometric mean; `None` for no values.
-pub fn gmean(vals: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let vals: Vec<f64> = vals.into_iter().collect();
-    (!vals.is_empty()).then(|| geomean(&vals))
-}
-
-/// Median of a non-empty sample.
-pub fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Best-of-`reps` wall time of `f`, and its last result.
-pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(v);
-    }
-    (best, out.expect("at least one rep"))
-}
-
 /// Renders suite `s`'s `BENCH_N.json` document (hand-rolled — the
 /// workspace builds offline, no serde): one field per line, one row per
 /// line.
@@ -303,15 +289,68 @@ fn json(v: &Val) -> String {
     }
 }
 
-/// Prints one section as a table.
-fn print_section(name: &str, rows: &[Row]) {
-    let Some(first) = rows.first() else { return };
-    let mut report = Report::new(name, &first.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>());
-    for row in rows {
-        let text = |v: &Val| if let Val::Str(s) = v { s.clone() } else { json(v) };
-        report.push(row.iter().map(|(_, v)| text(v)).collect());
+/// A section as text: its header (the first row's keys) and each row's
+/// cells — a string as is, any other value in its JSON form. The CSV
+/// writer and the printer both show a section this way.
+fn table(rows: &[Row]) -> (Vec<String>, Vec<Vec<String>>) {
+    let header = rows.first().map_or(vec![], |row| row.iter().map(|(k, _)| k.clone()).collect());
+    let text = |v: &Val| if let Val::Str(s) = v { s.clone() } else { json(v) };
+    (header, rows.iter().map(|row| row.iter().map(|(_, v)| text(v)).collect()).collect())
+}
+
+/// Renders section `name` as CSV: the header, then a line per row. A row
+/// whose keys are not the header's is refused (`InvalidInput`); an empty
+/// section renders empty.
+fn csv(name: &str, rows: &[Row]) -> io::Result<String> {
+    if rows.is_empty() {
+        return Ok(String::new());
     }
-    report.print();
+    let (header, cells) = table(rows);
+    if let Some(i) = rows.iter().position(|row| !row.iter().map(|(k, _)| k).eq(&header)) {
+        let msg = format!("row width or keys of {name} row {i} differ from its header");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
+    Ok(std::iter::once(&header).chain(&cells).map(|line| line.join(",") + "\n").collect())
+}
+
+/// Prints one section as an aligned table.
+fn print_section(name: &str, rows: &[Row]) {
+    if rows.is_empty() {
+        return;
+    }
+    let (header, cells) = table(rows);
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in &cells {
+        for (w, c) in widths.iter_mut().zip(row) {
+            *w = (*w).max(c.len());
+        }
+    }
+    let line = |row: &[String]| {
+        let padded: Vec<String> =
+            row.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+        padded.join("  ")
+    };
+    println!("== {name} ==");
+    for row in std::iter::once(&header).chain(&cells) {
+        println!("{}", line(row));
+    }
+    println!();
+}
+
+/// The one printer: every section, then the gates, as tables on stdout;
+/// each unarmed or failed gate flagged on stderr.
+pub fn print(m: &Measured) {
+    for (name, rows) in &m.sections {
+        print_section(name, rows);
+    }
+    print_section("gates", &m.gates.iter().map(Gate::row).collect::<Vec<_>>());
+    for g in &m.gates {
+        if !g.armed {
+            eprintln!("!! UNARMED gate {}: this run did not measure it — not evidence", g.name);
+        } else if !g.ok {
+            eprintln!("!! FAILED gate {}: {:?} {:?} {}", g.name, g.value, g.op, g.bound);
+        }
+    }
 }
 
 /// `bench N [--quick] [--out FILE]`: runs suite `N` (4 … 10), prints its
@@ -344,17 +383,7 @@ pub fn drive(args: impl IntoIterator<Item = String>) -> i32 {
     let scale = if quick { "quick" } else { "full" };
     eprintln!(">> {}: {} ({scale} scale)...", suite.name(), suite.description);
     let m = (suite.run)(quick);
-    for (name, rows) in &m.sections {
-        print_section(name, rows);
-    }
-    print_section("gates", &m.gates.iter().map(Gate::row).collect::<Vec<_>>());
-    for g in &m.gates {
-        if !g.armed {
-            eprintln!("!! UNARMED gate {}: this run did not measure it — not evidence", g.name);
-        } else if !g.ok {
-            eprintln!("!! FAILED gate {}: {:?} {:?} {}", g.name, g.value, g.op, g.bound);
-        }
-    }
+    print(&m);
     let host_threads = WorkerPool::auto().threads();
     if let Err(e) = std::fs::write(&out, document(suite, quick, host_threads, &m)) {
         eprintln!("!! writing {}: {e}", out.display());
@@ -369,6 +398,12 @@ impl Measured {
     /// The gate named `name`.
     pub(crate) fn gate(&self, name: &str) -> &Gate {
         self.gates.iter().find(|g| g.name == name).unwrap_or_else(|| panic!("no gate {name}"))
+    }
+
+    /// The rows of the section named `name`.
+    pub(crate) fn section(&self, name: &str) -> &[Row] {
+        let found = self.sections.iter().find(|(n, _)| *n == name);
+        &found.unwrap_or_else(|| panic!("no section {name}")).1
     }
 }
 
@@ -620,6 +655,27 @@ pub(crate) mod tests {
                 assert_eq!(g.get("ok"), &Json::Bool(true), "{path}: {g:?}");
             }
             assert_eq!(doc.get("all_ok"), &Json::Bool(true), "{path}");
+        }
+    }
+
+    #[test]
+    fn a_section_round_trips_through_csv() {
+        let rows = vec![row! { "a" => "1", "b" => "x y" }, row! { "a" => "3", "b" => "4" }];
+        let m = Measured { sections: vec![("t", rows), ("none", vec![])], gates: vec![] };
+        let dir = std::env::temp_dir().join(format!("nhood_csv_test_{}", std::process::id()));
+        m.write_csvs(&dir).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("t.csv")).unwrap(), "a,b\n1,x y\n3,4\n");
+        assert_eq!(std::fs::read_to_string(dir.join("none.csv")).unwrap(), "");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_csv_writer_refuses_a_ragged_row() {
+        let wide = row! { "a" => "1", "b" => "2" };
+        for ragged in [row! { "a" => "1" }, row! { "b" => "1", "a" => "2" }] {
+            let e = csv("t", &[wide.clone(), ragged]).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert!(e.to_string().contains("row width"), "{e}");
         }
     }
 

@@ -80,10 +80,8 @@ impl Args {
 
     /// Required typed flag.
     pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError> {
-        let v = self
-            .flags
-            .get(name)
-            .ok_or_else(|| ArgError(format!("missing required flag --{name}")))?;
+        let v =
+            self.get(name).ok_or_else(|| ArgError(format!("missing required flag --{name}")))?;
         v.parse().map_err(|_| ArgError(format!("--{name}: cannot parse '{v}'")))
     }
 

@@ -75,6 +75,20 @@ pub fn parse_arm(spec: &str) -> Result<Algorithm, ArgError> {
     }
 }
 
+/// The `--algo` spelling of an arm, the inverse of [`parse_arm`] (the
+/// library's `Display` names are keys of checked-in files and stay).
+pub fn arm_spelling(algo: Algorithm) -> String {
+    match algo {
+        Algorithm::Naive => "naive".into(),
+        Algorithm::DistanceHalving => "dh".into(),
+        Algorithm::Auto => "auto".into(),
+        Algorithm::Bruck => "bruck".into(),
+        Algorithm::CommonNeighbor { k } => format!("cn:{k}"),
+        Algorithm::Pat { radix } => format!("pat:{radix}"),
+        Algorithm::HierarchicalLeader { leaders_per_node } => format!("leader:{leaders_per_node}"),
+    }
+}
+
 /// Parses the `--algo` flag of a command that runs one arm (default `dh`).
 pub fn parse_algo(args: &Args) -> Result<Algorithm, ArgError> {
     parse_arm(args.get("algo").unwrap_or("dh"))
@@ -141,29 +155,40 @@ pub fn parse_cost(args: &Args) -> Result<SimCost, ArgError> {
             ..SimCost::niagara()
         }),
         _ => {
-            let mut it = spec.split(':');
-            if it.next() != Some("flat") {
-                return Err(fail(format!(
-                    "unknown --cost '{spec}' (niagara | classic | flat:ALPHA:BETA)"
-                )));
-            }
-            let mut num = |name: &str| -> Result<f64, ArgError> {
-                it.next()
-                    .ok_or_else(|| fail(format!("--cost flat:ALPHA:BETA is missing {name}")))?
-                    .parse::<f64>()
-                    .map_err(|e| fail(format!("bad {name} in --cost '{spec}': {e}")))
-            };
-            let alpha = num("ALPHA")?;
-            let beta = num("BETA")?;
-            if it.next().is_some() {
-                return Err(fail(format!("--cost '{spec}' has trailing fields")));
-            }
+            let choices = "niagara | classic | flat:ALPHA:BETA";
+            let (alpha, beta) = two_numbers("cost", spec, "flat:ALPHA:BETA", choices)?;
             Ok(SimCost {
                 net: SimConfig::classic(HockneyParams::flat(alpha, beta), NicMode::Off),
                 memcpy_bytes_per_sec: f64::INFINITY,
             })
         }
     }
+}
+
+/// The two numbers of a `--FLAG KIND:A:B` value, `form` naming its kind
+/// and fields (`flat:ALPHA:BETA`); a value of another kind is refused
+/// with the flag's `choices`, a missing, bad or extra field by name.
+fn two_numbers<T>(flag: &str, spec: &str, form: &str, choices: &str) -> Result<(T, T), ArgError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let mut names = form.split(':');
+    let mut it = spec.split(':');
+    if it.next() != names.next() {
+        return Err(fail(format!("unknown --{flag} '{spec}' ({choices})")));
+    }
+    let mut num = |name: &str| -> Result<T, ArgError> {
+        it.next()
+            .ok_or_else(|| fail(format!("--{flag} {form} is missing {name}")))?
+            .parse::<T>()
+            .map_err(|e| fail(format!("bad {name} in --{flag} '{spec}': {e}")))
+    };
+    let (a, b) = (num(names.next().expect("A"))?, num(names.next().expect("B"))?);
+    if it.next().is_some() {
+        return Err(fail(format!("--{flag} '{spec}' has trailing fields")));
+    }
+    Ok((a, b))
 }
 
 /// Parses the `--backend` flag (`virtual | threaded | sim`) shared by
@@ -185,21 +210,7 @@ pub fn load_topology(path: &str) -> Result<Topology, ArgError> {
 /// torus of side K (`n = K^D` ranks, degree `2D`) without an edge-list
 /// file — the fixed-degree workload the scale benchmarks use.
 pub fn parse_topology_spec(spec: &str) -> Result<Topology, ArgError> {
-    let mut it = spec.split(':');
-    if it.next() != Some("torus") {
-        return Err(fail(format!("unknown --topology '{spec}' (torus:D:K)")));
-    }
-    let mut num = |name: &str| -> Result<usize, ArgError> {
-        it.next()
-            .ok_or_else(|| fail(format!("--topology torus:D:K is missing {name}")))?
-            .parse::<usize>()
-            .map_err(|e| fail(format!("bad {name} in --topology '{spec}': {e}")))
-    };
-    let d = num("D")?;
-    let k = num("K")?;
-    if it.next().is_some() {
-        return Err(fail(format!("--topology '{spec}' has trailing fields")));
-    }
+    let (d, k) = two_numbers("topology", spec, "torus:D:K", "torus:D:K")?;
     nhood_topology::torus::try_torus(nhood_topology::TorusSpec { d, k })
         .map_err(|e| fail(e.to_string()))
 }
@@ -287,6 +298,22 @@ mod tests {
             [Algorithm::Naive, Algorithm::CommonNeighbor { k: 8 }, Algorithm::DistanceHalving];
         assert_eq!(arms, want);
         assert!(parse_arms(&args(&["simulate", "x.el", "--algo", "naive,,dh"])).is_err());
+    }
+
+    /// Every arm the tuner can list, and `auto`, prints as `--algo`
+    /// spells it: its spelling parses back to the arm.
+    #[test]
+    fn every_listed_arm_is_spelled_as_algo_parses_it() {
+        // dense, multi-node, 1-byte blocks: PAT's regime and the node arms
+        let graph = nhood_topology::random::erdos_renyi(32, 0.9, 7);
+        let layout = ClusterLayout::new(4, 2, 4);
+        let portfolio = nhood_core::autotune::candidates(&graph, &layout, &BlockSizes::uniform(1));
+        assert!(portfolio.contains(&Algorithm::Pat { radix: 2 }), "{portfolio:?}");
+        assert!(portfolio.contains(&Algorithm::Bruck), "{portfolio:?}");
+        for arm in portfolio.into_iter().chain([Algorithm::Auto]) {
+            let spelled = arm_spelling(arm);
+            assert_eq!(parse_arm(&spelled).unwrap(), arm, "{spelled}");
+        }
     }
 
     #[test]
@@ -382,7 +409,7 @@ mod tests {
         let text = output(cmd_simulate, &argv).unwrap();
         let arms: Vec<&str> =
             text.lines().skip(1).map(|l| l.split_whitespace().nth(1).unwrap()).collect();
-        assert_eq!(arms, ["naive", "common-neighbor(k=8)", "distance-halving"], "{text}");
+        assert_eq!(arms, ["naive", "cn:8", "dh"], "{text}");
         assert_eq!(text.matches("<-- best").count(), 1, "{text}");
 
         let text = output(cmd_run, &["run", &path, "--algo", "cn:4"]).unwrap();
@@ -427,7 +454,7 @@ mod tests {
             ["simulate", &path, "--load", &plan_path, "--algo", "naive,cn", "--sizes", "64"];
         let text = output(cmd_simulate, &loaded).unwrap();
         assert_eq!(text.lines().count(), 2, "{text}");
-        assert!(text.contains("distance-halving") && text.contains("<-- best"), "{text}");
+        assert!(text.contains(" dh ") && text.contains("<-- best"), "{text}");
         // a file of an older format generation is a typed error, not a plan
         std::fs::write(&plan_path, [&b"NHPLAN1\0"[..], &[0; 32]].concat()).unwrap();
         let loaded = ["simulate", &path, "--load", &plan_path, "--sizes", "64"];

@@ -2,7 +2,7 @@
 //! and price arms side by side on the simulator.
 
 use super::{
-    fail, parse_algo, parse_arms, parse_block_sizes, parse_cost, parse_load_metric,
+    arm_spelling, fail, parse_algo, parse_arms, parse_block_sizes, parse_cost, parse_load_metric,
     topology_and_layout,
 };
 use crate::args::{parse_bytes, ArgError, Args};
@@ -104,7 +104,7 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     } else {
         // Auto resolved to its tuned winner, or a degenerate parameter
         // was canonicalized (e.g. cn:K clamped to n) — show what ran.
-        writeln!(w, "algorithm:        {} (from --algo {algo})", plan.algorithm)?;
+        writeln!(w, "algorithm:        {} (from --algo {})", plan.algorithm, arm_spelling(algo))?;
     }
     if metric == LoadMetric::Bytes {
         writeln!(w, "load metric:      bytes (agent selection weighted by block size)")?;
@@ -116,11 +116,7 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     writeln!(w, "largest message:  {} blocks", plan.max_message_blocks())?;
     let loads = plan.sends_per_rank();
     let max = loads.iter().copied().max().unwrap_or(0);
-    let mean = if loads.is_empty() {
-        0.0
-    } else {
-        loads.iter().sum::<usize>() as f64 / loads.len() as f64
-    };
+    let mean = loads.iter().sum::<usize>() as f64 / loads.len().max(1) as f64;
     writeln!(w, "sends per rank:   max {max}, mean {mean:.1}")?;
     if let Some(s) = plan.selection {
         writeln!(
@@ -210,7 +206,7 @@ pub fn cmd_simulate(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
             w,
             "{:>12}  {:<24} {:>12.2}us {:>12} {:>12}{}",
             m,
-            arm.to_string(),
+            arm_spelling(arm),
             report.makespan * 1e6,
             report.stats.internode_msgs(),
             report.stats.msgs[0],

@@ -41,7 +41,7 @@ pub struct TuneOutcome {
     /// Candidate simulations this pass performed (0 would mean the
     /// caller should have hit the cache instead).
     pub simulations: u64,
-    /// The winner's validated plan.
+    /// The winner's plan as built, unchecked: the tuner checks no arm.
     pub plan: Arc<CollectivePlan>,
 }
 

@@ -264,11 +264,6 @@ impl DistGraphComm {
         self.metric
     }
 
-    /// The pinned block-size table, if any.
-    pub fn block_sizes(&self) -> Option<&BlockSizes> {
-        self.sizes.as_ref()
-    }
-
     /// The size table planning uses when nothing better is known: the
     /// pinned table, or the uniform default.
     fn planning_sizes(&self) -> BlockSizes {
@@ -686,8 +681,11 @@ mod tests {
     fn latency_positive_and_algorithm_dependent() {
         let c = comm(64, 0.5);
         let cost = SimCost::niagara();
-        let tn = c.latency(Algorithm::Naive, 64, &cost).unwrap().makespan;
-        let td = c.latency(Algorithm::DistanceHalving, 64, &cost).unwrap().makespan;
+        let latency = |algo| {
+            let plan = c.plan_shared(algo).unwrap();
+            crate::exec::sim_exec::simulate(&plan, c.layout(), 64, &cost).unwrap().makespan
+        };
+        let (tn, td) = (latency(Algorithm::Naive), latency(Algorithm::DistanceHalving));
         assert!(tn > 0.0 && td > 0.0);
         assert_ne!(tn, td);
     }

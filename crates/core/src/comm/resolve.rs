@@ -9,7 +9,7 @@ use crate::bruck::plan_bruck;
 use crate::builder::{build_pattern_recorded_v, BuildError, PairingStrategy};
 use crate::collective::program::Checked;
 use crate::common_neighbor::plan_common_neighbor;
-use crate::exec::sim_exec::{simulate, simulate_v, SimCost};
+use crate::exec::sim_exec::{simulate_v, SimCost};
 use crate::exec::ExecOptions;
 use crate::leader::plan_hierarchical_leader;
 use crate::lower::lower_pooled;
@@ -20,7 +20,6 @@ use crate::plan::{Algorithm, CollectivePlan};
 use crate::plan_cache::PlanFingerprint;
 use crate::remap::Relabel;
 use crate::sizes::{BlockSizes, LoadMetric};
-use nhood_simnet::SimReport;
 use nhood_telemetry::{labels, Recorder, NULL};
 use nhood_topology::Topology;
 use std::borrow::Cow;
@@ -422,16 +421,5 @@ impl DistGraphComm {
     /// ([`Algorithm::Auto`] routes as Distance Halving; default sizes).
     pub fn alltoall_plan(&self, algo: Algorithm) -> Result<CollectivePlan, CommError> {
         self.checked(self.combining_algorithm(algo)?, &BlockSizes::default())
-    }
-
-    /// Simulated latency of `algo` at per-rank message size `m`.
-    pub fn latency(
-        &self,
-        algo: Algorithm,
-        m: usize,
-        cost: &SimCost,
-    ) -> Result<SimReport, CommError> {
-        let plan = self.plan(algo)?;
-        Ok(simulate(&plan, &self.layout, m, cost)?)
     }
 }

@@ -191,7 +191,7 @@ mod tests {
         let g = erdos_renyi(32, 0.3, 1);
         let layout = ClusterLayout::new(2, 2, 8);
         let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
-        let plan = std::sync::Arc::new(comm.plan(Algorithm::DistanceHalving).unwrap());
+        let plan = comm.plan_shared(Algorithm::DistanceHalving).unwrap();
         let payloads: Vec<Vec<u8>> = (0..32).map(|_| vec![1; 8]).collect();
         let req = CollectiveRequest::allreduce(&payloads, Reduction::SUM_U8);
         let mut arena = crate::arena::BlockArena::new();
@@ -201,7 +201,7 @@ mod tests {
         {
             let typed = |e: SimError| matches!(e, SimError::InvalidConfig(_));
             let via_comm = |e: CommError| matches!(e, CommError::Sim(SimError::InvalidConfig(_)));
-            assert!(via_comm(comm.latency(Algorithm::DistanceHalving, m, &cost).unwrap_err()));
+            assert!(typed(simulate(&plan, &layout, m, &cost).unwrap_err()));
             assert!(typed(simulate_v(&plan, &layout, &vec![m; 32], &cost).unwrap_err()));
             let on = comm.simulate_on(&req, Some(&plan), &mut arena, &cost, None);
             assert!(via_comm(on.unwrap_err()));

@@ -12,7 +12,10 @@
 
 use nhood_cluster::ClusterLayout;
 use nhood_core::alltoall::simulate_alltoall;
-use nhood_core::{Algorithm, BlockSizes, CollectiveRequest, DistGraphComm, SimCost};
+use nhood_core::exec::sim_exec::simulate;
+use nhood_core::{
+    Algorithm, BlockSizes, CollectivePlan, CollectiveRequest, DistGraphComm, SimCost,
+};
 use nhood_topology::random::erdos_renyi;
 
 fn main() {
@@ -43,13 +46,15 @@ fn main() {
 
     println!("allgather (64 B payloads):");
     println!("{:>28} {:>10} {:>12} {:>12}", "algorithm", "messages", "latency", "speedup");
-    let tn = comm.latency(Algorithm::Naive, 64, &cost).expect("sim").makespan;
+    let latency =
+        |plan: &CollectivePlan| simulate(plan, comm.layout(), 64, &cost).expect("sim").makespan;
+    let tn = latency(&comm.plan_shared(Algorithm::Naive).expect("plan"));
     for algo in algos {
         let req = CollectiveRequest::allgather(&payloads).algorithm(algo);
         let out = comm.collective(&req).expect("allgather").rbufs;
         assert_eq!(out, reference, "{algo} must match the reference");
-        let plan = comm.plan(algo).expect("plan");
-        let t = comm.latency(algo, 64, &cost).expect("sim").makespan;
+        let plan = comm.plan_shared(algo).expect("plan");
+        let t = latency(&plan);
         println!(
             "{:>28} {:>10} {:>10.1}us {:>11.2}x",
             algo.to_string(),

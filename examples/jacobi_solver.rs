@@ -15,6 +15,7 @@
 //! ```
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, SimCost};
 use nhood_topology::stencil::von_neumann_on_grid;
 
@@ -119,8 +120,11 @@ fn main() {
 
     let cost = SimCost::niagara();
     let m = 4 * TILE * 8;
-    let tn = comm.latency(Algorithm::Naive, m, &cost).expect("sim").makespan;
-    let td = comm.latency(Algorithm::DistanceHalving, m, &cost).expect("sim").makespan;
+    let latency = |algo| {
+        let plan = comm.plan_shared(algo).expect("plan");
+        simulate(&plan, comm.layout(), m, &cost).expect("sim").makespan
+    };
+    let (tn, td) = (latency(Algorithm::Naive), latency(Algorithm::DistanceHalving));
     println!(
         "per-iteration halo exchange ({m} B/rank): naive {:.1} us, distance-halving {:.1} us ({:.2}x)",
         tn * 1e6,

@@ -12,6 +12,7 @@
 //! ```
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, SimCost};
 use nhood_topology::moore::{moore_on_grid, MooreSpec};
 
@@ -81,8 +82,11 @@ fn main() {
     // Periodic averaging conserves the mean; spread shrinks every step.
     let cost = SimCost::niagara();
     let m = VALUES_PER_RANK * 8;
-    let tn = comm.latency(Algorithm::Naive, m, &cost).expect("sim").makespan;
-    let td = comm.latency(Algorithm::DistanceHalving, m, &cost).expect("sim").makespan;
+    let latency = |algo| {
+        let plan = comm.plan_shared(algo).expect("plan");
+        simulate(&plan, comm.layout(), m, &cost).expect("sim").makespan
+    };
+    let (tn, td) = (latency(Algorithm::Naive), latency(Algorithm::DistanceHalving));
     println!(
         "\nper-exchange latency at {m} B payloads: naive {:.1} us, distance-halving {:.1} us ({:.2}x)",
         tn * 1e6,

@@ -6,6 +6,7 @@
 //! ```
 
 use nhood_cluster::ClusterLayout;
+use nhood_core::exec::sim_exec::simulate;
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, SimCost};
 use nhood_topology::random::erdos_renyi;
 
@@ -33,16 +34,21 @@ fn main() {
         println!("{algo}: receive buffers identical to naive");
     }
 
-    // 3. Compare simulated latencies across message sizes.
+    // 3. Compare simulated latencies across message sizes: each plan is
+    //    built once, in the communicator's memo, and priced per size.
     let cost = SimCost::niagara();
+    let latency = |algo, m| {
+        let plan = comm.plan_shared(algo).expect("plan");
+        simulate(&plan, comm.layout(), m, &cost).expect("sim").makespan
+    };
     println!(
         "\n{:>10} {:>12} {:>12} {:>12} {:>8}",
         "msg size", "naive", "common-nbr", "dist-halv", "speedup"
     );
     for m in [32usize, 1024, 32768, 1 << 20] {
-        let tn = comm.latency(Algorithm::Naive, m, &cost).expect("sim").makespan;
-        let tc = comm.latency(Algorithm::CommonNeighbor { k: 8 }, m, &cost).expect("sim").makespan;
-        let td = comm.latency(Algorithm::DistanceHalving, m, &cost).expect("sim").makespan;
+        let tn = latency(Algorithm::Naive, m);
+        let tc = latency(Algorithm::CommonNeighbor { k: 8 }, m);
+        let td = latency(Algorithm::DistanceHalving, m);
         println!(
             "{:>10} {:>10.1}us {:>10.1}us {:>10.1}us {:>7.2}x",
             m,
@@ -54,7 +60,7 @@ fn main() {
     }
 
     // 4. Distance Halving also exposes its one-time setup statistics.
-    let plan = comm.plan(Algorithm::DistanceHalving).expect("plan");
+    let plan = comm.plan_shared(Algorithm::DistanceHalving).expect("plan");
     let stats = plan.selection.expect("DH plans carry selection stats");
     println!(
         "\nsetup: {} negotiation signals, agent-success rate {:.0}%",

@@ -10,6 +10,12 @@ use nhood_topology::moore::{moore, MooreSpec};
 use nhood_topology::random::erdos_renyi;
 use std::sync::Arc;
 
+/// Simulated latency of `algo` on `comm` at `m`-byte blocks, its plan
+/// built once in the communicator's memo.
+fn latency(comm: &DistGraphComm, algo: Algorithm, m: usize, cost: &SimCost) -> f64 {
+    simulate(&comm.plan_shared(algo).unwrap(), comm.layout(), m, cost).unwrap().makespan
+}
+
 #[test]
 fn paper_smallest_scale_end_to_end() {
     // 540 ranks / 15 nodes — the smallest configuration of Fig. 5 — runs
@@ -33,8 +39,8 @@ fn dh_beats_naive_on_dense_small_messages_multinode() {
     let layout = ClusterLayout::niagara(6, 36);
     let comm = DistGraphComm::create_adjacent(g, layout).unwrap();
     let cost = SimCost::niagara();
-    let tn = comm.latency(Algorithm::Naive, 64, &cost).unwrap().makespan;
-    let td = comm.latency(Algorithm::DistanceHalving, 64, &cost).unwrap().makespan;
+    let tn = latency(&comm, Algorithm::Naive, 64, &cost);
+    let td = latency(&comm, Algorithm::DistanceHalving, 64, &cost);
     assert!(tn / td > 3.0, "expected >3x, got {:.2}x", tn / td);
 }
 
@@ -45,8 +51,8 @@ fn dh_speedup_grows_with_density() {
     let speedup = |delta: f64| {
         let g = erdos_renyi(216, delta, 42);
         let comm = DistGraphComm::create_adjacent(g, layout.clone()).unwrap();
-        let tn = comm.latency(Algorithm::Naive, 64, &cost).unwrap().makespan;
-        let td = comm.latency(Algorithm::DistanceHalving, 64, &cost).unwrap().makespan;
+        let tn = latency(&comm, Algorithm::Naive, 64, &cost);
+        let td = latency(&comm, Algorithm::DistanceHalving, 64, &cost);
         tn / td
     };
     let sparse = speedup(0.05);
@@ -63,8 +69,8 @@ fn dh_speedup_declines_with_message_size() {
     let comm = DistGraphComm::create_adjacent(g, layout).unwrap();
     let cost = SimCost::niagara();
     let sp = |m: usize| {
-        let tn = comm.latency(Algorithm::Naive, m, &cost).unwrap().makespan;
-        let td = comm.latency(Algorithm::DistanceHalving, m, &cost).unwrap().makespan;
+        let tn = latency(&comm, Algorithm::Naive, m, &cost);
+        let td = latency(&comm, Algorithm::DistanceHalving, m, &cost);
         tn / td
     };
     let small = sp(32);
@@ -81,8 +87,8 @@ fn moore_dense_neighborhoods_favor_dh() {
     let sp = |spec: MooreSpec| {
         let g = moore(256, spec);
         let comm = DistGraphComm::create_adjacent(g, layout.clone()).unwrap();
-        let tn = comm.latency(Algorithm::Naive, 4096, &cost).unwrap().makespan;
-        let td = comm.latency(Algorithm::DistanceHalving, 4096, &cost).unwrap().makespan;
+        let tn = latency(&comm, Algorithm::Naive, 4096, &cost);
+        let td = latency(&comm, Algorithm::DistanceHalving, 4096, &cost);
         tn / td
     };
     let sparse = sp(MooreSpec { r: 1, d: 2 }); // 8 neighbors
