@@ -8,18 +8,15 @@
 //! builder counts), plus notifications and descriptor exchanges; Common
 //! Neighbor runs a small intra-group coordination. The estimator below
 //! converts those message counts into per-rank serialized time at a small
-//! per-signal cost — a deliberately simple model, cross-checked by the
-//! wall-clock column measured from our own (sequential, emulated)
-//! builders.
+//! per-signal cost — a deliberately simple model, cross-checked by
+//! replaying the negotiation through the network simulator.
 
 use crate::common::{fmt_secs, fmt_x, Scale};
 use crate::suite::{row, Measured};
 use nhood_cluster::ClusterLayout;
 use nhood_core::builder::build_pattern;
-use nhood_core::common_neighbor::plan_common_neighbor;
 use nhood_topology::random::erdos_renyi;
 use nhood_topology::Topology;
-use std::time::Instant;
 
 /// Cost knobs of the setup-time estimate.
 #[derive(Clone, Copy, Debug)]
@@ -48,6 +45,8 @@ pub struct SetupEstimate {
     pub dh: f64,
     /// Common Neighbor total (matrix-A + intra-group coordination).
     pub cn: f64,
+    /// Signals of the Distance Halving negotiation.
+    pub signals: usize,
 }
 
 /// Estimates setup time for a graph on a layout with CN group size `k`.
@@ -76,7 +75,8 @@ pub fn estimate_setup(
     let cn_extra = 2.0 * (k as f64 - 1.0) * cost.per_signal
         + (k as f64 - 1.0) * mean_deg * cost.id_bytes / cost.bytes_per_sec;
 
-    SetupEstimate { matrix_a, dh: matrix_a + dh_extra, cn: matrix_a + cn_extra }
+    let signals = s.total_signals();
+    SetupEstimate { matrix_a, dh: matrix_a + dh_extra, cn: matrix_a + cn_extra, signals }
 }
 
 /// Replays a full Distance Halving negotiation through the network
@@ -131,7 +131,7 @@ pub fn simulate_negotiation(
 }
 
 /// Runs the Fig. 8 sweep: sections `fig8_setup_overhead` (the estimate
-/// at the largest scale, next to our builders' wall clock) and
+/// at the largest scale) and
 /// `fig8_negotiation_sim` (the negotiation replayed through the network
 /// simulator — the honest measurement of the O(n²) part — at the
 /// smallest scale, to keep the replay schedule in memory).
@@ -142,16 +142,11 @@ pub fn run(scale: Scale) -> Measured {
     let mut overhead = Vec::new();
     for &delta in &scale.densities() {
         let graph = erdos_renyi(ranks, delta, 42);
-        let t0 = Instant::now();
-        let pattern = build_pattern(&graph, &layout).expect("builds");
-        let _ = plan_common_neighbor(&graph, 8);
-        let wall = t0.elapsed().as_secs_f64();
         let est = estimate_setup(&graph, &layout, 8, &cost);
         overhead.push(row! {
             "delta" => delta.to_string(), "dh_setup_s" => fmt_secs(est.dh),
             "cn_setup_s" => fmt_secs(est.cn), "dh_over_cn" => fmt_x(est.dh / est.cn),
-            "signals" => pattern.stats.total_signals().to_string(),
-            "build_wallclock_s" => fmt_secs(wall),
+            "signals" => est.signals.to_string(),
         });
     }
 

@@ -2,6 +2,7 @@
 //! schedules, `churn` drills topology mutation and link-down repair,
 //! `serve` hosts tenants on the multi-tenant collective service.
 
+use super::arm_spelling;
 use super::run::{parse_op, shaped_payloads, whole_lanes};
 use super::{fail, load_topology, parse_algo, parse_backend, parse_layout, topology_and_layout};
 use crate::args::{parse_bytes, ArgError, Args};
@@ -56,7 +57,8 @@ pub fn cmd_chaos(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let payloads = shaped_payloads(&graph, op, whole_lanes(op, m), seed);
     writeln!(
         w,
-        "chaos: {op} via {algo}, {} ranks, {} phases, peak fan-out {}/phase, {runs} runs per rate",
+        "chaos: {op} via {}, {} ranks, {} phases, peak fan-out {}/phase, {runs} runs per rate",
+        arm_spelling(algo),
         shape.n(),
         shape.phase_count(),
         shape.max_sends_in_phase()
@@ -349,8 +351,9 @@ pub fn cmd_serve(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     };
     writeln!(
         w,
-        "serve: {tenants} tenant(s) ({faulty} fault-armed), {algo}, backend {backend}, \
+        "serve: {tenants} tenant(s) ({faulty} fault-armed), {}, backend {backend}, \
          horizon {duration_ms} ms @ ~{inter_us} µs interarrival, batching {}",
+        arm_spelling(algo),
         if args.has("no-batch") { "off" } else { "on" },
     )?;
     let report = run_open_loop(&mut svc, &spec);

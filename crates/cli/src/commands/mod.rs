@@ -206,24 +206,21 @@ pub fn load_topology(path: &str) -> Result<Topology, ArgError> {
     read_edge_list(std::io::BufReader::new(f)).map_err(|e| fail(format!("{path}: {e}")))
 }
 
-/// Parses a `--topology` spec: `torus:D:K` generates the D-dimensional
-/// torus of side K (`n = K^D` ranks, degree `2D`) without an edge-list
-/// file — the fixed-degree workload the scale benchmarks use.
-pub fn parse_topology_spec(spec: &str) -> Result<Topology, ArgError> {
-    let (d, k) = two_numbers("topology", spec, "torus:D:K", "torus:D:K")?;
-    nhood_topology::torus::try_torus(nhood_topology::TorusSpec { d, k })
-        .map_err(|e| fail(e.to_string()))
-}
-
-/// The topology `cmd` runs on — the edge-list positional, or a graph
-/// generated inline by `--topology torus:D:K` — and the layout its rank
-/// count implies under the layout flags.
+/// The topology `cmd` runs on — the edge-list positional, or the
+/// D-dimensional torus of side K (`n = K^D` ranks, degree `2D`, the scale
+/// benchmarks' fixed-degree workload) generated inline by `--topology
+/// torus:D:K` — and the layout its rank count implies under the layout
+/// flags.
 pub fn topology_and_layout(args: &Args, cmd: &str) -> Result<(Topology, ClusterLayout), ArgError> {
     let graph = match (args.get("topology"), args.pos(1)) {
         (Some(_), Some(_)) => {
             return Err(fail(format!("{cmd}: pass an edge-list file or --topology, not both")))
         }
-        (Some(spec), None) => parse_topology_spec(spec)?,
+        (Some(spec), None) => {
+            let (d, k) = two_numbers("topology", spec, "torus:D:K", "torus:D:K")?;
+            nhood_topology::torus::try_torus(nhood_topology::TorusSpec { d, k })
+                .map_err(|e| fail(e.to_string()))?
+        }
         (None, Some(path)) => load_topology(path)?,
         (None, None) => {
             return Err(fail(format!("{cmd}: missing edge-list file (or --topology torus:D:K)")))
@@ -301,7 +298,8 @@ mod tests {
     }
 
     /// Every arm the tuner can list, and `auto`, prints as `--algo`
-    /// spells it: its spelling parses back to the arm.
+    /// spells it: its spelling parses back to the arm, and so does the
+    /// arm in each command's header.
     #[test]
     fn every_listed_arm_is_spelled_as_algo_parses_it() {
         // dense, multi-node, 1-byte blocks: PAT's regime and the node arms
@@ -313,6 +311,27 @@ mod tests {
         for arm in portfolio.into_iter().chain([Algorithm::Auto]) {
             let spelled = arm_spelling(arm);
             assert_eq!(parse_arm(&spelled).unwrap(), arm, "{spelled}");
+        }
+
+        let path = tmp("nhood_cli_spelling.el");
+        output(cmd_gen, &["gen", "er", &path, "--n", "24", "--delta", "0.4"]).unwrap();
+        let (p, cn) = (path.as_str(), "cn:4");
+        let trace = ["trace", p, "--algo", cn, "--format", "model-check"];
+        let chaos = ["chaos", p, "--algo", cn, "--drops", "0.0", "--runs", "1"];
+        let serve = ["serve", "--algo", cn, "--tenants", "1", "--n", "12", "--duration-ms", "5"];
+        let headers = [
+            (output(cmd_run, &["run", p, "--algo", cn]), "via "),
+            (output(cmd_trace, &trace), "backend sim, "),
+            (output(cmd_chaos, &chaos), "via "),
+            (output(cmd_serve, &serve), "fault-armed), "),
+            (output(cmd_plan, &["plan", p, "--algo", cn]), "algorithm:"),
+        ];
+        for (text, marker) in headers {
+            let text = text.unwrap();
+            let after = text.split_once(marker).unwrap_or_else(|| panic!("{marker}: {text}")).1;
+            let arm = after.trim_start().split([',', ' ', '\n']).next().unwrap();
+            let parsed = parse_arm(arm).unwrap_or_else(|e| panic!("{arm}: {}: {text}", e.0));
+            assert_eq!(parsed, Algorithm::CommonNeighbor { k: 4 }, "{text}");
         }
     }
 
@@ -394,7 +413,7 @@ mod tests {
         let mut out = Vec::new();
         cmd_plan(&args(&["plan", &path, "--algo", "dh"]), &mut out).unwrap();
         let text = String::from_utf8_lossy(&out).to_string();
-        assert!(text.contains("distance-halving"), "{text}");
+        assert!(text.contains("algorithm:        dh\n"), "{text}");
         assert!(text.contains("selection:"), "{text}");
 
         // one arm at two sizes: a header and a marked row per size

@@ -99,12 +99,13 @@ pub fn cmd_plan(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
         nhood_core::plan_io::save_plan(&plan, std::path::Path::new(save), None)?;
         writeln!(w, "plan saved to {save}")?;
     }
+    let ran = arm_spelling(plan.algorithm);
     if plan.algorithm == algo {
-        writeln!(w, "algorithm:        {algo}")?;
+        writeln!(w, "algorithm:        {ran}")?;
     } else {
         // Auto resolved to its tuned winner, or a degenerate parameter
         // was canonicalized (e.g. cn:K clamped to n) — show what ran.
-        writeln!(w, "algorithm:        {} (from --algo {})", plan.algorithm, arm_spelling(algo))?;
+        writeln!(w, "algorithm:        {ran} (from --algo {})", arm_spelling(algo))?;
     }
     if metric == LoadMetric::Bytes {
         writeln!(w, "load metric:      bytes (agent selection weighted by block size)")?;

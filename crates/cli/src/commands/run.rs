@@ -2,6 +2,7 @@
 //! request API and checks it against the op's naive reference; `trace`
 //! runs an allgather under a telemetry recorder and exports what it saw.
 
+use super::arm_spelling;
 use super::{fail, parse_algo, parse_backend, parse_cost, parse_load_metric, topology_and_layout};
 use crate::args::{parse_bytes, ArgError, Args};
 use nhood_core::collective::matches_reference;
@@ -102,7 +103,7 @@ pub fn cmd_run(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let rec = CountingRecorder::new(graph.n());
     let req = CollectiveRequest::new(op, &payloads).algorithm(algo).backend(backend).recorder(&rec);
     let out = comm.collective(&req)?;
-    writeln!(w, "run: {op} via {algo}, {} ranks, {m}-byte blocks", graph.n())?;
+    writeln!(w, "run: {op} via {}, {} ranks, {m}-byte blocks", arm_spelling(algo), graph.n())?;
     if let Some(sim) = &out.sim {
         writeln!(w, "simulated makespan: {:.2} us", sim.makespan * 1e6)?;
     }
@@ -223,7 +224,8 @@ pub fn cmd_trace(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
                 intra_socket_msgs: params.expected_intra_socket_msgs(),
                 intra_socket_bytes: params.expected_intra_socket_bytes(m as f64),
             };
-            writeln!(w, "backend {backend}, {algo}, {} ranks, {m}-byte payloads", graph.n())?;
+            let arm = arm_spelling(algo);
+            writeln!(w, "backend {backend}, {arm}, {} ranks, {m}-byte payloads", graph.n())?;
             write!(w, "{}", nhood_telemetry::model_check_report(&rec, &pred))?;
         }
         other => {

@@ -88,14 +88,6 @@ impl HockneyParams {
         let h = Hockney { alpha, bytes_per_sec };
         Self { same_socket: h, same_node: h, same_group: h, remote_group: h }
     }
-
-    /// `true` if every level is at least as fast (both α and β) as the
-    /// next-farther level — the sanity property every realistic parameter
-    /// set must have.
-    pub fn is_monotone(&self) -> bool {
-        let a = [self.same_socket, self.same_node, self.same_group, self.remote_group];
-        a.windows(2).all(|w| w[0].alpha <= w[1].alpha)
-    }
 }
 
 #[cfg(test)]
@@ -111,10 +103,15 @@ mod tests {
         assert!((h.time(2000) - h.time(1000) - 1e-6).abs() < 1e-18);
     }
 
+    /// α of the four levels, nearest first.
+    fn alphas(p: &HockneyParams) -> [Seconds; 4] {
+        [p.same_socket, p.same_node, p.same_group, p.remote_group].map(|h| h.alpha)
+    }
+
     #[test]
     fn niagara_is_monotone_in_alpha() {
         let p = HockneyParams::niagara();
-        assert!(p.is_monotone());
+        assert!(alphas(&p).windows(2).all(|w| w[0] <= w[1]));
         assert!(p.same_socket.alpha < p.remote_group.alpha);
     }
 
@@ -134,6 +131,6 @@ mod tests {
         {
             assert!((p.time(l, 1 << 20) - (2e-6 + (1 << 20) as f64 / 5e9)).abs() < 1e-15);
         }
-        assert!(p.is_monotone());
+        assert!(alphas(&p).windows(2).all(|w| w[0] <= w[1]));
     }
 }

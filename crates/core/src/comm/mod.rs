@@ -259,11 +259,6 @@ impl DistGraphComm {
         self
     }
 
-    /// The active load metric.
-    pub fn load_metric(&self) -> LoadMetric {
-        self.metric
-    }
-
     /// The size table planning uses when nothing better is known: the
     /// pinned table, or the uniform default.
     fn planning_sizes(&self) -> BlockSizes {
@@ -1148,7 +1143,7 @@ mod tests {
         let gone: Vec<_> = c.graph().edges().step_by(3).collect();
         assert!(c.mutate(&[], &gone).unwrap().full_rebuild);
         let (dh, sizes) = (Algorithm::DistanceHalving, BlockSizes::default());
-        let key = PlanFingerprint::of_build_v(c.graph(), c.layout(), dh, &sizes, c.load_metric());
+        let key = PlanFingerprint::of_build_v(c.graph(), c.layout(), dh, &sizes, c.metric);
         let mut want = on_disk;
         want.insert(format!("{key}.nhplan").into());
         assert_eq!(files(), want, "one file, under the new topology's build key");

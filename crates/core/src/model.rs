@@ -147,15 +147,6 @@ impl ModelParams {
         2.0 * (self.s * self.l) as f64
             * (self.dh_off_socket_time(m) + self.dh_intra_socket_time(m as f64))
     }
-
-    /// Predicted speedup of Distance Halving over naïve at payload `m`.
-    pub fn predicted_speedup(&self, m: usize) -> f64 {
-        let dh = self.dh_time(m);
-        if dh == 0.0 {
-            return 1.0;
-        }
-        self.naive_time(m) / dh
-    }
 }
 
 /// One row of the Fig. 2 model comparison.
@@ -267,22 +258,17 @@ mod tests {
         // small m on dense graphs, and the doubling buffer erodes the
         // advantage as m grows.
         let params = ModelParams::niagara(2160, 0.5);
-        assert!(
-            params.predicted_speedup(32) > 5.0,
-            "speedup at 32B: {}",
-            params.predicted_speedup(32)
-        );
-        assert!(
-            params.predicted_speedup(32) > params.predicted_speedup(1 << 22),
-            "speedup must shrink with message size"
-        );
+        let speedup = |m| params.naive_time(m) / params.dh_time(m);
+        assert!(speedup(32) > 5.0, "speedup at 32B: {}", speedup(32));
+        assert!(speedup(32) > speedup(1 << 22), "speedup must shrink with message size");
     }
 
     #[test]
     fn speedup_grows_with_density_for_small_messages() {
         let m = 64;
-        let s_sparse = ModelParams::niagara(2160, 0.05).predicted_speedup(m);
-        let s_dense = ModelParams::niagara(2160, 0.7).predicted_speedup(m);
+        let speedup = |p: ModelParams| p.naive_time(m) / p.dh_time(m);
+        let s_sparse = speedup(ModelParams::niagara(2160, 0.05));
+        let s_dense = speedup(ModelParams::niagara(2160, 0.7));
         assert!(s_dense > s_sparse, "dense {s_dense} should beat sparse {s_sparse}");
     }
 

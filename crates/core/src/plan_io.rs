@@ -36,7 +36,7 @@ use crate::plan::{index_len, Algorithm, CollectivePlan, MsgRow, PlanPhase, Plann
 use crate::plan_cache::PlanFingerprint;
 use nhood_topology::Rank;
 use std::hash::Hasher;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"NHPLAN4\0";
@@ -184,13 +184,6 @@ pub fn save_plan(plan: &CollectivePlan, path: &Path, graph_digest: Option<u128>)
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
-}
-
-/// [`decode_plan`] of a stream, read to its end.
-pub fn read_plan(mut r: impl Read) -> Result<CollectivePlan, PlanIoError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    decode_plan(&buf)
 }
 
 /// Decodes a plan from the bytes of a plan file.
@@ -497,8 +490,8 @@ pub(crate) mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(read_plan(&b"not a plan"[..]), Err(PlanIoError::BadMagic)));
-        assert!(matches!(read_plan(&b""[..]), Err(PlanIoError::BadMagic)));
+        assert!(matches!(decode_plan(b"not a plan"), Err(PlanIoError::BadMagic)));
+        assert!(matches!(decode_plan(b""), Err(PlanIoError::BadMagic)));
         // right magic, nothing like a header and a footer behind it
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&2u64.to_le_bytes());

@@ -127,14 +127,6 @@ impl ServiceReport {
         }
         self.stats.completed as f64 / self.stats.admitted as f64
     }
-
-    /// Fraction of submissions rejected.
-    pub fn rejection_rate(&self) -> f64 {
-        if self.stats.submitted == 0 {
-            return 0.0;
-        }
-        self.stats.rejected as f64 / self.stats.submitted as f64
-    }
 }
 
 impl std::fmt::Display for ServiceReport {
@@ -177,7 +169,6 @@ mod tests {
     fn rates_handle_empty_runs() {
         let r = ServiceReport::default();
         assert_eq!(r.completion_rate(), 1.0);
-        assert_eq!(r.rejection_rate(), 0.0);
     }
 
     #[test]
@@ -192,6 +183,5 @@ mod tests {
         assert!(txt.contains("rejected 2"));
         assert!(txt.contains("no completions"));
         assert!((r.completion_rate() - 1.0).abs() < 1e-12);
-        assert!((r.rejection_rate() - 0.2).abs() < 1e-12);
     }
 }

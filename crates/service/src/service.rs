@@ -338,14 +338,6 @@ impl Service {
         self.tenants.len()
     }
 
-    /// Rank count of tenant `t`.
-    ///
-    /// # Panics
-    /// Panics on an unknown tenant id.
-    pub fn tenant_n(&self, t: TenantId) -> usize {
-        self.tenants[t].comm.n()
-    }
-
     /// Tenant `t`'s current virtual topology (changes under churn).
     ///
     /// # Panics
@@ -771,7 +763,7 @@ mod tests {
     fn submit_tick_complete_verified() {
         let cfg = ServiceConfig { verify: Verify::All, keep_outputs: true, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         for i in 0..5 {
             svc.submit(t, uniform_payloads(n, 64, i)).unwrap();
         }
@@ -807,7 +799,7 @@ mod tests {
     fn ragged_payloads_complete_and_verify() {
         let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         let payloads: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; (r * 13) % 97]).collect();
         svc.submit(t, payloads).unwrap();
         svc.drain();
@@ -824,7 +816,7 @@ mod tests {
             ..Default::default()
         };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         for _ in 0..4 {
             svc.submit(t, uniform_payloads(n, 8, 0)).unwrap();
         }
@@ -875,7 +867,7 @@ mod tests {
     fn batching_off_runs_singleton_batches() {
         let cfg = ServiceConfig { batching: false, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         for i in 0..4 {
             svc.submit(t, uniform_payloads(n, 16, i)).unwrap();
         }
@@ -905,7 +897,7 @@ mod tests {
     fn churn_repairs_in_place_and_requests_keep_completing() {
         let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         svc.submit(t, uniform_payloads(n, 32, 0)).unwrap();
         // Mutate while a request sits in the queue: no drain required.
         let (u, v) = svc.tenant_graph(t).edges().next().expect("seeded graph has edges");
@@ -1076,7 +1068,7 @@ mod tests {
     fn mixed_op_traffic_verifies_and_splits_batches_by_family() {
         let cfg = ServiceConfig { verify: Verify::All, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         svc.submit(t, uniform_payloads(n, 16, 1)).unwrap();
         svc.submit_request(t, SubmitRequest::alltoallv(combining_payloads(&svc, t, 8, 2))).unwrap();
         svc.submit_request(
@@ -1104,7 +1096,7 @@ mod tests {
         for backend in [Backend::Virtual, Backend::Threaded, Backend::Sim] {
             let cfg = ServiceConfig { backend, verify: Verify::All, ..Default::default() };
             let (mut svc, t) = service_with_one_tenant(cfg);
-            let n = svc.tenant_n(t);
+            let n = svc.tenant_graph(t).n();
             svc.submit_request(
                 t,
                 SubmitRequest::allreduce(uniform_payloads(n, 32, 7), Reduction::SUM_U8),
@@ -1199,7 +1191,7 @@ mod tests {
     fn sim_backend_reports_makespans() {
         let cfg = ServiceConfig { backend: Backend::Sim, ..Default::default() };
         let (mut svc, t) = service_with_one_tenant(cfg);
-        let n = svc.tenant_n(t);
+        let n = svc.tenant_graph(t).n();
         svc.submit(t, uniform_payloads(n, 1024, 0)).unwrap();
         svc.drain();
         let completions = svc.take_completions();

@@ -66,8 +66,6 @@ pub mod labels {
     pub const BUILD_MATCH: &str = "build_match";
     /// Lowering a built pattern to an executable plan.
     pub const PLAN_LOWER: &str = "plan_lower";
-    /// A plan-cache lookup (hit or miss — see `Recorder::plan_cache`).
-    pub const PLAN_CACHE: &str = "plan_cache";
     /// An incremental plan repair (topology churn or mid-run link-down
     /// recovery) — see `Recorder::repair`.
     pub const REPAIR: &str = "repair";

@@ -161,23 +161,6 @@ impl Topology {
         self.out_neighbors(src).binary_search(&dst).is_ok()
     }
 
-    /// Id of the edge `src → dst`: its position in the out-neighbor lists
-    /// laid end to end in rank order. `None` when it is not an edge, `src`
-    /// out of range included.
-    pub fn edge_id(&self, src: Rank, dst: Rank) -> Option<usize> {
-        if src >= self.n {
-            return None;
-        }
-        let at = self.out_neighbors(src).binary_search(&dst).ok()?;
-        Some(self.out_offsets[src] + at)
-    }
-
-    /// Position of `src` within `in_neighbors(dst)`, i.e. the block index
-    /// at which `src`'s payload lands in `dst`'s receive buffer.
-    pub fn recv_slot(&self, dst: Rank, src: Rank) -> Option<usize> {
-        self.in_neighbors(dst).binary_search(&src).ok()
-    }
-
     /// Density of the graph: `edges / (n * (n - 1))`. Zero for `n < 2`.
     pub fn density(&self) -> f64 {
         if self.n < 2 {
@@ -346,12 +329,10 @@ mod tests {
         let g = diamond();
         assert!(g.has_edge(0, 2));
         assert!(!g.has_edge(2, 0));
-        assert_eq!(g.recv_slot(3, 1), Some(0));
-        assert_eq!(g.recv_slot(3, 2), Some(1));
-        assert_eq!(g.recv_slot(3, 0), None);
-        let ids: Vec<_> = g.edges().map(|(s, d)| g.edge_id(s, d)).collect();
-        assert_eq!(ids, (0..g.edge_count()).map(Some).collect::<Vec<_>>());
-        assert_eq!((g.edge_id(3, 1), g.edge_id(9, 1)), (None, None));
+        // A receive slot is the sender's position in the sorted in-list.
+        assert_eq!(g.in_neighbors(3).binary_search(&1), Ok(0));
+        assert_eq!(g.in_neighbors(3).binary_search(&2), Ok(1));
+        assert!(g.in_neighbors(3).binary_search(&0).is_err());
     }
 
     #[test]

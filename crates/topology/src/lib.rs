@@ -15,8 +15,8 @@
 //!   grids (Fig. 6);
 //! * [`torus::torus`] — fixed-degree (`2d`) d-dimensional tori, the
 //!   100k-rank scale stress workload;
-//! * [`matrix`] — CSR sparse matrices, Matrix Market I/O and seeded
-//!   synthetic replicas of the SuiteSparse matrices in Table II;
+//! * [`matrix`] — CSR sparse matrices and seeded synthetic replicas of
+//!   the SuiteSparse matrices in Table II;
 //! * [`spmm_graph`] — derivation of the SpMM kernel's neighborhood
 //!   topology from a matrix's block sparsity (Fig. 7).
 //!

@@ -1,5 +1,4 @@
-//! Sparse matrices: COO/CSR storage, Matrix Market I/O, and seeded
-//! synthetic generators.
+//! Sparse matrices: COO/CSR storage and seeded synthetic generators.
 //!
 //! The SpMM experiment (Fig. 7 / Table II) derives its neighborhood
 //! topology from the block sparsity structure of matrices from the
@@ -7,11 +6,10 @@
 //! [`generators`] provides seeded synthetic replicas matching each
 //! matrix's dimensions, nonzero count and structure class (banded /
 //! dense-ish / block) — see `DESIGN.md` §2 for the substitution argument.
-//! A [Matrix Market](https://math.nist.gov/MatrixMarket/formats.html)
-//! parser is included so users with the real files can load them.
+//! No path reads a matrix file, so the crate has no Matrix Market
+//! reader.
 
 use crate::rng::DetRng;
-use std::io::{BufRead, Write};
 
 /// A sparse matrix in Compressed Sparse Row form.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,135 +164,6 @@ impl CsrMatrix {
         }
         max
     }
-}
-
-/// Errors from Matrix Market parsing.
-#[derive(Debug)]
-pub enum MatrixMarketError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// Structural problem with the file; the message says what and where.
-    Parse(String),
-}
-
-impl std::fmt::Display for MatrixMarketError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MatrixMarketError::Io(e) => write!(f, "I/O error: {e}"),
-            MatrixMarketError::Parse(m) => write!(f, "Matrix Market parse error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for MatrixMarketError {}
-
-impl From<std::io::Error> for MatrixMarketError {
-    fn from(e: std::io::Error) -> Self {
-        MatrixMarketError::Io(e)
-    }
-}
-
-/// Parses a Matrix Market `coordinate` file.
-///
-/// Supports `real`, `integer` and `pattern` fields with `general` or
-/// `symmetric` symmetry (symmetric entries are mirrored; `pattern`
-/// entries get value 1.0). `array` (dense) files and `complex` fields are
-/// rejected with a descriptive error.
-pub fn read_matrix_market(reader: impl BufRead) -> Result<CsrMatrix, MatrixMarketError> {
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or_else(|| MatrixMarketError::Parse("empty file".into()))??;
-    let h: Vec<String> = header.split_whitespace().map(|s| s.to_ascii_lowercase()).collect();
-    if h.len() < 5 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
-        return Err(MatrixMarketError::Parse(format!("bad header: {header}")));
-    }
-    if h[2] != "coordinate" {
-        return Err(MatrixMarketError::Parse(format!(
-            "only coordinate format is supported, got {}",
-            h[2]
-        )));
-    }
-    let field = h[3].as_str();
-    if !matches!(field, "real" | "integer" | "pattern") {
-        return Err(MatrixMarketError::Parse(format!("unsupported field type {field}")));
-    }
-    let symmetric = match h[4].as_str() {
-        "general" => false,
-        "symmetric" => true,
-        other => {
-            return Err(MatrixMarketError::Parse(format!("unsupported symmetry {other}")));
-        }
-    };
-
-    // Skip comments, read the size line.
-    let size_line = loop {
-        let line =
-            lines.next().ok_or_else(|| MatrixMarketError::Parse("missing size line".into()))??;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        break line;
-    };
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|t| {
-            t.parse().map_err(|_| MatrixMarketError::Parse(format!("bad size line: {size_line}")))
-        })
-        .collect::<Result<_, _>>()?;
-    if dims.len() != 3 {
-        return Err(MatrixMarketError::Parse(format!("bad size line: {size_line}")));
-    }
-    let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
-
-    let mut entries = Vec::with_capacity(if symmetric { nnz * 2 } else { nnz });
-    let mut seen = 0usize;
-    for line in lines {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let r: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| MatrixMarketError::Parse(format!("bad entry: {t}")))?;
-        let c: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| MatrixMarketError::Parse(format!("bad entry: {t}")))?;
-        let v: f64 = if field == "pattern" {
-            1.0
-        } else {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| MatrixMarketError::Parse(format!("bad entry: {t}")))?
-        };
-        if r == 0 || c == 0 || r > rows || c > cols {
-            return Err(MatrixMarketError::Parse(format!(
-                "entry ({r},{c}) out of 1-based bounds {rows}x{cols}"
-            )));
-        }
-        entries.push((r - 1, c - 1, v));
-        if symmetric && r != c {
-            entries.push((c - 1, r - 1, v));
-        }
-        seen += 1;
-    }
-    if seen != nnz {
-        return Err(MatrixMarketError::Parse(format!("expected {nnz} entries, found {seen}")));
-    }
-    Ok(CsrMatrix::from_coo(rows, cols, entries))
-}
-
-/// Writes a matrix as Matrix Market `coordinate real general`.
-pub fn write_matrix_market(m: &CsrMatrix, mut w: impl Write) -> std::io::Result<()> {
-    writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
-    writeln!(w, "{} {} {}", m.rows(), m.cols(), m.nnz())?;
-    for (r, c, v) in m.iter() {
-        writeln!(w, "{} {} {v}", r + 1, c + 1)?;
-    }
-    Ok(())
 }
 
 /// Seeded synthetic matrix generators and the Table II replica set.
@@ -519,47 +388,6 @@ mod tests {
         // a has (0,2,2.0),(2,0,4.0),(2,2,5.0) extra → max diff 5
         assert_eq!(a.max_abs_diff(&b), 5.0);
         assert_eq!(b.max_abs_diff(&a), 5.0);
-    }
-
-    #[test]
-    fn matrix_market_round_trip() {
-        let m = small();
-        let mut buf = Vec::new();
-        write_matrix_market(&m, &mut buf).unwrap();
-        let back = read_matrix_market(&buf[..]).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn matrix_market_symmetric_and_pattern() {
-        let text =
-            "%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n3 3 3\n1 1\n2 1\n3 2\n";
-        let m = read_matrix_market(text.as_bytes()).unwrap();
-        // mirrored: (0,0),(1,0),(0,1),(2,1),(1,2)
-        assert_eq!(m.nnz(), 5);
-        assert_eq!(m.row_cols(0), &[0, 1]);
-        assert_eq!(m.row_values(1), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn matrix_market_rejects_garbage() {
-        assert!(read_matrix_market("not a header\n1 1 0\n".as_bytes()).is_err());
-        assert!(read_matrix_market("%%MatrixMarket matrix array real general\n2 2\n".as_bytes())
-            .is_err());
-        assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 1\n".as_bytes()
-        )
-        .is_err());
-        // entry out of bounds
-        assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n".as_bytes()
-        )
-        .is_err());
-        // wrong count
-        assert!(read_matrix_market(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n".as_bytes()
-        )
-        .is_err());
     }
 
     #[test]

@@ -63,26 +63,6 @@ pub fn erdos_renyi(n: usize, delta: f64, seed: u64) -> Topology {
     Topology::from_edges(n, edges)
 }
 
-/// Generates a *symmetric* Erdős–Rényi graph: each unordered pair becomes a
-/// bidirectional edge with probability `delta`.
-///
-/// Useful for workloads where communication is mutual (e.g. stencil-like
-/// exchanges); the paper's RSG benchmark uses the directed variant.
-pub fn erdos_renyi_symmetric(n: usize, delta: f64, seed: u64) -> Topology {
-    assert!((0.0..=1.0).contains(&delta), "delta must be in [0, 1], got {delta}");
-    let mut rng = DetRng::seed_from_u64(seed);
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_f64() < delta {
-                edges.push((i, j));
-                edges.push((j, i));
-            }
-        }
-    }
-    Topology::from_edges(n, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,13 +109,6 @@ mod tests {
         for (s, d) in g.edges() {
             assert_ne!(s, d);
         }
-    }
-
-    #[test]
-    fn symmetric_variant_is_symmetric() {
-        let g = erdos_renyi_symmetric(80, 0.2, 5);
-        assert!(g.is_symmetric());
-        assert_eq!(g.edge_count() % 2, 0);
     }
 
     #[test]

@@ -7,23 +7,6 @@
 use crate::graph::Topology;
 use crate::moore::periodic_grid;
 
-/// Number of lattice points at Manhattan distance `1..=r` from the
-/// origin in `d` dimensions (the von Neumann neighborhood size).
-pub fn von_neumann_count(r: usize, d: usize) -> usize {
-    // count points with |x1|+..+|xd| <= r, minus the origin
-    fn ball(r: isize, d: usize) -> isize {
-        if d == 0 {
-            return 1;
-        }
-        let mut total = 0;
-        for x in -r..=r {
-            total += ball(r - x.abs(), d - 1);
-        }
-        total
-    }
-    (ball(r as isize, d) - 1) as usize
-}
-
 /// Builds a von Neumann stencil topology on an explicit periodic grid.
 ///
 /// # Panics
@@ -35,6 +18,23 @@ pub fn von_neumann_on_grid(dims: &[usize], r: usize) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The degree oracle: the number of lattice points at Manhattan
+    /// distance `1..=r` from the origin in `d` dimensions.
+    fn von_neumann_count(r: usize, d: usize) -> usize {
+        // count points with |x1|+..+|xd| <= r, minus the origin
+        fn ball(r: isize, d: usize) -> isize {
+            if d == 0 {
+                return 1;
+            }
+            let mut total = 0;
+            for x in -r..=r {
+                total += ball(r - x.abs(), d - 1);
+            }
+            total
+        }
+        (ball(r as isize, d) - 1) as usize
+    }
 
     #[test]
     fn neighborhood_sizes() {

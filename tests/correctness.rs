@@ -6,7 +6,8 @@ use nhood_cluster::{ClusterLayout, Placement};
 use nhood_core::exec::virtual_exec::{reference_allgather, test_payloads};
 use nhood_core::{Algorithm, CollectiveRequest, DistGraphComm, Executor, Threaded, Virtual};
 use nhood_topology::moore::moore_on_grid;
-use nhood_topology::random::{erdos_renyi, erdos_renyi_symmetric};
+use nhood_topology::random::erdos_renyi;
+use nhood_topology::rng::DetRng;
 use nhood_topology::spmm_graph::spmm_topology;
 use nhood_topology::Topology;
 
@@ -49,10 +50,27 @@ fn random_sparse_graphs_all_densities() {
     }
 }
 
+/// A symmetric Erdős–Rényi graph: each unordered pair becomes a
+/// bidirectional edge with probability `delta`.
+fn erdos_renyi_symmetric(n: usize, delta: f64, seed: u64) -> Topology {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.gen_f64() < delta {
+                edges.push((i, j));
+                edges.push((j, i));
+            }
+        }
+    }
+    Topology::from_edges(n, edges)
+}
+
 #[test]
 fn symmetric_random_graphs() {
     let layout = ClusterLayout::new(3, 2, 8); // 48 ranks
     let g = erdos_renyi_symmetric(48, 0.2, 3);
+    assert!(g.is_symmetric());
     check_all(&g, &layout, 8, "symmetric rsg");
 }
 

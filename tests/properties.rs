@@ -279,7 +279,7 @@ fn leader_hierarchy_correct_for_any_leader_count() {
 #[test]
 fn plan_io_round_trips_arbitrary_plans() {
     for_cases(0xAB, |rng| {
-        use nhood_core::plan_io::{read_plan, write_plan};
+        use nhood_core::plan_io::{decode_plan, write_plan};
         let g = arb_graph(rng, 32);
         let k = rng.gen_range(1..10usize);
         let n = g.n();
@@ -290,12 +290,12 @@ fn plan_io_round_trips_arbitrary_plans() {
             let plan = comm.plan(algo).unwrap();
             let mut buf = Vec::new();
             write_plan(&plan, &mut buf).unwrap();
-            let back = read_plan(&buf[..]).unwrap();
+            let back = decode_plan(&buf).unwrap();
             assert!(back == plan);
             // truncation at any point must error, never mis-parse
             if buf.len() > 16 {
                 let cut = buf.len() / 2;
-                assert!(read_plan(&buf[..cut]).is_err());
+                assert!(decode_plan(&buf[..cut]).is_err());
             }
         }
     });
