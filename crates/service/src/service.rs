@@ -16,9 +16,13 @@
 //!    request. That amortization is the service's throughput lever
 //!    (disable it with [`ServiceConfig::batching`]` = false`: every
 //!    request alone, on a cold arena).
-//! 3. Fault-armed tenants execute every op through the robust
-//!    threaded path (the only transport that injects faults). Combining
-//!    ops (alltoallv, reduce_scatter, allreduce) run the same engine as
+//! 3. Every batch runs one loop: each request goes through
+//!    `DistGraphComm::collective_on` on the tenant's arena and the tick's
+//!    spare receive buffers — robust on the threaded transport (the only
+//!    one that injects faults) for a fault-armed tenant — or, on
+//!    [`Backend::Sim`], through `DistGraphComm::simulate_on`, perturbed
+//!    by a fault-armed tenant's fault plan for gathers. Combining ops
+//!    (alltoallv, reduce_scatter, allreduce) run the same engine as
 //!    gathers but never share a batch with them — under `Auto` or a
 //!    pinned size table the two families resolve different plans.
 //! 4. [`Service::churn`] applies a topology mutation
@@ -33,8 +37,8 @@ use std::time::{Duration, Instant};
 use nhood_cluster::ClusterLayout;
 use nhood_core::collective::matches_reference;
 use nhood_core::{
-    Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectivePlan, CollectiveRequest, CommError,
-    DType, DistGraphComm, ExecBackend, MutationReport, PlanCache, Reduction, SimCost,
+    Algorithm, BlockArena, BlockSizes, CollectiveOp, CollectiveOutput, CollectiveRequest,
+    CommError, DType, DistGraphComm, ExecReport, MutationReport, PlanCache, Reduction, SimCost,
 };
 use nhood_telemetry::{labels, CountingRecorder, Recorder};
 use nhood_topology::{Rank, Topology};
@@ -50,9 +54,9 @@ pub type TenantId = usize;
 pub type RequestId = u64;
 
 /// Which transport executes clean (fault-free) tenants' requests — the
-/// core's [`ExecBackend`] under the name the service has always
-/// exported. Fault-armed tenants always run the robust threaded path on
-/// byte-moving backends, and a perturbed simulation on [`Backend::Sim`],
+/// core's [`ExecBackend`](nhood_core::ExecBackend) under the name the
+/// service has always exported. Fault-armed tenants run robust on the
+/// threaded transport, or a perturbed simulation on [`Backend::Sim`],
 /// where completions carry a makespan and no bytes.
 pub use nhood_core::ExecBackend as Backend;
 
@@ -140,6 +144,15 @@ pub enum Outcome {
 
 /// A completion with nothing to report: full, first plan, no repairs.
 const CLEAN: Outcome = Outcome::Completed { degraded: false, fallback: false, repairs: 0 };
+
+/// A run's outcome from its robust report; a run without one is clean.
+fn outcome(report: Option<ExecReport>) -> Outcome {
+    report.map_or(CLEAN, |rep| Outcome::Completed {
+        degraded: !rep.completeness.is_full(),
+        fallback: rep.fallback.is_some(),
+        repairs: rep.repairs,
+    })
+}
 
 impl Outcome {
     /// `true` for [`Outcome::Completed`].
@@ -237,7 +250,6 @@ struct Tenant {
     /// Persistent arena — keeps the programs of the tenant's live plan,
     /// so batched requests skip per-request compile work.
     arena: BlockArena,
-    faulty: bool,
     queued: usize,
     stats: TenantStats,
 }
@@ -319,14 +331,12 @@ impl Service {
             .with_plan_cache(self.cache.clone())
             .with_build_threads(self.cfg.build_threads.max(1));
         comm.plan_shared(algo)?;
-        let faulty = comm.fault_plan().is_some();
         // per-rank counters, for the widest tenant, keeping earlier traffic
         self.rec.grow(comm.n());
         self.tenants.push(Tenant {
             comm,
             algo,
             arena: BlockArena::new(),
-            faulty,
             queued: 0,
             stats: TenantStats::default(),
         });
@@ -482,18 +492,14 @@ impl Service {
 
         let mut finished = 0;
         let mut reqs = ticked.drain(..).peekable();
-        while let Some(&Pending { group, tenant, .. }) = reqs.peek() {
+        while let Some(&Pending { group, .. }) = reqs.peek() {
             let t0 = Instant::now();
             self.rec.span_begin(0, labels::SERVICE_BATCH);
             self.stats.batches += 1;
             let mut len = 0;
             let batch = std::iter::from_fn(|| reqs.next_if(|req| req.group == group));
             let batch = batch.inspect(|_| len += 1);
-            if self.tenants[tenant].faulty {
-                self.run_robust_batch(batch);
-            } else {
-                self.run_clean_batch(batch);
-            }
+            self.run_batch(batch);
             if len >= 2 {
                 self.stats.coalesced += len as u64;
             }
@@ -519,15 +525,25 @@ impl Service {
         finished
     }
 
-    /// A clean tenant's batch, any op: its warm arena and the tick's
-    /// spare receive buffers, through [`DistGraphComm::collective_on`]. A
-    /// gather batch fetches its plan once, from the tenant's epoch memo;
-    /// a combining batch resolves the memoized routing plan per request.
-    fn run_clean_batch(&mut self, batch: impl Iterator<Item = Pending>) {
+    /// One batch — a tenant's requests of one op family — on the tenant's
+    /// warm arena (a cold one with batching off). On [`Backend::Sim`] each
+    /// request is priced at the configured cost by
+    /// [`DistGraphComm::simulate_on`], a fault-armed tenant's gathers under
+    /// its fault plan's perturbation; otherwise it runs
+    /// [`DistGraphComm::collective_on`] on the tick's spare receive
+    /// buffers, a fault-armed tenant's robust on the threaded transport
+    /// (the only one that injects faults). A gather batch fetches its plan
+    /// once from the tenant's epoch memo, except where its requests are
+    /// robust: those resolve their own, so a failing build degrades to
+    /// naive inside them. A combining request resolves its routing plan.
+    fn run_batch(&mut self, batch: impl Iterator<Item = Pending>) {
         let mut batch = batch.peekable();
         let Some(first) = batch.peek() else { return };
         let t = &self.tenants[first.tenant];
-        let plan = match first.op.is_gather().then(|| t.comm.plan_shared(t.algo)).transpose() {
+        let (sim, gather, faults) =
+            (self.cfg.backend == Backend::Sim, first.op.is_gather(), t.comm.fault_plan());
+        let fetch = gather && (sim || faults.is_none());
+        let plan = match fetch.then(|| t.comm.plan_shared(t.algo)).transpose() {
             Ok(p) => p,
             Err(e) => {
                 for req in batch {
@@ -536,95 +552,40 @@ impl Service {
                 return;
             }
         };
+        let pert = faults.filter(|_| sim && gather).map(|f| f.to_perturbation(t.comm.n()));
+        let robust = faults.is_some();
+        let backend = if robust { Backend::Threaded } else { self.cfg.backend };
         for req in batch {
-            if self.cfg.backend == Backend::Sim {
-                self.run_sim(req, plan.as_ref());
-                continue;
-            }
             let t = &mut self.tenants[req.tenant];
-            let mut creq = CollectiveRequest::new(req.op, &req.payloads)
-                .algorithm(t.algo)
-                .backend(self.cfg.backend)
-                .recorder(&self.rec);
+            let mut creq = CollectiveRequest::new(req.op, &req.payloads).algorithm(t.algo);
             creq.sizes = req.sizes.clone();
             // The warm per-tenant arena is part of the batching design;
             // with batching off each request lays out a cold one.
             let mut cold = BlockArena::new();
             let arena = if self.cfg.batching { &mut t.arena } else { &mut cold };
-            arena.adopt_rbufs(std::mem::take(&mut self.spare));
-            let res = t.comm.collective_on(&creq, plan.as_ref(), arena);
-            // a failed run may leave the set adopted; it must not outlive the tick
-            arena.adopt_rbufs(Vec::new());
-            self.complete(req, res.map(|out| (CLEAN, out.rbufs)), true);
-        }
-    }
-
-    /// A fault-armed tenant's batch: every op runs the robust path
-    /// (threaded transport — the only one that injects faults) on a plan
-    /// from the tenant's epoch memo, where a Distance Halving tenant's
-    /// live plan spares the negotiation. On [`Backend::Sim`] a gather's fault plan
-    /// lowers to a latency perturbation instead, and combining traffic
-    /// simulates clean.
-    fn run_robust_batch(&mut self, batch: impl Iterator<Item = Pending>) {
-        for req in batch {
-            let t = &self.tenants[req.tenant];
-            if self.cfg.backend == Backend::Sim {
-                match req.op.is_gather().then(|| t.comm.plan_shared(t.algo)).transpose() {
-                    Ok(plan) => self.run_sim(req, plan.as_ref()),
+            if sim {
+                let cost = &self.cfg.sim_cost;
+                match t.comm.simulate_on(&creq, plan.as_ref(), arena, cost, pert.as_ref()) {
+                    Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
                     Err(e) => self.fail(req, e),
                 }
                 continue;
             }
-            let mut creq = CollectiveRequest::new(req.op, &req.payloads)
-                .algorithm(t.algo)
-                .robust(true)
-                .backend(ExecBackend::Threaded)
-                .recorder(&self.rec);
-            creq.sizes = req.sizes.clone();
-            let res = t.comm.collective(&creq).map_err(|e| e.to_string()).and_then(|out| {
-                let rep = out.report.ok_or("robust run returned no execution report")?;
-                let outcome = Outcome::Completed {
-                    degraded: !rep.completeness.is_full(),
-                    fallback: rep.fallback.is_some(),
-                    repairs: rep.repairs,
-                };
-                Ok((outcome, out.rbufs))
-            });
-            self.complete(req, res, false);
-        }
-    }
-
-    /// Every request on [`Backend::Sim`]: no bytes move, and the tenant's
-    /// arena keeps the simulated structure of its plan, so a warm
-    /// request pays only its prices and the replay. A gather simulates
-    /// `plan` (the batch's; `None` resolves the tenant's), perturbed by
-    /// a fault-armed tenant's fault plan; a combining op its compiled
-    /// program, clean.
-    fn run_sim(&mut self, req: Pending, plan: Option<&Arc<CollectivePlan>>) {
-        let t = &mut self.tenants[req.tenant];
-        let faults = t.comm.fault_plan().filter(|_| t.faulty && req.op.is_gather());
-        let pert = faults.map(|f| f.to_perturbation(t.comm.n()));
-        let mut creq = CollectiveRequest::new(req.op, &req.payloads).algorithm(t.algo);
-        creq.sizes = req.sizes.clone();
-        let mut cold = BlockArena::new();
-        let arena = if self.cfg.batching { &mut t.arena } else { &mut cold };
-        match t.comm.simulate_on(&creq, plan, arena, &self.cfg.sim_cost, pert.as_ref()) {
-            Ok(rep) => self.finish(req, CLEAN, None, None, Some(rep.makespan)),
-            Err(e) => self.fail(req, e),
+            let creq = creq.robust(robust).backend(backend).recorder(&self.rec);
+            arena.adopt_rbufs(std::mem::take(&mut self.spare));
+            let res = t.comm.collective_on(&creq, plan.as_ref(), arena);
+            // a failed run may leave the set adopted; it must not outlive the tick
+            arena.adopt_rbufs(Vec::new());
+            self.complete(req, res);
         }
     }
 
     /// The one completion of a byte-moving run: verify, then the buffers
-    /// go to the caller ([`ServiceConfig::keep_outputs`]), back to the
-    /// tick's spare set (`recycle`: the request drew from it), or away.
-    fn complete<E: std::fmt::Display>(
-        &mut self,
-        req: Pending,
-        res: Result<(Outcome, Vec<Vec<u8>>), E>,
-        recycle: bool,
-    ) {
+    /// go to the caller ([`ServiceConfig::keep_outputs`]) or back to the
+    /// tick's spare set, which the request drew from.
+    fn complete(&mut self, req: Pending, res: Result<CollectiveOutput, CommError>) {
         let (outcome, rbufs) = match res {
-            Ok(done) => done,
+            Ok(out) => (outcome(out.report), out.rbufs),
             Err(e) => return self.fail(req, e),
         };
         let degraded = matches!(outcome, Outcome::Completed { degraded: true, .. });
@@ -632,7 +593,7 @@ impl Service {
         let mut output = None;
         if self.cfg.keep_outputs {
             output = Some(rbufs);
-        } else if recycle {
+        } else {
             self.spare = rbufs;
         }
         self.finish(req, outcome, verified, output, None);
@@ -1185,6 +1146,40 @@ mod tests {
         assert_eq!(report.stats.corrupt, 0, "no operator was applied twice");
         // only a transport that consults the fault plan retries a send
         assert!(report.counters.expect("counting recorder").retries > 0);
+    }
+
+    #[test]
+    fn a_fault_armed_sim_tenant_perturbs_its_gathers_and_prices_combining_clean() {
+        use nhood_core::FaultPlan;
+        let g = erdos_renyi(16, 0.3, 7);
+        let comm = || DistGraphComm::create_adjacent(g.clone(), layout_for(16)).unwrap();
+        let faults = FaultPlan::seeded(11).with_message_delay(0.5, Duration::from_micros(20));
+        let mut svc = Service::new(ServiceConfig { backend: Backend::Sim, ..Default::default() });
+        let algo = Algorithm::DistanceHalving;
+        let faulty = svc.add_tenant_comm(comm().with_fault_plan(faults.clone()), algo).unwrap();
+        let clean = svc.add_tenant(g.clone(), layout_for(16), algo).unwrap();
+        let (gather, routed) =
+            (uniform_payloads(16, 256, 1), combining_payloads(&svc, clean, 8, 2));
+        let mut makespan = |t: TenantId, request: SubmitRequest| {
+            svc.submit_request(t, request).unwrap();
+            svc.drain();
+            svc.take_completions()[0].sim_makespan.expect("a simulated makespan")
+        };
+        // a gather prices under the fault plan's perturbation, cold and warm
+        let req = CollectiveRequest::new(CollectiveOp::Allgather, &gather).algorithm(algo);
+        let pert = faults.to_perturbation(16);
+        let cost = SimCost::niagara();
+        let want = comm().simulate_on(&req, None, &mut BlockArena::new(), &cost, Some(&pert));
+        let want = want.unwrap().makespan;
+        for _ in 0..2 {
+            let got = makespan(faulty, SubmitRequest::allgather(gather.clone()));
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        let unperturbed = makespan(clean, SubmitRequest::allgather(gather));
+        assert_ne!(unperturbed.to_bits(), want.to_bits(), "the delays move the gather");
+        // combining traffic prices clean
+        let got = makespan(faulty, SubmitRequest::alltoallv(routed.clone()));
+        assert_eq!(got.to_bits(), makespan(clean, SubmitRequest::alltoallv(routed)).to_bits());
     }
 
     #[test]

@@ -269,6 +269,44 @@ fn a_warm_reduce_request_stages_only_the_partials_that_fold() {
     assert_eq!(svc.report().stats.corrupt, 0);
 }
 
+/// A fault-armed tenant's requests run robust on the threaded transport,
+/// but on the tenant's arena and the tick's spare receive buffers as a
+/// clean tenant's do: a warm tick of 16 gathers at 4 KiB lays out one set
+/// of receive buffers, not one per request. The fault plan injects
+/// nothing, so every request completes. The rank runtime's allocation
+/// counts vary with its interleaving, so this bounds bytes, not calls.
+#[test]
+fn a_fault_armed_tick_recycles_its_receive_buffers() {
+    use nhood_core::{DistGraphComm, FaultPlan};
+    let g = erdos_renyi(N, 0.15, 400);
+    let (m, rbuf_bytes) = (4 << 10, g.edge_count() as u64 * (4 << 10));
+    let comm = DistGraphComm::create_adjacent(g, ClusterLayout::new(8, 2, 4)).unwrap();
+    let config = ServiceConfig { verify: nhood_service::Verify::None, ..Default::default() };
+    let mut svc = Service::new(config);
+    svc.add_tenant_comm(comm.with_fault_plan(FaultPlan::seeded(5)), Algorithm::DistanceHalving)
+        .unwrap();
+    let mut tick = |round: u8| {
+        let payloads = |i: usize| (0..N).map(|r| vec![r as u8 ^ round ^ i as u8; m]).collect();
+        let reqs = (0..REQUESTS).map(|i| (0, payloads(i))).collect();
+        let before = ASKED.with(Cell::get);
+        counted_tick(&mut svc, reqs);
+        ASKED.with(Cell::get) - before
+    };
+    tick(0);
+    tick(1);
+    let (first, second) = (tick(2), tick(3));
+    println!(
+        "warm fault-armed tick: {first} B, then {second} B, for {REQUESTS} requests \
+         ({rbuf_bytes} B of receive buffers each)"
+    );
+    assert!(
+        second < 2 * rbuf_bytes,
+        "{second} B for {REQUESTS} warm robust requests: more than two requests' \
+         receive buffers ({rbuf_bytes} B each)"
+    );
+    assert_eq!(svc.report().stats.corrupt, 0);
+}
+
 /// A warm `Auto` tenant costs what a tenant registered under the tuner's
 /// winner costs: the request finds its memo under a key the communicator
 /// keeps, so it neither re-hashes its topology nor formats the cost model

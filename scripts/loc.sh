@@ -18,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SWEEP_BUDGET=12430   # crates/{core,simnet,cli}/src
-SERVICE_BUDGET=1490  # crates/service/src
+SERVICE_BUDGET=1451  # crates/service/src
 BENCH_BUDGET=3758    # crates/bench/src
 SUPPORT_BUDGET=3076  # crates/{topology,telemetry,cluster,spmm,integration}/src
 
